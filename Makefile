@@ -83,21 +83,22 @@ online:
 bench-online:
 	$(GO) run ./cmd/raalbench -exp online -json -outdir results
 
-# Quantized-path gate: the accuracy-gate and precision tests (typed
-# refusal + f64 fallback, bit-reproducible quantized predict, precision-
-# tagged cache isolation, requantize-on-promotion), then the committed
-# quant report checked against the paper-level bounds — the 0.9-quantile
-# q-error delta must stay ≤ 0.05 for both reduced precisions. Diffing
-# the report against itself makes the delta columns no-ops; the absolute
-# -metric bounds are the point: a bad baseline cannot be committed.
+# Reduced-precision gate: the accuracy-gate and precision tests (typed
+# refusal + f64 fallback, non-finite predictions refused, bit-reproducible
+# f32 predict, precision-tagged cache isolation, requantize-on-promotion),
+# then the committed quant report checked against the paper-level bounds —
+# the 0.9-quantile q-error delta of f32 must stay ≤ 0.05, and f32 must not
+# be slower than f64 (or it has no reason to exist). Diffing the report
+# against itself makes the delta columns no-ops; the absolute -metric
+# bounds are the point: a bad baseline cannot be committed.
 quant:
 	$(GO) test -run 'Quant|Precision' -count=1 ./internal/core ./internal/online ./internal/tensor .
 	$(GO) run ./cmd/benchdiff \
-	    -metric 'qdelta_p90/f32<=0.05' -metric 'qdelta_p90/int8<=0.05' \
+	    -metric 'qdelta_p90/f32<=0.05' \
 	    -metric 'speedup/f32>=1.0' \
 	    results/BENCH_quant.json results/BENCH_quant.json
 
-# Re-measure the f64/f32/int8 predict latencies and q-error deltas
+# Re-measure the f64/f32 predict latencies and the f32 q-error delta
 # (results/BENCH_quant.json); compare runs with cmd/benchdiff.
 bench-quant:
 	$(GO) run ./cmd/raalbench -exp quant -json -outdir results
@@ -148,6 +149,11 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/sql -run=XXX -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 
-# The pre-merge gate: static checks, the full test suite, and a fuzz
-# smoke of the parser.
+# The pre-merge gate: static checks, the full test suite, a fuzz smoke of
+# the parser, and the benchmark module's own vet and tests (~12 s). bench/
+# is its own module (replace raal => ../) importing
+# raal/internal/{core,tensor}, so `go test ./...` never compiles it: an
+# internal-API refactor could break the benchmark silently without this.
 check: vet test fuzz
+	$(GO) vet -C bench .
+	$(GO) test -C bench .

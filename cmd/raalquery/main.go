@@ -27,7 +27,7 @@ func main() {
 		memMB     = flag.Float64("mem", 4096, "executor memory (MB)")
 		seed      = flag.Int64("seed", 1, "global seed")
 		modelPath = flag.String("model", "", "trained cost model (from raaltrain -out) for plan selection")
-		precision = flag.String("precision", "f64", "with -model, inference precision: f64, f32, or int8 (reduced precisions quantize the loaded model)")
+		precision = flag.String("precision", "f64", "with -model, inference precision: f64 or f32 (f32 converts the loaded model)")
 		explain   = flag.Bool("explain", false, "print the per-stage cost breakdown of each plan")
 		trace     = flag.Bool("trace", false, "with -model, print the model's per-stage inference timing for the picked plan")
 		dotPath   = flag.String("dot", "", "write the cheapest plan as Graphviz DOT to this file")
@@ -37,6 +37,13 @@ func main() {
 		fmt.Fprintln(os.Stderr, "missing -sql")
 		flag.Usage()
 		os.Exit(1)
+	}
+
+	// Parsed before anything is opened or loaded: a bad or removed value
+	// (int8) must stop the run, never fall back to f64.
+	prec, err := raal.ParsePrecision(*precision)
+	if err != nil {
+		fatal(err)
 	}
 
 	sys, err := raal.Open(raal.Benchmark(*bench), *scale, *seed)
@@ -92,10 +99,6 @@ func main() {
 		}
 		cm, err := raal.LoadCostModel(f)
 		f.Close()
-		if err != nil {
-			fatal(err)
-		}
-		prec, err := raal.ParsePrecision(*precision)
 		if err != nil {
 			fatal(err)
 		}

@@ -10,7 +10,7 @@
 //	raalserve -deadline 200ms -on-deadline fail       # 504 instead of fallback
 //	raalserve -model model.raal \
 //	          -batch-window 2ms -batch-max 16         # micro-batch concurrent requests
-//	raalserve -model model.raal -precision int8       # quantized inference behind the
+//	raalserve -model model.raal -precision f32        # float32 inference behind the
 //	                                                  # accuracy gate (f64 on refusal)
 //	raalserve -admin :8081 -pprof                     # admin listener + profiling
 //	raalserve -route "http://10.0.0.7:8080,http://10.0.0.8:8080"
@@ -92,8 +92,8 @@ func main() {
 		onDeadline = flag.String("on-deadline", "fallback", "deadline-miss policy: fallback (degrade to GPSJ) or fail (504)")
 		candidates = flag.Int("max-candidates", 3, "candidate plans priced by /select")
 		encCache   = flag.Int("encode-cache", 256, "feature-encoding LRU capacity in plans (0 disables; repeated plans skip re-encoding)")
-		precision  = flag.String("precision", "f64", "serving numeric precision: f64, f32, or int8 (requires -model); reduced precisions quantize the model behind an accuracy gate and serve f64 when the gate refuses")
-		quantGate  = flag.Float64("quant-gate", 0.05, "accuracy-gate bound for reduced precisions: maximum p90 q-error delta between quantized and f64 predictions over a sampled gate workload")
+		precision  = flag.String("precision", "f64", "serving numeric precision: f64 or f32 (f32 requires -model); f32 converts the model behind an accuracy gate and serves f64 when the gate refuses")
+		quantGate  = flag.Float64("quant-gate", 0.05, "accuracy-gate bound for -precision f32: maximum p90 q-error delta between f32 and f64 predictions over a sampled gate workload")
 		batchWin   = flag.Duration("batch-window", 0, "micro-batching collection window; concurrent requests within it coalesce into one forward pass (0 disables batching)")
 		batchMax   = flag.Int("batch-max", 0, "micro-batch size cap; a full batch flushes before the window expires (<= 1 disables batching; requires -model)")
 		drainGrace = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
@@ -126,6 +126,15 @@ func main() {
 	fatal := func(msg string, args ...any) {
 		logger.Error(msg, args...)
 		os.Exit(1)
+	}
+	// Parsed before anything is opened or loaded: a bad or removed value
+	// (int8) must stop the process, never fall back to f64.
+	prec, err := raal.ParsePrecision(*precision)
+	if err != nil {
+		fatal("parsing -precision", "error", err)
+	}
+	if *modelPath == "" && prec != raal.PrecisionF64 {
+		fatal("-precision requires -model (the analytical path has no reduced-precision form)")
 	}
 	if *pprofOn && *adminAddr == "" {
 		fatal("-pprof requires -admin (profiling is only served on the admin listener)")
@@ -189,13 +198,6 @@ func main() {
 		cacheStats func() []serve.CacheKeyStats
 		modelAdmin http.Handler
 	)
-	prec, err := raal.ParsePrecision(*precision)
-	if err != nil {
-		fatal("parsing -precision", "error", err)
-	}
-	if *modelPath == "" && prec != raal.PrecisionF64 {
-		fatal("-precision requires -model (the analytical path has no quantized form)")
-	}
 	if *modelPath != "" {
 		cm, st, err := loadModelOrCheckpoint(*modelPath)
 		if err != nil {

@@ -25,7 +25,7 @@ const (
 type CostModel struct {
 	enc    *encode.Encoder
 	model  *core.Model
-	qmodel *core.QModel // nil while serving the f64 reference path; see EnablePrecision
+	qmodel *core.Net[float32] // nil while serving the f64 reference path; see EnablePrecision
 	instr  *core.Instrumentation
 	api    apiCounters
 	cache  *encodeCache // nil until EnableEncodeCache
@@ -121,7 +121,7 @@ func (cm *CostModel) encodePlanAt(prec string, p *Plan, res Resources) *Sample {
 // snapshot, then that snapshot's precision.
 func (cm *CostModel) Precision() core.Precision {
 	if cm.qmodel != nil {
-		return cm.qmodel.Precision
+		return cm.qmodel.Precision()
 	}
 	return core.PrecisionF64
 }
@@ -129,7 +129,7 @@ func (cm *CostModel) Precision() core.Precision {
 // EnablePrecision switches the serving precision of every estimation
 // API. PrecisionF64 restores the float64 reference path (always
 // succeeds). A reduced precision quantizes the trained model
-// (core.Model.Quantize) and — when gate samples are supplied — runs the
+// (core.Net.Quantize) and — when gate samples are supplied — runs the
 // accuracy gate (core.VerifyQuantized) before installing it: the
 // GateQuantile q-error delta between the quantized and float64
 // predictions over gate must stay within maxQDelta. On refusal the
@@ -145,7 +145,7 @@ func (cm *CostModel) EnablePrecision(p core.Precision, gate []*Sample, maxQDelta
 		cm.qmodel = nil
 		return nil
 	}
-	qm, err := cm.model.Quantize(core.QuantConfig{Precision: p})
+	qm, err := cm.model.Quantize(p)
 	if err != nil {
 		return err
 	}
@@ -315,7 +315,7 @@ func (cm *CostModel) Estimate(p *Plan, res Resources) float64 {
 // returned span is already ended and decomposes the call into encode →
 // embed → lstm/conv → attention → dense → decode stages (stage durations
 // sum to at most the span total). The span name carries the active
-// serving precision ("estimate[f64]", "estimate[int8]", ...) so traces
+// serving precision ("estimate[f64]", "estimate[f32]") so traces
 // from different precisions are distinguishable. Tracing is
 // observation-only — the prediction is bit-identical to Estimate.
 func (cm *CostModel) EstimateTraced(p *Plan, res Resources) (float64, *telemetry.Span) {

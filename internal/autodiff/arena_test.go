@@ -1,6 +1,7 @@
 package autodiff
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,7 +11,7 @@ import (
 // mlpForward builds a small two-layer network with every fused op the
 // model layers use: matmul, fused bias+activation, element-wise ops, and
 // a scalar loss.
-func mlpForward(tp *Tape, w1, b1, w2, b2 *Var, x *tensor.Matrix) *Var {
+func mlpForward(tp *Tape[float64], w1, b1, w2, b2 *Var[float64], x *tensor.Matrix) *Var[float64] {
 	h := tp.AddRowApply(tp.MatMul(tp.Const(x), w1), b1, ActTanh)
 	y := tp.AddRowApply(tp.MatMul(h, w2), b2, ActIdentity)
 	return tp.MeanAll(tp.Mul(y, y))
@@ -33,15 +34,15 @@ func arenaFixture(seed int64) (w1, b1, w2, b2, x *tensor.Matrix) {
 func TestResetReusesArenaBitIdentical(t *testing.T) {
 	w1, b1, w2, b2, x := arenaFixture(3)
 
-	pooled := NewTape()
+	pooled := NewTape[float64]()
 	for pass := 0; pass < 5; pass++ {
 		pooled.Reset()
-		pv := [4]*Var{pooled.Param(w1), pooled.Param(b1), pooled.Param(w2), pooled.Param(b2)}
+		pv := [4]*Var[float64]{pooled.Param(w1), pooled.Param(b1), pooled.Param(w2), pooled.Param(b2)}
 		ploss := mlpForward(pooled, pv[0], pv[1], pv[2], pv[3], x)
 		pooled.Backward(ploss)
 
-		fresh := NewTape()
-		fv := [4]*Var{fresh.Param(w1), fresh.Param(b1), fresh.Param(w2), fresh.Param(b2)}
+		fresh := NewTape[float64]()
+		fv := [4]*Var[float64]{fresh.Param(w1), fresh.Param(b1), fresh.Param(w2), fresh.Param(b2)}
 		floss := mlpForward(fresh, fv[0], fv[1], fv[2], fv[3], x)
 		fresh.Backward(floss)
 
@@ -64,10 +65,10 @@ func TestResetReusesArenaBitIdentical(t *testing.T) {
 func TestInferenceTapeMatchesTrainingTape(t *testing.T) {
 	w1, b1, w2, b2, x := arenaFixture(5)
 
-	train := NewTape()
+	train := NewTape[float64]()
 	trainLoss := mlpForward(train, train.Param(w1), train.Param(b1), train.Param(w2), train.Param(b2), x)
 
-	inf := NewInferenceTape()
+	inf := NewInferenceTape[float64]()
 	infLoss := mlpForward(inf, inf.Param(w1), inf.Param(b1), inf.Param(w2), inf.Param(b2), x)
 
 	if trainLoss.Value.Data[0] != infLoss.Value.Data[0] {
@@ -86,11 +87,11 @@ func TestInferenceTapeMatchesTrainingTape(t *testing.T) {
 // matrix allocations — every value and gradient comes from the free list.
 func TestWarmTapeAllocatesNoMatrices(t *testing.T) {
 	w1, b1, w2, b2, x := arenaFixture(9)
-	tp := NewTape()
+	tp := NewTape[float64]()
 	// Params are persistent leaves, created once and reused across passes
 	// (as nn.Param does in the real model); their gradients accumulate in
 	// place, so the steady state has no leaf allocations either.
-	pv := [4]*Var{tp.Param(w1), tp.Param(b1), tp.Param(w2), tp.Param(b2)}
+	pv := [4]*Var[float64]{tp.Param(w1), tp.Param(b1), tp.Param(w2), tp.Param(b2)}
 	run := func() {
 		tp.Reset()
 		loss := mlpForward(tp, pv[0], pv[1], pv[2], pv[3], x)
@@ -115,7 +116,7 @@ func TestFusedAddRowApplyMatchesUnfused(t *testing.T) {
 	m := tensor.Randn(4, 6, 1, rng)
 	r := tensor.Randn(1, 6, 1, rng)
 
-	unfusedOf := func(tp *Tape, z, b *Var, f ActFn) *Var {
+	unfusedOf := func(tp *Tape[float64], z, b *Var[float64], f ActFn) *Var[float64] {
 		s := tp.AddRow(z, b)
 		switch f {
 		case ActIdentity:
@@ -132,12 +133,12 @@ func TestFusedAddRowApplyMatchesUnfused(t *testing.T) {
 	}
 
 	for _, f := range []ActFn{ActIdentity, ActSigmoid, ActTanh, ActReLU} {
-		ft := NewTape()
+		ft := NewTape[float64]()
 		fm, fr := ft.Param(m), ft.Param(r)
 		fused := ft.AddRowApply(fm, fr, f)
 		ft.Backward(ft.MeanAll(ft.Mul(fused, fused)))
 
-		ut := NewTape()
+		ut := NewTape[float64]()
 		um, ur := ut.Param(m), ut.Param(r)
 		unfused := unfusedOf(ut, um, ur, f)
 		ut.Backward(ut.MeanAll(ut.Mul(unfused, unfused)))
@@ -165,7 +166,7 @@ func TestFusedAddRowApplyMatchesUnfused(t *testing.T) {
 func TestGradAddRowApply(t *testing.T) {
 	for _, f := range []ActFn{ActIdentity, ActSigmoid, ActTanh} {
 		ps := randParams(31, [2]int{3, 4}, [2]int{1, 4})
-		checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
+		checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
 			return tp.MeanAll(tp.AddRowApply(vs[0], vs[1], f))
 		})
 	}
@@ -175,7 +176,7 @@ func TestGradAddRowApply(t *testing.T) {
 // TestNewMatrixRecycledAcrossReset pins the loan channel: tape-provided
 // scratch matrices return to the arena on Reset and are handed out again.
 func TestNewMatrixRecycledAcrossReset(t *testing.T) {
-	tp := NewTape()
+	tp := NewTape[float64]()
 	m1 := tp.NewMatrix(3, 4)
 	m1.Fill(42)
 	tp.Reset()
@@ -194,7 +195,7 @@ func TestNewMatrixRecycledAcrossReset(t *testing.T) {
 // matrix: recycling it would let a later op silently overwrite caller
 // state.
 func TestConstValueNotRecycled(t *testing.T) {
-	tp := NewTape()
+	tp := NewTape[float64]()
 	own := tensor.FromSlice(1, 2, []float64{1, 2})
 	tp.Const(own)
 	tp.Reset()
@@ -204,5 +205,160 @@ func TestConstValueNotRecycled(t *testing.T) {
 	}
 	if own.Data[0] != 1 || own.Data[1] != 2 {
 		t.Fatalf("caller-owned matrix mutated: %v", own.Data)
+	}
+}
+
+// TestTapeOpsF32MatchF64 runs each op on a float32 tape against the
+// float64 tape on the same (narrowed) inputs and requires agreement within
+// f32 rounding tolerance — the two instantiations must differ only in
+// storage precision, never in semantics. The transcendental ops (tanh,
+// sigmoid, softmax) get a looser 2e-5 bound: at float32 they run through
+// the fast kernels (tensor.Sigmoid32's interpolated table, tensor.Exp32),
+// whose ≲1e-5 absolute error is the documented trade for skipping the
+// float64 math library on the hot path.
+func TestTapeOpsF32MatchF64(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	tp64 := NewInferenceTape[float64]()
+	tp32 := NewInferenceTape[float32]()
+
+	// pair wraps one float64 matrix as a constant on both tapes.
+	pair := func(m *tensor.Matrix) (*Var[float32], *Var[float64]) {
+		return tp32.Const(tensor.Convert[float32](m)), tp64.Const(m)
+	}
+	a32, av := pair(tensor.Randn(6, 8, 1, rng))
+	b32, bv := pair(tensor.Randn(8, 5, 1, rng))
+
+	check := func(label string, got *Var[float32], want *Var[float64], tol float64) {
+		t.Helper()
+		if got.Value.Rows != want.Value.Rows || got.Value.Cols != want.Value.Cols {
+			t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.Value.Rows, got.Value.Cols, want.Value.Rows, want.Value.Cols)
+		}
+		for i, v := range got.Value.Data {
+			if math.Abs(float64(v)-want.Value.Data[i]) > tol {
+				t.Fatalf("%s: element %d = %g, want %g", label, i, v, want.Value.Data[i])
+			}
+		}
+	}
+
+	check("matmul", tp32.MatMul(a32, b32), tp64.MatMul(av, bv), 1e-4)
+	check("tanh", tp32.Tanh(a32), tp64.Tanh(av), 2e-5)
+	check("scale", tp32.Scale(a32, 0.5), tp64.Scale(av, 0.5), 1e-6)
+	check("sliceCols", tp32.SliceCols(a32, 2, 7), tp64.SliceCols(av, 2, 7), 1e-6)
+
+	mask := []bool{true, false, true, true, false, true}
+	check("meanRowsMasked", tp32.MeanRowsMasked(a32, mask), tp64.MeanRowsMasked(av, mask), 1e-6)
+
+	cmask := []bool{true, true, false, true, false, true, true, true}
+	check("softmaxRows", tp32.SoftmaxRows(a32, cmask), tp64.SoftmaxRows(av, cmask), 2e-5)
+
+	mask2d := make([][]bool, 6)
+	for i := range mask2d {
+		mask2d[i] = make([]bool, 8)
+		for j := range mask2d[i] {
+			mask2d[i][j] = rng.Intn(2) == 0
+		}
+	}
+	check("softmaxMask2D", tp32.SoftmaxRowsMask2D(a32, mask2d), tp64.SoftmaxRowsMask2D(av, mask2d), 2e-5)
+
+	r32, rv := pair(tensor.Randn(1, 8, 1, rng))
+	check("addRowApply/sigmoid", tp32.AddRowApply(a32, r32, ActSigmoid), tp64.AddRowApply(av, rv, ActSigmoid), 2e-5)
+
+	check("im2col", tp32.Im2ColRows(a32, 3), tp64.Im2ColRows(av, 3), 1e-6)
+	check("concatCols", tp32.ConcatCols(a32, a32), tp64.ConcatCols(av, av), 1e-6)
+	check("concatRows", tp32.ConcatRows(a32, a32), tp64.ConcatRows(av, av), 1e-6)
+	check("gatherRows", tp32.GatherRows([]*Var[float32]{a32, a32}, 3), tp64.GatherRows([]*Var[float64]{av, av}, 3), 1e-6)
+
+	small32, smallv := pair(tensor.Randn(2, 8, 1, rng))
+	check("addRowsAt", tp32.AddRowsAt(a32, 2, small32), tp64.AddRowsAt(av, 2, smallv), 1e-6)
+
+	// The fused cell: z is consumed as scratch, so each tape gets a copy.
+	z32, zv := pair(tensor.Randn(6, 8, 1, rng))
+	c32, cv := pair(tensor.Randn(6, 2, 1, rng))
+	check("lstmCell", tp32.LSTMCell(z32, r32, c32), tp64.LSTMCell(zv, rv, cv), 2e-5)
+	check("lstmCell/state", c32, cv, 2e-5)
+}
+
+// TestLSTMCellMatchesRecordedChain pins the forward-only fused cell, bit
+// for bit, to the op chain a recording tape runs in its place, and that a
+// recording tape refuses it (it has no backward pass).
+func TestLSTMCellMatchesRecordedChain(t *testing.T) {
+	bothTypes(t, testLSTMCellMatchesRecordedChain[float64], testLSTMCellMatchesRecordedChain[float32])
+}
+
+func testLSTMCellMatchesRecordedChain[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	const batch, h = 3, 5
+	z := tensor.Convert[T](tensor.Randn(batch, 4*h, 1, rng))
+	b := tensor.Convert[T](tensor.Randn(1, 4*h, 1, rng))
+	c := tensor.Convert[T](tensor.Randn(batch, h, 1, rng))
+
+	rec := NewTape[T]()
+	zv, bv, cv := rec.Const(z), rec.Const(b), rec.Const(c)
+	gate := func(k int, f ActFn) *Var[T] {
+		return rec.AddRowApply(rec.SliceCols(zv, k*h, (k+1)*h), rec.SliceCols(bv, k*h, (k+1)*h), f)
+	}
+	i, f, g, o := gate(0, ActSigmoid), gate(1, ActSigmoid), gate(2, ActTanh), gate(3, ActSigmoid)
+	wantC := rec.Add(rec.Mul(f, cv), rec.Mul(i, g))
+	wantH := rec.Mul(o, rec.Tanh(wantC))
+
+	fwd := NewInferenceTape[T]()
+	gotC := fwd.Const(c.Clone())
+	gotH := fwd.LSTMCell(fwd.Const(z.Clone()), fwd.Const(b), gotC)
+	for k := range wantH.Value.Data {
+		if gotH.Value.Data[k] != wantH.Value.Data[k] || gotC.Value.Data[k] != wantC.Value.Data[k] {
+			t.Fatalf("element %d: fused h,c = %v,%v; recorded chain %v,%v", k,
+				gotH.Value.Data[k], gotC.Value.Data[k], wantH.Value.Data[k], wantC.Value.Data[k])
+		}
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("LSTMCell on a recording tape did not panic")
+		}
+	}()
+	rec.LSTMCell(zv, bv, cv)
+}
+
+// bothTypes runs a generic test body at each element type of the stack.
+func bothTypes(t *testing.T, f64, f32 func(*testing.T)) {
+	t.Run("f64", f64)
+	t.Run("f32", f32)
+}
+
+// TestWarmReplayReusesArena pins the arena contract at both element types:
+// after Reset, an identical op sequence returns pointer-identical matrices
+// backed by the same slabs, and the steady state allocates zero new
+// matrices.
+func TestWarmReplayReusesArena(t *testing.T) {
+	bothTypes(t, testWarmReplayReusesArena[float64], testWarmReplayReusesArena[float32])
+}
+
+func testWarmReplayReusesArena[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(13))
+	tp := NewInferenceTape[T]()
+	a := tensor.Convert[T](tensor.Randn(16, 16, 1, rng))
+	b := tensor.Convert[T](tensor.Randn(16, 16, 1, rng))
+
+	run := func() *tensor.Mat[T] {
+		av := tp.Const(a)
+		h := tp.Tanh(tp.MatMul(av, tp.Const(b)))
+		return tp.Add(h, av).Value
+	}
+	first := run()
+	want := first.Clone()
+	tp.Reset()
+
+	before := tensor.Allocs()
+	second := run()
+	if got := tensor.Allocs() - before; got != 0 {
+		t.Fatalf("warm replay allocated %d matrices, want 0", got)
+	}
+	if first != second {
+		t.Fatalf("warm replay returned a different header: %p vs %p", first, second)
+	}
+	for i, v := range second.Data {
+		if v != want.Data[i] {
+			t.Fatalf("warm replay element %d = %g, want %g", i, v, want.Data[i])
+		}
 	}
 }

@@ -31,6 +31,16 @@
 // overwritten or explicitly zeroed before use, and the order of
 // floating-point operations is untouched.
 //
+// # One tape, two element types
+//
+// Tape, Var and the arena are generic over the element type, so the
+// float64 training tape and the float32 inference tape are the same code
+// over different slabs; only the slab's element type varies. The reduced-
+// precision path is simply a forward-only tape (NewInferenceTape) at
+// float32. A forward-only tape additionally offers fusions a recording
+// tape cannot have, because no backward pass needs their intermediates
+// (LSTMCell); they produce bit-identical values to the recorded chain.
+//
 // Leaves are exempt: Param wraps caller-owned weights whose gradients must
 // accumulate across Backward calls until the optimizer clears them, so leaf
 // values and gradients are never pooled. Const wraps caller-owned inputs,
@@ -40,7 +50,7 @@ package autodiff
 
 import (
 	"fmt"
-	"math"
+	"unsafe"
 
 	"raal/internal/tensor"
 )
@@ -52,9 +62,9 @@ import (
 // its Value, and its Grad are all reclaimed by Tape.Reset, so they must not
 // be used after the tape is reset. Vars returned by Param are independent
 // of any tape and live as long as the caller keeps them.
-type Var struct {
-	Value *tensor.Matrix
-	Grad  *tensor.Matrix
+type Var[T tensor.Float] struct {
+	Value *tensor.Mat[T]
+	Grad  *tensor.Mat[T]
 
 	needsGrad bool
 	idx       int32 // slot in the owning tape's Var slab; leafIdx for leaves
@@ -64,7 +74,7 @@ type Var struct {
 const leafIdx int32 = -1
 
 // NeedsGrad reports whether gradients are tracked for this variable.
-func (v *Var) NeedsGrad() bool { return v.needsGrad }
+func (v *Var[T]) NeedsGrad() bool { return v.needsGrad }
 
 // opcode identifies the operation a tape record replays in Backward.
 type opcode uint8
@@ -121,36 +131,37 @@ type rec struct {
 // appends.
 const slabBlock = 512
 
-// arenaBlockFloats is the size of one value slab: 128 KiB of float64.
-const arenaBlockFloats = 1 << 14
+// arenaBlockBytes is the size of one value slab, whatever the element type.
+const arenaBlockBytes = 128 << 10
 
-// arena is a bump-pointer allocator over fixed slabs of float64 values and
+// arena is a bump-pointer allocator over fixed slabs of values and
 // matrix headers. Allocation walks a cursor forward; rewind moves it back
 // to the start without releasing the slabs, so an identical allocation
 // sequence replayed after rewind returns the same memory — including
 // pointer-identical matrix headers, which the recycling tests pin.
-type arena struct {
-	data    [][]float64 // value slabs
-	bi, off int         // cursor: current slab, next free element
+type arena[T tensor.Float] struct {
+	data    [][]T // value slabs
+	bi, off int   // cursor: current slab, next free element
 
-	hdrs [][]tensor.Matrix // matrix-header slabs
+	hdrs [][]tensor.Mat[T] // matrix-header slabs
 	nHdr int               // headers in use
 }
 
-func (a *arena) rewind() {
+func (a *arena[T]) rewind() {
 	a.bi, a.off, a.nHdr = 0, 0, 0
 }
 
-// slab returns n contiguous float64s with unspecified contents. Requests
+// slab returns n contiguous values with unspecified contents. Requests
 // larger than a standard slab get a dedicated block of exactly their size.
-func (a *arena) slab(n int) []float64 {
+func (a *arena[T]) slab(n int) []T {
 	for {
 		if a.bi == len(a.data) {
-			sz := arenaBlockFloats
+			var zero T
+			sz := arenaBlockBytes / int(unsafe.Sizeof(zero))
 			if n > sz {
 				sz = n
 			}
-			a.data = append(a.data, make([]float64, sz))
+			a.data = append(a.data, make([]T, sz))
 		}
 		if blk := a.data[a.bi]; a.off+n <= len(blk) {
 			s := blk[a.off : a.off+n : a.off+n]
@@ -164,10 +175,10 @@ func (a *arena) slab(n int) []float64 {
 
 // mat returns a rows×cols matrix with unspecified contents; the caller
 // must fully overwrite (or Zero) it.
-func (a *arena) mat(rows, cols int) *tensor.Matrix {
+func (a *arena[T]) mat(rows, cols int) *tensor.Mat[T] {
 	bi, off := a.nHdr/slabBlock, a.nHdr%slabBlock
 	if bi == len(a.hdrs) {
-		a.hdrs = append(a.hdrs, make([]tensor.Matrix, slabBlock))
+		a.hdrs = append(a.hdrs, make([]tensor.Mat[T], slabBlock))
 	}
 	a.nHdr++
 	m := &a.hdrs[bi][off]
@@ -181,46 +192,50 @@ func (a *arena) mat(rows, cols int) *tensor.Matrix {
 // goroutine. Operands passed to a tape's ops must be Vars of that same
 // tape or leaves (Param) — Vars from other tapes are not addressable
 // through this tape's records.
-type Tape struct {
+type Tape[T tensor.Float] struct {
 	recs []rec // recorded grad-tracked ops (the backward walk)
 
-	vars  [][]Var // Var slab: fixed-size blocks with stable addresses
-	nVars int     // Vars in use across blocks
+	vars  [][]Var[T] // Var slab: fixed-size blocks with stable addresses
+	nVars int        // Vars in use across blocks
 
-	leaves []*Var // leaf operands referenced this pass, encoded as −(i+1)
+	leaves []*Var[T] // leaf operands referenced this pass, encoded as −(i+1)
 
-	arena arena // value/gradient/header storage, rewound by Reset
+	arena arena[T] // value/gradient/header storage, rewound by Reset
 
 	// Aux slabs for record payloads that don't fit the fixed fields.
 	auxArgs []int32          // operand lists (concat, gather)
 	auxMask [][]bool         // row/element masks (mean, dropout)
-	auxMat  []*tensor.Matrix // caller-owned matrices (MSE targets)
+	auxMat  []*tensor.Mat[T] // caller-owned matrices (MSE targets)
 
 	// scratch is the single backward temporary: every backward step that
 	// needs an intermediate product uses it exclusively and consumes it
 	// before the next step runs, so one grow-only buffer serves the whole
 	// walk.
-	scratch    []float64
-	scratchHdr tensor.Matrix
+	scratch    []T
+	scratchHdr tensor.Mat[T]
 
 	noGrad bool // inference mode: skip all recording
 }
 
 // NewTape returns an empty tape.
-func NewTape() *Tape { return &Tape{} }
+func NewTape[T tensor.Float]() *Tape[T] { return &Tape[T]{} }
 
 // NewInferenceTape returns a tape that evaluates operations forward-only:
 // no records are appended and Backward does nothing. Values are
 // bit-identical to a recording tape's; only the gradient bookkeeping is
 // skipped, which removes it from the serving hot path entirely.
-func NewInferenceTape() *Tape { return &Tape{noGrad: true} }
+func NewInferenceTape[T tensor.Float]() *Tape[T] { return &Tape[T]{noGrad: true} }
+
+// ForwardOnly reports whether the tape skips recording (NewInferenceTape).
+// Layers consult it to pick the fused forward-only ops.
+func (t *Tape[T]) ForwardOnly() bool { return t.noGrad }
 
 // Reset drops all recorded operations and rewinds the arena cursor, so the
 // tape can rebuild an equally-shaped graph without allocating. Leaf
 // (Param) values and gradients are untouched.
-func (t *Tape) Reset() {
+func (t *Tape[T]) Reset() {
 	for i := 0; i < t.nVars; i++ {
-		t.vars[i/slabBlock][i%slabBlock] = Var{}
+		t.vars[i/slabBlock][i%slabBlock] = Var[T]{}
 	}
 	t.nVars = 0
 	t.recs = t.recs[:0]
@@ -241,13 +256,13 @@ func (t *Tape) Reset() {
 }
 
 // Len returns the number of recorded operations (useful in tests).
-func (t *Tape) Len() int { return len(t.recs) }
+func (t *Tape[T]) Len() int { return len(t.recs) }
 
 // NewMatrix returns a zeroed rows×cols matrix on loan from the tape's
 // arena; it is valid until the next Reset, which reclaims it. Use it for
 // per-pass input buffers (wrap with Const) so a reused tape allocates
 // nothing steady-state.
-func (t *Tape) NewMatrix(rows, cols int) *tensor.Matrix {
+func (t *Tape[T]) NewMatrix(rows, cols int) *tensor.Mat[T] {
 	m := t.arena.mat(rows, cols)
 	m.Zero()
 	return m
@@ -255,10 +270,10 @@ func (t *Tape) NewMatrix(rows, cols int) *tensor.Matrix {
 
 // get returns an arena matrix with unspecified contents; the caller must
 // fully overwrite it.
-func (t *Tape) get(rows, cols int) *tensor.Matrix { return t.arena.mat(rows, cols) }
+func (t *Tape[T]) get(rows, cols int) *tensor.Mat[T] { return t.arena.mat(rows, cols) }
 
 // zeroed returns an arena matrix with every element zero.
-func (t *Tape) zeroed(rows, cols int) *tensor.Matrix {
+func (t *Tape[T]) zeroed(rows, cols int) *tensor.Mat[T] {
 	m := t.arena.mat(rows, cols)
 	m.Zero()
 	return m
@@ -266,20 +281,20 @@ func (t *Tape) zeroed(rows, cols int) *tensor.Matrix {
 
 // newVar carves the next Var out of the slab. Blocks have fixed size and
 // are never copied, so the returned pointer is stable.
-func (t *Tape) newVar(val *tensor.Matrix) *Var {
+func (t *Tape[T]) newVar(val *tensor.Mat[T]) *Var[T] {
 	bi, off := t.nVars/slabBlock, t.nVars%slabBlock
 	if bi == len(t.vars) {
-		t.vars = append(t.vars, make([]Var, slabBlock))
+		t.vars = append(t.vars, make([]Var[T], slabBlock))
 	}
 	v := &t.vars[bi][off]
-	*v = Var{Value: val, idx: int32(t.nVars)}
+	*v = Var[T]{Value: val, idx: int32(t.nVars)}
 	t.nVars++
 	return v
 }
 
 // ref encodes operand v for storage in a record: tape Vars are their slab
 // index, leaves are registered in the leaf table and encoded as −(i+1).
-func (t *Tape) ref(v *Var) int32 {
+func (t *Tape[T]) ref(v *Var[T]) int32 {
 	if v.idx != leafIdx {
 		return v.idx
 	}
@@ -288,7 +303,7 @@ func (t *Tape) ref(v *Var) int32 {
 }
 
 // at resolves a record operand reference back to its Var.
-func (t *Tape) at(i int32) *Var {
+func (t *Tape[T]) at(i int32) *Var[T] {
 	if i >= 0 {
 		return &t.vars[i/slabBlock][i%slabBlock]
 	}
@@ -299,12 +314,12 @@ func (t *Tape) at(i int32) *Var {
 // use. Leaf gradients are plain allocations that survive Reset (they
 // accumulate until the optimizer zeroes them); tape-owned gradients come
 // from the arena.
-func (t *Tape) gradOf(v *Var) *tensor.Matrix {
+func (t *Tape[T]) gradOf(v *Var[T]) *tensor.Mat[T] {
 	if v.Grad == nil {
 		if v.idx != leafIdx {
 			v.Grad = t.zeroed(v.Value.Rows, v.Value.Cols)
 		} else {
-			v.Grad = tensor.New(v.Value.Rows, v.Value.Cols)
+			v.Grad = tensor.NewMat[T](v.Value.Rows, v.Value.Cols)
 		}
 	}
 	return v.Grad
@@ -312,36 +327,36 @@ func (t *Tape) gradOf(v *Var) *tensor.Matrix {
 
 // tmpMat returns the tape's backward scratch sized rows×cols, contents
 // unspecified. Valid only until the next tmpMat call.
-func (t *Tape) tmpMat(rows, cols int) *tensor.Matrix {
+func (t *Tape[T]) tmpMat(rows, cols int) *tensor.Mat[T] {
 	n := rows * cols
 	if cap(t.scratch) < n {
-		t.scratch = make([]float64, n)
+		t.scratch = make([]T, n)
 	}
-	t.scratchHdr = tensor.Matrix{Rows: rows, Cols: cols, Data: t.scratch[:n]}
+	t.scratchHdr = tensor.Mat[T]{Rows: rows, Cols: cols, Data: t.scratch[:n]}
 	return &t.scratchHdr
 }
 
 // Param registers m as a trainable leaf: its gradient is accumulated into
 // m's Var across Backward calls until ZeroGrad. Param Vars are independent
 // of the tape — they and their gradients survive Reset.
-func (t *Tape) Param(m *tensor.Matrix) *Var {
-	return &Var{Value: m, needsGrad: true, idx: leafIdx}
+func (t *Tape[T]) Param(m *tensor.Mat[T]) *Var[T] {
+	return &Var[T]{Value: m, needsGrad: true, idx: leafIdx}
 }
 
 // Const wraps m as a constant input: no gradient is tracked and m itself is
 // never recycled (the Var holding it is).
-func (t *Tape) Const(m *tensor.Matrix) *Var {
+func (t *Tape[T]) Const(m *tensor.Mat[T]) *Var[T] {
 	return t.newVar(m)
 }
 
 // track reports whether an op over the given inputs must be recorded.
 // Split by arity so the hot path never allocates a variadic slice.
-func (t *Tape) track1(a *Var) bool { return !t.noGrad && a.needsGrad }
-func (t *Tape) track2(a, b *Var) bool {
+func (t *Tape[T]) track1(a *Var[T]) bool { return !t.noGrad && a.needsGrad }
+func (t *Tape[T]) track2(a, b *Var[T]) bool {
 	return !t.noGrad && (a.needsGrad || b.needsGrad)
 }
 
-func (t *Tape) trackN(vs []*Var) bool {
+func (t *Tape[T]) trackN(vs []*Var[T]) bool {
 	if t.noGrad {
 		return false
 	}
@@ -354,7 +369,7 @@ func (t *Tape) trackN(vs []*Var) bool {
 }
 
 // push marks out as grad-tracked and appends its record.
-func (t *Tape) push(out *Var, r rec) *Var {
+func (t *Tape[T]) push(out *Var[T], r rec) *Var[T] {
 	out.needsGrad = true
 	r.out = out.idx
 	t.recs = append(t.recs, r)
@@ -363,7 +378,7 @@ func (t *Tape) push(out *Var, r rec) *Var {
 
 // pushArgs stores an operand list in the aux-args slab, returning its
 // offset and length for the record's x0/x1 fields.
-func (t *Tape) pushArgs(vs []*Var) (off, ln int32) {
+func (t *Tape[T]) pushArgs(vs []*Var[T]) (off, ln int32) {
 	off = int32(len(t.auxArgs))
 	for _, v := range vs {
 		t.auxArgs = append(t.auxArgs, t.ref(v))
@@ -371,18 +386,18 @@ func (t *Tape) pushArgs(vs []*Var) (off, ln int32) {
 	return off, int32(len(vs))
 }
 
-func (t *Tape) pushMask(m []bool) int32 {
+func (t *Tape[T]) pushMask(m []bool) int32 {
 	t.auxMask = append(t.auxMask, m)
 	return int32(len(t.auxMask) - 1)
 }
 
-func (t *Tape) pushMat(m *tensor.Matrix) int32 {
+func (t *Tape[T]) pushMat(m *tensor.Mat[T]) int32 {
 	t.auxMat = append(t.auxMat, m)
 	return int32(len(t.auxMat) - 1)
 }
 
 // MatMul returns a·b.
-func (t *Tape) MatMul(a, b *Var) *Var {
+func (t *Tape[T]) MatMul(a, b *Var[T]) *Var[T] {
 	val := t.get(a.Value.Rows, b.Value.Cols)
 	tensor.MatMulInto(val, a.Value, b.Value)
 	out := t.newVar(val)
@@ -393,7 +408,7 @@ func (t *Tape) MatMul(a, b *Var) *Var {
 }
 
 // Add returns a+b (same shape).
-func (t *Tape) Add(a, b *Var) *Var {
+func (t *Tape[T]) Add(a, b *Var[T]) *Var[T] {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.AddInto(val, a.Value, b.Value)
 	out := t.newVar(val)
@@ -404,7 +419,7 @@ func (t *Tape) Add(a, b *Var) *Var {
 }
 
 // Sub returns a−b (same shape).
-func (t *Tape) Sub(a, b *Var) *Var {
+func (t *Tape[T]) Sub(a, b *Var[T]) *Var[T] {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.SubInto(val, a.Value, b.Value)
 	out := t.newVar(val)
@@ -415,7 +430,7 @@ func (t *Tape) Sub(a, b *Var) *Var {
 }
 
 // Mul returns the elementwise product a∘b.
-func (t *Tape) Mul(a, b *Var) *Var {
+func (t *Tape[T]) Mul(a, b *Var[T]) *Var[T] {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.MulInto(val, a.Value, b.Value)
 	out := t.newVar(val)
@@ -426,18 +441,18 @@ func (t *Tape) Mul(a, b *Var) *Var {
 }
 
 // Scale returns s·a.
-func (t *Tape) Scale(a *Var, s float64) *Var {
+func (t *Tape[T]) Scale(a *Var[T], s T) *Var[T] {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.ScaleInto(val, a.Value, s)
 	out := t.newVar(val)
 	if !t.track1(a) {
 		return out
 	}
-	return t.push(out, rec{op: opScale, a: t.ref(a), s: s})
+	return t.push(out, rec{op: opScale, a: t.ref(a), s: float64(s)})
 }
 
 // AddRow broadcasts the 1×n row vector r across every row of m.
-func (t *Tape) AddRow(m, r *Var) *Var {
+func (t *Tape[T]) AddRow(m, r *Var[T]) *Var[T] {
 	val := t.get(m.Value.Rows, m.Value.Cols)
 	tensor.AddRowInto(val, m.Value, r.Value)
 	out := t.newVar(val)
@@ -482,7 +497,7 @@ func (f ActFn) kernel() tensor.Act {
 // activation op into a single kernel pass — the shape of every dense layer
 // and LSTM gate. It is exactly equivalent, bit for bit in both values and
 // gradients, to applying the activation to AddRow(m, r).
-func (t *Tape) AddRowApply(m, r *Var, f ActFn) *Var {
+func (t *Tape[T]) AddRowApply(m, r *Var[T], f ActFn) *Var[T] {
 	val := t.get(m.Value.Rows, m.Value.Cols)
 	tensor.AddRowActInto(val, m.Value, r.Value, f.kernel())
 	out := t.newVar(val)
@@ -493,7 +508,7 @@ func (t *Tape) AddRowApply(m, r *Var, f ActFn) *Var {
 }
 
 // Sigmoid applies the logistic function elementwise.
-func (t *Tape) Sigmoid(a *Var) *Var {
+func (t *Tape[T]) Sigmoid(a *Var[T]) *Var[T] {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.SigmoidInto(val, a.Value)
 	out := t.newVar(val)
@@ -504,7 +519,7 @@ func (t *Tape) Sigmoid(a *Var) *Var {
 }
 
 // Tanh applies the hyperbolic tangent elementwise.
-func (t *Tape) Tanh(a *Var) *Var {
+func (t *Tape[T]) Tanh(a *Var[T]) *Var[T] {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.TanhInto(val, a.Value)
 	out := t.newVar(val)
@@ -515,7 +530,7 @@ func (t *Tape) Tanh(a *Var) *Var {
 }
 
 // ReLU applies max(0,x) elementwise.
-func (t *Tape) ReLU(a *Var) *Var {
+func (t *Tape[T]) ReLU(a *Var[T]) *Var[T] {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.ReLUInto(val, a.Value)
 	out := t.newVar(val)
@@ -526,7 +541,7 @@ func (t *Tape) ReLU(a *Var) *Var {
 }
 
 // LeakyReLU applies max(alpha·x, x) elementwise.
-func (t *Tape) LeakyReLU(a *Var, alpha float64) *Var {
+func (t *Tape[T]) LeakyReLU(a *Var[T], alpha T) *Var[T] {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	for i, x := range a.Value.Data {
 		if x > 0 {
@@ -539,11 +554,11 @@ func (t *Tape) LeakyReLU(a *Var, alpha float64) *Var {
 	if !t.track1(a) {
 		return out
 	}
-	return t.push(out, rec{op: opLeakyReLU, a: t.ref(a), s: alpha})
+	return t.push(out, rec{op: opLeakyReLU, a: t.ref(a), s: float64(alpha)})
 }
 
 // Transpose returns aᵀ.
-func (t *Tape) Transpose(a *Var) *Var {
+func (t *Tape[T]) Transpose(a *Var[T]) *Var[T] {
 	val := t.get(a.Value.Cols, a.Value.Rows)
 	tensor.TransposeInto(val, a.Value)
 	out := t.newVar(val)
@@ -557,39 +572,13 @@ func (t *Tape) Transpose(a *Var) *Var {
 // have one entry per column, and columns whose mask entry is false receive
 // zero probability in every row (their logits are treated as −∞). Rows whose
 // mask is entirely false become all-zero rows.
-func (t *Tape) SoftmaxRows(a *Var, mask []bool) *Var {
+func (t *Tape[T]) SoftmaxRows(a *Var[T], mask []bool) *Var[T] {
 	if mask != nil && len(mask) != a.Value.Cols {
 		panic(fmt.Sprintf("autodiff: softmax mask length %d != cols %d", len(mask), a.Value.Cols))
 	}
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	for i := 0; i < a.Value.Rows; i++ {
-		in := a.Value.Row(i)
-		outRow := val.Row(i)
-		maxv := math.Inf(-1)
-		for j, x := range in {
-			if (mask == nil || mask[j]) && x > maxv {
-				maxv = x
-			}
-		}
-		if math.IsInf(maxv, -1) {
-			for j := range outRow {
-				outRow[j] = 0 // fully masked row
-			}
-			continue
-		}
-		var sum float64
-		for j, x := range in {
-			if mask == nil || mask[j] {
-				e := math.Exp(x - maxv)
-				outRow[j] = e
-				sum += e
-			} else {
-				outRow[j] = 0
-			}
-		}
-		for j := range outRow {
-			outRow[j] /= sum
-		}
+		tensor.SoftmaxRowInto(val.Row(i), a.Value.Row(i), mask)
 	}
 	out := t.newVar(val)
 	if !t.track1(a) {
@@ -605,7 +594,7 @@ func (t *Tape) SoftmaxRows(a *Var, mask []bool) *Var {
 // false. Rows whose mask is entirely false become all-zero rows. This is
 // the primitive behind node-aware attention, where node i attends only
 // over its own children.
-func (t *Tape) SoftmaxRowsMask2D(a *Var, mask [][]bool) *Var {
+func (t *Tape[T]) SoftmaxRowsMask2D(a *Var[T], mask [][]bool) *Var[T] {
 	if len(mask) != a.Value.Rows {
 		panic(fmt.Sprintf("autodiff: 2D softmax mask rows %d != %d", len(mask), a.Value.Rows))
 	}
@@ -614,33 +603,7 @@ func (t *Tape) SoftmaxRowsMask2D(a *Var, mask [][]bool) *Var {
 		if len(mask[i]) != a.Value.Cols {
 			panic(fmt.Sprintf("autodiff: 2D softmax mask row %d has %d cols, want %d", i, len(mask[i]), a.Value.Cols))
 		}
-		in := a.Value.Row(i)
-		outRow := val.Row(i)
-		maxv := math.Inf(-1)
-		for j, x := range in {
-			if mask[i][j] && x > maxv {
-				maxv = x
-			}
-		}
-		if math.IsInf(maxv, -1) {
-			for j := range outRow {
-				outRow[j] = 0
-			}
-			continue
-		}
-		var sum float64
-		for j, x := range in {
-			if mask[i][j] {
-				e := math.Exp(x - maxv)
-				outRow[j] = e
-				sum += e
-			} else {
-				outRow[j] = 0
-			}
-		}
-		for j := range outRow {
-			outRow[j] /= sum
-		}
+		tensor.SoftmaxRowInto(val.Row(i), a.Value.Row(i), mask[i])
 	}
 	out := t.newVar(val)
 	if !t.track1(a) {
@@ -650,7 +613,7 @@ func (t *Tape) SoftmaxRowsMask2D(a *Var, mask [][]bool) *Var {
 }
 
 // ConcatCols concatenates variables horizontally.
-func (t *Tape) ConcatCols(vs ...*Var) *Var {
+func (t *Tape[T]) ConcatCols(vs ...*Var[T]) *Var[T] {
 	rows, cols := 0, 0
 	if len(vs) > 0 {
 		rows = vs[0].Value.Rows
@@ -680,7 +643,7 @@ func (t *Tape) ConcatCols(vs ...*Var) *Var {
 }
 
 // ConcatRows concatenates variables vertically.
-func (t *Tape) ConcatRows(vs ...*Var) *Var {
+func (t *Tape[T]) ConcatRows(vs ...*Var[T]) *Var[T] {
 	rows, cols := 0, 0
 	if len(vs) > 0 {
 		cols = vs[0].Value.Cols
@@ -709,7 +672,7 @@ func (t *Tape) ConcatRows(vs ...*Var) *Var {
 // len(vs)×cols variable: out.Row(k) = vs[k].Row(i). One op replaces the
 // per-timestep RowAt + ConcatRows chain the recurrent readout used to
 // record (len(vs)+1 ops and as many intermediate Vars).
-func (t *Tape) GatherRows(vs []*Var, i int) *Var {
+func (t *Tape[T]) GatherRows(vs []*Var[T], i int) *Var[T] {
 	if len(vs) == 0 {
 		return t.newVar(t.get(0, 0))
 	}
@@ -737,7 +700,7 @@ func (t *Tape) GatherRows(vs []*Var, i int) *Var {
 // window as its own Var. This is the stacked-input recurrence step: the
 // input projection for all timesteps is one big matmul, and each step adds
 // its row window to the recurrent term.
-func (t *Tape) AddRowsAt(big *Var, i int, small *Var) *Var {
+func (t *Tape[T]) AddRowsAt(big *Var[T], i int, small *Var[T]) *Var[T] {
 	rows, cols := small.Value.Rows, small.Value.Cols
 	if big.Value.Cols != cols {
 		panic(fmt.Sprintf("autodiff: AddRowsAt col mismatch %d != %d", big.Value.Cols, cols))
@@ -757,12 +720,27 @@ func (t *Tape) AddRowsAt(big *Var, i int, small *Var) *Var {
 	return t.push(out, rec{op: opAddRowsAt, a: t.ref(big), b: t.ref(small), x0: int32(i)})
 }
 
+// LSTMCell runs one fused LSTM cell step on a forward-only tape: z is the
+// batch×4h gate pre-activation (consumed as scratch), b the packed 1×4h
+// gate bias, c the cell state, updated in place; the returned batch×h Var
+// is the new hidden state. Values are bit-identical to the recorded
+// SliceCols/AddRowApply/Mul/Add/Tanh chain (see tensor.LSTMCellInto).
+// There is no backward pass for it, so a recording tape panics.
+func (t *Tape[T]) LSTMCell(z, b, c *Var[T]) *Var[T] {
+	if !t.noGrad {
+		panic("autodiff: LSTMCell needs a forward-only tape")
+	}
+	h := t.get(c.Value.Rows, c.Value.Cols)
+	tensor.LSTMCellInto(h, c.Value, z.Value, b.Value)
+	return t.newVar(h)
+}
+
 // Im2ColRows materializes the width-row neighborhood of every row of x
 // ("same" padding: out-of-range rows read as zero) as one rows×(width·cols)
 // matrix: out.Row(p) = [x.Row(p−half) … x.Row(p+half)]. width must be odd.
 // One op replaces the per-position RowAt/zero/ConcatCols chain that
 // convolution lowering used to record.
-func (t *Tape) Im2ColRows(x *Var, width int) *Var {
+func (t *Tape[T]) Im2ColRows(x *Var[T], width int) *Var[T] {
 	if width < 1 || width%2 == 0 {
 		panic(fmt.Sprintf("autodiff: Im2ColRows width %d must be odd and positive", width))
 	}
@@ -790,7 +768,7 @@ func (t *Tape) Im2ColRows(x *Var, width int) *Var {
 }
 
 // RowAt extracts row i of a as a 1×cols variable.
-func (t *Tape) RowAt(a *Var, i int) *Var {
+func (t *Tape[T]) RowAt(a *Var[T], i int) *Var[T] {
 	if i < 0 || i >= a.Value.Rows {
 		panic(fmt.Sprintf("autodiff: RowAt(%d) out of %d rows", i, a.Value.Rows))
 	}
@@ -804,7 +782,7 @@ func (t *Tape) RowAt(a *Var, i int) *Var {
 }
 
 // SliceCols extracts columns [lo,hi) of a as a copy.
-func (t *Tape) SliceCols(a *Var, lo, hi int) *Var {
+func (t *Tape[T]) SliceCols(a *Var[T], lo, hi int) *Var[T] {
 	if lo < 0 || hi > a.Value.Cols || lo > hi {
 		panic(fmt.Sprintf("autodiff: SliceCols [%d,%d) out of %d cols", lo, hi, a.Value.Cols))
 	}
@@ -822,7 +800,7 @@ func (t *Tape) SliceCols(a *Var, lo, hi int) *Var {
 
 // MeanRowsMasked averages the rows of a whose mask entry is true, returning
 // a 1×cols variable. If no row is selected the result is all zeros.
-func (t *Tape) MeanRowsMasked(a *Var, mask []bool) *Var {
+func (t *Tape[T]) MeanRowsMasked(a *Var[T], mask []bool) *Var[T] {
 	if len(mask) != a.Value.Rows {
 		panic(fmt.Sprintf("autodiff: mean mask length %d != rows %d", len(mask), a.Value.Rows))
 	}
@@ -840,7 +818,7 @@ func (t *Tape) MeanRowsMasked(a *Var, mask []bool) *Var {
 			}
 			row := a.Value.Row(i)
 			for j, x := range row {
-				val.Data[j] += x / float64(n)
+				val.Data[j] += x / T(n)
 			}
 		}
 	}
@@ -852,7 +830,7 @@ func (t *Tape) MeanRowsMasked(a *Var, mask []bool) *Var {
 }
 
 // SumAll reduces a to a 1×1 variable holding the sum of its elements.
-func (t *Tape) SumAll(a *Var) *Var {
+func (t *Tape[T]) SumAll(a *Var[T]) *Var[T] {
 	val := t.get(1, 1)
 	val.Data[0] = a.Value.Sum()
 	out := t.newVar(val)
@@ -863,7 +841,7 @@ func (t *Tape) SumAll(a *Var) *Var {
 }
 
 // MeanAll reduces a to a 1×1 variable holding the mean of its elements.
-func (t *Tape) MeanAll(a *Var) *Var {
+func (t *Tape[T]) MeanAll(a *Var[T]) *Var[T] {
 	val := t.get(1, 1)
 	val.Data[0] = a.Value.Mean()
 	out := t.newVar(val)
@@ -875,39 +853,39 @@ func (t *Tape) MeanAll(a *Var) *Var {
 
 // MSE returns the mean squared error between pred and the constant target,
 // as a 1×1 variable.
-func (t *Tape) MSE(pred *Var, target *tensor.Matrix) *Var {
+func (t *Tape[T]) MSE(pred *Var[T], target *tensor.Mat[T]) *Var[T] {
 	if !pred.Value.SameShape(target) {
 		panic(fmt.Sprintf("autodiff: MSE shape mismatch %dx%d vs %dx%d",
 			pred.Value.Rows, pred.Value.Cols, target.Rows, target.Cols))
 	}
-	n := float64(len(target.Data))
-	var loss float64
+	n := len(target.Data)
+	var loss T
 	for i, p := range pred.Value.Data {
 		d := p - target.Data[i]
 		loss += d * d
 	}
-	loss /= n
+	loss /= T(n)
 	val := t.get(1, 1)
 	val.Data[0] = loss
 	out := t.newVar(val)
 	if !t.track1(pred) {
 		return out
 	}
-	return t.push(out, rec{op: opMSE, a: t.ref(pred), x0: t.pushMat(target), s: n})
+	return t.push(out, rec{op: opMSE, a: t.ref(pred), x0: t.pushMat(target), s: float64(n)})
 }
 
 // Dropout zeroes each element with probability p at training time and
 // rescales survivors by 1/(1−p). keep must be a pre-sampled boolean mask of
 // the same size as a (one entry per element); this keeps the op
 // deterministic and testable. Passing a nil mask makes Dropout the identity.
-func (t *Tape) Dropout(a *Var, p float64, keep []bool) *Var {
+func (t *Tape[T]) Dropout(a *Var[T], p float64, keep []bool) *Var[T] {
 	if keep == nil {
 		return a
 	}
 	if len(keep) != len(a.Value.Data) {
 		panic(fmt.Sprintf("autodiff: dropout mask length %d != %d", len(keep), len(a.Value.Data)))
 	}
-	scale := 1 / (1 - p)
+	scale := T(1 / (1 - p))
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	for i, x := range a.Value.Data {
 		if keep[i] {
@@ -920,5 +898,5 @@ func (t *Tape) Dropout(a *Var, p float64, keep []bool) *Var {
 	if !t.track1(a) {
 		return out
 	}
-	return t.push(out, rec{op: opDropout, a: t.ref(a), x0: t.pushMask(keep), s: scale})
+	return t.push(out, rec{op: opDropout, a: t.ref(a), x0: t.pushMask(keep), s: float64(scale)})
 }

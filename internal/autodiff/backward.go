@@ -8,7 +8,7 @@ import (
 
 // Backward seeds root's gradient with 1 (root must be 1×1) and propagates
 // gradients through every recorded operation in reverse order.
-func (t *Tape) Backward(root *Var) {
+func (t *Tape[T]) Backward(root *Var[T]) {
 	if root.Value.Rows != 1 || root.Value.Cols != 1 {
 		panic(fmt.Sprintf("autodiff: Backward root must be 1x1, got %dx%d", root.Value.Rows, root.Value.Cols))
 	}
@@ -23,7 +23,7 @@ func (t *Tape) Backward(root *Var) {
 // closure tape's nil-Grad check. Gradient accumulation order within each
 // op is ported unchanged from the closure implementation, so gradients
 // stay bit-identical to it.
-func (t *Tape) step(r *rec) {
+func (t *Tape[T]) step(r *rec) {
 	out := t.at(r.out)
 	if out.Grad == nil {
 		return
@@ -74,7 +74,7 @@ func (t *Tape) step(r *rec) {
 		}
 
 	case opScale:
-		tensor.AxpyInPlace(t.gradOf(t.at(r.a)), r.s, out.Grad)
+		tensor.AxpyInPlace(t.gradOf(t.at(r.a)), T(r.s), out.Grad)
 
 	case opAddRow:
 		m, rv := t.at(r.a), t.at(r.b)
@@ -98,7 +98,7 @@ func (t *Tape) step(r *rec) {
 		// ascending-row order as AddRow's backward.
 		m, rv := t.at(r.a), t.at(r.b)
 		f := ActFn(r.act)
-		var mg, rg *tensor.Matrix
+		var mg, rg *tensor.Mat[T]
 		if m.needsGrad {
 			mg = t.gradOf(m)
 		}
@@ -109,12 +109,12 @@ func (t *Tape) step(r *rec) {
 		for i := 0; i < val.Rows; i++ {
 			y := val.Row(i)
 			dy := out.Grad.Row(i)
-			var mrow []float64
+			var mrow []T
 			if mg != nil {
 				mrow = mg.Row(i)
 			}
 			for j := range y {
-				var d float64
+				var d T
 				switch f {
 				case ActIdentity:
 					d = dy[j]
@@ -164,7 +164,7 @@ func (t *Tape) step(r *rec) {
 			if x > 0 {
 				g.Data[i] += out.Grad.Data[i]
 			} else {
-				g.Data[i] += r.s * out.Grad.Data[i]
+				g.Data[i] += T(r.s) * out.Grad.Data[i]
 			}
 		}
 
@@ -181,7 +181,7 @@ func (t *Tape) step(r *rec) {
 		for i := 0; i < val.Rows; i++ {
 			y := val.Row(i)
 			dy := out.Grad.Row(i)
-			var dot float64
+			var dot T
 			for j := range y {
 				dot += y[j] * dy[j]
 			}
@@ -302,7 +302,7 @@ func (t *Tape) step(r *rec) {
 			}
 			dst := g.Row(i)
 			for j, x := range out.Grad.Data {
-				dst[j] += x / r.s
+				dst[j] += x / T(r.s)
 			}
 		}
 
@@ -315,7 +315,7 @@ func (t *Tape) step(r *rec) {
 
 	case opMeanAll:
 		g := t.gradOf(t.at(r.a))
-		d := out.Grad.Data[0] / r.s
+		d := out.Grad.Data[0] / T(r.s)
 		for i := range g.Data {
 			g.Data[i] += d
 		}
@@ -326,7 +326,7 @@ func (t *Tape) step(r *rec) {
 		g := t.gradOf(pred)
 		d := out.Grad.Data[0]
 		for i, p := range pred.Value.Data {
-			g.Data[i] += d * 2 * (p - target.Data[i]) / r.s
+			g.Data[i] += d * 2 * (p - target.Data[i]) / T(r.s)
 		}
 
 	case opDropout:
@@ -334,7 +334,7 @@ func (t *Tape) step(r *rec) {
 		keep := t.auxMask[r.x0]
 		for i := range g.Data {
 			if keep[i] {
-				g.Data[i] += out.Grad.Data[i] * r.s
+				g.Data[i] += out.Grad.Data[i] * T(r.s)
 			}
 		}
 

@@ -9,7 +9,7 @@ import (
 // TestGradGatherRows checks the fused gather against numeric gradients.
 func TestGradGatherRows(t *testing.T) {
 	ps := randParams(31, [2]int{3, 4}, [2]int{3, 4}, [2]int{3, 4})
-	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
+	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
 		return tp.MeanAll(tp.GatherRows(vs, 1))
 	})
 }
@@ -20,9 +20,9 @@ func TestGradGatherRows(t *testing.T) {
 func TestGatherRowsMatchesRowAtConcat(t *testing.T) {
 	ps := randParams(32, [2]int{4, 3}, [2]int{4, 3})
 	for row := 0; row < 4; row++ {
-		tpA, tpB := NewTape(), NewTape()
-		vsA := []*Var{tpA.Param(ps[0]), tpA.Param(ps[1])}
-		vsB := []*Var{tpB.Param(ps[0]), tpB.Param(ps[1])}
+		tpA, tpB := NewTape[float64](), NewTape[float64]()
+		vsA := []*Var[float64]{tpA.Param(ps[0]), tpA.Param(ps[1])}
+		vsB := []*Var[float64]{tpB.Param(ps[0]), tpB.Param(ps[1])}
 
 		fused := tpA.GatherRows(vsA, row)
 		chain := tpB.ConcatRows(tpB.RowAt(vsB[0], row), tpB.RowAt(vsB[1], row))
@@ -41,7 +41,7 @@ func TestGatherRowsMatchesRowAtConcat(t *testing.T) {
 // the addend.
 func TestGradAddRowsAt(t *testing.T) {
 	ps := randParams(33, [2]int{6, 3}, [2]int{2, 3})
-	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
+	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
 		a := tp.AddRowsAt(vs[0], 0, vs[1])
 		b := tp.AddRowsAt(vs[0], 4, vs[1]) // overlapping use of the same big matrix
 		return tp.MeanAll(tp.Add(a, b))
@@ -52,7 +52,7 @@ func TestGradAddRowsAt(t *testing.T) {
 // row-window formulation.
 func TestAddRowsAtMatchesSliceAdd(t *testing.T) {
 	ps := randParams(34, [2]int{5, 4}, [2]int{2, 4})
-	tp := NewTape()
+	tp := NewTape[float64]()
 	big, small := tp.Param(ps[0]), tp.Param(ps[1])
 	got := tp.AddRowsAt(big, 2, small)
 	want := tensor.Add(ps[0].SliceRows(2, 4), ps[1])
@@ -64,7 +64,7 @@ func TestAddRowsAtMatchesSliceAdd(t *testing.T) {
 func TestGradIm2ColRows(t *testing.T) {
 	for _, width := range []int{1, 3, 5} {
 		ps := randParams(35, [2]int{4, 2})
-		checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
+		checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
 			return tp.MeanAll(tp.Im2ColRows(vs[0], width))
 		})
 	}
@@ -73,7 +73,7 @@ func TestGradIm2ColRows(t *testing.T) {
 // TestIm2ColRowsValues pins the window layout: row p is the width-row
 // neighborhood of input row p, zero-padded at the boundaries.
 func TestIm2ColRowsValues(t *testing.T) {
-	tp := NewTape()
+	tp := NewTape[float64]()
 	x := tp.Const(tensor.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}))
 	out := tp.Im2ColRows(x, 3)
 	want := tensor.FromRows([][]float64{
@@ -92,7 +92,7 @@ func TestIm2ColRowsValues(t *testing.T) {
 // per-tape, so neither tape may stash per-tape state on the shared Var.
 func TestLeafSharedAcrossTapesKeepsState(t *testing.T) {
 	p := tensor.FromRows([][]float64{{1, 2}, {3, 4}})
-	tpA, tpB := NewTape(), NewTape()
+	tpA, tpB := NewTape[float64](), NewTape[float64]()
 	leafA := tpA.Param(p)
 	tpA.Backward(tpA.MeanAll(tpA.Scale(leafA, 2)))
 

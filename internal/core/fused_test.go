@@ -1,0 +1,91 @@
+package core
+
+import (
+	"testing"
+
+	"raal/internal/autodiff"
+	"raal/internal/catalog"
+	"raal/internal/datagen"
+	"raal/internal/encode"
+	"raal/internal/tensor"
+	"raal/internal/workload"
+)
+
+// corpusSamples collects and encodes a small workload over db: real plan
+// shapes, lengths and child masks rather than the synthetic chains.
+func corpusSamples(t *testing.T, db *catalog.Database, newGen func(*catalog.Database, int64) (*workload.Generator, error)) ([]*encode.Sample, Config) {
+	t.Helper()
+	gen, err := newGen(db, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := workload.DefaultCollectConfig()
+	cfg.NumQueries, cfg.ResStatesPerPlan, cfg.Seed = 24, 2, 1
+	ds, err := workload.Collect(db, gen, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	enc, err := ds.FitEncoder(encode.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc := DefaultConfig(enc.NodeDim()-enc.MaxNodes()-nodeStatFeatures, enc.MaxNodes())
+	mc.Hidden, mc.K = 16, 8
+	return ds.Encode(enc), mc
+}
+
+// rawForward scores samples one at a time on tp and returns the network's
+// raw (log-scale, unclamped) outputs. On a recording tape this is the
+// graph Fit differentiates, where every LSTM step is the unfused op chain.
+func rawForward[T tensor.Float](m *Net[T], tp *autodiff.Tape[T], samples []*encode.Sample) []T {
+	out := make([]T, len(samples))
+	for i, s := range samples {
+		tp.Reset()
+		out[i] = m.forward(tp, []*encode.Sample{s}, nil).Value.Data[0]
+	}
+	return out
+}
+
+// TestForwardOnlyMatchesRecordedOnCorpus is the licence for running the
+// fused LSTM cell at every element type, float64 included: over the IMDB
+// and TPC-H sample corpora and every variant, Predict (pooled forward-only
+// tapes, fused cell, bucketed chunks) must equal the recorded unfused
+// graph bit for bit. The path is chosen by what the layer observes — the
+// tape records or it does not — never by the element type.
+func TestForwardOnlyMatchesRecordedOnCorpus(t *testing.T) {
+	corpora := map[string]func() ([]*encode.Sample, Config){
+		"imdb": func() ([]*encode.Sample, Config) {
+			return corpusSamples(t, datagen.IMDB(0.02, 1), workload.NewIMDBGenerator)
+		},
+		"tpch": func() ([]*encode.Sample, Config) {
+			return corpusSamples(t, datagen.TPCH(0.02, 1), workload.NewTPCHGenerator)
+		},
+	}
+	for name, load := range corpora {
+		samples, mc := load()
+		for _, v := range goldenVariants() {
+			m := NewModel(v, mc)
+			tc := DefaultTrainConfig()
+			tc.Epochs = 1 // off the init point, so gates are not all near σ(0)
+			if _, err := m.Fit(samples, tc); err != nil {
+				t.Fatal(err)
+			}
+			t.Run(name+"/"+v.Name+"/f64", func(t *testing.T) { checkFusedMatchesRecorded(t, m, samples) })
+			t.Run(name+"/"+v.Name+"/f32", func(t *testing.T) { checkFusedMatchesRecorded(t, quantizeF32(t, m), samples) })
+		}
+	}
+}
+
+func checkFusedMatchesRecorded[T tensor.Float](t *testing.T, m *Net[T], samples []*encode.Sample) {
+	want := rawForward(m, autodiff.NewTape[T](), samples)
+	got := rawForward(m, autodiff.NewInferenceTape[T](), samples)
+	preds := m.Predict(samples)
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("sample %d: forward-only %v != recorded %v (must be bit-identical)", i, got[i], want[i])
+		}
+		if p := invTransform(float64(want[i])); preds[i] != p {
+			t.Fatalf("sample %d: Predict %v != decoded recorded output %v", i, preds[i], p)
+		}
+	}
+}

@@ -81,7 +81,7 @@ func goldenModel(v Variant) *Model {
 // goldenF32 predicts samples through the float32 conversion of m.
 func goldenF32(t *testing.T, m *Model, samples []*encode.Sample, opt PredictOpts) []float64 {
 	t.Helper()
-	qm, err := m.Quantize(QuantConfig{Precision: PrecisionF32})
+	qm, err := m.Quantize(PrecisionF32)
 	if err != nil {
 		t.Fatal(err)
 	}

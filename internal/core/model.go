@@ -18,6 +18,7 @@ import (
 	"raal/internal/nn"
 	"raal/internal/sparksim"
 	"raal/internal/telemetry"
+	"raal/internal/tensor"
 )
 
 // Config sets the model dimensions. SemDim, MaxNodes, and StatsDim must
@@ -49,8 +50,12 @@ func DefaultConfig(semDim, maxNodes int) Config {
 // nodeStatFeatures mirrors encode: per-node stats appended to each row.
 const nodeStatFeatures = 2
 
-// Model is a deep cost model of one Variant.
-type Model struct {
+// Net is a deep cost model of one Variant over element type T. There is
+// one network: the float64 instantiation (Model) is what NewModel builds,
+// Fit trains and Save writes; the float32 instantiation is the inference-
+// only reduced precision, derived from a trained Model by Quantize and
+// never serialized. Every method below is the same code at both.
+type Net[T tensor.Float] struct {
 	Var Variant
 	Cfg Config
 
@@ -58,19 +63,23 @@ type Model struct {
 	// predicts unobserved. Never serialized.
 	instr *Instrumentation
 
-	lstm *nn.LSTM
-	conv *nn.Conv1D
+	lstm *nn.LSTM[T]
+	conv *nn.Conv1D[T]
 
-	wq, wk *nn.Param // node-aware attention projections (Hidden×K)
-	wr     *nn.Param // resource query projection (ResDim×K)
-	wrk    *nn.Param // resource-side node key projection (Hidden×K)
+	wq, wk *nn.Param[T] // node-aware attention projections (Hidden×K)
+	wr     *nn.Param[T] // resource query projection (ResDim×K)
+	wrk    *nn.Param[T] // resource-side node key projection (Hidden×K)
 
-	head *nn.MLP
+	head *nn.MLP[T]
 
 	// tapes pools warm inference tapes across Predict calls so the
 	// steady-state scoring path allocates no matrices. Never serialized.
-	tapes tapePool
+	tapes tapePool[T]
 }
+
+// Model is the float64 network: the training, reference and storage
+// precision, and the type every package outside core spells.
+type Model = Net[float64]
 
 // maxPooledTapes caps how many warm inference tapes a model retains. More
 // concurrent workers than this still run — extras build a cold tape and
@@ -80,12 +89,12 @@ const maxPooledTapes = 16
 // tapePool is a mutex-guarded stack of inference tapes. An explicit
 // free list (rather than sync.Pool) keeps warm tapes out of the GC's reach,
 // so the zero-steady-state-allocation guarantee holds deterministically.
-type tapePool struct {
+type tapePool[T tensor.Float] struct {
 	mu sync.Mutex
-	ts []*autodiff.Tape
+	ts []*autodiff.Tape[T]
 }
 
-func (p *tapePool) get() *autodiff.Tape {
+func (p *tapePool[T]) get() *autodiff.Tape[T] {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if n := len(p.ts); n > 0 {
@@ -94,10 +103,10 @@ func (p *tapePool) get() *autodiff.Tape {
 		p.ts = p.ts[:n-1]
 		return tp
 	}
-	return autodiff.NewInferenceTape()
+	return autodiff.NewInferenceTape[T]()
 }
 
-func (p *tapePool) put(tp *autodiff.Tape) {
+func (p *tapePool[T]) put(tp *autodiff.Tape[T]) {
 	tp.Reset() // recycle the last chunk's matrices before parking the tape
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -106,30 +115,49 @@ func (p *tapePool) put(tp *autodiff.Tape) {
 	}
 }
 
-// NewModel builds a model for the variant with freshly initialized weights.
-func NewModel(v Variant, cfg Config) *Model {
+// NewModel builds a float64 model for the variant with freshly initialized
+// weights.
+func NewModel(v Variant, cfg Config) *Model { return newNet[float64](v, cfg) }
+
+// newNet builds the variant's network at element type T, weights drawn
+// from cfg.Seed.
+func newNet[T tensor.Float](v Variant, cfg Config) *Net[T] {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{Var: v, Cfg: cfg}
+	m := &Net[T]{Var: v, Cfg: cfg}
 	in := m.inputDim()
 	if v.CNN {
-		m.conv = nn.NewConv1D("plan.conv", in, cfg.Hidden, 3, nn.ReLU, rng)
+		m.conv = nn.NewConv1D[T]("plan.conv", in, cfg.Hidden, 3, nn.ReLU, rng)
 	} else {
-		m.lstm = nn.NewLSTM("plan.lstm", in, cfg.Hidden, rng)
+		m.lstm = nn.NewLSTM[T]("plan.lstm", in, cfg.Hidden, rng)
 	}
 	if v.NodeAttention {
-		m.wq = nn.NewParam("attn.wq", nn.Xavier(cfg.Hidden, cfg.K, rng))
-		m.wk = nn.NewParam("attn.wk", nn.Xavier(cfg.Hidden, cfg.K, rng))
+		m.wq = nn.NewParam("attn.wq", nn.Xavier[T](cfg.Hidden, cfg.K, rng))
+		m.wk = nn.NewParam("attn.wk", nn.Xavier[T](cfg.Hidden, cfg.K, rng))
 	}
 	if v.ResourceAttention {
-		m.wr = nn.NewParam("res.wr", nn.Xavier(cfg.ResDim, cfg.K, rng))
-		m.wrk = nn.NewParam("res.wk", nn.Xavier(cfg.Hidden, cfg.K, rng))
+		m.wr = nn.NewParam("res.wr", nn.Xavier[T](cfg.ResDim, cfg.K, rng))
+		m.wrk = nn.NewParam("res.wk", nn.Xavier[T](cfg.Hidden, cfg.K, rng))
 	}
-	m.head = nn.NewMLP("head", []int{m.headDim(), cfg.Hidden, cfg.Hidden / 2, 1}, nn.ReLU, rng)
+	m.head = nn.NewMLP[T]("head", []int{m.headDim(), cfg.Hidden, cfg.Hidden / 2, 1}, nn.ReLU, rng)
 	return m
 }
 
+// convertNet returns a network of the same variant and configuration at
+// element type D holding a converted copy of m's weights — a deep copy
+// when D is m's own element type (Clone), the reduced-precision snapshot
+// when it is narrower (Quantize). Telemetry and warm tapes are not carried
+// over.
+func convertNet[D, S tensor.Float](m *Net[S]) *Net[D] {
+	c := newNet[D](m.Var, m.Cfg)
+	src, dst := m.Params(), c.Params()
+	for i := range src {
+		tensor.Cast(dst[i].Value().Data, src[i].Value().Data)
+	}
+	return c
+}
+
 // inputDim is the per-node input width after variant column selection.
-func (m *Model) inputDim() int {
+func (m *Net[T]) inputDim() int {
 	d := m.Cfg.SemDim + nodeStatFeatures
 	if m.Var.Structure {
 		d += m.Cfg.MaxNodes
@@ -138,7 +166,7 @@ func (m *Model) inputDim() int {
 }
 
 // headDim is the width of the prediction layer's input.
-func (m *Model) headDim() int {
+func (m *Net[T]) headDim() int {
 	d := m.Cfg.Hidden + m.Cfg.StatsDim
 	if m.Var.ResourceAttention {
 		d += m.Cfg.Hidden
@@ -147,8 +175,8 @@ func (m *Model) headDim() int {
 }
 
 // Params returns all trainable parameters.
-func (m *Model) Params() []*nn.Param {
-	var ps []*nn.Param
+func (m *Net[T]) Params() []*nn.Param[T] {
+	var ps []*nn.Param[T]
 	if m.lstm != nil {
 		ps = append(ps, m.lstm.Params()...)
 	}
@@ -167,15 +195,15 @@ func (m *Model) Params() []*nn.Param {
 
 // nodeInput extracts the model's input row for sample node i, dropping the
 // structure segment for NE-LSTM.
-func (m *Model) nodeInput(s *encode.Sample, i int, dst []float64) {
+func (m *Net[T]) nodeInput(s *encode.Sample, i int, dst []T) {
 	row := s.Nodes.Row(i)
 	sem := m.Cfg.SemDim
 	if m.Var.Structure {
-		copy(dst, row) // full row: semantic | structure | stats
+		tensor.Cast(dst, row) // full row: semantic | structure | stats
 		return
 	}
-	copy(dst[:sem], row[:sem])
-	copy(dst[sem:], row[sem+m.Cfg.MaxNodes:])
+	tensor.Cast(dst[:sem], row[:sem])
+	tensor.Cast(dst[sem:], row[sem+m.Cfg.MaxNodes:])
 }
 
 // forward builds the computation graph for a batch and returns the B×1
@@ -186,7 +214,7 @@ func (m *Model) nodeInput(s *encode.Sample, i int, dst []float64) {
 // sp, when non-nil, receives the per-stage wall-time breakdown (embed →
 // lstm/conv → attention → dense); a nil span costs one branch per stage
 // boundary.
-func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry.Span) *autodiff.Var {
+func (m *Net[T]) forward(tp *autodiff.Tape[T], batch []*encode.Sample, sp *telemetry.Span) *autodiff.Var[T] {
 	bsz := len(batch)
 	L := 1
 	for _, s := range batch {
@@ -197,7 +225,7 @@ func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry
 	in := m.inputDim()
 
 	// Plan feature layer.
-	perSampleH := make([]*autodiff.Var, bsz) // each L×Hidden
+	perSampleH := make([]*autodiff.Var[T], bsz) // each L×Hidden
 	if m.lstm != nil {
 		stop := sp.Stage("embed")
 		// One stacked (L·bsz)×in input buffer: row t·bsz+b is sample b's
@@ -232,12 +260,12 @@ func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry
 	}
 
 	stopAttn := sp.Stage("attention")
-	scale := 1 / math.Sqrt(float64(m.Cfg.K))
-	feats := make([]*autodiff.Var, bsz)
+	scale := T(1 / math.Sqrt(float64(m.Cfg.K)))
+	feats := make([]*autodiff.Var[T], bsz)
 	for b, s := range batch {
 		h := perSampleH[b]
 		mask := s.Mask[:L]
-		var pooled *autodiff.Var
+		var pooled *autodiff.Var[T]
 		if m.Var.NodeAttention {
 			children := make([][]bool, L)
 			for i := 0; i < L; i++ {
@@ -255,10 +283,10 @@ func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry
 			pooled = tp.MeanRowsMasked(h, mask)
 		}
 
-		parts := []*autodiff.Var{pooled}
+		parts := []*autodiff.Var[T]{pooled}
 		if m.Var.ResourceAttention {
 			rv := tp.NewMatrix(1, len(s.Resource))
-			copy(rv.Data, s.Resource)
+			tensor.Cast(rv.Data, s.Resource)
 			r := tp.Const(rv)
 			q := tp.MatMul(r, m.wr.Var)                                 // 1×K
 			keys := tp.MatMul(h, m.wrk.Var)                             // L×K
@@ -267,7 +295,7 @@ func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry
 			parts = append(parts, tp.MatMul(battn, h)) // 1×Hidden
 		}
 		sv := tp.NewMatrix(1, len(s.Stats))
-		copy(sv.Data, s.Stats)
+		tensor.Cast(sv.Data, s.Stats)
 		parts = append(parts, tp.Const(sv))
 		feats[b] = tp.ConcatCols(parts...)
 	}
@@ -281,8 +309,8 @@ func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry
 // independent tapes without racing on the shared nn.Param set. Params()
 // returns the replica's parameters in the same order as the original's,
 // which is what lets shard gradients be merged positionally.
-func (m *Model) replica() *Model {
-	r := &Model{Var: m.Var, Cfg: m.Cfg}
+func (m *Net[T]) replica() *Net[T] {
+	r := &Net[T]{Var: m.Var, Cfg: m.Cfg}
 	if m.lstm != nil {
 		r.lstm = m.lstm.ShareWeights()
 	}
@@ -323,7 +351,7 @@ type PredictOpts struct {
 
 // Predict returns the estimated cost in seconds for each sample, using
 // the default data-parallel settings (see PredictOpts).
-func (m *Model) Predict(samples []*encode.Sample) []float64 {
+func (m *Net[T]) Predict(samples []*encode.Sample) []float64 {
 	return m.PredictWith(samples, PredictOpts{})
 }
 
@@ -331,7 +359,7 @@ func (m *Model) Predict(samples []*encode.Sample) []float64 {
 // scoring independent chunks on a pool of worker goroutines. The model is
 // only read, so a single Model may serve many concurrent PredictWith
 // calls.
-func (m *Model) PredictWith(samples []*encode.Sample, opt PredictOpts) []float64 {
+func (m *Net[T]) PredictWith(samples []*encode.Sample, opt PredictOpts) []float64 {
 	out, _ := m.PredictCtx(context.Background(), samples, opt) // Background never cancels
 	return out
 }
@@ -342,7 +370,7 @@ func (m *Model) PredictWith(samples []*encode.Sample, opt PredictOpts) []float64
 // context.DeadlineExceeded) with nil predictions. An un-cancellable
 // context adds only a nil check per chunk — predictions are bit-identical
 // to PredictWith for every PredictOpts setting.
-func (m *Model) PredictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts) ([]float64, error) {
+func (m *Net[T]) PredictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts) ([]float64, error) {
 	return m.predictCtx(ctx, samples, opt, nil)
 }
 
@@ -351,7 +379,7 @@ func (m *Model) PredictCtx(ctx context.Context, samples []*encode.Sample, opt Pr
 // into sp: encode-side callers add their own stages, then embed →
 // lstm/conv → attention → dense → decode land here. Predictions are
 // bit-identical to Predict. The caller owns sp's lifecycle (End).
-func (m *Model) PredictSpan(samples []*encode.Sample, sp *telemetry.Span) []float64 {
+func (m *Net[T]) PredictSpan(samples []*encode.Sample, sp *telemetry.Span) []float64 {
 	out, _ := m.predictCtx(context.Background(), samples, PredictOpts{Workers: 1}, sp)
 	return out
 }
@@ -362,8 +390,8 @@ func (m *Model) PredictSpan(samples []*encode.Sample, sp *telemetry.Span) []floa
 //
 //	preds, span := m.PredictTraced(samples)
 //	for _, st := range span.Stages() { ... }
-func (m *Model) PredictTraced(samples []*encode.Sample) ([]float64, *telemetry.Span) {
-	sp := telemetry.StartSpan("predict")
+func (m *Net[T]) PredictTraced(samples []*encode.Sample) ([]float64, *telemetry.Span) {
+	sp := telemetry.StartSpan("predict[" + m.Precision().String() + "]")
 	out := m.PredictSpan(samples, sp)
 	sp.End()
 	return out, sp
@@ -394,13 +422,7 @@ type chunkRange struct{ lo, hi int }
 // pooling and attention are mask-invariant, so every sample's arithmetic
 // is untouched and predictions are bit-identical with bucketing on and
 // off (pinned by TestBucketedPredictBitIdentical).
-func (m *Model) schedule(samples []*encode.Sample, chunk int, noBucket bool) ([]*encode.Sample, []int, []chunkRange) {
-	return scheduleSamples(samples, chunk, noBucket, m.instr)
-}
-
-// scheduleSamples is the scheduler shared by the float64 Model and the
-// reduced-precision QModel (which has its own instrumentation handle).
-func scheduleSamples(samples []*encode.Sample, chunk int, noBucket bool, instr *Instrumentation) ([]*encode.Sample, []int, []chunkRange) {
+func (m *Net[T]) schedule(samples []*encode.Sample, chunk int, noBucket bool) ([]*encode.Sample, []int, []chunkRange) {
 	n := len(samples)
 	if noBucket || n <= 1 {
 		chunks := make([]chunkRange, 0, (n+chunk-1)/chunk)
@@ -435,7 +457,7 @@ func scheduleSamples(samples []*encode.Sample, chunk int, noBucket bool, instr *
 		order[p] = i
 		scored[p] = s
 	}
-	instr.observeBuckets(lens)
+	m.instr.observeBuckets(lens)
 	var chunks []chunkRange
 	for l := 1; l <= maxLen; l++ {
 		for lo := starts[l]; lo < starts[l+1]; lo += chunk {
@@ -448,7 +470,7 @@ func scheduleSamples(samples []*encode.Sample, chunk int, noBucket bool, instr *
 // predictCtx is the shared scorer behind Predict/PredictCtx/PredictSpan.
 // A non-nil span forces the serial path (callers pass Workers: 1), so
 // stage durations sum to at most the call's wall time.
-func (m *Model) predictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts, sp *telemetry.Span) ([]float64, error) {
+func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts, sp *telemetry.Span) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -472,7 +494,7 @@ func (m *Model) predictCtx(ctx context.Context, samples []*encode.Sample, opt Pr
 	// between chunks, so all matrices a chunk's graph needs come from the
 	// tape's arena: the steady-state scoring path performs zero matrix
 	// allocations. Predictions are extracted before the next Reset.
-	score := func(tp *autodiff.Tape, k int) {
+	score := func(tp *autodiff.Tape[T], k int) {
 		c := chunks[k]
 		tp.Reset()
 		pred := m.forward(tp, scored[c.lo:c.hi], sp)
@@ -482,7 +504,7 @@ func (m *Model) predictCtx(ctx context.Context, samples []*encode.Sample, opt Pr
 			if order != nil {
 				dst = order[i]
 			}
-			out[dst] = invTransform(pred.Value.At(i-c.lo, 0))
+			out[dst] = invTransform(float64(pred.Value.At(i-c.lo, 0)))
 		}
 	}
 
@@ -548,7 +570,7 @@ type modelSnapshot struct {
 }
 
 // Save writes the model (magic header, variant, config, weights) to w.
-func (m *Model) Save(w io.Writer) error {
+func (m *Net[T]) Save(w io.Writer) error {
 	if err := WriteHeader(w, ModelMagic, ModelVersion); err != nil {
 		return err
 	}

@@ -1,34 +1,25 @@
 package core
 
 import (
-	"context"
 	"errors"
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
+	"unsafe"
 
-	"raal/internal/autodiff"
 	"raal/internal/encode"
 	"raal/internal/metrics"
-	"raal/internal/nn"
-	"raal/internal/tensor"
-	"raal/internal/telemetry"
 )
 
-// Precision selects the numeric format an inference path runs in. Models
-// always train in PrecisionF64; the reduced precisions are post-training
-// inference-only conversions (see Model.Quantize) admitted through the
-// accuracy gate (VerifyQuantized).
+// Precision names the element type an inference path runs at. Models
+// always train in PrecisionF64; PrecisionF32 is the post-training,
+// inference-only instantiation of the same network (see Net.Quantize),
+// admitted for serving through the accuracy gate (VerifyQuantized).
 type Precision uint8
 
 // Supported precisions.
 const (
-	PrecisionF64  Precision = iota // float64 reference path (the Model itself)
-	PrecisionF32                   // all weights and arithmetic in float32
-	PrecisionInt8                  // f32 arithmetic, int8 per-row LSTM-input/dense weights
+	PrecisionF64 Precision = iota // float64 reference path (Model)
+	PrecisionF32                  // all weights and arithmetic in float32 (Net[float32])
 )
 
 func (p Precision) String() string {
@@ -37,15 +28,15 @@ func (p Precision) String() string {
 		return "f64"
 	case PrecisionF32:
 		return "f32"
-	case PrecisionInt8:
-		return "int8"
 	default:
 		return fmt.Sprintf("Precision(%d)", uint8(p))
 	}
 }
 
-// ParsePrecision maps the CLI spelling ("f64", "f32", "int8") back to a
-// Precision.
+// ParsePrecision maps the CLI spelling ("f64", "f32") back to a Precision.
+// "int8" was a third value once; it measured slower and less accurate than
+// f32 and was removed, so asking for it is an error rather than a silent
+// fallback.
 func ParsePrecision(s string) (Precision, error) {
 	switch s {
 	case "f64":
@@ -53,342 +44,35 @@ func ParsePrecision(s string) (Precision, error) {
 	case "f32":
 		return PrecisionF32, nil
 	case "int8":
-		return PrecisionInt8, nil
+		return 0, errors.New(`core: precision "int8" was removed (it was slower and less accurate than f32); use f32`)
 	}
-	return 0, fmt.Errorf("core: unknown precision %q (have f64, f32, int8)", s)
+	return 0, fmt.Errorf("core: unknown precision %q (have f64, f32)", s)
 }
 
-// QuantConfig tunes Model.Quantize. The zero value is invalid — callers
-// pick PrecisionF32 or PrecisionInt8 explicitly.
-type QuantConfig struct {
-	Precision Precision
+// Precision reports the element type m computes in.
+func (m *Net[T]) Precision() Precision {
+	var zero T
+	if unsafe.Sizeof(zero) == 4 {
+		return PrecisionF32
+	}
+	return PrecisionF64
 }
 
-// QModel is an inference-only reduced-precision snapshot of a Model: the
-// same architecture and forward graph, with weights narrowed to float32
-// (and, for PrecisionInt8, the LSTM input projection and every dense
-// layer stored as symmetric per-row int8 with dequant-to-f32 accumulate).
-// It is produced by Model.Quantize, never trained, and never serialized —
-// re-quantize from the float64 champion instead.
+// Quantize derives the inference-only reduced-precision network for p from
+// the trained model: the same variant, configuration and forward graph
+// with every weight narrowed to float32. m is untouched and remains the
+// training/reference path; the result is never trained and never
+// serialized — re-derive it from the float64 champion instead.
 //
-// Predictions are deterministic: bit-identical across worker counts,
-// chunk sizes, and bucketing settings, by the same argument as the
-// float64 path (tensor kernel contract + per-sample independence). No
-// bit relationship with the float64 model's output is promised; that gap
-// is what VerifyQuantized bounds.
-type QModel struct {
-	Var       Variant
-	Cfg       Config
-	Precision Precision
-
-	instr *Instrumentation
-
-	lstm *nn.LSTM32
-	conv *nn.Conv32
-
-	wq, wk *tensor.Matrix32 // node-aware attention projections (Hidden×K)
-	wr     *tensor.Matrix32 // resource query projection (ResDim×K)
-	wrk    *tensor.Matrix32 // resource-side node key projection (Hidden×K)
-
-	head *nn.MLP32
-
-	tapes tape32Pool
-}
-
-// tape32Pool mirrors tapePool for the f32 tape: an explicit free list
-// keeps warm tapes out of the GC's reach so the zero-steady-state-
-// allocation guarantee holds deterministically.
-type tape32Pool struct {
-	mu sync.Mutex
-	ts []*autodiff.Tape32
-}
-
-func (p *tape32Pool) get() *autodiff.Tape32 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if n := len(p.ts); n > 0 {
-		tp := p.ts[n-1]
-		p.ts[n-1] = nil
-		p.ts = p.ts[:n-1]
-		return tp
+// Its predictions are deterministic (bit-identical across worker counts,
+// chunk sizes and bucketing, by the same argument as at float64), but no
+// bit relationship with m's output is promised; that gap is what
+// VerifyQuantized bounds.
+func (m *Net[T]) Quantize(p Precision) (*Net[float32], error) {
+	if p != PrecisionF32 {
+		return nil, fmt.Errorf("core: Quantize: %v is not a reduced precision (want f32)", p)
 	}
-	return autodiff.NewTape32()
-}
-
-func (p *tape32Pool) put(tp *autodiff.Tape32) {
-	tp.Reset()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if len(p.ts) < maxPooledTapes {
-		p.ts = append(p.ts, tp)
-	}
-}
-
-// Quantize converts the trained model to an inference-only reduced-
-// precision snapshot. PrecisionF32 narrows every weight to float32;
-// PrecisionInt8 additionally stores the LSTM input projection (or the
-// conv lowering matrix, for RAAC) and every head dense layer as symmetric
-// per-row int8. The attention projections, biases, and recurrent weights
-// stay f32 in both modes — they are small, and the recurrence and softmax
-// amplify their error. The model itself is untouched and remains the
-// training/reference path.
-func (m *Model) Quantize(qc QuantConfig) (*QModel, error) {
-	switch qc.Precision {
-	case PrecisionF32, PrecisionInt8:
-	default:
-		return nil, fmt.Errorf("core: Quantize: %v is not a reduced precision (want f32 or int8)", qc.Precision)
-	}
-	int8W := qc.Precision == PrecisionInt8
-	q := &QModel{Var: m.Var, Cfg: m.Cfg, Precision: qc.Precision}
-	if m.lstm != nil {
-		q.lstm = nn.NewLSTM32(m.lstm, int8W)
-	}
-	if m.conv != nil {
-		q.conv = nn.NewConv32(m.conv, int8W)
-	}
-	if m.wq != nil {
-		q.wq = tensor.ToMatrix32(m.wq.Value())
-		q.wk = tensor.ToMatrix32(m.wk.Value())
-	}
-	if m.wr != nil {
-		q.wr = tensor.ToMatrix32(m.wr.Value())
-		q.wrk = tensor.ToMatrix32(m.wrk.Value())
-	}
-	q.head = nn.NewMLP32(m.head, int8W)
-	return q, nil
-}
-
-// Instrument attaches the metric set to the quantized model (same set as
-// Model.Instrument — the precision split shows up in serving metrics, not
-// here).
-func (q *QModel) Instrument(ins *Instrumentation) { q.instr = ins }
-
-// inputDim mirrors Model.inputDim.
-func (q *QModel) inputDim() int {
-	d := q.Cfg.SemDim + nodeStatFeatures
-	if q.Var.Structure {
-		d += q.Cfg.MaxNodes
-	}
-	return d
-}
-
-// nodeInput32 extracts sample node i's input row, narrowing to f32.
-func (q *QModel) nodeInput32(s *encode.Sample, i int, dst []float32) {
-	row := s.Nodes.Row(i)
-	sem := q.Cfg.SemDim
-	if q.Var.Structure {
-		for j, v := range row {
-			dst[j] = float32(v)
-		}
-		return
-	}
-	for j := 0; j < sem; j++ {
-		dst[j] = float32(row[j])
-	}
-	for j, v := range row[sem+q.Cfg.MaxNodes:] {
-		dst[sem+j] = float32(v)
-	}
-}
-
-// forward32 mirrors Model.forward on the f32 tape: same graph, same
-// masks, same unroll truncation, same stage boundaries (embed →
-// lstm/conv → attention → dense), with every intermediate stored in f32.
-func (q *QModel) forward32(tp *autodiff.Tape32, batch []*encode.Sample, sp *telemetry.Span) *tensor.Matrix32 {
-	bsz := len(batch)
-	L := 1
-	for _, s := range batch {
-		if l := activeLen(s); l > L {
-			L = l
-		}
-	}
-	in := q.inputDim()
-
-	perSampleH := make([]*tensor.Matrix32, bsz)
-	if q.lstm != nil {
-		stop := sp.Stage("embed")
-		x := tp.NewMatrix(L*bsz, in)
-		for t := 0; t < L; t++ {
-			for b, s := range batch {
-				q.nodeInput32(s, t, x.Row(t*bsz+b))
-			}
-		}
-		stop()
-		stop = sp.Stage("lstm")
-		hs := q.lstm.ForwardStacked(tp, x, L)
-		for b := 0; b < bsz; b++ {
-			perSampleH[b] = tp.GatherRows(hs, b)
-		}
-		stop()
-	} else {
-		for b, s := range batch {
-			stop := sp.Stage("embed")
-			x := tp.NewMatrix(L, in)
-			for t := 0; t < L; t++ {
-				q.nodeInput32(s, t, x.Row(t))
-			}
-			stop()
-			stop = sp.Stage("conv")
-			perSampleH[b] = q.conv.Forward(tp, x)
-			stop()
-		}
-	}
-
-	stopAttn := sp.Stage("attention")
-	scale := float32(1 / math.Sqrt(float64(q.Cfg.K)))
-	feats := make([]*tensor.Matrix32, bsz)
-	for b, s := range batch {
-		h := perSampleH[b]
-		mask := s.Mask[:L]
-		var pooled *tensor.Matrix32
-		if q.Var.NodeAttention {
-			children := make([][]bool, L)
-			for i := 0; i < L; i++ {
-				children[i] = s.Children[i][:L]
-			}
-			qm := tp.MatMul(h, q.wq)
-			km := tp.MatMul(h, q.wk)
-			scores := tp.Scale(tp.MatMulTransB(qm, km), scale)
-			attn := tp.SoftmaxRowsMask2D(scores, children)
-			attended := tp.MatMul(attn, h)
-			pooled = tp.MeanRowsMasked(tp.Add(attended, h), mask)
-		} else {
-			pooled = tp.MeanRowsMasked(h, mask)
-		}
-
-		parts := []*tensor.Matrix32{pooled}
-		if q.Var.ResourceAttention {
-			rv := tp.NewMatrix(1, len(s.Resource))
-			for j, v := range s.Resource {
-				rv.Data[j] = float32(v)
-			}
-			qr := tp.MatMul(rv, q.wr)                                 // 1×K
-			keys := tp.MatMul(h, q.wrk)                               // L×K
-			scores := tp.Scale(tp.MatMulTransB(qr, keys), scale)      // 1×L
-			battn := tp.SoftmaxRows(scores, mask)
-			parts = append(parts, tp.MatMul(battn, h)) // 1×Hidden
-		}
-		sv := tp.NewMatrix(1, len(s.Stats))
-		for j, v := range s.Stats {
-			sv.Data[j] = float32(v)
-		}
-		parts = append(parts, sv)
-		feats[b] = tp.ConcatCols(parts...)
-	}
-	stopAttn()
-	defer sp.Stage("dense")()
-	return q.head.Forward(tp, tp.ConcatRows(feats...))
-}
-
-// Predict returns the estimated cost in seconds for each sample, using
-// the default data-parallel settings.
-func (q *QModel) Predict(samples []*encode.Sample) []float64 {
-	return q.PredictWith(samples, PredictOpts{})
-}
-
-// PredictWith is Model.PredictWith on the reduced-precision path.
-func (q *QModel) PredictWith(samples []*encode.Sample, opt PredictOpts) []float64 {
-	out, _ := q.PredictCtx(context.Background(), samples, opt)
-	return out
-}
-
-// PredictCtx is Model.PredictCtx on the reduced-precision path: same
-// chunking, bucketing, worker pool, and cancellation contract.
-func (q *QModel) PredictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts) ([]float64, error) {
-	return q.predictCtx32(ctx, samples, opt, nil)
-}
-
-// PredictSpan scores samples serially while accumulating the per-stage
-// breakdown into sp (embed → lstm/conv → attention → dense → decode).
-func (q *QModel) PredictSpan(samples []*encode.Sample, sp *telemetry.Span) []float64 {
-	out, _ := q.predictCtx32(context.Background(), samples, PredictOpts{Workers: 1}, sp)
-	return out
-}
-
-// PredictTraced is PredictSpan with the span created and ended; the span
-// name carries the precision so quantized traces are distinguishable.
-func (q *QModel) PredictTraced(samples []*encode.Sample) ([]float64, *telemetry.Span) {
-	sp := telemetry.StartSpan("predict[" + q.Precision.String() + "]")
-	out := q.PredictSpan(samples, sp)
-	sp.End()
-	return out, sp
-}
-
-// predictCtx32 mirrors Model.predictCtx chunk for chunk, swapping the
-// float64 tape for the pooled f32 tape.
-func (q *QModel) predictCtx32(ctx context.Context, samples []*encode.Sample, opt PredictOpts, sp *telemetry.Span) ([]float64, error) {
-	if err := ctx.Err(); err != nil {
-		return nil, err
-	}
-	start := time.Now()
-	out := make([]float64, len(samples))
-	chunk := opt.ChunkSize
-	if chunk <= 0 {
-		chunk = 64
-	}
-	scored, order, chunks := scheduleSamples(samples, chunk, opt.NoBucket, q.instr)
-	nChunks := len(chunks)
-	workers := opt.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > nChunks {
-		workers = nChunks
-	}
-
-	score := func(tp *autodiff.Tape32, k int) {
-		c := chunks[k]
-		tp.Reset()
-		pred := q.forward32(tp, scored[c.lo:c.hi], sp)
-		defer sp.Stage("decode")()
-		for i := c.lo; i < c.hi; i++ {
-			dst := i
-			if order != nil {
-				dst = order[i]
-			}
-			out[dst] = invTransform(float64(pred.At(i-c.lo, 0)))
-		}
-	}
-
-	if workers <= 1 {
-		tp := q.tapes.get()
-		defer q.tapes.put(tp)
-		for k := 0; k < nChunks; k++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			score(tp, k)
-		}
-		q.instr.observePredict(len(samples), time.Since(start))
-		return out, nil
-	}
-	var next atomic.Int64
-	var aborted atomic.Bool
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tp := q.tapes.get()
-			defer q.tapes.put(tp)
-			for {
-				if ctx.Err() != nil {
-					aborted.Store(true)
-					return
-				}
-				k := int(next.Add(1)) - 1
-				if k >= nChunks {
-					return
-				}
-				score(tp, k)
-			}
-		}()
-	}
-	wg.Wait()
-	if aborted.Load() {
-		return nil, ctx.Err()
-	}
-	q.instr.observePredict(len(samples), time.Since(start))
-	return out, nil
+	return convertNet[float32](m), nil
 }
 
 // GateQuantile is the order statistic the accuracy gate examines: the
@@ -400,17 +84,22 @@ const GateQuantile = 0.9
 
 // QuantGateError is the typed refusal returned by VerifyQuantized when a
 // quantized model disagrees with its float64 reference by more than the
-// configured bound. Callers match it with errors.As and fall back to the
-// f64 path.
+// configured bound, or predicts a non-finite cost. Callers match it with
+// errors.As and fall back to the f64 path.
 type QuantGateError struct {
 	Precision Precision
 	Quantile  float64 // order statistic examined (GateQuantile)
-	Delta     float64 // observed q-error delta at that quantile
+	Delta     float64 // observed q-error delta at that quantile; NaN when a prediction was non-finite
 	Bound     float64 // configured maximum
 	N         int     // evaluation samples
+	NonFinite int     // reduced-precision predictions that were NaN or ±Inf
 }
 
 func (e *QuantGateError) Error() string {
+	if e.NonFinite > 0 {
+		return fmt.Sprintf("core: quantization gate refused %s: %d of %d predictions are not finite",
+			e.Precision, e.NonFinite, e.N)
+	}
 	return fmt.Sprintf("core: quantization gate refused %s: q-error delta p%.0f = %.4f > bound %.4f (over %d samples)",
 		e.Precision, e.Quantile*100, e.Delta, e.Bound, e.N)
 }
@@ -419,9 +108,12 @@ func (e *QuantGateError) Error() string {
 // the float64 model and its quantized snapshot, computes the per-sample
 // q-error delta distribution (metrics.QErrorDeltas, with the f64
 // predictions as reference — no labels needed), and refuses with a
-// *QuantGateError when the GateQuantile delta exceeds maxQDelta. A nil
-// return admits qm for serving.
-func VerifyQuantized(m *Model, qm *QModel, samples []*encode.Sample, maxQDelta float64) error {
+// *QuantGateError when the GateQuantile delta exceeds maxQDelta. Any
+// non-finite reduced-precision prediction refuses outright: a NaN delta
+// sorts below every number, so it would otherwise never reach the
+// examined quantile, and NaN > bound is false. A nil return admits qm for
+// serving.
+func VerifyQuantized(m *Model, qm *Net[float32], samples []*encode.Sample, maxQDelta float64) error {
 	if m == nil || qm == nil {
 		return errors.New("core: VerifyQuantized needs both the f64 model and the quantized snapshot")
 	}
@@ -433,15 +125,18 @@ func VerifyQuantized(m *Model, qm *QModel, samples []*encode.Sample, maxQDelta f
 	}
 	ref := m.Predict(samples)
 	got := qm.Predict(samples)
-	delta := metrics.Quantile(metrics.QErrorDeltas(ref, got), GateQuantile)
-	if delta > maxQDelta {
-		return &QuantGateError{
-			Precision: qm.Precision,
-			Quantile:  GateQuantile,
-			Delta:     delta,
-			Bound:     maxQDelta,
-			N:         len(samples),
+	refusal := &QuantGateError{Precision: qm.Precision(), Quantile: GateQuantile, Delta: math.NaN(), Bound: maxQDelta, N: len(samples)}
+	for _, g := range got {
+		if math.IsNaN(g) || math.IsInf(g, 0) {
+			refusal.NonFinite++
 		}
+	}
+	if refusal.NonFinite > 0 {
+		return refusal
+	}
+	refusal.Delta = metrics.Quantile(metrics.QErrorDeltas(ref, got), GateQuantile)
+	if !(refusal.Delta <= maxQDelta) { // also refuses a NaN quantile
+		return refusal
 	}
 	return nil
 }

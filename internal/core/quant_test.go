@@ -2,13 +2,16 @@ package core
 
 import (
 	"errors"
+	"math"
+	"strings"
 	"testing"
 
+	"raal/internal/encode"
 	"raal/internal/metrics"
 	"raal/internal/tensor"
 )
 
-// trainSmall trains one small model for the quantization tests.
+// trainSmall trains one small model for the reduced-precision tests.
 func trainSmall(t *testing.T, v Variant, seed int64) *Model {
 	t.Helper()
 	m, _, err := Train(synthDataset(160, seed), v, testConfig(), quickTrain())
@@ -18,44 +21,50 @@ func trainSmall(t *testing.T, v Variant, seed int64) *Model {
 	return m
 }
 
+func quantizeF32(t testing.TB, m *Model) *Net[float32] {
+	t.Helper()
+	qm, err := m.Quantize(PrecisionF32)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return qm
+}
+
 // TestQuantizedCloseToFloat64 pins the headline accuracy property: for
-// every variant and both reduced precisions, the 0.9-quantile q-error
-// delta against the float64 predictions stays within the serving bound,
-// and VerifyQuantized admits the snapshot.
+// every variant, the 0.9-quantile q-error delta of the float32 network
+// against the float64 predictions stays within the serving bound, and
+// VerifyQuantized admits the snapshot.
 func TestQuantizedCloseToFloat64(t *testing.T) {
 	eval := synthDataset(64, 99)
 	variants := map[string]Variant{"raal": RAAL(), "nelstm": NELSTM(), "nalstm": NALSTM(), "raac": RAAC()}
 	for name, v := range variants {
 		m := trainSmall(t, v, 7)
-		ref := m.Predict(eval)
-		for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-			qm, err := m.Quantize(QuantConfig{Precision: p})
-			if err != nil {
-				t.Fatalf("%s/%s: %v", name, p, err)
-			}
-			got := qm.Predict(eval)
-			delta := metrics.Quantile(metrics.QErrorDeltas(ref, got), GateQuantile)
-			if delta > 0.05 {
-				t.Fatalf("%s/%s: p90 q-error delta %.4f > 0.05", name, p, delta)
-			}
-			if err := VerifyQuantized(m, qm, eval, 0.05); err != nil {
-				t.Fatalf("%s/%s: gate refused a good snapshot: %v", name, p, err)
-			}
+		qm := quantizeF32(t, m)
+		if qm.Precision() != PrecisionF32 || m.Precision() != PrecisionF64 {
+			t.Fatalf("%s: precisions %v / %v, want f32 / f64", name, qm.Precision(), m.Precision())
+		}
+		delta := metrics.Quantile(metrics.QErrorDeltas(m.Predict(eval), qm.Predict(eval)), GateQuantile)
+		if delta > 0.05 {
+			t.Fatalf("%s: p90 q-error delta %.4f > 0.05", name, delta)
+		}
+		if err := VerifyQuantized(m, qm, eval, 0.05); err != nil {
+			t.Fatalf("%s: gate refused a good snapshot: %v", name, err)
 		}
 	}
 }
 
-// TestQuantizedPredictDeterministic pins the f32 determinism contract:
-// predictions are bit-identical across worker counts, chunk sizes, and
-// bucketing settings.
+// TestQuantizedPredictDeterministic pins the determinism contract at both
+// element types: predictions are bit-identical across worker counts,
+// chunk sizes, and bucketing settings.
 func TestQuantizedPredictDeterministic(t *testing.T) {
 	m := trainSmall(t, RAAL(), 11)
-	qm, err := m.Quantize(QuantConfig{Precision: PrecisionInt8})
-	if err != nil {
-		t.Fatal(err)
-	}
 	eval := synthDataset(80, 101)
-	want := qm.PredictWith(eval, PredictOpts{Workers: 1, ChunkSize: 7, NoBucket: true})
+	t.Run("f64", func(t *testing.T) { checkPredictDeterministic(t, m, eval) })
+	t.Run("f32", func(t *testing.T) { checkPredictDeterministic(t, quantizeF32(t, m), eval) })
+}
+
+func checkPredictDeterministic[T tensor.Float](t *testing.T, m *Net[T], eval []*encode.Sample) {
+	want := m.PredictWith(eval, PredictOpts{Workers: 1, ChunkSize: 7, NoBucket: true})
 	opts := []PredictOpts{
 		{Workers: 1, ChunkSize: 80},
 		{Workers: 2, ChunkSize: 16},
@@ -63,7 +72,7 @@ func TestQuantizedPredictDeterministic(t *testing.T) {
 		{Workers: 3, ChunkSize: 11, NoBucket: true},
 	}
 	for _, opt := range opts {
-		got := qm.PredictWith(eval, opt)
+		got := m.PredictWith(eval, opt)
 		for i, v := range got {
 			if v != want[i] {
 				t.Fatalf("opts %+v: sample %d = %v, want %v (bit-identical)", opt, i, v, want[i])
@@ -73,23 +82,24 @@ func TestQuantizedPredictDeterministic(t *testing.T) {
 }
 
 // TestQuantizedWarmPredictZeroAllocs pins the pooled-tape arena contract
-// on the reduced-precision path: after warmup, repeated serial predicts
-// allocate no f32 matrices.
+// at both element types: after warmup, repeated serial predicts allocate
+// no matrices.
 func TestQuantizedWarmPredictZeroAllocs(t *testing.T) {
 	m := trainSmall(t, RAAL(), 13)
-	qm, err := m.Quantize(QuantConfig{Precision: PrecisionF32})
-	if err != nil {
-		t.Fatal(err)
-	}
 	eval := synthDataset(32, 103)
+	t.Run("f64", func(t *testing.T) { checkWarmPredictZeroAllocs(t, m, eval) })
+	t.Run("f32", func(t *testing.T) { checkWarmPredictZeroAllocs(t, quantizeF32(t, m), eval) })
+}
+
+func checkWarmPredictZeroAllocs[T tensor.Float](t *testing.T, m *Net[T], eval []*encode.Sample) {
 	opt := PredictOpts{Workers: 1}
-	qm.PredictWith(eval, opt) // warm the tape pool
-	before := tensor.Allocs32()
+	m.PredictWith(eval, opt) // warm the tape pool
+	before := tensor.Allocs()
 	for i := 0; i < 3; i++ {
-		qm.PredictWith(eval, opt)
+		m.PredictWith(eval, opt)
 	}
-	if got := tensor.Allocs32() - before; got != 0 {
-		t.Fatalf("warm quantized predict allocated %d f32 matrices, want 0", got)
+	if got := tensor.Allocs() - before; got != 0 {
+		t.Fatalf("warm predict allocated %d matrices, want 0", got)
 	}
 }
 
@@ -98,39 +108,61 @@ func TestQuantizedWarmPredictZeroAllocs(t *testing.T) {
 // with the precision and quantile filled in.
 func TestQuantGateRefusal(t *testing.T) {
 	m := trainSmall(t, RAAL(), 17)
-	qm, err := m.Quantize(QuantConfig{Precision: PrecisionInt8})
-	if err != nil {
-		t.Fatal(err)
-	}
+	qm := quantizeF32(t, m)
 	// Sabotage the output layer bias: every prediction shifts, so the
 	// q-error delta blows through any reasonable bound.
 	out := qm.head.Layers[len(qm.head.Layers)-1]
-	for i := range out.B.Data {
-		out.B.Data[i] += 2
+	for i := range out.B.Value().Data {
+		out.B.Value().Data[i] += 2
 	}
 	eval := synthDataset(48, 107)
-	err = VerifyQuantized(m, qm, eval, 0.05)
+	err := VerifyQuantized(m, qm, eval, 0.05)
 	var gateErr *QuantGateError
 	if !errors.As(err, &gateErr) {
 		t.Fatalf("gate returned %v, want *QuantGateError", err)
 	}
-	if gateErr.Precision != PrecisionInt8 || gateErr.Quantile != GateQuantile || gateErr.Delta <= gateErr.Bound {
+	if gateErr.Precision != PrecisionF32 || gateErr.Quantile != GateQuantile || gateErr.Delta <= gateErr.Bound {
 		t.Fatalf("gate error fields wrong: %+v", gateErr)
 	}
 }
 
-// TestQuantizeRejectsF64 pins the config contract: f64 is the reference
-// path, not a quantization target.
+// TestQuantGateRefusesNonFinite pins the gate against predictions that are
+// not numbers. A NaN delta sorts below every real one, so with up to 90%
+// NaN rows the examined quantile never sees them, and with all rows NaN
+// the comparison NaN > bound is false: either way the snapshot used to be
+// admitted.
+func TestQuantGateRefusesNonFinite(t *testing.T) {
+	m := trainSmall(t, RAAL(), 19)
+	eval := synthDataset(48, 109)
+	for name, poison := range map[string]float32{"NaN": float32(math.NaN()), "+Inf": float32(math.Inf(1))} {
+		qm := quantizeF32(t, m)
+		// The output layer is linear, so the poison reaches every
+		// prediction (a hidden layer's ReLU would clamp NaN to 0).
+		qm.head.Layers[len(qm.head.Layers)-1].B.Value().Data[0] = poison
+		err := VerifyQuantized(m, qm, eval, 0.05)
+		var gateErr *QuantGateError
+		if !errors.As(err, &gateErr) {
+			t.Fatalf("%s head weight: gate returned %v, want *QuantGateError", name, err)
+		}
+		if gateErr.Precision != PrecisionF32 || gateErr.N != len(eval) {
+			t.Fatalf("%s head weight: gate error fields wrong: %+v", name, gateErr)
+		}
+	}
+}
+
+// TestQuantizeRejectsF64 pins the contract: f64 is the reference path, not
+// a reduced precision.
 func TestQuantizeRejectsF64(t *testing.T) {
 	m := NewModel(RAAL(), testConfig())
-	if _, err := m.Quantize(QuantConfig{Precision: PrecisionF64}); err == nil {
+	if _, err := m.Quantize(PrecisionF64); err == nil {
 		t.Fatal("Quantize(f64) succeeded, want error")
 	}
 }
 
-// TestParsePrecision round-trips the CLI spellings.
+// TestParsePrecision round-trips the CLI spellings and requires the
+// removed value to fail loudly, naming its replacement.
 func TestParsePrecision(t *testing.T) {
-	for _, p := range []Precision{PrecisionF64, PrecisionF32, PrecisionInt8} {
+	for _, p := range []Precision{PrecisionF64, PrecisionF32} {
 		got, err := ParsePrecision(p.String())
 		if err != nil || got != p {
 			t.Fatalf("ParsePrecision(%q) = %v, %v", p.String(), got, err)
@@ -138,6 +170,10 @@ func TestParsePrecision(t *testing.T) {
 	}
 	if _, err := ParsePrecision("f16"); err == nil {
 		t.Fatal("ParsePrecision(f16) succeeded, want error")
+	}
+	_, err := ParsePrecision("int8")
+	if err == nil || !strings.Contains(err.Error(), "removed") || !strings.Contains(err.Error(), "f32") {
+		t.Fatalf("ParsePrecision(int8) = %v, want an error saying int8 was removed and naming f32", err)
 	}
 }
 
@@ -151,27 +187,16 @@ func BenchmarkPredictQuant(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	b.Run("f64", func(b *testing.B) { benchPredict(b, m, samples) })
+	b.Run("f32", func(b *testing.B) { benchPredict(b, quantizeF32(b, m), samples) })
+}
+
+func benchPredict[T tensor.Float](b *testing.B, m *Net[T], samples []*encode.Sample) {
 	opt := PredictOpts{Workers: 1, ChunkSize: 32}
-	b.Run("f64", func(b *testing.B) {
+	m.PredictWith(samples, opt)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
 		m.PredictWith(samples, opt)
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			m.PredictWith(samples, opt)
-		}
-	})
-	for _, p := range []Precision{PrecisionF32, PrecisionInt8} {
-		qm, err := m.Quantize(QuantConfig{Precision: p})
-		if err != nil {
-			b.Fatal(err)
-		}
-		b.Run(p.String(), func(b *testing.B) {
-			qm.PredictWith(samples, opt)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				qm.PredictWith(samples, opt)
-			}
-		})
 	}
 }

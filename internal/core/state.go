@@ -96,11 +96,4 @@ func LoadTrainState(r io.Reader) (*TrainState, error) {
 // deep copy of the weights: training the clone never perturbs the
 // original, which is what lets a challenger continue from the serving
 // champion while the champion keeps answering traffic.
-func (m *Model) Clone() *Model {
-	c := NewModel(m.Var, m.Cfg)
-	src, dst := m.Params(), c.Params()
-	for i := range src {
-		copy(dst[i].Var.Value.Data, src[i].Var.Value.Data)
-	}
-	return c
-}
+func (m *Net[T]) Clone() *Net[T] { return convertNet[T](m) }

@@ -10,6 +10,7 @@ import (
 	"raal/internal/encode"
 	"raal/internal/metrics"
 	"raal/internal/nn"
+	"raal/internal/tensor"
 )
 
 // TrainConfig controls optimization.
@@ -88,10 +89,10 @@ func Train(samples []*encode.Sample, v Variant, mc Config, tc TrainConfig) (*Mod
 // shardRun is one gradient-accumulation shard of a mini-batch: a replica
 // model whose shadow parameters collect the shard's gradient, plus the
 // shard's sample count and loss from the most recent batch.
-type shardRun struct {
-	model  *Model
-	params []*nn.Param
-	tape   *autodiff.Tape // reused across batches; its arena keeps the shard's matrices warm
+type shardRun[T tensor.Float] struct {
+	model  *Net[T]
+	params []*nn.Param[T]
+	tape   *autodiff.Tape[T] // reused across batches; its arena keeps the shard's matrices warm
 	n      int
 	loss   float64
 }
@@ -105,7 +106,7 @@ type shardRun struct {
 // decomposition is independent of Workers and the reduction is ordered,
 // training is deterministic for a given (Seed, Batch, ShardSize)
 // regardless of how many workers execute it.
-func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, error) {
+func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: no training samples")
 	}
@@ -114,7 +115,7 @@ func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, err
 	}
 	rng := rand.New(rand.NewSource(tc.Seed))
 	params := m.Params()
-	opt := nn.NewAdam(tc.LR)
+	opt := nn.NewAdam[T](tc.LR)
 	idx := make([]int, len(samples))
 	for i := range idx {
 		idx[i] = i
@@ -144,18 +145,18 @@ func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, err
 	// a prefix. Replicas share m's weights, so this allocates only
 	// gradient buffers.
 	maxShards := (tc.Batch + shardSize - 1) / shardSize
-	var shards []*shardRun
+	var shards []*shardRun[T]
 	if maxShards > 1 {
-		shards = make([]*shardRun, maxShards)
+		shards = make([]*shardRun[T], maxShards)
 		for k := range shards {
 			r := m.replica()
-			shards[k] = &shardRun{model: r, params: r.Params(), tape: autodiff.NewTape()}
+			shards[k] = &shardRun[T]{model: r, params: r.Params(), tape: autodiff.NewTape[T]()}
 		}
 	}
 	// Serial (single-shard) batches reuse one tape for the whole run: after
 	// the first batch its arena holds every matrix the graph needs, so the
 	// steady-state training step allocates none.
-	serialTape := autodiff.NewTape()
+	serialTape := autodiff.NewTape[T]()
 
 	start := time.Now()
 	result := &TrainResult{Samples: len(samples)}
@@ -202,17 +203,17 @@ func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, err
 // model, accumulating gradients into its parameters, and returns the mean
 // MSE loss of the pass. The tape is reset and reused, so a warm caller
 // performs the pass without matrix allocations.
-func trainStep(model *Model, tp *autodiff.Tape, samples []*encode.Sample, sel []int) float64 {
+func trainStep[T tensor.Float](model *Net[T], tp *autodiff.Tape[T], samples []*encode.Sample, sel []int) float64 {
 	tp.Reset()
 	batch := make([]*encode.Sample, len(sel))
 	target := tp.NewMatrix(len(sel), 1)
 	for i, j := range sel {
 		batch[i] = samples[j]
-		target.Set(i, 0, transform(samples[j].CostSec))
+		target.Set(i, 0, T(transform(samples[j].CostSec)))
 	}
 	loss := tp.MSE(model.forward(tp, batch, nil), target)
 	tp.Backward(loss)
-	return loss.Value.Data[0]
+	return float64(loss.Value.Data[0])
 }
 
 // shardedStep splits the selected batch into fixed shardSize shards, runs
@@ -220,7 +221,7 @@ func trainStep(model *Model, tp *autodiff.Tape, samples []*encode.Sample, sel []
 // gradients into m's parameters in shard order (an ordered reduction, so
 // the result is identical for any worker count). It returns the batch's
 // sample-weighted mean loss.
-func (m *Model) shardedStep(shards []*shardRun, samples []*encode.Sample, sel []int, shardSize, workers int) float64 {
+func (m *Net[T]) shardedStep(shards []*shardRun[T], samples []*encode.Sample, sel []int, shardSize, workers int) float64 {
 	nShards := (len(sel) + shardSize - 1) / shardSize
 	run := func(k int) {
 		lo := k * shardSize
@@ -274,7 +275,7 @@ func (m *Model) shardedStep(shards []*shardRun, samples []*encode.Sample, sel []
 // Evaluate computes the paper's metrics of the model on samples: RE, COR,
 // and R² on raw seconds, MSE on the log-cost training scale (which is what
 // keeps the paper's MSE magnitudes comparable across workloads).
-func (m *Model) Evaluate(samples []*encode.Sample) (metrics.Result, error) {
+func (m *Net[T]) Evaluate(samples []*encode.Sample) (metrics.Result, error) {
 	if len(samples) == 0 {
 		return metrics.Result{}, fmt.Errorf("core: no evaluation samples")
 	}

@@ -10,6 +10,12 @@
 // (Eqs. 10–11) — whose outputs are concatenated with the statistical
 // features and regressed to an execution cost through dense layers,
 // trained with MSE loss.
+//
+// The network is written once, generic over the element type: Net[T] has
+// one forward, one scorer and one tape pool. Model is Net[float64], the
+// precision models are built, trained and saved in; Net[float32] is the
+// inference-only reduced precision, derived from a trained Model by
+// Quantize and admitted for serving by VerifyQuantized (quant.go).
 package core
 
 // Variant selects a model architecture from the paper's ablation grid

@@ -45,13 +45,13 @@ func (r *QuantResult) JSON(w io.Writer) error {
 	return enc.Encode(r)
 }
 
-// Quant benchmarks the quantized inference path against the float64
-// reference on the micro corpus: a small RAAL model is trained in f64,
-// snapshotted to f32 and int8, and each precision's warm batch predict
-// is measured serially (workers=1 isolates kernel throughput from pool
-// scheduling). The accuracy side reports the p90 q-error delta of each
-// snapshot against the f64 predictions — the exact statistic the
-// serving gate (VerifyQuantized) bounds.
+// Quant benchmarks the float32 inference path against the float64
+// reference on the micro corpus: a small RAAL model is trained in f64 and
+// converted to f32, and each precision's warm batch predict is measured
+// serially (workers=1 isolates kernel throughput from pool scheduling).
+// The accuracy side reports the p90 q-error delta of the f32 network
+// against the f64 predictions — the exact statistic the serving gate
+// (VerifyQuantized) bounds.
 func Quant(opt Options) (*QuantResult, error) {
 	samples := microDataset(512, 77)
 	cfg := core.DefaultConfig(microSem, microNodes)
@@ -68,26 +68,21 @@ func Quant(opt Options) (*QuantResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	qm32, err := m.Quantize(core.QuantConfig{Precision: core.PrecisionF32})
-	if err != nil {
-		return nil, err
-	}
-	qm8, err := m.Quantize(core.QuantConfig{Precision: core.PrecisionInt8})
+	qm32, err := m.Quantize(core.PrecisionF32)
 	if err != nil {
 		return nil, err
 	}
 
 	po := core.PredictOpts{Workers: 1, ChunkSize: 32}
 	predict := map[string]func() []float64{
-		"f64":  func() []float64 { return m.PredictWith(samples, po) },
-		"f32":  func() []float64 { return qm32.PredictWith(samples, po) },
-		"int8": func() []float64 { return qm8.PredictWith(samples, po) },
+		"f64": func() []float64 { return m.PredictWith(samples, po) },
+		"f32": func() []float64 { return qm32.PredictWith(samples, po) },
 	}
 
 	res := &QuantResult{Metrics: map[string]float64{}}
 	ref := predict["f64"]()
 	nsOp := map[string]float64{}
-	for _, prec := range []string{"f64", "f32", "int8"} {
+	for _, prec := range []string{"f64", "f32"} {
 		run := predict[prec]
 		run() // warm the tape pool before timing
 		br := testing.Benchmark(func(b *testing.B) {

@@ -69,7 +69,7 @@ func Registry() []Runner {
 			Run: func(o Options) (Report, error) { return Fleet(o) }},
 		{Name: "online", Description: "extra: seeded drift drill — workload shift, retrain, shadow-score, promote",
 			Run: func(o Options) (Report, error) { return Online(o) }},
-		{Name: "quant", Description: "extra: quantized inference — f64 vs f32 vs int8 latency and q-error delta",
+		{Name: "quant", Description: "extra: reduced-precision inference — f64 vs f32 latency and q-error delta",
 			Run: func(o Options) (Report, error) { return Quant(o) }},
 		{Name: "engine", Description: "extra: streaming vs materialized execution — throughput, peak heap, allocs/row on a 10^6-row join",
 			Run: func(o Options) (Report, error) { return EngineBench(o) }},

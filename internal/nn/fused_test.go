@@ -27,14 +27,14 @@ func mustBitEqual(t *testing.T, got, want *tensor.Matrix, what string) {
 func TestDenseFusedMatchesUnfused(t *testing.T) {
 	for _, act := range []Activation{Linear, ReLU, Tanh, Sigmoid} {
 		rng := rand.New(rand.NewSource(7))
-		d := NewDense("d", 5, 3, act, rng)
+		d := NewDense[float64]("d", 5, 3, act, rng)
 		x := tensor.Randn(4, 5, 1, rng)
 
-		tp := autodiff.NewTape()
+		tp := autodiff.NewTape[float64]()
 		out := d.Forward(tp, tp.Const(x))
 		tp.Backward(tp.MeanAll(tp.Mul(out, out)))
 
-		ut := autodiff.NewTape()
+		ut := autodiff.NewTape[float64]()
 		w, b := ut.Param(d.W.Var.Value), ut.Param(d.B.Var.Value)
 		pre := ut.AddRow(ut.MatMul(ut.Const(x), w), b)
 		ref := applyActivation(ut, pre, act)
@@ -54,15 +54,15 @@ func TestDenseFusedMatchesUnfused(t *testing.T) {
 func TestLSTMStepFusedMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const in, hidden, batch = 5, 4, 3
-	l := NewLSTM("l", in, hidden, rng)
+	l := NewLSTM[float64]("l", in, hidden, rng)
 	x := tensor.Randn(batch, in, 1, rng)
 
-	tp := autodiff.NewTape()
+	tp := autodiff.NewTape[float64]()
 	s := l.Step(tp, tp.Const(x), l.ZeroState(tp, batch))
 	loss := tp.MeanAll(tp.Add(tp.Mul(s.H, s.H), tp.Mul(s.C, s.C)))
 	tp.Backward(loss)
 
-	ut := autodiff.NewTape()
+	ut := autodiff.NewTape[float64]()
 	wx, wh, b := ut.Param(l.Wx.Var.Value), ut.Param(l.Wh.Var.Value), ut.Param(l.B.Var.Value)
 	h0 := ut.Const(ut.NewMatrix(batch, hidden))
 	c0 := ut.Const(ut.NewMatrix(batch, hidden))
@@ -88,24 +88,24 @@ func TestLSTMStepFusedMatchesUnfused(t *testing.T) {
 // arena recycling.
 func TestLSTMForwardReusedTapeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	l := NewLSTM("l", 4, 6, rng)
+	l := NewLSTM[float64]("l", 4, 6, rng)
 	seq := make([]*tensor.Matrix, 5)
 	for i := range seq {
 		seq[i] = tensor.Randn(2, 4, 1, rng)
 	}
 
-	tp := autodiff.NewTape()
+	tp := autodiff.NewTape[float64]()
 	var warm []*tensor.Matrix
 	for pass := 0; pass < 3; pass++ {
 		tp.Reset()
-		xs := make([]*autodiff.Var, len(seq))
+		xs := make([]*autodiff.Var[float64], len(seq))
 		for i, m := range seq {
 			xs[i] = tp.Const(m)
 		}
 		hs := l.Forward(tp, xs)
 
-		fresh := autodiff.NewTape()
-		fxs := make([]*autodiff.Var, len(seq))
+		fresh := autodiff.NewTape[float64]()
+		fxs := make([]*autodiff.Var[float64], len(seq))
 		for i, m := range seq {
 			fxs[i] = fresh.Const(m)
 		}

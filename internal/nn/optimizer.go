@@ -9,25 +9,25 @@ import (
 
 // Optimizer updates parameters from their accumulated gradients and then
 // clears the gradients.
-type Optimizer interface {
-	Step(params []*Param)
+type Optimizer[T tensor.Float] interface {
+	Step(params []*Param[T])
 }
 
 // SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
+type SGD[T tensor.Float] struct {
 	LR       float64
 	Momentum float64
 
-	velocity map[*Param]*tensor.Matrix
+	velocity map[*Param[T]]*tensor.Mat[T]
 }
 
 // NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Matrix)}
+func NewSGD[T tensor.Float](lr, momentum float64) *SGD[T] {
+	return &SGD[T]{LR: lr, Momentum: momentum, velocity: make(map[*Param[T]]*tensor.Mat[T])}
 }
 
 // Step applies one SGD update and zeroes the gradients.
-func (s *SGD) Step(params []*Param) {
+func (s *SGD[T]) Step(params []*Param[T]) {
 	for _, p := range params {
 		g := p.Var.Grad
 		if g == nil {
@@ -37,16 +37,16 @@ func (s *SGD) Step(params []*Param) {
 		if s.Momentum > 0 {
 			v, ok := s.velocity[p]
 			if !ok {
-				v = tensor.New(w.Rows, w.Cols)
+				v = tensor.NewMat[T](w.Rows, w.Cols)
 				s.velocity[p] = v
 			}
 			for i := range w.Data {
-				v.Data[i] = s.Momentum*v.Data[i] - s.LR*g.Data[i]
+				v.Data[i] = T(s.Momentum)*v.Data[i] - T(s.LR)*g.Data[i]
 				w.Data[i] += v.Data[i]
 			}
 		} else {
 			for i := range w.Data {
-				w.Data[i] -= s.LR * g.Data[i]
+				w.Data[i] -= T(s.LR) * g.Data[i]
 			}
 		}
 		p.ZeroGrad()
@@ -55,29 +55,30 @@ func (s *SGD) Step(params []*Param) {
 
 // Adam implements the Adam optimizer (Kingma & Ba, 2015), the paper's
 // training algorithm of choice for all learned cost models.
-type Adam struct {
+type Adam[T tensor.Float] struct {
 	LR, Beta1, Beta2, Eps float64
 
 	t int
-	m map[*Param]*tensor.Matrix
-	v map[*Param]*tensor.Matrix
+	m map[*Param[T]]*tensor.Mat[T]
+	v map[*Param[T]]*tensor.Mat[T]
 }
 
 // NewAdam returns an Adam optimizer with the usual defaults for any zero
 // hyperparameter (lr=0.001, β1=0.9, β2=0.999, ε=1e-8).
-func NewAdam(lr float64) *Adam {
+func NewAdam[T tensor.Float](lr float64) *Adam[T] {
 	if lr == 0 {
 		lr = 1e-3
 	}
-	return &Adam{
+	return &Adam[T]{
 		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*Param]*tensor.Matrix),
-		v: make(map[*Param]*tensor.Matrix),
+		m: make(map[*Param[T]]*tensor.Mat[T]),
+		v: make(map[*Param[T]]*tensor.Mat[T]),
 	}
 }
 
 // AdamState is the serializable optimizer state: the step counter and the
-// first/second moment vectors keyed by parameter name. Together with the
+// first/second moment vectors keyed by parameter name (float64 at every
+// element type, like the saved weights). Together with the
 // weights it is everything Adam needs to continue a run as if it had
 // never stopped — see Export/Restore and core.TrainState.
 type AdamState struct {
@@ -89,15 +90,17 @@ type AdamState struct {
 // by parameter name. Parameters the optimizer has not stepped yet (no
 // gradient ever reached them) are omitted; Restore treats absence as a
 // cold start for that parameter.
-func (a *Adam) Export(params []*Param) AdamState {
+func (a *Adam[T]) Export(params []*Param[T]) AdamState {
 	st := AdamState{T: a.t, M: map[string][]float64{}, V: map[string][]float64{}}
 	for _, p := range params {
 		m, ok := a.m[p]
 		if !ok {
 			continue
 		}
-		st.M[p.Name] = append([]float64(nil), m.Data...)
-		st.V[p.Name] = append([]float64(nil), a.v[p].Data...)
+		st.M[p.Name] = make([]float64, len(m.Data))
+		st.V[p.Name] = make([]float64, len(m.Data))
+		tensor.Cast(st.M[p.Name], m.Data)
+		tensor.Cast(st.V[p.Name], a.v[p].Data)
 	}
 	return st
 }
@@ -108,8 +111,8 @@ func (a *Adam) Export(params []*Param) AdamState {
 // a leftover or misshapen entry means the snapshot came from a different
 // architecture or configuration, which is rejected with a descriptive
 // error rather than silently corrupting the continuation.
-func (a *Adam) Restore(params []*Param, st AdamState) error {
-	byName := make(map[string]*Param, len(params))
+func (a *Adam[T]) Restore(params []*Param[T], st AdamState) error {
+	byName := make(map[string]*Param[T], len(params))
 	for _, p := range params {
 		byName[p.Name] = p
 	}
@@ -127,10 +130,10 @@ func (a *Adam) Restore(params []*Param, st AdamState) error {
 			return fmt.Errorf("nn: optimizer state for %q holds %d/%d moment values but the parameter has %d (architecture or config mismatch)",
 				name, len(m), len(v), n)
 		}
-		mm := tensor.New(p.Var.Value.Rows, p.Var.Value.Cols)
-		vv := tensor.New(p.Var.Value.Rows, p.Var.Value.Cols)
-		copy(mm.Data, m)
-		copy(vv.Data, v)
+		mm := tensor.NewMat[T](p.Var.Value.Rows, p.Var.Value.Cols)
+		vv := tensor.NewMat[T](p.Var.Value.Rows, p.Var.Value.Cols)
+		tensor.Cast(mm.Data, m)
+		tensor.Cast(vv.Data, v)
 		a.m[p] = mm
 		a.v[p] = vv
 	}
@@ -139,10 +142,11 @@ func (a *Adam) Restore(params []*Param, st AdamState) error {
 }
 
 // Step applies one Adam update and zeroes the gradients.
-func (a *Adam) Step(params []*Param) {
+func (a *Adam[T]) Step(params []*Param[T]) {
 	a.t++
-	c1 := 1 - math.Pow(a.Beta1, float64(a.t))
-	c2 := 1 - math.Pow(a.Beta2, float64(a.t))
+	c1 := T(1 - math.Pow(a.Beta1, float64(a.t)))
+	c2 := T(1 - math.Pow(a.Beta2, float64(a.t)))
+	b1, b2, lr, eps := T(a.Beta1), T(a.Beta2), T(a.LR), T(a.Eps)
 	for _, p := range params {
 		g := p.Var.Grad
 		if g == nil {
@@ -151,18 +155,18 @@ func (a *Adam) Step(params []*Param) {
 		w := p.Var.Value
 		m, ok := a.m[p]
 		if !ok {
-			m = tensor.New(w.Rows, w.Cols)
+			m = tensor.NewMat[T](w.Rows, w.Cols)
 			a.m[p] = m
-			a.v[p] = tensor.New(w.Rows, w.Cols)
+			a.v[p] = tensor.NewMat[T](w.Rows, w.Cols)
 		}
 		v := a.v[p]
 		for i := range w.Data {
 			gi := g.Data[i]
-			m.Data[i] = a.Beta1*m.Data[i] + (1-a.Beta1)*gi
-			v.Data[i] = a.Beta2*v.Data[i] + (1-a.Beta2)*gi*gi
+			m.Data[i] = b1*m.Data[i] + (1-b1)*gi
+			v.Data[i] = b2*v.Data[i] + (1-b2)*gi*gi
 			mh := m.Data[i] / c1
 			vh := v.Data[i] / c2
-			w.Data[i] -= a.LR * mh / (math.Sqrt(vh) + a.Eps)
+			w.Data[i] -= lr * mh / (T(math.Sqrt(float64(vh))) + eps)
 		}
 		p.ZeroGrad()
 	}

@@ -2,6 +2,15 @@
 // serialization on top of the autodiff engine. It provides exactly the
 // building blocks the paper's deep cost models need: dense layers, an LSTM
 // (the plan-feature layer), a 1-D convolution (the RAAC ablation), and Adam.
+//
+// Every layer, parameter and optimizer is generic over the element type
+// (tensor.Float), so there is one LSTM, one Dense, one MLP and one Conv1D.
+// Models are built and trained at float64; a float32 layer is the same
+// type at another T, filled from a trained float64 one (core.Net.Quantize).
+// No layer branches on T: what a layer may do differently is decided by
+// what it observes — ForwardStacked runs the fused cell when its tape is
+// forward-only. Saved weights and optimizer moments are float64 at every
+// T, so the on-disk format has one form.
 package nn
 
 import (
@@ -16,21 +25,21 @@ import (
 // Param is a named trainable matrix. The embedded Var keeps its identity
 // across forward passes so gradients accumulate into one place and the
 // optimizer can find them.
-type Param struct {
+type Param[T tensor.Float] struct {
 	Name string
-	Var  *autodiff.Var
+	Var  *autodiff.Var[T]
 }
 
 // NewParam wraps m as a trainable parameter.
-func NewParam(name string, m *tensor.Matrix) *Param {
-	return &Param{Name: name, Var: (&autodiff.Tape{}).Param(m)}
+func NewParam[T tensor.Float](name string, m *tensor.Mat[T]) *Param[T] {
+	return &Param[T]{Name: name, Var: (&autodiff.Tape[T]{}).Param(m)}
 }
 
 // Value returns the parameter's current weights.
-func (p *Param) Value() *tensor.Matrix { return p.Var.Value }
+func (p *Param[T]) Value() *tensor.Mat[T] { return p.Var.Value }
 
 // ZeroGrad clears the accumulated gradient.
-func (p *Param) ZeroGrad() {
+func (p *Param[T]) ZeroGrad() {
 	if p.Var.Grad != nil {
 		p.Var.Grad.Zero()
 	}
@@ -42,14 +51,14 @@ func (p *Param) ZeroGrad() {
 // same gradient buffer; the shadows are then summed into the base set at a
 // barrier (AccumulateGrads), which keeps the reduction ordered and
 // deterministic instead of serializing every += behind a mutex.
-func (p *Param) Shadow() *Param {
-	return &Param{Name: p.Name, Var: (&autodiff.Tape{}).Param(p.Var.Value)}
+func (p *Param[T]) Shadow() *Param[T] {
+	return &Param[T]{Name: p.Name, Var: (&autodiff.Tape[T]{}).Param(p.Var.Value)}
 }
 
 // ShadowParams returns a shadow (shared weights, private gradients) of
 // every parameter in params, in the same order.
-func ShadowParams(params []*Param) []*Param {
-	out := make([]*Param, len(params))
+func ShadowParams[T tensor.Float](params []*Param[T]) []*Param[T] {
+	out := make([]*Param[T], len(params))
 	for i, p := range params {
 		out[i] = p.Shadow()
 	}
@@ -63,7 +72,7 @@ func ShadowParams(params []*Param) []*Param {
 // a gradient are skipped. Callers merge shards in a fixed order so the
 // floating-point reduction — and therefore training — is deterministic
 // for any worker count.
-func AccumulateGrads(dst, src []*Param, scale float64) {
+func AccumulateGrads[T tensor.Float](dst, src []*Param[T], scale float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("nn: AccumulateGrads length mismatch %d vs %d", len(dst), len(src)))
 	}
@@ -76,35 +85,27 @@ func AccumulateGrads(dst, src []*Param, scale float64) {
 			panic(fmt.Sprintf("nn: AccumulateGrads shape mismatch for %q", d.Name))
 		}
 		if d.Var.Grad == nil {
-			d.Var.Grad = tensor.New(d.Var.Value.Rows, d.Var.Value.Cols)
+			d.Var.Grad = tensor.NewMat[T](d.Var.Value.Rows, d.Var.Value.Cols)
 		}
-		tensor.AxpyInPlace(d.Var.Grad, scale, s.Var.Grad)
+		tensor.AxpyInPlace(d.Var.Grad, T(scale), s.Var.Grad)
 		s.ZeroGrad()
 	}
 }
 
 // Xavier returns Glorot-uniform initialized weights for a fanIn×fanOut
-// matrix.
-func Xavier(fanIn, fanOut int, rng *rand.Rand) *tensor.Matrix {
+// matrix. The draws are float64 at every T, so a seed yields the same
+// weights (up to the narrowing) whatever the element type.
+func Xavier[T tensor.Float](fanIn, fanOut int, rng *rand.Rand) *tensor.Mat[T] {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	return tensor.Uniform(fanIn, fanOut, -limit, limit, rng)
+	return tensor.Convert[T](tensor.Uniform(fanIn, fanOut, -limit, limit, rng))
 }
 
 // ClipGradNorm rescales all parameter gradients so their global L2 norm is
 // at most maxNorm. It returns the pre-clip norm.
-func ClipGradNorm(params []*Param, maxNorm float64) float64 {
-	var sq float64
-	for _, p := range params {
-		if p.Var.Grad == nil {
-			continue
-		}
-		for _, g := range p.Var.Grad.Data {
-			sq += g * g
-		}
-	}
-	norm := math.Sqrt(sq)
+func ClipGradNorm[T tensor.Float](params []*Param[T], maxNorm float64) float64 {
+	norm := GradNorm(params)
 	if norm > maxNorm && norm > 0 {
-		s := maxNorm / norm
+		s := T(maxNorm / norm)
 		for _, p := range params {
 			if p.Var.Grad == nil {
 				continue
@@ -118,21 +119,21 @@ func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 }
 
 // GradNorm returns the global L2 norm of all parameter gradients.
-func GradNorm(params []*Param) float64 {
+func GradNorm[T tensor.Float](params []*Param[T]) float64 {
 	var sq float64
 	for _, p := range params {
 		if p.Var.Grad == nil {
 			continue
 		}
 		for _, g := range p.Var.Grad.Data {
-			sq += g * g
+			sq += float64(g) * float64(g)
 		}
 	}
 	return math.Sqrt(sq)
 }
 
 // CountParams returns the total number of scalar weights.
-func CountParams(params []*Param) int {
+func CountParams[T tensor.Float](params []*Param[T]) int {
 	n := 0
 	for _, p := range params {
 		n += len(p.Var.Value.Data)
@@ -140,7 +141,7 @@ func CountParams(params []*Param) int {
 	return n
 }
 
-func checkUniqueNames(params []*Param) error {
+func checkUniqueNames[T tensor.Float](params []*Param[T]) error {
 	seen := make(map[string]bool, len(params))
 	for _, p := range params {
 		if seen[p.Name] {

@@ -4,9 +4,12 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
+
+	"raal/internal/tensor"
 )
 
-// snapshot is the on-disk representation of a parameter set.
+// snapshot is the on-disk representation of a parameter set: float64
+// values whatever the in-memory element type, so the format has one form.
 type snapshot struct {
 	Names  []string
 	Rows   []int
@@ -16,7 +19,7 @@ type snapshot struct {
 
 // Save writes the parameters to w in gob format. Parameter names must be
 // unique; they are the keys used by Load.
-func Save(w io.Writer, params []*Param) error {
+func Save[T tensor.Float](w io.Writer, params []*Param[T]) error {
 	if err := checkUniqueNames(params); err != nil {
 		return err
 	}
@@ -26,7 +29,7 @@ func Save(w io.Writer, params []*Param) error {
 		s.Rows = append(s.Rows, p.Var.Value.Rows)
 		s.Cols = append(s.Cols, p.Var.Value.Cols)
 		vals := make([]float64, len(p.Var.Value.Data))
-		copy(vals, p.Var.Value.Data)
+		tensor.Cast(vals, p.Var.Value.Data)
 		s.Values = append(s.Values, vals)
 	}
 	return gob.NewEncoder(w).Encode(&s)
@@ -35,7 +38,7 @@ func Save(w io.Writer, params []*Param) error {
 // Load reads a parameter snapshot from r and copies the stored weights into
 // the matching (by name) parameters. Every parameter in params must be
 // present in the snapshot with identical shape.
-func Load(r io.Reader, params []*Param) error {
+func Load[T tensor.Float](r io.Reader, params []*Param[T]) error {
 	if err := checkUniqueNames(params); err != nil {
 		return err
 	}
@@ -65,7 +68,7 @@ func Load(r io.Reader, params []*Param) error {
 			return fmt.Errorf("nn: parameter %q: snapshot holds %d values for a %dx%d matrix (truncated or corrupt)",
 				p.Name, len(s.Values[i]), s.Rows[i], s.Cols[i])
 		}
-		copy(v.Data, s.Values[i])
+		tensor.Cast(v.Data, s.Values[i])
 	}
 	return nil
 }

@@ -13,18 +13,18 @@ import (
 // same dot products, and each step's addition pairs the same operands.
 func TestLSTMForwardStackedMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
-	l := NewLSTM("lstm", 5, 4, rng)
+	l := NewLSTM[float64]("lstm", 5, 4, rng)
 	const steps, batch = 6, 3
 
-	tpA := autodiff.NewTape()
-	xs := make([]*autodiff.Var, steps)
+	tpA := autodiff.NewTape[float64]()
+	xs := make([]*autodiff.Var[float64], steps)
 	stacked := tensor.Randn(steps*batch, 5, 0.8, rng)
 	for s := 0; s < steps; s++ {
 		xs[s] = tpA.Const(stacked.SliceRows(s*batch, (s+1)*batch))
 	}
 	hsA := l.Forward(tpA, xs)
 
-	tpB := autodiff.NewTape()
+	tpB := autodiff.NewTape[float64]()
 	hsB := l.ForwardStacked(tpB, tpB.Const(stacked), steps)
 
 	if len(hsA) != steps || len(hsB) != steps {
@@ -48,17 +48,17 @@ func TestLSTMForwardStackedMatchesForward(t *testing.T) {
 // into the shared input projection.
 func TestLSTMForwardStackedGradients(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	l := NewLSTM("lstm", 3, 2, rng)
+	l := NewLSTM[float64]("lstm", 3, 2, rng)
 	const steps, batch = 3, 2
 	x := tensor.Randn(steps*batch, 3, 0.8, rng)
 
-	tp := autodiff.NewTape()
+	tp := autodiff.NewTape[float64]()
 	hs := l.ForwardStacked(tp, tp.Const(x), steps)
 	loss := tp.MeanAll(tp.ConcatRows(hs...))
 	tp.Backward(loss)
 
 	lossAt := func() float64 {
-		tp2 := autodiff.NewTape()
+		tp2 := autodiff.NewTape[float64]()
 		l2 := l.ShareWeights() // fresh grad buffers, same weights
 		hs2 := l2.ForwardStacked(tp2, tp2.Const(x), steps)
 		return tp2.MeanAll(tp2.ConcatRows(hs2...)).Value.Data[0]
@@ -88,9 +88,45 @@ func TestLSTMForwardStackedGradients(t *testing.T) {
 // Forward.
 func TestLSTMForwardStackedEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
-	l := NewLSTM("lstm", 3, 2, rng)
-	tp := autodiff.NewTape()
+	l := NewLSTM[float64]("lstm", 3, 2, rng)
+	tp := autodiff.NewTape[float64]()
 	if hs := l.ForwardStacked(tp, tp.Const(tensor.New(0, 3)), 0); hs != nil {
 		t.Fatalf("ForwardStacked over 0 steps = %v, want nil", hs)
+	}
+}
+
+// TestLSTMForwardStackedFusedMatchesRecorded is the property that lets a
+// forward-only tape run the fused cell at any element type: over random
+// widths, batch sizes and sequence lengths, every hidden state must equal
+// the recording tape's unfused chain bit for bit.
+func TestLSTMForwardStackedFusedMatchesRecorded(t *testing.T) {
+	t.Run("f64", testForwardStackedFusedMatchesRecorded[float64])
+	t.Run("f32", testForwardStackedFusedMatchesRecorded[float32])
+}
+
+func testForwardStackedFusedMatchesRecorded[T tensor.Float](t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for trial := 0; trial < 40; trial++ {
+		in, hidden := 1+rng.Intn(9), 1+rng.Intn(12)
+		steps, batch := 1+rng.Intn(7), 1+rng.Intn(6)
+		l := NewLSTM[T]("lstm", in, hidden, rng)
+		tensor.Cast(l.B.Value().Data, tensor.Randn(1, 4*hidden, 1, rng).Data) // biases are zero/one at init
+		x := tensor.Convert[T](tensor.Randn(steps*batch, in, 2, rng))
+
+		rec := autodiff.NewTape[T]()
+		want := l.ForwardStacked(rec, rec.Const(x), steps)
+		fwd := autodiff.NewInferenceTape[T]()
+		got := l.ForwardStacked(fwd, fwd.Const(x), steps)
+		if rec.Len() == 0 || fwd.Len() != 0 {
+			t.Fatalf("tape modes: recording tape has %d records, forward-only %d", rec.Len(), fwd.Len())
+		}
+		for s := range want {
+			for i, w := range want[s].Value.Data {
+				if g := got[s].Value.Data[i]; g != w {
+					t.Fatalf("trial %d (in=%d h=%d steps=%d batch=%d) step %d element %d: fused %v != recorded %v",
+						trial, in, hidden, steps, batch, s, i, g, w)
+				}
+			}
+		}
 	}
 }

@@ -29,7 +29,7 @@ type Version struct {
 	// accuracy gate admitted the quantization at promotion time. Nil
 	// means this generation serves float64. Never persisted — champions
 	// are re-quantized from their float64 weights on every promotion.
-	Q *core.QModel
+	Q *core.Net[float32]
 }
 
 // Config tunes the online learning loop. The zero value gets sensible
@@ -353,7 +353,7 @@ func (m *Manager) requantizeLocked(v *Version) {
 		return
 	}
 	v.Q = nil
-	qm, err := v.Model.Quantize(core.QuantConfig{Precision: m.cfg.Precision})
+	qm, err := v.Model.Quantize(m.cfg.Precision)
 	if err == nil {
 		gate := m.buf.Snapshot()
 		if len(gate) == 0 {
@@ -493,7 +493,7 @@ func (m *Manager) Status() Status {
 	champ := m.champion.Load()
 	prec := core.PrecisionF64
 	if champ.Q != nil {
-		prec = champ.Q.Precision
+		prec = champ.Q.Precision()
 	}
 	st := Status{
 		Champion:      champ.Num,

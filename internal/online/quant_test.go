@@ -25,7 +25,7 @@ func TestQuantizedChampionLifecycle(t *testing.T) {
 		MinRetrain:     96,
 		ShadowMin:      24,
 		Train:          core.TrainConfig{Epochs: 40, Batch: 16, LR: 5e-3, Seed: 5},
-		Precision:      core.PrecisionInt8,
+		Precision:      core.PrecisionF32,
 		GateSamples:    gate,
 		// The lifecycle is what this test pins, not the bound's
 		// tightness (the core gate tests own that) — keep the gate
@@ -38,11 +38,11 @@ func TestQuantizedChampionLifecycle(t *testing.T) {
 		t.Fatal(err)
 	}
 	v := mgr.Champion()
-	if v.Q == nil || v.Q.Precision != core.PrecisionInt8 {
+	if v.Q == nil || v.Q.Precision() != core.PrecisionF32 {
 		t.Fatalf("bootstrap champion was not quantized: %+v (last error %q)", v.Q, mgr.Status().LastError)
 	}
-	if got := mgr.Status().Precision; got != "int8" {
-		t.Fatalf("Status.Precision = %q, want int8", got)
+	if got := mgr.Status().Precision; got != "f32" {
+		t.Fatalf("Status.Precision = %q, want f32", got)
 	}
 
 	// Serve at the champion's precision through a workload shift until a
@@ -58,7 +58,7 @@ func TestQuantizedChampionLifecycle(t *testing.T) {
 	if v2.Num == 1 {
 		t.Fatalf("workload shift never promoted a challenger: %+v", mgr.Status())
 	}
-	if v2.Q == nil || v2.Q.Precision != core.PrecisionInt8 {
+	if v2.Q == nil || v2.Q.Precision() != core.PrecisionF32 {
 		t.Fatalf("promotion did not re-quantize generation %d (last error %q)", v2.Num, mgr.Status().LastError)
 	}
 	if v2.Q == v.Q {

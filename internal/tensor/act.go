@@ -21,71 +21,173 @@ const (
 	ActReLU
 )
 
-func sigmoidScalar(x float64) float64 { return 1 / (1 + math.Exp(-x)) }
+// The slice kernels below are where the element types part ways. A
+// []float32 runs through the all-f32 table kernels (Sigmoid32/Tanh32 — a
+// few ulps from the rounded float64 result, well inside the accuracy
+// gate's budget, and several times cheaper than converting to float64 and
+// back around the math library). Every other element type evaluates the
+// reference formula in float64, which at T = float64 is exactly the math
+// library call with no-op conversions. The assertion runs once per slice;
+// dst may alias src.
 
-// SigmoidInto computes out = σ(m) elementwise. out may alias m.
-func SigmoidInto(out, m *Matrix) {
-	mustOutShape("sigmoid", out, m)
-	for i, v := range m.Data {
-		out.Data[i] = sigmoidScalar(v)
+func sigmoidSlice[T Float](dst, src []T) {
+	if d, ok := any(dst).([]float32); ok {
+		for i, v := range any(src).([]float32) {
+			d[i] = Sigmoid32(v)
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] = T(1 / (1 + math.Exp(-float64(v))))
 	}
 }
 
-// TanhInto computes out = tanh(m) elementwise. out may alias m.
-func TanhInto(out, m *Matrix) {
-	mustOutShape("tanh", out, m)
-	for i, v := range m.Data {
-		out.Data[i] = math.Tanh(v)
+func tanhSlice[T Float](dst, src []T) {
+	if d, ok := any(dst).([]float32); ok {
+		for i, v := range any(src).([]float32) {
+			d[i] = Tanh32(v)
+		}
+		return
+	}
+	for i, v := range src {
+		dst[i] = T(math.Tanh(float64(v)))
 	}
 }
 
-// ReLUInto computes out = max(0, m) elementwise. out may alias m.
-func ReLUInto(out, m *Matrix) {
-	mustOutShape("relu", out, m)
-	for i, v := range m.Data {
+func reluSlice[T Float](dst, src []T) {
+	for i, v := range src {
 		if v > 0 {
-			out.Data[i] = v
+			dst[i] = v
 		} else {
-			out.Data[i] = 0
+			dst[i] = 0
 		}
 	}
 }
 
-// AddRowActInto fuses bias broadcast and activation into one pass:
-// out[i][j] = act(m[i][j] + r[j]). It is the specialized-dispatch variant
-// of AddRowApplyInto — the activation is selected once per call, so the
-// inner loops run without a per-element indirect call. out may alias m.
-func AddRowActInto(out, m, r *Matrix, act Act) {
-	if r.Rows != 1 || r.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: addRowAct wants 1x%d, got %dx%d", m.Cols, r.Rows, r.Cols))
+// SoftmaxRowInto writes the masked softmax of in to out. mask (nil = all
+// true) selects which entries may receive probability: masked-out entries
+// get exactly 0, and a fully masked row becomes all zeros. The exponent is
+// Exp32 for float32 rows and math.Exp otherwise; the sum accumulates in
+// ascending column order. out may alias in.
+func SoftmaxRowInto[T Float](out, in []T, mask []bool) {
+	maxv := T(math.Inf(-1))
+	for j, x := range in {
+		if (mask == nil || mask[j]) && x > maxv {
+			maxv = x
+		}
 	}
-	mustOutShape("addRowAct", out, m)
-	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		dst := out.Row(i)
-		switch act {
-		case ActNone:
-			for j, v := range r.Data {
-				dst[j] = src[j] + v
+	if math.IsInf(float64(maxv), -1) {
+		for j := range out {
+			out[j] = 0
+		}
+		return
+	}
+	if o, ok := any(out).([]float32); ok {
+		for j, x := range any(in).([]float32) {
+			if mask == nil || mask[j] {
+				o[j] = Exp32(x - float32(maxv))
+			} else {
+				o[j] = 0
 			}
-		case ActSigmoid:
-			for j, v := range r.Data {
-				dst[j] = sigmoidScalar(src[j] + v)
+		}
+	} else {
+		for j, x := range in {
+			if mask == nil || mask[j] {
+				out[j] = T(math.Exp(float64(x - maxv)))
+			} else {
+				out[j] = 0
 			}
-		case ActTanh:
-			for j, v := range r.Data {
-				dst[j] = math.Tanh(src[j] + v)
-			}
-		case ActReLU:
-			for j, v := range r.Data {
-				if x := src[j] + v; x > 0 {
-					dst[j] = x
-				} else {
-					dst[j] = 0
-				}
-			}
-		default:
-			panic(fmt.Sprintf("tensor: unknown Act(%d)", act))
+		}
+	}
+	var sum T
+	for _, e := range out {
+		sum += e // masked entries add an exact zero
+	}
+	for j := range out {
+		out[j] /= sum
+	}
+}
+
+// SigmoidInto computes out = σ(m) elementwise. out may alias m.
+func SigmoidInto[T Float](out, m *Mat[T]) {
+	mustOutShape("sigmoid", out, m)
+	sigmoidSlice(out.Data, m.Data)
+}
+
+// TanhInto computes out = tanh(m) elementwise. out may alias m.
+func TanhInto[T Float](out, m *Mat[T]) {
+	mustOutShape("tanh", out, m)
+	tanhSlice(out.Data, m.Data)
+}
+
+// ReLUInto computes out = max(0, m) elementwise. out may alias m.
+func ReLUInto[T Float](out, m *Mat[T]) {
+	mustOutShape("relu", out, m)
+	reluSlice(out.Data, m.Data)
+}
+
+// AddRowActInto fuses bias broadcast and activation: out[i][j] =
+// act(m[i][j] + r[j]). It is the specialized-dispatch variant of
+// AddRowApplyInto — the activation is selected once per call and applied
+// to the biased values in place, so the inner loops run without a
+// per-element indirect call. out may alias m.
+func AddRowActInto[T Float](out, m, r *Mat[T], act Act) {
+	AddRowInto(out, m, r)
+	switch act {
+	case ActNone:
+	case ActSigmoid:
+		sigmoidSlice(out.Data, out.Data)
+	case ActTanh:
+		tanhSlice(out.Data, out.Data)
+	case ActReLU:
+		reluSlice(out.Data, out.Data)
+	default:
+		panic(fmt.Sprintf("tensor: unknown Act(%d)", act))
+	}
+}
+
+// LSTMCellInto applies one fused LSTM cell update. z is the batch×4h gate
+// pre-activation (stacked input projection plus recurrent term) in gate
+// order i|f|g|o, b the 1×4h packed gate bias, sc the batch×h cell state
+// (updated in place), and sh the batch×h output hidden state:
+//
+//	i,f,o = σ(z+b)   g = tanh(z+b)
+//	sc    = f∘sc + i∘g
+//	sh    = o ∘ tanh(sc)
+//
+// One pass replaces the recorded form's four column slices, four bias+
+// activation kernels, and five elementwise ops per step; a forward-only
+// tape can fuse what a recording tape must keep separate for the backward
+// pass. z is consumed as scratch (it holds the gate activations on
+// return). Every intermediate rounds exactly where the recorded chain
+// rounds it — the explicit conversions on the two products forbid a fused
+// multiply-add — so the result is bit-identical to that chain, and
+// elements are independent, so it is bit-identical across worker counts.
+// sh must not alias z or sc.
+func LSTMCellInto[T Float](sh, sc, z, b *Mat[T]) {
+	h := sc.Cols
+	if z.Rows != sc.Rows || z.Cols != 4*h {
+		panic(fmt.Sprintf("tensor: lstmCell z shape %dx%d, want %dx%d", z.Rows, z.Cols, sc.Rows, 4*h))
+	}
+	mustOutShape("lstmCell", sh, sc)
+	if sameData(sh, z) || sameData(sh, sc) {
+		panic("tensor: lstmCell sh must not alias z or sc")
+	}
+	AddRowInto(z, z, b)
+	for r := 0; r < z.Rows; r++ {
+		zr := z.Row(r)
+		sigmoidSlice(zr[:2*h], zr[:2*h])
+		tanhSlice(zr[2*h:3*h], zr[2*h:3*h])
+		sigmoidSlice(zr[3*h:], zr[3*h:])
+		zi, zf, zg, zo := zr[:h], zr[h:2*h], zr[2*h:3*h], zr[3*h:]
+		scr := sc.Row(r)
+		shr := sh.Row(r)
+		for j, c := range scr {
+			scr[j] = T(zf[j]*c) + T(zi[j]*zg[j])
+		}
+		tanhSlice(shr, scr)
+		for j, o := range zo {
+			shr[j] = o * shr[j]
 		}
 	}
 }

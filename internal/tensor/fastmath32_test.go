@@ -51,81 +51,36 @@ func TestFastMath32Accuracy(t *testing.T) {
 	}
 }
 
-// TestLSTMCell32MatchesUnfused checks the fused cell kernel against the
-// op-by-op formulation it replaced, built from the same fast scalars.
-func TestLSTMCell32MatchesUnfused(t *testing.T) {
+// TestLSTMCellMatchesUnfused checks the fused cell kernel, bit for bit,
+// against the op-by-op chain a recording tape runs in its place: column
+// slices, bias+activation per gate, then the five elementwise ops.
+func TestLSTMCellMatchesUnfused(t *testing.T)   { testLSTMCellMatchesUnfused[float64](t) }
+func TestLSTMCell32MatchesUnfused(t *testing.T) { testLSTMCellMatchesUnfused[float32](t) }
+
+func testLSTMCellMatchesUnfused[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const batch, h = 5, 7
-	z := New32(batch, 4*h)
-	b := New32(1, 4*h)
-	sc := New32(batch, h)
-	for i := range z.Data {
-		z.Data[i] = float32(rng.NormFloat64())
-	}
-	for i := range b.Data {
-		b.Data[i] = float32(rng.NormFloat64())
-	}
-	for i := range sc.Data {
-		sc.Data[i] = float32(rng.NormFloat64())
-	}
+	z := randMatOf[T](rng, batch, 4*h)
+	b := randMatOf[T](rng, 1, 4*h)
+	sc := randMatOf[T](rng, batch, h)
 
-	wantSC := sc.Clone()
-	wantSH := New32(batch, h)
-	for r := 0; r < batch; r++ {
-		for j := 0; j < h; j++ {
-			i := Sigmoid32(z.At(r, j) + b.Data[j])
-			f := Sigmoid32(z.At(r, h+j) + b.Data[h+j])
-			g := Tanh32(z.At(r, 2*h+j) + b.Data[2*h+j])
-			o := Sigmoid32(z.At(r, 3*h+j) + b.Data[3*h+j])
-			c := f*wantSC.At(r, j) + i*g
-			wantSC.Set(r, j, c)
-			wantSH.Set(r, j, o*Tanh32(c))
+	gate := func(k int, act Act) *Mat[T] {
+		zk, bk := NewMat[T](batch, h), NewMat[T](1, h)
+		for r := 0; r < batch; r++ {
+			copy(zk.Row(r), z.Row(r)[k*h:(k+1)*h])
 		}
+		copy(bk.Data, b.Data[k*h:(k+1)*h])
+		AddRowActInto(zk, zk, bk, act)
+		return zk
 	}
+	i, f, g, o := gate(0, ActSigmoid), gate(1, ActSigmoid), gate(2, ActTanh), gate(3, ActSigmoid)
+	wantSC := Add(Mul(f, sc), Mul(i, g))
+	wantSH := NewMat[T](batch, h)
+	TanhInto(wantSH, wantSC)
+	MulInto(wantSH, o, wantSH)
 
-	sh := New32(batch, h)
-	LSTMCell32Into(sh, sc, z, b)
-	for i := range sh.Data {
-		if sh.Data[i] != wantSH.Data[i] {
-			t.Fatalf("sh[%d] = %v, want %v", i, sh.Data[i], wantSH.Data[i])
-		}
-		if sc.Data[i] != wantSC.Data[i] {
-			t.Fatalf("sc[%d] = %v, want %v", i, sc.Data[i], wantSC.Data[i])
-		}
-	}
-}
-
-// TestMatMulAdd32MatchesSeparate checks the fused base+a×b kernel against
-// MatMul32Into followed by Add32Into, bit for bit — the fusion saves
-// passes, not precision, because both initialize the accumulator with the
-// base value before the ascending-k accumulation.
-func TestMatMulAdd32MatchesSeparate(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	for _, n := range []int{1, 3, 8, 11, 19} { // spans the 8-wide and tail paths
-		a := New32(6, 13)
-		b := New32(13, n)
-		base := New32(6, n)
-		for i := range a.Data {
-			a.Data[i] = float32(rng.NormFloat64())
-		}
-		a.Data[7] = 0 // exercise the zero-skip
-		for i := range b.Data {
-			b.Data[i] = float32(rng.NormFloat64())
-		}
-		for i := range base.Data {
-			base.Data[i] = float32(rng.NormFloat64())
-		}
-
-		want := New32(6, n)
-		MatMul32Into(want, a, b)
-		Add32Into(want, want, base)
-
-		got := New32(6, n)
-		MatMulAdd32Into(got, base, a, b)
-		for i := range got.Data {
-			if got.Data[i] != want.Data[i] {
-				t.Fatalf("n=%d: element %d = %v, want %v", n, i, got.Data[i], want.Data[i])
-			}
-		}
-	}
+	sh := NewMat[T](batch, h)
+	LSTMCellInto(sh, sc, z, b)
+	mustEqual(t, sh, wantSH, "hidden state")
+	mustEqual(t, sc, wantSC, "cell state")
 }

@@ -10,11 +10,11 @@ import (
 // naiveMatMul is the textbook triple loop: the reference the blocked
 // kernels must match bit for bit (they reorder no per-element additions,
 // so equality is exact, not approximate).
-func naiveMatMul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
+func naiveMatMul[T Float](a, b *Mat[T]) *Mat[T] {
+	out := NewMat[T](a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
-			var s float64
+			var s T
 			for k := 0; k < a.Cols; k++ {
 				s += a.At(i, k) * b.At(k, j)
 			}
@@ -24,10 +24,10 @@ func naiveMatMul(a, b *Matrix) *Matrix {
 	return out
 }
 
-func randMat(rng *rand.Rand, r, c int) *Matrix {
-	m := New(r, c)
+func randMatOf[T Float](rng *rand.Rand, r, c int) *Mat[T] {
+	m := NewMat[T](r, c)
 	for i := range m.Data {
-		m.Data[i] = rng.NormFloat64()
+		m.Data[i] = T(rng.NormFloat64())
 		if rng.Intn(8) == 0 {
 			m.Data[i] = 0 // exercise the zero-skip fast path
 		}
@@ -35,39 +35,52 @@ func randMat(rng *rand.Rand, r, c int) *Matrix {
 	return m
 }
 
-func mustEqual(t *testing.T, got, want *Matrix, what string) {
+func randMat(rng *rand.Rand, r, c int) *Matrix { return randMatOf[float64](rng, r, c) }
+
+// bothTypes runs a generic test body at each element type of the stack.
+func bothTypes(t *testing.T, f64, f32 func(*testing.T)) {
+	t.Run("f64", f64)
+	t.Run("f32", f32)
+}
+
+func mustEqual[T Float](t *testing.T, got, want *Mat[T], what string) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape (%d,%d) want (%d,%d)", what, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range want.Data {
-		if got.Data[i] != want.Data[i] && !(math.IsNaN(got.Data[i]) && math.IsNaN(want.Data[i])) {
+		if got.Data[i] != want.Data[i] && !(got.Data[i] != got.Data[i] && want.Data[i] != want.Data[i]) { // NaN == NaN here
 			t.Fatalf("%s: element %d = %v, want %v (bit-exact)", what, i, got.Data[i], want.Data[i])
 		}
 	}
 }
 
 // TestBlockedMatMulMatchesNaive pins the register-blocked kernels to the
-// reference on shapes that hit every unroll remainder (cols ≡ 0..3 mod 4).
+// reference on shapes that hit every unroll remainder (the 8- and 4-wide
+// blocks and the scalar tail).
 func TestBlockedMatMulMatchesNaive(t *testing.T) {
+	bothTypes(t, testBlockedMatMulMatchesNaive[float64], testBlockedMatMulMatchesNaive[float32])
+}
+
+func testBlockedMatMulMatchesNaive[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
 		m := 1 + rng.Intn(9)
 		k := 1 + rng.Intn(9)
 		n := 1 + rng.Intn(13) // 1..13 covers all j-unroll tails
-		a := randMat(rng, m, k)
-		b := randMat(rng, k, n)
+		a := randMatOf[T](rng, m, k)
+		b := randMatOf[T](rng, k, n)
 		want := naiveMatMul(a, b)
 
 		mustEqual(t, MatMul(a, b), want, "MatMul")
 
-		out := randMat(rng, m, n) // dirty output: Into must overwrite fully
+		out := randMatOf[T](rng, m, n) // dirty output: Into must overwrite fully
 		MatMulInto(out, a, b)
 		mustEqual(t, out, want, "MatMulInto")
 
 		// a·b = (aᵀ)ᵀ·b and a·b = a·(bᵀ)ᵀ exercise the transposed kernels.
 		at := a.Transpose()
-		outA := randMat(rng, m, n)
+		outA := randMatOf[T](rng, m, n)
 		MatMulTransAInto(outA, at, b)
 		mustEqual(t, outA, want, "MatMulTransAInto")
 		mustEqual(t, MatMulTransA(at, b), want, "MatMulTransA")
@@ -75,7 +88,7 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 		bt := b.Transpose()
 		wantTB := MatMulTransB(a, bt)
 		mustEqual(t, wantTB, want, "MatMulTransB") // dot-product form, same order ⇒ exact
-		outB := randMat(rng, m, n)
+		outB := randMatOf[T](rng, m, n)
 		MatMulTransBInto(outB, a, bt)
 		mustEqual(t, outB, wantTB, "MatMulTransBInto")
 	}

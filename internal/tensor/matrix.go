@@ -1,10 +1,29 @@
-// Package tensor provides dense float64 matrices and the linear-algebra
-// primitives used by the autodiff engine and the neural-network layers.
+// Package tensor provides dense matrices and the linear-algebra primitives
+// used by the autodiff engine and the neural-network layers.
 //
 // The package is deliberately 2-D: every value flowing through the deep
 // cost model is a matrix (a vector is a 1×n or n×1 matrix). Data is stored
 // row-major in a single contiguous slice, which keeps the hot matmul loops
 // cache friendly.
+//
+// # One stack, two element types
+//
+// Every type and kernel is generic over the element type (Float): there
+// is one Mat, one set of Into kernels, one parallel driver. Models train
+// and are stored in float64 (Matrix is the alias the rest of the repo
+// spells); float32 is the reduced-precision inference instantiation,
+// derived by Convert. The determinism contract is the same at both widths
+// — every output element is accumulated in ascending k with zero operands
+// of a skipped, by the same per-element loop regardless of kernel path or
+// worker count — and holds within one element type; no bit relationship
+// between float32 and float64 results is promised (that gap is what
+// core.VerifyQuantized measures).
+//
+// The only code that differs by element type is the transcendentals:
+// float32 slices run through the table/polynomial kernels of
+// fastmath32.go, anything else through the float64 math library. The
+// choice is made once per slice by a type assertion (act.go), never per
+// element.
 package tensor
 
 import (
@@ -13,50 +32,86 @@ import (
 	"math/rand"
 	"strings"
 	"sync/atomic"
+	"unsafe"
 )
 
-// Matrix is a dense, row-major float64 matrix.
-type Matrix struct {
+// Float is the element-type constraint of the numeric stack.
+type Float interface{ ~float32 | ~float64 }
+
+// Mat is a dense, row-major matrix.
+type Mat[T Float] struct {
 	Rows, Cols int
-	Data       []float64
+	Data       []T
 }
 
-// allocCount counts every matrix allocated through New. The autodiff arena
+// Matrix is the float64 instantiation: the training and storage format,
+// and the type every package outside the numeric stack spells.
+type Matrix = Mat[float64]
+
+// allocCount counts every matrix allocated through NewMat, of any element
+// type. The autodiff arena
 // recycles matrices instead of re-allocating them, and the allocation-
 // regression tests pin the warm inference path to a zero delta of this
 // counter — an exact measure that, unlike testing.AllocsPerRun, cannot be
 // perturbed by unrelated runtime allocations.
 var allocCount atomic.Uint64
 
-// Allocs returns the number of matrices allocated by New since process
+// Allocs returns the number of matrices allocated by NewMat since process
 // start. The counter only ever increases; callers compare deltas.
 func Allocs() uint64 { return allocCount.Load() }
 
-// New returns a zero-initialized rows×cols matrix.
-func New(rows, cols int) *Matrix {
+// NewMat returns a zero-initialized rows×cols matrix.
+func NewMat[T Float](rows, cols int) *Mat[T] {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimension %dx%d", rows, cols))
 	}
 	allocCount.Add(1)
-	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
+	return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
+}
+
+// New returns a zero-initialized rows×cols float64 matrix.
+func New(rows, cols int) *Matrix { return NewMat[float64](rows, cols) }
+
+// Cast copies src into dst, converting each element (float64→float32
+// rounds to nearest-even; float32→float64 is exact). The slices must have
+// equal length. Equal element types are a plain copy.
+func Cast[D, S Float](dst []D, src []S) {
+	if len(dst) != len(src) {
+		panic(fmt.Sprintf("tensor: cast length %d != %d", len(dst), len(src)))
+	}
+	if same, ok := any(dst).([]S); ok {
+		copy(same, src)
+		return
+	}
+	for i, v := range src {
+		dst[i] = D(v)
+	}
+}
+
+// Convert returns a copy of m at element type D. Narrowing a float64
+// matrix to float32 is the post-training weight conversion.
+func Convert[D, S Float](m *Mat[S]) *Mat[D] {
+	out := NewMat[D](m.Rows, m.Cols)
+	Cast(out.Data, m.Data)
+	return out
 }
 
 // FromSlice wraps data (row-major, length rows*cols) in a Matrix. The slice
 // is used directly, not copied.
-func FromSlice(rows, cols int, data []float64) *Matrix {
+func FromSlice[T Float](rows, cols int, data []T) *Mat[T] {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
 	}
-	return &Matrix{Rows: rows, Cols: cols, Data: data}
+	return &Mat[T]{Rows: rows, Cols: cols, Data: data}
 }
 
 // FromRows builds a matrix from row slices, which must all have equal length.
-func FromRows(rows [][]float64) *Matrix {
+func FromRows[T Float](rows [][]T) *Mat[T] {
 	if len(rows) == 0 {
-		return New(0, 0)
+		return NewMat[T](0, 0)
 	}
 	cols := len(rows[0])
-	m := New(len(rows), cols)
+	m := NewMat[T](len(rows), cols)
 	for i, r := range rows {
 		if len(r) != cols {
 			panic(fmt.Sprintf("tensor: ragged row %d: %d != %d", i, len(r), cols))
@@ -67,13 +122,13 @@ func FromRows(rows [][]float64) *Matrix {
 }
 
 // RowVector returns a 1×n matrix holding a copy of v.
-func RowVector(v []float64) *Matrix {
-	m := New(1, len(v))
+func RowVector[T Float](v []T) *Mat[T] {
+	m := NewMat[T](1, len(v))
 	copy(m.Data, v)
 	return m
 }
 
-// Randn returns a rows×cols matrix with entries drawn from N(0, std²).
+// Randn returns a rows×cols float64 matrix with entries drawn from N(0, std²).
 func Randn(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
@@ -82,7 +137,7 @@ func Randn(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 	return m
 }
 
-// Uniform returns a rows×cols matrix with entries drawn from U(lo, hi).
+// Uniform returns a rows×cols float64 matrix with entries drawn from U(lo, hi).
 func Uniform(rows, cols int, lo, hi float64, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
@@ -92,43 +147,43 @@ func Uniform(rows, cols int, lo, hi float64, rng *rand.Rand) *Matrix {
 }
 
 // At returns the element at row i, column j.
-func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
+func (m *Mat[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
+func (m *Mat[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a slice sharing the matrix's backing array.
-func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m *Mat[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Clone returns a deep copy of m.
-func (m *Matrix) Clone() *Matrix {
-	c := New(m.Rows, m.Cols)
+func (m *Mat[T]) Clone() *Mat[T] {
+	c := NewMat[T](m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
 // Zero sets every element of m to zero.
-func (m *Matrix) Zero() {
+func (m *Mat[T]) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
 // Fill sets every element of m to v.
-func (m *Matrix) Fill(v float64) {
+func (m *Mat[T]) Fill(v T) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
 }
 
 // SameShape reports whether m and o have identical dimensions.
-func (m *Matrix) SameShape(o *Matrix) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
+func (m *Mat[T]) SameShape(o *Mat[T]) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 
 // stringPreview caps how many elements String renders: a panic message or
 // debug log mentioning a 512×512 matrix should be one line, not megabytes.
 const stringPreview = 8
 
-func (m *Matrix) String() string {
+func (m *Mat[T]) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Matrix(%dx%d)[", m.Rows, m.Cols)
 	show := len(m.Data)
@@ -149,8 +204,8 @@ func (m *Matrix) String() string {
 }
 
 // MatMul returns a×b. Panics if the inner dimensions disagree.
-func MatMul(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Cols)
+func MatMul[T Float](a, b *Mat[T]) *Mat[T] {
+	out := NewMat[T](a.Rows, b.Cols)
 	MatMulInto(out, a, b)
 	return out
 }
@@ -162,7 +217,7 @@ func MatMul(a, b *Matrix) *Matrix {
 // zero operands of a skipped, regardless of which internal kernel or how
 // many goroutines compute it — so results are bit-identical across the
 // register/streaming paths and across every SetMatMulWorkers setting.
-func MatMulInto(out, a, b *Matrix) {
+func MatMulInto[T Float](out, a, b *Mat[T]) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -180,31 +235,58 @@ func MatMulInto(out, a, b *Matrix) {
 	matMulRows(out, a, b)
 }
 
-// regPathMaxBFloats bounds len(b.Data) for the register-accumulator
+// regPathMaxBBytes bounds the size of b for the register-accumulator
 // matmul path, which re-reads all of b once per output row: past roughly
-// L2 size the re-reads stall and the streaming ikj kernel wins.
-const regPathMaxBFloats = 1 << 15
+// L2 size the re-reads stall and the streaming ikj kernel wins. The budget
+// is in bytes, so a float32 b may hold twice the elements of a float64 one.
+const regPathMaxBBytes = 1 << 18
 
 // matMulRows is the serial out = a×b kernel over a contiguous row range
 // (the views built by MatMulInto). It picks between two loop orders that
 // produce bit-identical results (per element: ascending-k accumulation,
 // a-zeros skipped):
 //
-//   - register path (jik): four output columns accumulate in registers
-//     while a's row streams once; out is written exactly once, never
-//     re-read. Wins while b stays cache-resident, which covers every
+//   - register path (jik): eight (then four, then one) output columns
+//     accumulate in registers while a's row streams once; out is written
+//     exactly once, never re-read. Wins while b stays cache-resident, which covers every
 //     weight matrix in the cost model.
 //   - streaming path (ikj): the inner loop streams contiguous rows of b
 //     and out, trading out re-reads for sequential access to a large b.
-func matMulRows(out, a, b *Matrix) {
+func matMulRows[T Float](out, a, b *Mat[T]) {
 	n := b.Cols
-	if len(b.Data) <= regPathMaxBFloats {
+	var zero T
+	if len(b.Data)*int(unsafe.Sizeof(zero)) <= regPathMaxBBytes {
 		for i := 0; i < a.Rows; i++ {
 			arow := a.Data[i*a.Cols : (i+1)*a.Cols]
 			orow := out.Data[i*n : (i+1)*n]
 			j := 0
+			// 8-wide column blocks first: the wider block halves the
+			// slice/branch overhead per multiply, which is a fifth of the
+			// float32 kernel's time and costs float64 nothing. Each output
+			// element still accumulates in ascending k with a-zeros
+			// skipped, so the block width never shows up in the result.
+			for ; j+8 <= n; j += 8 {
+				var s0, s1, s2, s3, s4, s5, s6, s7 T
+				idx := j
+				for _, av := range arow {
+					if av != 0 {
+						b8 := b.Data[idx : idx+8 : idx+8]
+						s0 += av * b8[0]
+						s1 += av * b8[1]
+						s2 += av * b8[2]
+						s3 += av * b8[3]
+						s4 += av * b8[4]
+						s5 += av * b8[5]
+						s6 += av * b8[6]
+						s7 += av * b8[7]
+					}
+					idx += n
+				}
+				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+				orow[j+4], orow[j+5], orow[j+6], orow[j+7] = s4, s5, s6, s7
+			}
 			for ; j+4 <= n; j += 4 {
-				var s0, s1, s2, s3 float64
+				var s0, s1, s2, s3 T
 				idx := j
 				for _, av := range arow {
 					if av != 0 {
@@ -219,7 +301,7 @@ func matMulRows(out, a, b *Matrix) {
 				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 			}
 			for ; j < n; j++ {
-				var s float64
+				var s T
 				idx := j
 				for _, av := range arow {
 					if av != 0 {
@@ -258,15 +340,15 @@ func matMulRows(out, a, b *Matrix) {
 }
 
 // MatMulTransB returns a×bᵀ without materializing bᵀ.
-func MatMulTransB(a, b *Matrix) *Matrix {
-	out := New(a.Rows, b.Rows)
+func MatMulTransB[T Float](a, b *Mat[T]) *Mat[T] {
+	out := NewMat[T](a.Rows, b.Rows)
 	MatMulTransBInto(out, a, b)
 	return out
 }
 
 // MatMulTransBInto computes out = a×bᵀ, reusing out's storage. out must be
 // a.Rows×b.Rows and must not alias a or b.
-func MatMulTransBInto(out, a, b *Matrix) {
+func MatMulTransBInto[T Float](out, a, b *Mat[T]) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulTransB shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -289,7 +371,7 @@ func MatMulTransBInto(out, a, b *Matrix) {
 // running four of them at once keeps four accumulators in registers while
 // a's row streams through cache once per block. Every accumulator still
 // sums in ascending k, so results are bit-identical to the scalar loop.
-func matMulTransBRows(out, a, b *Matrix) {
+func matMulTransBRows[T Float](out, a, b *Mat[T]) {
 	bc := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
@@ -300,7 +382,7 @@ func matMulTransBRows(out, a, b *Matrix) {
 			b1 := b.Data[(j+1)*bc : (j+2)*bc]
 			b2 := b.Data[(j+2)*bc : (j+3)*bc]
 			b3 := b.Data[(j+3)*bc : (j+4)*bc]
-			var s0, s1, s2, s3 float64
+			var s0, s1, s2, s3 T
 			for k, av := range arow {
 				s0 += av * b0[k]
 				s1 += av * b1[k]
@@ -311,7 +393,7 @@ func matMulTransBRows(out, a, b *Matrix) {
 		}
 		for ; j < b.Rows; j++ {
 			brow := b.Data[j*bc : (j+1)*bc]
-			var s float64
+			var s T
 			for k, av := range arow {
 				s += av * brow[k]
 			}
@@ -321,15 +403,15 @@ func matMulTransBRows(out, a, b *Matrix) {
 }
 
 // MatMulTransA returns aᵀ×b without materializing aᵀ.
-func MatMulTransA(a, b *Matrix) *Matrix {
-	out := New(a.Cols, b.Cols)
+func MatMulTransA[T Float](a, b *Mat[T]) *Mat[T] {
+	out := NewMat[T](a.Cols, b.Cols)
 	MatMulTransAInto(out, a, b)
 	return out
 }
 
 // MatMulTransAInto computes out = aᵀ×b, reusing out's storage. out must be
 // a.Cols×b.Cols and must not alias a or b.
-func MatMulTransAInto(out, a, b *Matrix) {
+func MatMulTransAInto[T Float](out, a, b *Mat[T]) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -356,7 +438,7 @@ func MatMulTransAInto(out, a, b *Matrix) {
 // matMulTransACols accumulates out[:, jlo:jhi) of out = aᵀ×b. Same
 // k-outer accumulation as the allocating version, with the contiguous j
 // loop unrolled 4 wide (see MatMulInto). out must be pre-zeroed.
-func matMulTransACols(out, a, b *Matrix, jlo, jhi int) {
+func matMulTransACols[T Float](out, a, b *Mat[T], jlo, jhi int) {
 	n := b.Cols
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
@@ -383,14 +465,14 @@ func matMulTransACols(out, a, b *Matrix, jlo, jhi int) {
 }
 
 // Transpose returns mᵀ.
-func (m *Matrix) Transpose() *Matrix {
-	t := New(m.Cols, m.Rows)
+func (m *Mat[T]) Transpose() *Mat[T] {
+	t := NewMat[T](m.Cols, m.Rows)
 	TransposeInto(t, m)
 	return t
 }
 
 // Add returns a+b elementwise.
-func Add(a, b *Matrix) *Matrix {
+func Add[T Float](a, b *Mat[T]) *Mat[T] {
 	mustSameShape("add", a, b)
 	out := a.Clone()
 	for i, v := range b.Data {
@@ -400,7 +482,7 @@ func Add(a, b *Matrix) *Matrix {
 }
 
 // Sub returns a−b elementwise.
-func Sub(a, b *Matrix) *Matrix {
+func Sub[T Float](a, b *Mat[T]) *Mat[T] {
 	mustSameShape("sub", a, b)
 	out := a.Clone()
 	for i, v := range b.Data {
@@ -410,7 +492,7 @@ func Sub(a, b *Matrix) *Matrix {
 }
 
 // Mul returns the Hadamard (elementwise) product a∘b.
-func Mul(a, b *Matrix) *Matrix {
+func Mul[T Float](a, b *Mat[T]) *Mat[T] {
 	mustSameShape("mul", a, b)
 	out := a.Clone()
 	for i, v := range b.Data {
@@ -420,7 +502,7 @@ func Mul(a, b *Matrix) *Matrix {
 }
 
 // Scale returns s·m.
-func Scale(m *Matrix, s float64) *Matrix {
+func Scale[T Float](m *Mat[T], s T) *Mat[T] {
 	out := m.Clone()
 	for i := range out.Data {
 		out.Data[i] *= s
@@ -429,7 +511,7 @@ func Scale(m *Matrix, s float64) *Matrix {
 }
 
 // AddInPlace accumulates b into a.
-func AddInPlace(a, b *Matrix) {
+func AddInPlace[T Float](a, b *Mat[T]) {
 	mustSameShape("addInPlace", a, b)
 	for i, v := range b.Data {
 		a.Data[i] += v
@@ -437,7 +519,7 @@ func AddInPlace(a, b *Matrix) {
 }
 
 // AxpyInPlace accumulates s·b into a.
-func AxpyInPlace(a *Matrix, s float64, b *Matrix) {
+func AxpyInPlace[T Float](a *Mat[T], s T, b *Mat[T]) {
 	mustSameShape("axpy", a, b)
 	for i, v := range b.Data {
 		a.Data[i] += s * v
@@ -445,7 +527,7 @@ func AxpyInPlace(a *Matrix, s float64, b *Matrix) {
 }
 
 // AddRow returns m with the 1×cols row vector r added to every row.
-func AddRow(m, r *Matrix) *Matrix {
+func AddRow[T Float](m, r *Mat[T]) *Mat[T] {
 	if r.Rows != 1 || r.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: addRow wants 1x%d, got %dx%d", m.Cols, r.Rows, r.Cols))
 	}
@@ -460,8 +542,8 @@ func AddRow(m, r *Matrix) *Matrix {
 }
 
 // Apply returns f applied to every element of m.
-func Apply(m *Matrix, f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
+func Apply[T Float](m *Mat[T], f func(T) T) *Mat[T] {
+	out := NewMat[T](m.Rows, m.Cols)
 	for i, v := range m.Data {
 		out.Data[i] = f(v)
 	}
@@ -469,8 +551,8 @@ func Apply(m *Matrix, f func(float64) float64) *Matrix {
 }
 
 // Sum returns the sum of all elements.
-func (m *Matrix) Sum() float64 {
-	var s float64
+func (m *Mat[T]) Sum() T {
+	var s T
 	for _, v := range m.Data {
 		s += v
 	}
@@ -478,19 +560,22 @@ func (m *Matrix) Sum() float64 {
 }
 
 // Mean returns the mean of all elements (0 for an empty matrix).
-func (m *Matrix) Mean() float64 {
+func (m *Mat[T]) Mean() T {
 	if len(m.Data) == 0 {
 		return 0
 	}
-	return m.Sum() / float64(len(m.Data))
+	return m.Sum() / T(len(m.Data))
 }
 
 // MaxAbs returns the largest absolute element (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
-	var best float64
+func (m *Mat[T]) MaxAbs() T {
+	var best T
 	for _, v := range m.Data {
-		if a := math.Abs(v); a > best {
-			best = a
+		if v < 0 {
+			v = -v
+		}
+		if v > best {
+			best = v
 		}
 	}
 	return best
@@ -498,9 +583,9 @@ func (m *Matrix) MaxAbs() float64 {
 
 // ConcatCols concatenates matrices horizontally: all inputs must have the
 // same number of rows.
-func ConcatCols(ms ...*Matrix) *Matrix {
+func ConcatCols[T Float](ms ...*Mat[T]) *Mat[T] {
 	if len(ms) == 0 {
-		return New(0, 0)
+		return NewMat[T](0, 0)
 	}
 	rows := ms[0].Rows
 	cols := 0
@@ -510,7 +595,7 @@ func ConcatCols(ms ...*Matrix) *Matrix {
 		}
 		cols += m.Cols
 	}
-	out := New(rows, cols)
+	out := NewMat[T](rows, cols)
 	for i := 0; i < rows; i++ {
 		off := 0
 		orow := out.Row(i)
@@ -524,9 +609,9 @@ func ConcatCols(ms ...*Matrix) *Matrix {
 
 // ConcatRows concatenates matrices vertically: all inputs must have the
 // same number of columns.
-func ConcatRows(ms ...*Matrix) *Matrix {
+func ConcatRows[T Float](ms ...*Mat[T]) *Mat[T] {
 	if len(ms) == 0 {
-		return New(0, 0)
+		return NewMat[T](0, 0)
 	}
 	cols := ms[0].Cols
 	rows := 0
@@ -536,7 +621,7 @@ func ConcatRows(ms ...*Matrix) *Matrix {
 		}
 		rows += m.Rows
 	}
-	out := New(rows, cols)
+	out := NewMat[T](rows, cols)
 	off := 0
 	for _, m := range ms {
 		copy(out.Data[off:off+len(m.Data)], m.Data)
@@ -546,29 +631,29 @@ func ConcatRows(ms ...*Matrix) *Matrix {
 }
 
 // SliceRows returns rows [lo,hi) of m as a copy.
-func (m *Matrix) SliceRows(lo, hi int) *Matrix {
+func (m *Mat[T]) SliceRows(lo, hi int) *Mat[T] {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("tensor: sliceRows [%d,%d) out of %d rows", lo, hi, m.Rows))
 	}
-	out := New(hi-lo, m.Cols)
+	out := NewMat[T](hi-lo, m.Cols)
 	copy(out.Data, m.Data[lo*m.Cols:hi*m.Cols])
 	return out
 }
 
 // AllClose reports whether a and b agree elementwise within tol.
-func AllClose(a, b *Matrix, tol float64) bool {
+func AllClose[T Float](a, b *Mat[T], tol float64) bool {
 	if !a.SameShape(b) {
 		return false
 	}
 	for i, v := range a.Data {
-		if math.Abs(v-b.Data[i]) > tol {
+		if math.Abs(float64(v-b.Data[i])) > tol {
 			return false
 		}
 	}
 	return true
 }
 
-func mustSameShape(op string, a, b *Matrix) {
+func mustSameShape[T Float](op string, a, b *Mat[T]) {
 	if !a.SameShape(b) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}

@@ -243,6 +243,44 @@ func TestMatMulAssociativity(t *testing.T) {
 	}
 }
 
+// TestMatMul32MatchesFloat64 pins the float32 instantiation of the kernels
+// to the float64 one within accumulation tolerance: same inputs narrowed
+// to f32 must produce the same products up to rounding.
+func TestMatMul32MatchesFloat64(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	a := randMat(rng, 9, 17)
+	b := randMat(rng, 17, 13)
+	want := MatMul(a, b)
+
+	a32, b32 := Convert[float32](a), Convert[float32](b)
+	close := func(got *Mat[float32], what string) {
+		t.Helper()
+		for i, v := range got.Data {
+			if math.Abs(float64(v)-want.Data[i]) > 1e-4 {
+				t.Fatalf("%s element %d: f32 %g vs f64 %g", what, i, v, want.Data[i])
+			}
+		}
+	}
+	close(MatMul(a32, b32), "matmul")
+	// a×bᵀ through the dedicated kernel.
+	close(MatMulTransB(a32, Convert[float32](b.Transpose())), "transB")
+}
+
+// TestConvertRoundTrip pins narrowing/widening (every value here is
+// exactly representable in f32) and that the alias guards hold at f32.
+func TestConvertRoundTrip(t *testing.T) {
+	m := FromRows([][]float64{{1.5, -2.25}, {0, 3}})
+	m32 := Convert[float32](m)
+	mustEqual(t, Convert[float64](m32), m, "round trip")
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("aliased f32 matmul output did not panic")
+		}
+	}()
+	MatMulInto(m32, m32, m32)
+}
+
 func BenchmarkMatMul64(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
 	x := Randn(64, 64, 1, rng)

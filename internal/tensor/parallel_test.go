@@ -19,26 +19,38 @@ func forceParallel(t *testing.T) {
 
 // TestParallelMatMulBitIdenticalAcrossWorkers is the property test behind
 // the deterministic-split claim: for every kernel, every worker count, and
-// shapes covering both the register and streaming paths (len(b.Data)
-// below and above regPathMaxBFloats), the parallel result must equal the
+// shapes covering both the register and streaming paths (b below and
+// above regPathMaxBBytes at either element width), the parallel result
+// must equal the
 // serial result bit for bit — including the unroll tails and rows/cols
 // that don't divide evenly across workers.
 func TestParallelMatMulBitIdenticalAcrossWorkers(t *testing.T) {
+	testParallelMatMulBitIdentical[float64](t)
+}
+
+// TestParallelMatMul32BitIdenticalAcrossWorkers is the same property at
+// float32.
+func TestParallelMatMul32BitIdenticalAcrossWorkers(t *testing.T) {
+	testParallelMatMulBitIdentical[float32](t)
+}
+
+func testParallelMatMulBitIdentical[T Float](t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(23))
 	shapes := [][3]int{
-		{1, 1, 1},     // degenerate: nothing to split
-		{2, 3, 5},     // fewer rows than most worker counts
-		{7, 9, 13},    // odd everything: unroll tails + ragged split
-		{16, 8, 24},   // even split
-		{33, 17, 41},  // ragged split, register path
-		{12, 64, 640}, // len(b.Data) = 40960 > regPathMaxBFloats: streaming path
+		{1, 1, 1},      // degenerate: nothing to split
+		{2, 3, 5},      // fewer rows than most worker counts
+		{7, 9, 13},     // odd everything: unroll tails + ragged split
+		{16, 8, 24},    // even split
+		{33, 17, 41},   // ragged split, register path
+		{12, 64, 640},  // 40960 elements: streaming path at float64 only
+		{12, 64, 1280}, // 81920 elements: streaming path at float32 too
 	}
 	workers := []int{2, 3, 4, 7}
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
-		a := randMat(rng, m, k)
-		b := randMat(rng, k, n)
+		a := randMatOf[T](rng, m, k)
+		b := randMatOf[T](rng, k, n)
 		at := a.Transpose()
 		bt := b.Transpose()
 
@@ -49,15 +61,15 @@ func TestParallelMatMulBitIdenticalAcrossWorkers(t *testing.T) {
 
 		for _, w := range workers {
 			SetMatMulWorkers(w)
-			got := randMat(rng, m, n) // dirty output: kernels must overwrite fully
+			got := randMatOf[T](rng, m, n) // dirty output: kernels must overwrite fully
 			MatMulInto(got, a, b)
 			mustEqual(t, got, want, "MatMulInto parallel")
 
-			gotTA := randMat(rng, m, n)
+			gotTA := randMatOf[T](rng, m, n)
 			MatMulTransAInto(gotTA, at, b)
 			mustEqual(t, gotTA, wantTA, "MatMulTransAInto parallel")
 
-			gotTB := randMat(rng, m, n)
+			gotTB := randMatOf[T](rng, m, n)
 			MatMulTransBInto(gotTB, a, bt)
 			mustEqual(t, gotTB, wantTB, "MatMulTransBInto parallel")
 		}
@@ -73,7 +85,7 @@ func TestRegisterAndStreamingPathsBitIdentical(t *testing.T) {
 	a := randMat(rng, 9, 31)
 	b := randMat(rng, 31, 27)
 	reg := New(a.Rows, b.Cols)
-	matMulRows(reg, a, b) // len(b.Data) small: register path
+	matMulRows(reg, a, b) // b small: register path
 
 	// Build the same product through views of an oversized b embedding so
 	// the streaming path runs on identical values: simpler, just call the
@@ -81,7 +93,7 @@ func TestRegisterAndStreamingPathsBitIdentical(t *testing.T) {
 	want := naiveMatMul(a, b)
 	mustEqual(t, reg, want, "register path vs naive")
 
-	big := randMat(rng, 64, 1024) // 65536 floats > regPathMaxBFloats
+	big := randMat(rng, 64, 1024) // 512 KiB > regPathMaxBBytes
 	abig := randMat(rng, 3, 64)
 	stream := New(3, 1024)
 	matMulRows(stream, abig, big)

@@ -225,7 +225,7 @@ func NewOnlineServing(cm *CostModel, st *TrainState, opt OnlineOptions) (*Online
 // versionPrecision is the precision one loaded generation serves at.
 func versionPrecision(v *online.Version) Precision {
 	if v.Q != nil {
-		return v.Q.Precision
+		return v.Q.Precision()
 	}
 	return PrecisionF64
 }

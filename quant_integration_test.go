@@ -2,6 +2,7 @@ package raal
 
 import (
 	"errors"
+	"math"
 	"testing"
 )
 
@@ -115,12 +116,41 @@ func TestEnablePrecisionGateFallback(t *testing.T) {
 	if err := cm.EnablePrecision(PrecisionF64, nil, 0); err != nil {
 		t.Fatal(err)
 	}
-	err := cm.EnablePrecision(PrecisionInt8, gate, 0) // bound 0: int8 can never match f64 exactly
+	err := cm.EnablePrecision(PrecisionF32, gate, 0) // bound 0: f32 can never match f64 exactly
 	var gateErr *QuantGateError
 	if !errors.As(err, &gateErr) {
 		t.Fatalf("EnablePrecision returned %v, want *QuantGateError", err)
 	}
 	if cm.Precision() != PrecisionF64 {
 		t.Fatalf("after refusal the active precision is %v, want the f64 fallback", cm.Precision())
+	}
+}
+
+// TestEnablePrecisionRefusesNonFinite drives the NaN hole in the gate
+// through the serving layer: a model whose reduced-precision predictions
+// are not numbers must be refused with the typed error, counted in
+// raal_quant_gate_failures_total, and leave serving on f64. (Every delta
+// is NaN here, and NaN > bound is false, so the old gate installed it.)
+func TestEnablePrecisionRefusesNonFinite(t *testing.T) {
+	_, _, shared := sharedSystem(t)
+	gate := gateSet(t)
+	for name, poison := range map[string]float64{"NaN": math.NaN(), "+Inf": math.Inf(1)} {
+		cm := &CostModel{enc: shared.enc, model: shared.model.Clone()}
+		reg := NewMetricsRegistry()
+		cm.Instrument(reg)
+		params := cm.model.Params()
+		params[len(params)-1].Value().Data[0] = poison // the linear output layer's bias
+
+		err := cm.EnablePrecision(PrecisionF32, gate, 0.05)
+		var gateErr *QuantGateError
+		if !errors.As(err, &gateErr) {
+			t.Fatalf("%s: EnablePrecision returned %v, want *QuantGateError", name, err)
+		}
+		if cm.Precision() != PrecisionF64 {
+			t.Fatalf("%s: after refusal the active precision is %v, want f64", name, cm.Precision())
+		}
+		if got := cm.api.gateFails.Value(); got != 1 {
+			t.Fatalf("%s: raal_quant_gate_failures_total = %v, want 1", name, got)
+		}
 	}
 }

@@ -83,16 +83,17 @@ type (
 	QuantGateError = core.QuantGateError
 )
 
-// Serving precisions: the float64 reference path and the two reduced
-// inference-only formats (see CostModel.EnablePrecision).
+// Serving precisions: the float64 reference path, which models train and
+// are stored in, and float32, the inference-only instantiation of the same
+// network derived from it behind the accuracy gate (see
+// CostModel.EnablePrecision).
 const (
-	PrecisionF64  = core.PrecisionF64
-	PrecisionF32  = core.PrecisionF32
-	PrecisionInt8 = core.PrecisionInt8
+	PrecisionF64 = core.PrecisionF64
+	PrecisionF32 = core.PrecisionF32
 )
 
-// ParsePrecision maps the CLI spelling ("f64", "f32", "int8") to a
-// Precision.
+// ParsePrecision maps the CLI spelling ("f64", "f32") to a Precision. The
+// removed "int8" value is an error that names f32, never a silent f64.
 func ParsePrecision(s string) (Precision, error) { return core.ParsePrecision(s) }
 
 // NewMetricsRegistry returns an empty metrics registry. Wire it into
