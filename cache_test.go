@@ -227,4 +227,3 @@ func metricValue(t *testing.T, exposition, name string) float64 {
 	t.Fatalf("metric %s not found in exposition:\n%s", name, exposition)
 	return 0
 }
-

@@ -24,10 +24,10 @@ func TestLoadCSV(t *testing.T) {
 func TestLoadCSVErrors(t *testing.T) {
 	schema := testSchema()
 	cases := []string{
-		"",                        // no header
-		"id\n1\n",                 // missing column
-		"id,name\nnotanint,x\n",   // bad integer
-		"id,name\n1\n",            // short row
+		"",                      // no header
+		"id\n1\n",               // missing column
+		"id,name\nnotanint,x\n", // bad integer
+		"id,name\n1\n",          // short row
 	}
 	for _, data := range cases {
 		if _, err := LoadCSV(schema, strings.NewReader(data)); err == nil {

@@ -60,7 +60,7 @@ func IMDB(scale float64, seed int64) *catalog.Database {
 			base, span = 1995, 25
 		}
 		years[i] = base + int64(float64(span)*rng.Float64()*rng.Float64()) // quadratic skew toward base... inverted below
-		years[i] = base + span - (years[i] - base)                        // skew toward recent end
+		years[i] = base + span - (years[i] - base)                         // skew toward recent end
 	}
 	title.Ints["production_year"] = years
 	title.Strs["title"] = poolCol(rng, nTitle, makePool("title", 2000), 1.1)

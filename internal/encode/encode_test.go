@@ -27,12 +27,12 @@ func TestTokenizeStatement(t *testing.T) {
 
 func TestTokenizeNumberBuckets(t *testing.T) {
 	cases := map[string]string{
-		"x < 5":      "num0",
-		"x < 42":     "num1",
-		"x < 999":    "num2",
-		"x < 71692":  "num4",
-		"x < -300":   "num2",
-		"x < 0":      "num0",
+		"x < 5":     "num0",
+		"x < 42":    "num1",
+		"x < 999":   "num2",
+		"x < 71692": "num4",
+		"x < -300":  "num2",
+		"x < 0":     "num0",
 	}
 	for stmt, want := range cases {
 		found := false

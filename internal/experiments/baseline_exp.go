@@ -147,8 +147,8 @@ func (r *Table6Result) Print(w io.Writer) {
 
 // Table9Row is one model's online estimation latency.
 type Table9Row struct {
-	Model      string
-	MsPer100   float64
+	Model    string
+	MsPer100 float64
 }
 
 // Table9Result reproduces Table IX: online estimation time per 100 queries.

@@ -71,9 +71,9 @@ func (r *EncAblationResult) Print(w io.Writer) {
 
 // SimAblationRow is one simulator configuration's memory sensitivity.
 type SimAblationRow struct {
-	Config   string
-	CostAt   map[int]float64 // memory GB → cost of a reference plan
-	SpreadPct float64        // (max-min)/min over the sweep
+	Config    string
+	CostAt    map[int]float64 // memory GB → cost of a reference plan
+	SpreadPct float64         // (max-min)/min over the sweep
 }
 
 // SimAblationResult shows which simulator mechanisms create the paper's
@@ -103,7 +103,12 @@ func SimAblation(lab *Lab) (*SimAblationResult, error) {
 	}{
 		{"full", func(*sparksim.Config) {}},
 		{"no-cache", func(c *sparksim.Config) { c.CacheFraction = 0 }},
-		{"no-cache-no-gc", func(c *sparksim.Config) { c.CacheFraction = 0; c.GCCoefPerGB = 0; c.BroadcastOverflowPenalty = 1; c.SpillPenalty = 0 }},
+		{"no-cache-no-gc", func(c *sparksim.Config) {
+			c.CacheFraction = 0
+			c.GCCoefPerGB = 0
+			c.BroadcastOverflowPenalty = 1
+			c.SpillPenalty = 0
+		}},
 	}
 	out := &SimAblationResult{}
 	for _, cfgSpec := range configs {

@@ -10,11 +10,11 @@ import (
 
 // QErrorRow summarizes cardinality estimation quality at one join depth.
 type QErrorRow struct {
-	Joins   int
-	Plans   int
-	Median  float64
-	P90     float64
-	Max     float64
+	Joins  int
+	Plans  int
+	Median float64
+	P90    float64
+	Max    float64
 }
 
 // QErrorResult analyzes the optimizer's cardinality estimates against

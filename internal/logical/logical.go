@@ -53,7 +53,7 @@ type BoundAgg struct {
 // Query is the bound, normalized form of a SELECT statement.
 type Query struct {
 	Stmt    *sql.SelectStmt
-	Tables  []sql.TableRef            // FROM order preserved
+	Tables  []sql.TableRef             // FROM order preserved
 	Filters map[string][]sql.Predicate // alias → pushed-down conjuncts
 	Joins   []JoinEdge
 	Thetas  []ThetaJoin

@@ -77,17 +77,17 @@ func TestBindAmbiguousColumn(t *testing.T) {
 
 func TestBindErrors(t *testing.T) {
 	cases := map[string]string{
-		`SELECT COUNT(*) FROM nonexistent`:                                                "no table",
-		`SELECT COUNT(*) FROM title t WHERE t.ghost = 1`:                                  "no column",
-		`SELECT COUNT(*) FROM title t WHERE t.title = 5`:                                  "type mismatch",
-		`SELECT COUNT(*) FROM title t WHERE t.id = 'x'`:                                   "type mismatch",
-		`SELECT COUNT(*) FROM title t, movie_keyword mk WHERE t.id > 5`:                   "not connected",
-		`SELECT COUNT(*) FROM title t, company_name cn WHERE t.title < cn.name`:           "non-equi join requires integer",
-		`SELECT COUNT(*) FROM title t, title t WHERE t.id = t.id`:                         "duplicate alias",
-		`SELECT t.id FROM title t`:                                                        "GROUP BY",
-		`SELECT SUM(t.title) FROM title t`:                                                "non-numeric",
-		`SELECT COUNT(*) FROM title t WHERE t.title BETWEEN 1 AND 2`:                      "non-integer",
-		`SELECT COUNT(*) FROM title t WHERE t.id LIKE 'x%'`:                               "non-string",
+		`SELECT COUNT(*) FROM nonexistent`:                                                                    "no table",
+		`SELECT COUNT(*) FROM title t WHERE t.ghost = 1`:                                                      "no column",
+		`SELECT COUNT(*) FROM title t WHERE t.title = 5`:                                                      "type mismatch",
+		`SELECT COUNT(*) FROM title t WHERE t.id = 'x'`:                                                       "type mismatch",
+		`SELECT COUNT(*) FROM title t, movie_keyword mk WHERE t.id > 5`:                                       "not connected",
+		`SELECT COUNT(*) FROM title t, company_name cn WHERE t.title < cn.name`:                               "non-equi join requires integer",
+		`SELECT COUNT(*) FROM title t, title t WHERE t.id = t.id`:                                             "duplicate alias",
+		`SELECT t.id FROM title t`:                                                                            "GROUP BY",
+		`SELECT SUM(t.title) FROM title t`:                                                                    "non-numeric",
+		`SELECT COUNT(*) FROM title t WHERE t.title BETWEEN 1 AND 2`:                                          "non-integer",
+		`SELECT COUNT(*) FROM title t WHERE t.id LIKE 'x%'`:                                                   "non-string",
 		`SELECT COUNT(*) FROM title t, movie_keyword mk WHERE t.id = mk.keyword_id AND t.title = mk.movie_id`: "", // first edge ok, second mismatch
 	}
 	for query, wantSub := range cases {

@@ -107,11 +107,11 @@ type Node struct {
 	LimitN int
 
 	// Cardinalities: planner estimate and, after engine execution, truth.
-	EstRows  float64
-	ActRows  float64
+	EstRows float64
+	ActRows float64
 	// Skew is the max/avg partition ratio measured by the engine on
 	// hash-partition exchanges (1 = perfectly balanced, 0 = unmeasured).
-	Skew float64
+	Skew     float64
 	RawRows  float64 // FileScan only: unfiltered table rows (drives I/O)
 	RowBytes float64 // estimated bytes per output row
 }

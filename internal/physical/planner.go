@@ -5,8 +5,8 @@ import (
 	"sort"
 	"strings"
 
-	"raal/internal/catalog"
 	"raal/internal/cardest"
+	"raal/internal/catalog"
 	"raal/internal/logical"
 	"raal/internal/sql"
 )

@@ -170,9 +170,9 @@ type Predicate interface {
 
 // Comparison is col op literal, or col op col (a join predicate).
 type Comparison struct {
-	Left    ColumnRef
-	Op      CmpOp
-	Lit     Literal
+	Left     ColumnRef
+	Op       CmpOp
+	Lit      Literal
 	RightCol *ColumnRef // non-nil for column-to-column comparisons
 }
 

@@ -69,7 +69,7 @@ func pow2i32(n int32) float32 {
 // handful of multiplies: no exponential, and unlike the algebraic forms
 // of σ and tanh, no float division, which is what makes the quantized
 // gate pass measurably cheaper than the float64 one. Max interpolation
-// error is ~4e-6 for σ and ~8e-6 for tanh (σ''·h²/8 with h≈0.018);
+// error is ~4e-6 for σ and ~8e-6 for tanh (σ”·h²/8 with h≈0.018);
 // beyond the clamp σ is within float32 rounding of 0 or 1.
 const (
 	sigTabBits = 11

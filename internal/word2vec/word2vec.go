@@ -17,14 +17,14 @@ import (
 
 // Config controls training.
 type Config struct {
-	Dim        int     // embedding dimensionality
-	Window     int     // context window radius
-	Negatives  int     // negative samples per positive pair
-	Epochs     int     // passes over the corpus
-	LR         float64 // initial learning rate (linearly decayed)
-	MinCount   int     // drop tokens rarer than this
-	Seed      int64 // RNG seed; training is deterministic given it
-	TableBits int   // log2 size of the negative-sampling table
+	Dim       int     // embedding dimensionality
+	Window    int     // context window radius
+	Negatives int     // negative samples per positive pair
+	Epochs    int     // passes over the corpus
+	LR        float64 // initial learning rate (linearly decayed)
+	MinCount  int     // drop tokens rarer than this
+	Seed      int64   // RNG seed; training is deterministic given it
+	TableBits int     // log2 size of the negative-sampling table
 }
 
 // DefaultConfig returns sensible defaults for plan-statement corpora.
