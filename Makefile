@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-parallel benchjson bench-serve bench-fleet bench-online chaos online quant bench-quant engine bench-engine vet fuzz cover check
+.PHONY: build test race bench bench-parallel benchjson bench-serve bench-fleet bench-online chaos online quant bench-quant engine bench-engine vet fmt-check fuzz cover check
 
 build:
 	$(GO) build ./...
@@ -29,9 +29,11 @@ test: build
 # property tests; internal/engine includes TestConcurrentStreamingRuns
 # (one Engine, shared slab pools and counters, hammered from 8
 # goroutines) and internal/workload the worker-count-invariant parallel
-# collection tests. Use `make race-all` for the (slow) full sweep.
+# collection tests. The public API package alone takes ~7 min under the
+# detector on 2 vCPUs, hence the explicit budget. Use `make race-all` for
+# the (slow) full sweep.
 race:
-	$(GO) test -race ./internal/core ./internal/nn ./internal/autodiff ./internal/tensor ./internal/serve ./internal/telemetry ./internal/fleet ./internal/backoff ./internal/online ./internal/engine ./internal/workload .
+	$(GO) test -race -timeout 20m ./internal/core ./internal/nn ./internal/autodiff ./internal/tensor ./internal/serve ./internal/telemetry ./internal/fleet ./internal/backoff ./internal/online ./internal/engine ./internal/workload .
 
 # The experiments package replays full training runs; under the race
 # detector that exceeds go test's default 10m per-package timeout on
@@ -125,6 +127,12 @@ bench-engine:
 vet:
 	$(GO) vet ./...
 
+# Fails when gofmt would rewrite any file of the root module (bench/ is its
+# own module with its own gate and is left out).
+fmt-check:
+	@out=$$(gofmt -l . | grep -v '^bench/' || true); \
+	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files (run gofmt -w on them):"; echo "$$out"; exit 1; fi
+
 # Per-package coverage gate: every package that has tests must cover at
 # least COVER_FLOOR% of its statements (packages with no test files —
 # cmd/, examples/, test helpers — are exempt). The floor sits just below
@@ -149,11 +157,12 @@ FUZZTIME ?= 15s
 fuzz:
 	$(GO) test ./internal/sql -run=XXX -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
 
-# The pre-merge gate: static checks, the full test suite, a fuzz smoke of
-# the parser, and the benchmark module's own vet and tests (~12 s). bench/
+# The pre-merge gate: static checks (vet, gofmt), the full test suite, a
+# fuzz smoke of the parser, and the benchmark module's own vet and tests
+# (~12 s). bench/
 # is its own module (replace raal => ../) importing
 # raal/internal/{core,tensor}, so `go test ./...` never compiles it: an
 # internal-API refactor could break the benchmark silently without this.
-check: vet test fuzz
+check: vet fmt-check test fuzz
 	$(GO) vet -C bench .
 	$(GO) test -C bench .

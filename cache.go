@@ -11,14 +11,22 @@ import (
 	"raal/internal/encode"
 )
 
-// encodeCache is a mutex-guarded LRU from plan fingerprints to encoded
-// samples. Plan encoding walks the whole operator tree (word2vec lookups,
-// statistics aggregation) on every Estimate call, yet serving workloads
-// re-submit the same few plans under the same allocations over and over;
-// caching the encoder's output removes that repeated walk entirely. The
-// encoder is deterministic — identical (plan, resources) inputs yield
-// identical samples — so serving a cached *Sample is bit-identical to
-// re-encoding, and the model never mutates the samples it scores.
+// encodeCache is a mutex-guarded LRU from plan-only fingerprints to the
+// plan part of an encoded sample (encode.Encoder.EncodePlanPart). Plan
+// encoding walks the whole operator tree (word2vec lookups, statistics
+// aggregation) on every Estimate call, yet serving workloads re-submit the
+// same few plans over and over; caching the encoder's output removes that
+// repeated walk entirely. The allocation is not part of the key: it only
+// becomes the sample's resource vector, which is a few divisions, so the
+// same plan under a new allocation is a hit. The encoder is deterministic —
+// identical plans yield identical encodings — so serving a cached plan part
+// is bit-identical to re-encoding, and the model never mutates the samples
+// it scores.
+//
+// Every cached plan part carries a memo slot (encode.PlanMemo) in which the
+// serving network parks the plan prefix it derived (core.Net.prefix), so a
+// hit skips the recurrence as well as the encoder. The slot lives and dies
+// with the entry: this one LRU and its one capacity bound both.
 type encodeCache struct {
 	mu  sync.Mutex
 	cap int
@@ -30,8 +38,8 @@ type cacheEntry struct {
 	key       string // full map key: precision tag + plan key
 	planKey   string
 	precision string
-	sample    *encode.Sample
-	hits      uint64 // lookups served from this entry since it was cached
+	sample    *encode.Sample // plan part only: Resource is nil
+	hits      uint64         // lookups served from this entry since it was cached
 }
 
 // cacheKey joins the serving precision tag and the canonical plan key
@@ -40,7 +48,7 @@ type cacheEntry struct {
 // operator which precision's traffic a warm entry is actually serving,
 // and a future precision-specific encoding (e.g. pre-narrowed f32
 // samples) can land without a key-scheme change. The plan key itself
-// (PlanFingerprint) stays precision-agnostic so fleet-router affinity
+// (PlanOnlyFingerprint) stays precision-agnostic so fleet-router affinity
 // is unaffected by what precision a replica serves at.
 func cacheKey(precision, planKey string) string {
 	return precision + "\x1e" + planKey
@@ -103,27 +111,28 @@ func (c *encodeCache) len() int {
 }
 
 // CacheKeyStats is one encode-cache entry's hit attribution: how many
-// lookups the entry has served since it was cached, keyed by the short
-// fingerprint ID (see FingerprintID) plus the serving precision the
-// entry was populated under. Per-key attribution is what lets the fleet
-// benchmark tie a routed key's traffic to the replica whose cache
+// lookups the entry has served since it was cached — summed over every
+// allocation the plan was priced under — keyed by the plan's short
+// fingerprint ID (FingerprintID of PlanOnlyFingerprint) plus the serving
+// precision the entry was populated under. Per-key attribution is what lets
+// the fleet benchmark tie a routed plan's traffic to the replica whose cache
 // actually served it; the precision tag splits that attribution when a
 // replica switches between the f64 reference path and a quantized one.
-// The fingerprint ID is precision-agnostic — the same (plan, resources)
-// pair reports the same Key at every precision, as distinct entries.
+// The fingerprint ID is precision-agnostic — the same plan reports the same
+// Key at every precision, as distinct entries.
 type CacheKeyStats struct {
 	Key       string `json:"key"`
 	Precision string `json:"precision"`
 	Hits      uint64 `json:"hits"`
 }
 
-// FingerprintID condenses a canonical plan fingerprint (PlanFingerprint)
-// to a short stable identifier — 64-bit FNV-1a in hex. The full
-// fingerprint is the cache key's plan half (exact, collision-free; see
-// cacheKey for the precision tag joined to it); the ID exists
-// only for reporting, where echoing whole rendered plans would bloat
-// every /cachez response. Clients correlate by computing
-// FingerprintID(PlanFingerprint(p, res)) for the keys they routed.
+// FingerprintID condenses a canonical fingerprint to a short stable
+// identifier — 64-bit FNV-1a in hex. The full plan-only fingerprint is the
+// cache key's plan half (exact, collision-free; see cacheKey for the
+// precision tag joined to it); the ID exists only for reporting, where
+// echoing whole rendered plans would bloat every /cachez response. Clients
+// correlate by computing FingerprintID(PlanOnlyFingerprint(p)) for the
+// plans they routed.
 func FingerprintID(fingerprint string) string {
 	h := fnv.New64a()
 	_, _ = h.Write([]byte(fingerprint))
@@ -141,28 +150,42 @@ func (cm *CostModel) EncodeCacheKeyStats() []CacheKeyStats {
 	return cm.cache.keyStats()
 }
 
-// PlanFingerprint returns the canonical (plan, resources) fingerprint —
-// the exact key the encode cache memoizes under. The fleet router
-// consistent-hashes on it so repeated submissions of the same plan under
-// the same allocation land on the same replica, whose encode cache and
-// micro-batcher are already warm for that key.
-func PlanFingerprint(p *Plan, res Resources) string { return planKey(p, res) }
-
-// planKey fingerprints everything the encoder reads from a (plan,
-// resources) pair: the full resource feature vector and, per node in
-// execution order, its identity, rendered statement (which folds in the
-// operator's tables, predicates, keys, and aggregates), cardinality and
-// width statistics, and child IDs. Fields the encoder never looks at
-// (ActRows, Skew) stay out of the key so post-execution annotation does
-// not defeat caching. The key is the exact canonical string — not a hash —
-// so distinct inputs can never collide into a stale sample.
-func planKey(p *Plan, res Resources) string {
+// PlanFingerprint returns the canonical (plan, resources) fingerprint: the
+// plan-only fingerprint the encode cache memoizes under, followed by the
+// allocation's feature vector. The fleet router consistent-hashes on it so
+// repeated submissions of the same plan under the same allocation land on
+// the same replica, whose encode cache and micro-batcher are already warm
+// for that key. The string is exact, not a hash, so distinct inputs never
+// collide.
+func PlanFingerprint(p *Plan, res Resources) string {
 	var b strings.Builder
+	writePlanKey(&b, p)
 	for _, v := range res.Vector() {
 		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
 		b.WriteByte(',')
 	}
-	b.WriteByte('\x1e')
+	return b.String()
+}
+
+// PlanOnlyFingerprint returns the plan part of PlanFingerprint: the exact
+// key of the plan's encode-cache entry, shared by every allocation the plan
+// is priced under. FingerprintID of it is the key /cachez reports.
+func PlanOnlyFingerprint(p *Plan) string { return planKey(p) }
+
+// planKey fingerprints everything the encoder reads from a plan: per node
+// in execution order, its identity, rendered statement (which folds in the
+// operator's tables, predicates, keys, and aggregates), cardinality and
+// width statistics, and child IDs. Fields the encoder never looks at
+// (ActRows, Skew) stay out of the key so post-execution annotation does
+// not defeat caching. The key is the exact canonical string — not a hash —
+// so distinct plans can never collide into a stale encoding.
+func planKey(p *Plan) string {
+	var b strings.Builder
+	writePlanKey(&b, p)
+	return b.String()
+}
+
+func writePlanKey(b *strings.Builder, p *Plan) {
 	if p.Root != nil {
 		b.WriteString(strconv.Itoa(p.Root.ID))
 	}
@@ -186,5 +209,4 @@ func planKey(p *Plan, res Resources) string {
 		}
 		b.WriteByte('\x1e')
 	}
-	return b.String()
 }

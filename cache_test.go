@@ -57,16 +57,26 @@ func TestPlanKeyFingerprint(t *testing.T) {
 	}
 	res := DefaultResources()
 
-	if planKey(plans[0], res) != planKey(plans[0], res) {
+	if planKey(plans[0]) != planKey(plans[0]) {
 		t.Fatal("identical inputs must produce identical keys")
 	}
-	if planKey(plans[0], res) == planKey(plans[1], res) {
+	if planKey(plans[0]) == planKey(plans[1]) {
 		t.Fatal("different candidate plans must produce different keys")
 	}
+	// The allocation is outside the cache key and inside the router's
+	// affinity key, which is the plan key plus an allocation part.
 	res2 := res
 	res2.ExecMemMB *= 2
-	if planKey(plans[0], res) == planKey(plans[0], res2) {
-		t.Fatal("different resources must produce different keys")
+	fp, fp2 := PlanFingerprint(plans[0], res), PlanFingerprint(plans[0], res2)
+	if fp == fp2 {
+		t.Fatal("different resources must produce different fingerprints")
+	}
+	if PlanFingerprint(plans[0], res) == PlanFingerprint(plans[1], res) {
+		t.Fatal("different candidate plans must produce different fingerprints")
+	}
+	key := PlanOnlyFingerprint(plans[0])
+	if key != planKey(plans[0]) || !strings.HasPrefix(fp, key) || !strings.HasPrefix(fp2, key) || len(fp) == len(key) {
+		t.Fatal("PlanFingerprint must be the plan-only fingerprint followed by the allocation")
 	}
 	// Fields the encoder never reads must not defeat caching: annotating
 	// actual rows after execution keeps the fingerprint stable.
@@ -74,12 +84,12 @@ func TestPlanKeyFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planKey(plans[0], res) != planKey(plans2[0], res) {
+	if planKey(plans[0]) != planKey(plans2[0]) {
 		t.Fatal("re-planning the same SQL must produce the same key")
 	}
 	plans2[0].Nodes[0].ActRows = 12345
 	plans2[0].Nodes[0].Skew = 0.9
-	if planKey(plans[0], res) != planKey(plans2[0], res) {
+	if planKey(plans[0]) != planKey(plans2[0]) || PlanFingerprint(plans2[0], res) != fp {
 		t.Fatal("ActRows/Skew are not encoder inputs and must not change the key")
 	}
 }
@@ -92,7 +102,9 @@ func TestEstimateUsesEncodeCache(t *testing.T) {
 	}
 	p, res := plans[0], DefaultResources()
 
-	base := cm.Estimate(p, res) // uncached reference
+	res2 := res
+	res2.Executors = 8
+	base, base2 := cm.Estimate(p, res), cm.Estimate(p, res2) // uncached references
 
 	reg := telemetry.NewRegistry()
 	cm.Instrument(reg)
@@ -109,16 +121,24 @@ func TestEstimateUsesEncodeCache(t *testing.T) {
 		t.Fatalf("hits=%d misses=%d, want 1 hit and 1 miss after two identical estimates", h, m)
 	}
 
-	// A different allocation is a different key: miss, then hit.
-	res2 := res
-	res2.Executors = 8
-	cm.Estimate(p, res2)
-	cm.Estimate(p, res2)
-	if h, m := cm.api.encHits.Value(), cm.api.encMisses.Value(); h != 2 || m != 2 {
-		t.Fatalf("hits=%d misses=%d, want 2 hits and 2 misses", h, m)
+	// The allocation is outside the key: the same plan under a new
+	// allocation is a hit on the same entry, priced as if encoded afresh.
+	if got := cm.Estimate(p, res2); got != base2 {
+		t.Fatalf("cached estimate under a new allocation %v != uncached %v", got, base2)
+	}
+	if h, m := cm.api.encHits.Value(), cm.api.encMisses.Value(); h != 2 || m != 1 {
+		t.Fatalf("hits=%d misses=%d, want 2 hits and still 1 miss", h, m)
+	}
+	if n := cm.cache.len(); n != 1 {
+		t.Fatalf("cache holds %d entries for one plan under two allocations, want 1", n)
 	}
 }
 
+// TestEncodeCacheBitIdenticalAcrossAPIs: Estimate, EstimateEachCtx (mixed
+// plans and allocations in one batch), EstimateBatch, SelectPlan and
+// RecommendResources return the same bits with the cache off, with it on
+// and cold (every plan encoded, every prefix computed and parked), and
+// with it warm (every plan a hit, every prefix reused).
 func TestEncodeCacheBitIdenticalAcrossAPIs(t *testing.T) {
 	sys, _, cm := sharedSystem(t)
 	query := `SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id AND mc.company_id < 50`
@@ -126,27 +146,14 @@ func TestEncodeCacheBitIdenticalAcrossAPIs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res := DefaultResources()
 	grid := DefaultResourceGrid()[:10]
 
-	plain := cm.EstimateBatch(plans, res)
-	plainRec, plainCost := cm.RecommendResources(plans[0], grid)
+	plain := probeAll(t, cm, plans, grid)
 
 	cm.EnableEncodeCache(64)
 	t.Cleanup(func() { cm.EnableEncodeCache(0) })
-	for round := 0; round < 2; round++ { // round 2 is fully cache-served
-		cached := cm.EstimateBatch(plans, res)
-		for i := range plain {
-			if cached[i] != plain[i] {
-				t.Fatalf("round %d: cached batch estimate %d = %v, want %v", round, i, cached[i], plain[i])
-			}
-		}
-		rec, cost := cm.RecommendResources(plans[0], grid)
-		if rec != plainRec || cost != plainCost {
-			t.Fatalf("round %d: cached recommendation (%v, %v) != uncached (%v, %v)",
-				round, rec, cost, plainRec, plainCost)
-		}
-	}
+	mustEqualBits(t, "cold cache", probeAll(t, cm, plans, grid), plain)
+	mustEqualBits(t, "warm cache", probeAll(t, cm, plans, grid), plain)
 }
 
 // TestServeEncodeCacheSkipsReencode drives the HTTP serving stack end to

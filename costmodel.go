@@ -3,8 +3,10 @@ package raal
 import (
 	"bufio"
 	"context"
+	"errors"
 	"fmt"
 	"io"
+	"math"
 
 	"raal/internal/core"
 	"raal/internal/encode"
@@ -37,8 +39,8 @@ type apiCounters struct {
 	estimates  *telemetry.Counter // Estimate / EstimateCtx / EstimateBatch* calls
 	selects    *telemetry.Counter // SelectPlan / SelectPlanCtx calls
 	recommends *telemetry.Counter // RecommendResources* calls
-	encHits    *telemetry.Counter // encode-cache lookups served without re-encoding
-	encMisses  *telemetry.Counter // encode-cache lookups that fell through to EncodePlan
+	encHits    *telemetry.Counter // encode-cache plan lookups served without re-encoding
+	encMisses  *telemetry.Counter // encode-cache plan lookups that fell through to the encoder
 	gateFails  *telemetry.Counter // quantized snapshots refused by the accuracy gate
 }
 
@@ -73,13 +75,19 @@ func (cm *CostModel) Instrument(reg *telemetry.Registry) {
 }
 
 // EnableEncodeCache attaches an LRU of up to capacity encoded plans to the
-// estimation APIs: a repeated (plan, resources) pair reuses its cached
-// feature sample instead of re-walking the operator tree. Estimates are
-// bit-identical with and without the cache (the encoder is deterministic
-// and samples are immutable once built). capacity <= 0 disables caching.
-// Safe for concurrent use once set, but call before the model starts
-// serving; hits and misses are visible as raal_encode_cache_{hits,misses}
-// when the model is instrumented.
+// estimation APIs. An entry is keyed on the plan alone and holds what is
+// computed once per plan: its encoding (the operator-tree walk) and, after
+// the first estimate, the plan prefix the serving network derived from it
+// (embedding, recurrence, node-aware attention, resource-side keys). A
+// repeated plan — under the same allocation or a new one — then costs a
+// resource-vector normalization and the network's resource suffix.
+// Estimates are bit-identical with and without the cache: the encoder is
+// deterministic, samples are immutable once built, and a cached prefix is
+// used only by the exact network and weights that produced it (a retrain,
+// a promotion or a precision switch recomputes it). capacity <= 0 disables
+// caching. Safe for concurrent use once set, but call before the model
+// starts serving; hits and misses are counted per plan lookup and visible
+// as raal_encode_cache_{hits,misses}_total when the model is instrumented.
 func (cm *CostModel) EnableEncodeCache(capacity int) {
 	if capacity <= 0 {
 		cm.cache = nil
@@ -89,10 +97,11 @@ func (cm *CostModel) EnableEncodeCache(capacity int) {
 }
 
 // encodePlan is the cache-aware front door to the encoder: every
-// estimation path routes through it so hit accounting stays consistent.
-// Cache entries are tagged with the active serving precision, so a
-// precision switch starts attributing (and warming) its own entries
-// instead of inheriting the previous mode's hit counts.
+// estimation path routes through it (or planPartAt directly) so hit
+// accounting stays consistent. Cache entries are tagged with the active
+// serving precision, so a precision switch starts attributing (and
+// warming) its own entries instead of inheriting the previous mode's hit
+// counts.
 func (cm *CostModel) encodePlan(p *Plan, res Resources) *Sample {
 	return cm.encodePlanAt(cm.Precision().String(), p, res)
 }
@@ -102,16 +111,26 @@ func (cm *CostModel) encodePlan(p *Plan, res Resources) *Sample {
 // from cm's own (the champion hot-swaps and may fall back to f64 on a
 // gate refusal).
 func (cm *CostModel) encodePlanAt(prec string, p *Plan, res Resources) *Sample {
+	return cm.planPartAt(prec, p).WithResource(cm.enc.EncodeResources(res))
+}
+
+// planPartAt returns p's plan-only encoding, from the cache when one is
+// enabled. Price it under an allocation with WithResource: the copies
+// share the plan part, so the network runs its plan prefix once for all of
+// them, and a cached part also carries the memo slot that keeps that
+// prefix for the next call.
+func (cm *CostModel) planPartAt(prec string, p *Plan) *Sample {
 	if cm.cache == nil {
-		return cm.enc.EncodePlan(p, res)
+		return cm.enc.EncodePlanPart(p)
 	}
-	key := planKey(p, res)
+	key := planKey(p)
 	if s, ok := cm.cache.get(prec, key); ok {
 		cm.api.encHits.Inc()
 		return s
 	}
 	cm.api.encMisses.Inc()
-	s := cm.enc.EncodePlan(p, res)
+	s := cm.enc.EncodePlanPart(p)
+	s.Memo = new(encode.PlanMemo)
 	cm.cache.add(prec, key, s)
 	return s
 }
@@ -162,24 +181,10 @@ func (cm *CostModel) EnablePrecision(p core.Precision, gate []*Sample, maxQDelta
 	return nil
 }
 
-// predict/predictWith/predictCtx/predictSpan dispatch one forward pass
-// to the active precision's model. Every estimation API routes through
-// these, so a precision switch covers Estimate, SelectPlan, and
-// RecommendResources uniformly.
-func (cm *CostModel) predict(samples []*Sample) []float64 {
-	if q := cm.qmodel; q != nil {
-		return q.Predict(samples)
-	}
-	return cm.model.Predict(samples)
-}
-
-func (cm *CostModel) predictWith(samples []*Sample, opt core.PredictOpts) []float64 {
-	if q := cm.qmodel; q != nil {
-		return q.PredictWith(samples, opt)
-	}
-	return cm.model.PredictWith(samples, opt)
-}
-
+// predictCtx and predictSpan dispatch one scoring call to the active
+// precision's model. Every estimation API routes through them, so a
+// precision switch covers Estimate, SelectPlan, and RecommendResources
+// uniformly.
 func (cm *CostModel) predictCtx(ctx context.Context, samples []*Sample, opt core.PredictOpts) ([]float64, error) {
 	if q := cm.qmodel; q != nil {
 		return q.PredictCtx(ctx, samples, opt)
@@ -306,18 +311,19 @@ func (cm *CostModel) Variant() Variant { return cm.model.Var }
 
 // Estimate predicts the execution cost (seconds) of plan p under res.
 func (cm *CostModel) Estimate(p *Plan, res Resources) float64 {
-	cm.api.estimates.Inc()
-	s := cm.encodePlan(p, res)
-	return cm.predict([]*Sample{s})[0]
+	cost, _ := cm.EstimateCtx(context.Background(), p, res) // Background never cancels
+	return cost
 }
 
 // EstimateTraced is Estimate with a per-stage wall-time breakdown: the
 // returned span is already ended and decomposes the call into encode →
 // embed → lstm/conv → attention → dense → decode stages (stage durations
-// sum to at most the span total). The span name carries the active
-// serving precision ("estimate[f64]", "estimate[f32]") so traces
-// from different precisions are distinguishable. Tracing is
-// observation-only — the prediction is bit-identical to Estimate.
+// sum to at most the span total). When the plan's prefix comes from its
+// encode-cache entry, a "prefix-reuse" stage stands where embed and
+// lstm/conv would be. The span name carries the active serving precision
+// ("estimate[f64]", "estimate[f32]") so traces from different precisions
+// are distinguishable. Tracing is observation-only — the prediction is
+// bit-identical to Estimate.
 func (cm *CostModel) EstimateTraced(p *Plan, res Resources) (float64, *telemetry.Span) {
 	cm.api.estimates.Inc()
 	sp := telemetry.StartSpan("estimate[" + cm.Precision().String() + "]")
@@ -350,8 +356,8 @@ func (cm *CostModel) EstimateBatch(plans []*Plan, res Resources) []float64 {
 // EstimateBatchWith is EstimateBatch with explicit data-parallelism
 // settings; predictions are identical for every opt.
 func (cm *CostModel) EstimateBatchWith(plans []*Plan, res Resources, opt core.PredictOpts) []float64 {
-	cm.api.estimates.Inc()
-	return cm.predictWith(cm.planSamples(plans, res), opt)
+	costs, _ := cm.EstimateBatchCtx(context.Background(), plans, res, opt) // Background never cancels
+	return costs
 }
 
 // EstimateBatchCtx is EstimateBatchWith with cooperative cancellation: a
@@ -381,28 +387,38 @@ func (cm *CostModel) EstimateEachCtx(ctx context.Context, plans []*Plan, res []R
 	return cm.predictCtx(ctx, samples, opt)
 }
 
+// planSamples encodes every candidate under one allocation (one shared
+// resource vector).
 func (cm *CostModel) planSamples(plans []*Plan, res Resources) []*Sample {
+	prec, r := cm.Precision().String(), cm.enc.EncodeResources(res)
 	samples := make([]*Sample, len(plans))
 	for i, p := range plans {
-		samples[i] = cm.encodePlan(p, res)
+		samples[i] = cm.planPartAt(prec, p).WithResource(r)
 	}
 	return samples
 }
 
+// errNoFinite is returned (wrapped) when every candidate's prediction is
+// NaN or ±Inf: the weights or the inputs are corrupt, and ranking garbage
+// would pick a winner silently.
+var errNoFinite = errors.New("no candidate has a finite predicted cost")
+
 // SelectPlan returns the candidate with the lowest predicted cost and
-// that prediction. A nil plan is returned only for an empty candidate set.
+// that prediction. Only finite predictions are ranked; when none is
+// finite the first candidate is returned at cost +Inf (SelectPlanCtx
+// reports that case as an error). A nil plan is returned only for an empty
+// candidate set.
 func (cm *CostModel) SelectPlan(plans []*Plan, res Resources) (*Plan, float64) {
-	if len(plans) == 0 {
-		return nil, 0
+	best, cost, err := cm.SelectPlanCtx(context.Background(), plans, res)
+	if err != nil { // Background never cancels: no finite prediction
+		return plans[0], math.Inf(1)
 	}
-	cm.api.selects.Inc()
-	preds := cm.predict(cm.planSamples(plans, res))
-	best := argmin(preds)
-	return plans[best], preds[best]
+	return best, cost
 }
 
 // SelectPlanCtx is SelectPlan with cooperative cancellation. As with
-// SelectPlan, an empty candidate set yields a nil plan and no error.
+// SelectPlan, an empty candidate set yields a nil plan and no error; a
+// candidate set without one finite prediction is an error.
 func (cm *CostModel) SelectPlanCtx(ctx context.Context, plans []*Plan, res Resources) (*Plan, float64, error) {
 	if len(plans) == 0 {
 		return nil, 0, nil
@@ -412,7 +428,10 @@ func (cm *CostModel) SelectPlanCtx(ctx context.Context, plans []*Plan, res Resou
 	if err != nil {
 		return nil, 0, err
 	}
-	best := argmin(preds)
+	best := argminFinite(preds)
+	if best < 0 {
+		return nil, 0, fmt.Errorf("raal: SelectPlan over %d plan(s): %w", len(plans), errNoFinite)
+	}
 	return plans[best], preds[best], nil
 }
 
@@ -421,53 +440,71 @@ func (cm *CostModel) SelectPlanCtx(ctx context.Context, plans []*Plan, res Resou
 // paper's main problem (Sec. II cites resource-matching systems [31,32];
 // with a resource-aware cost model the search is a batched inference).
 // It returns the winning allocation and its predicted cost.
+//
+// The plan is fingerprinted, encoded and run through the network's plan
+// prefix (embedding, recurrence, node-aware attention) once for the whole
+// grid; each allocation then costs one resource vector and the network's
+// resource suffix (a 1×L attention row and the dense head). Only finite
+// predictions are ranked; when none is finite the first allocation is
+// returned at cost +Inf (RecommendResourcesCtx reports that as an error).
 func (cm *CostModel) RecommendResources(p *Plan, grid []Resources) (Resources, float64) {
 	return cm.RecommendResourcesWith(p, grid, core.PredictOpts{})
 }
 
 // RecommendResourcesWith is RecommendResources with explicit
 // data-parallelism settings; the recommendation is identical for every
-// opt (the grid is scored through the same worker-pool path as
-// EstimateBatchWith).
+// opt (a grid larger than one chunk computes the plan prefix once per
+// chunk, to the same bits).
 func (cm *CostModel) RecommendResourcesWith(p *Plan, grid []Resources, opt core.PredictOpts) (Resources, float64) {
-	if len(grid) == 0 {
-		return Resources{}, 0
+	best, cost, err := cm.recommend(context.Background(), p, grid, opt)
+	if err != nil { // Background never cancels: no finite prediction
+		return grid[0], math.Inf(1)
 	}
-	cm.api.recommends.Inc()
-	preds := cm.predictWith(cm.gridSamples(p, grid), opt)
-	best := argmin(preds)
-	return grid[best], preds[best]
+	return best, cost
 }
 
 // RecommendResourcesCtx is RecommendResources with cooperative
 // cancellation; a cancelled or expired context aborts the grid sweep
-// within one chunk and returns ctx.Err().
+// within one chunk and returns ctx.Err(). A grid without one finite
+// prediction is an error.
 func (cm *CostModel) RecommendResourcesCtx(ctx context.Context, p *Plan, grid []Resources) (Resources, float64, error) {
+	return cm.recommend(ctx, p, grid, core.PredictOpts{})
+}
+
+// recommend is the one body behind RecommendResources*: one plan lookup,
+// one plan part shared by every grid row, one scoring call.
+func (cm *CostModel) recommend(ctx context.Context, p *Plan, grid []Resources, opt core.PredictOpts) (Resources, float64, error) {
 	if len(grid) == 0 {
 		return Resources{}, 0, nil
 	}
 	cm.api.recommends.Inc()
-	preds, err := cm.predictCtx(ctx, cm.gridSamples(p, grid), core.PredictOpts{})
+	part := cm.planPartAt(cm.Precision().String(), p)
+	samples := make([]*Sample, len(grid))
+	for i, res := range grid {
+		samples[i] = part.WithResource(cm.enc.EncodeResources(res))
+	}
+	preds, err := cm.predictCtx(ctx, samples, opt)
 	if err != nil {
 		return Resources{}, 0, err
 	}
-	best := argmin(preds)
+	best := argminFinite(preds)
+	if best < 0 {
+		return Resources{}, 0, fmt.Errorf("raal: RecommendResources over %d allocation(s): %w", len(grid), errNoFinite)
+	}
 	return grid[best], preds[best], nil
 }
 
-func (cm *CostModel) gridSamples(p *Plan, grid []Resources) []*Sample {
-	samples := make([]*Sample, len(grid))
-	for i, res := range grid {
-		samples[i] = cm.encodePlan(p, res)
-	}
-	return samples
-}
-
-// argmin returns the index of the smallest value (first on ties).
-func argmin(xs []float64) int {
-	best := 0
-	for i := range xs {
-		if xs[i] < xs[best] {
+// argminFinite returns the index of the smallest finite value (first on
+// ties), or -1 when no value is finite. NaN and ±Inf predictions come from
+// corrupt weights or inputs; they are never ranked, so one can neither win
+// (a NaN in front compares false against everything) nor hide a winner.
+func argminFinite(xs []float64) int {
+	best := -1
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
+		}
+		if best < 0 || x < xs[best] {
 			best = i
 		}
 	}

@@ -25,6 +25,13 @@ type Instrumentation struct {
 	// spread-out distribution is exactly where it saves padded timesteps.
 	BucketOccupancy *telemetry.CounterVec
 
+	// PrefixComputed counts the plan prefixes inference ran (one recurrence
+	// each); PrefixReused counts the scored rows that rode a prefix computed
+	// for another row of their chunk or memoized by an earlier call. The
+	// two sum to PredictRows.
+	PrefixComputed *telemetry.Counter
+	PrefixReused   *telemetry.Counter
+
 	// TrainEpochs counts completed epochs; TrainLoss is the latest
 	// epoch's sample-weighted mean training loss (log-cost MSE);
 	// ShardsPerSec is the latest epoch's gradient-shard throughput.
@@ -68,6 +75,10 @@ func NewInstrumentation(reg *telemetry.Registry) *Instrumentation {
 		BucketOccupancy: reg.NewCounterVec("raal_predict_bucket_occupancy_total",
 			"Samples scored by the length-bucketed scheduler, by active-plan-length band.",
 			"len", bucketBands...),
+		PrefixComputed: reg.NewCounter("raal_prefix_computed_total",
+			"Plan prefixes (embed, recurrence, node-aware attention) computed by inference."),
+		PrefixReused: reg.NewCounter("raal_prefix_reused_total",
+			"Scored rows served by a plan prefix shared within their chunk or memoized by an earlier call."),
 		TrainEpochs: reg.NewCounter("raal_train_epochs_total",
 			"Completed training epochs."),
 		TrainLoss: reg.NewGauge("raal_train_epoch_loss",
@@ -99,6 +110,16 @@ func (ins *Instrumentation) observeBuckets(lens []int) {
 	for _, l := range lens {
 		ins.BucketOccupancy.With(bucketBand(l)).Inc()
 	}
+}
+
+// observePrefixes records one inference chunk's prefix accounting.
+// Nil-safe.
+func (ins *Instrumentation) observePrefixes(computed, reused int) {
+	if ins == nil {
+		return
+	}
+	ins.PrefixComputed.Add(uint64(computed))
+	ins.PrefixReused.Add(uint64(reused))
 }
 
 // observeEpoch records one finished training epoch. Nil-safe.

@@ -75,6 +75,11 @@ type Net[T tensor.Float] struct {
 	// tapes pools warm inference tapes across Predict calls so the
 	// steady-state scoring path allocates no matrices. Never serialized.
 	tapes tapePool[T]
+
+	// version counts the weight updates Fit has applied. A memoized prefix
+	// (prefixMemo) is stamped with it, so one computed before an in-place
+	// retrain is never served after it. Never serialized.
+	version atomic.Uint64
 }
 
 // Model is the float64 network: the training, reference and storage
@@ -207,69 +212,167 @@ func (m *Net[T]) nodeInput(s *encode.Sample, i int, dst []T) {
 }
 
 // forward builds the computation graph for a batch and returns the B×1
-// prediction (log-cost scale). The recurrence is unrolled only up to the
-// batch's longest real plan — padding rows are fully masked downstream, so
-// truncating them is numerically identical and substantially faster.
+// prediction (log-cost scale). The resource vector enters the network only
+// at the resource-aware attention layer (paper Sec. IV-D), so the pass is
+// the composition of a plan-only prefix, computed once per distinct plan of
+// the batch, and a suffix computed once per row.
 //
 // sp, when non-nil, receives the per-stage wall-time breakdown (embed →
 // lstm/conv → attention → dense); a nil span costs one branch per stage
 // boundary.
 func (m *Net[T]) forward(tp *autodiff.Tape[T], batch []*encode.Sample, sp *telemetry.Span) *autodiff.Var[T] {
-	bsz := len(batch)
-	L := 1
-	for _, s := range batch {
-		if l := activeLen(s); l > L {
-			L = l
+	return m.suffix(tp, m.prefix(tp, batch, sp), batch, sp)
+}
+
+// planPrefix is everything the network derives from one sample's plan
+// part: what the suffix reads to price the plan under an allocation.
+type planPrefix[T tensor.Float] struct {
+	s      *encode.Sample   // a sample carrying the plan part
+	pooled *autodiff.Var[T] // 1×Hidden node-attended, mask-pooled plan feature
+	stats  *autodiff.Var[T] // 1×StatsDim global statistics
+	// Read by resource attention only; keysT stays unset without it.
+	h     *autodiff.Var[T] // L×Hidden plan-feature rows, the attention's values
+	keysT *autodiff.Var[T] // K×L resource-side keys (h·Wrk)ᵀ
+}
+
+// prefixSet is one batch's prefixes: one per distinct plan, and for every
+// row the index of its plan's.
+type prefixSet[T tensor.Float] struct {
+	plans []planPrefix[T]
+	of    []int
+}
+
+// prefixMemo is a prefix copied off the tape that computed it, parked in a
+// sample's memo slot (encode.PlanMemo). It is valid only for the network
+// that produced it at the weights it had then: net and version are compared
+// on every use, and the slot's any-typed value keeps element types apart.
+// Immutable once stored.
+type prefixMemo[T tensor.Float] struct {
+	net     *Net[T]
+	version uint64
+
+	pooled, stats, h, keysT tensor.Mat[T] // views of one backing slice
+}
+
+// prefix returns the batch's plan prefixes, running the plan-only layers
+// (planLayers) once per distinct plan that has none memoized.
+//
+// Which rows share a plan is decided by what the samples show: rows whose
+// plan parts are one storage (encode.Sample.SamePlan — allocations of one
+// encoding, or hits on one cache entry) share a prefix, and a plan whose
+// memo slot holds a prefix of this network at its current weights skips the
+// computation altogether. Rows are arithmetically independent, so sharing
+// is exact. A recording tape never shares or memoizes: backward accumulates
+// gradients per sample in tape order, and merging two rows' graphs would
+// reorder that sum.
+func (m *Net[T]) prefix(tp *autodiff.Tape[T], batch []*encode.Sample, sp *telemetry.Span) prefixSet[T] {
+	set := prefixSet[T]{plans: make([]planPrefix[T], 0, len(batch)), of: make([]int, len(batch))}
+	share := tp.ForwardOnly()
+	for b, s := range batch {
+		k := len(set.plans)
+		if share {
+			if b > 0 && batch[b-1].SamePlan(s) {
+				k = set.of[b-1] // the common case: one plan's allocations arrive together
+			} else {
+				for k = 0; k < len(set.plans) && !set.plans[k].s.SamePlan(s); k++ {
+				}
+			}
 		}
+		if k == len(set.plans) {
+			set.plans = append(set.plans, planPrefix[T]{s: s})
+		}
+		set.of[b] = k
+	}
+
+	version := m.version.Load()
+	todo := make([]*planPrefix[T], 0, len(set.plans))
+	for k := range set.plans {
+		p := &set.plans[k]
+		var pm *prefixMemo[T]
+		if share {
+			pm = m.memoized(p.s, version)
+		}
+		if pm == nil {
+			todo = append(todo, p)
+			continue
+		}
+		stop := sp.Stage("prefix-reuse")
+		p.pooled, p.stats = tp.Const(&pm.pooled), tp.Const(&pm.stats)
+		if m.Var.ResourceAttention {
+			p.h, p.keysT = tp.Const(&pm.h), tp.Const(&pm.keysT)
+		}
+		stop()
+	}
+	if len(todo) > 0 {
+		m.planLayers(tp, todo, sp)
+	}
+	if share {
+		m.instr.observePrefixes(len(todo), len(batch)-len(todo))
+		for _, p := range todo {
+			if p.s.Memo != nil {
+				p.s.Memo.Store(m.memoize(p, version))
+			}
+		}
+	}
+	return set
+}
+
+// planLayers computes the given prefixes: embed → LSTM/conv → node-aware
+// attention → masked mean pool, the resource-side keys, and the statistics
+// vector — every layer the resource vector does not reach.
+//
+// The recurrence is unrolled only up to the longest real plan among them —
+// padding rows are fully masked downstream, so truncating them is
+// numerically identical and substantially faster.
+func (m *Net[T]) planLayers(tp *autodiff.Tape[T], plans []*planPrefix[T], sp *telemetry.Span) {
+	n, L := len(plans), 1
+	for _, p := range plans {
+		L = max(L, activeLen(p.s))
 	}
 	in := m.inputDim()
 
 	// Plan feature layer.
-	perSampleH := make([]*autodiff.Var[T], bsz) // each L×Hidden
 	if m.lstm != nil {
 		stop := sp.Stage("embed")
-		// One stacked (L·bsz)×in input buffer: row t·bsz+b is sample b's
-		// node-t row. Arena-backed; nodeInput overwrites every row, so a
-		// recycled matrix needs no clearing beyond what NewMatrix does.
-		x := tp.NewMatrix(L*bsz, in)
+		// One stacked (L·n)×in input buffer: row t·n+k is plan k's node-t
+		// row. Arena-backed; nodeInput overwrites every row, so a recycled
+		// matrix needs no clearing beyond what NewMatrix does.
+		x := tp.NewMatrix(L*n, in)
 		for t := 0; t < L; t++ {
-			for b, s := range batch {
-				m.nodeInput(s, t, x.Row(t*bsz+b))
+			for k, p := range plans {
+				m.nodeInput(p.s, t, x.Row(t*n+k))
 			}
 		}
 		stop()
 		stop = sp.Stage("lstm")
 		hs := m.lstm.ForwardStacked(tp, tp.Const(x), L)
-		for b := 0; b < bsz; b++ {
-			perSampleH[b] = tp.GatherRows(hs, b)
+		for k, p := range plans {
+			p.h = tp.GatherRows(hs, k)
 		}
 		stop()
 	} else {
-		for b, s := range batch {
+		for _, p := range plans {
 			stop := sp.Stage("embed")
 			x := tp.NewMatrix(L, in)
 			for t := 0; t < L; t++ {
-				m.nodeInput(s, t, x.Row(t))
+				m.nodeInput(p.s, t, x.Row(t))
 			}
 			xc := tp.Const(x)
 			stop()
 			stop = sp.Stage("conv")
-			perSampleH[b] = m.conv.Forward(tp, xc)
+			p.h = m.conv.Forward(tp, xc)
 			stop()
 		}
 	}
 
-	stopAttn := sp.Stage("attention")
-	scale := T(1 / math.Sqrt(float64(m.Cfg.K)))
-	feats := make([]*autodiff.Var[T], bsz)
-	for b, s := range batch {
-		h := perSampleH[b]
-		mask := s.Mask[:L]
-		var pooled *autodiff.Var[T]
+	defer sp.Stage("attention")()
+	scale := m.attnScale()
+	for _, p := range plans {
+		h, mask := p.h, p.s.Mask[:L]
 		if m.Var.NodeAttention {
 			children := make([][]bool, L)
 			for i := 0; i < L; i++ {
-				children[i] = s.Children[i][:L]
+				children[i] = p.s.Children[i][:L]
 			}
 			q := tp.MatMul(h, m.wq.Var)
 			k := tp.MatMul(h, m.wk.Var)
@@ -278,30 +381,88 @@ func (m *Net[T]) forward(tp *autodiff.Tape[T], batch []*encode.Sample, sp *telem
 			attended := tp.MatMul(attn, h)
 			// Leaves have no children: their attended rows are zero, so
 			// blend with the raw hidden state before pooling.
-			pooled = tp.MeanRowsMasked(tp.Add(attended, h), mask)
+			p.pooled = tp.MeanRowsMasked(tp.Add(attended, h), mask)
 		} else {
-			pooled = tp.MeanRowsMasked(h, mask)
+			p.pooled = tp.MeanRowsMasked(h, mask)
 		}
+		if m.Var.ResourceAttention {
+			p.keysT = tp.Transpose(tp.MatMul(h, m.wrk.Var)) // K×L
+		}
+		sv := tp.NewMatrix(1, len(p.s.Stats))
+		tensor.Cast(sv.Data, p.s.Stats)
+		p.stats = tp.Const(sv)
+	}
+}
 
-		parts := []*autodiff.Var[T]{pooled}
+// suffix prices every row under its own allocation: the resource query
+// q = r·Wr, one masked 1×L softmax over the plan's keys, battn·h, the
+// concatenation with the pooled plan feature and the statistics, and the
+// dense head — the only layers the resource vector reaches.
+func (m *Net[T]) suffix(tp *autodiff.Tape[T], pre prefixSet[T], batch []*encode.Sample, sp *telemetry.Span) *autodiff.Var[T] {
+	stop := sp.Stage("attention")
+	scale := m.attnScale()
+	feats := make([]*autodiff.Var[T], len(batch))
+	for b, s := range batch {
+		p := &pre.plans[pre.of[b]]
+		parts, n := [3]*autodiff.Var[T]{p.pooled, p.stats}, 2 // a fixed array: no allocation per row
 		if m.Var.ResourceAttention {
 			rv := tp.NewMatrix(1, len(s.Resource))
 			tensor.Cast(rv.Data, s.Resource)
-			r := tp.Const(rv)
-			q := tp.MatMul(r, m.wr.Var)                                 // 1×K
-			keys := tp.MatMul(h, m.wrk.Var)                             // L×K
-			scores := tp.Scale(tp.MatMul(q, tp.Transpose(keys)), scale) // 1×L
-			battn := tp.SoftmaxRows(scores, mask)
-			parts = append(parts, tp.MatMul(battn, h)) // 1×Hidden
+			q := tp.MatMul(tp.Const(rv), m.wr.Var)                     // 1×K
+			scores := tp.Scale(tp.MatMul(q, p.keysT), scale)           // 1×L
+			battn := tp.SoftmaxRows(scores, p.s.Mask[:p.h.Value.Rows]) // 1×L
+			parts[1], parts[2], n = tp.MatMul(battn, p.h), p.stats, 3  // 1×Hidden
 		}
-		sv := tp.NewMatrix(1, len(s.Stats))
-		tensor.Cast(sv.Data, s.Stats)
-		parts = append(parts, tp.Const(sv))
-		feats[b] = tp.ConcatCols(parts...)
+		feats[b] = tp.ConcatCols(parts[:n]...)
 	}
-	stopAttn()
+	stop()
 	defer sp.Stage("dense")()
 	return m.head.Forward(tp, tp.ConcatRows(feats...))
+}
+
+// attnScale is the 1/√K both attention layers divide their scores by.
+func (m *Net[T]) attnScale() T { return T(1 / math.Sqrt(float64(m.Cfg.K))) }
+
+// memoized returns the prefix parked in s's memo slot when it is this
+// network's at the given weights version; nil otherwise (no slot, empty,
+// another element type, another network, stale weights).
+func (m *Net[T]) memoized(s *encode.Sample, version uint64) *prefixMemo[T] {
+	if s.Memo == nil {
+		return nil
+	}
+	pm, _ := s.Memo.Load().(*prefixMemo[T])
+	if pm == nil || pm.net != m || pm.version != version {
+		return nil
+	}
+	return pm
+}
+
+// memoize copies what the suffix reads of p off the tape (whose arena the
+// next Reset recycles) into one heap block, stamped with the network and
+// weights version it is valid for.
+func (m *Net[T]) memoize(p *planPrefix[T], version uint64) *prefixMemo[T] {
+	pm := &prefixMemo[T]{net: m, version: version}
+	src := [...]*autodiff.Var[T]{p.pooled, p.stats, p.h, p.keysT}
+	dst := [...]*tensor.Mat[T]{&pm.pooled, &pm.stats, &pm.h, &pm.keysT}
+	if !m.Var.ResourceAttention {
+		src[2] = nil // h is read by resource attention only
+	}
+	n := 0
+	for _, v := range src {
+		if v != nil {
+			n += len(v.Value.Data)
+		}
+	}
+	buf := make([]T, n)
+	for i, v := range src {
+		if v == nil {
+			continue
+		}
+		n = copy(buf, v.Value.Data)
+		*dst[i] = tensor.Mat[T]{Rows: v.Value.Rows, Cols: v.Value.Cols, Data: buf[:n:n]}
+		buf = buf[n:]
+	}
+	return pm
 }
 
 // replica returns a model that shares m's weight matrices but owns private

@@ -180,6 +180,7 @@ func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, er
 				nn.ClipGradNorm(params, tc.ClipNorm)
 			}
 			opt.Step(params)
+			m.version.Add(1) // prefixes memoized at the old weights are now stale
 			// Weight each batch by its size so a short final batch does
 			// not skew the epoch mean.
 			epochLoss += batchLoss * float64(n)

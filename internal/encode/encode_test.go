@@ -1,6 +1,7 @@
 package encode
 
 import (
+	"reflect"
 	"testing"
 
 	"raal/internal/cardest"
@@ -284,5 +285,54 @@ func TestFitRequiresPositiveMaxNodes(t *testing.T) {
 func TestFitEmptyCorpusW2VError(t *testing.T) {
 	if _, err := Fit(nil, DefaultConfig()); err == nil {
 		t.Fatal("expected word2vec training error on empty corpus")
+	}
+}
+
+// TestPlanPartSharing pins the plan/allocation split of a sample: pricing a
+// plan part under an allocation equals encoding the pair in one go, the
+// copies share the plan part (and a memo slot, when one was enabled) by
+// identity, and SamePlan tells equal contents from shared storage.
+func TestPlanPartSharing(t *testing.T) {
+	enc, plans := fitEncoder(t, Word2Vec)
+	res := sparksim.DefaultResources()
+	res2 := res
+	res2.ExecMemMB *= 2
+
+	part := enc.EncodePlanPart(plans[1])
+	if part.Resource != nil || part.Memo != nil {
+		t.Fatalf("a fresh plan part has resource %v and memo %v, want neither", part.Resource, part.Memo)
+	}
+	whole := enc.EncodePlan(plans[1], res)
+	a, b := part.WithResource(enc.EncodeResources(res)), part.WithResource(enc.EncodeResources(res2))
+	if !reflect.DeepEqual(a, whole) {
+		t.Fatal("EncodePlanPart + WithResource differs from EncodePlan")
+	}
+	if !a.SamePlan(b) || !a.SamePlan(part) {
+		t.Fatal("allocations of one plan part must be the same plan")
+	}
+	if a.SamePlan(whole) {
+		t.Fatal("an independently encoded sample is equal, not shared: SamePlan compares storage")
+	}
+	if reflect.DeepEqual(a.Resource, b.Resource) {
+		t.Fatal("two allocations encoded to the same resource vector")
+	}
+	halfBuilt := *a
+	halfBuilt.Stats = append([]float64(nil), a.Stats...)
+	if a.SamePlan(&halfBuilt) {
+		t.Fatal("a sample sharing Nodes but not Stats must count as another plan")
+	}
+
+	part.Memo = new(PlanMemo)
+	c := part.WithResource(a.Resource)
+	if c.Memo == nil || c.Memo != part.Memo {
+		t.Fatal("copies of a memo-enabled plan part must share its slot")
+	}
+	c.Memo.Store("prefix")
+	if got := part.Memo.Load(); got != "prefix" {
+		t.Fatalf("slot holds %v, want the stored value", got)
+	}
+	c.Memo = nil
+	if c.Memo != nil || part.Memo == nil {
+		t.Fatal("niling a copy's Memo must detach the copy and leave the plan part's slot alone")
 	}
 }

@@ -3,6 +3,7 @@ package encode
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"raal/internal/physical"
 	"raal/internal/sparksim"
@@ -96,7 +97,12 @@ func (e *Encoder) NodeDim() int {
 	return e.semanticDim() + e.cfg.MaxNodes + nodeStatFeatures
 }
 
-// Sample is one training/inference example for the deep cost models.
+// Sample is one training/inference example for the deep cost models. It
+// has a plan part — Nodes, Mask, Children and Stats, everything the encoder
+// derives from the plan alone — and the allocation it is priced under
+// (Resource). Samples of one plan under many allocations share the plan
+// part by pointer (WithResource); the model recognises that sharing
+// (SamePlan) and runs its plan-only layers once for all of them.
 type Sample struct {
 	// Nodes is MaxNodes×NodeDim: row i encodes plan node i (zero rows
 	// beyond the plan's length).
@@ -113,16 +119,86 @@ type Sample struct {
 	// CostSec is the ground-truth execution cost (the label); zero for
 	// pure inference samples.
 	CostSec float64
+
+	// Memo, when non-nil, is a slot in which a model keeps what it derived
+	// from the plan part (see PlanMemo). Shallow copies share it. A freshly
+	// encoded sample has none, so one-shot scoring pays nothing for the
+	// mechanism; set it, before the sample is shared, on encodings that
+	// will be scored repeatedly, and nil it on a copy that models other
+	// than the serving one will score.
+	Memo *PlanMemo
+}
+
+// PlanMemo is a one-slot memo riding on a long-lived plan encoding (an
+// encode-cache entry): the model that last scored the plan leaves its
+// plan-only intermediate there and finds it again on the next estimate of
+// the same plan. The slot is opaque to this package — the value's owner
+// stamps and validates it — and holds one value, so a second model scoring
+// the same encoding replaces the first one's. Safe for concurrent use; a
+// stored value must not be mutated afterwards.
+type PlanMemo struct {
+	mu sync.Mutex
+	v  any
+}
+
+// Load returns the stored value, nil when the slot is empty.
+func (m *PlanMemo) Load() any {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return m.v
+}
+
+// Store replaces the stored value.
+func (m *PlanMemo) Store(v any) {
+	m.mu.Lock()
+	m.v = v
+	m.mu.Unlock()
+}
+
+// WithResource returns a shallow copy of s priced under the normalized
+// resource vector r (Encoder.EncodeResources): the plan part and the memo
+// slot are shared with s, not copied.
+func (s *Sample) WithResource(r []float64) *Sample {
+	c := *s
+	c.Resource = r
+	return &c
+}
+
+// SamePlan reports whether s and o share one plan part: the same Nodes,
+// Mask, Children and Stats storage, as WithResource and struct copies
+// produce. It compares identity, never contents, and all four fields, so
+// samples assembled by hand are at worst treated as distinct plans.
+func (s *Sample) SamePlan(o *Sample) bool {
+	return s.Nodes == o.Nodes && sameSlice(s.Mask, o.Mask) &&
+		sameSlice(s.Children, o.Children) && sameSlice(s.Stats, o.Stats)
+}
+
+func sameSlice[E any](a, b []E) bool {
+	return len(a) == len(b) && (len(a) == 0 || &a[0] == &b[0])
 }
 
 // EncodePlan encodes p executed (or estimated) under res.
 func (e *Encoder) EncodePlan(p *physical.Plan, res sparksim.Resources) *Sample {
+	s := e.EncodePlanPart(p)
+	s.Resource = e.EncodeResources(res)
+	return s
+}
+
+// EncodeResources returns the Eq.-1 normalized resource vector of res, the
+// only part of a sample that depends on the allocation.
+func (e *Encoder) EncodeResources(res sparksim.Resources) []float64 {
+	return res.Normalized(e.cfg.MaxRes)
+}
+
+// EncodePlanPart encodes everything a sample holds about p itself and
+// leaves Resource nil: price it with WithResource(EncodeResources(res)),
+// once per allocation, without walking the plan again.
+func (e *Encoder) EncodePlanPart(p *physical.Plan) *Sample {
 	mn := e.cfg.MaxNodes
 	s := &Sample{
 		Nodes:    tensor.New(mn, e.NodeDim()),
 		Mask:     make([]bool, mn),
 		Children: make([][]bool, mn),
-		Resource: res.Normalized(e.cfg.MaxRes),
 	}
 	for i := range s.Children {
 		s.Children[i] = make([]bool, mn)

@@ -67,7 +67,8 @@ type Replica struct {
 
 // FingerprintFunc canonicalizes a (plan, resources) pair into the
 // affinity key (in practice raal.PlanFingerprint — the encode cache's
-// exact key, so router affinity and replica cache locality agree).
+// exact plan key followed by the allocation, so a plan's repeated
+// allocation always finds the replica that cached the plan).
 type FingerprintFunc func(p *physical.Plan, res sparksim.Resources) string
 
 // Config wires a Router.

@@ -248,6 +248,10 @@ func (m *Manager) Champion() *Version { return m.champion.Load() }
 func (m *Manager) Observe(s *encode.Sample, predicted, actual float64) {
 	labeled := *s
 	labeled.CostSec = actual
+	// The copy outlives the request in the replay buffer and is scored by
+	// challengers: without its own memo slot none of them can evict the
+	// prefix the champion keeps on the shared plan encoding.
+	labeled.Memo = nil
 
 	m.mu.Lock()
 	defer m.mu.Unlock()

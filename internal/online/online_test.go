@@ -451,3 +451,31 @@ func TestManagerRegistryResume(t *testing.T) {
 		t.Fatalf("rollback landed on v%d, want v1", mgr.Champion().Num)
 	}
 }
+
+// TestOnlineObserveDropsMemo: the labeled copy Observe keeps (replay
+// buffer, shadow scoring, retraining) must not share the served sample's
+// prefix memo slot, or any model scoring the copy would evict the prefix
+// the champion parked on the served plan encoding.
+func TestOnlineObserveDropsMemo(t *testing.T) {
+	champ, st := trainChampion(t, 6)
+	mgr, err := NewManager(champ, st, Config{Seed: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := synthDataset(1, 9, 1)[0]
+	s.Memo = new(encode.PlanMemo) // as an encode-cache entry carries one
+	pred := mgr.Champion().Model.Predict([]*encode.Sample{s})[0]
+	parked := s.Memo.Load()
+	if parked == nil {
+		t.Fatal("the champion parked no prefix on the served sample")
+	}
+	mgr.Observe(s, pred, s.CostSec)
+	replay := mgr.buf.Snapshot()
+	if len(replay) != 1 || replay[0].Memo != nil {
+		t.Fatalf("the replayed copy still shares the served sample's memo slot")
+	}
+	champ.Clone().Predict(replay) // a challenger scoring the copy
+	if s.Memo.Load() != parked {
+		t.Fatal("scoring the replayed copy replaced the champion's parked prefix")
+	}
+}

@@ -23,8 +23,11 @@ import (
 // atomicity claim: every in-flight request sees one coherent model
 // generation (its prediction bit-matches exactly one version's expected
 // output, checked against the version number the request loaded), and
-// zero requests are dropped or degraded across the churn. Run under
-// -race by `make online`.
+// zero requests are dropped or degraded across the churn. The served
+// sample carries a prefix memo slot, as an encode-cache entry does, while
+// the expected outputs come from a memo-less one: a prefix that one
+// generation parked and another then read would show as a torn swap. Run
+// under -race by `make online`.
 func TestOnlineSoakNoTornSwap(t *testing.T) {
 	reg, err := OpenRegistry(t.TempDir())
 	if err != nil {
@@ -48,6 +51,8 @@ func TestOnlineSoakNoTornSwap(t *testing.T) {
 		}
 		expected[v] = m.Predict(probe)[0]
 	}
+	cached := probe[0].WithResource(probe[0].Resource)
+	cached.Memo = new(encode.PlanMemo)
 	seen := map[float64]bool{}
 	for v, p := range expected {
 		if seen[p] {
@@ -64,7 +69,7 @@ func TestOnlineSoakNoTornSwap(t *testing.T) {
 		QueueDepth:  1 << 16, // nothing may be shed: every request must complete
 		Deep: func(ctx context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
 			v := mgr.Champion()
-			pred := v.Model.Predict([]*encode.Sample{probe[0]})[0]
+			pred := v.Model.Predict([]*encode.Sample{cached})[0]
 			if pred != expected[v.Num] {
 				torn.Add(1)
 				return 0, fmt.Errorf("torn swap: v%d predicted %v, want %v", v.Num, pred, expected[v.Num])

@@ -240,6 +240,14 @@ func championPredictCtx(ctx context.Context, v *online.Version, samples []*Sampl
 	return v.Model.PredictCtx(ctx, samples, opt)
 }
 
+// championSample encodes p under res for generation v: the encode-cache
+// lookup every OnlineServing path shares, tagged with the precision v
+// serves at. The cached plan part keeps the prefix v's network derived, so
+// a promotion (a new network) recomputes it on first use.
+func (o *OnlineServing) championSample(v *online.Version, p *Plan, res Resources) *Sample {
+	return o.cm.encodePlanAt(versionPrecision(v).String(), p, res)
+}
+
 // EstimateCtx prices p under res with the current champion. The champion
 // pointer is loaded once per call, so a concurrent promotion is invisible
 // mid-request — the prediction comes entirely from one generation (and
@@ -247,8 +255,7 @@ func championPredictCtx(ctx context.Context, v *online.Version, samples []*Sampl
 func (o *OnlineServing) EstimateCtx(ctx context.Context, p *Plan, res Resources) (float64, error) {
 	o.cm.api.estimates.Inc()
 	v := o.mgr.Champion()
-	s := o.cm.encodePlanAt(versionPrecision(v).String(), p, res)
-	preds, err := championPredictCtx(ctx, v, []*Sample{s}, core.PredictOpts{})
+	preds, err := championPredictCtx(ctx, v, []*Sample{o.championSample(v, p, res)}, core.PredictOpts{})
 	if err != nil {
 		return 0, err
 	}
@@ -262,7 +269,7 @@ func (o *OnlineServing) EstimateBatchCtx(ctx context.Context, plans []*Plan, res
 	v := o.mgr.Champion()
 	samples := make([]*Sample, len(plans))
 	for i, p := range plans {
-		samples[i] = o.cm.encodePlanAt(versionPrecision(v).String(), p, res)
+		samples[i] = o.championSample(v, p, res)
 	}
 	return championPredictCtx(ctx, v, samples, opt)
 }
@@ -277,7 +284,7 @@ func (o *OnlineServing) EstimateEachCtx(ctx context.Context, plans []*Plan, res 
 	v := o.mgr.Champion()
 	samples := make([]*Sample, len(plans))
 	for i, p := range plans {
-		samples[i] = o.cm.encodePlanAt(versionPrecision(v).String(), p, res[i])
+		samples[i] = o.championSample(v, p, res[i])
 	}
 	return championPredictCtx(ctx, v, samples, opt)
 }
@@ -286,10 +293,11 @@ func (o *OnlineServing) EstimateEachCtx(ctx context.Context, plans []*Plan, res 
 // were served, the prediction that was returned, and the execution time
 // then actually observed. This is the loop's only learning input; call
 // it from a feedback worker (it retrains synchronously when drift
-// triggers), never from a request path.
+// triggers), never from a request path. The plan is looked up exactly as
+// EstimateCtx looked it up (the champion's precision tag), so feeding back
+// a served plan is a cache hit on the entry that served it.
 func (o *OnlineServing) Feedback(p *Plan, res Resources, predicted, actual float64) {
-	s := o.cm.encodePlan(p, res)
-	o.mgr.Observe(s, predicted, actual)
+	o.mgr.Observe(o.championSample(o.mgr.Champion(), p, res), predicted, actual)
 }
 
 // AdminHandler returns the /models admin surface (list, promote,

@@ -1,0 +1,410 @@
+package raal
+
+import (
+	"context"
+	"errors"
+	"math"
+	"sync"
+	"testing"
+
+	"raal/internal/core"
+	"raal/internal/encode"
+)
+
+// corpusPlans collects a small corpus on bench and returns an encoder
+// fitted on it plus n of its distinct executed plans, spread over the
+// corpus so several plan lengths are covered.
+func corpusPlans(t *testing.T, bench Benchmark, scale float64, n int) (*encode.Encoder, []*Plan) {
+	t.Helper()
+	sys, err := Open(bench, scale, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ds, err := sys.Collect(CollectOptions{NumQueries: 24, ResStatesPerPlan: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ds.Plans) < n {
+		t.Fatalf("%s corpus has %d plans, want at least %d", bench, len(ds.Plans), n)
+	}
+	plans := make([]*Plan, n)
+	for i := range plans {
+		plans[i] = ds.Plans[i*len(ds.Plans)/n]
+	}
+	enc, err := ds.FitEncoder(encode.DefaultConfig())
+	if err != nil {
+		t.Fatal(err)
+	}
+	return enc, plans
+}
+
+// alone prices one (plan, allocation) pair from a freshly encoded sample:
+// no cache, no shared plan part, nothing to reuse.
+func alone(cm *CostModel, p *Plan, res Resources) float64 {
+	preds, _ := cm.predictCtx(context.Background(), []*Sample{cm.enc.EncodePlan(p, res)}, PredictOpts{})
+	return preds[0]
+}
+
+// freshModel is an untrained, narrow cost model of variant v over enc's
+// feature space: random weights exercise every layer as well as trained
+// ones, and narrow layers keep the property test affordable under -race.
+func freshModel(enc *encode.Encoder, v Variant) *CostModel {
+	mc := core.DefaultConfig(enc.NodeDim()-enc.MaxNodes()-2, enc.MaxNodes())
+	mc.Hidden, mc.K = 16, 8
+	return &CostModel{enc: enc, model: core.NewModel(v, mc)}
+}
+
+// TestRecommendMatchesUnsplitOracle is the split's property test: over the
+// IMDB and TPC-H corpora, the default grid, every variant and both
+// precisions, pricing one plan under the whole grid — one shared plan
+// prefix, sixty suffix rows — equals, bit for bit, pricing each (plan,
+// allocation) pair alone from a freshly encoded sample, which shares
+// nothing and is what the unsplit forward computed. The recommendation is
+// the oracle's argmin at every worker count and chunk size, including
+// chunks that cut the grid.
+func TestRecommendMatchesUnsplitOracle(t *testing.T) {
+	grid := DefaultResourceGrid()
+	opts := []PredictOpts{{Workers: 1, ChunkSize: 7}, {Workers: 4, ChunkSize: 7}, {Workers: 1, ChunkSize: 64}, {Workers: 4, ChunkSize: 64}}
+	var variants []Variant
+	for _, v := range core.AllVariants() {
+		variants = append(variants, v, v.WithoutResources())
+	}
+	for _, bench := range []struct {
+		name  Benchmark
+		scale float64
+	}{{IMDB, 0.03}, {TPCH, 0.05}} {
+		enc, plans := corpusPlans(t, bench.name, bench.scale, 3)
+		for _, v := range variants {
+			cm := freshModel(enc, v)
+			for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
+				if err := cm.EnablePrecision(prec, nil, 0); err != nil {
+					t.Fatal(err)
+				}
+				for pi, p := range plans {
+					oracle := make([]float64, len(grid))
+					for i, res := range grid {
+						oracle[i] = alone(cm, p, res)
+					}
+					best := argminFinite(oracle)
+					same := make([]*Plan, len(grid))
+					for i := range same {
+						same[i] = p
+					}
+					recommend := func(how string, opt PredictOpts) {
+						res, cost := cm.RecommendResourcesWith(p, grid, opt)
+						if res != grid[best] || math.Float64bits(cost) != math.Float64bits(oracle[best]) {
+							t.Fatalf("%s %s %v plan %d %+v, %s: recommended (%v, %v), oracle (%v, %v)",
+								bench.name, v.Name, prec, pi, opt, how, res, cost, grid[best], oracle[best])
+						}
+					}
+					for _, opt := range opts {
+						// Without a cache the grid rows share one fresh plan
+						// part: one prefix per chunk, nothing kept.
+						cm.EnableEncodeCache(0)
+						recommend("no cache", opt)
+						// With one, every row is a hit on the same entry, and
+						// after the first chunk the prefix comes from its memo.
+						cm.EnableEncodeCache(4)
+						each, err := cm.EstimateEachCtx(context.Background(), same, grid, opt)
+						if err != nil {
+							t.Fatal(err)
+						}
+						for i := range oracle {
+							if math.Float64bits(each[i]) != math.Float64bits(oracle[i]) {
+								t.Fatalf("%s %s %v plan %d %+v: allocation %d priced %v with a shared prefix, %v alone",
+									bench.name, v.Name, prec, pi, opt, i, each[i], oracle[i])
+							}
+						}
+						recommend("cached", opt)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestRecommendLargeGridAndCancellation covers a grid larger than one
+// chunk (200 allocations: four default chunks, each computing the prefix
+// for itself) and a context cancelled between chunks.
+func TestRecommendLargeGridAndCancellation(t *testing.T) {
+	sys, _, cm := sharedSystem(t)
+	plans, err := sys.Plan(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := plans[0]
+	var grid []Resources
+	for i := 0; i < 200; i++ {
+		r := DefaultResources()
+		r.Executors = 1 + i%8
+		r.ExecMemMB = float64(512 * (1 + i/8))
+		grid = append(grid, r)
+	}
+	oracle := make([]float64, len(grid))
+	for i, res := range grid {
+		oracle[i] = cm.Estimate(p, res)
+	}
+	best := argminFinite(oracle)
+	for _, cache := range []int{0, 8} {
+		cm.EnableEncodeCache(cache)
+		res, cost, err := cm.RecommendResourcesCtx(context.Background(), p, grid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res != grid[best] || cost != oracle[best] {
+			t.Fatalf("cache %d: recommended (%v, %v) over 200 allocations, oracle (%v, %v)", cache, res, cost, grid[best], oracle[best])
+		}
+	}
+	cm.EnableEncodeCache(0)
+
+	ctx := &cancelAfter{Context: context.Background(), calls: 3} // live for the entry check and two chunk claims
+	if _, _, err := cm.RecommendResourcesCtx(ctx, p, grid); !errors.Is(err, context.Canceled) {
+		t.Fatalf("a context cancelled mid-grid returned %v, want context.Canceled", err)
+	}
+}
+
+// cancelAfter is a context whose Err turns context.Canceled after the
+// given number of Err calls — a deterministic mid-batch cancellation.
+type cancelAfter struct {
+	context.Context
+	mu    sync.Mutex
+	calls int
+}
+
+func (c *cancelAfter) Err() error {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.calls--; c.calls < 0 {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestRankingSkipsNonFinite poisons the output bias, so every prediction
+// is NaN (or +Inf): the Ctx variants must refuse to pick a winner, the
+// plain ones must say +Inf, and argminFinite must neither let a leading
+// NaN win nor let an interior one hide the minimum.
+func TestRankingSkipsNonFinite(t *testing.T) {
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, c := range []struct {
+		xs   []float64
+		want int
+	}{
+		{[]float64{nan, 3, 2}, 2},
+		{[]float64{3, nan, 2, inf}, 2},
+		{[]float64{inf, 5, 5}, 1},
+		{[]float64{nan, inf, math.Inf(-1)}, -1},
+		{nil, -1},
+	} {
+		if got := argminFinite(c.xs); got != c.want {
+			t.Errorf("argminFinite(%v) = %d, want %d", c.xs, got, c.want)
+		}
+	}
+
+	sys, _, shared := sharedSystem(t)
+	plans, err := sys.Plan(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := DefaultResourceGrid()[:5]
+	for name, poison := range map[string]float64{"NaN": nan, "+Inf": inf} {
+		cm := &CostModel{enc: shared.enc, model: shared.model.Clone()}
+		params := cm.model.Params()
+		params[len(params)-1].Value().Data[0] = poison // the linear output layer's bias
+
+		if _, _, err := cm.SelectPlanCtx(context.Background(), plans, DefaultResources()); !errors.Is(err, errNoFinite) {
+			t.Errorf("%s: SelectPlanCtx returned %v, want errNoFinite", name, err)
+		}
+		if _, _, err := cm.RecommendResourcesCtx(context.Background(), plans[0], grid); !errors.Is(err, errNoFinite) {
+			t.Errorf("%s: RecommendResourcesCtx returned %v, want errNoFinite", name, err)
+		}
+		if p, cost := cm.SelectPlan(plans, DefaultResources()); p != plans[0] || !math.IsInf(cost, 1) {
+			t.Errorf("%s: SelectPlan = (%v, %v), want the first candidate at +Inf", name, p, cost)
+		}
+		if res, cost := cm.RecommendResources(plans[0], grid); res != grid[0] || !math.IsInf(cost, 1) {
+			t.Errorf("%s: RecommendResources = (%v, %v), want the first allocation at +Inf", name, res, cost)
+		}
+	}
+}
+
+// probeAll prices a fixed mix through every estimation API and returns
+// the numbers in one slice, so two models (or one model in two cache
+// states) can be compared bit for bit.
+func probeAll(t *testing.T, cm *CostModel, plans []*Plan, grid []Resources) []float64 {
+	t.Helper()
+	res := DefaultResources()
+	out := []float64{cm.Estimate(plans[0], res), cm.Estimate(plans[0], grid[3])}
+	// Mixed plans and allocations in one batch, plans repeating.
+	var eachPlans []*Plan
+	var eachRes []Resources
+	for i, r := range grid {
+		eachPlans = append(eachPlans, plans[i%len(plans)])
+		eachRes = append(eachRes, r)
+	}
+	each, err := cm.EstimateEachCtx(context.Background(), eachPlans, eachRes, PredictOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	out = append(out, each...)
+	out = append(out, cm.EstimateBatch(plans, res)...)
+	_, cost := cm.SelectPlan(plans, res)
+	out = append(out, cost)
+	rec, cost := cm.RecommendResources(plans[0], grid)
+	return append(out, cost, float64(rec.Executors), float64(rec.ExecCores), rec.ExecMemMB)
+}
+
+func mustEqualBits(t *testing.T, what string, got, want []float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d values, want %d", what, len(got), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("%s: value %d is %v, want %v", what, i, got[i], want[i])
+		}
+	}
+}
+
+// TestCachedPrefixInvalidation walks the two ways a CostModel's weights
+// change under a live cache — an in-place ResumeCostModel and an
+// EnablePrecision round trip — and after each compares every estimation
+// API against a fresh model with the same weights and no cache, bit for
+// bit. A prefix memoized before the change must never be served after it.
+// (The third way, an online promotion or rollback, swaps the *Net and is
+// covered by the hot-swap soak in internal/online.)
+func TestCachedPrefixInvalidation(t *testing.T) {
+	sys, ds, shared := sharedSystem(t)
+	plans, err := sys.Plan(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id AND mc.company_id < 50`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := DefaultResourceGrid()[:12]
+	cacheless := func(cm *CostModel) *CostModel {
+		return &CostModel{enc: cm.enc, model: cm.model.Clone()}
+	}
+
+	cm := &CostModel{enc: shared.enc, model: shared.model.Clone()}
+	reg := NewMetricsRegistry()
+	cm.Instrument(reg)
+	cm.EnableEncodeCache(64)
+	before := probeAll(t, cm, plans, grid) // fills the cache and every entry's prefix
+	mustEqualBits(t, "warm cache vs no cache", probeAll(t, cm, plans, grid), probeAll(t, cacheless(cm), plans, grid))
+	if cm.instr.PrefixReused.Value() == 0 {
+		t.Fatal("the warm pass reused no prefix: the test is not exercising the memo")
+	}
+
+	// 1. ResumeCostModel trains cm.model in place.
+	st := core.NewTrainState()
+	if _, err := ResumeCostModel(cm, st, ds, TrainOptions{Epochs: 1}); err != nil {
+		t.Fatal(err)
+	}
+	after := probeAll(t, cm, plans, grid)
+	mustEqualBits(t, "after ResumeCostModel", after, probeAll(t, cacheless(cm), plans, grid))
+	if after[0] == before[0] {
+		t.Fatal("an epoch of training left the estimate unchanged: stale prefixes would go unnoticed")
+	}
+
+	// 2. EnablePrecision f64 → f32 → f64: the f32 network must not read
+	// f64 prefixes, and the way back must not read f32 ones.
+	f64 := probeAll(t, cm, plans, grid)
+	if err := cm.EnablePrecision(PrecisionF32, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	ref32 := cacheless(cm)
+	if err := ref32.EnablePrecision(PrecisionF32, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	mustEqualBits(t, "f32 cold", probeAll(t, cm, plans, grid), probeAll(t, ref32, plans, grid))
+	mustEqualBits(t, "f32 warm", probeAll(t, cm, plans, grid), probeAll(t, ref32, plans, grid))
+	if err := cm.EnablePrecision(PrecisionF64, nil, 0); err != nil {
+		t.Fatal(err)
+	}
+	mustEqualBits(t, "back on f64", probeAll(t, cm, plans, grid), f64)
+}
+
+// TestEncodeCacheConcurrentAPIs hammers one cached model from several
+// goroutines through EstimateCtx, RecommendResourcesCtx and
+// EstimateEachCtx at once — shared cache entries, shared memo slots — and
+// checks every answer against the serial one. Run under `make race`.
+func TestEncodeCacheConcurrentAPIs(t *testing.T) {
+	sys, _, shared := sharedSystem(t)
+	plans, err := sys.Plan(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	grid := DefaultResourceGrid()[:16]
+	cm := &CostModel{enc: shared.enc, model: shared.model.Clone()}
+	want := probeAll(t, cm, plans, grid)
+	cm.EnableEncodeCache(2) // smaller than the plan set: entries are evicted while in use
+
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for g := 0; g < 6; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 20; i++ {
+				p := plans[(g+i)%len(plans)]
+				switch g % 3 {
+				case 0:
+					got, err := cm.EstimateCtx(ctx, p, grid[i%len(grid)])
+					if want := alone(cm, p, grid[i%len(grid)]); err != nil || got != want {
+						t.Errorf("EstimateCtx = (%v, %v), want %v", got, err, want)
+					}
+				case 1:
+					if _, _, err := cm.RecommendResourcesCtx(ctx, p, grid); err != nil {
+						t.Error(err)
+					}
+				default:
+					same := make([]*Plan, len(grid))
+					for j := range same {
+						same[j] = p
+					}
+					if _, err := cm.EstimateEachCtx(ctx, same, grid, PredictOpts{}); err != nil {
+						t.Error(err)
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	mustEqualBits(t, "after the concurrent run", probeAll(t, cm, plans, grid), want)
+}
+
+// TestEstimateTracedShowsPrefixReuse: the first traced estimate of a
+// cached plan runs the recurrence; the second shows a prefix-reuse stage in
+// its place, and the raal_prefix_* counters tell the two apart.
+func TestEstimateTracedShowsPrefixReuse(t *testing.T) {
+	sys, _, shared := sharedSystem(t)
+	plans, err := sys.Plan(`SELECT COUNT(*) FROM movie_keyword mk WHERE mk.keyword_id < 100`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cm := &CostModel{enc: shared.enc, model: shared.model.Clone()}
+	cm.Instrument(NewMetricsRegistry())
+	cm.EnableEncodeCache(4)
+
+	stages := func(sp *Span) map[string]bool {
+		m := map[string]bool{}
+		for _, st := range sp.Stages() {
+			m[st.Name] = true
+		}
+		return m
+	}
+	cold, sp := cm.EstimateTraced(plans[0], DefaultResources())
+	if st := stages(sp); !st["lstm"] || st["prefix-reuse"] {
+		t.Fatalf("cold trace should run the recurrence and reuse nothing: %v", sp)
+	}
+	res2 := DefaultResources()
+	res2.Executors = 8
+	_, sp = cm.EstimateTraced(plans[0], res2) // a new allocation of a cached plan
+	if st := stages(sp); st["lstm"] || st["embed"] || !st["prefix-reuse"] || !st["attention"] || !st["dense"] {
+		t.Fatalf("warm trace should show prefix-reuse in place of embed and lstm: %v", sp)
+	}
+	if warm, _ := cm.EstimateTraced(plans[0], DefaultResources()); warm != cold {
+		t.Fatalf("estimate from a reused prefix %v != cold %v", warm, cold)
+	}
+	if c, r := cm.instr.PrefixComputed.Value(), cm.instr.PrefixReused.Value(); c != 1 || r != 2 {
+		t.Fatalf("raal_prefix_computed_total = %d, raal_prefix_reused_total = %d, want 1 and 2", c, r)
+	}
+}
