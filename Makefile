@@ -151,14 +151,21 @@ cover:
 	          printf "\nall tested packages meet the %s%% coverage floor\n", floor }' cover.tmp; \
 	s=$$?; rm -f cover.tmp; exit $$s
 
-# Short fixed-budget fuzz of the SQL parser (the seed corpus plus any
-# committed regression inputs also replay under plain `go test`).
-FUZZTIME ?= 15s
+# Short fixed-budget fuzz of the SQL front end: the parser, and the
+# router's affinity key, which lexes request bytes before anything has
+# parsed them (the seed corpora plus any committed regression inputs also
+# replay under plain `go test`). go test fuzzes one target per run, so the
+# targets share FUZZTIME (whole seconds) equally, one after the other.
+FUZZTIME ?= 16s
+FUZZ_TARGETS = FuzzParse FuzzCanonicalKey
 fuzz:
-	$(GO) test ./internal/sql -run=XXX -fuzz=FuzzParse -fuzztime=$(FUZZTIME)
+	total=$(FUZZTIME); each=$$(( $${total%s} / $(words $(FUZZ_TARGETS)) )); \
+	for target in $(FUZZ_TARGETS); do \
+	    $(GO) test ./internal/sql -run=XXX -fuzz="^$$target\$$" -fuzztime=$${each}s || exit 1; \
+	done
 
 # The pre-merge gate: static checks (vet, gofmt), the full test suite, a
-# fuzz smoke of the parser, and the benchmark module's own vet and tests
+# fuzz smoke of the SQL front end, and the benchmark module's own vet and tests
 # (~12 s). bench/
 # is its own module (replace raal => ../) importing
 # raal/internal/{core,tensor}, so `go test ./...` never compiles it: an

@@ -19,7 +19,7 @@
 //
 // The same binary runs as a replica (default) or, with -route, as the
 // fleet front router (internal/fleet): consistent-hash affinity on the
-// canonical plan fingerprint, active health checking, per-replica
+// SQL text's token stream, active health checking, per-replica
 // circuit breakers, bounded retries, tail hedging, and degradation to
 // the local GPSJ estimate when no replica can answer.
 //
@@ -435,9 +435,9 @@ type routerOpts struct {
 }
 
 // runRouter is the -route mode: the same binary as the fleet front
-// router. It plans locally (to compute the affinity fingerprint and to
-// price the degrade path) but delegates all deep estimation to the
-// replicas.
+// router. It routes on the SQL text and delegates planning and deep
+// estimation to the replicas; its own benchmark database and planner are
+// used only when every replica is down, to price the degraded answer.
 func runRouter(logger *slog.Logger, fatal func(string, ...any), opts routerOpts) {
 	replicas, err := parseReplicas(opts.spec)
 	if err != nil {
@@ -464,9 +464,6 @@ func runRouter(logger *slog.Logger, fatal func(string, ...any), opts routerOpts)
 			defer planMu.Unlock()
 			return sys.Plan(sql)
 		},
-		// The encode cache's exact key: router affinity and replica
-		// cache locality agree byte-for-byte.
-		Fingerprint: raal.PlanFingerprint,
 		Fallback: func(_ context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
 			return gpsj.Estimate(p, res), nil
 		},

@@ -10,6 +10,7 @@ import (
 
 	"raal/internal/core"
 	"raal/internal/encode"
+	"raal/internal/metrics"
 	"raal/internal/telemetry"
 	"raal/internal/workload"
 )
@@ -428,7 +429,7 @@ func (cm *CostModel) SelectPlanCtx(ctx context.Context, plans []*Plan, res Resou
 	if err != nil {
 		return nil, 0, err
 	}
-	best := argminFinite(preds)
+	best := metrics.ArgminFinite(preds)
 	if best < 0 {
 		return nil, 0, fmt.Errorf("raal: SelectPlan over %d plan(s): %w", len(plans), errNoFinite)
 	}
@@ -487,28 +488,11 @@ func (cm *CostModel) recommend(ctx context.Context, p *Plan, grid []Resources, o
 	if err != nil {
 		return Resources{}, 0, err
 	}
-	best := argminFinite(preds)
+	best := metrics.ArgminFinite(preds)
 	if best < 0 {
 		return Resources{}, 0, fmt.Errorf("raal: RecommendResources over %d allocation(s): %w", len(grid), errNoFinite)
 	}
 	return grid[best], preds[best], nil
-}
-
-// argminFinite returns the index of the smallest finite value (first on
-// ties), or -1 when no value is finite. NaN and ±Inf predictions come from
-// corrupt weights or inputs; they are never ranked, so one can neither win
-// (a NaN in front compares false against everything) nor hide a winner.
-func argminFinite(xs []float64) int {
-	best := -1
-	for i, x := range xs {
-		if math.IsNaN(x) || math.IsInf(x, 0) {
-			continue
-		}
-		if best < 0 || x < xs[best] {
-			best = i
-		}
-	}
-	return best
 }
 
 // DefaultResourceGrid enumerates the standard allocation lattice

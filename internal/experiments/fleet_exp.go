@@ -149,9 +149,10 @@ func Fleet(opt Options) (*FleetResult, error) {
 	return res, nil
 }
 
-// fleetFingerprint mirrors the router's default affinity key (plan
-// signature + resource vector) so the replica attributes its cache
-// entries under the exact key the router hashed on.
+// fleetFingerprint keys the experiment replica's stand-in cache: plan
+// signature + resource vector. The router hashes the request's SQL text,
+// which in this experiment is the plan signature, and every request uses
+// the default allocation, so one routed query is one cache key.
 func fleetFingerprint(p *physical.Plan, res sparksim.Resources) string {
 	var b strings.Builder
 	b.WriteString(p.Sig)

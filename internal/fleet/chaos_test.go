@@ -238,9 +238,7 @@ func TestChaosDrainDuringHedge(t *testing.T) {
 	sql := ""
 	for k := 0; ; k++ {
 		candidate := fmt.Sprintf("q%d", k)
-		plans, _ := testPlanner(candidate)
-		key := router.cfg.Fingerprint(plans[0], router.cfg.DefaultRes)
-		if router.ring.Order(key)[0] == "slow" {
+		if ringOwner(t, router, candidate) == "slow" {
 			sql = candidate
 			break
 		}

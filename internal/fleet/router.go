@@ -1,9 +1,9 @@
 // Package fleet scales raalserve past one process: a front router that
-// consistent-hashes each request's canonical plan+resources fingerprint
-// onto a fleet of replicas, so hot keys keep landing on the replica
-// whose encode cache and micro-batcher are already warm for them, with
-// the robustness stack production traffic needs wrapped around the
-// affinity:
+// consistent-hashes each request's SQL token stream (not its allocation)
+// onto a fleet of replicas, so a hot query keeps landing on the replica
+// whose encode cache already holds its plan. The router never plans a
+// request it can proxy — the answering replica does, once — and wraps
+// the affinity in the robustness stack production traffic needs:
 //
 //   - active health checking — every replica's readyz is probed on an
 //     interval and folded through a hysteresis state machine
@@ -19,9 +19,9 @@
 //     second copy is issued to the next replica on the ring and the
 //     loser is cancelled, cutting the tail a slow replica creates;
 //   - graceful degradation — when no replica can answer, the router
-//     prices the plan itself with the analytical fallback and tags the
-//     response degraded:true, so callers always get an answer, a typed
-//     error, or a cancellation — never a hang.
+//     plans the query itself, prices it with the analytical fallback and
+//     tags the response degraded:true, so callers always get an answer,
+//     a typed error, or a cancellation — never a hang.
 //
 // The same binary serves as router or replica (raalserve -route).
 package fleet
@@ -42,9 +42,11 @@ import (
 	"time"
 
 	"raal/internal/backoff"
+	"raal/internal/metrics"
 	"raal/internal/physical"
 	"raal/internal/serve"
 	"raal/internal/sparksim"
+	"raal/internal/sql"
 )
 
 // Typed failure modes, matched with errors.Is.
@@ -65,31 +67,25 @@ type Replica struct {
 	URL string
 }
 
-// FingerprintFunc canonicalizes a (plan, resources) pair into the
-// affinity key (in practice raal.PlanFingerprint — the encode cache's
-// exact plan key followed by the allocation, so a plan's repeated
-// allocation always finds the replica that cached the plan).
+// Deprecated: ignored; the affinity key is sql.CanonicalKey of the request's SQL.
 type FingerprintFunc func(p *physical.Plan, res sparksim.Resources) string
 
 // Config wires a Router.
 type Config struct {
 	// Replicas is the fleet membership (required, at least one).
 	Replicas []Replica
-	// Planner maps request SQL to candidate plans — used to compute the
-	// affinity fingerprint and to price the local degrade path
-	// (required).
+	// Planner maps request SQL to candidate plans (required). Used only
+	// by the degrade path, after every replica has failed.
 	Planner serve.PlanFunc
-	// Fingerprint canonicalizes (plan, resources) → affinity key.
-	// Nil falls back to the plan signature plus the resource vector —
-	// coarser than the encode-cache key but still deterministic.
+	// Deprecated: ignored.
 	Fingerprint FingerprintFunc
 	// Fallback prices one plan analytically when every replica is down
 	// (the degrade ladder's last rung). Nil disables degradation: total
 	// replica failure becomes a typed 503.
 	Fallback serve.EstimateFunc
 	// DefaultRes seeds each request's allocation; zero means
-	// sparksim.DefaultResources(). Must match the replicas' default so
-	// the router's fingerprint agrees with their cache keys.
+	// sparksim.DefaultResources(). Should match the replicas' default so
+	// a degraded answer prices the allocation a replica would have.
 	DefaultRes sparksim.Resources
 	// MaxCandidates caps the degrade path's /select pricing (default 3).
 	MaxCandidates int
@@ -191,16 +187,6 @@ func New(cfg Config) (*Router, error) {
 	}
 	if cfg.Planner == nil {
 		return nil, errors.New("fleet: Config.Planner is required")
-	}
-	if cfg.Fingerprint == nil {
-		cfg.Fingerprint = func(p *physical.Plan, res sparksim.Resources) string {
-			var b bytes.Buffer
-			b.WriteString(p.Sig)
-			for _, v := range res.Vector() {
-				fmt.Fprintf(&b, ",%g", v)
-			}
-			return b.String()
-		}
 	}
 	if cfg.DefaultRes == (sparksim.Resources{}) {
 		cfg.DefaultRes = sparksim.DefaultResources()
@@ -376,9 +362,9 @@ func (rt *Router) probe(rep *replicaRT) bool {
 // ---------------------------------------------------------------------------
 // Request path
 
-// proxyHandler decodes enough of the request to compute the affinity
-// key, forwards the raw body along the ring, and falls back to the
-// local analytical estimate when the fleet cannot answer.
+// proxyHandler validates the request envelope, forwards the raw body
+// along the ring from the SQL text's owner, and falls back to the local
+// analytical estimate when the fleet cannot answer.
 func (rt *Router) proxyHandler(endpoint string) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		start := time.Now()
@@ -428,30 +414,16 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint s
 		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: `missing "sql"`})
 		return
 	}
-	res := rt.cfg.DefaultRes
-	if req.Executors != 0 {
-		res.Executors = req.Executors
-	}
-	if req.Cores != 0 {
-		res.ExecCores = req.Cores
-	}
-	if req.MemMB != 0 {
-		res.ExecMemMB = req.MemMB
-	}
-	if err := res.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "invalid resources: " + err.Error()})
-		return
-	}
-	plans, err := rt.cfg.Planner(req.SQL)
+	res, err := req.Resources(rt.cfg.DefaultRes)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
-	if len(plans) == 0 {
-		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "no plan for query"})
+	key, err := affinityKey(req.SQL)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
 		return
 	}
-	key := rt.cfg.Fingerprint(plans[0], res)
 
 	out := rt.forward(r.Context(), "/"+endpoint, body, key)
 	if out.err != nil {
@@ -459,7 +431,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint s
 			writeJSON(w, http.StatusRequestTimeout, serve.ErrorResponse{Error: cerr.Error()})
 			return
 		}
-		rt.degrade(w, endpoint, plans, res, out.err)
+		rt.degrade(w, endpoint, req.SQL, res, out.err)
 		return
 	}
 	rt.met.Proxied.With(out.replica).Inc()
@@ -469,13 +441,28 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint s
 	w.Write(out.body)
 }
 
-// degrade is the ladder's last rung: price the plan locally with the
-// analytical fallback and tag the answer degraded. Without a fallback
-// the failure surfaces as a typed 503.
-func (rt *Router) degrade(w http.ResponseWriter, endpoint string, plans []*physical.Plan, res sparksim.Resources, cause error) {
+// affinityKey is a request's ring key: its SQL token stream, so spacing
+// and keyword case do not split a query across replicas. The allocation
+// is left out because a replica's encode-cache entry is per plan. It
+// fails only on text the lexer rejects, with the parser's error.
+func affinityKey(query string) (string, error) { return sql.CanonicalKey(query) }
+
+// degrade is the ladder's last rung: plan the query locally, price it
+// with the analytical fallback (finite costs only) and tag the answer
+// degraded. Without a fallback it is a typed 503 and nothing is planned.
+func (rt *Router) degrade(w http.ResponseWriter, endpoint, query string, res sparksim.Resources, cause error) {
 	if rt.cfg.Fallback == nil {
 		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{
 			Error: fmt.Sprintf("fleet: no replica available and no fallback: %v", cause)})
+		return
+	}
+	plans, err := rt.cfg.Planner(query)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: err.Error()})
+		return
+	}
+	if len(plans) == 0 {
+		writeJSON(w, http.StatusBadRequest, serve.ErrorResponse{Error: "no plan for query"})
 		return
 	}
 	cands := plans[:1]
@@ -485,7 +472,7 @@ func (rt *Router) degrade(w http.ResponseWriter, endpoint string, plans []*physi
 			cands = cands[:rt.cfg.MaxCandidates]
 		}
 	}
-	best, bestCost := 0, 0.0
+	costs := make([]float64, len(cands))
 	for i, p := range cands {
 		c, err := rt.cfg.Fallback(context.Background(), p, res)
 		if err != nil {
@@ -493,9 +480,13 @@ func (rt *Router) degrade(w http.ResponseWriter, endpoint string, plans []*physi
 				Error: fmt.Sprintf("fleet: no replica available and fallback failed: %v (cause: %v)", err, cause)})
 			return
 		}
-		if i == 0 || c < bestCost {
-			best, bestCost = i, c
-		}
+		costs[i] = c
+	}
+	best := metrics.ArgminFinite(costs)
+	if best < 0 {
+		writeJSON(w, http.StatusServiceUnavailable, serve.ErrorResponse{Error: fmt.Sprintf(
+			"fleet: no replica available and fallback failed: no finite cost among %d plan(s) (cause: %v)", len(cands), cause)})
+		return
 	}
 	rt.met.Degraded.Inc()
 	reason := cause.Error()
@@ -503,7 +494,7 @@ func (rt *Router) degrade(w http.ResponseWriter, endpoint string, plans []*physi
 		reason = "fleet: " + reason
 	}
 	writeJSON(w, http.StatusOK, serve.EstimateResponse{
-		CostSec: bestCost, Source: "fallback", Degraded: true,
+		CostSec: costs[best], Source: "fallback", Degraded: true,
 		Reason:  reason,
 		PlanSig: cands[best].Sig, PlanIndex: best, Candidates: len(cands),
 	})

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -17,6 +18,7 @@ import (
 	"raal/internal/physical"
 	"raal/internal/serve"
 	"raal/internal/sparksim"
+	"raal/internal/sql"
 	"raal/internal/telemetry"
 )
 
@@ -175,14 +177,21 @@ func TestRouterAffinityIsSticky(t *testing.T) {
 	}
 }
 
-// findOwner locates which replica the ring assigns a key, while the
-// whole fleet is healthy.
+// ringOwner is the replica ID the ring assigns a query while the whole
+// fleet is healthy — the router's own key function, no traffic.
+func ringOwner(t *testing.T, rt *Router, sql string) string {
+	t.Helper()
+	key, err := affinityKey(sql)
+	if err != nil {
+		t.Fatalf("affinityKey(%q): %v", sql, err)
+	}
+	return rt.ring.Order(key)[0]
+}
+
+// findOwner locates which stub replica the ring assigns a query.
 func (f *fleetUnderTest) findOwner(t *testing.T, sql string) *stubReplica {
 	t.Helper()
-	status, _, rep := f.estimate(t, sql)
-	if status != http.StatusOK {
-		t.Fatalf("findOwner(%q): status %d", sql, status)
-	}
+	rep := ringOwner(t, f.router, sql)
 	for _, r := range f.replicas {
 		if r.id == rep {
 			return r
@@ -190,6 +199,68 @@ func (f *fleetUnderTest) findOwner(t *testing.T, sql string) *stubReplica {
 	}
 	t.Fatalf("unknown replica %q", rep)
 	return nil
+}
+
+// countingPlanner wraps testPlanner with a call counter, to pin when the
+// router plans.
+func countingPlanner(calls *atomic.Int64) serve.PlanFunc {
+	return func(sql string) ([]*physical.Plan, error) {
+		calls.Add(1)
+		return testPlanner(sql)
+	}
+}
+
+// TestRouterAffinityKeyIsTheTokenStream: routing looks at the SQL's
+// tokens only. Spacing and keyword/identifier case do not move a query,
+// the allocation does not either (the owner's encode-cache entry is per
+// plan), and proxying never calls the router's planner.
+func TestRouterAffinityKeyIsTheTokenStream(t *testing.T) {
+	var planned atomic.Int64
+	f := newFleet(t, 3, func(cfg *Config) { cfg.Planner = countingPlanner(&planned) })
+	post := func(req serve.EstimateRequest) string {
+		t.Helper()
+		status, body, rep := postJSON(t, f.rs.URL+"/estimate", req)
+		if status != http.StatusOK {
+			t.Fatalf("%+v: status %d %s", req, status, body)
+		}
+		return rep
+	}
+
+	moved := 0
+	for k := 0; k < 20; k++ {
+		head := fmt.Sprintf("SELECT COUNT(*) FROM title t WHERE t.kind_id < %d AND t.title LIKE ", k)
+		base := head + "'The %'"
+		owner := post(serve.EstimateRequest{SQL: base})
+		if want := ringOwner(t, f.router, base); owner != want {
+			t.Fatalf("query %d answered by %s, ring owner is %s", k, owner, want)
+		}
+		for _, variant := range []string{
+			strings.ToLower(head) + "'The %'",
+			"  " + strings.ReplaceAll(head, " ", "\n\t ") + "'The %' \r\n",
+			strings.ReplaceAll(head, "COUNT(*)", "count ( * )") + "'The %'",
+		} {
+			if got := post(serve.EstimateRequest{SQL: variant}); got != owner {
+				t.Fatalf("variant %q went to %s, the query's owner is %s", variant, got, owner)
+			}
+		}
+		for _, req := range []serve.EstimateRequest{
+			{SQL: base, Executors: 2}, {SQL: base, Executors: 8, Cores: 4}, {SQL: base, MemMB: 8192},
+		} {
+			if got := post(req); got != owner {
+				t.Fatalf("allocation %+v went to %s, the query's owner is %s", req, got, owner)
+			}
+		}
+		// A literal's case is data: the key changes, so the owner may.
+		if post(serve.EstimateRequest{SQL: head + "'THE %'"}) != owner {
+			moved++
+		}
+	}
+	if moved == 0 {
+		t.Fatal("20 queries with a re-cased string literal all kept their owner: the literal is not in the key")
+	}
+	if n := planned.Load(); n != 0 {
+		t.Fatalf("router planned %d time(s) while every request was proxied, want 0", n)
+	}
 }
 
 func TestRouterFailsOverOn5xxAndOpensBreaker(t *testing.T) {
@@ -278,10 +349,131 @@ func TestRouterClientErrorRelayedWithoutFailover(t *testing.T) {
 	if other.hits.Load() != otherBefore {
 		t.Fatal("client errors are definitive: no failover allowed")
 	}
-	// The router's own planner rejects bad SQL before any proxying.
-	status, _, _ = f.estimate(t, "bad query")
-	if status != http.StatusBadRequest {
-		t.Fatalf("planner rejection: status = %d, want 400", status)
+}
+
+// postJSON posts one request to url (router base URL plus endpoint) and
+// returns status, trimmed raw body and the answering replica.
+func postJSON(t *testing.T, url string, req serve.EstimateRequest) (int, string, string) {
+	t.Helper()
+	body, _ := json.Marshal(req)
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("POST %s %s: %v", url, body, err)
+	}
+	defer resp.Body.Close()
+	raw, _ := io.ReadAll(resp.Body)
+	return resp.StatusCode, string(bytes.TrimSpace(raw)), resp.Header.Get("X-Raal-Replica")
+}
+
+// TestRouterRejectsBadEnvelopeAtTheRouter: what is wrong with the request
+// itself — too large, unknown field, no SQL, impossible allocation — is
+// answered by the router, before any proxying or planning, with the
+// status and error a replica gives for the same body.
+func TestRouterRejectsBadEnvelopeAtTheRouter(t *testing.T) {
+	var planned atomic.Int64
+	f := newFleet(t, 1, func(cfg *Config) {
+		cfg.Planner = countingPlanner(&planned)
+		cfg.MaxBodyBytes = 256
+	})
+	for name, c := range map[string]struct {
+		body   string
+		status int
+		want   string
+	}{
+		"too large":         {`{"sql":"` + strings.Repeat("x", 300) + `"}`, http.StatusRequestEntityTooLarge, "exceeds 256 byte limit"},
+		"unknown field":     {`{"sql":"q","bogus":1}`, http.StatusBadRequest, "bad request body"},
+		"missing sql":       {`{"executors":2}`, http.StatusBadRequest, `missing \"sql\"`},
+		"invalid resources": {`{"sql":"q","executors":-4}`, http.StatusBadRequest, "invalid resources"},
+	} {
+		resp, err := http.Post(f.rs.URL+"/estimate", "application/json", strings.NewReader(c.body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		raw, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != c.status || !strings.Contains(string(raw), c.want) {
+			t.Errorf("%s: %d %s, want %d mentioning %q", name, resp.StatusCode, raw, c.status, c.want)
+		}
+	}
+	if hits, n := f.replicas[0].hits.Load(), planned.Load(); hits != 0 || n != 0 {
+		t.Fatalf("bad envelopes reached the replica %d time(s) and the planner %d time(s), want 0 and 0", hits, n)
+	}
+}
+
+// TestRouterBadSQLAnsweredByReplicaPlanner: the router does not plan, so
+// SQL that does not parse or bind is rejected by the owning replica's
+// planner (a real serve.Handler here) and relayed — same status and
+// error string a client got when the router planned, no failover, no
+// breaker penalty, and the router's own planner is never called. With
+// every replica down the lazy planner call in degrade gives the same
+// answer; text the lexer rejects is answered at the router.
+func TestRouterBadSQLAnsweredByReplicaPlanner(t *testing.T) {
+	reps := []*chaosReplica{newChaosReplica(t, "r0", nil), newChaosReplica(t, "r1", nil)}
+	var planned atomic.Int64
+	met := NewMetrics(telemetry.NewRegistry(), []string{"r0", "r1"})
+	router, err := New(Config{
+		Replicas:       []Replica{{ID: "r0", URL: reps[0].ts.URL}, {ID: "r1", URL: reps[1].ts.URL}},
+		Planner:        countingPlanner(&planned),
+		HealthInterval: 20 * time.Millisecond,
+		HedgeAfter:     -1,
+		Metrics:        met,
+		Fallback: func(context.Context, *physical.Plan, sparksim.Resources) (float64, error) {
+			return 9, nil
+		},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rs := httptest.NewServer(router)
+	defer func() {
+		rs.Close()
+		router.Close()
+		for _, r := range reps {
+			r.ts.Close()
+		}
+	}()
+	const wantErr = `{"error":"unparsable query"}`
+
+	status, body, rep := postJSON(t, rs.URL+"/estimate", serve.EstimateRequest{SQL: "bad query"})
+	if status != http.StatusBadRequest || body != wantErr {
+		t.Fatalf("bad SQL through a live fleet: %d %s, want 400 %s", status, body, wantErr)
+	}
+	if want := ringOwner(t, router, "bad query"); rep != want {
+		t.Fatalf("400 relayed from %q, want the key's owner %q", rep, want)
+	}
+	if met.Failovers.Value() != 0 || met.Retries.Value() != 0 || met.BreakerOpens.With(rep).Value() != 0 {
+		t.Fatal("a relayed 400 is definitive: no failover, retry or breaker penalty")
+	}
+	if n := planned.Load(); n != 0 {
+		t.Fatalf("router planned %d time(s) on a proxied request, want 0", n)
+	}
+
+	// Text the lexer rejects has no affinity key: the router answers it
+	// itself, with the error the replica's parser would have given.
+	_, perr := sql.Parse("SELECT a FROM t WHERE a @ 3")
+	status, body, rep = postJSON(t, rs.URL+"/estimate", serve.EstimateRequest{SQL: "SELECT a FROM t WHERE a @ 3"})
+	if status != http.StatusBadRequest || rep != "" || !strings.Contains(body, "unexpected character") ||
+		body != fmt.Sprintf(`{"error":%q}`, perr.Error()) {
+		t.Fatalf("unlexable SQL: %d %s from %q, want 400 %q from the router", status, body, rep, perr)
+	}
+
+	// Every replica gone: degrade plans lazily, exactly once per request.
+	for _, r := range reps {
+		r.ts.Close()
+	}
+	status, body, _ = postJSON(t, rs.URL+"/estimate", serve.EstimateRequest{SQL: "bad query"})
+	if status != http.StatusBadRequest || body != wantErr {
+		t.Fatalf("bad SQL with the fleet down: %d %s, want 400 %s", status, body, wantErr)
+	}
+	if n := planned.Load(); n != 1 {
+		t.Fatalf("router planned %d time(s) for one degraded request, want 1", n)
+	}
+	status, body, _ = postJSON(t, rs.URL+"/estimate", serve.EstimateRequest{SQL: "good query"})
+	if status != http.StatusOK || !strings.Contains(body, `"degraded":true`) {
+		t.Fatalf("good SQL with the fleet down: %d %s, want a degraded 200", status, body)
+	}
+	if n := planned.Load(); n != 2 {
+		t.Fatalf("router planned %d time(s) for two degraded requests, want 2", n)
 	}
 }
 
@@ -309,8 +501,47 @@ func TestRouterDegradesWhenAllReplicasDown(t *testing.T) {
 	}
 }
 
+// TestRouterDegradeRanksFiniteCostsOnly: a NaN from the fallback can
+// neither win the degraded /select (it compares false against
+// everything) nor be written out; with no finite cost at all the degrade
+// fails like a fallback error does.
+func TestRouterDegradeRanksFiniteCostsOnly(t *testing.T) {
+	costs := map[string]float64{"p0": math.NaN(), "p1": 5, "p2": 3}
+	f := newFleet(t, 1, func(cfg *Config) {
+		cfg.Planner = func(string) ([]*physical.Plan, error) {
+			return []*physical.Plan{{Sig: "p0"}, {Sig: "p1"}, {Sig: "p2"}}, nil
+		}
+		cfg.Fallback = func(_ context.Context, p *physical.Plan, _ sparksim.Resources) (float64, error) {
+			return costs[p.Sig], nil
+		}
+	})
+	f.replicas[0].ts.Close()
+	post := func(path string) (int, string) {
+		t.Helper()
+		status, body, _ := postJSON(t, f.rs.URL+path, serve.EstimateRequest{SQL: "q"})
+		return status, body
+	}
+
+	status, body := post("/select")
+	var er serve.EstimateResponse
+	if err := json.Unmarshal([]byte(body), &er); err != nil || status != http.StatusOK {
+		t.Fatalf("/select: %d %q (%v), want a degraded 200", status, body, err)
+	}
+	if !er.Degraded || er.PlanIndex != 2 || er.PlanSig != "p2" || er.CostSec != 3 || er.Candidates != 3 {
+		t.Fatalf("/select answer %+v, want plan 2 at cost 3 of 3 candidates", er)
+	}
+	// /estimate prices plan 0 alone, whose cost is NaN: a typed failure.
+	status, body = post("/estimate")
+	var fail serve.ErrorResponse
+	if err := json.Unmarshal([]byte(body), &fail); err != nil || status != http.StatusServiceUnavailable ||
+		!strings.Contains(fail.Error, "no finite cost") {
+		t.Fatalf("/estimate: %d %q (%v), want a typed 503 naming the non-finite cost", status, body, err)
+	}
+}
+
 func TestRouterTypedErrorWhenAllDownAndNoFallback(t *testing.T) {
-	f := newFleet(t, 1, nil)
+	var planned atomic.Int64
+	f := newFleet(t, 1, func(cfg *Config) { cfg.Planner = countingPlanner(&planned) })
 	f.replicas[0].ts.Close()
 	body, _ := json.Marshal(serve.EstimateRequest{SQL: "q"})
 	resp, err := http.Post(f.rs.URL+"/estimate", "application/json", bytes.NewReader(body))
@@ -327,6 +558,9 @@ func TestRouterTypedErrorWhenAllDownAndNoFallback(t *testing.T) {
 	}
 	if !strings.Contains(er.Error, "fleet:") {
 		t.Fatalf("error %q must name the fleet failure", er.Error)
+	}
+	if n := planned.Load(); n != 0 {
+		t.Fatalf("router planned %d time(s) with no fallback to price a plan, want 0", n)
 	}
 }
 

@@ -2,7 +2,9 @@ package physical
 
 import (
 	"fmt"
+	"slices"
 	"sort"
+	"strconv"
 	"strings"
 
 	"raal/internal/cardest"
@@ -57,60 +59,231 @@ func (m joinMode) String() string {
 // Enumerate returns up to MaxPlans distinct physical plans for q, most
 // Catalyst-like first. The first plan is always the one Spark's default
 // rule-based model would pick (greedy order, threshold joins, pushdown).
+//
+// Candidates are tried in a fixed sequence and told apart by signature. A
+// variant's signature follows from the query's facts and the variant's
+// knobs alone, so it is known before any node exists: a variant whose
+// signature an earlier one already has is never built, and the walk stops
+// once MaxPlans plans exist — later variants could only have been cut.
 func (pl *Planner) Enumerate(q *logical.Query) ([]*Plan, error) {
-	orders := pl.joinOrders(q)
-	var plans []*Plan
-	seen := map[string]bool{}
-	add := func(p *Plan, err error) error {
-		if err != nil {
-			return err
-		}
-		if !seen[p.Sig] {
-			seen[p.Sig] = true
-			plans = append(plans, p)
-		}
-		return nil
+	facts, err := pl.analyze(q)
+	if err != nil {
+		return nil, err
 	}
-
-	for _, order := range orders {
-		for _, mode := range []joinMode{modeThreshold, modeAllSMJ, modeAllBHJ, modeAllSHJ} {
-			if err := add(pl.build(q, order, mode, true, false)); err != nil {
-				return nil, err
-			}
-		}
-	}
-	// Sort-based aggregation alternative for grouped queries.
-	if len(q.GroupBy) > 0 {
-		if err := add(pl.build(q, orders[0], modeThreshold, true, true)); err != nil {
-			return nil, err
-		}
-	}
-	// Pushdown-disabled variants: this is the second physical plan the
-	// paper observes for single-table queries ("variation in the
-	// conditions in the File Scan operators").
-	for _, order := range orders {
-		if err := add(pl.build(q, order, modeThreshold, false, false)); err != nil {
-			return nil, err
-		}
-	}
-
 	max := pl.MaxPlans
 	if max <= 0 {
 		max = 6
 	}
-	if len(plans) > max {
-		plans = plans[:max]
-	}
-	if len(plans) == 0 {
-		return nil, fmt.Errorf("physical: no plans produced for %s", q.Stmt)
+	var plans []*Plan
+	seen := map[string]bool{}
+	for _, spec := range facts.candidates() {
+		if len(plans) == max {
+			break
+		}
+		v := facts.variant(spec)
+		if !seen[v.sig] {
+			seen[v.sig] = true
+			plans = append(plans, facts.build(v))
+		}
 	}
 	return plans, nil
 }
 
-// DefaultPlan returns the plan Catalyst's rule-based model would choose.
+// DefaultPlan returns the plan Catalyst's rule-based model would choose:
+// the first plan Enumerate returns.
 func (pl *Planner) DefaultPlan(q *logical.Query) (*Plan, error) {
-	orders := pl.joinOrders(q)
-	return pl.build(q, orders[0], modeThreshold, true, false)
+	facts, err := pl.analyze(q)
+	if err != nil {
+		return nil, err
+	}
+	return facts.build(facts.variant(variantSpec{order: 0, mode: modeThreshold, pushdown: true})), nil
+}
+
+// scanFacts is what every candidate plan says about one FROM-list table.
+type scanFacts struct {
+	table, alias string
+	columns      []string        // referenced columns, sorted (unqualified)
+	qualified    []string        // the same, alias-qualified (engine-visible)
+	preds        []sql.Predicate // user filters plus isnotnull guards on join keys
+	raw          float64         // unfiltered table rows
+	filtered     float64         // rows after preds
+	width        float64         // bytes per row carrying columns
+}
+
+// joinStep adds one table to the tables joined so far. Its keys and
+// estimates depend on the join order alone, not on the algorithm chosen.
+type joinStep struct {
+	scan        *scanFacts        // the newly joined (right) side
+	left, right *logical.BoundCol // joined-side and new-side key
+	theta       bool              // no equi key: nested loop on left thetaOp right
+	thetaOp     sql.CmpOp
+	rows, width float64 // the join's estimated output
+}
+
+// joinOrder is one connected order in which to join the query's tables.
+type joinOrder struct {
+	aliases []string
+	first   *scanFacts
+	joins   []joinStep
+}
+
+// queryFacts is everything the candidate plans of one query share,
+// derived once per Enumerate or DefaultPlan.
+type queryFacts struct {
+	pl     *Planner
+	q      *logical.Query
+	scans  []scanFacts // parallel to q.Tables
+	orders []joinOrder
+}
+
+// analyze derives the facts of q. It fails when q has no connected join
+// order (the binder prevents this).
+func (pl *Planner) analyze(q *logical.Query) (*queryFacts, error) {
+	f := &queryFacts{pl: pl, q: q, scans: make([]scanFacts, len(q.Tables))}
+	needed := pl.neededColumns(q)
+	for i, tr := range q.Tables {
+		s := &f.scans[i]
+		s.table, s.alias, s.columns = tr.Table, tr.Alias, needed[i]
+		s.qualified = make([]string, len(s.columns))
+		for j, c := range s.columns {
+			s.qualified[j] = tr.Alias + "." + c
+		}
+		// User filters plus Spark's isnotnull guards on join keys.
+		s.preds = append([]sql.Predicate(nil), q.Filters[tr.Alias]...)
+		nFilters := len(s.preds)
+		for _, j := range q.Joins {
+			for _, bc := range []logical.BoundCol{j.Left, j.Right} {
+				if bc.Alias == tr.Alias && !guards(s.preds[nFilters:], bc.Name) {
+					s.preds = append(s.preds, &sql.NullCheck{
+						Col: sql.ColumnRef{Qualifier: tr.Alias, Name: bc.Name}, Not: true})
+				}
+			}
+		}
+		s.raw = pl.Est.TableRows(tr.Table)
+		s.filtered = pl.Est.ScanRows(tr.Table, s.preds)
+		s.width = pl.rowBytes(tr.Table, s.columns)
+	}
+
+	for _, aliases := range pl.joinOrders(q) {
+		o := joinOrder{aliases: aliases, first: f.scan(aliases[0])}
+		joined := map[string]bool{aliases[0]: true}
+		rows, width := o.first.filtered, o.first.width
+		for _, alias := range aliases[1:] {
+			st := joinStep{scan: f.scan(alias)}
+			if st.left, st.right = q.JoinKeysFor(alias, joined); st.left != nil {
+				rows = pl.Est.JoinRows(rows, st.scan.filtered, *st.left, *st.right)
+			} else {
+				// No equi key: a broadcast nested loop join on a theta edge.
+				var ok bool
+				if st.left, st.right, st.thetaOp, ok = q.ThetaJoinFor(alias, joined); !ok {
+					return nil, fmt.Errorf("physical: join order %v is disconnected at %s", aliases, alias)
+				}
+				st.theta = true
+				rows = rows * st.scan.filtered / 3 // inequality selectivity
+			}
+			width += st.scan.width
+			st.rows, st.width = rows, width
+			o.joins = append(o.joins, st)
+			joined[alias] = true
+		}
+		f.orders = append(f.orders, o)
+	}
+	if len(f.orders) == 0 {
+		return nil, fmt.Errorf("physical: no plans produced for %s", q.Stmt)
+	}
+	return f, nil
+}
+
+// guards reports whether one of the isnotnull guards covers column name.
+func guards(preds []sql.Predicate, name string) bool {
+	for _, p := range preds {
+		if p.(*sql.NullCheck).Col.Name == name {
+			return true
+		}
+	}
+	return false
+}
+
+func (f *queryFacts) scan(alias string) *scanFacts {
+	for i := range f.scans {
+		if f.scans[i].alias == alias {
+			return &f.scans[i]
+		}
+	}
+	return nil
+}
+
+// variantSpec names one candidate: a join order and the three knobs.
+type variantSpec struct {
+	order    int // index into queryFacts.orders
+	mode     joinMode
+	pushdown bool // filters inside the FileScan instead of a Filter above it
+	sortAgg  bool // sort-based instead of hash-based aggregation
+}
+
+// candidates lists every variant Enumerate considers, in preference order.
+func (f *queryFacts) candidates() []variantSpec {
+	specs := make([]variantSpec, 0, 5*len(f.orders)+1)
+	for oi := range f.orders {
+		for _, mode := range []joinMode{modeThreshold, modeAllSMJ, modeAllBHJ, modeAllSHJ} {
+			specs = append(specs, variantSpec{order: oi, mode: mode, pushdown: true})
+		}
+	}
+	// Sort-based aggregation alternative for grouped queries.
+	if len(f.q.GroupBy) > 0 {
+		specs = append(specs, variantSpec{order: 0, mode: modeThreshold, pushdown: true, sortAgg: true})
+	}
+	// Pushdown-disabled variants: this is the second physical plan the
+	// paper observes for single-table queries ("variation in the
+	// conditions in the File Scan operators").
+	for oi := range f.orders {
+		specs = append(specs, variantSpec{order: oi, mode: modeThreshold})
+	}
+	return specs
+}
+
+// variant is a spec with its join algorithms decided and its signature
+// rendered — all build needs, and all that tells two candidates apart.
+type variant struct {
+	variantSpec
+	algos []OpType // join operator per joinStep
+	sig   string
+}
+
+// variant decides each join's algorithm under spec.mode and renders the
+// signature (the only place Plan.Sig comes from).
+func (f *queryFacts) variant(spec variantSpec) variant {
+	o := &f.orders[spec.order]
+	v := variant{variantSpec: spec, algos: make([]OpType, len(o.joins))}
+	var sig strings.Builder
+	sig.WriteString("order=")
+	sig.WriteString(strings.Join(o.aliases, ","))
+	sig.WriteString(";algos=")
+	for i, st := range o.joins {
+		var name string
+		switch {
+		case st.theta:
+			v.algos[i], name = BroadcastNestedLoopJoin, "BNLJ"
+		case spec.mode == modeAllSHJ:
+			v.algos[i], name = ShuffledHashJoin, "SHJ"
+		case spec.mode == modeAllBHJ,
+			spec.mode == modeThreshold && st.scan.filtered*st.scan.width < f.pl.BroadcastThreshold:
+			v.algos[i], name = BroadcastHashJoin, "BHJ"
+		default:
+			v.algos[i], name = SortMergeJoin, "SMJ"
+		}
+		if i > 0 {
+			sig.WriteByte(',')
+		}
+		sig.WriteString(name)
+	}
+	sig.WriteString(";push=")
+	sig.WriteString(strconv.FormatBool(spec.pushdown))
+	if spec.sortAgg {
+		sig.WriteString(";agg=sort")
+	}
+	v.sig = sig.String()
+	return v
 }
 
 // joinOrders returns 1-3 connected join orders: greedy ascending by
@@ -207,15 +380,18 @@ func (pl *Planner) joinOrders(q *logical.Query) [][]string {
 	return out
 }
 
-// neededColumns returns, per alias, the sorted set of columns referenced
-// anywhere in the query (filters, join keys, aggregates, group/order by).
-func (pl *Planner) neededColumns(q *logical.Query) map[string][]string {
-	sets := map[string]map[string]bool{}
+// neededColumns returns, per q.Tables entry, the sorted set of columns
+// referenced anywhere in the query (filters, join keys, aggregates,
+// group/order by).
+func (pl *Planner) neededColumns(q *logical.Query) [][]string {
+	out := make([][]string, len(q.Tables))
 	addRef := func(alias, name string) {
-		if sets[alias] == nil {
-			sets[alias] = map[string]bool{}
+		for i, tr := range q.Tables {
+			if tr.Alias == alias {
+				out[i] = append(out[i], name)
+				return
+			}
 		}
-		sets[alias][name] = true
 	}
 	for alias, preds := range q.Filters {
 		for _, p := range preds {
@@ -243,21 +419,16 @@ func (pl *Planner) neededColumns(q *logical.Query) map[string][]string {
 	if q.OrderBy != nil {
 		addRef(q.OrderBy.Alias, q.OrderBy.Name)
 	}
-	out := map[string][]string{}
-	for _, tr := range q.Tables {
-		var cols []string
-		for c := range sets[tr.Alias] {
-			cols = append(cols, c)
-		}
-		sort.Strings(cols)
-		if len(cols) == 0 {
+	for i, tr := range q.Tables {
+		slices.Sort(out[i])
+		out[i] = slices.Compact(out[i])
+		if len(out[i]) == 0 {
 			// COUNT(*) over an unfiltered table still scans something;
 			// Spark reads the narrowest column.
 			if tab, err := pl.Est.DB().Table(tr.Table); err == nil && len(tab.Schema.Columns) > 0 {
-				cols = []string{tab.Schema.Columns[0].Name}
+				out[i] = []string{tab.Schema.Columns[0].Name}
 			}
 		}
-		out[tr.Alias] = cols
 	}
 	return out
 }
@@ -282,146 +453,60 @@ func (pl *Planner) rowBytes(tableName string, cols []string) float64 {
 	return w
 }
 
-// build constructs one physical plan for the given join order and mode.
-// sortAgg selects sort-based instead of hash-based aggregation.
-func (pl *Planner) build(q *logical.Query, order []string, mode joinMode, pushdown, sortAgg bool) (*Plan, error) {
-	if order == nil {
-		return nil, fmt.Errorf("physical: nil join order")
-	}
-	needed := pl.neededColumns(q)
-	table := map[string]string{}
-	for _, tr := range q.Tables {
-		table[tr.Alias] = tr.Table
-	}
-
-	// scanPreds: user filters plus Spark's isnotnull guards on join keys.
-	scanPreds := func(alias string) []sql.Predicate {
-		preds := append([]sql.Predicate(nil), q.Filters[alias]...)
-		guarded := map[string]bool{}
-		for _, j := range q.Joins {
-			for _, bc := range []logical.BoundCol{j.Left, j.Right} {
-				if bc.Alias == alias && !guarded[bc.Name] {
-					guarded[bc.Name] = true
-					preds = append(preds, &sql.NullCheck{
-						Col: sql.ColumnRef{Qualifier: alias, Name: bc.Name}, Not: true})
-				}
-			}
+// scanSubtree builds FileScan [→ Filter] → Project over one table.
+func scanSubtree(s *scanFacts, pushdown bool) *Node {
+	scan := &Node{Op: FileScan, Table: s.table, Alias: s.alias, Columns: s.columns, RowBytes: s.width, RawRows: s.raw}
+	top := scan
+	if pushdown {
+		scan.Preds = s.preds
+		scan.EstRows = s.filtered
+	} else {
+		scan.EstRows = s.raw
+		if len(s.preds) > 0 {
+			top = &Node{Op: Filter, Children: []*Node{scan}, Preds: s.preds, EstRows: s.filtered, RowBytes: s.width}
 		}
-		return preds
 	}
+	return &Node{Op: Project, Children: []*Node{top}, Columns: s.qualified, EstRows: s.filtered, RowBytes: s.width}
+}
 
-	// qualify returns the engine-visible (alias-qualified) column list.
-	qualify := func(alias string) []string {
-		cols := needed[alias]
-		out := make([]string, len(cols))
-		for i, c := range cols {
-			out[i] = alias + "." + c
-		}
-		return out
-	}
-
-	scanSubtree := func(alias string) *Node {
-		tbl := table[alias]
-		preds := scanPreds(alias)
-		raw := pl.Est.TableRows(tbl)
-		filtered := pl.Est.ScanRows(tbl, preds)
-		width := pl.rowBytes(tbl, needed[alias])
-
-		scan := &Node{Op: FileScan, Table: tbl, Alias: alias, Columns: needed[alias], RowBytes: width, RawRows: raw}
-		var top *Node
-		if pushdown {
-			scan.Preds = preds
-			scan.EstRows = filtered
-			top = scan
-		} else {
-			scan.EstRows = raw
-			top = scan
-			if len(preds) > 0 {
-				top = &Node{Op: Filter, Children: []*Node{scan}, Preds: preds, EstRows: filtered, RowBytes: width}
-			}
-		}
-		proj := &Node{Op: Project, Children: []*Node{top}, Columns: qualify(alias), EstRows: filtered, RowBytes: width}
-		return proj
-	}
-
-	cur := scanSubtree(order[0])
-	joined := map[string]bool{order[0]: true}
-	var algoSig []string
-
-	for _, alias := range order[1:] {
-		leftKey, rightKey := q.JoinKeysFor(alias, joined)
-		if leftKey == nil {
-			// No equi key: fall back to a broadcast nested loop join on
-			// a theta edge.
-			tl, tr, op, ok := q.ThetaJoinFor(alias, joined)
-			if !ok {
-				return nil, fmt.Errorf("physical: join order %v is disconnected at %s", order, alias)
-			}
-			newSide := scanSubtree(alias)
-			joinRows := cur.EstRows * newSide.EstRows / 3 // inequality selectivity
+// build constructs the physical plan of one variant. Every node is new:
+// plans of one query share facts (column lists, predicates, keys), never
+// nodes, whose IDs and ActRows are per plan.
+func (f *queryFacts) build(v variant) *Plan {
+	q, o := f.q, &f.orders[v.order]
+	cur := scanSubtree(o.first, v.pushdown)
+	for i, st := range o.joins {
+		newSide := scanSubtree(st.scan, v.pushdown)
+		join := &Node{Op: v.algos[i], LeftKey: st.left, RightKey: st.right, EstRows: st.rows, RowBytes: st.width}
+		switch v.algos[i] {
+		case BroadcastNestedLoopJoin:
+			join.ThetaOp = st.thetaOp
+			fallthrough
+		case BroadcastHashJoin:
 			bx := &Node{Op: BroadcastExchange, Children: []*Node{newSide}, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
-			cur = &Node{
-				Op: BroadcastNestedLoopJoin, Children: []*Node{cur, bx},
-				LeftKey: tl, RightKey: tr, ThetaOp: op,
-				EstRows: joinRows, RowBytes: cur.RowBytes + newSide.RowBytes,
-			}
-			algoSig = append(algoSig, "BNLJ")
-			joined[alias] = true
-			continue
+			join.Children = []*Node{cur, bx}
+		case ShuffledHashJoin:
+			lx := &Node{Op: ExchangeHashPartition, Children: []*Node{cur}, LeftKey: st.left, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
+			rx := &Node{Op: ExchangeHashPartition, Children: []*Node{newSide}, LeftKey: st.right, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
+			join.Children = []*Node{lx, rx}
+		case SortMergeJoin:
+			lx := &Node{Op: ExchangeHashPartition, Children: []*Node{cur}, LeftKey: st.left, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
+			ls := &Node{Op: Sort, Children: []*Node{lx}, SortCol: st.left, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
+			rx := &Node{Op: ExchangeHashPartition, Children: []*Node{newSide}, LeftKey: st.right, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
+			rs := &Node{Op: Sort, Children: []*Node{rx}, SortCol: st.right, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
+			join.Children = []*Node{ls, rs}
 		}
-		newSide := scanSubtree(alias)
-		joinRows := pl.Est.JoinRows(cur.EstRows, newSide.EstRows, *leftKey, *rightKey)
-		joinWidth := cur.RowBytes + newSide.RowBytes
-
-		useBHJ := false
-		switch mode {
-		case modeAllBHJ:
-			useBHJ = true
-		case modeAllSMJ:
-			useBHJ = false
-		case modeThreshold:
-			useBHJ = newSide.EstRows*newSide.RowBytes < pl.BroadcastThreshold
-		}
-
-		if mode == modeAllSHJ {
-			lx := &Node{Op: ExchangeHashPartition, Children: []*Node{cur}, LeftKey: leftKey, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
-			rx := &Node{Op: ExchangeHashPartition, Children: []*Node{newSide}, LeftKey: rightKey, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
-			cur = &Node{
-				Op: ShuffledHashJoin, Children: []*Node{lx, rx},
-				LeftKey: leftKey, RightKey: rightKey,
-				EstRows: joinRows, RowBytes: joinWidth,
-			}
-			algoSig = append(algoSig, "SHJ")
-		} else if useBHJ {
-			bx := &Node{Op: BroadcastExchange, Children: []*Node{newSide}, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
-			cur = &Node{
-				Op: BroadcastHashJoin, Children: []*Node{cur, bx},
-				LeftKey: leftKey, RightKey: rightKey,
-				EstRows: joinRows, RowBytes: joinWidth,
-			}
-			algoSig = append(algoSig, "BHJ")
-		} else {
-			lx := &Node{Op: ExchangeHashPartition, Children: []*Node{cur}, LeftKey: leftKey, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
-			ls := &Node{Op: Sort, Children: []*Node{lx}, SortCol: leftKey, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
-			rx := &Node{Op: ExchangeHashPartition, Children: []*Node{newSide}, LeftKey: rightKey, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
-			rs := &Node{Op: Sort, Children: []*Node{rx}, SortCol: rightKey, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
-			cur = &Node{
-				Op: SortMergeJoin, Children: []*Node{ls, rs},
-				LeftKey: leftKey, RightKey: rightKey,
-				EstRows: joinRows, RowBytes: joinWidth,
-			}
-			algoSig = append(algoSig, "SMJ")
-		}
-		joined[alias] = true
+		cur = join
 	}
 
 	// Aggregation: partial → exchange → final (Spark's two-phase
 	// aggregation), present whenever the query aggregates or groups.
 	if len(q.Aggs) > 0 {
-		groups := pl.Est.GroupRows(cur.EstRows, q.GroupBy)
+		groups := f.pl.Est.GroupRows(cur.EstRows, q.GroupBy)
 		aggWidth := float64(8 * len(q.Aggs))
 		aggOp := HashAggregate
-		if sortAgg && len(q.GroupBy) > 0 {
+		sortAgg := v.sortAgg && len(q.GroupBy) > 0
+		if sortAgg {
 			// Sort-based aggregation needs its input ordered by the key.
 			aggOp = SortAggregate
 			cur = &Node{Op: Sort, Children: []*Node{cur}, SortCol: &q.GroupBy[0], EstRows: cur.EstRows, RowBytes: cur.RowBytes}
@@ -437,7 +522,7 @@ func (pl *Planner) build(q *logical.Query, order []string, mode joinMode, pushdo
 				EstRows: groups, RowBytes: aggWidth}
 		}
 		pre := ex
-		if sortAgg && len(q.GroupBy) > 0 {
+		if sortAgg {
 			pre = &Node{Op: Sort, Children: []*Node{ex}, SortCol: &q.GroupBy[0], EstRows: groups, RowBytes: aggWidth}
 		}
 		cur = &Node{Op: aggOp, Children: []*Node{pre},
@@ -456,12 +541,7 @@ func (pl *Planner) build(q *logical.Query, order []string, mode joinMode, pushdo
 		cur = &Node{Op: LocalLimit, Children: []*Node{cur}, LimitN: q.Limit, EstRows: rows, RowBytes: cur.RowBytes}
 	}
 
-	p := &Plan{Root: cur, Query: q}
-	p.Sig = fmt.Sprintf("order=%s;algos=%s;push=%v",
-		strings.Join(order, ","), strings.Join(algoSig, ","), pushdown)
-	if sortAgg {
-		p.Sig += ";agg=sort"
-	}
+	p := &Plan{Root: cur, Query: q, Sig: v.sig}
 	p.finalize()
-	return p, nil
+	return p
 }

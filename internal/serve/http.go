@@ -211,13 +211,33 @@ func (h *Handler) Shutdown(ctx context.Context) error {
 
 // EstimateRequest is the JSON body of /estimate and /select. Resource
 // fields are optional; zero means the server default. Exported because
-// the fleet router decodes the same wire format to compute the affinity
-// key before proxying.
+// the fleet router decodes and validates the same wire format before
+// proxying.
 type EstimateRequest struct {
 	SQL       string  `json:"sql"`
 	Executors int     `json:"executors"`
 	Cores     int     `json:"cores"`
 	MemMB     float64 `json:"mem_mb"`
+}
+
+// Resources is the allocation r asks for — def with r's non-zero fields
+// laid over it — or the "invalid resources" error both the router and the
+// replica answer 400 with.
+func (r EstimateRequest) Resources(def sparksim.Resources) (sparksim.Resources, error) {
+	res := def
+	if r.Executors != 0 {
+		res.Executors = r.Executors
+	}
+	if r.Cores != 0 {
+		res.ExecCores = r.Cores
+	}
+	if r.MemMB != 0 {
+		res.ExecMemMB = r.MemMB
+	}
+	if err := res.Validate(); err != nil {
+		return sparksim.Resources{}, fmt.Errorf("invalid resources: %w", err)
+	}
+	return res, nil
 }
 
 // EstimateResponse is the JSON answer. Degraded marks fallback answers;
@@ -302,18 +322,9 @@ func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) ([]*physical.P
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: `missing "sql"`})
 		return nil, sparksim.Resources{}, false
 	}
-	res := h.cfg.DefaultRes
-	if req.Executors != 0 {
-		res.Executors = req.Executors
-	}
-	if req.Cores != 0 {
-		res.ExecCores = req.Cores
-	}
-	if req.MemMB != 0 {
-		res.ExecMemMB = req.MemMB
-	}
-	if err := res.Validate(); err != nil {
-		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: "invalid resources: " + err.Error()})
+	res, err := req.Resources(h.cfg.DefaultRes)
+	if err != nil {
+		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return nil, sparksim.Resources{}, false
 	}
 	plans, err := h.cfg.Planner(req.SQL)

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -313,4 +314,60 @@ func TestHTTPLifecycle(t *testing.T) {
 	if err := <-shutdownDone; err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
+}
+
+// TestHTTPNonFinitePrediction: a NaN or ±Inf deep prediction is a deep
+// failure — degraded fallback answer when there is one, typed 500 when
+// there is not — never a 200 whose body the JSON encoder refused to
+// write; /select ranks the finite costs only.
+func TestHTTPNonFinitePrediction(t *testing.T) {
+	plans := []*physical.Plan{{Sig: "p0"}, {Sig: "p1"}, {Sig: "p2"}}
+	batch := func(costs ...float64) BatchEstimateFunc {
+		return func(context.Context, []*physical.Plan, sparksim.Resources) ([]float64, error) {
+			return costs, nil
+		}
+	}
+	nan := math.NaN()
+
+	t.Run("estimate-with-fallback", func(t *testing.T) {
+		ts := httptest.NewServer(newTestHandler(t, Config{Deep: constEstimator(nan), Fallback: constEstimator(7)}))
+		defer ts.Close()
+		resp, er, body := postEstimate(t, ts, "/estimate", `{"sql":"SELECT 1"}`)
+		if resp.StatusCode != 200 || !er.Degraded || er.Source != "fallback" || er.CostSec != 7 {
+			t.Fatalf("want 200 degraded fallback at 7, got %d %s", resp.StatusCode, body)
+		}
+		if !strings.Contains(er.Reason, "no finite prediction") {
+			t.Fatalf("reason %q should name the non-finite prediction", er.Reason)
+		}
+	})
+	t.Run("estimate-no-fallback", func(t *testing.T) {
+		ts := httptest.NewServer(newTestHandler(t, Config{Deep: constEstimator(math.Inf(1))}))
+		defer ts.Close()
+		resp, _, body := postEstimate(t, ts, "/estimate", `{"sql":"SELECT 1"}`)
+		var er ErrorResponse
+		if err := json.Unmarshal([]byte(body), &er); err != nil {
+			t.Fatalf("status %d with undecodable body %q: %v", resp.StatusCode, body, err)
+		}
+		if resp.StatusCode != 500 || !strings.Contains(er.Error, ErrInternal.Error()) {
+			t.Fatalf("want typed 500, got %d %s", resp.StatusCode, body)
+		}
+	})
+	t.Run("select-ranks-finite-only", func(t *testing.T) {
+		ts := httptest.NewServer(newTestHandler(t,
+			Config{Deep: constEstimator(1), DeepBatch: batch(nan, 2, 1), Fallback: constEstimator(7)}, plans...))
+		defer ts.Close()
+		resp, er, body := postEstimate(t, ts, "/select", `{"sql":"SELECT 1"}`)
+		if resp.StatusCode != 200 || er.Degraded || er.PlanIndex != 2 || er.CostSec != 1 || er.PlanSig != "p2" {
+			t.Fatalf("want plan 2 at cost 1 from the model, got %d %s", resp.StatusCode, body)
+		}
+	})
+	t.Run("select-none-finite", func(t *testing.T) {
+		ts := httptest.NewServer(newTestHandler(t,
+			Config{Deep: constEstimator(1), DeepBatch: batch(nan, math.Inf(-1), nan), Fallback: constEstimator(7)}, plans...))
+		defer ts.Close()
+		resp, er, body := postEstimate(t, ts, "/select", `{"sql":"SELECT 1"}`)
+		if resp.StatusCode != 200 || !er.Degraded || er.CostSec != 7 || er.Candidates != 3 {
+			t.Fatalf("want the set priced by the fallback, got %d %s", resp.StatusCode, body)
+		}
+	})
 }

@@ -30,6 +30,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"raal/internal/metrics"
 	"raal/internal/physical"
 	"raal/internal/sparksim"
 )
@@ -298,8 +299,9 @@ func (s *Server) Estimate(ctx context.Context, p *physical.Plan, res sparksim.Re
 }
 
 // Select prices every candidate plan in one admitted request and returns
-// the argmin index plus its Result. Degradation applies to the set as a
-// whole: if the deep batch fails, every candidate is priced analytically.
+// the argmin index plus its Result; only finite costs are ranked.
+// Degradation applies to the set as a whole: if the deep batch fails (or
+// no cost in it is finite), every candidate is priced analytically.
 func (s *Server) Select(ctx context.Context, plans []*physical.Plan, res sparksim.Resources) (int, Result, error) {
 	if len(plans) == 0 {
 		return -1, Result{}, errors.New("serve: empty candidate set")
@@ -359,12 +361,7 @@ func (s *Server) Select(ctx context.Context, plans []*physical.Plan, res sparksi
 	if err != nil {
 		return -1, Result{}, err
 	}
-	best := 0
-	for i := range preds {
-		if preds[i] < preds[best] {
-			best = i
-		}
-	}
+	best := metrics.ArgminFinite(preds) // >= 0: guarded rejects a set with no finite cost
 	r.Cost = preds[best]
 	return best, r, nil
 }
@@ -436,7 +433,9 @@ func (s *Server) serve(ctx context.Context, deep, fallback func(context.Context)
 	return preds, Result{Source: "fallback", Degraded: true, Reason: deepErr.Error()}, nil
 }
 
-// guarded runs fn behind the recover boundary and the deadline select.
+// guarded runs fn behind the recover boundary and the deadline select. A
+// result with no finite prediction is a failure of fn like a panic is
+// (ErrInternal): a NaN cost cannot be ranked, nor written as JSON.
 // Faults are applied first (idx 0 disables them — the fallback path must
 // stay clean so degradation is always available). When the context
 // expires, the call is abandoned: fn keeps running on its goroutine until
@@ -468,6 +467,9 @@ func (s *Server) guarded(ctx context.Context, idx uint64, fn func(context.Contex
 			}
 		}
 		preds, err := fn(ctx)
+		if err == nil && metrics.ArgminFinite(preds) < 0 {
+			preds, err = nil, fmt.Errorf("%w: no finite prediction among %d", ErrInternal, len(preds))
+		}
 		done <- outcome{preds: preds, err: err}
 	}()
 	select {

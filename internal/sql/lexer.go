@@ -34,65 +34,146 @@ func (t token) String() string {
 	return fmt.Sprintf("%q", t.text)
 }
 
+// scanner yields the tokens of input one at a time, so a caller that only
+// folds the stream (CanonicalKey) never materialises it.
+type scanner struct {
+	input string
+	pos   int
+	// valueNext: the next position can begin a value, so a '-' there
+	// starts a negative number rather than being a binary operator.
+	valueNext bool
+}
+
+func newScanner(input string) scanner { return scanner{input: input, valueNext: true} }
+
+// next returns the next token, tokEOF at the end of input. Identifier
+// text is returned as written; lex lowercases it.
+func (s *scanner) next() (token, error) {
+	input, n := s.input, len(s.input)
+	i := s.pos
+	for i < n && (input[i] == ' ' || input[i] == '\t' || input[i] == '\n' || input[i] == '\r') {
+		i++
+	}
+	if i >= n {
+		s.pos = n
+		return token{tokEOF, "", n}, nil
+	}
+	start := i
+	c := input[i]
+	var kind tokenKind
+	switch {
+	case isIdentStart(c):
+		for i < n && isIdentByte(input[i]) {
+			i++
+		}
+		kind = tokIdent
+	case isASCIIDigit(c) || (c == '-' && i+1 < n && isASCIIDigit(input[i+1]) && s.valueNext):
+		if c == '-' {
+			i++
+		}
+		for i < n && (isASCIIDigit(input[i]) || input[i] == '.') {
+			i++
+		}
+		kind = tokNumber
+	case c == '\'':
+		i++
+		for i < n && input[i] != '\'' {
+			i++
+		}
+		if i >= n {
+			return token{}, fmt.Errorf("sql: unterminated string literal at offset %d", start)
+		}
+		i++ // closing quote
+		kind = tokString
+	case c == '<' || c == '>' || c == '!':
+		i++
+		if i < n && input[i] == '=' {
+			i++
+		} else if c == '<' && i < n && input[i] == '>' {
+			i++
+		} else if c == '!' {
+			return token{}, fmt.Errorf("sql: unexpected '!' at offset %d (use != or <>)", start)
+		}
+		kind = tokSymbol
+	case strings.IndexByte("=,().*;+-/%", c) >= 0:
+		i++
+		kind = tokSymbol
+	default:
+		return token{}, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
+	}
+	t := token{kind, input[start:i], start}
+	if kind == tokString {
+		t.text = input[start+1 : i-1] // without the quotes
+	}
+	s.pos, s.valueNext = i, startsValue(t)
+	return t, nil
+}
+
 // lex splits input into tokens. Identifiers and keywords are lowercased;
 // string literals keep their case.
 func lex(input string) ([]token, error) {
 	var toks []token
-	i := 0
-	n := len(input)
-	for i < n {
-		c := input[i]
-		switch {
-		case c == ' ' || c == '\t' || c == '\n' || c == '\r':
-			i++
-		case isIdentStart(c):
-			start := i
-			for i < n && isIdentByte(input[i]) {
-				i++
-			}
-			toks = append(toks, token{tokIdent, strings.ToLower(input[start:i]), start})
-		case isASCIIDigit(c) || (c == '-' && i+1 < n && isASCIIDigit(input[i+1]) && startsValue(toks)):
-			start := i
-			if c == '-' {
-				i++
-			}
-			for i < n && (isASCIIDigit(input[i]) || input[i] == '.') {
-				i++
-			}
-			toks = append(toks, token{tokNumber, input[start:i], start})
-		case c == '\'':
-			start := i
-			i++
-			var sb strings.Builder
-			for i < n && input[i] != '\'' {
-				sb.WriteByte(input[i])
-				i++
-			}
-			if i >= n {
-				return nil, fmt.Errorf("sql: unterminated string literal at offset %d", start)
-			}
-			i++ // closing quote
-			toks = append(toks, token{tokString, sb.String(), start})
-		case c == '<' || c == '>' || c == '!':
-			start := i
-			i++
-			if i < n && input[i] == '=' {
-				i++
-			} else if c == '<' && i < n && input[i] == '>' {
-				i++
-			} else if c == '!' {
-				return nil, fmt.Errorf("sql: unexpected '!' at offset %d (use != or <>)", start)
-			}
-			toks = append(toks, token{tokSymbol, input[start:i], start})
-		case strings.ContainsRune("=,().*;+-/%", rune(c)):
-			toks = append(toks, token{tokSymbol, string(c), i})
-			i++
-		default:
-			return nil, fmt.Errorf("sql: unexpected character %q at offset %d", c, i)
+	s := newScanner(input)
+	for {
+		t, err := s.next()
+		if err != nil {
+			return nil, err
+		}
+		if t.kind == tokIdent {
+			t.text = strings.ToLower(t.text)
+		}
+		toks = append(toks, t)
+		if t.kind == tokEOF {
+			return toks, nil
 		}
 	}
-	toks = append(toks, token{tokEOF, "", n})
-	return toks, nil
+}
+
+// CanonicalKey folds the token stream of input into one string: tokens
+// joined by a single space, identifiers and keywords lowercased, string
+// literals kept raw inside their quotes. Two texts that differ only in
+// whitespace or identifier/keyword case get the same key; it fails
+// exactly when the lexer does, with the error Parse would return.
+//
+// It is an affinity key (the fleet router hashes it to pick the replica
+// that has this query's plan cached), not an equivalence: it is taken
+// before parsing, so texts the parser normalises to one statement
+// (BETWEEN against two comparisons, a trailing ';', redundant
+// parentheses, "!=" against "<>") keep different keys, and
+// key(x) == key(Parse(x).String()) does not hold in general. A miss costs
+// one cold plan on another replica, never a wrong answer.
+func CanonicalKey(input string) (string, error) {
+	var b strings.Builder
+	b.Grow(len(input))
+	s := newScanner(input)
+	for {
+		t, err := s.next()
+		if err != nil {
+			return "", err
+		}
+		if t.kind == tokEOF {
+			return b.String(), nil
+		}
+		if b.Len() > 0 {
+			b.WriteByte(' ')
+		}
+		switch t.kind {
+		case tokIdent:
+			for i := 0; i < len(t.text); i++ {
+				c := t.text[i]
+				if 'A' <= c && c <= 'Z' {
+					c += 'a' - 'A'
+				}
+				b.WriteByte(c)
+			}
+		case tokString:
+			b.WriteByte('\'')
+			b.WriteString(t.text)
+			b.WriteByte('\'')
+		default:
+			b.WriteString(t.text)
+		}
+	}
 }
 
 // Identifier bytes are strictly ASCII. Classifying raw bytes with the
@@ -109,24 +190,18 @@ func isIdentByte(c byte) bool { return isIdentStart(c) || isASCIIDigit(c) }
 
 func isASCIIDigit(c byte) bool { return '0' <= c && c <= '9' }
 
-// startsValue reports whether the next token position can begin a value
+// startsValue reports whether the position after t can begin a value
 // (so '-' starts a negative number rather than being a binary operator).
-func startsValue(toks []token) bool {
-	if len(toks) == 0 {
-		return true
-	}
-	last := toks[len(toks)-1]
-	if last.kind == tokSymbol {
-		switch last.text {
-		case ")", "*":
-			return false
-		}
-		return true
-	}
-	if last.kind == tokIdent {
-		switch last.text {
-		case "and", "or", "between", "in", "where", "like", "limit":
-			return true
+// t's identifier text may be in any case.
+func startsValue(t token) bool {
+	switch t.kind {
+	case tokSymbol:
+		return t.text != ")" && t.text != "*"
+	case tokIdent:
+		for _, kw := range [...]string{"and", "or", "between", "in", "where", "like", "limit"} {
+			if strings.EqualFold(t.text, kw) {
+				return true
+			}
 		}
 	}
 	return false

@@ -213,3 +213,37 @@ func TestLexUnexpectedChar(t *testing.T) {
 		t.Fatalf("expected lexer error, got %v", err)
 	}
 }
+
+func TestCanonicalKey(t *testing.T) {
+	const want = "select count ( * ) from title t where t . title like 'The %' and t . kind_id < -3"
+	for _, in := range []string{
+		`SELECT COUNT(*) FROM title t WHERE t.title LIKE 'The %' AND t.kind_id < -3`,
+		"select  count ( * )\n\tfrom TITLE T where T.Title like 'The %' And t.KIND_ID<-3\r\n",
+		want,
+	} {
+		got, err := CanonicalKey(in)
+		if err != nil || got != want {
+			t.Fatalf("CanonicalKey(%q) = %q, %v; want %q", in, got, err, want)
+		}
+	}
+	// A string literal's case and inner spacing are data, not syntax.
+	for _, in := range []string{
+		`SELECT COUNT(*) FROM title t WHERE t.title LIKE 'the %' AND t.kind_id < -3`,
+		`SELECT COUNT(*) FROM title t WHERE t.title LIKE 'The  %' AND t.kind_id < -3`,
+	} {
+		if got, err := CanonicalKey(in); err != nil || got == want {
+			t.Fatalf("CanonicalKey(%q) = %q, %v; a changed literal must change the key", in, got, err)
+		}
+	}
+	// Tokens never run together: "a b" and "ab" are different queries.
+	if a, _ := CanonicalKey("a b"); a != "a b" {
+		t.Fatalf(`CanonicalKey("a b") = %q`, a)
+	}
+	// Lexer failures surface with the error Parse reports.
+	for _, in := range []string{`SELECT a FROM t WHERE a @ 3`, `SELECT 'open`, `a ! b`} {
+		_, perr := Parse(in)
+		if _, err := CanonicalKey(in); err == nil || err.Error() != perr.Error() {
+			t.Fatalf("CanonicalKey(%q) error %v, Parse error %v", in, err, perr)
+		}
+	}
+}

@@ -9,6 +9,7 @@ import (
 
 	"raal/internal/core"
 	"raal/internal/encode"
+	"raal/internal/metrics"
 )
 
 // corpusPlans collects a small corpus on bench and returns an encoder
@@ -85,7 +86,7 @@ func TestRecommendMatchesUnsplitOracle(t *testing.T) {
 					for i, res := range grid {
 						oracle[i] = alone(cm, p, res)
 					}
-					best := argminFinite(oracle)
+					best := metrics.ArgminFinite(oracle)
 					same := make([]*Plan, len(grid))
 					for i := range same {
 						same[i] = p
@@ -144,7 +145,7 @@ func TestRecommendLargeGridAndCancellation(t *testing.T) {
 	for i, res := range grid {
 		oracle[i] = cm.Estimate(p, res)
 	}
-	best := argminFinite(oracle)
+	best := metrics.ArgminFinite(oracle)
 	for _, cache := range []int{0, 8} {
 		cm.EnableEncodeCache(cache)
 		res, cost, err := cm.RecommendResourcesCtx(context.Background(), p, grid)
@@ -182,7 +183,7 @@ func (c *cancelAfter) Err() error {
 
 // TestRankingSkipsNonFinite poisons the output bias, so every prediction
 // is NaN (or +Inf): the Ctx variants must refuse to pick a winner, the
-// plain ones must say +Inf, and argminFinite must neither let a leading
+// plain ones must say +Inf, and ArgminFinite must neither let a leading
 // NaN win nor let an interior one hide the minimum.
 func TestRankingSkipsNonFinite(t *testing.T) {
 	nan, inf := math.NaN(), math.Inf(1)
@@ -196,8 +197,8 @@ func TestRankingSkipsNonFinite(t *testing.T) {
 		{[]float64{nan, inf, math.Inf(-1)}, -1},
 		{nil, -1},
 	} {
-		if got := argminFinite(c.xs); got != c.want {
-			t.Errorf("argminFinite(%v) = %d, want %d", c.xs, got, c.want)
+		if got := metrics.ArgminFinite(c.xs); got != c.want {
+			t.Errorf("ArgminFinite(%v) = %d, want %d", c.xs, got, c.want)
 		}
 	}
 

@@ -105,6 +105,41 @@ func TestTrainedModelQuality(t *testing.T) {
 	}
 }
 
+// TestDefaultPlanIsFirstOfPlan: DefaultPlan builds one plan, and it is
+// the plan Plan lists first — same signature, same tree, same encode-cache
+// key — with the same errors for SQL that does not parse or bind.
+func TestDefaultPlanIsFirstOfPlan(t *testing.T) {
+	sys, err := Open(IMDB, 0.03, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, q := range []string{
+		`SELECT COUNT(*) FROM movie_keyword mk WHERE mk.keyword_id <= 3`,
+		`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id AND mc.company_id < 50`,
+		`SELECT t.kind_id, COUNT(*) FROM title t, movie_keyword mk WHERE t.id = mk.movie_id GROUP BY t.kind_id ORDER BY t.kind_id LIMIT 4`,
+	} {
+		plans, err := sys.Plan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		def, err := sys.DefaultPlan(q)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if def.Sig != plans[0].Sig || def.String() != plans[0].String() ||
+			PlanFingerprint(def, DefaultResources()) != PlanFingerprint(plans[0], DefaultResources()) {
+			t.Fatalf("%s:\nDefaultPlan %s\n%s\nPlan()[0] %s\n%s", q, def.Sig, def, plans[0].Sig, plans[0])
+		}
+	}
+	for _, q := range []string{`SELECT COUNT(* FROM title`, `SELECT COUNT(*) FROM no_such_table`} {
+		_, planErr := sys.Plan(q)
+		_, defErr := sys.DefaultPlan(q)
+		if planErr == nil || defErr == nil || planErr.Error() != defErr.Error() {
+			t.Fatalf("%s: Plan error %v, DefaultPlan error %v", q, planErr, defErr)
+		}
+	}
+}
+
 func TestEstimateAndSelectPlan(t *testing.T) {
 	sys, _, cm := sharedSystem(t)
 	query := `SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id AND mc.company_id < 50`

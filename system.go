@@ -73,27 +73,33 @@ func (s *System) TotalRows() int { return s.db.TotalRows() }
 // Tables returns the benchmark's table names.
 func (s *System) Tables() []string { return s.db.TableNames() }
 
-// Plan parses, binds, and enumerates candidate physical plans for a SQL
-// query, Catalyst-default plan first.
-func (s *System) Plan(query string) ([]*Plan, error) {
+// bind parses a SQL query and binds it against the benchmark's catalog.
+func (s *System) bind(query string) (*logical.Query, error) {
 	stmt, err := sql.Parse(query)
 	if err != nil {
 		return nil, err
 	}
-	bound, err := s.binder.Bind(stmt)
+	return s.binder.Bind(stmt)
+}
+
+// Plan parses, binds, and enumerates candidate physical plans for a SQL
+// query, Catalyst-default plan first.
+func (s *System) Plan(query string) ([]*Plan, error) {
+	bound, err := s.bind(query)
 	if err != nil {
 		return nil, err
 	}
 	return s.planner.Enumerate(bound)
 }
 
-// DefaultPlan returns the plan Spark's rule-based model would pick.
+// DefaultPlan returns the plan Spark's rule-based model would pick: the
+// first plan Plan returns, built alone.
 func (s *System) DefaultPlan(query string) (*Plan, error) {
-	plans, err := s.Plan(query)
+	bound, err := s.bind(query)
 	if err != nil {
 		return nil, err
 	}
-	return plans[0], nil
+	return s.planner.DefaultPlan(bound)
 }
 
 // Execute runs a plan on the truth engine, populating every node's actual
