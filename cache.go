@@ -48,8 +48,8 @@ type cacheEntry struct {
 // operator which precision's traffic a warm entry is actually serving,
 // and a future precision-specific encoding (e.g. pre-narrowed f32
 // samples) can land without a key-scheme change. The plan key itself
-// (PlanOnlyFingerprint) stays precision-agnostic so fleet-router affinity
-// is unaffected by what precision a replica serves at.
+// (PlanOnlyFingerprint) stays precision-agnostic, so /cachez keys compare
+// across replicas serving at different precisions.
 func cacheKey(precision, planKey string) string {
 	return precision + "\x1e" + planKey
 }
@@ -152,11 +152,9 @@ func (cm *CostModel) EncodeCacheKeyStats() []CacheKeyStats {
 
 // PlanFingerprint returns the canonical (plan, resources) fingerprint: the
 // plan-only fingerprint the encode cache memoizes under, followed by the
-// allocation's feature vector. The fleet router consistent-hashes on it so
-// repeated submissions of the same plan under the same allocation land on
-// the same replica, whose encode cache and micro-batcher are already warm
-// for that key. The string is exact, not a hash, so distinct inputs never
-// collide.
+// allocation's feature vector. The string is exact, not a hash, so distinct
+// inputs never collide. It is not the fleet router's affinity key: the
+// router routes on the SQL text (sql.CanonicalKey) and never sees a plan.
 func PlanFingerprint(p *Plan, res Resources) string {
 	var b strings.Builder
 	writePlanKey(&b, p)
