@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-parallel benchjson bench-serve bench-fleet bench-online chaos online quant bench-quant engine bench-engine vet fmt-check fuzz cover check
+.PHONY: build test race bench bench-parallel bench-online chaos online quant engine vet fmt-check fuzz cover check
 
 build:
 	$(GO) build ./...
@@ -50,21 +50,6 @@ bench:
 bench-parallel:
 	$(GO) test ./internal/core -run=XXX -bench 'BenchmarkPredict|BenchmarkFit' -benchmem
 
-# Machine-readable hot-path numbers (results/BENCH_micro.json); compare
-# runs with: go run ./cmd/benchdiff results/BENCH_micro.json new.json
-benchjson:
-	$(GO) run ./cmd/raalbench -exp micro -json -outdir results
-
-# End-to-end serving throughput, micro-batching off vs on per client
-# count (results/BENCH_serve.json).
-bench-serve:
-	$(GO) run ./cmd/raalbench -exp serve -json -outdir results
-
-# Fleet router scaling 1→N replicas plus kill-mid-run availability
-# (results/BENCH_fleet.json).
-bench-fleet:
-	$(GO) run ./cmd/raalbench -exp fleet -json -outdir results
-
 # Chaos drills: the fault-injected fleet suite (seeded FaultConfig
 # replicas, mid-run kills, drain-during-hedge) under the race detector.
 # Deterministic — a failure here is a real robustness bug, not flake.
@@ -81,48 +66,26 @@ online:
 	$(GO) test -race -run 'TestOnline' -count=1 -v ./internal/online
 
 # The seeded drift drill as a report (results/BENCH_online.json):
-# pre-shift vs drift-peak vs post-promotion q-error.
+# pre-shift vs drift-peak vs post-promotion q-error. Everything but ns_op
+# reproduces bit for bit; TestOnlineReproducesCommittedReport checks it.
 bench-online:
 	$(GO) run ./cmd/raalbench -exp online -json -outdir results
 
 # Reduced-precision gate: the accuracy-gate and precision tests (typed
 # refusal + f64 fallback, non-finite predictions refused, bit-reproducible
-# f32 predict, precision-tagged cache isolation, requantize-on-promotion),
-# then the committed quant report checked against the paper-level bounds —
-# the 0.9-quantile q-error delta of f32 must stay ≤ 0.05, and f32 must not
-# be slower than f64 (or it has no reason to exist). Diffing the report
-# against itself makes the delta columns no-ops; the absolute -metric
-# bounds are the point: a bad baseline cannot be committed.
+# f32 predict, precision-tagged cache isolation, requantize-on-promotion).
+# core.TestQuantizedCloseToFloat64 holds the paper-level bound: the
+# 0.9-quantile q-error delta of f32 must stay <= 0.05.
 quant:
 	$(GO) test -run 'Quant|Precision' -count=1 ./internal/core ./internal/online ./internal/tensor .
-	$(GO) run ./cmd/benchdiff \
-	    -metric 'qdelta_p90/f32<=0.05' \
-	    -metric 'speedup/f32>=1.0' \
-	    results/BENCH_quant.json results/BENCH_quant.json
-
-# Re-measure the f64/f32 predict latencies and the f32 q-error delta
-# (results/BENCH_quant.json); compare runs with cmd/benchdiff.
-bench-quant:
-	$(GO) run ./cmd/raalbench -exp quant -json -outdir results
 
 # Streaming-engine gate: the bit-identity proofs (in-package edge cases
-# plus the cross-corpus IMDB/TPC-H property test) and the parallel
-# collection invariant, then the committed engine report checked against
-# the acceptance bounds — streaming must hold ≥2x the materialized
-# throughput and shed ≥50% of its peak heap on the million-row join, at
-# well under one allocation per input row. Self-diffing the report makes
-# the delta columns no-ops; the absolute -metric bounds are the point.
+# plus the cross-corpus IMDB/TPC-H property test), the allocation bound
+# (TestStreamingAllocsPerRowBounded: under 1% mallocs per scanned row on a
+# join + grouped aggregate) and the parallel collection invariant.
+# Throughput is bench/'s engine.rows_per_s, not a test.
 engine:
 	$(GO) test -run 'Streaming|TestCollectWorker|TestPrefix' -count=1 ./internal/engine ./internal/workload
-	$(GO) run ./cmd/benchdiff \
-	    -metric 'throughput_ratio>=2.0' -metric 'peak_heap_reduction>=0.5' \
-	    -metric 'allocs_per_row<=1.0' \
-	    results/BENCH_engine.json results/BENCH_engine.json
-
-# Re-measure streaming vs materialized execution on the million-row
-# 3-way join (results/BENCH_engine.json); compare runs with benchdiff.
-bench-engine:
-	$(GO) run ./cmd/raalbench -exp engine -json -outdir results
 
 vet:
 	$(GO) vet ./...

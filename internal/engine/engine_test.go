@@ -18,9 +18,11 @@ type fixture struct {
 	binder  *logical.Binder
 }
 
-func newFixture(t *testing.T) *fixture {
+func newFixture(t *testing.T) *fixture { return newFixtureAt(t, 0.03) }
+
+func newFixtureAt(t *testing.T, scale float64) *fixture {
 	t.Helper()
-	db := datagen.IMDB(0.03, 1)
+	db := datagen.IMDB(scale, 1)
 	est, err := cardest.New(db, 16, 8)
 	if err != nil {
 		t.Fatal(err)

@@ -271,6 +271,36 @@ func TestConcurrentStreamingRuns(t *testing.T) {
 	}
 }
 
+// TestStreamingAllocsPerRowBounded holds the streaming path to well under
+// one allocation per input row: slabs, hash tables and group states are
+// per operator, not per row, so a join + grouped aggregate over ~94k
+// scanned rows must stay under 1% mallocs per row whatever the join order
+// or algorithm (measured 272–454 per run). A per-row allocation anywhere
+// on the path is ≥ 100% and fails this by two orders of magnitude.
+func TestStreamingAllocsPerRowBounded(t *testing.T) {
+	f := newFixtureAt(t, 1)
+	plans := f.plans(t, `SELECT t.kind_id, COUNT(*), SUM(mc.company_id)
+		FROM title t, movie_companies mc, company_name cn
+		WHERE t.id = mc.movie_id AND cn.id = mc.company_id GROUP BY t.kind_id`)
+	for _, p := range plans {
+		var scanned float64
+		for _, n := range p.Nodes {
+			if n.Op == physical.FileScan {
+				scanned += float64(f.db.Tables[n.Table].NumRows)
+			}
+		}
+		allocs := testing.AllocsPerRun(3, func() {
+			if _, err := f.eng.Run(p); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs > 0.01*scanned {
+			t.Errorf("%s: %.0f mallocs per run over %.0f scanned rows (%.2f%%), want < 1%%",
+				p.Sig, allocs, scanned, 100*allocs/scanned)
+		}
+	}
+}
+
 func TestPrefixSharesStorage(t *testing.T) {
 	rel := NewRelation()
 	rel.N = 5

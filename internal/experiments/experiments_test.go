@@ -3,6 +3,7 @@ package experiments
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"sync"
 	"testing"
 )
@@ -205,13 +206,20 @@ func TestSimAblation(t *testing.T) {
 }
 
 func TestRegistryLookup(t *testing.T) {
+	want := []string{"aqe", "drift", "enc", "fig1", "fig2", "fig6", "fig7", "fig8", "online",
+		"qerror", "sim", "table4", "table5", "table6", "table7", "table8", "table9", "transfer"}
 	names := Names()
-	if len(names) < 12 {
-		t.Fatalf("registry too small: %v", names)
+	if !reflect.DeepEqual(names, want) {
+		t.Fatalf("registry names:\n got %v\nwant %v", names, want)
 	}
 	for _, n := range names {
-		if _, err := Lookup(n); err != nil {
+		r, err := Lookup(n)
+		if err != nil {
 			t.Fatal(err)
+		}
+		if (r.RunLab != nil) != r.NeedsLab || (r.Run != nil) == r.NeedsLab {
+			t.Errorf("%s: NeedsLab=%v but RunLab set=%v, Run set=%v",
+				n, r.NeedsLab, r.RunLab != nil, r.Run != nil)
 		}
 	}
 	if _, err := Lookup("nope"); err == nil {

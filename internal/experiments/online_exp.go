@@ -10,7 +10,9 @@ import (
 	"raal/internal/core"
 	"raal/internal/encode"
 	"raal/internal/online"
+	"raal/internal/sparksim"
 	"raal/internal/telemetry"
+	"raal/internal/tensor"
 )
 
 // OnlineBench is the seeded workload-shift drill through the full
@@ -18,8 +20,8 @@ import (
 // distribution serves feedback from a shifted one, the rolling q-error
 // quantile trips the drift detector, a challenger warm-starts from the
 // replay reservoir, wins the shadow comparison, and is promoted. The
-// leading fields match the benchdiff schema; the q-error triplet is the
-// recovery story BENCH_online.json gates on.
+// q-error triplet is the recovery story; TestOnlineReproducesCommittedReport
+// pins every field but ns_op to results/BENCH_online.json.
 type OnlineBench struct {
 	Name string  `json:"name"`
 	NsOp float64 `json:"ns_op"` // mean wall time per feedback observation
@@ -61,21 +63,72 @@ func (r *OnlineResult) Print(w io.Writer) {
 	}
 }
 
-// JSON writes the machine-readable form consumed by cmd/benchdiff.
+// JSON writes the machine-readable form (results/BENCH_online.json).
 func (r *OnlineResult) JSON(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(r)
 }
 
-// onlineDataset is the micro fixture with a cost-surface multiplier:
+// Synthetic-sample dimensions, mirroring the core package's benchmark
+// fixture.
+const (
+	synthSem   = 4
+	synthNodes = 6
+	synthStats = 6
+)
+
+// synthSample fabricates an encoded plan whose cost depends on both node
+// content and the resource vector (the same construction the core tests
+// benchmark against).
+func synthSample(rng *rand.Rand) *encode.Sample {
+	dim := synthSem + synthNodes + 2
+	s := &encode.Sample{
+		Nodes:    tensor.New(synthNodes, dim),
+		Mask:     make([]bool, synthNodes),
+		Children: make([][]bool, synthNodes),
+		Resource: make([]float64, sparksim.NumFeatures),
+		Stats:    make([]float64, synthStats),
+	}
+	n := 3 + rng.Intn(synthNodes-2)
+	for i := 0; i < synthNodes; i++ {
+		s.Children[i] = make([]bool, synthNodes)
+	}
+	var nodeSig float64
+	for i := 0; i < n; i++ {
+		s.Mask[i] = true
+		row := s.Nodes.Row(i)
+		for d := 0; d < synthSem; d++ {
+			row[d] = rng.Float64()
+			nodeSig += row[d]
+		}
+		if i > 0 { // chain structure
+			row[synthSem+i-1] = 1
+			s.Children[i][i-1] = true
+			s.Nodes.Row(i - 1)[synthSem+i] = -1
+		}
+		row[synthSem+synthNodes] = rng.Float64()
+		row[synthSem+synthNodes+1] = rng.Float64()
+	}
+	for j := range s.Resource {
+		s.Resource[j] = rng.Float64()
+	}
+	for j := range s.Stats {
+		s.Stats[j] = rng.Float64()
+	}
+	mem := s.Resource[4]
+	s.CostSec = 2 + nodeSig + 12*(mem-0.5)*(mem-0.5) + 0.5*s.Stats[0]
+	return s
+}
+
+// onlineDataset draws n synthetic samples with a cost-surface multiplier:
 // scale > 1 is the injected workload shift — the "same" queries suddenly
 // run scale× slower than the distribution the champion trained on.
 func onlineDataset(n int, seed int64, scale float64) []*encode.Sample {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]*encode.Sample, n)
 	for i := range out {
-		out[i] = microSample(rng)
+		out[i] = synthSample(rng)
 		out[i].CostSec *= scale
 	}
 	return out
@@ -96,7 +149,7 @@ const (
 // reservoir, and the challenger's warm-start Fit, so the promoted
 // version and its q-errors reproduce bit-for-bit run over run.
 func Online(opt Options) (*OnlineResult, error) {
-	cfg := core.DefaultConfig(microSem, microNodes)
+	cfg := core.DefaultConfig(synthSem, synthNodes)
 	cfg.Hidden = 16
 	cfg.K = 8
 	cfg.Seed = opt.Seed

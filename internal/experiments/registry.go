@@ -14,6 +14,12 @@ type Report interface {
 	Print(w io.Writer)
 }
 
+// JSONer is implemented by reports that can export machine-readable data;
+// cmd/raalbench -json writes these as BENCH_<name>.json.
+type JSONer interface {
+	JSON(w io.Writer) error
+}
+
 // Runner executes one named experiment.
 type Runner struct {
 	Name        string
@@ -61,18 +67,8 @@ func Registry() []Runner {
 			Run: func(o Options) (Report, error) { return Drift(o) }},
 		{Name: "qerror", Description: "extra: cardinality q-error by join depth", NeedsLab: true,
 			RunLab: func(l *Lab) (Report, error) { return QError(l) }},
-		{Name: "micro", Description: "extra: hot-path microbenchmarks (predict/fit ns/op and allocs/op)",
-			Run: func(o Options) (Report, error) { return Micro(o) }},
-		{Name: "serve", Description: "extra: serving throughput, micro-batching on vs off per client count",
-			Run: func(o Options) (Report, error) { return Serve(o) }},
-		{Name: "fleet", Description: "extra: fleet router scaling 1→N replicas + kill-mid-run availability",
-			Run: func(o Options) (Report, error) { return Fleet(o) }},
 		{Name: "online", Description: "extra: seeded drift drill — workload shift, retrain, shadow-score, promote",
 			Run: func(o Options) (Report, error) { return Online(o) }},
-		{Name: "quant", Description: "extra: reduced-precision inference — f64 vs f32 latency and q-error delta",
-			Run: func(o Options) (Report, error) { return Quant(o) }},
-		{Name: "engine", Description: "extra: streaming vs materialized execution — throughput, peak heap, allocs/row on a 10^6-row join",
-			Run: func(o Options) (Report, error) { return EngineBench(o) }},
 	}
 }
 
