@@ -133,6 +133,10 @@ fuzz:
 # is its own module (replace raal => ../) importing
 # raal/internal/{core,tensor}, so `go test ./...` never compiles it: an
 # internal-API refactor could break the benchmark silently without this.
+# The arm64 vet and build keep the generic-only build (no AVX2 kernels,
+# internal/tensor/matmul_other.go) compiling; vet on amd64 already checks
+# the assembly's frame offsets against its Go declarations (asmdecl).
 check: vet fmt-check test fuzz
+	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	$(GO) vet -C bench .
 	$(GO) test -C bench .

@@ -49,38 +49,53 @@ func mustEqual[T Float](t *testing.T, got, want *Mat[T], what string) {
 		t.Fatalf("%s: shape (%d,%d) want (%d,%d)", what, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range want.Data {
-		if got.Data[i] != want.Data[i] && !(got.Data[i] != got.Data[i] && want.Data[i] != want.Data[i]) { // NaN == NaN here
+		g, w := float64(got.Data[i]), float64(want.Data[i])                    // exact at either width
+		if math.Float64bits(g) != math.Float64bits(w) && !(g != g && w != w) { // NaN == NaN here
 			t.Fatalf("%s: element %d = %v, want %v (bit-exact)", what, i, got.Data[i], want.Data[i])
 		}
 	}
 }
 
+// oddView returns a copy of m whose Data starts at an odd element offset
+// of a larger buffer, so no row start is vector-aligned.
+func oddView[T Float](rng *rand.Rand, m *Mat[T]) *Mat[T] {
+	off := 1 + 2*rng.Intn(4)
+	buf := make([]T, off+len(m.Data)+3)
+	copy(buf[off:], m.Data)
+	return &Mat[T]{Rows: m.Rows, Cols: m.Cols, Data: buf[off : off+len(m.Data)]}
+}
+
 // TestBlockedMatMulMatchesNaive pins the register-blocked kernels to the
-// reference on shapes that hit every unroll remainder (the 8- and 4-wide
-// blocks and the scalar tail).
+// reference on shapes that hit every column block and tail of both the Go
+// loops (8, 4, 1) and the AVX2 kernels (16 and a masked 1..15 at f64, 32
+// and 1..31 at f32), row counts on both sides of transBMinRows, an empty
+// inner dimension, and operands at unaligned offsets.
 func TestBlockedMatMulMatchesNaive(t *testing.T) {
 	bothTypes(t, testBlockedMatMulMatchesNaive[float64], testBlockedMatMulMatchesNaive[float32])
 }
 
 func testBlockedMatMulMatchesNaive[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 50; trial++ {
-		m := 1 + rng.Intn(9)
-		k := 1 + rng.Intn(9)
-		n := 1 + rng.Intn(13) // 1..13 covers all j-unroll tails
+	for trial := 0; trial < 200; trial++ {
+		m := 1 + rng.Intn(12)
+		k := rng.Intn(71)
+		n := 1 + rng.Intn(40)
 		a := randMatOf[T](rng, m, k)
 		b := randMatOf[T](rng, k, n)
+		if trial%2 == 1 {
+			a, b = oddView(rng, a), oddView(rng, b)
+		}
 		want := naiveMatMul(a, b)
 
 		mustEqual(t, MatMul(a, b), want, "MatMul")
 
-		out := randMatOf[T](rng, m, n) // dirty output: Into must overwrite fully
+		out := oddView(rng, randMatOf[T](rng, m, n)) // dirty output: Into must overwrite fully
 		MatMulInto(out, a, b)
 		mustEqual(t, out, want, "MatMulInto")
 
 		// a·b = (aᵀ)ᵀ·b and a·b = a·(bᵀ)ᵀ exercise the transposed kernels.
-		at := a.Transpose()
-		outA := randMatOf[T](rng, m, n)
+		at := oddView(rng, a.Transpose())
+		outA := oddView(rng, randMatOf[T](rng, m, n))
 		MatMulTransAInto(outA, at, b)
 		mustEqual(t, outA, want, "MatMulTransAInto")
 		mustEqual(t, MatMulTransA(at, b), want, "MatMulTransA")

@@ -1,0 +1,154 @@
+package tensor
+
+// This file selects the AVX2 matmul kernels of matmul_amd64.s (DESIGN
+// §5n). The contract is the one every other kernel keeps: each output
+// element is accumulated in ascending k, from +0, as a separate multiply
+// then add, with a-zeros skipped by a scalar test. The assembly keeps it
+// by running SIMD lanes across output columns only — never across k — and
+// by using VMULPx/VADDPx, never a fused multiply-add, so its results are
+// bit-identical to the portable Go loops (matMulRowsReg,
+// matMulTransAColsGo, matMulTransBRowsGo), which stay as the test oracle.
+
+// useAVX2 is fixed once at init from the CPU and the OS; there is no
+// option, variable or build tag that selects a kernel.
+var useAVX2 = cpuHasAVX2()
+
+// cpuid executes CPUID with EAX=eaxArg, ECX=ecxArg.
+func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+
+// xgetbv reads the extended control register XCR0.
+func xgetbv() (eax, edx uint32)
+
+// cpuHasAVX2 reports whether the CPU implements AVX2 and the OS saves the
+// YMM registers across context switches (OSXSAVE set and XCR0 enabling
+// both the XMM and the YMM state).
+func cpuHasAVX2() bool {
+	if maxLeaf, _, _, _ := cpuid(0, 0); maxLeaf < 7 {
+		return false
+	}
+	const osxsave, avx = 1 << 27, 1 << 28
+	if _, _, ecx, _ := cpuid(1, 0); ecx&osxsave == 0 || ecx&avx == 0 {
+		return false
+	}
+	if xcr0, _ := xgetbv(); xcr0&6 != 6 {
+		return false
+	}
+	const avx2 = 1 << 5
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx2 != 0
+}
+
+// vecMatF64 sets out[j] = Σ_{p<k} a[p·lda]·b[p·ldb+j] for every j <
+// len(out): the strided vector a times the k×len(out) window of b with row
+// stride ldb. Each sum runs in ascending p from +0 and skips p where
+// a[p·lda] is ±0. It does no bounds checks: the caller slices a and b so
+// that every element read lies inside them.
+//
+//go:noescape
+func vecMatF64(out, a []float64, lda int, b []float64, ldb, k int)
+
+// vecMatF32 is vecMatF64 at float32.
+//
+//go:noescape
+func vecMatF32(out, a []float32, lda int, b []float32, ldb, k int)
+
+// simdFloat reports whether the AVX2 kernels run for element type T: the
+// CPU has them and T is float32 or float64 (not a named variant).
+func simdFloat[T Float]() bool {
+	var zero T
+	switch any(zero).(type) {
+	case float32, float64:
+		return useAVX2
+	}
+	return false
+}
+
+// vecMat calls the kernel of T's width; simdFloat[T] must hold.
+func vecMat[T Float](out, a []T, lda int, b []T, ldb, k int) {
+	switch o := any(out).(type) {
+	case []float64:
+		vecMatF64(o, any(a).([]float64), lda, any(b).([]float64), ldb, k)
+	case []float32:
+		vecMatF32(o, any(a).([]float32), lda, any(b).([]float32), ldb, k)
+	}
+}
+
+// matMulRowsSIMD runs the register path of matMulRows through the AVX2
+// kernel, one output row per call. It reports false, having done nothing,
+// when simdFloat[T] does not hold.
+func matMulRowsSIMD[T Float](out, a, b *Mat[T]) bool {
+	if !simdFloat[T]() {
+		return false
+	}
+	m, k, n := a.Rows, a.Cols, b.Cols
+	bd := b.Data[:k*n]
+	for i := 0; i < m; i++ {
+		vecMat(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], 1, bd, n, k)
+	}
+	return true
+}
+
+// matMulTransAColsSIMD is matMulTransACols through the AVX2 kernel: output
+// row i is column i of a (stride a.Cols) times b, the same ascending-k sum
+// per element. Same false return as matMulRowsSIMD.
+func matMulTransAColsSIMD[T Float](out, a, b *Mat[T], jlo, jhi int) bool {
+	if !simdFloat[T]() {
+		return false
+	}
+	k, m, n := a.Rows, a.Cols, b.Cols
+	if k == 0 {
+		return true // MatMulTransAInto has zeroed out
+	}
+	ad, bd := a.Data[:k*m], b.Data[:k*n]
+	for i := 0; i < m; i++ {
+		vecMat(out.Data[i*n+jlo:i*n+jhi], ad[i:], m, bd[jlo:], n, k)
+	}
+	return true
+}
+
+// matMulTransBRowsSIMD copies b, transposed, through a stack block of
+// transBMaxK×transBCols elements (32 KiB at float64). Below transBMinRows
+// rows of a the copy costs more than the kernel saves (BenchmarkMatMul).
+const (
+	transBMaxK    = 256
+	transBCols    = 16
+	transBMinRows = 8
+)
+
+// matMulTransBRowsSIMD is matMulTransBRows through the AVX2 kernel: each
+// block of transBCols rows of b is transposed onto the stack, so output
+// row i is a's row i times that block, summed in ascending k from +0.
+//
+// The Go loop multiplies a's zeros instead of skipping them. The two
+// agree whenever b is finite: a sum that starts at +0 never becomes −0
+// under round-to-nearest, so adding a product ±0·b = ±0 leaves it
+// unchanged. Only an infinite or NaN b, where 0·b is NaN, tells them
+// apart, so a non-finite b declines to the Go loop, which then overwrites
+// every element this may have written. Fewer than transBMinRows rows of a
+// and k past transBMaxK decline before writing anything.
+func matMulTransBRowsSIMD[T Float](out, a, b *Mat[T]) bool {
+	m, k, nb := a.Rows, a.Cols, b.Rows
+	if !simdFloat[T]() || m < transBMinRows || k > transBMaxK {
+		return false
+	}
+	bd := b.Data[:nb*k]
+	var block [transBMaxK * transBCols]T
+	for j0 := 0; j0 < nb; j0 += transBCols {
+		w := min(transBCols, nb-j0)
+		bt := block[:k*w]
+		for p := 0; p < k; p++ {
+			src := bd[j0*k+p:]
+			for jj, dst := 0, bt[p*w:(p+1)*w]; jj < len(dst); jj++ {
+				v := src[jj*k]
+				if v-v != 0 { // ±Inf or NaN
+					return false
+				}
+				dst[jj] = v
+			}
+		}
+		for i := 0; i < m; i++ {
+			vecMat(out.Data[i*nb+j0:i*nb+j0+w], a.Data[i*k:(i+1)*k], 1, bt, w, k)
+		}
+	}
+	return true
+}

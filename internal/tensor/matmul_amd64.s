@@ -1,0 +1,292 @@
+#include "textflag.h"
+
+// AVX2 kernels for matmul_amd64.go. Register use in both kernels:
+//
+//	DI out cursor     DX columns left   SI a      BX b column cursor
+//	R8 a stride (B)   R9 b stride (B)   R10 k     CX p countdown
+//	R11 a cursor      R12 b cursor      AX a's bits for the zero test
+//	Y0-Y3 accumulators   Y4 a[p] broadcast   Y5-Y8 products   Y9-Y12 tail masks
+//
+// Every output column owns one accumulator lane that starts at +0 and
+// takes, for p = 0, 1, ..., k-1, one multiply (VMULPx) and then one add
+// (VADDPx) — the scalar Go sum, lane for lane. a[p] is skipped when it is
+// ±0: shifting its bits left by one drops the sign, and only ±0 leave
+// zero (NaN and subnormals do not), which is the Go test a != 0.
+//
+// Full blocks are 128 bytes of columns (16 float64, 32 float32). The last
+// 1 to 127 bytes of columns run as one more block under a lane mask:
+// VMASKMOVPx neither loads nor stores the lanes past the end, so those
+// lanes only ever compute on zeros that nothing reads.
+
+// tailMask is 128 bytes of ones then 128 bytes of zeros: the 128 bytes at
+// offset 128-r are the lane mask of a block whose first r bytes are live.
+DATA tailMask<>+0x00(SB)/8, $-1
+DATA tailMask<>+0x08(SB)/8, $-1
+DATA tailMask<>+0x10(SB)/8, $-1
+DATA tailMask<>+0x18(SB)/8, $-1
+DATA tailMask<>+0x20(SB)/8, $-1
+DATA tailMask<>+0x28(SB)/8, $-1
+DATA tailMask<>+0x30(SB)/8, $-1
+DATA tailMask<>+0x38(SB)/8, $-1
+DATA tailMask<>+0x40(SB)/8, $-1
+DATA tailMask<>+0x48(SB)/8, $-1
+DATA tailMask<>+0x50(SB)/8, $-1
+DATA tailMask<>+0x58(SB)/8, $-1
+DATA tailMask<>+0x60(SB)/8, $-1
+DATA tailMask<>+0x68(SB)/8, $-1
+DATA tailMask<>+0x70(SB)/8, $-1
+DATA tailMask<>+0x78(SB)/8, $-1
+DATA tailMask<>+0x80(SB)/8, $0
+DATA tailMask<>+0x88(SB)/8, $0
+DATA tailMask<>+0x90(SB)/8, $0
+DATA tailMask<>+0x98(SB)/8, $0
+DATA tailMask<>+0xa0(SB)/8, $0
+DATA tailMask<>+0xa8(SB)/8, $0
+DATA tailMask<>+0xb0(SB)/8, $0
+DATA tailMask<>+0xb8(SB)/8, $0
+DATA tailMask<>+0xc0(SB)/8, $0
+DATA tailMask<>+0xc8(SB)/8, $0
+DATA tailMask<>+0xd0(SB)/8, $0
+DATA tailMask<>+0xd8(SB)/8, $0
+DATA tailMask<>+0xe0(SB)/8, $0
+DATA tailMask<>+0xe8(SB)/8, $0
+DATA tailMask<>+0xf0(SB)/8, $0
+DATA tailMask<>+0xf8(SB)/8, $0
+GLOBL tailMask<>(SB), RODATA|NOPTR, $256
+
+// func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
+TEXT ·cpuid(SB), NOSPLIT, $0-24
+	MOVL eaxArg+0(FP), AX
+	MOVL ecxArg+4(FP), CX
+	CPUID
+	MOVL AX, eax+8(FP)
+	MOVL BX, ebx+12(FP)
+	MOVL CX, ecx+16(FP)
+	MOVL DX, edx+20(FP)
+	RET
+
+// func xgetbv() (eax, edx uint32)
+TEXT ·xgetbv(SB), NOSPLIT, $0-8
+	MOVL $0, CX
+	XGETBV
+	MOVL AX, eax+0(FP)
+	MOVL DX, edx+4(FP)
+	RET
+
+// func vecMatF64(out, a []float64, lda int, b []float64, ldb, k int)
+TEXT ·vecMatF64(SB), NOSPLIT, $0-96
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), DX
+	MOVQ a_base+24(FP), SI
+	MOVQ lda+48(FP), R8
+	SHLQ $3, R8
+	MOVQ b_base+56(FP), BX
+	MOVQ ldb+80(FP), R9
+	SHLQ $3, R9
+	MOVQ k+88(FP), R10
+
+block:
+	CMPQ DX, $16
+	JLT  tail
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, R11
+	MOVQ BX, R12
+	MOVQ R10, CX
+	TESTQ CX, CX
+	JZ   store
+
+loop:
+	MOVQ (R11), AX
+	SHLQ $1, AX
+	JZ   skip
+	VBROADCASTSD (R11), Y4
+	VMULPD (R12), Y4, Y5
+	VADDPD Y5, Y0, Y0
+	VMULPD 32(R12), Y4, Y6
+	VADDPD Y6, Y1, Y1
+	VMULPD 64(R12), Y4, Y7
+	VADDPD Y7, Y2, Y2
+	VMULPD 96(R12), Y4, Y8
+	VADDPD Y8, Y3, Y3
+
+skip:
+	ADDQ R8, R11
+	ADDQ R9, R12
+	DECQ CX
+	JNZ  loop
+
+store:
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, 64(DI)
+	VMOVUPD Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, BX
+	SUBQ $16, DX
+	JMP  block
+
+tail:
+	TESTQ DX, DX
+	JZ   done
+	LEAQ tailMask<>+128(SB), AX
+	SHLQ $3, DX
+	SUBQ DX, AX
+	VMOVDQU (AX), Y9
+	VMOVDQU 32(AX), Y10
+	VMOVDQU 64(AX), Y11
+	VMOVDQU 96(AX), Y12
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2
+	VXORPD Y3, Y3, Y3
+	MOVQ SI, R11
+	MOVQ BX, R12
+	MOVQ R10, CX
+	TESTQ CX, CX
+	JZ   tailstore
+
+tailloop:
+	MOVQ (R11), AX
+	SHLQ $1, AX
+	JZ   tailskip
+	VBROADCASTSD (R11), Y4
+	VMASKMOVPD (R12), Y9, Y5
+	VMULPD Y5, Y4, Y5
+	VADDPD Y5, Y0, Y0
+	VMASKMOVPD 32(R12), Y10, Y6
+	VMULPD Y6, Y4, Y6
+	VADDPD Y6, Y1, Y1
+	VMASKMOVPD 64(R12), Y11, Y7
+	VMULPD Y7, Y4, Y7
+	VADDPD Y7, Y2, Y2
+	VMASKMOVPD 96(R12), Y12, Y8
+	VMULPD Y8, Y4, Y8
+	VADDPD Y8, Y3, Y3
+
+tailskip:
+	ADDQ R8, R11
+	ADDQ R9, R12
+	DECQ CX
+	JNZ  tailloop
+
+tailstore:
+	VMASKMOVPD Y0, Y9, (DI)
+	VMASKMOVPD Y1, Y10, 32(DI)
+	VMASKMOVPD Y2, Y11, 64(DI)
+	VMASKMOVPD Y3, Y12, 96(DI)
+
+done:
+	VZEROUPPER
+	RET
+
+// func vecMatF32(out, a []float32, lda int, b []float32, ldb, k int)
+TEXT ·vecMatF32(SB), NOSPLIT, $0-96
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), DX
+	MOVQ a_base+24(FP), SI
+	MOVQ lda+48(FP), R8
+	SHLQ $2, R8
+	MOVQ b_base+56(FP), BX
+	MOVQ ldb+80(FP), R9
+	SHLQ $2, R9
+	MOVQ k+88(FP), R10
+
+block:
+	CMPQ DX, $32
+	JLT  tail
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ SI, R11
+	MOVQ BX, R12
+	MOVQ R10, CX
+	TESTQ CX, CX
+	JZ   store
+
+loop:
+	MOVL (R11), AX
+	SHLL $1, AX
+	JZ   skip
+	VBROADCASTSS (R11), Y4
+	VMULPS (R12), Y4, Y5
+	VADDPS Y5, Y0, Y0
+	VMULPS 32(R12), Y4, Y6
+	VADDPS Y6, Y1, Y1
+	VMULPS 64(R12), Y4, Y7
+	VADDPS Y7, Y2, Y2
+	VMULPS 96(R12), Y4, Y8
+	VADDPS Y8, Y3, Y3
+
+skip:
+	ADDQ R8, R11
+	ADDQ R9, R12
+	DECQ CX
+	JNZ  loop
+
+store:
+	VMOVUPS Y0, (DI)
+	VMOVUPS Y1, 32(DI)
+	VMOVUPS Y2, 64(DI)
+	VMOVUPS Y3, 96(DI)
+	ADDQ $128, DI
+	ADDQ $128, BX
+	SUBQ $32, DX
+	JMP  block
+
+tail:
+	TESTQ DX, DX
+	JZ   done
+	LEAQ tailMask<>+128(SB), AX
+	SHLQ $2, DX
+	SUBQ DX, AX
+	VMOVDQU (AX), Y9
+	VMOVDQU 32(AX), Y10
+	VMOVDQU 64(AX), Y11
+	VMOVDQU 96(AX), Y12
+	VXORPS Y0, Y0, Y0
+	VXORPS Y1, Y1, Y1
+	VXORPS Y2, Y2, Y2
+	VXORPS Y3, Y3, Y3
+	MOVQ SI, R11
+	MOVQ BX, R12
+	MOVQ R10, CX
+	TESTQ CX, CX
+	JZ   tailstore
+
+tailloop:
+	MOVL (R11), AX
+	SHLL $1, AX
+	JZ   tailskip
+	VBROADCASTSS (R11), Y4
+	VMASKMOVPS (R12), Y9, Y5
+	VMULPS Y5, Y4, Y5
+	VADDPS Y5, Y0, Y0
+	VMASKMOVPS 32(R12), Y10, Y6
+	VMULPS Y6, Y4, Y6
+	VADDPS Y6, Y1, Y1
+	VMASKMOVPS 64(R12), Y11, Y7
+	VMULPS Y7, Y4, Y7
+	VADDPS Y7, Y2, Y2
+	VMASKMOVPS 96(R12), Y12, Y8
+	VMULPS Y8, Y4, Y8
+	VADDPS Y8, Y3, Y3
+
+tailskip:
+	ADDQ R8, R11
+	ADDQ R9, R12
+	DECQ CX
+	JNZ  tailloop
+
+tailstore:
+	VMASKMOVPS Y0, Y9, (DI)
+	VMASKMOVPS Y1, Y10, 32(DI)
+	VMASKMOVPS Y2, Y11, 64(DI)
+	VMASKMOVPS Y3, Y12, 96(DI)
+
+done:
+	VZEROUPPER
+	RET

@@ -23,7 +23,8 @@
 // float32 slices run through the table/polynomial kernels of
 // fastmath32.go, anything else through the float64 math library. The
 // choice is made once per slice by a type assertion (act.go), never per
-// element.
+// element. The AVX2 matmul kernels (matmul_amd64.go) are picked the same
+// way, one per width, and compute exactly what the Go loops compute.
 package tensor
 
 import (
@@ -246,71 +247,19 @@ const regPathMaxBBytes = 1 << 18
 // produce bit-identical results (per element: ascending-k accumulation,
 // a-zeros skipped):
 //
-//   - register path (jik): eight (then four, then one) output columns
-//     accumulate in registers while a's row streams once; out is written
-//     exactly once, never re-read. Wins while b stays cache-resident, which covers every
-//     weight matrix in the cost model.
+//   - register path (jik): a block of output columns accumulates in
+//     registers while a's row streams once; out is written exactly once,
+//     never re-read. Wins while b stays cache-resident, which covers every
+//     weight matrix in the cost model. It runs the AVX2 kernel where the
+//     CPU has one (DESIGN §5n), matMulRowsReg otherwise.
 //   - streaming path (ikj): the inner loop streams contiguous rows of b
 //     and out, trading out re-reads for sequential access to a large b.
 func matMulRows[T Float](out, a, b *Mat[T]) {
 	n := b.Cols
 	var zero T
 	if len(b.Data)*int(unsafe.Sizeof(zero)) <= regPathMaxBBytes {
-		for i := 0; i < a.Rows; i++ {
-			arow := a.Data[i*a.Cols : (i+1)*a.Cols]
-			orow := out.Data[i*n : (i+1)*n]
-			j := 0
-			// 8-wide column blocks first: the wider block halves the
-			// slice/branch overhead per multiply, which is a fifth of the
-			// float32 kernel's time and costs float64 nothing. Each output
-			// element still accumulates in ascending k with a-zeros
-			// skipped, so the block width never shows up in the result.
-			for ; j+8 <= n; j += 8 {
-				var s0, s1, s2, s3, s4, s5, s6, s7 T
-				idx := j
-				for _, av := range arow {
-					if av != 0 {
-						b8 := b.Data[idx : idx+8 : idx+8]
-						s0 += av * b8[0]
-						s1 += av * b8[1]
-						s2 += av * b8[2]
-						s3 += av * b8[3]
-						s4 += av * b8[4]
-						s5 += av * b8[5]
-						s6 += av * b8[6]
-						s7 += av * b8[7]
-					}
-					idx += n
-				}
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-				orow[j+4], orow[j+5], orow[j+6], orow[j+7] = s4, s5, s6, s7
-			}
-			for ; j+4 <= n; j += 4 {
-				var s0, s1, s2, s3 T
-				idx := j
-				for _, av := range arow {
-					if av != 0 {
-						b4 := b.Data[idx : idx+4 : idx+4]
-						s0 += av * b4[0]
-						s1 += av * b4[1]
-						s2 += av * b4[2]
-						s3 += av * b4[3]
-					}
-					idx += n
-				}
-				orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
-			}
-			for ; j < n; j++ {
-				var s T
-				idx := j
-				for _, av := range arow {
-					if av != 0 {
-						s += av * b.Data[idx]
-					}
-					idx += n
-				}
-				orow[j] = s
-			}
+		if !matMulRowsSIMD(out, a, b) {
+			matMulRowsReg(out, a, b)
 		}
 		return
 	}
@@ -335,6 +284,69 @@ func matMulRows[T Float](out, a, b *Mat[T]) {
 			for ; j < n; j++ {
 				orow[j] += av * brow[j]
 			}
+		}
+	}
+}
+
+// matMulRowsReg is the register path in portable Go: eight (then four,
+// then one) output columns per block. It is the kernel off amd64 or
+// without AVX2, and the oracle the AVX2 kernel is tested against.
+func matMulRowsReg[T Float](out, a, b *Mat[T]) {
+	n := b.Cols
+	for i := 0; i < a.Rows; i++ {
+		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
+		orow := out.Data[i*n : (i+1)*n]
+		j := 0
+		// 8-wide column blocks first: the wider block halves the
+		// slice/branch overhead per multiply, which is a fifth of the
+		// float32 kernel's time and costs float64 nothing. Each output
+		// element still accumulates in ascending k with a-zeros
+		// skipped, so the block width never shows up in the result.
+		for ; j+8 <= n; j += 8 {
+			var s0, s1, s2, s3, s4, s5, s6, s7 T
+			idx := j
+			for _, av := range arow {
+				if av != 0 {
+					b8 := b.Data[idx : idx+8 : idx+8]
+					s0 += av * b8[0]
+					s1 += av * b8[1]
+					s2 += av * b8[2]
+					s3 += av * b8[3]
+					s4 += av * b8[4]
+					s5 += av * b8[5]
+					s6 += av * b8[6]
+					s7 += av * b8[7]
+				}
+				idx += n
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+			orow[j+4], orow[j+5], orow[j+6], orow[j+7] = s4, s5, s6, s7
+		}
+		for ; j+4 <= n; j += 4 {
+			var s0, s1, s2, s3 T
+			idx := j
+			for _, av := range arow {
+				if av != 0 {
+					b4 := b.Data[idx : idx+4 : idx+4]
+					s0 += av * b4[0]
+					s1 += av * b4[1]
+					s2 += av * b4[2]
+					s3 += av * b4[3]
+				}
+				idx += n
+			}
+			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
+		}
+		for ; j < n; j++ {
+			var s T
+			idx := j
+			for _, av := range arow {
+				if av != 0 {
+					s += av * b.Data[idx]
+				}
+				idx += n
+			}
+			orow[j] = s
 		}
 	}
 }
@@ -367,11 +379,21 @@ func MatMulTransBInto[T Float](out, a, b *Mat[T]) {
 }
 
 // matMulTransBRows is the serial out = a×bᵀ kernel over a contiguous row
-// range. Each output row is a set of dot products against rows of b;
-// running four of them at once keeps four accumulators in registers while
-// a's row streams through cache once per block. Every accumulator still
-// sums in ascending k, so results are bit-identical to the scalar loop.
+// range: the AVX2 kernel where the CPU has one and it accepts the operands
+// (DESIGN §5n), matMulTransBRowsGo otherwise.
 func matMulTransBRows[T Float](out, a, b *Mat[T]) {
+	if !matMulTransBRowsSIMD(out, a, b) {
+		matMulTransBRowsGo(out, a, b)
+	}
+}
+
+// matMulTransBRowsGo is out = a×bᵀ in portable Go. Each output row is a
+// set of dot products against rows of b; running four of them at once
+// keeps four accumulators in registers while a's row streams through
+// cache once per block. Every accumulator still sums in ascending k, so
+// results are bit-identical to the scalar loop. It is the kernel off amd64
+// or without AVX2, and the oracle the AVX2 path is tested against.
+func matMulTransBRowsGo[T Float](out, a, b *Mat[T]) {
 	bc := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
@@ -435,10 +457,20 @@ func MatMulTransAInto[T Float](out, a, b *Mat[T]) {
 	matMulTransACols(out, a, b, 0, n)
 }
 
-// matMulTransACols accumulates out[:, jlo:jhi) of out = aᵀ×b. Same
-// k-outer accumulation as the allocating version, with the contiguous j
-// loop unrolled 4 wide (see MatMulInto). out must be pre-zeroed.
+// matMulTransACols computes out[:, jlo:jhi) of out = aᵀ×b, out pre-zeroed:
+// through the AVX2 kernel where the CPU has one (DESIGN §5n),
+// matMulTransAColsGo otherwise.
 func matMulTransACols[T Float](out, a, b *Mat[T], jlo, jhi int) {
+	if !matMulTransAColsSIMD(out, a, b, jlo, jhi) {
+		matMulTransAColsGo(out, a, b, jlo, jhi)
+	}
+}
+
+// matMulTransAColsGo accumulates out[:, jlo:jhi) of out = aᵀ×b in portable
+// Go: k-outer, with the contiguous j loop unrolled 4 wide (see MatMulInto).
+// out must be pre-zeroed. It is the kernel off amd64 or without AVX2, and
+// the oracle the AVX2 kernel is tested against.
+func matMulTransAColsGo[T Float](out, a, b *Mat[T], jlo, jhi int) {
 	n := b.Cols
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Data[k*a.Cols : (k+1)*a.Cols]

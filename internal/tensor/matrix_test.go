@@ -281,13 +281,52 @@ func TestConvertRoundTrip(t *testing.T) {
 	MatMulInto(m32, m32, m32)
 }
 
-func BenchmarkMatMul64(b *testing.B) {
+// BenchmarkMatMul runs the kernels at the shapes the cost model multiplies
+// (bench/'s served model: 42-node plans, 60-wide node rows, Hidden 48)
+// on one goroutine and reports MFLOP/s, so a kernel change can be sized
+// here before paired runs of bench/.
+func BenchmarkMatMul(b *testing.B) {
+	shapes := []struct {
+		name    string
+		op      byte // 'n' a·b, 'a' aᵀ·b, 'b' a·bᵀ
+		m, k, n int  // out is m×n; the sum runs over k
+	}{
+		{"step_1x48x192", 'n', 1, 48, 192},       // recurrent h·Wh at batch 1
+		{"inproj_126x60x192", 'n', 126, 60, 192}, // x·Wx, batch 3 × 42 nodes
+		{"head_60x110x48", 'n', 60, 110, 48},     // first head layer, batch 60
+		{"gradWx_60x126x192", 'a', 60, 126, 192}, // xᵀ·dZ
+		{"gradWh_48x16x192", 'a', 48, 16, 192},   // hᵀ·dZ per step, batch 16
+		{"gradHead_110x60x48", 'a', 110, 60, 48}, // hᵀ·dOut of the head
+		{"gradX_126x192x60", 'b', 126, 192, 60},  // dZ·Wxᵀ
+		{"gradH_16x192x48", 'b', 16, 192, 48},    // dZ·Whᵀ per step, batch 16
+		{"gradH_8x192x48", 'b', 8, 192, 48},      // the fewest rows that take the AVX2 path
+	}
+	prev := SetMatMulWorkers(1)
+	defer SetMatMulWorkers(prev)
+	for _, s := range shapes {
+		b.Run(s.name+"/f64", func(b *testing.B) { benchMatMul[float64](b, s.op, s.m, s.k, s.n) })
+		b.Run(s.name+"/f32", func(b *testing.B) { benchMatMul[float32](b, s.op, s.m, s.k, s.n) })
+	}
+}
+
+func benchMatMul[T Float](b *testing.B, op byte, m, k, n int) {
 	rng := rand.New(rand.NewSource(1))
-	x := Randn(64, 64, 1, rng)
-	y := Randn(64, 64, 1, rng)
-	out := New(64, 64)
+	out := NewMat[T](m, n)
+	var run func()
+	switch op {
+	case 'n':
+		x, y := randMatOf[T](rng, m, k), randMatOf[T](rng, k, n)
+		run = func() { MatMulInto(out, x, y) }
+	case 'a':
+		x, y := randMatOf[T](rng, k, m), randMatOf[T](rng, k, n)
+		run = func() { MatMulTransAInto(out, x, y) }
+	case 'b':
+		x, y := randMatOf[T](rng, m, k), randMatOf[T](rng, n, k)
+		run = func() { MatMulTransBInto(out, x, y) }
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		MatMulInto(out, x, y)
+		run()
 	}
+	b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MFLOP/s")
 }
