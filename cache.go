@@ -1,7 +1,6 @@
 package raal
 
 import (
-	"container/list"
 	"fmt"
 	"hash/fnv"
 	"strconv"
@@ -9,68 +8,56 @@ import (
 	"sync"
 
 	"raal/internal/encode"
+	"raal/internal/lru"
 )
 
-// encodeCache is a mutex-guarded LRU from plan-only fingerprints to the
-// plan part of an encoded sample (encode.Encoder.EncodePlanPart). Plan
-// encoding walks the whole operator tree (word2vec lookups, statistics
-// aggregation) on every Estimate call, yet serving workloads re-submit the
-// same few plans over and over; caching the encoder's output removes that
-// repeated walk entirely. The allocation is not part of the key: it only
-// becomes the sample's resource vector, which is a few divisions, so the
-// same plan under a new allocation is a hit. The encoder is deterministic —
-// identical plans yield identical encodings — so serving a cached plan part
-// is bit-identical to re-encoding, and the model never mutates the samples
-// it scores.
+// encodeCache is a mutex-guarded LRU (internal/lru) from plan-only
+// fingerprints to the plan part of an encoded sample
+// (encode.Encoder.EncodePlanPart). Plan encoding walks the whole operator
+// tree (word2vec lookups, statistics aggregation) on every Estimate call,
+// yet serving workloads re-submit the same few plans over and over;
+// caching the encoder's output removes that repeated walk entirely. The
+// allocation is not part of the key: it only becomes the sample's resource
+// vector, which is a few divisions, so the same plan under a new
+// allocation is a hit. The encoder is deterministic — identical plans
+// yield identical encodings — so serving a cached plan part is
+// bit-identical to re-encoding, and the model never mutates the samples it
+// scores.
 //
 // Every cached plan part carries a memo slot (encode.PlanMemo) in which the
 // serving network parks the plan prefix it derived (core.Net.prefix), so a
 // hit skips the recurrence as well as the encoder. The slot lives and dies
 // with the entry: this one LRU and its one capacity bound both.
 type encodeCache struct {
-	mu  sync.Mutex
-	cap int
-	ll  *list.List // front = most recently used
-	m   map[string]*list.Element
+	mu      sync.Mutex
+	entries *lru.Cache[cacheKey, *cacheEntry]
 }
 
 type cacheEntry struct {
-	key       string // full map key: precision tag + plan key
-	planKey   string
-	precision string
-	sample    *encode.Sample // plan part only: Resource is nil
-	hits      uint64         // lookups served from this entry since it was cached
+	sample *encode.Sample // plan part only: Resource is nil
+	hits   uint64         // lookups served from this entry since it was cached; guarded by mu
 }
 
-// cacheKey joins the serving precision tag and the canonical plan key
-// into the cache's map key. Tagging keeps entries produced under
-// different serving precisions apart — hit attribution then tells an
-// operator which precision's traffic a warm entry is actually serving,
-// and a future precision-specific encoding (e.g. pre-narrowed f32
-// samples) can land without a key-scheme change. The plan key itself
-// (PlanOnlyFingerprint) stays precision-agnostic, so /cachez keys compare
-// across replicas serving at different precisions.
-func cacheKey(precision, planKey string) string {
-	return precision + "\x1e" + planKey
-}
+// cacheKey pairs the serving precision tag with the canonical plan key.
+// Tagging keeps entries produced under different serving precisions apart
+// — hit attribution then tells an operator which precision's traffic a
+// warm entry is actually serving, and a future precision-specific encoding
+// (e.g. pre-narrowed f32 samples) can land without a key-scheme change.
+// The plan key itself (PlanOnlyFingerprint) stays precision-agnostic, so
+// /cachez keys compare across replicas serving at different precisions.
+type cacheKey struct{ precision, plan string }
 
 func newEncodeCache(capacity int) *encodeCache {
-	return &encodeCache{
-		cap: capacity,
-		ll:  list.New(),
-		m:   make(map[string]*list.Element, capacity),
-	}
+	return &encodeCache{entries: lru.New[cacheKey, *cacheEntry](capacity)}
 }
 
 func (c *encodeCache) get(precision, planKey string) (*encode.Sample, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	el, ok := c.m[cacheKey(precision, planKey)]
+	e, ok := c.entries.Get(cacheKey{precision, planKey})
 	if !ok {
 		return nil, false
 	}
-	c.ll.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
 	e.hits++
 	return e.sample, true
 }
@@ -79,35 +66,31 @@ func (c *encodeCache) get(precision, planKey string) (*encode.Sample, bool) {
 func (c *encodeCache) keyStats() []CacheKeyStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]CacheKeyStats, 0, c.ll.Len())
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*cacheEntry)
-		out = append(out, CacheKeyStats{Key: FingerprintID(e.planKey), Precision: e.precision, Hits: e.hits})
-	}
+	out := make([]CacheKeyStats, 0, c.entries.Len())
+	c.entries.Each(func(k cacheKey, e *cacheEntry) {
+		out = append(out, CacheKeyStats{Key: FingerprintID(k.plan), Precision: k.precision, Hits: e.hits})
+	})
 	return out
 }
 
+// add caches s under the key. A key already present (two concurrent
+// misses on one plan) keeps its entry and hit count and takes the newer
+// sample.
 func (c *encodeCache) add(precision, planKey string, s *encode.Sample) {
-	key := cacheKey(precision, planKey)
+	k := cacheKey{precision, planKey}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.ll.MoveToFront(el)
-		el.Value.(*cacheEntry).sample = s
+	if e, ok := c.entries.Get(k); ok {
+		e.sample = s
 		return
 	}
-	c.m[key] = c.ll.PushFront(&cacheEntry{key: key, planKey: planKey, precision: precision, sample: s})
-	for c.ll.Len() > c.cap {
-		back := c.ll.Back()
-		c.ll.Remove(back)
-		delete(c.m, back.Value.(*cacheEntry).key)
-	}
+	c.entries.Add(k, &cacheEntry{sample: s})
 }
 
 func (c *encodeCache) len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return c.ll.Len()
+	return c.entries.Len()
 }
 
 // CacheKeyStats is one encode-cache entry's hit attribution: how many
@@ -129,7 +112,7 @@ type CacheKeyStats struct {
 // FingerprintID condenses a canonical fingerprint to a short stable
 // identifier — 64-bit FNV-1a in hex. The full plan-only fingerprint is the
 // cache key's plan half (exact, collision-free; see cacheKey for the
-// precision tag joined to it); the ID exists only for reporting, where
+// precision tag paired with it); the ID exists only for reporting, where
 // echoing whole rendered plans would bloat every /cachez response. Clients
 // correlate by computing FingerprintID(PlanOnlyFingerprint(p)) for the
 // plans they routed.
@@ -157,7 +140,7 @@ func (cm *CostModel) EncodeCacheKeyStats() []CacheKeyStats {
 // router routes on the SQL text (sql.CanonicalKey) and never sees a plan.
 func PlanFingerprint(p *Plan, res Resources) string {
 	var b strings.Builder
-	writePlanKey(&b, p)
+	b.WriteString(p.Key())
 	for _, v := range res.Vector() {
 		b.WriteString(strconv.FormatFloat(v, 'g', -1, 64))
 		b.WriteByte(',')
@@ -165,46 +148,7 @@ func PlanFingerprint(p *Plan, res Resources) string {
 	return b.String()
 }
 
-// PlanOnlyFingerprint returns the plan part of PlanFingerprint: the exact
-// key of the plan's encode-cache entry, shared by every allocation the plan
-// is priced under. FingerprintID of it is the key /cachez reports.
-func PlanOnlyFingerprint(p *Plan) string { return planKey(p) }
-
-// planKey fingerprints everything the encoder reads from a plan: per node
-// in execution order, its identity, rendered statement (which folds in the
-// operator's tables, predicates, keys, and aggregates), cardinality and
-// width statistics, and child IDs. Fields the encoder never looks at
-// (ActRows, Skew) stay out of the key so post-execution annotation does
-// not defeat caching. The key is the exact canonical string — not a hash —
-// so distinct plans can never collide into a stale encoding.
-func planKey(p *Plan) string {
-	var b strings.Builder
-	writePlanKey(&b, p)
-	return b.String()
-}
-
-func writePlanKey(b *strings.Builder, p *Plan) {
-	if p.Root != nil {
-		b.WriteString(strconv.Itoa(p.Root.ID))
-	}
-	b.WriteByte('\x1e')
-	for _, n := range p.Nodes {
-		b.WriteString(strconv.Itoa(n.ID))
-		b.WriteByte('\x1f')
-		b.WriteString(strconv.Itoa(int(n.Op)))
-		b.WriteByte('\x1f')
-		b.WriteString(n.Statement())
-		b.WriteByte('\x1f')
-		b.WriteString(strconv.FormatFloat(n.EstRows, 'g', -1, 64))
-		b.WriteByte('\x1f')
-		b.WriteString(strconv.FormatFloat(n.RawRows, 'g', -1, 64))
-		b.WriteByte('\x1f')
-		b.WriteString(strconv.FormatFloat(n.RowBytes, 'g', -1, 64))
-		b.WriteByte('\x1f')
-		for _, c := range n.Children {
-			b.WriteString(strconv.Itoa(c.ID))
-			b.WriteByte(',')
-		}
-		b.WriteByte('\x1e')
-	}
-}
+// PlanOnlyFingerprint returns the plan part of PlanFingerprint, p.Key(): the
+// exact key of the plan's encode-cache entry, shared by every allocation the
+// plan is priced under. FingerprintID of it is the key /cachez reports.
+func PlanOnlyFingerprint(p *Plan) string { return p.Key() }

@@ -57,10 +57,10 @@ func TestPlanKeyFingerprint(t *testing.T) {
 	}
 	res := DefaultResources()
 
-	if planKey(plans[0]) != planKey(plans[0]) {
+	if plans[0].Key() != plans[0].Key() {
 		t.Fatal("identical inputs must produce identical keys")
 	}
-	if planKey(plans[0]) == planKey(plans[1]) {
+	if plans[0].Key() == plans[1].Key() {
 		t.Fatal("different candidate plans must produce different keys")
 	}
 	// The allocation is outside the cache key and inside the router's
@@ -75,7 +75,7 @@ func TestPlanKeyFingerprint(t *testing.T) {
 		t.Fatal("different candidate plans must produce different fingerprints")
 	}
 	key := PlanOnlyFingerprint(plans[0])
-	if key != planKey(plans[0]) || !strings.HasPrefix(fp, key) || !strings.HasPrefix(fp2, key) || len(fp) == len(key) {
+	if key != plans[0].Key() || !strings.HasPrefix(fp, key) || !strings.HasPrefix(fp2, key) || len(fp) == len(key) {
 		t.Fatal("PlanFingerprint must be the plan-only fingerprint followed by the allocation")
 	}
 	// Fields the encoder never reads must not defeat caching: annotating
@@ -84,12 +84,17 @@ func TestPlanKeyFingerprint(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if planKey(plans[0]) != planKey(plans2[0]) {
+	if plans[0].Key() != plans2[0].Key() {
 		t.Fatal("re-planning the same SQL must produce the same key")
 	}
-	plans2[0].Nodes[0].ActRows = 12345
-	plans2[0].Nodes[0].Skew = 0.9
-	if planKey(plans[0]) != planKey(plans2[0]) || PlanFingerprint(plans2[0], res) != fp {
+	// The key is memoised, so annotate a plan whose key is not rendered yet.
+	plans3, err := sys.Plan(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id`)
+	if err != nil {
+		t.Fatal(err)
+	}
+	plans3[0].Nodes[0].ActRows = 12345
+	plans3[0].Nodes[0].Skew = 0.9
+	if plans[0].Key() != plans3[0].Key() || PlanFingerprint(plans3[0], res) != fp {
 		t.Fatal("ActRows/Skew are not encoder inputs and must not change the key")
 	}
 }
@@ -157,10 +162,13 @@ func TestEncodeCacheBitIdenticalAcrossAPIs(t *testing.T) {
 }
 
 // TestServeEncodeCacheSkipsReencode drives the HTTP serving stack end to
-// end: the same SQL POSTed twice should hit the encode cache on the second
-// request (the planner emits a fresh plan object each time, so the hit
-// proves the fingerprint key, not pointer identity), and both cache
-// counters must be visible in the /metrics exposition.
+// end. Three requests: a text, the same text with a trailing ';' (another
+// sql.CanonicalKey, so the handler plans it afresh into new plan objects),
+// and the first text again (the handler's plan entry answers). The second
+// and third must hit the encode cache — the second proves the cache is
+// keyed on the plan's fingerprint, not on pointer identity — and the
+// answers must be byte-identical. The cache and plan-entry counters must
+// be visible in the /metrics exposition.
 func TestServeEncodeCacheSkipsReencode(t *testing.T) {
 	sys, _, cm := sharedSystem(t)
 
@@ -187,10 +195,10 @@ func TestServeEncodeCacheSkipsReencode(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	body := `{"sql": "SELECT COUNT(*) FROM movie_keyword mk WHERE mk.keyword_id < 100"}`
+	query := "SELECT COUNT(*) FROM movie_keyword mk WHERE mk.keyword_id < 100"
 	var costs []string
-	for i := 0; i < 2; i++ {
-		req := httptest.NewRequest("POST", "/estimate", strings.NewReader(body))
+	for i, q := range []string{query, query + ";", query} {
+		req := httptest.NewRequest("POST", "/estimate", strings.NewReader(`{"sql": "`+q+`"}`))
 		rr := httptest.NewRecorder()
 		handler.ServeHTTP(rr, req)
 		if rr.Code != http.StatusOK {
@@ -198,8 +206,8 @@ func TestServeEncodeCacheSkipsReencode(t *testing.T) {
 		}
 		costs = append(costs, rr.Body.String())
 	}
-	if costs[0] != costs[1] {
-		t.Fatalf("cached request changed the response: %q vs %q", costs[0], costs[1])
+	if costs[0] != costs[1] || costs[0] != costs[2] {
+		t.Fatalf("cached requests changed the response: %q", costs)
 	}
 
 	req := httptest.NewRequest("GET", "/metrics", nil)
@@ -208,13 +216,15 @@ func TestServeEncodeCacheSkipsReencode(t *testing.T) {
 	if rr.Code != http.StatusOK {
 		t.Fatalf("/metrics status %d", rr.Code)
 	}
-	hits := metricValue(t, rr.Body.String(), "raal_encode_cache_hits_total")
-	misses := metricValue(t, rr.Body.String(), "raal_encode_cache_misses_total")
-	if misses != 1 {
-		t.Fatalf("raal_encode_cache_misses_total = %v, want 1 (first request encodes)", misses)
-	}
-	if hits != 1 {
-		t.Fatalf("raal_encode_cache_hits_total = %v, want 1 (second request skips re-encoding)", hits)
+	for name, want := range map[string]float64{
+		"raal_encode_cache_misses_total":    1, // the first request encodes
+		"raal_encode_cache_hits_total":      2, // the re-planned and the remembered plan do not
+		"raal_serve_plan_memo_misses_total": 2, // two canonical texts
+		"raal_serve_plan_memo_hits_total":   1, // the repeat
+	} {
+		if got := metricValue(t, rr.Body.String(), name); got != want {
+			t.Fatalf("%s = %v, want %v", name, got, want)
+		}
 	}
 }
 

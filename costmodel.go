@@ -124,7 +124,7 @@ func (cm *CostModel) planPartAt(prec string, p *Plan) *Sample {
 	if cm.cache == nil {
 		return cm.enc.EncodePlanPart(p)
 	}
-	key := planKey(p)
+	key := p.Key()
 	if s, ok := cm.cache.get(prec, key); ok {
 		cm.api.encHits.Inc()
 		return s

@@ -224,7 +224,7 @@ func New(cfg Config) (*Router, error) {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = slog.New(serve.DiscardHandler)
 	}
 	client := cfg.Client
 	if client == nil {

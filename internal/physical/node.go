@@ -8,7 +8,9 @@ package physical
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
+	"sync"
 
 	"raal/internal/logical"
 	"raal/internal/sql"
@@ -199,11 +201,60 @@ func predString(preds []sql.Predicate) string {
 
 // Plan is a complete physical plan: a tree plus its bottom-up execution
 // order (children always precede parents, left subtree before right).
+// A Plan holds a sync.Once, so it is passed by pointer and never copied.
 type Plan struct {
 	Root  *Node
 	Query *logical.Query
 	Nodes []*Node
 	Sig   string // human-readable signature: join order + algorithms
+
+	keyOnce sync.Once
+	key     string
+}
+
+// Key fingerprints everything a cost model's encoder reads from the plan:
+// per node in execution order, its identity, rendered statement (which
+// folds in the operator's tables, predicates, keys, and aggregates),
+// cardinality and width statistics, and child IDs. Fields the encoder
+// never looks at (ActRows, Skew) stay out of the key, so the engine's
+// post-execution annotation does not change it. The key is the exact
+// canonical string, not a hash, so distinct plans never collide.
+//
+// The key is rendered on the first call and memoised: everything it reads
+// is fixed once the planner returns the plan (DESIGN §5o), and the
+// sync.Once makes the first call safe from concurrent requests sharing
+// the plan.
+func (p *Plan) Key() string {
+	p.keyOnce.Do(func() { p.key = p.renderKey() })
+	return p.key
+}
+
+func (p *Plan) renderKey() string {
+	var b strings.Builder
+	if p.Root != nil {
+		b.WriteString(strconv.Itoa(p.Root.ID))
+	}
+	b.WriteByte('\x1e')
+	for _, n := range p.Nodes {
+		b.WriteString(strconv.Itoa(n.ID))
+		b.WriteByte('\x1f')
+		b.WriteString(strconv.Itoa(int(n.Op)))
+		b.WriteByte('\x1f')
+		b.WriteString(n.Statement())
+		b.WriteByte('\x1f')
+		b.WriteString(strconv.FormatFloat(n.EstRows, 'g', -1, 64))
+		b.WriteByte('\x1f')
+		b.WriteString(strconv.FormatFloat(n.RawRows, 'g', -1, 64))
+		b.WriteByte('\x1f')
+		b.WriteString(strconv.FormatFloat(n.RowBytes, 'g', -1, 64))
+		b.WriteByte('\x1f')
+		for _, c := range n.Children {
+			b.WriteString(strconv.Itoa(c.ID))
+			b.WriteByte(',')
+		}
+		b.WriteByte('\x1e')
+	}
+	return b.String()
 }
 
 // finalize assigns IDs in bottom-up order and collects Nodes.

@@ -63,10 +63,10 @@ type BatcherConfig struct {
 // taxed the full window either.
 //
 // Batch members that are provably the same computation — the same plan
-// object under the same resource allocation, as a shared plan cache
-// produces for hot queries — are deduplicated before scoring: the batch
-// prices each distinct (plan, resources) once and fans the answer out
-// (singleflight).
+// object under the same resource allocation, as the Handler's SQL-keyed
+// plan entry produces for a hot query — are deduplicated before scoring:
+// the batch prices each distinct (plan, resources) once and fans the
+// answer out (singleflight).
 //
 // Failure isolation is per request: a caller whose context dies while
 // waiting gets its own ctx error (the batch proceeds without it), and a
@@ -424,9 +424,10 @@ func (b *Batcher) runBatch(batch []*batchReq) {
 
 // itemKey identifies a request for in-batch deduplication: the same
 // immutable plan object under the same allocation is the same
-// computation. Pointer identity is deliberately conservative — plans
-// re-built per request never alias, so dedup only fires where it is
-// provably sound (requests resolved through a shared plan cache).
+// computation. Pointer identity is deliberately conservative: plans built
+// afresh per call never alias, so dedup fires only where it is provably
+// sound. Behind the Handler it does fire, because every request for one
+// SQL text gets the plan objects its plan entry keeps for that text.
 type itemKey struct {
 	plan *physical.Plan
 	res  sparksim.Resources

@@ -5,15 +5,17 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"log/slog"
 	"net/http"
 	"strconv"
+	"sync"
 	"sync/atomic"
 	"time"
 
+	"raal/internal/lru"
 	"raal/internal/physical"
 	"raal/internal/sparksim"
+	"raal/internal/sql"
 )
 
 // PlanFunc turns a SQL query into candidate physical plans (in practice
@@ -22,9 +24,16 @@ import (
 // tables/columns.
 type PlanFunc func(sql string) ([]*physical.Plan, error)
 
+// planMemoCap bounds the Handler's SQL-keyed plan entry. It is
+// raalserve's -encode-cache default, so the two LRUs cover one working
+// set: a query whose plans are kept here finds their encodings there.
+const planMemoCap = 256
+
 // HTTPConfig wires the HTTP front-end.
 type HTTPConfig struct {
-	// Planner maps request SQL to candidate plans (required).
+	// Planner maps request SQL to candidate plans (required). It must be a
+	// pure function of sql.CanonicalKey(sql): the handler keeps its answer
+	// per key and calls it again only on a miss (see Handler.plan).
 	Planner PlanFunc
 	// DefaultRes seeds each request's allocation; per-request fields
 	// override it. Zero value means sparksim.DefaultResources().
@@ -40,7 +49,7 @@ type HTTPConfig struct {
 	// Prometheus text format. Nil serves unobserved.
 	Metrics *Metrics
 	// Logger receives structured request and lifecycle logs; nil
-	// discards them.
+	// discards them before they are formatted.
 	Logger *slog.Logger
 	// CacheStats, if non-nil, exposes the replica's encode-cache per-key
 	// hit attribution as GET /cachez — the fleet benchmark correlates
@@ -87,7 +96,22 @@ type Handler struct {
 	log   *slog.Logger
 	mux   *http.ServeMux
 	ready atomic.Bool
+
+	memoMu sync.Mutex
+	memo   *lru.Cache[string, []*physical.Plan] // canonical SQL → Planner's answer
 }
+
+// DiscardHandler is a slog.Handler that is never enabled, so a discarded
+// log line is dropped before its attributes are formatted. (Go 1.24 has
+// slog.DiscardHandler; go.mod's 1.22 cannot name it.)
+var DiscardHandler slog.Handler = discardHandler{}
+
+type discardHandler struct{}
+
+func (discardHandler) Enabled(context.Context, slog.Level) bool  { return false }
+func (discardHandler) Handle(context.Context, slog.Record) error { return nil }
+func (d discardHandler) WithAttrs([]slog.Attr) slog.Handler      { return d }
+func (d discardHandler) WithGroup(string) slog.Handler           { return d }
 
 // NewHandler builds the HTTP front-end over srv.
 func NewHandler(srv *Server, cfg HTTPConfig) (*Handler, error) {
@@ -108,9 +132,10 @@ func NewHandler(srv *Server, cfg HTTPConfig) (*Handler, error) {
 	}
 	logger := cfg.Logger
 	if logger == nil {
-		logger = slog.New(slog.NewTextHandler(io.Discard, nil))
+		logger = slog.New(DiscardHandler)
 	}
-	h := &Handler{srv: srv, cfg: cfg, log: logger, mux: http.NewServeMux()}
+	h := &Handler{srv: srv, cfg: cfg, log: logger, mux: http.NewServeMux(),
+		memo: lru.New[string, []*physical.Plan](planMemoCap)}
 	h.mux.HandleFunc("POST /estimate", h.observed("estimate", h.handleEstimate))
 	h.mux.HandleFunc("POST /select", h.observed("select", h.handleSelect))
 	if reg := cfg.Metrics.Registry(); reg != nil {
@@ -327,7 +352,7 @@ func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) ([]*physical.P
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return nil, sparksim.Resources{}, false
 	}
-	plans, err := h.cfg.Planner(req.SQL)
+	plans, err := h.plan(req.SQL)
 	if err != nil {
 		writeJSON(w, http.StatusBadRequest, ErrorResponse{Error: err.Error()})
 		return nil, sparksim.Resources{}, false
@@ -337,6 +362,41 @@ func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) ([]*physical.P
 		return nil, sparksim.Resources{}, false
 	}
 	return plans, res, true
+}
+
+// plan returns the candidate plans for query. A plan is a pure function
+// of the canonical SQL (DESIGN §5o), so the Planner's answer is kept under
+// sql.CanonicalKey — the key the fleet router routes on — and a repeated
+// text, in any keyword or identifier case and any spacing, costs one lex
+// and a lookup instead of parse, bind and enumerate. Requests for one text
+// then share plan objects, so each plan's Key is rendered once and the
+// Batcher can coalesce identical concurrent requests. Text the lexer
+// rejects has no key and goes to the Planner, whose error is the answer.
+// Errors and empty lists are never kept: a failing text is planned, and
+// answered 400, on every request.
+func (h *Handler) plan(query string) ([]*physical.Plan, error) {
+	key, keyErr := sql.CanonicalKey(query)
+	if keyErr == nil {
+		h.memoMu.Lock()
+		plans, ok := h.memo.Get(key)
+		h.memoMu.Unlock()
+		if ok {
+			h.cfg.Metrics.PlanMemoHits.Inc()
+			return plans, nil
+		}
+	}
+	h.cfg.Metrics.PlanMemoMisses.Inc()
+	plans, err := h.cfg.Planner(query)
+	if err != nil || len(plans) == 0 || keyErr != nil {
+		return plans, err
+	}
+	h.memoMu.Lock()
+	defer h.memoMu.Unlock()
+	if kept, ok := h.memo.Get(key); ok {
+		return kept, nil // a concurrent miss on the same key stored first
+	}
+	h.memo.Add(key, plans)
+	return plans, nil
 }
 
 // writeError maps the serve package's typed errors to HTTP statuses. Note

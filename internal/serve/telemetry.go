@@ -67,6 +67,12 @@ type Metrics struct {
 	Requests    *telemetry.CounterVec
 	Responses   *telemetry.CounterVec
 	HTTPLatency *telemetry.HistogramVec
+
+	// PlanMemoHits counts requests whose candidate plans came from the
+	// handler's SQL-keyed plan entry; PlanMemoMisses counts requests that
+	// called the Planner (new text, evicted text, lexer or planner error).
+	PlanMemoHits   *telemetry.Counter
+	PlanMemoMisses *telemetry.Counter
 }
 
 // NewMetrics registers the serving metric set on reg. Metric names are
@@ -106,6 +112,10 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"HTTP responses by status code.", "code", statusValues...),
 		HTTPLatency: reg.NewHistogramVec("raal_serve_http_request_seconds",
 			"HTTP request latency by endpoint.", nil, "endpoint", endpointValues...),
+		PlanMemoHits: reg.NewCounter("raal_serve_plan_memo_hits_total",
+			"Requests whose candidate plans were served from the handler's SQL-keyed plan entry."),
+		PlanMemoMisses: reg.NewCounter("raal_serve_plan_memo_misses_total",
+			"Requests that called the planner (SQL text not in the plan entry, or not lexable)."),
 	}
 }
 
