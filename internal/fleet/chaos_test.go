@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -297,13 +298,19 @@ func TestChaosDrainDuringHedge(t *testing.T) {
 	case <-time.After(100 * time.Millisecond):
 	}
 
-	// Tear everything down and require the goroutine census to return to
-	// the baseline — a leaked hedge loser or probe loop fails this.
 	rs.Close()
 	router.Close()
 	slow.ts.Close()
 	fast.ts.Close()
-	deadline = time.Now().Add(3 * time.Second)
+	requireGoroutineCensus(t, baseline)
+}
+
+// requireGoroutineCensus fails t unless, once everything the test started
+// is torn down, the goroutine count returns to within 2 of baseline — a
+// leaked hedge loser or probe loop fails it.
+func requireGoroutineCensus(t *testing.T, baseline int) {
+	t.Helper()
+	deadline := time.Now().Add(3 * time.Second)
 	for time.Now().Before(deadline) {
 		if runtime.NumGoroutine() <= baseline+2 {
 			return
@@ -311,4 +318,193 @@ func TestChaosDrainDuringHedge(t *testing.T) {
 		time.Sleep(20 * time.Millisecond)
 	}
 	t.Fatalf("goroutine leak: baseline %d, now %d", baseline, runtime.NumGoroutine())
+}
+
+// hedgedFleet is a two-stub-replica fleet with a fixed 20ms hedge
+// trigger, plus the owner of sql (the primary chain's first replica) and
+// the other replica (where the hedge chain starts). The goroutine census
+// runs after the fleet's own cleanup has torn it down.
+func hedgedFleet(t *testing.T, sql string, mutate func(*Config)) (f *fleetUnderTest, owner, other *stubReplica) {
+	t.Helper()
+	baseline := runtime.NumGoroutine()
+	t.Cleanup(func() {
+		http.DefaultClient.CloseIdleConnections()
+		requireGoroutineCensus(t, baseline)
+	})
+	f = newFleet(t, 2, func(cfg *Config) {
+		cfg.HedgeAfter = 20 * time.Millisecond
+		cfg.RetryAttempts = 1
+		if mutate != nil {
+			mutate(cfg)
+		}
+	})
+	owner = f.findOwner(t, sql)
+	other = f.replicas[0]
+	if other == owner {
+		other = f.replicas[1]
+	}
+	return f, owner, other
+}
+
+// requireHedgeCounts checks the hedge counters against want, and that
+// they close: fired == won + lost.
+func requireHedgeCounts(t *testing.T, met *Metrics, fired, won, lost uint64) {
+	t.Helper()
+	f, w, l := met.Hedges.With("fired").Value(), met.Hedges.With("won").Value(), met.Hedges.With("lost").Value()
+	if f != w+l {
+		t.Fatalf("hedge accounting leak: fired=%v won=%v lost=%v", f, w, l)
+	}
+	if f != fired || w != won || l != lost {
+		t.Fatalf("hedges fired=%v won=%v lost=%v, want %v/%v/%v", f, w, l, fired, won, lost)
+	}
+}
+
+// hold is a stub mode for /estimate that reads the body, as a real
+// replica does (only then does the server watch the connection, whose
+// closing cancels the handler's context), signals arrived, and holds the
+// request until the router cancels it, then signals cancelled. Both
+// channels want a buffer of one; a second signal is dropped.
+func hold(arrived, cancelled chan<- struct{}) func(http.ResponseWriter, *http.Request) bool {
+	signal := func(ch chan<- struct{}) {
+		select {
+		case ch <- struct{}{}:
+		default:
+		}
+	}
+	return func(w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path == "/readyz" {
+			return false
+		}
+		io.Copy(io.Discard, r.Body)
+		signal(arrived)
+		<-r.Context().Done()
+		signal(cancelled)
+		return true
+	}
+}
+
+// after is a stub mode for /estimate that waits for signal (or the
+// request's cancellation, answering nothing), then runs answer.
+func after(signal <-chan struct{}, answer func(http.ResponseWriter) bool) func(http.ResponseWriter, *http.Request) bool {
+	return func(w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path == "/readyz" {
+			return false
+		}
+		select {
+		case <-signal:
+			return answer(w)
+		case <-r.Context().Done():
+			return true
+		}
+	}
+}
+
+// waitFor waits for an event on ch, failing t after 5s.
+func waitFor(t *testing.T, what string, ch <-chan struct{}) {
+	t.Helper()
+	select {
+	case <-ch:
+	case <-time.After(5 * time.Second):
+		t.Fatalf("timed out waiting for %s", what)
+	}
+}
+
+// TestChaosHedgePrimaryAnswersAfterFire: the primary answers once the
+// hedge has fired and reached its replica. The primary's answer is the
+// caller's, the hedge counts lost, and its request is cancelled rather
+// than held until its AttemptTimeout.
+func TestChaosHedgePrimaryAnswersAfterFire(t *testing.T) {
+	const attemptTimeout = 5 * time.Second
+	f, owner, other := hedgedFleet(t, "late", func(cfg *Config) { cfg.AttemptTimeout = attemptTimeout })
+	hedged, hedgeCancelled := make(chan struct{}, 1), make(chan struct{}, 1)
+	other.setMode(hold(hedged, hedgeCancelled))
+	owner.setMode(after(hedged, func(http.ResponseWriter) bool { return false })) // the stub's 200
+
+	start := time.Now()
+	status, er, rep := f.estimate(t, "late")
+	if elapsed := time.Since(start); elapsed >= attemptTimeout/2 {
+		t.Fatalf("request took %v: the losing hedge was held until its timeout, not cancelled", elapsed)
+	}
+	if status != http.StatusOK || er.Degraded || rep != owner.id {
+		t.Fatalf("status %d from %q %+v, want the primary's clean answer", status, rep, er)
+	}
+	requireHedgeCounts(t, f.met, 1, 0, 1)
+	waitFor(t, "the losing hedge's request to be cancelled", hedgeCancelled)
+}
+
+// TestChaosHedgeBothChainsFail: the hedge fails while the primary still
+// runs, then the primary fails too. The caller gets the degraded answer
+// for the primary's error, not the hedge's.
+func TestChaosHedgeBothChainsFail(t *testing.T) {
+	f, owner, other := hedgedFleet(t, "doomed", func(cfg *Config) {
+		cfg.Fallback = func(context.Context, *physical.Plan, sparksim.Resources) (float64, error) {
+			return 7.5, nil
+		}
+	})
+	// The hedge reaches the other replica first and gets a 502. Only then
+	// does the owner fail the primary, which fails over to the other
+	// replica and gets a 504, so the two chains' errors differ.
+	hedged := make(chan struct{})
+	var otherHits atomic.Int64
+	other.setMode(func(w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path == "/readyz" {
+			return false
+		}
+		if otherHits.Add(1) == 1 {
+			w.WriteHeader(http.StatusBadGateway)
+			close(hedged)
+		} else {
+			w.WriteHeader(http.StatusGatewayTimeout)
+		}
+		return true
+	})
+	owner.setMode(after(hedged, func(w http.ResponseWriter) bool {
+		w.WriteHeader(http.StatusInternalServerError)
+		return true
+	}))
+
+	status, er, _ := f.estimate(t, "doomed")
+	if status != http.StatusOK || !er.Degraded || er.CostSec != 7.5 {
+		t.Fatalf("status %d %+v, want the degraded fallback answer", status, er)
+	}
+	if want := fmt.Sprintf("replica %s: HTTP 504", other.id); !strings.Contains(er.Reason, want) ||
+		!strings.Contains(er.Reason, ErrAllFailed.Error()) {
+		t.Fatalf("reason %q, want the primary chain's error (%q), not the hedge's 502", er.Reason, want)
+	}
+	if otherHits.Load() != 2 {
+		t.Fatalf("other replica hit %d times, want 2 (hedge, then the primary's failover)", otherHits.Load())
+	}
+	requireHedgeCounts(t, f.met, 1, 0, 1)
+}
+
+// TestChaosHedgeCallerCancels: the caller gives up while both chains are
+// held. It gets a 408, both replica requests are cancelled, the fired
+// hedge counts lost, and nothing is left running.
+func TestChaosHedgeCallerCancels(t *testing.T) {
+	f, owner, other := hedgedFleet(t, "abandoned", nil)
+	primary, primaryCancelled := make(chan struct{}, 1), make(chan struct{}, 1)
+	hedged, hedgeCancelled := make(chan struct{}, 1), make(chan struct{}, 1)
+	owner.setMode(hold(primary, primaryCancelled))
+	other.setMode(hold(hedged, hedgeCancelled))
+
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	body, _ := json.Marshal(serve.EstimateRequest{SQL: "abandoned"})
+	req := httptest.NewRequest(http.MethodPost, "/estimate", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.router.ServeHTTP(rec, req)
+	}()
+	waitFor(t, "the primary to reach its replica", primary)
+	waitFor(t, "the hedge to fire and reach its replica", hedged)
+	cancel()
+	waitFor(t, "the router to return after its caller cancelled", done)
+	if rec.Code != http.StatusRequestTimeout {
+		t.Fatalf("status %d %s, want 408", rec.Code, rec.Body)
+	}
+	requireHedgeCounts(t, f.met, 1, 0, 1)
+	waitFor(t, "the primary's request to be cancelled", primaryCancelled)
+	waitFor(t, "the hedge's request to be cancelled", hedgeCancelled)
 }

@@ -36,6 +36,7 @@ import (
 	"log/slog"
 	"math/rand"
 	"net/http"
+	"net/url"
 	"strconv"
 	"strings"
 	"sync"
@@ -136,9 +137,6 @@ type Config struct {
 	// Logger receives health transitions and breaker events; nil
 	// discards them.
 	Logger *slog.Logger
-	// Client overrides the proxy HTTP client (tests); nil uses a
-	// dedicated client with sane pooling.
-	Client *http.Client
 }
 
 // replicaRT is one replica's runtime state.
@@ -147,6 +145,25 @@ type replicaRT struct {
 	url    string
 	health *healthFSM
 	brk    *breaker
+	// post (by endpoint name) and readyz are read-only request templates
+	// with parsed URLs; each attempt or probe sends a shallow copy carrying
+	// its own context and body.
+	post   map[string]*http.Request
+	readyz *http.Request
+}
+
+// proxied names the endpoints the router forwards to its replicas.
+var proxied = []string{"estimate", "select"}
+
+// template builds a read-only request for target. Its header is shared
+// by every copy sent, so nothing may write to it.
+func template(method, target string, header http.Header) (*http.Request, error) {
+	req, err := http.NewRequest(method, target, nil)
+	if err != nil {
+		return nil, err
+	}
+	req.Header = header
+	return req, nil
 }
 
 // Router is the fleet front-end. Create with New, serve it like any
@@ -159,8 +176,11 @@ type Router struct {
 	lat      *latencyTracker
 	met      *Metrics
 	log      *slog.Logger
-	client   *http.Client
-	mux      *http.ServeMux
+	// transport carries every proxied attempt and probe. The router calls
+	// RoundTrip itself: a proxy follows no redirect and keeps no cookie,
+	// so http.Client's per-request work would buy nothing.
+	transport *http.Transport
+	mux       *http.ServeMux
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -226,24 +246,20 @@ func New(cfg Config) (*Router, error) {
 	if logger == nil {
 		logger = slog.New(serve.DiscardHandler)
 	}
-	client := cfg.Client
-	if client == nil {
-		client = &http.Client{Transport: &http.Transport{
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     30 * time.Second,
-		}}
-	}
-
 	rt := &Router{
 		cfg:      cfg,
 		replicas: make(map[string]*replicaRT, len(cfg.Replicas)),
 		lat:      newLatencyTracker(512, 0.99),
 		met:      met,
 		log:      logger,
-		client:   client,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
-		stop:     make(chan struct{}),
+		transport: &http.Transport{
+			MaxIdleConnsPerHost: 64,
+			IdleConnTimeout:     30 * time.Second,
+		},
+		rng:  rand.New(rand.NewSource(cfg.Seed)),
+		stop: make(chan struct{}),
 	}
+	jsonHeader := http.Header{"Content-Type": {"application/json"}}
 	ids := make([]string, len(cfg.Replicas))
 	for i, r := range cfg.Replicas {
 		ids[i] = r.ID
@@ -252,6 +268,16 @@ func New(cfg Config) (*Router, error) {
 			url:    r.URL,
 			health: newHealthFSM(cfg.DownAfter, cfg.UpAfter),
 			brk:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
+			post:   make(map[string]*http.Request, len(proxied)),
+		}
+		var err error
+		for _, endpoint := range proxied {
+			if rep.post[endpoint], err = template(http.MethodPost, r.URL+"/"+endpoint, jsonHeader); err != nil {
+				return nil, fmt.Errorf("fleet: replica %s: %w", r.ID, err)
+			}
+		}
+		if rep.readyz, err = template(http.MethodGet, r.URL+"/readyz", http.Header{}); err != nil {
+			return nil, fmt.Errorf("fleet: replica %s: %w", r.ID, err)
 		}
 		rt.replicas[r.ID] = rep
 		rt.byIndex = append(rt.byIndex, rep)
@@ -261,8 +287,9 @@ func New(cfg Config) (*Router, error) {
 	rt.ring = newRing(ids, cfg.Vnodes)
 
 	rt.mux = http.NewServeMux()
-	rt.mux.HandleFunc("POST /estimate", rt.proxyHandler("estimate"))
-	rt.mux.HandleFunc("POST /select", rt.proxyHandler("select"))
+	for _, endpoint := range proxied {
+		rt.mux.HandleFunc("POST /"+endpoint, rt.proxyHandler(endpoint))
+	}
 	rt.mux.HandleFunc("GET /healthz", func(w http.ResponseWriter, _ *http.Request) {
 		w.WriteHeader(http.StatusOK)
 		fmt.Fprintln(w, "ok")
@@ -292,7 +319,7 @@ func (rt *Router) Close() {
 	}
 	close(rt.stop)
 	rt.wg.Wait()
-	rt.client.CloseIdleConnections()
+	rt.transport.CloseIdleConnections()
 }
 
 // float64 draws jitter from the seeded source (goroutine-safe).
@@ -346,11 +373,7 @@ func (rt *Router) probeLoop(rep *replicaRT) {
 func (rt *Router) probe(rep *replicaRT) bool {
 	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rep.url+"/readyz", nil)
-	if err != nil {
-		return false
-	}
-	resp, err := rt.client.Do(req)
+	resp, err := rt.transport.RoundTrip(rep.readyz.WithContext(ctx))
 	if err != nil {
 		return false
 	}
@@ -425,7 +448,7 @@ func (rt *Router) handleProxy(w http.ResponseWriter, r *http.Request, endpoint s
 		return
 	}
 
-	out := rt.forward(r.Context(), "/"+endpoint, body, key)
+	out := rt.forward(r.Context(), endpoint, body, key)
 	if out.err != nil {
 		if cerr := r.Context().Err(); cerr != nil {
 			writeJSON(w, http.StatusRequestTimeout, serve.ErrorResponse{Error: cerr.Error()})
@@ -545,91 +568,65 @@ func (rt *Router) candidates(key string) []*replicaRT {
 }
 
 // forward drives one request through the fleet: a primary failover
-// chain starting at the key's ring owner, plus — once the hedge
-// threshold elapses — one hedged chain starting at the next ring
-// position. The first definitive answer wins and the loser is
-// cancelled. Every chain goroutine delivers into a buffered channel, so
-// an abandoned loser can always complete and exit (no leak, no
-// double-completion of the caller).
-func (rt *Router) forward(ctx context.Context, path string, body []byte, key string) attemptOut {
+// chain starting at the key's ring owner, run on the caller's goroutine,
+// plus — once the hedge threshold elapses — one hedged chain starting at
+// the next ring position, started by a timer. With one routable
+// candidate or hedging off nothing else is created. The first definitive
+// answer wins: a winning hedge cancels the primary, whose chain returns
+// promptly (RoundTrip and backoff.Sleep honour its context), and an
+// answering primary cancels the hedge. A fired hedge is waited for, so
+// no chain outlives the request and each fired hedge is counted won or
+// lost exactly once.
+func (rt *Router) forward(ctx context.Context, endpoint string, body []byte, key string) attemptOut {
 	cands := rt.candidates(key)
 	if len(cands) == 0 {
 		return attemptOut{err: ErrNoReplicas}
 	}
+	var thr time.Duration
+	if len(cands) >= 2 {
+		thr = rt.hedgeThreshold()
+	}
+	if thr <= 0 {
+		return rt.attemptChain(ctx, cands, 0, endpoint, body)
+	}
+
 	pctx, pcancel := context.WithCancel(ctx)
 	defer pcancel()
-	primary := make(chan attemptOut, 1)
-	go func() { primary <- rt.attemptChain(pctx, cands, 0, path, body) }()
-
-	thr := rt.hedgeThreshold()
-	if thr <= 0 || len(cands) < 2 {
-		select {
-		case out := <-primary:
-			return out
-		case <-ctx.Done():
-			return attemptOut{err: ctx.Err()}
+	hctx, hcancel := context.WithCancel(ctx)
+	defer hcancel()
+	hedge := make(chan attemptOut, 1)
+	timer := time.AfterFunc(thr, func() {
+		rt.met.Hedges.With("fired").Inc()
+		h := rt.attemptChain(hctx, cands, 1, endpoint, body)
+		if h.err == nil {
+			pcancel()
 		}
+		hedge <- h
+	})
+	out := rt.attemptChain(pctx, cands, 0, endpoint, body)
+	if timer.Stop() {
+		return out // the hedge never fired
 	}
-
-	var (
-		hedge   chan attemptOut
-		hcancel context.CancelFunc
-		pOut    *attemptOut // primary's failure, parked while the hedge runs
-	)
-	defer func() {
-		if hcancel != nil {
-			hcancel()
-		}
-	}()
-	timer := time.NewTimer(thr)
-	defer timer.Stop()
-	for {
-		select {
-		case out := <-primary:
-			if out.err != nil && hedge != nil {
-				// Primary lost its whole chain; the hedge is still the
-				// request's hope. Park the error and wait.
-				pOut = &out
-				primary = nil
-				continue
-			}
-			if hedge != nil {
-				rt.met.Hedges.With("lost").Inc()
-			}
-			return out
-		case out := <-hedge:
-			if out.err == nil {
-				rt.met.Hedges.With("won").Inc()
-				pcancel()
-				return out
-			}
-			rt.met.Hedges.With("lost").Inc()
-			if pOut != nil {
-				return *pOut // both chains failed; report the primary's error
-			}
-			hedge = nil // hedge died first; the primary may still answer
-		case <-timer.C:
-			if hedge == nil && pOut == nil {
-				rt.met.Hedges.With("fired").Inc()
-				hctx, cancel := context.WithCancel(ctx)
-				hcancel = cancel // released by the deferred cleanup above
-				h := make(chan attemptOut, 1)
-				hedge = h
-				go func() { h <- rt.attemptChain(hctx, cands, 1, path, body) }()
-			}
-		case <-ctx.Done():
-			return attemptOut{err: ctx.Err()}
-		}
+	if out.err == nil {
+		hcancel()
 	}
+	if h := <-hedge; out.err != nil && h.err == nil && ctx.Err() == nil {
+		rt.met.Hedges.With("won").Inc()
+		return h
+	}
+	// The primary answered, both chains failed (the primary's error is
+	// the one reported) or the caller gave up.
+	rt.met.Hedges.With("lost").Inc()
+	return out
 }
 
 // attemptChain walks the preference list from start, giving each
 // breaker-admitted replica RetryAttempts tries with jittered backoff,
-// and returns the first definitive response. 2xx and client-error 4xx
-// are definitive; connection errors and 5xx retry then fail over;
-// 429/503 (saturated/draining — load states, not breakage) fail over
-// immediately without a breaker penalty.
-func (rt *Router) attemptChain(ctx context.Context, cands []*replicaRT, start int, path string, body []byte) attemptOut {
+// and returns the first definitive response. 2xx, 3xx and client-error
+// 4xx are definitive; connection errors, oversized bodies and 5xx retry
+// then fail over; 429/503 (saturated/draining — load states, not
+// breakage) fail over immediately without a breaker penalty.
+func (rt *Router) attemptChain(ctx context.Context, cands []*replicaRT, start int, endpoint string, body []byte) attemptOut {
 	var lastErr error
 	tried := 0
 	for i := start; i < len(cands); i++ {
@@ -651,7 +648,7 @@ func (rt *Router) attemptChain(ctx context.Context, cands []*replicaRT, start in
 					return attemptOut{err: err}
 				}
 			}
-			status, respBody, err := rt.try(ctx, rep, path, body)
+			status, respBody, err := rt.try(ctx, rep.post[endpoint], body)
 			if err != nil {
 				if ctx.Err() != nil {
 					return attemptOut{err: ctx.Err()}
@@ -689,23 +686,31 @@ func (rt *Router) attemptChain(ctx context.Context, cands []*replicaRT, start in
 }
 
 // try performs one proxied attempt with its own timeout, so a stalled
-// replica cannot pin the chain past AttemptTimeout.
-func (rt *Router) try(ctx context.Context, rep *replicaRT, path string, body []byte) (int, []byte, error) {
+// replica cannot pin the chain past AttemptTimeout. A 3xx is relayed
+// like any other answer, not followed. A response body over
+// MaxBodyBytes fails the attempt: relaying its first MaxBodyBytes would
+// pass a cut JSON body off as the replica's answer.
+func (rt *Router) try(ctx context.Context, tmpl *http.Request, body []byte) (int, []byte, error) {
 	actx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
 	defer cancel()
-	req, err := http.NewRequestWithContext(actx, http.MethodPost, rep.url+path, bytes.NewReader(body))
+	req := tmpl.WithContext(actx)
+	req.Body = io.NopCloser(bytes.NewReader(body))
+	// GetBody lets the transport resend on a pooled connection the
+	// replica closed before reading the request.
+	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
+	req.ContentLength = int64(len(body))
+	resp, err := rt.transport.RoundTrip(req)
 	if err != nil {
-		return 0, nil, err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := rt.client.Do(req)
-	if err != nil {
-		return 0, nil, err
+		// Worded as http.Client words it, so degraded reasons read as before.
+		return 0, nil, &url.Error{Op: "Post", URL: req.URL.Redacted(), Err: err}
 	}
 	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes))
+	respBody, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1))
 	if err != nil {
 		return 0, nil, err
+	}
+	if int64(len(respBody)) > rt.cfg.MaxBodyBytes {
+		return 0, nil, fmt.Errorf("response body exceeds %d byte limit", rt.cfg.MaxBodyBytes)
 	}
 	return resp.StatusCode, respBody, nil
 }

@@ -477,6 +477,99 @@ func TestRouterBadSQLAnsweredByReplicaPlanner(t *testing.T) {
 	}
 }
 
+// TestRouterOversizedResponseFailsOver: a replica body one byte over the
+// limit is a failed attempt, never a 200 with a cut JSON body. It charges
+// the breaker and fails over; when every replica does it, the request
+// degrades with the typed all-failed cause.
+func TestRouterOversizedResponseFailsOver(t *testing.T) {
+	f := newFleet(t, 2, func(cfg *Config) {
+		cfg.Fallback = func(context.Context, *physical.Plan, sparksim.Resources) (float64, error) {
+			return 7.5, nil
+		}
+	})
+	prefix, suffix := `{"cost_sec":1.5,"source":"model","reason":"`, `"}`
+	huge := prefix + strings.Repeat("x", 1<<20+1-len(prefix)-len(suffix)) + suffix
+	oversized := func(w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path == "/readyz" {
+			return false
+		}
+		w.Header().Set("Content-Type", "application/json")
+		io.WriteString(w, huge)
+		return true
+	}
+	owner := f.findOwner(t, "big")
+	owner.setMode(oversized)
+	status, er, rep := f.estimate(t, "big")
+	if status != http.StatusOK || er.Degraded || rep == owner.id {
+		t.Fatalf("status %d from %q (degraded %v, %d-byte reason), want a clean 200 from the failover replica",
+			status, rep, er.Degraded, len(er.Reason))
+	}
+	if f.met.BreakerOpens.With(owner.id).Value() == 0 || f.met.Failovers.Value() == 0 {
+		t.Fatal("an oversized body must charge the breaker and fail over")
+	}
+
+	for _, r := range f.replicas {
+		r.setMode(oversized)
+	}
+	status, er, _ = f.estimate(t, "big")
+	if status != http.StatusOK || !er.Degraded || !strings.Contains(er.Reason, ErrAllFailed.Error()) ||
+		!strings.Contains(er.Reason, "exceeds 1048576 byte limit") {
+		t.Fatalf("status %d %+v, want a degraded 200 naming the all-failed cause and the limit", status, er)
+	}
+}
+
+// TestRouterRelaysRedirect: a proxy relays a replica's 3xx as it relays
+// any definitive answer; it never follows it with a second request.
+func TestRouterRelaysRedirect(t *testing.T) {
+	f := newFleet(t, 1, nil)
+	rep := f.replicas[0]
+	rep.setMode(func(w http.ResponseWriter, r *http.Request) bool {
+		if r.URL.Path == "/readyz" {
+			return false
+		}
+		w.Header().Set("Location", "/elsewhere")
+		writeJSON(w, http.StatusTemporaryRedirect, serve.ErrorResponse{Error: "moved"})
+		return true
+	})
+	status, body, from := postJSON(t, f.rs.URL+"/estimate", serve.EstimateRequest{SQL: "q"})
+	if status != http.StatusTemporaryRedirect || body != `{"error":"moved"}` || from != rep.id {
+		t.Fatalf("got %d %s from %q, want the replica's 307 relayed", status, body, from)
+	}
+	if n := rep.hits.Load(); n != 1 {
+		t.Fatalf("replica saw %d requests, want 1: the redirect was followed", n)
+	}
+}
+
+// TestRouterProxyAllocsBounded pins the allocations of one proxied
+// /estimate on the benchmark's fleet shape (one replica, so no hedge
+// timer), counted across the whole process: the recorder and request the
+// test builds, the router, its transport and the stub replica's server.
+// Through http.Client on a per-request forwarding goroutine it was 141;
+// on the handler goroutine straight through the transport it is 121.
+func TestRouterProxyAllocsBounded(t *testing.T) {
+	f := newFleet(t, 1, func(cfg *Config) {
+		cfg.HedgeAfter = 0             // adaptive, as raalserve and the benchmark run it
+		cfg.HealthInterval = time.Hour // keep probes out of the count
+	})
+	body, _ := json.Marshal(serve.EstimateRequest{
+		SQL: "SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id AND mc.company_id < 50"})
+	serve1 := func() *httptest.ResponseRecorder {
+		req, _ := http.NewRequest(http.MethodPost, "/estimate", bytes.NewReader(body))
+		rec := httptest.NewRecorder()
+		f.router.ServeHTTP(rec, req)
+		return rec
+	}
+	rec := serve1()
+	if rec.Code != http.StatusOK || !bytes.Equal(rec.Body.Bytes(), okBody("r0")) ||
+		rec.Header().Get("X-Raal-Replica") != "r0" || rec.Header().Get("Content-Type") != "application/json" {
+		t.Fatalf("proxied answer %d %q %v, want the replica's body relayed byte for byte", rec.Code, rec.Body, rec.Header())
+	}
+	const bound = 133 // 121 plus ~10%
+	if allocs := testing.AllocsPerRun(1000, func() { serve1() }); allocs > bound {
+		t.Fatalf("one proxied /estimate allocates %.1f times, want at most %d", allocs, bound)
+	}
+}
+
 func TestRouterDegradesWhenAllReplicasDown(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *Config) {
 		cfg.Fallback = func(_ context.Context, p *physical.Plan, _ sparksim.Resources) (float64, error) {
@@ -705,5 +798,8 @@ func TestRouterConfigValidation(t *testing.T) {
 		Planner:  testPlanner,
 	}); err == nil {
 		t.Fatal("duplicate replica IDs must fail")
+	}
+	if _, err := New(Config{Replicas: []Replica{{ID: "a", URL: "http://x\x7f"}}, Planner: testPlanner}); err == nil {
+		t.Fatal("an unparsable replica URL must fail")
 	}
 }

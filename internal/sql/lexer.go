@@ -192,17 +192,42 @@ func isASCIIDigit(c byte) bool { return '0' <= c && c <= '9' }
 
 // startsValue reports whether the position after t can begin a value
 // (so '-' starts a negative number rather than being a binary operator).
-// t's identifier text may be in any case.
+// t's identifier text may be in any case. It runs on every token of both
+// Parse and CanonicalKey, so an identifier is matched by length first and
+// then folded byte by byte, never through strings.EqualFold.
 func startsValue(t token) bool {
 	switch t.kind {
 	case tokSymbol:
 		return t.text != ")" && t.text != "*"
 	case tokIdent:
-		for _, kw := range [...]string{"and", "or", "between", "in", "where", "like", "limit"} {
-			if strings.EqualFold(t.text, kw) {
-				return true
-			}
+		s := t.text
+		switch len(s) {
+		case 2:
+			return foldedIs(s, "in") || foldedIs(s, "or")
+		case 3:
+			return foldedIs(s, "and")
+		case 4:
+			return foldedIs(s, "like")
+		case 5:
+			return foldedIs(s, "where") || foldedIs(s, "limit")
+		case 7:
+			return foldedIs(s, "between")
 		}
 	}
 	return false
+}
+
+// foldedIs reports whether s equals the lowercase keyword kw once its
+// ASCII letters are lowercased. Setting bit 0x20 lowercases 'A'–'Z' and
+// maps no other byte onto a lowercase letter, so any byte of s is safe.
+func foldedIs(s, kw string) bool {
+	if len(s) != len(kw) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		if s[i]|0x20 != kw[i] {
+			return false
+		}
+	}
+	return true
 }

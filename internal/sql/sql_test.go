@@ -214,6 +214,52 @@ func TestLexUnexpectedChar(t *testing.T) {
 	}
 }
 
+// TestStartsValueMatchesEqualFold: the length switch and byte fold in
+// startsValue accept exactly what strings.EqualFold against the seven
+// value-introducing keywords accepts, on every case variant of each
+// keyword, every one-byte identifier edit of it, and same-length or
+// near-length non-keywords.
+func TestStartsValueMatchesEqualFold(t *testing.T) {
+	keywords := []string{"and", "or", "between", "in", "where", "like", "limit"}
+	const identBytes = "_0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ"
+	inputs := []string{"a", "i", "o", "an", "n_", "ore", "orr", "lik", "likes", "limi", "limits",
+		"wher", "whereas", "betwee", "betweenx", "_in", "x1", "selects"}
+	for _, kw := range keywords {
+		for mask := 0; mask < 1<<len(kw); mask++ {
+			variant := []byte(kw)
+			for i := range variant {
+				if mask>>i&1 == 1 {
+					variant[i] -= 'a' - 'A'
+				}
+			}
+			inputs = append(inputs, string(variant))
+		}
+		for i := range kw {
+			for j := 0; j < len(identBytes); j++ {
+				edit := []byte(kw)
+				edit[i] = identBytes[j]
+				inputs = append(inputs, string(edit), strings.ToUpper(string(edit)))
+			}
+		}
+	}
+	matched := 0
+	for _, in := range inputs {
+		want := false
+		for _, kw := range keywords {
+			want = want || strings.EqualFold(in, kw)
+		}
+		if got := startsValue(token{kind: tokIdent, text: in}); got != want {
+			t.Fatalf("startsValue(%q) = %v, strings.EqualFold says %v", in, got, want)
+		}
+		if want {
+			matched++
+		}
+	}
+	if matched == 0 {
+		t.Fatal("no input matched a keyword: the test compares nothing")
+	}
+}
+
 func TestCanonicalKey(t *testing.T) {
 	const want = "select count ( * ) from title t where t . title like 'The %' and t . kind_id < -3"
 	for _, in := range []string{
