@@ -79,13 +79,16 @@ bench-online:
 quant:
 	$(GO) test -run 'Quant|Precision' -count=1 ./internal/core ./internal/online ./internal/tensor .
 
-# Streaming-engine gate: the bit-identity proofs (in-package edge cases
-# plus the cross-corpus IMDB/TPC-H property test), the allocation bound
-# (TestStreamingAllocsPerRowBounded: under 1% mallocs per scanned row on a
-# join + grouped aggregate) and the parallel collection invariant.
-# Throughput is bench/'s engine.rows_per_s, not a test.
+# Engine gate: the frozen golden digests (TestEngineGoldenDigests); the
+# engine held to the row-at-a-time reference interpreter in engine_test on
+# the edge queries and the IMDB/TPC-H generated corpora, including every
+# candidate plan of a query returning the same relation, and the
+# FuzzPipeline seeds; the allocation bound (TestStreamingAllocsPerRowBounded:
+# under 1% mallocs per scanned row on a join + grouped aggregate) and the
+# parallel collection invariant. Throughput is bench/'s engine.rows_per_s,
+# not a test.
 engine:
-	$(GO) test -run 'Streaming|TestCollectWorker|TestPrefix' -count=1 ./internal/engine ./internal/workload
+	$(GO) test -run 'Streaming|Golden|FuzzPipeline|TestCollectWorker' -count=1 ./internal/engine ./internal/workload
 
 vet:
 	$(GO) vet ./...
@@ -114,25 +117,27 @@ cover:
 	          printf "\nall tested packages meet the %s%% coverage floor\n", floor }' cover.tmp; \
 	s=$$?; rm -f cover.tmp; exit $$s
 
-# Short fixed-budget fuzz of the SQL front end: the parser, and the
-# router's affinity key, which lexes request bytes before anything has
-# parsed them (the seed corpora plus any committed regression inputs also
-# replay under plain `go test`). go test fuzzes one target per run, so the
-# targets share FUZZTIME (whole seconds) equally, one after the other.
+# Short fixed-budget fuzz: the parser; the router's affinity key, which
+# lexes request bytes before anything has parsed them; and the whole
+# parse → bind → plan → execute pipeline, held to the reference
+# interpreter on a tiny catalog (the seed corpora plus any committed
+# inputs also replay under plain `go test`). Targets are
+# <package>:<FuzzName>. go test fuzzes one target per run, so the targets
+# share FUZZTIME (whole seconds) equally, one after the other.
 FUZZTIME ?= 16s
-FUZZ_TARGETS = FuzzParse FuzzCanonicalKey
+FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline
 fuzz:
 	total=$(FUZZTIME); each=$$(( $${total%s} / $(words $(FUZZ_TARGETS)) )); \
 	for target in $(FUZZ_TARGETS); do \
-	    $(GO) test ./internal/sql -run=XXX -fuzz="^$$target\$$" -fuzztime=$${each}s || exit 1; \
+	    $(GO) test $${target%%:*} -run=XXX -fuzz="^$${target##*:}\$$" -fuzztime=$${each}s || exit 1; \
 	done
 
 # The pre-merge gate: static checks (vet, gofmt), the full test suite, a
-# fuzz smoke of the SQL front end, and the benchmark module's own vet and tests
-# (~12 s). bench/
-# is its own module (replace raal => ../) importing
-# raal/internal/{core,tensor}, so `go test ./...` never compiles it: an
-# internal-API refactor could break the benchmark silently without this.
+# fuzz smoke of the SQL front end and the execution pipeline, and the
+# benchmark module's own vet and tests (~12 s). bench/ is its own module
+# (replace raal => ../) importing raal/internal/{core,tensor}, so
+# `go test ./...` never compiles it: an internal-API refactor could break
+# the benchmark silently without this.
 # The arm64 vet and build keep the generic-only build (no AVX2 kernels,
 # internal/tensor/matmul_other.go) compiling; vet on amd64 already checks
 # the assembly's frame offsets against its Go declarations (asmdecl).

@@ -1,6 +1,7 @@
 package raal
 
 import (
+	"io/fs"
 	"os"
 	"path/filepath"
 	"regexp"
@@ -16,13 +17,17 @@ var (
 	docResultsRef  = regexp.MustCompile(`results/[A-Za-z0-9_./<>*-]*`)
 	makeTarget     = regexp.MustCompile(`(?m)^([a-z][a-z0-9-]*):`)
 	docPlaceholder = regexp.MustCompile(`<[^>]*>`)
+	docTestRef     = regexp.MustCompile("`(?:[a-z][a-z0-9]*\\.)?((?:Test|Fuzz)[A-Za-z0-9_]*)(\\*?)`")
+	testFunc       = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
 )
 
-// TestDocsNameThingsThatExist keeps the prose honest about the three
-// things it tells a reader to type or open: every `make <target>` is a
-// Makefile target, every `raalbench -exp <name>` is a registered
-// experiment, and every results/ path exists (a <placeholder> or * in a
-// path must match at least one file).
+// TestDocsNameThingsThatExist keeps the prose honest about the four
+// things it tells a reader to type, open or look up: every `make <target>`
+// is a Makefile target, every `raalbench -exp <name>` is a registered
+// experiment, every results/ path exists (a <placeholder> or * in a path
+// must match at least one file), and every backquoted `TestXxx` or
+// `FuzzXxx` (`pkg.TestXxx`, or `TestXxx*` for a family) names a function
+// in some _test.go file.
 func TestDocsNameThingsThatExist(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -31,6 +36,23 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 	targets := map[string]bool{}
 	for _, m := range makeTarget.FindAllStringSubmatch(string(mk), -1) {
 		targets[m[1]] = true
+	}
+	var tests []string
+	err = filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err == nil && d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return fs.SkipDir // .git, build caches
+		}
+		if err != nil || d.IsDir() || !strings.HasSuffix(path, "_test.go") {
+			return err
+		}
+		src, err := os.ReadFile(path)
+		for _, m := range testFunc.FindAllStringSubmatch(string(src), -1) {
+			tests = append(tests, m[1])
+		}
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
 	exps := map[string]bool{"all": true}
 	for _, n := range experiments.Names() {
@@ -55,6 +77,15 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 				if !exps[name] {
 					t.Errorf("%s: `raalbench -exp %s` is not a registered experiment", doc, name)
 				}
+			}
+		}
+		for _, m := range docTestRef.FindAllStringSubmatch(text, -1) {
+			found := false
+			for _, name := range tests {
+				found = found || name == m[1] || m[2] == "*" && strings.HasPrefix(name, m[1])
+			}
+			if !found {
+				t.Errorf("%s: `%s%s` names no test function", doc, m[1], m[2])
 			}
 		}
 		for _, path := range docResultsRef.FindAllString(text, -1) {

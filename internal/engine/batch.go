@@ -67,9 +67,6 @@ type Batch struct {
 	strs [][]string
 }
 
-// Len returns the number of logical rows in the batch.
-func (b *Batch) Len() int { return b.n }
-
 // row maps a logical row index to a physical index in the column slices.
 func (b *Batch) row(i int) int {
 	if b.sel != nil {

@@ -1,8 +1,9 @@
-package engine
+package engine_test
 
 import (
 	"testing"
 
+	"raal/internal/engine"
 	"raal/internal/logical"
 	"raal/internal/physical"
 )
@@ -206,32 +207,32 @@ func TestExchangeSkewMeasured(t *testing.T) {
 	}
 }
 
+// exchangeSkew runs a hash exchange keyed on a.id over the given ids.
+func exchangeSkew(t *testing.T, ids []int64) float64 {
+	t.Helper()
+	db := oneTable(map[string][]int64{"id": ids}, nil)
+	scan := &physical.Node{Op: physical.FileScan, Table: "a", Alias: "a", Columns: []string{"id"}}
+	ex := &physical.Node{Op: physical.ExchangeHashPartition, LeftKey: &logical.BoundCol{Alias: "a", Name: "id"}}
+	checkPlan(t, engine.New(db), db, chain(scan, ex))
+	return ex.Skew
+}
+
 func TestMeasureSkewUniformKey(t *testing.T) {
-	rel := NewRelation()
-	rel.N = 24000
-	col := make([]int64, rel.N)
-	for i := range col {
-		col[i] = int64(i) // serial: perfectly spread
+	ids := make([]int64, 24000)
+	for i := range ids {
+		ids[i] = int64(i) // serial: perfectly spread
 	}
-	rel.Ints["t.id"] = col
-	bc := logical.BoundCol{Alias: "t", Name: "id"}
-	s := measureSkew(rel, &bc)
-	if s < 0.9 || s > 1.2 {
+	if s := exchangeSkew(t, ids); s < 0.9 || s > 1.2 {
 		t.Fatalf("uniform key skew = %v, want ≈1", s)
 	}
 }
 
 func TestMeasureSkewHotKey(t *testing.T) {
-	rel := NewRelation()
-	rel.N = 1000
-	col := make([]int64, rel.N)
-	for i := range col {
-		col[i] = 7 // single hot key: everything lands in one partition
+	ids := make([]int64, 1000)
+	for i := range ids {
+		ids[i] = 7 // single hot key: everything lands in one of 24 partitions
 	}
-	rel.Ints["t.id"] = col
-	bc := logical.BoundCol{Alias: "t", Name: "id"}
-	s := measureSkew(rel, &bc)
-	if s < float64(skewPartitions)-0.01 {
-		t.Fatalf("hot key skew = %v, want %d", s, skewPartitions)
+	if s := exchangeSkew(t, ids); s != 24 {
+		t.Fatalf("hot key skew = %v, want 24", s)
 	}
 }

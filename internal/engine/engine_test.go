@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 import (
 	"testing"
@@ -6,18 +6,17 @@ import (
 	"raal/internal/cardest"
 	"raal/internal/catalog"
 	"raal/internal/datagen"
-	"raal/internal/logical"
+	"raal/internal/engine"
 	"raal/internal/physical"
-	"raal/internal/sql"
 )
 
 type fixture struct {
 	db      *catalog.Database
-	eng     *Engine
+	eng     *engine.Engine
 	planner *physical.Planner
-	binder  *logical.Binder
 }
 
+// newFixture runs on the edge queries' database.
 func newFixture(t *testing.T) *fixture { return newFixtureAt(t, 0.03) }
 
 func newFixtureAt(t *testing.T, scale float64) *fixture {
@@ -27,63 +26,35 @@ func newFixtureAt(t *testing.T, scale float64) *fixture {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &fixture{db: db, eng: New(db), planner: physical.NewPlanner(est), binder: logical.NewBinder(db)}
+	return &fixture{db: db, eng: engine.New(db), planner: physical.NewPlanner(est)}
 }
 
+// plans returns the candidate plans of query, up to the planner's MaxPlans.
 func (f *fixture) plans(t *testing.T, query string) []*physical.Plan {
 	t.Helper()
-	stmt, err := sql.Parse(query)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := f.binder.Bind(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans, err := f.planner.Enumerate(q)
-	if err != nil {
-		t.Fatal(err)
+	plans, ok, err := planQuery(f.db, f.planner, query, f.planner.MaxPlans)
+	if err != nil || !ok {
+		t.Fatalf("%q does not bind or plan: %v", query, err)
 	}
 	return plans
 }
 
 // runAll executes every candidate plan and checks they agree on the result.
-func (f *fixture) runAll(t *testing.T, query string) *Relation {
+func (f *fixture) runAll(t *testing.T, query string) *engine.Relation {
 	t.Helper()
-	plans := f.plans(t, query)
-	var first *Relation
-	for i, p := range plans {
+	var first *engine.Relation
+	for i, p := range f.plans(t, query) {
 		rel, err := f.eng.Run(p)
 		if err != nil {
 			t.Fatalf("plan %d (%s): %v", i, p.Sig, err)
 		}
 		if first == nil {
 			first = rel
-		} else if !sameSingleRow(first, rel) {
-			t.Fatalf("plan %d (%s) disagrees:\nfirst: %v %v\n this: %v %v",
-				i, p.Sig, first, first.Ints, rel, rel.Ints)
+		} else if d := diffRelations(first, rel); d != "" {
+			t.Fatalf("plan %d (%s) disagrees with plan 0: %s", i, p.Sig, d)
 		}
 	}
 	return first
-}
-
-// sameSingleRow compares single-row aggregate results.
-func sameSingleRow(a, b *Relation) bool {
-	if a.N != b.N {
-		return false
-	}
-	for name, col := range a.Ints {
-		other, ok := b.Ints[name]
-		if !ok || len(other) != len(col) {
-			return false
-		}
-		for i := range col {
-			if col[i] != other[i] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 func TestCountSingleTableMatchesBruteForce(t *testing.T) {
@@ -280,57 +251,17 @@ func TestGlobalCountOfEmptyInputIsZeroRow(t *testing.T) {
 	}
 }
 
-func TestLikePatterns(t *testing.T) {
-	rel := NewRelation()
-	rel.N = 5
-	rel.Strs["t.s"] = []string{"abcdef", "abc", "xxabc", "defabc", "zzz"}
-	cases := []struct {
-		pattern string
-		want    int
-	}{
-		{"abc%", 2},  // abcdef, abc
-		{"%abc", 3},  // abc, xxabc, defabc
-		{"%abc%", 4}, // all but zzz
-		{"abc", 1},   // exact
-		{"%", 5},     // everything
-		{"a%f", 1},   // abcdef
-		{"%b%d%", 1}, // abcdef (b then d in order)
-		{"nomatch", 0},
-	}
-	for _, tc := range cases {
-		out, err := applyPreds(rel, []sql.Predicate{&sql.Like{
-			Col: sql.ColumnRef{Qualifier: "t", Name: "s"}, Pattern: tc.pattern}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if out.N != tc.want {
-			t.Fatalf("LIKE %q matched %d rows, want %d", tc.pattern, out.N, tc.want)
-		}
-	}
-}
-
 func TestTPCHQueryExecution(t *testing.T) {
 	db := datagen.TPCH(0.05, 1)
 	est, err := cardest.New(db, 16, 8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eng := New(db)
-	binder := logical.NewBinder(db)
-	planner := physical.NewPlanner(est)
-
-	stmt, err := sql.Parse(`SELECT COUNT(*), SUM(l.l_extendedprice) FROM lineitem l, orders o
-		WHERE l.l_orderkey = o.o_orderkey AND o.o_totalprice > 250000 AND l.l_quantity < 10`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	q, err := binder.Bind(stmt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	plans, err := planner.Enumerate(q)
-	if err != nil {
-		t.Fatal(err)
+	eng := engine.New(db)
+	plans, ok, err := planQuery(db, physical.NewPlanner(est), `SELECT COUNT(*), SUM(l.l_extendedprice)
+		FROM lineitem l, orders o WHERE l.l_orderkey = o.o_orderkey AND o.o_totalprice > 250000 AND l.l_quantity < 10`, 6)
+	if err != nil || !ok {
+		t.Fatalf("does not plan: %v", err)
 	}
 
 	// brute force

@@ -2,12 +2,9 @@ package engine
 
 import (
 	"fmt"
-	"sort"
 
 	"raal/internal/catalog"
-	"raal/internal/logical"
 	"raal/internal/physical"
-	"raal/internal/sql"
 	"raal/internal/telemetry"
 )
 
@@ -15,20 +12,6 @@ import (
 // rows than the engine's limit — the guard against join explosions in
 // generated workloads.
 var ErrRowLimit = fmt.Errorf("engine: row limit exceeded")
-
-// ExecMode selects the execution strategy.
-type ExecMode int
-
-const (
-	// ExecStreaming (the default) runs plans as chunked vectorized
-	// iterators: near-constant memory, incremental row-limit
-	// enforcement, early termination under limits.
-	ExecStreaming ExecMode = iota
-	// ExecMaterialized runs the original operator-at-a-time path where
-	// every operator fully materializes its output. It is kept as the
-	// test oracle the streaming path is verified bit-identical against.
-	ExecMaterialized
-)
 
 // Engine executes physical plans against a database.
 type Engine struct {
@@ -38,12 +21,8 @@ type Engine struct {
 	// the default of 5 million.
 	MaxRows int
 
-	// Mode selects streaming (default) or materialized execution. Both
-	// produce bit-identical relations, ActRows, and Skew.
-	Mode ExecMode
-
 	// BatchSize is the streaming chunk capacity in rows; 0 means
-	// DefaultBatchSize.
+	// DefaultBatchSize. It changes no result, ActRows or Skew.
 	BatchSize int
 
 	pool  slabPool
@@ -74,290 +53,19 @@ func (e *Engine) Run(p *physical.Plan) (*Relation, error) {
 	return e.RunTraced(p, nil)
 }
 
-// RunTraced is Run with an optional telemetry span: the streaming path
-// accumulates per-operator stage durations into sp (nil sp means no
-// tracing; the materialized oracle path does not trace stages).
+// RunTraced is Run with an optional telemetry span: per-operator stage
+// durations accumulate into sp (nil sp means no tracing).
 func (e *Engine) RunTraced(p *physical.Plan, sp *telemetry.Span) (*Relation, error) {
 	if ins := e.instr; ins != nil {
 		ins.runs.Inc()
 	}
-	if e.Mode == ExecMaterialized {
-		for _, n := range p.Nodes {
-			n.ActRows = 0
-		}
-		return e.exec(p.Root)
+	for _, n := range p.Nodes {
+		n.ActRows = 0
 	}
-	return e.runStreaming(p, sp)
-}
-
-func (e *Engine) exec(n *physical.Node) (*Relation, error) {
-	kids := make([]*Relation, len(n.Children))
-	for i, c := range n.Children {
-		r, err := e.exec(c)
-		if err != nil {
-			return nil, err
-		}
-		kids[i] = r
-	}
-
-	out, err := e.apply(n, kids)
-	if err != nil {
-		return nil, fmt.Errorf("engine: %s: %w", n.Op, err)
-	}
-	if out.N > e.maxRows() {
-		return nil, fmt.Errorf("engine: %s produced %d rows: %w", n.Op, out.N, ErrRowLimit)
-	}
-	n.ActRows = float64(out.N)
-	return out, nil
-}
-
-func (e *Engine) apply(n *physical.Node, kids []*Relation) (*Relation, error) {
-	switch n.Op {
-	case physical.FileScan:
-		return e.scan(n)
-	case physical.Filter:
-		return applyPreds(kids[0], n.Preds)
-	case physical.Project:
-		return kids[0].project(n.Columns)
-	case physical.ExchangeHashPartition:
-		// Data movement is a no-op for single-node semantics, but the
-		// key distribution determines partition skew, which the cluster
-		// simulator turns into straggler time.
-		n.Skew = measureSkew(kids[0], exchangeKey(n))
-		return kids[0], nil
-	case physical.ExchangeSinglePartition, physical.BroadcastExchange:
-		return kids[0], nil
-	case physical.Sort:
-		return sortRelation(kids[0], n.SortCol, n.SortDesc, e.maxRows())
-	case physical.SortMergeJoin, physical.BroadcastHashJoin, physical.ShuffledHashJoin:
-		return hashJoin(kids[0], kids[1], n.LeftKey, n.RightKey, e.maxRows())
-	case physical.BroadcastNestedLoopJoin:
-		return nestedLoopJoin(kids[0], kids[1], n.LeftKey, n.RightKey, n.ThetaOp, e.maxRows())
-	case physical.HashAggregate, physical.SortAggregate:
-		if n.Final {
-			return finalAggregate(kids[0], n.GroupBy, n.Aggs, e.maxRows())
-		}
-		return partialAggregate(kids[0], n.GroupBy, n.Aggs, e.maxRows())
-	case physical.LocalLimit:
-		if kids[0].N <= n.LimitN {
-			return kids[0], nil
-		}
-		// A limit is a prefix: share the column storage instead of
-		// copying every column through gather.
-		return kids[0].prefix(n.LimitN), nil
-	default:
-		return nil, fmt.Errorf("unsupported operator")
-	}
-}
-
-// scan materializes the node's columns with alias-qualified names and
-// applies pushed-down filters.
-func (e *Engine) scan(n *physical.Node) (*Relation, error) {
-	tab, err := e.db.Table(n.Table)
+	it, err := e.buildIter(p.Root, &runCtx{eng: e, cap: e.batchSize(), max: e.maxRows(), sp: sp})
 	if err != nil {
 		return nil, err
 	}
-	rel := NewRelation()
-	rel.N = tab.NumRows
-	for _, c := range n.Columns {
-		q := n.Alias + "." + c
-		if col, ok := tab.Ints[c]; ok {
-			rel.Ints[q] = col
-			continue
-		}
-		if col, ok := tab.Strs[c]; ok {
-			rel.Strs[q] = col
-			continue
-		}
-		return nil, fmt.Errorf("table %s has no column %q", n.Table, c)
-	}
-	return applyPreds(rel, n.Preds)
-}
-
-func sortRelation(rel *Relation, col *logical.BoundCol, desc bool, maxRows int) (*Relation, error) {
-	if col == nil {
-		return rel, nil
-	}
-	// Guard before building the permutation, not after exec materializes.
-	if rel.N > maxRows {
-		return nil, fmt.Errorf("sort input exceeds %d rows: %w", maxRows, ErrRowLimit)
-	}
-	name := col.String()
-	idx := make([]int, rel.N)
-	for i := range idx {
-		idx[i] = i
-	}
-	if ic, ok := rel.Ints[name]; ok {
-		sort.SliceStable(idx, func(a, b int) bool {
-			if desc {
-				return ic[idx[a]] > ic[idx[b]]
-			}
-			return ic[idx[a]] < ic[idx[b]]
-		})
-	} else if sc, ok := rel.Strs[name]; ok {
-		sort.SliceStable(idx, func(a, b int) bool {
-			if desc {
-				return sc[idx[a]] > sc[idx[b]]
-			}
-			return sc[idx[a]] < sc[idx[b]]
-		})
-	} else {
-		// Join-key sorts reference columns that exist; a miss is a bug.
-		return nil, fmt.Errorf("sort column %q missing", name)
-	}
-	return rel.gather(idx), nil
-}
-
-// skewPartitions is the partition count used to measure key skew; it
-// matches the simulator's default shuffle partitioning.
-const skewPartitions = 24
-
-// exchangeKey returns the partitioning column of a hash exchange (the
-// first group key for aggregate shuffles).
-func exchangeKey(n *physical.Node) *logical.BoundCol {
-	if n.LeftKey != nil {
-		return n.LeftKey
-	}
-	if len(n.GroupBy) > 0 {
-		return &n.GroupBy[0]
-	}
-	return nil
-}
-
-// measureSkew returns max/avg partition size under hash partitioning by
-// key (1 = perfectly balanced). Unknown keys or empty inputs return 1.
-func measureSkew(rel *Relation, key *logical.BoundCol) float64 {
-	if key == nil || rel.N == 0 {
-		return 1
-	}
-	counts := make([]int, skewPartitions)
-	if ic, ok := rel.Ints[key.String()]; ok {
-		for _, v := range ic {
-			h := uint64(v) * 0x9E3779B97F4A7C15
-			counts[h%skewPartitions]++
-		}
-	} else if sc, ok := rel.Strs[key.String()]; ok {
-		for _, v := range sc {
-			var h uint64 = 14695981039346656037
-			for i := 0; i < len(v); i++ {
-				h = (h ^ uint64(v[i])) * 1099511628211
-			}
-			counts[h%skewPartitions]++
-		}
-	} else {
-		return 1
-	}
-	max := 0
-	for _, c := range counts {
-		if c > max {
-			max = c
-		}
-	}
-	avg := float64(rel.N) / skewPartitions
-	if avg == 0 {
-		return 1
-	}
-	return float64(max) / avg
-}
-
-// nestedLoopJoin joins left and right on a non-equi comparison
-// (leftKey op rightKey), the execution strategy of a broadcast nested loop
-// join. maxRows aborts runaway outputs.
-func nestedLoopJoin(left, right *Relation, lk, rk *logical.BoundCol, op sql.CmpOp, maxRows int) (*Relation, error) {
-	lcol, ok := left.Ints[lk.String()]
-	if !ok {
-		return nil, fmt.Errorf("nested loop key %q missing on left side", lk)
-	}
-	rcol, ok := right.Ints[rk.String()]
-	if !ok {
-		return nil, fmt.Errorf("nested loop key %q missing on right side", rk)
-	}
-	var li, ri []int
-	for i, lv := range lcol {
-		for j, rv := range rcol {
-			if cmpInt(lv, rv, op) {
-				li = append(li, i)
-				ri = append(ri, j)
-			}
-		}
-		if len(li) > maxRows {
-			return nil, fmt.Errorf("nested loop output exceeds %d rows: %w", maxRows, ErrRowLimit)
-		}
-	}
-	return combineSides(left.gather(li), right.gather(ri), len(li))
-}
-
-// combineSides merges the gathered left and right relations of a join.
-func combineSides(lg, rg *Relation, n int) (*Relation, error) {
-	out := NewRelation()
-	out.N = n
-	for name, col := range lg.Ints {
-		out.Ints[name] = col
-	}
-	for name, col := range lg.Strs {
-		out.Strs[name] = col
-	}
-	for name, col := range rg.Ints {
-		if _, dup := out.Ints[name]; dup {
-			return nil, fmt.Errorf("duplicate column %q across join sides", name)
-		}
-		out.Ints[name] = col
-	}
-	for name, col := range rg.Strs {
-		if _, dup := out.Strs[name]; dup {
-			return nil, fmt.Errorf("duplicate column %q across join sides", name)
-		}
-		out.Strs[name] = col
-	}
-	return out, nil
-}
-
-// hashJoin equi-joins left and right on the given keys, building on the
-// right side (the broadcast/new side in our plans). maxRows aborts
-// runaway joins before they exhaust memory.
-func hashJoin(left, right *Relation, lk, rk *logical.BoundCol, maxRows int) (*Relation, error) {
-	lname, rname := lk.String(), rk.String()
-	var li, ri []int
-
-	if lcol, ok := left.Ints[lname]; ok {
-		rcol, ok := right.Ints[rname]
-		if !ok {
-			return nil, fmt.Errorf("join key %q missing on right side", rname)
-		}
-		build := make(map[int64][]int, right.N)
-		for j, v := range rcol {
-			build[v] = append(build[v], j)
-		}
-		for i, v := range lcol {
-			for _, j := range build[v] {
-				li = append(li, i)
-				ri = append(ri, j)
-			}
-			if len(li) > maxRows {
-				return nil, fmt.Errorf("join output exceeds %d rows: %w", maxRows, ErrRowLimit)
-			}
-		}
-	} else if lcol, ok := left.Strs[lname]; ok {
-		rcol, ok := right.Strs[rname]
-		if !ok {
-			return nil, fmt.Errorf("join key %q missing on right side", rname)
-		}
-		build := make(map[string][]int, right.N)
-		for j, v := range rcol {
-			build[v] = append(build[v], j)
-		}
-		for i, v := range lcol {
-			for _, j := range build[v] {
-				li = append(li, i)
-				ri = append(ri, j)
-			}
-			if len(li) > maxRows {
-				return nil, fmt.Errorf("join output exceeds %d rows: %w", maxRows, ErrRowLimit)
-			}
-		}
-	} else {
-		return nil, fmt.Errorf("join key %q missing on left side", lname)
-	}
-
-	return combineSides(left.gather(li), right.gather(ri), len(li))
+	defer it.Close()
+	return drain(it)
 }

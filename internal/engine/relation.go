@@ -15,8 +15,8 @@ import (
 	"strings"
 )
 
-// Relation is an intermediate result: columns keyed by alias-qualified
-// name ("t.id").
+// Relation is a query result: columns keyed by alias-qualified name
+// ("t.id").
 type Relation struct {
 	N    int
 	Ints map[string][]int64
@@ -26,15 +26,6 @@ type Relation struct {
 // NewRelation returns an empty relation.
 func NewRelation() *Relation {
 	return &Relation{Ints: map[string][]int64{}, Strs: map[string][]string{}}
-}
-
-// HasCol reports whether the relation carries the named column.
-func (r *Relation) HasCol(name string) bool {
-	_, ok := r.Ints[name]
-	if !ok {
-		_, ok = r.Strs[name]
-	}
-	return ok
 }
 
 // ColNames returns all column names, sorted.
@@ -48,61 +39,6 @@ func (r *Relation) ColNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// gather builds a new relation keeping only the rows whose indices appear
-// in idx (in that order).
-func (r *Relation) gather(idx []int) *Relation {
-	out := NewRelation()
-	out.N = len(idx)
-	for name, col := range r.Ints {
-		nc := make([]int64, len(idx))
-		for i, j := range idx {
-			nc[i] = col[j]
-		}
-		out.Ints[name] = nc
-	}
-	for name, col := range r.Strs {
-		nc := make([]string, len(idx))
-		for i, j := range idx {
-			nc[i] = col[j]
-		}
-		out.Strs[name] = nc
-	}
-	return out
-}
-
-// prefix returns a view of the first k rows, sharing column storage with
-// r — the zero-copy form of gather(0..k-1) used by LocalLimit.
-func (r *Relation) prefix(k int) *Relation {
-	out := NewRelation()
-	out.N = k
-	for name, col := range r.Ints {
-		out.Ints[name] = col[:k]
-	}
-	for name, col := range r.Strs {
-		out.Strs[name] = col[:k]
-	}
-	return out
-}
-
-// project keeps only the named columns.
-func (r *Relation) project(cols []string) (*Relation, error) {
-	out := NewRelation()
-	out.N = r.N
-	for _, c := range cols {
-		if ic, ok := r.Ints[c]; ok {
-			out.Ints[c] = ic
-			continue
-		}
-		if sc, ok := r.Strs[c]; ok {
-			out.Strs[c] = sc
-			continue
-		}
-		return nil, fmt.Errorf("engine: projection references missing column %q (have %s)",
-			c, strings.Join(r.ColNames(), ","))
-	}
-	return out, nil
 }
 
 // String renders a compact debug view.

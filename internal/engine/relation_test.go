@@ -1,115 +1,111 @@
-package engine
+package engine_test
 
 import (
+	"slices"
 	"testing"
 
+	"raal/internal/catalog"
+	"raal/internal/engine"
 	"raal/internal/logical"
+	"raal/internal/physical"
+	"raal/internal/sql"
 )
 
-func TestRelationProjectMissingColumn(t *testing.T) {
-	rel := NewRelation()
-	rel.N = 1
-	rel.Ints["a.x"] = []int64{1}
-	if _, err := rel.project([]string{"a.x", "a.ghost"}); err == nil {
-		t.Fatal("projecting a missing column should error")
+// oneTable is a database holding the single table "a" with the given
+// columns.
+func oneTable(ints map[string][]int64, strs map[string][]string) *catalog.Database {
+	tab := &catalog.Table{Schema: &catalog.Schema{Name: "a"}, Ints: ints, Strs: strs}
+	for name, col := range ints {
+		tab.NumRows = len(col)
+		tab.Schema.Columns = append(tab.Schema.Columns, catalog.Column{Name: name, Type: catalog.Int64})
 	}
+	for name, col := range strs {
+		tab.NumRows = len(col)
+		tab.Schema.Columns = append(tab.Schema.Columns, catalog.Column{Name: name, Type: catalog.String})
+	}
+	return &catalog.Database{Name: "one", Tables: map[string]*catalog.Table{"a": tab}}
 }
 
-func TestRelationGatherReorders(t *testing.T) {
-	rel := NewRelation()
-	rel.N = 3
-	rel.Ints["a.x"] = []int64{10, 20, 30}
-	rel.Strs["a.s"] = []string{"p", "q", "r"}
-	g := rel.gather([]int{2, 0, 2})
-	if g.N != 3 || g.Ints["a.x"][0] != 30 || g.Ints["a.x"][1] != 10 || g.Strs["a.s"][2] != "r" {
-		t.Fatalf("gather wrong: %v %v", g.Ints, g.Strs)
+// sortA runs FileScan a(cols) → Sort on a.key in 3-row batches.
+func sortA(t *testing.T, db *catalog.Database, cols []string, key string, desc bool) (*engine.Relation, error) {
+	t.Helper()
+	scan := &physical.Node{Op: physical.FileScan, Table: "a", Alias: "a", Columns: cols}
+	sort := &physical.Node{Op: physical.Sort, SortCol: &logical.BoundCol{Alias: "a", Name: key}, SortDesc: desc}
+	eng := engine.New(db)
+	eng.BatchSize = 3
+	rel, diff, err := diffEngine(eng, db, chain(scan, sort))
+	if diff != "" {
+		t.Fatal(diff)
 	}
-	// Mutating the gathered copy must not touch the source.
-	g.Ints["a.x"][0] = 99
-	if rel.Ints["a.x"][2] != 30 {
-		t.Fatal("gather aliases source")
-	}
+	return rel, err
 }
 
 func TestSortRelationStable(t *testing.T) {
 	// Equal keys must preserve input order (stable sort), which keeps
 	// engine output deterministic across plans.
-	rel := NewRelation()
-	rel.N = 4
-	rel.Ints["a.k"] = []int64{2, 1, 2, 1}
-	rel.Ints["a.v"] = []int64{100, 200, 300, 400}
-	bc := logical.BoundCol{Alias: "a", Name: "k"}
-	sorted, err := sortRelation(rel, &bc, false, 5_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV := []int64{200, 400, 100, 300}
-	for i, v := range wantV {
-		if sorted.Ints["a.v"][i] != v {
-			t.Fatalf("unstable sort: %v", sorted.Ints["a.v"])
+	db := oneTable(map[string][]int64{"k": {2, 1, 2, 1}, "v": {100, 200, 300, 400}}, nil)
+	for _, tc := range []struct {
+		desc bool
+		want []int64
+	}{{false, []int64{200, 400, 100, 300}}, {true, []int64{100, 300, 200, 400}}} {
+		rel, err := sortA(t, db, []string{"k", "v"}, "k", tc.desc)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	// Descending keeps stability within equal keys too.
-	desc, err := sortRelation(rel, &bc, true, 5_000_000)
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantV = []int64{100, 300, 200, 400}
-	for i, v := range wantV {
-		if desc.Ints["a.v"][i] != v {
-			t.Fatalf("unstable desc sort: %v", desc.Ints["a.v"])
+		if !slices.Equal(rel.Ints["a.v"], tc.want) {
+			t.Fatalf("desc=%v: unstable sort: %v", tc.desc, rel.Ints["a.v"])
 		}
 	}
 }
 
 func TestSortRelationStringKey(t *testing.T) {
-	rel := NewRelation()
-	rel.N = 3
-	rel.Strs["a.s"] = []string{"m", "a", "z"}
-	bc := logical.BoundCol{Alias: "a", Name: "s"}
-	sorted, err := sortRelation(rel, &bc, false, 5_000_000)
+	db := oneTable(nil, map[string][]string{"s": {"m", "a", "z"}})
+	rel, err := sortA(t, db, []string{"s"}, "s", false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if sorted.Strs["a.s"][0] != "a" || sorted.Strs["a.s"][2] != "z" {
-		t.Fatalf("string sort wrong: %v", sorted.Strs["a.s"])
+	if !slices.Equal(rel.Strs["a.s"], []string{"a", "m", "z"}) {
+		t.Fatalf("string sort wrong: %v", rel.Strs["a.s"])
 	}
 }
 
 func TestSortRelationMissingColumn(t *testing.T) {
-	rel := NewRelation()
-	rel.N = 1
-	bc := logical.BoundCol{Alias: "a", Name: "ghost"}
-	if _, err := sortRelation(rel, &bc, false, 5_000_000); err == nil {
+	db := oneTable(map[string][]int64{"x": {1}}, nil)
+	if _, err := sortA(t, db, []string{"x"}, "ghost", false); err == nil {
 		t.Fatal("sorting a missing column should error")
 	}
 }
 
-func TestHashJoinDuplicateColumnRejected(t *testing.T) {
-	left := NewRelation()
-	left.N = 1
-	left.Ints["x.k"] = []int64{1}
-	left.Ints["shared"] = []int64{5}
-	right := NewRelation()
-	right.N = 1
-	right.Ints["y.k"] = []int64{1}
-	right.Ints["shared"] = []int64{6}
-	lk := logical.BoundCol{Alias: "x", Name: "k"}
-	rk := logical.BoundCol{Alias: "y", Name: "k"}
-	if _, err := hashJoin(left, right, &lk, &rk, 1000); err == nil {
-		t.Fatal("duplicate column names across join sides should error")
+func TestRelationProjectMissingColumn(t *testing.T) {
+	db := oneTable(map[string][]int64{"x": {1}}, nil)
+	scan := &physical.Node{Op: physical.FileScan, Table: "a", Alias: "a", Columns: []string{"x"}}
+	proj := &physical.Node{Op: physical.Project, Columns: []string{"a.x", "a.ghost"}}
+	if _, diff, err := diffEngine(engine.New(db), db, chain(scan, proj)); diff != "" || err == nil {
+		t.Fatalf("projecting a missing column should error (%s)", diff)
+	}
+}
+
+// TestGroupKeysStayDistinct groups by two string columns whose values,
+// joined with a NUL separator, spell the same bytes: ("a\x00sb", "") and
+// ("a", "b\x00s") are still two groups.
+func TestGroupKeysStayDistinct(t *testing.T) {
+	db := oneTable(nil, map[string][]string{"x": {"a\x00sb", "a"}, "y": {"", "b\x00s"}})
+	gb := []logical.BoundCol{{Alias: "a", Name: "x"}, {Alias: "a", Name: "y"}}
+	aggs := []logical.BoundAgg{{Agg: sql.AggCount, Star: true}}
+	plan := chain(&physical.Node{Op: physical.FileScan, Table: "a", Alias: "a", Columns: []string{"x", "y"}},
+		&physical.Node{Op: physical.HashAggregate, GroupBy: gb, Aggs: aggs},
+		&physical.Node{Op: physical.HashAggregate, GroupBy: gb, Aggs: aggs, Final: true})
+	if rel := checkPlan(t, engine.New(db), db, plan); rel.N != 2 {
+		t.Fatalf("%d groups, want 2", rel.N)
 	}
 }
 
 func TestColNamesSorted(t *testing.T) {
-	rel := NewRelation()
+	rel := engine.NewRelation()
 	rel.Ints["b.z"] = nil
 	rel.Strs["a.a"] = nil
 	rel.Ints["a.m"] = nil
-	names := rel.ColNames()
-	for i := 1; i < len(names); i++ {
-		if names[i] < names[i-1] {
-			t.Fatalf("not sorted: %v", names)
-		}
+	if names := rel.ColNames(); !slices.IsSorted(names) {
+		t.Fatalf("not sorted: %v", names)
 	}
 }

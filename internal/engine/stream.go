@@ -6,50 +6,45 @@ import (
 	"strings"
 	"time"
 
+	"raal/internal/logical"
 	"raal/internal/physical"
 	"raal/internal/sql"
 	"raal/internal/telemetry"
 )
 
-// The streaming execution path. Operators are composable chunk iterators
-// in the Volcano style, but vectorized: Next() yields a Batch of up to
-// BatchSize rows instead of a single tuple. Filters, projections, and
-// limits are zero-copy (selection vectors and slice-header reuse); scans
-// emit windows over the catalog's column storage without copying; joins
-// materialize only their build side; aggregates hold only group state.
-// Nothing except explicit pipeline breakers (Sort, the aggregate hash
-// tables, join build sides) ever holds a full intermediate relation,
-// which is what lets the truth oracle execute 10^6–10^7-row inputs in
-// near-constant memory where the materialized path held every operator's
-// full output at once.
+// The executor. Operators are composable chunk iterators in the Volcano
+// style, but vectorized: Next() yields a Batch of up to BatchSize rows
+// instead of a single tuple. Filters, projections, and limits are
+// zero-copy (selection vectors and slice-header reuse); scans emit windows
+// over the catalog's column storage without copying; joins materialize
+// only their build side; aggregates hold only group state. Nothing except
+// explicit pipeline breakers (Sort, the aggregate hash tables, join build
+// sides) ever holds a full intermediate relation, which is what lets the
+// truth oracle execute 10^6–10^7-row inputs in near-constant memory.
 //
-// The oracle contract of the materialized path is preserved exactly:
-// per-node ActRows, exchange Skew (the partition-hash fold rides the
-// streaming pass), incremental ErrRowLimit enforcement, and bit-identical
-// final relations. The materialized path remains available via
-// ExecMaterialized as the test oracle.
+// What a run records, whatever the batch size: every node's ActRows is
+// its full output cardinality (every operator, LIMIT included, drains its
+// input); an exchange's Skew is the partition-hash fold over the rows that
+// crossed it; and ErrRowLimit trips as soon as any node's running count
+// passes the limit. The engine_test package checks all three, and the
+// relation, against a row-at-a-time reference interpreter that cannot
+// call this package's internals, and golden digests pin them across
+// commits.
 
-// Iterator is a streaming operator. Next returns the next chunk, or
+// iterator is a streaming operator. Next returns the next chunk, or
 // (nil, nil) at end of stream. The returned batch is valid only until the
 // next Next or Close call on this iterator.
-type Iterator interface {
+type iterator interface {
 	Next() (*Batch, error)
-	// Close releases pooled slabs and finalizes per-node statistics
-	// (ActRows, Skew) when the stream is abandoned before EOF.
+	// Close releases pooled slabs.
 	Close()
 
 	// lay returns the static column layout of this operator's output.
 	lay() *layout
-	// emptyCols lists the columns a zero-row result materializes,
-	// mirroring the materialized path (a grouped aggregate that produced
-	// no groups emits only its key columns; everything else emits its
-	// full layout).
+	// emptyCols lists, once the stream has ended, the columns a zero-row
+	// result carries: an aggregate that produced no groups carries only
+	// its key columns, and everything else its full layout.
 	emptyCols() []streamCol
-	// totalRows reports the operator's full output cardinality when it is
-	// known without draining the stream — pipeline breakers know it after
-	// build, pass-throughs delegate — so early-terminated plans still
-	// record the exact ActRows the materialized path would.
-	totalRows() (int, bool)
 }
 
 // runCtx carries per-run execution state shared by all iterators of one
@@ -61,46 +56,18 @@ type runCtx struct {
 	sp  *telemetry.Span
 }
 
-// baseIter supplies the default lay/emptyCols/totalRows so concrete
-// operators only override what they specialize.
+// baseIter supplies the default lay/emptyCols so concrete operators only
+// override what they specialize.
 type baseIter struct {
 	l *layout
 }
 
 func (b *baseIter) lay() *layout           { return b.l }
 func (b *baseIter) emptyCols() []streamCol { return b.l.cols }
-func (b *baseIter) totalRows() (int, bool) { return 0, false }
-
-// Stream compiles the plan into an iterator tree without executing it.
-// The caller must Close the iterator; ActRows/Skew are recorded
-// incrementally as the stream is consumed. Most callers want Run, which
-// drains the stream into a Relation; Stream exists for consumers that
-// stop early (limits) or never need full materialization.
-func (e *Engine) Stream(p *physical.Plan) (Iterator, error) {
-	return e.stream(p, nil)
-}
-
-func (e *Engine) stream(p *physical.Plan, sp *telemetry.Span) (Iterator, error) {
-	for _, n := range p.Nodes {
-		n.ActRows = 0
-	}
-	rc := &runCtx{eng: e, cap: e.batchSize(), max: e.maxRows(), sp: sp}
-	return e.buildIter(p.Root, rc)
-}
-
-// runStreaming drains the plan's iterator tree into a Relation.
-func (e *Engine) runStreaming(p *physical.Plan, sp *telemetry.Span) (*Relation, error) {
-	it, err := e.stream(p, sp)
-	if err != nil {
-		return nil, err
-	}
-	defer it.Close()
-	return drain(it)
-}
 
 // drain accumulates a full Relation from an iterator — the only place in
-// the streaming path that materializes unbounded output.
-func drain(it Iterator) (*Relation, error) {
+// the executor that materializes unbounded output.
+func drain(it iterator) (*Relation, error) {
 	l := it.lay()
 	cols := make([]colData, len(l.cols))
 	n := 0
@@ -118,9 +85,7 @@ func drain(it Iterator) (*Relation, error) {
 	rel := NewRelation()
 	rel.N = n
 	if n == 0 {
-		// Mirror the materialized path's empty-result column set: gather
-		// over an empty index list yields empty (non-nil) slices for
-		// exactly the columns the operator would carry.
+		// An empty result still carries its columns, as empty slices.
 		for _, c := range it.emptyCols() {
 			if c.isStr {
 				rel.Strs[c.name] = []string{}
@@ -173,8 +138,8 @@ func appendBatch(cols []colData, l *layout, b *Batch) {
 
 // buildIter compiles node n into its operator iterator wrapped in the
 // accounting layer (ActRows, ErrRowLimit, telemetry).
-func (e *Engine) buildIter(n *physical.Node, rc *runCtx) (Iterator, error) {
-	kids := make([]Iterator, len(n.Children))
+func (e *Engine) buildIter(n *physical.Node, rc *runCtx) (iterator, error) {
+	kids := make([]iterator, len(n.Children))
 	for i, c := range n.Children {
 		k, err := e.buildIter(c, rc)
 		if err != nil {
@@ -199,7 +164,7 @@ func (e *Engine) buildIter(n *physical.Node, rc *runCtx) (Iterator, error) {
 	return c, nil
 }
 
-func (e *Engine) buildOp(n *physical.Node, kids []Iterator, rc *runCtx) (Iterator, error) {
+func (e *Engine) buildOp(n *physical.Node, kids []iterator, rc *runCtx) (iterator, error) {
 	switch n.Op {
 	case physical.FileScan:
 		return e.newScanIter(n, rc)
@@ -227,12 +192,10 @@ func (e *Engine) buildOp(n *physical.Node, kids []Iterator, rc *runCtx) (Iterato
 }
 
 // countedIter wraps every operator: it accumulates the node's ActRows,
-// enforces the engine's row-cardinality guard incrementally (the
-// materialized path could only check after an operator had already
-// materialized its oversized output), and feeds the per-operator
-// telemetry counters.
+// enforces the engine's row-cardinality guard incrementally, before an
+// oversized output exists, and feeds the per-operator telemetry counters.
 type countedIter struct {
-	inner Iterator
+	inner iterator
 	node  *physical.Node
 	rc    *runCtx
 	rows  int
@@ -244,13 +207,6 @@ type countedIter struct {
 
 func (c *countedIter) lay() *layout           { return c.inner.lay() }
 func (c *countedIter) emptyCols() []streamCol { return c.inner.emptyCols() }
-
-func (c *countedIter) totalRows() (int, bool) {
-	if c.eof {
-		return c.rows, true
-	}
-	return c.inner.totalRows()
-}
 
 func (c *countedIter) Next() (*Batch, error) {
 	if c.eof {
@@ -276,10 +232,6 @@ func (c *countedIter) Next() (*Batch, error) {
 	}
 	if b == nil {
 		c.eof = true
-		if tot, ok := c.inner.totalRows(); ok {
-			c.rows = tot
-		}
-		c.node.ActRows = float64(c.rows)
 		return nil, nil
 	}
 	c.rows += b.n
@@ -294,18 +246,7 @@ func (c *countedIter) Next() (*Batch, error) {
 	return b, nil
 }
 
-func (c *countedIter) Close() {
-	// An abandoned stream (limit early-out) still records the best
-	// cardinality available: the exact total when the operator knows it
-	// (pipeline breakers, and pass-throughs above them), else rows seen.
-	if !c.eof {
-		if tot, ok := c.inner.totalRows(); ok {
-			c.rows = tot
-		}
-		c.node.ActRows = float64(c.rows)
-	}
-	c.inner.Close()
-}
+func (c *countedIter) Close() { c.inner.Close() }
 
 // ---------------------------------------------------------------------------
 // Scan
@@ -324,7 +265,7 @@ type scanIter struct {
 	out   Batch
 }
 
-func (e *Engine) newScanIter(n *physical.Node, rc *runCtx) (Iterator, error) {
+func (e *Engine) newScanIter(n *physical.Node, rc *runCtx) (iterator, error) {
 	tab, err := e.db.Table(n.Table)
 	if err != nil {
 		return nil, err
@@ -420,13 +361,13 @@ func (s *scanIter) Close() {
 type filterIter struct {
 	baseIter
 	rc    *runCtx
-	child Iterator
+	child iterator
 	preds []rowPred
 	sel   []int32
 	out   Batch
 }
 
-func newFilterIter(child Iterator, preds []sql.Predicate, rc *runCtx) (Iterator, error) {
+func newFilterIter(child iterator, preds []sql.Predicate, rc *runCtx) (iterator, error) {
 	l := child.lay()
 	fns, err := compileStreamPreds(l, preds)
 	if err != nil {
@@ -481,12 +422,12 @@ func (f *filterIter) Close() {
 // projectIter reorders column positions by copying slice headers only.
 type projectIter struct {
 	baseIter
-	child Iterator
+	child iterator
 	src   []int // output position → child position
 	out   Batch
 }
 
-func newProjectIter(child Iterator, cols []string) (Iterator, error) {
+func newProjectIter(child iterator, cols []string) (iterator, error) {
 	cl := child.lay()
 	outCols := make([]streamCol, len(cols))
 	src := make([]int, len(cols))
@@ -522,8 +463,7 @@ func (p *projectIter) Next() (*Batch, error) {
 	return &p.out, nil
 }
 
-func (p *projectIter) totalRows() (int, bool) { return p.child.totalRows() }
-func (p *projectIter) Close()                 { p.child.Close() }
+func (p *projectIter) Close() { p.child.Close() }
 
 // ---------------------------------------------------------------------------
 // Exchanges
@@ -532,30 +472,44 @@ func (p *projectIter) Close()                 { p.child.Close() }
 // move no data on a single node.
 type passthroughIter struct {
 	baseIter
-	child Iterator
+	child iterator
 }
 
 func (p *passthroughIter) Next() (*Batch, error)  { return p.child.Next() }
 func (p *passthroughIter) emptyCols() []streamCol { return p.child.emptyCols() }
-func (p *passthroughIter) totalRows() (int, bool) { return p.child.totalRows() }
 func (p *passthroughIter) Close()                 { p.child.Close() }
 
+// skewPartitions is the partition count used to measure key skew; it
+// matches the simulator's default shuffle partitioning.
+const skewPartitions = 24
+
+// exchangeKey returns the partitioning column of a hash exchange (the
+// first group key for aggregate shuffles).
+func exchangeKey(n *physical.Node) *logical.BoundCol {
+	if n.LeftKey != nil {
+		return n.LeftKey
+	}
+	if len(n.GroupBy) > 0 {
+		return &n.GroupBy[0]
+	}
+	return nil
+}
+
 // exchangeIter passes batches through while folding the partition hash of
-// the exchange key into per-partition counts — the skew measurement the
-// materialized path computed with a second full pass over the relation
-// now rides the streaming one.
+// the exchange key into per-partition counts. At end of stream it records
+// the node's Skew: the largest partition over the mean (1 = perfectly
+// balanced). Ints hash by Fibonacci multiplication, strings by FNV-1a.
 type exchangeIter struct {
 	baseIter
-	child  Iterator
+	child  iterator
 	node   *physical.Node
-	keyPos int // -1 when the key is absent (skew stays 1, like measureSkew)
+	keyPos int // -1 when the key is absent: skew stays 1
 	isStr  bool
 	counts [skewPartitions]int
 	total  int
-	done   bool
 }
 
-func newExchangeIter(child Iterator, n *physical.Node) Iterator {
+func newExchangeIter(child iterator, n *physical.Node) iterator {
 	it := &exchangeIter{baseIter: baseIter{child.lay()}, child: child, node: n, keyPos: -1}
 	if key := exchangeKey(n); key != nil {
 		if p, ok := child.lay().find(key.String()); ok {
@@ -572,10 +526,7 @@ func (x *exchangeIter) Next() (*Batch, error) {
 		return nil, err
 	}
 	if b == nil {
-		if !x.done {
-			x.done = true
-			x.node.Skew = x.skew()
-		}
+		x.node.Skew = x.skew()
 		return nil, nil
 	}
 	x.total += b.n
@@ -615,28 +566,16 @@ func (x *exchangeIter) skew() float64 {
 }
 
 func (x *exchangeIter) emptyCols() []streamCol { return x.child.emptyCols() }
-func (x *exchangeIter) totalRows() (int, bool) { return x.child.totalRows() }
-
-func (x *exchangeIter) Close() {
-	if !x.done {
-		// Abandoned before EOF (a limit above cut the stream): record the
-		// skew of the rows that actually flowed.
-		x.done = true
-		x.node.Skew = x.skew()
-	}
-	x.child.Close()
-}
+func (x *exchangeIter) Close()                 { x.child.Close() }
 
 // ---------------------------------------------------------------------------
 // Sort
 
 // sortIter is a pipeline breaker: it drains its child, stable-sorts once,
-// then emits windows over the sorted columns. After build it knows its
-// exact cardinality, so plans cut short above a sort still report the
-// same ActRows as full materialization.
+// then emits windows over the sorted columns.
 type sortIter struct {
 	baseIter
-	child  Iterator
+	child  iterator
 	keyPos int
 	desc   bool
 	rc     *runCtx
@@ -647,7 +586,7 @@ type sortIter struct {
 	out    Batch
 }
 
-func newSortIter(child Iterator, n *physical.Node, rc *runCtx) (Iterator, error) {
+func newSortIter(child iterator, n *physical.Node, rc *runCtx) (iterator, error) {
 	if n.SortCol == nil {
 		return &passthroughIter{baseIter{child.lay()}, child}, nil
 	}
@@ -750,82 +689,46 @@ func (s *sortIter) Next() (*Batch, error) {
 	return &s.out, nil
 }
 
-func (s *sortIter) emptyCols() []streamCol {
-	if s.built {
-		return s.child.emptyCols()
-	}
-	return s.l.cols
-}
+func (s *sortIter) emptyCols() []streamCol { return s.child.emptyCols() }
 
-func (s *sortIter) totalRows() (int, bool) { return s.total, s.built }
-func (s *sortIter) Close()                 { s.cols = nil; s.child.Close() }
+func (s *sortIter) Close() { s.cols = nil; s.child.Close() }
 
 // ---------------------------------------------------------------------------
 // Limit
 
-// limitIter truncates the stream via the selection-vector length and —
-// the part the materialized path could never do — stops pulling child
-// batches entirely once the limit is satisfied, so a LIMIT over a large
-// scan reads only the rows it returns.
+// limitIter truncates the stream via the selection-vector length. Past its
+// quota it keeps pulling and discarding child batches, so every node below
+// a LIMIT still reports its full output cardinality as ActRows — the
+// number the simulator prices every node on — whatever the batch size.
 type limitIter struct {
 	baseIter
-	child     Iterator
+	child     iterator
 	remaining int
-	done      bool
-	sawRows   bool
-	pulled    bool
 	out       Batch
 }
 
 func (l *limitIter) Next() (*Batch, error) {
-	if l.done {
-		return nil, nil
-	}
-	if l.remaining <= 0 {
-		// LIMIT 0 still observes one child batch so the empty result
-		// carries the same columns the materialized path would emit.
-		if !l.pulled {
-			l.pulled = true
-			cb, err := l.child.Next()
-			if err != nil {
-				return nil, err
-			}
-			if cb != nil {
-				l.sawRows = true
-			}
+	for {
+		cb, err := l.child.Next()
+		if cb == nil || err != nil {
+			return nil, err
 		}
-		l.done = true
-		return nil, nil
+		if l.remaining <= 0 {
+			continue
+		}
+		if cb.n <= l.remaining {
+			l.remaining -= cb.n
+			return cb, nil
+		}
+		l.out = *cb
+		l.out.n = l.remaining
+		if l.out.sel != nil {
+			l.out.sel = l.out.sel[:l.remaining]
+		}
+		l.remaining = 0
+		return &l.out, nil
 	}
-	cb, err := l.child.Next()
-	if err != nil {
-		return nil, err
-	}
-	l.pulled = true
-	if cb == nil {
-		l.done = true
-		return nil, nil
-	}
-	l.sawRows = true
-	if cb.n <= l.remaining {
-		l.remaining -= cb.n
-		return cb, nil
-	}
-	l.out = *cb
-	l.out.n = l.remaining
-	if l.out.sel != nil {
-		l.out.sel = l.out.sel[:l.remaining]
-	}
-	l.remaining = 0
-	l.done = true // early termination: never pull another child batch
-	return &l.out, nil
 }
 
-func (l *limitIter) emptyCols() []streamCol {
-	if l.sawRows {
-		return l.l.cols
-	}
-	return l.child.emptyCols()
-}
-
-func (l *limitIter) Close() { l.child.Close() }
+func (l *limitIter) emptyCols() []streamCol { return l.child.emptyCols() }
+func (l *limitIter) Close()                 { l.child.Close() }

@@ -9,14 +9,33 @@ import (
 	"raal/internal/sql"
 )
 
-// Streaming two-phase aggregation. Both phases are pipeline breakers that
-// hold only per-group state (plus a copy of each group's key values) —
-// never their input — so an aggregation over a 10^7-row join stream costs
-// memory proportional to the number of groups, not the number of rows.
+// Two-phase aggregation, mirroring Spark's partial/final split. The
+// partial phase emits, per group, state columns the final phase merges;
+// per aggregate i:
 //
-// Group keys are encoded byte-identically to the materialized path's
-// "i%d\x00" / "s%s\x00" format, and groups are emitted in first-seen
-// order, so output relations match the materialized oracle bit for bit.
+//	count      → __p<i>_cnt
+//	sum        → __p<i>_sum
+//	avg        → __p<i>_sum and __p<i>_cnt
+//	min / max  → __p<i>_min / __p<i>_max
+//
+// Final output columns are named agg<i> (int64); a bare group column
+// (AggNone) adds none, its group key keeps its qualified name. AVG uses
+// integer division, and over no rows COUNT, SUM and AVG are 0, MIN is
+// MaxInt64 and MAX is MinInt64 (the data has no NULLs to return).
+//
+// Both phases are pipeline breakers that hold only per-group state (plus
+// a copy of each group's key values) — never their input — so an
+// aggregation over a 10^7-row join stream costs memory proportional to
+// the number of groups, not the number of rows. Groups are emitted in
+// first-seen order, so the output order is deterministic.
+
+// aggState is one aggregate's running state within one group.
+type aggState struct {
+	cnt      int64
+	sum      int64
+	min, max int64
+	seen     bool
+}
 
 // groupAccessor reads one group-by column from the child stream.
 type groupAccessor struct {
@@ -24,18 +43,19 @@ type groupAccessor struct {
 	pos int
 }
 
-// appendKey extends buf with the materialized path's group-key encoding
-// for physical row r.
+// appendKey extends buf with the encoded group key of physical row r: per
+// column, an int's decimal digits or a string's length and bytes, so no
+// two distinct keys share an encoding.
 func appendKey(buf []byte, accs []groupAccessor, b *Batch, r int) []byte {
 	for _, a := range accs {
 		if a.col.isStr {
-			buf = append(buf, 's')
-			buf = append(buf, b.strs[a.pos][r]...)
+			s := b.strs[a.pos][r]
+			buf = strconv.AppendInt(append(buf, 's'), int64(len(s)), 10)
+			buf = append(append(buf, ':'), s...)
 		} else {
-			buf = append(buf, 'i')
-			buf = strconv.AppendInt(buf, b.ints[a.pos][r], 10)
+			buf = strconv.AppendInt(append(buf, 'i'), b.ints[a.pos][r], 10)
+			buf = append(buf, 0)
 		}
-		buf = append(buf, 0)
 	}
 	return buf
 }
@@ -44,7 +64,7 @@ func appendKey(buf []byte, accs []groupAccessor, b *Batch, r int) []byte {
 // (merging) aggregation phases.
 type aggIter struct {
 	baseIter
-	child Iterator
+	child iterator
 	node  *physical.Node
 	rc    *runCtx
 
@@ -60,7 +80,7 @@ type aggIter struct {
 	out    Batch
 }
 
-func newAggIter(child Iterator, n *physical.Node, rc *runCtx) (Iterator, error) {
+func newAggIter(child iterator, n *physical.Node, rc *runCtx) (iterator, error) {
 	cl := child.lay()
 	it := &aggIter{child: child, node: n, rc: rc}
 	outCols := make([]streamCol, 0, len(n.GroupBy)+2*len(n.Aggs))
@@ -114,7 +134,7 @@ func newAggIter(child Iterator, n *physical.Node, rc *runCtx) (Iterator, error) 
 		it.inputs = make([]int, len(n.Aggs))
 		for ai, a := range n.Aggs {
 			it.inputs[ai] = -1
-			if a.Star || a.Col == nil {
+			if a.Star || a.Col == nil || a.Agg == sql.AggNone {
 				// COUNT(*) / bare group column: counts rows
 			} else {
 				name := a.Col.String()
@@ -218,8 +238,7 @@ func (a *aggIter) build() error {
 	// aggregates), a raw int64 map for the common single-int GROUP BY
 	// (skips both key encoding and string hashing on every input row),
 	// and the encoded-string map for composite or string keys. All three
-	// discover groups in first-seen order, so output order — and thus
-	// bit-identity with the materialized path — is unchanged.
+	// discover groups in first-seen order.
 	switch {
 	case a.nGroup == 0:
 		var st []aggState
@@ -391,14 +410,13 @@ func (a *aggIter) Next() (*Batch, error) {
 	return &a.out, nil
 }
 
-// emptyCols mirrors ensureGroupCols: an aggregate that produced no groups
-// materializes only its key columns.
+// emptyCols: an aggregate that produced no groups carries only its key
+// columns.
 func (a *aggIter) emptyCols() []streamCol {
-	if a.built && a.groups == 0 {
+	if a.groups == 0 {
 		return a.l.cols[:a.nGroup]
 	}
 	return a.l.cols
 }
 
-func (a *aggIter) totalRows() (int, bool) { return a.groups, a.built }
-func (a *aggIter) Close()                 { a.cols = nil; a.child.Close() }
+func (a *aggIter) Close() { a.cols = nil; a.child.Close() }

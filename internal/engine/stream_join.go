@@ -7,12 +7,10 @@ import (
 	"raal/internal/sql"
 )
 
-// Streaming joins materialize only the build (right) side — the
-// broadcast/new side in our plans, typically the smaller input — and
-// stream the probe side chunk by chunk. The materialized path gathered
-// both full inputs into a third full copy of the join output; here the
-// output exists only as transient batches, which is where most of the
-// streaming engine's memory reduction comes from.
+// Joins materialize only the build (right) side — the broadcast/new side
+// in our plans, typically the smaller input — and stream the probe side
+// chunk by chunk. The join output exists only as transient batches. For
+// each probe row in stream order, matches come out in build order.
 
 // joinBase holds the machinery shared by the hash and nested-loop joins:
 // the materialized build side, the pair scratch lists, and the gather of
@@ -20,7 +18,7 @@ import (
 type joinBase struct {
 	baseIter
 	rc          *runCtx
-	left, right Iterator
+	left, right iterator
 	nLeft       int       // left-side column count (layout prefix)
 	build       []colData // right side, fully materialized
 	buildN      int
@@ -35,8 +33,8 @@ type joinBase struct {
 	out          Batch
 }
 
-// makeJoinLayout concatenates the sides' layouts, rejecting duplicate
-// qualified names just as combineSides does.
+// makeJoinLayout concatenates the sides' layouts, rejecting a qualified
+// name that appears on both sides.
 func makeJoinLayout(left, right *layout) (*layout, error) {
 	cols := make([]streamCol, 0, len(left.cols)+len(right.cols))
 	cols = append(cols, left.cols...)
@@ -49,7 +47,7 @@ func makeJoinLayout(left, right *layout) (*layout, error) {
 	return newLayout(cols), nil
 }
 
-func (j *joinBase) init(left, right Iterator, rc *runCtx) error {
+func (j *joinBase) init(left, right iterator, rc *runCtx) error {
 	l, err := makeJoinLayout(left.lay(), right.lay())
 	if err != nil {
 		return err
@@ -166,11 +164,10 @@ type hashJoinIter struct {
 
 	// Int keys use a forward-chained index: head yields the first build
 	// row holding a key (1-based; 0 = no match) and chain links equal-key
-	// rows in build order, so matches stream out exactly as the
-	// materialized path appends them. When the key range is tight —
-	// serial PKs, the overwhelmingly common build side — head is a plain
-	// array and probing never hashes at all; sparse key spaces fall back
-	// to a map head.
+	// rows in build order, so matches stream out in build order. When the
+	// key range is tight — serial PKs, the overwhelmingly common build
+	// side — head is a plain array and probing never hashes at all; sparse
+	// key spaces fall back to a map head.
 	denseHead []int32
 	denseLo   int64
 	headMap   map[int64]int32
@@ -186,7 +183,7 @@ type hashJoinIter struct {
 	curL    int32
 }
 
-func newHashJoinIter(left, right Iterator, n *physical.Node, rc *runCtx) (Iterator, error) {
+func newHashJoinIter(left, right iterator, n *physical.Node, rc *runCtx) (iterator, error) {
 	lname, rname := n.LeftKey.String(), n.RightKey.String()
 	it := &hashJoinIter{}
 	if lp, ok := left.lay().intPos(lname); ok {
@@ -382,7 +379,7 @@ type nestedLoopIter struct {
 	open bool // currently expanding a probe row
 }
 
-func newNestedLoopIter(left, right Iterator, n *physical.Node, rc *runCtx) (Iterator, error) {
+func newNestedLoopIter(left, right iterator, n *physical.Node, rc *runCtx) (iterator, error) {
 	lp, ok := left.lay().intPos(n.LeftKey.String())
 	if !ok {
 		return nil, fmt.Errorf("nested loop key %q missing on left side", n.LeftKey)

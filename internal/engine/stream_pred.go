@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"strings"
 
 	"raal/internal/sql"
 )
@@ -11,10 +12,9 @@ import (
 // narrow an already-selected batch by composing selection vectors.
 type rowPred func(b *Batch, r int) bool
 
-// compileStreamPreds compiles the conjunction for a static layout. It is
-// the streaming twin of compilePred: column references resolve to layout
-// positions once, at iterator-construction time, instead of map lookups
-// per relation.
+// compileStreamPreds compiles the conjunction for a static layout: column
+// references resolve to layout positions once, at iterator-construction
+// time, never per row.
 func compileStreamPreds(l *layout, preds []sql.Predicate) ([]rowPred, error) {
 	fns := make([]rowPred, len(preds))
 	for i, p := range preds {
@@ -105,4 +105,88 @@ func compileStreamPred(l *layout, p sql.Predicate) (rowPred, error) {
 		return func(*Batch, int) bool { return not }, nil
 	}
 	return nil, fmt.Errorf("engine: unsupported predicate %T", p)
+}
+
+func cmpInt(a, b int64, op sql.CmpOp) bool {
+	switch op {
+	case sql.OpEq:
+		return a == b
+	case sql.OpNe:
+		return a != b
+	case sql.OpLt:
+		return a < b
+	case sql.OpLe:
+		return a <= b
+	case sql.OpGt:
+		return a > b
+	case sql.OpGe:
+		return a >= b
+	}
+	return false
+}
+
+func cmpStr(a, b string, op sql.CmpOp) bool {
+	switch op {
+	case sql.OpEq:
+		return a == b
+	case sql.OpNe:
+		return a != b
+	case sql.OpLt:
+		return a < b
+	case sql.OpLe:
+		return a <= b
+	case sql.OpGt:
+		return a > b
+	case sql.OpGe:
+		return a >= b
+	}
+	return false
+}
+
+// compileLike supports SQL LIKE with % wildcards (no _): the pattern is
+// split on % and segments must appear in order, anchored at the ends when
+// the pattern does not start/end with %.
+func compileLike(pattern string) func(string) bool {
+	segs := strings.Split(pattern, "%")
+	anchoredStart := !strings.HasPrefix(pattern, "%")
+	anchoredEnd := !strings.HasSuffix(pattern, "%")
+	// Drop empty segments produced by consecutive or boundary %.
+	var parts []string
+	for _, s := range segs {
+		if s != "" {
+			parts = append(parts, s)
+		}
+	}
+	return func(s string) bool {
+		if len(parts) == 0 {
+			return pattern != "" || s == "" // all wildcards, or empty
+		}
+		if anchoredStart {
+			if !strings.HasPrefix(s, parts[0]) {
+				return false
+			}
+			s = s[len(parts[0]):]
+			rest := parts[1:]
+			if len(rest) == 0 {
+				return !anchoredEnd || s == ""
+			}
+			return likeTail(s, rest, anchoredEnd)
+		}
+		return likeTail(s, parts, anchoredEnd)
+	}
+}
+
+func likeTail(s string, parts []string, anchoredEnd bool) bool {
+	for i, p := range parts {
+		last := i == len(parts)-1
+		if last && anchoredEnd {
+			return strings.HasSuffix(s, p)
+		}
+		idx := strings.Index(s, p)
+		if idx < 0 {
+			return false
+		}
+		s = s[idx+len(p):]
+	}
+	return true
 }
