@@ -29,11 +29,14 @@ test: build
 # property tests; internal/engine includes TestConcurrentStreamingRuns
 # (one Engine, shared slab pools and counters, hammered from 8
 # goroutines) and internal/workload the worker-count-invariant parallel
-# collection tests. The public API package alone takes ~7 min under the
+# collection tests; internal/physical includes TestPlanKeyRenderedOnce
+# (concurrent first calls of a shared plan's memoised Key and Statements)
+# and internal/encode the encoder that reads them. The public API package
+# alone takes ~7 min under the
 # detector on 2 vCPUs, hence the explicit budget. Use `make race-all` for
 # the (slow) full sweep.
 race:
-	$(GO) test -race -timeout 20m ./internal/core ./internal/nn ./internal/autodiff ./internal/tensor ./internal/serve ./internal/telemetry ./internal/fleet ./internal/backoff ./internal/online ./internal/engine ./internal/workload .
+	$(GO) test -race -timeout 20m ./internal/core ./internal/nn ./internal/autodiff ./internal/tensor ./internal/serve ./internal/telemetry ./internal/fleet ./internal/backoff ./internal/online ./internal/engine ./internal/workload ./internal/physical ./internal/encode .
 
 # The experiments package replays full training runs; under the race
 # detector that exceeds go test's default 10m per-package timeout on
@@ -118,14 +121,15 @@ cover:
 	s=$$?; rm -f cover.tmp; exit $$s
 
 # Short fixed-budget fuzz: the parser; the router's affinity key, which
-# lexes request bytes before anything has parsed them; and the whole
+# lexes request bytes before anything has parsed them; the whole
 # parse → bind → plan → execute pipeline, held to the reference
-# interpreter on a tiny catalog (the seed corpora plus any committed
+# interpreter on a tiny catalog; and the plan-statement tokeniser, held to
+# the encoder's string-free embedding (the seed corpora plus any committed
 # inputs also replay under plain `go test`). Targets are
 # <package>:<FuzzName>. go test fuzzes one target per run, so the targets
 # share FUZZTIME (whole seconds) equally, one after the other.
-FUZZTIME ?= 16s
-FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline
+FUZZTIME ?= 20s
+FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize
 fuzz:
 	total=$(FUZZTIME); each=$$(( $${total%s} / $(words $(FUZZ_TARGETS)) )); \
 	for target in $(FUZZ_TARGETS); do \

@@ -48,7 +48,7 @@ func TestTokenizeNumberBuckets(t *testing.T) {
 	}
 }
 
-func buildPlans(t *testing.T, queries ...string) []*physical.Plan {
+func buildPlans(t testing.TB, queries ...string) []*physical.Plan {
 	t.Helper()
 	db := datagen.IMDB(0.03, 1)
 	est, err := cardest.New(db, 16, 8)
@@ -83,7 +83,7 @@ var testQueries = []string{
 		WHERE t.id = mc.movie_id AND t.id = mk.movie_id AND mk.keyword_id < 50`,
 }
 
-func fitEncoder(t *testing.T, mode SemanticMode) (*Encoder, []*physical.Plan) {
+func fitEncoder(t testing.TB, mode SemanticMode) (*Encoder, []*physical.Plan) {
 	t.Helper()
 	plans := buildPlans(t, testQueries...)
 	cfg := DefaultConfig()
@@ -334,5 +334,18 @@ func TestPlanPartSharing(t *testing.T) {
 	c.Memo = nil
 	if c.Memo != nil || part.Memo == nil {
 		t.Fatal("niling a copy's Memo must detach the copy and leave the plan part's slot alone")
+	}
+}
+
+// TestEncodePlanPartAllocsBounded: once a plan's statements are rendered,
+// encoding it makes no per-node or per-token allocation, from the 5-node
+// scan to the 19-node join of the test corpus.
+func TestEncodePlanPartAllocsBounded(t *testing.T) {
+	enc, plans := fitEncoder(t, Word2Vec)
+	for _, p := range plans {
+		p.Statements()
+		if a := testing.AllocsPerRun(20, func() { enc.EncodePlanPart(p) }); a > 12 {
+			t.Fatalf("EncodePlanPart of a %d-node plan allocates %v times, want <= 12", len(p.Nodes), a)
+		}
 	}
 }

@@ -200,44 +200,50 @@ func (e *Encoder) EncodePlanPart(p *physical.Plan) *Sample {
 		Mask:     make([]bool, mn),
 		Children: make([][]bool, mn),
 	}
+	// The rows share one backing array and are capacity-capped, so none can
+	// grow into the next.
+	cells := make([]bool, mn*mn)
 	for i := range s.Children {
-		s.Children[i] = make([]bool, mn)
+		s.Children[i] = cells[i*mn : (i+1)*mn : (i+1)*mn]
 	}
 
 	n := len(p.Nodes)
 	if n > mn {
 		n = mn // truncate the deepest nodes; execution order keeps parents last
 	}
+	first := len(p.Nodes) - n // keep the top of the plan when truncating
 	offStruct := e.semanticDim()
 	offStats := offStruct + mn
 
+	var stmts []string
+	var sc tokenScanner
+	if e.cfg.Mode == Word2Vec {
+		stmts = p.Statements()
+		sc.buf = make([]byte, 0, 64) // one token buffer for every statement
+	}
+
 	for i := 0; i < n; i++ {
-		node := p.Nodes[len(p.Nodes)-n+i] // keep the top of the plan when truncating
+		node := p.Nodes[first+i]
 		s.Mask[i] = true
 		row := s.Nodes.Row(i)
 
 		// 1. node-semantic embedding
 		switch e.cfg.Mode {
 		case Word2Vec:
-			copy(row[:e.w2v.Dim], e.w2v.Embed(Tokenize(node.Statement())))
+			e.embedStatement(row[:e.w2v.Dim], stmts[first+i], &sc)
 		case OneHot:
 			row[int(node.Op)] = 1
 		}
 
 		// 2. plan-structure embedding: +1 at child positions, −1 at the
-		// parent position (out-degree/in-degree signs, Sec. IV-C).
+		// parent position (out-degree/in-degree signs, Sec. IV-C). A child
+		// precedes its parent (j < i), so the parent writes the child's −1,
+		// and no node has to search the plan for its parent.
 		for _, c := range node.Children {
-			if j := c.ID - (len(p.Nodes) - n); j >= 0 && j < mn {
+			if j := c.ID - first; j >= 0 {
 				row[offStruct+j] = 1
 				s.Children[i][j] = true
-			}
-		}
-		for j := 0; j < n; j++ {
-			parent := p.Nodes[len(p.Nodes)-n+j]
-			for _, c := range parent.Children {
-				if c == node {
-					row[offStruct+j] = -1
-				}
+				s.Nodes.Row(j)[offStruct+i] = -1
 			}
 		}
 
@@ -249,6 +255,14 @@ func (e *Encoder) EncodePlanPart(p *physical.Plan) *Sample {
 
 	s.Stats = e.statsVector(p)
 	return s
+}
+
+// embedStatement sets row to the word2vec embedding of stmt: its tokens,
+// scanned through sc's buffer (kept for the next statement), averaged
+// without a string made for any of them.
+func (e *Encoder) embedStatement(row []float64, stmt string, sc *tokenScanner) {
+	*sc = tokenScanner{s: stmt, buf: sc.buf}
+	e.w2v.EmbedInto(row, sc.next)
 }
 
 // statsVector builds the global "other features": cardinality statistics

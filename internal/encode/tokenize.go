@@ -16,7 +16,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"unicode"
 )
 
 // Tokenize splits a physical-plan execution statement into word2vec
@@ -25,57 +24,93 @@ import (
 // by order of magnitude (num0, num1, …) so that similar-magnitude
 // constants share a token — the trick that lets word2vec place similar
 // predicates near each other, which one-hot encoding cannot do.
+//
+// Byte classes are ASCII: a byte from 0x80 up is a word byte, so non-ASCII
+// text in a literal stays one intact UTF-8 token, and only ASCII letters
+// are lowercased.
 func Tokenize(statement string) []string {
 	var toks []string
-	i, n := 0, len(statement)
-	for i < n {
-		c := statement[i]
-		switch {
-		case c == ' ' || c == ',' || c == '(' || c == ')' || c == '[' || c == ']' || c == '\'':
-			i++
-		case c == '&' || c == '|':
-			j := i
-			for j < n && (statement[j] == '&' || statement[j] == '|') {
-				j++
-			}
-			toks = append(toks, statement[i:j])
-			i = j
-		case c == '<' || c == '>' || c == '=' || c == '!':
-			j := i + 1
-			if j < n && (statement[j] == '=' || statement[j] == '>') {
-				j++
-			}
-			toks = append(toks, statement[i:j])
-			i = j
-		case unicode.IsDigit(rune(c)) || (c == '-' && i+1 < n && unicode.IsDigit(rune(statement[i+1]))):
-			j := i
-			if c == '-' {
-				j++
-			}
-			for j < n && unicode.IsDigit(rune(statement[j])) {
-				j++
-			}
-			toks = append(toks, bucketNumber(statement[i:j]))
-			i = j
-		case unicode.IsLetter(rune(c)) || c == '_':
-			j := i
-			for j < n && (unicode.IsLetter(rune(statement[j])) || unicode.IsDigit(rune(statement[j])) || statement[j] == '_' || statement[j] == '.') {
-				j++
-			}
-			toks = append(toks, strings.ToLower(statement[i:j]))
-			i = j
-		default:
-			i++
+	sc := tokenScanner{s: statement}
+	for tok, ok := sc.next(); ok; tok, ok = sc.next() {
+		if raw := statement[sc.start:sc.end]; string(tok) == raw {
+			toks = append(toks, raw) // folding changed nothing: share the statement's bytes
+		} else {
+			toks = append(toks, string(tok))
 		}
 	}
 	return toks
 }
 
-// bucketNumber maps a numeric literal to a magnitude-bucket token.
-func bucketNumber(lit string) string {
+// tokenScanner yields the tokens of one statement in order. It is the one
+// tokeniser: Tokenize collects its tokens as strings for word2vec
+// training, and the encoder embeds them straight from buf without making
+// any.
+type tokenScanner struct {
+	s          string
+	start, end int    // the last token's source bytes are s[start:end]
+	buf        []byte // the last token, folded or bucketed; the next call overwrites it
+}
+
+// next returns the next token, false when the statement is used up. The
+// slice is buf's and is only valid until the next call.
+func (t *tokenScanner) next() ([]byte, bool) {
+	s := t.s
+	for t.end < len(s) {
+		start, c := t.end, s[t.end]
+		end := start + 1
+		switch {
+		case c == '&' || c == '|':
+			for end < len(s) && (s[end] == '&' || s[end] == '|') {
+				end++
+			}
+		case c == '<' || c == '>' || c == '=' || c == '!':
+			if end < len(s) && (s[end] == '=' || s[end] == '>') {
+				end++
+			}
+		case isDigit(c) || c == '-' && end < len(s) && isDigit(s[end]):
+			for end < len(s) && isDigit(s[end]) {
+				end++
+			}
+			t.start, t.end = start, end
+			t.buf = appendNumberBucket(t.buf[:0], s[start:end])
+			return t.buf, true
+		case isWordStart(c):
+			for end < len(s) && (isWordStart(s[end]) || isDigit(s[end]) || s[end] == '.') {
+				end++
+			}
+		default: // a separator, or punctuation no token uses
+			t.end = end
+			continue
+		}
+		t.start, t.end = start, end
+		t.buf = t.buf[:0]
+		for i := start; i < end; i++ {
+			c := s[i]
+			if 'A' <= c && c <= 'Z' {
+				c += 'a' - 'A'
+			}
+			t.buf = append(t.buf, c)
+		}
+		return t.buf, true
+	}
+	return nil, false
+}
+
+func isDigit(c byte) bool { return '0' <= c && c <= '9' }
+
+// isWordStart reports whether c starts an identifier or keyword token: an
+// ASCII letter, '_', or any byte of a multi-byte UTF-8 sequence.
+func isWordStart(c byte) bool {
+	return 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z' || c == '_' || c >= 0x80
+}
+
+// appendNumberBucket appends the magnitude-bucket token of a numeric
+// literal to dst.
+func appendNumberBucket(dst []byte, lit string) []byte {
+	dst = append(dst, "num"...)
 	v, err := strconv.ParseFloat(strings.TrimPrefix(lit, "-"), 64)
 	if err != nil || v < 1 {
-		return "num0"
+		return append(dst, '0')
 	}
-	return "num" + strconv.Itoa(int(math.Log10(v)))
+	return strconv.AppendInt(dst, int64(math.Log10(v)), 10)
 }

@@ -208,8 +208,28 @@ type Plan struct {
 	Nodes []*Node
 	Sig   string // human-readable signature: join order + algorithms
 
-	keyOnce sync.Once
-	key     string
+	stmtOnce sync.Once
+	stmts    []string
+	keyOnce  sync.Once
+	key      string
+}
+
+// Statements returns every node's Statement, parallel to Nodes. They are
+// rendered on the first call and memoised, like Key and for the same
+// reasons: nothing a statement reads changes once the planner returns the
+// plan (DESIGN §5o), and the sync.Once makes the first call safe from
+// concurrent requests sharing the plan. Rendering is deliberately lazy
+// (DESIGN §5q): many enumerated candidates are never keyed or encoded.
+// Callers must not modify the slice.
+func (p *Plan) Statements() []string {
+	p.stmtOnce.Do(func() {
+		stmts := make([]string, len(p.Nodes))
+		for i, n := range p.Nodes {
+			stmts[i] = n.Statement()
+		}
+		p.stmts = stmts
+	})
+	return p.stmts
 }
 
 // Key fingerprints everything a cost model's encoder reads from the plan:
@@ -230,32 +250,46 @@ func (p *Plan) Key() string {
 }
 
 func (p *Plan) renderKey() string {
+	stmts := p.Statements()
+	// Size the key from the statements plus each field's widest rendering
+	// and its separator, so it is built in one allocation.
+	size := maxIntLen + 1
+	for i, n := range p.Nodes {
+		size += 2*(maxIntLen+1) + len(stmts[i]) + 1 + 3*(maxFloatLen+1) + len(n.Children)*(maxIntLen+1) + 1
+	}
 	var b strings.Builder
+	b.Grow(size)
+	var num [maxFloatLen]byte // one field's digits; strconv appends them here, not to a new string
 	if p.Root != nil {
-		b.WriteString(strconv.Itoa(p.Root.ID))
+		b.Write(strconv.AppendInt(num[:0], int64(p.Root.ID), 10))
 	}
 	b.WriteByte('\x1e')
-	for _, n := range p.Nodes {
-		b.WriteString(strconv.Itoa(n.ID))
+	for i, n := range p.Nodes {
+		b.Write(strconv.AppendInt(num[:0], int64(n.ID), 10))
 		b.WriteByte('\x1f')
-		b.WriteString(strconv.Itoa(int(n.Op)))
+		b.Write(strconv.AppendInt(num[:0], int64(n.Op), 10))
 		b.WriteByte('\x1f')
-		b.WriteString(n.Statement())
+		b.WriteString(stmts[i])
 		b.WriteByte('\x1f')
-		b.WriteString(strconv.FormatFloat(n.EstRows, 'g', -1, 64))
-		b.WriteByte('\x1f')
-		b.WriteString(strconv.FormatFloat(n.RawRows, 'g', -1, 64))
-		b.WriteByte('\x1f')
-		b.WriteString(strconv.FormatFloat(n.RowBytes, 'g', -1, 64))
-		b.WriteByte('\x1f')
+		for _, v := range [...]float64{n.EstRows, n.RawRows, n.RowBytes} {
+			b.Write(strconv.AppendFloat(num[:0], v, 'g', -1, 64))
+			b.WriteByte('\x1f')
+		}
 		for _, c := range n.Children {
-			b.WriteString(strconv.Itoa(c.ID))
+			b.Write(strconv.AppendInt(num[:0], int64(c.ID), 10))
 			b.WriteByte(',')
 		}
 		b.WriteByte('\x1e')
 	}
 	return b.String()
 }
+
+// The widest renderings of an int64 in base 10 ("-9223372036854775808")
+// and of a float64 in 'g' format ("-2.2250738585072014e-308").
+const (
+	maxIntLen   = 20
+	maxFloatLen = 24
+)
 
 // finalize assigns IDs in bottom-up order and collects Nodes.
 func (p *Plan) finalize() {

@@ -194,26 +194,31 @@ func (m *Model) Vector(word string) []float64 {
 	return nil
 }
 
-// Embed averages the embeddings of the in-vocabulary tokens, returning a
-// Dim-length vector (all zeros if every token is unknown). Averaging is how
-// a node's multi-token execution statement becomes one semantic vector.
-func (m *Model) Embed(tokens []string) []float64 {
-	out := make([]float64, m.Dim)
+// EmbedInto sets out, which is Dim long, to the average of the embeddings
+// of the in-vocabulary words next yields, summed in the order it yields
+// them (all zeros if every word is unknown). Averaging is how a node's
+// multi-token execution statement becomes one semantic vector. next
+// reports false once the words run out; a word need only stay valid until
+// the following call, so a caller can stream words through one reused
+// buffer without making a string of any.
+func (m *Model) EmbedInto(out []float64, next func() ([]byte, bool)) {
+	clear(out)
 	n := 0
-	for _, t := range tokens {
-		if v := m.Vector(t); v != nil {
-			for d := range out {
-				out[d] += v[d]
-			}
-			n++
+	for w, ok := next(); ok; w, ok = next() {
+		id, known := m.Vocab[string(w)]
+		if !known {
+			continue
 		}
+		for d, v := range m.In[id] {
+			out[d] += v
+		}
+		n++
 	}
 	if n > 0 {
 		for d := range out {
 			out[d] /= float64(n)
 		}
 	}
-	return out
 }
 
 // Similarity returns the cosine similarity of two words' embeddings, or 0
