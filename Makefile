@@ -123,13 +123,14 @@ cover:
 # Short fixed-budget fuzz: the parser; the router's affinity key, which
 # lexes request bytes before anything has parsed them; the whole
 # parse → bind → plan → execute pipeline, held to the reference
-# interpreter on a tiny catalog; and the plan-statement tokeniser, held to
-# the encoder's string-free embedding (the seed corpora plus any committed
-# inputs also replay under plain `go test`). Targets are
+# interpreter on a tiny catalog; the plan-statement tokeniser, held to
+# the encoder's string-free embedding; and the AVX2 sigmoid and tanh
+# kernels, held to the math library bit for bit (the seed corpora plus any
+# committed inputs also replay under plain `go test`). Targets are
 # <package>:<FuzzName>. go test fuzzes one target per run, so the targets
 # share FUZZTIME (whole seconds) equally, one after the other.
-FUZZTIME ?= 20s
-FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize
+FUZZTIME ?= 25s
+FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations
 fuzz:
 	total=$(FUZZTIME); each=$$(( $${total%s} / $(words $(FUZZ_TARGETS)) )); \
 	for target in $(FUZZ_TARGETS); do \
@@ -143,8 +144,9 @@ fuzz:
 # `go test ./...` never compiles it: an internal-API refactor could break
 # the benchmark silently without this.
 # The arm64 vet and build keep the generic-only build (no AVX2 kernels,
-# internal/tensor/matmul_other.go) compiling; vet on amd64 already checks
-# the assembly's frame offsets against its Go declarations (asmdecl).
+# internal/tensor/matmul_other.go and act_other.go) compiling; vet on
+# amd64 already checks the assembly's frame offsets against its Go
+# declarations (asmdecl).
 check: vet fmt-check test fuzz
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	$(GO) vet -C bench .

@@ -181,3 +181,54 @@ func flipVersion(raw []byte, at int) []byte {
 	out[at] = 99
 	return out
 }
+
+// TestParamCountMatchesNewModel keeps the bound's arithmetic in step with
+// what NewModel builds, for all 8 variants at the default and the test
+// configurations, and loads each such model back under the bound.
+func TestParamCountMatchesNewModel(t *testing.T) {
+	for _, cfg := range []Config{DefaultConfig(16, 42), testConfig()} {
+		for _, v := range goldenVariants() {
+			m := NewModel(v, cfg)
+			var n int64
+			for _, p := range m.Params() {
+				n += int64(len(p.Value().Data))
+			}
+			if got := cfg.paramCount(v); got != n {
+				t.Errorf("%s: paramCount %d, NewModel allocates %d", v.Name, got, n)
+			}
+			var buf bytes.Buffer
+			if err := m.Save(&buf); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := LoadModel(&buf); err != nil {
+				t.Errorf("%s at %+v: %v", v.Name, cfg, err)
+			}
+		}
+	}
+}
+
+// TestModelFileOversizedConfigRefused is the regression for a 276-byte
+// model file, a header and a configuration with no weights after them,
+// that asks for Hidden 2^16 with every other dimension 1: each dimension
+// is in range, but the recurrent matrix alone is 2^34 elements. LoadModel
+// used to hand that to NewModel, and the process died with a fatal
+// out-of-memory error that no recover catches. It must be refused, typed,
+// before anything is allocated.
+func TestModelFileOversizedConfigRefused(t *testing.T) {
+	var buf bytes.Buffer
+	if err := WriteHeader(&buf, ModelMagic, ModelVersion); err != nil {
+		t.Fatal(err)
+	}
+	huge := modelSnapshot{Var: RAAL(), Cfg: Config{SemDim: 1, MaxNodes: 1, ResDim: 1, StatsDim: 1, Hidden: 1 << 16, K: 1}}
+	if err := gob.NewEncoder(&buf).Encode(huge); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadModel(&buf)
+	var size *ModelSizeError
+	if !errors.As(err, &size) {
+		t.Fatalf("want a *ModelSizeError, got %v", err)
+	}
+	if size.Params <= 1<<34 || size.Max != maxModelParams {
+		t.Fatalf("refusal reports %d weights against a bound of %d", size.Params, size.Max)
+	}
+}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"hash/fnv"
+	"io"
 	"math"
 	"math/rand"
 	"runtime"
@@ -40,6 +41,18 @@ var goldenDigests = map[string]goldenDigest{
 	"NA-LSTM-noRes": {pred: 0xf685309b51d6fbe, pred32: 0xc04c988fb4c5f70a, fit: 0xe238ff0019edbfc6, save: 0x9b8a2bcc726eeab8},
 	"RAAC":          {pred: 0xf6339ca8d92e2acf, pred32: 0xe8109f8501172688, fit: 0xa182ea7e38b0e469, save: 0xce94e92aa577ddb6},
 	"RAAC-noRes":    {pred: 0x9037c506ee01e381, pred32: 0xbaf072ef91c0deb4, fit: 0xdfbc1afa480b4150, save: 0xa6782f45718f9330},
+}
+
+// init pins gob's type ids before any test runs. gob numbers types
+// process-wide, on first use, and the bytes Model.Save writes carry those
+// numbers. The save digests were computed in a process whose first gob
+// use was a model save; without this, a shuffled order that runs, say,
+// TestTrainStateRoundTripAndCorruption first numbers the train state's
+// types first and moves every save digest.
+func init() {
+	if err := NewModel(RAAL(), testConfig()).Save(io.Discard); err != nil {
+		panic(err)
+	}
 }
 
 func goldenVariants() []Variant {

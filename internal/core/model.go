@@ -761,7 +761,7 @@ func LoadModel(r io.Reader) (*Model, error) {
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("core: decoding model header (truncated or corrupt model file): %w", err)
 	}
-	if err := snap.Cfg.validate(); err != nil {
+	if err := snap.Cfg.validate(snap.Var); err != nil {
 		return nil, err
 	}
 	m := NewModel(snap.Var, snap.Cfg)
@@ -771,10 +771,56 @@ func LoadModel(r io.Reader) (*Model, error) {
 	return m, nil
 }
 
-// validate rejects decoded configurations whose dimensions could not have
-// come from a real save — NewModel would panic allocating them otherwise,
-// so a corrupt (but gob-parseable) header must be caught here.
-func (c Config) validate() error {
+// maxModelParams bounds the weight elements LoadModel lets a file's header
+// ask NewModel for: 2^24 float64s (128 MiB), some 500 times the 32k of
+// RAAL at the default configuration with 60-wide node rows. Each dimension
+// alone is bounded at 2^20, but their products are not: Hidden 2^16 alone
+// asks for a 2^34-element recurrent matrix, a fatal out-of-memory error
+// that no recover catches.
+const maxModelParams = 1 << 24
+
+// ModelSizeError is LoadModel's refusal of a header whose configuration
+// would allocate more than the bound's weight elements.
+type ModelSizeError struct {
+	Params int64 // weight elements the configuration asks for
+	Max    int64 // the bound
+}
+
+func (e *ModelSizeError) Error() string {
+	return fmt.Sprintf("core: corrupt model file: its configuration asks for %d weights, more than the %d a model file may hold",
+		e.Params, e.Max)
+}
+
+// paramCount is the number of weight elements newNet allocates for v at c,
+// in int64 so that no product of bounded dimensions overflows.
+func (c Config) paramCount(v Variant) int64 {
+	shape := &Net[float64]{Var: v, Cfg: c}
+	in, h, k := int64(shape.inputDim()), int64(c.Hidden), int64(c.K)
+	var n int64
+	if v.CNN {
+		n += 3*in*h + h
+	} else {
+		n += in*4*h + h*4*h + 4*h
+	}
+	if v.NodeAttention {
+		n += 2 * h * k
+	}
+	if v.ResourceAttention {
+		n += int64(c.ResDim)*k + h*k
+	}
+	sizes := []int64{int64(shape.headDim()), h, h / 2, 1}
+	for i := 1; i < len(sizes); i++ {
+		n += sizes[i-1]*sizes[i] + sizes[i]
+	}
+	return n
+}
+
+// validate rejects decoded configurations that could not have come from a
+// real save of variant v: a dimension out of range, or dimensions whose
+// network exceeds maxModelParams. NewModel would panic or exhaust memory
+// allocating them, so a corrupt (but gob-parseable) header must be caught
+// here.
+func (c Config) validate(v Variant) error {
 	switch {
 	case c.SemDim <= 0 || c.SemDim > 1<<20:
 		return fmt.Errorf("core: corrupt model file: semantic dim %d out of range", c.SemDim)
@@ -788,6 +834,9 @@ func (c Config) validate() error {
 		return fmt.Errorf("core: corrupt model file: hidden dim %d out of range", c.Hidden)
 	case c.K <= 0 || c.K > 1<<20:
 		return fmt.Errorf("core: corrupt model file: attention dim %d out of range", c.K)
+	}
+	if n := c.paramCount(v); n > maxModelParams {
+		return &ModelSizeError{Params: n, Max: maxModelParams}
 	}
 	return nil
 }

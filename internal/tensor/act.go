@@ -25,10 +25,15 @@ const (
 // []float32 runs through the all-f32 table kernels (Sigmoid32/Tanh32 — a
 // few ulps from the rounded float64 result, well inside the accuracy
 // gate's budget, and several times cheaper than converting to float64 and
-// back around the math library). Every other element type evaluates the
-// reference formula in float64, which at T = float64 is exactly the math
-// library call with no-op conversions. The assertion runs once per slice;
-// dst may alias src.
+// back around the math library). A []float64 runs its multiple-of-4
+// prefix through the AVX2 + FMA kernels where the CPU has them
+// (act_amd64.go, DESIGN §5r) and the rest through the scalar loop. The
+// kernels' contract is exactness: every element bit-equal to the loop's
+// 1/(1+math.Exp(-x)) or math.Tanh(x), NaN payloads included
+// (TestVecActMatchesMath). The loop evaluates the reference formula in
+// float64, which at T = float64 is exactly the math library call, and is
+// the only path for every other element type and off amd64. The
+// assertions run once per slice; dst may alias src.
 
 func sigmoidSlice[T Float](dst, src []T) {
 	if d, ok := any(dst).([]float32); ok {
@@ -36,6 +41,10 @@ func sigmoidSlice[T Float](dst, src []T) {
 			d[i] = Sigmoid32(v)
 		}
 		return
+	}
+	if d, ok := any(dst).([]float64); ok {
+		n := sigmoidVec(d, any(src).([]float64))
+		dst, src = dst[n:], src[n:]
 	}
 	for i, v := range src {
 		dst[i] = T(1 / (1 + math.Exp(-float64(v))))
@@ -48,6 +57,10 @@ func tanhSlice[T Float](dst, src []T) {
 			d[i] = Tanh32(v)
 		}
 		return
+	}
+	if d, ok := any(dst).([]float64); ok {
+		n := tanhVec(d, any(src).([]float64))
+		dst, src = dst[n:], src[n:]
 	}
 	for i, v := range src {
 		dst[i] = T(math.Tanh(float64(v)))

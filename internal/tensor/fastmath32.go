@@ -3,15 +3,18 @@ package tensor
 import "math"
 
 // Fast float32 transcendentals for the reduced-precision inference path.
-// The float64 kernels call the math library (math.Exp, math.Tanh); doing
-// that from f32 pays two conversions around a double-precision routine
-// whose accuracy the narrow result then throws away. These variants
-// compute entirely in float32: a Cephes-style expf (range reduction by
-// log2(e), degree-5 polynomial, exponent reassembly through the float32
-// bit pattern, ~3e-7 relative error) for softmax, and a piecewise-linear
-// sigmoid table serving both gate activations (σ directly, tanh through
-// 2σ(2x)−1) at ≲1e-5 absolute error — three orders of magnitude inside
-// the quantization error the accuracy gate budgets for.
+// The float64 kernels return exactly what the math library returns
+// (1/(1+math.Exp(−x)), math.Tanh(x)): the AVX2 kernels of act_amd64.s,
+// bit-equal to those calls, where the CPU has them, and the calls
+// themselves elsewhere. Going through float64 from f32 would pay two
+// conversions around a double-precision result whose accuracy the narrow
+// result then throws away. These variants compute entirely in float32: a
+// Cephes-style expf (range reduction by log2(e), degree-5 polynomial,
+// exponent reassembly through the float32 bit pattern, ~3e-7 relative
+// error) for softmax, and a piecewise-linear sigmoid table serving both
+// gate activations (σ directly, tanh through 2σ(2x)−1) at ≲1e-5 absolute
+// error — three orders of magnitude inside the quantization error the
+// accuracy gate budgets for.
 //
 // Determinism: each function is a pure branch-and-arithmetic sequence
 // over its argument, so results are identical wherever they are called
