@@ -124,13 +124,15 @@ cover:
 # lexes request bytes before anything has parsed them; the whole
 # parse → bind → plan → execute pipeline, held to the reference
 # interpreter on a tiny catalog; the plan-statement tokeniser, held to
-# the encoder's string-free embedding; and the AVX2 sigmoid and tanh
-# kernels, held to the math library bit for bit (the seed corpora plus any
+# the encoder's string-free embedding; the AVX2 sigmoid and tanh kernels,
+# held to the math library bit for bit; and the float64 matmul kernels
+# (AVX2, and AVX-512 where the CPU has it), held to the Go loop bit for bit
+# on special values (the seed corpora plus any
 # committed inputs also replay under plain `go test`). Targets are
 # <package>:<FuzzName>. go test fuzzes one target per run, so the targets
 # share FUZZTIME (whole seconds) equally, one after the other.
 FUZZTIME ?= 25s
-FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations
+FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul
 fuzz:
 	total=$(FUZZTIME); each=$$(( $${total%s} / $(words $(FUZZ_TARGETS)) )); \
 	for target in $(FUZZ_TARGETS); do \

@@ -3,8 +3,6 @@ package tensor
 import (
 	"math"
 	"math/rand"
-	"os"
-	"strings"
 	"testing"
 )
 
@@ -154,29 +152,12 @@ func TestVecActMatchesMath(t *testing.T) {
 // must have selected them. It also fails when the gate's probe found the
 // math library disagreeing with the kernels.
 func TestVecActSelectedWhereCPUHasIt(t *testing.T) {
-	info, err := os.ReadFile("/proc/cpuinfo")
-	if err != nil {
-		t.Skipf("no /proc/cpuinfo: %v", err)
+	if flags := cpuFlags(t); !flags["avx2"] || !flags["fma"] {
+		t.Skip("CPU does not report both avx2 and fma")
 	}
-	for _, line := range strings.Split(string(info), "\n") {
-		name, flags, ok := strings.Cut(line, ":")
-		if !ok || strings.TrimSpace(name) != "flags" {
-			continue
-		}
-		var avx2, fma bool
-		for _, f := range strings.Fields(flags) {
-			avx2 = avx2 || f == "avx2"
-			fma = fma || f == "fma"
-		}
-		if !avx2 || !fma {
-			t.Skip("CPU does not report both avx2 and fma")
-		}
-		if !useVecAct {
-			t.Fatal("/proc/cpuinfo lists avx2 and fma but the package did not select the AVX2 activation kernels")
-		}
-		return
+	if !useVecAct {
+		t.Fatal("/proc/cpuinfo lists avx2 and fma but the package did not select the AVX2 activation kernels")
 	}
-	t.Skip("/proc/cpuinfo has no flags line")
 }
 
 // FuzzActivations holds both kernels to the math library on arbitrary

@@ -65,21 +65,30 @@ func oddView[T Float](rng *rand.Rand, m *Mat[T]) *Mat[T] {
 	return &Mat[T]{Rows: m.Rows, Cols: m.Cols, Data: buf[off : off+len(m.Data)]}
 }
 
+// wideCols are output widths on both sides of one, two and three of the
+// float64 kernel's 64-column AVX-512 blocks, and past them.
+var wideCols = []int{63, 64, 65, 127, 128, 129, 191, 192, 193, 200}
+
 // TestBlockedMatMulMatchesNaive pins the register-blocked kernels to the
 // reference on shapes that hit every column block and tail of both the Go
 // loops (8, 4, 1) and the AVX2 kernels (16 and a masked 1..15 at f64, 32
 // and 1..31 at f32), row counts on both sides of transBMinRows, an empty
-// inner dimension, and operands at unaligned offsets.
+// inner dimension, and operands at unaligned offsets. The last trials run
+// each of wideCols aligned and at odd offsets, through the AVX-512 block
+// where the CPU has it.
 func TestBlockedMatMulMatchesNaive(t *testing.T) {
 	bothTypes(t, testBlockedMatMulMatchesNaive[float64], testBlockedMatMulMatchesNaive[float32])
 }
 
 func testBlockedMatMulMatchesNaive[T Float](t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200; trial++ {
+	for trial := 0; trial < 200+2*len(wideCols); trial++ {
 		m := 1 + rng.Intn(12)
 		k := rng.Intn(71)
 		n := 1 + rng.Intn(40)
+		if trial >= 200 {
+			n = wideCols[(trial-200)/2]
+		}
 		a := randMatOf[T](rng, m, k)
 		b := randMatOf[T](rng, k, n)
 		if trial%2 == 1 {

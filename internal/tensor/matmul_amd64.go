@@ -1,7 +1,8 @@
 package tensor
 
 // This file selects the AVX2 matmul kernels of matmul_amd64.s (DESIGN
-// §5n). The contract is the one every other kernel keeps: each output
+// §5n), and on CPUs with AVX-512F the float64 kernel's 64-column blocks
+// (§5s). The contract is the one every other kernel keeps: each output
 // element is accumulated in ascending k, from +0, as a separate multiply
 // then add, with a-zeros skipped by a scalar test. The assembly keeps it
 // by running SIMD lanes across output columns only — never across k — and
@@ -9,9 +10,12 @@ package tensor
 // bit-identical to the portable Go loops (matMulRowsReg,
 // matMulTransAColsGo, matMulTransBRowsGo), which stay as the test oracle.
 
-// useAVX2 is fixed once at init from the CPU and the OS; there is no
-// option, variable or build tag that selects a kernel.
-var useAVX2 = cpuHasAVX2()
+// useAVX2 and useAVX512 are fixed once at init from the CPU and the OS;
+// there is no option, variable or build tag that selects a kernel.
+var (
+	useAVX2   = cpuHasAVX2()
+	useAVX512 = useAVX2 && cpuHasAVX512F()
+)
 
 // cpuid executes CPUID with EAX=eaxArg, ECX=ecxArg.
 func cpuid(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
@@ -38,6 +42,19 @@ func cpuHasAVX2() bool {
 	return ebx&avx2 != 0
 }
 
+// cpuHasAVX512F reports, on a CPU that passed cpuHasAVX2, whether it also
+// implements AVX-512F and the OS saves all of its state: XCR0 must enable
+// the XMM, YMM, opmask, ZMM_Hi256 and Hi16_ZMM components (bits 1, 2, 5,
+// 6 and 7).
+func cpuHasAVX512F() bool {
+	if xcr0, _ := xgetbv(); xcr0&0xe6 != 0xe6 {
+		return false
+	}
+	const avx512f = 1 << 16
+	_, ebx, _, _ := cpuid(7, 0)
+	return ebx&avx512f != 0
+}
+
 // vecMatF64 sets out[j] = Σ_{p<k} a[p·lda]·b[p·ldb+j] for every j <
 // len(out): the strided vector a times the k×len(out) window of b with row
 // stride ldb. Each sum runs in ascending p from +0 and skips p where
@@ -46,6 +63,26 @@ func cpuHasAVX2() bool {
 //
 //go:noescape
 func vecMatF64(out, a []float64, lda int, b []float64, ldb, k int)
+
+// vecMatF64AVX512 is vecMatF64 over out[:len(out)&^63] only, 64 columns at
+// a time in ZMM registers; it leaves the rest of out untouched. Only
+// useAVX512 allows calling it.
+//
+//go:noescape
+func vecMatF64AVX512(out, a []float64, lda int, b []float64, ldb, k int)
+
+// vecMatF64Wide is vecMatF64 with every full 64-column block run by
+// vecMatF64AVX512 where the CPU has it (DESIGN §5s). The columns past the
+// last block, fewer than 64, go to vecMatF64 with b advanced to them (an
+// empty rest costs vecMatF64 one compare). With k = 0 nothing reads b,
+// which may then be shorter than out, so vecMatF64 alone writes the zeros.
+func vecMatF64Wide(out, a []float64, lda int, b []float64, ldb, k int) {
+	if n64 := len(out) &^ 63; useAVX512 && n64 > 0 && k > 0 {
+		vecMatF64AVX512(out, a, lda, b, ldb, k)
+		out, b = out[n64:], b[n64:]
+	}
+	vecMatF64(out, a, lda, b, ldb, k)
+}
 
 // vecMatF32 is vecMatF64 at float32.
 //
@@ -67,7 +104,7 @@ func simdFloat[T Float]() bool {
 func vecMat[T Float](out, a []T, lda int, b []T, ldb, k int) {
 	switch o := any(out).(type) {
 	case []float64:
-		vecMatF64(o, any(a).([]float64), lda, any(b).([]float64), ldb, k)
+		vecMatF64Wide(o, any(a).([]float64), lda, any(b).([]float64), ldb, k)
 	case []float32:
 		vecMatF32(o, any(a).([]float32), lda, any(b).([]float32), ldb, k)
 	}

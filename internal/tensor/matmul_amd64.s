@@ -1,6 +1,7 @@
 #include "textflag.h"
 
-// AVX2 kernels for matmul_amd64.go. Register use in both kernels:
+// AVX2 kernels, and one AVX-512F kernel, for matmul_amd64.go. Register use
+// in the AVX2 kernels (vecMatF64AVX512 lists its Z registers above it):
 //
 //	DI out cursor     DX columns left   SI a      BX b column cursor
 //	R8 a stride (B)   R9 b stride (B)   R10 k     CX p countdown
@@ -177,6 +178,88 @@ tailstore:
 	VMASKMOVPD Y1, Y10, 32(DI)
 	VMASKMOVPD Y2, Y11, 64(DI)
 	VMASKMOVPD Y3, Y12, 96(DI)
+
+done:
+	VZEROUPPER
+	RET
+
+// func vecMatF64AVX512(out, a []float64, lda int, b []float64, ldb, k int)
+//
+// vecMatF64 over the first len(out) &^ 63 columns only, in blocks of 64
+// float64 (512 bytes) held in the eight ZMM accumulators Z0-Z7, with
+// Z8 the a[p] broadcast and Z9-Z16 the products. The general registers,
+// the zero test and each lane's multiply-then-add order are vecMatF64's;
+// only the block is four times wider. The columns past the last full block are
+// left for vecMatF64.
+TEXT ·vecMatF64AVX512(SB), NOSPLIT, $0-96
+	MOVQ out_base+0(FP), DI
+	MOVQ out_len+8(FP), DX
+	MOVQ a_base+24(FP), SI
+	MOVQ lda+48(FP), R8
+	SHLQ $3, R8
+	MOVQ b_base+56(FP), BX
+	MOVQ ldb+80(FP), R9
+	SHLQ $3, R9
+	MOVQ k+88(FP), R10
+
+block:
+	CMPQ DX, $64
+	JLT  done
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z4, Z4, Z4
+	VPXORQ Z5, Z5, Z5
+	VPXORQ Z6, Z6, Z6
+	VPXORQ Z7, Z7, Z7
+	MOVQ SI, R11
+	MOVQ BX, R12
+	MOVQ R10, CX
+	TESTQ CX, CX
+	JZ   store
+
+loop:
+	MOVQ (R11), AX
+	SHLQ $1, AX
+	JZ   skip
+	VBROADCASTSD (R11), Z8
+	VMULPD (R12), Z8, Z9
+	VADDPD Z9, Z0, Z0
+	VMULPD 64(R12), Z8, Z10
+	VADDPD Z10, Z1, Z1
+	VMULPD 128(R12), Z8, Z11
+	VADDPD Z11, Z2, Z2
+	VMULPD 192(R12), Z8, Z12
+	VADDPD Z12, Z3, Z3
+	VMULPD 256(R12), Z8, Z13
+	VADDPD Z13, Z4, Z4
+	VMULPD 320(R12), Z8, Z14
+	VADDPD Z14, Z5, Z5
+	VMULPD 384(R12), Z8, Z15
+	VADDPD Z15, Z6, Z6
+	VMULPD 448(R12), Z8, Z16
+	VADDPD Z16, Z7, Z7
+
+skip:
+	ADDQ R8, R11
+	ADDQ R9, R12
+	DECQ CX
+	JNZ  loop
+
+store:
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z4, 256(DI)
+	VMOVUPD Z5, 320(DI)
+	VMOVUPD Z6, 384(DI)
+	VMOVUPD Z7, 448(DI)
+	ADDQ $512, DI
+	ADDQ $512, BX
+	SUBQ $64, DX
+	JMP  block
 
 done:
 	VZEROUPPER

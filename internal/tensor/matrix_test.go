@@ -293,7 +293,10 @@ func BenchmarkMatMul(b *testing.B) {
 	}{
 		{"step_1x48x192", 'n', 1, 48, 192},       // recurrent h·Wh at batch 1
 		{"inproj_126x60x192", 'n', 126, 60, 192}, // x·Wx, batch 3 × 42 nodes
+		{"attn_20x48x32", 'n', 20, 48, 32},       // h·Wq, h·Wk, h·Wrk of a 20-node plan
 		{"head_60x110x48", 'n', 60, 110, 48},     // first head layer, batch 60
+		{"head1_1x102x48", 'n', 1, 102, 48},      // first head layer at batch 1
+		{"head1_1x48x24", 'n', 1, 48, 24},        // second head layer at batch 1
 		{"gradWx_60x126x192", 'a', 60, 126, 192}, // xᵀ·dZ
 		{"gradWh_48x16x192", 'a', 48, 16, 192},   // hᵀ·dZ per step, batch 16
 		{"gradHead_110x60x48", 'a', 110, 60, 48}, // hᵀ·dOut of the head
