@@ -31,7 +31,9 @@ test: build
 # goroutines) and internal/workload the worker-count-invariant parallel
 # collection tests; internal/physical includes TestPlanKeyRenderedOnce
 # (concurrent first calls of a shared plan's memoised Key and Statements)
-# and internal/encode the encoder that reads them. The public API package
+# and TestStatementsConcurrentPlans (plans rendered at once through the
+# shared scratch-buffer pool), and internal/encode the encoder that reads
+# them. The public API package
 # alone takes ~7 min under the
 # detector on 2 vCPUs, hence the explicit budget. Use `make race-all` for
 # the (slow) full sweep.
@@ -125,14 +127,15 @@ cover:
 # parse → bind → plan → execute pipeline, held to the reference
 # interpreter on a tiny catalog; the plan-statement tokeniser, held to
 # the encoder's string-free embedding; the AVX2 sigmoid and tanh kernels,
-# held to the math library bit for bit; and the float64 matmul kernels
+# held to the math library bit for bit; the float64 matmul kernels
 # (AVX2, and AVX-512 where the CPU has it), held to the Go loop bit for bit
-# on special values (the seed corpora plus any
-# committed inputs also replay under plain `go test`). Targets are
+# on special values; and every candidate plan's statements and key, held
+# to the fmt-based reference renderer on a tiny catalog (the seed corpora
+# plus any committed inputs also replay under plain `go test`). Targets are
 # <package>:<FuzzName>. go test fuzzes one target per run, so the targets
 # share FUZZTIME (whole seconds) equally, one after the other.
 FUZZTIME ?= 25s
-FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul
+FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul ./internal/physical:FuzzStatements
 fuzz:
 	total=$(FUZZTIME); each=$$(( $${total%s} / $(words $(FUZZ_TARGETS)) )); \
 	for target in $(FUZZ_TARGETS); do \

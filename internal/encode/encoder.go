@@ -67,8 +67,10 @@ func Fit(plans []*physical.Plan, cfg Config) (*Encoder, error) {
 	if cfg.Mode == Word2Vec {
 		var corpus [][]string
 		for _, p := range plans {
-			for _, n := range p.Nodes {
-				corpus = append(corpus, Tokenize(n.Statement()))
+			// Statements is memoised, so encoding these plans later
+			// renders nothing again.
+			for _, stmt := range p.Statements() {
+				corpus = append(corpus, Tokenize(stmt))
 			}
 		}
 		m, err := word2vec.Train(corpus, cfg.W2V)

@@ -23,7 +23,12 @@ type BoundCol struct {
 	Type  catalog.Type
 }
 
-func (b BoundCol) String() string { return b.Alias + "." + b.Name }
+func (b BoundCol) String() string { return string(b.AppendTo(nil)) }
+
+// AppendTo appends the column as alias.name, the bytes String returns.
+func (b BoundCol) AppendTo(dst []byte) []byte {
+	return append(append(append(dst, b.Alias...), '.'), b.Name...)
+}
 
 // JoinEdge is one equi-join predicate between two tables.
 type JoinEdge struct {

@@ -63,7 +63,7 @@ func Reoptimize(p *Plan, broadcastThreshold float64) (*Plan, int) {
 	}
 
 	out := &Plan{Root: rewrite(p.Root), Query: p.Query, Sig: p.Sig + ";aqe"}
-	out.finalize()
+	out.finalize(len(p.Nodes))
 	return out, switched
 }
 

@@ -8,6 +8,7 @@ package physical
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync"
@@ -120,83 +121,139 @@ type Node struct {
 
 // Statement renders the Spark-style execution statement for this node —
 // the text that node-semantic embedding tokenizes (Sec. IV-C, Fig. 4).
-func (n *Node) Statement() string {
+func (n *Node) Statement() string { return string(n.AppendStatement(nil)) }
+
+// AppendStatement appends the node's Statement to b. It is the one
+// statement renderer: Statement, Plan.Statements and everything that
+// tokenizes a plan go through it.
+func (n *Node) AppendStatement(b []byte) []byte {
 	switch n.Op {
 	case FileScan:
-		s := fmt.Sprintf("FileScan parquet %s[%s]", n.Table, strings.Join(n.Columns, ","))
+		b = append(append(b, "FileScan parquet "...), n.Table...)
+		b = append(appendJoined(append(b, '['), n.Columns), ']')
 		if len(n.Preds) > 0 {
-			s += " PushedFilters: [" + predString(n.Preds) + "]"
+			b = append(appendPreds(append(b, " PushedFilters: ["...), n.Preds), ']')
 		}
-		return s
+		return b
 	case Filter:
-		return "Filter (" + predString(n.Preds) + ")"
+		return append(appendPreds(append(b, "Filter ("...), n.Preds), ')')
 	case Project:
-		return fmt.Sprintf("Project [%s]", strings.Join(n.Columns, ","))
+		return append(appendJoined(append(b, "Project ["...), n.Columns), ']')
 	case Sort:
-		dir := "ASC"
+		b = appendCol(append(b, "Sort ["...), n.SortCol)
 		if n.SortDesc {
-			dir = "DESC"
+			return append(b, " DESC NULLS FIRST]"...)
 		}
-		return fmt.Sprintf("Sort [%s %s NULLS FIRST]", n.SortCol, dir)
+		return append(b, " ASC NULLS FIRST]"...)
 	case SortMergeJoin:
-		return fmt.Sprintf("SortMergeJoin [%s], [%s], Inner", n.LeftKey, n.RightKey)
+		return append(appendJoinKeys(append(b, "SortMergeJoin "...), n), ", Inner"...)
 	case BroadcastHashJoin:
-		return fmt.Sprintf("BroadcastHashJoin [%s], [%s], Inner, BuildRight", n.LeftKey, n.RightKey)
+		return append(appendJoinKeys(append(b, "BroadcastHashJoin "...), n), ", Inner, BuildRight"...)
 	case ShuffledHashJoin:
-		return fmt.Sprintf("ShuffledHashJoin [%s], [%s], Inner, BuildRight", n.LeftKey, n.RightKey)
+		return append(appendJoinKeys(append(b, "ShuffledHashJoin "...), n), ", Inner, BuildRight"...)
 	case BroadcastNestedLoopJoin:
-		return fmt.Sprintf("BroadcastNestedLoopJoin BuildRight, Inner, (%s %s %s)", n.LeftKey, n.ThetaOp, n.RightKey)
+		b = appendCol(append(b, "BroadcastNestedLoopJoin BuildRight, Inner, ("...), n.LeftKey)
+		b = append(append(append(b, ' '), n.ThetaOp.String()...), ' ')
+		return append(appendCol(b, n.RightKey), ')')
 	case HashAggregate, SortAggregate:
-		var keyParts []string
-		for _, g := range n.GroupBy {
-			keyParts = append(keyParts, g.String())
-		}
-		keys := strings.Join(keyParts, ",")
-		var fns []string
+		b = appendGroupBy(append(append(b, n.Op.String()...), " (keys=["...), n.GroupBy)
+		b = append(b, "], functions=["...)
+		first := true
 		for _, a := range n.Aggs {
 			if a.Agg == sql.AggNone {
 				continue
 			}
+			if !first {
+				b = append(b, ',')
+			}
+			first = false
 			if a.Star {
-				fns = append(fns, "count(1)")
+				b = append(b, "count(1)"...)
 			} else {
-				fns = append(fns, fmt.Sprintf("%s(%s)", strings.ToLower(a.Agg.String()), a.Col))
+				b = append(appendCol(append(appendLower(b, a.Agg.String()), '('), a.Col), ')')
 			}
 		}
-		mode := "partial"
 		if n.Final {
-			mode = "final"
+			return append(b, "], mode=final)"...)
 		}
-		return fmt.Sprintf("%s (keys=[%s], functions=[%s], mode=%s)", n.Op, keys, strings.Join(fns, ","), mode)
+		return append(b, "], mode=partial)"...)
 	case ExchangeHashPartition:
-		key := ""
+		b = append(b, "Exchange hashpartitioning("...)
 		if n.LeftKey != nil {
-			key = n.LeftKey.String()
-		} else if len(n.GroupBy) > 0 {
-			var parts []string
-			for _, g := range n.GroupBy {
-				parts = append(parts, g.String())
-			}
-			key = strings.Join(parts, ",")
+			b = n.LeftKey.AppendTo(b)
+		} else {
+			b = appendGroupBy(b, n.GroupBy)
 		}
-		return fmt.Sprintf("Exchange hashpartitioning(%s, 200)", key)
+		return append(b, ", 200)"...)
 	case ExchangeSinglePartition:
-		return "Exchange SinglePartition"
+		return append(b, "Exchange SinglePartition"...)
 	case BroadcastExchange:
-		return "BroadcastExchange HashedRelationBroadcastMode"
+		return append(b, "BroadcastExchange HashedRelationBroadcastMode"...)
 	case LocalLimit:
-		return fmt.Sprintf("LocalLimit %d", n.LimitN)
+		return strconv.AppendInt(append(b, "LocalLimit "...), int64(n.LimitN), 10)
 	default:
-		return n.Op.String()
+		return append(b, n.Op.String()...)
 	}
 }
 
-func predString(preds []sql.Predicate) string {
-	parts := make([]string, len(preds))
-	for i, p := range preds {
-		parts[i] = p.String()
+// appendJoinKeys appends a hash or merge join's "[left], [right]".
+func appendJoinKeys(b []byte, n *Node) []byte {
+	b = appendCol(append(b, '['), n.LeftKey)
+	return append(appendCol(append(b, "], ["...), n.RightKey), ']')
+}
+
+// appendCol appends c, or "<nil>" for a nil c, as fmt's %s prints them.
+func appendCol(b []byte, c *logical.BoundCol) []byte {
+	if c == nil {
+		return append(b, "<nil>"...)
 	}
-	return strings.Join(parts, " && ")
+	return c.AppendTo(b)
+}
+
+// appendGroupBy appends the columns comma-separated.
+func appendGroupBy(b []byte, cols []logical.BoundCol) []byte {
+	for i, c := range cols {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = c.AppendTo(b)
+	}
+	return b
+}
+
+// appendJoined appends the strings comma-separated.
+func appendJoined(b []byte, ss []string) []byte {
+	for i, s := range ss {
+		if i > 0 {
+			b = append(b, ',')
+		}
+		b = append(b, s...)
+	}
+	return b
+}
+
+// appendPreds appends the predicates separated by " && ".
+func appendPreds(b []byte, preds []sql.Predicate) []byte {
+	for i, p := range preds {
+		if i > 0 {
+			b = append(b, " && "...)
+		}
+		b = p.AppendTo(b)
+	}
+	return b
+}
+
+// appendLower appends s with ASCII letters lower-cased, which is what
+// strings.ToLower does to the ASCII names AggFunc.String returns.
+func appendLower(b []byte, s string) []byte {
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'A' <= c && c <= 'Z' {
+			c += 'a' - 'A'
+		}
+		b = append(b, c)
+	}
+	return b
 }
 
 // Plan is a complete physical plan: a tree plus its bottom-up execution
@@ -221,16 +278,40 @@ type Plan struct {
 // concurrent requests sharing the plan. Rendering is deliberately lazy
 // (DESIGN §5q): many enumerated candidates are never keyed or encoded.
 // Callers must not modify the slice.
+//
+// All of a plan's statements are substrings of one string: the nodes are
+// rendered into a pooled scratch buffer, which is copied out once
+// (DESIGN §5t).
 func (p *Plan) Statements() []string {
 	p.stmtOnce.Do(func() {
-		stmts := make([]string, len(p.Nodes))
-		for i, n := range p.Nodes {
-			stmts[i] = n.Statement()
+		sc := stmtScratchPool.Get().(*stmtScratch)
+		buf, ends := sc.buf[:0], sc.ends[:0]
+		for _, n := range p.Nodes {
+			buf = n.AppendStatement(buf)
+			ends = append(ends, len(buf))
 		}
+		all := string(buf)
+		stmts := make([]string, len(ends))
+		start := 0
+		for i, end := range ends {
+			stmts[i] = all[start:end]
+			start = end
+		}
+		sc.buf, sc.ends = buf, ends
+		stmtScratchPool.Put(sc)
 		p.stmts = stmts
 	})
 	return p.stmts
 }
+
+// stmtScratch is where Statements renders a plan: every statement back to
+// back in buf, and where each one ends.
+type stmtScratch struct {
+	buf  []byte
+	ends []int
+}
+
+var stmtScratchPool = sync.Pool{New: func() any { return new(stmtScratch) }}
 
 // Key fingerprints everything a cost model's encoder reads from the plan:
 // per node in execution order, its identity, rendered statement (which
@@ -272,7 +353,7 @@ func (p *Plan) renderKey() string {
 		b.WriteString(stmts[i])
 		b.WriteByte('\x1f')
 		for _, v := range [...]float64{n.EstRows, n.RawRows, n.RowBytes} {
-			b.Write(strconv.AppendFloat(num[:0], v, 'g', -1, 64))
+			b.Write(appendKeyFloat(num[:0], v))
 			b.WriteByte('\x1f')
 		}
 		for _, c := range n.Children {
@@ -284,6 +365,18 @@ func (p *Plan) renderKey() string {
 	return b.String()
 }
 
+// appendKeyFloat appends strconv.AppendFloat(b, v, 'g', -1, 64). The
+// shortest 'g' form switches to an exponent only from 1e6 up and prints
+// no fraction for an integral value, so below 1e6 in magnitude an integer
+// prints as its digits — what AppendInt writes, faster. -0 is left out:
+// AppendFloat writes "-0", AppendInt of int64(-0) writes "0".
+func appendKeyFloat(b []byte, v float64) []byte {
+	if v > -1e6 && v < 1e6 && v == float64(int64(v)) && (v != 0 || !math.Signbit(v)) {
+		return strconv.AppendInt(b, int64(v), 10)
+	}
+	return strconv.AppendFloat(b, v, 'g', -1, 64)
+}
+
 // The widest renderings of an int64 in base 10 ("-9223372036854775808")
 // and of a float64 in 'g' format ("-2.2250738585072014e-308").
 const (
@@ -291,18 +384,22 @@ const (
 	maxFloatLen = 24
 )
 
-// finalize assigns IDs in bottom-up order and collects Nodes.
-func (p *Plan) finalize() {
-	p.Nodes = p.Nodes[:0]
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		for _, c := range n.Children {
-			walk(c)
-		}
-		n.ID = len(p.Nodes)
-		p.Nodes = append(p.Nodes, n)
+// finalize collects Nodes in bottom-up order and assigns IDs to match.
+// size is the number of nodes the plan is expected to have.
+func (p *Plan) finalize(size int) {
+	p.Nodes = appendPostorder(make([]*Node, 0, size), p.Root)
+	for i, n := range p.Nodes {
+		n.ID = i
 	}
-	walk(p.Root)
+}
+
+// appendPostorder appends the subtree of n to nodes, children before their
+// parent and the left subtree before the right.
+func appendPostorder(nodes []*Node, n *Node) []*Node {
+	for _, c := range n.Children {
+		nodes = appendPostorder(nodes, c)
+	}
+	return append(nodes, n)
 }
 
 // String renders the plan as an indented tree, root first (the way Spark's

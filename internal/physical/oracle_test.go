@@ -329,6 +329,6 @@ func oracleBuild(pl *Planner, q *logical.Query, order []string, mode joinMode, p
 	if sortAgg {
 		p.Sig += ";agg=sort"
 	}
-	p.finalize()
+	p.finalize(0)
 	return p, nil
 }

@@ -255,9 +255,20 @@ type variant struct {
 func (f *queryFacts) variant(spec variantSpec) variant {
 	o := &f.orders[spec.order]
 	v := variant{variantSpec: spec, algos: make([]OpType, len(o.joins))}
+	// Size the signature for its widest knobs, so it is one allocation.
+	size := len("order=;algos=;push=false;agg=sort") + 5*len(o.joins)
+	for _, a := range o.aliases {
+		size += len(a) + 1
+	}
 	var sig strings.Builder
+	sig.Grow(size)
 	sig.WriteString("order=")
-	sig.WriteString(strings.Join(o.aliases, ","))
+	for i, a := range o.aliases {
+		if i > 0 {
+			sig.WriteByte(',')
+		}
+		sig.WriteString(a)
+	}
 	sig.WriteString(";algos=")
 	for i, st := range o.joins {
 		var name string
@@ -453,50 +464,120 @@ func (pl *Planner) rowBytes(tableName string, cols []string) float64 {
 	return w
 }
 
+// nodeSlab hands out the nodes of one plan from a single []Node and their
+// Children from a single []*Node, both allocated at the plan's final size.
+// A slab belongs to one plan: nodes are never shared across plans, whose
+// IDs and ActRows differ, and a kept candidate pins no node of a cut one.
+// Every Children slice is capacity-capped, so no append to it can reach
+// the next node's children.
+type nodeSlab struct {
+	nodes []Node
+	kids  []*Node
+}
+
+// newNodeSlab returns a slab for a tree of size nodes, which have
+// size-1 children between them.
+func newNodeSlab(size int) *nodeSlab {
+	return &nodeSlab{nodes: make([]Node, 0, size), kids: make([]*Node, 0, size-1)}
+}
+
+// add stores n with the given children and returns the stored node.
+func (s *nodeSlab) add(n Node, children ...*Node) *Node {
+	if len(children) > 0 {
+		k := len(s.kids)
+		s.kids = append(s.kids, children...)
+		n.Children = s.kids[k:len(s.kids):len(s.kids)]
+	}
+	s.nodes = append(s.nodes, n)
+	return &s.nodes[len(s.nodes)-1]
+}
+
+// scanSize is how many nodes scanSubtree makes.
+func scanSize(s *scanFacts, pushdown bool) int {
+	if !pushdown && len(s.preds) > 0 {
+		return 3
+	}
+	return 2
+}
+
 // scanSubtree builds FileScan [→ Filter] → Project over one table.
-func scanSubtree(s *scanFacts, pushdown bool) *Node {
-	scan := &Node{Op: FileScan, Table: s.table, Alias: s.alias, Columns: s.columns, RowBytes: s.width, RawRows: s.raw}
-	top := scan
-	if pushdown {
+func (sl *nodeSlab) scanSubtree(s *scanFacts, pushdown bool) *Node {
+	scan := Node{Op: FileScan, Table: s.table, Alias: s.alias, Columns: s.columns, RowBytes: s.width, RawRows: s.raw}
+	var top *Node
+	switch {
+	case pushdown:
 		scan.Preds = s.preds
 		scan.EstRows = s.filtered
-	} else {
+		top = sl.add(scan)
+	case len(s.preds) > 0:
 		scan.EstRows = s.raw
-		if len(s.preds) > 0 {
-			top = &Node{Op: Filter, Children: []*Node{scan}, Preds: s.preds, EstRows: s.filtered, RowBytes: s.width}
+		top = sl.add(Node{Op: Filter, Preds: s.preds, EstRows: s.filtered, RowBytes: s.width}, sl.add(scan))
+	default:
+		scan.EstRows = s.raw
+		top = sl.add(scan)
+	}
+	return sl.add(Node{Op: Project, Columns: s.qualified, EstRows: s.filtered, RowBytes: s.width}, top)
+}
+
+// size is how many nodes build(v) makes.
+func (f *queryFacts) size(v variant) int {
+	q, o := f.q, &f.orders[v.order]
+	n := scanSize(o.first, v.pushdown)
+	for i, st := range o.joins {
+		n += scanSize(st.scan, v.pushdown) + 1
+		switch v.algos[i] {
+		case BroadcastNestedLoopJoin, BroadcastHashJoin:
+			n++ // BroadcastExchange
+		case ShuffledHashJoin:
+			n += 2 // an exchange per side
+		case SortMergeJoin:
+			n += 4 // an exchange and a sort per side
 		}
 	}
-	return &Node{Op: Project, Children: []*Node{top}, Columns: s.qualified, EstRows: s.filtered, RowBytes: s.width}
+	if len(q.Aggs) > 0 {
+		n += 3 // partial, exchange, final
+		if v.sortAgg && len(q.GroupBy) > 0 {
+			n += 2 // a sort before each phase
+		}
+	}
+	if q.OrderBy != nil {
+		n += 2 // exchange, sort
+	}
+	if q.Limit >= 0 {
+		n++
+	}
+	return n
 }
 
 // build constructs the physical plan of one variant. Every node is new:
 // plans of one query share facts (column lists, predicates, keys), never
-// nodes, whose IDs and ActRows are per plan.
+// nodes, whose IDs and ActRows are per plan. Nodes go into the slab in
+// execution order, children before parents.
 func (f *queryFacts) build(v variant) *Plan {
 	q, o := f.q, &f.orders[v.order]
-	cur := scanSubtree(o.first, v.pushdown)
+	size := f.size(v)
+	s := newNodeSlab(size)
+	cur := s.scanSubtree(o.first, v.pushdown)
 	for i, st := range o.joins {
-		newSide := scanSubtree(st.scan, v.pushdown)
-		join := &Node{Op: v.algos[i], LeftKey: st.left, RightKey: st.right, EstRows: st.rows, RowBytes: st.width}
+		var l, r *Node
 		switch v.algos[i] {
-		case BroadcastNestedLoopJoin:
-			join.ThetaOp = st.thetaOp
-			fallthrough
-		case BroadcastHashJoin:
-			bx := &Node{Op: BroadcastExchange, Children: []*Node{newSide}, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
-			join.Children = []*Node{cur, bx}
+		case BroadcastHashJoin, BroadcastNestedLoopJoin:
+			l = cur
+			side := s.scanSubtree(st.scan, v.pushdown)
+			r = s.add(Node{Op: BroadcastExchange, EstRows: side.EstRows, RowBytes: side.RowBytes}, side)
 		case ShuffledHashJoin:
-			lx := &Node{Op: ExchangeHashPartition, Children: []*Node{cur}, LeftKey: st.left, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
-			rx := &Node{Op: ExchangeHashPartition, Children: []*Node{newSide}, LeftKey: st.right, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
-			join.Children = []*Node{lx, rx}
+			l = s.add(Node{Op: ExchangeHashPartition, LeftKey: st.left, EstRows: cur.EstRows, RowBytes: cur.RowBytes}, cur)
+			side := s.scanSubtree(st.scan, v.pushdown)
+			r = s.add(Node{Op: ExchangeHashPartition, LeftKey: st.right, EstRows: side.EstRows, RowBytes: side.RowBytes}, side)
 		case SortMergeJoin:
-			lx := &Node{Op: ExchangeHashPartition, Children: []*Node{cur}, LeftKey: st.left, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
-			ls := &Node{Op: Sort, Children: []*Node{lx}, SortCol: st.left, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
-			rx := &Node{Op: ExchangeHashPartition, Children: []*Node{newSide}, LeftKey: st.right, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
-			rs := &Node{Op: Sort, Children: []*Node{rx}, SortCol: st.right, EstRows: newSide.EstRows, RowBytes: newSide.RowBytes}
-			join.Children = []*Node{ls, rs}
+			lx := s.add(Node{Op: ExchangeHashPartition, LeftKey: st.left, EstRows: cur.EstRows, RowBytes: cur.RowBytes}, cur)
+			l = s.add(Node{Op: Sort, SortCol: st.left, EstRows: cur.EstRows, RowBytes: cur.RowBytes}, lx)
+			side := s.scanSubtree(st.scan, v.pushdown)
+			rx := s.add(Node{Op: ExchangeHashPartition, LeftKey: st.right, EstRows: side.EstRows, RowBytes: side.RowBytes}, side)
+			r = s.add(Node{Op: Sort, SortCol: st.right, EstRows: side.EstRows, RowBytes: side.RowBytes}, rx)
 		}
-		cur = join
+		cur = s.add(Node{Op: v.algos[i], LeftKey: st.left, RightKey: st.right, ThetaOp: st.thetaOp,
+			EstRows: st.rows, RowBytes: st.width}, l, r)
 	}
 
 	// Aggregation: partial → exchange → final (Spark's two-phase
@@ -509,39 +590,35 @@ func (f *queryFacts) build(v variant) *Plan {
 		if sortAgg {
 			// Sort-based aggregation needs its input ordered by the key.
 			aggOp = SortAggregate
-			cur = &Node{Op: Sort, Children: []*Node{cur}, SortCol: &q.GroupBy[0], EstRows: cur.EstRows, RowBytes: cur.RowBytes}
+			cur = s.add(Node{Op: Sort, SortCol: &q.GroupBy[0], EstRows: cur.EstRows, RowBytes: cur.RowBytes}, cur)
 		}
-		partial := &Node{Op: aggOp, Children: []*Node{cur},
-			GroupBy: q.GroupBy, Aggs: q.Aggs, EstRows: groups, RowBytes: aggWidth}
+		partial := s.add(Node{Op: aggOp, GroupBy: q.GroupBy, Aggs: q.Aggs, EstRows: groups, RowBytes: aggWidth}, cur)
 		var ex *Node
 		if len(q.GroupBy) > 0 {
-			ex = &Node{Op: ExchangeHashPartition, Children: []*Node{partial},
-				GroupBy: q.GroupBy, EstRows: groups, RowBytes: aggWidth}
+			ex = s.add(Node{Op: ExchangeHashPartition, GroupBy: q.GroupBy, EstRows: groups, RowBytes: aggWidth}, partial)
 		} else {
-			ex = &Node{Op: ExchangeSinglePartition, Children: []*Node{partial},
-				EstRows: groups, RowBytes: aggWidth}
+			ex = s.add(Node{Op: ExchangeSinglePartition, EstRows: groups, RowBytes: aggWidth}, partial)
 		}
 		pre := ex
 		if sortAgg {
-			pre = &Node{Op: Sort, Children: []*Node{ex}, SortCol: &q.GroupBy[0], EstRows: groups, RowBytes: aggWidth}
+			pre = s.add(Node{Op: Sort, SortCol: &q.GroupBy[0], EstRows: groups, RowBytes: aggWidth}, ex)
 		}
-		cur = &Node{Op: aggOp, Children: []*Node{pre},
-			GroupBy: q.GroupBy, Aggs: q.Aggs, Final: true, EstRows: groups, RowBytes: aggWidth}
+		cur = s.add(Node{Op: aggOp, GroupBy: q.GroupBy, Aggs: q.Aggs, Final: true, EstRows: groups, RowBytes: aggWidth}, pre)
 	}
 
 	if q.OrderBy != nil {
-		ex := &Node{Op: ExchangeSinglePartition, Children: []*Node{cur}, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
-		cur = &Node{Op: Sort, Children: []*Node{ex}, SortCol: q.OrderBy, SortDesc: q.Desc, EstRows: cur.EstRows, RowBytes: cur.RowBytes}
+		ex := s.add(Node{Op: ExchangeSinglePartition, EstRows: cur.EstRows, RowBytes: cur.RowBytes}, cur)
+		cur = s.add(Node{Op: Sort, SortCol: q.OrderBy, SortDesc: q.Desc, EstRows: cur.EstRows, RowBytes: cur.RowBytes}, ex)
 	}
 	if q.Limit >= 0 {
 		rows := cur.EstRows
 		if float64(q.Limit) < rows {
 			rows = float64(q.Limit)
 		}
-		cur = &Node{Op: LocalLimit, Children: []*Node{cur}, LimitN: q.Limit, EstRows: rows, RowBytes: cur.RowBytes}
+		cur = s.add(Node{Op: LocalLimit, LimitN: q.Limit, EstRows: rows, RowBytes: cur.RowBytes}, cur)
 	}
 
 	p := &Plan{Root: cur, Query: q, Sig: v.sig}
-	p.finalize()
+	p.finalize(size)
 	return p
 }

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"strconv"
 	"strings"
 )
 
@@ -43,11 +44,14 @@ type ColumnRef struct {
 	Name      string
 }
 
-func (c ColumnRef) String() string {
+func (c ColumnRef) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo appends the column's rendering, qualifier first when it has one.
+func (c ColumnRef) AppendTo(b []byte) []byte {
 	if c.Qualifier != "" {
-		return c.Qualifier + "." + c.Name
+		b = append(append(b, c.Qualifier...), '.')
 	}
-	return c.Name
+	return append(b, c.Name...)
 }
 
 // SelectItem is one output expression: either an aggregate (possibly over
@@ -147,11 +151,14 @@ type Literal struct {
 	S     string
 }
 
-func (l Literal) String() string {
+func (l Literal) String() string { return string(l.AppendTo(nil)) }
+
+// AppendTo appends the literal as SQL text: quoted string or decimal integer.
+func (l Literal) AppendTo(b []byte) []byte {
 	if l.IsStr {
-		return "'" + l.S + "'"
+		return append(append(append(b, '\''), l.S...), '\'')
 	}
-	return fmt.Sprintf("%d", l.I)
+	return strconv.AppendInt(b, l.I, 10)
 }
 
 // IntLit returns an integer literal.
@@ -163,6 +170,8 @@ func StrLit(v string) Literal { return Literal{IsStr: true, S: v} }
 // Predicate is one conjunct of a WHERE clause.
 type Predicate interface {
 	fmt.Stringer
+	// AppendTo appends the predicate's rendering, the bytes String returns.
+	AppendTo(b []byte) []byte
 	// Columns returns every column the predicate references.
 	Columns() []ColumnRef
 	isPredicate()
@@ -181,11 +190,16 @@ func (c *Comparison) isPredicate() {}
 // IsJoin reports whether the comparison relates two columns.
 func (c *Comparison) IsJoin() bool { return c.RightCol != nil }
 
-func (c *Comparison) String() string {
+func (c *Comparison) String() string { return string(c.AppendTo(nil)) }
+
+// AppendTo implements Predicate.
+func (c *Comparison) AppendTo(b []byte) []byte {
+	b = append(c.Left.AppendTo(b), ' ')
+	b = append(append(b, c.Op.String()...), ' ')
 	if c.RightCol != nil {
-		return fmt.Sprintf("%s %s %s", c.Left, c.Op, *c.RightCol)
+		return c.RightCol.AppendTo(b)
 	}
-	return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Lit)
+	return c.Lit.AppendTo(b)
 }
 
 // Columns implements Predicate.
@@ -204,8 +218,13 @@ type Between struct {
 
 func (b *Between) isPredicate() {}
 
-func (b *Between) String() string {
-	return fmt.Sprintf("%s BETWEEN %d AND %d", b.Col, b.Lo, b.Hi)
+func (b *Between) String() string { return string(b.AppendTo(nil)) }
+
+// AppendTo implements Predicate.
+func (b *Between) AppendTo(dst []byte) []byte {
+	dst = append(b.Col.AppendTo(dst), " BETWEEN "...)
+	dst = append(strconv.AppendInt(dst, b.Lo, 10), " AND "...)
+	return strconv.AppendInt(dst, b.Hi, 10)
 }
 
 // Columns implements Predicate.
@@ -219,12 +238,18 @@ type In struct {
 
 func (i *In) isPredicate() {}
 
-func (i *In) String() string {
-	vals := make([]string, len(i.Values))
+func (i *In) String() string { return string(i.AppendTo(nil)) }
+
+// AppendTo implements Predicate.
+func (i *In) AppendTo(b []byte) []byte {
+	b = append(i.Col.AppendTo(b), " IN ("...)
 	for j, v := range i.Values {
-		vals[j] = v.String()
+		if j > 0 {
+			b = append(b, ", "...)
+		}
+		b = v.AppendTo(b)
 	}
-	return fmt.Sprintf("%s IN (%s)", i.Col, strings.Join(vals, ", "))
+	return append(b, ')')
 }
 
 // Columns implements Predicate.
@@ -238,7 +263,13 @@ type Like struct {
 
 func (l *Like) isPredicate() {}
 
-func (l *Like) String() string { return fmt.Sprintf("%s LIKE '%s'", l.Col, l.Pattern) }
+func (l *Like) String() string { return string(l.AppendTo(nil)) }
+
+// AppendTo implements Predicate.
+func (l *Like) AppendTo(b []byte) []byte {
+	b = append(l.Col.AppendTo(b), " LIKE '"...)
+	return append(append(b, l.Pattern...), '\'')
+}
 
 // Columns implements Predicate.
 func (l *Like) Columns() []ColumnRef { return []ColumnRef{l.Col} }
@@ -253,11 +284,15 @@ type NullCheck struct {
 
 func (n *NullCheck) isPredicate() {}
 
-func (n *NullCheck) String() string {
+func (n *NullCheck) String() string { return string(n.AppendTo(nil)) }
+
+// AppendTo implements Predicate.
+func (n *NullCheck) AppendTo(b []byte) []byte {
+	b = n.Col.AppendTo(b)
 	if n.Not {
-		return fmt.Sprintf("%s IS NOT NULL", n.Col)
+		return append(b, " IS NOT NULL"...)
 	}
-	return fmt.Sprintf("%s IS NULL", n.Col)
+	return append(b, " IS NULL"...)
 }
 
 // Columns implements Predicate.

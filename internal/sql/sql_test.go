@@ -293,3 +293,37 @@ func TestCanonicalKey(t *testing.T) {
 		}
 	}
 }
+
+// TestAppendToRenders: every AppendTo writes after what the buffer holds,
+// and String is exactly the bytes AppendTo writes.
+func TestAppendToRenders(t *testing.T) {
+	rc := &ColumnRef{Qualifier: "b", Name: "y"}
+	for _, tc := range []struct {
+		x interface {
+			String() string
+			AppendTo([]byte) []byte
+		}
+		want string
+	}{
+		{ColumnRef{Name: "x"}, "x"},
+		{ColumnRef{Qualifier: "a", Name: "x"}, "a.x"},
+		{IntLit(-9223372036854775808), "-9223372036854775808"},
+		{StrLit("it's"), "'it's'"},
+		{&Comparison{Left: ColumnRef{Qualifier: "a", Name: "x"}, Op: OpLe, Lit: IntLit(-3)}, "a.x <= -3"},
+		{&Comparison{Left: ColumnRef{Name: "x"}, Op: OpNe, RightCol: rc}, "x != b.y"},
+		{&Comparison{Left: ColumnRef{Name: "x"}, Op: CmpOp(9), Lit: StrLit("")}, "x CmpOp(9) ''"},
+		{&Between{Col: ColumnRef{Name: "x"}, Lo: -5, Hi: -1}, "x BETWEEN -5 AND -1"},
+		{&In{Col: ColumnRef{Qualifier: "a", Name: "x"}, Values: []Literal{IntLit(-1), StrLit("s"), IntLit(2)}}, "a.x IN (-1, 's', 2)"},
+		{&In{Col: ColumnRef{Name: "x"}}, "x IN ()"},
+		{&Like{Col: ColumnRef{Name: "x"}, Pattern: "%a_%"}, "x LIKE '%a_%'"},
+		{&NullCheck{Col: ColumnRef{Name: "x"}, Not: true}, "x IS NOT NULL"},
+		{&NullCheck{Col: ColumnRef{Qualifier: "a", Name: "x"}}, "a.x IS NULL"},
+	} {
+		if got := tc.x.String(); got != tc.want {
+			t.Errorf("String() = %q, want %q", got, tc.want)
+		}
+		if got := string(tc.x.AppendTo([]byte("p|"))); got != "p|"+tc.want {
+			t.Errorf("AppendTo after a prefix = %q, want %q", got, "p|"+tc.want)
+		}
+	}
+}
