@@ -19,9 +19,9 @@
 //
 // The same binary runs as a replica (default) or, with -route, as the
 // fleet front router (internal/fleet): consistent-hash affinity on the
-// SQL text's token stream, active health checking, per-replica
-// circuit breakers, bounded retries, tail hedging, and degradation to
-// the local GPSJ estimate when no replica can answer.
+// SQL text's token stream, one health state per replica fed by readyz
+// probes and request outcomes, bounded retries, tail hedging, and
+// degradation to the local GPSJ estimate when no replica can answer.
 //
 // The -fault-* flags arm deterministic fault injection in the replica's
 // deep path (serve.FaultConfig) for chaos drills: a fixed -fault-seed
@@ -33,7 +33,7 @@
 //	POST /select    same body; prices candidate plans, returns the argmin
 //	GET  /healthz   liveness
 //	GET  /readyz    readiness (503 once draining or saturated)
-//	GET  /fleetz    router only: live per-replica health/breaker state
+//	GET  /fleetz    router only: live per-replica health state
 //	GET  /cachez    encode-cache per-key hit attribution (requires -model)
 //	GET  /metrics   Prometheus text exposition (serving + model telemetry)
 //	GET  /models    online mode: model registry status (champion, shadow, history)

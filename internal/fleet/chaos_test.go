@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"log/slog"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
@@ -59,7 +60,8 @@ func newChaosReplica(t *testing.T, id string, faults *serve.FaultConfig) *chaosR
 // connection surfaced to the caller, or an empty body.
 func TestChaosFleetZeroLoss(t *testing.T) {
 	// r1 fault-injects: half its deep calls error, a fifth panic, and it
-	// has no fallback, so those surface as real 500s at the router.
+	// has no fallback, so those surface as real 500s at the router. Its
+	// readyz stays green, so only request outcomes can take it down.
 	faulty := &serve.FaultConfig{Seed: 42, ErrorProb: 0.5, PanicProb: 0.2}
 	reps := []*chaosReplica{
 		newChaosReplica(t, "r0", nil),
@@ -68,23 +70,24 @@ func TestChaosFleetZeroLoss(t *testing.T) {
 	}
 	reg := telemetry.NewRegistry()
 	met := NewMetrics(reg, []string{"r0", "r1", "r2"})
+	moves := &transitionLog{}
 	router, err := New(Config{
 		Replicas: []Replica{
 			{ID: "r0", URL: reps[0].ts.URL},
 			{ID: "r1", URL: reps[1].ts.URL},
 			{ID: "r2", URL: reps[2].ts.URL},
 		},
-		Planner:          testPlanner,
-		HealthInterval:   20 * time.Millisecond,
-		DownAfter:        2,
-		UpAfter:          1,
-		RetryAttempts:    2,
-		AttemptTimeout:   2 * time.Second,
-		BreakerThreshold: 3,
-		BreakerCooldown:  50 * time.Millisecond,
-		HedgeAfter:       50 * time.Millisecond,
-		Seed:             7,
-		Metrics:          met,
+		Planner:        testPlanner,
+		HealthInterval: 20 * time.Millisecond,
+		// A probe of a loaded replica under the race detector can take
+		// longer than the 20ms interval; it must not count as a failure.
+		ProbeTimeout:   2 * time.Second,
+		RetryAttempts:  2,
+		AttemptTimeout: 2 * time.Second,
+		HedgeAfter:     50 * time.Millisecond,
+		Seed:           7,
+		Metrics:        met,
+		Logger:         slog.New(moves),
 		Fallback: func(_ context.Context, p *physical.Plan, _ sparksim.Resources) (float64, error) {
 			return 9.0, nil
 		},
@@ -170,15 +173,22 @@ func TestChaosFleetZeroLoss(t *testing.T) {
 	if deep.Load() == 0 {
 		t.Fatal("no deep answers at all — the healthy replicas were not used")
 	}
-	t.Logf("served %d: %d deep, %d degraded; retries=%v failovers=%v sheds=%v breakerOpens(r1)=%v rebalances=%v",
-		total, deep.Load(), degraded.Load(),
-		met.Retries.Value(), met.Failovers.Value(), met.BreakerSheds.Value(),
-		met.BreakerOpens.With("r1").Value(), met.Rebalances.Value())
+	t.Logf("served %d: %d deep, %d degraded; retries=%v failovers=%v r1 down %d time(s), probe failures %v; rebalances=%v",
+		total, deep.Load(), degraded.Load(), met.Retries.Value(), met.Failovers.Value(),
+		moves.count("r1", "down"), met.ProbeFailures.With("r1").Value(), met.Rebalances.Value())
 
 	// The chaos must have been visible: the faulty replica forced
 	// retries/failovers, and the killed replica left the routable set.
 	if met.Retries.Value() == 0 && met.Failovers.Value() == 0 {
 		t.Fatal("fault injection produced no retries or failovers — the schedule did not exercise the fleet")
+	}
+	// r1's probes all passed, so its trips out of rotation were request
+	// outcomes at work.
+	if n := moves.count("r1", "down"); n == 0 {
+		t.Fatal("r1 never left rotation although its requests kept failing")
+	}
+	if n := met.ProbeFailures.With("r1").Value(); n != 0 {
+		t.Fatalf("r1 failed %d readyz probe(s), want 0: its faults are in the deep path only", n)
 	}
 	if met.Requests.With("estimate").Value() != uint64(total) {
 		t.Fatalf("router counted %v requests, want %d", met.Requests.With("estimate").Value(), total)

@@ -1,11 +1,15 @@
 package fleet
 
 import (
+	"context"
+	"net/http"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
-// step asserts one probe outcome produces the expected state.
+// step asserts one outcome produces the expected state.
 func step(t *testing.T, f *healthFSM, ok bool, want HealthState) {
 	t.Helper()
 	_, cur := f.observe(ok)
@@ -14,8 +18,16 @@ func step(t *testing.T, f *healthFSM, ok bool, want HealthState) {
 	}
 }
 
+// stepN applies n identical outcomes, asserting the state after each.
+func stepN(t *testing.T, f *healthFSM, n int, ok bool, want HealthState) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		step(t, f, ok, want)
+	}
+}
+
 func TestHealthLifecycleHysteresis(t *testing.T) {
-	f := newHealthFSM(3, 2)
+	f := newHealthFSM()
 	if f.State() != Healthy {
 		t.Fatalf("initial state = %v, want Healthy", f.State())
 	}
@@ -27,17 +39,16 @@ func TestHealthLifecycleHysteresis(t *testing.T) {
 	}
 	step(t, f, true, Healthy)
 
-	// Sustained failure: suspect for DownAfter-1 more fails, then down.
-	step(t, f, false, Suspect)
-	step(t, f, false, Suspect)
+	// Sustained failure: suspect for downAfter-1 fails, then down.
+	stepN(t, f, downAfter-1, false, Suspect)
 	step(t, f, false, Down)
 	if f.State().Routable() {
 		t.Fatal("down replica must not be routable")
 	}
 
-	// Recovery needs UpAfter consecutive successes, then one more for
+	// Recovery needs upAfter consecutive successes, then one more for
 	// full trust.
-	step(t, f, true, Down)
+	stepN(t, f, upAfter-1, true, Down)
 	step(t, f, true, Recovered)
 	if !f.State().Routable() {
 		t.Fatal("recovered replica must be routable")
@@ -46,27 +57,24 @@ func TestHealthLifecycleHysteresis(t *testing.T) {
 }
 
 // A recovered replica that fails again goes straight back down — no
-// three-probe grace while it is still rebuilding trust.
+// downAfter grace while it is still rebuilding trust.
 func TestHealthRecoveredFailsFast(t *testing.T) {
-	f := newHealthFSM(3, 2)
-	step(t, f, false, Suspect)
-	step(t, f, false, Suspect)
+	f := newHealthFSM()
+	stepN(t, f, downAfter-1, false, Suspect)
 	step(t, f, false, Down)
-	step(t, f, true, Down)
+	stepN(t, f, upAfter-1, true, Down)
 	step(t, f, true, Recovered)
 	step(t, f, false, Down)
 }
 
 // An interrupted success streak must not count toward recovery.
 func TestHealthRecoveryStreakResets(t *testing.T) {
-	f := newHealthFSM(2, 3)
-	step(t, f, false, Suspect)
+	f := newHealthFSM()
+	stepN(t, f, downAfter-1, false, Suspect)
 	step(t, f, false, Down)
-	step(t, f, true, Down)
-	step(t, f, true, Down)
-	step(t, f, false, Down) // streak broken at 2 of 3
-	step(t, f, true, Down)
-	step(t, f, true, Down)
+	stepN(t, f, upAfter-1, true, Down)
+	step(t, f, false, Down) // streak broken one short of upAfter
+	stepN(t, f, upAfter-1, true, Down)
 	step(t, f, true, Recovered)
 }
 
@@ -80,79 +88,169 @@ func TestHealthStateStrings(t *testing.T) {
 	}
 }
 
-func TestBreakerOpensAtThresholdAndSheds(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := newBreaker(3, 100*time.Millisecond, clock)
+// detectorRig drives one replica's health through the router's two real
+// inputs: a readyz probe (Router.check) and a proxied /estimate attempt
+// (Router.attemptChain, one attempt). The probe loop never ticks; the
+// test is the only prober.
+type detectorRig struct {
+	t          *testing.T
+	f          *fleetUnderTest
+	rt         *Router
+	rep        *replicaRT
+	readyFails atomic.Bool
+	estFails   atomic.Bool
+}
 
-	if !b.Allow() {
-		t.Fatal("closed breaker must allow")
-	}
-	if b.Failure() {
-		t.Fatal("first failure must not open")
-	}
-	b.Failure()
-	if !b.Allow() {
-		t.Fatal("breaker below threshold must allow")
-	}
-	if !b.Failure() {
-		t.Fatal("third consecutive failure must open")
-	}
-	if b.State() != breakerOpen {
-		t.Fatalf("state = %v, want open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("open breaker inside cooldown must shed")
+func newDetectorRig(t *testing.T) *detectorRig {
+	f := newFleet(t, 1, func(cfg *Config) {
+		cfg.HealthInterval = time.Hour
+		cfg.RetryAttempts = 1
+	})
+	d := &detectorRig{t: t, f: f, rt: f.router, rep: f.router.byIndex[0]}
+	f.replicas[0].setMode(func(w http.ResponseWriter, r *http.Request) bool {
+		fail := d.estFails.Load()
+		if r.URL.Path == "/readyz" {
+			fail = d.readyFails.Load()
+		}
+		if fail {
+			w.WriteHeader(http.StatusInternalServerError)
+		}
+		return fail
+	})
+	return d
+}
+
+func (d *detectorRig) expect(input string, ok bool, want HealthState) {
+	d.t.Helper()
+	if got := d.rep.health.State(); got != want {
+		d.t.Fatalf("after %s ok=%v: state = %v, want %v", input, ok, got, want)
 	}
 }
 
-func TestBreakerHalfOpenProbe(t *testing.T) {
-	now := time.Unix(0, 0)
-	clock := func() time.Time { return now }
-	b := newBreaker(1, 100*time.Millisecond, clock)
-	b.Failure() // opens
+// probe runs one readyz probe that passes or fails.
+func (d *detectorRig) probe(ok bool, want HealthState) {
+	d.t.Helper()
+	d.readyFails.Store(!ok)
+	d.rt.check(d.rep)
+	d.expect("probe", ok, want)
+}
 
-	now = now.Add(50 * time.Millisecond)
-	if b.Allow() {
-		t.Fatal("cooldown not elapsed: must shed")
+// request proxies one /estimate attempt that is served or gets a 500.
+func (d *detectorRig) request(ok bool, want HealthState) {
+	d.t.Helper()
+	d.estFails.Store(!ok)
+	out := d.rt.attemptChain(context.Background(), []*replicaRT{d.rep}, 0, "estimate", []byte(`{"sql":"q"}`))
+	if (out.err == nil) != ok {
+		d.t.Fatalf("request ok=%v: attempt error %v", ok, out.err)
 	}
-	now = now.Add(60 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("cooldown elapsed: must admit the half-open probe")
-	}
-	if b.State() != breakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State())
-	}
-	if b.Allow() {
-		t.Fatal("half-open breaker must admit exactly one probe")
-	}
+	d.expect("request", ok, want)
+}
 
-	// Failed probe reopens and restarts the cooldown.
-	if !b.Failure() {
-		t.Fatal("failed half-open probe must report reopening")
+// downAfter consecutive failures take a healthy replica out of rotation
+// whichever input reports them; anything less leaves it Suspect.
+func TestHealthFailuresFromBothInputsReachDown(t *testing.T) {
+	d := newDetectorRig(t)
+	d.request(false, Suspect)
+	for i := 1; i < downAfter-1; i++ {
+		d.probe(false, Suspect)
 	}
-	if b.Allow() {
-		t.Fatal("reopened breaker must shed again")
+	d.request(false, Down)
+
+	// Requests alone do it too.
+	for i := 1; i < upAfter; i++ {
+		d.probe(true, Down)
 	}
-	now = now.Add(110 * time.Millisecond)
-	if !b.Allow() {
-		t.Fatal("second cooldown elapsed: must admit another probe")
+	d.probe(true, Recovered)
+	d.request(true, Healthy)
+	for i := 1; i < downAfter; i++ {
+		d.request(false, Suspect)
 	}
-	// Successful probe closes.
-	if !b.Success() {
-		t.Fatal("successful probe must report closing")
+	d.request(false, Down)
+}
+
+// A recovered replica goes back Down on its first failed request, as on
+// its first failed probe.
+func TestHealthRecoveredFailsFastOnRequest(t *testing.T) {
+	d := newDetectorRig(t)
+	for i := 1; i < downAfter; i++ {
+		d.probe(false, Suspect)
 	}
-	if b.State() != breakerClosed || !b.Allow() {
-		t.Fatal("closed breaker must allow freely")
+	d.probe(false, Down)
+	for i := 1; i < upAfter; i++ {
+		d.probe(true, Down)
+	}
+	d.probe(true, Recovered)
+	d.request(false, Down)
+}
+
+// A success from either input ends a failure streak built from the
+// other: a passed probe resets a streak of failed requests, and a
+// served request resets a streak of failed probes.
+func TestHealthSuccessResetsStreakAcrossInputs(t *testing.T) {
+	d := newDetectorRig(t)
+	for i := 1; i < downAfter; i++ {
+		d.request(false, Suspect)
+	}
+	d.probe(true, Healthy)
+	for i := 1; i < downAfter; i++ {
+		d.probe(false, Suspect)
+	}
+	d.request(true, Healthy)
+	d.request(false, Suspect) // a fresh streak of one, not downAfter
+}
+
+// Probes and request goroutines observing one replica at once leave the
+// gauges on the state the replica ended in, and count one rebalance per
+// logged transition across the routable line.
+func TestHealthConcurrentInputsKeepGaugesConsistent(t *testing.T) {
+	d := newDetectorRig(t)
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 500; i++ {
+				d.rt.observe(d.rep, (i/4+g)%2 == 0) // runs of four fails and four oks
+			}
+		}(g)
+	}
+	wg.Wait()
+	state := d.rep.health.State()
+	up := 0.0
+	if state.Routable() {
+		up = 1
+	}
+	if got := d.f.met.ReplicaState.With(d.rep.id).Value(); got != float64(state) {
+		t.Fatalf("state gauge reads %v, the replica is %v", got, state)
+	}
+	if got := d.f.met.ReplicaUp.With(d.rep.id).Value(); got != up {
+		t.Fatalf("up gauge reads %v, the replica is %v", got, state)
+	}
+	flips := d.f.moves.count(d.rep.id, "down") + d.f.moves.count(d.rep.id, "recovered")
+	if flips == 0 || d.f.met.Rebalances.Value() != uint64(flips) {
+		t.Fatalf("rebalances = %d, want one per transition into or out of down (%d)", d.f.met.Rebalances.Value(), flips)
 	}
 }
 
-func TestBreakerSuccessResetsStreak(t *testing.T) {
-	b := newBreaker(2, time.Second, nil)
-	b.Failure()
-	b.Success()
-	if b.Failure() {
-		t.Fatal("streak was reset; one failure must not open")
+// A success on a Healthy replica, what every served request reports,
+// takes no lock and allocates nothing: with the detector's mutex held
+// elsewhere it still returns at once.
+func TestHealthHealthySuccessTakesNoLock(t *testing.T) {
+	d := newDetectorRig(t)
+	d.rep.health.mu.Lock()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		d.rt.observe(d.rep, true)
+	}()
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("a success on a healthy replica waited for the detector's lock")
+	}
+	d.rep.health.mu.Unlock()
+	if allocs := testing.AllocsPerRun(100, func() { d.rt.observe(d.rep, true) }); allocs != 0 {
+		t.Fatalf("a success on a healthy replica allocates %.0f times, want 0", allocs)
 	}
 }
 

@@ -5,14 +5,13 @@
 // request it can proxy — the answering replica does, once — and wraps
 // the affinity in the robustness stack production traffic needs:
 //
-//   - active health checking — every replica's readyz is probed on an
-//     interval and folded through a hysteresis state machine
-//     (healthy → suspect → down → recovered), so a blip does not move
-//     keys off their warm replica but a dead process stops receiving
-//     traffic within a few probes;
-//   - per-replica circuit breakers — driven by real request outcomes,
-//     reacting within a handful of failures instead of a probe interval;
-//     open breakers shed load to the next ring position;
+//   - one failure detector per replica — a hysteresis state machine
+//     (healthy → suspect → down → recovered) fed by two inputs: readyz
+//     probes on an interval, and the outcomes of the requests the router
+//     proxies. A blip does not move keys off their warm replica, a dead
+//     process stops receiving traffic within a few probes, and one that
+//     answers probes but fails requests within a few requests; its keys
+//     fail over to the next ring position;
 //   - bounded retries — jittered exponential backoff on connection
 //     errors and 5xx, context-aware throughout;
 //   - tail hedging — when a request outlives the fleet's recent p99, a
@@ -52,9 +51,8 @@ import (
 
 // Typed failure modes, matched with errors.Is.
 var (
-	// ErrNoReplicas: every replica for the key is down (health or
-	// breaker); with a fallback configured the caller gets a degraded
-	// answer instead of this error.
+	// ErrNoReplicas: every replica for the key is down; with a fallback
+	// configured the caller gets a degraded answer instead of this error.
 	ErrNoReplicas = errors.New("fleet: no routable replica")
 	// ErrAllFailed: every routable replica was tried and failed.
 	ErrAllFailed = errors.New("fleet: every replica attempt failed")
@@ -100,11 +98,6 @@ type Config struct {
 	// ProbeTimeout bounds each probe (default HealthInterval).
 	HealthInterval time.Duration
 	ProbeTimeout   time.Duration
-	// DownAfter is how many consecutive probe failures send a suspect
-	// replica down (default 3); UpAfter how many consecutive successes
-	// bring a down replica back (default 2).
-	DownAfter int
-	UpAfter   int
 
 	// RetryAttempts is the per-replica attempt budget for connection
 	// errors and 5xx (default 2: one try, one retry); Backoff shapes the
@@ -114,12 +107,6 @@ type Config struct {
 	// AttemptTimeout bounds each proxied attempt so a stalled replica
 	// cannot pin the failover chain (default 2s).
 	AttemptTimeout time.Duration
-
-	// BreakerThreshold consecutive request failures open a replica's
-	// breaker (default 3); BreakerCooldown is how long it sheds before
-	// admitting a half-open probe (default 500ms).
-	BreakerThreshold int
-	BreakerCooldown  time.Duration
 
 	// HedgeAfter fixes the tail-hedging trigger; 0 adapts it to the
 	// observed p99 (clamped to [HedgeMin, HedgeMax], defaults 1ms and
@@ -134,8 +121,7 @@ type Config struct {
 	// Metrics receives routing telemetry; nil routes unobserved. When it
 	// carries a registry, the router serves GET /metrics.
 	Metrics *Metrics
-	// Logger receives health transitions and breaker events; nil
-	// discards them.
+	// Logger receives health transitions; nil discards them.
 	Logger *slog.Logger
 }
 
@@ -144,7 +130,6 @@ type replicaRT struct {
 	id     string
 	url    string
 	health *healthFSM
-	brk    *breaker
 	// post (by endpoint name) and readyz are read-only request templates
 	// with parsed URLs; each attempt or probe sends a shallow copy carrying
 	// its own context and body.
@@ -266,8 +251,7 @@ func New(cfg Config) (*Router, error) {
 		rep := &replicaRT{
 			id:     r.ID,
 			url:    r.URL,
-			health: newHealthFSM(cfg.DownAfter, cfg.UpAfter),
-			brk:    newBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown, nil),
+			health: newHealthFSM(),
 			post:   make(map[string]*http.Request, len(proxied)),
 		}
 		var err error
@@ -281,7 +265,7 @@ func New(cfg Config) (*Router, error) {
 		}
 		rt.replicas[r.ID] = rep
 		rt.byIndex = append(rt.byIndex, rep)
-		met.ReplicaState.With(r.ID).Set(stateValue(Healthy))
+		met.ReplicaState.With(r.ID).Set(float64(Healthy))
 		met.ReplicaUp.With(r.ID).Set(1)
 	}
 	rt.ring = newRing(ids, cfg.Vnodes)
@@ -332,7 +316,7 @@ func (rt *Router) float64() float64 {
 // ---------------------------------------------------------------------------
 // Health checking
 
-// probeLoop drives one replica's health FSM off its readyz endpoint.
+// probeLoop checks one replica on every HealthInterval tick.
 func (rt *Router) probeLoop(rep *replicaRT) {
 	defer rt.wg.Done()
 	t := time.NewTicker(rt.cfg.HealthInterval)
@@ -343,28 +327,50 @@ func (rt *Router) probeLoop(rep *replicaRT) {
 			return
 		case <-t.C:
 		}
-		ok := rt.probe(rep)
-		if !ok {
-			rt.met.ProbeFailures.With(rep.id).Inc()
-		}
-		prev, cur := rep.health.observe(ok)
-		if cur == prev {
-			continue
-		}
-		rt.met.ReplicaState.With(rep.id).Set(stateValue(cur))
-		if prev.Routable() != cur.Routable() {
-			rt.met.Rebalances.Inc()
-			up := 0.0
-			if cur.Routable() {
-				up = 1
-			}
-			rt.met.ReplicaUp.With(rep.id).Set(up)
-		}
-		rt.log.LogAttrs(context.Background(), slog.LevelInfo, "replica health transition",
-			slog.String("replica", rep.id),
-			slog.String("from", prev.String()),
-			slog.String("to", cur.String()))
+		rt.check(rep)
 	}
+}
+
+// check probes rep once and folds the outcome into its health state.
+func (rt *Router) check(rep *replicaRT) {
+	ok := rt.probe(rep)
+	if !ok {
+		rt.met.ProbeFailures.With(rep.id).Inc()
+	}
+	rt.observe(rep, ok)
+}
+
+// observe folds one outcome of rep — a readyz probe or a proxied
+// attempt — into its health state, and on a transition updates the
+// state gauges and logs it. The gauges are set under the state's lock,
+// so they always end on the current state; the log line, which runs the
+// caller's handler, is written after it is released. A success on a
+// Healthy replica, the common case, returns at once.
+func (rt *Router) observe(rep *replicaRT, ok bool) {
+	h := rep.health
+	if ok && h.State() == Healthy {
+		return
+	}
+	h.mu.Lock()
+	prev, cur := h.observe(ok)
+	if cur == prev {
+		h.mu.Unlock()
+		return
+	}
+	rt.met.ReplicaState.With(rep.id).Set(float64(cur))
+	if prev.Routable() != cur.Routable() {
+		rt.met.Rebalances.Inc()
+		up := 0.0
+		if cur.Routable() {
+			up = 1
+		}
+		rt.met.ReplicaUp.With(rep.id).Set(up)
+	}
+	h.mu.Unlock()
+	rt.log.LogAttrs(context.Background(), slog.LevelInfo, "replica health transition",
+		slog.String("replica", rep.id),
+		slog.String("from", prev.String()),
+		slog.String("to", cur.String()))
 }
 
 // probe hits the replica's readyz once; only a 200 counts (a saturated
@@ -552,9 +558,8 @@ func (rt *Router) hedgeThreshold() time.Duration {
 	return q
 }
 
-// candidates returns the key's preference list: ring order, health-
-// routable members only. Breaker state is checked at attempt time (an
-// Allow has half-open side effects).
+// candidates returns the key's preference list: ring order, routable
+// members only.
 func (rt *Router) candidates(key string) []*replicaRT {
 	order := rt.ring.Order(key)
 	cands := make([]*replicaRT, 0, len(order))
@@ -621,28 +626,26 @@ func (rt *Router) forward(ctx context.Context, endpoint string, body []byte, key
 }
 
 // attemptChain walks the preference list from start, giving each
-// breaker-admitted replica RetryAttempts tries with jittered backoff,
-// and returns the first definitive response. 2xx, 3xx and client-error
-// 4xx are definitive; connection errors, oversized bodies and 5xx retry
-// then fail over; 429/503 (saturated/draining — load states, not
-// breakage) fail over immediately without a breaker penalty.
+// replica RetryAttempts tries with jittered backoff, and returns the
+// first definitive response. 2xx, 3xx and client-error 4xx are
+// definitive and count as a success for the replica's health;
+// connection errors, oversized bodies and 5xx count as a failure, retry
+// while the replica stays routable, then fail over; 429/503
+// (saturated/draining — load states, not breakage) fail over at once
+// and count as neither.
 func (rt *Router) attemptChain(ctx context.Context, cands []*replicaRT, start int, endpoint string, body []byte) attemptOut {
 	var lastErr error
-	tried := 0
 	for i := start; i < len(cands); i++ {
 		rep := cands[i]
-		if !rep.brk.Allow() {
-			rt.met.BreakerSheds.Inc()
-			rt.met.BreakerState.With(rep.id).Set(breakerValue(rep.brk.State()))
-			continue
-		}
-		if tried > 0 {
+		if i > start {
 			rt.met.Failovers.Inc()
 		}
-		tried++
 	attempts:
 		for attempt := 0; attempt < rt.cfg.RetryAttempts; attempt++ {
 			if attempt > 0 {
+				if !rep.health.State().Routable() {
+					break // its failures took it out of rotation
+				}
 				rt.met.Retries.Inc()
 				if err := backoff.Sleep(ctx, rt.cfg.Backoff.Delay(attempt-1, rt.float64)); err != nil {
 					return attemptOut{err: err}
@@ -653,28 +656,25 @@ func (rt *Router) attemptChain(ctx context.Context, cands []*replicaRT, start in
 				if ctx.Err() != nil {
 					return attemptOut{err: ctx.Err()}
 				}
-				rt.recordFailure(rep)
+				rt.observe(rep, false)
 				lastErr = fmt.Errorf("replica %s: %w", rep.id, err)
 				continue // connection-level failure: retry this replica
 			}
 			switch {
-			case status < 400:
-				rt.recordSuccess(rep)
-				return attemptOut{status: status, body: respBody, replica: rep.id}
-			case status == http.StatusBadRequest || status == http.StatusRequestEntityTooLarge ||
-				status == http.StatusNotFound:
-				// Definitive client error: relay as-is, and the replica
-				// answered correctly, so its breaker heals.
-				rt.recordSuccess(rep)
+			case status < 400 || status == http.StatusBadRequest ||
+				status == http.StatusRequestEntityTooLarge || status == http.StatusNotFound:
+				// An answer, or a definitive client error relayed as-is:
+				// either way the replica answered correctly.
+				rt.observe(rep, true)
 				return attemptOut{status: status, body: respBody, replica: rep.id}
 			case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
 				// Saturated or draining: shed to the next ring position.
-				// Not a breakage signal — the health checker will absorb
-				// a sustained 503 via the readyz probes.
+				// Not a breakage signal — the probes absorb a sustained
+				// 503 through readyz.
 				lastErr = fmt.Errorf("replica %s: HTTP %d", rep.id, status)
 				break attempts
 			default: // 5xx: the replica is misbehaving
-				rt.recordFailure(rep)
+				rt.observe(rep, false)
 				lastErr = fmt.Errorf("replica %s: HTTP %d", rep.id, status)
 			}
 		}
@@ -715,25 +715,6 @@ func (rt *Router) try(ctx context.Context, tmpl *http.Request, body []byte) (int
 	return resp.StatusCode, respBody, nil
 }
 
-// recordSuccess and recordFailure fold request outcomes into the
-// replica's breaker and its state gauge.
-func (rt *Router) recordSuccess(rep *replicaRT) {
-	if rep.brk.Success() {
-		rt.log.LogAttrs(context.Background(), slog.LevelInfo, "breaker closed",
-			slog.String("replica", rep.id))
-	}
-	rt.met.BreakerState.With(rep.id).Set(breakerValue(rep.brk.State()))
-}
-
-func (rt *Router) recordFailure(rep *replicaRT) {
-	if rep.brk.Failure() {
-		rt.met.BreakerOpens.With(rep.id).Inc()
-		rt.log.LogAttrs(context.Background(), slog.LevelWarn, "breaker opened",
-			slog.String("replica", rep.id))
-	}
-	rt.met.BreakerState.With(rep.id).Set(breakerValue(rep.brk.State()))
-}
-
 // ---------------------------------------------------------------------------
 // Operational surfaces
 
@@ -757,10 +738,9 @@ func (rt *Router) handleReadyz(w http.ResponseWriter, _ *http.Request) {
 
 // fleetzReplica is one row of the /fleetz state dump.
 type fleetzReplica struct {
-	ID      string `json:"id"`
-	URL     string `json:"url"`
-	Health  string `json:"health"`
-	Breaker string `json:"breaker"`
+	ID     string `json:"id"`
+	URL    string `json:"url"`
+	Health string `json:"health"`
 }
 
 // handleFleetz dumps the live membership view for operators.
@@ -768,10 +748,9 @@ func (rt *Router) handleFleetz(w http.ResponseWriter, _ *http.Request) {
 	out := make([]fleetzReplica, len(rt.byIndex))
 	for i, rep := range rt.byIndex {
 		out[i] = fleetzReplica{
-			ID:      rep.id,
-			URL:     rep.url,
-			Health:  rep.health.State().String(),
-			Breaker: rep.brk.State().String(),
+			ID:     rep.id,
+			URL:    rep.url,
+			Health: rep.health.State().String(),
 		}
 	}
 	writeJSON(w, http.StatusOK, out)

@@ -7,10 +7,13 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"log/slog"
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -83,11 +86,12 @@ type fleetUnderTest struct {
 	rs       *httptest.Server
 	reg      *telemetry.Registry
 	met      *Metrics
+	moves    *transitionLog
 }
 
 func newFleet(t *testing.T, n int, mutate func(*Config)) *fleetUnderTest {
 	t.Helper()
-	f := &fleetUnderTest{reg: telemetry.NewRegistry()}
+	f := &fleetUnderTest{reg: telemetry.NewRegistry(), moves: &transitionLog{}}
 	var reps []Replica
 	var ids []string
 	for i := 0; i < n; i++ {
@@ -98,18 +102,15 @@ func newFleet(t *testing.T, n int, mutate func(*Config)) *fleetUnderTest {
 	}
 	f.met = NewMetrics(f.reg, ids)
 	cfg := Config{
-		Replicas:         reps,
-		Planner:          testPlanner,
-		HealthInterval:   20 * time.Millisecond,
-		DownAfter:        2,
-		UpAfter:          1,
-		RetryAttempts:    2,
-		AttemptTimeout:   time.Second,
-		BreakerThreshold: 2,
-		BreakerCooldown:  100 * time.Millisecond,
-		HedgeAfter:       -1, // hedging off unless a test enables it
-		Seed:             7,
-		Metrics:          f.met,
+		Replicas:       reps,
+		Planner:        testPlanner,
+		HealthInterval: 20 * time.Millisecond,
+		RetryAttempts:  2,
+		AttemptTimeout: time.Second,
+		HedgeAfter:     -1, // hedging off unless a test enables it
+		Seed:           7,
+		Metrics:        f.met,
+		Logger:         slog.New(f.moves),
 	}
 	if mutate != nil {
 		mutate(&cfg)
@@ -263,67 +264,142 @@ func TestRouterAffinityKeyIsTheTokenStream(t *testing.T) {
 	}
 }
 
-func TestRouterFailsOverOn5xxAndOpensBreaker(t *testing.T) {
-	f := newFleet(t, 3, nil)
+// transitionLog is an slog.Handler that records the router's health
+// transitions, so a test can count them per replica and target state.
+type transitionLog struct {
+	mu    sync.Mutex
+	moves []string // "replica:from>to"
+}
+
+func (l *transitionLog) Enabled(context.Context, slog.Level) bool { return true }
+func (l *transitionLog) WithAttrs([]slog.Attr) slog.Handler       { return l }
+func (l *transitionLog) WithGroup(string) slog.Handler            { return l }
+
+func (l *transitionLog) Handle(_ context.Context, r slog.Record) error {
+	if r.Message != "replica health transition" {
+		return nil
+	}
+	attr := map[string]string{}
+	r.Attrs(func(a slog.Attr) bool {
+		attr[a.Key] = a.Value.String()
+		return true
+	})
+	l.mu.Lock()
+	l.moves = append(l.moves, attr["replica"]+":"+attr["from"]+">"+attr["to"])
+	l.mu.Unlock()
+	return nil
+}
+
+// count returns how many transitions of replica ended in state to, or
+// every transition of replica when to is "".
+func (l *transitionLog) count(replica, to string) int {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	n := 0
+	for _, m := range l.moves {
+		rep, move, _ := strings.Cut(m, ":")
+		if rep == replica && (to == "" || strings.HasSuffix(move, ">"+to)) {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRouterRequestFailuresTakeOwnerDown: an owner whose readyz stays
+// green but which answers every request with a 500 leaves rotation on
+// request outcomes alone, after at most downAfter failed attempts. It
+// then sees no traffic until probes bring it back Recovered, and its
+// first failed request sends it straight back Down. The test runs the
+// probes itself, so none can land between requests.
+func TestRouterRequestFailuresTakeOwnerDown(t *testing.T) {
+	f := newFleet(t, 3, func(cfg *Config) { cfg.HealthInterval = time.Hour })
 	owner := f.findOwner(t, "hot")
 	owner.setMode(func(w http.ResponseWriter, r *http.Request) bool {
 		if r.URL.Path == "/readyz" {
-			return false // keep health green: this is the breaker's job
+			return false // probes stay green: only requests see the fault
 		}
 		w.WriteHeader(http.StatusInternalServerError)
 		return true
 	})
-	for i := 0; i < 4; i++ {
-		status, er, rep := f.estimate(t, "hot")
-		if status != http.StatusOK {
-			t.Fatalf("request %d: status %d", i, status)
-		}
-		if er.Degraded {
-			t.Fatalf("request %d: degraded answer with two healthy replicas", i)
-		}
-		if rep == owner.id {
-			t.Fatalf("request %d: answered by the broken owner", i)
+	rep := f.router.replicas[owner.id]
+	served := func(i int) {
+		t.Helper()
+		status, er, from := f.estimate(t, "hot")
+		if status != http.StatusOK || er.Degraded || from == owner.id {
+			t.Fatalf("request %d: status %d from %q (degraded %v), want a clean 200 from a failover replica",
+				i, status, from, er.Degraded)
 		}
 	}
-	if f.met.Retries.Value() == 0 {
-		t.Fatal("5xx path must record retries")
+
+	for i := 0; rep.health.State().Routable(); i++ {
+		if i == downAfter {
+			t.Fatalf("owner still routable after %d requests (%d failed attempts)", i, owner.hits.Load())
+		}
+		served(i)
 	}
-	if f.met.Failovers.Value() == 0 {
-		t.Fatal("5xx path must record failovers")
+	if n := owner.hits.Load(); n > downAfter {
+		t.Fatalf("owner took %d failed attempts to leave rotation, want at most %d", n, downAfter)
 	}
-	if f.met.BreakerOpens.With(owner.id).Value() == 0 {
-		t.Fatal("sustained 5xx must open the owner's breaker")
+	if f.met.Retries.Value() == 0 || f.met.Failovers.Value() == 0 {
+		t.Fatal("the 5xx path must record retries and failovers")
 	}
-	// Once open, later requests shed without touching the owner.
+	if f.met.ReplicaUp.With(owner.id).Value() != 0 || f.met.Rebalances.Value() != 1 ||
+		f.moves.count(owner.id, "down") != 1 || f.met.ProbeFailures.With(owner.id).Value() != 0 {
+		t.Fatal("request failures must take the owner down through the one transition path, with no probe failing")
+	}
+
 	before := owner.hits.Load()
-	f.estimate(t, "hot")
-	if owner.hits.Load() != before && f.met.BreakerSheds.Value() == 0 {
-		t.Fatal("open breaker should shed instead of re-hitting the broken replica")
+	for i := 0; i < 5; i++ {
+		served(i)
+	}
+	if owner.hits.Load() != before {
+		t.Fatal("a down owner must receive no /estimate traffic")
+	}
+	for i := 0; i < upAfter; i++ {
+		f.router.check(rep)
+	}
+	if got := rep.health.State(); got != Recovered {
+		t.Fatalf("after %d green probes the owner is %v, want recovered", upAfter, got)
+	}
+	if owner.hits.Load() != before {
+		t.Fatal("the owner received /estimate traffic before probes brought it back")
+	}
+	served(0)
+	if got, hits := rep.health.State(), owner.hits.Load(); got != Down || hits != before+1 {
+		t.Fatalf("recovered owner is %v after %d more attempt(s), want down after exactly 1", got, hits-before)
 	}
 }
 
-func TestRouterSaturated429FailsOverWithoutBreakerPenalty(t *testing.T) {
-	f := newFleet(t, 2, nil)
-	owner := f.findOwner(t, "busy")
-	owner.setMode(func(w http.ResponseWriter, r *http.Request) bool {
-		if r.URL.Path == "/readyz" {
-			return false
-		}
-		writeJSON(w, http.StatusTooManyRequests, serve.ErrorResponse{Error: "overloaded"})
-		return true
-	})
-	status, _, rep := f.estimate(t, "busy")
-	if status != http.StatusOK {
-		t.Fatalf("status = %d, want 200 via failover", status)
-	}
-	if rep == owner.id {
-		t.Fatal("saturated owner must not answer")
-	}
-	if f.met.BreakerOpens.With(owner.id).Value() != 0 {
-		t.Fatal("429 is a load signal, not breakage: breaker must stay closed")
-	}
-	if f.met.Failovers.Value() == 0 {
-		t.Fatal("429 must count as a failover")
+// TestRouterLoadSignalsFailOverWithoutHealthPenalty: 429 (saturated) and
+// 503 (draining) from /estimate are load states, not breakage. With the
+// owner's readyz green, the request fails over and counts a failover, and
+// the owner stays Healthy with no transition.
+func TestRouterLoadSignalsFailOverWithoutHealthPenalty(t *testing.T) {
+	for _, code := range []int{http.StatusTooManyRequests, http.StatusServiceUnavailable} {
+		t.Run(strconv.Itoa(code), func(t *testing.T) {
+			f := newFleet(t, 2, nil)
+			owner := f.findOwner(t, "busy")
+			owner.setMode(func(w http.ResponseWriter, r *http.Request) bool {
+				if r.URL.Path == "/readyz" {
+					return false
+				}
+				writeJSON(w, code, serve.ErrorResponse{Error: http.StatusText(code)})
+				return true
+			})
+			for i := 0; i < downAfter+1; i++ {
+				status, _, rep := f.estimate(t, "busy")
+				if status != http.StatusOK || rep == owner.id {
+					t.Fatalf("request %d: status %d from %q, want 200 via failover", i, status, rep)
+				}
+			}
+			if n := f.met.Failovers.Value(); n != downAfter+1 {
+				t.Fatalf("failovers = %d, want %d (one per request)", n, downAfter+1)
+			}
+			if got := f.router.replicas[owner.id].health.State(); got != Healthy || f.moves.count(owner.id, "") != 0 {
+				t.Fatalf("owner is %v after %d transition(s), want healthy with none",
+					got, f.moves.count(owner.id, ""))
+			}
+		})
 	}
 }
 
@@ -404,7 +480,7 @@ func TestRouterRejectsBadEnvelopeAtTheRouter(t *testing.T) {
 // SQL that does not parse or bind is rejected by the owning replica's
 // planner (a real serve.Handler here) and relayed — same status and
 // error string a client got when the router planned, no failover, no
-// breaker penalty, and the router's own planner is never called. With
+// health penalty, and the router's own planner is never called. With
 // every replica down the lazy planner call in degrade gives the same
 // answer; text the lexer rejects is answered at the router.
 func TestRouterBadSQLAnsweredByReplicaPlanner(t *testing.T) {
@@ -441,8 +517,8 @@ func TestRouterBadSQLAnsweredByReplicaPlanner(t *testing.T) {
 	if want := ringOwner(t, router, "bad query"); rep != want {
 		t.Fatalf("400 relayed from %q, want the key's owner %q", rep, want)
 	}
-	if met.Failovers.Value() != 0 || met.Retries.Value() != 0 || met.BreakerOpens.With(rep).Value() != 0 {
-		t.Fatal("a relayed 400 is definitive: no failover, retry or breaker penalty")
+	if met.Failovers.Value() != 0 || met.Retries.Value() != 0 || router.replicas[rep].health.State() != Healthy {
+		t.Fatal("a relayed 400 is definitive: no failover, retry or health penalty")
 	}
 	if n := planned.Load(); n != 0 {
 		t.Fatalf("router planned %d time(s) on a proxied request, want 0", n)
@@ -478,8 +554,8 @@ func TestRouterBadSQLAnsweredByReplicaPlanner(t *testing.T) {
 }
 
 // TestRouterOversizedResponseFailsOver: a replica body one byte over the
-// limit is a failed attempt, never a 200 with a cut JSON body. It charges
-// the breaker and fails over; when every replica does it, the request
+// limit is a failed attempt, never a 200 with a cut JSON body. It counts
+// against the replica's health and fails over; when every replica does it, the request
 // degrades with the typed all-failed cause.
 func TestRouterOversizedResponseFailsOver(t *testing.T) {
 	f := newFleet(t, 2, func(cfg *Config) {
@@ -504,8 +580,8 @@ func TestRouterOversizedResponseFailsOver(t *testing.T) {
 		t.Fatalf("status %d from %q (degraded %v, %d-byte reason), want a clean 200 from the failover replica",
 			status, rep, er.Degraded, len(er.Reason))
 	}
-	if f.met.BreakerOpens.With(owner.id).Value() == 0 || f.met.Failovers.Value() == 0 {
-		t.Fatal("an oversized body must charge the breaker and fail over")
+	if f.moves.count(owner.id, "suspect") == 0 || f.met.Failovers.Value() == 0 {
+		t.Fatal("an oversized body must count against the replica's health and fail over")
 	}
 
 	for _, r := range f.replicas {
@@ -723,7 +799,7 @@ func TestRouterHealthDrivenMembership(t *testing.T) {
 		t.Fatal("down replica must receive no estimate traffic")
 	}
 	// Recovery: readyz greens, the checker brings it back with
-	// hysteresis (UpAfter=1 then one more ok → healthy).
+	// hysteresis (upAfter oks, then one more ok → healthy).
 	owner.setMode(func(w http.ResponseWriter, r *http.Request) bool { return false })
 	deadline = time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) {
@@ -765,7 +841,7 @@ func TestRouterOperationalSurfaces(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if len(rows) != 2 || rows[0].Health != "healthy" || rows[0].Breaker != "closed" {
+	if len(rows) != 2 || rows[0].Health != "healthy" || rows[1].Health != "healthy" {
 		t.Fatalf("fleetz rows = %+v", rows)
 	}
 

@@ -28,11 +28,9 @@ type Metrics struct {
 
 	// Retries counts same-replica retry attempts after a connection
 	// error or 5xx; Failovers counts moves to the next ring position
-	// after a replica was exhausted; BreakerSheds counts candidates
-	// skipped because their breaker was open.
-	Retries      *telemetry.Counter
-	Failovers    *telemetry.Counter
-	BreakerSheds *telemetry.Counter
+	// after a replica was exhausted.
+	Retries   *telemetry.Counter
+	Failovers *telemetry.Counter
 
 	// Hedges counts tail hedges by outcome: fired (second request
 	// launched), won (the hedge answered first), lost (the primary beat
@@ -45,16 +43,14 @@ type Metrics struct {
 	// fallback because no replica could (tagged degraded:true).
 	Degraded *telemetry.Counter
 
-	// ReplicaState gauges the health FSM per replica (0 down, 1 suspect,
-	// 2 recovered, 3 healthy); ReplicaUp is the routable bit.
+	// ReplicaState gauges the health state per replica (0 down,
+	// 1 suspect, 2 recovered, 3 healthy), fed by probes and request
+	// outcomes alike; ReplicaUp is the routable bit.
 	ReplicaState *telemetry.GaugeVec
 	ReplicaUp    *telemetry.GaugeVec
-	// BreakerState gauges the breaker per replica (0 closed, 1 open,
-	// 2 half-open); BreakerOpens counts open transitions.
-	BreakerState *telemetry.GaugeVec
-	BreakerOpens *telemetry.CounterVec
 
-	// ProbeFailures counts failed health probes per replica;
+	// ProbeFailures counts failed readyz probes per replica (failed
+	// requests show in Retries and Failovers);
 	// Rebalances counts effective-membership changes (a replica
 	// crossing routable ↔ not — every such transition re-maps the keys
 	// it owned or receives them back).
@@ -81,8 +77,6 @@ func NewMetrics(reg *telemetry.Registry, replicaIDs []string) *Metrics {
 			"Same-replica retries after a connection error or 5xx."),
 		Failovers: reg.NewCounter("raal_fleet_failovers_total",
 			"Requests moved to the next ring position after exhausting a replica."),
-		BreakerSheds: reg.NewCounter("raal_fleet_breaker_sheds_total",
-			"Candidate replicas skipped because their circuit breaker was open."),
 		Hedges: reg.NewCounterVec("raal_fleet_hedges_total",
 			"Tail hedges by outcome (fired / won / lost).", "outcome", hedgeOutcomes...),
 		HedgeThreshold: reg.NewGauge("raal_fleet_hedge_threshold_seconds",
@@ -93,10 +87,6 @@ func NewMetrics(reg *telemetry.Registry, replicaIDs []string) *Metrics {
 			"Replica health state (0 down, 1 suspect, 2 recovered, 3 healthy).", "replica", replicaIDs...),
 		ReplicaUp: reg.NewGaugeVec("raal_fleet_replica_up",
 			"Whether the replica is routable (1) or down (0).", "replica", replicaIDs...),
-		BreakerState: reg.NewGaugeVec("raal_fleet_breaker_state",
-			"Replica circuit-breaker state (0 closed, 1 open, 2 half-open).", "replica", replicaIDs...),
-		BreakerOpens: reg.NewCounterVec("raal_fleet_breaker_opens_total",
-			"Circuit-breaker open transitions per replica.", "replica", replicaIDs...),
 		ProbeFailures: reg.NewCounterVec("raal_fleet_probe_failures_total",
 			"Failed health probes per replica.", "replica", replicaIDs...),
 		Rebalances: reg.NewCounter("raal_fleet_ring_rebalances_total",
@@ -112,30 +102,4 @@ func (m *Metrics) Registry() *telemetry.Registry {
 		return nil
 	}
 	return m.registry
-}
-
-// stateValue encodes a HealthState for the ReplicaState gauge.
-func stateValue(s HealthState) float64 {
-	switch s {
-	case Down:
-		return 0
-	case Suspect:
-		return 1
-	case Recovered:
-		return 2
-	default:
-		return 3
-	}
-}
-
-// breakerValue encodes a breakerState for the BreakerState gauge.
-func breakerValue(s breakerState) float64 {
-	switch s {
-	case breakerClosed:
-		return 0
-	case breakerOpen:
-		return 1
-	default:
-		return 2
-	}
 }

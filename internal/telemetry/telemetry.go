@@ -244,8 +244,8 @@ func (r *Registry) NewGauge(name, help string) *Gauge {
 }
 
 // GaugeVec is a gauge family keyed by one label, children
-// pre-materialized like CounterVec — the fleet router uses one per
-// replica for health and breaker state.
+// pre-materialized like CounterVec — the fleet router keys its
+// replica-health gauges by replica.
 type GaugeVec struct {
 	f *family
 }
