@@ -56,10 +56,13 @@ bench-parallel:
 	$(GO) test ./internal/core -run=XXX -bench 'BenchmarkPredict|BenchmarkFit' -benchmem
 
 # Chaos drills: the fault-injected fleet suite (seeded FaultConfig
-# replicas, mid-run kills, drain-during-hedge) under the race detector.
-# Deterministic — a failure here is a real robustness bug, not flake.
+# replicas, mid-run kills, drain-during-hedge) and the connection drills
+# (replicas that close idle connections, frame bodies every way, answer
+# malformed HTTP, stall, or lose a hedge mid-body) under the race
+# detector. Deterministic — a failure here is a real robustness bug, not
+# flake.
 chaos:
-	$(GO) test -race -run 'TestChaos' -count=1 -v ./internal/fleet
+	$(GO) test -race -run 'TestChaos|TestConn' -count=1 -v ./internal/fleet
 
 # Online-learning drills under the race detector: the seeded workload
 # shift (drift detector → replay-buffer retrain → shadow comparison →
@@ -125,7 +128,8 @@ cover:
 # Short fixed-budget fuzz: the parser; the router's affinity key, which
 # lexes request bytes before anything has parsed them; the whole
 # parse → bind → plan → execute pipeline, held to the reference
-# interpreter on a tiny catalog; the plan-statement tokeniser, held to
+# interpreter on a tiny catalog; the router's reader of replica answers,
+# held to net/http's on arbitrary bytes; the plan-statement tokeniser, held to
 # the encoder's string-free embedding; the AVX2 sigmoid and tanh kernels,
 # held to the math library bit for bit; the float64 matmul kernels
 # (AVX2, and AVX-512 where the CPU has it), held to the Go loop bit for bit
@@ -135,7 +139,7 @@ cover:
 # <package>:<FuzzName>. go test fuzzes one target per run, so the targets
 # share FUZZTIME (whole seconds) equally, one after the other.
 FUZZTIME ?= 25s
-FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul ./internal/physical:FuzzStatements
+FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul ./internal/physical:FuzzStatements ./internal/fleet:FuzzReplicaResponse
 fuzz:
 	total=$(FUZZTIME); each=$$(( $${total%s} / $(words $(FUZZ_TARGETS)) )); \
 	for target in $(FUZZ_TARGETS); do \

@@ -2,7 +2,9 @@ package fleet
 
 import (
 	"context"
+	"math/rand"
 	"net/http"
+	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -272,5 +274,48 @@ func TestLatencyTrackerQuantile(t *testing.T) {
 	}
 	if q := tr.Quantile(); q > 2*time.Millisecond {
 		t.Fatalf("after fast flood, p99 = %v, want ~1ms", q)
+	}
+}
+
+// TestLatencyTrackerMatchesSortOracle: on random windows, full and
+// partly filled, every recomputed quantile equals the same index of a
+// sort.Slice copy of the window.
+func TestLatencyTrackerMatchesSortOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for trial := 0; trial < 20; trial++ {
+		size := 8 + rng.Intn(600)
+		q := 0.5 + 0.49*rng.Float64()
+		tr := newLatencyTracker(size, q)
+		var seen []time.Duration
+		for i := 0; i < 2*size; i++ {
+			d := time.Duration(rng.Intn(1000)) * time.Microsecond
+			seen = append(seen, d)
+			tr.Observe(d)
+			if (i+1)%recomputeEvery != 0 || len(seen) < 8 {
+				continue
+			}
+			window := append([]time.Duration(nil), seen[max(0, len(seen)-size):]...)
+			sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
+			if want, got := window[int(q*float64(len(window)-1))], tr.Quantile(); got != want {
+				t.Fatalf("trial %d (size %d, q %.3f) after %d observations: quantile %v, oracle %v",
+					trial, size, q, i+1, got, want)
+			}
+		}
+	}
+}
+
+// TestLatencyTrackerObserveAllocatesNothing: the recompute every
+// recomputeEvery observations sorts into a reused buffer.
+func TestLatencyTrackerObserveAllocatesNothing(t *testing.T) {
+	tr := newLatencyTracker(512, 0.99)
+	i := 0
+	observe := func() {
+		for k := 0; k < recomputeEvery; k++ {
+			i++
+			tr.Observe(time.Duration(i*7919%1000) * time.Microsecond)
+		}
+	}
+	if allocs := testing.AllocsPerRun(50, observe); allocs != 0 {
+		t.Fatalf("%d observations (one recompute) allocate %.1f times, want 0", recomputeEvery, allocs)
 	}
 }

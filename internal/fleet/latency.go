@@ -1,7 +1,7 @@
 package fleet
 
 import (
-	"sort"
+	"slices"
 	"time"
 )
 
@@ -14,12 +14,13 @@ import (
 type latencyTracker struct {
 	quantile float64
 
-	mu     chan struct{} // 1-buffered semaphore; also guards cached
-	window []time.Duration
-	n      int // filled entries
-	idx    int // next write position
-	since  int // observations since the last recompute
-	cached time.Duration
+	mu      chan struct{} // 1-buffered semaphore; also guards cached
+	window  []time.Duration
+	scratch []time.Duration // compute's sorted copy, reused
+	n       int             // filled entries
+	idx     int             // next write position
+	since   int             // observations since the last recompute
+	cached  time.Duration
 }
 
 const recomputeEvery = 32
@@ -35,6 +36,7 @@ func newLatencyTracker(size int, quantile float64) *latencyTracker {
 		quantile: quantile,
 		mu:       make(chan struct{}, 1),
 		window:   make([]time.Duration, size),
+		scratch:  make([]time.Duration, 0, size),
 	}
 	t.mu <- struct{}{}
 	return t
@@ -69,15 +71,13 @@ func (t *latencyTracker) Quantile() time.Duration {
 	return q
 }
 
-// compute sorts a copy of the filled window. Called with the semaphore
-// held.
+// compute sorts a copy of the filled window into the scratch buffer.
+// Called with the semaphore held.
 func (t *latencyTracker) compute() time.Duration {
 	if t.n < 8 {
 		return 0
 	}
-	tmp := make([]time.Duration, t.n)
-	copy(tmp, t.window[:t.n])
-	sort.Slice(tmp, func(i, j int) bool { return tmp[i] < tmp[j] })
-	i := int(t.quantile * float64(t.n-1))
-	return tmp[i]
+	t.scratch = append(t.scratch[:0], t.window[:t.n]...)
+	slices.Sort(t.scratch)
+	return t.scratch[int(t.quantile*float64(t.n-1))]
 }

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"flag"
 	"fmt"
 	"net/http"
 	"os"
@@ -16,7 +17,9 @@ import (
 func TestMain(m *testing.M) {
 	baseline := runtime.NumGoroutine()
 	code := m.Run()
-	if code == 0 {
+	// A fuzzing run leaves the fuzz engine's signal handler running, so
+	// the census counts only plain test runs.
+	if code == 0 && flag.Lookup("test.fuzz").Value.String() == "" {
 		code = goroutineCensus(baseline, 2*time.Second)
 	}
 	os.Exit(code)

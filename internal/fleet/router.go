@@ -34,6 +34,7 @@ import (
 	"io"
 	"log/slog"
 	"math/rand"
+	"net"
 	"net/http"
 	"net/url"
 	"strconv"
@@ -56,13 +57,17 @@ var (
 	ErrNoReplicas = errors.New("fleet: no routable replica")
 	// ErrAllFailed: every routable replica was tried and failed.
 	ErrAllFailed = errors.New("fleet: every replica attempt failed")
+	// ErrScheme: a replica URL whose scheme is not http. Replicas serve
+	// plain HTTP only.
+	ErrScheme = errors.New("fleet: replica URL scheme is not http")
 )
 
 // Replica names one backend raalserve process.
 type Replica struct {
 	// ID labels the replica in metrics and logs (must be unique).
 	ID string
-	// URL is the replica's base URL, e.g. "http://10.0.0.7:8080".
+	// URL is the replica's base URL, e.g. "http://10.0.0.7:8080"; the
+	// scheme must be http.
 	URL string
 }
 
@@ -130,25 +135,48 @@ type replicaRT struct {
 	id     string
 	url    string
 	health *healthFSM
-	// post (by endpoint name) and readyz are read-only request templates
-	// with parsed URLs; each attempt or probe sends a shallow copy carrying
-	// its own context and body.
-	post   map[string]*http.Request
-	readyz *http.Request
+	// hop carries every proxied attempt and probe; post (by endpoint
+	// name) and readyz are the prepared requests it sends.
+	hop    *hop
+	post   map[string]*request
+	readyz *request
 }
 
 // proxied names the endpoints the router forwards to its replicas.
 var proxied = []string{"estimate", "select"}
 
-// template builds a read-only request for target. Its header is shared
-// by every copy sent, so nothing may write to it.
-func template(method, target string, header http.Header) (*http.Request, error) {
-	req, err := http.NewRequest(method, target, nil)
+// newReplicaRT parses r's URL and prepares its requests.
+func newReplicaRT(r Replica) (*replicaRT, error) {
+	base, err := url.Parse(r.URL)
 	if err != nil {
 		return nil, err
 	}
-	req.Header = header
-	return req, nil
+	if base.Scheme != "http" {
+		return nil, fmt.Errorf("%w: %q", ErrScheme, r.URL)
+	}
+	if base.Host == "" {
+		return nil, fmt.Errorf("fleet: replica URL %q has no host", r.URL)
+	}
+	port := base.Port()
+	if port == "" {
+		port = "80"
+	}
+	rep := &replicaRT{
+		id:     r.ID,
+		url:    r.URL,
+		health: newHealthFSM(),
+		hop:    &hop{addr: net.JoinHostPort(base.Hostname(), port)},
+		post:   make(map[string]*request, len(proxied)),
+	}
+	if rep.readyz, err = newRequest("Get", r.URL+"/readyz", ""); err != nil {
+		return nil, err
+	}
+	for _, endpoint := range proxied {
+		if rep.post[endpoint], err = newRequest("Post", r.URL+"/"+endpoint, "Content-Type: application/json\r\n"); err != nil {
+			return nil, err
+		}
+	}
+	return rep, nil
 }
 
 // Router is the fleet front-end. Create with New, serve it like any
@@ -161,11 +189,7 @@ type Router struct {
 	lat      *latencyTracker
 	met      *Metrics
 	log      *slog.Logger
-	// transport carries every proxied attempt and probe. The router calls
-	// RoundTrip itself: a proxy follows no redirect and keeps no cookie,
-	// so http.Client's per-request work would buy nothing.
-	transport *http.Transport
-	mux       *http.ServeMux
+	mux      *http.ServeMux
 
 	rngMu sync.Mutex
 	rng   *rand.Rand
@@ -237,30 +261,14 @@ func New(cfg Config) (*Router, error) {
 		lat:      newLatencyTracker(512, 0.99),
 		met:      met,
 		log:      logger,
-		transport: &http.Transport{
-			MaxIdleConnsPerHost: 64,
-			IdleConnTimeout:     30 * time.Second,
-		},
-		rng:  rand.New(rand.NewSource(cfg.Seed)),
-		stop: make(chan struct{}),
+		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		stop:     make(chan struct{}),
 	}
-	jsonHeader := http.Header{"Content-Type": {"application/json"}}
 	ids := make([]string, len(cfg.Replicas))
 	for i, r := range cfg.Replicas {
 		ids[i] = r.ID
-		rep := &replicaRT{
-			id:     r.ID,
-			url:    r.URL,
-			health: newHealthFSM(),
-			post:   make(map[string]*http.Request, len(proxied)),
-		}
-		var err error
-		for _, endpoint := range proxied {
-			if rep.post[endpoint], err = template(http.MethodPost, r.URL+"/"+endpoint, jsonHeader); err != nil {
-				return nil, fmt.Errorf("fleet: replica %s: %w", r.ID, err)
-			}
-		}
-		if rep.readyz, err = template(http.MethodGet, r.URL+"/readyz", http.Header{}); err != nil {
+		rep, err := newReplicaRT(r)
+		if err != nil {
 			return nil, fmt.Errorf("fleet: replica %s: %w", r.ID, err)
 		}
 		rt.replicas[r.ID] = rep
@@ -293,8 +301,9 @@ func New(cfg Config) (*Router, error) {
 
 func (rt *Router) ServeHTTP(w http.ResponseWriter, r *http.Request) { rt.mux.ServeHTTP(w, r) }
 
-// Close stops the health checkers and releases pooled connections. In-
-// flight proxied requests finish on their own contexts.
+// Close stops the health checkers and closes idle replica connections.
+// In-flight proxied requests finish on their own contexts, and their
+// connections are closed when they do.
 func (rt *Router) Close() {
 	select {
 	case <-rt.stop:
@@ -303,7 +312,9 @@ func (rt *Router) Close() {
 	}
 	close(rt.stop)
 	rt.wg.Wait()
-	rt.transport.CloseIdleConnections()
+	for _, rep := range rt.byIndex {
+		rep.hop.close()
+	}
 }
 
 // float64 draws jitter from the seeded source (goroutine-safe).
@@ -377,15 +388,8 @@ func (rt *Router) observe(rep *replicaRT, ok bool) {
 // or draining replica answers 503 and is treated as unhealthy, which is
 // exactly the load-aware routing the readyz contract promises).
 func (rt *Router) probe(rep *replicaRT) bool {
-	ctx, cancel := context.WithTimeout(context.Background(), rt.cfg.ProbeTimeout)
-	defer cancel()
-	resp, err := rt.transport.RoundTrip(rep.readyz.WithContext(ctx))
-	if err != nil {
-		return false
-	}
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 256))
-	resp.Body.Close()
-	return resp.StatusCode == http.StatusOK
+	status, _, err := rep.hop.do(context.Background(), rt.cfg.ProbeTimeout, rep.readyz, nil, rt.cfg.MaxBodyBytes)
+	return err == nil && status == http.StatusOK
 }
 
 // ---------------------------------------------------------------------------
@@ -578,7 +582,7 @@ func (rt *Router) candidates(key string) []*replicaRT {
 // the next ring position, started by a timer. With one routable
 // candidate or hedging off nothing else is created. The first definitive
 // answer wins: a winning hedge cancels the primary, whose chain returns
-// promptly (RoundTrip and backoff.Sleep honour its context), and an
+// promptly (the hop and backoff.Sleep honour its context), and an
 // answering primary cancels the hedge. A fired hedge is waited for, so
 // no chain outlives the request and each fired hedge is counted won or
 // lost exactly once.
@@ -629,10 +633,10 @@ func (rt *Router) forward(ctx context.Context, endpoint string, body []byte, key
 // replica RetryAttempts tries with jittered backoff, and returns the
 // first definitive response. 2xx, 3xx and client-error 4xx are
 // definitive and count as a success for the replica's health;
-// connection errors, oversized bodies and 5xx count as a failure, retry
-// while the replica stays routable, then fail over; 429/503
-// (saturated/draining — load states, not breakage) fail over at once
-// and count as neither.
+// connection errors, malformed or oversized answers and 5xx count as a
+// failure, retry while the replica stays routable, then fail over;
+// 429/503 (saturated/draining — load states, not breakage) fail over at
+// once and count as neither.
 func (rt *Router) attemptChain(ctx context.Context, cands []*replicaRT, start int, endpoint string, body []byte) attemptOut {
 	var lastErr error
 	for i := start; i < len(cands); i++ {
@@ -651,7 +655,10 @@ func (rt *Router) attemptChain(ctx context.Context, cands []*replicaRT, start in
 					return attemptOut{err: err}
 				}
 			}
-			status, respBody, err := rt.try(ctx, rep.post[endpoint], body)
+			// A 3xx is relayed like any other answer, not followed. A
+			// body over MaxBodyBytes fails the attempt: relaying its first
+			// MaxBodyBytes would pass a cut JSON body off as the answer.
+			status, respBody, err := rep.hop.do(ctx, rt.cfg.AttemptTimeout, rep.post[endpoint], body, rt.cfg.MaxBodyBytes)
 			if err != nil {
 				if ctx.Err() != nil {
 					return attemptOut{err: ctx.Err()}
@@ -683,36 +690,6 @@ func (rt *Router) attemptChain(ctx context.Context, cands []*replicaRT, start in
 		return attemptOut{err: ErrNoReplicas}
 	}
 	return attemptOut{err: fmt.Errorf("%w: %v", ErrAllFailed, lastErr)}
-}
-
-// try performs one proxied attempt with its own timeout, so a stalled
-// replica cannot pin the chain past AttemptTimeout. A 3xx is relayed
-// like any other answer, not followed. A response body over
-// MaxBodyBytes fails the attempt: relaying its first MaxBodyBytes would
-// pass a cut JSON body off as the replica's answer.
-func (rt *Router) try(ctx context.Context, tmpl *http.Request, body []byte) (int, []byte, error) {
-	actx, cancel := context.WithTimeout(ctx, rt.cfg.AttemptTimeout)
-	defer cancel()
-	req := tmpl.WithContext(actx)
-	req.Body = io.NopCloser(bytes.NewReader(body))
-	// GetBody lets the transport resend on a pooled connection the
-	// replica closed before reading the request.
-	req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(body)), nil }
-	req.ContentLength = int64(len(body))
-	resp, err := rt.transport.RoundTrip(req)
-	if err != nil {
-		// Worded as http.Client words it, so degraded reasons read as before.
-		return 0, nil, &url.Error{Op: "Post", URL: req.URL.Redacted(), Err: err}
-	}
-	defer resp.Body.Close()
-	respBody, err := io.ReadAll(io.LimitReader(resp.Body, rt.cfg.MaxBodyBytes+1))
-	if err != nil {
-		return 0, nil, err
-	}
-	if int64(len(respBody)) > rt.cfg.MaxBodyBytes {
-		return 0, nil, fmt.Errorf("response body exceeds %d byte limit", rt.cfg.MaxBodyBytes)
-	}
-	return resp.StatusCode, respBody, nil
 }
 
 // ---------------------------------------------------------------------------

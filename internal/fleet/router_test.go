@@ -9,6 +9,7 @@ import (
 	"io"
 	"log/slog"
 	"math"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -37,12 +38,15 @@ func testPlanner(sql string) ([]*physical.Plan, error) {
 
 // stubReplica is a scriptable fake replica: swap its behavior mid-test
 // with setMode. The default mode answers every estimate with a 200 and
-// a readyz with 200.
+// a readyz with 200. Its server's ConnState hook counts the connections
+// accepted and still open.
 type stubReplica struct {
-	id   string
-	ts   *httptest.Server
-	hits atomic.Int64
-	mode atomic.Value // func(w http.ResponseWriter, r *http.Request) bool — returns handled
+	id       string
+	ts       *httptest.Server
+	hits     atomic.Int64
+	accepted atomic.Int64
+	open     atomic.Int64
+	mode     atomic.Value // func(w http.ResponseWriter, r *http.Request) bool — returns handled
 }
 
 func okBody(id string) []byte {
@@ -51,10 +55,12 @@ func okBody(id string) []byte {
 	return b
 }
 
-func newStubReplica(id string) *stubReplica {
+// newStubReplica starts a stub replica; configure, when not nil, adjusts
+// its server before it starts.
+func newStubReplica(id string, configure func(*http.Server)) *stubReplica {
 	s := &stubReplica{id: id}
 	s.mode.Store(func(w http.ResponseWriter, r *http.Request) bool { return false })
-	s.ts = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+	s.ts = httptest.NewUnstartedServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path == "/readyz" || r.URL.Path == "/healthz" {
 			if handled := s.mode.Load().(func(http.ResponseWriter, *http.Request) bool)(w, r); handled {
 				return
@@ -69,6 +75,19 @@ func newStubReplica(id string) *stubReplica {
 		w.Header().Set("Content-Type", "application/json")
 		w.Write(okBody(s.id))
 	}))
+	s.ts.Config.ConnState = func(_ net.Conn, state http.ConnState) {
+		switch state {
+		case http.StateNew:
+			s.accepted.Add(1)
+			s.open.Add(1)
+		case http.StateClosed, http.StateHijacked:
+			s.open.Add(-1)
+		}
+	}
+	if configure != nil {
+		configure(s.ts.Config)
+	}
+	s.ts.Start()
 	return s
 }
 
@@ -91,12 +110,20 @@ type fleetUnderTest struct {
 
 func newFleet(t *testing.T, n int, mutate func(*Config)) *fleetUnderTest {
 	t.Helper()
-	f := &fleetUnderTest{reg: telemetry.NewRegistry(), moves: &transitionLog{}}
+	stubs := make([]*stubReplica, n)
+	for i := range stubs {
+		stubs[i] = newStubReplica(fmt.Sprintf("r%d", i), nil)
+	}
+	return newFleetOf(t, stubs, mutate)
+}
+
+// newFleetOf is newFleet over the given stub replicas.
+func newFleetOf(t *testing.T, stubs []*stubReplica, mutate func(*Config)) *fleetUnderTest {
+	t.Helper()
+	f := &fleetUnderTest{replicas: stubs, reg: telemetry.NewRegistry(), moves: &transitionLog{}}
 	var reps []Replica
 	var ids []string
-	for i := 0; i < n; i++ {
-		sr := newStubReplica(fmt.Sprintf("r%d", i))
-		f.replicas = append(f.replicas, sr)
+	for _, sr := range stubs {
 		reps = append(reps, Replica{ID: sr.id, URL: sr.ts.URL})
 		ids = append(ids, sr.id)
 	}
@@ -619,9 +646,10 @@ func TestRouterRelaysRedirect(t *testing.T) {
 // TestRouterProxyAllocsBounded pins the allocations of one proxied
 // /estimate on the benchmark's fleet shape (one replica, so no hedge
 // timer), counted across the whole process: the recorder and request the
-// test builds, the router, its transport and the stub replica's server.
+// test builds, the router, its hop and the stub replica's server.
 // Through http.Client on a per-request forwarding goroutine it was 141;
-// on the handler goroutine straight through the transport it is 121.
+// on the handler goroutine straight through http.Transport, 121; on the
+// router's own pooled connections, read on the handler goroutine, 65.
 func TestRouterProxyAllocsBounded(t *testing.T) {
 	f := newFleet(t, 1, func(cfg *Config) {
 		cfg.HedgeAfter = 0             // adaptive, as raalserve and the benchmark run it
@@ -640,7 +668,7 @@ func TestRouterProxyAllocsBounded(t *testing.T) {
 		rec.Header().Get("X-Raal-Replica") != "r0" || rec.Header().Get("Content-Type") != "application/json" {
 		t.Fatalf("proxied answer %d %q %v, want the replica's body relayed byte for byte", rec.Code, rec.Body, rec.Header())
 	}
-	const bound = 133 // 121 plus ~10%
+	const bound = 72 // 65 plus ~10%
 	if allocs := testing.AllocsPerRun(1000, func() { serve1() }); allocs > bound {
 		t.Fatalf("one proxied /estimate allocates %.1f times, want at most %d", allocs, bound)
 	}
@@ -877,5 +905,13 @@ func TestRouterConfigValidation(t *testing.T) {
 	}
 	if _, err := New(Config{Replicas: []Replica{{ID: "a", URL: "http://x\x7f"}}, Planner: testPlanner}); err == nil {
 		t.Fatal("an unparsable replica URL must fail")
+	}
+	for _, u := range []string{"https://x:8443", "ftp://x", "x:8080"} {
+		if _, err := New(Config{Replicas: []Replica{{ID: "a", URL: u}}, Planner: testPlanner}); !errors.Is(err, ErrScheme) {
+			t.Fatalf("replica URL %q: error %v, want ErrScheme", u, err)
+		}
+	}
+	if _, err := New(Config{Replicas: []Replica{{ID: "a", URL: "http:///path"}}, Planner: testPlanner}); err == nil {
+		t.Fatal("a replica URL without a host must fail")
 	}
 }
