@@ -274,13 +274,17 @@ func TestTapeOpsF32MatchF64(t *testing.T) {
 	// The fused cell: z is consumed as scratch, so each tape gets a copy.
 	z32, zv := pair(tensor.Randn(6, 8, 1, rng))
 	c32, cv := pair(tensor.Randn(6, 2, 1, rng))
-	check("lstmCell", tp32.LSTMCell(z32, r32, c32), tp64.LSTMCell(zv, rv, cv), 2e-5)
-	check("lstmCell/state", c32, cv, 2e-5)
+	h32, cNext32 := tp32.LSTMCell(z32, r32, c32)
+	h64, cNext64 := tp64.LSTMCell(zv, rv, cv)
+	check("lstmCell", h32, h64, 2e-5)
+	check("lstmCell/state", cNext32, cNext64, 2e-5)
 }
 
-// TestLSTMCellMatchesRecordedChain pins the forward-only fused cell, bit
-// for bit, to the op chain a recording tape runs in its place, and that a
-// recording tape refuses it (it has no backward pass).
+// TestLSTMCellMatchesRecordedChain pins the fused cell's values, bit for
+// bit, to the op chain it replaces, on a forward-only and on a recording
+// tape, and that the recording tape records it (its gradients are held to
+// the chain by internal/nn's FuzzLSTMCell). The incoming cell state is
+// only read.
 func TestLSTMCellMatchesRecordedChain(t *testing.T) {
 	bothTypes(t, testLSTMCellMatchesRecordedChain[float64], testLSTMCellMatchesRecordedChain[float32])
 }
@@ -292,31 +296,35 @@ func testLSTMCellMatchesRecordedChain[T tensor.Float](t *testing.T) {
 	b := tensor.Convert[T](tensor.Randn(1, 4*h, 1, rng))
 	c := tensor.Convert[T](tensor.Randn(batch, h, 1, rng))
 
-	rec := NewTape[T]()
-	zv, bv, cv := rec.Const(z), rec.Const(b), rec.Const(c)
+	chain := NewTape[T]()
+	zv, bv, cv := chain.Const(z), chain.Const(b), chain.Const(c)
 	gate := func(k int, f ActFn) *Var[T] {
-		return rec.AddRowApply(rec.SliceCols(zv, k*h, (k+1)*h), rec.SliceCols(bv, k*h, (k+1)*h), f)
+		return chain.AddRowApply(chain.SliceCols(zv, k*h, (k+1)*h), chain.SliceCols(bv, k*h, (k+1)*h), f)
 	}
 	i, f, g, o := gate(0, ActSigmoid), gate(1, ActSigmoid), gate(2, ActTanh), gate(3, ActSigmoid)
-	wantC := rec.Add(rec.Mul(f, cv), rec.Mul(i, g))
-	wantH := rec.Mul(o, rec.Tanh(wantC))
+	wantC := chain.Add(chain.Mul(f, cv), chain.Mul(i, g))
+	wantH := chain.Mul(o, chain.Tanh(wantC))
 
-	fwd := NewInferenceTape[T]()
-	gotC := fwd.Const(c.Clone())
-	gotH := fwd.LSTMCell(fwd.Const(z.Clone()), fwd.Const(b), gotC)
-	for k := range wantH.Value.Data {
-		if gotH.Value.Data[k] != wantH.Value.Data[k] || gotC.Value.Data[k] != wantC.Value.Data[k] {
-			t.Fatalf("element %d: fused h,c = %v,%v; recorded chain %v,%v", k,
-				gotH.Value.Data[k], gotC.Value.Data[k], wantH.Value.Data[k], wantC.Value.Data[k])
+	for _, tp := range []*Tape[T]{NewInferenceTape[T](), NewTape[T]()} {
+		cIn := c.Clone()
+		gotH, gotC := tp.LSTMCell(tp.Param(z.Clone()), tp.Const(b), tp.Const(cIn))
+		for k := range wantH.Value.Data {
+			if gotH.Value.Data[k] != wantH.Value.Data[k] || gotC.Value.Data[k] != wantC.Value.Data[k] {
+				t.Fatalf("forward-only %v, element %d: fused h,c = %v,%v; chain %v,%v", tp.ForwardOnly(), k,
+					gotH.Value.Data[k], gotC.Value.Data[k], wantH.Value.Data[k], wantC.Value.Data[k])
+			}
+			if cIn.Data[k] != c.Data[k] {
+				t.Fatalf("forward-only %v: the incoming cell state changed at %d", tp.ForwardOnly(), k)
+			}
+		}
+		want := 2 // the cell-state and the hidden-state record
+		if tp.ForwardOnly() {
+			want = 0
+		}
+		if tp.Len() != want {
+			t.Fatalf("forward-only %v: %d records, want %d", tp.ForwardOnly(), tp.Len(), want)
 		}
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("LSTMCell on a recording tape did not panic")
-		}
-	}()
-	rec.LSTMCell(zv, bv, cv)
 }
 
 // bothTypes runs a generic test body at each element type of the stack.

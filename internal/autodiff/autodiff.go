@@ -37,9 +37,7 @@
 // float64 training tape and the float32 inference tape are the same code
 // over different slabs; only the slab's element type varies. The reduced-
 // precision path is simply a forward-only tape (NewInferenceTape) at
-// float32. A forward-only tape additionally offers fusions a recording
-// tape cannot have, because no backward pass needs their intermediates
-// (LSTMCell); they produce bit-identical values to the recorded chain.
+// float32.
 //
 // Leaves are exempt: Param wraps caller-owned weights whose gradients must
 // accumulate across Backward calls until the optimizer clears them, so leaf
@@ -105,6 +103,8 @@ const (
 	opGatherRows
 	opAddRowsAt
 	opIm2ColRows
+	opLSTMCell   // c′ of Tape.LSTMCell
+	opLSTMHidden // h of Tape.LSTMCell
 )
 
 // rec is one recorded operation: a fixed-size record with no pointers.
@@ -112,7 +112,8 @@ const (
 // (< 0, see Tape.ref); the remaining fields are opcode-specific:
 //
 //	act    fused activation selector (opAddRowAct)
-//	x0, x1 aux-slab offset/length, row index, or column bounds
+//	x0, x1 aux-slab offset/length, row index, column bounds, or (LSTM
+//	       cell) the bias operand and the aux-matrix slot of tanh(c′)
 //	s      scalar: scale factor, leak alpha, element count n, 1/(1−p)
 //
 // opGatherRows stores its gathered row index in a (it has no single
@@ -205,7 +206,7 @@ type Tape[T tensor.Float] struct {
 	// Aux slabs for record payloads that don't fit the fixed fields.
 	auxArgs []int32          // operand lists (concat, gather)
 	auxMask [][]bool         // row/element masks (mean, dropout)
-	auxMat  []*tensor.Mat[T] // caller-owned matrices (MSE targets)
+	auxMat  []*tensor.Mat[T] // matrices a record keeps: MSE targets, LSTM tanh(c′)
 
 	// scratch is the single backward temporary: every backward step that
 	// needs an intermediate product uses it exclusively and consumes it
@@ -227,7 +228,6 @@ func NewTape[T tensor.Float]() *Tape[T] { return &Tape[T]{} }
 func NewInferenceTape[T tensor.Float]() *Tape[T] { return &Tape[T]{noGrad: true} }
 
 // ForwardOnly reports whether the tape skips recording (NewInferenceTape).
-// Layers consult it to pick the fused forward-only ops.
 func (t *Tape[T]) ForwardOnly() bool { return t.noGrad }
 
 // Reset drops all recorded operations and rewinds the arena cursor, so the
@@ -323,6 +323,15 @@ func (t *Tape[T]) gradOf(v *Var[T]) *tensor.Mat[T] {
 		}
 	}
 	return v.Grad
+}
+
+// gradIf is gradOf for an operand that tracks gradients, nil for one
+// that does not.
+func (t *Tape[T]) gradIf(v *Var[T]) *tensor.Mat[T] {
+	if !v.needsGrad {
+		return nil
+	}
+	return t.gradOf(v)
 }
 
 // tmpMat returns the tape's backward scratch sized rows×cols, contents
@@ -720,19 +729,28 @@ func (t *Tape[T]) AddRowsAt(big *Var[T], i int, small *Var[T]) *Var[T] {
 	return t.push(out, rec{op: opAddRowsAt, a: t.ref(big), b: t.ref(small), x0: int32(i)})
 }
 
-// LSTMCell runs one fused LSTM cell step on a forward-only tape: z is the
-// batch×4h gate pre-activation (consumed as scratch), b the packed 1×4h
-// gate bias, c the cell state, updated in place; the returned batch×h Var
-// is the new hidden state. Values are bit-identical to the recorded
-// SliceCols/AddRowApply/Mul/Add/Tanh chain (see tensor.LSTMCellInto).
-// There is no backward pass for it, so a recording tape panics.
-func (t *Tape[T]) LSTMCell(z, b, c *Var[T]) *Var[T] {
-	if !t.noGrad {
-		panic("autodiff: LSTMCell needs a forward-only tape")
+// LSTMCell runs one fused LSTM cell step: z is the batch×4h gate
+// pre-activation (consumed: left holding the gate activations), b the
+// packed 1×4h gate bias and c the batch×h cell state, only read; it
+// returns the new hidden and cell states, bit-identical to the
+// SliceCols/AddRowApply/Mul/Add/Tanh chain (see tensor.LSTMCellInto). A
+// recording tape also keeps tanh(c′) and pushes two records, c′ = f∘c + i∘g
+// and h = o∘tanh(c′), each skipped in Backward exactly when the chain's ops
+// behind it would be and each replaying the chain's per-element gradient
+// expressions in its order, so gradients are bit-identical too.
+func (t *Tape[T]) LSTMCell(z, b, c *Var[T]) (h, cNext *Var[T]) {
+	rows, cols := c.Value.Rows, c.Value.Cols
+	hv, cv := t.get(rows, cols), t.get(rows, cols)
+	if t.noGrad || !(z.needsGrad || b.needsGrad || c.needsGrad) {
+		tensor.LSTMCellInto(hv, hv, cv, c.Value, z.Value, b.Value)
+		return t.newVar(hv), t.newVar(cv)
 	}
-	h := t.get(c.Value.Rows, c.Value.Cols)
-	tensor.LSTMCellInto(h, c.Value, z.Value, b.Value)
-	return t.newVar(h)
+	tc := t.get(rows, cols)
+	tensor.LSTMCellInto(hv, tc, cv, c.Value, z.Value, b.Value)
+	zi, bi := t.ref(z), t.ref(b)
+	cNext = t.push(t.newVar(cv), rec{op: opLSTMCell, a: zi, b: t.ref(c), x0: bi})
+	h = t.push(t.newVar(hv), rec{op: opLSTMHidden, a: zi, b: cNext.idx, x0: bi, x1: t.pushMat(tc)})
+	return h, cNext
 }
 
 // Im2ColRows materializes the width-row neighborhood of every row of x

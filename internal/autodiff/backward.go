@@ -338,6 +338,56 @@ func (t *Tape[T]) step(r *rec) {
 			}
 		}
 
+	case opLSTMHidden:
+		// h = o∘tanh(c′), the hidden half of LSTMCell: per element, the
+		// chain's Mul, Tanh and output-gate AddRowApply backward, with each
+		// product rounded where the chain stores it. The chain's stored
+		// gradients hold 0+x where these hold x, which differ only for
+		// x = −0, and every such term ends in a sum from +0, where ±0 add
+		// alike.
+		z, tc := t.at(r.a), t.auxMat[r.x1]
+		cg, zg, bg := t.gradOf(t.at(r.b)), t.gradIf(z), t.gradIf(t.at(r.x0))
+		n := tc.Cols
+		for i := 0; i < tc.Rows; i++ {
+			y, o, cgr := tc.Row(i), z.Value.Row(i)[3*n:], cg.Row(i)
+			for j, dh := range out.Grad.Row(i) {
+				cgr[j] += T(dh*o[j]) * (1 - y[j]*y[j])
+				d := T(dh*y[j]) * o[j] * (1 - o[j])
+				if zg != nil {
+					zg.Data[(4*i+3)*n+j] += d
+				}
+				if bg != nil {
+					bg.Data[3*n+j] += d
+				}
+			}
+		}
+
+	case opLSTMCell:
+		// c′ = f∘c + i∘g, the cell half of LSTMCell: per element, the
+		// chain's Add, two Mul and i/f/g AddRowApply backward, rounded as
+		// in opLSTMHidden. z holds the gate activations.
+		z, c := t.at(r.a), t.at(r.b)
+		zg, bg, cg := t.gradIf(z), t.gradIf(t.at(r.x0)), t.gradIf(c)
+		n := out.Value.Cols
+		for i := 0; i < out.Value.Rows; i++ {
+			zr, cp := z.Value.Row(i), c.Value.Row(i)
+			for j, dc := range out.Grad.Row(i) {
+				ia, fa, ga := zr[j], zr[n+j], zr[2*n+j]
+				d := [3]T{T(dc*ga) * ia * (1 - ia), T(dc*cp[j]) * fa * (1 - fa), T(dc*ia) * (1 - ga*ga)}
+				if cg != nil {
+					cg.Data[i*n+j] += T(dc * fa)
+				}
+				for k, dk := range d {
+					if zg != nil {
+						zg.Data[(4*i+k)*n+j] += dk
+					}
+					if bg != nil {
+						bg.Data[k*n+j] += dk
+					}
+				}
+			}
+		}
+
 	default:
 		panic(fmt.Sprintf("autodiff: unknown opcode %d", r.op))
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,14 @@ import (
 	"raal/internal/telemetry"
 	"raal/internal/tensor"
 )
+
+// predictFlat is PredictWith on the unbucketed schedule: chunks cut over
+// the samples in input order, each unrolled to its longest member. It is
+// how tests compare the two schedules.
+func predictFlat[T tensor.Float](m *Net[T], samples []*encode.Sample, opt PredictOpts) []float64 {
+	out, _ := m.predictCtx(context.Background(), samples, opt, nil, true)
+	return out
+}
 
 // maskedSample fabricates a sample with a random active length (1..tNodes)
 // and, sometimes, interior mask holes — the adversarial shapes for the
@@ -86,9 +95,7 @@ func TestBucketedPredictBitIdentical(t *testing.T) {
 			}
 			for _, opt := range opts {
 				bucketed := m.PredictWith(samples, opt)
-				flat := opt
-				flat.NoBucket = true
-				plain := m.PredictWith(samples, flat)
+				plain := predictFlat(m, samples, opt)
 				for i := range plain {
 					if bucketed[i] != plain[i] {
 						t.Fatalf("opt %+v sample %d (len %d): bucketed %v != unbucketed %v",
@@ -198,10 +205,10 @@ func TestBucketOccupancyCounters(t *testing.T) {
 			t.Fatalf("band %s occupancy = %d, want %d", band, got, want[band])
 		}
 	}
-	m.PredictWith(samples, PredictOpts{NoBucket: true})
+	predictFlat(m, samples, PredictOpts{})
 	for _, band := range bucketBands {
 		if got := m.instr.BucketOccupancy.With(band).Value(); got != want[band] {
-			t.Fatalf("band %s moved under NoBucket: %d, want %d", band, got, want[band])
+			t.Fatalf("band %s moved under the flat schedule: %d, want %d", band, got, want[band])
 		}
 	}
 }

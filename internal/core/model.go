@@ -491,9 +491,8 @@ func (m *Net[T]) replica() *Net[T] {
 // PredictOpts tunes data-parallel inference. The zero value picks the
 // defaults: length-bucketed chunks of up to 64 samples per tape, spread
 // across GOMAXPROCS worker goroutines. Predictions are bit-identical for
-// every Workers, ChunkSize, and NoBucket setting — each sample's output
-// depends only on its own rows, so the decomposition is purely a
-// throughput knob.
+// every Workers and ChunkSize setting — each sample's output depends only
+// on its own rows, so the decomposition is purely a throughput knob.
 type PredictOpts struct {
 	// Workers is the number of goroutines scoring chunks. <=0 means
 	// runtime.GOMAXPROCS(0); 1 reproduces the serial scorer.
@@ -501,13 +500,6 @@ type PredictOpts struct {
 	// ChunkSize is the number of samples per forward pass (per tape).
 	// <=0 means 64.
 	ChunkSize int
-	// NoBucket disables length-bucketed scheduling: chunks are cut over
-	// the samples in input order, and forward unrolls each chunk to its
-	// longest member. The default (false) groups samples by active plan
-	// length first, so a short plan never pays a long plan's padded LSTM
-	// timesteps. Outputs are identical either way; this is the escape
-	// hatch for comparing the two schedules.
-	NoBucket bool
 }
 
 // Predict returns the estimated cost in seconds for each sample, using
@@ -532,7 +524,7 @@ func (m *Net[T]) PredictWith(samples []*encode.Sample, opt PredictOpts) []float6
 // context adds only a nil check per chunk — predictions are bit-identical
 // to PredictWith for every PredictOpts setting.
 func (m *Net[T]) PredictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts) ([]float64, error) {
-	return m.predictCtx(ctx, samples, opt, nil)
+	return m.predictCtx(ctx, samples, opt, nil, false)
 }
 
 // PredictSpan scores samples serially (one worker, so stage wall times
@@ -541,7 +533,7 @@ func (m *Net[T]) PredictCtx(ctx context.Context, samples []*encode.Sample, opt P
 // lstm/conv → attention → dense → decode land here. Predictions are
 // bit-identical to Predict. The caller owns sp's lifecycle (End).
 func (m *Net[T]) PredictSpan(samples []*encode.Sample, sp *telemetry.Span) []float64 {
-	out, _ := m.predictCtx(context.Background(), samples, PredictOpts{Workers: 1}, sp)
+	out, _ := m.predictCtx(context.Background(), samples, PredictOpts{Workers: 1}, sp, false)
 	return out
 }
 
@@ -630,8 +622,10 @@ func (m *Net[T]) schedule(samples []*encode.Sample, chunk int, noBucket bool) ([
 
 // predictCtx is the shared scorer behind Predict/PredictCtx/PredictSpan.
 // A non-nil span forces the serial path (callers pass Workers: 1), so
-// stage durations sum to at most the call's wall time.
-func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts, sp *telemetry.Span) ([]float64, error) {
+// stage durations sum to at most the call's wall time. noBucket picks the
+// flat schedule (see schedule); only tests, comparing the two schedules,
+// set it.
+func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts, sp *telemetry.Span, noBucket bool) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -641,7 +635,7 @@ func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, opt P
 	if chunk <= 0 {
 		chunk = 64
 	}
-	scored, order, chunks := m.schedule(samples, chunk, opt.NoBucket)
+	scored, order, chunks := m.schedule(samples, chunk, noBucket)
 	nChunks := len(chunks)
 	workers := opt.Workers
 	if workers <= 0 {

@@ -52,9 +52,7 @@ func TestBucketedEdgeLengthsBitIdentical(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for _, opt := range []PredictOpts{{}, {Workers: 2, ChunkSize: 2}, {Workers: 1, ChunkSize: 1}} {
 				bucketed := m.PredictWith(samples, opt)
-				flat := opt
-				flat.NoBucket = true
-				plain := m.PredictWith(samples, flat)
+				plain := predictFlat(m, samples, opt)
 				for i := range plain {
 					if bucketed[i] != plain[i] {
 						t.Fatalf("opt %+v sample %d: bucketed %v != unbucketed %v", opt, i, bucketed[i], plain[i])

@@ -54,7 +54,7 @@ func instrumented[T tensor.Float](m *Net[T]) *Instrumentation {
 // alone returns. With a memo slot on the plans the two precisions take
 // turns evicting each other's prefix, then find their own again.
 func TestSharedPrefixBitIdentical(t *testing.T) {
-	opts := []PredictOpts{{}, {Workers: 1, ChunkSize: 7}, {Workers: 4, ChunkSize: 7}, {NoBucket: true, ChunkSize: 16}}
+	opts := []PredictOpts{{}, {Workers: 1, ChunkSize: 7}, {Workers: 4, ChunkSize: 7}}
 	for _, v := range goldenVariants() {
 		for _, memo := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(5))
@@ -88,6 +88,8 @@ func TestSharedPrefixBitIdentical(t *testing.T) {
 			check("f64", m.PredictWith)
 			check("f32", q.PredictWith)
 			check("f64 again", m.PredictWith)
+			check("f64 flat", func(b []*encode.Sample, o PredictOpts) []float64 { return predictFlat(m, b, o) })
+			check("f32 flat", func(b []*encode.Sample, o PredictOpts) []float64 { return predictFlat(q, b, o) })
 		}
 	}
 }

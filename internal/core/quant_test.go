@@ -64,15 +64,18 @@ func TestQuantizedPredictDeterministic(t *testing.T) {
 }
 
 func checkPredictDeterministic[T tensor.Float](t *testing.T, m *Net[T], eval []*encode.Sample) {
-	want := m.PredictWith(eval, PredictOpts{Workers: 1, ChunkSize: 7, NoBucket: true})
+	want := predictFlat(m, eval, PredictOpts{Workers: 1, ChunkSize: 7})
 	opts := []PredictOpts{
 		{Workers: 1, ChunkSize: 80},
 		{Workers: 2, ChunkSize: 16},
 		{Workers: 4, ChunkSize: 5},
-		{Workers: 3, ChunkSize: 11, NoBucket: true},
+		{Workers: 3, ChunkSize: 11}, // scored on the flat schedule too
 	}
-	for _, opt := range opts {
+	for k, opt := range opts {
 		got := m.PredictWith(eval, opt)
+		if k == len(opts)-1 {
+			got = predictFlat(m, eval, opt)
+		}
 		for i, v := range got {
 			if v != want[i] {
 				t.Fatalf("opts %+v: sample %d = %v, want %v (bit-identical)", opt, i, v, want[i])

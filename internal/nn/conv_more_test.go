@@ -77,10 +77,13 @@ func TestLSTMZeroStateShapes(t *testing.T) {
 	}
 }
 
+// TestLSTMForwardEmptySequence is TestLSTMForwardStackedEmpty on a
+// forward-only tape: no hidden states and nothing recorded.
 func TestLSTMForwardEmptySequence(t *testing.T) {
 	l := NewLSTM[float64]("l", 2, 3, rand.New(rand.NewSource(24)))
-	if hs := l.Forward(autodiff.NewTape[float64](), nil); hs != nil {
-		t.Fatal("empty sequence should yield nil")
+	tp := autodiff.NewInferenceTape[float64]()
+	if hs := l.ForwardStacked(tp, tp.Const(tensor.New(0, 2)), 0); hs != nil || tp.Len() != 0 {
+		t.Fatalf("empty sequence yielded %v with %d records, want nil and none", hs, tp.Len())
 	}
 }
 

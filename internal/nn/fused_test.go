@@ -46,38 +46,46 @@ func TestDenseFusedMatchesUnfused(t *testing.T) {
 	}
 }
 
-// TestLSTMStepFusedMatchesUnfused pins the fused LSTM step (slice the
-// pre-activation, then fused bias+activation per gate) against the
-// pre-fusion graph (add the packed bias to the whole pre-activation, then
-// slice and activate): hidden state, cell state, and all three weight
-// gradients must be bit-identical.
+// TestLSTMStepFusedMatchesUnfused pins two ForwardStacked steps — the
+// fused cell, recorded — against the pre-fusion graph (add the packed
+// bias to the whole pre-activation, then slice and activate, then the
+// elementwise cell update): both hidden states and all three weight
+// gradients must be bit-identical. The second step carries the first
+// cell state's value and gradient.
 func TestLSTMStepFusedMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	const in, hidden, batch = 5, 4, 3
+	const in, hidden, batch, steps = 5, 4, 3, 2
 	l := NewLSTM[float64]("l", in, hidden, rng)
-	x := tensor.Randn(batch, in, 1, rng)
+	x := tensor.Randn(steps*batch, in, 1, rng)
+	loss := func(tp *autodiff.Tape[float64], hs []*autodiff.Var[float64]) *autodiff.Var[float64] {
+		return tp.MeanAll(tp.Add(tp.Mul(hs[0], hs[0]), tp.Mul(hs[1], hs[1])))
+	}
 
 	tp := autodiff.NewTape[float64]()
-	s := l.Step(tp, tp.Const(x), l.ZeroState(tp, batch))
-	loss := tp.MeanAll(tp.Add(tp.Mul(s.H, s.H), tp.Mul(s.C, s.C)))
-	tp.Backward(loss)
+	hs := l.ForwardStacked(tp, tp.Const(x), steps)
+	tp.Backward(loss(tp, hs))
 
 	ut := autodiff.NewTape[float64]()
 	wx, wh, b := ut.Param(l.Wx.Var.Value), ut.Param(l.Wh.Var.Value), ut.Param(l.B.Var.Value)
-	h0 := ut.Const(ut.NewMatrix(batch, hidden))
-	c0 := ut.Const(ut.NewMatrix(batch, hidden))
-	z := ut.AddRow(ut.Add(ut.MatMul(ut.Const(x), wx), ut.MatMul(h0, wh)), b)
-	i := ut.Sigmoid(ut.SliceCols(z, 0, hidden))
-	f := ut.Sigmoid(ut.SliceCols(z, hidden, 2*hidden))
-	g := ut.Tanh(ut.SliceCols(z, 2*hidden, 3*hidden))
-	o := ut.Sigmoid(ut.SliceCols(z, 3*hidden, 4*hidden))
-	c := ut.Add(ut.Mul(f, c0), ut.Mul(i, g))
-	h := ut.Mul(o, ut.Tanh(c))
-	uloss := ut.MeanAll(ut.Add(ut.Mul(h, h), ut.Mul(c, c)))
-	ut.Backward(uloss)
+	zx := ut.MatMul(ut.Const(x), wx)
+	h := ut.Const(ut.NewMatrix(batch, hidden))
+	c := ut.Const(ut.NewMatrix(batch, hidden))
+	uhs := make([]*autodiff.Var[float64], steps)
+	for s := range uhs {
+		z := ut.AddRow(ut.AddRowsAt(zx, s*batch, ut.MatMul(h, wh)), b)
+		i := ut.Sigmoid(ut.SliceCols(z, 0, hidden))
+		f := ut.Sigmoid(ut.SliceCols(z, hidden, 2*hidden))
+		g := ut.Tanh(ut.SliceCols(z, 2*hidden, 3*hidden))
+		o := ut.Sigmoid(ut.SliceCols(z, 3*hidden, 4*hidden))
+		c = ut.Add(ut.Mul(f, c), ut.Mul(i, g))
+		h = ut.Mul(o, ut.Tanh(c))
+		uhs[s] = h
+	}
+	ut.Backward(loss(ut, uhs))
 
-	mustBitEqual(t, s.H.Value, h.Value, "hidden state")
-	mustBitEqual(t, s.C.Value, c.Value, "cell state")
+	for s := range hs {
+		mustBitEqual(t, hs[s].Value, uhs[s].Value, "hidden state")
+	}
 	mustBitEqual(t, l.Wx.Var.Grad, wx.Grad, "Wx grad")
 	mustBitEqual(t, l.Wh.Var.Grad, wh.Grad, "Wh grad")
 	mustBitEqual(t, l.B.Var.Grad, b.Grad, "B grad")
@@ -89,27 +97,16 @@ func TestLSTMStepFusedMatchesUnfused(t *testing.T) {
 func TestLSTMForwardReusedTapeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	l := NewLSTM[float64]("l", 4, 6, rng)
-	seq := make([]*tensor.Matrix, 5)
-	for i := range seq {
-		seq[i] = tensor.Randn(2, 4, 1, rng)
-	}
+	const steps = 5
+	seq := tensor.Randn(steps*2, 4, 1, rng)
 
 	tp := autodiff.NewTape[float64]()
 	var warm []*tensor.Matrix
 	for pass := 0; pass < 3; pass++ {
 		tp.Reset()
-		xs := make([]*autodiff.Var[float64], len(seq))
-		for i, m := range seq {
-			xs[i] = tp.Const(m)
-		}
-		hs := l.Forward(tp, xs)
-
+		hs := l.ForwardStacked(tp, tp.Const(seq), steps)
 		fresh := autodiff.NewTape[float64]()
-		fxs := make([]*autodiff.Var[float64], len(seq))
-		for i, m := range seq {
-			fxs[i] = fresh.Const(m)
-		}
-		fhs := l.Forward(fresh, fxs)
+		fhs := l.ForwardStacked(fresh, fresh.Const(seq), steps)
 
 		for i := range hs {
 			mustBitEqual(t, hs[i].Value, fhs[i].Value, "hidden step")

@@ -54,19 +54,12 @@ func TestDenseGradient(t *testing.T) {
 func TestLSTMGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	l := NewLSTM[float64]("l", 3, 4, rng)
-	xs := []*tensor.Matrix{
-		tensor.Randn(2, 3, 1, rng),
-		tensor.Randn(2, 3, 1, rng),
-		tensor.Randn(2, 3, 1, rng),
-	}
+	const steps = 3
+	x := tensor.Randn(steps*2, 3, 1, rng) // three steps of batch 2, stacked
 	target := tensor.Randn(2, 4, 1, rng)
 	gradCheckModel(t, l.Params(), func(tp *autodiff.Tape[float64]) *autodiff.Var[float64] {
-		ins := make([]*autodiff.Var[float64], len(xs))
-		for i, x := range xs {
-			ins[i] = tp.Const(x)
-		}
-		hs := l.Forward(tp, ins)
-		return tp.MSE(hs[len(hs)-1], target)
+		hs := l.ForwardStacked(tp, tp.Const(x), steps)
+		return tp.MSE(hs[steps-1], target)
 	})
 }
 
@@ -150,32 +143,25 @@ func TestLSTMLearnsSequenceSum(t *testing.T) {
 	opt := NewAdam[float64](0.02)
 
 	const batch, steps = 16, 4
-	makeBatch := func() ([]*tensor.Matrix, *tensor.Matrix) {
-		xs := make([]*tensor.Matrix, steps)
+	makeBatch := func() (*tensor.Matrix, *tensor.Matrix) {
+		x := tensor.New(steps*batch, 1) // row t·batch+i is sequence i's step t
 		y := tensor.New(batch, 1)
-		for t := 0; t < steps; t++ {
-			xs[t] = tensor.New(batch, 1)
-		}
 		for i := 0; i < batch; i++ {
 			var sum float64
 			for t := 0; t < steps; t++ {
 				v := rng.Float64()*2 - 1
-				xs[t].Set(i, 0, v)
+				x.Set(t*batch+i, 0, v)
 				sum += v
 			}
 			y.Set(i, 0, sum)
 		}
-		return xs, y
+		return x, y
 	}
 	var last float64
 	for iter := 0; iter < 300; iter++ {
-		xs, y := makeBatch()
+		x, y := makeBatch()
 		tp := autodiff.NewTape[float64]()
-		ins := make([]*autodiff.Var[float64], steps)
-		for t, x := range xs {
-			ins[t] = tp.Const(x)
-		}
-		hs := l.Forward(tp, ins)
+		hs := l.ForwardStacked(tp, tp.Const(x), steps)
 		pred := head.Forward(tp, hs[steps-1])
 		loss := tp.MSE(pred, y)
 		tp.Backward(loss)

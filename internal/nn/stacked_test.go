@@ -9,8 +9,9 @@ import (
 )
 
 // TestLSTMForwardStackedMatchesForward pins the stacked recurrence to the
-// per-step one, bit for bit: the stacked input projection computes the
-// same dot products, and each step's addition pairs the same operands.
+// per-step chain oracle, bit for bit: the stacked input projection
+// computes the same dot products, each step's addition pairs the same
+// operands, and the fused cell rounds where the chain does.
 func TestLSTMForwardStackedMatchesForward(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	l := NewLSTM[float64]("lstm", 5, 4, rng)
@@ -22,7 +23,7 @@ func TestLSTMForwardStackedMatchesForward(t *testing.T) {
 	for s := 0; s < steps; s++ {
 		xs[s] = tpA.Const(stacked.SliceRows(s*batch, (s+1)*batch))
 	}
-	hsA := l.Forward(tpA, xs)
+	hsA := chainForward(l, tpA, xs)
 
 	tpB := autodiff.NewTape[float64]()
 	hsB := l.ForwardStacked(tpB, tpB.Const(stacked), steps)
@@ -95,10 +96,10 @@ func TestLSTMForwardStackedEmpty(t *testing.T) {
 	}
 }
 
-// TestLSTMForwardStackedFusedMatchesRecorded is the property that lets a
-// forward-only tape run the fused cell at any element type: over random
-// widths, batch sizes and sequence lengths, every hidden state must equal
-// the recording tape's unfused chain bit for bit.
+// TestLSTMForwardStackedFusedMatchesRecorded holds the fused cell on both
+// tapes to the chain oracle at either element type: over random widths,
+// batch sizes and sequence lengths, every hidden state of a recording and
+// of a forward-only tape must equal the recorded chain's bit for bit.
 func TestLSTMForwardStackedFusedMatchesRecorded(t *testing.T) {
 	t.Run("f64", testForwardStackedFusedMatchesRecorded[float64])
 	t.Run("f32", testForwardStackedFusedMatchesRecorded[float32])
@@ -113,20 +114,23 @@ func testForwardStackedFusedMatchesRecorded[T tensor.Float](t *testing.T) {
 		tensor.Cast(l.B.Value().Data, tensor.Randn(1, 4*hidden, 1, rng).Data) // biases are zero/one at init
 		x := tensor.Convert[T](tensor.Randn(steps*batch, in, 2, rng))
 
+		oracle := autodiff.NewTape[T]()
+		want := chainForwardStacked(l, oracle, oracle.Const(x), steps)
 		rec := autodiff.NewTape[T]()
-		want := l.ForwardStacked(rec, rec.Const(x), steps)
 		fwd := autodiff.NewInferenceTape[T]()
-		got := l.ForwardStacked(fwd, fwd.Const(x), steps)
-		if rec.Len() == 0 || fwd.Len() != 0 {
-			t.Fatalf("tape modes: recording tape has %d records, forward-only %d", rec.Len(), fwd.Len())
-		}
-		for s := range want {
-			for i, w := range want[s].Value.Data {
-				if g := got[s].Value.Data[i]; g != w {
-					t.Fatalf("trial %d (in=%d h=%d steps=%d batch=%d) step %d element %d: fused %v != recorded %v",
-						trial, in, hidden, steps, batch, s, i, g, w)
+		for _, tp := range []*autodiff.Tape[T]{rec, fwd} {
+			got := l.ForwardStacked(tp, tp.Const(x), steps)
+			for s := range want {
+				for i, w := range want[s].Value.Data {
+					if g := got[s].Value.Data[i]; g != w {
+						t.Fatalf("trial %d (in=%d h=%d steps=%d batch=%d, forward-only %v) step %d element %d: fused %v != chain %v",
+							trial, in, hidden, steps, batch, tp.ForwardOnly(), s, i, g, w)
+					}
 				}
 			}
+		}
+		if rec.Len() == 0 || fwd.Len() != 0 {
+			t.Fatalf("tape modes: recording tape has %d records, forward-only %d", rec.Len(), fwd.Len())
 		}
 	}
 }

@@ -45,12 +45,21 @@ func blockingEstimator(release <-chan struct{}) EstimateFunc {
 	}
 }
 
+// mustServer builds a server that is drained when the test ends, so a
+// batching one stops its dispatch loop (TestMain counts goroutines).
 func mustServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := s.Drain(ctx); err != nil {
+			t.Errorf("drain at cleanup: %v", err)
+		}
+	})
 	return s
 }
 

@@ -160,47 +160,46 @@ func AddRowActInto[T Float](out, m, r *Mat[T], act Act) {
 }
 
 // LSTMCellInto applies one fused LSTM cell update. z is the batch×4h gate
-// pre-activation (stacked input projection plus recurrent term) in gate
-// order i|f|g|o, b the 1×4h packed gate bias, sc the batch×h cell state
-// (updated in place), and sh the batch×h output hidden state:
+// pre-activation in gate order i|f|g|o, b the 1×4h packed gate bias and
+// cPrev the batch×h cell state; c receives the new cell state, tc its tanh
+// and h the hidden state:
 //
 //	i,f,o = σ(z+b)   g = tanh(z+b)
-//	sc    = f∘sc + i∘g
-//	sh    = o ∘ tanh(sc)
+//	c     = f∘cPrev + i∘g,   tc = tanh(c),   h = o∘tc
 //
-// One pass replaces the recorded form's four column slices, four bias+
-// activation kernels, and five elementwise ops per step; a forward-only
-// tape can fuse what a recording tape must keep separate for the backward
-// pass. z is consumed as scratch (it holds the gate activations on
-// return). Every intermediate rounds exactly where the recorded chain
-// rounds it — the explicit conversions on the two products forbid a fused
-// multiply-add — so the result is bit-identical to that chain, and
-// elements are independent, so it is bit-identical across worker counts.
-// sh must not alias z or sc.
-func LSTMCellInto[T Float](sh, sc, z, b *Mat[T]) {
-	h := sc.Cols
-	if z.Rows != sc.Rows || z.Cols != 4*h {
-		panic(fmt.Sprintf("tensor: lstmCell z shape %dx%d, want %dx%d", z.Rows, z.Cols, sc.Rows, 4*h))
+// One pass replaces the op chain's four column slices, four bias+
+// activation kernels and five elementwise ops. z is consumed: it is left
+// holding the gate activations, which with cPrev and tc are all a backward
+// pass reads. tc may be h when nothing keeps it. Every intermediate rounds
+// exactly where the chain rounds it — the explicit conversions on the two
+// products forbid a fused multiply-add — so the result is bit-identical to
+// that chain, and elements are independent, so it is bit-identical across
+// worker counts. No output may alias z or cPrev, nor h or tc alias c.
+func LSTMCellInto[T Float](h, tc, c, cPrev, z, b *Mat[T]) {
+	n := cPrev.Cols
+	if z.Rows != cPrev.Rows || z.Cols != 4*n {
+		panic(fmt.Sprintf("tensor: lstmCell z shape %dx%d, want %dx%d", z.Rows, z.Cols, cPrev.Rows, 4*n))
 	}
-	mustOutShape("lstmCell", sh, sc)
-	if sameData(sh, z) || sameData(sh, sc) {
-		panic("tensor: lstmCell sh must not alias z or sc")
+	for _, out := range [...]*Mat[T]{h, tc, c} {
+		mustOutShape("lstmCell", out, cPrev)
+		if sameData(out, z) || sameData(out, cPrev) {
+			panic("tensor: lstmCell outputs must not alias z or cPrev")
+		}
 	}
 	AddRowInto(z, z, b)
 	for r := 0; r < z.Rows; r++ {
 		zr := z.Row(r)
-		sigmoidSlice(zr[:2*h], zr[:2*h])
-		tanhSlice(zr[2*h:3*h], zr[2*h:3*h])
-		sigmoidSlice(zr[3*h:], zr[3*h:])
-		zi, zf, zg, zo := zr[:h], zr[h:2*h], zr[2*h:3*h], zr[3*h:]
-		scr := sc.Row(r)
-		shr := sh.Row(r)
-		for j, c := range scr {
-			scr[j] = T(zf[j]*c) + T(zi[j]*zg[j])
+		sigmoidSlice(zr[:2*n], zr[:2*n])
+		tanhSlice(zr[2*n:3*n], zr[2*n:3*n])
+		sigmoidSlice(zr[3*n:], zr[3*n:])
+		zi, zf, zg, zo := zr[:n], zr[n:2*n], zr[2*n:3*n], zr[3*n:]
+		cr, tcr, hr := c.Row(r), tc.Row(r), h.Row(r)
+		for j, cp := range cPrev.Row(r) {
+			cr[j] = T(zf[j]*cp) + T(zi[j]*zg[j])
 		}
-		tanhSlice(shr, scr)
+		tanhSlice(tcr, cr)
 		for j, o := range zo {
-			shr[j] = o * shr[j]
+			hr[j] = o * tcr[j]
 		}
 	}
 }

@@ -96,11 +96,13 @@ var sigTab = func() [sigTabN + 1]float32 {
 const sigTabScale = sigTabN / (2 * sigTabMax)
 
 // Sigmoid32 returns 1/(1+e^{−x}) in float32 via the interpolated table.
-// NaN propagates (the index conversion clamps, but callers never feed
-// NaN from finite weights and inputs).
+// NaN propagates.
 func Sigmoid32(x float32) float32 {
 	fx := (x + sigTabMax) * sigTabScale
-	if fx <= 0 {
+	if !(fx > 0) {
+		if fx != fx {
+			return fx // NaN: it must not reach the table index
+		}
 		return sigTab[0]
 	}
 	if fx >= sigTabN {

@@ -51,9 +51,25 @@ func TestFastMath32Accuracy(t *testing.T) {
 	}
 }
 
+// TestFastMath32NonFinite pins the table kernels on non-finite input:
+// NaN propagates (it used to index the table at int32(NaN) and panic) and
+// the infinities saturate.
+func TestFastMath32NonFinite(t *testing.T) {
+	nan := float32(math.NaN())
+	if s, th := Sigmoid32(nan), Tanh32(nan); s == s || th == th {
+		t.Fatalf("Sigmoid32(NaN), Tanh32(NaN) = %v, %v, want NaN", s, th)
+	}
+	inf := float32(math.Inf(1))
+	if Sigmoid32(inf) != 1 || Sigmoid32(-inf) != 0 || Tanh32(inf) != 1 || Tanh32(-inf) != -1 {
+		t.Fatalf("infinities: σ = %v, %v; tanh = %v, %v", Sigmoid32(inf), Sigmoid32(-inf), Tanh32(inf), Tanh32(-inf))
+	}
+}
+
 // TestLSTMCellMatchesUnfused checks the fused cell kernel, bit for bit,
-// against the op-by-op chain a recording tape runs in its place: column
-// slices, bias+activation per gate, then the five elementwise ops.
+// against the op-by-op chain it replaces: column slices, bias+activation
+// per gate, then the five elementwise ops. It also pins what a backward
+// pass reads back: the gate activations left in z, tanh of the new cell
+// state in tc, and the incoming cell state untouched.
 func TestLSTMCellMatchesUnfused(t *testing.T)   { testLSTMCellMatchesUnfused[float64](t) }
 func TestLSTMCell32MatchesUnfused(t *testing.T) { testLSTMCellMatchesUnfused[float32](t) }
 
@@ -62,7 +78,8 @@ func testLSTMCellMatchesUnfused[T Float](t *testing.T) {
 	const batch, h = 5, 7
 	z := randMatOf[T](rng, batch, 4*h)
 	b := randMatOf[T](rng, 1, 4*h)
-	sc := randMatOf[T](rng, batch, h)
+	cPrev := randMatOf[T](rng, batch, h)
+	zIn, wantPrev := z.Clone(), cPrev.Clone()
 
 	gate := func(k int, act Act) *Mat[T] {
 		zk, bk := NewMat[T](batch, h), NewMat[T](1, h)
@@ -73,14 +90,29 @@ func testLSTMCellMatchesUnfused[T Float](t *testing.T) {
 		AddRowActInto(zk, zk, bk, act)
 		return zk
 	}
-	i, f, g, o := gate(0, ActSigmoid), gate(1, ActSigmoid), gate(2, ActTanh), gate(3, ActSigmoid)
-	wantSC := Add(Mul(f, sc), Mul(i, g))
-	wantSH := NewMat[T](batch, h)
-	TanhInto(wantSH, wantSC)
-	MulInto(wantSH, o, wantSH)
+	gates := []*Mat[T]{gate(0, ActSigmoid), gate(1, ActSigmoid), gate(2, ActTanh), gate(3, ActSigmoid)}
+	i, f, g, o := gates[0], gates[1], gates[2], gates[3]
+	wantC := Add(Mul(f, cPrev), Mul(i, g))
+	wantTC := NewMat[T](batch, h)
+	TanhInto(wantTC, wantC)
+	wantH := Mul(o, wantTC)
 
-	sh := NewMat[T](batch, h)
-	LSTMCellInto(sh, sc, z, b)
-	mustEqual(t, sh, wantSH, "hidden state")
-	mustEqual(t, sc, wantSC, "cell state")
+	sh, tc, c := NewMat[T](batch, h), NewMat[T](batch, h), NewMat[T](batch, h)
+	LSTMCellInto(sh, tc, c, cPrev, z, b)
+	mustEqual(t, sh, wantH, "hidden state")
+	mustEqual(t, c, wantC, "cell state")
+	mustEqual(t, tc, wantTC, "tanh of the cell state")
+	mustEqual(t, cPrev, wantPrev, "incoming cell state")
+	for k, want := range gates {
+		got := NewMat[T](batch, h)
+		for r := 0; r < batch; r++ {
+			copy(got.Row(r), z.Row(r)[k*h:(k+1)*h])
+		}
+		mustEqual(t, got, want, "gate activations in z")
+	}
+
+	// With tc = h, as a forward-only tape runs it, h is unchanged.
+	sh2 := NewMat[T](batch, h)
+	LSTMCellInto(sh2, sh2, c, cPrev, zIn, b)
+	mustEqual(t, sh2, wantH, "hidden state with tc = h")
 }
