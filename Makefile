@@ -134,14 +134,16 @@ cover:
 # held to the math library bit for bit; the float64 matmul kernels
 # (AVX2, and AVX-512 where the CPU has it), held to the Go loop bit for bit
 # on special values; every candidate plan's statements and key, held
-# to the fmt-based reference renderer on a tiny catalog; and the fused,
+# to the fmt-based reference renderer on a tiny catalog; the fused,
 # recorded LSTM cell, held to the op chain it replaced in values and
-# gradients, bit for bit, on special values (the seed corpora
+# gradients, bit for bit, on special values; and the ragged LSTM
+# recurrence, held to itself run padded in hidden states and weight
+# gradients, bit for bit, on random lengths (the seed corpora
 # plus any committed inputs also replay under plain `go test`). Targets are
 # <package>:<FuzzName>. go test fuzzes one target per run, so the targets
 # share FUZZTIME (whole seconds) equally, one after the other.
 FUZZTIME ?= 25s
-FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul ./internal/physical:FuzzStatements ./internal/fleet:FuzzReplicaResponse ./internal/nn:FuzzLSTMCell
+FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul ./internal/physical:FuzzStatements ./internal/fleet:FuzzReplicaResponse ./internal/nn:FuzzLSTMCell ./internal/nn:FuzzRaggedLSTM
 fuzz:
 	total=$(FUZZTIME); each=$$(( $${total%s} / $(words $(FUZZ_TARGETS)) )); \
 	for target in $(FUZZ_TARGETS); do \

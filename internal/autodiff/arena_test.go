@@ -266,7 +266,7 @@ func TestTapeOpsF32MatchF64(t *testing.T) {
 	check("im2col", tp32.Im2ColRows(a32, 3), tp64.Im2ColRows(av, 3), 1e-6)
 	check("concatCols", tp32.ConcatCols(a32, a32), tp64.ConcatCols(av, av), 1e-6)
 	check("concatRows", tp32.ConcatRows(a32, a32), tp64.ConcatRows(av, av), 1e-6)
-	check("gatherRows", tp32.GatherRows([]*Var[float32]{a32, a32}, 3), tp64.GatherRows([]*Var[float64]{av, av}, 3), 1e-6)
+	check("gatherRows", tp32.GatherRows([]*Var[float32]{a32, a32}, []int{3, 1}), tp64.GatherRows([]*Var[float64]{av, av}, []int{3, 1}), 1e-6)
 
 	small32, smallv := pair(tensor.Randn(2, 8, 1, rng))
 	check("addRowsAt", tp32.AddRowsAt(a32, 2, small32), tp64.AddRowsAt(av, 2, smallv), 1e-6)

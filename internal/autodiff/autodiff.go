@@ -100,7 +100,7 @@ const (
 	opMeanAll
 	opMSE
 	opDropout
-	opGatherRows
+	opGatherRows // also KeepRows: a gather whose every input is one Var
 	opAddRowsAt
 	opIm2ColRows
 	opLSTMCell   // c′ of Tape.LSTMCell
@@ -116,8 +116,8 @@ const (
 //	       cell) the bias operand and the aux-matrix slot of tanh(c′)
 //	s      scalar: scale factor, leak alpha, element count n, 1/(1−p)
 //
-// opGatherRows stores its gathered row index in a (it has no single
-// operand; its inputs live in the aux-args slab at [x0, x0+x1)).
+// opGatherRows has no single operand: its x1 inputs live in the aux-args
+// slab at [x0, x0+x1), followed by the row read from each.
 type rec struct {
 	op     opcode
 	act    uint8
@@ -204,7 +204,7 @@ type Tape[T tensor.Float] struct {
 	arena arena[T] // value/gradient/header storage, rewound by Reset
 
 	// Aux slabs for record payloads that don't fit the fixed fields.
-	auxArgs []int32          // operand lists (concat, gather)
+	auxArgs []int32          // operand and row lists (concat, gather, keep)
 	auxMask [][]bool         // row/element masks (mean, dropout)
 	auxMat  []*tensor.Mat[T] // matrices a record keeps: MSE targets, LSTM tanh(c′)
 
@@ -214,6 +214,8 @@ type Tape[T tensor.Float] struct {
 	// walk.
 	scratch    []T
 	scratchHdr tensor.Mat[T]
+
+	ints []int // NewInts loans, rewound by Reset
 
 	noGrad bool // inference mode: skip all recording
 }
@@ -252,6 +254,7 @@ func (t *Tape[T]) Reset() {
 		t.auxMat[i] = nil
 	}
 	t.auxMat = t.auxMat[:0]
+	t.ints = t.ints[:0]
 	t.arena.rewind()
 }
 
@@ -266,6 +269,21 @@ func (t *Tape[T]) NewMatrix(rows, cols int) *tensor.Mat[T] {
 	m := t.arena.mat(rows, cols)
 	m.Zero()
 	return m
+}
+
+// NewInts returns n zeroed ints on loan from the tape, valid until the next
+// Reset: the lengths and row lists of a ragged batch, so that a reused tape
+// allocates none steady-state.
+func (t *Tape[T]) NewInts(n int) []int {
+	used := len(t.ints)
+	if used+n > cap(t.ints) {
+		// Earlier loans keep the old array; the next pass fits in this one.
+		t.ints = make([]int, used, 2*(used+n))
+	}
+	t.ints = t.ints[:used+n]
+	s := t.ints[used : used+n : used+n]
+	clear(s)
+	return s
 }
 
 // get returns an arena matrix with unspecified contents; the caller must
@@ -393,6 +411,13 @@ func (t *Tape[T]) pushArgs(vs []*Var[T]) (off, ln int32) {
 		t.auxArgs = append(t.auxArgs, t.ref(v))
 	}
 	return off, int32(len(vs))
+}
+
+// pushRows appends a row list to the aux-args slab.
+func (t *Tape[T]) pushRows(rows []int) {
+	for _, r := range rows {
+		t.auxArgs = append(t.auxArgs, int32(r))
+	}
 }
 
 func (t *Tape[T]) pushMask(m []bool) int32 {
@@ -600,19 +625,20 @@ func (t *Tape[T]) SoftmaxRows(a *Var[T], mask []bool) *Var[T] {
 
 // SoftmaxRowsMask2D applies a row-wise softmax with an independent column
 // mask per row: entry (i,j) receives zero probability when mask[i][j] is
-// false. Rows whose mask is entirely false become all-zero rows. This is
-// the primitive behind node-aware attention, where node i attends only
-// over its own children.
+// false. Rows whose mask is entirely false become all-zero rows. A mask row
+// longer than a's columns is read up to them, so a plan's padded children
+// matrix masks its leading block as it is. This is the primitive behind
+// node-aware attention, where node i attends only over its own children.
 func (t *Tape[T]) SoftmaxRowsMask2D(a *Var[T], mask [][]bool) *Var[T] {
 	if len(mask) != a.Value.Rows {
 		panic(fmt.Sprintf("autodiff: 2D softmax mask rows %d != %d", len(mask), a.Value.Rows))
 	}
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	for i := 0; i < a.Value.Rows; i++ {
-		if len(mask[i]) != a.Value.Cols {
-			panic(fmt.Sprintf("autodiff: 2D softmax mask row %d has %d cols, want %d", i, len(mask[i]), a.Value.Cols))
+		if len(mask[i]) < a.Value.Cols {
+			panic(fmt.Sprintf("autodiff: 2D softmax mask row %d has %d cols, want at least %d", i, len(mask[i]), a.Value.Cols))
 		}
-		tensor.SoftmaxRowInto(val.Row(i), a.Value.Row(i), mask[i])
+		tensor.SoftmaxRowInto(val.Row(i), a.Value.Row(i), mask[i][:a.Value.Cols])
 	}
 	out := t.newVar(val)
 	if !t.track1(a) {
@@ -677,11 +703,28 @@ func (t *Tape[T]) ConcatRows(vs ...*Var[T]) *Var[T] {
 	return t.push(out, rec{op: opConcatRows, x0: aoff, x1: ln})
 }
 
-// GatherRows extracts row i of every input and stacks the copies into a
-// len(vs)×cols variable: out.Row(k) = vs[k].Row(i). One op replaces the
-// per-timestep RowAt + ConcatRows chain the recurrent readout used to
-// record (len(vs)+1 ops and as many intermediate Vars).
-func (t *Tape[T]) GatherRows(vs []*Var[T], i int) *Var[T] {
+// RowListError is the panic value of GatherRows and KeepRows given a row
+// list that does not fit their operands. Layers build row lists from their
+// own shapes, so a bad one is a bug, never a property of the data.
+type RowListError struct {
+	Op        string // "GatherRows" or "KeepRows"
+	At        int    // the offending list position; −1 when the list's length is wrong
+	Row, Rows int    // the row listed there (or the length) and its bound
+}
+
+func (e *RowListError) Error() string {
+	return fmt.Sprintf("autodiff: %s row list entry %d: %d does not fit %d (entry −1: the list's length)", e.Op, e.At, e.Row, e.Rows)
+}
+
+// GatherRows stacks one row of every input into a len(vs)×cols variable:
+// out.Row(k) = vs[k].Row(rows[k]). This is how a plan reads its hidden
+// states out of a ragged recurrence, whose step-k state holds the plan at
+// row rows[k]. One op replaces the per-step RowAt + ConcatRows chain (as
+// many ops as steps, plus one, and as many intermediate Vars).
+func (t *Tape[T]) GatherRows(vs []*Var[T], rows []int) *Var[T] {
+	if len(rows) != len(vs) {
+		panic(&RowListError{Op: "GatherRows", At: -1, Row: len(rows), Rows: len(vs)})
+	}
 	if len(vs) == 0 {
 		return t.newVar(t.get(0, 0))
 	}
@@ -691,17 +734,42 @@ func (t *Tape[T]) GatherRows(vs []*Var[T], i int) *Var[T] {
 		if v.Value.Cols != cols {
 			panic(fmt.Sprintf("autodiff: GatherRows col mismatch %d != %d", v.Value.Cols, cols))
 		}
-		if i < 0 || i >= v.Value.Rows {
-			panic(fmt.Sprintf("autodiff: GatherRows(%d) out of %d rows", i, v.Value.Rows))
+		if r := rows[k]; r < 0 || r >= v.Value.Rows {
+			panic(&RowListError{Op: "GatherRows", At: k, Row: r, Rows: v.Value.Rows})
 		}
-		copy(val.Row(k), v.Value.Row(i))
+		copy(val.Row(k), v.Value.Row(rows[k]))
 	}
 	out := t.newVar(val)
 	if !t.trackN(vs) {
 		return out
 	}
 	off, ln := t.pushArgs(vs)
-	return t.push(out, rec{op: opGatherRows, a: int32(i), x0: off, x1: ln})
+	t.pushRows(rows)
+	return t.push(out, rec{op: opGatherRows, x0: off, x1: ln})
+}
+
+// KeepRows returns the rows of a that rows lists, an ascending subset:
+// out.Row(i) = a.Row(rows[i]). It shrinks a ragged recurrence's state to the
+// sequences still running. It records as the gather of those rows from a,
+// whose backward adds each output row's gradient into the row it came from.
+func (t *Tape[T]) KeepRows(a *Var[T], rows []int) *Var[T] {
+	val := t.get(len(rows), a.Value.Cols)
+	for i, r := range rows {
+		if r < 0 || r >= a.Value.Rows || (i > 0 && r <= rows[i-1]) {
+			panic(&RowListError{Op: "KeepRows", At: i, Row: r, Rows: a.Value.Rows})
+		}
+		copy(val.Row(i), a.Value.Row(r))
+	}
+	out := t.newVar(val)
+	if !t.track1(a) {
+		return out
+	}
+	ref, off := t.ref(a), int32(len(t.auxArgs))
+	for range rows {
+		t.auxArgs = append(t.auxArgs, ref)
+	}
+	t.pushRows(rows)
+	return t.push(out, rec{op: opGatherRows, x0: off, x1: int32(len(rows))})
 }
 
 // AddRowsAt returns rows [i, i+small.Rows) of big plus small, elementwise —

@@ -200,11 +200,7 @@ func (t *Tape[T]) step(r *rec) {
 			if v.needsGrad {
 				g := t.gradOf(v)
 				for i := 0; i < out.Grad.Rows; i++ {
-					src := out.Grad.Row(i)[off : off+w]
-					dst := g.Row(i)
-					for j, x := range src {
-						dst[j] += x
-					}
+					accumulate(g.Row(i), out.Grad.Row(i)[off:off+w])
 				}
 			}
 			off += w
@@ -217,39 +213,25 @@ func (t *Tape[T]) step(r *rec) {
 			v := t.at(ai)
 			n := v.Value.Rows * v.Value.Cols
 			if v.needsGrad {
-				g := t.gradOf(v)
-				src := out.Grad.Data[off : off+n]
-				for j, x := range src {
-					g.Data[j] += x
-				}
+				accumulate(t.gradOf(v).Data, out.Grad.Data[off:off+n])
 			}
 			off += n
 		}
 
 	case opGatherRows:
 		args := t.auxArgs[r.x0 : r.x0+r.x1]
-		row := int(r.a)
+		rows := t.auxArgs[r.x0+r.x1 : r.x0+2*r.x1]
 		for k, ai := range args {
-			v := t.at(ai)
-			if !v.needsGrad {
-				continue
-			}
-			dst := t.gradOf(v).Row(row)
-			src := out.Grad.Row(k)
-			for j, x := range src {
-				dst[j] += x
+			if v := t.at(ai); v.needsGrad {
+				accumulate(t.gradOf(v).Row(int(rows[k])), out.Grad.Row(k))
 			}
 		}
 
 	case opAddRowsAt:
 		big, small := t.at(r.a), t.at(r.b)
 		if big.needsGrad {
-			g := t.gradOf(big)
-			cols := out.Grad.Cols
-			dst := g.Data[int(r.x0)*cols : int(r.x0)*cols+len(out.Grad.Data)]
-			for i, x := range out.Grad.Data {
-				dst[i] += x
-			}
+			off := int(r.x0) * out.Grad.Cols
+			accumulate(t.gradOf(big).Data[off:off+len(out.Grad.Data)], out.Grad.Data)
 		}
 		if small.needsGrad {
 			tensor.AddInPlace(t.gradOf(small), out.Grad)
@@ -268,29 +250,18 @@ func (t *Tape[T]) step(r *rec) {
 				if src < 0 || src >= rows {
 					continue
 				}
-				dst := g.Row(src)
-				seg := orow[k*cols : (k+1)*cols]
-				for j, x := range seg {
-					dst[j] += x
-				}
+				accumulate(g.Row(src), orow[k*cols:(k+1)*cols])
 			}
 		}
 
 	case opRowAt:
-		dst := t.gradOf(t.at(r.a)).Row(int(r.x0))
-		for j, x := range out.Grad.Data {
-			dst[j] += x
-		}
+		accumulate(t.gradOf(t.at(r.a)).Row(int(r.x0)), out.Grad.Data)
 
 	case opSliceCols:
 		g := t.gradOf(t.at(r.a))
 		lo, hi := int(r.x0), int(r.x1)
 		for i := 0; i < out.Grad.Rows; i++ {
-			dst := g.Row(i)[lo:hi]
-			src := out.Grad.Row(i)
-			for j, x := range src {
-				dst[j] += x
-			}
+			accumulate(g.Row(i)[lo:hi], out.Grad.Row(i))
 		}
 
 	case opMeanRowsMasked:
@@ -390,5 +361,12 @@ func (t *Tape[T]) step(r *rec) {
 
 	default:
 		panic(fmt.Sprintf("autodiff: unknown opcode %d", r.op))
+	}
+}
+
+// accumulate adds src into dst elementwise.
+func accumulate[T tensor.Float](dst, src []T) {
+	for j, x := range src {
+		dst[j] += x
 	}
 }

@@ -1,16 +1,30 @@
 package autodiff
 
 import (
+	"errors"
+	"math"
 	"testing"
 
 	"raal/internal/tensor"
 )
 
-// TestGradGatherRows checks the fused gather against numeric gradients.
+// TestGradGatherRows checks the row-list gather against numeric
+// gradients, reading a different row of each input, one of them twice.
 func TestGradGatherRows(t *testing.T) {
-	ps := randParams(31, [2]int{3, 4}, [2]int{3, 4}, [2]int{3, 4})
+	ps := randParams(31, [2]int{3, 4}, [2]int{3, 4}, [2]int{2, 4})
 	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
-		return tp.MeanAll(tp.GatherRows(vs, 1))
+		g := tp.GatherRows([]*Var[float64]{vs[0], vs[1], vs[2], vs[0]}, []int{2, 0, 1, 1})
+		return tp.SumAll(tp.Mul(g, g))
+	})
+}
+
+// TestGradKeepRows checks the ascending row subset against numeric
+// gradients: kept rows get their gradient back, dropped rows none.
+func TestGradKeepRows(t *testing.T) {
+	ps := randParams(36, [2]int{5, 3})
+	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+		k := tp.KeepRows(vs[0], []int{0, 2, 3})
+		return tp.SumAll(tp.Mul(k, k))
 	})
 }
 
@@ -24,8 +38,8 @@ func TestGatherRowsMatchesRowAtConcat(t *testing.T) {
 		vsA := []*Var[float64]{tpA.Param(ps[0]), tpA.Param(ps[1])}
 		vsB := []*Var[float64]{tpB.Param(ps[0]), tpB.Param(ps[1])}
 
-		fused := tpA.GatherRows(vsA, row)
-		chain := tpB.ConcatRows(tpB.RowAt(vsB[0], row), tpB.RowAt(vsB[1], row))
+		fused := tpA.GatherRows(vsA, []int{row, 3 - row})
+		chain := tpB.ConcatRows(tpB.RowAt(vsB[0], row), tpB.RowAt(vsB[1], 3-row))
 		mustEqualMat(t, fused.Value, chain.Value, "GatherRows value")
 
 		tpA.Backward(tpA.MeanAll(fused))
@@ -33,6 +47,126 @@ func TestGatherRowsMatchesRowAtConcat(t *testing.T) {
 		for i := range vsA {
 			mustEqualMat(t, vsA[i].Grad, vsB[i].Grad, "GatherRows grad")
 		}
+	}
+}
+
+// TestRowListPanics pins the typed panic of both row-list ops: a row out
+// of range, a KeepRows list that repeats or reorders a row, and a
+// GatherRows list whose length is not the inputs'.
+func TestRowListPanics(t *testing.T) {
+	tp := NewTape[float64]()
+	a := tp.Param(tensor.New(3, 2))
+	for _, c := range []struct {
+		name string
+		run  func()
+		want RowListError
+	}{
+		{"gather row past end", func() { tp.GatherRows([]*Var[float64]{a, a}, []int{0, 3}) }, RowListError{"GatherRows", 1, 3, 3}},
+		{"gather negative row", func() { tp.GatherRows([]*Var[float64]{a}, []int{-1}) }, RowListError{"GatherRows", 0, -1, 3}},
+		{"gather short list", func() { tp.GatherRows([]*Var[float64]{a, a}, []int{0}) }, RowListError{"GatherRows", -1, 1, 2}},
+		{"keep row past end", func() { tp.KeepRows(a, []int{0, 3}) }, RowListError{"KeepRows", 1, 3, 3}},
+		{"keep repeated row", func() { tp.KeepRows(a, []int{1, 1}) }, RowListError{"KeepRows", 1, 1, 3}},
+		{"keep descending", func() { tp.KeepRows(a, []int{2, 0}) }, RowListError{"KeepRows", 1, 0, 3}},
+	} {
+		func() {
+			defer func() {
+				var err *RowListError
+				if !errors.As(asError(recover()), &err) {
+					t.Fatalf("%s: did not panic with a *RowListError", c.name)
+				}
+				if *err != c.want {
+					t.Fatalf("%s: panicked with %+v, want %+v", c.name, *err, c.want)
+				}
+			}()
+			c.run()
+		}()
+	}
+}
+
+// asError returns a recovered panic value that is an error, else nil.
+func asError(v any) error {
+	err, _ := v.(error)
+	return err
+}
+
+// TestRowOpsAccumulateGradients pins that both row-list ops add their
+// output gradient into their input's, never copy it: an input gradient
+// that already holds a value keeps it under the sum, and a −0 upstream
+// gradient leaves a fresh (+0) accumulator at +0, which is what makes
+// dropping a ±0 term exact (DESIGN §5x).
+func TestRowOpsAccumulateGradients(t *testing.T) {
+	negZero := math.Copysign(0, -1)
+	for _, op := range []string{"GatherRows", "KeepRows"} {
+		for _, preset := range []bool{false, true} {
+			tp := NewTape[float64]()
+			a := tp.Param(tensor.New(3, 2))
+			if preset {
+				a.Grad = tensor.FromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
+			}
+			var out *Var[float64]
+			if op == "GatherRows" {
+				out = tp.GatherRows([]*Var[float64]{a, a}, []int{0, 2})
+			} else {
+				out = tp.KeepRows(a, []int{0, 2})
+			}
+			// The root does not read out; out's gradient is set by hand,
+			// so Backward replays its record against exactly that.
+			root := tp.SumAll(tp.Scale(tp.Param(tensor.New(1, 1)), 1))
+			out.Grad = tensor.FromRows([][]float64{{negZero, 2}, {negZero, negZero}})
+			tp.Backward(root)
+
+			base := 0.0
+			if preset {
+				base = 1
+			}
+			want := [][]float64{{base, base + 2}, {base, base}, {base, base}}
+			for i, row := range want {
+				for j, w := range row {
+					if g := a.Grad.At(i, j); g != w || math.Signbit(g) {
+						t.Fatalf("%s preset=%v: grad[%d][%d] = %v (signbit %v), want +%v", op, preset, i, j, g, math.Signbit(g), w)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestWarmRaggedTapeAllocatesNothing replays a ragged recurrence-shaped
+// graph — states shrunk by KeepRows, one sequence's rows gathered across
+// steps, row lists loaned by NewInts — on a reused tape: once warm, a pass
+// allocates no matrix and no heap object at all.
+func TestWarmRaggedTapeAllocatesNothing(t *testing.T) {
+	ps := randParams(37, [2]int{4, 3}, [2]int{3, 3})
+	tp := NewTape[float64]()
+	x, w := tp.Param(ps[0]), tp.Param(ps[1])
+	hs := make([]*Var[float64], 3)
+	run := func() {
+		tp.Reset()
+		h := x
+		for s := range hs {
+			keep := tp.NewInts(h.Value.Rows - 1)
+			for i := range keep {
+				keep[i] = i + 1 // drop the first running row at every step
+			}
+			if s > 0 {
+				h = tp.KeepRows(h, keep)
+			}
+			h = tp.AddRowApply(tp.MatMul(h, w), tp.RowAt(x, 0), ActTanh)
+			hs[s] = h
+		}
+		rows := tp.NewInts(len(hs))
+		for s := range rows {
+			rows[s] = hs[s].Value.Rows - 1 // the last sequence runs every step
+		}
+		tp.Backward(tp.SumAll(tp.GatherRows(hs, rows)))
+	}
+	run()
+	before := tensor.Allocs()
+	if n := testing.AllocsPerRun(10, run); n != 0 {
+		t.Fatalf("a warm ragged pass made %v heap allocations, want 0", n)
+	}
+	if d := tensor.Allocs() - before; d != 0 {
+		t.Fatalf("warm ragged passes allocated %d matrices, want 0", d)
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 )
 
 // predictFlat is PredictWith on the unbucketed schedule: chunks cut over
-// the samples in input order, each unrolled to its longest member. It is
-// how tests compare the two schedules.
+// the samples in input order, mixing lengths, each plan run at its own.
+// It is how tests compare the two schedules.
 func predictFlat[T tensor.Float](m *Net[T], samples []*encode.Sample, opt PredictOpts) []float64 {
 	out, _ := m.predictCtx(context.Background(), samples, opt, nil, true)
 	return out

@@ -20,9 +20,8 @@ type Instrumentation struct {
 	RowsPerSec     *telemetry.Gauge
 
 	// BucketOccupancy counts scored samples by active-plan-length band —
-	// the length-bucketed scheduler's occupancy distribution. A workload
-	// that lands everything in one band gains nothing from bucketing; a
-	// spread-out distribution is exactly where it saves padded timesteps.
+	// the length-bucketed scheduler's occupancy distribution: how many
+	// per-length chunks a workload's calls split into.
 	BucketOccupancy *telemetry.CounterVec
 
 	// PrefixComputed counts the plan prefixes inference ran (one recurrence

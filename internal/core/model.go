@@ -321,40 +321,55 @@ func (m *Net[T]) prefix(tp *autodiff.Tape[T], batch []*encode.Sample, sp *teleme
 // attention → masked mean pool, the resource-side keys, and the statistics
 // vector — every layer the resource vector does not reach.
 //
-// The recurrence is unrolled only up to the longest real plan among them —
-// padding rows are fully masked downstream, so truncating them is
-// numerically identical and substantially faster.
+// Every plan runs at its own active length n (activeLen): the ragged
+// recurrence steps it over its n real nodes only, the conv sees n rows, and
+// its attention scores, keys and pooling are n×n, K×n and n-row blocks,
+// whatever the longest plan beside it. Padding rows are fully masked
+// downstream, so no gradient ever reaches them: leaving them out changes
+// no bit of any value or gradient (DESIGN §5x).
 func (m *Net[T]) planLayers(tp *autodiff.Tape[T], plans []*planPrefix[T], sp *telemetry.Span) {
-	n, L := len(plans), 1
-	for _, p := range plans {
-		L = max(L, activeLen(p.s))
+	lens, L, rows := tp.NewInts(len(plans)), 0, 0
+	for k, p := range plans {
+		lens[k] = activeLen(p.s)
+		L, rows = max(L, lens[k]), rows+lens[k]
 	}
 	in := m.inputDim()
 
 	// Plan feature layer.
 	if m.lstm != nil {
 		stop := sp.Stage("embed")
-		// One stacked (L·n)×in input buffer: row t·n+k is plan k's node-t
-		// row. Arena-backed; nodeInput overwrites every row, so a recycled
-		// matrix needs no clearing beyond what NewMatrix does.
-		x := tp.NewMatrix(L*n, in)
+		// One stacked ragged input buffer: step t's block holds node t of
+		// every plan still running at t, in plan order. Arena-backed;
+		// nodeInput overwrites every row.
+		x := tp.NewMatrix(rows, in)
+		r := 0
 		for t := 0; t < L; t++ {
 			for k, p := range plans {
-				m.nodeInput(p.s, t, x.Row(t*n+k))
+				if t < lens[k] {
+					m.nodeInput(p.s, t, x.Row(r))
+					r++
+				}
 			}
 		}
 		stop()
 		stop = sp.Stage("lstm")
-		hs := m.lstm.ForwardStacked(tp, tp.Const(x), L)
+		hs := m.lstm.ForwardStacked(tp, tp.Const(x), lens)
+		// at[t] is plan k's row of hs[t]: the count of earlier plans
+		// running step t, kept in next[t].
+		next, at := tp.NewInts(L), tp.NewInts(L)
 		for k, p := range plans {
-			p.h = tp.GatherRows(hs, k)
+			for t := 0; t < lens[k]; t++ {
+				at[t] = next[t]
+				next[t]++
+			}
+			p.h = tp.GatherRows(hs[:lens[k]], at[:lens[k]])
 		}
 		stop()
 	} else {
-		for _, p := range plans {
+		for k, p := range plans {
 			stop := sp.Stage("embed")
-			x := tp.NewMatrix(L, in)
-			for t := 0; t < L; t++ {
+			x := tp.NewMatrix(lens[k], in)
+			for t := 0; t < lens[k]; t++ {
 				m.nodeInput(p.s, t, x.Row(t))
 			}
 			xc := tp.Const(x)
@@ -367,26 +382,22 @@ func (m *Net[T]) planLayers(tp *autodiff.Tape[T], plans []*planPrefix[T], sp *te
 
 	defer sp.Stage("attention")()
 	scale := m.attnScale()
-	for _, p := range plans {
-		h, mask := p.h, p.s.Mask[:L]
+	for i, p := range plans {
+		h, n := p.h, lens[i]
 		if m.Var.NodeAttention {
-			children := make([][]bool, L)
-			for i := 0; i < L; i++ {
-				children[i] = p.s.Children[i][:L]
-			}
 			q := tp.MatMul(h, m.wq.Var)
 			k := tp.MatMul(h, m.wk.Var)
 			scores := tp.Scale(tp.MatMul(q, tp.Transpose(k)), scale)
-			attn := tp.SoftmaxRowsMask2D(scores, children)
+			attn := tp.SoftmaxRowsMask2D(scores, p.s.Children[:n])
 			attended := tp.MatMul(attn, h)
 			// Leaves have no children: their attended rows are zero, so
 			// blend with the raw hidden state before pooling.
-			p.pooled = tp.MeanRowsMasked(tp.Add(attended, h), mask)
+			p.pooled = tp.MeanRowsMasked(tp.Add(attended, h), p.s.Mask[:n])
 		} else {
-			p.pooled = tp.MeanRowsMasked(h, mask)
+			p.pooled = tp.MeanRowsMasked(h, p.s.Mask[:n])
 		}
 		if m.Var.ResourceAttention {
-			p.keysT = tp.Transpose(tp.MatMul(h, m.wrk.Var)) // K×L
+			p.keysT = tp.Transpose(tp.MatMul(h, m.wrk.Var)) // K×n
 		}
 		sv := tp.NewMatrix(1, len(p.s.Stats))
 		tensor.Cast(sv.Data, p.s.Stats)
@@ -550,9 +561,9 @@ func (m *Net[T]) PredictTraced(samples []*encode.Sample) ([]float64, *telemetry.
 	return out, sp
 }
 
-// activeLen returns the number of leading timesteps the model must unroll
-// for s: the last true Mask index plus one. The floor of 1 matches
-// forward's unroll minimum for fully padded samples.
+// activeLen returns the number of leading nodes the plan layers run for
+// s: the last true Mask index plus one, floored at 1 so that a fully
+// padded sample still runs one step.
 func activeLen(s *encode.Sample) int {
 	for i := len(s.Mask) - 1; i >= 0; i-- {
 		if s.Mask[i] {
@@ -568,13 +579,14 @@ type chunkRange struct{ lo, hi int }
 // schedule decides which samples share a forward pass. The default is
 // length-bucketed: samples are grouped by active plan length (counting
 // sort — ascending length, input order within a bucket) and chunks never
-// span two lengths, so forward's unroll depth is exact for every chunk
-// and a 3-node plan never pays a 50-node plan's padded timesteps. The
+// span two lengths. That no longer saves padded steps — the plan layers
+// are ragged, so a mixed-length chunk runs every plan at its own length —
+// but it forms the per-length chunks that fan a request out across
+// workers (a query's candidates are usually of distinct lengths). The
 // returned order maps scheduled position to caller index (nil means
 // identity, the unbucketed path). Scheduling only regroups samples —
-// pooling and attention are mask-invariant, so every sample's arithmetic
-// is untouched and predictions are bit-identical with bucketing on and
-// off (pinned by TestBucketedPredictBitIdentical).
+// every sample's arithmetic is its own — so predictions are bit-identical
+// with bucketing on and off (pinned by TestBucketedPredictBitIdentical).
 func (m *Net[T]) schedule(samples []*encode.Sample, chunk int, noBucket bool) ([]*encode.Sample, []int, []chunkRange) {
 	n := len(samples)
 	if noBucket || n <= 1 {

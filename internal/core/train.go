@@ -88,11 +88,13 @@ func Train(samples []*encode.Sample, v Variant, mc Config, tc TrainConfig) (*Mod
 
 // shardRun is one gradient-accumulation shard of a mini-batch: a replica
 // model whose shadow parameters collect the shard's gradient, plus the
-// shard's sample count and loss from the most recent batch.
+// shard's sample count and loss from the most recent batch. A serial
+// trainer runs one on the model itself.
 type shardRun[T tensor.Float] struct {
 	model  *Net[T]
 	params []*nn.Param[T]
 	tape   *autodiff.Tape[T] // reused across batches; its arena keeps the shard's matrices warm
+	batch  []*encode.Sample  // the step's samples, reused across batches
 	n      int
 	loss   float64
 }
@@ -156,7 +158,7 @@ func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, er
 	// Serial (single-shard) batches reuse one tape for the whole run: after
 	// the first batch its arena holds every matrix the graph needs, so the
 	// steady-state training step allocates none.
-	serialTape := autodiff.NewTape[T]()
+	serial := &shardRun[T]{model: m, tape: autodiff.NewTape[T]()}
 
 	start := time.Now()
 	result := &TrainResult{Samples: len(samples)}
@@ -170,7 +172,7 @@ func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, er
 			n := hi - lo
 			var batchLoss float64
 			if maxShards == 1 {
-				batchLoss = trainStep(m, serialTape, samples, idx[lo:hi])
+				batchLoss = serial.step(samples, idx[lo:hi])
 				epochShards++
 			} else {
 				batchLoss = m.shardedStep(shards, samples, idx[lo:hi], shardSize, workers)
@@ -200,19 +202,20 @@ func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, er
 	return result, nil
 }
 
-// trainStep runs one forward/backward pass of the selected samples on
-// model, accumulating gradients into its parameters, and returns the mean
-// MSE loss of the pass. The tape is reset and reused, so a warm caller
-// performs the pass without matrix allocations.
-func trainStep[T tensor.Float](model *Net[T], tp *autodiff.Tape[T], samples []*encode.Sample, sel []int) float64 {
+// step runs one forward/backward pass of the selected samples on the
+// shard's model, accumulating gradients into its parameters, and returns
+// the mean MSE loss of the pass. The tape and the batch slice are reset and
+// reused, so a warm shard performs the pass without matrix allocations.
+func (sh *shardRun[T]) step(samples []*encode.Sample, sel []int) float64 {
+	tp := sh.tape
 	tp.Reset()
-	batch := make([]*encode.Sample, len(sel))
+	sh.batch = sh.batch[:0]
 	target := tp.NewMatrix(len(sel), 1)
 	for i, j := range sel {
-		batch[i] = samples[j]
+		sh.batch = append(sh.batch, samples[j])
 		target.Set(i, 0, T(transform(samples[j].CostSec)))
 	}
-	loss := tp.MSE(model.forward(tp, batch, nil), target)
+	loss := tp.MSE(sh.model.forward(tp, sh.batch, nil), target)
 	tp.Backward(loss)
 	return float64(loss.Value.Data[0])
 }
@@ -229,7 +232,7 @@ func (m *Net[T]) shardedStep(shards []*shardRun[T], samples []*encode.Sample, se
 		hi := min(lo+shardSize, len(sel))
 		sh := shards[k]
 		sh.n = hi - lo
-		sh.loss = trainStep(sh.model, sh.tape, samples, sel[lo:hi])
+		sh.loss = sh.step(samples, sel[lo:hi])
 	}
 	if workers <= 1 || nShards == 1 {
 		for k := 0; k < nShards; k++ {

@@ -82,7 +82,7 @@ func TestLSTMZeroStateShapes(t *testing.T) {
 func TestLSTMForwardEmptySequence(t *testing.T) {
 	l := NewLSTM[float64]("l", 2, 3, rand.New(rand.NewSource(24)))
 	tp := autodiff.NewInferenceTape[float64]()
-	if hs := l.ForwardStacked(tp, tp.Const(tensor.New(0, 2)), 0); hs != nil || tp.Len() != 0 {
+	if hs := l.ForwardStacked(tp, tp.Const(tensor.New(0, 2)), nil); hs != nil || tp.Len() != 0 {
 		t.Fatalf("empty sequence yielded %v with %d records, want nil and none", hs, tp.Len())
 	}
 }

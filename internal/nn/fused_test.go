@@ -62,7 +62,7 @@ func TestLSTMStepFusedMatchesUnfused(t *testing.T) {
 	}
 
 	tp := autodiff.NewTape[float64]()
-	hs := l.ForwardStacked(tp, tp.Const(x), steps)
+	hs := l.ForwardStacked(tp, tp.Const(x), dense(batch, steps))
 	tp.Backward(loss(tp, hs))
 
 	ut := autodiff.NewTape[float64]()
@@ -104,9 +104,9 @@ func TestLSTMForwardReusedTapeBitIdentical(t *testing.T) {
 	var warm []*tensor.Matrix
 	for pass := 0; pass < 3; pass++ {
 		tp.Reset()
-		hs := l.ForwardStacked(tp, tp.Const(seq), steps)
+		hs := l.ForwardStacked(tp, tp.Const(seq), dense(2, steps))
 		fresh := autodiff.NewTape[float64]()
-		fhs := l.ForwardStacked(fresh, fresh.Const(seq), steps)
+		fhs := l.ForwardStacked(fresh, fresh.Const(seq), dense(2, steps))
 
 		for i := range hs {
 			mustBitEqual(t, hs[i].Value, fhs[i].Value, "hidden step")

@@ -51,11 +51,17 @@ func (l *LSTM[T]) ZeroState(tp *autodiff.Tape[T], batch int) State[T] {
 	}
 }
 
-// ForwardStacked runs the recurrence over a sequence given as one stacked
-// (steps·batch)×in matrix whose row block t·batch..(t+1)·batch is the
-// step-t input, and returns the hidden state after each step. The input
-// projection for every timestep is computed as a single stacked matmul
-// X·Wx up front — one large kernel call instead of `steps` small ones —
+// ForwardStacked runs the recurrence over a ragged batch and returns the
+// hidden state after each step. lens[k] is sequence k's length; x stacks,
+// step by step, the inputs of the sequences still running at that step
+// (lens[k] > t) in batch order — Σ lens rows, no padding. Before a step at
+// which sequences have ended, KeepRows drops them from the hidden and cell
+// state, so hs[t] has one row per sequence running step t, in batch order.
+// Rows never mix, so each is computed exactly as a padded recurrence
+// computes it; a uniform lens is the dense one.
+//
+// The input projection for every timestep is computed as a single stacked
+// matmul X·Wx up front — one large kernel call instead of one per step —
 // and each step adds its row window to the recurrent term via AddRowsAt;
 // the matmul kernels are bit-stable across batch dimensions, so each
 // element is the same dot product a per-step projection computes.
@@ -64,17 +70,38 @@ func (l *LSTM[T]) ZeroState(tp *autodiff.Tape[T], batch int) State[T] {
 // tape: a recording tape records it with its own backward pass. The packed
 // bias enters through one full-width view per sequence, so its gradient
 // sums a sequence's steps before B's gradient takes the total.
-func (l *LSTM[T]) ForwardStacked(tp *autodiff.Tape[T], x *autodiff.Var[T], steps int) []*autodiff.Var[T] {
+func (l *LSTM[T]) ForwardStacked(tp *autodiff.Tape[T], x *autodiff.Var[T], lens []int) []*autodiff.Var[T] {
+	steps := 0
+	for _, n := range lens {
+		steps = max(steps, n)
+	}
 	if steps == 0 {
 		return nil
 	}
-	batch := x.Value.Rows / steps
 	zx := tp.MatMul(x, l.Wx.Var)
 	b := tp.SliceCols(l.B.Var, 0, 4*l.Hidden)
-	s := l.ZeroState(tp, batch)
+	s := l.ZeroState(tp, len(lens))
+	keep := tp.NewInts(len(lens))
 	hs := make([]*autodiff.Var[T], steps)
+	off := 0
 	for t := 0; t < steps; t++ {
-		z := tp.AddRowsAt(zx, t*batch, tp.MatMul(s.H, l.Wh.Var))
+		// The state holds the sequences that ran step t−1 (all of them at
+		// t = 0); keep lists, by their row in it, those that run step t.
+		keep = keep[:0]
+		i := 0
+		for _, n := range lens {
+			if n >= t {
+				if n > t {
+					keep = append(keep, i)
+				}
+				i++
+			}
+		}
+		if len(keep) < s.H.Value.Rows {
+			s.H, s.C = tp.KeepRows(s.H, keep), tp.KeepRows(s.C, keep)
+		}
+		z := tp.AddRowsAt(zx, off, tp.MatMul(s.H, l.Wh.Var))
+		off += len(keep)
 		s.H, s.C = tp.LSTMCell(z, b, s.C)
 		hs[t] = s.H
 	}

@@ -58,7 +58,7 @@ func TestLSTMGradient(t *testing.T) {
 	x := tensor.Randn(steps*2, 3, 1, rng) // three steps of batch 2, stacked
 	target := tensor.Randn(2, 4, 1, rng)
 	gradCheckModel(t, l.Params(), func(tp *autodiff.Tape[float64]) *autodiff.Var[float64] {
-		hs := l.ForwardStacked(tp, tp.Const(x), steps)
+		hs := l.ForwardStacked(tp, tp.Const(x), dense(2, steps))
 		return tp.MSE(hs[steps-1], target)
 	})
 }
@@ -161,7 +161,7 @@ func TestLSTMLearnsSequenceSum(t *testing.T) {
 	for iter := 0; iter < 300; iter++ {
 		x, y := makeBatch()
 		tp := autodiff.NewTape[float64]()
-		hs := l.ForwardStacked(tp, tp.Const(x), steps)
+		hs := l.ForwardStacked(tp, tp.Const(x), dense(batch, steps))
 		pred := head.Forward(tp, hs[steps-1])
 		loss := tp.MSE(pred, y)
 		tp.Backward(loss)

@@ -166,7 +166,9 @@ func testForwardStackedGradientsMatchOracle[T tensor.Float](t *testing.T) {
 			}
 			return res
 		}
-		got := run((*LSTM[T]).ForwardStacked)
+		got := run(func(l *LSTM[T], tp *autodiff.Tape[T], x *autodiff.Var[T], steps int) []*autodiff.Var[T] {
+			return l.ForwardStacked(tp, x, dense(x.Value.Rows/steps, steps))
+		})
 		want := run(chainForwardStacked[T])
 		for k := range want.hs {
 			mustSameBits(t, got.hs[k], want.hs[k], "hidden state")

@@ -7,9 +7,9 @@
 // (tensor.Float), so there is one LSTM, one Dense, one MLP and one Conv1D.
 // Models are built and trained at float64; a float32 layer is the same
 // type at another T, filled from a trained float64 one (core.Net.Quantize).
-// No layer branches on T: what a layer may do differently is decided by
-// what it observes — ForwardStacked runs the fused cell when its tape is
-// forward-only. Saved weights and optimizer moments are float64 at every
+// No layer branches on T or on the tape: ForwardStacked runs the same
+// fused cell over the same ragged batch on a recording and on a
+// forward-only tape. Saved weights and optimizer moments are float64 at every
 // T, so the on-disk format has one form.
 package nn
 

@@ -26,7 +26,7 @@ func TestLSTMForwardStackedMatchesForward(t *testing.T) {
 	hsA := chainForward(l, tpA, xs)
 
 	tpB := autodiff.NewTape[float64]()
-	hsB := l.ForwardStacked(tpB, tpB.Const(stacked), steps)
+	hsB := l.ForwardStacked(tpB, tpB.Const(stacked), dense(batch, steps))
 
 	if len(hsA) != steps || len(hsB) != steps {
 		t.Fatalf("got %d/%d hidden states, want %d", len(hsA), len(hsB), steps)
@@ -54,14 +54,14 @@ func TestLSTMForwardStackedGradients(t *testing.T) {
 	x := tensor.Randn(steps*batch, 3, 0.8, rng)
 
 	tp := autodiff.NewTape[float64]()
-	hs := l.ForwardStacked(tp, tp.Const(x), steps)
+	hs := l.ForwardStacked(tp, tp.Const(x), dense(batch, steps))
 	loss := tp.MeanAll(tp.ConcatRows(hs...))
 	tp.Backward(loss)
 
 	lossAt := func() float64 {
 		tp2 := autodiff.NewTape[float64]()
 		l2 := l.ShareWeights() // fresh grad buffers, same weights
-		hs2 := l2.ForwardStacked(tp2, tp2.Const(x), steps)
+		hs2 := l2.ForwardStacked(tp2, tp2.Const(x), dense(batch, steps))
 		return tp2.MeanAll(tp2.ConcatRows(hs2...)).Value.Data[0]
 	}
 	const eps = 1e-6
@@ -91,7 +91,7 @@ func TestLSTMForwardStackedEmpty(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	l := NewLSTM[float64]("lstm", 3, 2, rng)
 	tp := autodiff.NewTape[float64]()
-	if hs := l.ForwardStacked(tp, tp.Const(tensor.New(0, 3)), 0); hs != nil {
+	if hs := l.ForwardStacked(tp, tp.Const(tensor.New(0, 3)), nil); hs != nil {
 		t.Fatalf("ForwardStacked over 0 steps = %v, want nil", hs)
 	}
 }
@@ -119,7 +119,7 @@ func testForwardStackedFusedMatchesRecorded[T tensor.Float](t *testing.T) {
 		rec := autodiff.NewTape[T]()
 		fwd := autodiff.NewInferenceTape[T]()
 		for _, tp := range []*autodiff.Tape[T]{rec, fwd} {
-			got := l.ForwardStacked(tp, tp.Const(x), steps)
+			got := l.ForwardStacked(tp, tp.Const(x), dense(batch, steps))
 			for s := range want {
 				for i, w := range want[s].Value.Data {
 					if g := got[s].Value.Data[i]; g != w {
