@@ -87,14 +87,20 @@ bench-online:
 quant:
 	$(GO) test -run 'Quant|Precision' -count=1 ./internal/core ./internal/online ./internal/tensor .
 
-# Engine gate: the frozen golden digests (TestEngineGoldenDigests); the
-# engine held to the row-at-a-time reference interpreter in engine_test on
-# the edge queries and the IMDB/TPC-H generated corpora, including every
+# Engine gate: the frozen golden digests (TestEngineGoldenDigests, and
+# TestCollectGoldenDigests for what workload collection keeps and skips);
+# the engine held to the row-at-a-time reference interpreter in engine_test
+# on the edge queries and the IMDB/TPC-H generated corpora, including every
 # candidate plan of a query returning the same relation, and the
-# FuzzPipeline seeds; the allocation bound (TestStreamingAllocsPerRowBounded:
-# under 1% mallocs per scanned row on a join + grouped aggregate) and the
-# parallel collection invariant. Throughput is bench/'s engine.rows_per_s,
-# not a test.
+# FuzzPipeline seeds, among them star joins that trip the row limit on the
+# first probe batch or mid-stream (TestStreamingFuzzSeedsTrip); joins
+# failing before they gather past the limit and gathering only live
+# columns (TestStreamingJoinTripsBeforeGather,
+# TestStreamingDeadColumnsNotGathered); the allocation bounds
+# (TestStreamingAllocsPerRowBounded: under 1% mallocs per scanned row on a
+# join + grouped aggregate; TestStreamingWarmRunAllocs: no more mallocs per
+# warm run than before liveness) and the parallel collection invariant.
+# Throughput is bench/'s engine.rows_per_s, not a test.
 engine:
 	$(GO) test -run 'Streaming|Golden|FuzzPipeline|TestCollectWorker' -count=1 ./internal/engine ./internal/workload
 

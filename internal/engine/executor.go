@@ -62,7 +62,7 @@ func (e *Engine) RunTraced(p *physical.Plan, sp *telemetry.Span) (*Relation, err
 	for _, n := range p.Nodes {
 		n.ActRows = 0
 	}
-	it, err := e.buildIter(p.Root, &runCtx{eng: e, cap: e.batchSize(), max: e.maxRows(), sp: sp})
+	it, err := e.buildIter(p.Root, &runCtx{eng: e, cap: e.batchSize(), max: e.maxRows(), sp: sp}, nil)
 	if err != nil {
 		return nil, err
 	}

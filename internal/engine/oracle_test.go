@@ -11,7 +11,9 @@ import (
 
 	"raal/internal/catalog"
 	"raal/internal/engine"
+	"raal/internal/logical"
 	"raal/internal/physical"
+	"raal/internal/sql"
 	"raal/internal/telemetry"
 )
 
@@ -232,6 +234,90 @@ func TestStreamingRowLimitIncremental(t *testing.T) {
 	}
 }
 
+// TestStreamingJoinTripsBeforeGather: a join prices each probe batch by
+// its build-side match counts before it gathers a row, so one whose first
+// probe batch alone matches more than MaxRows rows fails having emitted
+// none. Each of the 100 probe rows matches 100 (dense int keys), 50
+// (sparse int keys, a map index) or 100 (string keys) build rows, against
+// a limit of 1,000 that neither scan reaches.
+func TestStreamingJoinTripsBeforeGather(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		ints func(i int) int64
+		strs func(i int) string
+	}{
+		{name: "dense", ints: func(int) int64 { return 7 }},
+		{name: "sparse", ints: func(i int) int64 { return int64(i%2) << 40 }},
+		{name: "string", strs: func(int) string { return "x" }},
+	} {
+		db := &catalog.Database{Name: "two", Tables: map[string]*catalog.Table{}}
+		for _, name := range []string{"a", "b"} {
+			tab := &catalog.Table{Schema: &catalog.Schema{Name: name}, NumRows: 100,
+				Ints: map[string][]int64{}, Strs: map[string][]string{}}
+			typ := catalog.Int64
+			for i := 0; i < 100; i++ {
+				if tc.strs != nil {
+					tab.Strs["k"], typ = append(tab.Strs["k"], tc.strs(i)), catalog.String
+				} else {
+					tab.Ints["k"] = append(tab.Ints["k"], tc.ints(i))
+				}
+			}
+			tab.Schema.Columns = []catalog.Column{{Name: "k", Type: typ}}
+			db.Tables[name] = tab
+		}
+		left := &physical.Node{Op: physical.FileScan, Table: "a", Alias: "a", Columns: []string{"k"}}
+		right := &physical.Node{Op: physical.FileScan, Table: "b", Alias: "b", Columns: []string{"k"}}
+		join := &physical.Node{Op: physical.BroadcastHashJoin, Children: []*physical.Node{left, right},
+			LeftKey: &logical.BoundCol{Alias: "a", Name: "k"}, RightKey: &logical.BoundCol{Alias: "b", Name: "k"}}
+		count := []logical.BoundAgg{{Agg: sql.AggCount, Star: true}}
+		partial := &physical.Node{Op: physical.HashAggregate, Aggs: count}
+		final := &physical.Node{Op: physical.HashAggregate, Aggs: count, Final: true}
+		plan := chain(join, partial, final)
+		plan.Nodes = append([]*physical.Node{left, right}, plan.Nodes...)
+
+		eng := engine.New(db)
+		eng.MaxRows = 1000
+		reg := telemetry.NewRegistry()
+		eng.Instrument(reg)
+		if _, diff, err := diffEngine(eng, db, plan); diff != "" || !errors.Is(err, engine.ErrRowLimit) {
+			t.Fatalf("%s: want ErrRowLimit from both, got %v (%s)", tc.name, err, diff)
+		}
+		emitted := reg.NewCounterVec("raal_engine_rows_total", "", "op").With("BroadcastHashJoin").Value()
+		if join.ActRows != 0 || emitted != 0 {
+			t.Errorf("%s: the join emitted %v rows (counter %d) before tripping, want 0", tc.name, join.ActRows, emitted)
+		}
+	}
+}
+
+// TestStreamingAncestorsKeepColumnsLive runs a hand-built plan whose
+// filter, hash exchange and sort sit above a join, and read join output
+// columns that no aggregate reads, so only those operators keep them live.
+// The planner never builds this shape: its filters sit on scans.
+func TestStreamingAncestorsKeepColumnsLive(t *testing.T) {
+	f := newFixture(t)
+	col := func(alias, name string) *logical.BoundCol { return &logical.BoundCol{Alias: alias, Name: name} }
+	left := &physical.Node{Op: physical.FileScan, Table: "title", Alias: "t",
+		Columns: []string{"id", "kind_id", "production_year"}}
+	right := &physical.Node{Op: physical.FileScan, Table: "movie_companies", Alias: "mc",
+		Columns: []string{"movie_id", "company_id", "company_type_id"}}
+	join := &physical.Node{Op: physical.BroadcastHashJoin, Children: []*physical.Node{left, right},
+		LeftKey: col("t", "id"), RightKey: col("mc", "movie_id")}
+	filter := &physical.Node{Op: physical.Filter, Preds: []sql.Predicate{&sql.Comparison{
+		Left: sql.ColumnRef{Qualifier: "mc", Name: "company_type_id"}, Op: sql.OpGt, Lit: sql.Literal{I: 1}}}}
+	exchange := &physical.Node{Op: physical.ExchangeHashPartition, LeftKey: col("t", "kind_id")}
+	sort := &physical.Node{Op: physical.Sort, SortCol: col("t", "production_year")}
+	aggs := []logical.BoundAgg{{Agg: sql.AggCount, Star: true}, {Agg: sql.AggSum, Col: col("mc", "company_id")}}
+	plan := chain(join, filter, exchange, sort, &physical.Node{Op: physical.HashAggregate, Aggs: aggs},
+		&physical.Node{Op: physical.HashAggregate, Aggs: aggs, Final: true})
+	plan.Nodes = append([]*physical.Node{left, right}, plan.Nodes...)
+	for _, bs := range []int{97, 0} {
+		f.eng.BatchSize = bs
+		if rel := checkPlan(t, f.eng, f.db, plan); rel.Ints["agg0"][0] == 0 || exchange.Skew == 1 {
+			t.Fatalf("BatchSize %d: COUNT(*) %v, Skew %v: the plan should keep rows and skew", bs, rel.Ints, exchange.Skew)
+		}
+	}
+}
+
 // TestStreamingLimitDrainsChild pins one LIMIT semantics: a LIMIT keeps
 // draining its child, so every node's ActRows is its full output
 // cardinality whatever the batch size. The plan is the one the planner
@@ -365,5 +451,29 @@ func TestStreamingAllocsPerRowBounded(t *testing.T) {
 			t.Errorf("%s: %.0f mallocs per run over %.0f scanned rows (%.2f%%), want < 1%%",
 				p.Sig, allocs, scanned, 100*allocs/scanned)
 		}
+	}
+}
+
+// TestStreamingWarmRunAllocs pins the mallocs of warm runs: the six
+// candidate plans of a filtered three-way join, grouped and sorted, made
+// 2,017–2,020 mallocs a pass before joins gathered only live columns.
+// Skipping dead columns skips their slabs and build-side growth, so a
+// pass must not make more than that.
+func TestStreamingWarmRunAllocs(t *testing.T) {
+	f := newFixture(t)
+	f.planner.MaxPlans = 6
+	plans := f.plans(t, `SELECT t.kind_id, COUNT(*), SUM(mc.company_id)
+		FROM title t, movie_companies mc, company_name cn
+		WHERE t.id = mc.movie_id AND cn.id = mc.company_id AND cn.country_code < 'cc_0050'
+		GROUP BY t.kind_id ORDER BY t.kind_id DESC`)
+	allocs := testing.AllocsPerRun(5, func() {
+		for _, p := range plans {
+			if _, err := f.eng.Run(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	})
+	if allocs > 2020 {
+		t.Errorf("%d plans: %.0f mallocs a pass, want at most 2020", len(plans), allocs)
 	}
 }

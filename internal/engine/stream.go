@@ -1,8 +1,10 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"math/bits"
+	"slices"
 	"strings"
 	"time"
 
@@ -20,13 +22,16 @@ import (
 // only their build side; aggregates hold only group state. Nothing except
 // explicit pipeline breakers (Sort, the aggregate hash tables, join build
 // sides) ever holds a full intermediate relation, which is what lets the
-// truth oracle execute 10^6–10^7-row inputs in near-constant memory.
+// truth oracle execute 10^6–10^7-row inputs in near-constant memory. Join
+// gathers, build sides and sorts copy only the columns an ancestor reads.
 //
 // What a run records, whatever the batch size: every node's ActRows is
 // its full output cardinality (every operator, LIMIT included, drains its
 // input); an exchange's Skew is the partition-hash fold over the rows that
-// crossed it; and ErrRowLimit trips as soon as any node's running count
-// passes the limit. The engine_test package checks all three, and the
+// crossed it; and a run fails with ErrRowLimit exactly when some node's
+// full output passes the limit. It trips when a node's running count
+// passes the limit or, before gathering, when a join's next probe batch
+// would carry it past. The engine_test package checks all three, and the
 // relation, against a row-at-a-time reference interpreter that cannot
 // call this package's internals, and golden digests pin them across
 // commits.
@@ -79,7 +84,7 @@ func drain(it iterator) (*Relation, error) {
 		if b == nil {
 			break
 		}
-		appendBatch(cols, l, b)
+		appendBatch(cols, l, b, ^uint64(0)) // the root reads every column
 		n += b.n
 	}
 	rel := NewRelation()
@@ -111,9 +116,14 @@ type colData struct {
 	strs []string
 }
 
-// appendBatch resolves b's selection vector and appends its rows to cols.
-func appendBatch(cols []colData, l *layout, b *Batch) {
+// appendBatch resolves b's selection vector and appends the rows of its
+// live columns (see liveMask) to cols; a column its producer left nil
+// stays nil.
+func appendBatch(cols []colData, l *layout, b *Batch, live uint64) {
 	for p := range l.cols {
+		if !isLive(live, p) || b.ints[p] == nil && b.strs[p] == nil {
+			continue
+		}
 		if l.cols[p].isStr {
 			src := b.strs[p]
 			if b.sel == nil {
@@ -136,18 +146,96 @@ func appendBatch(cols []colData, l *layout, b *Batch) {
 	}
 }
 
-// buildIter compiles node n into its operator iterator wrapped in the
-// accounting layer (ActRows, ErrRowLimit, telemetry).
-func (e *Engine) buildIter(n *physical.Node, rc *runCtx) (iterator, error) {
+// isLive reports whether bit p of a live mask is set. Columns past the
+// 64th are always live, though a producer with fewer columns may have
+// dropped one; that is why copies skip nil source columns.
+func isLive(live uint64, p int) bool { return p >= 64 || live&(1<<uint(p)) != 0 }
+
+// ancestors is the chain of a plan node's ancestors, nearest first. What
+// they read of the node's output decides which of its columns are live.
+type ancestors struct {
+	n  *physical.Node
+	up *ancestors
+}
+
+// read reports whether some ancestor reads the named column. The root
+// reads everything; filters, hash exchanges, sorts and joins read their
+// predicate and key columns and ask their own ancestors about the rest; a
+// partial aggregate reads only its group and input columns, a final one
+// everything. Names are matched without formatting the bound columns.
+func (a *ancestors) read(name string) bool {
+	for ; a != nil; a = a.up {
+		n := a.n
+		if n.Op == physical.HashAggregate || n.Op == physical.SortAggregate {
+			return n.Final ||
+				slices.ContainsFunc(n.GroupBy, func(c logical.BoundCol) bool { return isCol(name, &c) }) ||
+				slices.ContainsFunc(n.Aggs, func(ag logical.BoundAgg) bool { return isCol(name, ag.Col) })
+		}
+		if isCol(name, n.LeftKey) || isCol(name, n.RightKey) || isCol(name, n.SortCol) ||
+			isCol(name, exchangeKey(n)) ||
+			slices.ContainsFunc(n.Preds, func(p sql.Predicate) bool { return predReads(p, name) }) {
+			return true
+		}
+	}
+	return true
+}
+
+// liveMask sets bit p for each column p of l that a reads.
+func liveMask(l *layout, a *ancestors) uint64 {
+	var m uint64
+	for p := 0; p < len(l.cols) && p < 64; p++ {
+		if a.read(l.cols[p].name) {
+			m |= 1 << uint(p)
+		}
+	}
+	return m
+}
+
+// isCol reports whether name is c.String().
+func isCol(name string, c *logical.BoundCol) bool {
+	return c != nil && isQualified(name, c.Alias, c.Name)
+}
+
+func isQualified(name, qual, col string) bool {
+	q := len(qual)
+	return len(name) == q+1+len(col) && name[q] == '.' && name[:q] == qual && name[q+1:] == col
+}
+
+// predReads reports whether predicate p reads the named column. IS [NOT]
+// NULL reads nothing: the data has no NULLs.
+func predReads(p sql.Predicate, name string) bool {
+	is := func(c sql.ColumnRef) bool {
+		return c.Qualifier == "" && name == c.Name || isQualified(name, c.Qualifier, c.Name)
+	}
+	switch q := p.(type) {
+	case *sql.Comparison:
+		return is(q.Left) || q.RightCol != nil && is(*q.RightCol)
+	case *sql.Between:
+		return is(q.Col)
+	case *sql.In:
+		return is(q.Col)
+	case *sql.Like:
+		return is(q.Col)
+	case *sql.NullCheck:
+		return false
+	}
+	return true
+}
+
+// buildIter compiles node n, whose ancestors are up, into its operator
+// iterator wrapped in the accounting layer (ActRows, ErrRowLimit,
+// telemetry).
+func (e *Engine) buildIter(n *physical.Node, rc *runCtx, up *ancestors) (iterator, error) {
+	here := ancestors{n: n, up: up}
 	kids := make([]iterator, len(n.Children))
 	for i, c := range n.Children {
-		k, err := e.buildIter(c, rc)
+		k, err := e.buildIter(c, rc, &here)
 		if err != nil {
 			return nil, err // already wrapped at the originating node
 		}
 		kids[i] = k
 	}
-	inner, err := e.buildOp(n, kids, rc)
+	inner, err := e.buildOp(n, kids, rc, up)
 	if err != nil {
 		return nil, fmt.Errorf("engine: %s: %w", n.Op, err)
 	}
@@ -164,7 +252,7 @@ func (e *Engine) buildIter(n *physical.Node, rc *runCtx) (iterator, error) {
 	return c, nil
 }
 
-func (e *Engine) buildOp(n *physical.Node, kids []iterator, rc *runCtx) (iterator, error) {
+func (e *Engine) buildOp(n *physical.Node, kids []iterator, rc *runCtx, up *ancestors) (iterator, error) {
 	switch n.Op {
 	case physical.FileScan:
 		return e.newScanIter(n, rc)
@@ -177,11 +265,11 @@ func (e *Engine) buildOp(n *physical.Node, kids []iterator, rc *runCtx) (iterato
 	case physical.ExchangeSinglePartition, physical.BroadcastExchange:
 		return &passthroughIter{baseIter{kids[0].lay()}, kids[0]}, nil
 	case physical.Sort:
-		return newSortIter(kids[0], n, rc)
+		return newSortIter(kids[0], n, rc, up)
 	case physical.SortMergeJoin, physical.BroadcastHashJoin, physical.ShuffledHashJoin:
-		return newHashJoinIter(kids[0], kids[1], n, rc)
+		return newHashJoinIter(kids[0], kids[1], n, rc, up)
 	case physical.BroadcastNestedLoopJoin:
-		return newNestedLoopIter(kids[0], kids[1], n, rc)
+		return newNestedLoopIter(kids[0], kids[1], n, rc, up)
 	case physical.HashAggregate, physical.SortAggregate:
 		return newAggIter(kids[0], n, rc)
 	case physical.LocalLimit:
@@ -571,13 +659,14 @@ func (x *exchangeIter) Close()                 { x.child.Close() }
 // ---------------------------------------------------------------------------
 // Sort
 
-// sortIter is a pipeline breaker: it drains its child, stable-sorts once,
-// then emits windows over the sorted columns.
+// sortIter is a pipeline breaker: it drains its child's live columns and
+// its key, stable-sorts once, then emits windows over the sorted columns.
 type sortIter struct {
 	baseIter
 	child  iterator
 	keyPos int
 	desc   bool
+	live   uint64
 	rc     *runCtx
 	built  bool
 	cols   []colData
@@ -586,7 +675,7 @@ type sortIter struct {
 	out    Batch
 }
 
-func newSortIter(child iterator, n *physical.Node, rc *runCtx) (iterator, error) {
+func newSortIter(child iterator, n *physical.Node, rc *runCtx, up *ancestors) (iterator, error) {
 	if n.SortCol == nil {
 		return &passthroughIter{baseIter{child.lay()}, child}, nil
 	}
@@ -595,7 +684,8 @@ func newSortIter(child iterator, n *physical.Node, rc *runCtx) (iterator, error)
 	if !ok {
 		return nil, fmt.Errorf("sort column %q missing", n.SortCol.String())
 	}
-	it := &sortIter{baseIter: baseIter{l}, child: child, keyPos: p, desc: n.SortDesc, rc: rc}
+	it := &sortIter{baseIter: baseIter{l}, child: child, keyPos: p, desc: n.SortDesc, rc: rc,
+		live: liveMask(l, &ancestors{n: n, up: up})}
 	it.out.ints = make([][]int64, len(l.cols))
 	it.out.strs = make([][]string, len(l.cols))
 	return it, nil
@@ -611,47 +701,31 @@ func (s *sortIter) build() error {
 		if b == nil {
 			break
 		}
-		appendBatch(acc, s.l, b)
+		appendBatch(acc, s.l, b, s.live)
 		s.total += b.n
 		if s.total > s.rc.max {
 			return fmt.Errorf("sort input exceeds %d rows: %w", s.rc.max, ErrRowLimit)
 		}
 	}
-	idx := make([]int, s.total)
-	for i := range idx {
-		idx[i] = i
-	}
-	desc := s.desc
+	var idx []int
 	if s.l.cols[s.keyPos].isStr {
-		key := acc[s.keyPos].strs
-		sort.SliceStable(idx, func(a, b int) bool {
-			if desc {
-				return key[idx[a]] > key[idx[b]]
-			}
-			return key[idx[a]] < key[idx[b]]
-		})
+		idx = stableOrder(acc[s.keyPos].strs, s.desc)
 	} else {
-		key := acc[s.keyPos].ints
-		sort.SliceStable(idx, func(a, b int) bool {
-			if desc {
-				return key[idx[a]] > key[idx[b]]
-			}
-			return key[idx[a]] < key[idx[b]]
-		})
+		idx = stableOrderInts(acc[s.keyPos].ints, s.desc)
 	}
 	s.cols = make([]colData, len(s.l.cols))
 	for p := range acc {
-		if s.l.cols[p].isStr {
+		if src := acc[p].strs; src != nil {
 			nc := make([]string, s.total)
 			for i, j := range idx {
-				nc[i] = acc[p].strs[j]
+				nc[i] = src[j]
 			}
 			s.cols[p].strs = nc
 			acc[p].strs = nil
-		} else {
+		} else if src := acc[p].ints; src != nil {
 			nc := make([]int64, s.total)
 			for i, j := range idx {
-				nc[i] = acc[p].ints[j]
+				nc[i] = src[j]
 			}
 			s.cols[p].ints = nc
 			acc[p].ints = nil
@@ -659,6 +733,52 @@ func (s *sortIter) build() error {
 	}
 	s.built = true
 	return nil
+}
+
+// stableOrder returns the row order of a stable sort on key: it sorts
+// row indices on their keys and breaks ties on the index.
+func stableOrder[K cmp.Ordered](key []K, desc bool) []int {
+	idx := make([]int, len(key))
+	for i := range idx {
+		idx[i] = i
+	}
+	slices.SortFunc(idx, func(a, b int) int {
+		c := cmp.Compare(key[a], key[b])
+		if desc {
+			c = -c
+		}
+		return cmp.Or(c, a-b)
+	})
+	return idx
+}
+
+// stableOrderInts is stableOrder for int keys. When the key range and the
+// row count fit in 64 bits together, each key's offset into the range
+// (reversed for desc) and its row pack into one word, so a plain sort of
+// the words orders keys and breaks ties on the row.
+func stableOrderInts(key []int64, desc bool) []int {
+	if len(key) == 0 {
+		return nil
+	}
+	lo, hi := slices.Min(key), slices.Max(key)
+	span, shift := uint64(hi)-uint64(lo), bits.Len(uint(len(key)))
+	if bits.Len64(span)+shift > 64 {
+		return stableOrder(key, desc)
+	}
+	words := make([]uint64, len(key))
+	for i, k := range key {
+		d := uint64(k) - uint64(lo)
+		if desc {
+			d = span - d
+		}
+		words[i] = d<<shift | uint64(i)
+	}
+	slices.Sort(words)
+	idx := make([]int, len(words))
+	for i, w := range words {
+		idx[i] = int(w & (1<<shift - 1))
+	}
+	return idx
 }
 
 func (s *sortIter) Next() (*Batch, error) {
@@ -674,13 +794,11 @@ func (s *sortIter) Next() (*Batch, error) {
 	if end > s.total {
 		end = s.total
 	}
-	for p := range s.cols {
-		if s.l.cols[p].isStr {
-			s.out.strs[p] = s.cols[p].strs[s.off:end]
-			s.out.ints[p] = nil
-		} else {
-			s.out.ints[p] = s.cols[p].ints[s.off:end]
-			s.out.strs[p] = nil
+	for p, c := range s.cols {
+		if c.strs != nil {
+			s.out.strs[p] = c.strs[s.off:end]
+		} else if c.ints != nil {
+			s.out.ints[p] = c.ints[s.off:end]
 		}
 	}
 	s.out.n = end - s.off

@@ -6,6 +6,10 @@ package engine_test
 import (
 	"cmp"
 	"errors"
+	"os"
+	"path/filepath"
+	"strconv"
+	"strings"
 	"testing"
 
 	"raal/internal/cardest"
@@ -116,14 +120,7 @@ func FuzzPipeline(f *testing.F) {
 	for _, q := range moreEdgeQueries {
 		f.Add(q)
 	}
-	db := datagen.IMDB(0.001, 1)
-	est, err := cardest.New(db, 16, 8)
-	if err != nil {
-		f.Fatal(err)
-	}
-	planner := physical.NewPlanner(est)
-	eng := engine.New(db)
-	eng.MaxRows = 20_000
+	db, planner, eng := tinyPipeline(f)
 	f.Fuzz(func(t *testing.T, q string) {
 		if len(q) > 2048 {
 			t.Skip() // the property is "no panic", not throughput on huge inputs
@@ -138,4 +135,66 @@ func FuzzPipeline(f *testing.F) {
 			}
 		}
 	})
+}
+
+// tinyPipeline is FuzzPipeline's catalog, planner and engine: IMDB at
+// scale 0.001 (25 titles) under a 20,000-row limit.
+func tinyPipeline(t testing.TB) (*catalog.Database, *physical.Planner, *engine.Engine) {
+	db := datagen.IMDB(0.001, 1)
+	est, err := cardest.New(db, 16, 8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	eng := engine.New(db)
+	eng.MaxRows = 20_000
+	return db, physical.NewPlanner(est), eng
+}
+
+// TestStreamingFuzzSeedsTrip checks that FuzzPipeline's star_join_trips_*
+// seeds, star joins over title.id, trip the row limit on every candidate
+// plan, engine and interpreter alike. In the first_batch and grouped
+// seeds the topmost join's first probe batch carries it past the limit,
+// so it emits no row. In the mid_stream seed it emits rows on some plan
+// before a later probe batch carries it past; a sort-merge join sorts the
+// heaviest title first and trips at once.
+func TestStreamingFuzzSeedsTrip(t *testing.T) {
+	files, err := filepath.Glob("testdata/fuzz/FuzzPipeline/star_join_trips_*")
+	if err != nil || len(files) < 3 {
+		t.Fatalf("want at least 3 star_join_trips seeds, found %v (%v)", files, err)
+	}
+	db, planner, eng := tinyPipeline(t)
+	for _, file := range files {
+		data, err := os.ReadFile(file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := strings.TrimSpace(strings.SplitN(string(data), "\n", 2)[1])
+		q, err := strconv.Unquote(strings.TrimSuffix(strings.TrimPrefix(line, "string("), ")"))
+		if err != nil {
+			t.Fatalf("%s: %v", file, err)
+		}
+		plans, ok, err := planQuery(db, planner, q, 3)
+		if err != nil || !ok {
+			t.Fatalf("%s does not plan: %v", file, err)
+		}
+		midStream, emittedFirst := strings.HasSuffix(file, "mid_stream"), false
+		for _, p := range plans {
+			if _, diff, err := diffEngine(eng, db, p); diff != "" || !errors.Is(err, engine.ErrRowLimit) {
+				t.Fatalf("%s (%s): want ErrRowLimit from both, got %v (%s)", file, p.Sig, err, diff)
+			}
+			var top *physical.Node // nodes are children first: the last join is the topmost
+			for _, n := range p.Nodes {
+				if n.LeftKey != nil && n.Op != physical.ExchangeHashPartition {
+					top = n
+				}
+			}
+			if top.ActRows > 0 && !midStream {
+				t.Errorf("%s (%s): the topmost join emitted %v rows before tripping", file, p.Sig, top.ActRows)
+			}
+			emittedFirst = emittedFirst || top.ActRows > 0
+		}
+		if midStream && !emittedFirst {
+			t.Errorf("%s: the topmost join tripped on its first probe batch on every plan", file)
+		}
+	}
 }

@@ -23,6 +23,8 @@ type joinBase struct {
 	build       []colData // right side, fully materialized
 	buildN      int
 	started     bool
+	live        uint64 // live output columns
+	buildLive   uint64 // live right-side columns
 
 	cb *Batch // current probe batch
 	pi int    // next logical row in cb
@@ -47,7 +49,7 @@ func makeJoinLayout(left, right *layout) (*layout, error) {
 	return newLayout(cols), nil
 }
 
-func (j *joinBase) init(left, right iterator, rc *runCtx) error {
+func (j *joinBase) init(left, right iterator, n *physical.Node, rc *runCtx, up *ancestors) error {
 	l, err := makeJoinLayout(left.lay(), right.lay())
 	if err != nil {
 		return err
@@ -56,11 +58,16 @@ func (j *joinBase) init(left, right iterator, rc *runCtx) error {
 	j.rc = rc
 	j.left, j.right = left, right
 	j.nLeft = len(left.lay().cols)
+	j.live = liveMask(l, up)
+	j.buildLive = liveMask(right.lay(), &ancestors{n: n, up: up})
 	j.lrows = rc.eng.pool.getSel(rc.cap)[:0]
 	j.brows = rc.eng.pool.getSel(rc.cap)[:0]
 	j.outInts = make([][]int64, len(l.cols))
 	j.outStrs = make([][]string, len(l.cols))
 	for p, c := range l.cols {
+		if !isLive(j.live, p) {
+			continue
+		}
 		if c.isStr {
 			j.outStrs[p] = rc.eng.pool.getStrs(rc.cap)
 		} else {
@@ -84,48 +91,38 @@ func (j *joinBase) buildRight() error {
 		if b == nil {
 			return nil
 		}
-		appendBatch(j.build, rl, b)
+		appendBatch(j.build, rl, b, j.buildLive)
 		j.buildN += b.n
 	}
 }
 
 // flush gathers the pending pairs into the output slabs. cb is the probe
-// batch the left rows index into; it must still be live.
+// batch the left rows index into; it must still be live. Dead columns,
+// and live ones a producer below left nil, stay nil.
 func (j *joinBase) flush(cb *Batch) *Batch {
 	n := len(j.lrows)
-	for p := 0; p < j.nLeft; p++ {
-		if j.l.cols[p].isStr {
-			src, dst := cb.strs[p], j.outStrs[p]
-			for i, r := range j.lrows {
-				dst[i] = src[r]
-			}
-			j.out.strs[p] = dst[:n]
-			j.out.ints[p] = nil
-		} else {
-			src, dst := cb.ints[p], j.outInts[p]
-			for i, r := range j.lrows {
-				dst[i] = src[r]
-			}
-			j.out.ints[p] = dst[:n]
-			j.out.strs[p] = nil
+	for p, c := range j.l.cols {
+		if !isLive(j.live, p) {
+			continue
 		}
-	}
-	for p := j.nLeft; p < len(j.l.cols); p++ {
-		bp := p - j.nLeft
-		if j.l.cols[p].isStr {
-			src, dst := j.build[bp].strs, j.outStrs[p]
-			for i, r := range j.brows {
-				dst[i] = src[r]
+		rows, src := j.brows, colData{}
+		if p < j.nLeft {
+			rows, src = j.lrows, colData{cb.ints[p], cb.strs[p]}
+		} else {
+			src = j.build[p-j.nLeft]
+		}
+		if c.isStr && src.strs != nil {
+			dst := j.outStrs[p]
+			for i, r := range rows {
+				dst[i] = src.strs[r]
 			}
 			j.out.strs[p] = dst[:n]
-			j.out.ints[p] = nil
-		} else {
-			src, dst := j.build[bp].ints, j.outInts[p]
-			for i, r := range j.brows {
-				dst[i] = src[r]
+		} else if !c.isStr && src.ints != nil {
+			dst := j.outInts[p]
+			for i, r := range rows {
+				dst[i] = src.ints[r]
 			}
 			j.out.ints[p] = dst[:n]
-			j.out.strs[p] = nil
 		}
 	}
 	j.out.n = n
@@ -157,20 +154,28 @@ func (j *joinBase) Close() {
 // hashJoinIter implements SMJ/BHJ/SHJ semantics (all three produce the
 // same single-node relation; their cost difference lives in the
 // simulator): build a hash index over the right side, stream the left.
+// Each probe batch is priced by its keys' build-row counts before it is
+// expanded (see price).
 type hashJoinIter struct {
 	joinBase
+	op                physical.OpType
 	leftPos, rightPos int
 	strKey            bool
+	emitted           int   // rows output so far
+	maxRun            int32 // most build rows sharing one key
 
 	// Int keys use a forward-chained index: head yields the first build
 	// row holding a key (1-based; 0 = no match) and chain links equal-key
 	// rows in build order, so matches stream out in build order. When the
 	// key range is tight — serial PKs, the overwhelmingly common build
 	// side — head is a plain array and probing never hashes at all; sparse
-	// key spaces fall back to a map head.
+	// key spaces fall back to a map head. Beside each head, a count of the
+	// key's build rows.
 	denseHead []int32
+	denseCnt  []int32
 	denseLo   int64
 	headMap   map[int64]int32
+	cntMap    map[int64]int32
 	chain     []int32
 
 	strIndex map[string][]int32
@@ -183,9 +188,9 @@ type hashJoinIter struct {
 	curL    int32
 }
 
-func newHashJoinIter(left, right iterator, n *physical.Node, rc *runCtx) (iterator, error) {
+func newHashJoinIter(left, right iterator, n *physical.Node, rc *runCtx, up *ancestors) (iterator, error) {
 	lname, rname := n.LeftKey.String(), n.RightKey.String()
-	it := &hashJoinIter{}
+	it := &hashJoinIter{op: n.Op}
 	if lp, ok := left.lay().intPos(lname); ok {
 		rp, ok := right.lay().intPos(rname)
 		if !ok {
@@ -202,7 +207,7 @@ func newHashJoinIter(left, right iterator, n *physical.Node, rc *runCtx) (iterat
 	} else {
 		return nil, fmt.Errorf("join key %q missing on left side", lname)
 	}
-	if err := it.init(left, right, rc); err != nil {
+	if err := it.init(left, right, n, rc, up); err != nil {
 		return nil, err
 	}
 	return it, nil
@@ -216,7 +221,9 @@ func (h *hashJoinIter) start() error {
 		col := h.build[h.rightPos].strs
 		h.strIndex = make(map[string][]int32, h.buildN)
 		for j, v := range col {
-			h.strIndex[v] = append(h.strIndex[v], int32(j))
+			m := append(h.strIndex[v], int32(j))
+			h.strIndex[v] = m
+			h.maxRun = max(h.maxRun, int32(len(m)))
 		}
 	} else if col := h.build[h.rightPos].ints; len(col) > 0 {
 		n := len(col)
@@ -233,6 +240,7 @@ func (h *hashJoinIter) start() error {
 		if span := hi - lo + 1; span <= int64(2*n)+1024 {
 			h.denseLo = lo
 			h.denseHead = make([]int32, span)
+			h.denseCnt = make([]int32, span)
 			tail := make([]int32, span)
 			for j, v := range col {
 				i := v - lo
@@ -242,10 +250,13 @@ func (h *hashJoinIter) start() error {
 					h.chain[tail[i]-1] = int32(j + 1)
 				}
 				tail[i] = int32(j + 1)
+				h.denseCnt[i]++
+				h.maxRun = max(h.maxRun, h.denseCnt[i])
 			}
 		} else {
 			head := make(map[int64]int32, n)
 			tail := make(map[int64]int32, n)
+			cnt := make(map[int64]int32, n)
 			for j, v := range col {
 				if t := tail[v]; t != 0 {
 					h.chain[t-1] = int32(j + 1)
@@ -253,23 +264,49 @@ func (h *hashJoinIter) start() error {
 					head[v] = int32(j + 1)
 				}
 				tail[v] = int32(j + 1)
+				cnt[v]++
+				h.maxRun = max(h.maxRun, cnt[v])
 			}
-			h.headMap = head
+			h.headMap, h.cntMap = head, cnt
 		}
 	}
 	h.started = true
 	return nil
 }
 
-// lookup returns the 1-based first build row matching key v (0 = none).
-func (h *hashJoinIter) lookup(v int64) int32 {
+// price fails the run before gathering when the matches of probe batch cb
+// would carry the join's output past the row limit. Its full output is at
+// least that, so only runs that would fail anyway fail here. The sum is
+// skipped while cb could not pass the limit matching the longest key run.
+func (h *hashJoinIter) price(cb *Batch) error {
+	if h.emitted+cb.n*int(h.maxRun) <= h.rc.max {
+		return nil
+	}
+	rows := h.emitted
+	for i := 0; i < cb.n; i++ {
+		if r := cb.row(i); h.strKey {
+			rows += len(h.strIndex[cb.strs[h.leftPos][r]])
+		} else {
+			_, n := h.lookup(cb.ints[h.leftPos][r])
+			rows += int(n)
+		}
+	}
+	if rows > h.rc.max {
+		return fmt.Errorf("engine: %s would produce %d rows: %w", h.op, rows, ErrRowLimit)
+	}
+	return nil
+}
+
+// lookup returns the 1-based first build row matching key v (0 = none)
+// and the number of build rows that match it.
+func (h *hashJoinIter) lookup(v int64) (head, n int32) {
 	if h.denseHead != nil {
 		if i := v - h.denseLo; i >= 0 && i < int64(len(h.denseHead)) {
-			return h.denseHead[i]
+			return h.denseHead[i], h.denseCnt[i]
 		}
-		return 0
+		return 0, 0
 	}
-	return h.headMap[v]
+	return h.headMap[v], h.cntMap[v]
 }
 
 func (h *hashJoinIter) Next() (*Batch, error) {
@@ -286,6 +323,9 @@ func (h *hashJoinIter) Next() (*Batch, error) {
 			}
 			if cb == nil {
 				return nil, nil
+			}
+			if err := h.price(cb); err != nil {
+				return nil, err
 			}
 			h.cb, h.pi = cb, 0
 		}
@@ -338,7 +378,7 @@ func (h *hashJoinIter) Next() (*Batch, error) {
 				}
 				h.matches, h.mi, h.curL = m, 0, r
 			} else {
-				head := h.lookup(intKey[r])
+				head, _ := h.lookup(intKey[r])
 				if head == 0 {
 					h.pi++
 					continue
@@ -351,6 +391,7 @@ func (h *hashJoinIter) Next() (*Batch, error) {
 			// Gather while the probe batch is still live, then release it
 			// if it has been fully consumed.
 			out := h.flush(h.cb)
+			h.emitted += out.n
 			if exhausted {
 				h.cb = nil
 			}
@@ -379,7 +420,7 @@ type nestedLoopIter struct {
 	open bool // currently expanding a probe row
 }
 
-func newNestedLoopIter(left, right iterator, n *physical.Node, rc *runCtx) (iterator, error) {
+func newNestedLoopIter(left, right iterator, n *physical.Node, rc *runCtx, up *ancestors) (iterator, error) {
 	lp, ok := left.lay().intPos(n.LeftKey.String())
 	if !ok {
 		return nil, fmt.Errorf("nested loop key %q missing on left side", n.LeftKey)
@@ -389,7 +430,7 @@ func newNestedLoopIter(left, right iterator, n *physical.Node, rc *runCtx) (iter
 		return nil, fmt.Errorf("nested loop key %q missing on right side", n.RightKey)
 	}
 	it := &nestedLoopIter{leftPos: lp, rightPos: rp, op: n.ThetaOp}
-	if err := it.init(left, right, rc); err != nil {
+	if err := it.init(left, right, n, rc, up); err != nil {
 		return nil, err
 	}
 	return it, nil

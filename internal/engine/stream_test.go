@@ -1,6 +1,12 @@
 package engine
 
-import "testing"
+import (
+	"math"
+	"math/rand"
+	"slices"
+	"sort"
+	"testing"
+)
 
 func TestLikePatterns(t *testing.T) {
 	strs := []string{"abcdef", "abc", "xxabc", "defabc", "zzz"}
@@ -43,5 +49,45 @@ func TestHashJoinDuplicateColumnRejected(t *testing.T) {
 	}
 	if l, err := makeJoinLayout(left, newLayout([]streamCol{{name: "y.k"}})); err != nil || len(l.cols) != 3 {
 		t.Fatalf("distinct sides: %v, %v", l, err)
+	}
+}
+
+// TestStableOrderMatchesSliceStable holds both sort paths to the stable
+// sort they replaced, on keys with many ties: int keys whose range packs
+// with the row into one word, int keys whose range does not, and strings.
+func TestStableOrderMatchesSliceStable(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for _, n := range []int{0, 1, 2, 7, 1000, 5000} {
+		narrow, wide, strs := make([]int64, n), make([]int64, n), make([]string, n)
+		for i := range narrow {
+			narrow[i] = rng.Int63n(50) - 25
+			wide[i] = []int64{math.MinInt64, -1, 0, 3, math.MaxInt64}[rng.Intn(5)]
+			strs[i] = string(rune('a' + rng.Intn(20)))
+		}
+		for _, desc := range []bool{false, true} {
+			for _, c := range []struct {
+				name string
+				got  []int
+				less func(a, b int) bool
+			}{
+				{"narrow", stableOrderInts(narrow, desc), func(a, b int) bool { return narrow[a] < narrow[b] }},
+				{"wide", stableOrderInts(wide, desc), func(a, b int) bool { return wide[a] < wide[b] }},
+				{"string", stableOrder(strs, desc), func(a, b int) bool { return strs[a] < strs[b] }},
+			} {
+				want := make([]int, n)
+				for i := range want {
+					want[i] = i
+				}
+				sort.SliceStable(want, func(a, b int) bool {
+					if desc {
+						return c.less(want[b], want[a])
+					}
+					return c.less(want[a], want[b])
+				})
+				if len(c.got) != n || n > 0 && !slices.Equal(c.got, want) {
+					t.Fatalf("%s keys, n=%d, desc=%v: order %v, want %v", c.name, n, desc, c.got, want)
+				}
+			}
+		}
 	}
 }
