@@ -11,7 +11,7 @@ package raal
 // is the experiment's own report, which the benchmarks verify for shape.
 
 import (
-	"fmt"
+	"context"
 	"sync"
 	"testing"
 
@@ -263,28 +263,7 @@ func BenchmarkCostModelInference(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		model.Predict(samples)
-	}
-}
-
-// BenchmarkCostModelInferenceWorkers scores the lab's full test set at
-// several worker counts; predictions are bit-identical across rows, so
-// the column is pure throughput (see README "Parallel training &
-// inference").
-func BenchmarkCostModelInferenceWorkers(b *testing.B) {
-	lab := sharedBenchLab(b)
-	model, _, err := lab.TrainVariant(RAAL())
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := core.PredictOpts{Workers: workers, ChunkSize: 32}
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				model.PredictWith(lab.TestSamples, opt)
-			}
-		})
+		model.PredictCtx(context.Background(), samples, core.PredictOpts{})
 	}
 }
 

@@ -140,8 +140,8 @@ func TestEstimateUsesEncodeCache(t *testing.T) {
 }
 
 // TestEncodeCacheBitIdenticalAcrossAPIs: Estimate, EstimateEachCtx (mixed
-// plans and allocations in one batch), EstimateBatch, SelectPlan and
-// RecommendResources return the same bits with the cache off, with it on
+// plans and allocations in one batch), EstimateBatch, SelectPlanCtx and
+// RecommendResourcesCtx return the same bits with the cache off, with it on
 // and cold (every plan encoded, every prefix computed and parked), and
 // with it warm (every plan a hit, every prefix reused).
 func TestEncodeCacheBitIdenticalAcrossAPIs(t *testing.T) {

@@ -9,12 +9,14 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"os"
 	"sort"
 
 	"raal"
+	"raal/internal/telemetry"
 )
 
 func main() {
@@ -107,14 +109,21 @@ func main() {
 		if err := cm.EnablePrecision(prec, nil, 0); err != nil {
 			fatal(err)
 		}
-		best, pred := cm.SelectPlan(plans, res)
+		best, pred, err := cm.SelectPlanCtx(context.Background(), plans, res)
+		if err != nil {
+			fatal(err)
+		}
 		for i, p := range plans {
 			if p == best {
 				fmt.Printf("%s model picks:  plan %d (predicted %.2fs)\n", cm.Variant().Name, i+1, pred)
 			}
 		}
 		if *trace {
-			_, sp := cm.EstimateTraced(best, res)
+			sp := telemetry.StartSpan("estimate[" + cm.Precision().String() + "]")
+			if _, err := cm.EstimateCtx(telemetry.WithSpan(context.Background(), sp), best, res); err != nil {
+				fatal(err)
+			}
+			sp.End()
 			fmt.Printf("inference breakdown [%s] (%v total):\n", cm.Precision(), sp.Total())
 			for _, st := range sp.Stages() {
 				fmt.Printf("  %-10s %v\n", st.Name, st.Dur)

@@ -219,7 +219,6 @@ func main() {
 		// reference on a sampled benchmark workload; collect it once at
 		// startup (it also seeds the online loop's bootstrap gate).
 		var gate []*raal.Sample
-		servingPrec := func() string { return cm.Precision().String() }
 		if prec != raal.PrecisionF64 {
 			if gate, err = quantGateSamples(sys, cm, *seed); err != nil {
 				fatal("collecting quantization gate workload", "error", err)
@@ -231,6 +230,10 @@ func main() {
 				}
 			}
 		}
+		// The deep path scores with the cost model, or with the online
+		// loop's champion, which also learns from every answer it serves.
+		var est estimator = cm
+		observe := func(*physical.Plan, sparksim.Resources, float64) {}
 		if *online {
 			osrv, err := raal.NewOnlineServing(cm, st, raal.OnlineOptions{
 				Dir:            *onlineDir,
@@ -251,7 +254,6 @@ func main() {
 				fatal("starting online learning", "error", err)
 			}
 			modelAdmin = osrv.AdminHandler()
-			servingPrec = func() string { return osrv.Precision().String() }
 			// Feedback loop: every deep answer's (plan, resources) is
 			// re-executed on the cluster simulator — the substrate's ground
 			// truth — and the observed time flows back into the learning
@@ -273,39 +275,11 @@ func main() {
 					osrv.Feedback(o.plan, o.res, o.pred, actual)
 				}
 			}()
-			observe := func(p *physical.Plan, res sparksim.Resources, pred float64) {
+			est = osrv
+			observe = func(p *physical.Plan, res sparksim.Resources, pred float64) {
 				select {
 				case feedback <- outcome{plan: p, res: res, pred: pred}:
 				default: // shed feedback under pressure, never block serving
-				}
-			}
-			cfg.Deep = func(ctx context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
-				c, err := osrv.EstimateCtx(ctx, p, res)
-				if err == nil {
-					observe(p, res, c)
-				}
-				return c, err
-			}
-			cfg.DeepBatch = func(ctx context.Context, plans []*physical.Plan, res sparksim.Resources) ([]float64, error) {
-				return osrv.EstimateBatchCtx(ctx, plans, res, raal.PredictOpts{})
-			}
-			if *batchMax > 1 && *batchWin > 0 {
-				cfg.BatchWindow = *batchWin
-				cfg.BatchMax = *batchMax
-				cfg.DeepEach = func(ctx context.Context, items []serve.BatchItem) ([]float64, error) {
-					plans := make([]*physical.Plan, len(items))
-					res := make([]sparksim.Resources, len(items))
-					for i, it := range items {
-						plans[i] = it.Plan
-						res[i] = it.Res
-					}
-					preds, err := osrv.EstimateEachCtx(ctx, plans, res, raal.PredictOpts{})
-					if err == nil {
-						for i := range preds {
-							observe(plans[i], res[i], preds[i])
-						}
-					}
-					return preds, err
 				}
 			}
 			logger.Info("online learning armed",
@@ -313,30 +287,39 @@ func main() {
 				"registry", *onlineDir, "replay_cap", *replayCap,
 				"drift_window", *driftWindow, "drift_threshold", *driftThreshold,
 				"champion", osrv.ChampionVersion(), "precision", osrv.Precision().String())
-		} else {
-			cfg.Deep = func(ctx context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
-				return cm.EstimateCtx(ctx, p, res)
+		}
+		cfg.Deep = func(ctx context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
+			c, err := est.EstimateCtx(ctx, p, res)
+			if err == nil {
+				observe(p, res, c)
 			}
-			cfg.DeepBatch = func(ctx context.Context, plans []*physical.Plan, res sparksim.Resources) ([]float64, error) {
-				return cm.EstimateBatchCtx(ctx, plans, res, raal.PredictOpts{})
-			}
-			if *batchMax > 1 && *batchWin > 0 {
-				cfg.BatchWindow = *batchWin
-				cfg.BatchMax = *batchMax
-				cfg.DeepEach = func(ctx context.Context, items []serve.BatchItem) ([]float64, error) {
-					plans := make([]*physical.Plan, len(items))
-					res := make([]sparksim.Resources, len(items))
-					for i, it := range items {
-						plans[i] = it.Plan
-						res[i] = it.Res
-					}
-					return cm.EstimateEachCtx(ctx, plans, res, raal.PredictOpts{})
+			return c, err
+		}
+		cfg.DeepBatch = func(ctx context.Context, plans []*physical.Plan, res sparksim.Resources) ([]float64, error) {
+			return est.EstimateBatchCtx(ctx, plans, res, raal.PredictOpts{})
+		}
+		if *batchMax > 1 && *batchWin > 0 {
+			cfg.BatchWindow = *batchWin
+			cfg.BatchMax = *batchMax
+			cfg.DeepEach = func(ctx context.Context, items []serve.BatchItem) ([]float64, error) {
+				plans := make([]*physical.Plan, len(items))
+				res := make([]sparksim.Resources, len(items))
+				for i, it := range items {
+					plans[i] = it.Plan
+					res[i] = it.Res
 				}
+				preds, err := est.EstimateEachCtx(ctx, plans, res, raal.PredictOpts{})
+				if err == nil {
+					for i := range preds {
+						observe(plans[i], res[i], preds[i])
+					}
+				}
+				return preds, err
 			}
 		}
 		logger.Info("serving deep model with GPSJ fallback armed",
 			"variant", cm.Variant().Name, "model", *modelPath, "encode_cache", *encCache,
-			"batch_window", *batchWin, "batch_max", *batchMax, "precision", servingPrec())
+			"batch_window", *batchWin, "batch_max", *batchMax, "precision", est.Precision().String())
 	} else {
 		if *batchMax > 1 && *batchWin > 0 {
 			fatal("-batch-window/-batch-max require -model (the analytical path is not batched)")
@@ -598,4 +581,13 @@ func adminHandler(reg *telemetry.Registry, pprofOn bool, modelAdmin http.Handler
 		mux.HandleFunc("/debug/pprof/trace", netpprof.Trace)
 	}
 	return mux
+}
+
+// estimator is what raalserve's deep path scores with: *raal.CostModel and
+// *raal.OnlineServing both provide it.
+type estimator interface {
+	EstimateCtx(ctx context.Context, p *physical.Plan, res sparksim.Resources) (float64, error)
+	EstimateBatchCtx(ctx context.Context, plans []*physical.Plan, res sparksim.Resources, opt raal.PredictOpts) ([]float64, error)
+	EstimateEachCtx(ctx context.Context, plans []*physical.Plan, res []sparksim.Resources, opt raal.PredictOpts) ([]float64, error)
+	Precision() raal.Precision
 }

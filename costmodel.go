@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math"
 
 	"raal/internal/core"
 	"raal/internal/encode"
@@ -37,9 +36,9 @@ type CostModel struct {
 // apiCounters tracks public estimation-API usage. The zero value (nil
 // counters) is inert, so an uninstrumented model pays only nil checks.
 type apiCounters struct {
-	estimates  *telemetry.Counter // Estimate / EstimateCtx / EstimateBatch* calls
-	selects    *telemetry.Counter // SelectPlan / SelectPlanCtx calls
-	recommends *telemetry.Counter // RecommendResources* calls
+	estimates  *telemetry.Counter // Estimate* calls
+	selects    *telemetry.Counter // SelectPlanCtx calls
+	recommends *telemetry.Counter // RecommendResourcesCtx calls
 	encHits    *telemetry.Counter // encode-cache plan lookups served without re-encoding
 	encMisses  *telemetry.Counter // encode-cache plan lookups that fell through to the encoder
 	gateFails  *telemetry.Counter // quantized snapshots refused by the accuracy gate
@@ -51,17 +50,13 @@ type apiCounters struct {
 // before the model starts serving; the counters are then updated lock-free
 // on every API call. Registration is get-or-create, so instrumenting
 // several models on one registry aggregates them into the same families.
-//
-// Note SelectPlan and RecommendResources route through the batch
-// estimation path internally; raal_api_estimates_total counts only direct
-// Estimate/EstimateBatch calls, not those internal reuses.
 func (cm *CostModel) Instrument(reg *telemetry.Registry) {
 	cm.api.estimates = reg.NewCounter("raal_api_estimates_total",
 		"Direct cost-estimation API calls (Estimate and EstimateBatch variants).")
 	cm.api.selects = reg.NewCounter("raal_api_plan_selections_total",
-		"Plan-selection API calls (SelectPlan variants).")
+		"Plan-selection API calls (SelectPlanCtx).")
 	cm.api.recommends = reg.NewCounter("raal_api_resource_recommendations_total",
-		"Resource-recommendation API calls (RecommendResources variants).")
+		"Resource-recommendation API calls (RecommendResourcesCtx).")
 	cm.api.encHits = reg.NewCounter("raal_encode_cache_hits_total",
 		"Plan encodings served from the feature-encoding cache.")
 	cm.api.encMisses = reg.NewCounter("raal_encode_cache_misses_total",
@@ -97,20 +92,11 @@ func (cm *CostModel) EnableEncodeCache(capacity int) {
 	cm.cache = newEncodeCache(capacity)
 }
 
-// encodePlan is the cache-aware front door to the encoder: every
+// encodePlanAt is the cache-aware front door to the encoder: every
 // estimation path routes through it (or planPartAt directly) so hit
-// accounting stays consistent. Cache entries are tagged with the active
-// serving precision, so a precision switch starts attributing (and
-// warming) its own entries instead of inheriting the previous mode's hit
-// counts.
-func (cm *CostModel) encodePlan(p *Plan, res Resources) *Sample {
-	return cm.encodePlanAt(cm.Precision().String(), p, res)
-}
-
-// encodePlanAt is encodePlan with an explicit precision tag. The online
-// serving layer passes the live champion's precision, which can differ
-// from cm's own (the champion hot-swaps and may fall back to f64 on a
-// gate refusal).
+// accounting stays consistent. prec tags the cache entry with the
+// precision of the generation that will score it, so a precision switch
+// or an online champion at another precision warms its own entries.
 func (cm *CostModel) encodePlanAt(prec string, p *Plan, res Resources) *Sample {
 	return cm.planPartAt(prec, p).WithResource(cm.enc.EncodeResources(res))
 }
@@ -139,12 +125,7 @@ func (cm *CostModel) planPartAt(prec string, p *Plan) *Sample {
 // Precision reports the numeric format the estimation APIs currently
 // serve at: PrecisionF64 until EnablePrecision installs a quantized
 // snapshot, then that snapshot's precision.
-func (cm *CostModel) Precision() core.Precision {
-	if cm.qmodel != nil {
-		return cm.qmodel.Precision()
-	}
-	return core.PrecisionF64
-}
+func (cm *CostModel) Precision() core.Precision { return cm.gen().precision() }
 
 // EnablePrecision switches the serving precision of every estimation
 // API. PrecisionF64 restores the float64 reference path (always
@@ -182,22 +163,29 @@ func (cm *CostModel) EnablePrecision(p core.Precision, gate []*Sample, maxQDelta
 	return nil
 }
 
-// predictCtx and predictSpan dispatch one scoring call to the active
-// precision's model. Every estimation API routes through them, so a
-// precision switch covers Estimate, SelectPlan, and RecommendResources
-// uniformly.
-func (cm *CostModel) predictCtx(ctx context.Context, samples []*Sample, opt core.PredictOpts) ([]float64, error) {
-	if q := cm.qmodel; q != nil {
-		return q.PredictCtx(ctx, samples, opt)
-	}
-	return cm.model.PredictCtx(ctx, samples, opt)
+// generation is the network one scoring call runs: the float64 model and,
+// when one was admitted, the quantized snapshot that serves in its place.
+// CostModel scores with its own, OnlineServing with the champion it loaded
+// for the call, through the same bodies.
+type generation struct {
+	model *core.Model
+	q     *core.Net[float32]
 }
 
-func (cm *CostModel) predictSpan(samples []*Sample, sp *telemetry.Span) []float64 {
-	if q := cm.qmodel; q != nil {
-		return q.PredictSpan(samples, sp)
+func (cm *CostModel) gen() generation { return generation{cm.model, cm.qmodel} }
+
+func (g generation) precision() core.Precision {
+	if g.q != nil {
+		return g.q.Precision()
 	}
-	return cm.model.PredictSpan(samples, sp)
+	return core.PrecisionF64
+}
+
+func (g generation) predict(ctx context.Context, samples []*Sample) ([]float64, error) {
+	if g.q != nil {
+		return g.q.PredictCtx(ctx, samples, core.PredictOpts{})
+	}
+	return g.model.PredictCtx(ctx, samples, core.PredictOpts{})
 }
 
 // TrainOptions controls cost-model training.
@@ -246,26 +234,44 @@ func TrainCostModel(ds *Dataset, v Variant, opt TrainOptions) (*CostModel, *Trai
 	if ds == nil || len(ds.Records) == 0 {
 		return nil, nil, fmt.Errorf("raal: empty dataset")
 	}
+	enc, err := ds.FitEncoder(encode.DefaultConfig())
+	if err != nil {
+		return nil, nil, err
+	}
+	opt.defaults()
+	mc := encoderConfig(enc)
+	mc.Seed = opt.Seed
+	cm := &CostModel{enc: enc, model: core.NewModel(v, mc)}
+	report, err := cm.fit(core.NewTrainState(), ds, opt)
+	if err != nil {
+		return nil, nil, err
+	}
+	if opt.Metrics != nil {
+		cm.Instrument(opt.Metrics)
+	}
+	return cm, report, nil
+}
+
+// defaults fills in the TrainFrac and Seed defaults.
+func (opt *TrainOptions) defaults() {
 	if opt.TrainFrac == 0 {
 		opt.TrainFrac = 0.8
 	}
 	if opt.Seed == 0 {
 		opt.Seed = 1
 	}
+}
 
-	enc, err := ds.FitEncoder(encode.DefaultConfig())
-	if err != nil {
-		return nil, nil, err
-	}
-	samples := ds.Encode(enc)
-	train, test := workload.Split(samples, opt.TrainFrac, opt.Seed)
+// fit trains cm's network in place from st on ds, encoded with cm's
+// encoder, and evaluates it on the held-out split: the one body behind
+// TrainCostModel and ResumeCostModel, so a resumed run splits, configures
+// and reports exactly as the run it continues.
+func (cm *CostModel) fit(st *TrainState, ds *Dataset, opt TrainOptions) (*TrainReport, error) {
+	opt.defaults()
+	train, test := workload.Split(ds.Encode(cm.enc), opt.TrainFrac, opt.Seed)
 	if len(train) == 0 {
-		return nil, nil, fmt.Errorf("raal: train split is empty")
+		return nil, fmt.Errorf("raal: train split is empty")
 	}
-
-	semDim := enc.NodeDim() - enc.MaxNodes() - 2
-	mc := core.DefaultConfig(semDim, enc.MaxNodes())
-	mc.Seed = opt.Seed
 	tc := core.DefaultTrainConfig()
 	if opt.Epochs > 0 {
 		tc.Epochs = opt.Epochs
@@ -280,31 +286,21 @@ func TrainCostModel(ds *Dataset, v Variant, opt TrainOptions) (*CostModel, *Trai
 	tc.Workers = opt.Workers
 	tc.ShardSize = opt.ShardSize
 	tc.Progress = opt.Progress
+	tc.State = st
 	if opt.Metrics != nil {
 		tc.Instr = core.NewInstrumentation(opt.Metrics)
 	}
-	tc.State = core.NewTrainState()
-
-	model, tr, err := core.Train(train, v, mc, tc)
+	tr, err := cm.model.Fit(train, tc)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	report := &TrainReport{
-		TrainSamples: len(train),
-		TestSamples:  len(test),
-		LossCurve:    tr.LossCurve,
-		State:        tc.State,
-	}
+	report := &TrainReport{TrainSamples: len(train), TestSamples: len(test), LossCurve: tr.LossCurve, State: st}
 	if len(test) > 0 {
-		if report.Held, err = model.Evaluate(test); err != nil {
-			return nil, nil, err
+		if report.Held, err = cm.model.Evaluate(test); err != nil {
+			return nil, err
 		}
 	}
-	cm := &CostModel{enc: enc, model: model}
-	if opt.Metrics != nil {
-		cm.Instrument(opt.Metrics)
-	}
-	return cm, report, nil
+	return report, nil
 }
 
 // Variant returns the architecture this model was trained with.
@@ -316,58 +312,48 @@ func (cm *CostModel) Estimate(p *Plan, res Resources) float64 {
 	return cost
 }
 
-// EstimateTraced is Estimate with a per-stage wall-time breakdown: the
-// returned span is already ended and decomposes the call into encode →
-// embed → lstm/conv → attention → dense → decode stages (stage durations
-// sum to at most the span total). When the plan's prefix comes from its
-// encode-cache entry, a "prefix-reuse" stage stands where embed and
-// lstm/conv would be. The span name carries the active serving precision
-// ("estimate[f64]", "estimate[f32]") so traces from different precisions
-// are distinguishable. Tracing is observation-only — the prediction is
-// bit-identical to Estimate.
-func (cm *CostModel) EstimateTraced(p *Plan, res Resources) (float64, *telemetry.Span) {
-	cm.api.estimates.Inc()
-	sp := telemetry.StartSpan("estimate[" + cm.Precision().String() + "]")
-	stop := sp.Stage("encode")
-	s := cm.encodePlan(p, res)
-	stop()
-	preds := cm.predictSpan([]*Sample{s}, sp)
-	sp.End()
-	return preds[0], sp
-}
-
 // EstimateCtx is Estimate with cooperative cancellation: a cancelled or
 // expired context aborts the forward pass boundary and returns ctx.Err().
+// A span on ctx (telemetry.WithSpan) receives the per-stage breakdown:
+// encode, then the network's stages (core.Net.PredictCtx), to the same
+// bits as an untraced call.
 func (cm *CostModel) EstimateCtx(ctx context.Context, p *Plan, res Resources) (float64, error) {
+	return cm.estimate(ctx, cm.gen(), p, res)
+}
+
+// estimate is the one body behind CostModel's and OnlineServing's
+// EstimateCtx: it prices p under res with g.
+func (cm *CostModel) estimate(ctx context.Context, g generation, p *Plan, res Resources) (float64, error) {
 	cm.api.estimates.Inc()
-	s := cm.encodePlan(p, res)
-	preds, err := cm.predictCtx(ctx, []*Sample{s}, core.PredictOpts{})
+	stop := telemetry.SpanFrom(ctx).Stage("encode")
+	s := cm.encodePlanAt(g.precision().String(), p, res)
+	stop()
+	preds, err := g.predict(ctx, []*Sample{s})
 	if err != nil {
 		return 0, err
 	}
 	return preds[0], nil
 }
 
-// EstimateBatch predicts costs for many (plan, resources) pairs at once,
-// scoring chunks across GOMAXPROCS worker goroutines.
+// EstimateBatch predicts costs for many plans under one allocation at
+// once, scoring chunks across GOMAXPROCS worker goroutines.
 func (cm *CostModel) EstimateBatch(plans []*Plan, res Resources) []float64 {
-	return cm.EstimateBatchWith(plans, res, core.PredictOpts{})
-}
-
-// EstimateBatchWith is EstimateBatch with explicit data-parallelism
-// settings; predictions are identical for every opt.
-func (cm *CostModel) EstimateBatchWith(plans []*Plan, res Resources, opt core.PredictOpts) []float64 {
-	costs, _ := cm.EstimateBatchCtx(context.Background(), plans, res, opt) // Background never cancels
+	costs, _ := cm.EstimateBatchCtx(context.Background(), plans, res, core.PredictOpts{}) // Background never cancels
 	return costs
 }
 
-// EstimateBatchCtx is EstimateBatchWith with cooperative cancellation: a
+// EstimateBatchCtx is EstimateBatch with cooperative cancellation: a
 // cancelled or expired context aborts scoring within one chunk and
 // returns ctx.Err(). With a live context the predictions are
-// bit-identical to EstimateBatchWith.
-func (cm *CostModel) EstimateBatchCtx(ctx context.Context, plans []*Plan, res Resources, opt core.PredictOpts) ([]float64, error) {
+// bit-identical to EstimateBatch. PredictOpts has no fields.
+func (cm *CostModel) EstimateBatchCtx(ctx context.Context, plans []*Plan, res Resources, _ core.PredictOpts) ([]float64, error) {
+	return cm.estimateBatch(ctx, cm.gen(), plans, res)
+}
+
+// estimateBatch is the one body behind both EstimateBatchCtx methods.
+func (cm *CostModel) estimateBatch(ctx context.Context, g generation, plans []*Plan, res Resources) ([]float64, error) {
 	cm.api.estimates.Inc()
-	return cm.predictCtx(ctx, cm.planSamples(plans, res), opt)
+	return g.predict(ctx, cm.planSamples(g.precision().String(), plans, res))
 }
 
 // EstimateEachCtx predicts costs for many independent (plan, resources)
@@ -375,23 +361,29 @@ func (cm *CostModel) EstimateBatchCtx(ctx context.Context, plans []*Plan, res Re
 // This is the backing call for the serving layer's micro-batching
 // coalescer, where concurrent requests carry their own allocations.
 // Predictions are bit-identical to pricing each pair alone with
-// EstimateCtx.
-func (cm *CostModel) EstimateEachCtx(ctx context.Context, plans []*Plan, res []Resources, opt core.PredictOpts) ([]float64, error) {
+// EstimateCtx. PredictOpts has no fields.
+func (cm *CostModel) EstimateEachCtx(ctx context.Context, plans []*Plan, res []Resources, _ core.PredictOpts) ([]float64, error) {
+	return cm.estimateEach(ctx, cm.gen(), plans, res)
+}
+
+// estimateEach is the one body behind both EstimateEachCtx methods.
+func (cm *CostModel) estimateEach(ctx context.Context, g generation, plans []*Plan, res []Resources) ([]float64, error) {
 	if len(plans) != len(res) {
 		return nil, fmt.Errorf("raal: EstimateEachCtx got %d plan(s) but %d resource allocation(s)", len(plans), len(res))
 	}
 	cm.api.estimates.Inc()
+	prec := g.precision().String()
 	samples := make([]*Sample, len(plans))
 	for i, p := range plans {
-		samples[i] = cm.encodePlan(p, res[i])
+		samples[i] = cm.encodePlanAt(prec, p, res[i])
 	}
-	return cm.predictCtx(ctx, samples, opt)
+	return g.predict(ctx, samples)
 }
 
 // planSamples encodes every candidate under one allocation (one shared
-// resource vector).
-func (cm *CostModel) planSamples(plans []*Plan, res Resources) []*Sample {
-	prec, r := cm.Precision().String(), cm.enc.EncodeResources(res)
+// resource vector), for a generation serving at prec.
+func (cm *CostModel) planSamples(prec string, plans []*Plan, res Resources) []*Sample {
+	r := cm.enc.EncodeResources(res)
 	samples := make([]*Sample, len(plans))
 	for i, p := range plans {
 		samples[i] = cm.planPartAt(prec, p).WithResource(r)
@@ -404,28 +396,18 @@ func (cm *CostModel) planSamples(plans []*Plan, res Resources) []*Sample {
 // would pick a winner silently.
 var errNoFinite = errors.New("no candidate has a finite predicted cost")
 
-// SelectPlan returns the candidate with the lowest predicted cost and
-// that prediction. Only finite predictions are ranked; when none is
-// finite the first candidate is returned at cost +Inf (SelectPlanCtx
-// reports that case as an error). A nil plan is returned only for an empty
-// candidate set.
-func (cm *CostModel) SelectPlan(plans []*Plan, res Resources) (*Plan, float64) {
-	best, cost, err := cm.SelectPlanCtx(context.Background(), plans, res)
-	if err != nil { // Background never cancels: no finite prediction
-		return plans[0], math.Inf(1)
-	}
-	return best, cost
-}
-
-// SelectPlanCtx is SelectPlan with cooperative cancellation. As with
-// SelectPlan, an empty candidate set yields a nil plan and no error; a
-// candidate set without one finite prediction is an error.
+// SelectPlanCtx returns the candidate with the lowest predicted cost
+// under res and that prediction: the argmin of EstimateBatchCtx over the
+// finite predictions. An empty candidate set yields a nil plan and no
+// error; a candidate set without one finite prediction is an error
+// (errNoFinite), as is a cancelled or expired context (ctx.Err()).
 func (cm *CostModel) SelectPlanCtx(ctx context.Context, plans []*Plan, res Resources) (*Plan, float64, error) {
 	if len(plans) == 0 {
 		return nil, 0, nil
 	}
 	cm.api.selects.Inc()
-	preds, err := cm.predictCtx(ctx, cm.planSamples(plans, res), core.PredictOpts{})
+	g := cm.gen()
+	preds, err := g.predict(ctx, cm.planSamples(g.precision().String(), plans, res))
 	if err != nil {
 		return nil, 0, err
 	}
@@ -436,55 +418,26 @@ func (cm *CostModel) SelectPlanCtx(ctx context.Context, plans []*Plan, res Resou
 	return plans[best], preds[best], nil
 }
 
-// RecommendResources searches a grid of candidate allocations for the one
-// with the cheapest predicted cost for plan p — the inverse of the
-// paper's main problem (Sec. II cites resource-matching systems [31,32];
-// with a resource-aware cost model the search is a batched inference).
-// It returns the winning allocation and its predicted cost.
-//
-// The plan is fingerprinted, encoded and run through the network's plan
-// prefix (embedding, recurrence, node-aware attention) once for the whole
-// grid; each allocation then costs one resource vector and the network's
-// resource suffix (a 1×L attention row and the dense head). Only finite
-// predictions are ranked; when none is finite the first allocation is
-// returned at cost +Inf (RecommendResourcesCtx reports that as an error).
-func (cm *CostModel) RecommendResources(p *Plan, grid []Resources) (Resources, float64) {
-	return cm.RecommendResourcesWith(p, grid, core.PredictOpts{})
-}
-
-// RecommendResourcesWith is RecommendResources with explicit
-// data-parallelism settings; the recommendation is identical for every
-// opt (a grid larger than one chunk computes the plan prefix once per
-// chunk, to the same bits).
-func (cm *CostModel) RecommendResourcesWith(p *Plan, grid []Resources, opt core.PredictOpts) (Resources, float64) {
-	best, cost, err := cm.recommend(context.Background(), p, grid, opt)
-	if err != nil { // Background never cancels: no finite prediction
-		return grid[0], math.Inf(1)
-	}
-	return best, cost
-}
-
-// RecommendResourcesCtx is RecommendResources with cooperative
-// cancellation; a cancelled or expired context aborts the grid sweep
-// within one chunk and returns ctx.Err(). A grid without one finite
-// prediction is an error.
+// RecommendResourcesCtx returns the allocation of grid with the cheapest
+// predicted cost for plan p, and that cost — the inverse of the paper's
+// main problem (Sec. II cites resource-matching systems [31,32]). The plan
+// is looked up, encoded and run through the network's plan prefix once
+// for the whole grid; each allocation then costs one resource vector and
+// the network's resource suffix. Only finite predictions are ranked: a
+// grid without one is an error (errNoFinite), as is a cancelled or
+// expired context. An empty grid yields the zero allocation and no error.
 func (cm *CostModel) RecommendResourcesCtx(ctx context.Context, p *Plan, grid []Resources) (Resources, float64, error) {
-	return cm.recommend(ctx, p, grid, core.PredictOpts{})
-}
-
-// recommend is the one body behind RecommendResources*: one plan lookup,
-// one plan part shared by every grid row, one scoring call.
-func (cm *CostModel) recommend(ctx context.Context, p *Plan, grid []Resources, opt core.PredictOpts) (Resources, float64, error) {
 	if len(grid) == 0 {
 		return Resources{}, 0, nil
 	}
 	cm.api.recommends.Inc()
-	part := cm.planPartAt(cm.Precision().String(), p)
+	g := cm.gen()
+	part := cm.planPartAt(g.precision().String(), p)
 	samples := make([]*Sample, len(grid))
 	for i, res := range grid {
 		samples[i] = part.WithResource(cm.enc.EncodeResources(res))
 	}
-	preds, err := cm.predictCtx(ctx, samples, opt)
+	preds, err := g.predict(ctx, samples)
 	if err != nil {
 		return Resources{}, 0, err
 	}
@@ -515,12 +468,6 @@ func DefaultResourceGrid() []Resources {
 	return grid
 }
 
-// EvaluateOn computes the paper's metrics over a slice of encoded,
-// labeled samples.
-func (cm *CostModel) EvaluateOn(samples []*Sample) (Metrics, error) {
-	return cm.model.Evaluate(samples)
-}
-
 // EncodeDataset encodes a dataset with this model's fitted encoder (for
 // evaluation on fresh corpora).
 func (cm *CostModel) EncodeDataset(ds *Dataset) []*Sample {
@@ -540,7 +487,8 @@ func (cm *CostModel) Save(w io.Writer) error {
 
 // LoadCostModel reads a model previously written by Save. Truncated,
 // corrupt, foreign, and version-mismatched files are rejected with
-// descriptive errors — never a panic, never an opaque gob failure.
+// descriptive errors — never a panic, never an opaque gob failure — and so
+// is a network that does not fit the file's encoder (*core.InputError).
 func LoadCostModel(r io.Reader) (*CostModel, error) {
 	// The stream holds several gob sections (encoder, model header,
 	// weights), each read by its own decoder; decoders wrap non-ByteReader
@@ -561,5 +509,14 @@ func LoadCostModel(r io.Reader) (*CostModel, error) {
 	if err != nil {
 		return nil, err
 	}
+	if err := model.Cfg.CheckInputs(encoderConfig(enc)); err != nil {
+		return nil, err
+	}
 	return &CostModel{enc: enc, model: model}, nil
+}
+
+// encoderConfig is the default network configuration over enc's feature
+// space: the input widths a network must read to score enc's samples.
+func encoderConfig(enc *encode.Encoder) core.Config {
+	return core.DefaultConfig(enc.NodeDim()-enc.MaxNodes()-2, enc.MaxNodes())
 }

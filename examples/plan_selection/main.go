@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -58,7 +59,10 @@ func main() {
 		res := raal.DefaultResources()
 		res.ExecMemMB = memGB * 1024
 
-		best, pred := cm.SelectPlan(plans, res)
+		best, pred, err := cm.SelectPlanCtx(context.Background(), plans, res)
+		if err != nil {
+			log.Fatal(err)
+		}
 		truth, err := sys.Cost(best, res)
 		if err != nil {
 			log.Fatal(err)

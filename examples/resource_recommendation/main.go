@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 
@@ -40,7 +41,10 @@ func main() {
 	}
 
 	grid := raal.DefaultResourceGrid()
-	best, pred := cm.RecommendResources(plan, grid)
+	best, pred, err := cm.RecommendResourcesCtx(context.Background(), plan, grid)
+	if err != nil {
+		log.Fatal(err)
+	}
 	truth, err := sys.Cost(plan, best)
 	if err != nil {
 		log.Fatal(err)

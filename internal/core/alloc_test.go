@@ -17,13 +17,13 @@ func TestWarmPredictAllocatesNoMatrices(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := PredictOpts{Workers: 1, ChunkSize: 32}
-	warm := m.PredictWith(samples, opt) // first pass populates the arena
+	opt := schedOpts{workers: 1, chunk: 32}
+	warm := predictOn(m, samples, opt) // first pass populates the arena
 
 	before := tensor.Allocs()
 	var got []float64
 	for i := 0; i < 5; i++ {
-		got = m.PredictWith(samples, opt)
+		got = predictOn(m, samples, opt)
 	}
 	if d := tensor.Allocs() - before; d != 0 {
 		t.Fatalf("5 warm Predict passes allocated %d matrices, want 0", d)
@@ -49,11 +49,11 @@ func TestPooledPredictionsMatchFreshModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ { // make the pool thoroughly warm
-		m.Predict(samples)
+		predict(m, samples)
 	}
 	fresh := m.replica() // shares weights, owns a cold tape pool
-	warm := m.Predict(samples)
-	cold := fresh.Predict(samples)
+	warm := predict(m, samples)
+	cold := predict(fresh, samples)
 	for i := range warm {
 		if warm[i] != cold[i] {
 			t.Fatalf("prediction %d: warm pooled %v != cold fresh %v", i, warm[i], cold[i])
@@ -77,13 +77,13 @@ func TestPredictAllocsPerOpCeiling(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := PredictOpts{Workers: 1, ChunkSize: 32}
-	m.PredictWith(samples, opt) // warm outside the measurement
+	opt := schedOpts{workers: 1, chunk: 32}
+	predictOn(m, samples, opt) // warm outside the measurement
 
 	r := testing.Benchmark(func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			m.PredictWith(samples, opt)
+			predictOn(m, samples, opt)
 		}
 	})
 	const ceiling = 6000 // seed: 63,557 allocs/op; arena steady state: ~2,600

@@ -11,12 +11,25 @@ import (
 	"raal/internal/tensor"
 )
 
-// predictFlat is PredictWith on the unbucketed schedule: chunks cut over
+// predict scores samples on the default schedule, as PredictCtx does.
+func predict[T tensor.Float](m *Net[T], samples []*encode.Sample) []float64 {
+	out, _ := m.PredictCtx(context.Background(), samples, PredictOpts{})
+	return out
+}
+
+// predictOn scores samples on the schedule o: how tests reach the worker
+// counts and chunk sizes PredictCtx keeps to itself.
+func predictOn[T tensor.Float](m *Net[T], samples []*encode.Sample, o schedOpts) []float64 {
+	out, _ := m.predictCtx(context.Background(), samples, o)
+	return out
+}
+
+// predictFlat is predictOn on the unbucketed schedule: chunks cut over
 // the samples in input order, mixing lengths, each plan run at its own.
 // It is how tests compare the two schedules.
-func predictFlat[T tensor.Float](m *Net[T], samples []*encode.Sample, opt PredictOpts) []float64 {
-	out, _ := m.predictCtx(context.Background(), samples, opt, nil, true)
-	return out
+func predictFlat[T tensor.Float](m *Net[T], samples []*encode.Sample, o schedOpts) []float64 {
+	o.noBucket = true
+	return predictOn(m, samples, o)
 }
 
 // maskedSample fabricates a sample with a random active length (1..tNodes)
@@ -86,15 +99,15 @@ func TestBucketedPredictBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			opts := []PredictOpts{
+			opts := []schedOpts{
 				{},
-				{Workers: 1, ChunkSize: 1},
-				{Workers: 1, ChunkSize: 7},
-				{Workers: 4, ChunkSize: 16},
-				{Workers: 3, ChunkSize: 64},
+				{workers: 1, chunk: 1},
+				{workers: 1, chunk: 7},
+				{workers: 4, chunk: 16},
+				{workers: 3, chunk: 64},
 			}
 			for _, opt := range opts {
-				bucketed := m.PredictWith(samples, opt)
+				bucketed := predictOn(m, samples, opt)
 				plain := predictFlat(m, samples, opt)
 				for i := range plain {
 					if bucketed[i] != plain[i] {
@@ -122,9 +135,9 @@ func TestBucketedMatchesSingletonPredictions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	batched := m.Predict(samples)
+	batched := predict(m, samples)
 	for i, s := range samples {
-		alone := m.Predict([]*encode.Sample{s})[0]
+		alone := predict(m, []*encode.Sample{s})[0]
 		if batched[i] != alone {
 			t.Fatalf("sample %d: batched %v != singleton %v", i, batched[i], alone)
 		}
@@ -199,13 +212,13 @@ func TestBucketOccupancyCounters(t *testing.T) {
 	m := NewModel(RAAL(), testConfig())
 	reg := telemetry.NewRegistry()
 	m.Instrument(NewInstrumentation(reg))
-	m.Predict(samples)
+	predict(m, samples)
 	for _, band := range bucketBands {
 		if got := m.instr.BucketOccupancy.With(band).Value(); got != want[band] {
 			t.Fatalf("band %s occupancy = %d, want %d", band, got, want[band])
 		}
 	}
-	predictFlat(m, samples, PredictOpts{})
+	predictFlat(m, samples, schedOpts{})
 	for _, band := range bucketBands {
 		if got := m.instr.BucketOccupancy.With(band).Value(); got != want[band] {
 			t.Fatalf("band %s moved under the flat schedule: %d, want %d", band, got, want[band])

@@ -110,7 +110,7 @@ func TestPredictShapesAndPositivity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	preds := m.Predict(samples)
+	preds := predict(m, samples)
 	if len(preds) != len(samples) {
 		t.Fatalf("prediction count %d", len(preds))
 	}
@@ -202,8 +202,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	if m2.Var.Name != "RAAC" {
 		t.Fatalf("variant not restored: %s", m2.Var.Name)
 	}
-	p1 := m.Predict(samples[:10])
-	p2 := m2.Predict(samples[:10])
+	p1 := predict(m, samples[:10])
+	p2 := predict(m2, samples[:10])
 	for i := range p1 {
 		if math.Abs(p1[i]-p2[i]) > 1e-12 {
 			t.Fatalf("restored model predicts differently at %d: %v vs %v", i, p1[i], p2[i])
@@ -242,8 +242,8 @@ func TestSaveLoadFileRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatalf("loading model from file: %v", err)
 	}
-	p1 := m.Predict(samples[:10])
-	p2 := m2.Predict(samples[:10])
+	p1 := predict(m, samples[:10])
+	p2 := predict(m2, samples[:10])
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatalf("file-restored model predicts differently at %d: %v vs %v", i, p1[i], p2[i])
@@ -263,8 +263,8 @@ func TestTrainDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	p1 := m1.Predict(samples[:5])
-	p2 := m2.Predict(samples[:5])
+	p1 := predict(m1, samples[:5])
+	p2 := predict(m2, samples[:5])
 	for i := range p1 {
 		if p1[i] != p2[i] {
 			t.Fatal("training not deterministic")

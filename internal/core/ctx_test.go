@@ -5,14 +5,16 @@ import (
 	"context"
 	"encoding/gob"
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 )
 
-// TestPredictCtxMatchesPredictWith: with a live context, PredictCtx must
-// be bit-identical to PredictWith for every parallelism setting — the
-// cancellation checks are pure control flow.
+// TestPredictCtxMatchesPredictWith: with a live context, PredictCtx and
+// predictCtx on every schedule must be bit-identical to the serial
+// schedule (the former PredictWith) — the cancellation checks are pure
+// control flow.
 func TestPredictCtxMatchesPredictWith(t *testing.T) {
 	samples := synthDataset(150, 31)
 	tc := quickTrain()
@@ -21,13 +23,20 @@ func TestPredictCtxMatchesPredictWith(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.PredictWith(samples, PredictOpts{Workers: 1, ChunkSize: 64})
-	for _, opt := range []PredictOpts{
+	want := predictOn(m, samples, schedOpts{workers: 1, chunk: 64})
+	got, err := m.PredictCtx(context.Background(), samples, PredictOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !slices.Equal(got, want) {
+		t.Fatalf("PredictCtx diverged from the serial schedule: %v vs %v", got, want)
+	}
+	for _, opt := range []schedOpts{
 		{},
-		{Workers: 1, ChunkSize: 16},
-		{Workers: 4, ChunkSize: 7},
+		{workers: 1, chunk: 16},
+		{workers: 4, chunk: 7},
 	} {
-		got, err := m.PredictCtx(context.Background(), samples, opt)
+		got, err := m.predictCtx(context.Background(), samples, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -46,12 +55,12 @@ func TestPredictCtxCancelled(t *testing.T) {
 	m := NewModel(RAAL(), testConfig())
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, opt := range []PredictOpts{
-		{Workers: 1, ChunkSize: 8},
-		{Workers: 4, ChunkSize: 8},
+	for _, opt := range []schedOpts{
+		{workers: 1, chunk: 8},
+		{workers: 4, chunk: 8},
 	} {
 		start := time.Now()
-		preds, err := m.PredictCtx(ctx, samples, opt)
+		preds, err := m.predictCtx(ctx, samples, opt)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("opts %+v: want context.Canceled, got %v", opt, err)
 		}
@@ -71,7 +80,7 @@ func TestPredictCtxExpiredDeadline(t *testing.T) {
 	m := NewModel(RAAL(), testConfig())
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Second))
 	defer cancel()
-	if _, err := m.PredictCtx(ctx, samples, PredictOpts{Workers: 2}); !errors.Is(err, context.DeadlineExceeded) {
+	if _, err := m.predictCtx(ctx, samples, schedOpts{workers: 2}); !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want context.DeadlineExceeded, got %v", err)
 	}
 }
@@ -91,7 +100,7 @@ func TestPredictCtxMidBatchCancellation(t *testing.T) {
 		time.Sleep(time.Millisecond)
 		cancel()
 	}()
-	preds, err := m.PredictCtx(ctx, samples, PredictOpts{Workers: 2, ChunkSize: 4})
+	preds, err := m.predictCtx(ctx, samples, schedOpts{workers: 2, chunk: 4})
 	<-done
 	if err != nil && !errors.Is(err, context.Canceled) {
 		t.Fatalf("unexpected error: %v", err)

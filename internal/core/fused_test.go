@@ -79,7 +79,7 @@ func TestForwardOnlyMatchesRecordedOnCorpus(t *testing.T) {
 func checkFusedMatchesRecorded[T tensor.Float](t *testing.T, m *Net[T], samples []*encode.Sample) {
 	want := rawForward(m, autodiff.NewTape[T](), samples)
 	got := rawForward(m, autodiff.NewInferenceTape[T](), samples)
-	preds := m.Predict(samples)
+	preds := predict(m, samples)
 	for i := range want {
 		if got[i] != want[i] {
 			t.Fatalf("sample %d: forward-only %v != recorded %v (must be bit-identical)", i, got[i], want[i])

@@ -92,13 +92,13 @@ func goldenModel(v Variant) *Model {
 }
 
 // goldenF32 predicts samples through the float32 conversion of m.
-func goldenF32(t *testing.T, m *Model, samples []*encode.Sample, opt PredictOpts) []float64 {
+func goldenF32(t *testing.T, m *Model, samples []*encode.Sample, opt schedOpts) []float64 {
 	t.Helper()
 	qm, err := m.Quantize(PrecisionF32)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return qm.PredictWith(samples, opt)
+	return predictOn(qm, samples, opt)
 }
 
 func TestGoldenDigests(t *testing.T) {
@@ -125,8 +125,8 @@ func TestGoldenDigests(t *testing.T) {
 			}
 			got.fit = floatDigest(params)
 
-			opt := PredictOpts{Workers: workers, ChunkSize: 8}
-			preds := m.PredictWith(samples, opt)
+			opt := schedOpts{workers: workers, chunk: 8}
+			preds := predictOn(m, samples, opt)
 			distinct := map[float64]bool{}
 			for _, p := range preds {
 				distinct[p] = true

@@ -12,7 +12,7 @@ import (
 // unobserved by default and gain telemetry only when Instrument is
 // called (or TrainConfig.Instr is set).
 type Instrumentation struct {
-	// PredictLatency observes one value per Predict/PredictCtx call (the
+	// PredictLatency observes one value per PredictCtx call (the
 	// whole batch, in seconds); PredictRows counts the samples scored;
 	// RowsPerSec is the most recent call's throughput.
 	PredictLatency *telemetry.Histogram
@@ -100,7 +100,7 @@ func (ins *Instrumentation) observePredict(rows int, elapsed time.Duration) {
 	}
 }
 
-// observeBuckets records one scheduled Predict call's active-length
+// observeBuckets records one scheduled PredictCtx call's active-length
 // distribution. Nil-safe.
 func (ins *Instrumentation) observeBuckets(lens []int) {
 	if ins == nil {
@@ -134,6 +134,6 @@ func (ins *Instrumentation) observeEpoch(loss float64, shards int, elapsed time.
 }
 
 // Instrument attaches the metric set to the model: subsequent
-// Predict/PredictCtx calls observe latency and throughput into it. Safe
+// PredictCtx calls observe latency and throughput into it. Safe
 // to call once at wiring time; the field is read concurrently afterwards.
 func (m *Net[T]) Instrument(ins *Instrumentation) { m.instr = ins }

@@ -1,22 +1,30 @@
 package core
 
 import (
+	"context"
+	"math/rand"
+	"slices"
 	"testing"
+
+	"raal/internal/encode"
 
 	"raal/internal/telemetry"
 )
 
-// TestPredictTracedStageBreakdown is the span acceptance check: a traced
-// predict exposes the per-stage forward-pass decomposition, every stage
-// duration is non-negative, and — because the traced path is serial — the
-// stage durations sum to at most the span's total wall time.
-func TestPredictTracedStageBreakdown(t *testing.T) {
+// TestPredictCtxSpanStageBreakdown is the span acceptance check: a span
+// on the context receives the per-stage forward-pass decomposition, every
+// stage duration is non-negative, and — on the serial schedule, where no
+// two stages overlap — the stage durations sum to at most the span's
+// total wall time.
+func TestPredictCtxSpanStageBreakdown(t *testing.T) {
 	samples := synthDataset(32, 7)
 	m := NewModel(RAAL(), testConfig())
 
-	preds, sp := m.PredictTraced(samples)
-	if len(preds) != len(samples) {
-		t.Fatalf("got %d predictions, want %d", len(preds), len(samples))
+	sp := telemetry.StartSpan("predict")
+	preds, err := m.predictCtx(telemetry.WithSpan(context.Background(), sp), samples, schedOpts{workers: 1})
+	sp.End()
+	if err != nil || len(preds) != len(samples) {
+		t.Fatalf("got %d predictions (err %v), want %d", len(preds), err, len(samples))
 	}
 
 	stages := sp.Stages()
@@ -42,29 +50,35 @@ func TestPredictTracedStageBreakdown(t *testing.T) {
 	}
 }
 
-// TestPredictTracedMatchesPredict confirms tracing is observation only:
-// the traced path returns bit-identical predictions.
-func TestPredictTracedMatchesPredict(t *testing.T) {
-	samples := synthDataset(20, 3)
-	m := NewModel(RAAC(), testConfig()) // conv branch: embed → conv stages
-	want := m.Predict(samples)
-	got, sp := m.PredictTraced(samples)
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("prediction %d: traced %v != plain %v", i, got[i], want[i])
+// TestPredictCtxTracedMatchesUntraced confirms tracing is observation
+// only: on mixed-length samples, which the default schedule splits into
+// per-length chunks fanned out over the workers, a span on the context
+// changes no bit of any prediction, for the LSTM and the conv branch.
+func TestPredictCtxTracedMatchesUntraced(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	samples := make([]*encode.Sample, 40)
+	for i := range samples {
+		samples[i] = maskedSample(rng)
+	}
+	for _, v := range []Variant{RAAL(), RAAC()} {
+		m := NewModel(v, testConfig())
+		want := predict(m, samples)
+		sp := telemetry.StartSpan("predict")
+		got, err := m.PredictCtx(telemetry.WithSpan(context.Background(), sp), samples, PredictOpts{})
+		sp.End()
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
-	if sp.Dur("conv") < 0 || sp.Dur("embed") < 0 {
-		t.Fatalf("conv-branch span missing stages: %v", sp)
-	}
-	found := false
-	for _, st := range sp.Stages() {
-		if st.Name == "conv" {
-			found = true
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: traced predictions %v != untraced %v", v.Name, got, want)
 		}
-	}
-	if !found {
-		t.Errorf("CNN variant span should record a conv stage, got %v", sp.Stages())
+		plan := "lstm"
+		if v.CNN {
+			plan = "conv"
+		}
+		if sp.Dur("embed") <= 0 || sp.Dur(plan) <= 0 {
+			t.Errorf("%s: span is missing the embed or %s stage: %v", v.Name, plan, sp)
+		}
 	}
 }
 
@@ -77,7 +91,7 @@ func TestInstrumentationObservesPredictAndFit(t *testing.T) {
 	samples := synthDataset(48, 5)
 	m := NewModel(RAAL(), testConfig())
 	m.Instrument(ins)
-	m.Predict(samples)
+	predict(m, samples)
 	if got := ins.PredictRows.Value(); got != 48 {
 		t.Errorf("predict rows counter = %d, want 48", got)
 	}

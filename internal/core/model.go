@@ -72,7 +72,7 @@ type Net[T tensor.Float] struct {
 
 	head *nn.MLP[T]
 
-	// tapes pools warm inference tapes across Predict calls so the
+	// tapes pools warm inference tapes across PredictCtx calls so the
 	// steady-state scoring path allocates no matrices. Never serialized.
 	tapes tapePool[T]
 
@@ -499,66 +499,32 @@ func (m *Net[T]) replica() *Net[T] {
 	return r
 }
 
-// PredictOpts tunes data-parallel inference. The zero value picks the
-// defaults: length-bucketed chunks of up to 64 samples per tape, spread
-// across GOMAXPROCS worker goroutines. Predictions are bit-identical for
-// every Workers and ChunkSize setting — each sample's output depends only
-// on its own rows, so the decomposition is purely a throughput knob.
-type PredictOpts struct {
-	// Workers is the number of goroutines scoring chunks. <=0 means
-	// runtime.GOMAXPROCS(0); 1 reproduces the serial scorer.
-	Workers int
-	// ChunkSize is the number of samples per forward pass (per tape).
-	// <=0 means 64.
-	ChunkSize int
+// PredictOpts is PredictCtx's field-less options argument: every call
+// runs the one schedule, length-bucketed chunks of up to predictChunk
+// samples (one forward pass each) spread across GOMAXPROCS goroutines.
+type PredictOpts struct{}
+
+const predictChunk = 64
+
+// PredictCtx returns the estimated cost in seconds for each sample; the
+// model is only read, so one Net serves any number of concurrent calls. A
+// cancelled or expired context aborts the batch within one forward pass
+// (ctx is consulted per chunk) and returns ctx.Err() with nil predictions.
+// A span on ctx (telemetry.WithSpan) receives the per-stage breakdown —
+// embed → lstm/conv → attention → dense → decode, or prefix-reuse in
+// place of the plan layers — on the same chunks and goroutines, to the
+// same bits, as an untraced call.
+func (m *Net[T]) PredictCtx(ctx context.Context, samples []*encode.Sample, _ PredictOpts) ([]float64, error) {
+	return m.predictCtx(ctx, samples, schedOpts{})
 }
 
-// Predict returns the estimated cost in seconds for each sample, using
-// the default data-parallel settings (see PredictOpts).
-func (m *Net[T]) Predict(samples []*encode.Sample) []float64 {
-	return m.PredictWith(samples, PredictOpts{})
-}
-
-// PredictWith returns the estimated cost in seconds for each sample,
-// scoring independent chunks on a pool of worker goroutines. The model is
-// only read, so a single Model may serve many concurrent PredictWith
-// calls.
-func (m *Net[T]) PredictWith(samples []*encode.Sample, opt PredictOpts) []float64 {
-	out, _ := m.PredictCtx(context.Background(), samples, opt) // Background never cancels
-	return out
-}
-
-// PredictCtx is PredictWith with cooperative cancellation: the context is
-// consulted once per chunk, so a cancelled or expired context aborts the
-// batch within one forward pass and returns ctx.Err() (context.Canceled or
-// context.DeadlineExceeded) with nil predictions. An un-cancellable
-// context adds only a nil check per chunk — predictions are bit-identical
-// to PredictWith for every PredictOpts setting.
-func (m *Net[T]) PredictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts) ([]float64, error) {
-	return m.predictCtx(ctx, samples, opt, nil, false)
-}
-
-// PredictSpan scores samples serially (one worker, so stage wall times
-// never overlap) while accumulating the per-stage forward-pass breakdown
-// into sp: encode-side callers add their own stages, then embed →
-// lstm/conv → attention → dense → decode land here. Predictions are
-// bit-identical to Predict. The caller owns sp's lifecycle (End).
-func (m *Net[T]) PredictSpan(samples []*encode.Sample, sp *telemetry.Span) []float64 {
-	out, _ := m.predictCtx(context.Background(), samples, PredictOpts{Workers: 1}, sp, false)
-	return out
-}
-
-// PredictTraced is PredictSpan with the span created, ended, and
-// returned for inspection — the one-call way to decompose a predict into
-// stage timings:
-//
-//	preds, span := m.PredictTraced(samples)
-//	for _, st := range span.Stages() { ... }
-func (m *Net[T]) PredictTraced(samples []*encode.Sample) ([]float64, *telemetry.Span) {
-	sp := telemetry.StartSpan("predict[" + m.Precision().String() + "]")
-	out := m.PredictSpan(samples, sp)
-	sp.End()
-	return out, sp
+// schedOpts overrides the default schedule; only tests, comparing
+// schedules, set it. Predictions are bit-identical for every setting:
+// each sample's output depends only on its own rows.
+type schedOpts struct {
+	workers  int  // goroutines scoring chunks; <=0 means GOMAXPROCS
+	chunk    int  // samples per forward pass; <=0 means predictChunk
+	noBucket bool // the flat schedule (see schedule)
 }
 
 // activeLen returns the number of leading nodes the plan layers run for
@@ -579,12 +545,10 @@ type chunkRange struct{ lo, hi int }
 // schedule decides which samples share a forward pass. The default is
 // length-bucketed: samples are grouped by active plan length (counting
 // sort — ascending length, input order within a bucket) and chunks never
-// span two lengths. That no longer saves padded steps — the plan layers
-// are ragged, so a mixed-length chunk runs every plan at its own length —
-// but it forms the per-length chunks that fan a request out across
-// workers (a query's candidates are usually of distinct lengths). The
-// returned order maps scheduled position to caller index (nil means
-// identity, the unbucketed path). Scheduling only regroups samples —
+// span two lengths, which fans a request out across workers (a query's
+// candidates are usually of distinct lengths). The returned order maps
+// scheduled position to caller index (nil means identity, the unbucketed
+// path). Scheduling only regroups samples —
 // every sample's arithmetic is its own — so predictions are bit-identical
 // with bucketing on and off (pinned by TestBucketedPredictBitIdentical).
 func (m *Net[T]) schedule(samples []*encode.Sample, chunk int, noBucket bool) ([]*encode.Sample, []int, []chunkRange) {
@@ -632,24 +596,21 @@ func (m *Net[T]) schedule(samples []*encode.Sample, chunk int, noBucket bool) ([
 	return scored, order, chunks
 }
 
-// predictCtx is the shared scorer behind Predict/PredictCtx/PredictSpan.
-// A non-nil span forces the serial path (callers pass Workers: 1), so
-// stage durations sum to at most the call's wall time. noBucket picks the
-// flat schedule (see schedule); only tests, comparing the two schedules,
-// set it.
-func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, opt PredictOpts, sp *telemetry.Span, noBucket bool) ([]float64, error) {
+// predictCtx is the scorer behind PredictCtx, on the schedule o picks.
+func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, o schedOpts) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
+	sp := telemetry.SpanFrom(ctx)
 	start := time.Now()
 	out := make([]float64, len(samples))
-	chunk := opt.ChunkSize
+	chunk := o.chunk
 	if chunk <= 0 {
-		chunk = 64
+		chunk = predictChunk
 	}
-	scored, order, chunks := m.schedule(samples, chunk, noBucket)
+	scored, order, chunks := m.schedule(samples, chunk, o.noBucket)
 	nChunks := len(chunks)
-	workers := opt.Workers
+	workers := o.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
@@ -819,6 +780,29 @@ func (c Config) paramCount(v Variant) int64 {
 		n += sizes[i-1]*sizes[i] + sizes[i]
 	}
 	return n
+}
+
+// InputError is the refusal of a network whose input layer does not fit
+// the encoder it is to be served with: its first forward pass would panic.
+type InputError struct {
+	Dim       string // the input dimension that disagrees
+	Got, Want int    // the network's and the encoder's
+}
+
+func (e *InputError) Error() string {
+	return fmt.Sprintf("core: network does not fit its encoder: %s %d, the encoder produces %d", e.Dim, e.Got, e.Want)
+}
+
+// CheckInputs returns an *InputError when c reads another feature layout
+// than want (semantic, plan, resource or statistics width).
+func (c Config) CheckInputs(want Config) error {
+	got, exp := [4]int{c.SemDim, c.MaxNodes, c.ResDim, c.StatsDim}, [4]int{want.SemDim, want.MaxNodes, want.ResDim, want.StatsDim}
+	for i, dim := range [4]string{"semantic dim", "max nodes", "resource dim", "stats dim"} {
+		if got[i] != exp[i] {
+			return &InputError{Dim: dim, Got: got[i], Want: exp[i]}
+		}
+	}
+	return nil
 }
 
 // validate rejects decoded configurations that could not have come from a

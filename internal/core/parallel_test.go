@@ -11,6 +11,9 @@ import (
 	"raal/internal/tensor"
 )
 
+// TestPredictWithWorkersMatchesSerial: every worker count and chunk size
+// scores the serial schedule's bits. The name keeps the scorer's former
+// PredictWith entry point; the schedule is now predictCtx's argument.
 func TestPredictWithWorkersMatchesSerial(t *testing.T) {
 	samples := synthDataset(150, 21)
 	tc := quickTrain()
@@ -19,15 +22,15 @@ func TestPredictWithWorkersMatchesSerial(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.PredictWith(samples, PredictOpts{Workers: 1, ChunkSize: 64})
-	for _, opt := range []PredictOpts{
-		{},                            // defaults: GOMAXPROCS workers
-		{Workers: 4, ChunkSize: 64},   // parallel, same chunking
-		{Workers: 4, ChunkSize: 7},    // parallel, ragged chunks
-		{Workers: 1, ChunkSize: 1},    // serial, one sample per tape
-		{Workers: 32, ChunkSize: 200}, // more workers than chunks
+	want := predictOn(m, samples, schedOpts{workers: 1, chunk: 64})
+	for _, opt := range []schedOpts{
+		{},                        // defaults: GOMAXPROCS workers
+		{workers: 4, chunk: 64},   // parallel, same chunking
+		{workers: 4, chunk: 7},    // parallel, ragged chunks
+		{workers: 1, chunk: 1},    // serial, one sample per tape
+		{workers: 32, chunk: 200}, // more workers than chunks
 	} {
-		got := m.PredictWith(samples, opt)
+		got := predictOn(m, samples, opt)
 		for i := range want {
 			if got[i] != want[i] {
 				t.Fatalf("opts %+v: prediction %d differs: %v vs %v", opt, i, got[i], want[i])
@@ -44,13 +47,13 @@ func TestPredictConcurrentCallers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.PredictWith(samples, PredictOpts{Workers: 1})
+	want := predictOn(m, samples, schedOpts{workers: 1})
 	var wg sync.WaitGroup
 	for c := 0; c < 4; c++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got := m.Predict(samples)
+			got := predict(m, samples)
 			for i := range want {
 				if got[i] != want[i] {
 					t.Errorf("concurrent caller diverged at %d", i)
@@ -88,8 +91,8 @@ func TestFitWorkersDeterministic(t *testing.T) {
 					v.Name, e, r1.LossCurve[e], r4.LossCurve[e])
 			}
 		}
-		p1 := m1.PredictWith(samples[:10], PredictOpts{Workers: 1})
-		p4 := m4.PredictWith(samples[:10], PredictOpts{Workers: 1})
+		p1 := predictOn(m1, samples[:10], schedOpts{workers: 1})
+		p4 := predictOn(m4, samples[:10], schedOpts{workers: 1})
 		for i := range p1 {
 			if p1[i] != p4[i] {
 				t.Fatalf("%s: trained weights differ across workers (prediction %d: %v vs %v)",
@@ -183,7 +186,7 @@ func TestParallelTrainRaceSmoke(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_ = m.PredictWith(samples, PredictOpts{Workers: 4, ChunkSize: 8})
+	_ = predictOn(m, samples, schedOpts{workers: 4, chunk: 8})
 }
 
 func benchSamples(n int) []*encode.Sample { return synthDataset(n, 77) }
@@ -200,10 +203,10 @@ func BenchmarkPredict(b *testing.B) {
 	}
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			opt := PredictOpts{Workers: workers, ChunkSize: 32}
+			opt := schedOpts{workers: workers, chunk: 32}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				m.PredictWith(samples, opt)
+				predictOn(m, samples, opt)
 			}
 		})
 	}

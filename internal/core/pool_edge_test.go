@@ -50,8 +50,8 @@ func TestBucketedEdgeLengthsBitIdentical(t *testing.T) {
 	}
 	for name, samples := range cases {
 		t.Run(name, func(t *testing.T) {
-			for _, opt := range []PredictOpts{{}, {Workers: 2, ChunkSize: 2}, {Workers: 1, ChunkSize: 1}} {
-				bucketed := m.PredictWith(samples, opt)
+			for _, opt := range []schedOpts{{}, {workers: 2, chunk: 2}, {workers: 1, chunk: 1}} {
+				bucketed := predictOn(m, samples, opt)
 				plain := predictFlat(m, samples, opt)
 				for i := range plain {
 					if bucketed[i] != plain[i] {
@@ -81,7 +81,7 @@ func TestTapePoolConcurrentPredictInterleaved(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := m.PredictWith(samples, PredictOpts{Workers: 1})
+	want := predictOn(m, samples, schedOpts{workers: 1})
 
 	var wg sync.WaitGroup
 	for g := 0; g < 4; g++ {
@@ -89,7 +89,7 @@ func TestTapePoolConcurrentPredictInterleaved(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for iter := 0; iter < 6; iter++ {
-				got := m.PredictWith(samples, PredictOpts{Workers: 1 + g%3, ChunkSize: 5 + g})
+				got := predictOn(m, samples, schedOpts{workers: 1 + g%3, chunk: 5 + g})
 				for i := range want {
 					if got[i] != want[i] {
 						t.Errorf("goroutine %d iter %d sample %d: %v != %v", g, iter, i, got[i], want[i])

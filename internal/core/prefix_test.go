@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"raal/internal/encode"
@@ -54,7 +55,7 @@ func instrumented[T tensor.Float](m *Net[T]) *Instrumentation {
 // alone returns. With a memo slot on the plans the two precisions take
 // turns evicting each other's prefix, then find their own again.
 func TestSharedPrefixBitIdentical(t *testing.T) {
-	opts := []PredictOpts{{}, {Workers: 1, ChunkSize: 7}, {Workers: 4, ChunkSize: 7}}
+	opts := []schedOpts{{}, {workers: 1, chunk: 7}, {workers: 4, chunk: 7}}
 	for _, v := range goldenVariants() {
 		for _, memo := range []bool{false, true} {
 			rng := rand.New(rand.NewSource(5))
@@ -73,11 +74,11 @@ func TestSharedPrefixBitIdentical(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			check := func(name string, predict func([]*encode.Sample, PredictOpts) []float64) {
+			check := func(name string, predict func([]*encode.Sample, schedOpts) []float64) {
 				for _, opt := range opts {
 					got := predict(batch, opt)
 					for i, s := range batch {
-						want := predict([]*encode.Sample{deepCopy(s)}, PredictOpts{})[0]
+						want := predict([]*encode.Sample{deepCopy(s)}, schedOpts{})[0]
 						if math.Float64bits(got[i]) != math.Float64bits(want) {
 							t.Fatalf("%s %s memo=%v %+v: row %d scored %v in the shared batch, %v alone",
 								v.Name, name, memo, opt, i, got[i], want)
@@ -85,11 +86,11 @@ func TestSharedPrefixBitIdentical(t *testing.T) {
 					}
 				}
 			}
-			check("f64", m.PredictWith)
-			check("f32", q.PredictWith)
-			check("f64 again", m.PredictWith)
-			check("f64 flat", func(b []*encode.Sample, o PredictOpts) []float64 { return predictFlat(m, b, o) })
-			check("f32 flat", func(b []*encode.Sample, o PredictOpts) []float64 { return predictFlat(q, b, o) })
+			check("f64", func(b []*encode.Sample, o schedOpts) []float64 { return predictOn(m, b, o) })
+			check("f32", func(b []*encode.Sample, o schedOpts) []float64 { return predictOn(q, b, o) })
+			check("f64 again", func(b []*encode.Sample, o schedOpts) []float64 { return predictOn(m, b, o) })
+			check("f64 flat", func(b []*encode.Sample, o schedOpts) []float64 { return predictFlat(m, b, o) })
+			check("f32 flat", func(b []*encode.Sample, o schedOpts) []float64 { return predictFlat(q, b, o) })
 		}
 	}
 }
@@ -157,10 +158,10 @@ func TestMemoizedPrefixValidity(t *testing.T) {
 	m := goldenModel(RAAL())
 	ins := instrumented(m)
 	counts := func() [2]uint64 { return [2]uint64{ins.PrefixComputed.Value(), ins.PrefixReused.Value()} }
-	if got, want := m.Predict(one(s))[0], m.Predict(one(bare))[0]; got != want {
+	if got, want := predict(m, one(s))[0], predict(m, one(bare))[0]; got != want {
 		t.Fatalf("first memoized predict %v != plain %v", got, want)
 	}
-	if got, want := m.Predict(one(s))[0], m.Predict(one(bare))[0]; got != want {
+	if got, want := predict(m, one(s))[0], predict(m, one(bare))[0]; got != want {
 		t.Fatalf("predict from a reused prefix %v != plain %v", got, want)
 	}
 	if c := counts(); c != [2]uint64{3, 1} { // s once, bare twice; s's second pass reused
@@ -169,21 +170,21 @@ func TestMemoizedPrefixValidity(t *testing.T) {
 
 	other := m.Clone() // same weights, another *Net: must not trust m's prefix
 	oins := instrumented(other)
-	if got, want := other.Predict(one(s))[0], other.Predict(one(bare))[0]; got != want {
+	if got, want := predict(other, one(s))[0], predict(other, one(bare))[0]; got != want {
 		t.Fatalf("clone: %v != %v", got, want)
 	}
 	if oins.PrefixReused.Value() != 0 {
 		t.Fatal("a clone reused the original network's prefix")
 	}
 
-	m.Predict(one(s)) // m's prefix is back in the slot
+	predict(m, one(s)) // m's prefix is back in the slot
 	tc := quickTrain()
 	tc.Epochs = 1
 	if _, err := m.Fit(train, tc); err != nil {
 		t.Fatal(err)
 	}
 	before := counts()
-	if got, want := m.Predict(one(s))[0], m.Predict(one(bare))[0]; got != want {
+	if got, want := predict(m, one(s))[0], predict(m, one(bare))[0]; got != want {
 		t.Fatalf("after Fit: predict %v from a stale prefix, want %v", got, want)
 	}
 	if c := counts(); c[1] != before[1] {
@@ -196,7 +197,7 @@ func TestMemoizedPrefixValidity(t *testing.T) {
 	}
 	qins := instrumented(q)
 	for i := 0; i < 2; i++ { // f32 recomputes, parks its own, then reuses it
-		if got, want := q.Predict(one(s))[0], q.Predict(one(bare))[0]; got != want {
+		if got, want := predict(q, one(s))[0], predict(q, one(bare))[0]; got != want {
 			t.Fatalf("f32 pass %d: %v != %v", i, got, want)
 		}
 	}
@@ -214,10 +215,10 @@ func TestGridPredictOneRecurrence(t *testing.T) {
 	grid := gridOf(synthSample(rng), 60, rng)
 	m := NewModel(RAAL(), testConfig())
 	ins := instrumented(m)
-	m.Predict(grid) // warm the tape
+	predict(m, grid) // warm the tape
 
 	c0, r0 := ins.PrefixComputed.Value(), ins.PrefixReused.Value()
-	m.Predict(grid)
+	predict(m, grid)
 	if c, r := ins.PrefixComputed.Value()-c0, ins.PrefixReused.Value()-r0; c != 1 || r != 59 {
 		t.Fatalf("a 60-allocation sweep computed %d prefixes and reused %d, want 1 and 59", c, r)
 	}
@@ -226,13 +227,36 @@ func TestGridPredictOneRecurrence(t *testing.T) {
 	for i, s := range grid {
 		alone[i] = []*encode.Sample{s}
 	}
-	sweep := testing.AllocsPerRun(20, func() { m.Predict(grid) })
+	sweep := testing.AllocsPerRun(20, func() { predict(m, grid) })
 	singles := testing.AllocsPerRun(20, func() {
 		for _, one := range alone {
-			m.Predict(one)
+			predict(m, one)
 		}
 	})
 	if sweep > singles/10 {
 		t.Fatalf("the sweep allocates %.0f times per run, 60 single estimates %.0f: want at most a tenth", sweep, singles)
+	}
+}
+
+// TestGridPredictAcrossChunks is the grid sweep cut into chunks: sixty
+// allocations of one plan part, scored four workers wide in chunks of
+// seven (each chunk computes the plan prefix for itself), one sample per
+// tape, and on the default schedule, return the serial one-chunk bits,
+// with and without a memo slot on the plan.
+func TestGridPredictAcrossChunks(t *testing.T) {
+	for _, memo := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(61))
+		base := synthSample(rng)
+		if memo {
+			base.Memo = new(encode.PlanMemo)
+		}
+		grid := gridOf(base, 60, rng)
+		m := NewModel(RAAL(), testConfig())
+		want := predictOn(m, grid, schedOpts{workers: 1, chunk: 64})
+		for _, o := range []schedOpts{{workers: 4, chunk: 7}, {workers: 1, chunk: 1}, {workers: 2, chunk: 64}, {}} {
+			if got := predictOn(m, grid, o); !slices.Equal(got, want) {
+				t.Fatalf("memo=%v %+v: grid scored %v, one serial chunk %v", memo, o, got, want)
+			}
+		}
 	}
 }

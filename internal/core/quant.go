@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"math"
@@ -123,8 +124,8 @@ func VerifyQuantized(m *Model, qm *Net[float32], samples []*encode.Sample, maxQD
 	if maxQDelta < 0 {
 		return fmt.Errorf("core: VerifyQuantized bound %g must be non-negative", maxQDelta)
 	}
-	ref := m.Predict(samples)
-	got := qm.Predict(samples)
+	ref, _ := m.PredictCtx(context.Background(), samples, PredictOpts{}) // Background never cancels
+	got, _ := qm.PredictCtx(context.Background(), samples, PredictOpts{})
 	refusal := &QuantGateError{Precision: qm.Precision(), Quantile: GateQuantile, Delta: math.NaN(), Bound: maxQDelta, N: len(samples)}
 	for _, g := range got {
 		if math.IsNaN(g) || math.IsInf(g, 0) {

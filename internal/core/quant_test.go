@@ -43,7 +43,7 @@ func TestQuantizedCloseToFloat64(t *testing.T) {
 		if qm.Precision() != PrecisionF32 || m.Precision() != PrecisionF64 {
 			t.Fatalf("%s: precisions %v / %v, want f32 / f64", name, qm.Precision(), m.Precision())
 		}
-		delta := metrics.Quantile(metrics.QErrorDeltas(m.Predict(eval), qm.Predict(eval)), GateQuantile)
+		delta := metrics.Quantile(metrics.QErrorDeltas(predict(m, eval), predict(qm, eval)), GateQuantile)
 		if delta > 0.05 {
 			t.Fatalf("%s: p90 q-error delta %.4f > 0.05", name, delta)
 		}
@@ -64,15 +64,15 @@ func TestQuantizedPredictDeterministic(t *testing.T) {
 }
 
 func checkPredictDeterministic[T tensor.Float](t *testing.T, m *Net[T], eval []*encode.Sample) {
-	want := predictFlat(m, eval, PredictOpts{Workers: 1, ChunkSize: 7})
-	opts := []PredictOpts{
-		{Workers: 1, ChunkSize: 80},
-		{Workers: 2, ChunkSize: 16},
-		{Workers: 4, ChunkSize: 5},
-		{Workers: 3, ChunkSize: 11}, // scored on the flat schedule too
+	want := predictFlat(m, eval, schedOpts{workers: 1, chunk: 7})
+	opts := []schedOpts{
+		{workers: 1, chunk: 80},
+		{workers: 2, chunk: 16},
+		{workers: 4, chunk: 5},
+		{workers: 3, chunk: 11}, // scored on the flat schedule too
 	}
 	for k, opt := range opts {
-		got := m.PredictWith(eval, opt)
+		got := predictOn(m, eval, opt)
 		if k == len(opts)-1 {
 			got = predictFlat(m, eval, opt)
 		}
@@ -95,11 +95,11 @@ func TestQuantizedWarmPredictZeroAllocs(t *testing.T) {
 }
 
 func checkWarmPredictZeroAllocs[T tensor.Float](t *testing.T, m *Net[T], eval []*encode.Sample) {
-	opt := PredictOpts{Workers: 1}
-	m.PredictWith(eval, opt) // warm the tape pool
+	opt := schedOpts{workers: 1}
+	predictOn(m, eval, opt) // warm the tape pool
 	before := tensor.Allocs()
 	for i := 0; i < 3; i++ {
-		m.PredictWith(eval, opt)
+		predictOn(m, eval, opt)
 	}
 	if got := tensor.Allocs() - before; got != 0 {
 		t.Fatalf("warm predict allocated %d matrices, want 0", got)
@@ -195,11 +195,11 @@ func BenchmarkPredictQuant(b *testing.B) {
 }
 
 func benchPredict[T tensor.Float](b *testing.B, m *Net[T], samples []*encode.Sample) {
-	opt := PredictOpts{Workers: 1, ChunkSize: 32}
-	m.PredictWith(samples, opt)
+	opt := schedOpts{workers: 1, chunk: 32}
+	predictOn(m, samples, opt)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictWith(samples, opt)
+		predictOn(m, samples, opt)
 	}
 }

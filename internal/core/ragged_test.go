@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math"
 	"math/rand"
 	"testing"
@@ -114,8 +113,8 @@ func TestRaggedBatchAllocatesNoMoreThanUniform(t *testing.T) {
 	m := NewModel(RAAL(), testConfig())
 	sh := &shardRun[float64]{model: m, tape: autodiff.NewTape[float64]()}
 	for name, run := range map[string]func([]*encode.Sample){
-		"PredictWith": func(s []*encode.Sample) {
-			m.predictCtx(context.Background(), s, PredictOpts{Workers: 1, ChunkSize: len(s)}, nil, true)
+		"predictCtx": func(s []*encode.Sample) {
+			predictFlat(m, s, schedOpts{workers: 1, chunk: len(s)})
 		},
 		"trainStep": func(s []*encode.Sample) { sh.step(s, sel) },
 	} {

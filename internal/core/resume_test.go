@@ -229,28 +229,28 @@ func TestModelClone(t *testing.T) {
 	c := m.Clone()
 
 	// Clone predicts identically...
-	want := m.Predict(samples[:8])
-	got := c.Predict(samples[:8])
+	want := predict(m, samples[:8])
+	got := predict(c, samples[:8])
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("clone prediction %d: %v != %v", i, want[i], got[i])
 		}
 	}
 	// ...and training the clone never perturbs the original.
-	before := m.Predict(samples[:8])
+	before := predict(m, samples[:8])
 	tc := quickTrain()
 	tc.Epochs = 2
 	if _, err := c.Fit(samples, tc); err != nil {
 		t.Fatal(err)
 	}
-	after := m.Predict(samples[:8])
+	after := predict(m, samples[:8])
 	for i := range before {
 		if before[i] != after[i] {
 			t.Fatalf("training the clone changed the original: %v != %v", before[i], after[i])
 		}
 	}
 	changed := false
-	now := c.Predict(samples[:8])
+	now := predict(c, samples[:8])
 	for i := range now {
 		if now[i] != before[i] {
 			changed = true

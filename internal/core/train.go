@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -283,7 +284,7 @@ func (m *Net[T]) Evaluate(samples []*encode.Sample) (metrics.Result, error) {
 	if len(samples) == 0 {
 		return metrics.Result{}, fmt.Errorf("core: no evaluation samples")
 	}
-	est := m.Predict(samples)
+	est, _ := m.PredictCtx(context.Background(), samples, PredictOpts{}) // Background never cancels
 	actual := make([]float64, len(samples))
 	actLog := make([]float64, len(samples))
 	estLog := make([]float64, len(samples))

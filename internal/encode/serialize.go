@@ -38,11 +38,21 @@ func (e *Encoder) Save(w io.Writer) error {
 	return nil
 }
 
-// LoadEncoder reads an encoder previously written by Save.
+// Bounds far above the defaults (42, 16): each sample a loaded encoder
+// makes is MaxNodes × (Dim + MaxNodes + 2), never gigabytes.
+const maxLoadedNodes, maxLoadedDim = 1024, 4096
+
+// LoadEncoder reads an encoder previously written by Save. A snapshot no
+// fitted encoder could have written — an unknown mode, a plan length or
+// vector width out of range, vectors that do not match the vocabulary —
+// is rejected rather than left to fail while encoding.
 func LoadEncoder(r io.Reader) (*Encoder, error) {
 	var snap encoderSnapshot
 	if err := gob.NewDecoder(r).Decode(&snap); err != nil {
 		return nil, fmt.Errorf("encode: loading encoder: %w", err)
+	}
+	if err := snap.validate(); err != nil {
+		return nil, err
 	}
 	e := &Encoder{cfg: snap.Cfg}
 	if snap.Cfg.Mode == Word2Vec {
@@ -58,4 +68,25 @@ func LoadEncoder(r io.Reader) (*Encoder, error) {
 		e.w2v = m
 	}
 	return e, nil
+}
+
+func (snap *encoderSnapshot) validate() error {
+	switch cfg := snap.Cfg; {
+	case cfg.Mode != Word2Vec && cfg.Mode != OneHot:
+		return fmt.Errorf("encode: corrupt encoder: unknown semantic mode %d", cfg.Mode)
+	case cfg.MaxNodes <= 0 || cfg.MaxNodes > maxLoadedNodes:
+		return fmt.Errorf("encode: corrupt encoder: max nodes %d out of range (1..%d)", cfg.MaxNodes, maxLoadedNodes)
+	case cfg.Mode == OneHot:
+		return nil
+	case snap.Dim <= 0 || snap.Dim > maxLoadedDim:
+		return fmt.Errorf("encode: corrupt encoder: vector width %d out of range (1..%d)", snap.Dim, maxLoadedDim)
+	case len(snap.Vectors) != len(snap.Words):
+		return fmt.Errorf("encode: corrupt encoder: %d vectors for %d words", len(snap.Vectors), len(snap.Words))
+	}
+	for i, v := range snap.Vectors {
+		if len(v) != snap.Dim {
+			return fmt.Errorf("encode: corrupt encoder: vector %d has %d values, want %d", i, len(v), snap.Dim)
+		}
+	}
+	return nil
 }

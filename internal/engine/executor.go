@@ -5,7 +5,6 @@ import (
 
 	"raal/internal/catalog"
 	"raal/internal/physical"
-	"raal/internal/telemetry"
 )
 
 // ErrRowLimit is returned (wrapped) when an operator would produce more
@@ -50,19 +49,13 @@ func (e *Engine) batchSize() int {
 // in node.ActRows, and returns the final relation. An Engine is safe for
 // concurrent Run calls on distinct plans.
 func (e *Engine) Run(p *physical.Plan) (*Relation, error) {
-	return e.RunTraced(p, nil)
-}
-
-// RunTraced is Run with an optional telemetry span: per-operator stage
-// durations accumulate into sp (nil sp means no tracing).
-func (e *Engine) RunTraced(p *physical.Plan, sp *telemetry.Span) (*Relation, error) {
 	if ins := e.instr; ins != nil {
 		ins.runs.Inc()
 	}
 	for _, n := range p.Nodes {
 		n.ActRows = 0
 	}
-	it, err := e.buildIter(p.Root, &runCtx{eng: e, cap: e.batchSize(), max: e.maxRows(), sp: sp}, nil)
+	it, err := e.buildIter(p.Root, &runCtx{eng: e, cap: e.batchSize(), max: e.maxRows()}, nil)
 	if err != nil {
 		return nil, err
 	}

@@ -58,7 +58,6 @@ type runCtx struct {
 	eng *Engine
 	cap int // batch row capacity
 	max int // maxRows cardinality guard
-	sp  *telemetry.Span
 }
 
 // baseIter supplies the default lay/emptyCols so concrete operators only
@@ -246,9 +245,6 @@ func (e *Engine) buildIter(n *physical.Node, rc *runCtx, up *ancestors) (iterato
 		c.batchesC = ins.batches.With(op)
 		c.nsC = ins.ns.With(op)
 	}
-	if rc.sp != nil {
-		c.stageName = n.Op.String()
-	}
 	return c, nil
 }
 
@@ -290,7 +286,6 @@ type countedIter struct {
 	eof   bool
 
 	rowsC, batchesC, nsC *telemetry.Counter
-	stageName            string
 }
 
 func (c *countedIter) lay() *layout           { return c.inner.lay() }
@@ -300,10 +295,6 @@ func (c *countedIter) Next() (*Batch, error) {
 	if c.eof {
 		return nil, nil
 	}
-	var done func()
-	if c.rc.sp != nil {
-		done = c.rc.sp.Stage(c.stageName)
-	}
 	var start time.Time
 	if c.nsC != nil {
 		start = time.Now()
@@ -311,9 +302,6 @@ func (c *countedIter) Next() (*Batch, error) {
 	b, err := c.inner.Next()
 	if c.nsC != nil {
 		c.nsC.Add(uint64(time.Since(start)))
-	}
-	if done != nil {
-		done()
 	}
 	if err != nil {
 		return nil, err

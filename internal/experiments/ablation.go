@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"raal/internal/core"
@@ -153,8 +154,8 @@ func Fig7(lab *Lab) (*Fig7Result, error) {
 		return nil, err
 	}
 	out := &Fig7Result{Bench: lab.Opt.Bench}
-	awareEst := aware.Predict(lab.TestSamples)
-	blindEst := blind.Predict(lab.TestSamples)
+	awareEst, _ := aware.PredictCtx(context.Background(), lab.TestSamples, core.PredictOpts{}) // Background never cancels
+	blindEst, _ := blind.PredictCtx(context.Background(), lab.TestSamples, core.PredictOpts{})
 	for i, s := range lab.TestSamples {
 		out.WithRes = append(out.WithRes, Fig7Point{Actual: s.CostSec, Estimated: awareEst[i]})
 		out.WithoutRes = append(out.WithoutRes, Fig7Point{Actual: s.CostSec, Estimated: blindEst[i]})

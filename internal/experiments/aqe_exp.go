@@ -1,12 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"raal/internal/cardest"
+	"raal/internal/core"
 	"raal/internal/encode"
 	"raal/internal/engine"
 	"raal/internal/logical"
+	"raal/internal/metrics"
 	"raal/internal/physical"
 	"raal/internal/sparksim"
 	"raal/internal/sql"
@@ -94,13 +97,10 @@ func AQE(lab *Lab) (*AQEResult, error) {
 		for i, p := range plans {
 			samples[i] = lab.Enc.EncodePlan(p, res)
 		}
-		preds := model.Predict(samples)
-		bestIdx := 0
-		for i := range preds {
-			if preds[i] < preds[bestIdx] {
-				bestIdx = i
-			}
-		}
+		// Background never cancels; rank finite predictions only, as
+		// CostModel.SelectPlanCtx does.
+		preds, _ := model.PredictCtx(context.Background(), samples, core.PredictOpts{})
+		bestIdx := max(metrics.ArgminFinite(preds), 0)
 
 		defSec, err := sim.Estimate(defPlan, res)
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 	"math"
 	"time"
@@ -195,7 +196,7 @@ func Table9(lab *Lab) (*Table9Result, error) {
 	}
 
 	out := &Table9Result{}
-	out.Rows = append(out.Rows, Table9Row{"RAAL", timeIt(func() { raal.Predict(samples) })})
+	out.Rows = append(out.Rows, Table9Row{"RAAL", timeIt(func() { raal.PredictCtx(context.Background(), samples, core.PredictOpts{}) })})
 	out.Rows = append(out.Rows, Table9Row{"TLSTM", timeIt(func() { tl.Predict(samples) })})
 	out.Rows = append(out.Rows, Table9Row{"GPSJ", timeIt(func() {
 		for _, r := range recs {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"io"
 
 	"raal/internal/cardest"
@@ -8,6 +9,7 @@ import (
 	"raal/internal/encode"
 	"raal/internal/engine"
 	"raal/internal/logical"
+	"raal/internal/metrics"
 	"raal/internal/physical"
 	"raal/internal/sparksim"
 	"raal/internal/sql"
@@ -102,14 +104,10 @@ func Fig1WithModel(lab *Lab, model *core.Model) (*Fig1Result, error) {
 		for i, p := range plans {
 			samples[i] = lab.Enc.EncodePlan(p, res)
 		}
-		preds := model.Predict(samples)
-		bestIdx := 0
-		for i := range preds {
-			if preds[i] < preds[bestIdx] {
-				bestIdx = i
-			}
-		}
-		best := plans[bestIdx]
+		// Background never cancels; rank finite predictions only, as
+		// CostModel.SelectPlanCtx does.
+		preds, _ := model.PredictCtx(context.Background(), samples, core.PredictOpts{})
+		best := plans[max(metrics.ArgminFinite(preds), 0)]
 
 		defSec, err := sim.Estimate(defPlan, res)
 		if err != nil {

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -185,7 +186,8 @@ func Online(opt Options) (*OnlineResult, error) {
 	// with the observed cost, returning the served q-error.
 	feed := func(s *encode.Sample) float64 {
 		v := mgr.Champion()
-		pred := v.Model.Predict([]*encode.Sample{s})[0]
+		preds, _ := v.Model.PredictCtx(context.Background(), []*encode.Sample{s}, core.PredictOpts{}) // Background never cancels
+		pred := preds[0]
 		mgr.Observe(s, pred, s.CostSec)
 		return online.QError(pred, s.CostSec)
 	}
@@ -244,7 +246,7 @@ func Online(opt Options) (*OnlineResult, error) {
 
 // meanQErr is the mean q-error of m's predictions over samples.
 func meanQErr(m *core.Model, samples []*encode.Sample) float64 {
-	preds := m.Predict(samples)
+	preds, _ := m.PredictCtx(context.Background(), samples, core.PredictOpts{}) // Background never cancels
 	var sum float64
 	for i, s := range samples {
 		sum += online.QError(preds[i], s.CostSec)

@@ -1,6 +1,7 @@
 package online
 
 import (
+	"context"
 	"fmt"
 	"log/slog"
 	"sort"
@@ -202,11 +203,9 @@ func NewManager(bootstrap *core.Model, st *core.TrainState, cfg Config) (*Manage
 			return nil, err
 		}
 		if man.Champion > 0 {
-			rm, rst, err := reg.Load(man.Champion)
-			if err != nil {
+			if champ, err = load(reg, man.Champion, bootstrap); err != nil {
 				return nil, fmt.Errorf("online: manifest names champion v%d but it cannot be loaded: %w", man.Champion, err)
 			}
-			champ = &Version{Num: man.Champion, Model: rm, State: rst}
 		} else {
 			if err := reg.Save(1, champ.Model, champ.State); err != nil {
 				return nil, err
@@ -231,6 +230,24 @@ func NewManager(bootstrap *core.Model, st *core.TrainState, cfg Config) (*Manage
 	m.champion.Store(champ)
 	cfg.Metrics.ChampionVersion.Set(float64(champ.Num))
 	return m, nil
+}
+
+// load reads generation num from reg, refusing one that cannot serve in
+// place of ref (the bootstrap, or a champion descended from it): another
+// variant, or another feature layout, which the encoder the server was
+// started with could not feed without a panic.
+func load(reg *Registry, num int, ref *core.Model) (*Version, error) {
+	model, st, err := reg.Load(num)
+	if err != nil {
+		return nil, err
+	}
+	if model.Var != ref.Var {
+		return nil, fmt.Errorf("online: snapshot v%d is a %s network, the server's a %s", num, model.Var.Name, ref.Var.Name)
+	}
+	if err := model.Cfg.CheckInputs(ref.Cfg); err != nil {
+		return nil, err
+	}
+	return &Version{Num: num, Model: model, State: st}, nil
 }
 
 // Champion returns the serving generation. One atomic load; the caller
@@ -271,9 +288,9 @@ func (m *Manager) Observe(s *encode.Sample, predicted, actual float64) {
 	}
 
 	if sh := m.shadow; sh != nil {
-		chal := sh.version.Model.Predict([]*encode.Sample{&labeled})[0]
+		chal, _ := sh.version.Model.PredictCtx(context.Background(), []*encode.Sample{&labeled}, core.PredictOpts{}) // Background never cancels
 		sh.champSum += q
-		sh.chalSum += QError(chal, actual)
+		sh.chalSum += QError(chal[0], actual)
 		sh.scored++
 		met.ShadowScored.Inc()
 		if sh.scored >= m.cfg.ShadowMin {
@@ -410,11 +427,10 @@ func (m *Manager) Promote(num int) error {
 		if reg == nil {
 			return fmt.Errorf("online: unknown version %d", num)
 		}
-		model, st, err := reg.Load(num)
-		if err != nil {
+		var err error
+		if v, err = load(reg, num, m.champion.Load().Model); err != nil {
 			return err
 		}
-		v = &Version{Num: num, Model: model, State: st}
 		m.versions[num] = v
 	}
 	if sh := m.shadow; sh != nil && sh.version.Num == num {

@@ -2,6 +2,7 @@ package online
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"math/rand"
 	"os"
@@ -66,6 +67,12 @@ func synthSample(rng *rand.Rand, scale float64) *encode.Sample {
 	return s
 }
 
+// predict scores samples with m on a background context.
+func predict[T tensor.Float](m *core.Net[T], samples []*encode.Sample) []float64 {
+	out, _ := m.PredictCtx(context.Background(), samples, core.PredictOpts{})
+	return out
+}
+
 func synthDataset(n int, seed int64, scale float64) []*encode.Sample {
 	rng := rand.New(rand.NewSource(seed))
 	out := make([]*encode.Sample, n)
@@ -99,7 +106,7 @@ func trainChampion(t *testing.T, epochs int) (*core.Model, *core.TrainState) {
 }
 
 func meanQ(m *core.Model, samples []*encode.Sample) float64 {
-	preds := m.Predict(samples)
+	preds := predict(m, samples)
 	var sum float64
 	for i, s := range samples {
 		sum += QError(preds[i], s.CostSec)
@@ -227,7 +234,7 @@ func TestRegistryRoundTripAndIntegrity(t *testing.T) {
 		t.Fatalf("state epochs %d != %d", lst.Epochs, st.Epochs)
 	}
 	probe := synthDataset(4, 9, 1)
-	want, got := m.Predict(probe), lm.Predict(probe)
+	want, got := predict(m, probe), predict(lm, probe)
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("loaded model predicts differently: %v != %v", want[i], got[i])
@@ -299,7 +306,7 @@ func TestOnlineDriftPromotion(t *testing.T) {
 	preShift := synthDataset(64, 21, 1)
 	for _, s := range preShift {
 		v := mgr.Champion()
-		pred := v.Model.Predict([]*encode.Sample{s})[0]
+		pred := predict(v.Model, []*encode.Sample{s})[0]
 		mgr.Observe(s, pred, s.CostSec)
 	}
 	if got := mgr.Status(); got.Champion != 1 || got.Shadow != nil {
@@ -315,7 +322,7 @@ func TestOnlineDriftPromotion(t *testing.T) {
 	promoted := -1
 	for i, s := range shifted {
 		v := mgr.Champion()
-		pred := v.Model.Predict([]*encode.Sample{s})[0]
+		pred := predict(v.Model, []*encode.Sample{s})[0]
 		mgr.Observe(s, pred, s.CostSec)
 		if mgr.Champion().Num != 1 && promoted < 0 {
 			promoted = i
@@ -362,10 +369,10 @@ func TestOnlineDeterministicLoop(t *testing.T) {
 		}
 		for _, s := range synthDataset(400, 31, 3) {
 			v := mgr.Champion()
-			pred := v.Model.Predict([]*encode.Sample{s})[0]
+			pred := predict(v.Model, []*encode.Sample{s})[0]
 			mgr.Observe(s, pred, s.CostSec)
 		}
-		return mgr, mgr.Champion().Model.Predict(synthDataset(8, 33, 3))
+		return mgr, predict(mgr.Champion().Model, synthDataset(8, 33, 3))
 	}
 	m1, p1 := run()
 	m2, p2 := run()
@@ -393,7 +400,7 @@ func TestOnlinePinBlocksAutomation(t *testing.T) {
 	mgr.Pin(true)
 	for _, s := range synthDataset(200, 41, 4) {
 		v := mgr.Champion()
-		pred := v.Model.Predict([]*encode.Sample{s})[0]
+		pred := predict(v.Model, []*encode.Sample{s})[0]
 		mgr.Observe(s, pred, s.CostSec)
 	}
 	stat := mgr.Status()
@@ -425,7 +432,7 @@ func TestManagerRegistryResume(t *testing.T) {
 		t.Fatal(err)
 	}
 	probe := synthDataset(4, 51, 1)
-	want := mgr.Champion().Model.Predict(probe)
+	want := predict(mgr.Champion().Model, probe)
 
 	// A new manager over the same registry resumes generation 2, not the
 	// bootstrap model it was handed.
@@ -437,7 +444,7 @@ func TestManagerRegistryResume(t *testing.T) {
 	if mgr2.Champion().Num != 2 {
 		t.Fatalf("resumed champion v%d, want v2", mgr2.Champion().Num)
 	}
-	got := mgr2.Champion().Model.Predict(probe)
+	got := predict(mgr2.Champion().Model, probe)
 	for i := range want {
 		if want[i] != got[i] {
 			t.Fatalf("resumed champion predicts differently: %v != %v", want[i], got[i])
@@ -449,6 +456,46 @@ func TestManagerRegistryResume(t *testing.T) {
 	}
 	if mgr.Champion().Num != 1 {
 		t.Fatalf("rollback landed on v%d, want v1", mgr.Champion().Num)
+	}
+}
+
+// TestManagerRefusesMisfitSnapshots: a registry generation of another
+// variant, or one reading another feature layout than the bootstrap, is
+// refused when a restarted manager resumes it and when an operator
+// promotes it — the server's encoder could not feed it without a panic.
+func TestManagerRefusesMisfitSnapshots(t *testing.T) {
+	wide := testModelConfig()
+	wide.SemDim += 3
+	for name, misfit := range map[string]*core.Model{
+		"variant":      core.NewModel(core.RAAC(), testModelConfig()),
+		"semantic dim": core.NewModel(core.RAAL(), wide),
+	} {
+		t.Run(name, func(t *testing.T) {
+			reg, err := OpenRegistry(t.TempDir())
+			if err != nil {
+				t.Fatal(err)
+			}
+			champ, st := trainChampion(t, 2)
+			mgr, err := NewManager(champ, st, Config{Registry: reg, Seed: 5})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := reg.Save(2, misfit, core.NewTrainState()); err != nil {
+				t.Fatal(err)
+			}
+			if err := mgr.Promote(2); err == nil {
+				t.Fatal("Promote installed a snapshot that does not fit the bootstrap")
+			}
+			if mgr.Champion().Num != 1 {
+				t.Fatalf("champion is v%d after a refused promotion, want v1", mgr.Champion().Num)
+			}
+			if err := reg.WriteManifest(Manifest{Champion: 2}); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := NewManager(champ, st, Config{Registry: reg, Seed: 5}); err == nil {
+				t.Fatal("NewManager resumed a snapshot that does not fit the bootstrap")
+			}
+		})
 	}
 }
 
@@ -464,7 +511,7 @@ func TestOnlineObserveDropsMemo(t *testing.T) {
 	}
 	s := synthDataset(1, 9, 1)[0]
 	s.Memo = new(encode.PlanMemo) // as an encode-cache entry carries one
-	pred := mgr.Champion().Model.Predict([]*encode.Sample{s})[0]
+	pred := predict(mgr.Champion().Model, []*encode.Sample{s})[0]
 	parked := s.Memo.Load()
 	if parked == nil {
 		t.Fatal("the champion parked no prefix on the served sample")
@@ -474,7 +521,7 @@ func TestOnlineObserveDropsMemo(t *testing.T) {
 	if len(replay) != 1 || replay[0].Memo != nil {
 		t.Fatalf("the replayed copy still shares the served sample's memo slot")
 	}
-	champ.Clone().Predict(replay) // a challenger scoring the copy
+	predict(champ.Clone(), replay) // a challenger scoring the copy
 	if s.Memo.Load() != parked {
 		t.Fatal("scoring the replayed copy replaced the champion's parked prefix")
 	}

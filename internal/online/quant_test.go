@@ -51,7 +51,7 @@ func TestQuantizedChampionLifecycle(t *testing.T) {
 	shifted := synthDataset(600, 22, 3)
 	for _, s := range shifted {
 		v := mgr.Champion()
-		pred := v.Q.Predict([]*encode.Sample{s})[0]
+		pred := predict(v.Q, []*encode.Sample{s})[0]
 		mgr.Observe(s, pred, s.CostSec)
 	}
 	v2 := mgr.Champion()

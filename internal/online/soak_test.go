@@ -43,13 +43,13 @@ func TestOnlineSoakNoTornSwap(t *testing.T) {
 	// training lengths) so a torn read could not masquerade as a valid
 	// prediction, and record each one's expected output on a probe.
 	probe := synthDataset(1, 61, 1)
-	expected := map[int]float64{1: champ.Predict(probe)[0]}
+	expected := map[int]float64{1: predict(champ, probe)[0]}
 	for v := 2; v <= 4; v++ {
 		m, s := trainChampion(t, 6+4*v)
 		if err := reg.Save(v, m, s); err != nil {
 			t.Fatal(err)
 		}
-		expected[v] = m.Predict(probe)[0]
+		expected[v] = predict(m, probe)[0]
 	}
 	cached := probe[0].WithResource(probe[0].Resource)
 	cached.Memo = new(encode.PlanMemo)
@@ -69,7 +69,7 @@ func TestOnlineSoakNoTornSwap(t *testing.T) {
 		QueueDepth:  1 << 16, // nothing may be shed: every request must complete
 		Deep: func(ctx context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
 			v := mgr.Champion()
-			pred := v.Model.Predict([]*encode.Sample{cached})[0]
+			pred := predict(v.Model, []*encode.Sample{cached})[0]
 			if pred != expected[v.Num] {
 				torn.Add(1)
 				return 0, fmt.Errorf("torn swap: v%d predicted %v, want %v", v.Num, pred, expected[v.Num])

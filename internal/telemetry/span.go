@@ -1,6 +1,7 @@
 package telemetry
 
 import (
+	"context"
 	"fmt"
 	"strings"
 	"sync"
@@ -8,7 +9,7 @@ import (
 )
 
 // Span records wall time per named stage of one logical operation, so a
-// single Predict can be decomposed into encode → embed → lstm →
+// single estimate can be decomposed into encode → embed → lstm →
 // attention → dense timings. Stages may repeat (a chunked predict enters
 // each stage once per chunk); repeated entries accumulate into one
 // bucket per name, listed in first-entry order.
@@ -134,4 +135,19 @@ func (s *Span) String() string {
 		fmt.Fprintf(&b, " %s=%v", st.Name, st.Dur.Round(time.Microsecond))
 	}
 	return b.String()
+}
+
+type spanKey struct{}
+
+// WithSpan returns a copy of ctx that carries sp, for the code down the
+// call chain to time its stages into. The caller still owns sp (End).
+func WithSpan(ctx context.Context, sp *Span) context.Context {
+	return context.WithValue(ctx, spanKey{}, sp)
+}
+
+// SpanFrom returns the span WithSpan put on ctx, or nil — on which every
+// Span method is a no-op — when there is none.
+func SpanFrom(ctx context.Context) *Span {
+	sp, _ := ctx.Value(spanKey{}).(*Span)
+	return sp
 }

@@ -11,7 +11,6 @@ import (
 	"raal/internal/core"
 	"raal/internal/online"
 	"raal/internal/telemetry"
-	"raal/internal/workload"
 )
 
 // Checkpoint files bundle a cost model with its resumable training state
@@ -83,51 +82,7 @@ func ResumeCostModel(cm *CostModel, st *TrainState, ds *Dataset, opt TrainOption
 	if st == nil {
 		return nil, fmt.Errorf("raal: nil training state (load one with LoadCheckpoint)")
 	}
-	if opt.TrainFrac == 0 {
-		opt.TrainFrac = 0.8
-	}
-	if opt.Seed == 0 {
-		opt.Seed = 1
-	}
-	samples := ds.Encode(cm.enc)
-	train, test := workload.Split(samples, opt.TrainFrac, opt.Seed)
-	if len(train) == 0 {
-		return nil, fmt.Errorf("raal: train split is empty")
-	}
-	tc := core.DefaultTrainConfig()
-	if opt.Epochs > 0 {
-		tc.Epochs = opt.Epochs
-	}
-	if opt.Batch > 0 {
-		tc.Batch = opt.Batch
-	}
-	if opt.LR > 0 {
-		tc.LR = opt.LR
-	}
-	tc.Seed = opt.Seed
-	tc.Workers = opt.Workers
-	tc.ShardSize = opt.ShardSize
-	tc.Progress = opt.Progress
-	if opt.Metrics != nil {
-		tc.Instr = core.NewInstrumentation(opt.Metrics)
-	}
-	tc.State = st
-	tr, err := cm.model.Fit(train, tc)
-	if err != nil {
-		return nil, err
-	}
-	report := &TrainReport{
-		TrainSamples: len(train),
-		TestSamples:  len(test),
-		LossCurve:    tr.LossCurve,
-		State:        st,
-	}
-	if len(test) > 0 {
-		if report.Held, err = cm.model.Evaluate(test); err != nil {
-			return nil, err
-		}
-	}
-	return report, nil
+	return cm.fit(st, ds, opt)
 }
 
 // OnlineOptions tunes NewOnlineServing. The zero value is a working
@@ -222,71 +177,32 @@ func NewOnlineServing(cm *CostModel, st *TrainState, opt OnlineOptions) (*Online
 	return &OnlineServing{cm: cm, mgr: mgr}, nil
 }
 
-// versionPrecision is the precision one loaded generation serves at.
-func versionPrecision(v *online.Version) Precision {
-	if v.Q != nil {
-		return v.Q.Precision()
-	}
-	return PrecisionF64
-}
-
-// championPredictCtx scores samples with one loaded generation, at its
-// quantized precision when the gate admitted a snapshot for it and on
-// its float64 weights otherwise.
-func championPredictCtx(ctx context.Context, v *online.Version, samples []*Sample, opt core.PredictOpts) ([]float64, error) {
-	if v.Q != nil {
-		return v.Q.PredictCtx(ctx, samples, opt)
-	}
-	return v.Model.PredictCtx(ctx, samples, opt)
-}
-
-// championSample encodes p under res for generation v: the encode-cache
-// lookup every OnlineServing path shares, tagged with the precision v
-// serves at. The cached plan part keeps the prefix v's network derived, so
-// a promotion (a new network) recomputes it on first use.
-func (o *OnlineServing) championSample(v *online.Version, p *Plan, res Resources) *Sample {
-	return o.cm.encodePlanAt(versionPrecision(v).String(), p, res)
-}
-
-// EstimateCtx prices p under res with the current champion. The champion
-// pointer is loaded once per call, so a concurrent promotion is invisible
-// mid-request — the prediction comes entirely from one generation (and
-// one precision).
-func (o *OnlineServing) EstimateCtx(ctx context.Context, p *Plan, res Resources) (float64, error) {
-	o.cm.api.estimates.Inc()
+// gen loads the champion once: everything a call does comes from that
+// one generation (and precision), so a concurrent promotion is invisible
+// mid-request.
+func (o *OnlineServing) gen() generation {
 	v := o.mgr.Champion()
-	preds, err := championPredictCtx(ctx, v, []*Sample{o.championSample(v, p, res)}, core.PredictOpts{})
-	if err != nil {
-		return 0, err
-	}
-	return preds[0], nil
+	return generation{v.Model, v.Q}
+}
+
+// EstimateCtx prices p under res with the current champion, at its
+// quantized precision when the gate admitted a snapshot for it. A cached
+// plan prefix is the one the champion's network derived, so a promotion
+// recomputes it on first use.
+func (o *OnlineServing) EstimateCtx(ctx context.Context, p *Plan, res Resources) (float64, error) {
+	return o.cm.estimate(ctx, o.gen(), p, res)
 }
 
 // EstimateBatchCtx prices candidate plans under one allocation with the
 // current champion (one champion load for the whole batch).
-func (o *OnlineServing) EstimateBatchCtx(ctx context.Context, plans []*Plan, res Resources, opt PredictOpts) ([]float64, error) {
-	o.cm.api.estimates.Inc()
-	v := o.mgr.Champion()
-	samples := make([]*Sample, len(plans))
-	for i, p := range plans {
-		samples[i] = o.championSample(v, p, res)
-	}
-	return championPredictCtx(ctx, v, samples, opt)
+func (o *OnlineServing) EstimateBatchCtx(ctx context.Context, plans []*Plan, res Resources, _ PredictOpts) ([]float64, error) {
+	return o.cm.estimateBatch(ctx, o.gen(), plans, res)
 }
 
 // EstimateEachCtx prices many independent (plan, resources) pairs in one
 // forward pass of the current champion — the micro-batching backend.
-func (o *OnlineServing) EstimateEachCtx(ctx context.Context, plans []*Plan, res []Resources, opt PredictOpts) ([]float64, error) {
-	if len(plans) != len(res) {
-		return nil, fmt.Errorf("raal: EstimateEachCtx got %d plan(s) but %d resource allocation(s)", len(plans), len(res))
-	}
-	o.cm.api.estimates.Inc()
-	v := o.mgr.Champion()
-	samples := make([]*Sample, len(plans))
-	for i, p := range plans {
-		samples[i] = o.championSample(v, p, res[i])
-	}
-	return championPredictCtx(ctx, v, samples, opt)
+func (o *OnlineServing) EstimateEachCtx(ctx context.Context, plans []*Plan, res []Resources, _ PredictOpts) ([]float64, error) {
+	return o.cm.estimateEach(ctx, o.gen(), plans, res)
 }
 
 // Feedback ingests one observed outcome: the plan and allocation that
@@ -297,7 +213,7 @@ func (o *OnlineServing) EstimateEachCtx(ctx context.Context, plans []*Plan, res 
 // EstimateCtx looked it up (the champion's precision tag), so feeding back
 // a served plan is a cache hit on the entry that served it.
 func (o *OnlineServing) Feedback(p *Plan, res Resources, predicted, actual float64) {
-	o.mgr.Observe(o.championSample(o.mgr.Champion(), p, res), predicted, actual)
+	o.mgr.Observe(o.cm.encodePlanAt(o.gen().precision().String(), p, res), predicted, actual)
 }
 
 // AdminHandler returns the /models admin surface (list, promote,
@@ -310,7 +226,7 @@ func (o *OnlineServing) ChampionVersion() int { return o.mgr.Champion().Num }
 // Precision returns the serving precision of the current champion: the
 // configured reduced precision when its quantized snapshot passed the
 // accuracy gate, PrecisionF64 otherwise.
-func (o *OnlineServing) Precision() Precision { return versionPrecision(o.mgr.Champion()) }
+func (o *OnlineServing) Precision() Precision { return o.gen().precision() }
 
 // Status returns the loop's current state (what GET /models serves).
 func (o *OnlineServing) Status() online.Status { return o.mgr.Status() }

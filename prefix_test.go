@@ -10,6 +10,7 @@ import (
 	"raal/internal/core"
 	"raal/internal/encode"
 	"raal/internal/metrics"
+	"raal/internal/telemetry"
 )
 
 // corpusPlans collects a small corpus on bench and returns an encoder
@@ -42,7 +43,7 @@ func corpusPlans(t *testing.T, bench Benchmark, scale float64, n int) (*encode.E
 // alone prices one (plan, allocation) pair from a freshly encoded sample:
 // no cache, no shared plan part, nothing to reuse.
 func alone(cm *CostModel, p *Plan, res Resources) float64 {
-	preds, _ := cm.predictCtx(context.Background(), []*Sample{cm.enc.EncodePlan(p, res)}, PredictOpts{})
+	preds, _ := cm.gen().predict(context.Background(), []*Sample{cm.enc.EncodePlan(p, res)})
 	return preds[0]
 }
 
@@ -61,11 +62,11 @@ func freshModel(enc *encode.Encoder, v Variant) *CostModel {
 // prefix, sixty suffix rows — equals, bit for bit, pricing each (plan,
 // allocation) pair alone from a freshly encoded sample, which shares
 // nothing and is what the unsplit forward computed. The recommendation is
-// the oracle's argmin at every worker count and chunk size, including
-// chunks that cut the grid.
+// the oracle's argmin. (core's TestGridPredictAcrossChunks holds the grid
+// to the same bits at other worker counts and chunk sizes, including
+// chunks that cut it.)
 func TestRecommendMatchesUnsplitOracle(t *testing.T) {
 	grid := DefaultResourceGrid()
-	opts := []PredictOpts{{Workers: 1, ChunkSize: 7}, {Workers: 4, ChunkSize: 7}, {Workers: 1, ChunkSize: 64}, {Workers: 4, ChunkSize: 64}}
 	var variants []Variant
 	for _, v := range core.AllVariants() {
 		variants = append(variants, v, v.WithoutResources())
@@ -91,33 +92,31 @@ func TestRecommendMatchesUnsplitOracle(t *testing.T) {
 					for i := range same {
 						same[i] = p
 					}
-					recommend := func(how string, opt PredictOpts) {
-						res, cost := cm.RecommendResourcesWith(p, grid, opt)
-						if res != grid[best] || math.Float64bits(cost) != math.Float64bits(oracle[best]) {
-							t.Fatalf("%s %s %v plan %d %+v, %s: recommended (%v, %v), oracle (%v, %v)",
-								bench.name, v.Name, prec, pi, opt, how, res, cost, grid[best], oracle[best])
+					recommend := func(how string) {
+						res, cost, err := cm.RecommendResourcesCtx(context.Background(), p, grid)
+						if err != nil || res != grid[best] || math.Float64bits(cost) != math.Float64bits(oracle[best]) {
+							t.Fatalf("%s %s %v plan %d, %s: recommended (%v, %v, %v), oracle (%v, %v)",
+								bench.name, v.Name, prec, pi, how, res, cost, err, grid[best], oracle[best])
 						}
 					}
-					for _, opt := range opts {
-						// Without a cache the grid rows share one fresh plan
-						// part: one prefix per chunk, nothing kept.
-						cm.EnableEncodeCache(0)
-						recommend("no cache", opt)
-						// With one, every row is a hit on the same entry, and
-						// after the first chunk the prefix comes from its memo.
-						cm.EnableEncodeCache(4)
-						each, err := cm.EstimateEachCtx(context.Background(), same, grid, opt)
-						if err != nil {
-							t.Fatal(err)
-						}
-						for i := range oracle {
-							if math.Float64bits(each[i]) != math.Float64bits(oracle[i]) {
-								t.Fatalf("%s %s %v plan %d %+v: allocation %d priced %v with a shared prefix, %v alone",
-									bench.name, v.Name, prec, pi, opt, i, each[i], oracle[i])
-							}
-						}
-						recommend("cached", opt)
+					// Without a cache the grid rows share one fresh plan
+					// part: one prefix, nothing kept.
+					cm.EnableEncodeCache(0)
+					recommend("no cache")
+					// With one, every row is a hit on the same entry, and
+					// after the first call the prefix comes from its memo.
+					cm.EnableEncodeCache(4)
+					each, err := cm.EstimateEachCtx(context.Background(), same, grid, PredictOpts{})
+					if err != nil {
+						t.Fatal(err)
 					}
+					for i := range oracle {
+						if math.Float64bits(each[i]) != math.Float64bits(oracle[i]) {
+							t.Fatalf("%s %s %v plan %d: allocation %d priced %v with a shared prefix, %v alone",
+								bench.name, v.Name, prec, pi, i, each[i], oracle[i])
+						}
+					}
+					recommend("cached")
 				}
 			}
 		}
@@ -203,7 +202,8 @@ func TestRankingSkipsNonFinite(t *testing.T) {
 	}
 
 	sys, _, shared := sharedSystem(t)
-	plans, err := sys.Plan(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id`)
+	const query = `SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id`
+	plans, err := sys.Plan(query)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -219,11 +219,10 @@ func TestRankingSkipsNonFinite(t *testing.T) {
 		if _, _, err := cm.RecommendResourcesCtx(context.Background(), plans[0], grid); !errors.Is(err, errNoFinite) {
 			t.Errorf("%s: RecommendResourcesCtx returned %v, want errNoFinite", name, err)
 		}
-		if p, cost := cm.SelectPlan(plans, DefaultResources()); p != plans[0] || !math.IsInf(cost, 1) {
-			t.Errorf("%s: SelectPlan = (%v, %v), want the first candidate at +Inf", name, p, cost)
-		}
-		if res, cost := cm.RecommendResources(plans[0], grid); res != grid[0] || !math.IsInf(cost, 1) {
-			t.Errorf("%s: RecommendResources = (%v, %v), want the first allocation at +Inf", name, res, cost)
+		// System.SelectPlan passes the refusal on instead of picking the
+		// first candidate at +Inf.
+		if p, cost, err := sys.SelectPlan(cm, query, DefaultResources()); !errors.Is(err, errNoFinite) {
+			t.Errorf("%s: System.SelectPlan = (%v, %v, %v), want errNoFinite", name, p, cost, err)
 		}
 	}
 }
@@ -248,9 +247,15 @@ func probeAll(t *testing.T, cm *CostModel, plans []*Plan, grid []Resources) []fl
 	}
 	out = append(out, each...)
 	out = append(out, cm.EstimateBatch(plans, res)...)
-	_, cost := cm.SelectPlan(plans, res)
+	_, cost, err := cm.SelectPlanCtx(context.Background(), plans, res)
+	if err != nil {
+		t.Fatal(err)
+	}
 	out = append(out, cost)
-	rec, cost := cm.RecommendResources(plans[0], grid)
+	rec, cost, err := cm.RecommendResourcesCtx(context.Background(), plans[0], grid)
+	if err != nil {
+		t.Fatal(err)
+	}
 	return append(out, cost, float64(rec.Executors), float64(rec.ExecCores), rec.ExecMemMB)
 }
 
@@ -372,10 +377,10 @@ func TestEncodeCacheConcurrentAPIs(t *testing.T) {
 	mustEqualBits(t, "after the concurrent run", probeAll(t, cm, plans, grid), want)
 }
 
-// TestEstimateTracedShowsPrefixReuse: the first traced estimate of a
+// TestEstimateCtxSpanShowsPrefixReuse: the first traced estimate of a
 // cached plan runs the recurrence; the second shows a prefix-reuse stage in
 // its place, and the raal_prefix_* counters tell the two apart.
-func TestEstimateTracedShowsPrefixReuse(t *testing.T) {
+func TestEstimateCtxSpanShowsPrefixReuse(t *testing.T) {
 	sys, _, shared := sharedSystem(t)
 	plans, err := sys.Plan(`SELECT COUNT(*) FROM movie_keyword mk WHERE mk.keyword_id < 100`)
 	if err != nil {
@@ -385,24 +390,30 @@ func TestEstimateTracedShowsPrefixReuse(t *testing.T) {
 	cm.Instrument(NewMetricsRegistry())
 	cm.EnableEncodeCache(4)
 
-	stages := func(sp *Span) map[string]bool {
+	traced := func(res Resources) (float64, map[string]bool) {
+		sp := telemetry.StartSpan("estimate")
+		cost, err := cm.EstimateCtx(telemetry.WithSpan(context.Background(), sp), plans[0], res)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sp.End()
 		m := map[string]bool{}
 		for _, st := range sp.Stages() {
 			m[st.Name] = true
 		}
-		return m
+		return cost, m
 	}
-	cold, sp := cm.EstimateTraced(plans[0], DefaultResources())
-	if st := stages(sp); !st["lstm"] || st["prefix-reuse"] {
-		t.Fatalf("cold trace should run the recurrence and reuse nothing: %v", sp)
+	cold, st := traced(DefaultResources())
+	if !st["encode"] || !st["lstm"] || st["prefix-reuse"] {
+		t.Fatalf("cold trace should encode, run the recurrence and reuse nothing: %v", st)
 	}
 	res2 := DefaultResources()
 	res2.Executors = 8
-	_, sp = cm.EstimateTraced(plans[0], res2) // a new allocation of a cached plan
-	if st := stages(sp); st["lstm"] || st["embed"] || !st["prefix-reuse"] || !st["attention"] || !st["dense"] {
-		t.Fatalf("warm trace should show prefix-reuse in place of embed and lstm: %v", sp)
+	_, st = traced(res2) // a new allocation of a cached plan
+	if st["lstm"] || st["embed"] || !st["prefix-reuse"] || !st["attention"] || !st["dense"] {
+		t.Fatalf("warm trace should show prefix-reuse in place of embed and lstm: %v", st)
 	}
-	if warm, _ := cm.EstimateTraced(plans[0], DefaultResources()); warm != cold {
+	if warm, _ := traced(DefaultResources()); warm != cold {
 		t.Fatalf("estimate from a reused prefix %v != cold %v", warm, cold)
 	}
 	if c, r := cm.instr.PrefixComputed.Value(), cm.instr.PrefixReused.Value(); c != 1 || r != 2 {

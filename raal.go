@@ -19,8 +19,6 @@
 package raal
 
 import (
-	"io"
-
 	"raal/internal/baselines"
 	"raal/internal/core"
 	"raal/internal/encode"
@@ -65,15 +63,19 @@ type (
 	CostBreakdown = sparksim.CostBreakdown
 	// TLSTM is the tree-LSTM RDBMS cost model baseline.
 	TLSTM = baselines.TLSTM
-	// PredictOpts tunes data-parallel inference (worker count and samples
-	// per forward pass). The zero value uses GOMAXPROCS workers.
+	// PredictOpts is the field-less options argument of the batch
+	// estimation APIs: every call runs the one schedule (64-sample
+	// chunks over GOMAXPROCS goroutines).
 	PredictOpts = core.PredictOpts
+	// InputError is LoadCostModel's refusal of a network that does not fit
+	// the file's encoder; match with errors.As.
+	InputError = core.InputError
 	// MetricsRegistry collects counters, gauges, and histograms and writes
 	// them in the Prometheus text exposition format (see NewMetricsRegistry
 	// and CostModel.Instrument).
 	MetricsRegistry = telemetry.Registry
-	// Span is a per-stage wall-time breakdown of one inference call (see
-	// CostModel.EstimateTraced).
+	// Span is a per-stage wall-time breakdown of one inference call, put
+	// on its context with telemetry.WithSpan (see CostModel.EstimateCtx).
 	Span = telemetry.Span
 	// Precision selects the numeric format inference runs in (see
 	// CostModel.EnablePrecision).
@@ -125,9 +127,6 @@ func MaxResources() Resources { return sparksim.MaxResources() }
 func Evaluate(actual, estimated []float64) (Metrics, error) {
 	return metrics.Evaluate(actual, estimated)
 }
-
-// SaveModel writes a trained cost model (encoder + network) to w.
-func SaveModel(w io.Writer, cm *CostModel) error { return cm.Save(w) }
 
 // NewGPSJBaseline returns the analytical GPSJ cost model calibrated
 // against the simulator's nominal hardware constants.

@@ -2,6 +2,7 @@ package raal
 
 import (
 	"bytes"
+	"context"
 	"math"
 	"os"
 	"path/filepath"
@@ -95,7 +96,7 @@ func TestRunConvenience(t *testing.T) {
 func TestTrainedModelQuality(t *testing.T) {
 	_, ds, cm := sharedSystem(t)
 	samples := cm.EncodeDataset(ds)
-	m, err := cm.EvaluateOn(samples)
+	m, err := cm.model.Evaluate(samples)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,8 +172,8 @@ func TestEstimateAndSelectPlan(t *testing.T) {
 
 func TestSelectPlanEmpty(t *testing.T) {
 	_, _, cm := sharedSystem(t)
-	if p, _ := cm.SelectPlan(nil, DefaultResources()); p != nil {
-		t.Fatal("empty candidate set should return nil")
+	if p, _, err := cm.SelectPlanCtx(context.Background(), nil, DefaultResources()); p != nil || err != nil {
+		t.Fatalf("empty candidate set should return nil and no error, got %v, %v", p, err)
 	}
 }
 
@@ -274,7 +275,10 @@ func TestRecommendResources(t *testing.T) {
 	if len(grid) != 4*3*5 {
 		t.Fatalf("grid size %d", len(grid))
 	}
-	best, pred := cm.RecommendResources(plans[0], grid)
+	best, pred, err := cm.RecommendResourcesCtx(context.Background(), plans[0], grid)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if err := best.Validate(); err != nil {
 		t.Fatalf("recommended invalid resources: %v", err)
 	}
@@ -289,8 +293,8 @@ func TestRecommendResources(t *testing.T) {
 		}
 	}
 	// Empty grid is well-defined.
-	if _, p := cm.RecommendResources(plans[0], nil); p != 0 {
-		t.Fatal("empty grid should return zero")
+	if _, p, err := cm.RecommendResourcesCtx(context.Background(), plans[0], nil); p != 0 || err != nil {
+		t.Fatalf("empty grid should return zero and no error, got %v, %v", p, err)
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"raal/internal/core"
+	"raal/internal/metrics"
 )
 
 // TestLoadCostModelCorruptFiles truncates a saved cost model at every
@@ -113,6 +114,8 @@ func TestEstimateCtx(t *testing.T) {
 	}
 }
 
+// TestSelectPlanCtxMatchesSelectPlan: plan selection is the argmin of
+// the batch estimate, bit for bit.
 func TestSelectPlanCtxMatchesSelectPlan(t *testing.T) {
 	sys, _, cm := sharedSystem(t)
 	plans, err := sys.Plan(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id`)
@@ -120,55 +123,21 @@ func TestSelectPlanCtxMatchesSelectPlan(t *testing.T) {
 		t.Fatal(err)
 	}
 	res := DefaultResources()
-	wantPlan, wantPred := cm.SelectPlan(plans, res)
+	costs, err := cm.EstimateBatchCtx(context.Background(), plans, res, PredictOpts{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	best := metrics.ArgminFinite(costs)
 	gotPlan, gotPred, err := cm.SelectPlanCtx(context.Background(), plans, res)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotPlan != wantPlan || gotPred != wantPred {
-		t.Fatalf("SelectPlanCtx (%p, %v) != SelectPlan (%p, %v)", gotPlan, gotPred, wantPlan, wantPred)
+	if gotPlan != plans[best] || math.Float64bits(gotPred) != math.Float64bits(costs[best]) {
+		t.Fatalf("SelectPlanCtx (%p, %v) != argmin of EstimateBatchCtx (%p, %v)", gotPlan, gotPred, plans[best], costs[best])
 	}
-	// Empty candidate set stays well-defined, as in SelectPlan.
+	// An empty candidate set stays well-defined.
 	if p, _, err := cm.SelectPlanCtx(context.Background(), nil, res); err != nil || p != nil {
 		t.Fatalf("empty set: plan %v err %v", p, err)
-	}
-}
-
-// TestRecommendResourcesWith pins the satellite fix: the grid sweep runs
-// through the same worker-pool path as EstimateBatchWith, so every
-// parallelism setting returns the identical recommendation, and the ctx
-// variant agrees with both.
-func TestRecommendResourcesWith(t *testing.T) {
-	sys, _, cm := sharedSystem(t)
-	plans, err := sys.Plan(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := sys.Execute(plans[0]); err != nil {
-		t.Fatal(err)
-	}
-	grid := DefaultResourceGrid()
-	wantRes, wantPred := cm.RecommendResources(plans[0], grid)
-	for _, opt := range []PredictOpts{
-		{Workers: 1, ChunkSize: 1},
-		{Workers: 4, ChunkSize: 7},
-		{Workers: 2, ChunkSize: 64},
-	} {
-		gotRes, gotPred := cm.RecommendResourcesWith(plans[0], grid, opt)
-		if gotRes != wantRes || gotPred != wantPred {
-			t.Fatalf("opts %+v: recommendation diverged: (%v, %v) vs (%v, %v)",
-				opt, gotRes, gotPred, wantRes, wantPred)
-		}
-	}
-	ctxRes, ctxPred, err := cm.RecommendResourcesCtx(context.Background(), plans[0], grid)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ctxRes != wantRes || ctxPred != wantPred {
-		t.Fatalf("ctx recommendation diverged: (%v, %v) vs (%v, %v)", ctxRes, ctxPred, wantRes, wantPred)
-	}
-	if _, _, err := cm.RecommendResourcesCtx(context.Background(), plans[0], nil); err != nil {
-		t.Fatalf("empty grid should be well-defined: %v", err)
 	}
 }
 
@@ -184,7 +153,7 @@ func TestEstimateBatchCtxDeadline(t *testing.T) {
 	ctx, cancel := context.WithDeadline(context.Background(), time.Now().Add(-time.Millisecond))
 	defer cancel()
 	start := time.Now()
-	_, err = cm.EstimateBatchCtx(ctx, plans, DefaultResources(), PredictOpts{ChunkSize: 1})
+	_, err = cm.EstimateBatchCtx(ctx, plans, DefaultResources(), PredictOpts{})
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("want DeadlineExceeded, got %v", err)
 	}

@@ -1,6 +1,7 @@
 package raal
 
 import (
+	"context"
 	"fmt"
 
 	"raal/internal/cardest"
@@ -194,8 +195,9 @@ func (s *System) Collect(opt CollectOptions) (*Dataset, error) {
 
 // SelectPlan uses a trained cost model to choose the cheapest candidate
 // plan for query under res, returning the plan and its predicted cost.
-// Candidates are executed first so the chosen plan carries true
-// cardinalities (call Cost to price it).
+// A candidate set without one finite prediction is an error, never a
+// silent pick. Candidates are executed first so the chosen plan carries
+// true cardinalities (call Cost to price it).
 func (s *System) SelectPlan(cm *CostModel, query string, res Resources) (*Plan, float64, error) {
 	plans, err := s.Plan(query)
 	if err != nil {
@@ -209,7 +211,10 @@ func (s *System) SelectPlan(cm *CostModel, query string, res Resources) (*Plan, 
 			return nil, 0, err
 		}
 	}
-	best, pred := cm.SelectPlan(plans, res)
+	best, pred, err := cm.SelectPlanCtx(context.Background(), plans, res)
+	if err != nil {
+		return nil, 0, err
+	}
 	if best == nil {
 		return nil, 0, fmt.Errorf("raal: no plan selected")
 	}
