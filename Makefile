@@ -20,9 +20,7 @@ test: build
 # registry, and the numeric stack), plus the public API. internal/core
 # includes TestParallelTrainRaceSmoke, which trains with Workers=4 so
 # shard-parallel backward passes are exercised under the detector;
-# internal/serve includes TestConcurrentRequestsRaceClean and
-# TestBatcherRaceStress (mixed-deadline clients hammering the
-# micro-batch coalescer through a concurrent Close);
+# internal/serve includes TestConcurrentRequestsRaceClean;
 # internal/telemetry includes concurrent writer/scraper tests;
 # internal/fleet includes the chaos suite (hedged requests racing
 # drains and kills) and internal/backoff the context-cancellation

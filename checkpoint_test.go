@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"net/http/httptest"
-	"strings"
 	"testing"
 )
 
@@ -117,11 +116,6 @@ func TestOnlineServingPublicAPI(t *testing.T) {
 	}
 	if err := json.NewDecoder(rec.Body).Decode(&got); err != nil || got.Champion != 1 {
 		t.Fatalf("GET /models body champion=%d err=%v", got.Champion, err)
-	}
-
-	if _, err := osrv.EstimateEachCtx(t.Context(), plans[:1], nil, PredictOpts{}); err == nil ||
-		!strings.Contains(err.Error(), "resource allocation") {
-		t.Fatalf("length mismatch not rejected: %v", err)
 	}
 }
 

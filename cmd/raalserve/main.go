@@ -8,8 +8,6 @@
 //	raalserve -model model.raal                       # deep model + GPSJ fallback
 //	raalserve                                         # analytical-only serving
 //	raalserve -deadline 200ms -on-deadline fail       # 504 instead of fallback
-//	raalserve -model model.raal \
-//	          -batch-window 2ms -batch-max 16         # micro-batch concurrent requests
 //	raalserve -model model.raal -precision f32        # float32 inference behind the
 //	                                                  # accuracy gate (f64 on refusal)
 //	raalserve -admin :8081 -pprof                     # admin listener + profiling
@@ -94,8 +92,6 @@ func main() {
 		encCache   = flag.Int("encode-cache", 256, "feature-encoding LRU capacity in plans (0 disables; repeated plans skip re-encoding)")
 		precision  = flag.String("precision", "f64", "serving numeric precision: f64 or f32 (f32 requires -model); f32 converts the model behind an accuracy gate and serves f64 when the gate refuses")
 		quantGate  = flag.Float64("quant-gate", 0.05, "accuracy-gate bound for -precision f32: maximum p90 q-error delta between f32 and f64 predictions over a sampled gate workload")
-		batchWin   = flag.Duration("batch-window", 0, "micro-batching collection window; concurrent requests within it coalesce into one forward pass (0 disables batching)")
-		batchMax   = flag.Int("batch-max", 0, "micro-batch size cap; a full batch flushes before the window expires (<= 1 disables batching; requires -model)")
 		drainGrace = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 
 		online         = flag.Bool("online", false, "close the learning loop: observe simulated execution times for served estimates, detect drift, retrain from a replay buffer, and hot-swap the champion (requires -model)")
@@ -298,32 +294,10 @@ func main() {
 		cfg.DeepBatch = func(ctx context.Context, plans []*physical.Plan, res sparksim.Resources) ([]float64, error) {
 			return est.EstimateBatchCtx(ctx, plans, res, raal.PredictOpts{})
 		}
-		if *batchMax > 1 && *batchWin > 0 {
-			cfg.BatchWindow = *batchWin
-			cfg.BatchMax = *batchMax
-			cfg.DeepEach = func(ctx context.Context, items []serve.BatchItem) ([]float64, error) {
-				plans := make([]*physical.Plan, len(items))
-				res := make([]sparksim.Resources, len(items))
-				for i, it := range items {
-					plans[i] = it.Plan
-					res[i] = it.Res
-				}
-				preds, err := est.EstimateEachCtx(ctx, plans, res, raal.PredictOpts{})
-				if err == nil {
-					for i := range preds {
-						observe(plans[i], res[i], preds[i])
-					}
-				}
-				return preds, err
-			}
-		}
 		logger.Info("serving deep model with GPSJ fallback armed",
 			"variant", cm.Variant().Name, "model", *modelPath, "encode_cache", *encCache,
-			"batch_window", *batchWin, "batch_max", *batchMax, "precision", est.Precision().String())
+			"precision", est.Precision().String())
 	} else {
-		if *batchMax > 1 && *batchWin > 0 {
-			fatal("-batch-window/-batch-max require -model (the analytical path is not batched)")
-		}
 		if *online {
 			fatal("-online requires -model (there is no deep model to keep fresh)")
 		}
@@ -588,6 +562,5 @@ func adminHandler(reg *telemetry.Registry, pprofOn bool, modelAdmin http.Handler
 type estimator interface {
 	EstimateCtx(ctx context.Context, p *physical.Plan, res sparksim.Resources) (float64, error)
 	EstimateBatchCtx(ctx context.Context, plans []*physical.Plan, res sparksim.Resources, opt raal.PredictOpts) ([]float64, error)
-	EstimateEachCtx(ctx context.Context, plans []*physical.Plan, res []sparksim.Resources, opt raal.PredictOpts) ([]float64, error)
 	Precision() raal.Precision
 }

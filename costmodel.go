@@ -358,20 +358,14 @@ func (cm *CostModel) estimateBatch(ctx context.Context, g generation, plans []*P
 
 // EstimateEachCtx predicts costs for many independent (plan, resources)
 // pairs in one batched forward pass: plans[i] is priced under res[i].
-// This is the backing call for the serving layer's micro-batching
-// coalescer, where concurrent requests carry their own allocations.
 // Predictions are bit-identical to pricing each pair alone with
 // EstimateCtx. PredictOpts has no fields.
 func (cm *CostModel) EstimateEachCtx(ctx context.Context, plans []*Plan, res []Resources, _ core.PredictOpts) ([]float64, error) {
-	return cm.estimateEach(ctx, cm.gen(), plans, res)
-}
-
-// estimateEach is the one body behind both EstimateEachCtx methods.
-func (cm *CostModel) estimateEach(ctx context.Context, g generation, plans []*Plan, res []Resources) ([]float64, error) {
 	if len(plans) != len(res) {
 		return nil, fmt.Errorf("raal: EstimateEachCtx got %d plan(s) but %d resource allocation(s)", len(plans), len(res))
 	}
 	cm.api.estimates.Inc()
+	g := cm.gen()
 	prec := g.precision().String()
 	samples := make([]*Sample, len(plans))
 	for i, p := range plans {

@@ -71,9 +71,6 @@ type Var[T tensor.Float] struct {
 // leafIdx marks a Var that lives outside any tape slab (Param leaves).
 const leafIdx int32 = -1
 
-// NeedsGrad reports whether gradients are tracked for this variable.
-func (v *Var[T]) NeedsGrad() bool { return v.needsGrad }
-
 // opcode identifies the operation a tape record replays in Backward.
 type opcode uint8
 

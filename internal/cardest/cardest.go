@@ -59,14 +59,6 @@ func (e *Estimator) TableRows(name string) float64 {
 	return 0
 }
 
-// TableBytes returns a table's simulated on-disk size.
-func (e *Estimator) TableBytes(name string) float64 {
-	if ts, ok := e.stats[name]; ok {
-		return float64(ts.SizeBytes)
-	}
-	return 0
-}
-
 // ColumnNDV returns the distinct-value count of table.col (1 if unknown).
 func (e *Estimator) ColumnNDV(table, col string) float64 {
 	if ts, ok := e.stats[table]; ok {

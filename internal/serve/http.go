@@ -369,9 +369,9 @@ func (h *Handler) prepare(w http.ResponseWriter, r *http.Request) ([]*physical.P
 // sql.CanonicalKey — the key the fleet router routes on — and a repeated
 // text, in any keyword or identifier case and any spacing, costs one lex
 // and a lookup instead of parse, bind and enumerate. Requests for one text
-// then share plan objects, so each plan's Key is rendered once and the
-// Batcher can coalesce identical concurrent requests. Text the lexer
-// rejects has no key and goes to the Planner, whose error is the answer.
+// then share plan objects, so each plan's Key is rendered once. Text the
+// lexer rejects has no key and goes to the Planner, whose error is the
+// answer.
 // Errors and empty lists are never kept: a failing text is planned, and
 // answered 400, on every request.
 func (h *Handler) plan(query string) ([]*physical.Plan, error) {

@@ -12,8 +12,8 @@ import (
 
 // TestMain is the package's goroutine census: once every test has run and
 // torn down its servers, the goroutine count must return to what it was
-// before the first one. A batcher dispatch loop or flush that outlives
-// Server.Drain fails the package, whichever test started it.
+// before the first one. An abandoned estimator call or a connection that
+// outlives its test fails the package, whichever test started it.
 func TestMain(m *testing.M) {
 	baseline := runtime.NumGoroutine()
 	code := m.Run()

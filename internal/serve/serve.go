@@ -71,31 +71,14 @@ const (
 // Config wires a Server.
 type Config struct {
 	// Deep is the learned estimator. Nil means fallback-only serving
-	// (every answer comes from Fallback, untagged — it is the primary),
-	// unless micro-batching is enabled, in which case DeepEach is the
-	// deep path and Deep is unused.
+	// (every answer comes from Fallback, untagged — it is the primary).
 	Deep EstimateFunc
 	// DeepBatch optionally scores candidate sets in one call (one
 	// admission slot, one forward pass); nil falls back to looping Deep.
 	DeepBatch BatchEstimateFunc
-	// DeepEach optionally scores many independent (plan, resources)
-	// requests in one forward pass — the substrate micro-batching
-	// coalesces concurrent Estimate calls onto. Required when BatchMax
-	// enables batching.
-	DeepEach BatchRunFunc
 	// Fallback is the always-available analytical estimator (GPSJ). Nil
 	// disables degradation: deep failures surface as errors.
 	Fallback EstimateFunc
-
-	// BatchWindow and BatchMax enable dynamic micro-batching of the deep
-	// Estimate path: concurrent requests coalesce into one DeepEach call,
-	// flushed when BatchMax requests gather or BatchWindow elapses since
-	// the first. BatchMax <= 1 (or BatchWindow <= 0) disables batching —
-	// it is strictly opt-in. Batching needs Concurrency >= BatchMax to
-	// coalesce fully: each batched request still holds an admission slot
-	// while it waits, so the slot pool bounds the achievable batch size.
-	BatchWindow time.Duration
-	BatchMax    int
 
 	// Concurrency is the number of requests estimated at once
 	// (default GOMAXPROCS).
@@ -135,7 +118,6 @@ type Result struct {
 type Server struct {
 	cfg      Config
 	met      *Metrics // never nil; zero value is a no-op set
-	batcher  *Batcher // nil unless micro-batching is enabled
 	slots    chan struct{}
 	queued   atomic.Int64
 	reqIndex atomic.Uint64
@@ -145,11 +127,7 @@ type Server struct {
 
 // New validates cfg and builds a Server.
 func New(cfg Config) (*Server, error) {
-	batching := cfg.BatchMax > 1 && cfg.BatchWindow > 0
-	if batching && cfg.DeepEach == nil {
-		return nil, errors.New("serve: micro-batching (BatchMax > 1) requires DeepEach")
-	}
-	if cfg.Deep == nil && cfg.Fallback == nil && !batching {
+	if cfg.Deep == nil && cfg.Fallback == nil {
 		return nil, errors.New("serve: config needs at least one of Deep or Fallback")
 	}
 	if cfg.DeepBatch != nil && cfg.Deep == nil {
@@ -165,20 +143,7 @@ func New(cfg Config) (*Server, error) {
 	if met == nil {
 		met = &Metrics{} // nil fields: every observation is a no-op
 	}
-	s := &Server{cfg: cfg, met: met, slots: make(chan struct{}, cfg.Concurrency)}
-	if batching {
-		b, err := NewBatcher(BatcherConfig{
-			Run:     cfg.DeepEach,
-			Window:  cfg.BatchWindow,
-			MaxSize: cfg.BatchMax,
-			Metrics: met,
-		})
-		if err != nil {
-			return nil, err
-		}
-		s.batcher = b
-	}
-	return s, nil
+	return &Server{cfg: cfg, met: met, slots: make(chan struct{}, cfg.Concurrency)}, nil
 }
 
 // Ready reports whether the server accepts new requests.
@@ -198,27 +163,17 @@ func (s *Server) Saturated() bool {
 	return s.inflight.Load() >= int64(s.cfg.Concurrency)
 }
 
-// hasDeep reports whether any deep path exists: a plain Deep estimator,
-// or the micro-batching coalescer over DeepEach.
-func (s *Server) hasDeep() bool { return s.cfg.Deep != nil || s.batcher != nil }
-
 // Inflight returns the number of requests currently admitted.
 func (s *Server) Inflight() int { return int(s.inflight.Load()) }
 
 // Drain stops admitting requests and waits for in-flight ones to finish,
-// or for ctx to expire. In-flight requests parked in the micro-batching
-// window still flush normally (the window timer keeps running), and the
-// batcher itself is shut down once the last of them has delivered. Safe
-// to call more than once.
+// or for ctx to expire. Safe to call more than once.
 func (s *Server) Drain(ctx context.Context) error {
 	s.draining.Store(true)
 	tick := time.NewTicker(2 * time.Millisecond)
 	defer tick.Stop()
 	for {
 		if s.inflight.Load() == 0 {
-			if s.batcher != nil {
-				return s.batcher.Close(ctx)
-			}
 			return nil
 		}
 		select {
@@ -273,18 +228,11 @@ func (s *Server) admit(ctx context.Context) (func(), error) {
 }
 
 // Estimate prices one plan under res, applying the full robustness stack:
-// admission, deadline, panic isolation, and fallback degradation. With
-// micro-batching enabled, the deep call coalesces with concurrent
-// Estimate requests into one batched forward pass — per-request
-// semantics (deadline policy, fault injection, fallback) are unchanged.
+// admission, deadline, panic isolation, and fallback degradation.
 func (s *Server) Estimate(ctx context.Context, p *physical.Plan, res sparksim.Resources) (Result, error) {
-	deepOne := s.cfg.Deep
-	if s.batcher != nil {
-		deepOne = s.batcher.Estimate
-	}
 	preds, r, err := s.serve(ctx,
 		func(dctx context.Context) ([]float64, error) {
-			c, err := deepOne(dctx, p, res)
+			c, err := s.cfg.Deep(dctx, p, res)
 			return []float64{c}, err
 		},
 		func(fctx context.Context) ([]float64, error) {
@@ -309,21 +257,6 @@ func (s *Server) Select(ctx context.Context, plans []*physical.Plan, res sparksi
 	deep := func(dctx context.Context) ([]float64, error) {
 		if s.cfg.DeepBatch != nil {
 			preds, err := s.cfg.DeepBatch(dctx, plans, res)
-			if err == nil && len(preds) != len(plans) {
-				return nil, fmt.Errorf("%w: batch estimator returned %d prediction(s) for %d plan(s)",
-					ErrInternal, len(preds), len(plans))
-			}
-			return preds, err
-		}
-		if s.cfg.Deep == nil && s.cfg.DeepEach != nil {
-			// Batching-only server: the candidate set is already a batch,
-			// so score it in one DeepEach call (no coalescer detour — it
-			// holds one admission slot like DeepBatch would).
-			items := make([]BatchItem, len(plans))
-			for i, p := range plans {
-				items[i] = BatchItem{Plan: p, Res: res}
-			}
-			preds, err := s.cfg.DeepEach(dctx, items)
 			if err == nil && len(preds) != len(plans) {
 				return nil, fmt.Errorf("%w: batch estimator returned %d prediction(s) for %d plan(s)",
 					ErrInternal, len(preds), len(plans))
@@ -385,7 +318,7 @@ func (s *Server) serve(ctx context.Context, deep, fallback func(context.Context)
 	served := func() { s.met.PredictLatency.Observe(time.Since(start).Seconds()) }
 
 	// Fallback-only server: the analytical model is the primary.
-	if !s.hasDeep() {
+	if s.cfg.Deep == nil {
 		preds, err := s.guarded(ctx, 0, fallback)
 		if err != nil {
 			return nil, Result{}, err

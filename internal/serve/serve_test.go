@@ -45,8 +45,8 @@ func blockingEstimator(release <-chan struct{}) EstimateFunc {
 	}
 }
 
-// mustServer builds a server that is drained when the test ends, so a
-// batching one stops its dispatch loop (TestMain counts goroutines).
+// mustServer builds a server that is drained when the test ends, so no
+// admitted request outlives its test (TestMain counts goroutines).
 func mustServer(t *testing.T, cfg Config) *Server {
 	t.Helper()
 	s, err := New(cfg)
@@ -92,9 +92,23 @@ func TestFallbackOnlyServer(t *testing.T) {
 	}
 }
 
+// TestNewRejectsEmptyConfig: New refuses a config that leaves a request
+// with nothing to answer it, or a batch scorer with no single-plan twin.
 func TestNewRejectsEmptyConfig(t *testing.T) {
-	if _, err := New(Config{}); err == nil {
-		t.Fatal("config with no estimator should be rejected")
+	batch := func(context.Context, []*physical.Plan, sparksim.Resources) ([]float64, error) { return nil, nil }
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"no estimator", Config{}},
+		// With a Fallback, only the DeepBatch rule can refuse this one.
+		{"DeepBatch without Deep", Config{DeepBatch: batch, Fallback: constEstimator(1)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if _, err := New(tc.cfg); err == nil {
+				t.Fatal("config should be rejected")
+			}
+		})
 	}
 }
 

@@ -11,12 +11,7 @@ var (
 	endpointValues = []string{"estimate", "select"}
 	statusValues   = []string{"200", "400", "408", "413", "429", "500", "503", "504"}
 	faultKinds     = []string{"delay", "error", "panic"}
-	flushTriggers  = []string{"full", "window", "solo", "drain"}
 )
-
-// batchSizeBounds buckets coalesced batch sizes; the upper bound tracks
-// plausible BatchMax settings.
-var batchSizeBounds = []float64{1, 2, 4, 8, 16, 32, 64, 128}
 
 // Metrics is the serving layer's metric set, registered on one
 // telemetry.Registry. A nil or zero Metrics is valid and inert (every
@@ -46,21 +41,6 @@ type Metrics struct {
 	// PredictLatency observes the end-to-end estimation time of every
 	// successfully served request (deep or fallback), in seconds.
 	PredictLatency *telemetry.Histogram
-
-	// Micro-batching: BatchSize observes how many live requests each
-	// coalesced batch scored; BatchWait observes how long each request
-	// sat in the collection window; BatchFlushes counts batches by what
-	// flushed them (full / window / solo / drain — solo is a request
-	// dispatched immediately because no other caller was in flight);
-	// BatchBisects counts failing
-	// batches split in half to isolate a poisoned request; BatchDeduped
-	// counts requests answered by an identical in-flight batch-mate's
-	// computation (singleflight).
-	BatchSize    *telemetry.Histogram
-	BatchWait    *telemetry.Histogram
-	BatchFlushes *telemetry.CounterVec
-	BatchBisects *telemetry.Counter
-	BatchDeduped *telemetry.Counter
 
 	// HTTP front-end: requests and latency by endpoint, responses by
 	// status code.
@@ -96,16 +76,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Deterministically injected faults by kind.", "kind", faultKinds...),
 		PredictLatency: reg.NewHistogram("raal_serve_predict_seconds",
 			"End-to-end estimation latency of successfully served requests.", nil),
-		BatchSize: reg.NewHistogram("raal_serve_batch_size",
-			"Live requests per coalesced micro-batch.", batchSizeBounds),
-		BatchWait: reg.NewHistogram("raal_serve_batch_wait_seconds",
-			"Time each request spent waiting in the micro-batch collection window.", nil),
-		BatchFlushes: reg.NewCounterVec("raal_serve_batch_flushes_total",
-			"Micro-batches flushed, by trigger.", "trigger", flushTriggers...),
-		BatchBisects: reg.NewCounter("raal_serve_batch_bisects_total",
-			"Failing micro-batches bisected to isolate a poisoned request."),
-		BatchDeduped: reg.NewCounter("raal_serve_batch_deduped_total",
-			"Requests coalesced onto an identical in-flight batch-mate's computation (same plan object and resources)."),
 		Requests: reg.NewCounterVec("raal_serve_http_requests_total",
 			"HTTP estimation requests by endpoint.", "endpoint", endpointValues...),
 		Responses: reg.NewCounterVec("raal_serve_http_responses_total",

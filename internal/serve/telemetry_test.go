@@ -300,90 +300,6 @@ func TestHTTPRequestLogging(t *testing.T) {
 	}
 }
 
-// TestMetricsBatchingExposition is the batching-telemetry satellite: a
-// server with micro-batching enabled must expose the batch-size and
-// batch-wait histograms and the per-trigger flush counter on /metrics,
-// and a coalesced workload must provably move them.
-func TestMetricsBatchingExposition(t *testing.T) {
-	const k = 4
-	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg)
-	deepEach := func(_ context.Context, items []BatchItem) ([]float64, error) {
-		out := make([]float64, len(items))
-		for i := range items {
-			out[i] = 42
-		}
-		return out, nil
-	}
-	s := mustServer(t, Config{
-		DeepEach:    deepEach,
-		Concurrency: k,
-		BatchWindow: 20 * time.Millisecond,
-		BatchMax:    k,
-		Metrics:     met,
-	})
-	h, err := NewHandler(s, HTTPConfig{
-		Planner: stubPlanner(&physical.Plan{Sig: "p"}),
-		Metrics: met,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ts := httptest.NewServer(h)
-	defer ts.Close()
-
-	// One concurrent wave (flushed by the size cap, with any stragglers
-	// window- or solo-flushed) plus one lone request (solo-dispatched:
-	// no other caller in flight).
-	var wg sync.WaitGroup
-	for i := 0; i < k; i++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp, er, body := postEstimate(t, ts, "/estimate", `{"sql":"SELECT 1"}`)
-			if resp.StatusCode != 200 || er.CostSec != 42 {
-				t.Errorf("batched request failed: %d %s", resp.StatusCode, body)
-			}
-		}()
-	}
-	wg.Wait()
-	// Let the companion hysteresis lapse (one window) so the lone
-	// request below is provably alone and must solo-dispatch.
-	time.Sleep(3 * 20 * time.Millisecond)
-	resp, _, body := postEstimate(t, ts, "/estimate", `{"sql":"SELECT 1"}`)
-	if resp.StatusCode != 200 {
-		t.Fatalf("lone request failed: %d %s", resp.StatusCode, body)
-	}
-
-	page := scrape(t, ts)
-	promtest.Validate(t, page)
-	promtest.HistogramCumulative(t, page, "raal_serve_batch_size")
-	promtest.HistogramCumulative(t, page, "raal_serve_batch_wait_seconds")
-	// k+1 requests over at least 2 batches; every request waited.
-	if got := promtest.Value(t, page, "raal_serve_batch_size_sum", ""); got != k+1 {
-		t.Fatalf("batch size sum = %g, want %d\n%s", got, k+1, page)
-	}
-	batches := promtest.Value(t, page, "raal_serve_batch_size_count", "")
-	if batches < 2 {
-		t.Fatalf("batch count = %g, want >= 2", batches)
-	}
-	if got := promtest.Value(t, page, "raal_serve_batch_wait_seconds_count", ""); got != k+1 {
-		t.Fatalf("batch wait count = %g, want %d", got, k+1)
-	}
-	full := promtest.Value(t, page, "raal_serve_batch_flushes_total", `trigger="full"`)
-	window := promtest.Value(t, page, "raal_serve_batch_flushes_total", `trigger="window"`)
-	solo := promtest.Value(t, page, "raal_serve_batch_flushes_total", `trigger="solo"`)
-	if full+window+solo != batches {
-		t.Fatalf("flush triggers full=%g window=%g solo=%g do not cover %g batches", full, window, solo, batches)
-	}
-	if solo < 1 {
-		t.Fatalf("lone request should have solo-dispatched, solo=%g", solo)
-	}
-	if got := promtest.Value(t, page, "raal_serve_batch_bisects_total", ""); got != 0 {
-		t.Fatalf("healthy workload bisected %g times", got)
-	}
-}
-
 // TestMetricsEndpointAbsentWithoutRegistry: a handler wired without
 // metrics must 404 /metrics rather than exposing an empty page.
 func TestMetricsEndpointAbsentWithoutRegistry(t *testing.T) {

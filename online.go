@@ -199,12 +199,6 @@ func (o *OnlineServing) EstimateBatchCtx(ctx context.Context, plans []*Plan, res
 	return o.cm.estimateBatch(ctx, o.gen(), plans, res)
 }
 
-// EstimateEachCtx prices many independent (plan, resources) pairs in one
-// forward pass of the current champion — the micro-batching backend.
-func (o *OnlineServing) EstimateEachCtx(ctx context.Context, plans []*Plan, res []Resources, _ PredictOpts) ([]float64, error) {
-	return o.cm.estimateEach(ctx, o.gen(), plans, res)
-}
-
 // Feedback ingests one observed outcome: the plan and allocation that
 // were served, the prediction that was returned, and the execution time
 // then actually observed. This is the loop's only learning input; call

@@ -2,7 +2,6 @@ package raal
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
 	"math"
 	"net/http"
@@ -10,7 +9,6 @@ import (
 	"strings"
 	"sync"
 	"testing"
-	"time"
 
 	"raal/internal/physical"
 	"raal/internal/serve"
@@ -163,11 +161,9 @@ func newReplica(t *testing.T, cfg serve.Config) *replica {
 	r.cm.EnableEncodeCache(64)
 	r.met = serve.NewMetrics(NewMetricsRegistry())
 	cfg.Metrics = r.met
-	if cfg.DeepEach == nil {
-		cfg.Deep = r.cm.EstimateCtx
-		cfg.DeepBatch = func(ctx context.Context, plans []*physical.Plan, res sparksim.Resources) ([]float64, error) {
-			return r.cm.EstimateBatchCtx(ctx, plans, res, PredictOpts{})
-		}
+	cfg.Deep = r.cm.EstimateCtx
+	cfg.DeepBatch = func(ctx context.Context, plans []*physical.Plan, res sparksim.Resources) ([]float64, error) {
+		return r.cm.EstimateBatchCtx(ctx, plans, res, PredictOpts{})
 	}
 	srv, err := serve.New(cfg)
 	if err != nil {
@@ -343,68 +339,5 @@ func TestSharedFreshPlansConcurrentEstimates(t *testing.T) {
 		if math.Float64bits(c) != math.Float64bits(want[i%len(plans)]) {
 			t.Fatalf("estimate %d of plan %d: %v, want %v", i, i%len(plans), c, want[i%len(plans)])
 		}
-	}
-}
-
-// TestBatcherDedupsBehindHandler: with micro-batching on, concurrent
-// identical /estimate requests resolve to the one plan object the handler
-// keeps for their SQL, so the Batcher's pointer-keyed singleflight fires
-// (raal_serve_batch_deduped_total rises), and every answer is bit-equal to
-// a solo CostModel.Estimate of a freshly planned copy.
-func TestBatcherDedupsBehindHandler(t *testing.T) {
-	sys, _, _ := sharedSystem(t)
-	var r *replica
-	r = newReplica(t, serve.Config{
-		DeepEach: func(ctx context.Context, items []serve.BatchItem) ([]float64, error) {
-			plans := make([]*Plan, len(items))
-			res := make([]Resources, len(items))
-			for i, it := range items {
-				plans[i], res[i] = it.Plan, it.Res
-			}
-			return r.cm.EstimateEachCtx(ctx, plans, res, PredictOpts{})
-		},
-		BatchWindow: 50 * time.Millisecond,
-		BatchMax:    8,
-		Concurrency: 8,
-		QueueDepth:  64,
-	})
-	const q = `SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id AND mc.company_id < 50`
-	plans, err := sys.Plan(q)
-	if err != nil {
-		t.Fatal(err)
-	}
-	solo := r.cm.Estimate(plans[0], DefaultResources())
-	req := fmt.Sprintf(`{"sql":%q}`, q)
-	if code, b := r.post("/estimate", req); code != http.StatusOK { // fills the plan entry
-		t.Fatalf("warm-up: %d %s", code, b)
-	}
-
-	for round := 0; round < 40 && r.met.BatchDeduped.Value() == 0; round++ {
-		start := make(chan struct{})
-		var wg sync.WaitGroup
-		for i := 0; i < 8; i++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				<-start
-				code, b := r.post("/estimate", req)
-				var er serve.EstimateResponse
-				if err := json.Unmarshal([]byte(b), &er); err != nil || code != http.StatusOK {
-					t.Errorf("status %d body %s: %v", code, b, err)
-					return
-				}
-				if er.Source != "model" || math.Float64bits(er.CostSec) != math.Float64bits(solo) {
-					t.Errorf("batched answer %v from %s, want the solo estimate %v", er.CostSec, er.Source, solo)
-				}
-			}()
-		}
-		close(start)
-		wg.Wait()
-		if t.Failed() {
-			return
-		}
-	}
-	if r.met.BatchDeduped.Value() == 0 {
-		t.Fatal("40 rounds of 8 identical concurrent requests never deduplicated a batch member")
 	}
 }

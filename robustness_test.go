@@ -173,8 +173,8 @@ func TestEstimateBatchCtxDeadline(t *testing.T) {
 	}
 }
 
-// TestEstimateEachCtx: the micro-batching substrate prices each
-// (plan, resources) pair exactly as EstimateCtx would price it alone,
+// TestEstimateEachCtx: EstimateEachCtx prices each (plan, resources)
+// pair exactly as EstimateCtx would price it alone,
 // honours cancellation, and rejects mismatched slice lengths.
 func TestEstimateEachCtx(t *testing.T) {
 	sys, _, cm := sharedSystem(t)
@@ -182,7 +182,7 @@ func TestEstimateEachCtx(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Distinct allocations per batch member, as concurrent requests carry.
+	// Distinct allocations per batch member.
 	var batch []*Plan
 	var res []Resources
 	for i, ex := range []int{1, 2, 4, 8} {
