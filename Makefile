@@ -140,16 +140,18 @@ cover:
 # on special values; every candidate plan's statements and key, held
 # to the fmt-based reference renderer on a tiny catalog; the fused,
 # recorded LSTM cell, held to the op chain it replaced in values and
-# gradients, bit for bit, on special values; and the ragged LSTM
+# gradients, bit for bit, on special values; the ragged LSTM
 # recurrence, held to itself run padded in hidden states and weight
-# gradients, bit for bit, on random lengths; and the cost-model and
+# gradients, bit for bit, on random lengths; word2vec training, held to
+# one-sample-at-a-time SGD in both embedding matrices, bit for bit, on
+# random small corpora and widths; and the cost-model and
 # checkpoint loaders, which must refuse any byte sequence with an error or
 # return a model that prices a fixed plan without panicking (the seed corpora
 # plus any committed inputs also replay under plain `go test`). Targets are
 # <package>:<FuzzName>. go test fuzzes one target per run, so the targets
 # share FUZZTIME (whole seconds) equally, one after the other.
 FUZZTIME ?= 25s
-FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul ./internal/physical:FuzzStatements ./internal/fleet:FuzzReplicaResponse ./internal/nn:FuzzLSTMCell ./internal/nn:FuzzRaggedLSTM .:FuzzLoadCostModel
+FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul ./internal/physical:FuzzStatements ./internal/fleet:FuzzReplicaResponse ./internal/nn:FuzzLSTMCell ./internal/nn:FuzzRaggedLSTM ./internal/word2vec:FuzzWord2Vec .:FuzzLoadCostModel
 fuzz:
 	total=$(FUZZTIME); each=$$(( $${total%s} / $(words $(FUZZ_TARGETS)) )); \
 	for target in $(FUZZ_TARGETS); do \

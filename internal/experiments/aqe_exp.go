@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"raal/internal/cardest"
 	"raal/internal/core"
 	"raal/internal/encode"
 	"raal/internal/engine"
@@ -37,11 +36,7 @@ func AQE(lab *Lab) (*AQEResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	est, err := cardest.New(lab.DB, 32, 16)
-	if err != nil {
-		return nil, err
-	}
-	planner := physical.NewPlanner(est)
+	planner := physical.NewPlanner(lab.Dataset.Est)
 	binder := logical.NewBinder(lab.DB)
 	eng := engine.New(lab.DB)
 	eng.MaxRows = 2_000_000

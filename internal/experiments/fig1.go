@@ -4,7 +4,6 @@ import (
 	"context"
 	"io"
 
-	"raal/internal/cardest"
 	"raal/internal/core"
 	"raal/internal/encode"
 	"raal/internal/engine"
@@ -42,11 +41,7 @@ func Fig1(lab *Lab) (*Fig1Result, error) {
 
 // Fig1WithModel runs the comparison with an already-trained model.
 func Fig1WithModel(lab *Lab, model *core.Model) (*Fig1Result, error) {
-	est, err := cardest.New(lab.DB, 32, 16)
-	if err != nil {
-		return nil, err
-	}
-	planner := physical.NewPlanner(est)
+	planner := physical.NewPlanner(lab.Dataset.Est)
 	binder := logical.NewBinder(lab.DB)
 	eng := engine.New(lab.DB)
 	eng.MaxRows = 2_000_000
@@ -54,6 +49,7 @@ func Fig1WithModel(lab *Lab, model *core.Model) (*Fig1Result, error) {
 	sim.Seed = lab.Opt.Seed
 
 	var gen *workload.Generator
+	var err error
 	if lab.Opt.Bench == "tpch" {
 		gen, err = workload.NewTPCHGenerator(lab.DB, lab.Opt.Seed+101)
 	} else {

@@ -12,7 +12,10 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
+
+	"raal/internal/tensor"
 )
 
 // Config controls training.
@@ -38,12 +41,40 @@ type Model struct {
 	Vocab map[string]int
 	Words []string
 	In    [][]float64 // input embeddings — the vectors served to callers
-	out   [][]float64 // context embeddings, training-only
 }
 
 // Train learns embeddings from tokenized sentences. It returns an error if
 // the corpus is empty after MinCount filtering or the config is invalid.
+//
+// Training is sequential SGD over (center, context) pairs. Each pair's
+// step is computed in an order that gives the same bits as applying its
+// positive and negative samples one by one (DESIGN §5y): see pair.
 func Train(sentences [][]string, cfg Config) (*Model, error) {
+	t, err := newTrainer(sentences, cfg)
+	if err != nil {
+		return nil, err
+	}
+	t.run(t.pair)
+	return t.m, nil
+}
+
+// trainer is the state of one Train call.
+type trainer struct {
+	cfg     Config
+	m       *Model
+	in, out []float64 // input and context embeddings, one Dim-long row per word; m.In are views of in
+	table   []int32   // unigram^0.75 negative-sampling table
+	tokens  []int32   // the word ids of every trainable sentence, back to back
+	ends    []int     // sentence i is tokens[ends[i-1]:ends[i]]
+	rng     *rand.Rand
+
+	// Scratch for one pair, allocated once.
+	grad, dots []float64
+	rows       []int32 // the pair's output rows: its context word, then its kept negatives
+	sig        tensor.Matrix
+}
+
+func newTrainer(sentences [][]string, cfg Config) (*trainer, error) {
 	if cfg.Dim <= 0 || cfg.Window <= 0 || cfg.Epochs <= 0 || cfg.LR <= 0 {
 		return nil, fmt.Errorf("word2vec: invalid config %+v", cfg)
 	}
@@ -55,12 +86,14 @@ func Train(sentences [][]string, cfg Config) (*Model, error) {
 	}
 
 	counts := map[string]int{}
+	ntok := 0
 	for _, s := range sentences {
 		for _, w := range s {
 			counts[w]++
 		}
+		ntok += len(s)
 	}
-	var words []string
+	words := make([]string, 0, len(counts))
 	for w, c := range counts {
 		if c >= cfg.MinCount {
 			words = append(words, w)
@@ -75,21 +108,28 @@ func Train(sentences [][]string, cfg Config) (*Model, error) {
 		vocab[w] = i
 	}
 
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Model{Dim: cfg.Dim, Vocab: vocab, Words: words}
-	m.In = make([][]float64, len(words))
-	m.out = make([][]float64, len(words))
+	dim := cfg.Dim
+	t := &trainer{
+		cfg:    cfg,
+		m:      &Model{Dim: dim, Vocab: vocab, Words: words, In: make([][]float64, len(words))},
+		in:     make([]float64, len(words)*dim),
+		out:    make([]float64, len(words)*dim),
+		table:  make([]int32, 1<<cfg.TableBits),
+		tokens: make([]int32, 0, ntok),
+		ends:   make([]int, 0, len(sentences)),
+		rng:    rand.New(rand.NewSource(cfg.Seed)),
+		grad:   make([]float64, dim),
+		dots:   make([]float64, (cfg.Negatives+4)&^3), // 1+Negatives, rounded up to whole vectors
+		rows:   make([]int32, 0, 1+cfg.Negatives),
+	}
 	for i := range words {
-		m.In[i] = make([]float64, cfg.Dim)
-		m.out[i] = make([]float64, cfg.Dim)
-		for d := range m.In[i] {
-			m.In[i][d] = (rng.Float64() - 0.5) / float64(cfg.Dim)
-		}
+		t.m.In[i] = t.in[i*dim : (i+1)*dim : (i+1)*dim]
+	}
+	for i := range t.in {
+		t.in[i] = (t.rng.Float64() - 0.5) / float64(dim)
 	}
 
 	// Unigram^0.75 negative-sampling table.
-	tableSize := 1 << cfg.TableBits
-	table := make([]int, tableSize)
 	var total float64
 	pow := make([]float64, len(words))
 	for i, w := range words {
@@ -97,92 +137,112 @@ func Train(sentences [][]string, cfg Config) (*Model, error) {
 		total += pow[i]
 	}
 	idx, cum := 0, pow[0]/total
-	for i := range table {
-		table[i] = idx
-		if float64(i)/float64(tableSize) > cum && idx < len(words)-1 {
+	for i := range t.table {
+		t.table[i] = int32(idx)
+		if float64(i)/float64(len(t.table)) > cum && idx < len(words)-1 {
 			idx++
 			cum += pow[idx] / total
 		}
 	}
 
-	// Encode sentences once.
-	encoded := make([][]int, 0, len(sentences))
+	// Encode sentences once, dropping those left with fewer than two words.
 	for _, s := range sentences {
-		var enc []int
+		start := len(t.tokens)
 		for _, w := range s {
 			if id, ok := vocab[w]; ok {
-				enc = append(enc, id)
+				t.tokens = append(t.tokens, int32(id))
 			}
 		}
-		if len(enc) > 1 {
-			encoded = append(encoded, enc)
+		if len(t.tokens)-start > 1 {
+			t.ends = append(t.ends, len(t.tokens))
+		} else {
+			t.tokens = t.tokens[:start]
 		}
 	}
-	if len(encoded) == 0 {
+	if len(t.ends) == 0 {
 		return nil, fmt.Errorf("word2vec: no trainable sentences after filtering")
 	}
+	return t, nil
+}
 
-	grad := make([]float64, cfg.Dim)
-	totalSteps := cfg.Epochs * len(encoded)
-	step := 0
+// run calls step on every (center, context) pair of every epoch, in order,
+// with the linearly decayed learning rate of the pair's sentence.
+func (t *trainer) run(step func(center, ctx int32, lr float64)) {
+	cfg := t.cfg
+	totalSteps := cfg.Epochs * len(t.ends)
+	n := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
-		for _, sent := range encoded {
-			lr := cfg.LR * (1 - float64(step)/float64(totalSteps+1))
+		start := 0
+		for _, end := range t.ends {
+			sent := t.tokens[start:end]
+			start = end
+			lr := cfg.LR * (1 - float64(n)/float64(totalSteps+1))
 			if lr < cfg.LR*0.0001 {
 				lr = cfg.LR * 0.0001
 			}
-			step++
+			n++
 			for pos, center := range sent {
-				lo := pos - cfg.Window
-				if lo < 0 {
-					lo = 0
-				}
-				hi := pos + cfg.Window + 1
-				if hi > len(sent) {
-					hi = len(sent)
-				}
+				lo := max(pos-cfg.Window, 0)
+				hi := min(pos+cfg.Window+1, len(sent))
 				for cpos := lo; cpos < hi; cpos++ {
-					if cpos == pos {
-						continue
-					}
-					ctx := sent[cpos]
-					vin := m.In[center]
-					for d := range grad {
-						grad[d] = 0
-					}
-					// positive pair
-					m.trainPair(vin, m.out[ctx], 1, lr, grad)
-					// negatives
-					for n := 0; n < cfg.Negatives; n++ {
-						neg := table[rng.Intn(tableSize)]
-						if neg == ctx {
-							continue
-						}
-						m.trainPair(vin, m.out[neg], 0, lr, grad)
-					}
-					for d := range vin {
-						vin[d] += grad[d]
+					if cpos != pos {
+						step(center, sent[cpos], lr)
 					}
 				}
 			}
 		}
 	}
-	return m, nil
 }
 
-// trainPair applies one SGNS update: label 1 for a positive pair, 0 for a
-// negative sample. The input-vector gradient is accumulated into grad so
-// the caller can apply it once per context.
-func (m *Model) trainPair(vin, vout []float64, label, lr float64, grad []float64) {
-	var dot float64
-	for d := range vin {
-		dot += vin[d] * vout[d]
+// row returns word id's row of emb (t.in or t.out).
+func (t *trainer) row(emb []float64, id int32) []float64 {
+	d := t.cfg.Dim
+	return emb[int(id)*d:][:d]
+}
+
+// pair applies one SGNS step: label 1 for the context word's output row,
+// 0 for each negative sample's, the input-vector gradient accumulated over
+// all of them and applied at the end. Sequentially, each sample reads its
+// row, takes a sigmoid and updates the row before the next sample reads
+// anything. Only a sample whose row an earlier sample of the pair updated
+// depends on that order, so pair draws the negatives first (the RNG never
+// depends on a value), cuts the rows into runs with no repeated row, and
+// per run takes every dot from the rows as they stand, every sigmoid in one
+// vector call, and then the updates in the original order. Every sum and
+// rounding is the sequential one, so the bits are too.
+func (t *trainer) pair(center, ctx int32, lr float64) {
+	vin := t.row(t.in, center)
+	clear(t.grad)
+	rows := append(t.rows[:0], ctx)
+	for n := 0; n < t.cfg.Negatives; n++ {
+		if neg := t.table[t.rng.Intn(len(t.table))]; neg != ctx {
+			rows = append(rows, neg)
+		}
 	}
-	pred := 1 / (1 + math.Exp(-dot))
-	g := lr * (label - pred)
+	for start := 0; start < len(rows); {
+		end := start + 1
+		for end < len(rows) && !slices.Contains(rows[start:end], rows[end]) {
+			end++
+		}
+		run := rows[start:end]
+		tensor.DotRowsInto(t.dots, vin, t.out, run)
+		// Whole 4-lane vectors, which the SIMD sigmoid takes in one go; the
+		// lanes past the run are ignored.
+		k := (len(run) + 3) &^ 3
+		t.sig = tensor.Matrix{Rows: 1, Cols: k, Data: t.dots[:k]}
+		tensor.SigmoidInto(&t.sig, &t.sig)
+		for i := range run {
+			label := 0.0
+			if start+i == 0 {
+				label = 1
+			}
+			t.dots[i] = lr * (label - t.dots[i]) // the row's coefficient
+		}
+		tensor.AxpyRows(t.grad, vin, t.out, run, t.dots)
+		start = end
+	}
 	for d := range vin {
-		grad[d] += g * vout[d]
-		vout[d] += g * vin[d]
+		vin[d] += t.grad[d]
 	}
 }
 

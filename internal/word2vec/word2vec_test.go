@@ -1,8 +1,11 @@
 package word2vec
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"os"
+	"strings"
 	"testing"
 )
 
@@ -191,6 +194,141 @@ func TestSimilarityRange(t *testing.T) {
 			if s < -1.0000001 || s > 1.0000001 {
 				t.Fatalf("similarity(%q,%q)=%v outside [-1,1]", a, b, s)
 			}
+		}
+	}
+}
+
+// loadCorpus reads testdata/corpus1000.txt: the tokenised statements the
+// encoder trains on in offline corpus 1000 of the benchmark (IMDB at scale
+// 0.05 and seed 1, 12 queries of collection seed 1000, 3 plans each: 26
+// plans, 403 statements), one statement per line, tokens separated by
+// spaces, as encode.Tokenize returns them.
+func loadCorpus(tb testing.TB) [][]string {
+	data, err := os.ReadFile("testdata/corpus1000.txt")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	lines := strings.Split(strings.TrimSuffix(string(data), "\n"), "\n")
+	out := make([][]string, len(lines))
+	for i, l := range lines {
+		out[i] = strings.Fields(l)
+	}
+	return out
+}
+
+// fitConfig is the config the encoder fits with (encode.DefaultConfig).
+func fitConfig() Config {
+	cfg := DefaultConfig()
+	cfg.Dim = 16
+	return cfg
+}
+
+// checkMatchesOracle trains on sentences with trainer.pair, as Train does,
+// and with the sequential oracle, and fails unless both give the same
+// error, or the same bits in every input and output embedding.
+func checkMatchesOracle(t *testing.T, sentences [][]string, cfg Config) {
+	t.Helper()
+	fast, err := newTrainer(sentences, cfg)
+	want, werr := trainOracle(sentences, cfg)
+	if (err == nil) != (werr == nil) {
+		t.Fatalf("cfg %+v: newTrainer error %v, oracle error %v", cfg, err, werr)
+	}
+	if err != nil {
+		return
+	}
+	fast.run(fast.pair)
+	for _, c := range []struct {
+		name      string
+		got, want []float64
+	}{{"In", fast.in, want.in}, {"out", fast.out, want.out}} {
+		for i := range c.want {
+			if math.Float64bits(c.got[i]) != math.Float64bits(c.want[i]) {
+				t.Fatalf("cfg %+v: %s[%d][%d] = %v, oracle %v", cfg, c.name, i/cfg.Dim, i%cfg.Dim, c.got[i], c.want[i])
+			}
+		}
+	}
+}
+
+// TestTrainMatchesOracle holds Train to one-sample-at-a-time SGD on the
+// benchmark's corpus and on 40 random small ones: vocabularies of 1 to 12
+// words (so rows repeat within a pair), widths 1 to 33, every window and
+// negative count, and tables small enough that a negative often equals the
+// context word.
+func TestTrainMatchesOracle(t *testing.T) {
+	checkMatchesOracle(t, loadCorpus(t), fitConfig())
+	rng := rand.New(rand.NewSource(11))
+	for trial := 0; trial < 40; trial++ {
+		v := 1 + rng.Intn(12)
+		corpus := make([][]string, 1+rng.Intn(30))
+		for i := range corpus {
+			corpus[i] = make([]string, rng.Intn(12))
+			for j := range corpus[i] {
+				corpus[i][j] = fmt.Sprint("w", rng.Intn(v))
+			}
+		}
+		cfg := Config{
+			Dim: 1 + rng.Intn(33), Window: 1 + rng.Intn(5), Negatives: 1 + rng.Intn(8),
+			Epochs: 1 + rng.Intn(3), LR: 0.05, MinCount: 1 + rng.Intn(3),
+			Seed: rng.Int63(), TableBits: 1 + rng.Intn(12),
+		}
+		checkMatchesOracle(t, corpus, cfg)
+	}
+}
+
+// FuzzWord2Vec is TestTrainMatchesOracle on fuzzed corpora. The first
+// seven bytes give the vocabulary size (1 to 8 words), Dim (1 to 33),
+// Negatives (1 to 8), Window (1 to 5), MinCount (1 to 3), TableBits (1 to
+// 12) with Epochs (1 to 3), and the seed; each byte after them is a word,
+// or a sentence break when its top three bits are set.
+func FuzzWord2Vec(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		if len(data) < 7 {
+			return
+		}
+		v := 1 + int(data[0])%8
+		cfg := Config{
+			Dim: 1 + int(data[1])%33, Negatives: 1 + int(data[2])%8, Window: 1 + int(data[3])%5,
+			MinCount: 1 + int(data[4])%3, TableBits: 1 + int(data[5]&15)%12, Epochs: 1 + int(data[5]>>4)%3,
+			LR: 0.05, Seed: int64(data[6]),
+		}
+		corpus := [][]string{nil}
+		for _, b := range data[7:] {
+			if b>>5 == 7 {
+				corpus = append(corpus, nil)
+				continue
+			}
+			last := len(corpus) - 1
+			corpus[last] = append(corpus[last], fmt.Sprint("w", int(b)%v))
+		}
+		checkMatchesOracle(t, corpus, cfg)
+	})
+}
+
+// TestTrainAllocs bounds Train's allocations on the benchmark's corpus:
+// the sentences are encoded into one flat slice, the embeddings are one
+// slice each and the per-pair scratch is allocated once per call. It made
+// 1,674 allocations, one slice per sentence and per row among them; it
+// makes 28: one per buffer, and the growth of the vocabulary's maps.
+func TestTrainAllocs(t *testing.T) {
+	corpus, cfg := loadCorpus(t), fitConfig()
+	const bound = 40
+	if n := testing.AllocsPerRun(3, func() {
+		if _, err := Train(corpus, cfg); err != nil {
+			t.Fatal(err)
+		}
+	}); n > bound {
+		t.Fatalf("Train made %v allocations on testdata/corpus1000.txt, want at most %d", n, bound)
+	}
+}
+
+// BenchmarkTrain fits the encoder's word2vec on the benchmark's corpus.
+func BenchmarkTrain(b *testing.B) {
+	corpus, cfg := loadCorpus(b), fitConfig()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := Train(corpus, cfg); err != nil {
+			b.Fatal(err)
 		}
 	}
 }

@@ -104,7 +104,22 @@ type planned struct {
 // concurrency-clean; (3) resource draws and simulator pricing replay
 // sequentially in query order, preserving the shared rng's consumption
 // order exactly as the old serial loop did.
+//
+// Collect builds the statistics of db for this call alone (32 histogram
+// buckets, 16 common values); a caller that collects more than once passes
+// its own estimator to CollectWith instead.
 func Collect(db *catalog.Database, gen *Generator, cfg CollectConfig) (*Dataset, error) {
+	est, err := cardest.New(db, 32, 16)
+	if err != nil {
+		return nil, err
+	}
+	return CollectWith(est, gen, cfg)
+}
+
+// CollectWith is Collect over est's database, planned with est. It only
+// reads est, so one estimator serves any number of calls, concurrent ones
+// included.
+func CollectWith(est *cardest.Estimator, gen *Generator, cfg CollectConfig) (*Dataset, error) {
 	if cfg.NumQueries <= 0 {
 		return nil, fmt.Errorf("workload: NumQueries must be positive")
 	}
@@ -114,10 +129,7 @@ func Collect(db *catalog.Database, gen *Generator, cfg CollectConfig) (*Dataset,
 	if cfg.ResStatesPerPlan <= 0 {
 		cfg.ResStatesPerPlan = 1
 	}
-	est, err := cardest.New(db, 32, 16)
-	if err != nil {
-		return nil, err
-	}
+	db := est.DB()
 	planner := physical.NewPlanner(est)
 	eng := engine.New(db)
 	eng.MaxRows = cfg.MaxEngineRows

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"raal/internal/cardest"
 	"raal/internal/datagen"
 	"raal/internal/sparksim"
 )
@@ -93,6 +94,37 @@ func TestCollectWorkerCountInvariantFixedRes(t *testing.T) {
 		a, b := par.Records[i], serial.Records[i]
 		if a.QueryID != b.QueryID || a.Plan.Sig != b.Plan.Sig || a.CostSec != b.CostSec {
 			t.Fatalf("record %d differs: %+v vs %+v", i, a, b)
+		}
+	}
+}
+
+// TestCollectWithSharedEstimator collects through one estimator twice, as
+// a System does on every Collect, and checks both datasets against
+// Collect's own-estimator run: sharing the statistics changes nothing.
+func TestCollectWithSharedEstimator(t *testing.T) {
+	db := datagen.IMDB(0.02, 1)
+	est, err := cardest.New(db, 32, 16)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := DefaultCollectConfig()
+	cfg.NumQueries, cfg.ResStatesPerPlan = 20, 2
+	collect := func(f func(*Generator) (*Dataset, error)) uint64 {
+		t.Helper()
+		g, err := NewIMDBGenerator(db, cfg.Seed)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ds, err := f(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return digestDataset(ds)
+	}
+	want := collect(func(g *Generator) (*Dataset, error) { return Collect(db, g, cfg) })
+	for run := 0; run < 2; run++ {
+		if got := collect(func(g *Generator) (*Dataset, error) { return CollectWith(est, g, cfg) }); got != want {
+			t.Fatalf("run %d through the shared estimator: digest %#x, Collect's own %#x", run, got, want)
 		}
 	}
 }

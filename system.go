@@ -190,7 +190,7 @@ func (s *System) Collect(opt CollectOptions) (*Dataset, error) {
 	if err != nil {
 		return nil, err
 	}
-	return workload.Collect(s.db, gen, cfg)
+	return workload.CollectWith(s.est, gen, cfg)
 }
 
 // SelectPlan uses a trained cost model to choose the cheapest candidate
