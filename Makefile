@@ -19,7 +19,9 @@ test: build
 # (data-parallel training/inference, the serving layer, the telemetry
 # registry, and the numeric stack), plus the public API. internal/core
 # includes TestParallelTrainRaceSmoke, which trains with Workers=4 so
-# shard-parallel backward passes are exercised under the detector;
+# shard-parallel backward passes are exercised under the detector, and
+# internal/autodiff TestLeafGradientInTapeOrder, whose Backward applies
+# leaf gradients on a second goroutine beside the walk;
 # internal/serve includes TestConcurrentRequestsRaceClean;
 # internal/telemetry includes concurrent writer/scraper tests;
 # internal/fleet includes the chaos suite (hedged requests racing

@@ -48,6 +48,8 @@ package autodiff
 
 import (
 	"fmt"
+	"slices"
+	"sync"
 	"unsafe"
 
 	"raal/internal/tensor"
@@ -205,12 +207,21 @@ type Tape[T tensor.Float] struct {
 	auxMask [][]bool         // row/element masks (mean, dropout)
 	auxMat  []*tensor.Mat[T] // matrices a record keeps: MSE targets, LSTM tanh(c′)
 
-	// scratch is the single backward temporary: every backward step that
-	// needs an intermediate product uses it exclusively and consumes it
-	// before the next step runs, so one grow-only buffer serves the whole
-	// walk.
-	scratch    []T
-	scratchHdr tensor.Mat[T]
+	// scratch is the walk's single backward temporary and leafScratch the
+	// leaf worker's: every backward step that needs an intermediate product
+	// uses its side's buffer exclusively and consumes it before that side's
+	// next step runs, so one grow-only buffer serves each side.
+	scratch, leafScratch scratch[T]
+
+	// The leaf worker of a Backward (backward.go): its job queue of record
+	// indices, reused across passes, and the transposed leaf weights of the
+	// pass, indexed like leaves.
+	leafJobs  chan int32
+	leafRun   func() // drainLeafJobs, bound once so starting it allocates nothing
+	leafBusy  bool
+	leafWG    sync.WaitGroup
+	leafPanic any
+	leafT     []leafTranspose[T]
 
 	ints []int // NewInts loans, rewound by Reset
 
@@ -308,13 +319,18 @@ func (t *Tape[T]) newVar(val *tensor.Mat[T]) *Var[T] {
 }
 
 // ref encodes operand v for storage in a record: tape Vars are their slab
-// index, leaves are registered in the leaf table and encoded as −(i+1).
+// index, leaves are registered once in the leaf table and encoded as
+// −(i+1).
 func (t *Tape[T]) ref(v *Var[T]) int32 {
 	if v.idx != leafIdx {
 		return v.idx
 	}
-	t.leaves = append(t.leaves, v)
-	return int32(-len(t.leaves))
+	i := slices.Index(t.leaves, v)
+	if i < 0 {
+		i = len(t.leaves)
+		t.leaves = append(t.leaves, v)
+	}
+	return int32(-1 - i)
 }
 
 // at resolves a record operand reference back to its Var.
@@ -340,24 +356,28 @@ func (t *Tape[T]) gradOf(v *Var[T]) *tensor.Mat[T] {
 	return v.Grad
 }
 
-// gradIf is gradOf for an operand that tracks gradients, nil for one
-// that does not.
-func (t *Tape[T]) gradIf(v *Var[T]) *tensor.Mat[T] {
-	if !v.needsGrad {
-		return nil
-	}
-	return t.gradOf(v)
+// scratch is a grow-only backward temporary.
+type scratch[T tensor.Float] struct {
+	buf []T
+	hdr tensor.Mat[T]
 }
 
-// tmpMat returns the tape's backward scratch sized rows×cols, contents
-// unspecified. Valid only until the next tmpMat call.
-func (t *Tape[T]) tmpMat(rows, cols int) *tensor.Mat[T] {
+// mat returns the scratch sized rows×cols, contents unspecified. Valid only
+// until the next mat call.
+func (s *scratch[T]) mat(rows, cols int) *tensor.Mat[T] {
 	n := rows * cols
-	if cap(t.scratch) < n {
-		t.scratch = make([]T, n)
+	if cap(s.buf) < n {
+		s.buf = make([]T, n)
 	}
-	t.scratchHdr = tensor.Mat[T]{Rows: rows, Cols: cols, Data: t.scratch[:n]}
-	return &t.scratchHdr
+	s.hdr = tensor.Mat[T]{Rows: rows, Cols: cols, Data: s.buf[:n]}
+	return &s.hdr
+}
+
+// leafTranspose is one leaf's transposed weights in a Backward: m, once
+// done, is Wᵀ in the arena, or nil for a W that is not finite.
+type leafTranspose[T tensor.Float] struct {
+	m    *tensor.Mat[T]
+	done bool
 }
 
 // Param registers m as a trainable leaf: its gradient is accumulated into

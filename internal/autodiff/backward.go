@@ -2,92 +2,212 @@ package autodiff
 
 import (
 	"fmt"
+	"slices"
 
 	"raal/internal/tensor"
 )
 
 // Backward seeds root's gradient with 1 (root must be 1×1) and propagates
 // gradients through every recorded operation in reverse order.
+//
+// The walk carries the gradients of tape Vars down the tape; every
+// contribution to a leaf (Param) gradient is handed, in walk order, to one
+// worker goroutine that applies them while the walk goes on (DESIGN §5z).
+// A record's output gradient is final once the walk reaches it and no
+// value changes during the walk, so each leaf receives the same
+// contributions in the same order as a walk that applied them itself, bit
+// for bit. A tape with no leaf operand starts no worker, and the worker
+// has finished when Backward returns.
 func (t *Tape[T]) Backward(root *Var[T]) {
 	if root.Value.Rows != 1 || root.Value.Cols != 1 {
 		panic(fmt.Sprintf("autodiff: Backward root must be 1x1, got %dx%d", root.Value.Rows, root.Value.Cols))
 	}
 	t.gradOf(root).Data[0] = 1
+	t.leafT = slices.Grow(t.leafT[:0], len(t.leaves))[:len(t.leaves)]
+	clear(t.leafT)
+	defer t.stopLeafWorker()
 	for i := len(t.recs) - 1; i >= 0; i-- {
-		t.step(&t.recs[i])
+		r := &t.recs[i]
+		if t.at(r.out).Grad == nil {
+			// No downstream consumer contributed, as the closure tape's
+			// nil-Grad check skipped.
+			continue
+		}
+		if t.hasLeaf(r) {
+			t.pushLeafJob(int32(i))
+		}
+		t.step(r, false, &t.scratch)
 	}
 }
 
-// step replays one record's adjoint. A record whose output never received
-// gradient (no downstream consumer contributed) is skipped, matching the
-// closure tape's nil-Grad check. Gradient accumulation order within each
-// op is ported unchanged from the closure implementation, so gradients
-// stay bit-identical to it.
-func (t *Tape[T]) step(r *rec) {
-	out := t.at(r.out)
-	if out.Grad == nil {
+// hasLeaf reports whether a leaf is among r's operands.
+func (t *Tape[T]) hasLeaf(r *rec) bool {
+	switch r.op {
+	case opConcatCols, opConcatRows, opGatherRows:
+		return slices.ContainsFunc(t.auxArgs[r.x0:r.x0+r.x1], func(i int32) bool { return i < 0 })
+	case opLSTMCell, opLSTMHidden:
+		return r.a < 0 || r.b < 0 || r.x0 < 0
+	}
+	return r.a < 0 || r.b < 0
+}
+
+// pushLeafJob queues record i's leaf contributions for the worker,
+// starting it on the pass's first job. The queue holds a slot for every
+// record plus the stop mark, so a send never blocks, and a warm tape
+// reuses both the queue and the worker's function value.
+func (t *Tape[T]) pushLeafJob(i int32) {
+	if !t.leafBusy {
+		if cap(t.leafJobs) < len(t.recs)+1 {
+			t.leafJobs = make(chan int32, len(t.recs)+1)
+		}
+		if t.leafRun == nil {
+			t.leafRun = t.drainLeafJobs
+		}
+		t.leafBusy = true
+		t.leafWG.Add(1)
+		go t.leafRun()
+	}
+	t.leafJobs <- i
+}
+
+// stopLeafWorker ends the pass's worker, if one started, and waits for it.
+// A panic in a leaf job surfaces here, on the caller's goroutine; the
+// queue it left unread is dropped.
+func (t *Tape[T]) stopLeafWorker() {
+	if !t.leafBusy {
 		return
 	}
+	t.leafJobs <- -1
+	t.leafWG.Wait()
+	t.leafBusy = false
+	if p := t.leafPanic; p != nil {
+		t.leafPanic, t.leafJobs = nil, nil
+		panic(p)
+	}
+}
+
+// drainLeafJobs is the leaf worker: it applies each queued record's leaf
+// contributions in queue order, with its own scratch, until the stop mark.
+func (t *Tape[T]) drainLeafJobs() {
+	defer t.leafWG.Done()
+	defer func() { t.leafPanic = recover() }()
+	for i := range t.leafJobs {
+		if i < 0 {
+			return
+		}
+		t.step(&t.recs[i], true, &t.leafScratch)
+	}
+}
+
+// grad returns v's gradient accumulator when v tracks gradients and is on
+// the side this step runs for (leaves on the worker, tape Vars on the
+// walk), nil otherwise.
+func (t *Tape[T]) grad(v *Var[T], leaves bool) *tensor.Mat[T] {
+	if !v.needsGrad || (v.idx == leafIdx) != leaves {
+		return nil
+	}
+	return t.gradOf(v)
+}
+
+// transposed returns Wᵀ for the leaf operand ref, transposed into the
+// arena on its first use in a pass, or nil when W holds an infinity or a
+// NaN. dY·Wᵀ as a plain product skips dY's zeros where MatMulTransBInto's
+// Go loop multiplies them; for a finite W the two agree bit for bit (a sum
+// from +0 never becomes −0), so only a non-finite W keeps MatMulTransBInto.
+func (t *Tape[T]) transposed(ref int32) *tensor.Mat[T] {
+	lt := &t.leafT[-1-ref]
+	if !lt.done {
+		lt.done = true
+		w := t.leaves[-1-ref].Value
+		wt := t.get(w.Cols, w.Rows)
+		for i := 0; i < w.Rows; i++ {
+			for j, v := range w.Row(i) {
+				if v-v != 0 { // ±Inf or NaN
+					return nil
+				}
+				wt.Data[j*w.Rows+i] = v
+			}
+		}
+		lt.m = wt
+	}
+	return lt.m
+}
+
+// step replays one record's adjoint into the gradients of its operands on
+// one side: tape Vars when leaves is false, leaves when it is true. Each
+// side recomputes what a fused op's per-element gradient needs from the
+// record's values and its output gradient, so the split changes no bit.
+// Gradient accumulation order within each op is ported unchanged from the
+// closure implementation, so gradients stay bit-identical to it.
+func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
+	out := t.at(r.out)
 	switch r.op {
 	case opMatMul:
 		a, b := t.at(r.a), t.at(r.b)
-		if a.needsGrad {
-			tmp := t.tmpMat(out.Grad.Rows, b.Value.Rows)
-			tensor.MatMulTransBInto(tmp, out.Grad, b.Value)
-			tensor.AddInPlace(t.gradOf(a), tmp)
+		if g := t.grad(a, leaves); g != nil {
+			tmp := scr.mat(out.Grad.Rows, b.Value.Rows)
+			var bt *tensor.Mat[T]
+			if r.b < 0 && !leaves {
+				bt = t.transposed(r.b)
+			}
+			if bt != nil {
+				tensor.MatMulInto(tmp, out.Grad, bt)
+			} else {
+				tensor.MatMulTransBInto(tmp, out.Grad, b.Value)
+			}
+			tensor.AddInPlace(g, tmp)
 		}
-		if b.needsGrad {
-			tmp := t.tmpMat(a.Value.Cols, out.Grad.Cols)
+		if g := t.grad(b, leaves); g != nil {
+			tmp := scr.mat(a.Value.Cols, out.Grad.Cols)
 			tensor.MatMulTransAInto(tmp, a.Value, out.Grad)
-			tensor.AddInPlace(t.gradOf(b), tmp)
+			tensor.AddInPlace(g, tmp)
 		}
 
-	case opAdd:
+	case opAdd, opAddRowsAt:
 		a, b := t.at(r.a), t.at(r.b)
-		if a.needsGrad {
-			tensor.AddInPlace(t.gradOf(a), out.Grad)
+		if g := t.grad(a, leaves); g != nil {
+			off := int(r.x0) * out.Grad.Cols // AddRowsAt's row window; 0 for Add
+			accumulate(g.Data[off:off+len(out.Grad.Data)], out.Grad.Data)
 		}
-		if b.needsGrad {
-			tensor.AddInPlace(t.gradOf(b), out.Grad)
+		if g := t.grad(b, leaves); g != nil {
+			tensor.AddInPlace(g, out.Grad)
 		}
 
 	case opSub:
 		a, b := t.at(r.a), t.at(r.b)
-		if a.needsGrad {
-			tensor.AddInPlace(t.gradOf(a), out.Grad)
+		if g := t.grad(a, leaves); g != nil {
+			tensor.AddInPlace(g, out.Grad)
 		}
-		if b.needsGrad {
-			tensor.AxpyInPlace(t.gradOf(b), -1, out.Grad)
+		if g := t.grad(b, leaves); g != nil {
+			tensor.AxpyInPlace(g, -1, out.Grad)
 		}
 
 	case opMul:
 		a, b := t.at(r.a), t.at(r.b)
-		if a.needsGrad {
-			tmp := t.tmpMat(out.Grad.Rows, out.Grad.Cols)
+		if g := t.grad(a, leaves); g != nil {
+			tmp := scr.mat(out.Grad.Rows, out.Grad.Cols)
 			tensor.MulInto(tmp, out.Grad, b.Value)
-			tensor.AddInPlace(t.gradOf(a), tmp)
+			tensor.AddInPlace(g, tmp)
 		}
-		if b.needsGrad {
-			tmp := t.tmpMat(out.Grad.Rows, out.Grad.Cols)
+		if g := t.grad(b, leaves); g != nil {
+			tmp := scr.mat(out.Grad.Rows, out.Grad.Cols)
 			tensor.MulInto(tmp, out.Grad, a.Value)
-			tensor.AddInPlace(t.gradOf(b), tmp)
+			tensor.AddInPlace(g, tmp)
 		}
 
 	case opScale:
-		tensor.AxpyInPlace(t.gradOf(t.at(r.a)), T(r.s), out.Grad)
+		if g := t.grad(t.at(r.a), leaves); g != nil {
+			tensor.AxpyInPlace(g, T(r.s), out.Grad)
+		}
 
 	case opAddRow:
 		m, rv := t.at(r.a), t.at(r.b)
-		if m.needsGrad {
-			tensor.AddInPlace(t.gradOf(m), out.Grad)
+		if g := t.grad(m, leaves); g != nil {
+			tensor.AddInPlace(g, out.Grad)
 		}
-		if rv.needsGrad {
-			g := t.gradOf(rv)
+		if g := t.grad(rv, leaves); g != nil {
 			for i := 0; i < out.Grad.Rows; i++ {
-				row := out.Grad.Row(i)
-				for j, v := range row {
-					g.Data[j] += v
-				}
+				accumulate(g.Data, out.Grad.Row(i))
 			}
 		}
 
@@ -95,16 +215,13 @@ func (t *Tape[T]) step(r *rec) {
 		// d = dL/d(pre-activation), derived from the output value with the
 		// same association the unfused activation backward uses; it then
 		// flows to m elementwise and to r as column sums, in the same
-		// ascending-row order as AddRow's backward.
-		m, rv := t.at(r.a), t.at(r.b)
+		// ascending-row order as AddRow's backward. A side that owns only
+		// one of the two recomputes d for it alone.
+		mg, rg := t.grad(t.at(r.a), leaves), t.grad(t.at(r.b), leaves)
+		if mg == nil && rg == nil {
+			break
+		}
 		f := ActFn(r.act)
-		var mg, rg *tensor.Mat[T]
-		if m.needsGrad {
-			mg = t.gradOf(m)
-		}
-		if rv.needsGrad {
-			rg = t.gradOf(rv)
-		}
 		val := out.Value
 		for i := 0; i < val.Rows; i++ {
 			y := val.Row(i)
@@ -137,46 +254,48 @@ func (t *Tape[T]) step(r *rec) {
 		}
 
 	case opSigmoid:
-		g := t.gradOf(t.at(r.a))
-		for i, s := range out.Value.Data {
-			g.Data[i] += out.Grad.Data[i] * s * (1 - s)
-		}
-
-	case opTanh:
-		g := t.gradOf(t.at(r.a))
-		for i, y := range out.Value.Data {
-			g.Data[i] += out.Grad.Data[i] * (1 - y*y)
-		}
-
-	case opReLU:
-		a := t.at(r.a)
-		g := t.gradOf(a)
-		for i, x := range a.Value.Data {
-			if x > 0 {
-				g.Data[i] += out.Grad.Data[i]
+		if g := t.grad(t.at(r.a), leaves); g != nil {
+			for i, s := range out.Value.Data {
+				g.Data[i] += out.Grad.Data[i] * s * (1 - s)
 			}
 		}
 
-	case opLeakyReLU:
+	case opTanh:
+		if g := t.grad(t.at(r.a), leaves); g != nil {
+			for i, y := range out.Value.Data {
+				g.Data[i] += out.Grad.Data[i] * (1 - y*y)
+			}
+		}
+
+	case opReLU, opLeakyReLU:
 		a := t.at(r.a)
-		g := t.gradOf(a)
+		g := t.grad(a, leaves)
+		if g == nil {
+			break
+		}
 		for i, x := range a.Value.Data {
-			if x > 0 {
+			switch {
+			case x > 0:
 				g.Data[i] += out.Grad.Data[i]
-			} else {
+			case r.op == opLeakyReLU:
 				g.Data[i] += T(r.s) * out.Grad.Data[i]
 			}
 		}
 
 	case opTranspose:
-		tmp := t.tmpMat(out.Grad.Cols, out.Grad.Rows)
-		tensor.TransposeInto(tmp, out.Grad)
-		tensor.AddInPlace(t.gradOf(t.at(r.a)), tmp)
+		if g := t.grad(t.at(r.a), leaves); g != nil {
+			tmp := scr.mat(out.Grad.Cols, out.Grad.Rows)
+			tensor.TransposeInto(tmp, out.Grad)
+			tensor.AddInPlace(g, tmp)
+		}
 
 	case opSoftmaxRows:
 		// Masked variants share this adjoint: masked entries carry
 		// probability exactly 0, so their terms vanish on their own.
-		g := t.gradOf(t.at(r.a))
+		g := t.grad(t.at(r.a), leaves)
+		if g == nil {
+			break
+		}
 		val := out.Value
 		for i := 0; i < val.Rows; i++ {
 			y := val.Row(i)
@@ -197,8 +316,7 @@ func (t *Tape[T]) step(r *rec) {
 		for _, ai := range args {
 			v := t.at(ai)
 			w := v.Value.Cols
-			if v.needsGrad {
-				g := t.gradOf(v)
+			if g := t.grad(v, leaves); g != nil {
 				for i := 0; i < out.Grad.Rows; i++ {
 					accumulate(g.Row(i), out.Grad.Row(i)[off:off+w])
 				}
@@ -212,8 +330,8 @@ func (t *Tape[T]) step(r *rec) {
 		for _, ai := range args {
 			v := t.at(ai)
 			n := v.Value.Rows * v.Value.Cols
-			if v.needsGrad {
-				accumulate(t.gradOf(v).Data, out.Grad.Data[off:off+n])
+			if g := t.grad(v, leaves); g != nil {
+				accumulate(g.Data, out.Grad.Data[off:off+n])
 			}
 			off += n
 		}
@@ -222,24 +340,17 @@ func (t *Tape[T]) step(r *rec) {
 		args := t.auxArgs[r.x0 : r.x0+r.x1]
 		rows := t.auxArgs[r.x0+r.x1 : r.x0+2*r.x1]
 		for k, ai := range args {
-			if v := t.at(ai); v.needsGrad {
-				accumulate(t.gradOf(v).Row(int(rows[k])), out.Grad.Row(k))
+			if g := t.grad(t.at(ai), leaves); g != nil {
+				accumulate(g.Row(int(rows[k])), out.Grad.Row(k))
 			}
-		}
-
-	case opAddRowsAt:
-		big, small := t.at(r.a), t.at(r.b)
-		if big.needsGrad {
-			off := int(r.x0) * out.Grad.Cols
-			accumulate(t.gradOf(big).Data[off:off+len(out.Grad.Data)], out.Grad.Data)
-		}
-		if small.needsGrad {
-			tensor.AddInPlace(t.gradOf(small), out.Grad)
 		}
 
 	case opIm2ColRows:
 		x := t.at(r.a)
-		g := t.gradOf(x)
+		g := t.grad(x, leaves)
+		if g == nil {
+			break
+		}
 		width := int(r.x0)
 		half := width / 2
 		rows, cols := x.Value.Rows, x.Value.Cols
@@ -255,19 +366,24 @@ func (t *Tape[T]) step(r *rec) {
 		}
 
 	case opRowAt:
-		accumulate(t.gradOf(t.at(r.a)).Row(int(r.x0)), out.Grad.Data)
+		if g := t.grad(t.at(r.a), leaves); g != nil {
+			accumulate(g.Row(int(r.x0)), out.Grad.Data)
+		}
 
 	case opSliceCols:
-		g := t.gradOf(t.at(r.a))
-		lo, hi := int(r.x0), int(r.x1)
-		for i := 0; i < out.Grad.Rows; i++ {
-			accumulate(g.Row(i)[lo:hi], out.Grad.Row(i))
+		if g := t.grad(t.at(r.a), leaves); g != nil {
+			lo, hi := int(r.x0), int(r.x1)
+			for i := 0; i < out.Grad.Rows; i++ {
+				accumulate(g.Row(i)[lo:hi], out.Grad.Row(i))
+			}
 		}
 
 	case opMeanRowsMasked:
-		g := t.gradOf(t.at(r.a))
-		mask := t.auxMask[r.x0]
-		for i, m := range mask {
+		g := t.grad(t.at(r.a), leaves)
+		if g == nil {
+			break
+		}
+		for i, m := range t.auxMask[r.x0] {
 			if !m {
 				continue
 			}
@@ -277,31 +393,36 @@ func (t *Tape[T]) step(r *rec) {
 			}
 		}
 
-	case opSumAll:
-		g := t.gradOf(t.at(r.a))
-		d := out.Grad.Data[0]
-		for i := range g.Data {
-			g.Data[i] += d
+	case opSumAll, opMeanAll:
+		g := t.grad(t.at(r.a), leaves)
+		if g == nil {
+			break
 		}
-
-	case opMeanAll:
-		g := t.gradOf(t.at(r.a))
-		d := out.Grad.Data[0] / T(r.s)
+		d := out.Grad.Data[0]
+		if r.op == opMeanAll {
+			d /= T(r.s)
+		}
 		for i := range g.Data {
 			g.Data[i] += d
 		}
 
 	case opMSE:
 		pred := t.at(r.a)
+		g := t.grad(pred, leaves)
+		if g == nil {
+			break
+		}
 		target := t.auxMat[r.x0]
-		g := t.gradOf(pred)
 		d := out.Grad.Data[0]
 		for i, p := range pred.Value.Data {
 			g.Data[i] += d * 2 * (p - target.Data[i]) / T(r.s)
 		}
 
 	case opDropout:
-		g := t.gradOf(t.at(r.a))
+		g := t.grad(t.at(r.a), leaves)
+		if g == nil {
+			break
+		}
 		keep := t.auxMask[r.x0]
 		for i := range g.Data {
 			if keep[i] {
@@ -317,12 +438,17 @@ func (t *Tape[T]) step(r *rec) {
 		// x = −0, and every such term ends in a sum from +0, where ±0 add
 		// alike.
 		z, tc := t.at(r.a), t.auxMat[r.x1]
-		cg, zg, bg := t.gradOf(t.at(r.b)), t.gradIf(z), t.gradIf(t.at(r.x0))
+		cg, zg, bg := t.grad(t.at(r.b), leaves), t.grad(z, leaves), t.grad(t.at(r.x0), leaves)
+		if cg == nil && zg == nil && bg == nil {
+			break
+		}
 		n := tc.Cols
 		for i := 0; i < tc.Rows; i++ {
-			y, o, cgr := tc.Row(i), z.Value.Row(i)[3*n:], cg.Row(i)
+			y, o := tc.Row(i), z.Value.Row(i)[3*n:]
 			for j, dh := range out.Grad.Row(i) {
-				cgr[j] += T(dh*o[j]) * (1 - y[j]*y[j])
+				if cg != nil {
+					cg.Data[i*n+j] += T(dh*o[j]) * (1 - y[j]*y[j])
+				}
 				d := T(dh*y[j]) * o[j] * (1 - o[j])
 				if zg != nil {
 					zg.Data[(4*i+3)*n+j] += d
@@ -338,7 +464,10 @@ func (t *Tape[T]) step(r *rec) {
 		// chain's Add, two Mul and i/f/g AddRowApply backward, rounded as
 		// in opLSTMHidden. z holds the gate activations.
 		z, c := t.at(r.a), t.at(r.b)
-		zg, bg, cg := t.gradIf(z), t.gradIf(t.at(r.x0)), t.gradIf(c)
+		zg, bg, cg := t.grad(z, leaves), t.grad(t.at(r.x0), leaves), t.grad(c, leaves)
+		if zg == nil && bg == nil && cg == nil {
+			break
+		}
 		n := out.Value.Cols
 		for i := 0; i < out.Value.Rows; i++ {
 			zr, cp := z.Value.Row(i), c.Value.Row(i)

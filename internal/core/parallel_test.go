@@ -212,10 +212,24 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkFit measures data-parallel training throughput; shard
-// boundaries are pinned so every worker count runs the same computation.
+// BenchmarkFit measures training throughput. "default" is the schedule
+// TrainCostModel runs: DefaultTrainConfig (one 16-sample shard per batch,
+// Workers 0) on the default model, one epoch. The workers=N cases measure
+// data-parallel training; their shard boundaries are pinned so every
+// worker count runs the same computation.
 func BenchmarkFit(b *testing.B) {
 	samples := benchSamples(256)
+	b.Run("default", func(b *testing.B) {
+		tc := DefaultTrainConfig()
+		tc.Epochs = 1
+		m := NewModel(RAAL(), DefaultConfig(tSem, tNodes))
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Fit(samples, tc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			tc := quickTrain()

@@ -27,7 +27,8 @@ type TrainConfig struct {
 	// <=0 or 1 trains serially. Workers never changes the result — shard
 	// boundaries depend only on ShardSize, and shard gradients are merged
 	// in shard order at a barrier — so any Workers value reproduces the
-	// Workers=1 loss curve bit for bit.
+	// Workers=1 loss curve bit for bit. Each shard's Backward also
+	// applies its weight gradients on a second goroutine of its own.
 	Workers int
 	// ShardSize is the number of samples per gradient-accumulation shard
 	// within a mini-batch. <=0 or >=Batch keeps each batch as a single

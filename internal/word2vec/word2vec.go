@@ -27,7 +27,7 @@ type Config struct {
 	LR        float64 // initial learning rate (linearly decayed)
 	MinCount  int     // drop tokens rarer than this
 	Seed      int64   // RNG seed; training is deterministic given it
-	TableBits int     // log2 size of the negative-sampling table
+	TableBits int     // log2 size of the negative-sampling table, at most 30
 }
 
 // DefaultConfig returns sensible defaults for plan-statement corpora.
@@ -75,7 +75,7 @@ type trainer struct {
 }
 
 func newTrainer(sentences [][]string, cfg Config) (*trainer, error) {
-	if cfg.Dim <= 0 || cfg.Window <= 0 || cfg.Epochs <= 0 || cfg.LR <= 0 {
+	if cfg.Dim <= 0 || cfg.Window <= 0 || cfg.Epochs <= 0 || cfg.LR <= 0 || cfg.TableBits > 30 {
 		return nil, fmt.Errorf("word2vec: invalid config %+v", cfg)
 	}
 	if cfg.Negatives <= 0 {
@@ -215,7 +215,9 @@ func (t *trainer) pair(center, ctx int32, lr float64) {
 	clear(t.grad)
 	rows := append(t.rows[:0], ctx)
 	for n := 0; n < t.cfg.Negatives; n++ {
-		if neg := t.table[t.rng.Intn(len(t.table))]; neg != ctx {
+		// rng.Intn(len(t.table)) for the power-of-two table: Int31n's
+		// masked Int31, without the calls in between.
+		if neg := t.table[int32(t.rng.Int63()>>32)&int32(len(t.table)-1)]; neg != ctx {
 			rows = append(rows, neg)
 		}
 	}
