@@ -20,6 +20,8 @@ test: build
 # registry, and the numeric stack), plus the public API. internal/core
 # includes TestParallelTrainRaceSmoke, which trains with Workers=4 so
 # shard-parallel backward passes are exercised under the detector, and
+# TestTapePoolConcurrentFitsAndPredict (two Fits and a multi-worker
+# PredictCtx leasing from the process's shared tape pool at once), and
 # internal/autodiff TestLeafGradientInTapeOrder, whose Backward applies
 # leaf gradients on a second goroutine beside the walk;
 # internal/serve includes TestConcurrentRequestsRaceClean;

@@ -20,8 +20,8 @@ var (
 	docTestRef     = regexp.MustCompile("`(?:[a-z][a-z0-9]*\\.)?((?:Test|Fuzz)[A-Za-z0-9_]*)(\\*?)`")
 	testFunc       = regexp.MustCompile(`(?m)^func ((?:Test|Fuzz)\w*)\(`)
 	// A section reference may break across comment lines: "(DESIGN\n// §5r)".
-	designRef     = regexp.MustCompile(`DESIGN(?:\.md)?[\s/]*§(\d+[a-z]?)`)
-	designHeading = regexp.MustCompile(`(?m)^#+ (\d+[a-z]?)\. `)
+	designRef     = regexp.MustCompile(`DESIGN(?:\.md)?[\s/]*§(\d+[a-z]*)`)
+	designHeading = regexp.MustCompile(`(?m)^#+ (\d+[a-z]*)\. `)
 )
 
 // TestDocsNameThingsThatExist keeps the prose honest about the four

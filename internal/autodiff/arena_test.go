@@ -1,9 +1,12 @@
 package autodiff
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
+	"unsafe"
 
 	"raal/internal/tensor"
 )
@@ -369,4 +372,117 @@ func testWarmReplayReusesArena[T tensor.Float](t *testing.T) {
 			t.Fatalf("warm replay element %d = %g, want %g", i, v, want.Data[i])
 		}
 	}
+}
+
+// arenaBytes is the memory held by the tape's value slabs.
+func arenaBytes[T tensor.Float](tp *Tape[T]) int {
+	var zero T
+	n := 0
+	for _, b := range tp.arena.data {
+		n += len(b)
+	}
+	return n * int(unsafe.Sizeof(zero))
+}
+
+// TestGrowingRequestKeepsOnePass replays a pass whose one dedicated
+// request, in the middle, grows every pass (as a batch with a longer plan
+// grows the stacked X·Wx). The block too small for it is replaced where it
+// stands, so the arena stays at one pass of standard slabs plus that
+// request, and the requests after it reuse the blocks they had.
+func TestGrowingRequestKeepsOnePass(t *testing.T) {
+	std := arenaBlockBytes / 8
+	tp := NewInferenceTape[float64]()
+	pass := func(big int) {
+		tp.Reset()
+		for i := 0; i < 20; i++ {
+			tp.NewMatrix(64, 64)
+		}
+		tp.NewMatrix(1, big)
+		for i := 0; i < 20; i++ {
+			tp.NewMatrix(64, 64)
+		}
+	}
+	pass(std + 1)
+	small := arenaBytes(tp) - 8*(std+1)
+	for k := 2; k <= 6; k++ {
+		big := std + k*4096
+		pass(big)
+		if got, limit := arenaBytes(tp), small+8*big; got > limit {
+			t.Fatalf("pass %d: arena holds %d bytes, want at most one pass of standard slabs (%d) plus the %d-value request", k, got, small, big)
+		}
+	}
+	before := arenaBytes(tp)
+	pass(std + 6*4096)
+	if got := arenaBytes(tp); got != before {
+		t.Fatalf("an identical replay grew the arena from %d to %d bytes", before, got)
+	}
+}
+
+// TestResetPinsNoLeaf walks everything a tape reaches after a Backward and
+// a Reset: nothing may point at a leaf's Var, value or gradient, so a
+// tape parked in a pool keeps no model alive, and the pass's weight
+// transposes are dropped too.
+func TestResetPinsNoLeaf(t *testing.T) {
+	w1, b1, w2, b2, x := arenaFixture(5)
+	tp := NewTape[float64]()
+	pv := [4]*Var[float64]{tp.Param(w1), tp.Param(b1), tp.Param(w2), tp.Param(b2)}
+	tp.Backward(mlpForward(tp, pv[0], pv[1], pv[2], pv[3], x))
+	if len(tp.leafT) == 0 {
+		t.Fatal("the fixture's Backward transposed no weight; the test shows nothing")
+	}
+	tp.Reset()
+	if len(tp.leafT) != 0 {
+		t.Fatalf("Reset kept %d leaf transposes", len(tp.leafT))
+	}
+
+	pinned := map[uintptr]string{}
+	for i, v := range pv {
+		pinned[uintptr(unsafe.Pointer(v))] = fmt.Sprintf("leaf %d's Var", i)
+		pinned[uintptr(unsafe.Pointer(v.Value))] = fmt.Sprintf("leaf %d's value", i)
+		pinned[uintptr(unsafe.Pointer(&v.Value.Data[0]))] = fmt.Sprintf("leaf %d's value data", i)
+		pinned[uintptr(unsafe.Pointer(v.Grad))] = fmt.Sprintf("leaf %d's gradient", i)
+		pinned[uintptr(unsafe.Pointer(&v.Grad.Data[0]))] = fmt.Sprintf("leaf %d's gradient data", i)
+	}
+	seen := map[uintptr]bool{}
+	var walk func(path string, v reflect.Value)
+	walk = func(path string, v reflect.Value) {
+		switch v.Kind() {
+		case reflect.Pointer:
+			if v.IsNil() {
+				return
+			}
+			p := v.Pointer()
+			if what, ok := pinned[p]; ok {
+				t.Fatalf("reset tape reaches %s through %s", what, path)
+			}
+			if !seen[p] {
+				seen[p] = true
+				walk(path, v.Elem())
+			}
+		case reflect.Slice:
+			if v.IsNil() {
+				return
+			}
+			if what, ok := pinned[v.Pointer()]; ok {
+				t.Fatalf("reset tape reaches %s through %s", what, path)
+			}
+			full := v.Slice3(0, v.Cap(), v.Cap()) // what the backing array keeps past len, too
+			for i := 0; i < full.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), full.Index(i))
+			}
+		case reflect.Array:
+			for i := 0; i < v.Len(); i++ {
+				walk(fmt.Sprintf("%s[%d]", path, i), v.Index(i))
+			}
+		case reflect.Struct:
+			for i := 0; i < v.NumField(); i++ {
+				walk(path+"."+v.Type().Field(i).Name, v.Field(i))
+			}
+		case reflect.Interface:
+			if !v.IsNil() {
+				walk(path, v.Elem())
+			}
+		}
+	}
+	walk("tape", reflect.ValueOf(tp))
 }

@@ -26,7 +26,10 @@
 // shape-keyed maps, no per-matrix bookkeeping. A tape that is reused across
 // forward passes of the same model (the pattern in Fit's epoch loop and the
 // Predict worker pool) replays the same allocation sequence against the
-// same slabs and therefore reaches zero steady-state matrix allocations.
+// same slabs and therefore reaches zero steady-state matrix allocations. A
+// block too small for a request that nothing of the pass uses yet is
+// replaced in place, so a pass that asks for more than the last one grows
+// the arena by that request, not by a second set of blocks.
 // Pooling never changes results: an arena matrix is either fully
 // overwritten or explicitly zeroed before use, and the order of
 // floating-point operations is untouched.
@@ -48,8 +51,10 @@ package autodiff
 
 import (
 	"fmt"
+	"math"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"unsafe"
 
 	"raal/internal/tensor"
@@ -156,20 +161,63 @@ func (a *arena[T]) rewind() {
 func (a *arena[T]) slab(n int) []T {
 	for {
 		if a.bi == len(a.data) {
-			var zero T
-			sz := arenaBlockBytes / int(unsafe.Sizeof(zero))
-			if n > sz {
-				sz = n
-			}
-			a.data = append(a.data, make([]T, sz))
+			a.data = append(a.data, newBlock[T](n))
 		}
-		if blk := a.data[a.bi]; a.off+n <= len(blk) {
+		blk := a.data[a.bi]
+		if a.off+n <= len(blk) {
 			s := blk[a.off : a.off+n : a.off+n]
 			a.off += n
 			return s
 		}
+		if a.off == 0 {
+			// Nothing of this pass lives in the block, and it is too small:
+			// replace it where it stands. Skipping it instead would leave
+			// every later block behind too, so the rest of the pass would
+			// allocate a second set of blocks.
+			a.data[a.bi] = newBlock[T](n)
+			continue
+		}
 		a.bi++
 		a.off = 0
+	}
+}
+
+// newBlock returns a value slab for a request of n values: a standard
+// slab, or one of exactly n values when n is larger.
+func newBlock[T tensor.Float](n int) []T {
+	var zero T
+	b := make([]T, max(arenaBlockBytes/int(unsafe.Sizeof(zero)), n))
+	slabCount.Add(1)
+	if poison.Load() {
+		fillNaN(b)
+	}
+	return b
+}
+
+// slabCount counts the value slabs every arena in the process allocated.
+var slabCount atomic.Uint64
+
+// SlabAllocs returns the number of arena value slabs allocated since
+// process start, the measure of a warm tape: a pass that fits the slabs
+// its tape already holds adds none. The counter only ever increases;
+// callers compare deltas.
+func SlabAllocs() uint64 { return slabCount.Load() }
+
+// poison, while set, fills every arena slab and backward scratch buffer
+// with NaN at each Reset and on allocation (PoisonOnReset).
+var poison atomic.Bool
+
+// PoisonOnReset makes every Reset in the process fill the tape's arena
+// slabs and backward scratch buffers with NaN, and every new slab start
+// as NaN, until it is called with false. It is a test hook: arena contents
+// are unspecified, so no result may change with it on, and a value read
+// before it was written turns the result NaN.
+func PoisonOnReset(on bool) { poison.Store(on) }
+
+func fillNaN[T tensor.Float](b []T) {
+	nan := T(math.NaN())
+	for i := range b {
+		b[i] = nan
 	}
 }
 
@@ -242,7 +290,9 @@ func (t *Tape[T]) ForwardOnly() bool { return t.noGrad }
 
 // Reset drops all recorded operations and rewinds the arena cursor, so the
 // tape can rebuild an equally-shaped graph without allocating. Leaf
-// (Param) values and gradients are untouched.
+// (Param) values and gradients are untouched, and the tape keeps no
+// reference to them or to anything else of the last pass but its own
+// buffers: a reset tape can be parked for any other model.
 func (t *Tape[T]) Reset() {
 	for i := 0; i < t.nVars; i++ {
 		t.vars[i/slabBlock][i%slabBlock] = Var[T]{}
@@ -262,8 +312,17 @@ func (t *Tape[T]) Reset() {
 		t.auxMat[i] = nil
 	}
 	t.auxMat = t.auxMat[:0]
+	clear(t.leafT)
+	t.leafT = t.leafT[:0]
 	t.ints = t.ints[:0]
 	t.arena.rewind()
+	if poison.Load() {
+		for _, b := range t.arena.data {
+			fillNaN(b)
+		}
+		fillNaN(t.scratch.buf)
+		fillNaN(t.leafScratch.buf)
+	}
 }
 
 // Len returns the number of recorded operations (useful in tests).

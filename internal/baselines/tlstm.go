@@ -11,6 +11,7 @@ import (
 	"time"
 
 	"raal/internal/autodiff"
+	"raal/internal/core"
 	"raal/internal/encode"
 	"raal/internal/metrics"
 	"raal/internal/nn"
@@ -158,6 +159,8 @@ func (t *TLSTM) Fit(samples []*encode.Sample, epochs, batchSize int, lr float64,
 	for i := range idx {
 		idx[i] = i
 	}
+	// One warm tape from the process's pool serves every batch of the run.
+	tp := core.LeaseTape[float64](true)
 	start := time.Now()
 	res := &TLSTMTrainResult{}
 	for epoch := 0; epoch < epochs; epoch++ {
@@ -175,7 +178,7 @@ func (t *TLSTM) Fit(samples []*encode.Sample, epochs, batchSize int, lr float64,
 				batch[i-lo] = samples[idx[i]]
 				target.Set(i-lo, 0, math.Log1p(samples[idx[i]].CostSec))
 			}
-			tp := autodiff.NewTape[float64]()
+			tp.Reset()
 			loss := tp.MSE(t.forward(tp, batch), target)
 			tp.Backward(loss)
 			nn.ClipGradNorm(params, 5)
@@ -185,6 +188,7 @@ func (t *TLSTM) Fit(samples []*encode.Sample, epochs, batchSize int, lr float64,
 		}
 		res.LossCurve = append(res.LossCurve, sum/float64(batches))
 	}
+	core.ReturnTape(tp)
 	res.Duration = time.Since(start)
 	return res, nil
 }
@@ -193,12 +197,14 @@ func (t *TLSTM) Fit(samples []*encode.Sample, epochs, batchSize int, lr float64,
 func (t *TLSTM) Predict(samples []*encode.Sample) []float64 {
 	out := make([]float64, len(samples))
 	const chunk = 64
+	tp := core.LeaseTape[float64](false)
+	defer core.ReturnTape(tp)
 	for lo := 0; lo < len(samples); lo += chunk {
 		hi := lo + chunk
 		if hi > len(samples) {
 			hi = len(samples)
 		}
-		tp := autodiff.NewTape[float64]()
+		tp.Reset()
 		pred := t.forward(tp, samples[lo:hi])
 		for i := lo; i < hi; i++ {
 			v := math.Expm1(pred.Value.At(i-lo, 0))

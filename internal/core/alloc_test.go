@@ -36,10 +36,10 @@ func TestWarmPredictAllocatesNoMatrices(t *testing.T) {
 	}
 }
 
-// TestPooledPredictionsMatchFreshModel loads the same weights into a
-// second model (cold tape pool) and checks the warm, arena-recycling
-// model predicts bit-identically: pooling may change where values live,
-// never what they are.
+// TestPooledPredictionsMatchFreshModel predicts on thoroughly warm
+// pooled tapes and again on fresh ones (the process's pools emptied): the
+// two must agree bit for bit. Pooling may change where values live, never
+// what they are.
 func TestPooledPredictionsMatchFreshModel(t *testing.T) {
 	samples := benchSamples(48)
 	tc := quickTrain()
@@ -51,9 +51,9 @@ func TestPooledPredictionsMatchFreshModel(t *testing.T) {
 	for i := 0; i < 3; i++ { // make the pool thoroughly warm
 		predict(m, samples)
 	}
-	fresh := m.replica() // shares weights, owns a cold tape pool
 	warm := predict(m, samples)
-	cold := predict(fresh, samples)
+	drainTapes()
+	cold := predict(m, samples)
 	for i := range warm {
 		if warm[i] != cold[i] {
 			t.Fatalf("prediction %d: warm pooled %v != cold fresh %v", i, warm[i], cold[i])

@@ -72,10 +72,6 @@ type Net[T tensor.Float] struct {
 
 	head *nn.MLP[T]
 
-	// tapes pools warm inference tapes across PredictCtx calls so the
-	// steady-state scoring path allocates no matrices. Never serialized.
-	tapes tapePool[T]
-
 	// version counts the weight updates Fit has applied. A memoized prefix
 	// (prefixMemo) is stamped with it, so one computed before an in-place
 	// retrain is never served after it. Never serialized.
@@ -86,37 +82,75 @@ type Net[T tensor.Float] struct {
 // precision, and the type every package outside core spells.
 type Model = Net[float64]
 
-// maxPooledTapes caps how many warm inference tapes a model retains. More
-// concurrent workers than this still run — extras build a cold tape and
-// drop it afterwards.
+// maxPooledTapes caps how many warm tapes of each kind the process keeps.
+// More concurrent leases than this still run — extras build a cold tape
+// and drop it afterwards.
 const maxPooledTapes = 16
 
-// tapePool is a mutex-guarded stack of inference tapes. An explicit
-// free list (rather than sync.Pool) keeps warm tapes out of the GC's reach,
-// so the zero-steady-state-allocation guarantee holds deterministically.
+// tapePool is a mutex-guarded pair of stacks of warm tapes, one of
+// inference tapes and one of recording tapes. An explicit free list
+// (rather than sync.Pool) keeps warm tapes out of the GC's reach, so the
+// zero-steady-state-allocation guarantee holds deterministically. A
+// parked tape has been Reset, so it pins nothing of the model that last
+// used it, and whichever model leases it next gets its warm arena
+// (DESIGN §5aa).
 type tapePool[T tensor.Float] struct {
-	mu sync.Mutex
-	ts []*autodiff.Tape[T]
+	mu        sync.Mutex
+	inference []*autodiff.Tape[T]
+	recording []*autodiff.Tape[T]
 }
 
-func (p *tapePool[T]) get() *autodiff.Tape[T] {
+// The process's tape pools, one per element type (tapes).
+var (
+	tapes64 tapePool[float64]
+	tapes32 tapePool[float32]
+)
+
+// tapes returns the process's tape pool for element type T.
+func tapes[T tensor.Float]() *tapePool[T] {
+	if p, ok := any(&tapes64).(*tapePool[T]); ok {
+		return p
+	}
+	return any(&tapes32).(*tapePool[T])
+}
+
+// free returns the stack that holds tapes of the kind record selects.
+func (p *tapePool[T]) free(record bool) *[]*autodiff.Tape[T] {
+	if record {
+		return &p.recording
+	}
+	return &p.inference
+}
+
+// LeaseTape returns a tape from the process's pool of warm tapes: a
+// recording tape when record is true, an inference tape otherwise. Its
+// contents are those of a Reset tape; give it back with ReturnTape.
+func LeaseTape[T tensor.Float](record bool) *autodiff.Tape[T] {
+	p := tapes[T]()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if n := len(p.ts); n > 0 {
-		tp := p.ts[n-1]
-		p.ts[n-1] = nil
-		p.ts = p.ts[:n-1]
+	free := p.free(record)
+	if n := len(*free); n > 0 {
+		tp := (*free)[n-1]
+		(*free)[n-1] = nil
+		*free = (*free)[:n-1]
 		return tp
+	}
+	if record {
+		return autodiff.NewTape[T]()
 	}
 	return autodiff.NewInferenceTape[T]()
 }
 
-func (p *tapePool[T]) put(tp *autodiff.Tape[T]) {
-	tp.Reset() // recycle the last chunk's matrices before parking the tape
+// ReturnTape resets tp and parks it for the next LeaseTape of its kind.
+// Nothing the tape computed may be used afterwards.
+func ReturnTape[T tensor.Float](tp *autodiff.Tape[T]) {
+	tp.Reset() // recycle the last pass's matrices and drop its leaves before parking the tape
+	p := tapes[T]()
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	if len(p.ts) < maxPooledTapes {
-		p.ts = append(p.ts, tp)
+	if free := p.free(!tp.ForwardOnly()); len(*free) < maxPooledTapes {
+		*free = append(*free, tp)
 	}
 }
 
@@ -150,8 +184,7 @@ func newNet[T tensor.Float](v Variant, cfg Config) *Net[T] {
 // convertNet returns a network of the same variant and configuration at
 // element type D holding a converted copy of m's weights — a deep copy
 // when D is m's own element type (Clone), the reduced-precision snapshot
-// when it is narrower (Quantize). Telemetry and warm tapes are not carried
-// over.
+// when it is narrower (Quantize). Telemetry is not carried over.
 func convertNet[D, S tensor.Float](m *Net[S]) *Net[D] {
 	c := newNet[D](m.Var, m.Cfg)
 	src, dst := m.Params(), c.Params()
@@ -637,8 +670,8 @@ func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, o sch
 	}
 
 	if workers <= 1 {
-		tp := m.tapes.get()
-		defer m.tapes.put(tp)
+		tp := LeaseTape[T](false)
+		defer ReturnTape(tp)
 		for k := 0; k < nChunks; k++ {
 			if err := ctx.Err(); err != nil {
 				return nil, err
@@ -655,8 +688,8 @@ func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, o sch
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			tp := m.tapes.get()
-			defer m.tapes.put(tp)
+			tp := LeaseTape[T](false)
+			defer ReturnTape(tp)
 			for {
 				if ctx.Err() != nil {
 					aborted.Store(true)

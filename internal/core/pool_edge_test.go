@@ -106,9 +106,9 @@ func TestTapePoolConcurrentPredictInterleaved(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 200; iter++ {
-				tp := m.tapes.get()
+				tp := LeaseTape[float64](false)
 				tp.Reset()
-				m.tapes.put(tp)
+				ReturnTape(tp)
 			}
 		}()
 	}

@@ -147,20 +147,24 @@ func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, er
 	}
 	// One replica per shard of a full-size batch; short final batches use
 	// a prefix. Replicas share m's weights, so this allocates only
-	// gradient buffers.
+	// gradient buffers. Serial (single-shard) batches run on m itself.
+	// Every shard leases one recording tape for the whole run and gives
+	// it back at the end: after the first batch its arena holds every
+	// matrix the graph needs, so the steady-state training step allocates
+	// none, and the next Fit in the process starts on that warm arena. A
+	// Fit that panics drops its tapes instead of parking them mid-pass.
 	maxShards := (tc.Batch + shardSize - 1) / shardSize
+	var serial *shardRun[T]
 	var shards []*shardRun[T]
-	if maxShards > 1 {
+	if maxShards == 1 {
+		serial = &shardRun[T]{model: m, tape: LeaseTape[T](true)}
+	} else {
 		shards = make([]*shardRun[T], maxShards)
 		for k := range shards {
 			r := m.replica()
-			shards[k] = &shardRun[T]{model: r, params: r.Params(), tape: autodiff.NewTape[T]()}
+			shards[k] = &shardRun[T]{model: r, params: r.Params(), tape: LeaseTape[T](true)}
 		}
 	}
-	// Serial (single-shard) batches reuse one tape for the whole run: after
-	// the first batch its arena holds every matrix the graph needs, so the
-	// steady-state training step allocates none.
-	serial := &shardRun[T]{model: m, tape: autodiff.NewTape[T]()}
 
 	start := time.Now()
 	result := &TrainResult{Samples: len(samples)}
@@ -197,6 +201,12 @@ func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, er
 		}
 	}
 	result.Duration = time.Since(start)
+	if serial != nil {
+		ReturnTape(serial.tape)
+	}
+	for _, sh := range shards {
+		ReturnTape(sh.tape)
+	}
 	if tc.State != nil {
 		tc.State.Opt = opt.Export(params)
 		tc.State.Epochs += tc.Epochs

@@ -245,11 +245,18 @@ func (d *Dataset) FitEncoder(cfg encode.Config) (*encode.Encoder, error) {
 	return encode.Fit(d.Plans, cfg)
 }
 
-// Encode converts all records into training samples.
+// Encode converts all records into training samples. Collect emits a
+// plan's records together, so each run of records of one plan encodes the
+// plan once and its samples share that plan part (encode.Sample.SamePlan),
+// each with its own resource vector and label.
 func (d *Dataset) Encode(enc *encode.Encoder) []*encode.Sample {
 	out := make([]*encode.Sample, len(d.Records))
+	var part *encode.Sample
 	for i, r := range d.Records {
-		s := enc.EncodePlan(r.Plan, r.Res)
+		if i == 0 || r.Plan != d.Records[i-1].Plan {
+			part = enc.EncodePlanPart(r.Plan)
+		}
+		s := part.WithResource(enc.EncodeResources(r.Res))
 		s.CostSec = r.CostSec
 		out[i] = s
 	}

@@ -2,6 +2,7 @@ package workload
 
 import (
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -199,10 +200,31 @@ func TestEncodeDataset(t *testing.T) {
 	if len(samples) != len(ds.Records) {
 		t.Fatalf("sample count %d != record count %d", len(samples), len(ds.Records))
 	}
+	plans := 0
 	for i, s := range samples {
-		if s.CostSec != ds.Records[i].CostSec {
+		r := ds.Records[i]
+		if s.CostSec != r.CostSec {
 			t.Fatal("label not carried into sample")
 		}
+		// Each sample holds what encoding its record alone gives, element
+		// for element, and shares its plan part with the records before
+		// it of the same plan.
+		want := enc.EncodePlan(r.Plan, r.Res)
+		if !slices.Equal(s.Nodes.Data, want.Nodes.Data) || !slices.Equal(s.Mask, want.Mask) ||
+			!slices.EqualFunc(s.Children, want.Children, slices.Equal[[]bool]) ||
+			!slices.Equal(s.Resource, want.Resource) || !slices.Equal(s.Stats, want.Stats) {
+			t.Fatalf("sample %d differs from its record's own encoding", i)
+		}
+		if i > 0 && r.Plan == ds.Records[i-1].Plan {
+			if !s.SamePlan(samples[i-1]) {
+				t.Fatalf("samples %d and %d of one plan do not share its encoding", i-1, i)
+			}
+		} else {
+			plans++
+		}
+	}
+	if plans == len(samples) {
+		t.Fatal("no plan has two records in a row; the corpus does not exercise sharing")
 	}
 }
 
