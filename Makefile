@@ -21,7 +21,8 @@ test: build
 # includes TestParallelTrainRaceSmoke, which trains with Workers=4 so
 # shard-parallel backward passes are exercised under the detector, and
 # TestTapePoolConcurrentFitsAndPredict (two Fits and a multi-worker
-# PredictCtx leasing from the process's shared tape pool at once), and
+# PredictCtx leasing from the process's shared tape pool at once) and
+# TestAdamScheduleBitIdentical (Adam.Step's second goroutine), and
 # internal/autodiff TestLeafGradientInTapeOrder, whose Backward applies
 # leaf gradients on a second goroutine beside the walk;
 # internal/serve includes TestConcurrentRequestsRaceClean;
@@ -35,12 +36,14 @@ test: build
 # (concurrent first calls of a shared plan's memoised Key and Statements)
 # and TestStatementsConcurrentPlans (plans rendered at once through the
 # shared scratch-buffer pool), and internal/encode the encoder that reads
-# them. The public API package
+# them; internal/word2vec includes TestConcurrentTrains (two Trains at
+# once, each with its producer goroutine feeding the caller's through a
+# ring of chunks, each bit-equal to its serial run). The public API package
 # alone takes ~7 min under the
 # detector on 2 vCPUs, hence the explicit budget. Use `make race-all` for
 # the (slow) full sweep.
 race:
-	$(GO) test -race -timeout 20m ./internal/core ./internal/nn ./internal/autodiff ./internal/tensor ./internal/serve ./internal/telemetry ./internal/fleet ./internal/backoff ./internal/online ./internal/engine ./internal/workload ./internal/physical ./internal/encode .
+	$(GO) test -race -timeout 20m ./internal/core ./internal/nn ./internal/autodiff ./internal/tensor ./internal/serve ./internal/telemetry ./internal/fleet ./internal/backoff ./internal/online ./internal/engine ./internal/workload ./internal/physical ./internal/encode ./internal/word2vec .
 
 # The experiments package replays full training runs; under the race
 # detector that exceeds go test's default 10m per-package timeout on
@@ -146,9 +149,12 @@ cover:
 # recorded LSTM cell, held to the op chain it replaced in values and
 # gradients, bit for bit, on special values; the ragged LSTM
 # recurrence, held to itself run padded in hidden states and weight
-# gradients, bit for bit, on random lengths; word2vec training, held to
+# gradients, bit for bit, on random lengths; word2vec training (a
+# producer goroutine drawing negatives, and the fused AVX2 kernel beside
+# the activations or its Go loop applying each pair), held to
 # one-sample-at-a-time SGD in both embedding matrices, bit for bit, on
-# random small corpora and widths; and the cost-model and
+# random small corpora and widths, some spanning several ring chunks; and
+# the cost-model and
 # checkpoint loaders, which must refuse any byte sequence with an error or
 # return a model that prices a fixed plan without panicking (the seed corpora
 # plus any committed inputs also replay under plain `go test`). Targets are

@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -479,5 +480,41 @@ func TestStreamingWarmRunAllocs(t *testing.T) {
 	})
 	if allocs > 2020 {
 		t.Errorf("%d plans: %.0f mallocs a pass, want at most 2020", len(plans), allocs)
+	}
+}
+
+// TestWarmJoinSortAllocBytes bounds the bytes that warm runs of the
+// candidate plans of a join, grouped and sorted, allocate. The joins'
+// build-side columns and hash-index arrays and the sort's input and output
+// columns start from the engine's slab pool and go back to it when the run
+// closes. Growing them from nil on every run took 1.25 MB a pass; the
+// bound is half that.
+func TestWarmJoinSortAllocBytes(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops slabs at random under the race detector")
+	}
+	f := newFixture(t)
+	f.planner.MaxPlans = 6
+	plans := f.plans(t, `SELECT mc.company_id, COUNT(*) FROM title t, movie_companies mc
+		WHERE t.id = mc.movie_id AND t.production_year > 1950 GROUP BY mc.company_id ORDER BY mc.company_id`)
+	pass := func() {
+		for _, p := range plans {
+			if _, err := f.eng.Run(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	pass()
+	const passes = 5
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range passes {
+		pass()
+	}
+	runtime.ReadMemStats(&after)
+	perPass := (after.TotalAlloc - before.TotalAlloc) / passes
+	t.Logf("%d plans: %d bytes a warm pass", len(plans), perPass)
+	if perPass > 625_000 {
+		t.Errorf("%d plans: %d bytes a warm pass, want at most 625,000", len(plans), perPass)
 	}
 }

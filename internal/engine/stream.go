@@ -83,7 +83,7 @@ func drain(it iterator) (*Relation, error) {
 		if b == nil {
 			break
 		}
-		appendBatch(cols, l, b, ^uint64(0)) // the root reads every column
+		appendBatch(cols, l, b, ^uint64(0), nil) // the root reads every column
 		n += b.n
 	}
 	rel := NewRelation()
@@ -117,31 +117,49 @@ type colData struct {
 
 // appendBatch resolves b's selection vector and appends the rows of its
 // live columns (see liveMask) to cols; a column its producer left nil
-// stays nil.
-func appendBatch(cols []colData, l *layout, b *Batch, live uint64) {
+// stays nil. With a non-nil pool, a column's first rows go into a slab
+// from it, which the caller then owns and returns (putCols).
+func appendBatch(cols []colData, l *layout, b *Batch, live uint64, pool *slabPool) {
 	for p := range l.cols {
-		if !isLive(live, p) || b.ints[p] == nil && b.strs[p] == nil {
+		if !isLive(live, p) || b.n == 0 || b.ints[p] == nil && b.strs[p] == nil {
 			continue
 		}
 		if l.cols[p].isStr {
-			src := b.strs[p]
+			src, dst := b.strs[p], cols[p].strs
+			if dst == nil && pool != nil {
+				dst = pool.getStrs(b.n)[:0]
+			}
 			if b.sel == nil {
-				cols[p].strs = append(cols[p].strs, src[:b.n]...)
+				dst = append(dst, src[:b.n]...)
 			} else {
 				for _, r := range b.sel[:b.n] {
-					cols[p].strs = append(cols[p].strs, src[r])
+					dst = append(dst, src[r])
 				}
 			}
+			cols[p].strs = dst
 		} else {
-			src := b.ints[p]
+			src, dst := b.ints[p], cols[p].ints
+			if dst == nil && pool != nil {
+				dst = pool.getInts(b.n)[:0]
+			}
 			if b.sel == nil {
-				cols[p].ints = append(cols[p].ints, src[:b.n]...)
+				dst = append(dst, src[:b.n]...)
 			} else {
 				for _, r := range b.sel[:b.n] {
-					cols[p].ints = append(cols[p].ints, src[r])
+					dst = append(dst, src[r])
 				}
 			}
+			cols[p].ints = dst
 		}
+	}
+}
+
+// putCols returns every column of cols to pool and clears them.
+func putCols(pool *slabPool, cols []colData) {
+	for p := range cols {
+		pool.putInts(cols[p].ints)
+		pool.putStrs(cols[p].strs)
+		cols[p] = colData{}
 	}
 }
 
@@ -680,7 +698,9 @@ func newSortIter(child iterator, n *physical.Node, rc *runCtx, up *ancestors) (i
 }
 
 func (s *sortIter) build() error {
+	pool := &s.rc.eng.pool
 	acc := make([]colData, len(s.l.cols))
+	defer putCols(pool, acc)
 	for {
 		b, err := s.child.Next()
 		if err != nil {
@@ -689,7 +709,7 @@ func (s *sortIter) build() error {
 		if b == nil {
 			break
 		}
-		appendBatch(acc, s.l, b, s.live)
+		appendBatch(acc, s.l, b, s.live, pool)
 		s.total += b.n
 		if s.total > s.rc.max {
 			return fmt.Errorf("sort input exceeds %d rows: %w", s.rc.max, ErrRowLimit)
@@ -704,19 +724,17 @@ func (s *sortIter) build() error {
 	s.cols = make([]colData, len(s.l.cols))
 	for p := range acc {
 		if src := acc[p].strs; src != nil {
-			nc := make([]string, s.total)
+			nc := pool.getStrs(s.total)
 			for i, j := range idx {
 				nc[i] = src[j]
 			}
 			s.cols[p].strs = nc
-			acc[p].strs = nil
 		} else if src := acc[p].ints; src != nil {
-			nc := make([]int64, s.total)
+			nc := pool.getInts(s.total)
 			for i, j := range idx {
 				nc[i] = src[j]
 			}
 			s.cols[p].ints = nc
-			acc[p].ints = nil
 		}
 	}
 	s.built = true
@@ -797,7 +815,11 @@ func (s *sortIter) Next() (*Batch, error) {
 
 func (s *sortIter) emptyCols() []streamCol { return s.child.emptyCols() }
 
-func (s *sortIter) Close() { s.cols = nil; s.child.Close() }
+func (s *sortIter) Close() {
+	putCols(&s.rc.eng.pool, s.cols)
+	s.cols = nil
+	s.child.Close()
+}
 
 // ---------------------------------------------------------------------------
 // Limit

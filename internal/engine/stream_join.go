@@ -79,7 +79,8 @@ func (j *joinBase) init(left, right iterator, n *physical.Node, rc *runCtx, up *
 	return nil
 }
 
-// buildRight drains the right child into contiguous columns.
+// buildRight drains the right child into contiguous columns, slabs of the
+// engine's pool that Close returns.
 func (j *joinBase) buildRight() error {
 	rl := j.right.lay()
 	j.build = make([]colData, len(rl.cols))
@@ -91,7 +92,7 @@ func (j *joinBase) buildRight() error {
 		if b == nil {
 			return nil
 		}
-		appendBatch(j.build, rl, b, j.buildLive)
+		appendBatch(j.build, rl, b, j.buildLive, &j.rc.eng.pool)
 		j.buildN += b.n
 	}
 }
@@ -143,6 +144,7 @@ func (j *joinBase) Close() {
 			pool.putInts(j.outInts[p])
 		}
 	}
+	putCols(pool, j.build)
 	j.build = nil
 	j.left.Close()
 	j.right.Close()
@@ -227,7 +229,8 @@ func (h *hashJoinIter) start() error {
 		}
 	} else if col := h.build[h.rightPos].ints; len(col) > 0 {
 		n := len(col)
-		h.chain = make([]int32, n)
+		pool := &h.rc.eng.pool
+		h.chain = zeroedSel(pool, n)
 		lo, hi := col[0], col[0]
 		for _, v := range col[1:] {
 			if v < lo {
@@ -239,9 +242,10 @@ func (h *hashJoinIter) start() error {
 		}
 		if span := hi - lo + 1; span <= int64(2*n)+1024 {
 			h.denseLo = lo
-			h.denseHead = make([]int32, span)
-			h.denseCnt = make([]int32, span)
-			tail := make([]int32, span)
+			h.denseHead = zeroedSel(pool, int(span))
+			h.denseCnt = zeroedSel(pool, int(span))
+			tail := zeroedSel(pool, int(span))
+			defer pool.putSel(tail)
 			for j, v := range col {
 				i := v - lo
 				if tail[i] == 0 {
@@ -272,6 +276,23 @@ func (h *hashJoinIter) start() error {
 	}
 	h.started = true
 	return nil
+}
+
+// zeroedSel returns n zeros in a slab of pool.
+func zeroedSel(pool *slabPool, n int) []int32 {
+	s := pool.getSel(n)
+	clear(s)
+	return s
+}
+
+// Close returns the index's arrays, and then the join's slabs, to the pool.
+func (h *hashJoinIter) Close() {
+	pool := &h.rc.eng.pool
+	pool.putSel(h.chain)
+	pool.putSel(h.denseHead)
+	pool.putSel(h.denseCnt)
+	h.chain, h.denseHead, h.denseCnt = nil, nil, nil
+	h.joinBase.Close()
 }
 
 // price fails the run before gathering when the matches of probe batch cb

@@ -3,6 +3,8 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
+	"sync/atomic"
 
 	"raal/internal/tensor"
 )
@@ -61,6 +63,14 @@ type Adam[T tensor.Float] struct {
 	t int
 	m map[*Param[T]]*tensor.Mat[T]
 	v map[*Param[T]]*tensor.Mat[T]
+
+	// A Step's bias corrections, and the share of its parameters that the
+	// second goroutine updates. hiRun is a.updateHi, made once, so a Step
+	// allocates nothing.
+	c1, c2 T
+	hi     []*Param[T]
+	hiRun  func()
+	hiWG   sync.WaitGroup
 }
 
 // NewAdam returns an Adam optimizer with the usual defaults for any zero
@@ -141,25 +151,71 @@ func (a *Adam[T]) Restore(params []*Param[T], st AdamState) error {
 	return nil
 }
 
-// Step applies one Adam update and zeroes the gradients.
+// adamOneGoroutine, while set, makes every Adam.Step run on its caller's
+// goroutine alone (AdamOnOneGoroutine).
+var adamOneGoroutine atomic.Bool
+
+// AdamOnOneGoroutine makes every Adam.Step in the process update all its
+// parameters on the caller's goroutine until it is called with false. It
+// is a test hook: the schedule must change no bit.
+func AdamOnOneGoroutine(on bool) { adamOneGoroutine.Store(on) }
+
+// Step applies one Adam update and zeroes the gradients. It first creates
+// the moments of any parameter stepped for the first time, then updates
+// two contiguous parts of params holding about half the elements each, the
+// second on another goroutine. Each element's update reads only its own
+// weight, gradient and moments, so the split changes no bit.
 func (a *Adam[T]) Step(params []*Param[T]) {
 	a.t++
-	c1 := T(1 - math.Pow(a.Beta1, float64(a.t)))
-	c2 := T(1 - math.Pow(a.Beta2, float64(a.t)))
-	b1, b2, lr, eps := T(a.Beta1), T(a.Beta2), T(a.LR), T(a.Eps)
+	a.c1 = T(1 - math.Pow(a.Beta1, float64(a.t)))
+	a.c2 = T(1 - math.Pow(a.Beta2, float64(a.t)))
+	total := 0
+	for _, p := range params {
+		if p.Var.Grad == nil {
+			continue
+		}
+		w := p.Var.Value
+		if _, ok := a.m[p]; !ok {
+			a.m[p] = tensor.NewMat[T](w.Rows, w.Cols)
+			a.v[p] = tensor.NewMat[T](w.Rows, w.Cols)
+		}
+		total += len(w.Data)
+	}
+	k, lo := 0, 0
+	for ; k < len(params) && 2*lo < total; k++ {
+		if params[k].Var.Grad != nil {
+			lo += len(params[k].Var.Value.Data)
+		}
+	}
+	if k == len(params) || adamOneGoroutine.Load() {
+		a.update(params)
+		return
+	}
+	if a.hiRun == nil {
+		a.hiRun = a.updateHi
+	}
+	a.hi = params[k:]
+	a.hiWG.Add(1)
+	go a.hiRun()
+	a.update(params[:k])
+	a.hiWG.Wait()
+	a.hi = nil
+}
+
+func (a *Adam[T]) updateHi() {
+	defer a.hiWG.Done()
+	a.update(a.hi)
+}
+
+// update applies the step to params and zeroes their gradients.
+func (a *Adam[T]) update(params []*Param[T]) {
+	b1, b2, lr, eps, c1, c2 := T(a.Beta1), T(a.Beta2), T(a.LR), T(a.Eps), a.c1, a.c2
 	for _, p := range params {
 		g := p.Var.Grad
 		if g == nil {
 			continue
 		}
-		w := p.Var.Value
-		m, ok := a.m[p]
-		if !ok {
-			m = tensor.NewMat[T](w.Rows, w.Cols)
-			a.m[p] = m
-			a.v[p] = tensor.NewMat[T](w.Rows, w.Cols)
-		}
-		v := a.v[p]
+		w, m, v := p.Var.Value, a.m[p], a.v[p]
 		for i := range w.Data {
 			gi := g.Data[i]
 			m.Data[i] = b1*m.Data[i] + (1-b1)*gi

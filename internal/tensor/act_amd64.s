@@ -6,6 +6,9 @@
 //	sigmoidAVX2  1 / (1 + math.Exp(-x))
 //	tanhAVX2     math.Tanh(x)
 //
+// negSampleAVX2, at the end, applies one skip-gram step through the same
+// sigmoid (negsample_amd64.go).
+//
 // EXP below is math.Exp's avxfma path ($GOROOT/src/math/exp_amd64.s),
 // step for step: the same operations, in the same order, with a fused
 // multiply-add exactly where that file has one (the two VFNMADD231 of the
@@ -195,5 +198,178 @@ tanhloop:
 	JNZ     tanhloop
 
 tanhdone:
+	VZEROUPPER
+	RET
+
+// ROW computes the address of the row whose index is at off(BX): m (DX)
+// plus the index times the row stride (R12), into reg.
+#define ROW(off, reg) MOVLQSX off(BX), reg; IMULQ R12, reg; ADDQ DX, reg
+
+// UPD updates columns off..off+3 of the row at R8 with the coefficient in
+// Y0 and the accumulator acc: acc += g·v with v's old value, then v += g·x.
+#define UPD(off, acc) \
+	VMOVUPD off(R8), Y1; \
+	VMULPD  Y1, Y0, Y2;     /* g·v */ \
+	VADDPD  Y2, acc, acc;   /* acc + g·v */ \
+	VMULPD  off(DI), Y0, Y3; /* g·x */ \
+	VADDPD  Y3, Y1, Y1;     /* v + g·x */ \
+	VMOVUPD Y1, off(R8)
+
+// APPLY sets x[off:off+4] += acc.
+#define APPLY(off, acc) VMOVUPD off(DI), Y1; VADDPD acc, Y1, Y1; VMOVUPD Y1, off(DI)
+
+// func negSampleAVX2(x, m *float64, rows, runs *int32, nruns, n int, lr float64, buf *float64)
+//
+// One skip-gram negative-sampling step (negsample.go), run by run. The
+// dots take four rows at a time, one lane each, the last row repeated to
+// fill the group: each step multiplies x[d:d+4] by the same four columns
+// of every row, a 4×4 transpose (unpack, then swap 128-bit halves) turns
+// the products into one vector per column, and those are added to Y0 in
+// ascending column order, so each lane is the scalar sum from +0. The
+// sigmoids are sigmoidAVX2's, the coefficients lr·(label − σ), and the
+// updates acc += g·v, then v += g·x, row by row. No product is fused with
+// its add. The rows of a run are distinct, so its dots may all be taken
+// before its first update. The accumulator stays in Y12-Y15, one register
+// per four columns; x is read from memory, since the dots and EXP need the
+// other registers.
+//
+// DI x, DX m, BX the run's rows, R13 its length (in runs), R12 the row
+// stride in bytes, SI the run's coefficients, CX a coefficient, R14 rows
+// left, R8-R11 row addresses, AX a column offset in bytes. Y9 is the label
+// vector (lane 0 is 1 for the pair's first row), Y11 lr.
+TEXT ·negSampleAVX2(SB), NOSPLIT, $0-64
+	MOVQ         x+0(FP), DI
+	MOVQ         m+8(FP), DX
+	MOVQ         rows+16(FP), BX
+	MOVQ         runs+24(FP), R13
+	MOVQ         n+40(FP), R12
+	SHLQ         $3, R12
+	VBROADCASTSD lr+48(FP), Y11
+	MOVQ         buf+56(FP), SI
+
+	VXORPD Y12, Y12, Y12
+	VXORPD Y13, Y13, Y13
+	VXORPD Y14, Y14, Y14
+	VXORPD Y15, Y15, Y15
+	VMOVSD one<>(SB), X9
+
+nsrun:
+	// Dots, into the coefficient slots.
+	MOVQ    SI, CX
+	MOVLQSX (R13), R14
+
+nsgroup:
+	ROW(0, R8)
+	MOVQ R8, R9
+	MOVQ R8, R10
+	MOVQ R8, R11
+	CMPQ R14, $2
+	JLT  nsdot
+	ROW(4, R9)
+	MOVQ R9, R10
+	MOVQ R9, R11
+	CMPQ R14, $3
+	JLT  nsdot
+	ROW(8, R10)
+	MOVQ R10, R11
+	CMPQ R14, $4
+	JLT  nsdot
+	ROW(12, R11)
+
+nsdot:
+	XORQ   AX, AX
+	VXORPD Y0, Y0, Y0
+
+nsdotcol:
+	VMOVUPD    (DI)(AX*1), Y1
+	VMULPD     (R8)(AX*1), Y1, Y2
+	VMULPD     (R9)(AX*1), Y1, Y3
+	VMULPD     (R10)(AX*1), Y1, Y4
+	VMULPD     (R11)(AX*1), Y1, Y5
+	VUNPCKLPD  Y3, Y2, Y6
+	VUNPCKHPD  Y3, Y2, Y7
+	VUNPCKLPD  Y5, Y4, Y8
+	VUNPCKHPD  Y5, Y4, Y10
+	VPERM2F128 $0x20, Y8, Y6, Y2
+	VPERM2F128 $0x20, Y10, Y7, Y3
+	VPERM2F128 $0x31, Y8, Y6, Y4
+	VPERM2F128 $0x31, Y10, Y7, Y5
+	VADDPD     Y2, Y0, Y0
+	VADDPD     Y3, Y0, Y0
+	VADDPD     Y4, Y0, Y0
+	VADDPD     Y5, Y0, Y0
+	ADDQ       $32, AX
+	CMPQ       AX, R12
+	JNE        nsdotcol
+
+	VMOVUPD Y0, (CX)
+	ADDQ    $32, CX
+	ADDQ    $16, BX
+	SUBQ    $4, R14
+	JGT     nsgroup
+
+	// Coefficients, four at a time; BX back to the run's first row.
+	MOVQ    SI, CX
+	MOVLQSX (R13), R14
+	LEAQ    3(R14), AX
+	ANDQ    $-4, AX
+	SHLQ    $2, AX
+	SUBQ    AX, BX
+
+nssig:
+	VMOVUPD (CX), Y0
+	VXORPD  signBit<>(SB), Y0, Y0
+	EXP
+	VADDPD  one<>(SB), Y3, Y3
+	VMOVUPD one<>(SB), Y1
+	VDIVPD  Y3, Y1, Y3            // σ
+	VSUBPD  Y3, Y9, Y3            // label − σ
+	VMULPD  Y3, Y11, Y3           // lr·(label − σ)
+	VMOVUPD Y3, (CX)
+	VXORPD  Y9, Y9, Y9            // later rows are negatives
+	ADDQ    $32, CX
+	SUBQ    $4, R14
+	JGT     nssig
+
+	// Updates, row by row.
+	MOVQ    SI, CX
+	MOVLQSX (R13), R14
+
+nsrow:
+	ROW(0, R8)
+	VBROADCASTSD (CX), Y0
+	UPD(0, Y12)
+	CMPQ         R12, $32
+	JEQ          nsnext
+	UPD(32, Y13)
+	CMPQ         R12, $64
+	JEQ          nsnext
+	UPD(64, Y14)
+	CMPQ         R12, $96
+	JEQ          nsnext
+	UPD(96, Y15)
+
+nsnext:
+	ADDQ $4, BX
+	ADDQ $8, CX
+	DECQ R14
+	JNZ  nsrow
+	ADDQ $4, R13
+	DECQ nruns+32(FP)
+	JNZ  nsrun
+
+	// x += acc.
+	APPLY(0, Y12)
+	CMPQ R12, $32
+	JEQ  nsdone
+	APPLY(32, Y13)
+	CMPQ R12, $64
+	JEQ  nsdone
+	APPLY(64, Y14)
+	CMPQ R12, $96
+	JEQ  nsdone
+	APPLY(96, Y15)
+
+nsdone:
 	VZEROUPPER
 	RET

@@ -2,7 +2,7 @@ package word2vec
 
 // The sequential SGNS step Train was first written as: every sample of a
 // pair reads its output row, takes its sigmoid and updates the row before
-// the next sample is drawn. It is the oracle trainer.pair is held to, bit
+// the next sample is drawn. It is the oracle Train is held to, bit
 // for bit, by TestTrainMatchesOracle and FuzzWord2Vec.
 
 import "math"
@@ -14,13 +14,13 @@ func trainOracle(sentences [][]string, cfg Config) (*trainer, error) {
 	if err != nil {
 		return nil, err
 	}
-	t.run(t.pairSequential)
+	grad := make([]float64, cfg.Dim)
+	t.run(func(n int, center, ctx int32) { t.pairSequential(center, ctx, t.lr(n), grad) })
 	return t, nil
 }
 
-func (t *trainer) pairSequential(center, ctx int32, lr float64) {
+func (t *trainer) pairSequential(center, ctx int32, lr float64, grad []float64) {
 	vin := t.row(t.in, center)
-	grad := t.grad
 	for d := range grad {
 		grad[d] = 0
 	}

@@ -46,15 +46,17 @@ type Model struct {
 // Train learns embeddings from tokenized sentences. It returns an error if
 // the corpus is empty after MinCount filtering or the config is invalid.
 //
-// Training is sequential SGD over (center, context) pairs. Each pair's
-// step is computed in an order that gives the same bits as applying its
-// positive and negative samples one by one (DESIGN §5y): see pair.
+// Training is sequential SGD over (center, context) pairs, split across
+// two goroutines (DESIGN §5y): a producer walks the pairs and draws each
+// one's negative samples, and the caller's goroutine applies each pair in
+// one tensor.NegSampleStep call. The draws read no embedding, so the
+// result is that of applying the samples one by one, bit for bit.
 func Train(sentences [][]string, cfg Config) (*Model, error) {
 	t, err := newTrainer(sentences, cfg)
 	if err != nil {
 		return nil, err
 	}
-	t.run(t.pair)
+	t.train()
 	return t.m, nil
 }
 
@@ -67,11 +69,6 @@ type trainer struct {
 	tokens  []int32   // the word ids of every trainable sentence, back to back
 	ends    []int     // sentence i is tokens[ends[i-1]:ends[i]]
 	rng     *rand.Rand
-
-	// Scratch for one pair, allocated once.
-	grad, dots []float64
-	rows       []int32 // the pair's output rows: its context word, then its kept negatives
-	sig        tensor.Matrix
 }
 
 func newTrainer(sentences [][]string, cfg Config) (*trainer, error) {
@@ -118,9 +115,6 @@ func newTrainer(sentences [][]string, cfg Config) (*trainer, error) {
 		tokens: make([]int32, 0, ntok),
 		ends:   make([]int, 0, len(sentences)),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
-		grad:   make([]float64, dim),
-		dots:   make([]float64, (cfg.Negatives+4)&^3), // 1+Negatives, rounded up to whole vectors
-		rows:   make([]int32, 0, 1+cfg.Negatives),
 	}
 	for i := range words {
 		t.m.In[i] = t.in[i*dim : (i+1)*dim : (i+1)*dim]
@@ -166,32 +160,34 @@ func newTrainer(sentences [][]string, cfg Config) (*trainer, error) {
 }
 
 // run calls step on every (center, context) pair of every epoch, in order,
-// with the linearly decayed learning rate of the pair's sentence.
-func (t *trainer) run(step func(center, ctx int32, lr float64)) {
-	cfg := t.cfg
-	totalSteps := cfg.Epochs * len(t.ends)
+// with n, the index of the pair's sentence in the walk (see lr).
+func (t *trainer) run(step func(n int, center, ctx int32)) {
 	n := 0
-	for epoch := 0; epoch < cfg.Epochs; epoch++ {
+	for epoch := 0; epoch < t.cfg.Epochs; epoch++ {
 		start := 0
 		for _, end := range t.ends {
 			sent := t.tokens[start:end]
 			start = end
-			lr := cfg.LR * (1 - float64(n)/float64(totalSteps+1))
-			if lr < cfg.LR*0.0001 {
-				lr = cfg.LR * 0.0001
-			}
-			n++
 			for pos, center := range sent {
-				lo := max(pos-cfg.Window, 0)
-				hi := min(pos+cfg.Window+1, len(sent))
+				lo := max(pos-t.cfg.Window, 0)
+				hi := min(pos+t.cfg.Window+1, len(sent))
 				for cpos := lo; cpos < hi; cpos++ {
 					if cpos != pos {
-						step(center, sent[cpos], lr)
+						step(n, center, sent[cpos])
 					}
 				}
 			}
+			n++
 		}
 	}
+}
+
+// lr is the learning rate of the walk's n-th sentence: linearly decayed
+// over the walk, down to a floor of 10⁻⁴ of cfg.LR.
+func (t *trainer) lr(n int) float64 {
+	cfg := t.cfg
+	lr := cfg.LR * (1 - float64(n)/float64(cfg.Epochs*len(t.ends)+1))
+	return max(lr, cfg.LR*0.0001)
 }
 
 // row returns word id's row of emb (t.in or t.out).
@@ -200,51 +196,94 @@ func (t *trainer) row(emb []float64, id int32) []float64 {
 	return emb[int(id)*d:][:d]
 }
 
-// pair applies one SGNS step: label 1 for the context word's output row,
-// 0 for each negative sample's, the input-vector gradient accumulated over
-// all of them and applied at the end. Sequentially, each sample reads its
-// row, takes a sigmoid and updates the row before the next sample reads
-// anything. Only a sample whose row an earlier sample of the pair updated
-// depends on that order, so pair draws the negatives first (the RNG never
-// depends on a value), cuts the rows into runs with no repeated row, and
-// per run takes every dot from the rows as they stand, every sigmoid in one
-// vector call, and then the updates in the original order. Every sum and
-// rounding is the sequential one, so the bits are too.
-func (t *trainer) pair(center, ctx int32, lr float64) {
-	vin := t.row(t.in, center)
-	clear(t.grad)
-	rows := append(t.rows[:0], ctx)
-	for n := 0; n < t.cfg.Negatives; n++ {
-		// rng.Intn(len(t.table)) for the power-of-two table: Int31n's
-		// masked Int31, without the calls in between.
-		if neg := t.table[int32(t.rng.Int63()>>32)&int32(len(t.table)-1)]; neg != ctx {
-			rows = append(rows, neg)
-		}
+// The ring between the goroutines: ringChunks chunks of chunkPairs pair
+// records, carved from one allocation per Train. A record is recLen()
+// int32s: the sentence index n, the center word, the row count k and the
+// run count r, then room for 1+Negatives rows (the context word, then the
+// kept negatives) and as many run lengths.
+const (
+	ringChunks = 4
+	chunkPairs = 256
+)
+
+func (t *trainer) recLen() int { return 4 + 2*(1+t.cfg.Negatives) }
+
+// train applies every pair in walk order. The producer fills free chunks
+// and sends each, cut to its records, on full; train applies a chunk's
+// pairs and hands the chunk back on free. The chunks bound the producer's
+// lead, and each channel can hold all of them, so no send blocks. The
+// producer has exited when train returns, however it returns: free is
+// closed on the way out, which stops a producer waiting for a chunk, and
+// train then drains full until the producer closes it.
+func (t *trainer) train() {
+	size := chunkPairs * t.recLen()
+	ring := make([]int32, ringChunks*size)
+	free, full := make(chan []int32, ringChunks), make(chan []int32, ringChunks)
+	for i := range ringChunks {
+		free <- ring[i*size : (i+1)*size : (i+1)*size]
 	}
-	for start := 0; start < len(rows); {
-		end := start + 1
-		for end < len(rows) && !slices.Contains(rows[start:end], rows[end]) {
-			end++
+	go t.produce(free, full)
+	defer func() {
+		close(free)
+		for range full {
 		}
-		run := rows[start:end]
-		tensor.DotRowsInto(t.dots, vin, t.out, run)
-		// Whole 4-lane vectors, which the SIMD sigmoid takes in one go; the
-		// lanes past the run are ignored.
-		k := (len(run) + 3) &^ 3
-		t.sig = tensor.Matrix{Rows: 1, Cols: k, Data: t.dots[:k]}
-		tensor.SigmoidInto(&t.sig, &t.sig)
-		for i := range run {
-			label := 0.0
-			if start+i == 0 {
-				label = 1
+	}()
+	buf := make([]float64, t.cfg.Dim+t.cfg.Negatives+4)
+	n, lr := -1, 0.0
+	reclen, neg := t.recLen(), t.cfg.Negatives
+	for chunk := range full {
+		for i := 0; i < len(chunk); i += reclen {
+			rec := chunk[i:][:reclen]
+			if int(rec[0]) != n {
+				n = int(rec[0])
+				lr = t.lr(n)
 			}
-			t.dots[i] = lr * (label - t.dots[i]) // the row's coefficient
+			rows, runs := rec[4:][:rec[2]], rec[5+neg:][:rec[3]]
+			tensor.NegSampleStep(t.row(t.in, rec[1]), t.out, rows, runs, lr, buf)
 		}
-		tensor.AxpyRows(t.grad, vin, t.out, run, t.dots)
-		start = end
+		free <- chunk[:cap(chunk)]
 	}
-	for d := range vin {
-		vin[d] += t.grad[d]
+}
+
+// produce is the producer goroutine: it walks the pairs, drawing each
+// one's negatives from t.rng in walk order and cutting its rows into runs
+// at a repeated row, and sends the filled chunks on full, which it closes
+// when the walk ends or free is closed.
+func (t *trainer) produce(free <-chan []int32, full chan<- []int32) {
+	defer close(full)
+	chunk, ok := <-free
+	used, reclen, neg := 0, t.recLen(), t.cfg.Negatives
+	t.run(func(n int, center, ctx int32) {
+		if !ok {
+			return
+		}
+		rec := chunk[used:][:reclen]
+		rows := append(rec[4:4], ctx)
+		for range neg {
+			// rng.Intn(len(t.table)) for the power-of-two table: Int31n's
+			// masked Int31, without the calls in between.
+			if r := t.table[int32(t.rng.Int63()>>32)&int32(len(t.table)-1)]; r != ctx {
+				rows = append(rows, r)
+			}
+		}
+		runs := rec[5+neg : 5+neg]
+		for start := 0; start < len(rows); {
+			end := start + 1
+			for end < len(rows) && !slices.Contains(rows[start:end], rows[end]) {
+				end++
+			}
+			runs = append(runs, int32(end-start))
+			start = end
+		}
+		rec[0], rec[1], rec[2], rec[3] = int32(n), center, int32(len(rows)), int32(len(runs))
+		if used += reclen; used == len(chunk) {
+			full <- chunk
+			chunk, ok = <-free
+			used = 0
+		}
+	})
+	if ok && used > 0 {
+		full <- chunk[:used]
 	}
 }
 

@@ -5,7 +5,9 @@ import (
 	"math"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -223,7 +225,7 @@ func fitConfig() Config {
 	return cfg
 }
 
-// checkMatchesOracle trains on sentences with trainer.pair, as Train does,
+// checkMatchesOracle trains on sentences as Train does
 // and with the sequential oracle, and fails unless both give the same
 // error, or the same bits in every input and output embedding.
 func checkMatchesOracle(t *testing.T, sentences [][]string, cfg Config) {
@@ -236,7 +238,7 @@ func checkMatchesOracle(t *testing.T, sentences [][]string, cfg Config) {
 	if err != nil {
 		return
 	}
-	fast.run(fast.pair)
+	fast.train()
 	for _, c := range []struct {
 		name      string
 		got, want []float64
@@ -250,12 +252,17 @@ func checkMatchesOracle(t *testing.T, sentences [][]string, cfg Config) {
 }
 
 // TestTrainMatchesOracle holds Train to one-sample-at-a-time SGD on the
-// benchmark's corpus and on 40 random small ones: vocabularies of 1 to 12
-// words (so rows repeat within a pair), widths 1 to 33, every window and
-// negative count, and tables small enough that a negative often equals the
-// context word.
+// benchmark's corpus; on ringCorpus at every width from 1 to 33 (the
+// kernel's multiples of 4 and the Go loop's other widths) and 1 to 8
+// negatives, over several ring chunks; and on 40 random small corpora:
+// vocabularies of 1 to 12 words (so rows repeat within a pair), widths 1
+// to 33, every window and negative count, and tables small enough that a
+// negative often equals the context word.
 func TestTrainMatchesOracle(t *testing.T) {
 	checkMatchesOracle(t, loadCorpus(t), fitConfig())
+	for dim := 1; dim <= 33; dim++ {
+		checkMatchesOracle(t, ringCorpus(), ringConfig(dim))
+	}
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 40; trial++ {
 		v := 1 + rng.Intn(12)
@@ -272,6 +279,112 @@ func TestTrainMatchesOracle(t *testing.T) {
 			Seed: rng.Int63(), TableBits: 1 + rng.Intn(12),
 		}
 		checkMatchesOracle(t, corpus, cfg)
+	}
+}
+
+// ringCorpus is 9 sentences of 30 distinct words each from a 40-word
+// vocabulary, so that a pair's center word names its position.
+func ringCorpus() [][]string {
+	rng := rand.New(rand.NewSource(5))
+	out := make([][]string, 9)
+	for i := range out {
+		for _, w := range rng.Perm(40)[:30] {
+			out[i] = append(out[i], fmt.Sprint("w", w))
+		}
+	}
+	return out
+}
+
+// ringConfig is ringCorpus's config at width dim: Negatives cycles through
+// 1 to 8 and the table through 32 to 4,096 entries.
+func ringConfig(dim int) Config {
+	return Config{Dim: dim, Window: 4, Negatives: 1 + (dim-1)%8, Epochs: 2, LR: 0.05,
+		MinCount: 1, Seed: int64(dim), TableBits: 5 + dim%8}
+}
+
+// produced runs t's producer alone and returns every pair record it sends,
+// in order, and the chunk each came in.
+func produced(t *trainer) (recs [][]int32, chunk []int) {
+	free, full := make(chan []int32, ringChunks), make(chan []int32, ringChunks)
+	for range ringChunks {
+		free <- make([]int32, chunkPairs*t.recLen())
+	}
+	go t.produce(free, full)
+	for c := 0; ; c++ {
+		recs1, ok := <-full
+		if !ok {
+			return recs, chunk
+		}
+		for i := 0; i < len(recs1); i += t.recLen() {
+			recs = append(recs, slices.Clone(recs1[i:][:t.recLen()]))
+			chunk = append(chunk, c)
+		}
+		free <- recs1[:cap(recs1)]
+	}
+}
+
+// TestRingCorpusCoversTheRing checks that TestTrainMatchesOracle's
+// ringCorpus cases reach what the split trainer must get right: more
+// chunks than the ring holds, a chunk boundary between two pairs of one
+// center, runs longer than four rows, and pairs cut into two or more runs.
+func TestRingCorpusCoversTheRing(t *testing.T) {
+	var chunks, longest, split int
+	boundaryInWindow := false
+	for dim := 1; dim <= 33; dim++ {
+		tr, err := newTrainer(ringCorpus(), ringConfig(dim))
+		if err != nil {
+			t.Fatal(err)
+		}
+		recs, chunk := produced(tr)
+		chunks = max(chunks, chunk[len(chunk)-1]+1)
+		for i, rec := range recs {
+			runs := rec[5+tr.cfg.Negatives:][:rec[3]]
+			longest = max(longest, int(slices.Max(runs)))
+			if len(runs) > 1 {
+				split++
+			}
+			if i > 0 && chunk[i] != chunk[i-1] && rec[0] == recs[i-1][0] && rec[1] == recs[i-1][1] {
+				boundaryInWindow = true
+			}
+		}
+	}
+	if chunks <= ringChunks || !boundaryInWindow || longest <= 4 || split == 0 {
+		t.Fatalf("ringCorpus fills %d chunks (want > %d), boundary inside a window %v, longest run %d (want > 4), %d split pairs (want > 0)",
+			chunks, ringChunks, boundaryInWindow, longest, split)
+	}
+}
+
+// TestConcurrentTrains runs two Trains at once, each on its own goroutine
+// with its own producer, and holds each to its serial run bit for bit.
+func TestConcurrentTrains(t *testing.T) {
+	corpora := [][][]string{loadCorpus(t), ringCorpus()}
+	cfgs := []Config{fitConfig(), ringConfig(12)}
+	want := make([]*Model, 2)
+	for i := range want {
+		m, err := Train(corpora[i], cfgs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		want[i] = m
+	}
+	got := make([]*Model, 2)
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], _ = Train(corpora[i], cfgs[i])
+		}()
+	}
+	wg.Wait()
+	for i := range want {
+		for w, id := range want[i].Vocab {
+			for d, v := range want[i].In[id] {
+				if g := got[i].In[id][d]; math.Float64bits(g) != math.Float64bits(v) {
+					t.Fatalf("corpus %d: %q[%d] = %v concurrently, %v serially", i, w, d, g, v)
+				}
+			}
+		}
 	}
 }
 
