@@ -143,21 +143,26 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 	out := t.at(r.out)
 	switch r.op {
 	case opMatMul:
+		// Each product is added into its gradient as the kernel stores it
+		// (DESIGN §5n). Where the kernel declines, and for dY·bᵀ through a
+		// non-finite or non-leaf b, the product goes through scratch.
 		a, b := t.at(r.a), t.at(r.b)
 		if g := t.grad(a, leaves); g != nil {
-			tmp := scr.mat(out.Grad.Rows, b.Value.Rows)
 			var bt *tensor.Mat[T]
 			if r.b < 0 && !leaves {
 				bt = t.transposed(r.b)
 			}
-			if bt != nil {
-				tensor.MatMulInto(tmp, out.Grad, bt)
-			} else {
-				tensor.MatMulTransBInto(tmp, out.Grad, b.Value)
+			if bt == nil || !tensor.MatMulAddInto(g, out.Grad, bt) {
+				tmp := scr.mat(out.Grad.Rows, b.Value.Rows)
+				if bt != nil {
+					tensor.MatMulInto(tmp, out.Grad, bt)
+				} else {
+					tensor.MatMulTransBInto(tmp, out.Grad, b.Value)
+				}
+				tensor.AddInPlace(g, tmp)
 			}
-			tensor.AddInPlace(g, tmp)
 		}
-		if g := t.grad(b, leaves); g != nil {
+		if g := t.grad(b, leaves); g != nil && !tensor.MatMulTransAAddInto(g, a.Value, out.Grad) {
 			tmp := scr.mat(a.Value.Cols, out.Grad.Cols)
 			tensor.MatMulTransAInto(tmp, a.Value, out.Grad)
 			tensor.AddInPlace(g, tmp)
@@ -167,7 +172,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 		a, b := t.at(r.a), t.at(r.b)
 		if g := t.grad(a, leaves); g != nil {
 			off := int(r.x0) * out.Grad.Cols // AddRowsAt's row window; 0 for Add
-			accumulate(g.Data[off:off+len(out.Grad.Data)], out.Grad.Data)
+			tensor.Accumulate(g.Data[off:off+len(out.Grad.Data)], out.Grad.Data)
 		}
 		if g := t.grad(b, leaves); g != nil {
 			tensor.AddInPlace(g, out.Grad)
@@ -207,7 +212,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 		}
 		if g := t.grad(rv, leaves); g != nil {
 			for i := 0; i < out.Grad.Rows; i++ {
-				accumulate(g.Data, out.Grad.Row(i))
+				tensor.Accumulate(g.Data, out.Grad.Row(i))
 			}
 		}
 
@@ -318,7 +323,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 			w := v.Value.Cols
 			if g := t.grad(v, leaves); g != nil {
 				for i := 0; i < out.Grad.Rows; i++ {
-					accumulate(g.Row(i), out.Grad.Row(i)[off:off+w])
+					tensor.Accumulate(g.Row(i), out.Grad.Row(i)[off:off+w])
 				}
 			}
 			off += w
@@ -331,7 +336,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 			v := t.at(ai)
 			n := v.Value.Rows * v.Value.Cols
 			if g := t.grad(v, leaves); g != nil {
-				accumulate(g.Data, out.Grad.Data[off:off+n])
+				tensor.Accumulate(g.Data, out.Grad.Data[off:off+n])
 			}
 			off += n
 		}
@@ -341,7 +346,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 		rows := t.auxArgs[r.x0+r.x1 : r.x0+2*r.x1]
 		for k, ai := range args {
 			if g := t.grad(t.at(ai), leaves); g != nil {
-				accumulate(g.Row(int(rows[k])), out.Grad.Row(k))
+				tensor.Accumulate(g.Row(int(rows[k])), out.Grad.Row(k))
 			}
 		}
 
@@ -361,20 +366,20 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 				if src < 0 || src >= rows {
 					continue
 				}
-				accumulate(g.Row(src), orow[k*cols:(k+1)*cols])
+				tensor.Accumulate(g.Row(src), orow[k*cols:(k+1)*cols])
 			}
 		}
 
 	case opRowAt:
 		if g := t.grad(t.at(r.a), leaves); g != nil {
-			accumulate(g.Row(int(r.x0)), out.Grad.Data)
+			tensor.Accumulate(g.Row(int(r.x0)), out.Grad.Data)
 		}
 
 	case opSliceCols:
 		if g := t.grad(t.at(r.a), leaves); g != nil {
 			lo, hi := int(r.x0), int(r.x1)
 			for i := 0; i < out.Grad.Rows; i++ {
-				accumulate(g.Row(i)[lo:hi], out.Grad.Row(i))
+				tensor.Accumulate(g.Row(i)[lo:hi], out.Grad.Row(i))
 			}
 		}
 
@@ -490,12 +495,5 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 
 	default:
 		panic(fmt.Sprintf("autodiff: unknown opcode %d", r.op))
-	}
-}
-
-// accumulate adds src into dst elementwise.
-func accumulate[T tensor.Float](dst, src []T) {
-	for j, x := range src {
-		dst[j] += x
 	}
 }

@@ -53,7 +53,9 @@ func TestLeafGradientInTapeOrder(t *testing.T) {
 			})
 			sc := tp.SliceCols(p, 1, 3)
 			contrib = append(contrib, func(g *tensor.Matrix) {
-				accumulate(g.Data[1:3], sc.Grad.Data)
+				for j, x := range sc.Grad.Data {
+					g.Data[1+j] += x
+				}
 			})
 			a := tp.Add(u, p)
 			contrib = append(contrib, func(g *tensor.Matrix) {

@@ -9,6 +9,9 @@ package tensor
 // by using VMULPx/VADDPx, never a fused multiply-add, so its results are
 // bit-identical to the portable Go loops (matMulRowsReg,
 // matMulTransAColsGo, matMulTransBRowsGo), which stay as the test oracle.
+// The float64 kernel can also add each finished sum into the output it
+// stores to (MatMulAddInto, MatMulTransAAddInto), and addF64 runs
+// Accumulate's adds four lanes at a time.
 
 // useAVX2 and useAVX512 are fixed once at init from the CPU and the OS;
 // there is no option, variable or build tag that selects a kernel.
@@ -58,89 +61,119 @@ func cpuHasAVX512F() bool {
 // vecMatF64 sets out[j] = Σ_{p<k} a[p·lda]·b[p·ldb+j] for every j <
 // len(out): the strided vector a times the k×len(out) window of b with row
 // stride ldb. Each sum runs in ascending p from +0 and skips p where
-// a[p·lda] is ±0. It does no bounds checks: the caller slices a and b so
-// that every element read lies inside them.
+// a[p·lda] is ±0. With add it sets out[j] = out[j] + Σ instead, the sum
+// built the same way and added at the store, out[j] the first operand: the
+// bits of tmp[j] = Σ followed by out[j] += tmp[j]. It does no bounds
+// checks: the caller slices a and b so that every element read lies
+// inside them.
 //
 //go:noescape
-func vecMatF64(out, a []float64, lda int, b []float64, ldb, k int)
+func vecMatF64(out, a []float64, lda int, b []float64, ldb, k int, add bool)
 
 // vecMatF64AVX512 is vecMatF64 over out[:len(out)&^63] only, 64 columns at
 // a time in ZMM registers; it leaves the rest of out untouched. Only
 // useAVX512 allows calling it.
 //
 //go:noescape
-func vecMatF64AVX512(out, a []float64, lda int, b []float64, ldb, k int)
+func vecMatF64AVX512(out, a []float64, lda int, b []float64, ldb, k int, add bool)
 
 // vecMatF64Wide is vecMatF64 with every full 64-column block run by
 // vecMatF64AVX512 where the CPU has it (DESIGN §5s). The columns past the
 // last block, fewer than 64, go to vecMatF64 with b advanced to them (an
 // empty rest costs vecMatF64 one compare). With k = 0 nothing reads b,
-// which may then be shorter than out, so vecMatF64 alone writes the zeros.
-func vecMatF64Wide(out, a []float64, lda int, b []float64, ldb, k int) {
+// which may then be shorter than out, so vecMatF64 alone writes the zeros
+// (or, with add, out + 0).
+func vecMatF64Wide(out, a []float64, lda int, b []float64, ldb, k int, add bool) {
 	if n64 := len(out) &^ 63; useAVX512 && n64 > 0 && k > 0 {
-		vecMatF64AVX512(out, a, lda, b, ldb, k)
+		vecMatF64AVX512(out, a, lda, b, ldb, k, add)
 		out, b = out[n64:], b[n64:]
 	}
-	vecMatF64(out, a, lda, b, ldb, k)
+	vecMatF64(out, a, lda, b, ldb, k, add)
 }
 
-// vecMatF32 is vecMatF64 at float32.
+// vecMatF32 is vecMatF64 at float32, without the add flag: float32 never
+// trains, so nothing accumulates a float32 product into a gradient.
 //
 //go:noescape
 func vecMatF32(out, a []float32, lda int, b []float32, ldb, k int)
 
+// addF64 adds src into dst[:len(dst)&^3], four lanes at a time, each
+// element dst[i] + src[i] with dst[i] the first operand.
+//
+//go:noescape
+func addF64(dst, src []float64)
+
 // simdFloat reports whether the AVX2 kernels run for element type T: the
-// CPU has them and T is float32 or float64 (not a named variant).
-func simdFloat[T Float]() bool {
+// CPU has them and T is float32 or float64 (not a named variant). With
+// add it asks for the accumulating kernel, which only float64 has.
+func simdFloat[T Float](add bool) bool {
 	var zero T
 	switch any(zero).(type) {
-	case float32, float64:
+	case float64:
 		return useAVX2
+	case float32:
+		return useAVX2 && !add
 	}
 	return false
 }
 
-// vecMat calls the kernel of T's width; simdFloat[T] must hold.
-func vecMat[T Float](out, a []T, lda int, b []T, ldb, k int) {
+// vecMat calls the kernel of T's width; simdFloat[T](add) must hold.
+func vecMat[T Float](out, a []T, lda int, b []T, ldb, k int, add bool) {
 	switch o := any(out).(type) {
 	case []float64:
-		vecMatF64Wide(o, any(a).([]float64), lda, any(b).([]float64), ldb, k)
+		vecMatF64Wide(o, any(a).([]float64), lda, any(b).([]float64), ldb, k, add)
 	case []float32:
 		vecMatF32(o, any(a).([]float32), lda, any(b).([]float32), ldb, k)
 	}
 }
 
 // matMulRowsSIMD runs the register path of matMulRows through the AVX2
-// kernel, one output row per call. It reports false, having done nothing,
-// when simdFloat[T] does not hold.
-func matMulRowsSIMD[T Float](out, a, b *Mat[T]) bool {
-	if !simdFloat[T]() {
+// kernel, one output row per call, adding into out with add. It reports
+// false, having done nothing, when simdFloat[T](add) does not hold.
+func matMulRowsSIMD[T Float](out, a, b *Mat[T], add bool) bool {
+	if !simdFloat[T](add) {
 		return false
 	}
 	m, k, n := a.Rows, a.Cols, b.Cols
 	bd := b.Data[:k*n]
 	for i := 0; i < m; i++ {
-		vecMat(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], 1, bd, n, k)
+		vecMat(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], 1, bd, n, k, add)
 	}
 	return true
 }
 
 // matMulTransAColsSIMD is matMulTransACols through the AVX2 kernel: output
 // row i is column i of a (stride a.Cols) times b, the same ascending-k sum
-// per element. Same false return as matMulRowsSIMD.
-func matMulTransAColsSIMD[T Float](out, a, b *Mat[T], jlo, jhi int) bool {
-	if !simdFloat[T]() {
+// per element, written over out or, with add, added into it. Same false
+// return as matMulRowsSIMD.
+func matMulTransAColsSIMD[T Float](out, a, b *Mat[T], jlo, jhi int, add bool) bool {
+	if !simdFloat[T](add) {
 		return false
 	}
 	k, m, n := a.Rows, a.Cols, b.Cols
 	if k == 0 {
-		return true // MatMulTransAInto has zeroed out
+		return true // matMulTransAInto zeroes out for k = 0 and never adds
 	}
 	ad, bd := a.Data[:k*m], b.Data[:k*n]
 	for i := 0; i < m; i++ {
-		vecMat(out.Data[i*n+jlo:i*n+jhi], ad[i:], m, bd[jlo:], n, k)
+		vecMat(out.Data[i*n+jlo:i*n+jhi], ad[i:], m, bd[jlo:], n, k, add)
 	}
 	return true
+}
+
+// addVec adds src into dst through addF64 and returns how many leading
+// elements it added: len(src) rounded down to a multiple of 4 where T is
+// float64 and the CPU has AVX2, else 0.
+func addVec[T Float](dst, src []T) int {
+	s, ok := any(src).([]float64)
+	if !ok || !useAVX2 {
+		return 0
+	}
+	n := len(s) &^ 3
+	if n > 0 {
+		addF64(any(dst).([]float64)[:n], s[:n])
+	}
+	return n
 }
 
 // matMulTransBRowsSIMD copies b, transposed, through a stack block of
@@ -165,7 +198,7 @@ const (
 // and k past transBMaxK decline before writing anything.
 func matMulTransBRowsSIMD[T Float](out, a, b *Mat[T]) bool {
 	m, k, nb := a.Rows, a.Cols, b.Rows
-	if !simdFloat[T]() || m < transBMinRows || k > transBMaxK {
+	if !simdFloat[T](false) || m < transBMinRows || k > transBMaxK {
 		return false
 	}
 	bd := b.Data[:nb*k]
@@ -184,7 +217,7 @@ func matMulTransBRowsSIMD[T Float](out, a, b *Mat[T]) bool {
 			}
 		}
 		for i := 0; i < m; i++ {
-			vecMat(out.Data[i*nb+j0:i*nb+j0+w], a.Data[i*k:(i+1)*k], 1, bt, w, k)
+			vecMat(out.Data[i*nb+j0:i*nb+j0+w], a.Data[i*k:(i+1)*k], 1, bt, w, k, false)
 		}
 	}
 	return true

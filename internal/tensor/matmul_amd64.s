@@ -14,6 +14,10 @@
 // ±0: shifting its bits left by one drops the sign, and only ±0 leave
 // zero (NaN and subnormals do not), which is the Go test a != 0.
 //
+// The float64 kernels take an add flag (R13). With it set, the store loads
+// the output's old value g into Y5-Y8 (Z9-Z16) and writes g + acc, g the
+// first source operand: one more IEEE add, the bits of g += acc.
+//
 // Full blocks are 128 bytes of columns (16 float64, 32 float32). The last
 // 1 to 127 bytes of columns run as one more block under a lane mask:
 // VMASKMOVPx neither loads nor stores the lanes past the end, so those
@@ -74,8 +78,8 @@ TEXT ·xgetbv(SB), NOSPLIT, $0-8
 	MOVL DX, edx+4(FP)
 	RET
 
-// func vecMatF64(out, a []float64, lda int, b []float64, ldb, k int)
-TEXT ·vecMatF64(SB), NOSPLIT, $0-96
+// func vecMatF64(out, a []float64, lda int, b []float64, ldb, k int, add bool)
+TEXT ·vecMatF64(SB), NOSPLIT, $0-97
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), DX
 	MOVQ a_base+24(FP), SI
@@ -85,6 +89,7 @@ TEXT ·vecMatF64(SB), NOSPLIT, $0-96
 	MOVQ ldb+80(FP), R9
 	SHLQ $3, R9
 	MOVQ k+88(FP), R10
+	MOVBQZX add+96(FP), R13
 
 block:
 	CMPQ DX, $16
@@ -120,6 +125,18 @@ skip:
 	JNZ  loop
 
 store:
+	TESTQ R13, R13
+	JZ   put
+	VMOVUPD (DI), Y5
+	VADDPD Y0, Y5, Y0
+	VMOVUPD 32(DI), Y6
+	VADDPD Y1, Y6, Y1
+	VMOVUPD 64(DI), Y7
+	VADDPD Y2, Y7, Y2
+	VMOVUPD 96(DI), Y8
+	VADDPD Y3, Y8, Y3
+
+put:
 	VMOVUPD Y0, (DI)
 	VMOVUPD Y1, 32(DI)
 	VMOVUPD Y2, 64(DI)
@@ -174,6 +191,18 @@ tailskip:
 	JNZ  tailloop
 
 tailstore:
+	TESTQ R13, R13
+	JZ   tailput
+	VMASKMOVPD (DI), Y9, Y5
+	VADDPD Y0, Y5, Y0
+	VMASKMOVPD 32(DI), Y10, Y6
+	VADDPD Y1, Y6, Y1
+	VMASKMOVPD 64(DI), Y11, Y7
+	VADDPD Y2, Y7, Y2
+	VMASKMOVPD 96(DI), Y12, Y8
+	VADDPD Y3, Y8, Y3
+
+tailput:
 	VMASKMOVPD Y0, Y9, (DI)
 	VMASKMOVPD Y1, Y10, 32(DI)
 	VMASKMOVPD Y2, Y11, 64(DI)
@@ -183,15 +212,15 @@ done:
 	VZEROUPPER
 	RET
 
-// func vecMatF64AVX512(out, a []float64, lda int, b []float64, ldb, k int)
+// func vecMatF64AVX512(out, a []float64, lda int, b []float64, ldb, k int, add bool)
 //
 // vecMatF64 over the first len(out) &^ 63 columns only, in blocks of 64
 // float64 (512 bytes) held in the eight ZMM accumulators Z0-Z7, with
 // Z8 the a[p] broadcast and Z9-Z16 the products. The general registers,
-// the zero test and each lane's multiply-then-add order are vecMatF64's;
-// only the block is four times wider. The columns past the last full block are
-// left for vecMatF64.
-TEXT ·vecMatF64AVX512(SB), NOSPLIT, $0-96
+// the zero test, each lane's multiply-then-add order and the add flag's
+// store are vecMatF64's; only the block is four times wider. The columns
+// past the last full block are left for vecMatF64.
+TEXT ·vecMatF64AVX512(SB), NOSPLIT, $0-97
 	MOVQ out_base+0(FP), DI
 	MOVQ out_len+8(FP), DX
 	MOVQ a_base+24(FP), SI
@@ -201,6 +230,7 @@ TEXT ·vecMatF64AVX512(SB), NOSPLIT, $0-96
 	MOVQ ldb+80(FP), R9
 	SHLQ $3, R9
 	MOVQ k+88(FP), R10
+	MOVBQZX add+96(FP), R13
 
 block:
 	CMPQ DX, $64
@@ -248,6 +278,26 @@ skip:
 	JNZ  loop
 
 store:
+	TESTQ R13, R13
+	JZ   put
+	VMOVUPD (DI), Z9
+	VADDPD Z0, Z9, Z0
+	VMOVUPD 64(DI), Z10
+	VADDPD Z1, Z10, Z1
+	VMOVUPD 128(DI), Z11
+	VADDPD Z2, Z11, Z2
+	VMOVUPD 192(DI), Z12
+	VADDPD Z3, Z12, Z3
+	VMOVUPD 256(DI), Z13
+	VADDPD Z4, Z13, Z4
+	VMOVUPD 320(DI), Z14
+	VADDPD Z5, Z14, Z5
+	VMOVUPD 384(DI), Z15
+	VADDPD Z6, Z15, Z6
+	VMOVUPD 448(DI), Z16
+	VADDPD Z7, Z16, Z7
+
+put:
 	VMOVUPD Z0, (DI)
 	VMOVUPD Z1, 64(DI)
 	VMOVUPD Z2, 128(DI)
@@ -371,5 +421,29 @@ tailstore:
 	VMASKMOVPS Y3, Y12, 96(DI)
 
 done:
+	VZEROUPPER
+	RET
+
+// func addF64(dst, src []float64)
+//
+// dst[i] += src[i] for i < len(dst) &^ 3, four lanes at a time, dst the
+// first source operand; the caller adds the rest. len(src) >= len(dst).
+TEXT ·addF64(SB), NOSPLIT, $0-48
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	SHRQ $2, CX
+	JZ   adddone
+
+addloop:
+	VMOVUPD (DI), Y0
+	VADDPD (SI), Y0, Y0
+	VMOVUPD Y0, (DI)
+	ADDQ $32, DI
+	ADDQ $32, SI
+	DECQ CX
+	JNZ  addloop
+
+adddone:
 	VZEROUPPER
 	RET

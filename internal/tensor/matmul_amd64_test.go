@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -63,7 +64,7 @@ func TestAVX512SelectedWhereCPUHasIt(t *testing.T) {
 func vecMatAVX2[T Float](out, a []T, lda int, b []T, ldb, k int) {
 	switch o := any(out).(type) {
 	case []float64:
-		vecMatF64(o, any(a).([]float64), lda, any(b).([]float64), ldb, k)
+		vecMatF64(o, any(a).([]float64), lda, any(b).([]float64), ldb, k, false)
 	case []float32:
 		vecMatF32(o, any(a).([]float32), lda, any(b).([]float32), ldb, k)
 	}
@@ -113,7 +114,7 @@ func testSIMDMatchesGeneric[T Float](t *testing.T) {
 		b = oddView(rng, b)
 
 		got, want := randMatOf[T](rng, m, n), randMatOf[T](rng, m, n)
-		if !matMulRowsSIMD(got, a, b) {
+		if !matMulRowsSIMD(got, a, b, false) {
 			t.Fatal("matMulRowsSIMD declined a float matrix")
 		}
 		matMulRowsReg(want, a, b)
@@ -128,7 +129,7 @@ func testSIMDMatchesGeneric[T Float](t *testing.T) {
 			jlo, jhi = jlo%3, n
 		}
 		gotA, wantA := NewMat[T](m, n), NewMat[T](m, n)
-		if !matMulTransAColsSIMD(gotA, at, b, jlo, jhi) {
+		if !matMulTransAColsSIMD(gotA, at, b, jlo, jhi, false) {
 			t.Fatal("matMulTransAColsSIMD declined a float matrix")
 		}
 		matMulTransAColsGo(wantA, at, b, jlo, jhi)
@@ -176,12 +177,15 @@ func fuzzFloat(u uint64) float64 {
 
 // FuzzMatMul holds every float64 kernel this CPU runs to matMulRowsReg,
 // the Go loop, bit for bit (NaN payloads aside, which the Go loop's
-// operand order may pick differently), by rows and by a's columns. The
-// input's first three bytes give m ≤ 4, k ≤ 70 and n ≤ 200; the rest,
-// cycled 8 bytes at a time, give the elements of a and then b
-// (fuzzFloat). Where the AVX-512 block runs it must equal the AVX2 kernel
-// outright, NaN payloads included. The seeds in testdata/fuzz/FuzzMatMul
-// sit on the 64-column block boundaries.
+// operand order may pick differently), by rows and by a's columns, and
+// the accumulating mode of each, from a g of fuzzed values, to that
+// product added into g by AddInPlace. MatMulAddInto and
+// MatMulTransAAddInto (which declines k = 0) are held to the same sum. The input's first three
+// bytes give m ≤ 4, k ≤ 70 and n ≤ 200; the rest, cycled 8 bytes at a
+// time, give the elements of a, then b, then g (fuzzFloat). Where the
+// AVX-512 block runs it must equal the AVX2 kernel outright, NaN payloads
+// included, in both modes. The seeds in testdata/fuzz/FuzzMatMul sit on
+// the 64-column block boundaries.
 func FuzzMatMul(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !useAVX2 {
@@ -200,45 +204,232 @@ func FuzzMatMul(f *testing.F) {
 			}
 			return fuzzFloat(u)
 		}
-		a, b := NewMat[float64](m, k), NewMat[float64](k, n)
-		for i := range a.Data {
-			a.Data[i] = next()
-		}
-		for i := range b.Data {
-			b.Data[i] = next()
+		a, b, g := NewMat[float64](m, k), NewMat[float64](k, n), NewMat[float64](m, n)
+		for _, mat := range []*Mat[float64]{a, b, g} {
+			for i := range mat.Data {
+				mat.Data[i] = next()
+			}
 		}
 		want := NewMat[float64](m, n)
 		matMulRowsReg(want, a, b)
+		wantAdd := g.Clone()
+		AddInPlace(wantAdd, want)
 
 		// run fills every output element through kern, once with a's rows
-		// and once with a's columns at stride m. The rows start dirty, so a
-		// column the kernel leaves unwritten shows.
+		// and once with a's columns at stride m. Without add the rows start
+		// dirty, so a column the kernel leaves unwritten shows; with add
+		// both start as g.
 		at := a.Transpose()
-		run := func(kern func(out, a []float64, lda int, b []float64, ldb, k int)) (rows, cols *Mat[float64]) {
+		run := func(kern func(out, a []float64, lda int, b []float64, ldb, k int, add bool), add bool) (rows, cols *Mat[float64]) {
 			rows, cols = NewMat[float64](m, n), NewMat[float64](m, n)
 			rows.Fill(math.Float64frombits(0x7ff4dead0000beef))
+			if add {
+				copy(rows.Data, g.Data)
+				copy(cols.Data, g.Data)
+			}
 			for i := 0; i < m; i++ {
-				kern(rows.Row(i), a.Row(i), 1, b.Data, n, k)
-				if k > 0 {
-					kern(cols.Row(i), at.Data[i:], m, b.Data, n, k)
-				}
+				kern(rows.Row(i), a.Row(i), 1, b.Data, n, k, add)
+				kern(cols.Row(i), at.Data[min(i, len(at.Data)):], m, b.Data, n, k, add) // k = 0 reads nothing
 			}
 			return rows, cols
 		}
-		rows, cols := run(vecMatF64)
-		mustEqual(t, rows, want, "vecMatF64 by rows vs matMulRowsReg")
-		mustEqual(t, cols, want, "vecMatF64 by a's columns vs matMulRowsReg")
-		if !useAVX512 {
-			return
-		}
-		zRows, zCols := run(vecMatF64Wide)
-		for i := range want.Data {
-			if math.Float64bits(zRows.Data[i]) != math.Float64bits(rows.Data[i]) ||
-				math.Float64bits(zCols.Data[i]) != math.Float64bits(cols.Data[i]) {
-				t.Fatalf("m=%d k=%d n=%d element %d: AVX-512 %#x / %#x, AVX2 %#x / %#x (rows / columns)", m, k, n, i,
-					math.Float64bits(zRows.Data[i]), math.Float64bits(zCols.Data[i]),
-					math.Float64bits(rows.Data[i]), math.Float64bits(cols.Data[i]))
+		for _, add := range []bool{false, true} {
+			exp := want
+			if add {
+				exp = wantAdd
+			}
+			rows, cols := run(vecMatF64, add)
+			mustEqual(t, rows, exp, fmt.Sprintf("vecMatF64 (add %v) by rows", add))
+			mustEqual(t, cols, exp, fmt.Sprintf("vecMatF64 (add %v) by a's columns", add))
+			if !useAVX512 {
+				continue
+			}
+			zRows, zCols := run(vecMatF64Wide, add)
+			for i := range exp.Data {
+				if math.Float64bits(zRows.Data[i]) != math.Float64bits(rows.Data[i]) ||
+					math.Float64bits(zCols.Data[i]) != math.Float64bits(cols.Data[i]) {
+					t.Fatalf("m=%d k=%d n=%d add=%v element %d: AVX-512 %#x / %#x, AVX2 %#x / %#x (rows / columns)", m, k, n, add, i,
+						math.Float64bits(zRows.Data[i]), math.Float64bits(zCols.Data[i]),
+						math.Float64bits(rows.Data[i]), math.Float64bits(cols.Data[i]))
+				}
 			}
 		}
+		plain, transA := g.Clone(), g.Clone()
+		if !MatMulAddInto(plain, a, b) {
+			t.Fatal("MatMulAddInto declined a float64 product")
+		}
+		mustEqual(t, plain, wantAdd, "MatMulAddInto")
+		if MatMulTransAAddInto(transA, at, b) != (k > 0) {
+			t.Fatalf("MatMulTransAAddInto at k=%d did not take the kernel exactly when k > 0", k)
+		}
+		if k > 0 {
+			mustEqual(t, transA, wantAdd, "MatMulTransAAddInto")
+		}
 	})
+}
+
+// The scalar reference below spells out the x86 rules the kernels follow
+// for NaN operands, so it pins payloads too: an add or multiply with one
+// NaN operand returns that NaN quieted, and with two the first operand's.
+// Everything else is one IEEE-754 operation, which Go's own + and * are.
+func quietNaN(x float64) float64 { return math.Float64frombits(math.Float64bits(x) | 1<<51) }
+
+func refAdd(x, y float64) float64 {
+	switch {
+	case x != x:
+		return quietNaN(x)
+	case y != y:
+		return quietNaN(y)
+	}
+	return x + y
+}
+
+func refMul(x, y float64) float64 {
+	switch {
+	case x != x:
+		return quietNaN(x)
+	case y != y:
+		return quietNaN(y)
+	}
+	return x * y
+}
+
+// addIntoRef is g + a×b element by element, as the accumulating kernels'
+// contract states it: each sum starts at +0 and runs in ascending k,
+// skipping a's ±0, each product a's element times b's, each add the sum
+// first; the sum is then added to g, g first.
+func addIntoRef(g, a, b *Mat[float64]) *Mat[float64] {
+	out := NewMat[float64](g.Rows, g.Cols)
+	for i := 0; i < a.Rows; i++ {
+		for j := 0; j < b.Cols; j++ {
+			var s float64
+			for p := 0; p < a.Cols; p++ {
+				if av := a.At(i, p); av != 0 {
+					s = refAdd(s, refMul(av, b.At(p, j)))
+				}
+			}
+			out.Set(i, j, refAdd(g.At(i, j), s))
+		}
+	}
+	return out
+}
+
+// mustBitEqual is mustEqual with NaN payloads compared too.
+func mustBitEqual(t *testing.T, got, want *Mat[float64], what string) {
+	t.Helper()
+	for i := range want.Data {
+		if g, w := math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]); g != w {
+			t.Fatalf("%s: element %d = %#x, want %#x", what, i, g, w)
+		}
+	}
+}
+
+// TestAddIntoMatchesScalar holds MatMulAddInto and MatMulTransAAddInto,
+// through the AVX2 kernel alone and with the AVX-512 block where the CPU
+// has it, to addIntoRef bit for bit, NaN payloads included: widths 0–37
+// and 60–200 (the masked AVX2 tails, and full 64-column blocks with a
+// tail after them), k from 0 to 20 (aᵀ·b declines k = 0), unaligned
+// views. g is preloaded with ±0, ±Inf and NaNs of their own payloads, a
+// with ±0 (skipped) and b with a few infinities and NaNs of other
+// payloads, so some sums are NaN where g is NaN too and only the operand
+// order decides the result.
+func TestAddIntoMatchesScalar(t *testing.T) {
+	if !useAVX2 {
+		t.Skip("no SIMD kernels on this CPU")
+	}
+	defer func(on bool) { useAVX512 = on }(useAVX512)
+	paths := map[string]bool{"AVX2": false}
+	if useAVX512 {
+		paths["AVX-512"] = true
+	}
+	rng := rand.New(rand.NewSource(46))
+	negZero := math.Copysign(0, -1)
+	pick := func(m *Mat[float64], oneIn int, vals ...float64) *Mat[float64] {
+		for i := range m.Data {
+			if rng.Intn(oneIn) == 0 {
+				m.Data[i] = vals[rng.Intn(len(vals))]
+			}
+		}
+		return oddView(rng, m)
+	}
+	gNaN := math.Float64frombits(0x7ff800000000a001)
+	bNaN := math.Float64frombits(0xfff800000000b002)
+	var widths []int
+	for n := 0; n <= 200; n++ {
+		if n <= 37 || n >= 60 {
+			widths = append(widths, n)
+		}
+	}
+	defer SetMatMulMinFlops(SetMatMulMinFlops(MinParallelFlops))
+	for name, wide := range paths {
+		useAVX512 = wide
+		// Without a flop floor every call splits across goroutines, rows
+		// for a·b and column ranges for aᵀ·b, as a large product does.
+		for split, floor := range map[string]int64{"serial": MinParallelFlops, "split": 0} {
+			SetMatMulMinFlops(floor)
+			name := name + " " + split
+			for _, n := range widths {
+				for k := 0; k <= 20; k++ {
+					m := 1 + (n+k)%3
+					a := pick(randMatOf[float64](rng, m, k), 3, 0, negZero)
+					b := pick(randMatOf[float64](rng, k, n), 40, math.Inf(1), math.Inf(-1), bNaN)
+					g := pick(randMatOf[float64](rng, m, n), 3, 0, negZero, math.Inf(1), math.Inf(-1), gNaN)
+					want := addIntoRef(g, a, b)
+
+					got := oddView(rng, g)
+					if !MatMulAddInto(got, a, b) {
+						t.Fatal("MatMulAddInto declined a float64 product")
+					}
+					mustBitEqual(t, got, want, fmt.Sprintf("%s MatMulAddInto m=%d k=%d n=%d", name, m, k, n))
+
+					got = oddView(rng, g)
+					if MatMulTransAAddInto(got, oddView(rng, a.Transpose()), b) != (k > 0) {
+						t.Fatalf("MatMulTransAAddInto at k=%d did not take the kernel exactly when k > 0", k)
+					}
+					if k > 0 {
+						mustBitEqual(t, got, want, fmt.Sprintf("%s MatMulTransAAddInto m=%d k=%d n=%d", name, m, k, n))
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestAccumulateMatchesScalar holds Accumulate, four lanes at a time and
+// the Go tail, to the scalar dst[i] + src[i] at every length up to 40 and
+// at odd offsets: bit for bit, and where both operands are NaN with the
+// vector lanes keeping dst's payload (the Go tail's is the compiler's
+// pick, so it is held only to being NaN). It also checks AddInPlace, its
+// matrix form.
+func TestAccumulateMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(47))
+	dNaN, sNaN := math.Float64frombits(0x7ff800000000d001), math.Float64frombits(0x7ff800000000e002)
+	for n := 0; n <= 40; n++ {
+		src := randMatOf[float64](rng, 1, n)
+		dst := randMatOf[float64](rng, 1, n)
+		for i := range dst.Data {
+			switch rng.Intn(6) {
+			case 0:
+				dst.Data[i], src.Data[i] = dNaN, sNaN
+			case 1:
+				dst.Data[i], src.Data[i] = math.Copysign(0, -1), 0
+			case 2:
+				dst.Data[i], src.Data[i] = math.Inf(1), math.Inf(-1)
+			}
+		}
+		src, dst = oddView(rng, src), oddView(rng, dst)
+		want := NewMat[float64](1, n)
+		for i := range want.Data {
+			want.Data[i] = refAdd(dst.Data[i], src.Data[i])
+		}
+		got := oddView(rng, dst)
+		Accumulate(got.Data, src.Data)
+		mustEqual(t, got, want, fmt.Sprintf("Accumulate, n=%d", n))
+		if lanes := n &^ 3; useAVX2 {
+			mustBitEqual(t, rowView(got.Transpose(), 0, lanes), rowView(want.Transpose(), 0, lanes), fmt.Sprintf("Accumulate's vector lanes, n=%d", n))
+		}
+		got = oddView(rng, dst)
+		AddInPlace(got, src)
+		mustEqual(t, got, want, fmt.Sprintf("AddInPlace, n=%d", n))
+	}
 }

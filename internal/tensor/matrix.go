@@ -218,7 +218,25 @@ func MatMul[T Float](a, b *Mat[T]) *Mat[T] {
 // zero operands of a skipped, regardless of which internal kernel or how
 // many goroutines compute it — so results are bit-identical across the
 // register/streaming paths and across every SetMatMulWorkers setting.
-func MatMulInto[T Float](out, a, b *Mat[T]) {
+func MatMulInto[T Float](out, a, b *Mat[T]) { matMulInto(out, a, b, false) }
+
+// MatMulAddInto computes g += a×b through the float64 kernel's accumulate
+// mode and reports true: each sum is built in a register and added into g
+// as it is stored (DESIGN §5n), the bits of MatMulInto into a scratch
+// matrix followed by AddInPlace. Where that kernel does not run (no AVX2,
+// or float32) it does nothing and reports false, and the caller runs the
+// scratch product and the add. g must be a.Rows×b.Cols and must not alias
+// a or b.
+func MatMulAddInto[T Float](g, a, b *Mat[T]) bool {
+	if !simdFloat[T](true) {
+		return false
+	}
+	matMulInto(g, a, b, true)
+	return true
+}
+
+// matMulInto is MatMulInto, or with add MatMulAddInto.
+func matMulInto[T Float](out, a, b *Mat[T], add bool) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -229,11 +247,11 @@ func MatMulInto[T Float](out, a, b *Mat[T]) {
 	flops := int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
 	if w := spanWorkers(a.Rows, flops); w > 1 {
 		parallelRanges(a.Rows, w, func(lo, hi int) {
-			matMulRows(rowView(out, lo, hi), rowView(a, lo, hi), b)
+			matMulRows(rowView(out, lo, hi), rowView(a, lo, hi), b, add)
 		})
 		return
 	}
-	matMulRows(out, a, b)
+	matMulRows(out, a, b, add)
 }
 
 // regPathMaxBBytes bounds the size of b for the register-accumulator
@@ -254,11 +272,14 @@ const regPathMaxBBytes = 1 << 18
 //     CPU has one (DESIGN §5n), matMulRowsReg otherwise.
 //   - streaming path (ikj): the inner loop streams contiguous rows of b
 //     and out, trading out re-reads for sequential access to a large b.
-func matMulRows[T Float](out, a, b *Mat[T]) {
+//
+// With add (MatMulAddInto, which has checked the kernel runs) the AVX2
+// kernel adds into out at any size of b: it alone has that mode.
+func matMulRows[T Float](out, a, b *Mat[T], add bool) {
 	n := b.Cols
 	var zero T
-	if len(b.Data)*int(unsafe.Sizeof(zero)) <= regPathMaxBBytes {
-		if !matMulRowsSIMD(out, a, b) {
+	if add || len(b.Data)*int(unsafe.Sizeof(zero)) <= regPathMaxBBytes {
+		if !matMulRowsSIMD(out, a, b, add) {
 			matMulRowsReg(out, a, b)
 		}
 		return
@@ -433,7 +454,22 @@ func MatMulTransA[T Float](a, b *Mat[T]) *Mat[T] {
 
 // MatMulTransAInto computes out = aᵀ×b, reusing out's storage. out must be
 // a.Cols×b.Cols and must not alias a or b.
-func MatMulTransAInto[T Float](out, a, b *Mat[T]) {
+func MatMulTransAInto[T Float](out, a, b *Mat[T]) { matMulTransAInto(out, a, b, false) }
+
+// MatMulTransAAddInto is MatMulAddInto for g += aᵀ×b, with g a.Cols×b.Cols:
+// the bits of MatMulTransAInto into a scratch matrix followed by
+// AddInPlace, or false, having done nothing, where the kernel does not
+// run or a has no rows.
+func MatMulTransAAddInto[T Float](g, a, b *Mat[T]) bool {
+	if a.Rows == 0 || !simdFloat[T](true) {
+		return false
+	}
+	matMulTransAInto(g, a, b, true)
+	return true
+}
+
+// matMulTransAInto is MatMulTransAInto, or with add MatMulTransAAddInto.
+func matMulTransAInto[T Float](out, a, b *Mat[T], add bool) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -441,7 +477,12 @@ func MatMulTransAInto[T Float](out, a, b *Mat[T]) {
 		panic(fmt.Sprintf("tensor: matmulTransA out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols))
 	}
 	mustNotAlias("matmulTransA", out, a, b)
-	out.Zero()
+	if a.Rows == 0 || !simdFloat[T](add) {
+		// The Go loop adds into out, and with k = 0 nothing is added:
+		// only the kernel, at k > 0, writes every element itself. (With
+		// add, MatMulTransAAddInto has checked that it runs.)
+		out.Zero()
+	}
 	// The k-outer loop is a reduction over out's rows, so a row split
 	// would interleave accumulation orders; splitting over output
 	// *columns* keeps each element's ascending-k sum intact — workers own
@@ -450,18 +491,18 @@ func MatMulTransAInto[T Float](out, a, b *Mat[T]) {
 	flops := int64(a.Rows) * int64(a.Cols) * int64(n)
 	if w := spanWorkers(n, flops); w > 1 {
 		parallelRanges(n, w, func(jlo, jhi int) {
-			matMulTransACols(out, a, b, jlo, jhi)
+			matMulTransACols(out, a, b, jlo, jhi, add)
 		})
 		return
 	}
-	matMulTransACols(out, a, b, 0, n)
+	matMulTransACols(out, a, b, 0, n, add)
 }
 
-// matMulTransACols computes out[:, jlo:jhi) of out = aᵀ×b, out pre-zeroed:
-// through the AVX2 kernel where the CPU has one (DESIGN §5n),
-// matMulTransAColsGo otherwise.
-func matMulTransACols[T Float](out, a, b *Mat[T], jlo, jhi int) {
-	if !matMulTransAColsSIMD(out, a, b, jlo, jhi) {
+// matMulTransACols computes out[:, jlo:jhi) of out = aᵀ×b, or with add of
+// out += aᵀ×b: through the AVX2 kernel where the CPU has one (DESIGN §5n),
+// else into a pre-zeroed out through matMulTransAColsGo.
+func matMulTransACols[T Float](out, a, b *Mat[T], jlo, jhi int, add bool) {
+	if !matMulTransAColsSIMD(out, a, b, jlo, jhi, add) {
 		matMulTransAColsGo(out, a, b, jlo, jhi)
 	}
 }
@@ -545,8 +586,17 @@ func Scale[T Float](m *Mat[T], s T) *Mat[T] {
 // AddInPlace accumulates b into a.
 func AddInPlace[T Float](a, b *Mat[T]) {
 	mustSameShape("addInPlace", a, b)
-	for i, v := range b.Data {
-		a.Data[i] += v
+	Accumulate(a.Data, b.Data)
+}
+
+// Accumulate adds src into dst elementwise, dst[i] += src[i] for every
+// i < len(src); dst must be at least as long. Float64 runs four lanes at a
+// time where the CPU has AVX2, each lane the same one IEEE add, with the
+// last len(src)%4 elements in Go.
+func Accumulate[T Float](dst, src []T) {
+	dst = dst[:len(src)]
+	for i := addVec(dst, src); i < len(src); i++ {
+		dst[i] += src[i]
 	}
 }
 

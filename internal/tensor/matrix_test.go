@@ -333,3 +333,28 @@ func benchMatMul[T Float](b *testing.B, op byte, m, k, n int) {
 	}
 	b.ReportMetric(2*float64(m*k*n)*float64(b.N)/b.Elapsed().Seconds()/1e6, "MFLOP/s")
 }
+
+// TestAddIntoDeclinesWithoutKernel pins when the accumulate entry points
+// take the kernel: at float64 where the CPU runs it, and for aᵀ·b only when
+// a has rows. Everywhere else they report false and leave g as it was, for
+// the caller to add a scratch product.
+func TestAddIntoDeclinesWithoutKernel(t *testing.T) {
+	g32, a32 := NewMat[float32](2, 3), NewMat[float32](2, 2)
+	g32.Fill(1)
+	if MatMulAddInto(g32, a32, NewMat[float32](2, 3)) || MatMulTransAAddInto(NewMat[float32](2, 3), a32, NewMat[float32](2, 3)) {
+		t.Fatal("a float32 product took the accumulate kernel")
+	}
+	if g32.Data[0] != 1 {
+		t.Fatal("a declined MatMulAddInto wrote g")
+	}
+	kernel := simdFloat[float64](true)
+	if got := MatMulAddInto(New(2, 3), New(2, 2), New(2, 3)); got != kernel {
+		t.Fatalf("float64 MatMulAddInto took the kernel = %v, want %v", got, kernel)
+	}
+	if got := MatMulTransAAddInto(New(2, 3), New(2, 2), New(2, 3)); got != kernel {
+		t.Fatalf("float64 MatMulTransAAddInto took the kernel = %v, want %v", got, kernel)
+	}
+	if MatMulTransAAddInto(New(2, 3), New(0, 2), New(0, 3)) {
+		t.Fatal("MatMulTransAAddInto took the kernel with k = 0")
+	}
+}

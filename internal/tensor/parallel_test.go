@@ -85,7 +85,7 @@ func TestRegisterAndStreamingPathsBitIdentical(t *testing.T) {
 	a := randMat(rng, 9, 31)
 	b := randMat(rng, 31, 27)
 	reg := New(a.Rows, b.Cols)
-	matMulRows(reg, a, b) // b small: register path
+	matMulRows(reg, a, b, false) // b small: register path
 
 	// Build the same product through views of an oversized b embedding so
 	// the streaming path runs on identical values: simpler, just call the
@@ -96,7 +96,7 @@ func TestRegisterAndStreamingPathsBitIdentical(t *testing.T) {
 	big := randMat(rng, 64, 1024) // 512 KiB > regPathMaxBBytes
 	abig := randMat(rng, 3, 64)
 	stream := New(3, 1024)
-	matMulRows(stream, abig, big)
+	matMulRows(stream, abig, big, false)
 	mustEqual(t, stream, naiveMatMul(abig, big), "streaming path vs naive")
 }
 
