@@ -59,9 +59,12 @@ race-all:
 bench:
 	$(GO) test -bench=. -benchmem .
 
-# Data-parallel speedup curves: Predict/Fit by worker count.
+# Data-parallel speedup curves: Predict/Fit by worker count, and plan
+# selection's fan-out verdict (SelectPlanCtx at 1, 2 and 4 concurrent
+# callers, the default schedule against each request on one goroutine).
 bench-parallel:
 	$(GO) test ./internal/core -run=XXX -bench 'BenchmarkPredict|BenchmarkFit' -benchmem
+	$(GO) test . -run=XXX -bench 'BenchmarkSelectPlanFanOut' -benchmem -count 5
 
 # Chaos drills: the fault-injected fleet suite (seeded FaultConfig
 # replicas, mid-run kills, drain-during-hedge) and the connection drills

@@ -336,7 +336,8 @@ func (cm *CostModel) estimate(ctx context.Context, g generation, p *Plan, res Re
 }
 
 // EstimateBatch predicts costs for many plans under one allocation at
-// once, scoring chunks across GOMAXPROCS worker goroutines.
+// once, each plan encoded and scored on one of GOMAXPROCS worker
+// goroutines.
 func (cm *CostModel) EstimateBatch(plans []*Plan, res Resources) []float64 {
 	costs, _ := cm.EstimateBatchCtx(context.Background(), plans, res, core.PredictOpts{}) // Background never cancels
 	return costs
@@ -353,7 +354,30 @@ func (cm *CostModel) EstimateBatchCtx(ctx context.Context, plans []*Plan, res Re
 // estimateBatch is the one body behind both EstimateBatchCtx methods.
 func (cm *CostModel) estimateBatch(ctx context.Context, g generation, plans []*Plan, res Resources) ([]float64, error) {
 	cm.api.estimates.Inc()
-	return g.predict(ctx, cm.planSamples(g.precision().String(), plans, res))
+	return cm.priceUnder(ctx, g, plans, res)
+}
+
+// priceUnder prices every candidate under one allocation (one shared
+// resource vector) with g.
+func (cm *CostModel) priceUnder(ctx context.Context, g generation, plans []*Plan, res Resources) ([]float64, error) {
+	prec, r := g.precision().String(), cm.enc.EncodeResources(res)
+	return cm.scorePlans(ctx, g, plans, func(i int) *Sample {
+		return cm.planPartAt(prec, plans[i]).WithResource(r)
+	})
+}
+
+// scorePlans prices plans with g, build(i) encoding plans[i] on the predict
+// worker that scores it (core.Net.ScoreCtx). A plan's length hint is its
+// node count, capped at the encoder's MaxNodes as the encoding truncates it.
+func (cm *CostModel) scorePlans(ctx context.Context, g generation, plans []*Plan, build func(i int) *Sample) ([]float64, error) {
+	hints := make([]int, len(plans))
+	for i, p := range plans {
+		hints[i] = min(len(p.Nodes), cm.enc.MaxNodes())
+	}
+	if g.q != nil {
+		return g.q.ScoreCtx(ctx, hints, build)
+	}
+	return g.model.ScoreCtx(ctx, hints, build)
 }
 
 // EstimateEachCtx predicts costs for many independent (plan, resources)
@@ -367,22 +391,9 @@ func (cm *CostModel) EstimateEachCtx(ctx context.Context, plans []*Plan, res []R
 	cm.api.estimates.Inc()
 	g := cm.gen()
 	prec := g.precision().String()
-	samples := make([]*Sample, len(plans))
-	for i, p := range plans {
-		samples[i] = cm.encodePlanAt(prec, p, res[i])
-	}
-	return g.predict(ctx, samples)
-}
-
-// planSamples encodes every candidate under one allocation (one shared
-// resource vector), for a generation serving at prec.
-func (cm *CostModel) planSamples(prec string, plans []*Plan, res Resources) []*Sample {
-	r := cm.enc.EncodeResources(res)
-	samples := make([]*Sample, len(plans))
-	for i, p := range plans {
-		samples[i] = cm.planPartAt(prec, p).WithResource(r)
-	}
-	return samples
+	return cm.scorePlans(ctx, g, plans, func(i int) *Sample {
+		return cm.encodePlanAt(prec, plans[i], res[i])
+	})
 }
 
 // errNoFinite is returned (wrapped) when every candidate's prediction is
@@ -400,8 +411,7 @@ func (cm *CostModel) SelectPlanCtx(ctx context.Context, plans []*Plan, res Resou
 		return nil, 0, nil
 	}
 	cm.api.selects.Inc()
-	g := cm.gen()
-	preds, err := g.predict(ctx, cm.planSamples(g.precision().String(), plans, res))
+	preds, err := cm.priceUnder(ctx, cm.gen(), plans, res)
 	if err != nil {
 		return nil, 0, err
 	}

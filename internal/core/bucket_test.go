@@ -145,55 +145,57 @@ func TestBucketedMatchesSingletonPredictions(t *testing.T) {
 }
 
 // TestScheduleCutsChunksAtBucketBoundaries checks the schedule itself:
-// chunks never mix two active lengths, every input index appears exactly
-// once, and within a bucket the input order is preserved (the counting
-// sort is stable).
+// chunks never mix two length hints, every input index appears exactly
+// once, the chunks run longest first, within a length the input order is
+// preserved (the counting sort is stable), and hints below 1 count as 1.
 func TestScheduleCutsChunksAtBucketBoundaries(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	samples := make([]*encode.Sample, 100)
-	for i := range samples {
-		samples[i] = maskedSample(rng)
+	hints := make([]int, 100)
+	for i := range hints {
+		hints[i] = activeLen(maskedSample(rng))
 	}
+	hints[17], hints[40] = 0, -3
 	m := NewModel(RAAL(), testConfig())
-	scored, order, chunks := m.schedule(samples, 8, false)
-	if len(scored) != len(samples) || len(order) != len(samples) {
-		t.Fatalf("schedule lost samples: %d scored, %d order", len(scored), len(order))
+	order, chunks := m.schedule(hints, 8, false)
+	if len(order) != len(hints) {
+		t.Fatalf("schedule lost samples: %d in order, want %d", len(order), len(hints))
 	}
-	seen := make([]bool, len(samples))
-	for pos, idx := range order {
+	hint := func(pos int) int { return max(hints[order[pos]], 1) }
+	seen := make([]bool, len(hints))
+	for _, idx := range order {
 		if seen[idx] {
 			t.Fatalf("index %d scheduled twice", idx)
 		}
 		seen[idx] = true
-		if scored[pos] != samples[idx] {
-			t.Fatalf("position %d: scored sample does not match order index %d", pos, idx)
-		}
 	}
-	prevLen := 0
-	prevIdx := -1
+	prevLen, prevIdx := tNodes+1, -1
 	for pos, idx := range order {
-		l := activeLen(samples[idx])
-		if l < prevLen {
-			t.Fatalf("position %d: length %d after %d — schedule not sorted", pos, l, prevLen)
+		l := hint(pos)
+		if l > prevLen {
+			t.Fatalf("position %d: length %d after %d — schedule not longest first", pos, l, prevLen)
 		}
 		if l == prevLen && idx < prevIdx {
 			t.Fatalf("position %d: input order not preserved within length-%d bucket", pos, l)
 		}
 		prevLen, prevIdx = l, idx
 	}
+	next := 0
 	for _, c := range chunks {
-		if c.hi <= c.lo {
-			t.Fatalf("empty chunk %+v", c)
+		if c.lo != next || c.hi <= c.lo {
+			t.Fatalf("chunk %+v does not start where the last ended (%d), or is empty", c, next)
 		}
-		first := activeLen(scored[c.lo])
-		for i := c.lo; i < c.hi; i++ {
-			if activeLen(scored[i]) != first {
-				t.Fatalf("chunk %+v mixes lengths %d and %d", c, first, activeLen(scored[i]))
+		next = c.hi
+		for p := c.lo; p < c.hi; p++ {
+			if hint(p) != hint(c.lo) {
+				t.Fatalf("chunk %+v mixes lengths %d and %d", c, hint(c.lo), hint(p))
 			}
 		}
 		if c.hi-c.lo > 8 {
 			t.Fatalf("chunk %+v exceeds chunk size 8", c)
 		}
+	}
+	if next != len(hints) {
+		t.Fatalf("chunks cover %d positions, want %d", next, len(hints))
 	}
 }
 

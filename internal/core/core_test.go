@@ -23,34 +23,38 @@ const (
 // synthSample fabricates an encoded plan whose cost depends on both node
 // content and the resource vector, so resource-aware models have signal to
 // find.
-func synthSample(rng *rand.Rand) *encode.Sample {
-	dim := tSem + tNodes + 2
+func synthSample(rng *rand.Rand) *encode.Sample { return synthSampleAt(rng, tSem, tNodes) }
+
+// synthSampleAt is synthSample at sem semantic columns and nodes padded
+// plan nodes, of which 3..nodes are real.
+func synthSampleAt(rng *rand.Rand, sem, nodes int) *encode.Sample {
+	dim := sem + nodes + 2
 	s := &encode.Sample{
-		Nodes:    tensor.New(tNodes, dim),
-		Mask:     make([]bool, tNodes),
-		Children: make([][]bool, tNodes),
+		Nodes:    tensor.New(nodes, dim),
+		Mask:     make([]bool, nodes),
+		Children: make([][]bool, nodes),
 		Resource: make([]float64, tRes),
 		Stats:    make([]float64, tStats),
 	}
-	n := 3 + rng.Intn(tNodes-2) // 3..tNodes real nodes
+	n := 3 + rng.Intn(nodes-2) // 3..nodes real nodes
 	var nodeSig float64
-	for i := 0; i < tNodes; i++ {
-		s.Children[i] = make([]bool, tNodes)
+	for i := 0; i < nodes; i++ {
+		s.Children[i] = make([]bool, nodes)
 	}
 	for i := 0; i < n; i++ {
 		s.Mask[i] = true
 		row := s.Nodes.Row(i)
-		for d := 0; d < tSem; d++ {
+		for d := 0; d < sem; d++ {
 			row[d] = rng.Float64()
 			nodeSig += row[d]
 		}
 		if i > 0 { // chain structure
-			row[tSem+i-1] = 1
+			row[sem+i-1] = 1
 			s.Children[i][i-1] = true
-			s.Nodes.Row(i - 1)[tSem+i] = -1
+			s.Nodes.Row(i - 1)[sem+i] = -1
 		}
-		row[tSem+tNodes] = rng.Float64()
-		row[tSem+tNodes+1] = rng.Float64()
+		row[sem+nodes] = rng.Float64()
+		row[sem+nodes+1] = rng.Float64()
 	}
 	for j := range s.Resource {
 		s.Resource[j] = rng.Float64()

@@ -12,16 +12,17 @@ import (
 // unobserved by default and gain telemetry only when Instrument is
 // called (or TrainConfig.Instr is set).
 type Instrumentation struct {
-	// PredictLatency observes one value per PredictCtx call (the
-	// whole batch, in seconds); PredictRows counts the samples scored;
-	// RowsPerSec is the most recent call's throughput.
+	// PredictLatency observes one value per PredictCtx or ScoreCtx call
+	// (the whole batch, in seconds); PredictRows counts the samples
+	// scored; RowsPerSec is the most recent call's throughput.
 	PredictLatency *telemetry.Histogram
 	PredictRows    *telemetry.Counter
 	RowsPerSec     *telemetry.Gauge
 
-	// BucketOccupancy counts scored samples by active-plan-length band —
-	// the length-bucketed scheduler's occupancy distribution: how many
-	// per-length chunks a workload's calls split into.
+	// BucketOccupancy counts scored samples by the band of the length hint
+	// the scheduler grouped them by (the active plan length, or a
+	// candidate plan's node count): how many per-length chunks a
+	// workload's calls split into.
 	BucketOccupancy *telemetry.CounterVec
 
 	// PrefixComputed counts the plan prefixes inference ran (one recurrence
@@ -44,7 +45,7 @@ type Instrumentation struct {
 // atomic adds.
 var bucketBands = []string{"1-2", "3-4", "5-8", "9-16", "17-32", "33+"}
 
-// bucketBand maps an active plan length to its occupancy label.
+// bucketBand maps a length hint to its occupancy label.
 func bucketBand(l int) string {
 	switch {
 	case l <= 2:
@@ -72,7 +73,7 @@ func NewInstrumentation(reg *telemetry.Registry) *Instrumentation {
 		RowsPerSec: reg.NewGauge("raal_predict_rows_per_sec",
 			"Throughput of the most recent Predict call."),
 		BucketOccupancy: reg.NewCounterVec("raal_predict_bucket_occupancy_total",
-			"Samples scored by the length-bucketed scheduler, by active-plan-length band.",
+			"Samples scored by the length-bucketed scheduler, by length-hint band.",
 			"len", bucketBands...),
 		PrefixComputed: reg.NewCounter("raal_prefix_computed_total",
 			"Plan prefixes (embed, recurrence, node-aware attention) computed by inference."),
@@ -100,8 +101,8 @@ func (ins *Instrumentation) observePredict(rows int, elapsed time.Duration) {
 	}
 }
 
-// observeBuckets records one scheduled PredictCtx call's active-length
-// distribution. Nil-safe.
+// observeBuckets records one scheduled call's length-hint distribution.
+// Nil-safe.
 func (ins *Instrumentation) observeBuckets(lens []int) {
 	if ins == nil {
 		return

@@ -99,6 +99,32 @@ func TestInstrumentationObservesPredictAndFit(t *testing.T) {
 		t.Errorf("predict latency observations = %d, want 1", n)
 	}
 
+	// A call whose samples are built on the scoring workers (SelectPlanCtx
+	// and the raal batch APIs) is one observation as well, and the
+	// occupancy counts the length hints the scheduler grouped by.
+	c := newScoreCase(5, 4, 12)
+	want := map[string]uint64{}
+	for _, band := range bucketBands {
+		want[band] = ins.BucketOccupancy.With(band).Value()
+	}
+	for _, h := range c.hints {
+		want[bucketBand(max(h, 1))]++
+	}
+	if _, err := m.ScoreCtx(context.Background(), c.hints, func(i int) *encode.Sample { return c.samples[i] }); err != nil {
+		t.Fatal(err)
+	}
+	if got := ins.PredictRows.Value(); got != 48+12 {
+		t.Errorf("predict rows counter = %d after a 12-row ScoreCtx, want 60", got)
+	}
+	if n := ins.PredictLatency.Count(); n != 2 {
+		t.Errorf("predict latency observations = %d after one ScoreCtx, want 2", n)
+	}
+	for _, band := range bucketBands {
+		if got := ins.BucketOccupancy.With(band).Value(); got != want[band] {
+			t.Errorf("band %s occupancy = %d, want %d", band, got, want[band])
+		}
+	}
+
 	tc := quickTrain()
 	tc.Epochs = 2
 	tc.Instr = ins

@@ -9,6 +9,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -532,23 +533,37 @@ func (m *Net[T]) replica() *Net[T] {
 	return r
 }
 
-// PredictOpts is PredictCtx's field-less options argument: every call
-// runs the one schedule, length-bucketed chunks of up to predictChunk
-// samples (one forward pass each) spread across GOMAXPROCS goroutines.
+// PredictOpts is the field-less options argument of PredictCtx and of
+// raal's batch APIs: every call runs the one schedule, chunks of up to
+// predictChunk samples of one length hint (see schedule), claimed longest
+// first by up to GOMAXPROCS goroutines that build and score them.
 type PredictOpts struct{}
 
 const predictChunk = 64
 
 // PredictCtx returns the estimated cost in seconds for each sample; the
-// model is only read, so one Net serves any number of concurrent calls. A
-// cancelled or expired context aborts the batch within one forward pass
-// (ctx is consulted per chunk) and returns ctx.Err() with nil predictions.
-// A span on ctx (telemetry.WithSpan) receives the per-stage breakdown —
-// embed → lstm/conv → attention → dense → decode, or prefix-reuse in
-// place of the plan layers — on the same chunks and goroutines, to the
-// same bits, as an untraced call.
+// model is only read, so one Net serves any number of concurrent calls. It
+// is ScoreCtx with each sample's active length as its hint and the sample
+// itself as its build.
 func (m *Net[T]) PredictCtx(ctx context.Context, samples []*encode.Sample, _ PredictOpts) ([]float64, error) {
 	return m.predictCtx(ctx, samples, schedOpts{})
+}
+
+// ScoreCtx is the network's scorer: it returns the estimated cost in
+// seconds of len(hints) samples, where build(i), safe for concurrent use,
+// makes sample i. build runs once per sample, on the goroutine that scores
+// the sample's chunk, so encoding there runs in parallel. hints[i] is
+// sample i's active plan length (activeLen) or a guess at it: it only
+// decides which samples share a chunk, so a wrong hint costs time, never a
+// bit. A cancelled or expired context aborts the batch within one forward
+// pass (ctx is consulted per chunk) and returns ctx.Err() with nil
+// predictions. A span on ctx (telemetry.WithSpan) receives the per-stage
+// breakdown — embed → lstm/conv → attention → dense → decode, or
+// prefix-reuse in place of the plan layers — on the same chunks and
+// goroutines, to the same bits, as an untraced call. A panic in build or
+// in the network is raised again on the caller's goroutine.
+func (m *Net[T]) ScoreCtx(ctx context.Context, hints []int, build func(i int) *encode.Sample) ([]float64, error) {
+	return m.score(ctx, hints, build, schedOpts{})
 }
 
 // schedOpts overrides the default schedule; only tests, comparing
@@ -575,73 +590,88 @@ func activeLen(s *encode.Sample) int {
 // chunkRange is one forward pass's slice of the scheduled sample order.
 type chunkRange struct{ lo, hi int }
 
-// schedule decides which samples share a forward pass. The default is
-// length-bucketed: samples are grouped by active plan length (counting
-// sort — ascending length, input order within a bucket) and chunks never
-// span two lengths, which fans a request out across workers (a query's
-// candidates are usually of distinct lengths). The returned order maps
-// scheduled position to caller index (nil means identity, the unbucketed
-// path). Scheduling only regroups samples —
-// every sample's arithmetic is its own — so predictions are bit-identical
-// with bucketing on and off (pinned by TestBucketedPredictBitIdentical).
-func (m *Net[T]) schedule(samples []*encode.Sample, chunk int, noBucket bool) ([]*encode.Sample, []int, []chunkRange) {
-	n := len(samples)
-	if noBucket || n <= 1 {
+// oneOrder and oneChunk are every one-sample call's schedule, shared and
+// never written.
+var oneOrder, oneChunk = []int{0}, []chunkRange{{0, 1}}
+
+// schedule decides which samples share a forward pass and in what order
+// the passes are claimed. The default groups samples by length hint
+// (counting sort: longest first, input order within a length), cuts
+// chunks that never span two lengths, and hands them out longest first:
+// a query's candidates usually have distinct lengths, so they fan out
+// across the workers, and the longest starts first, which shortens the
+// call's makespan. noBucket is the flat schedule, chunks cut over the
+// input order. The returned order maps scheduled position to caller index.
+// Scheduling only regroups samples — every sample's arithmetic is its own
+// — so predictions are bit-identical on either schedule
+// (TestBucketedPredictBitIdentical).
+func (m *Net[T]) schedule(hints []int, chunk int, noBucket bool) ([]int, []chunkRange) {
+	n := len(hints)
+	if n == 1 {
+		return oneOrder, oneChunk
+	}
+	order := make([]int, n)
+	if noBucket {
 		chunks := make([]chunkRange, 0, (n+chunk-1)/chunk)
 		for lo := 0; lo < n; lo += chunk {
 			chunks = append(chunks, chunkRange{lo, min(lo+chunk, n)})
 		}
-		return samples, nil, chunks
+		for i := range order {
+			order[i] = i
+		}
+		return order, chunks
 	}
-	lens := make([]int, n)
 	maxLen := 1
-	for i, s := range samples {
-		lens[i] = activeLen(s)
-		if lens[i] > maxLen {
-			maxLen = lens[i]
-		}
+	for _, l := range hints {
+		maxLen = max(maxLen, l)
 	}
-	// starts[l] is the first scheduled position of length l; the copy in
-	// count[] is consumed as the insertion cursor.
-	starts := make([]int, maxLen+2)
-	for _, l := range lens {
-		starts[l+1]++
+	// at[l] counts the samples of length l, then becomes the next
+	// scheduled position of that length.
+	at := make([]int, maxLen+1)
+	for _, l := range hints {
+		at[max(l, 1)]++
 	}
-	for l := 1; l < len(starts); l++ {
-		starts[l] += starts[l-1]
-	}
-	count := append([]int(nil), starts...)
-	order := make([]int, n)
-	scored := make([]*encode.Sample, n)
-	for i, s := range samples {
-		p := count[lens[i]]
-		count[lens[i]]++
-		order[p] = i
-		scored[p] = s
-	}
-	m.instr.observeBuckets(lens)
 	var chunks []chunkRange
-	for l := 1; l <= maxLen; l++ {
-		for lo := starts[l]; lo < starts[l+1]; lo += chunk {
-			chunks = append(chunks, chunkRange{lo, min(lo+chunk, starts[l+1])})
+	for l, pos := maxLen, 0; l >= 1; l-- {
+		end := pos + at[l]
+		for lo := pos; lo < end; lo += chunk {
+			chunks = append(chunks, chunkRange{lo, min(lo+chunk, end)})
 		}
+		at[l], pos = pos, end
 	}
-	return scored, order, chunks
+	for i, l := range hints {
+		l = max(l, 1)
+		order[at[l]] = i
+		at[l]++
+	}
+	m.instr.observeBuckets(hints)
+	return order, chunks
 }
 
-// predictCtx is the scorer behind PredictCtx, on the schedule o picks.
+// predictCtx is PredictCtx on the schedule o picks.
 func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, o schedOpts) ([]float64, error) {
+	var buf [4]int // a short call's hints stay on the stack
+	hints := slices.Grow(buf[:0], len(samples))
+	for _, s := range samples {
+		hints = append(hints, activeLen(s))
+	}
+	return m.score(ctx, hints, func(i int) *encode.Sample { return samples[i] }, o)
+}
+
+// score is ScoreCtx on the schedule o picks.
+func (m *Net[T]) score(ctx context.Context, hints []int, build func(i int) *encode.Sample, o schedOpts) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
 	sp := telemetry.SpanFrom(ctx)
 	start := time.Now()
-	out := make([]float64, len(samples))
+	n := len(hints)
+	out := make([]float64, n)
 	chunk := o.chunk
 	if chunk <= 0 {
 		chunk = predictChunk
 	}
-	scored, order, chunks := m.schedule(samples, chunk, o.noBucket)
+	order, chunks := m.schedule(hints, chunk, o.noBucket)
 	nChunks := len(chunks)
 	workers := o.workers
 	if workers <= 0 {
@@ -654,18 +684,21 @@ func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, o sch
 	// Each worker leases one warm tape for its whole run and resets it
 	// between chunks, so all matrices a chunk's graph needs come from the
 	// tape's arena: the steady-state scoring path performs zero matrix
-	// allocations. Predictions are extracted before the next Reset.
-	score := func(tp *autodiff.Tape[T], k int) {
+	// allocations. A chunk's samples are built into a stack array (a test
+	// chunk longer than predictChunk grows onto the heap). Predictions are
+	// extracted before the next Reset.
+	scoreChunk := func(tp *autodiff.Tape[T], k int) {
 		c := chunks[k]
+		var buf [predictChunk]*encode.Sample
+		batch := buf[:0]
+		for p := c.lo; p < c.hi; p++ {
+			batch = append(batch, build(order[p]))
+		}
 		tp.Reset()
-		pred := m.forward(tp, scored[c.lo:c.hi], sp)
+		pred := m.forward(tp, batch, sp)
 		defer sp.Stage("decode")()
-		for i := c.lo; i < c.hi; i++ {
-			dst := i
-			if order != nil {
-				dst = order[i]
-			}
-			out[dst] = invTransform(float64(pred.Value.At(i-c.lo, 0)))
+		for p := c.lo; p < c.hi; p++ {
+			out[order[p]] = invTransform(float64(pred.Value.At(p-c.lo, 0)))
 		}
 	}
 
@@ -676,38 +709,51 @@ func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, o sch
 			if err := ctx.Err(); err != nil {
 				return nil, err
 			}
-			score(tp, k)
+			scoreChunk(tp, k)
 		}
-		m.instr.observePredict(len(samples), time.Since(start))
+		m.instr.observePredict(n, time.Since(start))
 		return out, nil
 	}
-	var next atomic.Int64
-	var aborted atomic.Bool
-	var wg sync.WaitGroup
+	// The workers' shared state, in one allocation.
+	var run struct {
+		next    atomic.Int64
+		aborted atomic.Bool
+		fault   atomic.Pointer[any] // the first worker panic, raised again below
+		wg      sync.WaitGroup
+	}
 	for w := 0; w < workers; w++ {
-		wg.Add(1)
+		run.wg.Add(1)
 		go func() {
-			defer wg.Done()
+			defer run.wg.Done()
+			defer func() {
+				if r := recover(); r != nil {
+					run.fault.CompareAndSwap(nil, &r)
+					run.aborted.Store(true)
+				}
+			}()
 			tp := LeaseTape[T](false)
 			defer ReturnTape(tp)
-			for {
+			for !run.aborted.Load() {
 				if ctx.Err() != nil {
-					aborted.Store(true)
+					run.aborted.Store(true)
 					return
 				}
-				k := int(next.Add(1)) - 1
+				k := int(run.next.Add(1)) - 1
 				if k >= nChunks {
 					return
 				}
-				score(tp, k)
+				scoreChunk(tp, k)
 			}
 		}()
 	}
-	wg.Wait()
-	if aborted.Load() {
+	run.wg.Wait()
+	if r := run.fault.Load(); r != nil {
+		panic(*r)
+	}
+	if run.aborted.Load() {
 		return nil, ctx.Err()
 	}
-	m.instr.observePredict(len(samples), time.Since(start))
+	m.instr.observePredict(n, time.Since(start))
 	return out, nil
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"sync"
 	"testing"
 
@@ -214,18 +215,26 @@ func BenchmarkPredict(b *testing.B) {
 
 // BenchmarkFit measures training throughput. "default" is the schedule
 // TrainCostModel runs: DefaultTrainConfig (one 16-sample shard per batch,
-// Workers 0) on the default model, one epoch. The workers=N cases measure
-// data-parallel training; their shard boundaries are pinned so every
-// worker count runs the same computation.
+// Workers 0) on the default model, one epoch, over samples at the shape
+// the default encoder gives the offline corpus: 16 semantic columns and 42
+// padded nodes (60 input columns), plans of 3 to 42 nodes. The workers=N
+// cases measure data-parallel training; their shard boundaries are pinned
+// so every worker count runs the same computation.
 func BenchmarkFit(b *testing.B) {
 	samples := benchSamples(256)
 	b.Run("default", func(b *testing.B) {
+		const sem, nodes = 16, 42 // encode.DefaultConfig: word2vec Dim, MaxNodes
+		rng := rand.New(rand.NewSource(77))
+		shaped := make([]*encode.Sample, 256)
+		for i := range shaped {
+			shaped[i] = synthSampleAt(rng, sem, nodes)
+		}
 		tc := DefaultTrainConfig()
 		tc.Epochs = 1
-		m := NewModel(RAAL(), DefaultConfig(tSem, tNodes))
+		m := NewModel(RAAL(), DefaultConfig(sem, nodes))
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			if _, err := m.Fit(samples, tc); err != nil {
+			if _, err := m.Fit(shaped, tc); err != nil {
 				b.Fatal(err)
 			}
 		}

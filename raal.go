@@ -64,8 +64,9 @@ type (
 	// TLSTM is the tree-LSTM RDBMS cost model baseline.
 	TLSTM = baselines.TLSTM
 	// PredictOpts is the field-less options argument of the batch
-	// estimation APIs: every call runs the one schedule (64-sample
-	// chunks over GOMAXPROCS goroutines).
+	// estimation APIs: every call runs the one schedule (chunks of up to
+	// 64 plans of one length, longest first, each plan encoded and scored
+	// on one of GOMAXPROCS goroutines).
 	PredictOpts = core.PredictOpts
 	// InputError is LoadCostModel's refusal of a network that does not fit
 	// the file's encoder; match with errors.As.
