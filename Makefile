@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-parallel bench-online chaos online quant engine vet fmt-check fuzz cover check
+.PHONY: build test race bench bench-parallel bench-online chaos online engine vet fmt-check fuzz cover check
 
 build:
 	$(GO) build ./...
@@ -89,14 +89,6 @@ online:
 # reproduces bit for bit; TestOnlineReproducesCommittedReport checks it.
 bench-online:
 	$(GO) run ./cmd/raalbench -exp online -json -outdir results
-
-# Reduced-precision gate: the accuracy-gate and precision tests (typed
-# refusal + f64 fallback, non-finite predictions refused, bit-reproducible
-# f32 predict, precision-tagged cache isolation, requantize-on-promotion).
-# core.TestQuantizedCloseToFloat64 holds the paper-level bound: the
-# 0.9-quantile q-error delta of f32 must stay <= 0.05.
-quant:
-	$(GO) test -run 'Quant|Precision' -count=1 ./internal/core ./internal/online ./internal/tensor .
 
 # Engine gate: the frozen golden digests (TestEngineGoldenDigests, and
 # TestCollectGoldenDigests for what workload collection keeps and skips);

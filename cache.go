@@ -30,7 +30,7 @@ import (
 // with the entry: this one LRU and its one capacity bound both.
 type encodeCache struct {
 	mu      sync.Mutex
-	entries *lru.Cache[cacheKey, *cacheEntry]
+	entries *lru.Cache[string, *cacheEntry] // keyed by Plan.Key
 }
 
 type cacheEntry struct {
@@ -38,23 +38,14 @@ type cacheEntry struct {
 	hits   uint64         // lookups served from this entry since it was cached; guarded by mu
 }
 
-// cacheKey pairs the serving precision tag with the canonical plan key.
-// Tagging keeps entries produced under different serving precisions apart
-// — hit attribution then tells an operator which precision's traffic a
-// warm entry is actually serving, and a future precision-specific encoding
-// (e.g. pre-narrowed f32 samples) can land without a key-scheme change.
-// The plan key itself (PlanOnlyFingerprint) stays precision-agnostic, so
-// /cachez keys compare across replicas serving at different precisions.
-type cacheKey struct{ precision, plan string }
-
 func newEncodeCache(capacity int) *encodeCache {
-	return &encodeCache{entries: lru.New[cacheKey, *cacheEntry](capacity)}
+	return &encodeCache{entries: lru.New[string, *cacheEntry](capacity)}
 }
 
-func (c *encodeCache) get(precision, planKey string) (*encode.Sample, bool) {
+func (c *encodeCache) get(planKey string) (*encode.Sample, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	e, ok := c.entries.Get(cacheKey{precision, planKey})
+	e, ok := c.entries.Get(planKey)
 	if !ok {
 		return nil, false
 	}
@@ -67,8 +58,8 @@ func (c *encodeCache) keyStats() []CacheKeyStats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	out := make([]CacheKeyStats, 0, c.entries.Len())
-	c.entries.Each(func(k cacheKey, e *cacheEntry) {
-		out = append(out, CacheKeyStats{Key: FingerprintID(k.plan), Precision: k.precision, Hits: e.hits})
+	c.entries.Each(func(k string, e *cacheEntry) {
+		out = append(out, CacheKeyStats{Key: FingerprintID(k), Hits: e.hits})
 	})
 	return out
 }
@@ -76,15 +67,14 @@ func (c *encodeCache) keyStats() []CacheKeyStats {
 // add caches s under the key. A key already present (two concurrent
 // misses on one plan) keeps its entry and hit count and takes the newer
 // sample.
-func (c *encodeCache) add(precision, planKey string, s *encode.Sample) {
-	k := cacheKey{precision, planKey}
+func (c *encodeCache) add(planKey string, s *encode.Sample) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.entries.Get(k); ok {
+	if e, ok := c.entries.Get(planKey); ok {
 		e.sample = s
 		return
 	}
-	c.entries.Add(k, &cacheEntry{sample: s})
+	c.entries.Add(planKey, &cacheEntry{sample: s})
 }
 
 func (c *encodeCache) len() int {
@@ -96,23 +86,17 @@ func (c *encodeCache) len() int {
 // CacheKeyStats is one encode-cache entry's hit attribution: how many
 // lookups the entry has served since it was cached — summed over every
 // allocation the plan was priced under — keyed by the plan's short
-// fingerprint ID (FingerprintID of PlanOnlyFingerprint) plus the serving
-// precision the entry was populated under. Per-key attribution is what lets
-// the fleet benchmark tie a routed plan's traffic to the replica whose cache
-// actually served it; the precision tag splits that attribution when a
-// replica switches between the f64 reference path and a quantized one.
-// The fingerprint ID is precision-agnostic — the same plan reports the same
-// Key at every precision, as distinct entries.
+// fingerprint ID (FingerprintID of PlanOnlyFingerprint). Per-key
+// attribution is what lets the fleet benchmark tie a routed plan's traffic
+// to the replica whose cache actually served it.
 type CacheKeyStats struct {
-	Key       string `json:"key"`
-	Precision string `json:"precision"`
-	Hits      uint64 `json:"hits"`
+	Key  string `json:"key"`
+	Hits uint64 `json:"hits"`
 }
 
 // FingerprintID condenses a canonical fingerprint to a short stable
 // identifier — 64-bit FNV-1a in hex. The full plan-only fingerprint is the
-// cache key's plan half (exact, collision-free; see cacheKey for the
-// precision tag paired with it); the ID exists only for reporting, where
+// cache key (exact, collision-free); the ID exists only for reporting, where
 // echoing whole rendered plans would bloat every /cachez response. Clients
 // correlate by computing FingerprintID(PlanOnlyFingerprint(p)) for the
 // plans they routed.

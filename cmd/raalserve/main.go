@@ -8,8 +8,6 @@
 //	raalserve -model model.raal                       # deep model + GPSJ fallback
 //	raalserve                                         # analytical-only serving
 //	raalserve -deadline 200ms -on-deadline fail       # 504 instead of fallback
-//	raalserve -model model.raal -precision f32        # float32 inference behind the
-//	                                                  # accuracy gate (f64 on refusal)
 //	raalserve -admin :8081 -pprof                     # admin listener + profiling
 //	raalserve -route "http://10.0.0.7:8080,http://10.0.0.8:8080"
 //	                                                  # fleet router over replicas
@@ -90,8 +88,6 @@ func main() {
 		onDeadline = flag.String("on-deadline", "fallback", "deadline-miss policy: fallback (degrade to GPSJ) or fail (504)")
 		candidates = flag.Int("max-candidates", 3, "candidate plans priced by /select")
 		encCache   = flag.Int("encode-cache", 256, "feature-encoding LRU capacity in plans (0 disables; repeated plans skip re-encoding)")
-		precision  = flag.String("precision", "f64", "serving numeric precision: f64 or f32 (f32 requires -model); f32 converts the model behind an accuracy gate and serves f64 when the gate refuses")
-		quantGate  = flag.Float64("quant-gate", 0.05, "accuracy-gate bound for -precision f32: maximum p90 q-error delta between f32 and f64 predictions over a sampled gate workload")
 		drainGrace = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
 
 		online         = flag.Bool("online", false, "close the learning loop: observe simulated execution times for served estimates, detect drift, retrain from a replay buffer, and hot-swap the champion (requires -model)")
@@ -122,15 +118,6 @@ func main() {
 	fatal := func(msg string, args ...any) {
 		logger.Error(msg, args...)
 		os.Exit(1)
-	}
-	// Parsed before anything is opened or loaded: a bad or removed value
-	// (int8) must stop the process, never fall back to f64.
-	prec, err := raal.ParsePrecision(*precision)
-	if err != nil {
-		fatal("parsing -precision", "error", err)
-	}
-	if *modelPath == "" && prec != raal.PrecisionF64 {
-		fatal("-precision requires -model (the analytical path has no reduced-precision form)")
 	}
 	if *pprofOn && *adminAddr == "" {
 		fatal("-pprof requires -admin (profiling is only served on the admin listener)")
@@ -206,24 +193,9 @@ func main() {
 				stats := cm.EncodeCacheKeyStats()
 				out := make([]serve.CacheKeyStats, len(stats))
 				for i, s := range stats {
-					out[i] = serve.CacheKeyStats{Key: s.Key, Precision: s.Precision, Hits: s.Hits}
+					out[i] = serve.CacheKeyStats{Key: s.Key, Hits: s.Hits}
 				}
 				return out
-			}
-		}
-		// The accuracy gate scores the quantized snapshot against the f64
-		// reference on a sampled benchmark workload; collect it once at
-		// startup (it also seeds the online loop's bootstrap gate).
-		var gate []*raal.Sample
-		if prec != raal.PrecisionF64 {
-			if gate, err = quantGateSamples(sys, cm, *seed); err != nil {
-				fatal("collecting quantization gate workload", "error", err)
-			}
-			if !*online {
-				if err := cm.EnablePrecision(prec, gate, *quantGate); err != nil {
-					logger.Warn("quantization gate refused; serving f64",
-						"precision", prec.String(), "error", err)
-				}
 			}
 		}
 		// The deep path scores with the cost model, or with the online
@@ -240,9 +212,6 @@ func main() {
 				ShadowMin:      *shadowMin,
 				RetrainEpochs:  *retrainEpochs,
 				Seed:           *seed,
-				Precision:      prec,
-				GateSamples:    gate,
-				MaxQDelta:      *quantGate,
 				Metrics:        reg,
 				Logger:         logger,
 			})
@@ -282,7 +251,7 @@ func main() {
 				"variant", cm.Variant().Name, "model", *modelPath,
 				"registry", *onlineDir, "replay_cap", *replayCap,
 				"drift_window", *driftWindow, "drift_threshold", *driftThreshold,
-				"champion", osrv.ChampionVersion(), "precision", osrv.Precision().String())
+				"champion", osrv.ChampionVersion())
 		}
 		cfg.Deep = func(ctx context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
 			c, err := est.EstimateCtx(ctx, p, res)
@@ -295,8 +264,7 @@ func main() {
 			return est.EstimateBatchCtx(ctx, plans, res, raal.PredictOpts{})
 		}
 		logger.Info("serving deep model with GPSJ fallback armed",
-			"variant", cm.Variant().Name, "model", *modelPath, "encode_cache", *encCache,
-			"precision", est.Precision().String())
+			"variant", cm.Variant().Name, "model", *modelPath, "encode_cache", *encCache)
 	} else {
 		if *online {
 			fatal("-online requires -model (there is no deep model to keep fresh)")
@@ -524,18 +492,6 @@ func loadModelOrCheckpoint(path string) (*raal.CostModel, *raal.TrainState, erro
 	return cm, nil, err
 }
 
-// quantGateSamples collects a small benchmark workload and encodes it
-// with the model's fitted encoder: the reference set the quantization
-// accuracy gate scores both precisions on (f64 predictions as reference,
-// no labels needed — see raal.CostModel.EnablePrecision).
-func quantGateSamples(sys *raal.System, cm *raal.CostModel, seed int64) ([]*raal.Sample, error) {
-	ds, err := sys.Collect(raal.CollectOptions{NumQueries: 24, ResStatesPerPlan: 2, Seed: seed})
-	if err != nil {
-		return nil, err
-	}
-	return cm.EncodeDataset(ds), nil
-}
-
 // adminHandler serves the operational surfaces: /metrics always, the
 // pprof handlers only when explicitly enabled (profiles expose internals
 // and cost CPU, so they are opt-in rather than ambient), and the model
@@ -562,5 +518,4 @@ func adminHandler(reg *telemetry.Registry, pprofOn bool, modelAdmin http.Handler
 type estimator interface {
 	EstimateCtx(ctx context.Context, p *physical.Plan, res sparksim.Resources) (float64, error)
 	EstimateBatchCtx(ctx context.Context, plans []*physical.Plan, res sparksim.Resources, opt raal.PredictOpts) ([]float64, error)
-	Precision() raal.Precision
 }

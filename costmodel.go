@@ -25,12 +25,11 @@ const (
 // CostModel is a trained end-to-end cost estimator: a fitted feature
 // encoder plus a deep network of some Variant.
 type CostModel struct {
-	enc    *encode.Encoder
-	model  *core.Model
-	qmodel *core.Net[float32] // nil while serving the f64 reference path; see EnablePrecision
-	instr  *core.Instrumentation
-	api    apiCounters
-	cache  *encodeCache // nil until EnableEncodeCache
+	enc   *encode.Encoder
+	model *core.Model
+	instr *core.Instrumentation
+	api   apiCounters
+	cache *encodeCache // nil until EnableEncodeCache
 }
 
 // apiCounters tracks public estimation-API usage. The zero value (nil
@@ -41,7 +40,6 @@ type apiCounters struct {
 	recommends *telemetry.Counter // RecommendResourcesCtx calls
 	encHits    *telemetry.Counter // encode-cache plan lookups served without re-encoding
 	encMisses  *telemetry.Counter // encode-cache plan lookups that fell through to the encoder
-	gateFails  *telemetry.Counter // quantized snapshots refused by the accuracy gate
 }
 
 // Instrument registers this model's telemetry on reg: API call counters
@@ -61,13 +59,8 @@ func (cm *CostModel) Instrument(reg *telemetry.Registry) {
 		"Plan encodings served from the feature-encoding cache.")
 	cm.api.encMisses = reg.NewCounter("raal_encode_cache_misses_total",
 		"Plan encodings that missed the feature-encoding cache.")
-	cm.api.gateFails = reg.NewCounter("raal_quant_gate_failures_total",
-		"Quantized model snapshots refused by the accuracy gate (serving stayed on float64).")
 	cm.instr = core.NewInstrumentation(reg)
 	cm.model.Instrument(cm.instr)
-	if cm.qmodel != nil {
-		cm.qmodel.Instrument(cm.instr)
-	}
 }
 
 // EnableEncodeCache attaches an LRU of up to capacity encoded plans to the
@@ -79,8 +72,8 @@ func (cm *CostModel) Instrument(reg *telemetry.Registry) {
 // resource-vector normalization and the network's resource suffix.
 // Estimates are bit-identical with and without the cache: the encoder is
 // deterministic, samples are immutable once built, and a cached prefix is
-// used only by the exact network and weights that produced it (a retrain,
-// a promotion or a precision switch recomputes it). capacity <= 0 disables
+// used only by the exact network and weights that produced it (a retrain
+// or a promotion recomputes it). capacity <= 0 disables
 // caching. Safe for concurrent use once set, but call before the model
 // starts serving; hits and misses are counted per plan lookup and visible
 // as raal_encode_cache_{hits,misses}_total when the model is instrumented.
@@ -92,100 +85,33 @@ func (cm *CostModel) EnableEncodeCache(capacity int) {
 	cm.cache = newEncodeCache(capacity)
 }
 
-// encodePlanAt is the cache-aware front door to the encoder: every
-// estimation path routes through it (or planPartAt directly) so hit
-// accounting stays consistent. prec tags the cache entry with the
-// precision of the generation that will score it, so a precision switch
-// or an online champion at another precision warms its own entries.
-func (cm *CostModel) encodePlanAt(prec string, p *Plan, res Resources) *Sample {
-	return cm.planPartAt(prec, p).WithResource(cm.enc.EncodeResources(res))
+// encodePlan is the cache-aware front door to the encoder: every
+// estimation path routes through it (or planPart directly) so hit
+// accounting stays consistent.
+func (cm *CostModel) encodePlan(p *Plan, res Resources) *Sample {
+	return cm.planPart(p).WithResource(cm.enc.EncodeResources(res))
 }
 
-// planPartAt returns p's plan-only encoding, from the cache when one is
+// planPart returns p's plan-only encoding, from the cache when one is
 // enabled. Price it under an allocation with WithResource: the copies
 // share the plan part, so the network runs its plan prefix once for all of
 // them, and a cached part also carries the memo slot that keeps that
-// prefix for the next call.
-func (cm *CostModel) planPartAt(prec string, p *Plan) *Sample {
+// prefix for the next call. The memo is keyed by network and weight
+// version, so one entry serves every champion an online loop promotes.
+func (cm *CostModel) planPart(p *Plan) *Sample {
 	if cm.cache == nil {
 		return cm.enc.EncodePlanPart(p)
 	}
 	key := p.Key()
-	if s, ok := cm.cache.get(prec, key); ok {
+	if s, ok := cm.cache.get(key); ok {
 		cm.api.encHits.Inc()
 		return s
 	}
 	cm.api.encMisses.Inc()
 	s := cm.enc.EncodePlanPart(p)
 	s.Memo = new(encode.PlanMemo)
-	cm.cache.add(prec, key, s)
+	cm.cache.add(key, s)
 	return s
-}
-
-// Precision reports the numeric format the estimation APIs currently
-// serve at: PrecisionF64 until EnablePrecision installs a quantized
-// snapshot, then that snapshot's precision.
-func (cm *CostModel) Precision() core.Precision { return cm.gen().precision() }
-
-// EnablePrecision switches the serving precision of every estimation
-// API. PrecisionF64 restores the float64 reference path (always
-// succeeds). A reduced precision quantizes the trained model
-// (core.Net.Quantize) and — when gate samples are supplied — runs the
-// accuracy gate (core.VerifyQuantized) before installing it: the
-// GateQuantile q-error delta between the quantized and float64
-// predictions over gate must stay within maxQDelta. On refusal the
-// typed *core.QuantGateError is returned, raal_quant_gate_failures_total
-// is incremented (when instrumented), and serving keeps its previous
-// precision. An empty gate set installs without verification — for
-// interactive tools; serving paths should always gate.
-//
-// Like EnableEncodeCache, call at wiring time, before the model starts
-// serving; the switch is not synchronized against in-flight estimates.
-func (cm *CostModel) EnablePrecision(p core.Precision, gate []*Sample, maxQDelta float64) error {
-	if p == core.PrecisionF64 {
-		cm.qmodel = nil
-		return nil
-	}
-	qm, err := cm.model.Quantize(p)
-	if err != nil {
-		return err
-	}
-	if len(gate) > 0 {
-		if err := core.VerifyQuantized(cm.model, qm, gate, maxQDelta); err != nil {
-			cm.api.gateFails.Inc()
-			return err
-		}
-	}
-	if cm.instr != nil {
-		qm.Instrument(cm.instr)
-	}
-	cm.qmodel = qm
-	return nil
-}
-
-// generation is the network one scoring call runs: the float64 model and,
-// when one was admitted, the quantized snapshot that serves in its place.
-// CostModel scores with its own, OnlineServing with the champion it loaded
-// for the call, through the same bodies.
-type generation struct {
-	model *core.Model
-	q     *core.Net[float32]
-}
-
-func (cm *CostModel) gen() generation { return generation{cm.model, cm.qmodel} }
-
-func (g generation) precision() core.Precision {
-	if g.q != nil {
-		return g.q.Precision()
-	}
-	return core.PrecisionF64
-}
-
-func (g generation) predict(ctx context.Context, samples []*Sample) ([]float64, error) {
-	if g.q != nil {
-		return g.q.PredictCtx(ctx, samples, core.PredictOpts{})
-	}
-	return g.model.PredictCtx(ctx, samples, core.PredictOpts{})
 }
 
 // TrainOptions controls cost-model training.
@@ -318,17 +244,18 @@ func (cm *CostModel) Estimate(p *Plan, res Resources) float64 {
 // encode, then the network's stages (core.Net.PredictCtx), to the same
 // bits as an untraced call.
 func (cm *CostModel) EstimateCtx(ctx context.Context, p *Plan, res Resources) (float64, error) {
-	return cm.estimate(ctx, cm.gen(), p, res)
+	return cm.estimate(ctx, cm.model, p, res)
 }
 
 // estimate is the one body behind CostModel's and OnlineServing's
-// EstimateCtx: it prices p under res with g.
-func (cm *CostModel) estimate(ctx context.Context, g generation, p *Plan, res Resources) (float64, error) {
+// EstimateCtx: it prices p under res with m, the model itself or the
+// champion OnlineServing loaded for the call.
+func (cm *CostModel) estimate(ctx context.Context, m *core.Model, p *Plan, res Resources) (float64, error) {
 	cm.api.estimates.Inc()
 	stop := telemetry.SpanFrom(ctx).Stage("encode")
-	s := cm.encodePlanAt(g.precision().String(), p, res)
+	s := cm.encodePlan(p, res)
 	stop()
-	preds, err := g.predict(ctx, []*Sample{s})
+	preds, err := m.PredictCtx(ctx, []*Sample{s}, core.PredictOpts{})
 	if err != nil {
 		return 0, err
 	}
@@ -348,36 +275,33 @@ func (cm *CostModel) EstimateBatch(plans []*Plan, res Resources) []float64 {
 // returns ctx.Err(). With a live context the predictions are
 // bit-identical to EstimateBatch. PredictOpts has no fields.
 func (cm *CostModel) EstimateBatchCtx(ctx context.Context, plans []*Plan, res Resources, _ core.PredictOpts) ([]float64, error) {
-	return cm.estimateBatch(ctx, cm.gen(), plans, res)
+	return cm.estimateBatch(ctx, cm.model, plans, res)
 }
 
 // estimateBatch is the one body behind both EstimateBatchCtx methods.
-func (cm *CostModel) estimateBatch(ctx context.Context, g generation, plans []*Plan, res Resources) ([]float64, error) {
+func (cm *CostModel) estimateBatch(ctx context.Context, m *core.Model, plans []*Plan, res Resources) ([]float64, error) {
 	cm.api.estimates.Inc()
-	return cm.priceUnder(ctx, g, plans, res)
+	return cm.priceUnder(ctx, m, plans, res)
 }
 
 // priceUnder prices every candidate under one allocation (one shared
-// resource vector) with g.
-func (cm *CostModel) priceUnder(ctx context.Context, g generation, plans []*Plan, res Resources) ([]float64, error) {
-	prec, r := g.precision().String(), cm.enc.EncodeResources(res)
-	return cm.scorePlans(ctx, g, plans, func(i int) *Sample {
-		return cm.planPartAt(prec, plans[i]).WithResource(r)
+// resource vector) with m.
+func (cm *CostModel) priceUnder(ctx context.Context, m *core.Model, plans []*Plan, res Resources) ([]float64, error) {
+	r := cm.enc.EncodeResources(res)
+	return cm.scorePlans(ctx, m, plans, func(i int) *Sample {
+		return cm.planPart(plans[i]).WithResource(r)
 	})
 }
 
-// scorePlans prices plans with g, build(i) encoding plans[i] on the predict
+// scorePlans prices plans with m, build(i) encoding plans[i] on the predict
 // worker that scores it (core.Net.ScoreCtx). A plan's length hint is its
 // node count, capped at the encoder's MaxNodes as the encoding truncates it.
-func (cm *CostModel) scorePlans(ctx context.Context, g generation, plans []*Plan, build func(i int) *Sample) ([]float64, error) {
+func (cm *CostModel) scorePlans(ctx context.Context, m *core.Model, plans []*Plan, build func(i int) *Sample) ([]float64, error) {
 	hints := make([]int, len(plans))
 	for i, p := range plans {
 		hints[i] = min(len(p.Nodes), cm.enc.MaxNodes())
 	}
-	if g.q != nil {
-		return g.q.ScoreCtx(ctx, hints, build)
-	}
-	return g.model.ScoreCtx(ctx, hints, build)
+	return m.ScoreCtx(ctx, hints, build)
 }
 
 // EstimateEachCtx predicts costs for many independent (plan, resources)
@@ -389,10 +313,8 @@ func (cm *CostModel) EstimateEachCtx(ctx context.Context, plans []*Plan, res []R
 		return nil, fmt.Errorf("raal: EstimateEachCtx got %d plan(s) but %d resource allocation(s)", len(plans), len(res))
 	}
 	cm.api.estimates.Inc()
-	g := cm.gen()
-	prec := g.precision().String()
-	return cm.scorePlans(ctx, g, plans, func(i int) *Sample {
-		return cm.encodePlanAt(prec, plans[i], res[i])
+	return cm.scorePlans(ctx, cm.model, plans, func(i int) *Sample {
+		return cm.encodePlan(plans[i], res[i])
 	})
 }
 
@@ -411,7 +333,7 @@ func (cm *CostModel) SelectPlanCtx(ctx context.Context, plans []*Plan, res Resou
 		return nil, 0, nil
 	}
 	cm.api.selects.Inc()
-	preds, err := cm.priceUnder(ctx, cm.gen(), plans, res)
+	preds, err := cm.priceUnder(ctx, cm.model, plans, res)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -435,13 +357,12 @@ func (cm *CostModel) RecommendResourcesCtx(ctx context.Context, p *Plan, grid []
 		return Resources{}, 0, nil
 	}
 	cm.api.recommends.Inc()
-	g := cm.gen()
-	part := cm.planPartAt(g.precision().String(), p)
+	part := cm.planPart(p)
 	samples := make([]*Sample, len(grid))
 	for i, res := range grid {
 		samples[i] = part.WithResource(cm.enc.EncodeResources(res))
 	}
-	preds, err := g.predict(ctx, samples)
+	preds, err := cm.model.PredictCtx(ctx, samples, core.PredictOpts{})
 	if err != nil {
 		return Resources{}, 0, err
 	}

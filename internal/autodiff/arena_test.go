@@ -2,7 +2,6 @@ package autodiff
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -211,85 +210,13 @@ func TestConstValueNotRecycled(t *testing.T) {
 	}
 }
 
-// TestTapeOpsF32MatchF64 runs each op on a float32 tape against the
-// float64 tape on the same (narrowed) inputs and requires agreement within
-// f32 rounding tolerance — the two instantiations must differ only in
-// storage precision, never in semantics. The transcendental ops (tanh,
-// sigmoid, softmax) get a looser 2e-5 bound: at float32 they run through
-// the fast kernels (tensor.Sigmoid32's interpolated table, tensor.Exp32),
-// whose ≲1e-5 absolute error is the documented trade for skipping the
-// float64 math library on the hot path.
-func TestTapeOpsF32MatchF64(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	tp64 := NewInferenceTape[float64]()
-	tp32 := NewInferenceTape[float32]()
-
-	// pair wraps one float64 matrix as a constant on both tapes.
-	pair := func(m *tensor.Matrix) (*Var[float32], *Var[float64]) {
-		return tp32.Const(tensor.Convert[float32](m)), tp64.Const(m)
-	}
-	a32, av := pair(tensor.Randn(6, 8, 1, rng))
-	b32, bv := pair(tensor.Randn(8, 5, 1, rng))
-
-	check := func(label string, got *Var[float32], want *Var[float64], tol float64) {
-		t.Helper()
-		if got.Value.Rows != want.Value.Rows || got.Value.Cols != want.Value.Cols {
-			t.Fatalf("%s: shape %dx%d, want %dx%d", label, got.Value.Rows, got.Value.Cols, want.Value.Rows, want.Value.Cols)
-		}
-		for i, v := range got.Value.Data {
-			if math.Abs(float64(v)-want.Value.Data[i]) > tol {
-				t.Fatalf("%s: element %d = %g, want %g", label, i, v, want.Value.Data[i])
-			}
-		}
-	}
-
-	check("matmul", tp32.MatMul(a32, b32), tp64.MatMul(av, bv), 1e-4)
-	check("tanh", tp32.Tanh(a32), tp64.Tanh(av), 2e-5)
-	check("scale", tp32.Scale(a32, 0.5), tp64.Scale(av, 0.5), 1e-6)
-	check("sliceCols", tp32.SliceCols(a32, 2, 7), tp64.SliceCols(av, 2, 7), 1e-6)
-
-	mask := []bool{true, false, true, true, false, true}
-	check("meanRowsMasked", tp32.MeanRowsMasked(a32, mask), tp64.MeanRowsMasked(av, mask), 1e-6)
-
-	cmask := []bool{true, true, false, true, false, true, true, true}
-	check("softmaxRows", tp32.SoftmaxRows(a32, cmask), tp64.SoftmaxRows(av, cmask), 2e-5)
-
-	mask2d := make([][]bool, 6)
-	for i := range mask2d {
-		mask2d[i] = make([]bool, 8)
-		for j := range mask2d[i] {
-			mask2d[i][j] = rng.Intn(2) == 0
-		}
-	}
-	check("softmaxMask2D", tp32.SoftmaxRowsMask2D(a32, mask2d), tp64.SoftmaxRowsMask2D(av, mask2d), 2e-5)
-
-	r32, rv := pair(tensor.Randn(1, 8, 1, rng))
-	check("addRowApply/sigmoid", tp32.AddRowApply(a32, r32, ActSigmoid), tp64.AddRowApply(av, rv, ActSigmoid), 2e-5)
-
-	check("im2col", tp32.Im2ColRows(a32, 3), tp64.Im2ColRows(av, 3), 1e-6)
-	check("concatCols", tp32.ConcatCols(a32, a32), tp64.ConcatCols(av, av), 1e-6)
-	check("concatRows", tp32.ConcatRows(a32, a32), tp64.ConcatRows(av, av), 1e-6)
-	check("gatherRows", tp32.GatherRows([]*Var[float32]{a32, a32}, []int{3, 1}), tp64.GatherRows([]*Var[float64]{av, av}, []int{3, 1}), 1e-6)
-
-	small32, smallv := pair(tensor.Randn(2, 8, 1, rng))
-	check("addRowsAt", tp32.AddRowsAt(a32, 2, small32), tp64.AddRowsAt(av, 2, smallv), 1e-6)
-
-	// The fused cell: z is consumed as scratch, so each tape gets a copy.
-	z32, zv := pair(tensor.Randn(6, 8, 1, rng))
-	c32, cv := pair(tensor.Randn(6, 2, 1, rng))
-	h32, cNext32 := tp32.LSTMCell(z32, r32, c32)
-	h64, cNext64 := tp64.LSTMCell(zv, rv, cv)
-	check("lstmCell", h32, h64, 2e-5)
-	check("lstmCell/state", cNext32, cNext64, 2e-5)
-}
-
 // TestLSTMCellMatchesRecordedChain pins the fused cell's values, bit for
 // bit, to the op chain it replaces, on a forward-only and on a recording
 // tape, and that the recording tape records it (its gradients are held to
 // the chain by internal/nn's FuzzLSTMCell). The incoming cell state is
 // only read.
 func TestLSTMCellMatchesRecordedChain(t *testing.T) {
-	bothTypes(t, testLSTMCellMatchesRecordedChain[float64], testLSTMCellMatchesRecordedChain[float32])
+	t.Run("f64", testLSTMCellMatchesRecordedChain[float64])
 }
 
 func testLSTMCellMatchesRecordedChain[T tensor.Float](t *testing.T) {
@@ -330,18 +257,11 @@ func testLSTMCellMatchesRecordedChain[T tensor.Float](t *testing.T) {
 	}
 }
 
-// bothTypes runs a generic test body at each element type of the stack.
-func bothTypes(t *testing.T, f64, f32 func(*testing.T)) {
-	t.Run("f64", f64)
-	t.Run("f32", f32)
-}
-
-// TestWarmReplayReusesArena pins the arena contract at both element types:
-// after Reset, an identical op sequence returns pointer-identical matrices
+// TestWarmReplayReusesArena pins the arena contract: after Reset, an identical op sequence returns pointer-identical matrices
 // backed by the same slabs, and the steady state allocates zero new
 // matrices.
 func TestWarmReplayReusesArena(t *testing.T) {
-	bothTypes(t, testWarmReplayReusesArena[float64], testWarmReplayReusesArena[float32])
+	t.Run("f64", testWarmReplayReusesArena[float64])
 }
 
 func testWarmReplayReusesArena[T tensor.Float](t *testing.T) {

@@ -34,13 +34,11 @@
 // overwritten or explicitly zeroed before use, and the order of
 // floating-point operations is untouched.
 //
-// # One tape, two element types
+// # One tape at float64
 //
-// Tape, Var and the arena are generic over the element type, so the
-// float64 training tape and the float32 inference tape are the same code
-// over different slabs; only the slab's element type varies. The reduced-
-// precision path is simply a forward-only tape (NewInferenceTape) at
-// float32.
+// Tape, Var and the arena are generic over the element type, which
+// tensor.Float narrows to float64: the training tape and the inference
+// tape (NewInferenceTape) are the same code over the same slabs.
 //
 // Leaves are exempt: Param wraps caller-owned weights whose gradients must
 // accumulate across Backward calls until the optimizer clears them, so leaf

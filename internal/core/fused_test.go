@@ -71,7 +71,6 @@ func TestForwardOnlyMatchesRecordedOnCorpus(t *testing.T) {
 				t.Fatal(err)
 			}
 			t.Run(name+"/"+v.Name+"/f64", func(t *testing.T) { checkFusedMatchesRecorded(t, m, samples) })
-			t.Run(name+"/"+v.Name+"/f32", func(t *testing.T) { checkFusedMatchesRecorded(t, quantizeF32(t, m), samples) })
 		}
 	}
 }

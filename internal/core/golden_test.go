@@ -15,9 +15,8 @@ import (
 
 // The digests below were computed once, at the commit before the numeric
 // stack was folded into one generic path, and are frozen: they pin
-// cross-commit bit-identity of the float64 forward pass, of training, of
-// the float32 forward pass of a converted model, and of the saved-model
-// bytes. The other bit-identity tests compare two runs of the same
+// cross-commit bit-identity of the float64 forward pass, of training and
+// of the saved-model bytes. The other bit-identity tests compare two runs of the same
 // binary, so a refactor that changes both sides alike passes them; this
 // one does not.
 //
@@ -26,21 +25,20 @@ import (
 
 // goldenDigest is one variant's frozen FNV-64a digests.
 type goldenDigest struct {
-	fit    uint64 // every parameter after 2 epochs of Fit from the fixed seed
-	pred   uint64 // f64 Predict of that model, over math.Float64bits
-	pred32 uint64 // f32 Predict of the same model after conversion
-	save   uint64 // the bytes Model.Save writes for it
+	fit  uint64 // every parameter after 2 epochs of Fit from the fixed seed
+	pred uint64 // f64 Predict of that model, over math.Float64bits
+	save uint64 // the bytes Model.Save writes for it
 }
 
 var goldenDigests = map[string]goldenDigest{
-	"RAAL":          {pred: 0x30fdc8d7fb680e25, pred32: 0xa4028fd398b597f2, fit: 0xd42da202487d5511, save: 0xdfcda67f15a24aa2},
-	"RAAL-noRes":    {pred: 0x3cd1bde08aa94bda, pred32: 0x492f2a6d372f564, fit: 0x3588899d4c201b09, save: 0x141df386dbd65194},
-	"NE-LSTM":       {pred: 0xfde646ce30fb33e9, pred32: 0x8500e9dd4a0e7175, fit: 0x7224da24fa8970a7, save: 0x8be3fea0dc5950d2},
-	"NE-LSTM-noRes": {pred: 0x3ca005aada3b25f5, pred32: 0xd6a540a0a5a93107, fit: 0xe0363fa02c9e7457, save: 0xeb7457114f4119ba},
-	"NA-LSTM":       {pred: 0xb2d637555887daa7, pred32: 0x372ef502288890d7, fit: 0xae1af37dbe208a37, save: 0x6c3566139272046c},
-	"NA-LSTM-noRes": {pred: 0xf685309b51d6fbe, pred32: 0xc04c988fb4c5f70a, fit: 0xe238ff0019edbfc6, save: 0x9b8a2bcc726eeab8},
-	"RAAC":          {pred: 0xf6339ca8d92e2acf, pred32: 0xe8109f8501172688, fit: 0xa182ea7e38b0e469, save: 0xce94e92aa577ddb6},
-	"RAAC-noRes":    {pred: 0x9037c506ee01e381, pred32: 0xbaf072ef91c0deb4, fit: 0xdfbc1afa480b4150, save: 0xa6782f45718f9330},
+	"RAAL":          {pred: 0x30fdc8d7fb680e25, fit: 0xd42da202487d5511, save: 0xdfcda67f15a24aa2},
+	"RAAL-noRes":    {pred: 0x3cd1bde08aa94bda, fit: 0x3588899d4c201b09, save: 0x141df386dbd65194},
+	"NE-LSTM":       {pred: 0xfde646ce30fb33e9, fit: 0x7224da24fa8970a7, save: 0x8be3fea0dc5950d2},
+	"NE-LSTM-noRes": {pred: 0x3ca005aada3b25f5, fit: 0xe0363fa02c9e7457, save: 0xeb7457114f4119ba},
+	"NA-LSTM":       {pred: 0xb2d637555887daa7, fit: 0xae1af37dbe208a37, save: 0x6c3566139272046c},
+	"NA-LSTM-noRes": {pred: 0xf685309b51d6fbe, fit: 0xe238ff0019edbfc6, save: 0x9b8a2bcc726eeab8},
+	"RAAC":          {pred: 0xf6339ca8d92e2acf, fit: 0xa182ea7e38b0e469, save: 0xce94e92aa577ddb6},
+	"RAAC-noRes":    {pred: 0x9037c506ee01e381, fit: 0xdfbc1afa480b4150, save: 0xa6782f45718f9330},
 }
 
 // init pins gob's type ids before any test runs. gob numbers types
@@ -91,16 +89,6 @@ func goldenModel(v Variant) *Model {
 	return NewModel(v, cfg)
 }
 
-// goldenF32 predicts samples through the float32 conversion of m.
-func goldenF32(t *testing.T, m *Model, samples []*encode.Sample, opt schedOpts) []float64 {
-	t.Helper()
-	qm, err := m.Quantize(PrecisionF32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return predictOn(qm, samples, opt)
-}
-
 func TestGoldenDigests(t *testing.T) {
 	if runtime.GOARCH != "amd64" {
 		t.Skip("golden digests are pinned for amd64 (other ports may fuse multiply-add)")
@@ -135,7 +123,6 @@ func TestGoldenDigests(t *testing.T) {
 				t.Fatalf("%q: only %d distinct predictions over %d samples; the digest would pin little", v.Name, len(distinct), len(preds))
 			}
 			got.pred = floatDigest(preds)
-			got.pred32 = floatDigest(goldenF32(t, m, samples, opt))
 			var buf bytes.Buffer
 			if err := m.Save(&buf); err != nil {
 				t.Fatal(err)
@@ -145,8 +132,8 @@ func TestGoldenDigests(t *testing.T) {
 			got.save = h.Sum64()
 
 			if !ok || got != want {
-				t.Errorf("%q workers=%d:\n got {pred: %#x, pred32: %#x, fit: %#x, save: %#x}\nwant {pred: %#x, pred32: %#x, fit: %#x, save: %#x}",
-					v.Name, workers, got.pred, got.pred32, got.fit, got.save, want.pred, want.pred32, want.fit, want.save)
+				t.Errorf("%q workers=%d:\n got {pred: %#x, fit: %#x, save: %#x}\nwant {pred: %#x, fit: %#x, save: %#x}",
+					v.Name, workers, got.pred, got.fit, got.save, want.pred, want.fit, want.save)
 			}
 		}
 	}

@@ -52,10 +52,9 @@ func DefaultConfig(semDim, maxNodes int) Config {
 const nodeStatFeatures = 2
 
 // Net is a deep cost model of one Variant over element type T. There is
-// one network: the float64 instantiation (Model) is what NewModel builds,
-// Fit trains and Save writes; the float32 instantiation is the inference-
-// only reduced precision, derived from a trained Model by Quantize and
-// never serialized. Every method below is the same code at both.
+// one network, and tensor.Float admits only float64: the instantiation
+// (Model) is what NewModel builds, Fit trains, Save writes and every
+// estimate scores on.
 type Net[T tensor.Float] struct {
 	Var Variant
 	Cfg Config
@@ -79,8 +78,8 @@ type Net[T tensor.Float] struct {
 	version atomic.Uint64
 }
 
-// Model is the float64 network: the training, reference and storage
-// precision, and the type every package outside core spells.
+// Model is the float64 network, the type every package outside core
+// spells.
 type Model = Net[float64]
 
 // maxPooledTapes caps how many warm tapes of each kind the process keeps.
@@ -101,18 +100,12 @@ type tapePool[T tensor.Float] struct {
 	recording []*autodiff.Tape[T]
 }
 
-// The process's tape pools, one per element type (tapes).
-var (
-	tapes64 tapePool[float64]
-	tapes32 tapePool[float32]
-)
+// tapes64 is the process's tape pool (tapes).
+var tapes64 tapePool[float64]
 
 // tapes returns the process's tape pool for element type T.
 func tapes[T tensor.Float]() *tapePool[T] {
-	if p, ok := any(&tapes64).(*tapePool[T]); ok {
-		return p
-	}
-	return any(&tapes32).(*tapePool[T])
+	return any(&tapes64).(*tapePool[T])
 }
 
 // free returns the stack that holds tapes of the kind record selects.
@@ -180,19 +173,6 @@ func newNet[T tensor.Float](v Variant, cfg Config) *Net[T] {
 	}
 	m.head = nn.NewMLP[T]("head", []int{m.headDim(), cfg.Hidden, cfg.Hidden / 2, 1}, nn.ReLU, rng)
 	return m
-}
-
-// convertNet returns a network of the same variant and configuration at
-// element type D holding a converted copy of m's weights — a deep copy
-// when D is m's own element type (Clone), the reduced-precision snapshot
-// when it is narrower (Quantize). Telemetry is not carried over.
-func convertNet[D, S tensor.Float](m *Net[S]) *Net[D] {
-	c := newNet[D](m.Var, m.Cfg)
-	src, dst := m.Params(), c.Params()
-	for i := range src {
-		tensor.Cast(dst[i].Value().Data, src[i].Value().Data)
-	}
-	return c
 }
 
 // inputDim is the per-node input width after variant column selection.
@@ -279,8 +259,7 @@ type prefixSet[T tensor.Float] struct {
 // prefixMemo is a prefix copied off the tape that computed it, parked in a
 // sample's memo slot (encode.PlanMemo). It is valid only for the network
 // that produced it at the weights it had then: net and version are compared
-// on every use, and the slot's any-typed value keeps element types apart.
-// Immutable once stored.
+// on every use. Immutable once stored.
 type prefixMemo[T tensor.Float] struct {
 	net     *Net[T]
 	version uint64
@@ -470,7 +449,7 @@ func (m *Net[T]) attnScale() T { return T(1 / math.Sqrt(float64(m.Cfg.K))) }
 
 // memoized returns the prefix parked in s's memo slot when it is this
 // network's at the given weights version; nil otherwise (no slot, empty,
-// another element type, another network, stale weights).
+// another network, stale weights).
 func (m *Net[T]) memoized(s *encode.Sample, version uint64) *prefixMemo[T] {
 	if s.Memo == nil {
 		return nil

@@ -49,11 +49,10 @@ func instrumented[T tensor.Float](m *Net[T]) *Instrumentation {
 }
 
 // TestSharedPrefixBitIdentical mixes several plans' allocation grids with
-// unrelated samples, shuffled, and checks at both precisions and for every
-// variant that scoring them together — plans recognised by identity, one
-// prefix each — returns the bits that scoring a deep copy of every row
-// alone returns. With a memo slot on the plans the two precisions take
-// turns evicting each other's prefix, then find their own again.
+// unrelated samples, shuffled, and checks for every variant that scoring
+// them together — plans recognised by identity, one prefix each — returns
+// the bits that scoring a deep copy of every row alone returns. With a
+// memo slot on the plans the second pass finds the first pass's prefix.
 func TestSharedPrefixBitIdentical(t *testing.T) {
 	opts := []schedOpts{{}, {workers: 1, chunk: 7}, {workers: 4, chunk: 7}}
 	for _, v := range goldenVariants() {
@@ -70,10 +69,6 @@ func TestSharedPrefixBitIdentical(t *testing.T) {
 			rng.Shuffle(len(batch), func(i, j int) { batch[i], batch[j] = batch[j], batch[i] })
 
 			m := goldenModel(v)
-			q, err := m.Quantize(PrecisionF32)
-			if err != nil {
-				t.Fatal(err)
-			}
 			check := func(name string, predict func([]*encode.Sample, schedOpts) []float64) {
 				for _, opt := range opts {
 					got := predict(batch, opt)
@@ -87,10 +82,8 @@ func TestSharedPrefixBitIdentical(t *testing.T) {
 				}
 			}
 			check("f64", func(b []*encode.Sample, o schedOpts) []float64 { return predictOn(m, b, o) })
-			check("f32", func(b []*encode.Sample, o schedOpts) []float64 { return predictOn(q, b, o) })
 			check("f64 again", func(b []*encode.Sample, o schedOpts) []float64 { return predictOn(m, b, o) })
 			check("f64 flat", func(b []*encode.Sample, o schedOpts) []float64 { return predictFlat(m, b, o) })
-			check("f32 flat", func(b []*encode.Sample, o schedOpts) []float64 { return predictFlat(q, b, o) })
 		}
 	}
 }
@@ -144,9 +137,9 @@ func TestTrainingNeverSharesPrefixes(t *testing.T) {
 }
 
 // TestMemoizedPrefixValidity: a parked prefix serves only the network and
-// weights that produced it. Another network of the same shape, the same
-// network after Fit, and its reduced-precision snapshot each recompute —
-// and each matches a memo-less copy of the sample.
+// weights that produced it. Another network of the same shape and the
+// same network after Fit each recompute — and each matches a memo-less
+// copy of the sample.
 func TestMemoizedPrefixValidity(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	train := synthDataset(48, 3)
@@ -189,20 +182,6 @@ func TestMemoizedPrefixValidity(t *testing.T) {
 	}
 	if c := counts(); c[1] != before[1] {
 		t.Fatal("a prefix computed before Fit was reused after it")
-	}
-
-	q, err := m.Quantize(PrecisionF32)
-	if err != nil {
-		t.Fatal(err)
-	}
-	qins := instrumented(q)
-	for i := 0; i < 2; i++ { // f32 recomputes, parks its own, then reuses it
-		if got, want := predict(q, one(s))[0], predict(q, one(bare))[0]; got != want {
-			t.Fatalf("f32 pass %d: %v != %v", i, got, want)
-		}
-	}
-	if qins.PrefixReused.Value() != 1 {
-		t.Fatalf("f32 reused %d prefixes over two passes, want 1", qins.PrefixReused.Value())
 	}
 }
 

@@ -95,5 +95,13 @@ func LoadTrainState(r io.Reader) (*TrainState, error) {
 // Clone returns a model of the same variant and configuration with a
 // deep copy of the weights: training the clone never perturbs the
 // original, which is what lets a challenger continue from the serving
-// champion while the champion keeps answering traffic.
-func (m *Net[T]) Clone() *Net[T] { return convertNet[T](m) }
+// champion while the champion keeps answering traffic. Telemetry is not
+// carried over.
+func (m *Net[T]) Clone() *Net[T] {
+	c := newNet[T](m.Var, m.Cfg)
+	src, dst := m.Params(), c.Params()
+	for i := range src {
+		copy(dst[i].Value().Data, src[i].Value().Data)
+	}
+	return c
+}

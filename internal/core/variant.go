@@ -12,10 +12,9 @@
 // trained with MSE loss.
 //
 // The network is written once, generic over the element type: Net[T] has
-// one forward, one scorer and one tape pool. Model is Net[float64], the
-// precision models are built, trained and saved in; Net[float32] is the
-// inference-only reduced precision, derived from a trained Model by
-// Quantize and admitted for serving by VerifyQuantized (quant.go).
+// one forward, one scorer and one tape pool. tensor.Float admits only
+// float64, so Model (Net[float64]) is the one network models are built,
+// trained, saved and served in.
 package core
 
 // Variant selects a model architecture from the paper's ablation grid

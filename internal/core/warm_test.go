@@ -9,11 +9,10 @@ import (
 	"raal/internal/encode"
 )
 
-// drainTapes empties the process's tape pools, so the next leases build
+// drainTapes empties the process's tape pool, so the next leases build
 // fresh tapes.
 func drainTapes() {
 	tapes[float64]().drain()
-	tapes[float32]().drain()
 }
 
 func (p *tapePool[T]) drain() {

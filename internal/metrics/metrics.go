@@ -136,3 +136,20 @@ func mean(xs []float64) float64 {
 	}
 	return s / float64(len(xs))
 }
+
+// ArgminFinite returns the index of the smallest finite value (first on
+// ties), or -1 when no value is finite. NaN and ±Inf predictions come from
+// corrupt weights or inputs; they are never ranked, so one can neither win
+// (a NaN in front compares false against everything) nor hide a winner.
+func ArgminFinite(xs []float64) int {
+	best := -1
+	for i, x := range xs {
+		if math.IsNaN(x) || math.IsInf(x, 0) {
+			continue
+		}
+		if best < 0 || x < xs[best] {
+			best = i
+		}
+	}
+	return best
+}

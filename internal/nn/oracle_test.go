@@ -104,13 +104,12 @@ func mustSameBits[T tensor.Float](t *testing.T, got, want *tensor.Mat[T], what s
 // TestLSTMForwardStackedGradientsMatchOracle runs whole multi-step
 // sequences through ForwardStacked and Backward and holds every hidden
 // state and every gradient — Wx, Wh, B and the input — to the chain
-// oracle bit for bit, at both element types. Two sequences share one
+// oracle bit for bit. Two sequences share one
 // tape, so B's gradient sums over sequences exactly as training sums it,
 // and the loss skips some steps' hidden states, so some cells see a
 // cell-state gradient but no hidden-state one.
 func TestLSTMForwardStackedGradientsMatchOracle(t *testing.T) {
 	t.Run("f64", testForwardStackedGradientsMatchOracle[float64])
-	t.Run("f32", testForwardStackedGradientsMatchOracle[float32])
 }
 
 func testForwardStackedGradientsMatchOracle[T tensor.Float](t *testing.T) {
@@ -300,7 +299,7 @@ func checkCell[T tensor.Float](t *testing.T, cc cellCase) {
 }
 
 // FuzzLSTMCell holds the fused, recorded LSTM cell to the chain oracle bit
-// for bit at float64 and float32: the new hidden and cell states and the
+// for bit: the new hidden and cell states and the
 // gradients of the pre-activation, the bias and the incoming cell state,
 // for operands that include ±0, subnormals, ±Inf and NaN, with upstream
 // gradients on either new state or both.
@@ -317,6 +316,5 @@ func FuzzLSTMCell(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cc := decodeCell(data)
 		checkCell[float64](t, cc)
-		checkCell[float32](t, cc)
 	})
 }

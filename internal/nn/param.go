@@ -4,13 +4,11 @@
 // (the plan-feature layer), a 1-D convolution (the RAAC ablation), and Adam.
 //
 // Every layer, parameter and optimizer is generic over the element type
-// (tensor.Float), so there is one LSTM, one Dense, one MLP and one Conv1D.
-// Models are built and trained at float64; a float32 layer is the same
-// type at another T, filled from a trained float64 one (core.Net.Quantize).
-// No layer branches on T or on the tape: ForwardStacked runs the same
-// fused cell over the same ragged batch on a recording and on a
-// forward-only tape. Saved weights and optimizer moments are float64 at every
-// T, so the on-disk format has one form.
+// (tensor.Float, which admits only float64), so there is one LSTM, one
+// Dense, one MLP and one Conv1D. No layer branches on the tape:
+// ForwardStacked runs the same fused cell over the same ragged batch on a
+// recording and on a forward-only tape. Saved weights and optimizer
+// moments are float64, so the on-disk format has one form.
 package nn
 
 import (
@@ -93,8 +91,7 @@ func AccumulateGrads[T tensor.Float](dst, src []*Param[T], scale float64) {
 }
 
 // Xavier returns Glorot-uniform initialized weights for a fanIn×fanOut
-// matrix. The draws are float64 at every T, so a seed yields the same
-// weights (up to the narrowing) whatever the element type.
+// matrix, drawn from rng.
 func Xavier[T tensor.Float](fanIn, fanOut int, rng *rand.Rand) *tensor.Mat[T] {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
 	return tensor.Convert[T](tensor.Uniform(fanIn, fanOut, -limit, limit, rng))

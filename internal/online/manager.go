@@ -25,12 +25,6 @@ type Version struct {
 	// State is the resumable training state the generation was left
 	// with — the warm-start point for the next challenger.
 	State *core.TrainState
-	// Q is the generation's reduced-precision serving snapshot, present
-	// only when the loop runs with a reduced Config.Precision and the
-	// accuracy gate admitted the quantization at promotion time. Nil
-	// means this generation serves float64. Never persisted — champions
-	// are re-quantized from their float64 weights on every promotion.
-	Q *core.Net[float32]
 }
 
 // Config tunes the online learning loop. The zero value gets sensible
@@ -67,22 +61,6 @@ type Config struct {
 	// snapshot. Zero fields default to Epochs 10, Batch 16, LR 1e-3,
 	// Seed from Config.Seed.
 	Train core.TrainConfig
-
-	// Precision selects the serving numeric format (default f64, the
-	// reference path). With a reduced precision every generation still
-	// trains, shadow-scores, and persists in float64; the champion is
-	// re-quantized from its float64 weights at promotion time, behind
-	// the accuracy gate (core.VerifyQuantized) scored on the replay
-	// snapshot — or on GateSamples while the buffer is empty, e.g. at
-	// bootstrap. A refused gate increments raal_quant_gate_failures_total
-	// and the generation serves float64 instead.
-	Precision core.Precision
-	// GateSamples is the bootstrap reference set for the quantization
-	// accuracy gate, used until the replay buffer has content.
-	GateSamples []*encode.Sample
-	// MaxQDelta bounds the gate's quantile q-error delta between the
-	// quantized and float64 predictions (default 0.05).
-	MaxQDelta float64
 
 	// Registry, if non-nil, persists every generation as an integrity-
 	// checked snapshot and records promotions in the manifest. If its
@@ -133,9 +111,6 @@ func (c *Config) defaults() {
 	}
 	if c.Train.Seed == 0 {
 		c.Train.Seed = c.Seed
-	}
-	if c.MaxQDelta == 0 {
-		c.MaxQDelta = 0.05
 	}
 	if c.Metrics == nil {
 		c.Metrics = &Metrics{} // nil fields: every observation is a no-op
@@ -226,7 +201,6 @@ func NewManager(bootstrap *core.Model, st *core.TrainState, cfg Config) (*Manage
 	m.nextNum++
 	m.versions[champ.Num] = champ
 	m.history = []int{champ.Num}
-	m.requantizeLocked(champ)
 	m.champion.Store(champ)
 	cfg.Metrics.ChampionVersion.Set(float64(champ.Num))
 	return m, nil
@@ -361,43 +335,8 @@ func (m *Manager) settleShadow() {
 	m.drift.Reset()
 }
 
-// requantizeLocked (re)derives v's reduced-precision serving snapshot
-// from its float64 weights — the quantization half of a promotion.
-// Under PrecisionF64 it is a no-op. The gate scores the snapshot on the
-// replay buffer (live traffic's distribution) when it has content,
-// falling back to Config.GateSamples at bootstrap; a refused gate — or
-// an empty gate set — leaves v.Q nil, so the generation serves float64,
-// and records the refusal in lastErr and the gate-failure counter.
-// Called with mu held (or during NewManager, before the loop is shared).
-func (m *Manager) requantizeLocked(v *Version) {
-	if m.cfg.Precision == core.PrecisionF64 {
-		return
-	}
-	v.Q = nil
-	qm, err := v.Model.Quantize(m.cfg.Precision)
-	if err == nil {
-		gate := m.buf.Snapshot()
-		if len(gate) == 0 {
-			gate = m.cfg.GateSamples
-		}
-		err = core.VerifyQuantized(v.Model, qm, gate, m.cfg.MaxQDelta)
-	}
-	if err != nil {
-		m.lastErr = fmt.Sprintf("quantize v%d: %v", v.Num, err)
-		m.cfg.Metrics.QuantGateFailures.Inc()
-		if m.cfg.Logger != nil {
-			m.cfg.Logger.Warn("online: quantization gate refused; serving float64",
-				"version", v.Num, "precision", m.cfg.Precision.String(), "error", err)
-		}
-		return
-	}
-	v.Q = qm
-}
-
-// promoteLocked installs v as champion, re-quantizing it first when the
-// loop serves at a reduced precision. Called with mu held.
+// promoteLocked installs v as champion. Called with mu held.
 func (m *Manager) promoteLocked(v *Version, reason string) {
-	m.requantizeLocked(v)
 	m.champion.Store(v)
 	m.history = append(m.history, v.Num)
 	m.cfg.Metrics.Promotions.With(reason).Inc()
@@ -489,11 +428,7 @@ type VersionStatus struct {
 
 // Status is the admin view of the loop.
 type Status struct {
-	Champion int `json:"champion"`
-	// Precision is the champion's active serving format — the configured
-	// reduced precision when its quantized snapshot passed the gate,
-	// "f64" otherwise (including after a gate refusal; see LastError).
-	Precision     string          `json:"precision"`
+	Champion      int             `json:"champion"`
 	Pinned        bool            `json:"pinned"`
 	DriftQuantile float64         `json:"drift_quantile"` // -1 until the window fills
 	Drifted       bool            `json:"drifted"`
@@ -511,13 +446,8 @@ func (m *Manager) Status() Status {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	champ := m.champion.Load()
-	prec := core.PrecisionF64
-	if champ.Q != nil {
-		prec = champ.Q.Precision()
-	}
 	st := Status{
 		Champion:      champ.Num,
-		Precision:     prec.String(),
 		Pinned:        m.pinned,
 		DriftQuantile: -1,
 		Drifted:       m.drift.Drifted(),

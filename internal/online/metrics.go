@@ -41,11 +41,6 @@ type Metrics struct {
 	// ChampionVersion is the serving version number.
 	Promotions      *telemetry.CounterVec
 	ChampionVersion *telemetry.Gauge
-
-	// QuantGateFailures counts quantized champion snapshots refused by
-	// the accuracy gate — each one means a generation served float64
-	// despite a reduced configured precision.
-	QuantGateFailures *telemetry.Counter
 }
 
 // NewMetrics registers the online metric set on reg.
@@ -72,8 +67,6 @@ func NewMetrics(reg *telemetry.Registry) *Metrics {
 			"Champion swaps by reason.", "reason", promotionReasons...),
 		ChampionVersion: reg.NewGauge("raal_online_champion_version",
 			"Version number of the model currently serving."),
-		QuantGateFailures: reg.NewCounter("raal_quant_gate_failures_total",
-			"Quantized model snapshots refused by the accuracy gate (serving stayed on float64)."),
 	}
 }
 

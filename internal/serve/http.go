@@ -62,14 +62,13 @@ type HTTPConfig struct {
 
 // CacheKeyStats is one encode-cache entry's hit attribution as served by
 // GET /cachez: the short fingerprint ID of the cached plan (entries are
-// per plan; its allocations share one), the serving precision the entry
-// was populated under, and how many lookups that entry has served. Mirrors the raal package's type so the
-// replica and its clients agree on the wire shape without the serving
-// layer importing the public package.
+// per plan; its allocations share one) and how many lookups that entry
+// has served. Mirrors the raal package's type so the replica and its
+// clients agree on the wire shape without the serving layer importing the
+// public package.
 type CacheKeyStats struct {
-	Key       string `json:"key"`
-	Precision string `json:"precision,omitempty"`
-	Hits      uint64 `json:"hits"`
+	Key  string `json:"key"`
+	Hits uint64 `json:"hits"`
 }
 
 // CacheStatsResponse is the JSON body of GET /cachez.

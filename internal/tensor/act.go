@@ -21,27 +21,16 @@ const (
 	ActReLU
 )
 
-// The slice kernels below are where the element types part ways. A
-// []float32 runs through the all-f32 table kernels (Sigmoid32/Tanh32 — a
-// few ulps from the rounded float64 result, well inside the accuracy
-// gate's budget, and several times cheaper than converting to float64 and
-// back around the math library). A []float64 runs its multiple-of-4
-// prefix through the AVX2 + FMA kernels where the CPU has them
-// (act_amd64.go, DESIGN §5r) and the rest through the scalar loop. The
-// kernels' contract is exactness: every element bit-equal to the loop's
-// 1/(1+math.Exp(-x)) or math.Tanh(x), NaN payloads included
-// (TestVecActMatchesMath). The loop evaluates the reference formula in
-// float64, which at T = float64 is exactly the math library call, and is
-// the only path for every other element type and off amd64. The
-// assertions run once per slice; dst may alias src.
+// The slice kernels below run a []float64's multiple-of-4 prefix through
+// the AVX2 + FMA kernels where the CPU has them (act_amd64.go, DESIGN §5r)
+// and the rest through the scalar loop. The kernels' contract is
+// exactness: every element bit-equal to the loop's 1/(1+math.Exp(-x)) or
+// math.Tanh(x), NaN payloads included (TestVecActMatchesMath). The loop
+// is the math library call, and is the only path for a named float64
+// type and off amd64. The assertion runs once per slice; dst may alias
+// src.
 
 func sigmoidSlice[T Float](dst, src []T) {
-	if d, ok := any(dst).([]float32); ok {
-		for i, v := range any(src).([]float32) {
-			d[i] = Sigmoid32(v)
-		}
-		return
-	}
 	if d, ok := any(dst).([]float64); ok {
 		n := sigmoidVec(d, any(src).([]float64))
 		dst, src = dst[n:], src[n:]
@@ -52,12 +41,6 @@ func sigmoidSlice[T Float](dst, src []T) {
 }
 
 func tanhSlice[T Float](dst, src []T) {
-	if d, ok := any(dst).([]float32); ok {
-		for i, v := range any(src).([]float32) {
-			d[i] = Tanh32(v)
-		}
-		return
-	}
 	if d, ok := any(dst).([]float64); ok {
 		n := tanhVec(d, any(src).([]float64))
 		dst, src = dst[n:], src[n:]
@@ -79,9 +62,8 @@ func reluSlice[T Float](dst, src []T) {
 
 // SoftmaxRowInto writes the masked softmax of in to out. mask (nil = all
 // true) selects which entries may receive probability: masked-out entries
-// get exactly 0, and a fully masked row becomes all zeros. The exponent is
-// Exp32 for float32 rows and math.Exp otherwise; the sum accumulates in
-// ascending column order. out may alias in.
+// get exactly 0, and a fully masked row becomes all zeros. The sum
+// accumulates in ascending column order. out may alias in.
 func SoftmaxRowInto[T Float](out, in []T, mask []bool) {
 	maxv := T(math.Inf(-1))
 	for j, x := range in {
@@ -95,21 +77,11 @@ func SoftmaxRowInto[T Float](out, in []T, mask []bool) {
 		}
 		return
 	}
-	if o, ok := any(out).([]float32); ok {
-		for j, x := range any(in).([]float32) {
-			if mask == nil || mask[j] {
-				o[j] = Exp32(x - float32(maxv))
-			} else {
-				o[j] = 0
-			}
-		}
-	} else {
-		for j, x := range in {
-			if mask == nil || mask[j] {
-				out[j] = T(math.Exp(float64(x - maxv)))
-			} else {
-				out[j] = 0
-			}
+	for j, x := range in {
+		if mask == nil || mask[j] {
+			out[j] = T(math.Exp(float64(x - maxv)))
+		} else {
+			out[j] = 0
 		}
 	}
 	var sum T

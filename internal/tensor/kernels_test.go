@@ -37,19 +37,13 @@ func randMatOf[T Float](rng *rand.Rand, r, c int) *Mat[T] {
 
 func randMat(rng *rand.Rand, r, c int) *Matrix { return randMatOf[float64](rng, r, c) }
 
-// bothTypes runs a generic test body at each element type of the stack.
-func bothTypes(t *testing.T, f64, f32 func(*testing.T)) {
-	t.Run("f64", f64)
-	t.Run("f32", f32)
-}
-
 func mustEqual[T Float](t *testing.T, got, want *Mat[T], what string) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape (%d,%d) want (%d,%d)", what, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range want.Data {
-		g, w := float64(got.Data[i]), float64(want.Data[i])                    // exact at either width
+		g, w := float64(got.Data[i]), float64(want.Data[i])
 		if math.Float64bits(g) != math.Float64bits(w) && !(g != g && w != w) { // NaN == NaN here
 			t.Fatalf("%s: element %d = %v, want %v (bit-exact)", what, i, got.Data[i], want.Data[i])
 		}
@@ -71,13 +65,13 @@ var wideCols = []int{63, 64, 65, 127, 128, 129, 191, 192, 193, 200}
 
 // TestBlockedMatMulMatchesNaive pins the register-blocked kernels to the
 // reference on shapes that hit every column block and tail of both the Go
-// loops (8, 4, 1) and the AVX2 kernels (16 and a masked 1..15 at f64, 32
-// and 1..31 at f32), row counts on both sides of transBMinRows, an empty
+// loops (8, 4, 1) and the AVX2 kernels (16 and a masked 1..15), row
+// counts on both sides of transBMinRows, an empty
 // inner dimension, and operands at unaligned offsets. The last trials run
 // each of wideCols aligned and at odd offsets, through the AVX-512 block
 // where the CPU has it.
 func TestBlockedMatMulMatchesNaive(t *testing.T) {
-	bothTypes(t, testBlockedMatMulMatchesNaive[float64], testBlockedMatMulMatchesNaive[float32])
+	t.Run("f64", testBlockedMatMulMatchesNaive[float64])
 }
 
 func testBlockedMatMulMatchesNaive[T Float](t *testing.T) {

@@ -91,47 +91,31 @@ func vecMatF64Wide(out, a []float64, lda int, b []float64, ldb, k int, add bool)
 	vecMatF64(out, a, lda, b, ldb, k, add)
 }
 
-// vecMatF32 is vecMatF64 at float32, without the add flag: float32 never
-// trains, so nothing accumulates a float32 product into a gradient.
-//
-//go:noescape
-func vecMatF32(out, a []float32, lda int, b []float32, ldb, k int)
-
 // addF64 adds src into dst[:len(dst)&^3], four lanes at a time, each
 // element dst[i] + src[i] with dst[i] the first operand.
 //
 //go:noescape
 func addF64(dst, src []float64)
 
-// simdFloat reports whether the AVX2 kernels run for element type T: the
-// CPU has them and T is float32 or float64 (not a named variant). With
-// add it asks for the accumulating kernel, which only float64 has.
-func simdFloat[T Float](add bool) bool {
+// simdFloat reports whether the AVX2 kernels, plain and accumulating, run
+// for element type T: the CPU has them and T is float64 (not a named
+// variant).
+func simdFloat[T Float]() bool {
 	var zero T
-	switch any(zero).(type) {
-	case float64:
-		return useAVX2
-	case float32:
-		return useAVX2 && !add
-	}
-	return false
+	_, ok := any(zero).(float64)
+	return ok && useAVX2
 }
 
-// vecMat calls the kernel of T's width; simdFloat[T](add) must hold.
+// vecMat calls the float64 kernel; simdFloat[T]() must hold.
 func vecMat[T Float](out, a []T, lda int, b []T, ldb, k int, add bool) {
-	switch o := any(out).(type) {
-	case []float64:
-		vecMatF64Wide(o, any(a).([]float64), lda, any(b).([]float64), ldb, k, add)
-	case []float32:
-		vecMatF32(o, any(a).([]float32), lda, any(b).([]float32), ldb, k)
-	}
+	vecMatF64Wide(any(out).([]float64), any(a).([]float64), lda, any(b).([]float64), ldb, k, add)
 }
 
 // matMulRowsSIMD runs the register path of matMulRows through the AVX2
 // kernel, one output row per call, adding into out with add. It reports
-// false, having done nothing, when simdFloat[T](add) does not hold.
+// false, having done nothing, when simdFloat[T]() does not hold.
 func matMulRowsSIMD[T Float](out, a, b *Mat[T], add bool) bool {
-	if !simdFloat[T](add) {
+	if !simdFloat[T]() {
 		return false
 	}
 	m, k, n := a.Rows, a.Cols, b.Cols
@@ -147,7 +131,7 @@ func matMulRowsSIMD[T Float](out, a, b *Mat[T], add bool) bool {
 // per element, written over out or, with add, added into it. Same false
 // return as matMulRowsSIMD.
 func matMulTransAColsSIMD[T Float](out, a, b *Mat[T], jlo, jhi int, add bool) bool {
-	if !simdFloat[T](add) {
+	if !simdFloat[T]() {
 		return false
 	}
 	k, m, n := a.Rows, a.Cols, b.Cols
@@ -198,7 +182,7 @@ const (
 // and k past transBMaxK decline before writing anything.
 func matMulTransBRowsSIMD[T Float](out, a, b *Mat[T]) bool {
 	m, k, nb := a.Rows, a.Cols, b.Rows
-	if !simdFloat[T](false) || m < transBMinRows || k > transBMaxK {
+	if !simdFloat[T]() || m < transBMinRows || k > transBMaxK {
 		return false
 	}
 	bd := b.Data[:nb*k]

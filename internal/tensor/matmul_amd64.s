@@ -9,19 +9,19 @@
 //	Y0-Y3 accumulators   Y4 a[p] broadcast   Y5-Y8 products   Y9-Y12 tail masks
 //
 // Every output column owns one accumulator lane that starts at +0 and
-// takes, for p = 0, 1, ..., k-1, one multiply (VMULPx) and then one add
-// (VADDPx) — the scalar Go sum, lane for lane. a[p] is skipped when it is
+// takes, for p = 0, 1, ..., k-1, one multiply (VMULPD) and then one add
+// (VADDPD) — the scalar Go sum, lane for lane. a[p] is skipped when it is
 // ±0: shifting its bits left by one drops the sign, and only ±0 leave
 // zero (NaN and subnormals do not), which is the Go test a != 0.
 //
-// The float64 kernels take an add flag (R13). With it set, the store loads
+// The kernels take an add flag (R13). With it set, the store loads
 // the output's old value g into Y5-Y8 (Z9-Z16) and writes g + acc, g the
 // first source operand: one more IEEE add, the bits of g += acc.
 //
-// Full blocks are 128 bytes of columns (16 float64, 32 float32). The last
-// 1 to 127 bytes of columns run as one more block under a lane mask:
-// VMASKMOVPx neither loads nor stores the lanes past the end, so those
-// lanes only ever compute on zeros that nothing reads.
+// Full blocks are 128 bytes of columns (16 float64). The last 1 to 15
+// columns run as one more block under a lane mask: VMASKMOVPD neither
+// loads nor stores the lanes past the end, so those lanes only ever
+// compute on zeros that nothing reads.
 
 // tailMask is 128 bytes of ones then 128 bytes of zeros: the 128 bytes at
 // offset 128-r are the lane mask of a block whose first r bytes are live.
@@ -310,115 +310,6 @@ put:
 	ADDQ $512, BX
 	SUBQ $64, DX
 	JMP  block
-
-done:
-	VZEROUPPER
-	RET
-
-// func vecMatF32(out, a []float32, lda int, b []float32, ldb, k int)
-TEXT ·vecMatF32(SB), NOSPLIT, $0-96
-	MOVQ out_base+0(FP), DI
-	MOVQ out_len+8(FP), DX
-	MOVQ a_base+24(FP), SI
-	MOVQ lda+48(FP), R8
-	SHLQ $2, R8
-	MOVQ b_base+56(FP), BX
-	MOVQ ldb+80(FP), R9
-	SHLQ $2, R9
-	MOVQ k+88(FP), R10
-
-block:
-	CMPQ DX, $32
-	JLT  tail
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ SI, R11
-	MOVQ BX, R12
-	MOVQ R10, CX
-	TESTQ CX, CX
-	JZ   store
-
-loop:
-	MOVL (R11), AX
-	SHLL $1, AX
-	JZ   skip
-	VBROADCASTSS (R11), Y4
-	VMULPS (R12), Y4, Y5
-	VADDPS Y5, Y0, Y0
-	VMULPS 32(R12), Y4, Y6
-	VADDPS Y6, Y1, Y1
-	VMULPS 64(R12), Y4, Y7
-	VADDPS Y7, Y2, Y2
-	VMULPS 96(R12), Y4, Y8
-	VADDPS Y8, Y3, Y3
-
-skip:
-	ADDQ R8, R11
-	ADDQ R9, R12
-	DECQ CX
-	JNZ  loop
-
-store:
-	VMOVUPS Y0, (DI)
-	VMOVUPS Y1, 32(DI)
-	VMOVUPS Y2, 64(DI)
-	VMOVUPS Y3, 96(DI)
-	ADDQ $128, DI
-	ADDQ $128, BX
-	SUBQ $32, DX
-	JMP  block
-
-tail:
-	TESTQ DX, DX
-	JZ   done
-	LEAQ tailMask<>+128(SB), AX
-	SHLQ $2, DX
-	SUBQ DX, AX
-	VMOVDQU (AX), Y9
-	VMOVDQU 32(AX), Y10
-	VMOVDQU 64(AX), Y11
-	VMOVDQU 96(AX), Y12
-	VXORPS Y0, Y0, Y0
-	VXORPS Y1, Y1, Y1
-	VXORPS Y2, Y2, Y2
-	VXORPS Y3, Y3, Y3
-	MOVQ SI, R11
-	MOVQ BX, R12
-	MOVQ R10, CX
-	TESTQ CX, CX
-	JZ   tailstore
-
-tailloop:
-	MOVL (R11), AX
-	SHLL $1, AX
-	JZ   tailskip
-	VBROADCASTSS (R11), Y4
-	VMASKMOVPS (R12), Y9, Y5
-	VMULPS Y5, Y4, Y5
-	VADDPS Y5, Y0, Y0
-	VMASKMOVPS 32(R12), Y10, Y6
-	VMULPS Y6, Y4, Y6
-	VADDPS Y6, Y1, Y1
-	VMASKMOVPS 64(R12), Y11, Y7
-	VMULPS Y7, Y4, Y7
-	VADDPS Y7, Y2, Y2
-	VMASKMOVPS 96(R12), Y12, Y8
-	VMULPS Y8, Y4, Y8
-	VADDPS Y8, Y3, Y3
-
-tailskip:
-	ADDQ R8, R11
-	ADDQ R9, R12
-	DECQ CX
-	JNZ  tailloop
-
-tailstore:
-	VMASKMOVPS Y0, Y9, (DI)
-	VMASKMOVPS Y1, Y10, 32(DI)
-	VMASKMOVPS Y2, Y11, 64(DI)
-	VMASKMOVPS Y3, Y12, 96(DI)
 
 done:
 	VZEROUPPER

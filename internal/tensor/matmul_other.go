@@ -4,7 +4,7 @@ package tensor
 
 // Off amd64 the portable Go loops are the only matmul and add kernels.
 
-func simdFloat[T Float](add bool) bool { return false }
+func simdFloat[T Float]() bool { return false }
 
 func matMulRowsSIMD[T Float](out, a, b *Mat[T], add bool) bool { return false }
 

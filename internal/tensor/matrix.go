@@ -6,25 +6,20 @@
 // row-major in a single contiguous slice, which keeps the hot matmul loops
 // cache friendly.
 //
-// # One stack, two element types
+// # One stack at float64
 //
-// Every type and kernel is generic over the element type (Float): there
-// is one Mat, one set of Into kernels, one parallel driver. Models train
-// and are stored in float64 (Matrix is the alias the rest of the repo
-// spells); float32 is the reduced-precision inference instantiation,
-// derived by Convert. The determinism contract is the same at both widths
-// — every output element is accumulated in ascending k with zero operands
-// of a skipped, by the same per-element loop regardless of kernel path or
-// worker count — and holds within one element type; no bit relationship
-// between float32 and float64 results is promised (that gap is what
-// core.VerifyQuantized measures).
+// Every type and kernel is written once, generic over the element type
+// (Float), which admits only float64: one Mat, one set of Into kernels,
+// one parallel driver. Models train, are stored and serve in float64
+// (Matrix is the alias the rest of the repo spells). The determinism
+// contract: every output element is accumulated in ascending k with zero
+// operands of a skipped, by the same per-element loop regardless of
+// kernel path or worker count.
 //
-// The only code that differs by element type is the transcendentals:
-// float32 slices run through the table/polynomial kernels of
-// fastmath32.go, anything else through the float64 math library. The
-// choice is made once per slice by a type assertion (act.go), never per
-// element. The AVX2 matmul kernels (matmul_amd64.go) are picked the same
-// way, one per width, and compute exactly what the Go loops compute.
+// The AVX2 (and AVX-512) matmul kernels of matmul_amd64.go and the AVX2
+// activations of act_amd64.go compute exactly what the Go loops compute;
+// a type assertion picks them once per call for []float64, never per
+// element.
 package tensor
 
 import (
@@ -33,11 +28,12 @@ import (
 	"math/rand"
 	"strings"
 	"sync/atomic"
-	"unsafe"
 )
 
-// Float is the element-type constraint of the numeric stack.
-type Float interface{ ~float32 | ~float64 }
+// Float is the element-type constraint of the numeric stack. It admits
+// only float64, so the compiler proves that nothing instantiates the
+// stack at another width.
+type Float interface{ ~float64 }
 
 // Mat is a dense, row-major matrix.
 type Mat[T Float] struct {
@@ -49,9 +45,8 @@ type Mat[T Float] struct {
 // and the type every package outside the numeric stack spells.
 type Matrix = Mat[float64]
 
-// allocCount counts every matrix allocated through NewMat, of any element
-// type. The autodiff arena
-// recycles matrices instead of re-allocating them, and the allocation-
+// allocCount counts every matrix allocated through NewMat. The autodiff
+// arena recycles matrices instead of re-allocating them, and the allocation-
 // regression tests pin the warm inference path to a zero delta of this
 // counter — an exact measure that, unlike testing.AllocsPerRun, cannot be
 // perturbed by unrelated runtime allocations.
@@ -73,9 +68,8 @@ func NewMat[T Float](rows, cols int) *Mat[T] {
 // New returns a zero-initialized rows×cols float64 matrix.
 func New(rows, cols int) *Matrix { return NewMat[float64](rows, cols) }
 
-// Cast copies src into dst, converting each element (float64→float32
-// rounds to nearest-even; float32→float64 is exact). The slices must have
-// equal length. Equal element types are a plain copy.
+// Cast copies src into dst, converting each element between float64 types.
+// The slices must have equal length. Equal element types are a plain copy.
 func Cast[D, S Float](dst []D, src []S) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("tensor: cast length %d != %d", len(dst), len(src)))
@@ -89,8 +83,7 @@ func Cast[D, S Float](dst []D, src []S) {
 	}
 }
 
-// Convert returns a copy of m at element type D. Narrowing a float64
-// matrix to float32 is the post-training weight conversion.
+// Convert returns a copy of m at element type D.
 func Convert[D, S Float](m *Mat[S]) *Mat[D] {
 	out := NewMat[D](m.Rows, m.Cols)
 	Cast(out.Data, m.Data)
@@ -220,15 +213,15 @@ func MatMul[T Float](a, b *Mat[T]) *Mat[T] {
 // register/streaming paths and across every SetMatMulWorkers setting.
 func MatMulInto[T Float](out, a, b *Mat[T]) { matMulInto(out, a, b, false) }
 
-// MatMulAddInto computes g += a×b through the float64 kernel's accumulate
-// mode and reports true: each sum is built in a register and added into g
-// as it is stored (DESIGN §5n), the bits of MatMulInto into a scratch
-// matrix followed by AddInPlace. Where that kernel does not run (no AVX2,
-// or float32) it does nothing and reports false, and the caller runs the
-// scratch product and the add. g must be a.Rows×b.Cols and must not alias
-// a or b.
+// MatMulAddInto computes g += a×b through the kernel's accumulate mode
+// and reports true: each sum is built in a register and added into g as it
+// is stored (DESIGN §5n), the bits of MatMulInto into a scratch matrix
+// followed by AddInPlace. Where that kernel does not run (no AVX2, or a
+// named float64 type) it does nothing and reports false, and the caller
+// runs the scratch product and the add. g must be a.Rows×b.Cols and must
+// not alias a or b.
 func MatMulAddInto[T Float](g, a, b *Mat[T]) bool {
-	if !simdFloat[T](true) {
+	if !simdFloat[T]() {
 		return false
 	}
 	matMulInto(g, a, b, true)
@@ -254,11 +247,11 @@ func matMulInto[T Float](out, a, b *Mat[T], add bool) {
 	matMulRows(out, a, b, add)
 }
 
-// regPathMaxBBytes bounds the size of b for the register-accumulator
+// regPathMaxB bounds the elements of b for the register-accumulator
 // matmul path, which re-reads all of b once per output row: past roughly
-// L2 size the re-reads stall and the streaming ikj kernel wins. The budget
-// is in bytes, so a float32 b may hold twice the elements of a float64 one.
-const regPathMaxBBytes = 1 << 18
+// L2 size (256 KiB of float64) the re-reads stall and the streaming ikj
+// kernel wins.
+const regPathMaxB = 1 << 15
 
 // matMulRows is the serial out = a×b kernel over a contiguous row range
 // (the views built by MatMulInto). It picks between two loop orders that
@@ -277,8 +270,7 @@ const regPathMaxBBytes = 1 << 18
 // kernel adds into out at any size of b: it alone has that mode.
 func matMulRows[T Float](out, a, b *Mat[T], add bool) {
 	n := b.Cols
-	var zero T
-	if add || len(b.Data)*int(unsafe.Sizeof(zero)) <= regPathMaxBBytes {
+	if add || len(b.Data) <= regPathMaxB {
 		if !matMulRowsSIMD(out, a, b, add) {
 			matMulRowsReg(out, a, b)
 		}
@@ -319,10 +311,9 @@ func matMulRowsReg[T Float](out, a, b *Mat[T]) {
 		orow := out.Data[i*n : (i+1)*n]
 		j := 0
 		// 8-wide column blocks first: the wider block halves the
-		// slice/branch overhead per multiply, which is a fifth of the
-		// float32 kernel's time and costs float64 nothing. Each output
-		// element still accumulates in ascending k with a-zeros
-		// skipped, so the block width never shows up in the result.
+		// slice/branch overhead per multiply. Each output element still
+		// accumulates in ascending k with a-zeros skipped, so the block
+		// width never shows up in the result.
 		for ; j+8 <= n; j += 8 {
 			var s0, s1, s2, s3, s4, s5, s6, s7 T
 			idx := j
@@ -461,7 +452,7 @@ func MatMulTransAInto[T Float](out, a, b *Mat[T]) { matMulTransAInto(out, a, b, 
 // AddInPlace, or false, having done nothing, where the kernel does not
 // run or a has no rows.
 func MatMulTransAAddInto[T Float](g, a, b *Mat[T]) bool {
-	if a.Rows == 0 || !simdFloat[T](true) {
+	if a.Rows == 0 || !simdFloat[T]() {
 		return false
 	}
 	matMulTransAInto(g, a, b, true)
@@ -477,7 +468,7 @@ func matMulTransAInto[T Float](out, a, b *Mat[T], add bool) {
 		panic(fmt.Sprintf("tensor: matmulTransA out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols))
 	}
 	mustNotAlias("matmulTransA", out, a, b)
-	if a.Rows == 0 || !simdFloat[T](add) {
+	if a.Rows == 0 || !simdFloat[T]() {
 		// The Go loop adds into out, and with k = 0 nothing is added:
 		// only the kernel, at k > 0, writes every element itself. (With
 		// add, MatMulTransAAddInto has checked that it runs.)

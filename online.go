@@ -110,18 +110,6 @@ type OnlineOptions struct {
 	RetrainEpochs  int
 	RetrainWorkers int
 	Seed           int64
-	// Precision selects the serving numeric format (default f64). With a
-	// reduced precision every champion generation still trains and
-	// persists in float64 and is re-quantized at promotion time behind
-	// the accuracy gate; a refused gate serves float64 and increments
-	// raal_quant_gate_failures_total. See CostModel.EnablePrecision for
-	// the single-model equivalent.
-	Precision Precision
-	// GateSamples seeds the quantization accuracy gate until the replay
-	// buffer has content; MaxQDelta is the gate's q-error delta bound
-	// (default 0.05).
-	GateSamples []*Sample
-	MaxQDelta   float64
 	// Metrics, if non-nil, receives the raal_online_* metric set.
 	Metrics *telemetry.Registry
 	// Logger, if non-nil, narrates drift triggers and promotions.
@@ -153,9 +141,6 @@ func NewOnlineServing(cm *CostModel, st *TrainState, opt OnlineOptions) (*Online
 		MinRetrain:     opt.MinRetrain,
 		ShadowMin:      opt.ShadowMin,
 		Cooldown:       opt.Cooldown,
-		Precision:      opt.Precision,
-		GateSamples:    opt.GateSamples,
-		MaxQDelta:      opt.MaxQDelta,
 		Logger:         opt.Logger,
 	}
 	cfg.Train.Epochs = opt.RetrainEpochs
@@ -177,26 +162,18 @@ func NewOnlineServing(cm *CostModel, st *TrainState, opt OnlineOptions) (*Online
 	return &OnlineServing{cm: cm, mgr: mgr}, nil
 }
 
-// gen loads the champion once: everything a call does comes from that
-// one generation (and precision), so a concurrent promotion is invisible
-// mid-request.
-func (o *OnlineServing) gen() generation {
-	v := o.mgr.Champion()
-	return generation{v.Model, v.Q}
-}
-
-// EstimateCtx prices p under res with the current champion, at its
-// quantized precision when the gate admitted a snapshot for it. A cached
-// plan prefix is the one the champion's network derived, so a promotion
+// EstimateCtx prices p under res with the current champion, loaded once
+// so a concurrent promotion is invisible mid-request. A cached plan
+// prefix is the one the champion's network derived, so a promotion
 // recomputes it on first use.
 func (o *OnlineServing) EstimateCtx(ctx context.Context, p *Plan, res Resources) (float64, error) {
-	return o.cm.estimate(ctx, o.gen(), p, res)
+	return o.cm.estimate(ctx, o.mgr.Champion().Model, p, res)
 }
 
 // EstimateBatchCtx prices candidate plans under one allocation with the
 // current champion (one champion load for the whole batch).
 func (o *OnlineServing) EstimateBatchCtx(ctx context.Context, plans []*Plan, res Resources, _ PredictOpts) ([]float64, error) {
-	return o.cm.estimateBatch(ctx, o.gen(), plans, res)
+	return o.cm.estimateBatch(ctx, o.mgr.Champion().Model, plans, res)
 }
 
 // Feedback ingests one observed outcome: the plan and allocation that
@@ -204,10 +181,10 @@ func (o *OnlineServing) EstimateBatchCtx(ctx context.Context, plans []*Plan, res
 // then actually observed. This is the loop's only learning input; call
 // it from a feedback worker (it retrains synchronously when drift
 // triggers), never from a request path. The plan is looked up exactly as
-// EstimateCtx looked it up (the champion's precision tag), so feeding back
-// a served plan is a cache hit on the entry that served it.
+// EstimateCtx looked it up, so feeding back a served plan is a cache hit
+// on the entry that served it.
 func (o *OnlineServing) Feedback(p *Plan, res Resources, predicted, actual float64) {
-	o.mgr.Observe(o.cm.encodePlanAt(o.gen().precision().String(), p, res), predicted, actual)
+	o.mgr.Observe(o.cm.encodePlan(p, res), predicted, actual)
 }
 
 // AdminHandler returns the /models admin surface (list, promote,
@@ -216,11 +193,6 @@ func (o *OnlineServing) AdminHandler() http.Handler { return o.mgr.AdminHandler(
 
 // ChampionVersion returns the generation number currently serving.
 func (o *OnlineServing) ChampionVersion() int { return o.mgr.Champion().Num }
-
-// Precision returns the serving precision of the current champion: the
-// configured reduced precision when its quantized snapshot passed the
-// accuracy gate, PrecisionF64 otherwise.
-func (o *OnlineServing) Precision() Precision { return o.gen().precision() }
 
 // Status returns the loop's current state (what GET /models serves).
 func (o *OnlineServing) Status() online.Status { return o.mgr.Status() }

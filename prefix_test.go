@@ -43,7 +43,7 @@ func corpusPlans(t *testing.T, bench Benchmark, scale float64, n int) (*encode.E
 // alone prices one (plan, allocation) pair from a freshly encoded sample:
 // no cache, no shared plan part, nothing to reuse.
 func alone(cm *CostModel, p *Plan, res Resources) float64 {
-	preds, _ := cm.gen().predict(context.Background(), []*Sample{cm.enc.EncodePlan(p, res)})
+	preds, _ := cm.model.PredictCtx(context.Background(), []*Sample{cm.enc.EncodePlan(p, res)}, PredictOpts{})
 	return preds[0]
 }
 
@@ -57,8 +57,8 @@ func freshModel(enc *encode.Encoder, v Variant) *CostModel {
 }
 
 // TestRecommendMatchesUnsplitOracle is the split's property test: over the
-// IMDB and TPC-H corpora, the default grid, every variant and both
-// precisions, pricing one plan under the whole grid — one shared plan
+// IMDB and TPC-H corpora, the default grid and every variant, pricing one
+// plan under the whole grid — one shared plan
 // prefix, sixty suffix rows — equals, bit for bit, pricing each (plan,
 // allocation) pair alone from a freshly encoded sample, which shares
 // nothing and is what the unsplit forward computed. The recommendation is
@@ -78,46 +78,41 @@ func TestRecommendMatchesUnsplitOracle(t *testing.T) {
 		enc, plans := corpusPlans(t, bench.name, bench.scale, 3)
 		for _, v := range variants {
 			cm := freshModel(enc, v)
-			for _, prec := range []Precision{PrecisionF64, PrecisionF32} {
-				if err := cm.EnablePrecision(prec, nil, 0); err != nil {
+			for pi, p := range plans {
+				oracle := make([]float64, len(grid))
+				for i, res := range grid {
+					oracle[i] = alone(cm, p, res)
+				}
+				best := metrics.ArgminFinite(oracle)
+				same := make([]*Plan, len(grid))
+				for i := range same {
+					same[i] = p
+				}
+				recommend := func(how string) {
+					res, cost, err := cm.RecommendResourcesCtx(context.Background(), p, grid)
+					if err != nil || res != grid[best] || math.Float64bits(cost) != math.Float64bits(oracle[best]) {
+						t.Fatalf("%s %s plan %d, %s: recommended (%v, %v, %v), oracle (%v, %v)",
+							bench.name, v.Name, pi, how, res, cost, err, grid[best], oracle[best])
+					}
+				}
+				// Without a cache the grid rows share one fresh plan
+				// part: one prefix, nothing kept.
+				cm.EnableEncodeCache(0)
+				recommend("no cache")
+				// With one, every row is a hit on the same entry, and
+				// after the first call the prefix comes from its memo.
+				cm.EnableEncodeCache(4)
+				each, err := cm.EstimateEachCtx(context.Background(), same, grid, PredictOpts{})
+				if err != nil {
 					t.Fatal(err)
 				}
-				for pi, p := range plans {
-					oracle := make([]float64, len(grid))
-					for i, res := range grid {
-						oracle[i] = alone(cm, p, res)
+				for i := range oracle {
+					if math.Float64bits(each[i]) != math.Float64bits(oracle[i]) {
+						t.Fatalf("%s %s plan %d: allocation %d priced %v with a shared prefix, %v alone",
+							bench.name, v.Name, pi, i, each[i], oracle[i])
 					}
-					best := metrics.ArgminFinite(oracle)
-					same := make([]*Plan, len(grid))
-					for i := range same {
-						same[i] = p
-					}
-					recommend := func(how string) {
-						res, cost, err := cm.RecommendResourcesCtx(context.Background(), p, grid)
-						if err != nil || res != grid[best] || math.Float64bits(cost) != math.Float64bits(oracle[best]) {
-							t.Fatalf("%s %s %v plan %d, %s: recommended (%v, %v, %v), oracle (%v, %v)",
-								bench.name, v.Name, prec, pi, how, res, cost, err, grid[best], oracle[best])
-						}
-					}
-					// Without a cache the grid rows share one fresh plan
-					// part: one prefix, nothing kept.
-					cm.EnableEncodeCache(0)
-					recommend("no cache")
-					// With one, every row is a hit on the same entry, and
-					// after the first call the prefix comes from its memo.
-					cm.EnableEncodeCache(4)
-					each, err := cm.EstimateEachCtx(context.Background(), same, grid, PredictOpts{})
-					if err != nil {
-						t.Fatal(err)
-					}
-					for i := range oracle {
-						if math.Float64bits(each[i]) != math.Float64bits(oracle[i]) {
-							t.Fatalf("%s %s %v plan %d: allocation %d priced %v with a shared prefix, %v alone",
-								bench.name, v.Name, prec, pi, i, each[i], oracle[i])
-						}
-					}
-					recommend("cached")
 				}
+				recommend("cached")
 			}
 		}
 	}
@@ -271,13 +266,12 @@ func mustEqualBits(t *testing.T, what string, got, want []float64) {
 	}
 }
 
-// TestCachedPrefixInvalidation walks the two ways a CostModel's weights
-// change under a live cache — an in-place ResumeCostModel and an
-// EnablePrecision round trip — and after each compares every estimation
-// API against a fresh model with the same weights and no cache, bit for
-// bit. A prefix memoized before the change must never be served after it.
-// (The third way, an online promotion or rollback, swaps the *Net and is
-// covered by the hot-swap soak in internal/online.)
+// TestCachedPrefixInvalidation changes a CostModel's weights under a live
+// cache — an in-place ResumeCostModel — and compares every estimation API
+// against a fresh model with the same weights and no cache, bit for bit,
+// before and after. A prefix memoized before the change must never be
+// served after it. (The other way, an online promotion or rollback, swaps
+// the *Net and is covered by the hot-swap soak in internal/online.)
 func TestCachedPrefixInvalidation(t *testing.T) {
 	sys, ds, shared := sharedSystem(t)
 	plans, err := sys.Plan(`SELECT COUNT(*) FROM title t, movie_companies mc WHERE t.id = mc.movie_id AND mc.company_id < 50`)
@@ -309,23 +303,6 @@ func TestCachedPrefixInvalidation(t *testing.T) {
 	if after[0] == before[0] {
 		t.Fatal("an epoch of training left the estimate unchanged: stale prefixes would go unnoticed")
 	}
-
-	// 2. EnablePrecision f64 → f32 → f64: the f32 network must not read
-	// f64 prefixes, and the way back must not read f32 ones.
-	f64 := probeAll(t, cm, plans, grid)
-	if err := cm.EnablePrecision(PrecisionF32, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	ref32 := cacheless(cm)
-	if err := ref32.EnablePrecision(PrecisionF32, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	mustEqualBits(t, "f32 cold", probeAll(t, cm, plans, grid), probeAll(t, ref32, plans, grid))
-	mustEqualBits(t, "f32 warm", probeAll(t, cm, plans, grid), probeAll(t, ref32, plans, grid))
-	if err := cm.EnablePrecision(PrecisionF64, nil, 0); err != nil {
-		t.Fatal(err)
-	}
-	mustEqualBits(t, "back on f64", probeAll(t, cm, plans, grid), f64)
 }
 
 // TestEncodeCacheConcurrentAPIs hammers one cached model from several

@@ -78,26 +78,7 @@ type (
 	// Span is a per-stage wall-time breakdown of one inference call, put
 	// on its context with telemetry.WithSpan (see CostModel.EstimateCtx).
 	Span = telemetry.Span
-	// Precision selects the numeric format inference runs in (see
-	// CostModel.EnablePrecision).
-	Precision = core.Precision
-	// QuantGateError is the typed refusal returned when a quantized model
-	// fails the accuracy gate; match with errors.As and serve f64.
-	QuantGateError = core.QuantGateError
 )
-
-// Serving precisions: the float64 reference path, which models train and
-// are stored in, and float32, the inference-only instantiation of the same
-// network derived from it behind the accuracy gate (see
-// CostModel.EnablePrecision).
-const (
-	PrecisionF64 = core.PrecisionF64
-	PrecisionF32 = core.PrecisionF32
-)
-
-// ParsePrecision maps the CLI spelling ("f64", "f32") to a Precision. The
-// removed "int8" value is an error that names f32, never a silent f64.
-func ParsePrecision(s string) (Precision, error) { return core.ParsePrecision(s) }
 
 // NewMetricsRegistry returns an empty metrics registry. Wire it into
 // TrainOptions.Metrics or CostModel.Instrument, then expose it over HTTP
