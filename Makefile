@@ -174,7 +174,7 @@ fuzz:
 # (replace raal => ../) importing raal/internal/{core,tensor}, so
 # `go test ./...` never compiles it: an internal-API refactor could break
 # the benchmark silently without this.
-# The arm64 vet and build keep the generic-only build (no AVX2 kernels,
+# The arm64 vet and build keep the portable-Go build (no AVX2 kernels,
 # internal/tensor/matmul_other.go and act_other.go) compiling; vet on
 # amd64 already checks the assembly's frame offsets against its Go
 # declarations (asmdecl).

@@ -393,12 +393,6 @@ func DefaultResourceGrid() []Resources {
 	return grid
 }
 
-// EncodeDataset encodes a dataset with this model's fitted encoder (for
-// evaluation on fresh corpora).
-func (cm *CostModel) EncodeDataset(ds *Dataset) []*Sample {
-	return ds.Encode(cm.enc)
-}
-
 // Save writes the magic header, encoder, and network weights to w.
 func (cm *CostModel) Save(w io.Writer) error {
 	if err := core.WriteHeader(w, costModelMagic, costModelVersion); err != nil {

@@ -13,7 +13,7 @@ import (
 // mlpForward builds a small two-layer network with every fused op the
 // model layers use: matmul, fused bias+activation, element-wise ops, and
 // a scalar loss.
-func mlpForward(tp *Tape[float64], w1, b1, w2, b2 *Var[float64], x *tensor.Matrix) *Var[float64] {
+func mlpForward(tp *Tape, w1, b1, w2, b2 *Var, x *tensor.Matrix) *Var {
 	h := tp.AddRowApply(tp.MatMul(tp.Const(x), w1), b1, ActTanh)
 	y := tp.AddRowApply(tp.MatMul(h, w2), b2, ActIdentity)
 	return tp.MeanAll(tp.Mul(y, y))
@@ -36,15 +36,15 @@ func arenaFixture(seed int64) (w1, b1, w2, b2, x *tensor.Matrix) {
 func TestResetReusesArenaBitIdentical(t *testing.T) {
 	w1, b1, w2, b2, x := arenaFixture(3)
 
-	pooled := NewTape[float64]()
+	pooled := NewTape()
 	for pass := 0; pass < 5; pass++ {
 		pooled.Reset()
-		pv := [4]*Var[float64]{pooled.Param(w1), pooled.Param(b1), pooled.Param(w2), pooled.Param(b2)}
+		pv := [4]*Var{pooled.Param(w1), pooled.Param(b1), pooled.Param(w2), pooled.Param(b2)}
 		ploss := mlpForward(pooled, pv[0], pv[1], pv[2], pv[3], x)
 		pooled.Backward(ploss)
 
-		fresh := NewTape[float64]()
-		fv := [4]*Var[float64]{fresh.Param(w1), fresh.Param(b1), fresh.Param(w2), fresh.Param(b2)}
+		fresh := NewTape()
+		fv := [4]*Var{fresh.Param(w1), fresh.Param(b1), fresh.Param(w2), fresh.Param(b2)}
 		floss := mlpForward(fresh, fv[0], fv[1], fv[2], fv[3], x)
 		fresh.Backward(floss)
 
@@ -67,10 +67,10 @@ func TestResetReusesArenaBitIdentical(t *testing.T) {
 func TestInferenceTapeMatchesTrainingTape(t *testing.T) {
 	w1, b1, w2, b2, x := arenaFixture(5)
 
-	train := NewTape[float64]()
+	train := NewTape()
 	trainLoss := mlpForward(train, train.Param(w1), train.Param(b1), train.Param(w2), train.Param(b2), x)
 
-	inf := NewInferenceTape[float64]()
+	inf := NewInferenceTape()
 	infLoss := mlpForward(inf, inf.Param(w1), inf.Param(b1), inf.Param(w2), inf.Param(b2), x)
 
 	if trainLoss.Value.Data[0] != infLoss.Value.Data[0] {
@@ -89,11 +89,11 @@ func TestInferenceTapeMatchesTrainingTape(t *testing.T) {
 // matrix allocations — every value and gradient comes from the free list.
 func TestWarmTapeAllocatesNoMatrices(t *testing.T) {
 	w1, b1, w2, b2, x := arenaFixture(9)
-	tp := NewTape[float64]()
+	tp := NewTape()
 	// Params are persistent leaves, created once and reused across passes
 	// (as nn.Param does in the real model); their gradients accumulate in
 	// place, so the steady state has no leaf allocations either.
-	pv := [4]*Var[float64]{tp.Param(w1), tp.Param(b1), tp.Param(w2), tp.Param(b2)}
+	pv := [4]*Var{tp.Param(w1), tp.Param(b1), tp.Param(w2), tp.Param(b2)}
 	run := func() {
 		tp.Reset()
 		loss := mlpForward(tp, pv[0], pv[1], pv[2], pv[3], x)
@@ -118,7 +118,7 @@ func TestFusedAddRowApplyMatchesUnfused(t *testing.T) {
 	m := tensor.Randn(4, 6, 1, rng)
 	r := tensor.Randn(1, 6, 1, rng)
 
-	unfusedOf := func(tp *Tape[float64], z, b *Var[float64], f ActFn) *Var[float64] {
+	unfusedOf := func(tp *Tape, z, b *Var, f ActFn) *Var {
 		s := tp.AddRow(z, b)
 		switch f {
 		case ActIdentity:
@@ -135,12 +135,12 @@ func TestFusedAddRowApplyMatchesUnfused(t *testing.T) {
 	}
 
 	for _, f := range []ActFn{ActIdentity, ActSigmoid, ActTanh, ActReLU} {
-		ft := NewTape[float64]()
+		ft := NewTape()
 		fm, fr := ft.Param(m), ft.Param(r)
 		fused := ft.AddRowApply(fm, fr, f)
 		ft.Backward(ft.MeanAll(ft.Mul(fused, fused)))
 
-		ut := NewTape[float64]()
+		ut := NewTape()
 		um, ur := ut.Param(m), ut.Param(r)
 		unfused := unfusedOf(ut, um, ur, f)
 		ut.Backward(ut.MeanAll(ut.Mul(unfused, unfused)))
@@ -168,7 +168,7 @@ func TestFusedAddRowApplyMatchesUnfused(t *testing.T) {
 func TestGradAddRowApply(t *testing.T) {
 	for _, f := range []ActFn{ActIdentity, ActSigmoid, ActTanh} {
 		ps := randParams(31, [2]int{3, 4}, [2]int{1, 4})
-		checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+		checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 			return tp.MeanAll(tp.AddRowApply(vs[0], vs[1], f))
 		})
 	}
@@ -178,7 +178,7 @@ func TestGradAddRowApply(t *testing.T) {
 // TestNewMatrixRecycledAcrossReset pins the loan channel: tape-provided
 // scratch matrices return to the arena on Reset and are handed out again.
 func TestNewMatrixRecycledAcrossReset(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	m1 := tp.NewMatrix(3, 4)
 	m1.Fill(42)
 	tp.Reset()
@@ -197,7 +197,7 @@ func TestNewMatrixRecycledAcrossReset(t *testing.T) {
 // matrix: recycling it would let a later op silently overwrite caller
 // state.
 func TestConstValueNotRecycled(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	own := tensor.FromSlice(1, 2, []float64{1, 2})
 	tp.Const(own)
 	tp.Reset()
@@ -216,92 +216,87 @@ func TestConstValueNotRecycled(t *testing.T) {
 // the chain by internal/nn's FuzzLSTMCell). The incoming cell state is
 // only read.
 func TestLSTMCellMatchesRecordedChain(t *testing.T) {
-	t.Run("f64", testLSTMCellMatchesRecordedChain[float64])
-}
+	t.Run("f64", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(17))
+		const batch, h = 3, 5
+		z := tensor.Randn(batch, 4*h, 1, rng)
+		b := tensor.Randn(1, 4*h, 1, rng)
+		c := tensor.Randn(batch, h, 1, rng)
 
-func testLSTMCellMatchesRecordedChain[T tensor.Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	const batch, h = 3, 5
-	z := tensor.Convert[T](tensor.Randn(batch, 4*h, 1, rng))
-	b := tensor.Convert[T](tensor.Randn(1, 4*h, 1, rng))
-	c := tensor.Convert[T](tensor.Randn(batch, h, 1, rng))
+		chain := NewTape()
+		zv, bv, cv := chain.Const(z), chain.Const(b), chain.Const(c)
+		gate := func(k int, f ActFn) *Var {
+			return chain.AddRowApply(chain.SliceCols(zv, k*h, (k+1)*h), chain.SliceCols(bv, k*h, (k+1)*h), f)
+		}
+		i, f, g, o := gate(0, ActSigmoid), gate(1, ActSigmoid), gate(2, ActTanh), gate(3, ActSigmoid)
+		wantC := chain.Add(chain.Mul(f, cv), chain.Mul(i, g))
+		wantH := chain.Mul(o, chain.Tanh(wantC))
 
-	chain := NewTape[T]()
-	zv, bv, cv := chain.Const(z), chain.Const(b), chain.Const(c)
-	gate := func(k int, f ActFn) *Var[T] {
-		return chain.AddRowApply(chain.SliceCols(zv, k*h, (k+1)*h), chain.SliceCols(bv, k*h, (k+1)*h), f)
-	}
-	i, f, g, o := gate(0, ActSigmoid), gate(1, ActSigmoid), gate(2, ActTanh), gate(3, ActSigmoid)
-	wantC := chain.Add(chain.Mul(f, cv), chain.Mul(i, g))
-	wantH := chain.Mul(o, chain.Tanh(wantC))
-
-	for _, tp := range []*Tape[T]{NewInferenceTape[T](), NewTape[T]()} {
-		cIn := c.Clone()
-		gotH, gotC := tp.LSTMCell(tp.Param(z.Clone()), tp.Const(b), tp.Const(cIn))
-		for k := range wantH.Value.Data {
-			if gotH.Value.Data[k] != wantH.Value.Data[k] || gotC.Value.Data[k] != wantC.Value.Data[k] {
-				t.Fatalf("forward-only %v, element %d: fused h,c = %v,%v; chain %v,%v", tp.ForwardOnly(), k,
-					gotH.Value.Data[k], gotC.Value.Data[k], wantH.Value.Data[k], wantC.Value.Data[k])
+		for _, tp := range []*Tape{NewInferenceTape(), NewTape()} {
+			cIn := c.Clone()
+			gotH, gotC := tp.LSTMCell(tp.Param(z.Clone()), tp.Const(b), tp.Const(cIn))
+			for k := range wantH.Value.Data {
+				if gotH.Value.Data[k] != wantH.Value.Data[k] || gotC.Value.Data[k] != wantC.Value.Data[k] {
+					t.Fatalf("forward-only %v, element %d: fused h,c = %v,%v; chain %v,%v", tp.ForwardOnly(), k,
+						gotH.Value.Data[k], gotC.Value.Data[k], wantH.Value.Data[k], wantC.Value.Data[k])
+				}
+				if cIn.Data[k] != c.Data[k] {
+					t.Fatalf("forward-only %v: the incoming cell state changed at %d", tp.ForwardOnly(), k)
+				}
 			}
-			if cIn.Data[k] != c.Data[k] {
-				t.Fatalf("forward-only %v: the incoming cell state changed at %d", tp.ForwardOnly(), k)
+			want := 2 // the cell-state and the hidden-state record
+			if tp.ForwardOnly() {
+				want = 0
+			}
+			if tp.Len() != want {
+				t.Fatalf("forward-only %v: %d records, want %d", tp.ForwardOnly(), tp.Len(), want)
 			}
 		}
-		want := 2 // the cell-state and the hidden-state record
-		if tp.ForwardOnly() {
-			want = 0
-		}
-		if tp.Len() != want {
-			t.Fatalf("forward-only %v: %d records, want %d", tp.ForwardOnly(), tp.Len(), want)
-		}
-	}
+	})
 }
 
 // TestWarmReplayReusesArena pins the arena contract: after Reset, an identical op sequence returns pointer-identical matrices
 // backed by the same slabs, and the steady state allocates zero new
 // matrices.
 func TestWarmReplayReusesArena(t *testing.T) {
-	t.Run("f64", testWarmReplayReusesArena[float64])
-}
+	t.Run("f64", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(13))
+		tp := NewInferenceTape()
+		a := tensor.Randn(16, 16, 1, rng)
+		b := tensor.Randn(16, 16, 1, rng)
 
-func testWarmReplayReusesArena[T tensor.Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(13))
-	tp := NewInferenceTape[T]()
-	a := tensor.Convert[T](tensor.Randn(16, 16, 1, rng))
-	b := tensor.Convert[T](tensor.Randn(16, 16, 1, rng))
-
-	run := func() *tensor.Mat[T] {
-		av := tp.Const(a)
-		h := tp.Tanh(tp.MatMul(av, tp.Const(b)))
-		return tp.Add(h, av).Value
-	}
-	first := run()
-	want := first.Clone()
-	tp.Reset()
-
-	before := tensor.Allocs()
-	second := run()
-	if got := tensor.Allocs() - before; got != 0 {
-		t.Fatalf("warm replay allocated %d matrices, want 0", got)
-	}
-	if first != second {
-		t.Fatalf("warm replay returned a different header: %p vs %p", first, second)
-	}
-	for i, v := range second.Data {
-		if v != want.Data[i] {
-			t.Fatalf("warm replay element %d = %g, want %g", i, v, want.Data[i])
+		run := func() *tensor.Matrix {
+			av := tp.Const(a)
+			h := tp.Tanh(tp.MatMul(av, tp.Const(b)))
+			return tp.Add(h, av).Value
 		}
-	}
+		first := run()
+		want := first.Clone()
+		tp.Reset()
+
+		before := tensor.Allocs()
+		second := run()
+		if got := tensor.Allocs() - before; got != 0 {
+			t.Fatalf("warm replay allocated %d matrices, want 0", got)
+		}
+		if first != second {
+			t.Fatalf("warm replay returned a different header: %p vs %p", first, second)
+		}
+		for i, v := range second.Data {
+			if v != want.Data[i] {
+				t.Fatalf("warm replay element %d = %g, want %g", i, v, want.Data[i])
+			}
+		}
+	})
 }
 
 // arenaBytes is the memory held by the tape's value slabs.
-func arenaBytes[T tensor.Float](tp *Tape[T]) int {
-	var zero T
+func arenaBytes(tp *Tape) int {
 	n := 0
 	for _, b := range tp.arena.data {
 		n += len(b)
 	}
-	return n * int(unsafe.Sizeof(zero))
+	return 8 * n // bytes of float64
 }
 
 // TestGrowingRequestKeepsOnePass replays a pass whose one dedicated
@@ -310,8 +305,8 @@ func arenaBytes[T tensor.Float](tp *Tape[T]) int {
 // stands, so the arena stays at one pass of standard slabs plus that
 // request, and the requests after it reuse the blocks they had.
 func TestGrowingRequestKeepsOnePass(t *testing.T) {
-	std := arenaBlockBytes / 8
-	tp := NewInferenceTape[float64]()
+	std := slabValues
+	tp := NewInferenceTape()
 	pass := func(big int) {
 		tp.Reset()
 		for i := 0; i < 20; i++ {
@@ -344,8 +339,8 @@ func TestGrowingRequestKeepsOnePass(t *testing.T) {
 // transposes are dropped too.
 func TestResetPinsNoLeaf(t *testing.T) {
 	w1, b1, w2, b2, x := arenaFixture(5)
-	tp := NewTape[float64]()
-	pv := [4]*Var[float64]{tp.Param(w1), tp.Param(b1), tp.Param(w2), tp.Param(b2)}
+	tp := NewTape()
+	pv := [4]*Var{tp.Param(w1), tp.Param(b1), tp.Param(w2), tp.Param(b2)}
 	tp.Backward(mlpForward(tp, pv[0], pv[1], pv[2], pv[3], x))
 	if len(tp.leafT) == 0 {
 		t.Fatal("the fixture's Backward transposed no weight; the test shows nothing")

@@ -6,7 +6,8 @@
 // order of the computation graph, and Backward simply walks it in reverse.
 // All neural-network layers in internal/nn are built from the primitives
 // here, so a single numerically-checked gradient core backs the entire deep
-// cost model.
+// cost model. Values are float64, and the training tape and the inference
+// tape (NewInferenceTape) are the same code over the same slabs.
 //
 // # Flat tape
 //
@@ -34,12 +35,6 @@
 // overwritten or explicitly zeroed before use, and the order of
 // floating-point operations is untouched.
 //
-// # One tape at float64
-//
-// Tape, Var and the arena are generic over the element type, which
-// tensor.Float narrows to float64: the training tape and the inference
-// tape (NewInferenceTape) are the same code over the same slabs.
-//
 // Leaves are exempt: Param wraps caller-owned weights whose gradients must
 // accumulate across Backward calls until the optimizer clears them, so leaf
 // values and gradients are never pooled. Const wraps caller-owned inputs,
@@ -53,7 +48,6 @@ import (
 	"slices"
 	"sync"
 	"sync/atomic"
-	"unsafe"
 
 	"raal/internal/tensor"
 )
@@ -65,9 +59,9 @@ import (
 // its Value, and its Grad are all reclaimed by Tape.Reset, so they must not
 // be used after the tape is reset. Vars returned by Param are independent
 // of any tape and live as long as the caller keeps them.
-type Var[T tensor.Float] struct {
-	Value *tensor.Mat[T]
-	Grad  *tensor.Mat[T]
+type Var struct {
+	Value *tensor.Matrix
+	Grad  *tensor.Matrix
 
 	needsGrad bool
 	idx       int32 // slot in the owning tape's Var slab; leafIdx for leaves
@@ -134,32 +128,32 @@ type rec struct {
 // appends.
 const slabBlock = 512
 
-// arenaBlockBytes is the size of one value slab, whatever the element type.
-const arenaBlockBytes = 128 << 10
+// slabValues is the number of values in a standard value slab (128 KiB).
+const slabValues = 16 << 10
 
 // arena is a bump-pointer allocator over fixed slabs of values and
 // matrix headers. Allocation walks a cursor forward; rewind moves it back
 // to the start without releasing the slabs, so an identical allocation
 // sequence replayed after rewind returns the same memory — including
 // pointer-identical matrix headers, which the recycling tests pin.
-type arena[T tensor.Float] struct {
-	data    [][]T // value slabs
-	bi, off int   // cursor: current slab, next free element
+type arena struct {
+	data    [][]float64 // value slabs
+	bi, off int         // cursor: current slab, next free element
 
-	hdrs [][]tensor.Mat[T] // matrix-header slabs
+	hdrs [][]tensor.Matrix // matrix-header slabs
 	nHdr int               // headers in use
 }
 
-func (a *arena[T]) rewind() {
+func (a *arena) rewind() {
 	a.bi, a.off, a.nHdr = 0, 0, 0
 }
 
 // slab returns n contiguous values with unspecified contents. Requests
 // larger than a standard slab get a dedicated block of exactly their size.
-func (a *arena[T]) slab(n int) []T {
+func (a *arena) slab(n int) []float64 {
 	for {
 		if a.bi == len(a.data) {
-			a.data = append(a.data, newBlock[T](n))
+			a.data = append(a.data, newBlock(n))
 		}
 		blk := a.data[a.bi]
 		if a.off+n <= len(blk) {
@@ -172,7 +166,7 @@ func (a *arena[T]) slab(n int) []T {
 			// replace it where it stands. Skipping it instead would leave
 			// every later block behind too, so the rest of the pass would
 			// allocate a second set of blocks.
-			a.data[a.bi] = newBlock[T](n)
+			a.data[a.bi] = newBlock(n)
 			continue
 		}
 		a.bi++
@@ -182,9 +176,8 @@ func (a *arena[T]) slab(n int) []T {
 
 // newBlock returns a value slab for a request of n values: a standard
 // slab, or one of exactly n values when n is larger.
-func newBlock[T tensor.Float](n int) []T {
-	var zero T
-	b := make([]T, max(arenaBlockBytes/int(unsafe.Sizeof(zero)), n))
+func newBlock(n int) []float64 {
+	b := make([]float64, max(slabValues, n))
 	slabCount.Add(1)
 	if poison.Load() {
 		fillNaN(b)
@@ -212,8 +205,8 @@ var poison atomic.Bool
 // before it was written turns the result NaN.
 func PoisonOnReset(on bool) { poison.Store(on) }
 
-func fillNaN[T tensor.Float](b []T) {
-	nan := T(math.NaN())
+func fillNaN(b []float64) {
+	nan := math.NaN()
 	for i := range b {
 		b[i] = nan
 	}
@@ -221,10 +214,10 @@ func fillNaN[T tensor.Float](b []T) {
 
 // mat returns a rows×cols matrix with unspecified contents; the caller
 // must fully overwrite (or Zero) it.
-func (a *arena[T]) mat(rows, cols int) *tensor.Mat[T] {
+func (a *arena) mat(rows, cols int) *tensor.Matrix {
 	bi, off := a.nHdr/slabBlock, a.nHdr%slabBlock
 	if bi == len(a.hdrs) {
-		a.hdrs = append(a.hdrs, make([]tensor.Mat[T], slabBlock))
+		a.hdrs = append(a.hdrs, make([]tensor.Matrix, slabBlock))
 	}
 	a.nHdr++
 	m := &a.hdrs[bi][off]
@@ -238,26 +231,26 @@ func (a *arena[T]) mat(rows, cols int) *tensor.Mat[T] {
 // goroutine. Operands passed to a tape's ops must be Vars of that same
 // tape or leaves (Param) — Vars from other tapes are not addressable
 // through this tape's records.
-type Tape[T tensor.Float] struct {
+type Tape struct {
 	recs []rec // recorded grad-tracked ops (the backward walk)
 
-	vars  [][]Var[T] // Var slab: fixed-size blocks with stable addresses
-	nVars int        // Vars in use across blocks
+	vars  [][]Var // Var slab: fixed-size blocks with stable addresses
+	nVars int     // Vars in use across blocks
 
-	leaves []*Var[T] // leaf operands referenced this pass, encoded as −(i+1)
+	leaves []*Var // leaf operands referenced this pass, encoded as −(i+1)
 
-	arena arena[T] // value/gradient/header storage, rewound by Reset
+	arena arena // value/gradient/header storage, rewound by Reset
 
 	// Aux slabs for record payloads that don't fit the fixed fields.
 	auxArgs []int32          // operand and row lists (concat, gather, keep)
 	auxMask [][]bool         // row/element masks (mean, dropout)
-	auxMat  []*tensor.Mat[T] // matrices a record keeps: MSE targets, LSTM tanh(c′)
+	auxMat  []*tensor.Matrix // matrices a record keeps: MSE targets, LSTM tanh(c′)
 
 	// scratch is the walk's single backward temporary and leafScratch the
 	// leaf worker's: every backward step that needs an intermediate product
 	// uses its side's buffer exclusively and consumes it before that side's
 	// next step runs, so one grow-only buffer serves each side.
-	scratch, leafScratch scratch[T]
+	scratch, leafScratch scratch
 
 	// The leaf worker of a Backward (backward.go): its job queue of record
 	// indices, reused across passes, and the transposed leaf weights of the
@@ -267,7 +260,7 @@ type Tape[T tensor.Float] struct {
 	leafBusy  bool
 	leafWG    sync.WaitGroup
 	leafPanic any
-	leafT     []leafTranspose[T]
+	leafT     []leafTranspose
 
 	ints []int // NewInts loans, rewound by Reset
 
@@ -275,25 +268,25 @@ type Tape[T tensor.Float] struct {
 }
 
 // NewTape returns an empty tape.
-func NewTape[T tensor.Float]() *Tape[T] { return &Tape[T]{} }
+func NewTape() *Tape { return &Tape{} }
 
 // NewInferenceTape returns a tape that evaluates operations forward-only:
 // no records are appended and Backward does nothing. Values are
 // bit-identical to a recording tape's; only the gradient bookkeeping is
 // skipped, which removes it from the serving hot path entirely.
-func NewInferenceTape[T tensor.Float]() *Tape[T] { return &Tape[T]{noGrad: true} }
+func NewInferenceTape() *Tape { return &Tape{noGrad: true} }
 
 // ForwardOnly reports whether the tape skips recording (NewInferenceTape).
-func (t *Tape[T]) ForwardOnly() bool { return t.noGrad }
+func (t *Tape) ForwardOnly() bool { return t.noGrad }
 
 // Reset drops all recorded operations and rewinds the arena cursor, so the
 // tape can rebuild an equally-shaped graph without allocating. Leaf
 // (Param) values and gradients are untouched, and the tape keeps no
 // reference to them or to anything else of the last pass but its own
 // buffers: a reset tape can be parked for any other model.
-func (t *Tape[T]) Reset() {
+func (t *Tape) Reset() {
 	for i := 0; i < t.nVars; i++ {
-		t.vars[i/slabBlock][i%slabBlock] = Var[T]{}
+		t.vars[i/slabBlock][i%slabBlock] = Var{}
 	}
 	t.nVars = 0
 	t.recs = t.recs[:0]
@@ -324,13 +317,13 @@ func (t *Tape[T]) Reset() {
 }
 
 // Len returns the number of recorded operations (useful in tests).
-func (t *Tape[T]) Len() int { return len(t.recs) }
+func (t *Tape) Len() int { return len(t.recs) }
 
 // NewMatrix returns a zeroed rows×cols matrix on loan from the tape's
 // arena; it is valid until the next Reset, which reclaims it. Use it for
 // per-pass input buffers (wrap with Const) so a reused tape allocates
 // nothing steady-state.
-func (t *Tape[T]) NewMatrix(rows, cols int) *tensor.Mat[T] {
+func (t *Tape) NewMatrix(rows, cols int) *tensor.Matrix {
 	m := t.arena.mat(rows, cols)
 	m.Zero()
 	return m
@@ -339,7 +332,7 @@ func (t *Tape[T]) NewMatrix(rows, cols int) *tensor.Mat[T] {
 // NewInts returns n zeroed ints on loan from the tape, valid until the next
 // Reset: the lengths and row lists of a ragged batch, so that a reused tape
 // allocates none steady-state.
-func (t *Tape[T]) NewInts(n int) []int {
+func (t *Tape) NewInts(n int) []int {
 	used := len(t.ints)
 	if used+n > cap(t.ints) {
 		// Earlier loans keep the old array; the next pass fits in this one.
@@ -353,10 +346,10 @@ func (t *Tape[T]) NewInts(n int) []int {
 
 // get returns an arena matrix with unspecified contents; the caller must
 // fully overwrite it.
-func (t *Tape[T]) get(rows, cols int) *tensor.Mat[T] { return t.arena.mat(rows, cols) }
+func (t *Tape) get(rows, cols int) *tensor.Matrix { return t.arena.mat(rows, cols) }
 
 // zeroed returns an arena matrix with every element zero.
-func (t *Tape[T]) zeroed(rows, cols int) *tensor.Mat[T] {
+func (t *Tape) zeroed(rows, cols int) *tensor.Matrix {
 	m := t.arena.mat(rows, cols)
 	m.Zero()
 	return m
@@ -364,13 +357,13 @@ func (t *Tape[T]) zeroed(rows, cols int) *tensor.Mat[T] {
 
 // newVar carves the next Var out of the slab. Blocks have fixed size and
 // are never copied, so the returned pointer is stable.
-func (t *Tape[T]) newVar(val *tensor.Mat[T]) *Var[T] {
+func (t *Tape) newVar(val *tensor.Matrix) *Var {
 	bi, off := t.nVars/slabBlock, t.nVars%slabBlock
 	if bi == len(t.vars) {
-		t.vars = append(t.vars, make([]Var[T], slabBlock))
+		t.vars = append(t.vars, make([]Var, slabBlock))
 	}
 	v := &t.vars[bi][off]
-	*v = Var[T]{Value: val, idx: int32(t.nVars)}
+	*v = Var{Value: val, idx: int32(t.nVars)}
 	t.nVars++
 	return v
 }
@@ -378,7 +371,7 @@ func (t *Tape[T]) newVar(val *tensor.Mat[T]) *Var[T] {
 // ref encodes operand v for storage in a record: tape Vars are their slab
 // index, leaves are registered once in the leaf table and encoded as
 // −(i+1).
-func (t *Tape[T]) ref(v *Var[T]) int32 {
+func (t *Tape) ref(v *Var) int32 {
 	if v.idx != leafIdx {
 		return v.idx
 	}
@@ -391,7 +384,7 @@ func (t *Tape[T]) ref(v *Var[T]) int32 {
 }
 
 // at resolves a record operand reference back to its Var.
-func (t *Tape[T]) at(i int32) *Var[T] {
+func (t *Tape) at(i int32) *Var {
 	if i >= 0 {
 		return &t.vars[i/slabBlock][i%slabBlock]
 	}
@@ -402,62 +395,62 @@ func (t *Tape[T]) at(i int32) *Var[T] {
 // use. Leaf gradients are plain allocations that survive Reset (they
 // accumulate until the optimizer zeroes them); tape-owned gradients come
 // from the arena.
-func (t *Tape[T]) gradOf(v *Var[T]) *tensor.Mat[T] {
+func (t *Tape) gradOf(v *Var) *tensor.Matrix {
 	if v.Grad == nil {
 		if v.idx != leafIdx {
 			v.Grad = t.zeroed(v.Value.Rows, v.Value.Cols)
 		} else {
-			v.Grad = tensor.NewMat[T](v.Value.Rows, v.Value.Cols)
+			v.Grad = tensor.New(v.Value.Rows, v.Value.Cols)
 		}
 	}
 	return v.Grad
 }
 
 // scratch is a grow-only backward temporary.
-type scratch[T tensor.Float] struct {
-	buf []T
-	hdr tensor.Mat[T]
+type scratch struct {
+	buf []float64
+	hdr tensor.Matrix
 }
 
 // mat returns the scratch sized rows×cols, contents unspecified. Valid only
 // until the next mat call.
-func (s *scratch[T]) mat(rows, cols int) *tensor.Mat[T] {
+func (s *scratch) mat(rows, cols int) *tensor.Matrix {
 	n := rows * cols
 	if cap(s.buf) < n {
-		s.buf = make([]T, n)
+		s.buf = make([]float64, n)
 	}
-	s.hdr = tensor.Mat[T]{Rows: rows, Cols: cols, Data: s.buf[:n]}
+	s.hdr = tensor.Matrix{Rows: rows, Cols: cols, Data: s.buf[:n]}
 	return &s.hdr
 }
 
 // leafTranspose is one leaf's transposed weights in a Backward: m, once
 // done, is Wᵀ in the arena, or nil for a W that is not finite.
-type leafTranspose[T tensor.Float] struct {
-	m    *tensor.Mat[T]
+type leafTranspose struct {
+	m    *tensor.Matrix
 	done bool
 }
 
 // Param registers m as a trainable leaf: its gradient is accumulated into
 // m's Var across Backward calls until ZeroGrad. Param Vars are independent
 // of the tape — they and their gradients survive Reset.
-func (t *Tape[T]) Param(m *tensor.Mat[T]) *Var[T] {
-	return &Var[T]{Value: m, needsGrad: true, idx: leafIdx}
+func (t *Tape) Param(m *tensor.Matrix) *Var {
+	return &Var{Value: m, needsGrad: true, idx: leafIdx}
 }
 
 // Const wraps m as a constant input: no gradient is tracked and m itself is
 // never recycled (the Var holding it is).
-func (t *Tape[T]) Const(m *tensor.Mat[T]) *Var[T] {
+func (t *Tape) Const(m *tensor.Matrix) *Var {
 	return t.newVar(m)
 }
 
 // track reports whether an op over the given inputs must be recorded.
 // Split by arity so the hot path never allocates a variadic slice.
-func (t *Tape[T]) track1(a *Var[T]) bool { return !t.noGrad && a.needsGrad }
-func (t *Tape[T]) track2(a, b *Var[T]) bool {
+func (t *Tape) track1(a *Var) bool { return !t.noGrad && a.needsGrad }
+func (t *Tape) track2(a, b *Var) bool {
 	return !t.noGrad && (a.needsGrad || b.needsGrad)
 }
 
-func (t *Tape[T]) trackN(vs []*Var[T]) bool {
+func (t *Tape) trackN(vs []*Var) bool {
 	if t.noGrad {
 		return false
 	}
@@ -470,7 +463,7 @@ func (t *Tape[T]) trackN(vs []*Var[T]) bool {
 }
 
 // push marks out as grad-tracked and appends its record.
-func (t *Tape[T]) push(out *Var[T], r rec) *Var[T] {
+func (t *Tape) push(out *Var, r rec) *Var {
 	out.needsGrad = true
 	r.out = out.idx
 	t.recs = append(t.recs, r)
@@ -479,7 +472,7 @@ func (t *Tape[T]) push(out *Var[T], r rec) *Var[T] {
 
 // pushArgs stores an operand list in the aux-args slab, returning its
 // offset and length for the record's x0/x1 fields.
-func (t *Tape[T]) pushArgs(vs []*Var[T]) (off, ln int32) {
+func (t *Tape) pushArgs(vs []*Var) (off, ln int32) {
 	off = int32(len(t.auxArgs))
 	for _, v := range vs {
 		t.auxArgs = append(t.auxArgs, t.ref(v))
@@ -488,24 +481,24 @@ func (t *Tape[T]) pushArgs(vs []*Var[T]) (off, ln int32) {
 }
 
 // pushRows appends a row list to the aux-args slab.
-func (t *Tape[T]) pushRows(rows []int) {
+func (t *Tape) pushRows(rows []int) {
 	for _, r := range rows {
 		t.auxArgs = append(t.auxArgs, int32(r))
 	}
 }
 
-func (t *Tape[T]) pushMask(m []bool) int32 {
+func (t *Tape) pushMask(m []bool) int32 {
 	t.auxMask = append(t.auxMask, m)
 	return int32(len(t.auxMask) - 1)
 }
 
-func (t *Tape[T]) pushMat(m *tensor.Mat[T]) int32 {
+func (t *Tape) pushMat(m *tensor.Matrix) int32 {
 	t.auxMat = append(t.auxMat, m)
 	return int32(len(t.auxMat) - 1)
 }
 
 // MatMul returns a·b.
-func (t *Tape[T]) MatMul(a, b *Var[T]) *Var[T] {
+func (t *Tape) MatMul(a, b *Var) *Var {
 	val := t.get(a.Value.Rows, b.Value.Cols)
 	tensor.MatMulInto(val, a.Value, b.Value)
 	out := t.newVar(val)
@@ -516,7 +509,7 @@ func (t *Tape[T]) MatMul(a, b *Var[T]) *Var[T] {
 }
 
 // Add returns a+b (same shape).
-func (t *Tape[T]) Add(a, b *Var[T]) *Var[T] {
+func (t *Tape) Add(a, b *Var) *Var {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.AddInto(val, a.Value, b.Value)
 	out := t.newVar(val)
@@ -527,7 +520,7 @@ func (t *Tape[T]) Add(a, b *Var[T]) *Var[T] {
 }
 
 // Sub returns a−b (same shape).
-func (t *Tape[T]) Sub(a, b *Var[T]) *Var[T] {
+func (t *Tape) Sub(a, b *Var) *Var {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.SubInto(val, a.Value, b.Value)
 	out := t.newVar(val)
@@ -538,7 +531,7 @@ func (t *Tape[T]) Sub(a, b *Var[T]) *Var[T] {
 }
 
 // Mul returns the elementwise product a∘b.
-func (t *Tape[T]) Mul(a, b *Var[T]) *Var[T] {
+func (t *Tape) Mul(a, b *Var) *Var {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.MulInto(val, a.Value, b.Value)
 	out := t.newVar(val)
@@ -549,18 +542,18 @@ func (t *Tape[T]) Mul(a, b *Var[T]) *Var[T] {
 }
 
 // Scale returns s·a.
-func (t *Tape[T]) Scale(a *Var[T], s T) *Var[T] {
+func (t *Tape) Scale(a *Var, s float64) *Var {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.ScaleInto(val, a.Value, s)
 	out := t.newVar(val)
 	if !t.track1(a) {
 		return out
 	}
-	return t.push(out, rec{op: opScale, a: t.ref(a), s: float64(s)})
+	return t.push(out, rec{op: opScale, a: t.ref(a), s: s})
 }
 
 // AddRow broadcasts the 1×n row vector r across every row of m.
-func (t *Tape[T]) AddRow(m, r *Var[T]) *Var[T] {
+func (t *Tape) AddRow(m, r *Var) *Var {
 	val := t.get(m.Value.Rows, m.Value.Cols)
 	tensor.AddRowInto(val, m.Value, r.Value)
 	out := t.newVar(val)
@@ -605,7 +598,7 @@ func (f ActFn) kernel() tensor.Act {
 // activation op into a single kernel pass — the shape of every dense layer
 // and LSTM gate. It is exactly equivalent, bit for bit in both values and
 // gradients, to applying the activation to AddRow(m, r).
-func (t *Tape[T]) AddRowApply(m, r *Var[T], f ActFn) *Var[T] {
+func (t *Tape) AddRowApply(m, r *Var, f ActFn) *Var {
 	val := t.get(m.Value.Rows, m.Value.Cols)
 	tensor.AddRowActInto(val, m.Value, r.Value, f.kernel())
 	out := t.newVar(val)
@@ -616,7 +609,7 @@ func (t *Tape[T]) AddRowApply(m, r *Var[T], f ActFn) *Var[T] {
 }
 
 // Sigmoid applies the logistic function elementwise.
-func (t *Tape[T]) Sigmoid(a *Var[T]) *Var[T] {
+func (t *Tape) Sigmoid(a *Var) *Var {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.SigmoidInto(val, a.Value)
 	out := t.newVar(val)
@@ -627,7 +620,7 @@ func (t *Tape[T]) Sigmoid(a *Var[T]) *Var[T] {
 }
 
 // Tanh applies the hyperbolic tangent elementwise.
-func (t *Tape[T]) Tanh(a *Var[T]) *Var[T] {
+func (t *Tape) Tanh(a *Var) *Var {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.TanhInto(val, a.Value)
 	out := t.newVar(val)
@@ -638,7 +631,7 @@ func (t *Tape[T]) Tanh(a *Var[T]) *Var[T] {
 }
 
 // ReLU applies max(0,x) elementwise.
-func (t *Tape[T]) ReLU(a *Var[T]) *Var[T] {
+func (t *Tape) ReLU(a *Var) *Var {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	tensor.ReLUInto(val, a.Value)
 	out := t.newVar(val)
@@ -649,7 +642,7 @@ func (t *Tape[T]) ReLU(a *Var[T]) *Var[T] {
 }
 
 // LeakyReLU applies max(alpha·x, x) elementwise.
-func (t *Tape[T]) LeakyReLU(a *Var[T], alpha T) *Var[T] {
+func (t *Tape) LeakyReLU(a *Var, alpha float64) *Var {
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	for i, x := range a.Value.Data {
 		if x > 0 {
@@ -662,11 +655,11 @@ func (t *Tape[T]) LeakyReLU(a *Var[T], alpha T) *Var[T] {
 	if !t.track1(a) {
 		return out
 	}
-	return t.push(out, rec{op: opLeakyReLU, a: t.ref(a), s: float64(alpha)})
+	return t.push(out, rec{op: opLeakyReLU, a: t.ref(a), s: alpha})
 }
 
 // Transpose returns aᵀ.
-func (t *Tape[T]) Transpose(a *Var[T]) *Var[T] {
+func (t *Tape) Transpose(a *Var) *Var {
 	val := t.get(a.Value.Cols, a.Value.Rows)
 	tensor.TransposeInto(val, a.Value)
 	out := t.newVar(val)
@@ -680,7 +673,7 @@ func (t *Tape[T]) Transpose(a *Var[T]) *Var[T] {
 // have one entry per column, and columns whose mask entry is false receive
 // zero probability in every row (their logits are treated as −∞). Rows whose
 // mask is entirely false become all-zero rows.
-func (t *Tape[T]) SoftmaxRows(a *Var[T], mask []bool) *Var[T] {
+func (t *Tape) SoftmaxRows(a *Var, mask []bool) *Var {
 	if mask != nil && len(mask) != a.Value.Cols {
 		panic(fmt.Sprintf("autodiff: softmax mask length %d != cols %d", len(mask), a.Value.Cols))
 	}
@@ -703,7 +696,7 @@ func (t *Tape[T]) SoftmaxRows(a *Var[T], mask []bool) *Var[T] {
 // longer than a's columns is read up to them, so a plan's padded children
 // matrix masks its leading block as it is. This is the primitive behind
 // node-aware attention, where node i attends only over its own children.
-func (t *Tape[T]) SoftmaxRowsMask2D(a *Var[T], mask [][]bool) *Var[T] {
+func (t *Tape) SoftmaxRowsMask2D(a *Var, mask [][]bool) *Var {
 	if len(mask) != a.Value.Rows {
 		panic(fmt.Sprintf("autodiff: 2D softmax mask rows %d != %d", len(mask), a.Value.Rows))
 	}
@@ -722,7 +715,7 @@ func (t *Tape[T]) SoftmaxRowsMask2D(a *Var[T], mask [][]bool) *Var[T] {
 }
 
 // ConcatCols concatenates variables horizontally.
-func (t *Tape[T]) ConcatCols(vs ...*Var[T]) *Var[T] {
+func (t *Tape) ConcatCols(vs ...*Var) *Var {
 	rows, cols := 0, 0
 	if len(vs) > 0 {
 		rows = vs[0].Value.Rows
@@ -752,7 +745,7 @@ func (t *Tape[T]) ConcatCols(vs ...*Var[T]) *Var[T] {
 }
 
 // ConcatRows concatenates variables vertically.
-func (t *Tape[T]) ConcatRows(vs ...*Var[T]) *Var[T] {
+func (t *Tape) ConcatRows(vs ...*Var) *Var {
 	rows, cols := 0, 0
 	if len(vs) > 0 {
 		cols = vs[0].Value.Cols
@@ -795,7 +788,7 @@ func (e *RowListError) Error() string {
 // states out of a ragged recurrence, whose step-k state holds the plan at
 // row rows[k]. One op replaces the per-step RowAt + ConcatRows chain (as
 // many ops as steps, plus one, and as many intermediate Vars).
-func (t *Tape[T]) GatherRows(vs []*Var[T], rows []int) *Var[T] {
+func (t *Tape) GatherRows(vs []*Var, rows []int) *Var {
 	if len(rows) != len(vs) {
 		panic(&RowListError{Op: "GatherRows", At: -1, Row: len(rows), Rows: len(vs)})
 	}
@@ -826,7 +819,7 @@ func (t *Tape[T]) GatherRows(vs []*Var[T], rows []int) *Var[T] {
 // out.Row(i) = a.Row(rows[i]). It shrinks a ragged recurrence's state to the
 // sequences still running. It records as the gather of those rows from a,
 // whose backward adds each output row's gradient into the row it came from.
-func (t *Tape[T]) KeepRows(a *Var[T], rows []int) *Var[T] {
+func (t *Tape) KeepRows(a *Var, rows []int) *Var {
 	val := t.get(len(rows), a.Value.Cols)
 	for i, r := range rows {
 		if r < 0 || r >= a.Value.Rows || (i > 0 && r <= rows[i-1]) {
@@ -851,7 +844,7 @@ func (t *Tape[T]) KeepRows(a *Var[T], rows []int) *Var[T] {
 // window as its own Var. This is the stacked-input recurrence step: the
 // input projection for all timesteps is one big matmul, and each step adds
 // its row window to the recurrent term.
-func (t *Tape[T]) AddRowsAt(big *Var[T], i int, small *Var[T]) *Var[T] {
+func (t *Tape) AddRowsAt(big *Var, i int, small *Var) *Var {
 	rows, cols := small.Value.Rows, small.Value.Cols
 	if big.Value.Cols != cols {
 		panic(fmt.Sprintf("autodiff: AddRowsAt col mismatch %d != %d", big.Value.Cols, cols))
@@ -880,7 +873,7 @@ func (t *Tape[T]) AddRowsAt(big *Var[T], i int, small *Var[T]) *Var[T] {
 // and h = o∘tanh(c′), each skipped in Backward exactly when the chain's ops
 // behind it would be and each replaying the chain's per-element gradient
 // expressions in its order, so gradients are bit-identical too.
-func (t *Tape[T]) LSTMCell(z, b, c *Var[T]) (h, cNext *Var[T]) {
+func (t *Tape) LSTMCell(z, b, c *Var) (h, cNext *Var) {
 	rows, cols := c.Value.Rows, c.Value.Cols
 	hv, cv := t.get(rows, cols), t.get(rows, cols)
 	if t.noGrad || !(z.needsGrad || b.needsGrad || c.needsGrad) {
@@ -900,7 +893,7 @@ func (t *Tape[T]) LSTMCell(z, b, c *Var[T]) (h, cNext *Var[T]) {
 // matrix: out.Row(p) = [x.Row(p−half) … x.Row(p+half)]. width must be odd.
 // One op replaces the per-position RowAt/zero/ConcatCols chain that
 // convolution lowering used to record.
-func (t *Tape[T]) Im2ColRows(x *Var[T], width int) *Var[T] {
+func (t *Tape) Im2ColRows(x *Var, width int) *Var {
 	if width < 1 || width%2 == 0 {
 		panic(fmt.Sprintf("autodiff: Im2ColRows width %d must be odd and positive", width))
 	}
@@ -928,7 +921,7 @@ func (t *Tape[T]) Im2ColRows(x *Var[T], width int) *Var[T] {
 }
 
 // RowAt extracts row i of a as a 1×cols variable.
-func (t *Tape[T]) RowAt(a *Var[T], i int) *Var[T] {
+func (t *Tape) RowAt(a *Var, i int) *Var {
 	if i < 0 || i >= a.Value.Rows {
 		panic(fmt.Sprintf("autodiff: RowAt(%d) out of %d rows", i, a.Value.Rows))
 	}
@@ -942,7 +935,7 @@ func (t *Tape[T]) RowAt(a *Var[T], i int) *Var[T] {
 }
 
 // SliceCols extracts columns [lo,hi) of a as a copy.
-func (t *Tape[T]) SliceCols(a *Var[T], lo, hi int) *Var[T] {
+func (t *Tape) SliceCols(a *Var, lo, hi int) *Var {
 	if lo < 0 || hi > a.Value.Cols || lo > hi {
 		panic(fmt.Sprintf("autodiff: SliceCols [%d,%d) out of %d cols", lo, hi, a.Value.Cols))
 	}
@@ -960,7 +953,7 @@ func (t *Tape[T]) SliceCols(a *Var[T], lo, hi int) *Var[T] {
 
 // MeanRowsMasked averages the rows of a whose mask entry is true, returning
 // a 1×cols variable. If no row is selected the result is all zeros.
-func (t *Tape[T]) MeanRowsMasked(a *Var[T], mask []bool) *Var[T] {
+func (t *Tape) MeanRowsMasked(a *Var, mask []bool) *Var {
 	if len(mask) != a.Value.Rows {
 		panic(fmt.Sprintf("autodiff: mean mask length %d != rows %d", len(mask), a.Value.Rows))
 	}
@@ -978,7 +971,7 @@ func (t *Tape[T]) MeanRowsMasked(a *Var[T], mask []bool) *Var[T] {
 			}
 			row := a.Value.Row(i)
 			for j, x := range row {
-				val.Data[j] += x / T(n)
+				val.Data[j] += x / float64(n)
 			}
 		}
 	}
@@ -990,7 +983,7 @@ func (t *Tape[T]) MeanRowsMasked(a *Var[T], mask []bool) *Var[T] {
 }
 
 // SumAll reduces a to a 1×1 variable holding the sum of its elements.
-func (t *Tape[T]) SumAll(a *Var[T]) *Var[T] {
+func (t *Tape) SumAll(a *Var) *Var {
 	val := t.get(1, 1)
 	val.Data[0] = a.Value.Sum()
 	out := t.newVar(val)
@@ -1001,7 +994,7 @@ func (t *Tape[T]) SumAll(a *Var[T]) *Var[T] {
 }
 
 // MeanAll reduces a to a 1×1 variable holding the mean of its elements.
-func (t *Tape[T]) MeanAll(a *Var[T]) *Var[T] {
+func (t *Tape) MeanAll(a *Var) *Var {
 	val := t.get(1, 1)
 	val.Data[0] = a.Value.Mean()
 	out := t.newVar(val)
@@ -1013,18 +1006,18 @@ func (t *Tape[T]) MeanAll(a *Var[T]) *Var[T] {
 
 // MSE returns the mean squared error between pred and the constant target,
 // as a 1×1 variable.
-func (t *Tape[T]) MSE(pred *Var[T], target *tensor.Mat[T]) *Var[T] {
+func (t *Tape) MSE(pred *Var, target *tensor.Matrix) *Var {
 	if !pred.Value.SameShape(target) {
 		panic(fmt.Sprintf("autodiff: MSE shape mismatch %dx%d vs %dx%d",
 			pred.Value.Rows, pred.Value.Cols, target.Rows, target.Cols))
 	}
 	n := len(target.Data)
-	var loss T
+	var loss float64
 	for i, p := range pred.Value.Data {
 		d := p - target.Data[i]
 		loss += d * d
 	}
-	loss /= T(n)
+	loss /= float64(n)
 	val := t.get(1, 1)
 	val.Data[0] = loss
 	out := t.newVar(val)
@@ -1038,14 +1031,14 @@ func (t *Tape[T]) MSE(pred *Var[T], target *tensor.Mat[T]) *Var[T] {
 // rescales survivors by 1/(1−p). keep must be a pre-sampled boolean mask of
 // the same size as a (one entry per element); this keeps the op
 // deterministic and testable. Passing a nil mask makes Dropout the identity.
-func (t *Tape[T]) Dropout(a *Var[T], p float64, keep []bool) *Var[T] {
+func (t *Tape) Dropout(a *Var, p float64, keep []bool) *Var {
 	if keep == nil {
 		return a
 	}
 	if len(keep) != len(a.Value.Data) {
 		panic(fmt.Sprintf("autodiff: dropout mask length %d != %d", len(keep), len(a.Value.Data)))
 	}
-	scale := T(1 / (1 - p))
+	scale := 1 / (1 - p)
 	val := t.get(a.Value.Rows, a.Value.Cols)
 	for i, x := range a.Value.Data {
 		if keep[i] {
@@ -1058,5 +1051,5 @@ func (t *Tape[T]) Dropout(a *Var[T], p float64, keep []bool) *Var[T] {
 	if !t.track1(a) {
 		return out
 	}
-	return t.push(out, rec{op: opDropout, a: t.ref(a), x0: t.pushMask(keep), s: float64(scale)})
+	return t.push(out, rec{op: opDropout, a: t.ref(a), x0: t.pushMask(keep), s: scale})
 }

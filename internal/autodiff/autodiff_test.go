@@ -27,10 +27,10 @@ func numericalGrad(param *tensor.Matrix, loss func() float64) *tensor.Matrix {
 
 // checkGrad runs forward once with a fresh tape, backpropagates, and
 // compares every parameter's analytic gradient with the numeric one.
-func checkGrad(t *testing.T, params []*tensor.Matrix, forward func(tp *Tape[float64], ps []*Var[float64]) *Var[float64]) {
+func checkGrad(t *testing.T, params []*tensor.Matrix, forward func(tp *Tape, ps []*Var) *Var) {
 	t.Helper()
-	tp := NewTape[float64]()
-	vars := make([]*Var[float64], len(params))
+	tp := NewTape()
+	vars := make([]*Var, len(params))
 	for i, p := range params {
 		vars[i] = tp.Param(p)
 	}
@@ -38,8 +38,8 @@ func checkGrad(t *testing.T, params []*tensor.Matrix, forward func(tp *Tape[floa
 	tp.Backward(loss)
 
 	lossAt := func() float64 {
-		tp2 := NewTape[float64]()
-		vs := make([]*Var[float64], len(params))
+		tp2 := NewTape()
+		vs := make([]*Var, len(params))
 		for i, p := range params {
 			vs[i] = tp2.Param(p)
 		}
@@ -68,14 +68,14 @@ func randParams(seed int64, shapes ...[2]int) []*tensor.Matrix {
 
 func TestGradMatMulChain(t *testing.T) {
 	ps := randParams(1, [2]int{3, 4}, [2]int{4, 2})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		return tp.MeanAll(tp.MatMul(vs[0], vs[1]))
 	})
 }
 
 func TestGradAddSubMulScale(t *testing.T) {
 	ps := randParams(2, [2]int{2, 3}, [2]int{2, 3})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		sum := tp.Add(vs[0], vs[1])
 		diff := tp.Sub(vs[0], vs[1])
 		prod := tp.Mul(sum, diff) // (a+b)(a−b)
@@ -86,16 +86,16 @@ func TestGradAddSubMulScale(t *testing.T) {
 func TestGradActivations(t *testing.T) {
 	for _, tc := range []struct {
 		name string
-		f    func(tp *Tape[float64], v *Var[float64]) *Var[float64]
+		f    func(tp *Tape, v *Var) *Var
 	}{
-		{"sigmoid", func(tp *Tape[float64], v *Var[float64]) *Var[float64] { return tp.Sigmoid(v) }},
-		{"tanh", func(tp *Tape[float64], v *Var[float64]) *Var[float64] { return tp.Tanh(v) }},
-		{"relu", func(tp *Tape[float64], v *Var[float64]) *Var[float64] { return tp.ReLU(v) }},
-		{"leakyrelu", func(tp *Tape[float64], v *Var[float64]) *Var[float64] { return tp.LeakyReLU(v, 0.1) }},
+		{"sigmoid", func(tp *Tape, v *Var) *Var { return tp.Sigmoid(v) }},
+		{"tanh", func(tp *Tape, v *Var) *Var { return tp.Tanh(v) }},
+		{"relu", func(tp *Tape, v *Var) *Var { return tp.ReLU(v) }},
+		{"leakyrelu", func(tp *Tape, v *Var) *Var { return tp.LeakyReLU(v, 0.1) }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			ps := randParams(3, [2]int{2, 4})
-			checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+			checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 				return tp.MeanAll(tc.f(tp, vs[0]))
 			})
 		})
@@ -104,14 +104,14 @@ func TestGradActivations(t *testing.T) {
 
 func TestGradAddRow(t *testing.T) {
 	ps := randParams(4, [2]int{3, 4}, [2]int{1, 4})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		return tp.MeanAll(tp.Tanh(tp.AddRow(vs[0], vs[1])))
 	})
 }
 
 func TestGradSoftmaxRows(t *testing.T) {
 	ps := randParams(5, [2]int{3, 5})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		sm := tp.SoftmaxRows(vs[0], nil)
 		// weight the probabilities so the gradient isn't trivially zero
 		w := tensor.New(3, 5)
@@ -125,7 +125,7 @@ func TestGradSoftmaxRows(t *testing.T) {
 func TestGradSoftmaxMasked(t *testing.T) {
 	mask := []bool{true, false, true, true, false}
 	ps := randParams(6, [2]int{2, 5})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		sm := tp.SoftmaxRows(vs[0], mask)
 		w := tensor.New(2, 5)
 		for i := range w.Data {
@@ -136,7 +136,7 @@ func TestGradSoftmaxMasked(t *testing.T) {
 }
 
 func TestSoftmaxMaskedColumnsZero(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	x := tp.Const(tensor.FromRows([][]float64{{5, 100, 1}}))
 	sm := tp.SoftmaxRows(x, []bool{true, false, true})
 	if sm.Value.At(0, 1) != 0 {
@@ -149,7 +149,7 @@ func TestSoftmaxMaskedColumnsZero(t *testing.T) {
 }
 
 func TestSoftmaxFullyMaskedRowIsZero(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	x := tp.Const(tensor.FromRows([][]float64{{5, 3}}))
 	sm := tp.SoftmaxRows(x, []bool{false, false})
 	if sm.Value.Sum() != 0 {
@@ -164,7 +164,7 @@ func TestGradSoftmaxMask2D(t *testing.T) {
 		{false, false, false, false}, // fully masked row
 	}
 	ps := randParams(21, [2]int{3, 4})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		sm := tp.SoftmaxRowsMask2D(vs[0], mask)
 		w := tensor.New(3, 4)
 		for i := range w.Data {
@@ -175,7 +175,7 @@ func TestGradSoftmaxMask2D(t *testing.T) {
 }
 
 func TestSoftmaxMask2DRowsSumToOne(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	x := tp.Const(tensor.FromRows([][]float64{{1, 2, 3}, {4, 5, 6}}))
 	sm := tp.SoftmaxRowsMask2D(x, [][]bool{{true, true, false}, {false, false, false}})
 	row0 := sm.Value.Row(0)
@@ -191,21 +191,21 @@ func TestSoftmaxMask2DRowsSumToOne(t *testing.T) {
 
 func TestGradConcatCols(t *testing.T) {
 	ps := randParams(7, [2]int{2, 3}, [2]int{2, 2})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		return tp.MeanAll(tp.Tanh(tp.ConcatCols(vs[0], vs[1])))
 	})
 }
 
 func TestGradConcatRows(t *testing.T) {
 	ps := randParams(8, [2]int{2, 3}, [2]int{1, 3})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		return tp.MeanAll(tp.Sigmoid(tp.ConcatRows(vs[0], vs[1])))
 	})
 }
 
 func TestGradRowAt(t *testing.T) {
 	ps := randParams(9, [2]int{4, 3})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		r1 := tp.RowAt(vs[0], 1)
 		r3 := tp.RowAt(vs[0], 3)
 		return tp.SumAll(tp.Mul(r1, r3))
@@ -214,7 +214,7 @@ func TestGradRowAt(t *testing.T) {
 
 func TestGradTranspose(t *testing.T) {
 	ps := randParams(10, [2]int{3, 4})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		return tp.MeanAll(tp.MatMul(vs[0], tp.Transpose(vs[0])))
 	})
 }
@@ -222,7 +222,7 @@ func TestGradTranspose(t *testing.T) {
 func TestGradMeanRowsMasked(t *testing.T) {
 	mask := []bool{true, false, true, true}
 	ps := randParams(11, [2]int{4, 3})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		return tp.SumAll(tp.MeanRowsMasked(vs[0], mask))
 	})
 }
@@ -230,7 +230,7 @@ func TestGradMeanRowsMasked(t *testing.T) {
 func TestGradMSE(t *testing.T) {
 	target := tensor.FromRows([][]float64{{1, -1}, {0.5, 2}})
 	ps := randParams(12, [2]int{2, 2})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		return tp.MSE(tp.Tanh(vs[0]), target)
 	})
 }
@@ -238,7 +238,7 @@ func TestGradMSE(t *testing.T) {
 func TestGradDropout(t *testing.T) {
 	keep := []bool{true, false, true, true, false, true}
 	ps := randParams(13, [2]int{2, 3})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		return tp.MeanAll(tp.Dropout(vs[0], 0.5, keep))
 	})
 }
@@ -246,14 +246,14 @@ func TestGradDropout(t *testing.T) {
 func TestGradSharedParameterAccumulates(t *testing.T) {
 	// Using the same parameter twice must sum both contributions.
 	ps := randParams(14, [2]int{2, 2})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		a := tp.MatMul(vs[0], vs[0]) // same Var on both sides
 		return tp.MeanAll(a)
 	})
 }
 
 func TestConstHasNoGrad(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	c := tp.Const(tensor.FromRows([][]float64{{1, 2}}))
 	p := tp.Param(tensor.FromRows([][]float64{{3}, {4}}))
 	loss := tp.SumAll(tp.MatMul(c, p))
@@ -272,13 +272,13 @@ func TestBackwardRequiresScalar(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	tp := NewTape[float64]()
+	tp := NewTape()
 	v := tp.Param(tensor.New(2, 2))
 	tp.Backward(v)
 }
 
 func TestTapeReset(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	p := tp.Param(tensor.FromRows([][]float64{{2}}))
 	tp.Backward(tp.SumAll(p))
 	if tp.Len() != 1 {
@@ -293,7 +293,7 @@ func TestTapeReset(t *testing.T) {
 func TestGradAccumulatesAcrossBackwards(t *testing.T) {
 	// Two forward/backward passes without zeroing must double the grad.
 	p := tensor.FromRows([][]float64{{3}})
-	tp := NewTape[float64]()
+	tp := NewTape()
 	v := tp.Param(p)
 	tp.Backward(tp.SumAll(v))
 	tp.Reset()

@@ -18,7 +18,7 @@ import (
 // contributions in the same order as a walk that applied them itself, bit
 // for bit. A tape with no leaf operand starts no worker, and the worker
 // has finished when Backward returns.
-func (t *Tape[T]) Backward(root *Var[T]) {
+func (t *Tape) Backward(root *Var) {
 	if root.Value.Rows != 1 || root.Value.Cols != 1 {
 		panic(fmt.Sprintf("autodiff: Backward root must be 1x1, got %dx%d", root.Value.Rows, root.Value.Cols))
 	}
@@ -41,7 +41,7 @@ func (t *Tape[T]) Backward(root *Var[T]) {
 }
 
 // hasLeaf reports whether a leaf is among r's operands.
-func (t *Tape[T]) hasLeaf(r *rec) bool {
+func (t *Tape) hasLeaf(r *rec) bool {
 	switch r.op {
 	case opConcatCols, opConcatRows, opGatherRows:
 		return slices.ContainsFunc(t.auxArgs[r.x0:r.x0+r.x1], func(i int32) bool { return i < 0 })
@@ -55,7 +55,7 @@ func (t *Tape[T]) hasLeaf(r *rec) bool {
 // starting it on the pass's first job. The queue holds a slot for every
 // record plus the stop mark, so a send never blocks, and a warm tape
 // reuses both the queue and the worker's function value.
-func (t *Tape[T]) pushLeafJob(i int32) {
+func (t *Tape) pushLeafJob(i int32) {
 	if !t.leafBusy {
 		if cap(t.leafJobs) < len(t.recs)+1 {
 			t.leafJobs = make(chan int32, len(t.recs)+1)
@@ -73,7 +73,7 @@ func (t *Tape[T]) pushLeafJob(i int32) {
 // stopLeafWorker ends the pass's worker, if one started, and waits for it.
 // A panic in a leaf job surfaces here, on the caller's goroutine; the
 // queue it left unread is dropped.
-func (t *Tape[T]) stopLeafWorker() {
+func (t *Tape) stopLeafWorker() {
 	if !t.leafBusy {
 		return
 	}
@@ -88,7 +88,7 @@ func (t *Tape[T]) stopLeafWorker() {
 
 // drainLeafJobs is the leaf worker: it applies each queued record's leaf
 // contributions in queue order, with its own scratch, until the stop mark.
-func (t *Tape[T]) drainLeafJobs() {
+func (t *Tape) drainLeafJobs() {
 	defer t.leafWG.Done()
 	defer func() { t.leafPanic = recover() }()
 	for i := range t.leafJobs {
@@ -102,7 +102,7 @@ func (t *Tape[T]) drainLeafJobs() {
 // grad returns v's gradient accumulator when v tracks gradients and is on
 // the side this step runs for (leaves on the worker, tape Vars on the
 // walk), nil otherwise.
-func (t *Tape[T]) grad(v *Var[T], leaves bool) *tensor.Mat[T] {
+func (t *Tape) grad(v *Var, leaves bool) *tensor.Matrix {
 	if !v.needsGrad || (v.idx == leafIdx) != leaves {
 		return nil
 	}
@@ -114,7 +114,7 @@ func (t *Tape[T]) grad(v *Var[T], leaves bool) *tensor.Mat[T] {
 // NaN. dY·Wᵀ as a plain product skips dY's zeros where MatMulTransBInto's
 // Go loop multiplies them; for a finite W the two agree bit for bit (a sum
 // from +0 never becomes −0), so only a non-finite W keeps MatMulTransBInto.
-func (t *Tape[T]) transposed(ref int32) *tensor.Mat[T] {
+func (t *Tape) transposed(ref int32) *tensor.Matrix {
 	lt := &t.leafT[-1-ref]
 	if !lt.done {
 		lt.done = true
@@ -139,7 +139,7 @@ func (t *Tape[T]) transposed(ref int32) *tensor.Mat[T] {
 // record's values and its output gradient, so the split changes no bit.
 // Gradient accumulation order within each op is ported unchanged from the
 // closure implementation, so gradients stay bit-identical to it.
-func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
+func (t *Tape) step(r *rec, leaves bool, scr *scratch) {
 	out := t.at(r.out)
 	switch r.op {
 	case opMatMul:
@@ -148,7 +148,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 		// non-finite or non-leaf b, the product goes through scratch.
 		a, b := t.at(r.a), t.at(r.b)
 		if g := t.grad(a, leaves); g != nil {
-			var bt *tensor.Mat[T]
+			var bt *tensor.Matrix
 			if r.b < 0 && !leaves {
 				bt = t.transposed(r.b)
 			}
@@ -202,7 +202,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 
 	case opScale:
 		if g := t.grad(t.at(r.a), leaves); g != nil {
-			tensor.AxpyInPlace(g, T(r.s), out.Grad)
+			tensor.AxpyInPlace(g, r.s, out.Grad)
 		}
 
 	case opAddRow:
@@ -231,12 +231,12 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 		for i := 0; i < val.Rows; i++ {
 			y := val.Row(i)
 			dy := out.Grad.Row(i)
-			var mrow []T
+			var mrow []float64
 			if mg != nil {
 				mrow = mg.Row(i)
 			}
 			for j := range y {
-				var d T
+				var d float64
 				switch f {
 				case ActIdentity:
 					d = dy[j]
@@ -283,7 +283,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 			case x > 0:
 				g.Data[i] += out.Grad.Data[i]
 			case r.op == opLeakyReLU:
-				g.Data[i] += T(r.s) * out.Grad.Data[i]
+				g.Data[i] += r.s * out.Grad.Data[i]
 			}
 		}
 
@@ -305,7 +305,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 		for i := 0; i < val.Rows; i++ {
 			y := val.Row(i)
 			dy := out.Grad.Row(i)
-			var dot T
+			var dot float64
 			for j := range y {
 				dot += y[j] * dy[j]
 			}
@@ -394,7 +394,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 			}
 			dst := g.Row(i)
 			for j, x := range out.Grad.Data {
-				dst[j] += x / T(r.s)
+				dst[j] += x / r.s
 			}
 		}
 
@@ -405,7 +405,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 		}
 		d := out.Grad.Data[0]
 		if r.op == opMeanAll {
-			d /= T(r.s)
+			d /= r.s
 		}
 		for i := range g.Data {
 			g.Data[i] += d
@@ -420,7 +420,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 		target := t.auxMat[r.x0]
 		d := out.Grad.Data[0]
 		for i, p := range pred.Value.Data {
-			g.Data[i] += d * 2 * (p - target.Data[i]) / T(r.s)
+			g.Data[i] += d * 2 * (p - target.Data[i]) / r.s
 		}
 
 	case opDropout:
@@ -431,7 +431,7 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 		keep := t.auxMask[r.x0]
 		for i := range g.Data {
 			if keep[i] {
-				g.Data[i] += out.Grad.Data[i] * T(r.s)
+				g.Data[i] += out.Grad.Data[i] * r.s
 			}
 		}
 
@@ -452,9 +452,11 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 			y, o := tc.Row(i), z.Value.Row(i)[3*n:]
 			for j, dh := range out.Grad.Row(i) {
 				if cg != nil {
-					cg.Data[i*n+j] += T(dh*o[j]) * (1 - y[j]*y[j])
+					// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+					cg.Data[i*n+j] += float64(dh*o[j]) * (1 - y[j]*y[j])
 				}
-				d := T(dh*y[j]) * o[j] * (1 - o[j])
+				// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+				d := float64(dh*y[j]) * o[j] * (1 - o[j])
 				if zg != nil {
 					zg.Data[(4*i+3)*n+j] += d
 				}
@@ -478,9 +480,11 @@ func (t *Tape[T]) step(r *rec, leaves bool, scr *scratch[T]) {
 			zr, cp := z.Value.Row(i), c.Value.Row(i)
 			for j, dc := range out.Grad.Row(i) {
 				ia, fa, ga := zr[j], zr[n+j], zr[2*n+j]
-				d := [3]T{T(dc*ga) * ia * (1 - ia), T(dc*cp[j]) * fa * (1 - fa), T(dc*ia) * (1 - ga*ga)}
+				// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+				d := [3]float64{float64(dc*ga) * ia * (1 - ia), float64(dc*cp[j]) * fa * (1 - fa), float64(dc*ia) * (1 - ga*ga)}
 				if cg != nil {
-					cg.Data[i*n+j] += T(dc * fa)
+					// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+					cg.Data[i*n+j] += float64(dc * fa)
 				}
 				for k, dk := range d {
 					if zg != nil {

@@ -12,8 +12,8 @@ import (
 // gradients, reading a different row of each input, one of them twice.
 func TestGradGatherRows(t *testing.T) {
 	ps := randParams(31, [2]int{3, 4}, [2]int{3, 4}, [2]int{2, 4})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
-		g := tp.GatherRows([]*Var[float64]{vs[0], vs[1], vs[2], vs[0]}, []int{2, 0, 1, 1})
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
+		g := tp.GatherRows([]*Var{vs[0], vs[1], vs[2], vs[0]}, []int{2, 0, 1, 1})
 		return tp.SumAll(tp.Mul(g, g))
 	})
 }
@@ -22,7 +22,7 @@ func TestGradGatherRows(t *testing.T) {
 // gradients: kept rows get their gradient back, dropped rows none.
 func TestGradKeepRows(t *testing.T) {
 	ps := randParams(36, [2]int{5, 3})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		k := tp.KeepRows(vs[0], []int{0, 2, 3})
 		return tp.SumAll(tp.Mul(k, k))
 	})
@@ -34,9 +34,9 @@ func TestGradKeepRows(t *testing.T) {
 func TestGatherRowsMatchesRowAtConcat(t *testing.T) {
 	ps := randParams(32, [2]int{4, 3}, [2]int{4, 3})
 	for row := 0; row < 4; row++ {
-		tpA, tpB := NewTape[float64](), NewTape[float64]()
-		vsA := []*Var[float64]{tpA.Param(ps[0]), tpA.Param(ps[1])}
-		vsB := []*Var[float64]{tpB.Param(ps[0]), tpB.Param(ps[1])}
+		tpA, tpB := NewTape(), NewTape()
+		vsA := []*Var{tpA.Param(ps[0]), tpA.Param(ps[1])}
+		vsB := []*Var{tpB.Param(ps[0]), tpB.Param(ps[1])}
 
 		fused := tpA.GatherRows(vsA, []int{row, 3 - row})
 		chain := tpB.ConcatRows(tpB.RowAt(vsB[0], row), tpB.RowAt(vsB[1], 3-row))
@@ -54,16 +54,16 @@ func TestGatherRowsMatchesRowAtConcat(t *testing.T) {
 // of range, a KeepRows list that repeats or reorders a row, and a
 // GatherRows list whose length is not the inputs'.
 func TestRowListPanics(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	a := tp.Param(tensor.New(3, 2))
 	for _, c := range []struct {
 		name string
 		run  func()
 		want RowListError
 	}{
-		{"gather row past end", func() { tp.GatherRows([]*Var[float64]{a, a}, []int{0, 3}) }, RowListError{"GatherRows", 1, 3, 3}},
-		{"gather negative row", func() { tp.GatherRows([]*Var[float64]{a}, []int{-1}) }, RowListError{"GatherRows", 0, -1, 3}},
-		{"gather short list", func() { tp.GatherRows([]*Var[float64]{a, a}, []int{0}) }, RowListError{"GatherRows", -1, 1, 2}},
+		{"gather row past end", func() { tp.GatherRows([]*Var{a, a}, []int{0, 3}) }, RowListError{"GatherRows", 1, 3, 3}},
+		{"gather negative row", func() { tp.GatherRows([]*Var{a}, []int{-1}) }, RowListError{"GatherRows", 0, -1, 3}},
+		{"gather short list", func() { tp.GatherRows([]*Var{a, a}, []int{0}) }, RowListError{"GatherRows", -1, 1, 2}},
 		{"keep row past end", func() { tp.KeepRows(a, []int{0, 3}) }, RowListError{"KeepRows", 1, 3, 3}},
 		{"keep repeated row", func() { tp.KeepRows(a, []int{1, 1}) }, RowListError{"KeepRows", 1, 1, 3}},
 		{"keep descending", func() { tp.KeepRows(a, []int{2, 0}) }, RowListError{"KeepRows", 1, 0, 3}},
@@ -98,14 +98,14 @@ func TestRowOpsAccumulateGradients(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	for _, op := range []string{"GatherRows", "KeepRows"} {
 		for _, preset := range []bool{false, true} {
-			tp := NewTape[float64]()
+			tp := NewTape()
 			a := tp.Param(tensor.New(3, 2))
 			if preset {
 				a.Grad = tensor.FromRows([][]float64{{1, 1}, {1, 1}, {1, 1}})
 			}
-			var out *Var[float64]
+			var out *Var
 			if op == "GatherRows" {
-				out = tp.GatherRows([]*Var[float64]{a, a}, []int{0, 2})
+				out = tp.GatherRows([]*Var{a, a}, []int{0, 2})
 			} else {
 				out = tp.KeepRows(a, []int{0, 2})
 			}
@@ -137,9 +137,9 @@ func TestRowOpsAccumulateGradients(t *testing.T) {
 // allocates no matrix and no heap object at all.
 func TestWarmRaggedTapeAllocatesNothing(t *testing.T) {
 	ps := randParams(37, [2]int{4, 3}, [2]int{3, 3})
-	tp := NewTape[float64]()
+	tp := NewTape()
 	x, w := tp.Param(ps[0]), tp.Param(ps[1])
-	hs := make([]*Var[float64], 3)
+	hs := make([]*Var, 3)
 	run := func() {
 		tp.Reset()
 		h := x
@@ -175,7 +175,7 @@ func TestWarmRaggedTapeAllocatesNothing(t *testing.T) {
 // the addend.
 func TestGradAddRowsAt(t *testing.T) {
 	ps := randParams(33, [2]int{6, 3}, [2]int{2, 3})
-	checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+	checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 		a := tp.AddRowsAt(vs[0], 0, vs[1])
 		b := tp.AddRowsAt(vs[0], 4, vs[1]) // overlapping use of the same big matrix
 		return tp.MeanAll(tp.Add(a, b))
@@ -186,7 +186,7 @@ func TestGradAddRowsAt(t *testing.T) {
 // row-window formulation.
 func TestAddRowsAtMatchesSliceAdd(t *testing.T) {
 	ps := randParams(34, [2]int{5, 4}, [2]int{2, 4})
-	tp := NewTape[float64]()
+	tp := NewTape()
 	big, small := tp.Param(ps[0]), tp.Param(ps[1])
 	got := tp.AddRowsAt(big, 2, small)
 	want := tensor.Add(ps[0].SliceRows(2, 4), ps[1])
@@ -198,7 +198,7 @@ func TestAddRowsAtMatchesSliceAdd(t *testing.T) {
 func TestGradIm2ColRows(t *testing.T) {
 	for _, width := range []int{1, 3, 5} {
 		ps := randParams(35, [2]int{4, 2})
-		checkGrad(t, ps, func(tp *Tape[float64], vs []*Var[float64]) *Var[float64] {
+		checkGrad(t, ps, func(tp *Tape, vs []*Var) *Var {
 			return tp.MeanAll(tp.Im2ColRows(vs[0], width))
 		})
 	}
@@ -207,7 +207,7 @@ func TestGradIm2ColRows(t *testing.T) {
 // TestIm2ColRowsValues pins the window layout: row p is the width-row
 // neighborhood of input row p, zero-padded at the boundaries.
 func TestIm2ColRowsValues(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	x := tp.Const(tensor.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}}))
 	out := tp.Im2ColRows(x, 3)
 	want := tensor.FromRows([][]float64{
@@ -226,7 +226,7 @@ func TestIm2ColRowsValues(t *testing.T) {
 // per-tape, so neither tape may stash per-tape state on the shared Var.
 func TestLeafSharedAcrossTapesKeepsState(t *testing.T) {
 	p := tensor.FromRows([][]float64{{1, 2}, {3, 4}})
-	tpA, tpB := NewTape[float64](), NewTape[float64]()
+	tpA, tpB := NewTape(), NewTape()
 	leafA := tpA.Param(p)
 	tpA.Backward(tpA.MeanAll(tpA.Scale(leafA, 2)))
 

@@ -24,14 +24,14 @@ func TestLeafGradientInTapeOrder(t *testing.T) {
 	x, xc := tensor.Randn(n, n, 0.7, rng), tensor.Randn(n, 1, 0.7, rng)
 	h0 := tensor.Randn(k, 1, 0.7, rng)
 
-	tp := NewTape[float64]()
+	tp := NewTape()
 	p := tp.Param(pm)
 	want, fwd := tensor.New(1, n), tensor.New(1, n)
 	for pass := 0; pass < 2; pass++ {
 		tp.Reset()
 		// contrib[i] adds the i-th use of p, in tape order, to g.
 		var contrib []func(g *tensor.Matrix)
-		h, loss := tp.Const(h0), (*Var[float64])(nil)
+		h, loss := tp.Const(h0), (*Var)(nil)
 		for s := 0; s < steps; s++ {
 			u := tp.MatMul(p, tp.Const(x))
 			contrib = append(contrib, func(g *tensor.Matrix) {
@@ -106,10 +106,10 @@ func TestLeafTransposeOnlyForFiniteWeights(t *testing.T) {
 			if c.bad != 0 {
 				wm.Set(1, 2, c.bad)
 			}
-			tp := NewTape[float64]()
+			tp := NewTape()
 			h := tp.Tanh(tp.Param(q)) // a tape Var: its gradient comes from the walk
 			w := tp.Param(wm)
-			var loss *Var[float64]
+			var loss *Var
 			want := tensor.New(rows, in)
 			for s := 0; s < 3; s++ { // the same leaf in several records of one pass
 				term := tp.SumAll(tp.Mul(tp.MatMul(h, w), tp.Const(dy)))

@@ -15,7 +15,7 @@ import (
 // whole-model forward passes.
 
 func TestSoftmaxRowsFullyMasked(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	a := tp.Param(tensor.FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6}))
 	mask := []bool{false, false, false}
 	sm := tp.SoftmaxRows(a, mask)
@@ -37,7 +37,7 @@ func TestSoftmaxRowsFullyMasked(t *testing.T) {
 }
 
 func TestSoftmaxRowsPartialMask(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	a := tp.Param(tensor.FromSlice(1, 4, []float64{1, 100, 2, 100}))
 	mask := []bool{true, false, true, false}
 	sm := tp.SoftmaxRows(a, mask)
@@ -64,7 +64,7 @@ func TestSoftmaxRowsPartialMask(t *testing.T) {
 }
 
 func TestSoftmaxRowsMask2DFullyMaskedRow(t *testing.T) {
-	tp := NewTape[float64]()
+	tp := NewTape()
 	a := tp.Param(tensor.FromSlice(3, 3, []float64{
 		1, 2, 3,
 		4, 5, 6,

@@ -26,14 +26,14 @@ import (
 type TLSTM struct {
 	In, Hidden int
 
-	w  *nn.Param[float64] // In×3H: input projections for i, o, g gates
-	u  *nn.Param[float64] // H×3H: child-sum recurrent projections
-	b  *nn.Param[float64] // 1×3H
-	wf *nn.Param[float64] // In×H: forget gate input projection
-	uf *nn.Param[float64] // H×H: per-child forget gate projection
-	bf *nn.Param[float64] // 1×H
+	w  *nn.Param // In×3H: input projections for i, o, g gates
+	u  *nn.Param // H×3H: child-sum recurrent projections
+	b  *nn.Param // 1×3H
+	wf *nn.Param // In×H: forget gate input projection
+	uf *nn.Param // H×H: per-child forget gate projection
+	bf *nn.Param // 1×H
 
-	head *nn.MLP[float64]
+	head *nn.MLP
 }
 
 // TLSTMConfig sets the model dimensions.
@@ -52,21 +52,21 @@ func NewTLSTM(cfg TLSTMConfig) *TLSTM {
 	in := cfg.SemDim + 2 // nodeStatFeatures
 	h := cfg.Hidden
 	t := &TLSTM{In: in, Hidden: h}
-	t.w = nn.NewParam("tlstm.w", nn.Xavier[float64](in, 3*h, rng))
-	t.u = nn.NewParam("tlstm.u", nn.Xavier[float64](h, 3*h, rng))
+	t.w = nn.NewParam("tlstm.w", nn.Xavier(in, 3*h, rng))
+	t.u = nn.NewParam("tlstm.u", nn.Xavier(h, 3*h, rng))
 	t.b = nn.NewParam("tlstm.b", tensor.New(1, 3*h))
-	t.wf = nn.NewParam("tlstm.wf", nn.Xavier[float64](in, h, rng))
-	t.uf = nn.NewParam("tlstm.uf", nn.Xavier[float64](h, h, rng))
+	t.wf = nn.NewParam("tlstm.wf", nn.Xavier(in, h, rng))
+	t.uf = nn.NewParam("tlstm.uf", nn.Xavier(h, h, rng))
 	bf := tensor.New(1, h)
 	bf.Fill(1) // forget bias
 	t.bf = nn.NewParam("tlstm.bf", bf)
-	t.head = nn.NewMLP[float64]("tlstm.head", []int{h, h, 1}, nn.ReLU, rng)
+	t.head = nn.NewMLP("tlstm.head", []int{h, h, 1}, nn.ReLU, rng)
 	return t
 }
 
 // Params returns all trainable parameters.
-func (t *TLSTM) Params() []*nn.Param[float64] {
-	ps := []*nn.Param[float64]{t.w, t.u, t.b, t.wf, t.uf, t.bf}
+func (t *TLSTM) Params() []*nn.Param {
+	ps := []*nn.Param{t.w, t.u, t.b, t.wf, t.uf, t.bf}
 	return append(ps, t.head.Params()...)
 }
 
@@ -83,7 +83,7 @@ func (t *TLSTM) nodeInput(s *encode.Sample, i int) *tensor.Matrix {
 }
 
 // encodeTree runs the tree recursion and returns the root's hidden state.
-func (t *TLSTM) encodeTree(tp *autodiff.Tape[float64], s *encode.Sample) *autodiff.Var[float64] {
+func (t *TLSTM) encodeTree(tp *autodiff.Tape, s *encode.Sample) *autodiff.Var {
 	n := 0
 	for _, m := range s.Mask {
 		if m {
@@ -93,12 +93,12 @@ func (t *TLSTM) encodeTree(tp *autodiff.Tape[float64], s *encode.Sample) *autodi
 	if n == 0 {
 		return tp.Const(tensor.New(1, t.Hidden))
 	}
-	type state struct{ h, c *autodiff.Var[float64] }
+	type state struct{ h, c *autodiff.Var }
 	states := make([]state, n)
 	// Execution order is bottom-up: children always precede parents.
 	for i := 0; i < n; i++ {
 		x := tp.Const(t.nodeInput(s, i))
-		var hsum, csum *autodiff.Var[float64]
+		var hsum, csum *autodiff.Var
 		for j := 0; j < i; j++ {
 			if !s.Children[i][j] {
 				continue
@@ -129,8 +129,8 @@ func (t *TLSTM) encodeTree(tp *autodiff.Tape[float64], s *encode.Sample) *autodi
 	return states[n-1].h // root is last in bottom-up order
 }
 
-func (t *TLSTM) forward(tp *autodiff.Tape[float64], batch []*encode.Sample) *autodiff.Var[float64] {
-	outs := make([]*autodiff.Var[float64], len(batch))
+func (t *TLSTM) forward(tp *autodiff.Tape, batch []*encode.Sample) *autodiff.Var {
+	outs := make([]*autodiff.Var, len(batch))
 	for i, s := range batch {
 		outs[i] = t.head.Forward(tp, t.encodeTree(tp, s))
 	}
@@ -153,14 +153,14 @@ func (t *TLSTM) Fit(samples []*encode.Sample, epochs, batchSize int, lr float64,
 		return nil, fmt.Errorf("baselines: invalid training config")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	opt := nn.NewAdam[float64](lr)
+	opt := nn.NewAdam(lr)
 	params := t.Params()
 	idx := make([]int, len(samples))
 	for i := range idx {
 		idx[i] = i
 	}
 	// One warm tape from the process's pool serves every batch of the run.
-	tp := core.LeaseTape[float64](true)
+	tp := core.LeaseTape(true)
 	start := time.Now()
 	res := &TLSTMTrainResult{}
 	for epoch := 0; epoch < epochs; epoch++ {
@@ -197,7 +197,7 @@ func (t *TLSTM) Fit(samples []*encode.Sample, epochs, batchSize int, lr float64,
 func (t *TLSTM) Predict(samples []*encode.Sample) []float64 {
 	out := make([]float64, len(samples))
 	const chunk = 64
-	tp := core.LeaseTape[float64](false)
+	tp := core.LeaseTape(false)
 	defer core.ReturnTape(tp)
 	for lo := 0; lo < len(samples); lo += chunk {
 		hi := lo + chunk

@@ -12,14 +12,14 @@ import (
 )
 
 // predict scores samples on the default schedule, as PredictCtx does.
-func predict[T tensor.Float](m *Net[T], samples []*encode.Sample) []float64 {
+func predict(m *Model, samples []*encode.Sample) []float64 {
 	out, _ := m.PredictCtx(context.Background(), samples, PredictOpts{})
 	return out
 }
 
 // predictOn scores samples on the schedule o: how tests reach the worker
 // counts and chunk sizes PredictCtx keeps to itself.
-func predictOn[T tensor.Float](m *Net[T], samples []*encode.Sample, o schedOpts) []float64 {
+func predictOn(m *Model, samples []*encode.Sample, o schedOpts) []float64 {
 	out, _ := m.predictCtx(context.Background(), samples, o)
 	return out
 }
@@ -27,7 +27,7 @@ func predictOn[T tensor.Float](m *Net[T], samples []*encode.Sample, o schedOpts)
 // predictFlat is predictOn on the unbucketed schedule: chunks cut over
 // the samples in input order, mixing lengths, each plan run at its own.
 // It is how tests compare the two schedules.
-func predictFlat[T tensor.Float](m *Net[T], samples []*encode.Sample, o schedOpts) []float64 {
+func predictFlat(m *Model, samples []*encode.Sample, o schedOpts) []float64 {
 	o.noBucket = true
 	return predictOn(m, samples, o)
 }

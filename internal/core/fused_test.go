@@ -7,7 +7,6 @@ import (
 	"raal/internal/catalog"
 	"raal/internal/datagen"
 	"raal/internal/encode"
-	"raal/internal/tensor"
 	"raal/internal/workload"
 )
 
@@ -36,9 +35,9 @@ func corpusSamples(t *testing.T, db *catalog.Database, newGen func(*catalog.Data
 
 // rawForward scores samples one at a time on tp and returns the network's
 // raw (log-scale, unclamped) outputs. On a recording tape this is the
-// graph Fit differentiates, where every LSTM step is the unfused op chain.
-func rawForward[T tensor.Float](m *Net[T], tp *autodiff.Tape[T], samples []*encode.Sample) []T {
-	out := make([]T, len(samples))
+// graph Fit differentiates.
+func rawForward(m *Model, tp *autodiff.Tape, samples []*encode.Sample) []float64 {
+	out := make([]float64, len(samples))
 	for i, s := range samples {
 		tp.Reset()
 		out[i] = m.forward(tp, []*encode.Sample{s}, nil).Value.Data[0]
@@ -46,12 +45,10 @@ func rawForward[T tensor.Float](m *Net[T], tp *autodiff.Tape[T], samples []*enco
 	return out
 }
 
-// TestForwardOnlyMatchesRecordedOnCorpus is the licence for running the
-// fused LSTM cell at every element type, float64 included: over the IMDB
-// and TPC-H sample corpora and every variant, Predict (pooled forward-only
-// tapes, fused cell, bucketed chunks) must equal the recorded unfused
-// graph bit for bit. The path is chosen by what the layer observes — the
-// tape records or it does not — never by the element type.
+// TestForwardOnlyMatchesRecordedOnCorpus is the licence for serving on
+// forward-only tapes: over the IMDB and TPC-H sample corpora and every
+// variant, Predict (pooled forward-only tapes, fused cell, bucketed
+// chunks) must equal the recorded graph bit for bit.
 func TestForwardOnlyMatchesRecordedOnCorpus(t *testing.T) {
 	corpora := map[string]func() ([]*encode.Sample, Config){
 		"imdb": func() ([]*encode.Sample, Config) {
@@ -75,9 +72,9 @@ func TestForwardOnlyMatchesRecordedOnCorpus(t *testing.T) {
 	}
 }
 
-func checkFusedMatchesRecorded[T tensor.Float](t *testing.T, m *Net[T], samples []*encode.Sample) {
-	want := rawForward(m, autodiff.NewTape[T](), samples)
-	got := rawForward(m, autodiff.NewInferenceTape[T](), samples)
+func checkFusedMatchesRecorded(t *testing.T, m *Model, samples []*encode.Sample) {
+	want := rawForward(m, autodiff.NewTape(), samples)
+	got := rawForward(m, autodiff.NewInferenceTape(), samples)
 	preds := predict(m, samples)
 	for i := range want {
 		if got[i] != want[i] {

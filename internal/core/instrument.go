@@ -137,4 +137,4 @@ func (ins *Instrumentation) observeEpoch(loss float64, shards int, elapsed time.
 // Instrument attaches the metric set to the model: subsequent
 // PredictCtx calls observe latency and throughput into it. Safe
 // to call once at wiring time; the field is read concurrently afterwards.
-func (m *Net[T]) Instrument(ins *Instrumentation) { m.instr = ins }
+func (m *Model) Instrument(ins *Instrumentation) { m.instr = ins }

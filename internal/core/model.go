@@ -51,11 +51,9 @@ func DefaultConfig(semDim, maxNodes int) Config {
 // nodeStatFeatures mirrors encode: per-node stats appended to each row.
 const nodeStatFeatures = 2
 
-// Net is a deep cost model of one Variant over element type T. There is
-// one network, and tensor.Float admits only float64: the instantiation
-// (Model) is what NewModel builds, Fit trains, Save writes and every
-// estimate scores on.
-type Net[T tensor.Float] struct {
+// Model is a deep cost model of one Variant: the one network NewModel
+// builds, Fit trains, Save writes and every estimate scores on.
+type Model struct {
 	Var Variant
 	Cfg Config
 
@@ -63,24 +61,20 @@ type Net[T tensor.Float] struct {
 	// predicts unobserved. Never serialized.
 	instr *Instrumentation
 
-	lstm *nn.LSTM[T]
-	conv *nn.Conv1D[T]
+	lstm *nn.LSTM
+	conv *nn.Conv1D
 
-	wq, wk *nn.Param[T] // node-aware attention projections (Hidden×K)
-	wr     *nn.Param[T] // resource query projection (ResDim×K)
-	wrk    *nn.Param[T] // resource-side node key projection (Hidden×K)
+	wq, wk *nn.Param // node-aware attention projections (Hidden×K)
+	wr     *nn.Param // resource query projection (ResDim×K)
+	wrk    *nn.Param // resource-side node key projection (Hidden×K)
 
-	head *nn.MLP[T]
+	head *nn.MLP
 
 	// version counts the weight updates Fit has applied. A memoized prefix
 	// (prefixMemo) is stamped with it, so one computed before an in-place
 	// retrain is never served after it. Never serialized.
 	version atomic.Uint64
 }
-
-// Model is the float64 network, the type every package outside core
-// spells.
-type Model = Net[float64]
 
 // maxPooledTapes caps how many warm tapes of each kind the process keeps.
 // More concurrent leases than this still run — extras build a cold tape
@@ -94,22 +88,17 @@ const maxPooledTapes = 16
 // parked tape has been Reset, so it pins nothing of the model that last
 // used it, and whichever model leases it next gets its warm arena
 // (DESIGN §5aa).
-type tapePool[T tensor.Float] struct {
+type tapePool struct {
 	mu        sync.Mutex
-	inference []*autodiff.Tape[T]
-	recording []*autodiff.Tape[T]
+	inference []*autodiff.Tape
+	recording []*autodiff.Tape
 }
 
-// tapes64 is the process's tape pool (tapes).
-var tapes64 tapePool[float64]
-
-// tapes returns the process's tape pool for element type T.
-func tapes[T tensor.Float]() *tapePool[T] {
-	return any(&tapes64).(*tapePool[T])
-}
+// tapes is the process's tape pool.
+var tapes tapePool
 
 // free returns the stack that holds tapes of the kind record selects.
-func (p *tapePool[T]) free(record bool) *[]*autodiff.Tape[T] {
+func (p *tapePool) free(record bool) *[]*autodiff.Tape {
 	if record {
 		return &p.recording
 	}
@@ -119,11 +108,10 @@ func (p *tapePool[T]) free(record bool) *[]*autodiff.Tape[T] {
 // LeaseTape returns a tape from the process's pool of warm tapes: a
 // recording tape when record is true, an inference tape otherwise. Its
 // contents are those of a Reset tape; give it back with ReturnTape.
-func LeaseTape[T tensor.Float](record bool) *autodiff.Tape[T] {
-	p := tapes[T]()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	free := p.free(record)
+func LeaseTape(record bool) *autodiff.Tape {
+	tapes.mu.Lock()
+	defer tapes.mu.Unlock()
+	free := tapes.free(record)
 	if n := len(*free); n > 0 {
 		tp := (*free)[n-1]
 		(*free)[n-1] = nil
@@ -131,52 +119,47 @@ func LeaseTape[T tensor.Float](record bool) *autodiff.Tape[T] {
 		return tp
 	}
 	if record {
-		return autodiff.NewTape[T]()
+		return autodiff.NewTape()
 	}
-	return autodiff.NewInferenceTape[T]()
+	return autodiff.NewInferenceTape()
 }
 
 // ReturnTape resets tp and parks it for the next LeaseTape of its kind.
 // Nothing the tape computed may be used afterwards.
-func ReturnTape[T tensor.Float](tp *autodiff.Tape[T]) {
+func ReturnTape(tp *autodiff.Tape) {
 	tp.Reset() // recycle the last pass's matrices and drop its leaves before parking the tape
-	p := tapes[T]()
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if free := p.free(!tp.ForwardOnly()); len(*free) < maxPooledTapes {
+	tapes.mu.Lock()
+	defer tapes.mu.Unlock()
+	if free := tapes.free(!tp.ForwardOnly()); len(*free) < maxPooledTapes {
 		*free = append(*free, tp)
 	}
 }
 
-// NewModel builds a float64 model for the variant with freshly initialized
-// weights.
-func NewModel(v Variant, cfg Config) *Model { return newNet[float64](v, cfg) }
-
-// newNet builds the variant's network at element type T, weights drawn
-// from cfg.Seed.
-func newNet[T tensor.Float](v Variant, cfg Config) *Net[T] {
+// NewModel builds the variant's network with freshly initialized weights,
+// drawn from cfg.Seed.
+func NewModel(v Variant, cfg Config) *Model {
 	rng := rand.New(rand.NewSource(cfg.Seed))
-	m := &Net[T]{Var: v, Cfg: cfg}
+	m := &Model{Var: v, Cfg: cfg}
 	in := m.inputDim()
 	if v.CNN {
-		m.conv = nn.NewConv1D[T]("plan.conv", in, cfg.Hidden, 3, nn.ReLU, rng)
+		m.conv = nn.NewConv1D("plan.conv", in, cfg.Hidden, 3, nn.ReLU, rng)
 	} else {
-		m.lstm = nn.NewLSTM[T]("plan.lstm", in, cfg.Hidden, rng)
+		m.lstm = nn.NewLSTM("plan.lstm", in, cfg.Hidden, rng)
 	}
 	if v.NodeAttention {
-		m.wq = nn.NewParam("attn.wq", nn.Xavier[T](cfg.Hidden, cfg.K, rng))
-		m.wk = nn.NewParam("attn.wk", nn.Xavier[T](cfg.Hidden, cfg.K, rng))
+		m.wq = nn.NewParam("attn.wq", nn.Xavier(cfg.Hidden, cfg.K, rng))
+		m.wk = nn.NewParam("attn.wk", nn.Xavier(cfg.Hidden, cfg.K, rng))
 	}
 	if v.ResourceAttention {
-		m.wr = nn.NewParam("res.wr", nn.Xavier[T](cfg.ResDim, cfg.K, rng))
-		m.wrk = nn.NewParam("res.wk", nn.Xavier[T](cfg.Hidden, cfg.K, rng))
+		m.wr = nn.NewParam("res.wr", nn.Xavier(cfg.ResDim, cfg.K, rng))
+		m.wrk = nn.NewParam("res.wk", nn.Xavier(cfg.Hidden, cfg.K, rng))
 	}
-	m.head = nn.NewMLP[T]("head", []int{m.headDim(), cfg.Hidden, cfg.Hidden / 2, 1}, nn.ReLU, rng)
+	m.head = nn.NewMLP("head", []int{m.headDim(), cfg.Hidden, cfg.Hidden / 2, 1}, nn.ReLU, rng)
 	return m
 }
 
 // inputDim is the per-node input width after variant column selection.
-func (m *Net[T]) inputDim() int {
+func (m *Model) inputDim() int {
 	d := m.Cfg.SemDim + nodeStatFeatures
 	if m.Var.Structure {
 		d += m.Cfg.MaxNodes
@@ -185,7 +168,7 @@ func (m *Net[T]) inputDim() int {
 }
 
 // headDim is the width of the prediction layer's input.
-func (m *Net[T]) headDim() int {
+func (m *Model) headDim() int {
 	d := m.Cfg.Hidden + m.Cfg.StatsDim
 	if m.Var.ResourceAttention {
 		d += m.Cfg.Hidden
@@ -194,8 +177,8 @@ func (m *Net[T]) headDim() int {
 }
 
 // Params returns all trainable parameters.
-func (m *Net[T]) Params() []*nn.Param[T] {
-	var ps []*nn.Param[T]
+func (m *Model) Params() []*nn.Param {
+	var ps []*nn.Param
 	if m.lstm != nil {
 		ps = append(ps, m.lstm.Params()...)
 	}
@@ -214,15 +197,15 @@ func (m *Net[T]) Params() []*nn.Param[T] {
 
 // nodeInput extracts the model's input row for sample node i, dropping the
 // structure segment for NE-LSTM.
-func (m *Net[T]) nodeInput(s *encode.Sample, i int, dst []T) {
+func (m *Model) nodeInput(s *encode.Sample, i int, dst []float64) {
 	row := s.Nodes.Row(i)
 	sem := m.Cfg.SemDim
 	if m.Var.Structure {
-		tensor.Cast(dst, row) // full row: semantic | structure | stats
+		copy(dst, row) // full row: semantic | structure | stats
 		return
 	}
-	tensor.Cast(dst[:sem], row[:sem])
-	tensor.Cast(dst[sem:], row[sem+m.Cfg.MaxNodes:])
+	copy(dst[:sem], row[:sem])
+	copy(dst[sem:], row[sem+m.Cfg.MaxNodes:])
 }
 
 // forward builds the computation graph for a batch and returns the B×1
@@ -234,25 +217,25 @@ func (m *Net[T]) nodeInput(s *encode.Sample, i int, dst []T) {
 // sp, when non-nil, receives the per-stage wall-time breakdown (embed →
 // lstm/conv → attention → dense); a nil span costs one branch per stage
 // boundary.
-func (m *Net[T]) forward(tp *autodiff.Tape[T], batch []*encode.Sample, sp *telemetry.Span) *autodiff.Var[T] {
+func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry.Span) *autodiff.Var {
 	return m.suffix(tp, m.prefix(tp, batch, sp), batch, sp)
 }
 
 // planPrefix is everything the network derives from one sample's plan
 // part: what the suffix reads to price the plan under an allocation.
-type planPrefix[T tensor.Float] struct {
-	s      *encode.Sample   // a sample carrying the plan part
-	pooled *autodiff.Var[T] // 1×Hidden node-attended, mask-pooled plan feature
-	stats  *autodiff.Var[T] // 1×StatsDim global statistics
+type planPrefix struct {
+	s      *encode.Sample // a sample carrying the plan part
+	pooled *autodiff.Var  // 1×Hidden node-attended, mask-pooled plan feature
+	stats  *autodiff.Var  // 1×StatsDim global statistics
 	// Read by resource attention only; keysT stays unset without it.
-	h     *autodiff.Var[T] // L×Hidden plan-feature rows, the attention's values
-	keysT *autodiff.Var[T] // K×L resource-side keys (h·Wrk)ᵀ
+	h     *autodiff.Var // L×Hidden plan-feature rows, the attention's values
+	keysT *autodiff.Var // K×L resource-side keys (h·Wrk)ᵀ
 }
 
 // prefixSet is one batch's prefixes: one per distinct plan, and for every
 // row the index of its plan's.
-type prefixSet[T tensor.Float] struct {
-	plans []planPrefix[T]
+type prefixSet struct {
+	plans []planPrefix
 	of    []int
 }
 
@@ -260,11 +243,11 @@ type prefixSet[T tensor.Float] struct {
 // sample's memo slot (encode.PlanMemo). It is valid only for the network
 // that produced it at the weights it had then: net and version are compared
 // on every use. Immutable once stored.
-type prefixMemo[T tensor.Float] struct {
-	net     *Net[T]
+type prefixMemo struct {
+	net     *Model
 	version uint64
 
-	pooled, stats, h, keysT tensor.Mat[T] // views of one backing slice
+	pooled, stats, h, keysT tensor.Matrix // views of one backing slice
 }
 
 // prefix returns the batch's plan prefixes, running the plan-only layers
@@ -278,8 +261,8 @@ type prefixMemo[T tensor.Float] struct {
 // is exact. A recording tape never shares or memoizes: backward accumulates
 // gradients per sample in tape order, and merging two rows' graphs would
 // reorder that sum.
-func (m *Net[T]) prefix(tp *autodiff.Tape[T], batch []*encode.Sample, sp *telemetry.Span) prefixSet[T] {
-	set := prefixSet[T]{plans: make([]planPrefix[T], 0, len(batch)), of: make([]int, len(batch))}
+func (m *Model) prefix(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry.Span) prefixSet {
+	set := prefixSet{plans: make([]planPrefix, 0, len(batch)), of: make([]int, len(batch))}
 	share := tp.ForwardOnly()
 	for b, s := range batch {
 		k := len(set.plans)
@@ -292,16 +275,16 @@ func (m *Net[T]) prefix(tp *autodiff.Tape[T], batch []*encode.Sample, sp *teleme
 			}
 		}
 		if k == len(set.plans) {
-			set.plans = append(set.plans, planPrefix[T]{s: s})
+			set.plans = append(set.plans, planPrefix{s: s})
 		}
 		set.of[b] = k
 	}
 
 	version := m.version.Load()
-	todo := make([]*planPrefix[T], 0, len(set.plans))
+	todo := make([]*planPrefix, 0, len(set.plans))
 	for k := range set.plans {
 		p := &set.plans[k]
-		var pm *prefixMemo[T]
+		var pm *prefixMemo
 		if share {
 			pm = m.memoized(p.s, version)
 		}
@@ -340,7 +323,7 @@ func (m *Net[T]) prefix(tp *autodiff.Tape[T], batch []*encode.Sample, sp *teleme
 // whatever the longest plan beside it. Padding rows are fully masked
 // downstream, so no gradient ever reaches them: leaving them out changes
 // no bit of any value or gradient (DESIGN §5x).
-func (m *Net[T]) planLayers(tp *autodiff.Tape[T], plans []*planPrefix[T], sp *telemetry.Span) {
+func (m *Model) planLayers(tp *autodiff.Tape, plans []*planPrefix, sp *telemetry.Span) {
 	lens, L, rows := tp.NewInts(len(plans)), 0, 0
 	for k, p := range plans {
 		lens[k] = activeLen(p.s)
@@ -413,7 +396,7 @@ func (m *Net[T]) planLayers(tp *autodiff.Tape[T], plans []*planPrefix[T], sp *te
 			p.keysT = tp.Transpose(tp.MatMul(h, m.wrk.Var)) // K×n
 		}
 		sv := tp.NewMatrix(1, len(p.s.Stats))
-		tensor.Cast(sv.Data, p.s.Stats)
+		copy(sv.Data, p.s.Stats)
 		p.stats = tp.Const(sv)
 	}
 }
@@ -422,16 +405,16 @@ func (m *Net[T]) planLayers(tp *autodiff.Tape[T], plans []*planPrefix[T], sp *te
 // q = r·Wr, one masked 1×L softmax over the plan's keys, battn·h, the
 // concatenation with the pooled plan feature and the statistics, and the
 // dense head — the only layers the resource vector reaches.
-func (m *Net[T]) suffix(tp *autodiff.Tape[T], pre prefixSet[T], batch []*encode.Sample, sp *telemetry.Span) *autodiff.Var[T] {
+func (m *Model) suffix(tp *autodiff.Tape, pre prefixSet, batch []*encode.Sample, sp *telemetry.Span) *autodiff.Var {
 	stop := sp.Stage("attention")
 	scale := m.attnScale()
-	feats := make([]*autodiff.Var[T], len(batch))
+	feats := make([]*autodiff.Var, len(batch))
 	for b, s := range batch {
 		p := &pre.plans[pre.of[b]]
-		parts, n := [3]*autodiff.Var[T]{p.pooled, p.stats}, 2 // a fixed array: no allocation per row
+		parts, n := [3]*autodiff.Var{p.pooled, p.stats}, 2 // a fixed array: no allocation per row
 		if m.Var.ResourceAttention {
 			rv := tp.NewMatrix(1, len(s.Resource))
-			tensor.Cast(rv.Data, s.Resource)
+			copy(rv.Data, s.Resource)
 			q := tp.MatMul(tp.Const(rv), m.wr.Var)                     // 1×K
 			scores := tp.Scale(tp.MatMul(q, p.keysT), scale)           // 1×L
 			battn := tp.SoftmaxRows(scores, p.s.Mask[:p.h.Value.Rows]) // 1×L
@@ -445,16 +428,16 @@ func (m *Net[T]) suffix(tp *autodiff.Tape[T], pre prefixSet[T], batch []*encode.
 }
 
 // attnScale is the 1/√K both attention layers divide their scores by.
-func (m *Net[T]) attnScale() T { return T(1 / math.Sqrt(float64(m.Cfg.K))) }
+func (m *Model) attnScale() float64 { return 1 / math.Sqrt(float64(m.Cfg.K)) }
 
 // memoized returns the prefix parked in s's memo slot when it is this
 // network's at the given weights version; nil otherwise (no slot, empty,
 // another network, stale weights).
-func (m *Net[T]) memoized(s *encode.Sample, version uint64) *prefixMemo[T] {
+func (m *Model) memoized(s *encode.Sample, version uint64) *prefixMemo {
 	if s.Memo == nil {
 		return nil
 	}
-	pm, _ := s.Memo.Load().(*prefixMemo[T])
+	pm, _ := s.Memo.Load().(*prefixMemo)
 	if pm == nil || pm.net != m || pm.version != version {
 		return nil
 	}
@@ -464,10 +447,10 @@ func (m *Net[T]) memoized(s *encode.Sample, version uint64) *prefixMemo[T] {
 // memoize copies what the suffix reads of p off the tape (whose arena the
 // next Reset recycles) into one heap block, stamped with the network and
 // weights version it is valid for.
-func (m *Net[T]) memoize(p *planPrefix[T], version uint64) *prefixMemo[T] {
-	pm := &prefixMemo[T]{net: m, version: version}
-	src := [...]*autodiff.Var[T]{p.pooled, p.stats, p.h, p.keysT}
-	dst := [...]*tensor.Mat[T]{&pm.pooled, &pm.stats, &pm.h, &pm.keysT}
+func (m *Model) memoize(p *planPrefix, version uint64) *prefixMemo {
+	pm := &prefixMemo{net: m, version: version}
+	src := [...]*autodiff.Var{p.pooled, p.stats, p.h, p.keysT}
+	dst := [...]*tensor.Matrix{&pm.pooled, &pm.stats, &pm.h, &pm.keysT}
 	if !m.Var.ResourceAttention {
 		src[2] = nil // h is read by resource attention only
 	}
@@ -477,13 +460,13 @@ func (m *Net[T]) memoize(p *planPrefix[T], version uint64) *prefixMemo[T] {
 			n += len(v.Value.Data)
 		}
 	}
-	buf := make([]T, n)
+	buf := make([]float64, n)
 	for i, v := range src {
 		if v == nil {
 			continue
 		}
 		n = copy(buf, v.Value.Data)
-		*dst[i] = tensor.Mat[T]{Rows: v.Value.Rows, Cols: v.Value.Cols, Data: buf[:n:n]}
+		*dst[i] = tensor.Matrix{Rows: v.Value.Rows, Cols: v.Value.Cols, Data: buf[:n:n]}
 		buf = buf[n:]
 	}
 	return pm
@@ -494,8 +477,8 @@ func (m *Net[T]) memoize(p *planPrefix[T], version uint64) *prefixMemo[T] {
 // independent tapes without racing on the shared nn.Param set. Params()
 // returns the replica's parameters in the same order as the original's,
 // which is what lets shard gradients be merged positionally.
-func (m *Net[T]) replica() *Net[T] {
-	r := &Net[T]{Var: m.Var, Cfg: m.Cfg}
+func (m *Model) replica() *Model {
+	r := &Model{Var: m.Var, Cfg: m.Cfg}
 	if m.lstm != nil {
 		r.lstm = m.lstm.ShareWeights()
 	}
@@ -521,10 +504,10 @@ type PredictOpts struct{}
 const predictChunk = 64
 
 // PredictCtx returns the estimated cost in seconds for each sample; the
-// model is only read, so one Net serves any number of concurrent calls. It
+// model is only read, so one Model serves any number of concurrent calls. It
 // is ScoreCtx with each sample's active length as its hint and the sample
 // itself as its build.
-func (m *Net[T]) PredictCtx(ctx context.Context, samples []*encode.Sample, _ PredictOpts) ([]float64, error) {
+func (m *Model) PredictCtx(ctx context.Context, samples []*encode.Sample, _ PredictOpts) ([]float64, error) {
 	return m.predictCtx(ctx, samples, schedOpts{})
 }
 
@@ -541,7 +524,7 @@ func (m *Net[T]) PredictCtx(ctx context.Context, samples []*encode.Sample, _ Pre
 // prefix-reuse in place of the plan layers — on the same chunks and
 // goroutines, to the same bits, as an untraced call. A panic in build or
 // in the network is raised again on the caller's goroutine.
-func (m *Net[T]) ScoreCtx(ctx context.Context, hints []int, build func(i int) *encode.Sample) ([]float64, error) {
+func (m *Model) ScoreCtx(ctx context.Context, hints []int, build func(i int) *encode.Sample) ([]float64, error) {
 	return m.score(ctx, hints, build, schedOpts{})
 }
 
@@ -584,7 +567,7 @@ var oneOrder, oneChunk = []int{0}, []chunkRange{{0, 1}}
 // Scheduling only regroups samples — every sample's arithmetic is its own
 // — so predictions are bit-identical on either schedule
 // (TestBucketedPredictBitIdentical).
-func (m *Net[T]) schedule(hints []int, chunk int, noBucket bool) ([]int, []chunkRange) {
+func (m *Model) schedule(hints []int, chunk int, noBucket bool) ([]int, []chunkRange) {
 	n := len(hints)
 	if n == 1 {
 		return oneOrder, oneChunk
@@ -628,7 +611,7 @@ func (m *Net[T]) schedule(hints []int, chunk int, noBucket bool) ([]int, []chunk
 }
 
 // predictCtx is PredictCtx on the schedule o picks.
-func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, o schedOpts) ([]float64, error) {
+func (m *Model) predictCtx(ctx context.Context, samples []*encode.Sample, o schedOpts) ([]float64, error) {
 	var buf [4]int // a short call's hints stay on the stack
 	hints := slices.Grow(buf[:0], len(samples))
 	for _, s := range samples {
@@ -638,7 +621,7 @@ func (m *Net[T]) predictCtx(ctx context.Context, samples []*encode.Sample, o sch
 }
 
 // score is ScoreCtx on the schedule o picks.
-func (m *Net[T]) score(ctx context.Context, hints []int, build func(i int) *encode.Sample, o schedOpts) ([]float64, error) {
+func (m *Model) score(ctx context.Context, hints []int, build func(i int) *encode.Sample, o schedOpts) ([]float64, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
@@ -666,7 +649,7 @@ func (m *Net[T]) score(ctx context.Context, hints []int, build func(i int) *enco
 	// allocations. A chunk's samples are built into a stack array (a test
 	// chunk longer than predictChunk grows onto the heap). Predictions are
 	// extracted before the next Reset.
-	scoreChunk := func(tp *autodiff.Tape[T], k int) {
+	scoreChunk := func(tp *autodiff.Tape, k int) {
 		c := chunks[k]
 		var buf [predictChunk]*encode.Sample
 		batch := buf[:0]
@@ -677,12 +660,12 @@ func (m *Net[T]) score(ctx context.Context, hints []int, build func(i int) *enco
 		pred := m.forward(tp, batch, sp)
 		defer sp.Stage("decode")()
 		for p := c.lo; p < c.hi; p++ {
-			out[order[p]] = invTransform(float64(pred.Value.At(p-c.lo, 0)))
+			out[order[p]] = invTransform(pred.Value.At(p-c.lo, 0))
 		}
 	}
 
 	if workers <= 1 {
-		tp := LeaseTape[T](false)
+		tp := LeaseTape(false)
 		defer ReturnTape(tp)
 		for k := 0; k < nChunks; k++ {
 			if err := ctx.Err(); err != nil {
@@ -710,7 +693,7 @@ func (m *Net[T]) score(ctx context.Context, hints []int, build func(i int) *enco
 					run.aborted.Store(true)
 				}
 			}()
-			tp := LeaseTape[T](false)
+			tp := LeaseTape(false)
 			defer ReturnTape(tp)
 			for !run.aborted.Load() {
 				if ctx.Err() != nil {
@@ -756,7 +739,7 @@ type modelSnapshot struct {
 }
 
 // Save writes the model (magic header, variant, config, weights) to w.
-func (m *Net[T]) Save(w io.Writer) error {
+func (m *Model) Save(w io.Writer) error {
 	if err := WriteHeader(w, ModelMagic, ModelVersion); err != nil {
 		return err
 	}
@@ -816,10 +799,10 @@ func (e *ModelSizeError) Error() string {
 		e.Params, e.Max)
 }
 
-// paramCount is the number of weight elements newNet allocates for v at c,
+// paramCount is the number of weight elements NewModel allocates for v at c,
 // in int64 so that no product of bounded dimensions overflows.
 func (c Config) paramCount(v Variant) int64 {
-	shape := &Net[float64]{Var: v, Cfg: c}
+	shape := &Model{Var: v, Cfg: c}
 	in, h, k := int64(shape.inputDim()), int64(c.Hidden), int64(c.K)
 	var n int64
 	if v.CNN {

@@ -143,7 +143,7 @@ func TestFitWeightedLossCurve(t *testing.T) {
 	for i, s := range samples {
 		target.Set(i, 0, transform(s.CostSec))
 	}
-	tp := autodiff.NewTape[float64]()
+	tp := autodiff.NewTape()
 	want := tp.MSE(ref.forward(tp, samples, nil), target).Value.Data[0]
 
 	m := NewModel(RAAL(), cfg) // same seed: identical initial weights

@@ -106,7 +106,7 @@ func TestTapePoolConcurrentPredictInterleaved(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for iter := 0; iter < 200; iter++ {
-				tp := LeaseTape[float64](false)
+				tp := LeaseTape(false)
 				tp.Reset()
 				ReturnTape(tp)
 			}

@@ -8,7 +8,6 @@ import (
 
 	"raal/internal/encode"
 	"raal/internal/telemetry"
-	"raal/internal/tensor"
 )
 
 // gridOf prices s's plan under n random allocations: shallow copies that
@@ -42,7 +41,7 @@ func deepCopy(s *encode.Sample) *encode.Sample {
 	return c
 }
 
-func instrumented[T tensor.Float](m *Net[T]) *Instrumentation {
+func instrumented(m *Model) *Instrumentation {
 	ins := NewInstrumentation(telemetry.NewRegistry())
 	m.Instrument(ins)
 	return ins
@@ -161,7 +160,7 @@ func TestMemoizedPrefixValidity(t *testing.T) {
 		t.Fatalf("computed/reused = %v, want [3 1]", c)
 	}
 
-	other := m.Clone() // same weights, another *Net: must not trust m's prefix
+	other := m.Clone() // same weights, another *Model: must not trust m's prefix
 	oins := instrumented(other)
 	if got, want := predict(other, one(s))[0], predict(other, one(bare))[0]; got != want {
 		t.Fatalf("clone: %v != %v", got, want)

@@ -73,7 +73,7 @@ func TestTrainForwardUnrollsActiveRowsOnly(t *testing.T) {
 	}
 	for _, v := range goldenVariants() {
 		m := NewModel(v, cfg)
-		pre := m.prefix(autodiff.NewTape[float64](), batch, nil)
+		pre := m.prefix(autodiff.NewTape(), batch, nil)
 		for k, n := range lens {
 			p := pre.plans[pre.of[k]]
 			if p.h.Value.Rows != n {
@@ -84,7 +84,7 @@ func TestTrainForwardUnrollsActiveRowsOnly(t *testing.T) {
 			}
 		}
 
-		sh := &shardRun[float64]{model: m, tape: autodiff.NewTape[float64]()}
+		sh := &shardRun{model: m, tape: autodiff.NewTape()}
 		if loss := sh.step(batch, []int{0, 1, 2, 3}); math.IsNaN(loss) {
 			t.Fatalf("%s: training loss is NaN: a padding row was read", v.Name)
 		}
@@ -111,7 +111,7 @@ func TestRaggedBatchAllocatesNoMoreThanUniform(t *testing.T) {
 	}
 	sel := []int{0, 1, 2, 3, 4, 5, 6, 7}
 	m := NewModel(RAAL(), testConfig())
-	sh := &shardRun[float64]{model: m, tape: autodiff.NewTape[float64]()}
+	sh := &shardRun{model: m, tape: autodiff.NewTape()}
 	for name, run := range map[string]func([]*encode.Sample){
 		"predictCtx": func(s []*encode.Sample) {
 			predictFlat(m, s, schedOpts{workers: 1, chunk: len(s)})

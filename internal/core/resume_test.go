@@ -173,6 +173,32 @@ func TestFitResumeConfigMismatch(t *testing.T) {
 	if !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("mismatch error not descriptive: %v", err)
 	}
+
+	// A second moment is checked like a first one: one naming a parameter
+	// the model lacks, or one without its first moment, is rejected too.
+	var name string
+	for name = range tc.State.Opt.M {
+		break
+	}
+	ghost, orphan := tc.State.Clone(), tc.State.Clone()
+	ghost.Opt.V["ghost.W"] = []float64{1}
+	delete(orphan.Opt.M, name)
+	for _, c := range []struct {
+		what string
+		st   *TrainState
+		want string
+	}{
+		{"a second moment of no parameter", ghost, "mismatch"},
+		{"a second moment without its first", orphan, "first moment"},
+	} {
+		tc3 := quickTrain()
+		tc3.Epochs = 1
+		tc3.State = c.st
+		_, err := NewModel(RAAL(), testConfig()).Fit(samples, tc3)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Fatalf("resuming from %s: err = %v, want one naming %q", c.what, err, c.want)
+		}
+	}
 }
 
 func TestTrainStateRoundTripAndCorruption(t *testing.T) {

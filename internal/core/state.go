@@ -97,8 +97,8 @@ func LoadTrainState(r io.Reader) (*TrainState, error) {
 // original, which is what lets a challenger continue from the serving
 // champion while the champion keeps answering traffic. Telemetry is not
 // carried over.
-func (m *Net[T]) Clone() *Net[T] {
-	c := newNet[T](m.Var, m.Cfg)
+func (m *Model) Clone() *Model {
+	c := NewModel(m.Var, m.Cfg)
 	src, dst := m.Params(), c.Params()
 	for i := range src {
 		copy(dst[i].Value().Data, src[i].Value().Data)

@@ -11,7 +11,6 @@ import (
 	"raal/internal/encode"
 	"raal/internal/metrics"
 	"raal/internal/nn"
-	"raal/internal/tensor"
 )
 
 // TrainConfig controls optimization.
@@ -92,11 +91,11 @@ func Train(samples []*encode.Sample, v Variant, mc Config, tc TrainConfig) (*Mod
 // model whose shadow parameters collect the shard's gradient, plus the
 // shard's sample count and loss from the most recent batch. A serial
 // trainer runs one on the model itself.
-type shardRun[T tensor.Float] struct {
-	model  *Net[T]
-	params []*nn.Param[T]
-	tape   *autodiff.Tape[T] // reused across batches; its arena keeps the shard's matrices warm
-	batch  []*encode.Sample  // the step's samples, reused across batches
+type shardRun struct {
+	model  *Model
+	params []*nn.Param
+	tape   *autodiff.Tape   // reused across batches; its arena keeps the shard's matrices warm
+	batch  []*encode.Sample // the step's samples, reused across batches
 	n      int
 	loss   float64
 }
@@ -110,7 +109,7 @@ type shardRun[T tensor.Float] struct {
 // decomposition is independent of Workers and the reduction is ordered,
 // training is deterministic for a given (Seed, Batch, ShardSize)
 // regardless of how many workers execute it.
-func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, error) {
+func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: no training samples")
 	}
@@ -119,7 +118,7 @@ func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, er
 	}
 	rng := rand.New(rand.NewSource(tc.Seed))
 	params := m.Params()
-	opt := nn.NewAdam[T](tc.LR)
+	opt := nn.NewAdam(tc.LR)
 	idx := make([]int, len(samples))
 	for i := range idx {
 		idx[i] = i
@@ -154,15 +153,15 @@ func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, er
 	// none, and the next Fit in the process starts on that warm arena. A
 	// Fit that panics drops its tapes instead of parking them mid-pass.
 	maxShards := (tc.Batch + shardSize - 1) / shardSize
-	var serial *shardRun[T]
-	var shards []*shardRun[T]
+	var serial *shardRun
+	var shards []*shardRun
 	if maxShards == 1 {
-		serial = &shardRun[T]{model: m, tape: LeaseTape[T](true)}
+		serial = &shardRun{model: m, tape: LeaseTape(true)}
 	} else {
-		shards = make([]*shardRun[T], maxShards)
+		shards = make([]*shardRun, maxShards)
 		for k := range shards {
 			r := m.replica()
-			shards[k] = &shardRun[T]{model: r, params: r.Params(), tape: LeaseTape[T](true)}
+			shards[k] = &shardRun{model: r, params: r.Params(), tape: LeaseTape(true)}
 		}
 	}
 
@@ -218,14 +217,14 @@ func (m *Net[T]) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, er
 // shard's model, accumulating gradients into its parameters, and returns
 // the mean MSE loss of the pass. The tape and the batch slice are reset and
 // reused, so a warm shard performs the pass without matrix allocations.
-func (sh *shardRun[T]) step(samples []*encode.Sample, sel []int) float64 {
+func (sh *shardRun) step(samples []*encode.Sample, sel []int) float64 {
 	tp := sh.tape
 	tp.Reset()
 	sh.batch = sh.batch[:0]
 	target := tp.NewMatrix(len(sel), 1)
 	for i, j := range sel {
 		sh.batch = append(sh.batch, samples[j])
-		target.Set(i, 0, T(transform(samples[j].CostSec)))
+		target.Set(i, 0, transform(samples[j].CostSec))
 	}
 	loss := tp.MSE(sh.model.forward(tp, sh.batch, nil), target)
 	tp.Backward(loss)
@@ -237,7 +236,7 @@ func (sh *shardRun[T]) step(samples []*encode.Sample, sel []int) float64 {
 // gradients into m's parameters in shard order (an ordered reduction, so
 // the result is identical for any worker count). It returns the batch's
 // sample-weighted mean loss.
-func (m *Net[T]) shardedStep(shards []*shardRun[T], samples []*encode.Sample, sel []int, shardSize, workers int) float64 {
+func (m *Model) shardedStep(shards []*shardRun, samples []*encode.Sample, sel []int, shardSize, workers int) float64 {
 	nShards := (len(sel) + shardSize - 1) / shardSize
 	run := func(k int) {
 		lo := k * shardSize
@@ -291,7 +290,7 @@ func (m *Net[T]) shardedStep(shards []*shardRun[T], samples []*encode.Sample, se
 // Evaluate computes the paper's metrics of the model on samples: RE, COR,
 // and R² on raw seconds, MSE on the log-cost training scale (which is what
 // keeps the paper's MSE magnitudes comparable across workloads).
-func (m *Net[T]) Evaluate(samples []*encode.Sample) (metrics.Result, error) {
+func (m *Model) Evaluate(samples []*encode.Sample) (metrics.Result, error) {
 	if len(samples) == 0 {
 		return metrics.Result{}, fmt.Errorf("core: no evaluation samples")
 	}

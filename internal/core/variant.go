@@ -11,10 +11,8 @@
 // features and regressed to an execution cost through dense layers,
 // trained with MSE loss.
 //
-// The network is written once, generic over the element type: Net[T] has
-// one forward, one scorer and one tape pool. tensor.Float admits only
-// float64, so Model (Net[float64]) is the one network models are built,
-// trained, saved and served in.
+// There is one network, Model, in float64: one forward, one scorer and one
+// tape pool, the network models are built, trained, saved and served in.
 package core
 
 // Variant selects a model architecture from the paper's ablation grid

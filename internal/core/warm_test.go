@@ -12,13 +12,9 @@ import (
 // drainTapes empties the process's tape pool, so the next leases build
 // fresh tapes.
 func drainTapes() {
-	tapes[float64]().drain()
-}
-
-func (p *tapePool[T]) drain() {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.inference, p.recording = nil, nil
+	tapes.mu.Lock()
+	defer tapes.mu.Unlock()
+	tapes.inference, tapes.recording = nil, nil
 }
 
 // fitRun is what a Fit leaves behind: its loss curve and the trained
@@ -142,9 +138,9 @@ func TestSecondTrainAllocatesNoSlab(t *testing.T) {
 func TestTapePoolBounded(t *testing.T) {
 	drainTapes()
 	for _, record := range []bool{false, true} {
-		leased := make([]*autodiff.Tape[float64], 2*maxPooledTapes)
+		leased := make([]*autodiff.Tape, 2*maxPooledTapes)
 		for i := range leased {
-			leased[i] = LeaseTape[float64](record)
+			leased[i] = LeaseTape(record)
 			if leased[i].ForwardOnly() == record {
 				t.Fatalf("LeaseTape(%v) returned a tape with ForwardOnly %v", record, leased[i].ForwardOnly())
 			}
@@ -152,7 +148,7 @@ func TestTapePoolBounded(t *testing.T) {
 		for _, tp := range leased {
 			ReturnTape(tp)
 		}
-		if got := len(*tapes[float64]().free(record)); got != maxPooledTapes {
+		if got := len(*tapes.free(record)); got != maxPooledTapes {
 			t.Fatalf("recording=%v: pool keeps %d tapes after %d returns, want %d", record, got, len(leased), maxPooledTapes)
 		}
 	}

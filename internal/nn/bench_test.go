@@ -17,7 +17,7 @@ import (
 func BenchmarkBackwardLSTM(b *testing.B) {
 	const in, hidden, batch = 60, 48, 16
 	rng := rand.New(rand.NewSource(5))
-	l := NewLSTM[float64]("lstm", in, hidden, rng)
+	l := NewLSTM("lstm", in, hidden, rng)
 	lens := make([]int, batch)
 	rows := 0
 	for k := range lens {
@@ -25,8 +25,8 @@ func BenchmarkBackwardLSTM(b *testing.B) {
 		rows += lens[k]
 	}
 	x := tensor.Randn(rows, in, 1, rng)
-	tp := autodiff.NewTape[float64]()
-	record := func() *autodiff.Var[float64] {
+	tp := autodiff.NewTape()
+	record := func() *autodiff.Var {
 		tp.Reset()
 		for _, p := range l.Params() {
 			p.ZeroGrad()

@@ -11,10 +11,10 @@ import (
 
 func TestConv1DWidth5Gradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	c := NewConv1D[float64]("c5", 2, 2, 5, Linear, rng)
+	c := NewConv1D("c5", 2, 2, 5, Linear, rng)
 	x := tensor.Randn(6, 2, 1, rng)
 	target := tensor.Randn(6, 2, 1, rng)
-	gradCheckModel(t, c.Params(), func(tp *autodiff.Tape[float64]) *autodiff.Var[float64] {
+	gradCheckModel(t, c.Params(), func(tp *autodiff.Tape) *autodiff.Var {
 		return tp.MSE(c.Forward(tp, tp.Const(x)), target)
 	})
 }
@@ -23,9 +23,9 @@ func TestConv1DSequenceShorterThanKernel(t *testing.T) {
 	// A 2-row input under a width-5 kernel: every window is mostly
 	// padding, but shapes and values must stay well-defined.
 	rng := rand.New(rand.NewSource(22))
-	c := NewConv1D[float64]("c", 3, 2, 5, Tanh, rng)
+	c := NewConv1D("c", 3, 2, 5, Tanh, rng)
 	x := tensor.Randn(2, 3, 1, rng)
-	tp := autodiff.NewTape[float64]()
+	tp := autodiff.NewTape()
 	out := c.Forward(tp, tp.Const(x))
 	if out.Value.Rows != 2 || out.Value.Cols != 2 {
 		t.Fatalf("shape %dx%d", out.Value.Rows, out.Value.Cols)
@@ -40,7 +40,7 @@ func TestConv1DSequenceShorterThanKernel(t *testing.T) {
 func TestConv1DTranslationOfIdentityKernel(t *testing.T) {
 	// A kernel that only weighs the centre slot reproduces a linear map
 	// of each row independently.
-	c := &Conv1D[float64]{In: 2, Filters: 2, Width: 3, Act: Linear}
+	c := &Conv1D{In: 2, Filters: 2, Width: 3, Act: Linear}
 	w := tensor.New(6, 2) // width*in × filters
 	// centre slot occupies rows [2,4): identity map
 	w.Set(2, 0, 1)
@@ -49,7 +49,7 @@ func TestConv1DTranslationOfIdentityKernel(t *testing.T) {
 	c.B = NewParam("b", tensor.New(1, 2))
 
 	x := tensor.FromRows([][]float64{{1, 2}, {3, 4}, {5, 6}})
-	tp := autodiff.NewTape[float64]()
+	tp := autodiff.NewTape()
 	out := c.Forward(tp, tp.Const(x))
 	if !tensor.AllClose(out.Value, x, 1e-12) {
 		t.Fatalf("identity-centre conv should reproduce input:\n%v", out.Value)
@@ -62,12 +62,12 @@ func TestMLPPanicsOnTooFewSizes(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewMLP[float64]("m", []int{4}, Tanh, rand.New(rand.NewSource(1)))
+	NewMLP("m", []int{4}, Tanh, rand.New(rand.NewSource(1)))
 }
 
 func TestLSTMZeroStateShapes(t *testing.T) {
-	l := NewLSTM[float64]("l", 3, 5, rand.New(rand.NewSource(23)))
-	tp := autodiff.NewTape[float64]()
+	l := NewLSTM("l", 3, 5, rand.New(rand.NewSource(23)))
+	tp := autodiff.NewTape()
 	s := l.ZeroState(tp, 7)
 	if s.H.Value.Rows != 7 || s.H.Value.Cols != 5 || s.C.Value.Rows != 7 {
 		t.Fatalf("zero state shapes: %v %v", s.H.Value, s.C.Value)
@@ -80,8 +80,8 @@ func TestLSTMZeroStateShapes(t *testing.T) {
 // TestLSTMForwardEmptySequence is TestLSTMForwardStackedEmpty on a
 // forward-only tape: no hidden states and nothing recorded.
 func TestLSTMForwardEmptySequence(t *testing.T) {
-	l := NewLSTM[float64]("l", 2, 3, rand.New(rand.NewSource(24)))
-	tp := autodiff.NewInferenceTape[float64]()
+	l := NewLSTM("l", 2, 3, rand.New(rand.NewSource(24)))
+	tp := autodiff.NewInferenceTape()
 	if hs := l.ForwardStacked(tp, tp.Const(tensor.New(0, 2)), nil); hs != nil || tp.Len() != 0 {
 		t.Fatalf("empty sequence yielded %v with %d records, want nil and none", hs, tp.Len())
 	}
@@ -93,6 +93,6 @@ func TestUnknownActivationPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	tp := autodiff.NewTape[float64]()
+	tp := autodiff.NewTape()
 	applyActivation(tp, tp.Const(tensor.New(1, 1)), Activation(99))
 }

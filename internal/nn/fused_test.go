@@ -27,14 +27,14 @@ func mustBitEqual(t *testing.T, got, want *tensor.Matrix, what string) {
 func TestDenseFusedMatchesUnfused(t *testing.T) {
 	for _, act := range []Activation{Linear, ReLU, Tanh, Sigmoid} {
 		rng := rand.New(rand.NewSource(7))
-		d := NewDense[float64]("d", 5, 3, act, rng)
+		d := NewDense("d", 5, 3, act, rng)
 		x := tensor.Randn(4, 5, 1, rng)
 
-		tp := autodiff.NewTape[float64]()
+		tp := autodiff.NewTape()
 		out := d.Forward(tp, tp.Const(x))
 		tp.Backward(tp.MeanAll(tp.Mul(out, out)))
 
-		ut := autodiff.NewTape[float64]()
+		ut := autodiff.NewTape()
 		w, b := ut.Param(d.W.Var.Value), ut.Param(d.B.Var.Value)
 		pre := ut.AddRow(ut.MatMul(ut.Const(x), w), b)
 		ref := applyActivation(ut, pre, act)
@@ -55,22 +55,22 @@ func TestDenseFusedMatchesUnfused(t *testing.T) {
 func TestLSTMStepFusedMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	const in, hidden, batch, steps = 5, 4, 3, 2
-	l := NewLSTM[float64]("l", in, hidden, rng)
+	l := NewLSTM("l", in, hidden, rng)
 	x := tensor.Randn(steps*batch, in, 1, rng)
-	loss := func(tp *autodiff.Tape[float64], hs []*autodiff.Var[float64]) *autodiff.Var[float64] {
+	loss := func(tp *autodiff.Tape, hs []*autodiff.Var) *autodiff.Var {
 		return tp.MeanAll(tp.Add(tp.Mul(hs[0], hs[0]), tp.Mul(hs[1], hs[1])))
 	}
 
-	tp := autodiff.NewTape[float64]()
+	tp := autodiff.NewTape()
 	hs := l.ForwardStacked(tp, tp.Const(x), dense(batch, steps))
 	tp.Backward(loss(tp, hs))
 
-	ut := autodiff.NewTape[float64]()
+	ut := autodiff.NewTape()
 	wx, wh, b := ut.Param(l.Wx.Var.Value), ut.Param(l.Wh.Var.Value), ut.Param(l.B.Var.Value)
 	zx := ut.MatMul(ut.Const(x), wx)
 	h := ut.Const(ut.NewMatrix(batch, hidden))
 	c := ut.Const(ut.NewMatrix(batch, hidden))
-	uhs := make([]*autodiff.Var[float64], steps)
+	uhs := make([]*autodiff.Var, steps)
 	for s := range uhs {
 		z := ut.AddRow(ut.AddRowsAt(zx, s*batch, ut.MatMul(h, wh)), b)
 		i := ut.Sigmoid(ut.SliceCols(z, 0, hidden))
@@ -96,16 +96,16 @@ func TestLSTMStepFusedMatchesUnfused(t *testing.T) {
 // arena recycling.
 func TestLSTMForwardReusedTapeBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
-	l := NewLSTM[float64]("l", 4, 6, rng)
+	l := NewLSTM("l", 4, 6, rng)
 	const steps = 5
 	seq := tensor.Randn(steps*2, 4, 1, rng)
 
-	tp := autodiff.NewTape[float64]()
+	tp := autodiff.NewTape()
 	var warm []*tensor.Matrix
 	for pass := 0; pass < 3; pass++ {
 		tp.Reset()
 		hs := l.ForwardStacked(tp, tp.Const(seq), dense(2, steps))
-		fresh := autodiff.NewTape[float64]()
+		fresh := autodiff.NewTape()
 		fhs := l.ForwardStacked(fresh, fresh.Const(seq), dense(2, steps))
 
 		for i := range hs {

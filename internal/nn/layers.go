@@ -37,7 +37,7 @@ func (a Activation) String() string {
 	}
 }
 
-func applyActivation[T tensor.Float](tp *autodiff.Tape[T], x *autodiff.Var[T], a Activation) *autodiff.Var[T] {
+func applyActivation(tp *autodiff.Tape, x *autodiff.Var, a Activation) *autodiff.Var {
 	switch a {
 	case Linear:
 		return x
@@ -73,7 +73,7 @@ func fusedAct(a Activation) (autodiff.ActFn, bool) {
 
 // biasAct computes act(z + b) for a batch×n pre-activation z and 1×n bias,
 // using the fused kernel when the activation supports it.
-func biasAct[T tensor.Float](tp *autodiff.Tape[T], z *autodiff.Var[T], b *Param[T], act Activation) *autodiff.Var[T] {
+func biasAct(tp *autodiff.Tape, z *autodiff.Var, b *Param, act Activation) *autodiff.Var {
 	if f, ok := fusedAct(act); ok {
 		return tp.AddRowApply(z, b.Var, f)
 	}
@@ -81,59 +81,59 @@ func biasAct[T tensor.Float](tp *autodiff.Tape[T], z *autodiff.Var[T], b *Param[
 }
 
 // Dense is a fully connected layer: act(x·W + b).
-type Dense[T tensor.Float] struct {
-	W, B *Param[T]
+type Dense struct {
+	W, B *Param
 	Act  Activation
 }
 
 // NewDense returns a Dense layer with Xavier-initialized weights. The name
 // prefixes its parameter names so models can be serialized.
-func NewDense[T tensor.Float](name string, in, out int, act Activation, rng *rand.Rand) *Dense[T] {
-	return &Dense[T]{
-		W:   NewParam(name+".W", Xavier[T](in, out, rng)),
-		B:   NewParam(name+".b", tensor.NewMat[T](1, out)),
+func NewDense(name string, in, out int, act Activation, rng *rand.Rand) *Dense {
+	return &Dense{
+		W:   NewParam(name+".W", Xavier(in, out, rng)),
+		B:   NewParam(name+".b", tensor.New(1, out)),
 		Act: act,
 	}
 }
 
 // Forward applies the layer to a batch×in input and returns batch×out.
-func (d *Dense[T]) Forward(tp *autodiff.Tape[T], x *autodiff.Var[T]) *autodiff.Var[T] {
+func (d *Dense) Forward(tp *autodiff.Tape, x *autodiff.Var) *autodiff.Var {
 	return biasAct(tp, tp.MatMul(x, d.W.Var), d.B, d.Act)
 }
 
 // Params returns the layer's trainable parameters.
-func (d *Dense[T]) Params() []*Param[T] { return []*Param[T]{d.W, d.B} }
+func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
 // ShareWeights returns a replica that reads the same weight matrices but
 // accumulates gradients into its own buffers (see Param.Shadow).
-func (d *Dense[T]) ShareWeights() *Dense[T] {
-	return &Dense[T]{W: d.W.Shadow(), B: d.B.Shadow(), Act: d.Act}
+func (d *Dense) ShareWeights() *Dense {
+	return &Dense{W: d.W.Shadow(), B: d.B.Shadow(), Act: d.Act}
 }
 
 // MLP is a stack of Dense layers.
-type MLP[T tensor.Float] struct {
-	Layers []*Dense[T]
+type MLP struct {
+	Layers []*Dense
 }
 
 // NewMLP builds a multi-layer perceptron with the given layer sizes
 // (len(sizes) ≥ 2). Hidden layers use hiddenAct; the output layer is linear.
-func NewMLP[T tensor.Float](name string, sizes []int, hiddenAct Activation, rng *rand.Rand) *MLP[T] {
+func NewMLP(name string, sizes []int, hiddenAct Activation, rng *rand.Rand) *MLP {
 	if len(sizes) < 2 {
 		panic("nn: MLP needs at least input and output sizes")
 	}
-	m := &MLP[T]{}
+	m := &MLP{}
 	for i := 0; i+1 < len(sizes); i++ {
 		act := hiddenAct
 		if i+2 == len(sizes) {
 			act = Linear
 		}
-		m.Layers = append(m.Layers, NewDense[T](fmt.Sprintf("%s.%d", name, i), sizes[i], sizes[i+1], act, rng))
+		m.Layers = append(m.Layers, NewDense(fmt.Sprintf("%s.%d", name, i), sizes[i], sizes[i+1], act, rng))
 	}
 	return m
 }
 
 // Forward applies every layer in order.
-func (m *MLP[T]) Forward(tp *autodiff.Tape[T], x *autodiff.Var[T]) *autodiff.Var[T] {
+func (m *MLP) Forward(tp *autodiff.Tape, x *autodiff.Var) *autodiff.Var {
 	for _, l := range m.Layers {
 		x = l.Forward(tp, x)
 	}
@@ -141,8 +141,8 @@ func (m *MLP[T]) Forward(tp *autodiff.Tape[T], x *autodiff.Var[T]) *autodiff.Var
 }
 
 // Params returns all trainable parameters.
-func (m *MLP[T]) Params() []*Param[T] {
-	var ps []*Param[T]
+func (m *MLP) Params() []*Param {
+	var ps []*Param
 	for _, l := range m.Layers {
 		ps = append(ps, l.Params()...)
 	}
@@ -151,8 +151,8 @@ func (m *MLP[T]) Params() []*Param[T] {
 
 // ShareWeights returns a replica that reads the same weight matrices but
 // accumulates gradients into its own buffers (see Param.Shadow).
-func (m *MLP[T]) ShareWeights() *MLP[T] {
-	r := &MLP[T]{Layers: make([]*Dense[T], len(m.Layers))}
+func (m *MLP) ShareWeights() *MLP {
+	r := &MLP{Layers: make([]*Dense, len(m.Layers))}
 	for i, l := range m.Layers {
 		r.Layers[i] = l.ShareWeights()
 	}

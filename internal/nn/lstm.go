@@ -15,37 +15,37 @@ import (
 //
 // Weights are packed per gate in the order [input, forget, cell, output]:
 // Wx is in×4h, Wh is h×4h, and B is 1×4h.
-type LSTM[T tensor.Float] struct {
+type LSTM struct {
 	In, Hidden int
-	Wx, Wh, B  *Param[T]
+	Wx, Wh, B  *Param
 }
 
 // NewLSTM returns an LSTM with Xavier-initialized weights and the
 // customary +1 forget-gate bias, which keeps early training stable.
-func NewLSTM[T tensor.Float](name string, in, hidden int, rng *rand.Rand) *LSTM[T] {
-	b := tensor.NewMat[T](1, 4*hidden)
+func NewLSTM(name string, in, hidden int, rng *rand.Rand) *LSTM {
+	b := tensor.New(1, 4*hidden)
 	for j := hidden; j < 2*hidden; j++ {
 		b.Data[j] = 1 // forget gate bias
 	}
-	return &LSTM[T]{
+	return &LSTM{
 		In:     in,
 		Hidden: hidden,
-		Wx:     NewParam(name+".Wx", Xavier[T](in, 4*hidden, rng)),
-		Wh:     NewParam(name+".Wh", Xavier[T](hidden, 4*hidden, rng)),
+		Wx:     NewParam(name+".Wx", Xavier(in, 4*hidden, rng)),
+		Wh:     NewParam(name+".Wh", Xavier(hidden, 4*hidden, rng)),
 		B:      NewParam(name+".b", b),
 	}
 }
 
 // State carries the recurrent hidden and cell activations (batch×hidden).
-type State[T tensor.Float] struct {
-	H, C *autodiff.Var[T]
+type State struct {
+	H, C *autodiff.Var
 }
 
 // ZeroState returns an all-zero initial state for the given batch size.
 // The state matrices come from the tape's arena, so reused tapes allocate
 // nothing here.
-func (l *LSTM[T]) ZeroState(tp *autodiff.Tape[T], batch int) State[T] {
-	return State[T]{
+func (l *LSTM) ZeroState(tp *autodiff.Tape, batch int) State {
+	return State{
 		H: tp.Const(tp.NewMatrix(batch, l.Hidden)),
 		C: tp.Const(tp.NewMatrix(batch, l.Hidden)),
 	}
@@ -70,7 +70,7 @@ func (l *LSTM[T]) ZeroState(tp *autodiff.Tape[T], batch int) State[T] {
 // tape: a recording tape records it with its own backward pass. The packed
 // bias enters through one full-width view per sequence, so its gradient
 // sums a sequence's steps before B's gradient takes the total.
-func (l *LSTM[T]) ForwardStacked(tp *autodiff.Tape[T], x *autodiff.Var[T], lens []int) []*autodiff.Var[T] {
+func (l *LSTM) ForwardStacked(tp *autodiff.Tape, x *autodiff.Var, lens []int) []*autodiff.Var {
 	steps := 0
 	for _, n := range lens {
 		steps = max(steps, n)
@@ -82,7 +82,7 @@ func (l *LSTM[T]) ForwardStacked(tp *autodiff.Tape[T], x *autodiff.Var[T], lens 
 	b := tp.SliceCols(l.B.Var, 0, 4*l.Hidden)
 	s := l.ZeroState(tp, len(lens))
 	keep := tp.NewInts(len(lens))
-	hs := make([]*autodiff.Var[T], steps)
+	hs := make([]*autodiff.Var, steps)
 	off := 0
 	for t := 0; t < steps; t++ {
 		// The state holds the sequences that ran step t−1 (all of them at
@@ -109,10 +109,10 @@ func (l *LSTM[T]) ForwardStacked(tp *autodiff.Tape[T], x *autodiff.Var[T], lens 
 }
 
 // Params returns the LSTM's trainable parameters.
-func (l *LSTM[T]) Params() []*Param[T] { return []*Param[T]{l.Wx, l.Wh, l.B} }
+func (l *LSTM) Params() []*Param { return []*Param{l.Wx, l.Wh, l.B} }
 
 // ShareWeights returns a replica that reads the same weight matrices but
 // accumulates gradients into its own buffers (see Param.Shadow).
-func (l *LSTM[T]) ShareWeights() *LSTM[T] {
-	return &LSTM[T]{In: l.In, Hidden: l.Hidden, Wx: l.Wx.Shadow(), Wh: l.Wh.Shadow(), B: l.B.Shadow()}
+func (l *LSTM) ShareWeights() *LSTM {
+	return &LSTM{In: l.In, Hidden: l.Hidden, Wx: l.Wx.Shadow(), Wh: l.Wh.Shadow(), B: l.B.Shadow()}
 }

@@ -12,9 +12,9 @@ import (
 
 // gradCheckModel numerically verifies d(loss)/d(param) for every parameter
 // of an arbitrary forward function.
-func gradCheckModel(t *testing.T, params []*Param[float64], forward func(tp *autodiff.Tape[float64]) *autodiff.Var[float64]) {
+func gradCheckModel(t *testing.T, params []*Param, forward func(tp *autodiff.Tape) *autodiff.Var) {
 	t.Helper()
-	tp := autodiff.NewTape[float64]()
+	tp := autodiff.NewTape()
 	loss := forward(tp)
 	tp.Backward(loss)
 
@@ -28,9 +28,9 @@ func gradCheckModel(t *testing.T, params []*Param[float64], forward func(tp *aut
 		for i := range w.Data {
 			orig := w.Data[i]
 			w.Data[i] = orig + eps
-			up := forward(autodiff.NewTape[float64]()).Value.Data[0]
+			up := forward(autodiff.NewTape()).Value.Data[0]
 			w.Data[i] = orig - eps
-			down := forward(autodiff.NewTape[float64]()).Value.Data[0]
+			down := forward(autodiff.NewTape()).Value.Data[0]
 			w.Data[i] = orig
 			num := (up - down) / (2 * eps)
 			if math.Abs(num-analytic.Data[i]) > 1e-4 {
@@ -43,21 +43,21 @@ func gradCheckModel(t *testing.T, params []*Param[float64], forward func(tp *aut
 
 func TestDenseGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
-	d := NewDense[float64]("d", 3, 2, Tanh, rng)
+	d := NewDense("d", 3, 2, Tanh, rng)
 	x := tensor.Randn(4, 3, 1, rng)
 	target := tensor.Randn(4, 2, 1, rng)
-	gradCheckModel(t, d.Params(), func(tp *autodiff.Tape[float64]) *autodiff.Var[float64] {
+	gradCheckModel(t, d.Params(), func(tp *autodiff.Tape) *autodiff.Var {
 		return tp.MSE(d.Forward(tp, tp.Const(x)), target)
 	})
 }
 
 func TestLSTMGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
-	l := NewLSTM[float64]("l", 3, 4, rng)
+	l := NewLSTM("l", 3, 4, rng)
 	const steps = 3
 	x := tensor.Randn(steps*2, 3, 1, rng) // three steps of batch 2, stacked
 	target := tensor.Randn(2, 4, 1, rng)
-	gradCheckModel(t, l.Params(), func(tp *autodiff.Tape[float64]) *autodiff.Var[float64] {
+	gradCheckModel(t, l.Params(), func(tp *autodiff.Tape) *autodiff.Var {
 		hs := l.ForwardStacked(tp, tp.Const(x), dense(2, steps))
 		return tp.MSE(hs[steps-1], target)
 	})
@@ -65,19 +65,19 @@ func TestLSTMGradient(t *testing.T) {
 
 func TestConv1DGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	c := NewConv1D[float64]("c", 3, 2, 3, Tanh, rng)
+	c := NewConv1D("c", 3, 2, 3, Tanh, rng)
 	x := tensor.Randn(5, 3, 1, rng)
 	target := tensor.Randn(5, 2, 1, rng)
-	gradCheckModel(t, c.Params(), func(tp *autodiff.Tape[float64]) *autodiff.Var[float64] {
+	gradCheckModel(t, c.Params(), func(tp *autodiff.Tape) *autodiff.Var {
 		return tp.MSE(c.Forward(tp, tp.Const(x)), target)
 	})
 }
 
 func TestConv1DOutputShapeAndPadding(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
-	c := NewConv1D[float64]("c", 2, 3, 3, Linear, rng)
+	c := NewConv1D("c", 2, 3, 3, Linear, rng)
 	x := tensor.Randn(4, 2, 1, rng)
-	tp := autodiff.NewTape[float64]()
+	tp := autodiff.NewTape()
 	out := c.Forward(tp, tp.Const(x))
 	if out.Value.Rows != 4 || out.Value.Cols != 3 {
 		t.Fatalf("shape %dx%d, want 4x3", out.Value.Rows, out.Value.Cols)
@@ -102,14 +102,14 @@ func TestConv1DEvenWidthPanics(t *testing.T) {
 			t.Fatal("expected panic for even width")
 		}
 	}()
-	NewConv1D[float64]("c", 2, 2, 4, Linear, rand.New(rand.NewSource(1)))
+	NewConv1D("c", 2, 2, 4, Linear, rand.New(rand.NewSource(1)))
 }
 
 func TestMLPOverfitsTinyRegression(t *testing.T) {
 	// y = sin(x1) + 0.5·x2 on 16 points: a 2-layer MLP must drive MSE
 	// below 1e-3 with Adam.
 	rng := rand.New(rand.NewSource(5))
-	m := NewMLP[float64]("m", []int{2, 16, 1}, Tanh, rng)
+	m := NewMLP("m", []int{2, 16, 1}, Tanh, rng)
 	n := 16
 	x := tensor.New(n, 2)
 	y := tensor.New(n, 1)
@@ -119,10 +119,10 @@ func TestMLPOverfitsTinyRegression(t *testing.T) {
 		x.Set(i, 1, b)
 		y.Set(i, 0, math.Sin(a)+0.5*b)
 	}
-	opt := NewAdam[float64](0.01)
+	opt := NewAdam(0.01)
 	var last float64
 	for epoch := 0; epoch < 400; epoch++ {
-		tp := autodiff.NewTape[float64]()
+		tp := autodiff.NewTape()
 		loss := tp.MSE(m.Forward(tp, tp.Const(x)), y)
 		tp.Backward(loss)
 		opt.Step(m.Params())
@@ -137,10 +137,10 @@ func TestLSTMLearnsSequenceSum(t *testing.T) {
 	// Target: sum of a length-4 scalar sequence. The LSTM must beat the
 	// best constant predictor by a wide margin.
 	rng := rand.New(rand.NewSource(6))
-	l := NewLSTM[float64]("l", 1, 8, rng)
-	head := NewDense[float64]("h", 8, 1, Linear, rng)
+	l := NewLSTM("l", 1, 8, rng)
+	head := NewDense("h", 8, 1, Linear, rng)
 	params := append(l.Params(), head.Params()...)
-	opt := NewAdam[float64](0.02)
+	opt := NewAdam(0.02)
 
 	const batch, steps = 16, 4
 	makeBatch := func() (*tensor.Matrix, *tensor.Matrix) {
@@ -160,7 +160,7 @@ func TestLSTMLearnsSequenceSum(t *testing.T) {
 	var last float64
 	for iter := 0; iter < 300; iter++ {
 		x, y := makeBatch()
-		tp := autodiff.NewTape[float64]()
+		tp := autodiff.NewTape()
 		hs := l.ForwardStacked(tp, tp.Const(x), dense(batch, steps))
 		pred := head.Forward(tp, hs[steps-1])
 		loss := tp.MSE(pred, y)
@@ -177,13 +177,13 @@ func TestLSTMLearnsSequenceSum(t *testing.T) {
 
 func TestSGDMomentumDecreasesLoss(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
-	m := NewMLP[float64]("m", []int{1, 8, 1}, ReLU, rng)
+	m := NewMLP("m", []int{1, 8, 1}, ReLU, rng)
 	x := tensor.FromRows([][]float64{{0}, {0.5}, {1}})
 	y := tensor.FromRows([][]float64{{1}, {0}, {1}})
-	opt := NewSGD[float64](0.05, 0.9)
+	opt := NewSGD(0.05, 0.9)
 	first, last := 0.0, 0.0
 	for i := 0; i < 200; i++ {
-		tp := autodiff.NewTape[float64]()
+		tp := autodiff.NewTape()
 		loss := tp.MSE(m.Forward(tp, tp.Const(x)), y)
 		tp.Backward(loss)
 		opt.Step(m.Params())
@@ -199,23 +199,23 @@ func TestSGDMomentumDecreasesLoss(t *testing.T) {
 
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("p", tensor.FromRows([][]float64{{1, 1}}))
-	tp := autodiff.NewTape[float64]()
+	tp := autodiff.NewTape()
 	v := tp.Scale(p.Var, 10)
 	tp.Backward(tp.SumAll(v))
 	// grad = [10, 10], norm = 10√2
-	pre := ClipGradNorm([]*Param[float64]{p}, 1)
+	pre := ClipGradNorm([]*Param{p}, 1)
 	if math.Abs(pre-10*math.Sqrt2) > 1e-9 {
 		t.Fatalf("pre-clip norm %v", pre)
 	}
-	if post := GradNorm([]*Param[float64]{p}); math.Abs(post-1) > 1e-9 {
+	if post := GradNorm([]*Param{p}); math.Abs(post-1) > 1e-9 {
 		t.Fatalf("post-clip norm %v", post)
 	}
 }
 
 func TestSaveLoadRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	src := NewMLP[float64]("m", []int{3, 5, 1}, Tanh, rng)
-	dst := NewMLP[float64]("m", []int{3, 5, 1}, Tanh, rand.New(rand.NewSource(99)))
+	src := NewMLP("m", []int{3, 5, 1}, Tanh, rng)
+	dst := NewMLP("m", []int{3, 5, 1}, Tanh, rand.New(rand.NewSource(99)))
 
 	var buf bytes.Buffer
 	if err := Save(&buf, src.Params()); err != nil {
@@ -231,8 +231,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 	}
 	// Same inputs must now give identical outputs.
 	x := tensor.Randn(2, 3, 1, rng)
-	a := src.Forward(autodiff.NewTape[float64](), autodiff.NewTape[float64]().Const(x))
-	b := dst.Forward(autodiff.NewTape[float64](), autodiff.NewTape[float64]().Const(x))
+	a := src.Forward(autodiff.NewTape(), autodiff.NewTape().Const(x))
+	b := dst.Forward(autodiff.NewTape(), autodiff.NewTape().Const(x))
 	if !tensor.AllClose(a.Value, b.Value, 0) {
 		t.Fatal("restored model predicts differently")
 	}
@@ -240,8 +240,8 @@ func TestSaveLoadRoundTrip(t *testing.T) {
 
 func TestLoadShapeMismatch(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
-	src := NewDense[float64]("d", 2, 2, Linear, rng)
-	dst := NewDense[float64]("d", 2, 3, Linear, rng)
+	src := NewDense("d", 2, 2, Linear, rng)
+	dst := NewDense("d", 2, 3, Linear, rng)
 	var buf bytes.Buffer
 	if err := Save(&buf, src.Params()); err != nil {
 		t.Fatal(err)
@@ -253,8 +253,8 @@ func TestLoadShapeMismatch(t *testing.T) {
 
 func TestLoadMissingParam(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	src := NewDense[float64]("a", 2, 2, Linear, rng)
-	dst := NewDense[float64]("b", 2, 2, Linear, rng)
+	src := NewDense("a", 2, 2, Linear, rng)
+	dst := NewDense("b", 2, 2, Linear, rng)
 	var buf bytes.Buffer
 	if err := Save(&buf, src.Params()); err != nil {
 		t.Fatal(err)
@@ -268,14 +268,14 @@ func TestSaveDuplicateNames(t *testing.T) {
 	p1 := NewParam("same", tensor.New(1, 1))
 	p2 := NewParam("same", tensor.New(1, 1))
 	var buf bytes.Buffer
-	if err := Save(&buf, []*Param[float64]{p1, p2}); err == nil {
+	if err := Save(&buf, []*Param{p1, p2}); err == nil {
 		t.Fatal("expected duplicate-name error")
 	}
 }
 
 func TestCountParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	d := NewDense[float64]("d", 3, 4, Linear, rng)
+	d := NewDense("d", 3, 4, Linear, rng)
 	if n := CountParams(d.Params()); n != 3*4+4 {
 		t.Fatalf("CountParams = %d, want 16", n)
 	}
@@ -283,7 +283,7 @@ func TestCountParams(t *testing.T) {
 
 func TestXavierRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
-	m := Xavier[float64](10, 10, rng)
+	m := Xavier(10, 10, rng)
 	limit := math.Sqrt(6.0 / 20.0)
 	for _, v := range m.Data {
 		if v < -limit || v > limit {
@@ -293,7 +293,7 @@ func TestXavierRange(t *testing.T) {
 }
 
 func TestForgetGateBiasInit(t *testing.T) {
-	l := NewLSTM[float64]("l", 2, 3, rand.New(rand.NewSource(13)))
+	l := NewLSTM("l", 2, 3, rand.New(rand.NewSource(13)))
 	b := l.B.Value()
 	for j := 0; j < 3; j++ {
 		if b.At(0, j) != 0 {

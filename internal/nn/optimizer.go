@@ -3,6 +3,7 @@ package nn
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -11,25 +12,25 @@ import (
 
 // Optimizer updates parameters from their accumulated gradients and then
 // clears the gradients.
-type Optimizer[T tensor.Float] interface {
-	Step(params []*Param[T])
+type Optimizer interface {
+	Step(params []*Param)
 }
 
 // SGD is stochastic gradient descent with optional momentum.
-type SGD[T tensor.Float] struct {
+type SGD struct {
 	LR       float64
 	Momentum float64
 
-	velocity map[*Param[T]]*tensor.Mat[T]
+	velocity map[*Param]*tensor.Matrix
 }
 
 // NewSGD returns an SGD optimizer.
-func NewSGD[T tensor.Float](lr, momentum float64) *SGD[T] {
-	return &SGD[T]{LR: lr, Momentum: momentum, velocity: make(map[*Param[T]]*tensor.Mat[T])}
+func NewSGD(lr, momentum float64) *SGD {
+	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Matrix)}
 }
 
 // Step applies one SGD update and zeroes the gradients.
-func (s *SGD[T]) Step(params []*Param[T]) {
+func (s *SGD) Step(params []*Param) {
 	for _, p := range params {
 		g := p.Var.Grad
 		if g == nil {
@@ -39,16 +40,16 @@ func (s *SGD[T]) Step(params []*Param[T]) {
 		if s.Momentum > 0 {
 			v, ok := s.velocity[p]
 			if !ok {
-				v = tensor.NewMat[T](w.Rows, w.Cols)
+				v = tensor.New(w.Rows, w.Cols)
 				s.velocity[p] = v
 			}
 			for i := range w.Data {
-				v.Data[i] = T(s.Momentum)*v.Data[i] - T(s.LR)*g.Data[i]
+				v.Data[i] = s.Momentum*v.Data[i] - s.LR*g.Data[i]
 				w.Data[i] += v.Data[i]
 			}
 		} else {
 			for i := range w.Data {
-				w.Data[i] -= T(s.LR) * g.Data[i]
+				w.Data[i] -= s.LR * g.Data[i]
 			}
 		}
 		p.ZeroGrad()
@@ -57,38 +58,37 @@ func (s *SGD[T]) Step(params []*Param[T]) {
 
 // Adam implements the Adam optimizer (Kingma & Ba, 2015), the paper's
 // training algorithm of choice for all learned cost models.
-type Adam[T tensor.Float] struct {
+type Adam struct {
 	LR, Beta1, Beta2, Eps float64
 
 	t int
-	m map[*Param[T]]*tensor.Mat[T]
-	v map[*Param[T]]*tensor.Mat[T]
+	m map[*Param]*tensor.Matrix
+	v map[*Param]*tensor.Matrix
 
 	// A Step's bias corrections, and the share of its parameters that the
 	// second goroutine updates. hiRun is a.updateHi, made once, so a Step
 	// allocates nothing.
-	c1, c2 T
-	hi     []*Param[T]
+	c1, c2 float64
+	hi     []*Param
 	hiRun  func()
 	hiWG   sync.WaitGroup
 }
 
 // NewAdam returns an Adam optimizer with the usual defaults for any zero
 // hyperparameter (lr=0.001, β1=0.9, β2=0.999, ε=1e-8).
-func NewAdam[T tensor.Float](lr float64) *Adam[T] {
+func NewAdam(lr float64) *Adam {
 	if lr == 0 {
 		lr = 1e-3
 	}
-	return &Adam[T]{
+	return &Adam{
 		LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8,
-		m: make(map[*Param[T]]*tensor.Mat[T]),
-		v: make(map[*Param[T]]*tensor.Mat[T]),
+		m: make(map[*Param]*tensor.Matrix),
+		v: make(map[*Param]*tensor.Matrix),
 	}
 }
 
 // AdamState is the serializable optimizer state: the step counter and the
-// first/second moment vectors keyed by parameter name (float64 at every
-// element type, like the saved weights). Together with the
+// first/second moment vectors keyed by parameter name. Together with the
 // weights it is everything Adam needs to continue a run as if it had
 // never stopped — see Export/Restore and core.TrainState.
 type AdamState struct {
@@ -100,17 +100,15 @@ type AdamState struct {
 // by parameter name. Parameters the optimizer has not stepped yet (no
 // gradient ever reached them) are omitted; Restore treats absence as a
 // cold start for that parameter.
-func (a *Adam[T]) Export(params []*Param[T]) AdamState {
+func (a *Adam) Export(params []*Param) AdamState {
 	st := AdamState{T: a.t, M: map[string][]float64{}, V: map[string][]float64{}}
 	for _, p := range params {
 		m, ok := a.m[p]
 		if !ok {
 			continue
 		}
-		st.M[p.Name] = make([]float64, len(m.Data))
-		st.V[p.Name] = make([]float64, len(m.Data))
-		tensor.Cast(st.M[p.Name], m.Data)
-		tensor.Cast(st.V[p.Name], a.v[p].Data)
+		st.M[p.Name] = slices.Clone(m.Data)
+		st.V[p.Name] = slices.Clone(a.v[p].Data)
 	}
 	return st
 }
@@ -121,15 +119,23 @@ func (a *Adam[T]) Export(params []*Param[T]) AdamState {
 // a leftover or misshapen entry means the snapshot came from a different
 // architecture or configuration, which is rejected with a descriptive
 // error rather than silently corrupting the continuation.
-func (a *Adam[T]) Restore(params []*Param[T], st AdamState) error {
-	byName := make(map[string]*Param[T], len(params))
+func (a *Adam) Restore(params []*Param, st AdamState) error {
+	byName := make(map[string]*Param, len(params))
 	for _, p := range params {
 		byName[p.Name] = p
+	}
+	for name := range st.V {
+		if _, ok := st.M[name]; !ok {
+			if byName[name] == nil {
+				return unknownParamError(name)
+			}
+			return fmt.Errorf("nn: optimizer state for %q is missing its first moment (truncated or corrupt state)", name)
+		}
 	}
 	for name, m := range st.M {
 		p, ok := byName[name]
 		if !ok {
-			return fmt.Errorf("nn: optimizer state holds parameter %q which this model does not have (architecture or config mismatch)", name)
+			return unknownParamError(name)
 		}
 		v, ok := st.V[name]
 		if !ok {
@@ -140,15 +146,19 @@ func (a *Adam[T]) Restore(params []*Param[T], st AdamState) error {
 			return fmt.Errorf("nn: optimizer state for %q holds %d/%d moment values but the parameter has %d (architecture or config mismatch)",
 				name, len(m), len(v), n)
 		}
-		mm := tensor.NewMat[T](p.Var.Value.Rows, p.Var.Value.Cols)
-		vv := tensor.NewMat[T](p.Var.Value.Rows, p.Var.Value.Cols)
-		tensor.Cast(mm.Data, m)
-		tensor.Cast(vv.Data, v)
+		mm := tensor.New(p.Var.Value.Rows, p.Var.Value.Cols)
+		vv := tensor.New(p.Var.Value.Rows, p.Var.Value.Cols)
+		copy(mm.Data, m)
+		copy(vv.Data, v)
 		a.m[p] = mm
 		a.v[p] = vv
 	}
 	a.t = st.T
 	return nil
+}
+
+func unknownParamError(name string) error {
+	return fmt.Errorf("nn: optimizer state holds parameter %q which this model does not have (architecture or config mismatch)", name)
 }
 
 // adamOneGoroutine, while set, makes every Adam.Step run on its caller's
@@ -165,10 +175,10 @@ func AdamOnOneGoroutine(on bool) { adamOneGoroutine.Store(on) }
 // two contiguous parts of params holding about half the elements each, the
 // second on another goroutine. Each element's update reads only its own
 // weight, gradient and moments, so the split changes no bit.
-func (a *Adam[T]) Step(params []*Param[T]) {
+func (a *Adam) Step(params []*Param) {
 	a.t++
-	a.c1 = T(1 - math.Pow(a.Beta1, float64(a.t)))
-	a.c2 = T(1 - math.Pow(a.Beta2, float64(a.t)))
+	a.c1 = 1 - math.Pow(a.Beta1, float64(a.t))
+	a.c2 = 1 - math.Pow(a.Beta2, float64(a.t))
 	total := 0
 	for _, p := range params {
 		if p.Var.Grad == nil {
@@ -176,8 +186,8 @@ func (a *Adam[T]) Step(params []*Param[T]) {
 		}
 		w := p.Var.Value
 		if _, ok := a.m[p]; !ok {
-			a.m[p] = tensor.NewMat[T](w.Rows, w.Cols)
-			a.v[p] = tensor.NewMat[T](w.Rows, w.Cols)
+			a.m[p] = tensor.New(w.Rows, w.Cols)
+			a.v[p] = tensor.New(w.Rows, w.Cols)
 		}
 		total += len(w.Data)
 	}
@@ -202,14 +212,14 @@ func (a *Adam[T]) Step(params []*Param[T]) {
 	a.hi = nil
 }
 
-func (a *Adam[T]) updateHi() {
+func (a *Adam) updateHi() {
 	defer a.hiWG.Done()
 	a.update(a.hi)
 }
 
 // update applies the step to params and zeroes their gradients.
-func (a *Adam[T]) update(params []*Param[T]) {
-	b1, b2, lr, eps, c1, c2 := T(a.Beta1), T(a.Beta2), T(a.LR), T(a.Eps), a.c1, a.c2
+func (a *Adam) update(params []*Param) {
+	b1, b2, lr, eps, c1, c2 := a.Beta1, a.Beta2, a.LR, a.Eps, a.c1, a.c2
 	for _, p := range params {
 		g := p.Var.Grad
 		if g == nil {
@@ -222,7 +232,7 @@ func (a *Adam[T]) update(params []*Param[T]) {
 			v.Data[i] = b2*v.Data[i] + (1-b2)*gi*gi
 			mh := m.Data[i] / c1
 			vh := v.Data[i] / c2
-			w.Data[i] -= lr * mh / (T(math.Sqrt(float64(vh))) + eps)
+			w.Data[i] -= lr * mh / (math.Sqrt(vh) + eps)
 		}
 		p.ZeroGrad()
 	}

@@ -18,12 +18,12 @@ import (
 
 // gateBias holds the per-gate views of the packed 1×4h bias, sliced once
 // per sequence.
-type gateBias[T tensor.Float] struct {
-	i, f, g, o *autodiff.Var[T]
+type gateBias struct {
+	i, f, g, o *autodiff.Var
 }
 
-func chainBias[T tensor.Float](tp *autodiff.Tape[T], b *autodiff.Var[T], h int) gateBias[T] {
-	return gateBias[T]{
+func chainBias(tp *autodiff.Tape, b *autodiff.Var, h int) gateBias {
+	return gateBias{
 		i: tp.SliceCols(b, 0, h),
 		f: tp.SliceCols(b, h, 2*h),
 		g: tp.SliceCols(b, 2*h, 3*h),
@@ -33,7 +33,7 @@ func chainBias[T tensor.Float](tp *autodiff.Tape[T], b *autodiff.Var[T], h int) 
 
 // chainGates computes one step from the pre-activation z (batch×4h) and
 // the cell state c, returning the new hidden and cell states.
-func chainGates[T tensor.Float](tp *autodiff.Tape[T], z, c *autodiff.Var[T], b gateBias[T]) (h, cNext *autodiff.Var[T]) {
+func chainGates(tp *autodiff.Tape, z, c *autodiff.Var, b gateBias) (h, cNext *autodiff.Var) {
 	n := c.Value.Cols
 	i := tp.AddRowApply(tp.SliceCols(z, 0, n), b.i, autodiff.ActSigmoid)
 	f := tp.AddRowApply(tp.SliceCols(z, n, 2*n), b.f, autodiff.ActSigmoid)
@@ -46,12 +46,12 @@ func chainGates[T tensor.Float](tp *autodiff.Tape[T], z, c *autodiff.Var[T], b g
 // chainForwardStacked is ForwardStacked as a recording tape ran it before
 // the fused cell recorded: the same stacked projection and AddRowsAt
 // window per step, with the chain in place of LSTMCell.
-func chainForwardStacked[T tensor.Float](l *LSTM[T], tp *autodiff.Tape[T], x *autodiff.Var[T], steps int) []*autodiff.Var[T] {
+func chainForwardStacked(l *LSTM, tp *autodiff.Tape, x *autodiff.Var, steps int) []*autodiff.Var {
 	batch := x.Value.Rows / steps
 	zx := tp.MatMul(x, l.Wx.Var)
 	s := l.ZeroState(tp, batch)
 	b := chainBias(tp, l.B.Var, l.Hidden)
-	hs := make([]*autodiff.Var[T], steps)
+	hs := make([]*autodiff.Var, steps)
 	for t := 0; t < steps; t++ {
 		z := tp.AddRowsAt(zx, t*batch, tp.MatMul(s.H, l.Wh.Var))
 		s.H, s.C = chainGates(tp, z, s.C, b)
@@ -62,10 +62,10 @@ func chainForwardStacked[T tensor.Float](l *LSTM[T], tp *autodiff.Tape[T], x *au
 
 // chainForward runs the chain over per-step inputs, projecting each step
 // on its own: z = x_t·Wx + h·Wh.
-func chainForward[T tensor.Float](l *LSTM[T], tp *autodiff.Tape[T], xs []*autodiff.Var[T]) []*autodiff.Var[T] {
+func chainForward(l *LSTM, tp *autodiff.Tape, xs []*autodiff.Var) []*autodiff.Var {
 	b := chainBias(tp, l.B.Var, l.Hidden)
 	s := l.ZeroState(tp, xs[0].Value.Rows)
-	hs := make([]*autodiff.Var[T], len(xs))
+	hs := make([]*autodiff.Var, len(xs))
 	for t, x := range xs {
 		z := tp.Add(tp.MatMul(x, l.Wx.Var), tp.MatMul(s.H, l.Wh.Var))
 		s.H, s.C = chainGates(tp, z, s.C, b)
@@ -76,14 +76,14 @@ func chainForward[T tensor.Float](l *LSTM[T], tp *autodiff.Tape[T], xs []*autodi
 
 // sameBits reports whether two floats are the same value with the same
 // sign, or both NaN: Go leaves the payload of a NaN result unspecified.
-func sameBits[T tensor.Float](a, b T) bool {
+func sameBits(a, b float64) bool {
 	if a != a || b != b {
 		return a != a && b != b
 	}
-	return a == b && math.Signbit(float64(a)) == math.Signbit(float64(b))
+	return a == b && math.Signbit(a) == math.Signbit(b)
 }
 
-func mustSameBits[T tensor.Float](t *testing.T, got, want *tensor.Mat[T], what string) {
+func mustSameBits(t *testing.T, got, want *tensor.Matrix, what string) {
 	t.Helper()
 	if got == nil || want == nil {
 		if got != want {
@@ -109,73 +109,71 @@ func mustSameBits[T tensor.Float](t *testing.T, got, want *tensor.Mat[T], what s
 // and the loss skips some steps' hidden states, so some cells see a
 // cell-state gradient but no hidden-state one.
 func TestLSTMForwardStackedGradientsMatchOracle(t *testing.T) {
-	t.Run("f64", testForwardStackedGradientsMatchOracle[float64])
-}
-
-func testForwardStackedGradientsMatchOracle[T tensor.Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(47))
-	for trial := 0; trial < 20; trial++ {
-		in, hidden := 1+rng.Intn(6), 1+rng.Intn(9)
-		l := NewLSTM[T]("lstm", in, hidden, rng)
-		tensor.Cast(l.B.Value().Data, tensor.Randn(1, 4*hidden, 1, rng).Data) // biases are zero/one at init
-		type seq struct {
-			x       *tensor.Mat[T]
-			steps   int
-			weights *tensor.Mat[T] // loss weight per hidden row of every step but the first
-		}
-		seqs := make([]seq, 2)
-		for k := range seqs {
-			steps, batch := 2+rng.Intn(5), 1+rng.Intn(4)
-			seqs[k] = seq{
-				x:       tensor.Convert[T](tensor.Randn(steps*batch, in, 2, rng)),
-				steps:   steps,
-				weights: tensor.Convert[T](tensor.Randn((steps-1)*batch, hidden, 1, rng)),
+	t.Run("f64", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(47))
+		for trial := 0; trial < 20; trial++ {
+			in, hidden := 1+rng.Intn(6), 1+rng.Intn(9)
+			l := NewLSTM("lstm", in, hidden, rng)
+			copy(l.B.Value().Data, tensor.Randn(1, 4*hidden, 1, rng).Data) // biases are zero/one at init
+			type seq struct {
+				x       *tensor.Matrix
+				steps   int
+				weights *tensor.Matrix // loss weight per hidden row of every step but the first
 			}
-		}
-
-		type result struct {
-			hs    []*tensor.Mat[T]
-			grads []*tensor.Mat[T] // Wx, Wh, B, then each sequence's input
-		}
-		run := func(forward func(*LSTM[T], *autodiff.Tape[T], *autodiff.Var[T], int) []*autodiff.Var[T]) result {
-			net := l.ShareWeights() // own gradient buffers, same weights
-			tp := autodiff.NewTape[T]()
-			var res result
-			var loss *autodiff.Var[T]
-			xs := make([]*autodiff.Var[T], len(seqs))
-			for k, s := range seqs {
-				xs[k] = tp.Param(s.x)
-				hs := forward(net, tp, xs[k], s.steps)
-				for _, h := range hs {
-					res.hs = append(res.hs, h.Value)
-				}
-				term := tp.SumAll(tp.Mul(tp.ConcatRows(hs[1:]...), tp.Const(s.weights)))
-				if loss == nil {
-					loss = term
-				} else {
-					loss = tp.Add(loss, term)
+			seqs := make([]seq, 2)
+			for k := range seqs {
+				steps, batch := 2+rng.Intn(5), 1+rng.Intn(4)
+				seqs[k] = seq{
+					x:       tensor.Randn(steps*batch, in, 2, rng),
+					steps:   steps,
+					weights: tensor.Randn((steps-1)*batch, hidden, 1, rng),
 				}
 			}
-			tp.Backward(loss)
-			for _, p := range net.Params() {
-				res.grads = append(res.grads, p.Var.Grad)
+
+			type result struct {
+				hs    []*tensor.Matrix
+				grads []*tensor.Matrix // Wx, Wh, B, then each sequence's input
 			}
-			for _, x := range xs {
-				res.grads = append(res.grads, x.Grad)
+			run := func(forward func(*LSTM, *autodiff.Tape, *autodiff.Var, int) []*autodiff.Var) result {
+				net := l.ShareWeights() // own gradient buffers, same weights
+				tp := autodiff.NewTape()
+				var res result
+				var loss *autodiff.Var
+				xs := make([]*autodiff.Var, len(seqs))
+				for k, s := range seqs {
+					xs[k] = tp.Param(s.x)
+					hs := forward(net, tp, xs[k], s.steps)
+					for _, h := range hs {
+						res.hs = append(res.hs, h.Value)
+					}
+					term := tp.SumAll(tp.Mul(tp.ConcatRows(hs[1:]...), tp.Const(s.weights)))
+					if loss == nil {
+						loss = term
+					} else {
+						loss = tp.Add(loss, term)
+					}
+				}
+				tp.Backward(loss)
+				for _, p := range net.Params() {
+					res.grads = append(res.grads, p.Var.Grad)
+				}
+				for _, x := range xs {
+					res.grads = append(res.grads, x.Grad)
+				}
+				return res
 			}
-			return res
+			got := run(func(l *LSTM, tp *autodiff.Tape, x *autodiff.Var, steps int) []*autodiff.Var {
+				return l.ForwardStacked(tp, x, dense(x.Value.Rows/steps, steps))
+			})
+			want := run(chainForwardStacked)
+			for k := range want.hs {
+				mustSameBits(t, got.hs[k], want.hs[k], "hidden state")
+			}
+			for k, name := range []string{"Wx", "Wh", "B", "x0", "x1"} {
+				mustSameBits(t, got.grads[k], want.grads[k], name+" grad")
+			}
 		}
-		got := run(func(l *LSTM[T], tp *autodiff.Tape[T], x *autodiff.Var[T], steps int) []*autodiff.Var[T] {
-			return l.ForwardStacked(tp, x, dense(x.Value.Rows/steps, steps))
-		})
-		want := run(chainForwardStacked[T])
-		for k := range want.hs {
-			mustSameBits(t, got.hs[k], want.hs[k], "hidden state")
-		}
-		for k, name := range []string{"Wx", "Wh", "B", "x0", "x1"} {
-			mustSameBits(t, got.grads[k], want.grads[k], name+" grad")
-		}
-	}
+	})
 }
 
 // cellBytes derives fuzz operands from raw bytes; past the end it reads
@@ -255,32 +253,32 @@ func decodeCell(data []byte) cellCase {
 // LSTMCell over a full-width bias view, as ForwardStacked calls it, and
 // the chain over per-gate views — and holds h, c′ and the gradients of z,
 // b and c to each other bit for bit.
-func checkCell[T tensor.Float](t *testing.T, cc cellCase) {
+func checkCell(t *testing.T, cc cellCase) {
 	t.Helper()
-	type result struct{ h, c, dz, db, dcPrev *tensor.Mat[T] }
+	type result struct{ h, c, dz, db, dcPrev *tensor.Matrix }
 	run := func(fused bool) result {
-		tp := autodiff.NewTape[T]()
-		z, b := tp.Param(tensor.Convert[T](cc.z)), tp.Param(tensor.Convert[T](cc.b))
-		cm := tensor.Convert[T](cc.c)
+		tp := autodiff.NewTape()
+		z, b := tp.Param(cc.z.Clone()), tp.Param(cc.b.Clone())
+		cm := cc.c.Clone()
 		c := tp.Const(cm)
 		if cc.cGrad {
 			c = tp.Param(cm)
 		}
-		var h, cNext *autodiff.Var[T]
+		var h, cNext *autodiff.Var
 		if fused {
 			h, cNext = tp.LSTMCell(z, tp.SliceCols(b, 0, b.Value.Cols), c)
 		} else {
 			h, cNext = chainGates(tp, z, c, chainBias(tp, b, c.Value.Cols))
 		}
-		var loss *autodiff.Var[T]
+		var loss *autodiff.Var
 		for _, up := range []struct {
-			v *autodiff.Var[T]
+			v *autodiff.Var
 			d *tensor.Matrix
 		}{{h, cc.dh}, {cNext, cc.dc}} {
 			if up.d == nil {
 				continue
 			}
-			term := tp.SumAll(tp.Mul(up.v, tp.Const(tensor.Convert[T](up.d))))
+			term := tp.SumAll(tp.Mul(up.v, tp.Const(up.d)))
 			if loss == nil {
 				loss = term
 			} else {
@@ -315,6 +313,6 @@ func FuzzLSTMCell(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		cc := decodeCell(data)
-		checkCell[float64](t, cc)
+		checkCell(t, cc)
 	})
 }

@@ -25,7 +25,7 @@ func TestLoadTruncatedValues(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewParam("d.W", tensor.New(2, 3))
-	err := Load(&buf, []*Param[float64]{p})
+	err := Load(&buf, []*Param{p})
 	if err == nil {
 		t.Fatal("expected truncated-snapshot error")
 	}
@@ -52,7 +52,7 @@ func TestLoadInconsistentSnapshot(t *testing.T) {
 		t.Fatal(err)
 	}
 	p := NewParam("a", tensor.New(1, 1))
-	if err := Load(&buf, []*Param[float64]{p}); err == nil {
+	if err := Load(&buf, []*Param{p}); err == nil {
 		t.Fatal("expected corrupt-snapshot error")
 	}
 }
@@ -67,7 +67,7 @@ func TestShadowSharesWeightsNotGrads(t *testing.T) {
 		t.Fatal("shadow must keep the parameter name")
 	}
 	// Gradients accumulated through the shadow must not touch the base.
-	tp := autodiff.NewTape[float64]()
+	tp := autodiff.NewTape()
 	loss := tp.SumAll(tp.Scale(sh.Var, 3))
 	tp.Backward(loss)
 	if p.Var.Grad != nil {
@@ -79,7 +79,7 @@ func TestShadowSharesWeightsNotGrads(t *testing.T) {
 }
 
 func TestAccumulateGrads(t *testing.T) {
-	base := []*Param[float64]{
+	base := []*Param{
 		NewParam("a", tensor.FromSlice(1, 2, []float64{0, 0})),
 		NewParam("b", tensor.FromSlice(1, 1, []float64{0})),
 	}
@@ -110,10 +110,10 @@ func TestAccumulateGrads(t *testing.T) {
 
 func TestShareWeightsLayers(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	lstm := NewLSTM[float64]("l", 3, 4, rng)
-	conv := NewConv1D[float64]("c", 3, 4, 3, ReLU, rng)
-	mlp := NewMLP[float64]("m", []int{3, 4, 1}, ReLU, rng)
-	for name, pair := range map[string][2][]*Param[float64]{
+	lstm := NewLSTM("l", 3, 4, rng)
+	conv := NewConv1D("c", 3, 4, 3, ReLU, rng)
+	mlp := NewMLP("m", []int{3, 4, 1}, ReLU, rng)
+	for name, pair := range map[string][2][]*Param{
 		"lstm": {lstm.Params(), lstm.ShareWeights().Params()},
 		"conv": {conv.Params(), conv.ShareWeights().Params()},
 		"mlp":  {mlp.Params(), mlp.ShareWeights().Params()},

@@ -3,12 +3,10 @@
 // building blocks the paper's deep cost models need: dense layers, an LSTM
 // (the plan-feature layer), a 1-D convolution (the RAAC ablation), and Adam.
 //
-// Every layer, parameter and optimizer is generic over the element type
-// (tensor.Float, which admits only float64), so there is one LSTM, one
-// Dense, one MLP and one Conv1D. No layer branches on the tape:
-// ForwardStacked runs the same fused cell over the same ragged batch on a
-// recording and on a forward-only tape. Saved weights and optimizer
-// moments are float64, so the on-disk format has one form.
+// Every layer, parameter and optimizer computes in float64, and there is
+// one of each: one LSTM, one Dense, one MLP and one Conv1D. No layer
+// branches on the tape: ForwardStacked runs the same fused cell over the
+// same ragged batch on a recording and on a forward-only tape.
 package nn
 
 import (
@@ -23,21 +21,21 @@ import (
 // Param is a named trainable matrix. The embedded Var keeps its identity
 // across forward passes so gradients accumulate into one place and the
 // optimizer can find them.
-type Param[T tensor.Float] struct {
+type Param struct {
 	Name string
-	Var  *autodiff.Var[T]
+	Var  *autodiff.Var
 }
 
 // NewParam wraps m as a trainable parameter.
-func NewParam[T tensor.Float](name string, m *tensor.Mat[T]) *Param[T] {
-	return &Param[T]{Name: name, Var: (&autodiff.Tape[T]{}).Param(m)}
+func NewParam(name string, m *tensor.Matrix) *Param {
+	return &Param{Name: name, Var: (&autodiff.Tape{}).Param(m)}
 }
 
 // Value returns the parameter's current weights.
-func (p *Param[T]) Value() *tensor.Mat[T] { return p.Var.Value }
+func (p *Param) Value() *tensor.Matrix { return p.Var.Value }
 
 // ZeroGrad clears the accumulated gradient.
-func (p *Param[T]) ZeroGrad() {
+func (p *Param) ZeroGrad() {
 	if p.Var.Grad != nil {
 		p.Var.Grad.Zero()
 	}
@@ -49,14 +47,14 @@ func (p *Param[T]) ZeroGrad() {
 // same gradient buffer; the shadows are then summed into the base set at a
 // barrier (AccumulateGrads), which keeps the reduction ordered and
 // deterministic instead of serializing every += behind a mutex.
-func (p *Param[T]) Shadow() *Param[T] {
-	return &Param[T]{Name: p.Name, Var: (&autodiff.Tape[T]{}).Param(p.Var.Value)}
+func (p *Param) Shadow() *Param {
+	return &Param{Name: p.Name, Var: (&autodiff.Tape{}).Param(p.Var.Value)}
 }
 
 // ShadowParams returns a shadow (shared weights, private gradients) of
 // every parameter in params, in the same order.
-func ShadowParams[T tensor.Float](params []*Param[T]) []*Param[T] {
-	out := make([]*Param[T], len(params))
+func ShadowParams(params []*Param) []*Param {
+	out := make([]*Param, len(params))
 	for i, p := range params {
 		out[i] = p.Shadow()
 	}
@@ -70,7 +68,7 @@ func ShadowParams[T tensor.Float](params []*Param[T]) []*Param[T] {
 // a gradient are skipped. Callers merge shards in a fixed order so the
 // floating-point reduction — and therefore training — is deterministic
 // for any worker count.
-func AccumulateGrads[T tensor.Float](dst, src []*Param[T], scale float64) {
+func AccumulateGrads(dst, src []*Param, scale float64) {
 	if len(dst) != len(src) {
 		panic(fmt.Sprintf("nn: AccumulateGrads length mismatch %d vs %d", len(dst), len(src)))
 	}
@@ -83,26 +81,26 @@ func AccumulateGrads[T tensor.Float](dst, src []*Param[T], scale float64) {
 			panic(fmt.Sprintf("nn: AccumulateGrads shape mismatch for %q", d.Name))
 		}
 		if d.Var.Grad == nil {
-			d.Var.Grad = tensor.NewMat[T](d.Var.Value.Rows, d.Var.Value.Cols)
+			d.Var.Grad = tensor.New(d.Var.Value.Rows, d.Var.Value.Cols)
 		}
-		tensor.AxpyInPlace(d.Var.Grad, T(scale), s.Var.Grad)
+		tensor.AxpyInPlace(d.Var.Grad, scale, s.Var.Grad)
 		s.ZeroGrad()
 	}
 }
 
 // Xavier returns Glorot-uniform initialized weights for a fanIn×fanOut
 // matrix, drawn from rng.
-func Xavier[T tensor.Float](fanIn, fanOut int, rng *rand.Rand) *tensor.Mat[T] {
+func Xavier(fanIn, fanOut int, rng *rand.Rand) *tensor.Matrix {
 	limit := math.Sqrt(6.0 / float64(fanIn+fanOut))
-	return tensor.Convert[T](tensor.Uniform(fanIn, fanOut, -limit, limit, rng))
+	return tensor.Uniform(fanIn, fanOut, -limit, limit, rng)
 }
 
 // ClipGradNorm rescales all parameter gradients so their global L2 norm is
 // at most maxNorm. It returns the pre-clip norm.
-func ClipGradNorm[T tensor.Float](params []*Param[T], maxNorm float64) float64 {
+func ClipGradNorm(params []*Param, maxNorm float64) float64 {
 	norm := GradNorm(params)
 	if norm > maxNorm && norm > 0 {
-		s := T(maxNorm / norm)
+		s := maxNorm / norm
 		for _, p := range params {
 			if p.Var.Grad == nil {
 				continue
@@ -116,21 +114,21 @@ func ClipGradNorm[T tensor.Float](params []*Param[T], maxNorm float64) float64 {
 }
 
 // GradNorm returns the global L2 norm of all parameter gradients.
-func GradNorm[T tensor.Float](params []*Param[T]) float64 {
+func GradNorm(params []*Param) float64 {
 	var sq float64
 	for _, p := range params {
 		if p.Var.Grad == nil {
 			continue
 		}
 		for _, g := range p.Var.Grad.Data {
-			sq += float64(g) * float64(g)
+			sq += g * g
 		}
 	}
 	return math.Sqrt(sq)
 }
 
 // CountParams returns the total number of scalar weights.
-func CountParams[T tensor.Float](params []*Param[T]) int {
+func CountParams(params []*Param) int {
 	n := 0
 	for _, p := range params {
 		n += len(p.Var.Value.Data)
@@ -138,7 +136,7 @@ func CountParams[T tensor.Float](params []*Param[T]) int {
 	return n
 }
 
-func checkUniqueNames[T tensor.Float](params []*Param[T]) error {
+func checkUniqueNames(params []*Param) error {
 	seen := make(map[string]bool, len(params))
 	for _, p := range params {
 		if seen[p.Name] {

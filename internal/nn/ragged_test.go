@@ -60,26 +60,26 @@ func decodeRagged(data []byte) raggedCase {
 // a uniform lens. The padded run is the oracle: every active hidden row
 // and the gradients of Wx, Wh and B, from upstream gradients on active rows
 // only, must match it bit for bit.
-func checkRagged[T tensor.Float](t *testing.T, rc raggedCase) {
+func checkRagged(t *testing.T, rc raggedCase) {
 	t.Helper()
 	batch, steps := len(rc.lens), 0
 	for _, n := range rc.lens {
 		steps = max(steps, n)
 	}
 	in, hidden := rc.wx.Rows, rc.wh.Rows
-	l := NewLSTM[T]("lstm", in, hidden, rand.New(rand.NewSource(1)))
+	l := NewLSTM("lstm", in, hidden, rand.New(rand.NewSource(1)))
 	for _, w := range []struct {
-		p *Param[T]
+		p *Param
 		m *tensor.Matrix
 	}{{l.Wx, rc.wx}, {l.Wh, rc.wh}, {l.B, rc.b}} {
-		tensor.Cast(w.p.Value().Data, w.m.Data)
+		copy(w.p.Value().Data, w.m.Data)
 	}
 
 	// run lays the batch out as ForwardStacked(lens) reads it — step-major,
 	// batch order, with (padded) or without a zero row for every finished
 	// sequence — and returns the hidden rows of active sequences by step
 	// and sequence, and the gradients of Wx, Wh and B.
-	run := func(padded bool) (map[[2]int][]T, []*tensor.Mat[T]) {
+	run := func(padded bool) (map[[2]int][]float64, []*tensor.Matrix) {
 		lens := rc.lens
 		if padded {
 			lens = dense(batch, steps)
@@ -88,8 +88,8 @@ func checkRagged[T tensor.Float](t *testing.T, rc raggedCase) {
 		for _, n := range lens {
 			rows += n
 		}
-		x := tensor.NewMat[T](rows, in)
-		dh := make([]*tensor.Mat[T], steps)
+		x := tensor.New(rows, in)
+		dh := make([]*tensor.Matrix, steps)
 		seqs := make([][]int, steps) // the sequences hs[s] holds, in row order
 		r := 0
 		for s := range seqs {
@@ -98,19 +98,19 @@ func checkRagged[T tensor.Float](t *testing.T, rc raggedCase) {
 					seqs[s] = append(seqs[s], k)
 				}
 			}
-			dh[s] = tensor.NewMat[T](len(seqs[s]), hidden) // zero on padded rows
+			dh[s] = tensor.New(len(seqs[s]), hidden) // zero on padded rows
 			for i, k := range seqs[s] {
 				if s < rc.lens[k] {
-					tensor.Cast(x.Row(r+i), rc.xs[k].Row(s))
-					tensor.Cast(dh[s].Row(i), rc.dhs[k].Row(s))
+					copy(x.Row(r+i), rc.xs[k].Row(s))
+					copy(dh[s].Row(i), rc.dhs[k].Row(s))
 				}
 			}
 			r += len(seqs[s])
 		}
 		net := l.ShareWeights()
-		tp := autodiff.NewTape[T]()
+		tp := autodiff.NewTape()
 		hs := net.ForwardStacked(tp, tp.Const(x), lens)
-		var loss *autodiff.Var[T]
+		var loss *autodiff.Var
 		for s, h := range hs {
 			term := tp.SumAll(tp.Mul(h, tp.Const(dh[s])))
 			if loss == nil {
@@ -121,7 +121,7 @@ func checkRagged[T tensor.Float](t *testing.T, rc raggedCase) {
 		}
 		tp.Backward(loss)
 
-		active := map[[2]int][]T{}
+		active := map[[2]int][]float64{}
 		for s, h := range hs {
 			if h.Value.Rows != len(seqs[s]) {
 				t.Fatalf("padded=%v step %d: %d hidden rows, want %d", padded, s, h.Value.Rows, len(seqs[s]))
@@ -132,7 +132,7 @@ func checkRagged[T tensor.Float](t *testing.T, rc raggedCase) {
 				}
 			}
 		}
-		return active, []*tensor.Mat[T]{net.Wx.Var.Grad, net.Wh.Var.Grad, net.B.Var.Grad}
+		return active, []*tensor.Matrix{net.Wx.Var.Grad, net.Wh.Var.Grad, net.B.Var.Grad}
 	}
 
 	gotH, gotG := run(false)
@@ -169,6 +169,6 @@ func FuzzRaggedLSTM(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		rc := decodeRagged(data)
-		checkRagged[float64](t, rc)
+		checkRagged(t, rc)
 	})
 }

@@ -4,12 +4,10 @@ import (
 	"encoding/gob"
 	"fmt"
 	"io"
-
-	"raal/internal/tensor"
+	"slices"
 )
 
-// snapshot is the on-disk representation of a parameter set: float64
-// values whatever the in-memory element type, so the format has one form.
+// snapshot is the on-disk representation of a parameter set.
 type snapshot struct {
 	Names  []string
 	Rows   []int
@@ -19,7 +17,7 @@ type snapshot struct {
 
 // Save writes the parameters to w in gob format. Parameter names must be
 // unique; they are the keys used by Load.
-func Save[T tensor.Float](w io.Writer, params []*Param[T]) error {
+func Save(w io.Writer, params []*Param) error {
 	if err := checkUniqueNames(params); err != nil {
 		return err
 	}
@@ -28,9 +26,7 @@ func Save[T tensor.Float](w io.Writer, params []*Param[T]) error {
 		s.Names = append(s.Names, p.Name)
 		s.Rows = append(s.Rows, p.Var.Value.Rows)
 		s.Cols = append(s.Cols, p.Var.Value.Cols)
-		vals := make([]float64, len(p.Var.Value.Data))
-		tensor.Cast(vals, p.Var.Value.Data)
-		s.Values = append(s.Values, vals)
+		s.Values = append(s.Values, slices.Clone(p.Var.Value.Data))
 	}
 	return gob.NewEncoder(w).Encode(&s)
 }
@@ -38,7 +34,7 @@ func Save[T tensor.Float](w io.Writer, params []*Param[T]) error {
 // Load reads a parameter snapshot from r and copies the stored weights into
 // the matching (by name) parameters. Every parameter in params must be
 // present in the snapshot with identical shape.
-func Load[T tensor.Float](r io.Reader, params []*Param[T]) error {
+func Load(r io.Reader, params []*Param) error {
 	if err := checkUniqueNames(params); err != nil {
 		return err
 	}
@@ -68,7 +64,7 @@ func Load[T tensor.Float](r io.Reader, params []*Param[T]) error {
 			return fmt.Errorf("nn: parameter %q: snapshot holds %d values for a %dx%d matrix (truncated or corrupt)",
 				p.Name, len(s.Values[i]), s.Rows[i], s.Cols[i])
 		}
-		tensor.Cast(v.Data, s.Values[i])
+		copy(v.Data, s.Values[i])
 	}
 	return nil
 }

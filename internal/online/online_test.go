@@ -68,7 +68,7 @@ func synthSample(rng *rand.Rand, scale float64) *encode.Sample {
 }
 
 // predict scores samples with m on a background context.
-func predict[T tensor.Float](m *core.Net[T], samples []*encode.Sample) []float64 {
+func predict(m *core.Model, samples []*encode.Sample) []float64 {
 	out, _ := m.PredictCtx(context.Background(), samples, core.PredictOpts{})
 	return out
 }

@@ -21,36 +21,31 @@ const (
 	ActReLU
 )
 
-// The slice kernels below run a []float64's multiple-of-4 prefix through
-// the AVX2 + FMA kernels where the CPU has them (act_amd64.go, DESIGN §5r)
-// and the rest through the scalar loop. The kernels' contract is
-// exactness: every element bit-equal to the loop's 1/(1+math.Exp(-x)) or
-// math.Tanh(x), NaN payloads included (TestVecActMatchesMath). The loop
-// is the math library call, and is the only path for a named float64
-// type and off amd64. The assertion runs once per slice; dst may alias
+// The slice kernels below run a slice's multiple-of-4 prefix through the
+// AVX2 + FMA kernels where the CPU has them (act_amd64.go, DESIGN §5r) and
+// the rest through the scalar loop. The kernels' contract is exactness:
+// every element bit-equal to the loop's 1/(1+math.Exp(-x)) or
+// math.Tanh(x), NaN payloads included (TestVecActMatchesMath). The loop is
+// the math library call, and is the only path off amd64. dst may alias
 // src.
 
-func sigmoidSlice[T Float](dst, src []T) {
-	if d, ok := any(dst).([]float64); ok {
-		n := sigmoidVec(d, any(src).([]float64))
-		dst, src = dst[n:], src[n:]
-	}
+func sigmoidSlice(dst, src []float64) {
+	n := sigmoidVec(dst, src)
+	dst, src = dst[n:], src[n:]
 	for i, v := range src {
-		dst[i] = T(1 / (1 + math.Exp(-float64(v))))
+		dst[i] = 1 / (1 + math.Exp(-v))
 	}
 }
 
-func tanhSlice[T Float](dst, src []T) {
-	if d, ok := any(dst).([]float64); ok {
-		n := tanhVec(d, any(src).([]float64))
-		dst, src = dst[n:], src[n:]
-	}
+func tanhSlice(dst, src []float64) {
+	n := tanhVec(dst, src)
+	dst, src = dst[n:], src[n:]
 	for i, v := range src {
-		dst[i] = T(math.Tanh(float64(v)))
+		dst[i] = math.Tanh(v)
 	}
 }
 
-func reluSlice[T Float](dst, src []T) {
+func reluSlice(dst, src []float64) {
 	for i, v := range src {
 		if v > 0 {
 			dst[i] = v
@@ -64,14 +59,14 @@ func reluSlice[T Float](dst, src []T) {
 // true) selects which entries may receive probability: masked-out entries
 // get exactly 0, and a fully masked row becomes all zeros. The sum
 // accumulates in ascending column order. out may alias in.
-func SoftmaxRowInto[T Float](out, in []T, mask []bool) {
-	maxv := T(math.Inf(-1))
+func SoftmaxRowInto(out, in []float64, mask []bool) {
+	maxv := math.Inf(-1)
 	for j, x := range in {
 		if (mask == nil || mask[j]) && x > maxv {
 			maxv = x
 		}
 	}
-	if math.IsInf(float64(maxv), -1) {
+	if math.IsInf(maxv, -1) {
 		for j := range out {
 			out[j] = 0
 		}
@@ -79,12 +74,12 @@ func SoftmaxRowInto[T Float](out, in []T, mask []bool) {
 	}
 	for j, x := range in {
 		if mask == nil || mask[j] {
-			out[j] = T(math.Exp(float64(x - maxv)))
+			out[j] = math.Exp(x - maxv)
 		} else {
 			out[j] = 0
 		}
 	}
-	var sum T
+	var sum float64
 	for _, e := range out {
 		sum += e // masked entries add an exact zero
 	}
@@ -94,19 +89,19 @@ func SoftmaxRowInto[T Float](out, in []T, mask []bool) {
 }
 
 // SigmoidInto computes out = σ(m) elementwise. out may alias m.
-func SigmoidInto[T Float](out, m *Mat[T]) {
+func SigmoidInto(out, m *Matrix) {
 	mustOutShape("sigmoid", out, m)
 	sigmoidSlice(out.Data, m.Data)
 }
 
 // TanhInto computes out = tanh(m) elementwise. out may alias m.
-func TanhInto[T Float](out, m *Mat[T]) {
+func TanhInto(out, m *Matrix) {
 	mustOutShape("tanh", out, m)
 	tanhSlice(out.Data, m.Data)
 }
 
 // ReLUInto computes out = max(0, m) elementwise. out may alias m.
-func ReLUInto[T Float](out, m *Mat[T]) {
+func ReLUInto(out, m *Matrix) {
 	mustOutShape("relu", out, m)
 	reluSlice(out.Data, m.Data)
 }
@@ -116,7 +111,7 @@ func ReLUInto[T Float](out, m *Mat[T]) {
 // AddRowApplyInto — the activation is selected once per call and applied
 // to the biased values in place, so the inner loops run without a
 // per-element indirect call. out may alias m.
-func AddRowActInto[T Float](out, m, r *Mat[T], act Act) {
+func AddRowActInto(out, m, r *Matrix, act Act) {
 	AddRowInto(out, m, r)
 	switch act {
 	case ActNone:
@@ -147,12 +142,12 @@ func AddRowActInto[T Float](out, m, r *Mat[T], act Act) {
 // products forbid a fused multiply-add — so the result is bit-identical to
 // that chain, and elements are independent, so it is bit-identical across
 // worker counts. No output may alias z or cPrev, nor h or tc alias c.
-func LSTMCellInto[T Float](h, tc, c, cPrev, z, b *Mat[T]) {
+func LSTMCellInto(h, tc, c, cPrev, z, b *Matrix) {
 	n := cPrev.Cols
 	if z.Rows != cPrev.Rows || z.Cols != 4*n {
 		panic(fmt.Sprintf("tensor: lstmCell z shape %dx%d, want %dx%d", z.Rows, z.Cols, cPrev.Rows, 4*n))
 	}
-	for _, out := range [...]*Mat[T]{h, tc, c} {
+	for _, out := range [...]*Matrix{h, tc, c} {
 		mustOutShape("lstmCell", out, cPrev)
 		if sameData(out, z) || sameData(out, cPrev) {
 			panic("tensor: lstmCell outputs must not alias z or cPrev")
@@ -167,7 +162,8 @@ func LSTMCellInto[T Float](h, tc, c, cPrev, z, b *Mat[T]) {
 		zi, zf, zg, zo := zr[:n], zr[n:2*n], zr[2*n:3*n], zr[3*n:]
 		cr, tcr, hr := c.Row(r), tc.Row(r), h.Row(r)
 		for j, cp := range cPrev.Row(r) {
-			cr[j] = T(zf[j]*cp) + T(zi[j]*zg[j])
+			// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+			cr[j] = float64(zf[j]*cp) + float64(zi[j]*zg[j])
 		}
 		tanhSlice(tcr, cr)
 		for j, o := range zo {

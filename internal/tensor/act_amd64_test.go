@@ -120,8 +120,8 @@ func TestVecActMatchesMath(t *testing.T) {
 						slice func(dst, src []float64)
 						want  func(float64) float64
 					}{
-						"sigmoid": {sigmoidSlice[float64], func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }},
-						"tanh":    {tanhSlice[float64], math.Tanh},
+						"sigmoid": {sigmoidSlice, func(x float64) float64 { return 1 / (1 + math.Exp(-x)) }},
+						"tanh":    {tanhSlice, math.Tanh},
 					} {
 						dst := make([]float64, off+n+2)
 						copy(dst, buf)

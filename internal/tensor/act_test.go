@@ -41,18 +41,16 @@ func BenchmarkActivations(b *testing.B) {
 // per gate, then the five elementwise ops. It also pins what a backward
 // pass reads back: the gate activations left in z, tanh of the new cell
 // state in tc, and the incoming cell state untouched.
-func TestLSTMCellMatchesUnfused(t *testing.T) { testLSTMCellMatchesUnfused[float64](t) }
-
-func testLSTMCellMatchesUnfused[T Float](t *testing.T) {
+func TestLSTMCellMatchesUnfused(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const batch, h = 5, 7
-	z := randMatOf[T](rng, batch, 4*h)
-	b := randMatOf[T](rng, 1, 4*h)
-	cPrev := randMatOf[T](rng, batch, h)
+	z := randMat(rng, batch, 4*h)
+	b := randMat(rng, 1, 4*h)
+	cPrev := randMat(rng, batch, h)
 	zIn, wantPrev := z.Clone(), cPrev.Clone()
 
-	gate := func(k int, act Act) *Mat[T] {
-		zk, bk := NewMat[T](batch, h), NewMat[T](1, h)
+	gate := func(k int, act Act) *Matrix {
+		zk, bk := New(batch, h), New(1, h)
 		for r := 0; r < batch; r++ {
 			copy(zk.Row(r), z.Row(r)[k*h:(k+1)*h])
 		}
@@ -60,21 +58,21 @@ func testLSTMCellMatchesUnfused[T Float](t *testing.T) {
 		AddRowActInto(zk, zk, bk, act)
 		return zk
 	}
-	gates := []*Mat[T]{gate(0, ActSigmoid), gate(1, ActSigmoid), gate(2, ActTanh), gate(3, ActSigmoid)}
+	gates := []*Matrix{gate(0, ActSigmoid), gate(1, ActSigmoid), gate(2, ActTanh), gate(3, ActSigmoid)}
 	i, f, g, o := gates[0], gates[1], gates[2], gates[3]
 	wantC := Add(Mul(f, cPrev), Mul(i, g))
-	wantTC := NewMat[T](batch, h)
+	wantTC := New(batch, h)
 	TanhInto(wantTC, wantC)
 	wantH := Mul(o, wantTC)
 
-	sh, tc, c := NewMat[T](batch, h), NewMat[T](batch, h), NewMat[T](batch, h)
+	sh, tc, c := New(batch, h), New(batch, h), New(batch, h)
 	LSTMCellInto(sh, tc, c, cPrev, z, b)
 	mustEqual(t, sh, wantH, "hidden state")
 	mustEqual(t, c, wantC, "cell state")
 	mustEqual(t, tc, wantTC, "tanh of the cell state")
 	mustEqual(t, cPrev, wantPrev, "incoming cell state")
 	for k, want := range gates {
-		got := NewMat[T](batch, h)
+		got := New(batch, h)
 		for r := 0; r < batch; r++ {
 			copy(got.Row(r), z.Row(r)[k*h:(k+1)*h])
 		}
@@ -82,7 +80,7 @@ func testLSTMCellMatchesUnfused[T Float](t *testing.T) {
 	}
 
 	// With tc = h, as a forward-only tape runs it, h is unchanged.
-	sh2 := NewMat[T](batch, h)
+	sh2 := New(batch, h)
 	LSTMCellInto(sh2, sh2, c, cPrev, zIn, b)
 	mustEqual(t, sh2, wantH, "hidden state with tc = h")
 }

@@ -17,24 +17,24 @@ import "fmt"
 // sameData reports whether two matrices share backing storage. The arena
 // hands out whole allocations, so a full-overlap check is sufficient —
 // partially overlapping views do not occur in this codebase.
-func sameData[T Float](a, b *Mat[T]) bool {
+func sameData(a, b *Matrix) bool {
 	return len(a.Data) > 0 && len(b.Data) > 0 && &a.Data[0] == &b.Data[0]
 }
 
-func mustNotAlias[T Float](op string, out, a, b *Mat[T]) {
+func mustNotAlias(op string, out, a, b *Matrix) {
 	if sameData(out, a) || sameData(out, b) {
 		panic(fmt.Sprintf("tensor: %s out must not alias an input", op))
 	}
 }
 
-func mustOutShape[T Float](op string, out, want *Mat[T]) {
+func mustOutShape(op string, out, want *Matrix) {
 	if !out.SameShape(want) {
 		panic(fmt.Sprintf("tensor: %s out shape %dx%d, want %dx%d", op, out.Rows, out.Cols, want.Rows, want.Cols))
 	}
 }
 
 // AddInto computes out = a+b elementwise. out may alias a or b.
-func AddInto[T Float](out, a, b *Mat[T]) {
+func AddInto(out, a, b *Matrix) {
 	mustSameShape("add", a, b)
 	mustOutShape("add", out, a)
 	for i, v := range a.Data {
@@ -43,7 +43,7 @@ func AddInto[T Float](out, a, b *Mat[T]) {
 }
 
 // SubInto computes out = a−b elementwise. out may alias a or b.
-func SubInto[T Float](out, a, b *Mat[T]) {
+func SubInto(out, a, b *Matrix) {
 	mustSameShape("sub", a, b)
 	mustOutShape("sub", out, a)
 	for i, v := range a.Data {
@@ -52,7 +52,7 @@ func SubInto[T Float](out, a, b *Mat[T]) {
 }
 
 // MulInto computes the Hadamard product out = a∘b. out may alias a or b.
-func MulInto[T Float](out, a, b *Mat[T]) {
+func MulInto(out, a, b *Matrix) {
 	mustSameShape("mul", a, b)
 	mustOutShape("mul", out, a)
 	for i, v := range a.Data {
@@ -61,7 +61,7 @@ func MulInto[T Float](out, a, b *Mat[T]) {
 }
 
 // ScaleInto computes out = s·m. out may alias m.
-func ScaleInto[T Float](out, m *Mat[T], s T) {
+func ScaleInto(out, m *Matrix, s float64) {
 	mustOutShape("scale", out, m)
 	for i, v := range m.Data {
 		out.Data[i] = v * s
@@ -69,7 +69,7 @@ func ScaleInto[T Float](out, m *Mat[T], s T) {
 }
 
 // ApplyInto computes out = f(m) elementwise. out may alias m.
-func ApplyInto[T Float](out, m *Mat[T], f func(T) T) {
+func ApplyInto(out, m *Matrix, f func(float64) float64) {
 	mustOutShape("apply", out, m)
 	for i, v := range m.Data {
 		out.Data[i] = f(v)
@@ -78,7 +78,7 @@ func ApplyInto[T Float](out, m *Mat[T], f func(T) T) {
 
 // AddRowInto computes out = m with the 1×cols row vector r added to every
 // row. out may alias m.
-func AddRowInto[T Float](out, m, r *Mat[T]) {
+func AddRowInto(out, m, r *Matrix) {
 	if r.Rows != 1 || r.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: addRow wants 1x%d, got %dx%d", m.Cols, r.Rows, r.Cols))
 	}
@@ -97,7 +97,7 @@ func AddRowInto[T Float](out, m, r *Mat[T]) {
 // equivalent to AddRowInto. out may alias m. This is the kernel behind
 // every dense layer and LSTM gate, where it saves one full matrix write
 // and read between the broadcast add and the non-linearity.
-func AddRowApplyInto[T Float](out, m, r *Mat[T], f func(T) T) {
+func AddRowApplyInto(out, m, r *Matrix, f func(float64) float64) {
 	if f == nil {
 		AddRowInto(out, m, r)
 		return
@@ -116,7 +116,7 @@ func AddRowApplyInto[T Float](out, m, r *Mat[T], f func(T) T) {
 }
 
 // TransposeInto computes out = mᵀ. out must not alias m.
-func TransposeInto[T Float](out, m *Mat[T]) {
+func TransposeInto(out, m *Matrix) {
 	if out.Rows != m.Cols || out.Cols != m.Rows {
 		panic(fmt.Sprintf("tensor: transpose out shape %dx%d, want %dx%d", out.Rows, out.Cols, m.Cols, m.Rows))
 	}

@@ -10,11 +10,11 @@ import (
 // naiveMatMul is the textbook triple loop: the reference the blocked
 // kernels must match bit for bit (they reorder no per-element additions,
 // so equality is exact, not approximate).
-func naiveMatMul[T Float](a, b *Mat[T]) *Mat[T] {
-	out := NewMat[T](a.Rows, b.Cols)
+func naiveMatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
-			var s T
+			var s float64
 			for k := 0; k < a.Cols; k++ {
 				s += a.At(i, k) * b.At(k, j)
 			}
@@ -24,10 +24,10 @@ func naiveMatMul[T Float](a, b *Mat[T]) *Mat[T] {
 	return out
 }
 
-func randMatOf[T Float](rng *rand.Rand, r, c int) *Mat[T] {
-	m := NewMat[T](r, c)
+func randMat(rng *rand.Rand, r, c int) *Matrix {
+	m := New(r, c)
 	for i := range m.Data {
-		m.Data[i] = T(rng.NormFloat64())
+		m.Data[i] = rng.NormFloat64()
 		if rng.Intn(8) == 0 {
 			m.Data[i] = 0 // exercise the zero-skip fast path
 		}
@@ -35,15 +35,13 @@ func randMatOf[T Float](rng *rand.Rand, r, c int) *Mat[T] {
 	return m
 }
 
-func randMat(rng *rand.Rand, r, c int) *Matrix { return randMatOf[float64](rng, r, c) }
-
-func mustEqual[T Float](t *testing.T, got, want *Mat[T], what string) {
+func mustEqual(t *testing.T, got, want *Matrix, what string) {
 	t.Helper()
 	if got.Rows != want.Rows || got.Cols != want.Cols {
 		t.Fatalf("%s: shape (%d,%d) want (%d,%d)", what, got.Rows, got.Cols, want.Rows, want.Cols)
 	}
 	for i := range want.Data {
-		g, w := float64(got.Data[i]), float64(want.Data[i])
+		g, w := got.Data[i], want.Data[i]
 		if math.Float64bits(g) != math.Float64bits(w) && !(g != g && w != w) { // NaN == NaN here
 			t.Fatalf("%s: element %d = %v, want %v (bit-exact)", what, i, got.Data[i], want.Data[i])
 		}
@@ -52,11 +50,11 @@ func mustEqual[T Float](t *testing.T, got, want *Mat[T], what string) {
 
 // oddView returns a copy of m whose Data starts at an odd element offset
 // of a larger buffer, so no row start is vector-aligned.
-func oddView[T Float](rng *rand.Rand, m *Mat[T]) *Mat[T] {
+func oddView(rng *rand.Rand, m *Matrix) *Matrix {
 	off := 1 + 2*rng.Intn(4)
-	buf := make([]T, off+len(m.Data)+3)
+	buf := make([]float64, off+len(m.Data)+3)
 	copy(buf[off:], m.Data)
-	return &Mat[T]{Rows: m.Rows, Cols: m.Cols, Data: buf[off : off+len(m.Data)]}
+	return &Matrix{Rows: m.Rows, Cols: m.Cols, Data: buf[off : off+len(m.Data)]}
 }
 
 // wideCols are output widths on both sides of one, two and three of the
@@ -71,45 +69,43 @@ var wideCols = []int{63, 64, 65, 127, 128, 129, 191, 192, 193, 200}
 // each of wideCols aligned and at odd offsets, through the AVX-512 block
 // where the CPU has it.
 func TestBlockedMatMulMatchesNaive(t *testing.T) {
-	t.Run("f64", testBlockedMatMulMatchesNaive[float64])
-}
+	t.Run("f64", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(7))
+		for trial := 0; trial < 200+2*len(wideCols); trial++ {
+			m := 1 + rng.Intn(12)
+			k := rng.Intn(71)
+			n := 1 + rng.Intn(40)
+			if trial >= 200 {
+				n = wideCols[(trial-200)/2]
+			}
+			a := randMat(rng, m, k)
+			b := randMat(rng, k, n)
+			if trial%2 == 1 {
+				a, b = oddView(rng, a), oddView(rng, b)
+			}
+			want := naiveMatMul(a, b)
 
-func testBlockedMatMulMatchesNaive[T Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	for trial := 0; trial < 200+2*len(wideCols); trial++ {
-		m := 1 + rng.Intn(12)
-		k := rng.Intn(71)
-		n := 1 + rng.Intn(40)
-		if trial >= 200 {
-			n = wideCols[(trial-200)/2]
+			mustEqual(t, MatMul(a, b), want, "MatMul")
+
+			out := oddView(rng, randMat(rng, m, n)) // dirty output: Into must overwrite fully
+			MatMulInto(out, a, b)
+			mustEqual(t, out, want, "MatMulInto")
+
+			// a·b = (aᵀ)ᵀ·b and a·b = a·(bᵀ)ᵀ exercise the transposed kernels.
+			at := oddView(rng, a.Transpose())
+			outA := oddView(rng, randMat(rng, m, n))
+			MatMulTransAInto(outA, at, b)
+			mustEqual(t, outA, want, "MatMulTransAInto")
+			mustEqual(t, MatMulTransA(at, b), want, "MatMulTransA")
+
+			bt := b.Transpose()
+			wantTB := MatMulTransB(a, bt)
+			mustEqual(t, wantTB, want, "MatMulTransB") // dot-product form, same order ⇒ exact
+			outB := randMat(rng, m, n)
+			MatMulTransBInto(outB, a, bt)
+			mustEqual(t, outB, wantTB, "MatMulTransBInto")
 		}
-		a := randMatOf[T](rng, m, k)
-		b := randMatOf[T](rng, k, n)
-		if trial%2 == 1 {
-			a, b = oddView(rng, a), oddView(rng, b)
-		}
-		want := naiveMatMul(a, b)
-
-		mustEqual(t, MatMul(a, b), want, "MatMul")
-
-		out := oddView(rng, randMatOf[T](rng, m, n)) // dirty output: Into must overwrite fully
-		MatMulInto(out, a, b)
-		mustEqual(t, out, want, "MatMulInto")
-
-		// a·b = (aᵀ)ᵀ·b and a·b = a·(bᵀ)ᵀ exercise the transposed kernels.
-		at := oddView(rng, a.Transpose())
-		outA := oddView(rng, randMatOf[T](rng, m, n))
-		MatMulTransAInto(outA, at, b)
-		mustEqual(t, outA, want, "MatMulTransAInto")
-		mustEqual(t, MatMulTransA(at, b), want, "MatMulTransA")
-
-		bt := b.Transpose()
-		wantTB := MatMulTransB(a, bt)
-		mustEqual(t, wantTB, want, "MatMulTransB") // dot-product form, same order ⇒ exact
-		outB := randMatOf[T](rng, m, n)
-		MatMulTransBInto(outB, a, bt)
-		mustEqual(t, outB, wantTB, "MatMulTransBInto")
-	}
+	})
 }
 
 // TestIntoKernelsMatchAllocating cross-checks every element-wise Into

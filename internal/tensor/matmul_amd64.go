@@ -97,31 +97,17 @@ func vecMatF64Wide(out, a []float64, lda int, b []float64, ldb, k int, add bool)
 //go:noescape
 func addF64(dst, src []float64)
 
-// simdFloat reports whether the AVX2 kernels, plain and accumulating, run
-// for element type T: the CPU has them and T is float64 (not a named
-// variant).
-func simdFloat[T Float]() bool {
-	var zero T
-	_, ok := any(zero).(float64)
-	return ok && useAVX2
-}
-
-// vecMat calls the float64 kernel; simdFloat[T]() must hold.
-func vecMat[T Float](out, a []T, lda int, b []T, ldb, k int, add bool) {
-	vecMatF64Wide(any(out).([]float64), any(a).([]float64), lda, any(b).([]float64), ldb, k, add)
-}
-
 // matMulRowsSIMD runs the register path of matMulRows through the AVX2
 // kernel, one output row per call, adding into out with add. It reports
-// false, having done nothing, when simdFloat[T]() does not hold.
-func matMulRowsSIMD[T Float](out, a, b *Mat[T], add bool) bool {
-	if !simdFloat[T]() {
+// false, having done nothing, when the CPU has no AVX2.
+func matMulRowsSIMD(out, a, b *Matrix, add bool) bool {
+	if !useAVX2 {
 		return false
 	}
 	m, k, n := a.Rows, a.Cols, b.Cols
 	bd := b.Data[:k*n]
 	for i := 0; i < m; i++ {
-		vecMat(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], 1, bd, n, k, add)
+		vecMatF64Wide(out.Data[i*n:(i+1)*n], a.Data[i*k:(i+1)*k], 1, bd, n, k, add)
 	}
 	return true
 }
@@ -130,8 +116,8 @@ func matMulRowsSIMD[T Float](out, a, b *Mat[T], add bool) bool {
 // row i is column i of a (stride a.Cols) times b, the same ascending-k sum
 // per element, written over out or, with add, added into it. Same false
 // return as matMulRowsSIMD.
-func matMulTransAColsSIMD[T Float](out, a, b *Mat[T], jlo, jhi int, add bool) bool {
-	if !simdFloat[T]() {
+func matMulTransAColsSIMD(out, a, b *Matrix, jlo, jhi int, add bool) bool {
+	if !useAVX2 {
 		return false
 	}
 	k, m, n := a.Rows, a.Cols, b.Cols
@@ -140,22 +126,21 @@ func matMulTransAColsSIMD[T Float](out, a, b *Mat[T], jlo, jhi int, add bool) bo
 	}
 	ad, bd := a.Data[:k*m], b.Data[:k*n]
 	for i := 0; i < m; i++ {
-		vecMat(out.Data[i*n+jlo:i*n+jhi], ad[i:], m, bd[jlo:], n, k, add)
+		vecMatF64Wide(out.Data[i*n+jlo:i*n+jhi], ad[i:], m, bd[jlo:], n, k, add)
 	}
 	return true
 }
 
 // addVec adds src into dst through addF64 and returns how many leading
-// elements it added: len(src) rounded down to a multiple of 4 where T is
-// float64 and the CPU has AVX2, else 0.
-func addVec[T Float](dst, src []T) int {
-	s, ok := any(src).([]float64)
-	if !ok || !useAVX2 {
+// elements it added: len(src) rounded down to a multiple of 4 where the
+// CPU has AVX2, else 0.
+func addVec(dst, src []float64) int {
+	if !useAVX2 {
 		return 0
 	}
-	n := len(s) &^ 3
+	n := len(src) &^ 3
 	if n > 0 {
-		addF64(any(dst).([]float64)[:n], s[:n])
+		addF64(dst[:n], src[:n])
 	}
 	return n
 }
@@ -180,13 +165,13 @@ const (
 // apart, so a non-finite b declines to the Go loop, which then overwrites
 // every element this may have written. Fewer than transBMinRows rows of a
 // and k past transBMaxK decline before writing anything.
-func matMulTransBRowsSIMD[T Float](out, a, b *Mat[T]) bool {
+func matMulTransBRowsSIMD(out, a, b *Matrix) bool {
 	m, k, nb := a.Rows, a.Cols, b.Rows
-	if !simdFloat[T]() || m < transBMinRows || k > transBMaxK {
+	if !useAVX2 || m < transBMinRows || k > transBMaxK {
 		return false
 	}
 	bd := b.Data[:nb*k]
-	var block [transBMaxK * transBCols]T
+	var block [transBMaxK * transBCols]float64
 	for j0 := 0; j0 < nb; j0 += transBCols {
 		w := min(transBCols, nb-j0)
 		bt := block[:k*w]
@@ -201,7 +186,7 @@ func matMulTransBRowsSIMD[T Float](out, a, b *Mat[T]) bool {
 			}
 		}
 		for i := 0; i < m; i++ {
-			vecMat(out.Data[i*nb+j0:i*nb+j0+w], a.Data[i*k:(i+1)*k], 1, bt, w, k, false)
+			vecMatF64Wide(out.Data[i*nb+j0:i*nb+j0+w], a.Data[i*k:(i+1)*k], 1, bt, w, k, false)
 		}
 	}
 	return true

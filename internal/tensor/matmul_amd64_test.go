@@ -58,11 +58,11 @@ func TestAVX512SelectedWhereCPUHasIt(t *testing.T) {
 	}
 }
 
-// vecMatAVX2 is vecMat without the AVX-512 block: the AVX2 kernel alone,
-// so it stays tested on CPUs where vecMat hands every full 64-column block
-// to vecMatF64AVX512.
-func vecMatAVX2[T Float](out, a []T, lda int, b []T, ldb, k int) {
-	vecMatF64(any(out).([]float64), any(a).([]float64), lda, any(b).([]float64), ldb, k, false)
+// vecMatAVX2 is vecMatF64Wide without the AVX-512 block: the AVX2 kernel
+// alone, so it stays tested on CPUs where vecMatF64Wide hands every full
+// 64-column block to vecMatF64AVX512.
+func vecMatAVX2(out, a []float64, lda int, b []float64, ldb, k int) {
+	vecMatF64(out, a, lda, b, ldb, k, false)
 }
 
 // TestSIMDMatchesGeneric pins each SIMD path to the Go loop it replaces
@@ -77,78 +77,76 @@ func TestSIMDMatchesGeneric(t *testing.T) {
 	if !useAVX2 {
 		t.Skip("no SIMD kernels on this CPU")
 	}
-	t.Run("f64", testSIMDMatchesGeneric[float64])
-}
-
-func testSIMDMatchesGeneric[T Float](t *testing.T) {
-	rng := rand.New(rand.NewSource(31))
-	nan, inf := T(math.NaN()), T(math.Inf(1))
-	spike := func(m *Mat[T], vals ...T) (*Mat[T], bool) {
-		hit := false
-		for i := range m.Data {
-			if rng.Intn(6) == 0 {
-				m.Data[i] = vals[rng.Intn(len(vals))]
-				hit = true
+	t.Run("f64", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(31))
+		nan, inf := math.NaN(), math.Inf(1)
+		spike := func(m *Matrix, vals ...float64) (*Matrix, bool) {
+			hit := false
+			for i := range m.Data {
+				if rng.Intn(6) == 0 {
+					m.Data[i] = vals[rng.Intn(len(vals))]
+					hit = true
+				}
 			}
+			return m, hit
 		}
-		return m, hit
-	}
-	for trial := 0; trial < 200+2*len(wideCols); trial++ {
-		m := 1 + rng.Intn(12)
-		k := rng.Intn(71)
-		n := 1 + rng.Intn(40)
-		if trial >= 200 {
-			n = wideCols[(trial-200)/2]
-		}
-		a, _ := spike(randMatOf[T](rng, m, k), 0, T(math.Copysign(0, -1)), nan)
-		a = oddView(rng, a)
-		b, nonFinite := randMatOf[T](rng, k, n), false
-		if trial%2 == 1 {
-			b, nonFinite = spike(b, inf, -inf, nan)
-		}
-		b = oddView(rng, b)
-
-		got, want := randMatOf[T](rng, m, n), randMatOf[T](rng, m, n)
-		if !matMulRowsSIMD(got, a, b, false) {
-			t.Fatal("matMulRowsSIMD declined a float matrix")
-		}
-		matMulRowsReg(want, a, b)
-		mustEqual(t, got, want, "matMulRowsSIMD vs matMulRowsReg")
-
-		// aᵀ·b over a random column range [jlo, jhi), as a worker owns it;
-		// in the wide trials one that holds a 64-column block.
-		at := oddView(rng, a.Transpose())
-		jlo := rng.Intn(n)
-		jhi := jlo + 1 + rng.Intn(n-jlo)
-		if trial >= 200 {
-			jlo, jhi = jlo%3, n
-		}
-		gotA, wantA := NewMat[T](m, n), NewMat[T](m, n)
-		if !matMulTransAColsSIMD(gotA, at, b, jlo, jhi, false) {
-			t.Fatal("matMulTransAColsSIMD declined a float matrix")
-		}
-		matMulTransAColsGo(wantA, at, b, jlo, jhi)
-		mustEqual(t, gotA, wantA, "matMulTransAColsSIMD vs matMulTransAColsGo")
-
-		rows, cols := randMatOf[T](rng, m, n), NewMat[T](m, n)
-		for i := 0; i < m; i++ {
-			vecMatAVX2(rows.Row(i), a.Row(i), 1, b.Data, n, k)
-			if k > 0 {
-				vecMatAVX2(cols.Row(i), at.Data[i:], m, b.Data, n, k)
+		for trial := 0; trial < 200+2*len(wideCols); trial++ {
+			m := 1 + rng.Intn(12)
+			k := rng.Intn(71)
+			n := 1 + rng.Intn(40)
+			if trial >= 200 {
+				n = wideCols[(trial-200)/2]
 			}
-		}
-		mustEqual(t, rows, want, "AVX2 kernel by rows vs matMulRowsReg")
-		mustEqual(t, cols, want, "AVX2 kernel by a's columns vs matMulRowsReg")
+			a, _ := spike(randMat(rng, m, k), 0, math.Copysign(0, -1), nan)
+			a = oddView(rng, a)
+			b, nonFinite := randMat(rng, k, n), false
+			if trial%2 == 1 {
+				b, nonFinite = spike(b, inf, -inf, nan)
+			}
+			b = oddView(rng, b)
 
-		bt := oddView(rng, b.Transpose())
-		if took, want := matMulTransBRowsSIMD(NewMat[T](m, n), a, bt), m >= transBMinRows && !nonFinite; took != want {
-			t.Fatalf("matMulTransBRowsSIMD(m=%d, non-finite b %v) took the AVX2 path = %v", m, nonFinite, took)
+			got, want := randMat(rng, m, n), randMat(rng, m, n)
+			if !matMulRowsSIMD(got, a, b, false) {
+				t.Fatal("matMulRowsSIMD declined a float matrix")
+			}
+			matMulRowsReg(want, a, b)
+			mustEqual(t, got, want, "matMulRowsSIMD vs matMulRowsReg")
+
+			// aᵀ·b over a random column range [jlo, jhi), as a worker owns it;
+			// in the wide trials one that holds a 64-column block.
+			at := oddView(rng, a.Transpose())
+			jlo := rng.Intn(n)
+			jhi := jlo + 1 + rng.Intn(n-jlo)
+			if trial >= 200 {
+				jlo, jhi = jlo%3, n
+			}
+			gotA, wantA := New(m, n), New(m, n)
+			if !matMulTransAColsSIMD(gotA, at, b, jlo, jhi, false) {
+				t.Fatal("matMulTransAColsSIMD declined a float matrix")
+			}
+			matMulTransAColsGo(wantA, at, b, jlo, jhi)
+			mustEqual(t, gotA, wantA, "matMulTransAColsSIMD vs matMulTransAColsGo")
+
+			rows, cols := randMat(rng, m, n), New(m, n)
+			for i := 0; i < m; i++ {
+				vecMatAVX2(rows.Row(i), a.Row(i), 1, b.Data, n, k)
+				if k > 0 {
+					vecMatAVX2(cols.Row(i), at.Data[i:], m, b.Data, n, k)
+				}
+			}
+			mustEqual(t, rows, want, "AVX2 kernel by rows vs matMulRowsReg")
+			mustEqual(t, cols, want, "AVX2 kernel by a's columns vs matMulRowsReg")
+
+			bt := oddView(rng, b.Transpose())
+			if took, want := matMulTransBRowsSIMD(New(m, n), a, bt), m >= transBMinRows && !nonFinite; took != want {
+				t.Fatalf("matMulTransBRowsSIMD(m=%d, non-finite b %v) took the AVX2 path = %v", m, nonFinite, took)
+			}
+			gotB, wantB := randMat(rng, m, n), randMat(rng, m, n)
+			matMulTransBRows(gotB, a, bt)
+			matMulTransBRowsGo(wantB, a, bt)
+			mustEqual(t, gotB, wantB, "matMulTransBRows vs matMulTransBRowsGo")
 		}
-		gotB, wantB := randMatOf[T](rng, m, n), randMatOf[T](rng, m, n)
-		matMulTransBRows(gotB, a, bt)
-		matMulTransBRowsGo(wantB, a, bt)
-		mustEqual(t, gotB, wantB, "matMulTransBRows vs matMulTransBRowsGo")
-	}
+	})
 }
 
 // fuzzFloat turns 8 fuzz bytes into a float64 whose low four bits choose
@@ -199,13 +197,13 @@ func FuzzMatMul(f *testing.F) {
 			}
 			return fuzzFloat(u)
 		}
-		a, b, g := NewMat[float64](m, k), NewMat[float64](k, n), NewMat[float64](m, n)
-		for _, mat := range []*Mat[float64]{a, b, g} {
+		a, b, g := New(m, k), New(k, n), New(m, n)
+		for _, mat := range []*Matrix{a, b, g} {
 			for i := range mat.Data {
 				mat.Data[i] = next()
 			}
 		}
-		want := NewMat[float64](m, n)
+		want := New(m, n)
 		matMulRowsReg(want, a, b)
 		wantAdd := g.Clone()
 		AddInPlace(wantAdd, want)
@@ -215,8 +213,8 @@ func FuzzMatMul(f *testing.F) {
 		// dirty, so a column the kernel leaves unwritten shows; with add
 		// both start as g.
 		at := a.Transpose()
-		run := func(kern func(out, a []float64, lda int, b []float64, ldb, k int, add bool), add bool) (rows, cols *Mat[float64]) {
-			rows, cols = NewMat[float64](m, n), NewMat[float64](m, n)
+		run := func(kern func(out, a []float64, lda int, b []float64, ldb, k int, add bool), add bool) (rows, cols *Matrix) {
+			rows, cols = New(m, n), New(m, n)
 			rows.Fill(math.Float64frombits(0x7ff4dead0000beef))
 			if add {
 				copy(rows.Data, g.Data)
@@ -293,8 +291,8 @@ func refMul(x, y float64) float64 {
 // contract states it: each sum starts at +0 and runs in ascending k,
 // skipping a's ±0, each product a's element times b's, each add the sum
 // first; the sum is then added to g, g first.
-func addIntoRef(g, a, b *Mat[float64]) *Mat[float64] {
-	out := NewMat[float64](g.Rows, g.Cols)
+func addIntoRef(g, a, b *Matrix) *Matrix {
+	out := New(g.Rows, g.Cols)
 	for i := 0; i < a.Rows; i++ {
 		for j := 0; j < b.Cols; j++ {
 			var s float64
@@ -310,7 +308,7 @@ func addIntoRef(g, a, b *Mat[float64]) *Mat[float64] {
 }
 
 // mustBitEqual is mustEqual with NaN payloads compared too.
-func mustBitEqual(t *testing.T, got, want *Mat[float64], what string) {
+func mustBitEqual(t *testing.T, got, want *Matrix, what string) {
 	t.Helper()
 	for i := range want.Data {
 		if g, w := math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i]); g != w {
@@ -339,7 +337,7 @@ func TestAddIntoMatchesScalar(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(46))
 	negZero := math.Copysign(0, -1)
-	pick := func(m *Mat[float64], oneIn int, vals ...float64) *Mat[float64] {
+	pick := func(m *Matrix, oneIn int, vals ...float64) *Matrix {
 		for i := range m.Data {
 			if rng.Intn(oneIn) == 0 {
 				m.Data[i] = vals[rng.Intn(len(vals))]
@@ -366,9 +364,9 @@ func TestAddIntoMatchesScalar(t *testing.T) {
 			for _, n := range widths {
 				for k := 0; k <= 20; k++ {
 					m := 1 + (n+k)%3
-					a := pick(randMatOf[float64](rng, m, k), 3, 0, negZero)
-					b := pick(randMatOf[float64](rng, k, n), 40, math.Inf(1), math.Inf(-1), bNaN)
-					g := pick(randMatOf[float64](rng, m, n), 3, 0, negZero, math.Inf(1), math.Inf(-1), gNaN)
+					a := pick(randMat(rng, m, k), 3, 0, negZero)
+					b := pick(randMat(rng, k, n), 40, math.Inf(1), math.Inf(-1), bNaN)
+					g := pick(randMat(rng, m, n), 3, 0, negZero, math.Inf(1), math.Inf(-1), gNaN)
 					want := addIntoRef(g, a, b)
 
 					got := oddView(rng, g)
@@ -400,8 +398,8 @@ func TestAccumulateMatchesScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(47))
 	dNaN, sNaN := math.Float64frombits(0x7ff800000000d001), math.Float64frombits(0x7ff800000000e002)
 	for n := 0; n <= 40; n++ {
-		src := randMatOf[float64](rng, 1, n)
-		dst := randMatOf[float64](rng, 1, n)
+		src := randMat(rng, 1, n)
+		dst := randMat(rng, 1, n)
 		for i := range dst.Data {
 			switch rng.Intn(6) {
 			case 0:
@@ -413,7 +411,7 @@ func TestAccumulateMatchesScalar(t *testing.T) {
 			}
 		}
 		src, dst = oddView(rng, src), oddView(rng, dst)
-		want := NewMat[float64](1, n)
+		want := New(1, n)
 		for i := range want.Data {
 			want.Data[i] = refAdd(dst.Data[i], src.Data[i])
 		}

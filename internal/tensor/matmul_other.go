@@ -4,12 +4,13 @@ package tensor
 
 // Off amd64 the portable Go loops are the only matmul and add kernels.
 
-func simdFloat[T Float]() bool { return false }
+// useAVX2 is the AVX2 gate of matmul_amd64.go; no AVX2 kernel exists here.
+const useAVX2 = false
 
-func matMulRowsSIMD[T Float](out, a, b *Mat[T], add bool) bool { return false }
+func matMulRowsSIMD(out, a, b *Matrix, add bool) bool { return false }
 
-func matMulTransAColsSIMD[T Float](out, a, b *Mat[T], jlo, jhi int, add bool) bool { return false }
+func matMulTransAColsSIMD(out, a, b *Matrix, jlo, jhi int, add bool) bool { return false }
 
-func matMulTransBRowsSIMD[T Float](out, a, b *Mat[T]) bool { return false }
+func matMulTransBRowsSIMD(out, a, b *Matrix) bool { return false }
 
-func addVec[T Float](dst, src []T) int { return 0 }
+func addVec(dst, src []float64) int { return 0 }

@@ -8,18 +8,15 @@
 //
 // # One stack at float64
 //
-// Every type and kernel is written once, generic over the element type
-// (Float), which admits only float64: one Mat, one set of Into kernels,
-// one parallel driver. Models train, are stored and serve in float64
-// (Matrix is the alias the rest of the repo spells). The determinism
-// contract: every output element is accumulated in ascending k with zero
-// operands of a skipped, by the same per-element loop regardless of
-// kernel path or worker count.
+// Every type and kernel is written once, in float64: one Matrix, one set
+// of Into kernels, one parallel driver. Models train, are stored and serve
+// in float64. The determinism contract: every output element is
+// accumulated in ascending k with zero operands of a skipped, by the same
+// per-element loop regardless of kernel path or worker count.
 //
 // The AVX2 (and AVX-512) matmul kernels of matmul_amd64.go and the AVX2
 // activations of act_amd64.go compute exactly what the Go loops compute;
-// a type assertion picks them once per call for []float64, never per
-// element.
+// a CPU test at init picks them, once for the process.
 package tensor
 
 import (
@@ -30,82 +27,48 @@ import (
 	"sync/atomic"
 )
 
-// Float is the element-type constraint of the numeric stack. It admits
-// only float64, so the compiler proves that nothing instantiates the
-// stack at another width.
-type Float interface{ ~float64 }
-
-// Mat is a dense, row-major matrix.
-type Mat[T Float] struct {
+// Matrix is a dense, row-major float64 matrix.
+type Matrix struct {
 	Rows, Cols int
-	Data       []T
+	Data       []float64
 }
 
-// Matrix is the float64 instantiation: the training and storage format,
-// and the type every package outside the numeric stack spells.
-type Matrix = Mat[float64]
-
-// allocCount counts every matrix allocated through NewMat. The autodiff
+// allocCount counts every matrix allocated through New. The autodiff
 // arena recycles matrices instead of re-allocating them, and the allocation-
 // regression tests pin the warm inference path to a zero delta of this
 // counter — an exact measure that, unlike testing.AllocsPerRun, cannot be
 // perturbed by unrelated runtime allocations.
 var allocCount atomic.Uint64
 
-// Allocs returns the number of matrices allocated by NewMat since process
+// Allocs returns the number of matrices allocated by New since process
 // start. The counter only ever increases; callers compare deltas.
 func Allocs() uint64 { return allocCount.Load() }
 
-// NewMat returns a zero-initialized rows×cols matrix.
-func NewMat[T Float](rows, cols int) *Mat[T] {
+// New returns a zero-initialized rows×cols matrix.
+func New(rows, cols int) *Matrix {
 	if rows < 0 || cols < 0 {
 		panic(fmt.Sprintf("tensor: negative dimension %dx%d", rows, cols))
 	}
 	allocCount.Add(1)
-	return &Mat[T]{Rows: rows, Cols: cols, Data: make([]T, rows*cols)}
-}
-
-// New returns a zero-initialized rows×cols float64 matrix.
-func New(rows, cols int) *Matrix { return NewMat[float64](rows, cols) }
-
-// Cast copies src into dst, converting each element between float64 types.
-// The slices must have equal length. Equal element types are a plain copy.
-func Cast[D, S Float](dst []D, src []S) {
-	if len(dst) != len(src) {
-		panic(fmt.Sprintf("tensor: cast length %d != %d", len(dst), len(src)))
-	}
-	if same, ok := any(dst).([]S); ok {
-		copy(same, src)
-		return
-	}
-	for i, v := range src {
-		dst[i] = D(v)
-	}
-}
-
-// Convert returns a copy of m at element type D.
-func Convert[D, S Float](m *Mat[S]) *Mat[D] {
-	out := NewMat[D](m.Rows, m.Cols)
-	Cast(out.Data, m.Data)
-	return out
+	return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, rows*cols)}
 }
 
 // FromSlice wraps data (row-major, length rows*cols) in a Matrix. The slice
 // is used directly, not copied.
-func FromSlice[T Float](rows, cols int, data []T) *Mat[T] {
+func FromSlice(rows, cols int, data []float64) *Matrix {
 	if len(data) != rows*cols {
 		panic(fmt.Sprintf("tensor: data length %d != %d*%d", len(data), rows, cols))
 	}
-	return &Mat[T]{Rows: rows, Cols: cols, Data: data}
+	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
 // FromRows builds a matrix from row slices, which must all have equal length.
-func FromRows[T Float](rows [][]T) *Mat[T] {
+func FromRows(rows [][]float64) *Matrix {
 	if len(rows) == 0 {
-		return NewMat[T](0, 0)
+		return New(0, 0)
 	}
 	cols := len(rows[0])
-	m := NewMat[T](len(rows), cols)
+	m := New(len(rows), cols)
 	for i, r := range rows {
 		if len(r) != cols {
 			panic(fmt.Sprintf("tensor: ragged row %d: %d != %d", i, len(r), cols))
@@ -116,8 +79,8 @@ func FromRows[T Float](rows [][]T) *Mat[T] {
 }
 
 // RowVector returns a 1×n matrix holding a copy of v.
-func RowVector[T Float](v []T) *Mat[T] {
-	m := NewMat[T](1, len(v))
+func RowVector(v []float64) *Matrix {
+	m := New(1, len(v))
 	copy(m.Data, v)
 	return m
 }
@@ -141,43 +104,43 @@ func Uniform(rows, cols int, lo, hi float64, rng *rand.Rand) *Matrix {
 }
 
 // At returns the element at row i, column j.
-func (m *Mat[T]) At(i, j int) T { return m.Data[i*m.Cols+j] }
+func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
 // Set assigns the element at row i, column j.
-func (m *Mat[T]) Set(i, j int, v T) { m.Data[i*m.Cols+j] = v }
+func (m *Matrix) Set(i, j int, v float64) { m.Data[i*m.Cols+j] = v }
 
 // Row returns row i as a slice sharing the matrix's backing array.
-func (m *Mat[T]) Row(i int) []T { return m.Data[i*m.Cols : (i+1)*m.Cols] }
+func (m *Matrix) Row(i int) []float64 { return m.Data[i*m.Cols : (i+1)*m.Cols] }
 
 // Clone returns a deep copy of m.
-func (m *Mat[T]) Clone() *Mat[T] {
-	c := NewMat[T](m.Rows, m.Cols)
+func (m *Matrix) Clone() *Matrix {
+	c := New(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
 	return c
 }
 
 // Zero sets every element of m to zero.
-func (m *Mat[T]) Zero() {
+func (m *Matrix) Zero() {
 	for i := range m.Data {
 		m.Data[i] = 0
 	}
 }
 
 // Fill sets every element of m to v.
-func (m *Mat[T]) Fill(v T) {
+func (m *Matrix) Fill(v float64) {
 	for i := range m.Data {
 		m.Data[i] = v
 	}
 }
 
 // SameShape reports whether m and o have identical dimensions.
-func (m *Mat[T]) SameShape(o *Mat[T]) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
+func (m *Matrix) SameShape(o *Matrix) bool { return m.Rows == o.Rows && m.Cols == o.Cols }
 
 // stringPreview caps how many elements String renders: a panic message or
 // debug log mentioning a 512×512 matrix should be one line, not megabytes.
 const stringPreview = 8
 
-func (m *Mat[T]) String() string {
+func (m *Matrix) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Matrix(%dx%d)[", m.Rows, m.Cols)
 	show := len(m.Data)
@@ -198,8 +161,8 @@ func (m *Mat[T]) String() string {
 }
 
 // MatMul returns a×b. Panics if the inner dimensions disagree.
-func MatMul[T Float](a, b *Mat[T]) *Mat[T] {
-	out := NewMat[T](a.Rows, b.Cols)
+func MatMul(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Cols)
 	MatMulInto(out, a, b)
 	return out
 }
@@ -211,17 +174,17 @@ func MatMul[T Float](a, b *Mat[T]) *Mat[T] {
 // zero operands of a skipped, regardless of which internal kernel or how
 // many goroutines compute it — so results are bit-identical across the
 // register/streaming paths and across every SetMatMulWorkers setting.
-func MatMulInto[T Float](out, a, b *Mat[T]) { matMulInto(out, a, b, false) }
+func MatMulInto(out, a, b *Matrix) { matMulInto(out, a, b, false) }
 
 // MatMulAddInto computes g += a×b through the kernel's accumulate mode
 // and reports true: each sum is built in a register and added into g as it
 // is stored (DESIGN §5n), the bits of MatMulInto into a scratch matrix
-// followed by AddInPlace. Where that kernel does not run (no AVX2, or a
-// named float64 type) it does nothing and reports false, and the caller
-// runs the scratch product and the add. g must be a.Rows×b.Cols and must
+// followed by AddInPlace. Where that kernel does not run (no AVX2) it
+// does nothing and reports false, and the caller runs the scratch product
+// and the add. g must be a.Rows×b.Cols and must
 // not alias a or b.
-func MatMulAddInto[T Float](g, a, b *Mat[T]) bool {
-	if !simdFloat[T]() {
+func MatMulAddInto(g, a, b *Matrix) bool {
+	if !useAVX2 {
 		return false
 	}
 	matMulInto(g, a, b, true)
@@ -229,7 +192,7 @@ func MatMulAddInto[T Float](g, a, b *Mat[T]) bool {
 }
 
 // matMulInto is MatMulInto, or with add MatMulAddInto.
-func matMulInto[T Float](out, a, b *Mat[T], add bool) {
+func matMulInto(out, a, b *Matrix, add bool) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul shape mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -268,7 +231,7 @@ const regPathMaxB = 1 << 15
 //
 // With add (MatMulAddInto, which has checked the kernel runs) the AVX2
 // kernel adds into out at any size of b: it alone has that mode.
-func matMulRows[T Float](out, a, b *Mat[T], add bool) {
+func matMulRows(out, a, b *Matrix, add bool) {
 	n := b.Cols
 	if add || len(b.Data) <= regPathMaxB {
 		if !matMulRowsSIMD(out, a, b, add) {
@@ -304,7 +267,7 @@ func matMulRows[T Float](out, a, b *Mat[T], add bool) {
 // matMulRowsReg is the register path in portable Go: eight (then four,
 // then one) output columns per block. It is the kernel off amd64 or
 // without AVX2, and the oracle the AVX2 kernel is tested against.
-func matMulRowsReg[T Float](out, a, b *Mat[T]) {
+func matMulRowsReg(out, a, b *Matrix) {
 	n := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
@@ -315,7 +278,7 @@ func matMulRowsReg[T Float](out, a, b *Mat[T]) {
 		// accumulates in ascending k with a-zeros skipped, so the block
 		// width never shows up in the result.
 		for ; j+8 <= n; j += 8 {
-			var s0, s1, s2, s3, s4, s5, s6, s7 T
+			var s0, s1, s2, s3, s4, s5, s6, s7 float64
 			idx := j
 			for _, av := range arow {
 				if av != 0 {
@@ -335,7 +298,7 @@ func matMulRowsReg[T Float](out, a, b *Mat[T]) {
 			orow[j+4], orow[j+5], orow[j+6], orow[j+7] = s4, s5, s6, s7
 		}
 		for ; j+4 <= n; j += 4 {
-			var s0, s1, s2, s3 T
+			var s0, s1, s2, s3 float64
 			idx := j
 			for _, av := range arow {
 				if av != 0 {
@@ -350,7 +313,7 @@ func matMulRowsReg[T Float](out, a, b *Mat[T]) {
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
 		for ; j < n; j++ {
-			var s T
+			var s float64
 			idx := j
 			for _, av := range arow {
 				if av != 0 {
@@ -364,15 +327,15 @@ func matMulRowsReg[T Float](out, a, b *Mat[T]) {
 }
 
 // MatMulTransB returns a×bᵀ without materializing bᵀ.
-func MatMulTransB[T Float](a, b *Mat[T]) *Mat[T] {
-	out := NewMat[T](a.Rows, b.Rows)
+func MatMulTransB(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Rows)
 	MatMulTransBInto(out, a, b)
 	return out
 }
 
 // MatMulTransBInto computes out = a×bᵀ, reusing out's storage. out must be
 // a.Rows×b.Rows and must not alias a or b.
-func MatMulTransBInto[T Float](out, a, b *Mat[T]) {
+func MatMulTransBInto(out, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: matmulTransB shape mismatch %dx%d · (%dx%d)ᵀ", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -393,7 +356,7 @@ func MatMulTransBInto[T Float](out, a, b *Mat[T]) {
 // matMulTransBRows is the serial out = a×bᵀ kernel over a contiguous row
 // range: the AVX2 kernel where the CPU has one and it accepts the operands
 // (DESIGN §5n), matMulTransBRowsGo otherwise.
-func matMulTransBRows[T Float](out, a, b *Mat[T]) {
+func matMulTransBRows(out, a, b *Matrix) {
 	if !matMulTransBRowsSIMD(out, a, b) {
 		matMulTransBRowsGo(out, a, b)
 	}
@@ -405,7 +368,7 @@ func matMulTransBRows[T Float](out, a, b *Mat[T]) {
 // cache once per block. Every accumulator still sums in ascending k, so
 // results are bit-identical to the scalar loop. It is the kernel off amd64
 // or without AVX2, and the oracle the AVX2 path is tested against.
-func matMulTransBRowsGo[T Float](out, a, b *Mat[T]) {
+func matMulTransBRowsGo(out, a, b *Matrix) {
 	bc := b.Cols
 	for i := 0; i < a.Rows; i++ {
 		arow := a.Data[i*a.Cols : (i+1)*a.Cols]
@@ -416,7 +379,7 @@ func matMulTransBRowsGo[T Float](out, a, b *Mat[T]) {
 			b1 := b.Data[(j+1)*bc : (j+2)*bc]
 			b2 := b.Data[(j+2)*bc : (j+3)*bc]
 			b3 := b.Data[(j+3)*bc : (j+4)*bc]
-			var s0, s1, s2, s3 T
+			var s0, s1, s2, s3 float64
 			for k, av := range arow {
 				s0 += av * b0[k]
 				s1 += av * b1[k]
@@ -427,7 +390,7 @@ func matMulTransBRowsGo[T Float](out, a, b *Mat[T]) {
 		}
 		for ; j < b.Rows; j++ {
 			brow := b.Data[j*bc : (j+1)*bc]
-			var s T
+			var s float64
 			for k, av := range arow {
 				s += av * brow[k]
 			}
@@ -437,22 +400,22 @@ func matMulTransBRowsGo[T Float](out, a, b *Mat[T]) {
 }
 
 // MatMulTransA returns aᵀ×b without materializing aᵀ.
-func MatMulTransA[T Float](a, b *Mat[T]) *Mat[T] {
-	out := NewMat[T](a.Cols, b.Cols)
+func MatMulTransA(a, b *Matrix) *Matrix {
+	out := New(a.Cols, b.Cols)
 	MatMulTransAInto(out, a, b)
 	return out
 }
 
 // MatMulTransAInto computes out = aᵀ×b, reusing out's storage. out must be
 // a.Cols×b.Cols and must not alias a or b.
-func MatMulTransAInto[T Float](out, a, b *Mat[T]) { matMulTransAInto(out, a, b, false) }
+func MatMulTransAInto(out, a, b *Matrix) { matMulTransAInto(out, a, b, false) }
 
 // MatMulTransAAddInto is MatMulAddInto for g += aᵀ×b, with g a.Cols×b.Cols:
 // the bits of MatMulTransAInto into a scratch matrix followed by
 // AddInPlace, or false, having done nothing, where the kernel does not
 // run or a has no rows.
-func MatMulTransAAddInto[T Float](g, a, b *Mat[T]) bool {
-	if a.Rows == 0 || !simdFloat[T]() {
+func MatMulTransAAddInto(g, a, b *Matrix) bool {
+	if a.Rows == 0 || !useAVX2 {
 		return false
 	}
 	matMulTransAInto(g, a, b, true)
@@ -460,7 +423,7 @@ func MatMulTransAAddInto[T Float](g, a, b *Mat[T]) bool {
 }
 
 // matMulTransAInto is MatMulTransAInto, or with add MatMulTransAAddInto.
-func matMulTransAInto[T Float](out, a, b *Mat[T], add bool) {
+func matMulTransAInto(out, a, b *Matrix, add bool) {
 	if a.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: matmulTransA shape mismatch (%dx%d)ᵀ · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
@@ -468,7 +431,7 @@ func matMulTransAInto[T Float](out, a, b *Mat[T], add bool) {
 		panic(fmt.Sprintf("tensor: matmulTransA out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols))
 	}
 	mustNotAlias("matmulTransA", out, a, b)
-	if a.Rows == 0 || !simdFloat[T]() {
+	if a.Rows == 0 || !useAVX2 {
 		// The Go loop adds into out, and with k = 0 nothing is added:
 		// only the kernel, at k > 0, writes every element itself. (With
 		// add, MatMulTransAAddInto has checked that it runs.)
@@ -492,7 +455,7 @@ func matMulTransAInto[T Float](out, a, b *Mat[T], add bool) {
 // matMulTransACols computes out[:, jlo:jhi) of out = aᵀ×b, or with add of
 // out += aᵀ×b: through the AVX2 kernel where the CPU has one (DESIGN §5n),
 // else into a pre-zeroed out through matMulTransAColsGo.
-func matMulTransACols[T Float](out, a, b *Mat[T], jlo, jhi int, add bool) {
+func matMulTransACols(out, a, b *Matrix, jlo, jhi int, add bool) {
 	if !matMulTransAColsSIMD(out, a, b, jlo, jhi, add) {
 		matMulTransAColsGo(out, a, b, jlo, jhi)
 	}
@@ -502,7 +465,7 @@ func matMulTransACols[T Float](out, a, b *Mat[T], jlo, jhi int, add bool) {
 // Go: k-outer, with the contiguous j loop unrolled 4 wide (see MatMulInto).
 // out must be pre-zeroed. It is the kernel off amd64 or without AVX2, and
 // the oracle the AVX2 kernel is tested against.
-func matMulTransAColsGo[T Float](out, a, b *Mat[T], jlo, jhi int) {
+func matMulTransAColsGo(out, a, b *Matrix, jlo, jhi int) {
 	n := b.Cols
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
@@ -529,14 +492,14 @@ func matMulTransAColsGo[T Float](out, a, b *Mat[T], jlo, jhi int) {
 }
 
 // Transpose returns mᵀ.
-func (m *Mat[T]) Transpose() *Mat[T] {
-	t := NewMat[T](m.Cols, m.Rows)
+func (m *Matrix) Transpose() *Matrix {
+	t := New(m.Cols, m.Rows)
 	TransposeInto(t, m)
 	return t
 }
 
 // Add returns a+b elementwise.
-func Add[T Float](a, b *Mat[T]) *Mat[T] {
+func Add(a, b *Matrix) *Matrix {
 	mustSameShape("add", a, b)
 	out := a.Clone()
 	for i, v := range b.Data {
@@ -546,7 +509,7 @@ func Add[T Float](a, b *Mat[T]) *Mat[T] {
 }
 
 // Sub returns a−b elementwise.
-func Sub[T Float](a, b *Mat[T]) *Mat[T] {
+func Sub(a, b *Matrix) *Matrix {
 	mustSameShape("sub", a, b)
 	out := a.Clone()
 	for i, v := range b.Data {
@@ -556,7 +519,7 @@ func Sub[T Float](a, b *Mat[T]) *Mat[T] {
 }
 
 // Mul returns the Hadamard (elementwise) product a∘b.
-func Mul[T Float](a, b *Mat[T]) *Mat[T] {
+func Mul(a, b *Matrix) *Matrix {
 	mustSameShape("mul", a, b)
 	out := a.Clone()
 	for i, v := range b.Data {
@@ -566,7 +529,7 @@ func Mul[T Float](a, b *Mat[T]) *Mat[T] {
 }
 
 // Scale returns s·m.
-func Scale[T Float](m *Mat[T], s T) *Mat[T] {
+func Scale(m *Matrix, s float64) *Matrix {
 	out := m.Clone()
 	for i := range out.Data {
 		out.Data[i] *= s
@@ -575,16 +538,16 @@ func Scale[T Float](m *Mat[T], s T) *Mat[T] {
 }
 
 // AddInPlace accumulates b into a.
-func AddInPlace[T Float](a, b *Mat[T]) {
+func AddInPlace(a, b *Matrix) {
 	mustSameShape("addInPlace", a, b)
 	Accumulate(a.Data, b.Data)
 }
 
 // Accumulate adds src into dst elementwise, dst[i] += src[i] for every
-// i < len(src); dst must be at least as long. Float64 runs four lanes at a
+// i < len(src); dst must be at least as long. It runs four lanes at a
 // time where the CPU has AVX2, each lane the same one IEEE add, with the
 // last len(src)%4 elements in Go.
-func Accumulate[T Float](dst, src []T) {
+func Accumulate(dst, src []float64) {
 	dst = dst[:len(src)]
 	for i := addVec(dst, src); i < len(src); i++ {
 		dst[i] += src[i]
@@ -592,7 +555,7 @@ func Accumulate[T Float](dst, src []T) {
 }
 
 // AxpyInPlace accumulates s·b into a.
-func AxpyInPlace[T Float](a *Mat[T], s T, b *Mat[T]) {
+func AxpyInPlace(a *Matrix, s float64, b *Matrix) {
 	mustSameShape("axpy", a, b)
 	for i, v := range b.Data {
 		a.Data[i] += s * v
@@ -600,7 +563,7 @@ func AxpyInPlace[T Float](a *Mat[T], s T, b *Mat[T]) {
 }
 
 // AddRow returns m with the 1×cols row vector r added to every row.
-func AddRow[T Float](m, r *Mat[T]) *Mat[T] {
+func AddRow(m, r *Matrix) *Matrix {
 	if r.Rows != 1 || r.Cols != m.Cols {
 		panic(fmt.Sprintf("tensor: addRow wants 1x%d, got %dx%d", m.Cols, r.Rows, r.Cols))
 	}
@@ -615,8 +578,8 @@ func AddRow[T Float](m, r *Mat[T]) *Mat[T] {
 }
 
 // Apply returns f applied to every element of m.
-func Apply[T Float](m *Mat[T], f func(T) T) *Mat[T] {
-	out := NewMat[T](m.Rows, m.Cols)
+func Apply(m *Matrix, f func(float64) float64) *Matrix {
+	out := New(m.Rows, m.Cols)
 	for i, v := range m.Data {
 		out.Data[i] = f(v)
 	}
@@ -624,8 +587,8 @@ func Apply[T Float](m *Mat[T], f func(T) T) *Mat[T] {
 }
 
 // Sum returns the sum of all elements.
-func (m *Mat[T]) Sum() T {
-	var s T
+func (m *Matrix) Sum() float64 {
+	var s float64
 	for _, v := range m.Data {
 		s += v
 	}
@@ -633,16 +596,16 @@ func (m *Mat[T]) Sum() T {
 }
 
 // Mean returns the mean of all elements (0 for an empty matrix).
-func (m *Mat[T]) Mean() T {
+func (m *Matrix) Mean() float64 {
 	if len(m.Data) == 0 {
 		return 0
 	}
-	return m.Sum() / T(len(m.Data))
+	return m.Sum() / float64(len(m.Data))
 }
 
 // MaxAbs returns the largest absolute element (0 for an empty matrix).
-func (m *Mat[T]) MaxAbs() T {
-	var best T
+func (m *Matrix) MaxAbs() float64 {
+	var best float64
 	for _, v := range m.Data {
 		if v < 0 {
 			v = -v
@@ -656,9 +619,9 @@ func (m *Mat[T]) MaxAbs() T {
 
 // ConcatCols concatenates matrices horizontally: all inputs must have the
 // same number of rows.
-func ConcatCols[T Float](ms ...*Mat[T]) *Mat[T] {
+func ConcatCols(ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
-		return NewMat[T](0, 0)
+		return New(0, 0)
 	}
 	rows := ms[0].Rows
 	cols := 0
@@ -668,7 +631,7 @@ func ConcatCols[T Float](ms ...*Mat[T]) *Mat[T] {
 		}
 		cols += m.Cols
 	}
-	out := NewMat[T](rows, cols)
+	out := New(rows, cols)
 	for i := 0; i < rows; i++ {
 		off := 0
 		orow := out.Row(i)
@@ -682,9 +645,9 @@ func ConcatCols[T Float](ms ...*Mat[T]) *Mat[T] {
 
 // ConcatRows concatenates matrices vertically: all inputs must have the
 // same number of columns.
-func ConcatRows[T Float](ms ...*Mat[T]) *Mat[T] {
+func ConcatRows(ms ...*Matrix) *Matrix {
 	if len(ms) == 0 {
-		return NewMat[T](0, 0)
+		return New(0, 0)
 	}
 	cols := ms[0].Cols
 	rows := 0
@@ -694,7 +657,7 @@ func ConcatRows[T Float](ms ...*Mat[T]) *Mat[T] {
 		}
 		rows += m.Rows
 	}
-	out := NewMat[T](rows, cols)
+	out := New(rows, cols)
 	off := 0
 	for _, m := range ms {
 		copy(out.Data[off:off+len(m.Data)], m.Data)
@@ -704,29 +667,29 @@ func ConcatRows[T Float](ms ...*Mat[T]) *Mat[T] {
 }
 
 // SliceRows returns rows [lo,hi) of m as a copy.
-func (m *Mat[T]) SliceRows(lo, hi int) *Mat[T] {
+func (m *Matrix) SliceRows(lo, hi int) *Matrix {
 	if lo < 0 || hi > m.Rows || lo > hi {
 		panic(fmt.Sprintf("tensor: sliceRows [%d,%d) out of %d rows", lo, hi, m.Rows))
 	}
-	out := NewMat[T](hi-lo, m.Cols)
+	out := New(hi-lo, m.Cols)
 	copy(out.Data, m.Data[lo*m.Cols:hi*m.Cols])
 	return out
 }
 
 // AllClose reports whether a and b agree elementwise within tol.
-func AllClose[T Float](a, b *Mat[T], tol float64) bool {
+func AllClose(a, b *Matrix, tol float64) bool {
 	if !a.SameShape(b) {
 		return false
 	}
 	for i, v := range a.Data {
-		if math.Abs(float64(v-b.Data[i])) > tol {
+		if math.Abs(v-b.Data[i]) > tol {
 			return false
 		}
 	}
 	return true
 }
 
-func mustSameShape[T Float](op string, a, b *Mat[T]) {
+func mustSameShape(op string, a, b *Matrix) {
 	if !a.SameShape(b) {
 		panic(fmt.Sprintf("tensor: %s shape mismatch %dx%d vs %dx%d", op, a.Rows, a.Cols, b.Rows, b.Cols))
 	}

@@ -41,10 +41,10 @@ func TestShapePanics(t *testing.T) {
 }
 
 func TestConcatEmptyInputs(t *testing.T) {
-	if m := ConcatCols[float64](); m.Rows != 0 || m.Cols != 0 {
+	if m := ConcatCols(); m.Rows != 0 || m.Cols != 0 {
 		t.Fatalf("empty ConcatCols = %v", m)
 	}
-	if m := ConcatRows[float64](); m.Rows != 0 || m.Cols != 0 {
+	if m := ConcatRows(); m.Rows != 0 || m.Cols != 0 {
 		t.Fatalf("empty ConcatRows = %v", m)
 	}
 }

@@ -243,18 +243,6 @@ func TestMatMulAssociativity(t *testing.T) {
 	}
 }
 
-// TestConvertRoundTrip pins Convert as a copy: the values survive and the
-// result shares no storage with its source.
-func TestConvertRoundTrip(t *testing.T) {
-	m := FromRows([][]float64{{1.5, -2.25}, {0, 3}})
-	c := Convert[float64](m)
-	mustEqual(t, c, m, "round trip")
-	c.Data[0] = 7
-	if m.Data[0] != 1.5 {
-		t.Fatal("Convert shares storage with its source")
-	}
-}
-
 // BenchmarkMatMul runs the kernels at the shapes the cost model multiplies
 // (bench/'s served model: 42-node plans, 60-wide node rows, Hidden 48)
 // on one goroutine and reports MFLOP/s, so a kernel change can be sized
@@ -281,23 +269,23 @@ func BenchmarkMatMul(b *testing.B) {
 	prev := SetMatMulWorkers(1)
 	defer SetMatMulWorkers(prev)
 	for _, s := range shapes {
-		b.Run(s.name+"/f64", func(b *testing.B) { benchMatMul[float64](b, s.op, s.m, s.k, s.n) })
+		b.Run(s.name, func(b *testing.B) { benchMatMul(b, s.op, s.m, s.k, s.n) })
 	}
 }
 
-func benchMatMul[T Float](b *testing.B, op byte, m, k, n int) {
+func benchMatMul(b *testing.B, op byte, m, k, n int) {
 	rng := rand.New(rand.NewSource(1))
-	out := NewMat[T](m, n)
+	out := New(m, n)
 	var run func()
 	switch op {
 	case 'n':
-		x, y := randMatOf[T](rng, m, k), randMatOf[T](rng, k, n)
+		x, y := randMat(rng, m, k), randMat(rng, k, n)
 		run = func() { MatMulInto(out, x, y) }
 	case 'a':
-		x, y := randMatOf[T](rng, k, m), randMatOf[T](rng, k, n)
+		x, y := randMat(rng, k, m), randMat(rng, k, n)
 		run = func() { MatMulTransAInto(out, x, y) }
 	case 'b':
-		x, y := randMatOf[T](rng, m, k), randMatOf[T](rng, n, k)
+		x, y := randMat(rng, m, k), randMat(rng, n, k)
 		run = func() { MatMulTransBInto(out, x, y) }
 	}
 	b.ResetTimer()
@@ -312,7 +300,7 @@ func benchMatMul[T Float](b *testing.B, op byte, m, k, n int) {
 // rows. Everywhere else they report false and leave g as it was, for the
 // caller to add a scratch product.
 func TestAddIntoDeclinesWithoutKernel(t *testing.T) {
-	kernel := simdFloat[float64]()
+	kernel := useAVX2
 	if got := MatMulAddInto(New(2, 3), New(2, 2), New(2, 3)); got != kernel {
 		t.Fatalf("float64 MatMulAddInto took the kernel = %v, want %v", got, kernel)
 	}

@@ -116,6 +116,6 @@ func parallelRanges(units, w int, fn func(lo, hi int)) {
 }
 
 // rowView returns the contiguous [lo,hi) row window of m without copying.
-func rowView[T Float](m *Mat[T], lo, hi int) *Mat[T] {
-	return &Mat[T]{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
+func rowView(m *Matrix, lo, hi int) *Matrix {
+	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }

@@ -24,10 +24,6 @@ func forceParallel(t *testing.T) {
 // bit for bit — including the unroll tails and rows/cols that don't
 // divide evenly across workers.
 func TestParallelMatMulBitIdenticalAcrossWorkers(t *testing.T) {
-	testParallelMatMulBitIdentical[float64](t)
-}
-
-func testParallelMatMulBitIdentical[T Float](t *testing.T) {
 	forceParallel(t)
 	rng := rand.New(rand.NewSource(23))
 	shapes := [][3]int{
@@ -41,8 +37,8 @@ func testParallelMatMulBitIdentical[T Float](t *testing.T) {
 	workers := []int{2, 3, 4, 7}
 	for _, sh := range shapes {
 		m, k, n := sh[0], sh[1], sh[2]
-		a := randMatOf[T](rng, m, k)
-		b := randMatOf[T](rng, k, n)
+		a := randMat(rng, m, k)
+		b := randMat(rng, k, n)
 		at := a.Transpose()
 		bt := b.Transpose()
 
@@ -53,15 +49,15 @@ func testParallelMatMulBitIdentical[T Float](t *testing.T) {
 
 		for _, w := range workers {
 			SetMatMulWorkers(w)
-			got := randMatOf[T](rng, m, n) // dirty output: kernels must overwrite fully
+			got := randMat(rng, m, n) // dirty output: kernels must overwrite fully
 			MatMulInto(got, a, b)
 			mustEqual(t, got, want, "MatMulInto parallel")
 
-			gotTA := randMatOf[T](rng, m, n)
+			gotTA := randMat(rng, m, n)
 			MatMulTransAInto(gotTA, at, b)
 			mustEqual(t, gotTA, wantTA, "MatMulTransAInto parallel")
 
-			gotTB := randMatOf[T](rng, m, n)
+			gotTB := randMat(rng, m, n)
 			MatMulTransBInto(gotTB, a, bt)
 			mustEqual(t, gotTB, wantTB, "MatMulTransBInto parallel")
 		}

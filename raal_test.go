@@ -95,7 +95,7 @@ func TestRunConvenience(t *testing.T) {
 
 func TestTrainedModelQuality(t *testing.T) {
 	_, ds, cm := sharedSystem(t)
-	samples := cm.EncodeDataset(ds)
+	samples := ds.Encode(cm.enc)
 	m, err := cm.model.Evaluate(samples)
 	if err != nil {
 		t.Fatal(err)
