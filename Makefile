@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-parallel bench-online chaos online engine vet fmt-check fuzz cover check
+.PHONY: build test race bench bench-parallel bench-online chaos online engine vet fmt-check fma-check fuzz cover check
 
 build:
 	$(GO) build ./...
@@ -18,8 +18,9 @@ test: build
 # Race-detector run over the packages with concurrency on the hot path
 # (data-parallel training/inference, the serving layer, the telemetry
 # registry, and the numeric stack), plus the public API. internal/core
-# includes TestParallelTrainRaceSmoke, which trains with Workers=4 so
-# shard-parallel backward passes are exercised under the detector, and
+# includes TestParallelTrainRaceSmoke, which trains four shards at
+# GOMAXPROCS=4 so shard-parallel backward passes are exercised under the
+# detector, and
 # TestTapePoolConcurrentFitsAndPredict (two Fits and a multi-worker
 # PredictCtx leasing from the process's shared tape pool at once) and
 # TestAdamScheduleBitIdentical (Adam.Step's second goroutine), and
@@ -116,6 +117,18 @@ fmt-check:
 	@out=$$(gofmt -l . | grep -v '^bench/' || true); \
 	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files (run gofmt -w on them):"; echo "$$out"; exit 1; fi
 
+# arm64 fused multiply-add census of internal/tensor: its portable Go
+# loops are the only kernels off amd64, and each rounds every product
+# (float64(x*y)) so that no port fuses a multiply-add and arm64 computes
+# the bits amd64 does (DESIGN §5j). Fails on any FMADD/FMSUB/FNMADD/FNMSUB
+# in the package's arm64 assembly listing, or when there is no listing.
+FMA_OPS = [[:space:]]F(N?)M(ADD|SUB)[DS][[:space:]]
+fma-check:
+	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=raal/internal/tensor=-S ./internal/tensor 2>&1); \
+	if ! echo "$$asm" | grep -q STEXT; then echo "fma-check: no arm64 listing of internal/tensor"; echo "$$asm"; exit 1; fi; \
+	n=$$(echo "$$asm" | grep -cE '$(FMA_OPS)'); \
+	if [ "$$n" -ne 0 ]; then echo "$$asm" | grep -E '$(FMA_OPS)'; echo "fma-check: $$n fused multiply-adds in internal/tensor on arm64"; exit 1; fi
+
 # Per-package coverage gate: every package that has tests must cover at
 # least COVER_FLOOR% of its statements (packages with no test files —
 # cmd/, examples/, test helpers — are exempt). The floor sits just below
@@ -177,8 +190,9 @@ fuzz:
 # The arm64 vet and build keep the portable-Go build (no AVX2 kernels,
 # internal/tensor/matmul_other.go and act_other.go) compiling; vet on
 # amd64 already checks the assembly's frame offsets against its Go
-# declarations (asmdecl).
-check: vet fmt-check test fuzz
+# declarations (asmdecl); fma-check keeps that build's tensor kernels
+# free of fused multiply-adds.
+check: vet fmt-check fma-check test fuzz
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	$(GO) vet -C bench .
 	$(GO) test -C bench .

@@ -51,8 +51,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		csvDir  = fs.String("csv", "", "directory to write per-experiment CSV data (figures only)")
 		jsonOut = fs.Bool("json", false, "also write machine-readable BENCH_<exp>.json to -outdir for experiments that support it (online)")
 		outDir  = fs.String("outdir", "results", "directory for the bench report file, mirrored to stdout (empty = stdout only)")
-		workers = fs.Int("workers", 0, "training worker goroutines (0 = serial; results are identical for any value)")
-		shard   = fs.Int("shard", 0, "gradient-accumulation shard size (0 = whole batch)")
+		workers = fs.Int("workers", 0, "collection worker goroutines")
 	)
 	if err := fs.Parse(args); err != nil {
 		if errors.Is(err, flag.ErrHelp) {
@@ -125,7 +124,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	opt.Seed = *seed
 	opt.Workers = *workers
-	opt.ShardSize = *shard
 
 	var lab *experiments.Lab
 	needsLab := false

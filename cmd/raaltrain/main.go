@@ -34,8 +34,6 @@ func main() {
 		variant    = flag.String("variant", "RAAL", "RAAL, NE-LSTM, NA-LSTM, or RAAC")
 		seed       = flag.Int64("seed", 1, "global seed")
 		out        = flag.String("out", "", "path to save the trained model (optional)")
-		workers    = flag.Int("workers", 0, "training worker goroutines (0 = serial; results are identical for any value)")
-		shard      = flag.Int("shard", 0, "gradient-accumulation shard size (0 = whole batch)")
 		resume     = flag.String("resume", "", "continue training from a checkpoint written by -checkpoint")
 		checkpoint = flag.String("checkpoint", "", "path to save a resumable checkpoint after training (optional)")
 	)
@@ -80,10 +78,9 @@ func main() {
 	reg := raal.NewMetricsRegistry()
 	epochs64 := reg.NewCounter("raal_train_epochs_total", "Completed training epochs.")
 	loss64 := reg.NewGauge("raal_train_epoch_loss", "Latest epoch's sample-weighted mean training loss (log-cost MSE).")
-	shards64 := reg.NewGauge("raal_train_shards_per_sec", "Latest epoch's gradient-shard throughput.")
+	shards64 := reg.NewGauge("raal_train_shards_per_sec", "8-sample gradient shards trained per second in the latest epoch.")
 	opts := raal.TrainOptions{
 		Epochs: *epochs, LR: *lr, Seed: *seed,
-		Workers: *workers, ShardSize: *shard,
 		Metrics: reg,
 		Progress: func(int, float64) {
 			fmt.Printf("  epoch %2d: loss %.4f (%.0f shards/s)\n",

@@ -124,13 +124,6 @@ type TrainOptions struct {
 	// becomes the held-out set reported by TrainCostModel.
 	TrainFrac float64
 	Seed      int64
-	// Workers and ShardSize enable data-parallel training: each
-	// mini-batch is split into ShardSize-sample shards whose gradients
-	// are computed on Workers goroutines and merged in shard order.
-	// Workers never changes the trained model; ShardSize fixes the shard
-	// boundaries (0 keeps each batch whole, the serial trainer).
-	Workers   int
-	ShardSize int
 	// Progress, if set, receives per-epoch training loss.
 	Progress func(epoch int, loss float64)
 	// Metrics, if set, receives training telemetry (epoch counter, latest
@@ -209,8 +202,6 @@ func (cm *CostModel) fit(st *TrainState, ds *Dataset, opt TrainOptions) (*TrainR
 		tc.LR = opt.LR
 	}
 	tc.Seed = opt.Seed
-	tc.Workers = opt.Workers
-	tc.ShardSize = opt.ShardSize
 	tc.Progress = opt.Progress
 	tc.State = st
 	if opt.Metrics != nil {

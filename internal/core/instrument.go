@@ -34,7 +34,8 @@ type Instrumentation struct {
 
 	// TrainEpochs counts completed epochs; TrainLoss is the latest
 	// epoch's sample-weighted mean training loss (log-cost MSE);
-	// ShardsPerSec is the latest epoch's gradient-shard throughput.
+	// ShardsPerSec is the number of 8-sample gradient shards (shardSize)
+	// trained per second in the latest epoch.
 	TrainEpochs  *telemetry.Counter
 	TrainLoss    *telemetry.Gauge
 	ShardsPerSec *telemetry.Gauge
@@ -84,7 +85,7 @@ func NewInstrumentation(reg *telemetry.Registry) *Instrumentation {
 		TrainLoss: reg.NewGauge("raal_train_epoch_loss",
 			"Latest epoch's sample-weighted mean training loss (log-cost MSE)."),
 		ShardsPerSec: reg.NewGauge("raal_train_shards_per_sec",
-			"Latest epoch's gradient-shard throughput."),
+			"8-sample gradient shards trained per second in the latest epoch."),
 	}
 }
 

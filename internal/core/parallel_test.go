@@ -4,11 +4,13 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 
 	"raal/internal/autodiff"
 	"raal/internal/encode"
+	"raal/internal/nn"
 	"raal/internal/tensor"
 )
 
@@ -66,76 +68,75 @@ func TestPredictConcurrentCallers(t *testing.T) {
 	wg.Wait()
 }
 
-// TestFitWorkersDeterministic is the tentpole's determinism guarantee:
-// with shard boundaries pinned by ShardSize, the worker count must not
-// change training at all — same loss curve, same weights, bit for bit.
+// TestFitWorkersDeterministic: shard boundaries depend on Batch alone, so
+// GOMAXPROCS, which sets how many goroutines run the shards, must not
+// change training at all: same loss curve, same weights, bit for bit.
 func TestFitWorkersDeterministic(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, v := range []Variant{RAAL(), RAAC()} {
 		samples := synthDataset(90, 23) // 90 % 16 != 0: exercises short batches
 		tc := quickTrain()
 		tc.Epochs = 3
-		tc.ShardSize = 4
-
-		tc.Workers = 1
-		m1, r1, err := Train(samples, v, testConfig(), tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		tc.Workers = 4
-		m4, r4, err := Train(samples, v, testConfig(), tc)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for e := range r1.LossCurve {
-			if r1.LossCurve[e] != r4.LossCurve[e] {
-				t.Fatalf("%s: epoch %d loss differs across workers: %v vs %v",
-					v.Name, e, r1.LossCurve[e], r4.LossCurve[e])
+		var want fitRun
+		for _, procs := range []int{1, 2, 8} {
+			runtime.GOMAXPROCS(procs)
+			_, got := fitOn(t, samples, v, testConfig(), tc)
+			if procs == 1 {
+				want = got
+				continue
 			}
-		}
-		p1 := predictOn(m1, samples[:10], schedOpts{workers: 1})
-		p4 := predictOn(m4, samples[:10], schedOpts{workers: 1})
-		for i := range p1 {
-			if p1[i] != p4[i] {
-				t.Fatalf("%s: trained weights differ across workers (prediction %d: %v vs %v)",
-					v.Name, i, p1[i], p4[i])
-			}
+			sameFit(t, fmt.Sprintf("%s at GOMAXPROCS=%d", v.Name, procs), got, want)
 		}
 	}
 }
 
 // TestFitShardedMatchesWholeBatch checks that gradient accumulation over
 // shards reproduces whole-batch training up to floating-point association.
+// The whole-batch reference is Fit's loop with each batch run as one
+// shardRun.step on the model itself.
 func TestFitShardedMatchesWholeBatch(t *testing.T) {
 	samples := synthDataset(64, 24)
 	tc := quickTrain()
 	tc.Epochs = 2
 
-	_, whole, err := Train(samples, RAAL(), testConfig(), tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc.ShardSize = 4
-	tc.Workers = 2
 	_, sharded, err := Train(samples, RAAL(), testConfig(), tc)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for e := range whole.LossCurve {
-		a, b := whole.LossCurve[e], sharded.LossCurve[e]
-		if math.Abs(a-b) > 1e-8*math.Max(1, math.Abs(a)) {
-			t.Fatalf("epoch %d: sharded loss %v drifted from whole-batch %v", e, b, a)
+
+	m := NewModel(RAAL(), testConfig())
+	whole := &shardRun{model: m, tape: autodiff.NewTape()}
+	params := m.Params()
+	opt := nn.NewAdam(tc.LR)
+	rng := rand.New(rand.NewSource(tc.Seed))
+	idx := make([]int, len(samples))
+	for i := range idx {
+		idx[i] = i
+	}
+	for e := range tc.Epochs {
+		rng.Shuffle(len(idx), func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+		var loss float64
+		for lo := 0; lo < len(idx); lo += tc.Batch {
+			hi := min(lo+tc.Batch, len(idx))
+			loss += whole.step(samples, idx[lo:hi]) * float64(hi-lo)
+			nn.ClipGradNorm(params, tc.ClipNorm)
+			opt.Step(params)
+		}
+		loss /= float64(len(idx))
+		if got := sharded.LossCurve[e]; math.Abs(loss-got) > 1e-8*math.Max(1, math.Abs(loss)) {
+			t.Fatalf("epoch %d: sharded loss %v drifted from whole-batch %v", e, got, loss)
 		}
 	}
 }
 
 // TestFitWeightedLossCurve is the regression test for the loss-reporting
-// bug: the epoch loss must weight each batch by its size. With a
-// vanishing learning rate every batch is scored at the initial weights,
-// so the weighted epoch mean must equal the MSE over the whole dataset —
-// which an unweighted mean of batch means gets wrong whenever the sample
-// count is not divisible by the batch size.
+// bug: the epoch loss must weight each batch by its size, and each shard
+// within a batch by its size. With a vanishing learning rate every batch
+// is scored at the initial weights, so the weighted epoch mean must equal
+// the MSE over the whole dataset — which an unweighted mean of batch or
+// shard means gets wrong whenever the sizes differ.
 func TestFitWeightedLossCurve(t *testing.T) {
-	samples := synthDataset(10, 25)
+	samples := synthDataset(20, 25)
 	cfg := testConfig()
 
 	ref := NewModel(RAAL(), cfg)
@@ -149,7 +150,7 @@ func TestFitWeightedLossCurve(t *testing.T) {
 	m := NewModel(RAAL(), cfg) // same seed: identical initial weights
 	tc := DefaultTrainConfig()
 	tc.Epochs = 1
-	tc.Batch = 4 // batches of 4, 4, 2
+	tc.Batch = 12 // a batch of 12 (shards of 8 and 4), then one of 8
 	tc.LR = 1e-300
 	res, err := m.Fit(samples, tc)
 	if err != nil {
@@ -157,32 +158,19 @@ func TestFitWeightedLossCurve(t *testing.T) {
 	}
 	got := res.LossCurve[0]
 	if math.Abs(got-want) > 1e-9*math.Max(1, want) {
-		t.Fatalf("epoch loss %v, want dataset MSE %v (short batch over- or under-weighted)", got, want)
-	}
-
-	// The sharded trainer must report the same weighted mean.
-	m2 := NewModel(RAAL(), cfg)
-	tc.ShardSize = 3
-	tc.Workers = 2
-	res2, err := m2.Fit(samples, tc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if math.Abs(res2.LossCurve[0]-want) > 1e-9*math.Max(1, want) {
-		t.Fatalf("sharded epoch loss %v, want dataset MSE %v", res2.LossCurve[0], want)
+		t.Fatalf("epoch loss %v, want dataset MSE %v (short batch or shard over- or under-weighted)", got, want)
 	}
 }
 
-// TestParallelTrainRaceSmoke is a short multi-worker run meant to be
-// executed under -race (see `make race`): it exercises concurrent shard
-// backward passes and concurrent inference on the shared weights.
+// TestParallelTrainRaceSmoke is a short run on four shard goroutines meant
+// to be executed under -race (see `make race`): it exercises concurrent
+// shard backward passes and concurrent inference on the shared weights.
 func TestParallelTrainRaceSmoke(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
 	samples := synthDataset(40, 26)
 	tc := quickTrain()
 	tc.Epochs = 2
-	tc.Batch = 8
-	tc.ShardSize = 2
-	tc.Workers = 4
+	tc.Batch = 32 // four shards
 	m, _, err := Train(samples, RAAL(), testConfig(), tc)
 	if err != nil {
 		t.Fatal(err)
@@ -213,15 +201,12 @@ func BenchmarkPredict(b *testing.B) {
 	}
 }
 
-// BenchmarkFit measures training throughput. "default" is the schedule
-// TrainCostModel runs: DefaultTrainConfig (one 16-sample shard per batch,
-// Workers 0) on the default model, one epoch, over samples at the shape
-// the default encoder gives the offline corpus: 16 semantic columns and 42
-// padded nodes (60 input columns), plans of 3 to 42 nodes. The workers=N
-// cases measure data-parallel training; their shard boundaries are pinned
-// so every worker count runs the same computation.
+// BenchmarkFit measures training throughput: the schedule TrainCostModel
+// runs, DefaultTrainConfig (16-sample batches, each two 8-sample shards on
+// GOMAXPROCS goroutines) on the default model, one epoch, over samples at
+// the shape the default encoder gives the offline corpus: 16 semantic
+// columns and 42 padded nodes (60 input columns), plans of 3 to 42 nodes.
 func BenchmarkFit(b *testing.B) {
-	samples := benchSamples(256)
 	b.Run("default", func(b *testing.B) {
 		const sem, nodes = 16, 42 // encode.DefaultConfig: word2vec Dim, MaxNodes
 		rng := rand.New(rand.NewSource(77))
@@ -239,20 +224,4 @@ func BenchmarkFit(b *testing.B) {
 			}
 		}
 	})
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
-			tc := quickTrain()
-			tc.Epochs = 1
-			tc.Batch = 32
-			tc.ShardSize = 4
-			tc.Workers = workers
-			m := NewModel(RAAL(), testConfig())
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := m.Fit(samples, tc); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
 }

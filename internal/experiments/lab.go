@@ -36,12 +36,9 @@ type Options struct {
 	Epochs int
 	LR     float64
 	Seed   int64
-	// Workers / ShardSize enable data-parallel training (see
-	// core.TrainConfig); Workers also bounds concurrent plan execution
-	// during collection. Zero keeps the serial trainer; Workers alone
-	// never changes results, so experiments stay reproducible.
-	Workers   int
-	ShardSize int
+	// Workers bounds concurrent plan execution during collection; it
+	// never changes results.
+	Workers int
 }
 
 // DefaultOptions returns the full-size harness settings.
@@ -188,8 +185,6 @@ func (l *Lab) TrainConfig() core.TrainConfig {
 	tc.Epochs = l.Opt.Epochs
 	tc.LR = l.Opt.LR
 	tc.Seed = l.Opt.Seed
-	tc.Workers = l.Opt.Workers
-	tc.ShardSize = l.Opt.ShardSize
 	return tc
 }
 

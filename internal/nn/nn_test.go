@@ -175,28 +175,6 @@ func TestLSTMLearnsSequenceSum(t *testing.T) {
 	}
 }
 
-func TestSGDMomentumDecreasesLoss(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	m := NewMLP("m", []int{1, 8, 1}, ReLU, rng)
-	x := tensor.FromRows([][]float64{{0}, {0.5}, {1}})
-	y := tensor.FromRows([][]float64{{1}, {0}, {1}})
-	opt := NewSGD(0.05, 0.9)
-	first, last := 0.0, 0.0
-	for i := 0; i < 200; i++ {
-		tp := autodiff.NewTape()
-		loss := tp.MSE(m.Forward(tp, tp.Const(x)), y)
-		tp.Backward(loss)
-		opt.Step(m.Params())
-		if i == 0 {
-			first = loss.Value.Data[0]
-		}
-		last = loss.Value.Data[0]
-	}
-	if last >= first {
-		t.Fatalf("SGD made no progress: first %v last %v", first, last)
-	}
-}
-
 func TestClipGradNorm(t *testing.T) {
 	p := NewParam("p", tensor.FromRows([][]float64{{1, 1}}))
 	tp := autodiff.NewTape()

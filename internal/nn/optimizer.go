@@ -10,52 +10,6 @@ import (
 	"raal/internal/tensor"
 )
 
-// Optimizer updates parameters from their accumulated gradients and then
-// clears the gradients.
-type Optimizer interface {
-	Step(params []*Param)
-}
-
-// SGD is stochastic gradient descent with optional momentum.
-type SGD struct {
-	LR       float64
-	Momentum float64
-
-	velocity map[*Param]*tensor.Matrix
-}
-
-// NewSGD returns an SGD optimizer.
-func NewSGD(lr, momentum float64) *SGD {
-	return &SGD{LR: lr, Momentum: momentum, velocity: make(map[*Param]*tensor.Matrix)}
-}
-
-// Step applies one SGD update and zeroes the gradients.
-func (s *SGD) Step(params []*Param) {
-	for _, p := range params {
-		g := p.Var.Grad
-		if g == nil {
-			continue
-		}
-		w := p.Var.Value
-		if s.Momentum > 0 {
-			v, ok := s.velocity[p]
-			if !ok {
-				v = tensor.New(w.Rows, w.Cols)
-				s.velocity[p] = v
-			}
-			for i := range w.Data {
-				v.Data[i] = s.Momentum*v.Data[i] - s.LR*g.Data[i]
-				w.Data[i] += v.Data[i]
-			}
-		} else {
-			for i := range w.Data {
-				w.Data[i] -= s.LR * g.Data[i]
-			}
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam implements the Adam optimizer (Kingma & Ba, 2015), the paper's
 // training algorithm of choice for all learned cost models.
 type Adam struct {

@@ -107,9 +107,8 @@ func ReLUInto(out, m *Matrix) {
 }
 
 // AddRowActInto fuses bias broadcast and activation: out[i][j] =
-// act(m[i][j] + r[j]). It is the specialized-dispatch variant of
-// AddRowApplyInto — the activation is selected once per call and applied
-// to the biased values in place, so the inner loops run without a
+// act(m[i][j] + r[j]). The activation is selected once per call and
+// applied to the biased values in place, so the inner loops run without a
 // per-element indirect call. out may alias m.
 func AddRowActInto(out, m, r *Matrix, act Act) {
 	AddRowInto(out, m, r)

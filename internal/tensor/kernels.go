@@ -8,11 +8,11 @@ import "fmt"
 // matrices instead of allocating per op.
 //
 // Aliasing rules: the element-wise kernels (AddInto, SubInto, MulInto,
-// ScaleInto, ApplyInto, AddRowInto, AddRowApplyInto) read each input
-// element exactly once before writing the corresponding output element, so
-// out may alias an input of the same shape (in-place update). The matmul
-// and transpose kernels read inputs after writing outputs and therefore
-// panic when out shares storage with an input.
+// ScaleInto, AddRowInto) read each input element exactly once before
+// writing the corresponding output element, so out may alias an input of
+// the same shape (in-place update). The matmul and transpose kernels read
+// inputs after writing outputs and therefore panic when out shares storage
+// with an input.
 
 // sameData reports whether two matrices share backing storage. The arena
 // hands out whole allocations, so a full-overlap check is sufficient —
@@ -68,14 +68,6 @@ func ScaleInto(out, m *Matrix, s float64) {
 	}
 }
 
-// ApplyInto computes out = f(m) elementwise. out may alias m.
-func ApplyInto(out, m *Matrix, f func(float64) float64) {
-	mustOutShape("apply", out, m)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
-	}
-}
-
 // AddRowInto computes out = m with the 1×cols row vector r added to every
 // row. out may alias m.
 func AddRowInto(out, m, r *Matrix) {
@@ -88,29 +80,6 @@ func AddRowInto(out, m, r *Matrix) {
 		dst := out.Row(i)
 		for j, v := range r.Data {
 			dst[j] = src[j] + v
-		}
-	}
-}
-
-// AddRowApplyInto fuses bias addition and activation into one pass:
-// out[i][j] = f(m[i][j] + r[j]). A nil f is the identity, making the call
-// equivalent to AddRowInto. out may alias m. This is the kernel behind
-// every dense layer and LSTM gate, where it saves one full matrix write
-// and read between the broadcast add and the non-linearity.
-func AddRowApplyInto(out, m, r *Matrix, f func(float64) float64) {
-	if f == nil {
-		AddRowInto(out, m, r)
-		return
-	}
-	if r.Rows != 1 || r.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: addRowApply wants 1x%d, got %dx%d", m.Cols, r.Rows, r.Cols))
-	}
-	mustOutShape("addRowApply", out, m)
-	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		dst := out.Row(i)
-		for j, v := range r.Data {
-			dst[j] = f(src[j] + v)
 		}
 	}
 }

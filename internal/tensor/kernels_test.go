@@ -114,7 +114,6 @@ func TestBlockedMatMulMatchesNaive(t *testing.T) {
 // aliasing).
 func TestIntoKernelsMatchAllocating(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	relu := func(x float64) float64 { return math.Max(0, x) }
 	for trial := 0; trial < 50; trial++ {
 		r := 1 + rng.Intn(7)
 		c := 1 + rng.Intn(9)
@@ -131,10 +130,7 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 			{"SubInto", Sub(a, b), func(out *Matrix) { SubInto(out, a, b) }},
 			{"MulInto", Mul(a, b), func(out *Matrix) { MulInto(out, a, b) }},
 			{"ScaleInto", Scale(a, 1.7), func(out *Matrix) { ScaleInto(out, a, 1.7) }},
-			{"ApplyInto", Apply(a, relu), func(out *Matrix) { ApplyInto(out, a, relu) }},
 			{"AddRowInto", AddRow(a, row), func(out *Matrix) { AddRowInto(out, a, row) }},
-			{"AddRowApplyInto", Apply(AddRow(a, row), relu), func(out *Matrix) { AddRowApplyInto(out, a, row, relu) }},
-			{"AddRowApplyInto/nil-f", AddRow(a, row), func(out *Matrix) { AddRowApplyInto(out, a, row, nil) }},
 		}
 		for _, tc := range cases {
 			out := randMat(rng, r, c)
@@ -149,9 +145,6 @@ func TestIntoKernelsMatchAllocating(t *testing.T) {
 		mc := a.Clone()
 		MulInto(mc, mc, b)
 		mustEqual(t, mc, Mul(a, b), "MulInto aliased out==a")
-		rc := a.Clone()
-		AddRowApplyInto(rc, rc, row, relu)
-		mustEqual(t, rc, Apply(AddRow(a, row), relu), "AddRowApplyInto aliased out==m")
 	}
 }
 

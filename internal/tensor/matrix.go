@@ -78,13 +78,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// RowVector returns a 1×n matrix holding a copy of v.
-func RowVector(v []float64) *Matrix {
-	m := New(1, len(v))
-	copy(m.Data, v)
-	return m
-}
-
 // Randn returns a rows×cols float64 matrix with entries drawn from N(0, std²).
 func Randn(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
@@ -95,10 +88,12 @@ func Randn(rows, cols int, std float64, rng *rand.Rand) *Matrix {
 }
 
 // Uniform returns a rows×cols float64 matrix with entries drawn from U(lo, hi).
+// The scaled draw is rounded before lo is added, so no port fuses a
+// multiply-add and the initial weights are the same everywhere.
 func Uniform(rows, cols int, lo, hi float64, rng *rand.Rand) *Matrix {
 	m := New(rows, cols)
 	for i := range m.Data {
-		m.Data[i] = lo + rng.Float64()*(hi-lo)
+		m.Data[i] = lo + float64(rng.Float64()*(hi-lo))
 	}
 	return m
 }
@@ -230,7 +225,9 @@ const regPathMaxB = 1 << 15
 //     and out, trading out re-reads for sequential access to a large b.
 //
 // With add (MatMulAddInto, which has checked the kernel runs) the AVX2
-// kernel adds into out at any size of b: it alone has that mode.
+// kernel adds into out at any size of b: it alone has that mode. In both
+// Go paths each product is rounded (float64(x*y)) before it is added, so
+// no port fuses a multiply-add (DESIGN §5j).
 func matMulRows(out, a, b *Matrix, add bool) {
 	n := b.Cols
 	if add || len(b.Data) <= regPathMaxB {
@@ -252,13 +249,13 @@ func matMulRows(out, a, b *Matrix, add bool) {
 			for ; j+4 <= n; j += 4 {
 				b4 := brow[j : j+4 : j+4]
 				o4 := orow[j : j+4 : j+4]
-				o4[0] += av * b4[0]
-				o4[1] += av * b4[1]
-				o4[2] += av * b4[2]
-				o4[3] += av * b4[3]
+				o4[0] += float64(av * b4[0])
+				o4[1] += float64(av * b4[1])
+				o4[2] += float64(av * b4[2])
+				o4[3] += float64(av * b4[3])
 			}
 			for ; j < n; j++ {
-				orow[j] += av * brow[j]
+				orow[j] += float64(av * brow[j])
 			}
 		}
 	}
@@ -283,14 +280,14 @@ func matMulRowsReg(out, a, b *Matrix) {
 			for _, av := range arow {
 				if av != 0 {
 					b8 := b.Data[idx : idx+8 : idx+8]
-					s0 += av * b8[0]
-					s1 += av * b8[1]
-					s2 += av * b8[2]
-					s3 += av * b8[3]
-					s4 += av * b8[4]
-					s5 += av * b8[5]
-					s6 += av * b8[6]
-					s7 += av * b8[7]
+					s0 += float64(av * b8[0])
+					s1 += float64(av * b8[1])
+					s2 += float64(av * b8[2])
+					s3 += float64(av * b8[3])
+					s4 += float64(av * b8[4])
+					s5 += float64(av * b8[5])
+					s6 += float64(av * b8[6])
+					s7 += float64(av * b8[7])
 				}
 				idx += n
 			}
@@ -303,10 +300,10 @@ func matMulRowsReg(out, a, b *Matrix) {
 			for _, av := range arow {
 				if av != 0 {
 					b4 := b.Data[idx : idx+4 : idx+4]
-					s0 += av * b4[0]
-					s1 += av * b4[1]
-					s2 += av * b4[2]
-					s3 += av * b4[3]
+					s0 += float64(av * b4[0])
+					s1 += float64(av * b4[1])
+					s2 += float64(av * b4[2])
+					s3 += float64(av * b4[3])
 				}
 				idx += n
 			}
@@ -317,7 +314,7 @@ func matMulRowsReg(out, a, b *Matrix) {
 			idx := j
 			for _, av := range arow {
 				if av != 0 {
-					s += av * b.Data[idx]
+					s += float64(av * b.Data[idx])
 				}
 				idx += n
 			}
@@ -367,7 +364,9 @@ func matMulTransBRows(out, a, b *Matrix) {
 // keeps four accumulators in registers while a's row streams through
 // cache once per block. Every accumulator still sums in ascending k, so
 // results are bit-identical to the scalar loop. It is the kernel off amd64
-// or without AVX2, and the oracle the AVX2 path is tested against.
+// or without AVX2, and the oracle the AVX2 path is tested against. Each
+// product is rounded (float64(x*y)) before it is added, so no port fuses a
+// multiply-add (DESIGN §5j).
 func matMulTransBRowsGo(out, a, b *Matrix) {
 	bc := b.Cols
 	for i := 0; i < a.Rows; i++ {
@@ -381,10 +380,10 @@ func matMulTransBRowsGo(out, a, b *Matrix) {
 			b3 := b.Data[(j+3)*bc : (j+4)*bc]
 			var s0, s1, s2, s3 float64
 			for k, av := range arow {
-				s0 += av * b0[k]
-				s1 += av * b1[k]
-				s2 += av * b2[k]
-				s3 += av * b3[k]
+				s0 += float64(av * b0[k])
+				s1 += float64(av * b1[k])
+				s2 += float64(av * b2[k])
+				s3 += float64(av * b3[k])
 			}
 			orow[j], orow[j+1], orow[j+2], orow[j+3] = s0, s1, s2, s3
 		}
@@ -392,7 +391,7 @@ func matMulTransBRowsGo(out, a, b *Matrix) {
 			brow := b.Data[j*bc : (j+1)*bc]
 			var s float64
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k])
 			}
 			orow[j] = s
 		}
@@ -464,7 +463,9 @@ func matMulTransACols(out, a, b *Matrix, jlo, jhi int, add bool) {
 // matMulTransAColsGo accumulates out[:, jlo:jhi) of out = aᵀ×b in portable
 // Go: k-outer, with the contiguous j loop unrolled 4 wide (see MatMulInto).
 // out must be pre-zeroed. It is the kernel off amd64 or without AVX2, and
-// the oracle the AVX2 kernel is tested against.
+// the oracle the AVX2 kernel is tested against. Each product is rounded
+// (float64(x*y)) before it is added, so no port fuses a multiply-add
+// (DESIGN §5j).
 func matMulTransAColsGo(out, a, b *Matrix, jlo, jhi int) {
 	n := b.Cols
 	for k := 0; k < a.Rows; k++ {
@@ -479,13 +480,13 @@ func matMulTransAColsGo(out, a, b *Matrix, jlo, jhi int) {
 			for ; j+4 <= jhi; j += 4 {
 				b4 := brow[j : j+4 : j+4]
 				o4 := orow[j : j+4 : j+4]
-				o4[0] += av * b4[0]
-				o4[1] += av * b4[1]
-				o4[2] += av * b4[2]
-				o4[3] += av * b4[3]
+				o4[0] += float64(av * b4[0])
+				o4[1] += float64(av * b4[1])
+				o4[2] += float64(av * b4[2])
+				o4[3] += float64(av * b4[3])
 			}
 			for ; j < jhi; j++ {
-				orow[j] += av * brow[j]
+				orow[j] += float64(av * brow[j])
 			}
 		}
 	}
@@ -554,11 +555,12 @@ func Accumulate(dst, src []float64) {
 	}
 }
 
-// AxpyInPlace accumulates s·b into a.
+// AxpyInPlace accumulates s·b into a, rounding each product before it is
+// added, so no port fuses a multiply-add (DESIGN §5j).
 func AxpyInPlace(a *Matrix, s float64, b *Matrix) {
 	mustSameShape("axpy", a, b)
 	for i, v := range b.Data {
-		a.Data[i] += s * v
+		a.Data[i] += float64(s * v)
 	}
 }
 
@@ -573,15 +575,6 @@ func AddRow(m, r *Matrix) *Matrix {
 		for j, v := range r.Data {
 			row[j] += v
 		}
-	}
-	return out
-}
-
-// Apply returns f applied to every element of m.
-func Apply(m *Matrix, f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
 	}
 	return out
 }
@@ -601,20 +594,6 @@ func (m *Matrix) Mean() float64 {
 		return 0
 	}
 	return m.Sum() / float64(len(m.Data))
-}
-
-// MaxAbs returns the largest absolute element (0 for an empty matrix).
-func (m *Matrix) MaxAbs() float64 {
-	var best float64
-	for _, v := range m.Data {
-		if v < 0 {
-			v = -v
-		}
-		if v > best {
-			best = v
-		}
-	}
-	return best
 }
 
 // ConcatCols concatenates matrices horizontally: all inputs must have the

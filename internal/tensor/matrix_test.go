@@ -1,7 +1,6 @@
 package tensor
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -149,7 +148,7 @@ func TestAddDistributesOverMatMul(t *testing.T) {
 
 func TestAddRow(t *testing.T) {
 	m := FromRows([][]float64{{1, 2}, {3, 4}})
-	r := RowVector([]float64{10, 20})
+	r := FromRows([][]float64{{10, 20}})
 	want := FromRows([][]float64{{11, 22}, {13, 24}})
 	if !AllClose(AddRow(m, r), want, 0) {
 		t.Fatal("AddRow wrong")
@@ -190,6 +189,8 @@ func TestSliceRows(t *testing.T) {
 	}
 }
 
+// TestSumMeanMaxAbs keeps its name, so test IDs recorded by earlier runs
+// still resolve; Matrix.MaxAbs itself is gone.
 func TestSumMeanMaxAbs(t *testing.T) {
 	m := FromRows([][]float64{{-3, 1}, {2, 0}})
 	if m.Sum() != 0 {
@@ -197,18 +198,6 @@ func TestSumMeanMaxAbs(t *testing.T) {
 	}
 	if m.Mean() != 0 {
 		t.Fatalf("Mean=%v", m.Mean())
-	}
-	if m.MaxAbs() != 3 {
-		t.Fatalf("MaxAbs=%v", m.MaxAbs())
-	}
-}
-
-func TestApply(t *testing.T) {
-	m := FromRows([][]float64{{1, 4}, {9, 16}})
-	got := Apply(m, math.Sqrt)
-	want := FromRows([][]float64{{1, 2}, {3, 4}})
-	if !AllClose(got, want, 1e-12) {
-		t.Fatal("Apply wrong")
 	}
 }
 

@@ -45,7 +45,9 @@ func NegSampleStep(x, m []float64, rows, runs []int32, lr float64, buf []float64
 }
 
 // negSampleGo is NegSampleStep's loop: the fallback where the kernel is
-// not selected, and the kernel's test oracle.
+// not selected, and the kernel's test oracle. float64(x*y) rounds each
+// product, which keeps the no-fused-multiply-add promise on ports that
+// would fuse (DESIGN §5j).
 func negSampleGo(x, m []float64, rows, runs []int32, lr float64, acc, g []float64) {
 	n := len(x)
 	clear(acc)
@@ -56,7 +58,7 @@ func negSampleGo(x, m []float64, rows, runs []int32, lr float64, acc, g []float6
 			v := m[int(r)*n:][:n]
 			var s float64
 			for d, xd := range x {
-				s += xd * v[d]
+				s += float64(xd * v[d])
 			}
 			label := 0.0
 			if start+i == 0 {
@@ -67,8 +69,8 @@ func negSampleGo(x, m []float64, rows, runs []int32, lr float64, acc, g []float6
 		for i, r := range run {
 			v := m[int(r)*n:][:n]
 			for d := range acc {
-				acc[d] += g[i] * v[d]
-				v[d] += g[i] * x[d]
+				acc[d] += float64(g[i] * v[d])
+				v[d] += float64(g[i] * x[d])
 			}
 		}
 		start += len(run)

@@ -106,10 +106,9 @@ type OnlineOptions struct {
 	ShadowMin  int
 	Cooldown   int
 	// RetrainEpochs is the warm-start Fit length per challenger
-	// (default 10); RetrainWorkers its data parallelism.
-	RetrainEpochs  int
-	RetrainWorkers int
-	Seed           int64
+	// (default 10).
+	RetrainEpochs int
+	Seed          int64
 	// Metrics, if non-nil, receives the raal_online_* metric set.
 	Metrics *telemetry.Registry
 	// Logger, if non-nil, narrates drift triggers and promotions.
@@ -144,7 +143,6 @@ func NewOnlineServing(cm *CostModel, st *TrainState, opt OnlineOptions) (*Online
 		Logger:         opt.Logger,
 	}
 	cfg.Train.Epochs = opt.RetrainEpochs
-	cfg.Train.Workers = opt.RetrainWorkers
 	if opt.Metrics != nil {
 		cfg.Metrics = online.NewMetrics(opt.Metrics)
 	}

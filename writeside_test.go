@@ -16,10 +16,12 @@ import (
 )
 
 // writeSideDigest is contentDigest of the model TestWriteSideDeterministic
-// trains. It was computed once, before the backward kernels accumulated
-// into gradients in place, and is frozen: a change that moves it changed
-// what the write side trains, and says why where it edits it.
-const writeSideDigest = "a8052213ce29ca06220f88326bf31db02f303ded1464de180fc65241fc9b484c"
+// trains. It was computed before the backward kernels accumulated into
+// gradients in place, and is frozen: a change that moves it changed what
+// the write side trains, and says why where it edits it. It moved once,
+// when every Fit began cutting its batches into 8-sample shards, to the
+// digest the earlier trainer gave at that shard size.
+const writeSideDigest = "0935a8053be12aa4b71ff1b94ca08a194fe3efb2f1f18ea6ae3b88d229adb080"
 
 // TestWriteSideDeterministic runs the whole write side, System.Collect then
 // TrainCostModel then Save, on a small fixed corpus under every schedule
