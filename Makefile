@@ -3,7 +3,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench bench-parallel bench-online chaos online engine vet fmt-check fma-check fuzz cover check
+.PHONY: build test race bench-parallel bench-online chaos online engine vet fmt-check fma-check fuzz cover check
 
 build:
 	$(GO) build ./...
@@ -55,10 +55,6 @@ race:
 .PHONY: race-all
 race-all:
 	$(GO) test -race -timeout 60m ./...
-
-# Paper tables/figures as benchmarks (see bench_test.go).
-bench:
-	$(GO) test -bench=. -benchmem .
 
 # Data-parallel speedup curves: Predict/Fit by worker count, and plan
 # selection's fan-out verdict (SelectPlanCtx at 1, 2 and 4 concurrent
@@ -117,17 +113,25 @@ fmt-check:
 	@out=$$(gofmt -l . | grep -v '^bench/' || true); \
 	if [ -n "$$out" ]; then echo "gofmt -l lists unformatted files (run gofmt -w on them):"; echo "$$out"; exit 1; fi
 
-# arm64 fused multiply-add census of internal/tensor: its portable Go
-# loops are the only kernels off amd64, and each rounds every product
-# (float64(x*y)) so that no port fuses a multiply-add and arm64 computes
-# the bits amd64 does (DESIGN §5j). Fails on any FMADD/FMSUB/FNMADD/FNMSUB
-# in the package's arm64 assembly listing, or when there is no listing.
+# arm64 fused multiply-add census of the numeric packages that move the
+# trained weights: internal/tensor's portable Go loops are the only
+# kernels off amd64, and internal/autodiff's backward pass and
+# internal/nn's Adam step turn their products into gradients and weights.
+# Each rounds every such product (float64(x*y)) so that no port fuses a
+# multiply-add and arm64 computes the bits amd64 does (DESIGN §5j). Fails
+# on any FMADD/FMSUB/FNMADD/FNMSUB in a listed package's arm64 assembly
+# listing, or when a package has no listing. The other packages that
+# still fuse on arm64 are not listed yet (ROADMAP, "One set of bits on
+# every port").
+FMA_PKGS = internal/tensor internal/autodiff internal/nn
 FMA_OPS = [[:space:]]F(N?)M(ADD|SUB)[DS][[:space:]]
 fma-check:
-	@asm=$$(GOARCH=arm64 $(GO) build -gcflags=raal/internal/tensor=-S ./internal/tensor 2>&1); \
-	if ! echo "$$asm" | grep -q STEXT; then echo "fma-check: no arm64 listing of internal/tensor"; echo "$$asm"; exit 1; fi; \
-	n=$$(echo "$$asm" | grep -cE '$(FMA_OPS)'); \
-	if [ "$$n" -ne 0 ]; then echo "$$asm" | grep -E '$(FMA_OPS)'; echo "fma-check: $$n fused multiply-adds in internal/tensor on arm64"; exit 1; fi
+	@for pkg in $(FMA_PKGS); do \
+	    asm=$$(GOARCH=arm64 $(GO) build -gcflags=raal/$$pkg=-S ./$$pkg 2>&1); \
+	    if ! echo "$$asm" | grep -q STEXT; then echo "fma-check: no arm64 listing of $$pkg"; echo "$$asm"; exit 1; fi; \
+	    n=$$(echo "$$asm" | grep -cE '$(FMA_OPS)'); \
+	    if [ "$$n" -ne 0 ]; then echo "$$asm" | grep -E '$(FMA_OPS)'; echo "fma-check: $$n fused multiply-adds in $$pkg on arm64"; exit 1; fi; \
+	done
 
 # Per-package coverage gate: every package that has tests must cover at
 # least COVER_FLOOR% of its statements (packages with no test files —
@@ -190,8 +194,8 @@ fuzz:
 # The arm64 vet and build keep the portable-Go build (no AVX2 kernels,
 # internal/tensor/matmul_other.go and act_other.go) compiling; vet on
 # amd64 already checks the assembly's frame offsets against its Go
-# declarations (asmdecl); fma-check keeps that build's tensor kernels
-# free of fused multiply-adds.
+# declarations (asmdecl); fma-check keeps that build's numeric packages
+# (FMA_PKGS) free of fused multiply-adds.
 check: vet fmt-check fma-check test fuzz
 	GOARCH=arm64 $(GO) vet ./... && GOARCH=arm64 $(GO) build ./...
 	$(GO) vet -C bench .

@@ -1015,7 +1015,8 @@ func (t *Tape) MSE(pred *Var, target *tensor.Matrix) *Var {
 	var loss float64
 	for i, p := range pred.Value.Data {
 		d := p - target.Data[i]
-		loss += d * d
+		// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+		loss += float64(d * d)
 	}
 	loss /= float64(n)
 	val := t.get(1, 1)

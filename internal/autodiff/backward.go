@@ -243,7 +243,8 @@ func (t *Tape) step(r *rec, leaves bool, scr *scratch) {
 				case ActSigmoid:
 					d = dy[j] * y[j] * (1 - y[j])
 				case ActTanh:
-					d = dy[j] * (1 - y[j]*y[j])
+					// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+					d = dy[j] * (1 - float64(y[j]*y[j]))
 				case ActReLU:
 					if y[j] > 0 {
 						d = dy[j]
@@ -261,14 +262,16 @@ func (t *Tape) step(r *rec, leaves bool, scr *scratch) {
 	case opSigmoid:
 		if g := t.grad(t.at(r.a), leaves); g != nil {
 			for i, s := range out.Value.Data {
-				g.Data[i] += out.Grad.Data[i] * s * (1 - s)
+				// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+				g.Data[i] += float64(out.Grad.Data[i] * s * (1 - s))
 			}
 		}
 
 	case opTanh:
 		if g := t.grad(t.at(r.a), leaves); g != nil {
 			for i, y := range out.Value.Data {
-				g.Data[i] += out.Grad.Data[i] * (1 - y*y)
+				// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+				g.Data[i] += float64(out.Grad.Data[i] * (1 - float64(y*y)))
 			}
 		}
 
@@ -283,7 +286,8 @@ func (t *Tape) step(r *rec, leaves bool, scr *scratch) {
 			case x > 0:
 				g.Data[i] += out.Grad.Data[i]
 			case r.op == opLeakyReLU:
-				g.Data[i] += r.s * out.Grad.Data[i]
+				// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+				g.Data[i] += float64(r.s * out.Grad.Data[i])
 			}
 		}
 
@@ -305,13 +309,14 @@ func (t *Tape) step(r *rec, leaves bool, scr *scratch) {
 		for i := 0; i < val.Rows; i++ {
 			y := val.Row(i)
 			dy := out.Grad.Row(i)
+			// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
 			var dot float64
 			for j := range y {
-				dot += y[j] * dy[j]
+				dot += float64(y[j] * dy[j])
 			}
 			grow := g.Row(i)
 			for j := range y {
-				grow[j] += y[j] * (dy[j] - dot)
+				grow[j] += float64(y[j] * (dy[j] - dot))
 			}
 		}
 
@@ -431,7 +436,8 @@ func (t *Tape) step(r *rec, leaves bool, scr *scratch) {
 		keep := t.auxMask[r.x0]
 		for i := range g.Data {
 			if keep[i] {
-				g.Data[i] += out.Grad.Data[i] * r.s
+				// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+				g.Data[i] += float64(out.Grad.Data[i] * r.s)
 			}
 		}
 
@@ -453,10 +459,10 @@ func (t *Tape) step(r *rec, leaves bool, scr *scratch) {
 			for j, dh := range out.Grad.Row(i) {
 				if cg != nil {
 					// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
-					cg.Data[i*n+j] += float64(dh*o[j]) * (1 - y[j]*y[j])
+					cg.Data[i*n+j] += float64(float64(dh*o[j]) * (1 - float64(y[j]*y[j])))
 				}
 				// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
-				d := float64(dh*y[j]) * o[j] * (1 - o[j])
+				d := float64(float64(dh*y[j]) * o[j] * (1 - o[j]))
 				if zg != nil {
 					zg.Data[(4*i+3)*n+j] += d
 				}
@@ -481,7 +487,7 @@ func (t *Tape) step(r *rec, leaves bool, scr *scratch) {
 			for j, dc := range out.Grad.Row(i) {
 				ia, fa, ga := zr[j], zr[n+j], zr[2*n+j]
 				// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
-				d := [3]float64{float64(dc*ga) * ia * (1 - ia), float64(dc*cp[j]) * fa * (1 - fa), float64(dc*ia) * (1 - ga*ga)}
+				d := [3]float64{float64(dc*ga) * ia * (1 - ia), float64(dc*cp[j]) * fa * (1 - fa), float64(dc*ia) * (1 - float64(ga*ga))}
 				if cg != nil {
 					// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
 					cg.Data[i*n+j] += float64(dc * fa)

@@ -21,9 +21,10 @@ func TestFig1TunedBeatsOrMatchesDefault(t *testing.T) {
 		}
 	}
 	// The tuned choice selects among candidates including the default, so
-	// in aggregate it should not lose badly even under a quick model.
-	if r.TotalTuned() > r.TotalDefault()*1.25 {
-		t.Fatalf("tuned total %.1f much worse than default %.1f",
+	// in aggregate it should not exceed the default's total by more than
+	// noise even under a quick model (it reads about 0.67× here).
+	if r.TotalTuned() > r.TotalDefault()*1.05 {
+		t.Fatalf("tuned total %.1f should not exceed default %.1f",
 			r.TotalTuned(), r.TotalDefault())
 	}
 	var buf bytes.Buffer

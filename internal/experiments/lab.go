@@ -1,7 +1,7 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (Sec. V) on the simulated substrate. Each experiment is a
-// function returning a printable result; cmd/raalbench drives them and
-// bench_test.go wraps them as Go benchmarks.
+// function returning a printable result; cmd/raalbench drives them, and
+// this package's tests assert each one's shape.
 //
 // Scaled-down defaults (documented per run in EXPERIMENTS.md): the paper
 // collected 63K IMDB / 50K TPC-H records on real clusters and trained for

@@ -182,8 +182,9 @@ func (a *Adam) update(params []*Param) {
 		w, m, v := p.Var.Value, a.m[p], a.v[p]
 		for i := range w.Data {
 			gi := g.Data[i]
-			m.Data[i] = b1*m.Data[i] + (1-b1)*gi
-			v.Data[i] = b2*v.Data[i] + (1-b2)*gi*gi
+			// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+			m.Data[i] = float64(b1*m.Data[i]) + float64((1-b1)*gi)
+			v.Data[i] = float64(b2*v.Data[i]) + float64((1-b2)*gi*gi)
 			mh := m.Data[i] / c1
 			vh := v.Data[i] / c2
 			w.Data[i] -= lr * mh / (math.Sqrt(vh) + eps)

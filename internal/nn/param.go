@@ -121,7 +121,8 @@ func GradNorm(params []*Param) float64 {
 			continue
 		}
 		for _, g := range p.Var.Grad.Data {
-			sq += g * g
+			// float64(x*y) rounds the product, which forbids a fused multiply-add (Go spec).
+			sq += float64(g * g)
 		}
 	}
 	return math.Sqrt(sq)

@@ -8,7 +8,7 @@ package tensor
 // by running SIMD lanes across output columns only — never across k — and
 // by using VMULPx/VADDPx, never a fused multiply-add, so its results are
 // bit-identical to the portable Go loops (matMulRowsReg,
-// matMulTransAColsGo, matMulTransBRowsGo), which stay as the test oracle.
+// matMulTransAGo, matMulTransBRowsGo), which stay as the test oracle.
 // The float64 kernel can also add each finished sum into the output it
 // stores to (MatMulAddInto, MatMulTransAAddInto), and addF64 runs
 // Accumulate's adds four lanes at a time.
@@ -112,21 +112,18 @@ func matMulRowsSIMD(out, a, b *Matrix, add bool) bool {
 	return true
 }
 
-// matMulTransAColsSIMD is matMulTransACols through the AVX2 kernel: output
+// matMulTransASIMD is matMulTransAInto through the AVX2 kernel: output
 // row i is column i of a (stride a.Cols) times b, the same ascending-k sum
-// per element, written over out or, with add, added into it. Same false
-// return as matMulRowsSIMD.
-func matMulTransAColsSIMD(out, a, b *Matrix, jlo, jhi int, add bool) bool {
-	if !useAVX2 {
-		return false
-	}
+// per element, written over out or, with add, added into it. It reports
+// false, having done nothing, when the CPU has no AVX2 or a has no rows.
+func matMulTransASIMD(out, a, b *Matrix, add bool) bool {
 	k, m, n := a.Rows, a.Cols, b.Cols
-	if k == 0 {
-		return true // matMulTransAInto zeroes out for k = 0 and never adds
+	if !useAVX2 || k == 0 {
+		return false
 	}
 	ad, bd := a.Data[:k*m], b.Data[:k*n]
 	for i := 0; i < m; i++ {
-		vecMatF64Wide(out.Data[i*n+jlo:i*n+jhi], ad[i:], m, bd[jlo:], n, k, add)
+		vecMatF64Wide(out.Data[i*n:(i+1)*n], ad[i:], m, bd, n, k, add)
 	}
 	return true
 }
@@ -154,7 +151,7 @@ const (
 	transBMinRows = 8
 )
 
-// matMulTransBRowsSIMD is matMulTransBRows through the AVX2 kernel: each
+// matMulTransBRowsSIMD is MatMulTransBInto through the AVX2 kernel: each
 // block of transBCols rows of b is transposed onto the stack, so output
 // row i is a's row i times that block, summed in ascending k from +0.
 //

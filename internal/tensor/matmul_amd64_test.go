@@ -112,20 +112,16 @@ func TestSIMDMatchesGeneric(t *testing.T) {
 			matMulRowsReg(want, a, b)
 			mustEqual(t, got, want, "matMulRowsSIMD vs matMulRowsReg")
 
-			// aᵀ·b over a random column range [jlo, jhi), as a worker owns it;
-			// in the wide trials one that holds a 64-column block.
+			// aᵀ·b, the kernel writing over a dirty out; it declines k = 0.
 			at := oddView(rng, a.Transpose())
-			jlo := rng.Intn(n)
-			jhi := jlo + 1 + rng.Intn(n-jlo)
-			if trial >= 200 {
-				jlo, jhi = jlo%3, n
+			gotA, wantA := randMat(rng, m, n), New(m, n)
+			if matMulTransASIMD(gotA, at, b, false) != (k > 0) {
+				t.Fatalf("matMulTransASIMD at k=%d did not take the kernel exactly when k > 0", k)
 			}
-			gotA, wantA := New(m, n), New(m, n)
-			if !matMulTransAColsSIMD(gotA, at, b, jlo, jhi, false) {
-				t.Fatal("matMulTransAColsSIMD declined a float matrix")
+			matMulTransAGo(wantA, at, b)
+			if k > 0 {
+				mustEqual(t, gotA, wantA, "matMulTransASIMD vs matMulTransAGo")
 			}
-			matMulTransAColsGo(wantA, at, b, jlo, jhi)
-			mustEqual(t, gotA, wantA, "matMulTransAColsSIMD vs matMulTransAColsGo")
 
 			rows, cols := randMat(rng, m, n), New(m, n)
 			for i := 0; i < m; i++ {
@@ -142,9 +138,9 @@ func TestSIMDMatchesGeneric(t *testing.T) {
 				t.Fatalf("matMulTransBRowsSIMD(m=%d, non-finite b %v) took the AVX2 path = %v", m, nonFinite, took)
 			}
 			gotB, wantB := randMat(rng, m, n), randMat(rng, m, n)
-			matMulTransBRows(gotB, a, bt)
+			MatMulTransBInto(gotB, a, bt)
 			matMulTransBRowsGo(wantB, a, bt)
-			mustEqual(t, gotB, wantB, "matMulTransBRows vs matMulTransBRowsGo")
+			mustEqual(t, gotB, wantB, "MatMulTransBInto vs matMulTransBRowsGo")
 		}
 	})
 }
@@ -353,35 +349,28 @@ func TestAddIntoMatchesScalar(t *testing.T) {
 			widths = append(widths, n)
 		}
 	}
-	defer SetMatMulMinFlops(SetMatMulMinFlops(MinParallelFlops))
 	for name, wide := range paths {
 		useAVX512 = wide
-		// Without a flop floor every call splits across goroutines, rows
-		// for a·b and column ranges for aᵀ·b, as a large product does.
-		for split, floor := range map[string]int64{"serial": MinParallelFlops, "split": 0} {
-			SetMatMulMinFlops(floor)
-			name := name + " " + split
-			for _, n := range widths {
-				for k := 0; k <= 20; k++ {
-					m := 1 + (n+k)%3
-					a := pick(randMat(rng, m, k), 3, 0, negZero)
-					b := pick(randMat(rng, k, n), 40, math.Inf(1), math.Inf(-1), bNaN)
-					g := pick(randMat(rng, m, n), 3, 0, negZero, math.Inf(1), math.Inf(-1), gNaN)
-					want := addIntoRef(g, a, b)
+		for _, n := range widths {
+			for k := 0; k <= 20; k++ {
+				m := 1 + (n+k)%3
+				a := pick(randMat(rng, m, k), 3, 0, negZero)
+				b := pick(randMat(rng, k, n), 40, math.Inf(1), math.Inf(-1), bNaN)
+				g := pick(randMat(rng, m, n), 3, 0, negZero, math.Inf(1), math.Inf(-1), gNaN)
+				want := addIntoRef(g, a, b)
 
-					got := oddView(rng, g)
-					if !MatMulAddInto(got, a, b) {
-						t.Fatal("MatMulAddInto declined a float64 product")
-					}
-					mustBitEqual(t, got, want, fmt.Sprintf("%s MatMulAddInto m=%d k=%d n=%d", name, m, k, n))
+				got := oddView(rng, g)
+				if !MatMulAddInto(got, a, b) {
+					t.Fatal("MatMulAddInto declined a float64 product")
+				}
+				mustBitEqual(t, got, want, fmt.Sprintf("%s MatMulAddInto m=%d k=%d n=%d", name, m, k, n))
 
-					got = oddView(rng, g)
-					if MatMulTransAAddInto(got, oddView(rng, a.Transpose()), b) != (k > 0) {
-						t.Fatalf("MatMulTransAAddInto at k=%d did not take the kernel exactly when k > 0", k)
-					}
-					if k > 0 {
-						mustBitEqual(t, got, want, fmt.Sprintf("%s MatMulTransAAddInto m=%d k=%d n=%d", name, m, k, n))
-					}
+				got = oddView(rng, g)
+				if MatMulTransAAddInto(got, oddView(rng, a.Transpose()), b) != (k > 0) {
+					t.Fatalf("MatMulTransAAddInto at k=%d did not take the kernel exactly when k > 0", k)
+				}
+				if k > 0 {
+					mustBitEqual(t, got, want, fmt.Sprintf("%s MatMulTransAAddInto m=%d k=%d n=%d", name, m, k, n))
 				}
 			}
 		}
@@ -419,7 +408,7 @@ func TestAccumulateMatchesScalar(t *testing.T) {
 		Accumulate(got.Data, src.Data)
 		mustEqual(t, got, want, fmt.Sprintf("Accumulate, n=%d", n))
 		if lanes := n &^ 3; useAVX2 {
-			mustBitEqual(t, rowView(got.Transpose(), 0, lanes), rowView(want.Transpose(), 0, lanes), fmt.Sprintf("Accumulate's vector lanes, n=%d", n))
+			mustBitEqual(t, FromSlice(1, lanes, got.Data[:lanes]), FromSlice(1, lanes, want.Data[:lanes]), fmt.Sprintf("Accumulate's vector lanes, n=%d", n))
 		}
 		got = oddView(rng, dst)
 		AddInPlace(got, src)

@@ -9,7 +9,7 @@ const useAVX2 = false
 
 func matMulRowsSIMD(out, a, b *Matrix, add bool) bool { return false }
 
-func matMulTransAColsSIMD(out, a, b *Matrix, jlo, jhi int, add bool) bool { return false }
+func matMulTransASIMD(out, a, b *Matrix, add bool) bool { return false }
 
 func matMulTransBRowsSIMD(out, a, b *Matrix) bool { return false }
 

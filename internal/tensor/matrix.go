@@ -166,9 +166,10 @@ func MatMul(a, b *Matrix) *Matrix {
 // a.Rows×b.Cols and must not alias a or b.
 //
 // Every output element is a dot product accumulated in ascending k with
-// zero operands of a skipped, regardless of which internal kernel or how
-// many goroutines compute it — so results are bit-identical across the
-// register/streaming paths and across every SetMatMulWorkers setting.
+// zero operands of a skipped, whichever internal kernel computes it — so
+// results are bit-identical across the register/streaming paths. Like
+// every kernel here it runs on its caller's goroutine: parallelism lives
+// one level up, in the phase that calls it (DESIGN §5f).
 func MatMulInto(out, a, b *Matrix) { matMulInto(out, a, b, false) }
 
 // MatMulAddInto computes g += a×b through the kernel's accumulate mode
@@ -195,13 +196,6 @@ func matMulInto(out, a, b *Matrix, add bool) {
 		panic(fmt.Sprintf("tensor: matmul out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Cols))
 	}
 	mustNotAlias("matmul", out, a, b)
-	flops := int64(a.Rows) * int64(a.Cols) * int64(b.Cols)
-	if w := spanWorkers(a.Rows, flops); w > 1 {
-		parallelRanges(a.Rows, w, func(lo, hi int) {
-			matMulRows(rowView(out, lo, hi), rowView(a, lo, hi), b, add)
-		})
-		return
-	}
 	matMulRows(out, a, b, add)
 }
 
@@ -211,9 +205,8 @@ func matMulInto(out, a, b *Matrix, add bool) {
 // kernel wins.
 const regPathMaxB = 1 << 15
 
-// matMulRows is the serial out = a×b kernel over a contiguous row range
-// (the views built by MatMulInto). It picks between two loop orders that
-// produce bit-identical results (per element: ascending-k accumulation,
+// matMulRows is the out = a×b kernel. It picks between two loop orders
+// that produce bit-identical results (per element: ascending-k accumulation,
 // a-zeros skipped):
 //
 //   - register path (jik): a block of output columns accumulates in
@@ -340,20 +333,8 @@ func MatMulTransBInto(out, a, b *Matrix) {
 		panic(fmt.Sprintf("tensor: matmulTransB out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Rows, b.Rows))
 	}
 	mustNotAlias("matmulTransB", out, a, b)
-	flops := int64(a.Rows) * int64(a.Cols) * int64(b.Rows)
-	if w := spanWorkers(a.Rows, flops); w > 1 {
-		parallelRanges(a.Rows, w, func(lo, hi int) {
-			matMulTransBRows(rowView(out, lo, hi), rowView(a, lo, hi), b)
-		})
-		return
-	}
-	matMulTransBRows(out, a, b)
-}
-
-// matMulTransBRows is the serial out = a×bᵀ kernel over a contiguous row
-// range: the AVX2 kernel where the CPU has one and it accepts the operands
-// (DESIGN §5n), matMulTransBRowsGo otherwise.
-func matMulTransBRows(out, a, b *Matrix) {
+	// The AVX2 kernel where the CPU has one and it accepts the operands
+	// (DESIGN §5n), the Go loop otherwise.
 	if !matMulTransBRowsSIMD(out, a, b) {
 		matMulTransBRowsGo(out, a, b)
 	}
@@ -430,43 +411,22 @@ func matMulTransAInto(out, a, b *Matrix, add bool) {
 		panic(fmt.Sprintf("tensor: matmulTransA out shape %dx%d, want %dx%d", out.Rows, out.Cols, a.Cols, b.Cols))
 	}
 	mustNotAlias("matmulTransA", out, a, b)
-	if a.Rows == 0 || !useAVX2 {
-		// The Go loop adds into out, and with k = 0 nothing is added:
-		// only the kernel, at k > 0, writes every element itself. (With
-		// add, MatMulTransAAddInto has checked that it runs.)
+	// The AVX2 kernel, where the CPU has one and k > 0, writes every
+	// element itself (DESIGN §5n); the Go loop adds into a zeroed out.
+	// (With add, MatMulTransAAddInto has checked that the kernel runs.)
+	if !matMulTransASIMD(out, a, b, add) {
 		out.Zero()
-	}
-	// The k-outer loop is a reduction over out's rows, so a row split
-	// would interleave accumulation orders; splitting over output
-	// *columns* keeps each element's ascending-k sum intact — workers own
-	// disjoint column ranges and results stay bit-identical to serial.
-	n := b.Cols
-	flops := int64(a.Rows) * int64(a.Cols) * int64(n)
-	if w := spanWorkers(n, flops); w > 1 {
-		parallelRanges(n, w, func(jlo, jhi int) {
-			matMulTransACols(out, a, b, jlo, jhi, add)
-		})
-		return
-	}
-	matMulTransACols(out, a, b, 0, n, add)
-}
-
-// matMulTransACols computes out[:, jlo:jhi) of out = aᵀ×b, or with add of
-// out += aᵀ×b: through the AVX2 kernel where the CPU has one (DESIGN §5n),
-// else into a pre-zeroed out through matMulTransAColsGo.
-func matMulTransACols(out, a, b *Matrix, jlo, jhi int, add bool) {
-	if !matMulTransAColsSIMD(out, a, b, jlo, jhi, add) {
-		matMulTransAColsGo(out, a, b, jlo, jhi)
+		matMulTransAGo(out, a, b)
 	}
 }
 
-// matMulTransAColsGo accumulates out[:, jlo:jhi) of out = aᵀ×b in portable
-// Go: k-outer, with the contiguous j loop unrolled 4 wide (see MatMulInto).
-// out must be pre-zeroed. It is the kernel off amd64 or without AVX2, and
+// matMulTransAGo accumulates out = aᵀ×b in portable Go: k-outer, with the
+// contiguous j loop unrolled 4 wide (see MatMulInto). out must be
+// pre-zeroed. It is the kernel off amd64 or without AVX2, and
 // the oracle the AVX2 kernel is tested against. Each product is rounded
 // (float64(x*y)) before it is added, so no port fuses a multiply-add
 // (DESIGN §5j).
-func matMulTransAColsGo(out, a, b *Matrix, jlo, jhi int) {
+func matMulTransAGo(out, a, b *Matrix) {
 	n := b.Cols
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Data[k*a.Cols : (k+1)*a.Cols]
@@ -476,8 +436,8 @@ func matMulTransAColsGo(out, a, b *Matrix, jlo, jhi int) {
 				continue
 			}
 			orow := out.Data[i*n : (i+1)*n]
-			j := jlo
-			for ; j+4 <= jhi; j += 4 {
+			j := 0
+			for ; j+4 <= n; j += 4 {
 				b4 := brow[j : j+4 : j+4]
 				o4 := orow[j : j+4 : j+4]
 				o4[0] += float64(av * b4[0])
@@ -485,7 +445,7 @@ func matMulTransAColsGo(out, a, b *Matrix, jlo, jhi int) {
 				o4[2] += float64(av * b4[2])
 				o4[3] += float64(av * b4[3])
 			}
-			for ; j < jhi; j++ {
+			for ; j < n; j++ {
 				orow[j] += float64(av * brow[j])
 			}
 		}

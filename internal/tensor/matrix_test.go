@@ -2,6 +2,7 @@ package tensor
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 	"testing/quick"
 )
@@ -232,6 +233,55 @@ func TestMatMulAssociativity(t *testing.T) {
 	}
 }
 
+// TestRegisterAndStreamingPathsBitIdentical pins the two MatMul loop
+// orders to each other across the size threshold: per output element
+// both accumulate in ascending k with a-zeros skipped, so the path choice
+// must never show up in the result.
+func TestRegisterAndStreamingPathsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	a := randMat(rng, 9, 31)
+	b := randMat(rng, 31, 27)
+	reg := New(a.Rows, b.Cols)
+	matMulRows(reg, a, b, false) // b small: register path
+	mustEqual(t, reg, naiveMatMul(a, b), "register path vs naive")
+
+	big := randMat(rng, 64, 1024) // 65536 elements > regPathMaxB
+	abig := randMat(rng, 3, 64)
+	stream := New(3, 1024)
+	matMulRows(stream, abig, big, false)
+	mustEqual(t, stream, naiveMatMul(abig, big), "streaming path vs naive")
+}
+
+// TestWarmMatMulAllocatesNothing pins that every matmul runs on its
+// caller's goroutine: a warm call into a ready out allocates nothing, even
+// at the largest product training runs (gradWx in BenchmarkMatMul, 1.45 M
+// multiply-adds) with two Ps to spread over. Parallelism belongs to the
+// phase that calls the kernels (the shard crew, Backward's leaf worker,
+// the ScoreCtx workers); a fan-out inside a kernel would nest under them
+// and allocate its goroutines and their closures here.
+func TestWarmMatMulAllocatesNothing(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	rng := rand.New(rand.NewSource(51))
+	const m, k, n = 60, 126, 192
+	a, b := randMat(rng, m, k), randMat(rng, k, n)
+	at, bt := randMat(rng, k, m), randMat(rng, n, k)
+	out := New(m, n)
+	for _, c := range []struct {
+		name string
+		run  func()
+	}{
+		{"MatMulInto", func() { MatMulInto(out, a, b) }},
+		{"MatMulTransAInto", func() { MatMulTransAInto(out, at, b) }},
+		{"MatMulTransBInto", func() { MatMulTransBInto(out, a, bt) }},
+		{"MatMulAddInto", func() { MatMulAddInto(out, a, b) }},
+		{"MatMulTransAAddInto", func() { MatMulTransAAddInto(out, at, b) }},
+	} {
+		if got := testing.AllocsPerRun(20, c.run); got != 0 {
+			t.Errorf("warm %s at %dx%dx%d allocates %v times per call, want 0", c.name, m, k, n, got)
+		}
+	}
+}
+
 // BenchmarkMatMul runs the kernels at the shapes the cost model multiplies
 // (bench/'s served model: 42-node plans, 60-wide node rows, Hidden 48)
 // on one goroutine and reports MFLOP/s, so a kernel change can be sized
@@ -255,8 +305,6 @@ func BenchmarkMatMul(b *testing.B) {
 		{"gradH_16x192x48", 'b', 16, 192, 48},    // dZ·Whᵀ per step, batch 16
 		{"gradH_8x192x48", 'b', 8, 192, 48},      // the fewest rows that take the AVX2 path
 	}
-	prev := SetMatMulWorkers(1)
-	defer SetMatMulWorkers(prev)
 	for _, s := range shapes {
 		b.Run(s.name, func(b *testing.B) { benchMatMul(b, s.op, s.m, s.k, s.n) })
 	}
