@@ -116,14 +116,16 @@ fmt-check:
 # arm64 fused multiply-add census of the numeric packages that move the
 # trained weights: internal/tensor's portable Go loops are the only
 # kernels off amd64, and internal/autodiff's backward pass and
-# internal/nn's Adam step turn their products into gradients and weights.
-# Each rounds every such product (float64(x*y)) so that no port fuses a
+# internal/nn's Adam step turn their products into gradients and weights;
+# internal/core's reported loss, internal/encode's features and
+# internal/metrics' held-out scores are read off those weights. Each
+# rounds every such product (float64(x*y)) so that no port fuses a
 # multiply-add and arm64 computes the bits amd64 does (DESIGN §5j). Fails
 # on any FMADD/FMSUB/FNMADD/FNMSUB in a listed package's arm64 assembly
 # listing, or when a package has no listing. The other packages that
 # still fuse on arm64 are not listed yet (ROADMAP, "One set of bits on
 # every port").
-FMA_PKGS = internal/tensor internal/autodiff internal/nn
+FMA_PKGS = internal/tensor internal/autodiff internal/nn internal/core internal/encode internal/metrics
 FMA_OPS = [[:space:]]F(N?)M(ADD|SUB)[DS][[:space:]]
 fma-check:
 	@for pkg in $(FMA_PKGS); do \

@@ -10,6 +10,7 @@ import (
 	"raal/internal/core"
 	"raal/internal/encode"
 	"raal/internal/metrics"
+	"raal/internal/sparksim"
 	"raal/internal/telemetry"
 	"raal/internal/workload"
 )
@@ -275,25 +276,49 @@ func (cm *CostModel) estimateBatch(ctx context.Context, m *core.Model, plans []*
 	return cm.priceUnder(ctx, m, plans, res)
 }
 
-// priceUnder prices every candidate under one allocation (one shared
-// resource vector) with m.
+// priceUnder prices every candidate under one allocation with m.
 func (cm *CostModel) priceUnder(ctx context.Context, m *core.Model, plans []*Plan, res Resources) ([]float64, error) {
-	r := cm.enc.EncodeResources(res)
+	b := newRowBlock(len(plans))
 	return cm.scorePlans(ctx, m, plans, func(i int) *Sample {
-		return cm.planPart(plans[i]).WithResource(r)
+		return b.price(i, cm.enc, cm.planPart(plans[i]), res)
 	})
 }
 
+// rowBlock is one call's samples in one block, whatever their number:
+// each row is a copy of a plan part priced under a resource vector carved
+// from vecs, so rows of one plan part still share it (Sample.SamePlan).
+// Row i is written once, by the goroutine that builds sample i.
+type rowBlock struct {
+	rows []Sample
+	vecs []float64 // len(rows)×sparksim.NumFeatures
+}
+
+func newRowBlock(n int) rowBlock {
+	return rowBlock{rows: make([]Sample, n), vecs: make([]float64, n*sparksim.NumFeatures)}
+}
+
+// price makes row i a copy of part priced under res, and returns it.
+func (b rowBlock) price(i int, enc *encode.Encoder, part *Sample, res Resources) *Sample {
+	const k = sparksim.NumFeatures
+	s := &b.rows[i]
+	*s = *part
+	s.Resource = enc.EncodeResourcesInto(b.vecs[i*k:(i+1)*k:(i+1)*k], res)
+	return s
+}
+
 // scorePlans prices plans with m, build(i) encoding plans[i] on the predict
-// worker that scores it (core.Net.ScoreCtx). A plan's length hint is its
-// node count, capped at the encoder's MaxNodes as the encoding truncates it.
+// worker that scores it (core.Net.ScoreCtx).
 func (cm *CostModel) scorePlans(ctx context.Context, m *core.Model, plans []*Plan, build func(i int) *Sample) ([]float64, error) {
 	hints := make([]int, len(plans))
 	for i, p := range plans {
-		hints[i] = min(len(p.Nodes), cm.enc.MaxNodes())
+		hints[i] = cm.lengthHint(p)
 	}
 	return m.ScoreCtx(ctx, hints, build)
 }
+
+// lengthHint is p's length hint for ScoreCtx: its node count, capped at the
+// encoder's MaxNodes as the encoding truncates it.
+func (cm *CostModel) lengthHint(p *Plan) int { return min(len(p.Nodes), cm.enc.MaxNodes()) }
 
 // EstimateEachCtx predicts costs for many independent (plan, resources)
 // pairs in one batched forward pass: plans[i] is priced under res[i].
@@ -304,8 +329,9 @@ func (cm *CostModel) EstimateEachCtx(ctx context.Context, plans []*Plan, res []R
 		return nil, fmt.Errorf("raal: EstimateEachCtx got %d plan(s) but %d resource allocation(s)", len(plans), len(res))
 	}
 	cm.api.estimates.Inc()
+	b := newRowBlock(len(plans))
 	return cm.scorePlans(ctx, cm.model, plans, func(i int) *Sample {
-		return cm.encodePlan(plans[i], res[i])
+		return b.price(i, cm.enc, cm.planPart(plans[i]), res[i])
 	})
 }
 
@@ -349,11 +375,14 @@ func (cm *CostModel) RecommendResourcesCtx(ctx context.Context, p *Plan, grid []
 	}
 	cm.api.recommends.Inc()
 	part := cm.planPart(p)
-	samples := make([]*Sample, len(grid))
-	for i, res := range grid {
-		samples[i] = part.WithResource(cm.enc.EncodeResources(res))
+	hints, h := make([]int, len(grid)), cm.lengthHint(p)
+	for i := range hints {
+		hints[i] = h
 	}
-	preds, err := cm.model.PredictCtx(ctx, samples, core.PredictOpts{})
+	b := newRowBlock(len(grid))
+	preds, err := cm.model.ScoreCtx(ctx, hints, func(i int) *Sample {
+		return b.price(i, cm.enc, part, grid[i])
+	})
 	if err != nil {
 		return Resources{}, 0, err
 	}

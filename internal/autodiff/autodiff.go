@@ -262,7 +262,8 @@ type Tape struct {
 	leafPanic any
 	leafT     []leafTranspose
 
-	ints []int // NewInts loans, rewound by Reset
+	ints []int  // NewInts loans, rewound by Reset
+	ptrs []*Var // NewVars loans, cleared and rewound by Reset
 
 	noGrad bool // inference mode: skip all recording
 }
@@ -306,6 +307,8 @@ func (t *Tape) Reset() {
 	clear(t.leafT)
 	t.leafT = t.leafT[:0]
 	t.ints = t.ints[:0]
+	clear(t.ptrs)
+	t.ptrs = t.ptrs[:0]
 	t.arena.rewind()
 	if poison.Load() {
 		for _, b := range t.arena.data {
@@ -332,14 +335,25 @@ func (t *Tape) NewMatrix(rows, cols int) *tensor.Matrix {
 // NewInts returns n zeroed ints on loan from the tape, valid until the next
 // Reset: the lengths and row lists of a ragged batch, so that a reused tape
 // allocates none steady-state.
-func (t *Tape) NewInts(n int) []int {
-	used := len(t.ints)
-	if used+n > cap(t.ints) {
+func (t *Tape) NewInts(n int) []int { return loan(&t.ints, n) }
+
+// NewVars returns n nil Var pointers on loan from the tape, valid until the
+// next Reset: a pass's per-row and per-step operand lists, so that a reused
+// tape allocates none steady-state. Reset clears them, so a parked tape
+// pins no Var of its last pass.
+func (t *Tape) NewVars(n int) []*Var { return loan(&t.ptrs, n) }
+
+// loan carves n zeroed elements off the end of *pool, growing it when they
+// do not fit. The loan is capacity-capped, so appending to it cannot reach
+// the next one.
+func loan[E any](pool *[]E, n int) []E {
+	used := len(*pool)
+	if used+n > cap(*pool) {
 		// Earlier loans keep the old array; the next pass fits in this one.
-		t.ints = make([]int, used, 2*(used+n))
+		*pool = make([]E, used, 2*(used+n))
 	}
-	t.ints = t.ints[:used+n]
-	s := t.ints[used : used+n : used+n]
+	*pool = (*pool)[:used+n]
+	s := (*pool)[used : used+n : used+n]
 	clear(s)
 	return s
 }

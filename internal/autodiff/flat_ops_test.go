@@ -133,15 +133,16 @@ func TestRowOpsAccumulateGradients(t *testing.T) {
 
 // TestWarmRaggedTapeAllocatesNothing replays a ragged recurrence-shaped
 // graph — states shrunk by KeepRows, one sequence's rows gathered across
-// steps, row lists loaned by NewInts — on a reused tape: once warm, a pass
-// allocates no matrix and no heap object at all.
+// steps, row lists loaned by NewInts and the step states by NewVars — on a
+// reused tape: once warm, a pass allocates no matrix and no heap object at
+// all, and Reset leaves no Var of the pass in the loans.
 func TestWarmRaggedTapeAllocatesNothing(t *testing.T) {
 	ps := randParams(37, [2]int{4, 3}, [2]int{3, 3})
 	tp := NewTape()
 	x, w := tp.Param(ps[0]), tp.Param(ps[1])
-	hs := make([]*Var, 3)
 	run := func() {
 		tp.Reset()
+		hs := tp.NewVars(3)
 		h := x
 		for s := range hs {
 			keep := tp.NewInts(h.Value.Rows - 1)
@@ -167,6 +168,12 @@ func TestWarmRaggedTapeAllocatesNothing(t *testing.T) {
 	}
 	if d := tensor.Allocs() - before; d != 0 {
 		t.Fatalf("warm ragged passes allocated %d matrices, want 0", d)
+	}
+	tp.Reset()
+	for i, v := range tp.ptrs[:cap(tp.ptrs)] {
+		if v != nil {
+			t.Fatalf("after Reset, NewVars loan slot %d still holds a Var", i)
+		}
 	}
 }
 

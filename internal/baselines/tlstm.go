@@ -130,7 +130,7 @@ func (t *TLSTM) encodeTree(tp *autodiff.Tape, s *encode.Sample) *autodiff.Var {
 }
 
 func (t *TLSTM) forward(tp *autodiff.Tape, batch []*encode.Sample) *autodiff.Var {
-	outs := make([]*autodiff.Var, len(batch))
+	outs := tp.NewVars(len(batch))
 	for i, s := range batch {
 		outs[i] = t.head.Forward(tp, t.encodeTree(tp, s))
 	}

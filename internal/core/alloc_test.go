@@ -1,10 +1,20 @@
 package core
 
 import (
+	"context"
+	"math/rand"
+	"runtime"
 	"testing"
 
+	"raal/internal/autodiff"
+	"raal/internal/encode"
 	"raal/internal/tensor"
 )
+
+// maxWarmScoreAllocs bounds a warm ScoreCtx over three memoized
+// candidates (TestWarmScoreAndShardStepAllocs): the answer and the
+// schedule's one block (order and chunk cuts).
+const maxWarmScoreAllocs = 2
 
 // TestWarmPredictAllocatesNoMatrices pins the tape pool's core guarantee:
 // once the serial scorer has seen the corpus, repeated Predict calls take
@@ -63,9 +73,10 @@ func TestPooledPredictionsMatchFreshModel(t *testing.T) {
 
 // TestPredictAllocsPerOpCeiling is the benchmark-driven regression gate:
 // the pre-arena scorer ran at ~63,000 allocs/op on this exact workload
-// (512 samples, serial, chunk 32); the pooled scorer must stay at least
-// 10x below that. A bad arena regression (for example, a Reset that stops
-// recycling) trips this long before it shows up in wall-clock noise.
+// (512 samples, serial, chunk 32); a warm call now allocates its answer,
+// the length hints and the build closure, and nothing per chunk or per
+// sample. A Reset that stops recycling, or a slice allocated per pass,
+// trips this long before it shows up in wall-clock noise.
 func TestPredictAllocsPerOpCeiling(t *testing.T) {
 	if testing.Short() {
 		t.Skip("benchmark-driven; skipped in -short")
@@ -86,8 +97,74 @@ func TestPredictAllocsPerOpCeiling(t *testing.T) {
 			predictOn(m, samples, opt)
 		}
 	})
-	const ceiling = 6000 // seed: 63,557 allocs/op; arena steady state: ~2,600
+	const ceiling = 4 // seed: 63,557 allocs/op; 102 before the pass slices moved onto the tape; 3 after
 	if got := r.AllocsPerOp(); got > ceiling {
 		t.Fatalf("Predict allocations regressed: %d allocs/op, ceiling %d", got, ceiling)
 	}
+}
+
+// TestWarmScoreAndShardStepAllocs counts what a warm pass allocates on
+// each side of the network at GOMAXPROCS 2. Serving: ScoreCtx over three
+// candidates of distinct lengths whose plan prefixes are memoized, as a
+// cached SelectPlanCtx scores them. Training: one shard step, forward and
+// backward. Neither may allocate per row or per pass: the forward pass's
+// slices are on loan from the tape.
+func TestWarmScoreAndShardStepAllocs(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	m := NewModel(RAAL(), testConfig())
+	rng := rand.New(rand.NewSource(52))
+	cands := make([]*encode.Sample, 3)
+	hints := make([]int, len(cands))
+	for i := range cands {
+		cands[i] = synthSample(rng)
+		for activeLen(cands[i]) != tNodes-i { // distinct lengths fan out across both workers
+			cands[i] = synthSample(rng)
+		}
+		cands[i].Memo = new(encode.PlanMemo)
+		hints[i] = activeLen(cands[i])
+	}
+	build := func(i int) *encode.Sample { return cands[i] }
+	score := func() {
+		if _, err := m.ScoreCtx(context.Background(), hints, build); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	r := m.replica()
+	sh := &shardRun{model: r, params: r.Params(), tape: autodiff.NewTape()}
+	samples := synthDataset(shardSize, 53)
+	sel := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	step := func() { sh.step(samples, sel) }
+
+	for _, c := range []struct {
+		what  string
+		limit float64
+		op    func()
+	}{
+		{"ScoreCtx over 3 candidates", maxWarmScoreAllocs, score},
+		{"shard step", 0, step},
+	} {
+		for range 3 {
+			c.op()
+		}
+		got := allocsPerRun(50, c.op)
+		t.Logf("warm %s: %.0f allocs", c.what, got)
+		if got > c.limit {
+			t.Errorf("warm %s made %.0f allocations, want at most %.0f", c.what, got, c.limit)
+		}
+	}
+}
+
+// allocsPerRun is testing.AllocsPerRun at the caller's GOMAXPROCS, which
+// AllocsPerRun sets to 1 while it measures: the mallocs of runs calls of
+// f, after one warm-up call, divided by runs in integer arithmetic.
+func allocsPerRun(runs int, f func()) float64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for range runs {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64((after.Mallocs - before.Mallocs) / uint64(runs))
 }

@@ -156,7 +156,8 @@ func TestScheduleCutsChunksAtBucketBoundaries(t *testing.T) {
 	}
 	hints[17], hints[40] = 0, -3
 	m := NewModel(RAAL(), testConfig())
-	order, chunks := m.schedule(hints, 8, false)
+	var buf []int
+	order, cuts := m.schedule(&buf, hints, 8, false)
 	if len(order) != len(hints) {
 		t.Fatalf("schedule lost samples: %d in order, want %d", len(order), len(hints))
 	}
@@ -179,19 +180,23 @@ func TestScheduleCutsChunksAtBucketBoundaries(t *testing.T) {
 		}
 		prevLen, prevIdx = l, idx
 	}
+	if cuts[0] != 0 {
+		t.Fatalf("first chunk starts at %d, want 0", cuts[0])
+	}
 	next := 0
-	for _, c := range chunks {
-		if c.lo != next || c.hi <= c.lo {
-			t.Fatalf("chunk %+v does not start where the last ended (%d), or is empty", c, next)
+	for k := 0; k+1 < len(cuts); k++ {
+		lo, hi := cuts[k], cuts[k+1]
+		if hi <= lo {
+			t.Fatalf("chunk [%d, %d) is empty", lo, hi)
 		}
-		next = c.hi
-		for p := c.lo; p < c.hi; p++ {
-			if hint(p) != hint(c.lo) {
-				t.Fatalf("chunk %+v mixes lengths %d and %d", c, hint(c.lo), hint(p))
+		next = hi
+		for p := lo; p < hi; p++ {
+			if hint(p) != hint(lo) {
+				t.Fatalf("chunk [%d, %d) mixes lengths %d and %d", lo, hi, hint(lo), hint(p))
 			}
 		}
-		if c.hi-c.lo > 8 {
-			t.Fatalf("chunk %+v exceeds chunk size 8", c)
+		if hi-lo > 8 {
+			t.Fatalf("chunk [%d, %d) exceeds chunk size 8", lo, hi)
 		}
 	}
 	if next != len(hints) {

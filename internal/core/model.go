@@ -82,16 +82,18 @@ type Model struct {
 const maxPooledTapes = 16
 
 // tapePool is a mutex-guarded pair of stacks of warm tapes, one of
-// inference tapes and one of recording tapes. An explicit free list
+// inference tapes and one of recording tapes, and a stack of finished
+// score calls' state (scoreRun) beside them. An explicit free list
 // (rather than sync.Pool) keeps warm tapes out of the GC's reach, so the
 // zero-steady-state-allocation guarantee holds deterministically. A
-// parked tape has been Reset, so it pins nothing of the model that last
-// used it, and whichever model leases it next gets its warm arena
-// (DESIGN §5aa).
+// parked tape has been Reset and a parked run cleared, so neither pins
+// anything of the model that last used it, and whichever model leases a
+// tape next gets its warm arena (DESIGN §5aa).
 type tapePool struct {
 	mu        sync.Mutex
 	inference []*autodiff.Tape
 	recording []*autodiff.Tape
+	runs      []*scoreRun
 }
 
 // tapes is the process's tape pool.
@@ -221,22 +223,28 @@ func (m *Model) forward(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry
 	return m.suffix(tp, m.prefix(tp, batch, sp), batch, sp)
 }
 
-// planPrefix is everything the network derives from one sample's plan
-// part: what the suffix reads to price the plan under an allocation.
-type planPrefix struct {
-	s      *encode.Sample // a sample carrying the plan part
-	pooled *autodiff.Var  // 1×Hidden node-attended, mask-pooled plan feature
-	stats  *autodiff.Var  // 1×StatsDim global statistics
+// prefixSet is one batch's plan prefixes, everything the network derives
+// from a row's plan part: what the suffix reads to price the plan under
+// the row's allocation. It is held row by row, and rows that share a
+// prefix hold the same Vars. Its slices are on loan from the tape
+// (NewVars), so a warm pass allocates none.
+type prefixSet struct {
+	pooled []*autodiff.Var // 1×Hidden node-attended, mask-pooled plan feature
+	stats  []*autodiff.Var // 1×StatsDim global statistics
 	// Read by resource attention only; keysT stays unset without it.
-	h     *autodiff.Var // L×Hidden plan-feature rows, the attention's values
-	keysT *autodiff.Var // K×L resource-side keys (h·Wrk)ᵀ
+	h     []*autodiff.Var // L×Hidden plan-feature rows, the attention's values
+	keysT []*autodiff.Var // K×L resource-side keys (h·Wrk)ᵀ
 }
 
-// prefixSet is one batch's prefixes: one per distinct plan, and for every
-// row the index of its plan's.
-type prefixSet struct {
-	plans []planPrefix
-	of    []int
+// newPrefixSet returns an empty set for n rows, on loan from tp.
+func newPrefixSet(tp *autodiff.Tape, n int) prefixSet {
+	v := tp.NewVars(4 * n)
+	return prefixSet{pooled: v[:n:n], stats: v[n : 2*n : 2*n], h: v[2*n : 3*n : 3*n], keysT: v[3*n:]}
+}
+
+// share gives row b row f's prefix.
+func (set prefixSet) share(b, f int) {
+	set.pooled[b], set.stats[b], set.h[b], set.keysT[b] = set.pooled[f], set.stats[f], set.h[f], set.keysT[f]
 }
 
 // prefixMemo is a prefix copied off the tape that computed it, parked in a
@@ -262,60 +270,71 @@ type prefixMemo struct {
 // gradients per sample in tape order, and merging two rows' graphs would
 // reorder that sum.
 func (m *Model) prefix(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry.Span) prefixSet {
-	set := prefixSet{plans: make([]planPrefix, 0, len(batch)), of: make([]int, len(batch))}
+	n := len(batch)
+	set := newPrefixSet(tp, n)
 	share := tp.ForwardOnly()
+	// first[b] is the first row of row b's plan; firsts lists those rows.
+	first, firsts := tp.NewInts(n), tp.NewInts(n)[:0]
 	for b, s := range batch {
-		k := len(set.plans)
+		first[b] = b
 		if share {
 			if b > 0 && batch[b-1].SamePlan(s) {
-				k = set.of[b-1] // the common case: one plan's allocations arrive together
+				first[b] = first[b-1] // the common case: one plan's allocations arrive together
 			} else {
-				for k = 0; k < len(set.plans) && !set.plans[k].s.SamePlan(s); k++ {
+				for _, f := range firsts {
+					if batch[f].SamePlan(s) {
+						first[b] = f
+						break
+					}
 				}
 			}
 		}
-		if k == len(set.plans) {
-			set.plans = append(set.plans, planPrefix{s: s})
+		if first[b] == b {
+			firsts = append(firsts, b)
 		}
-		set.of[b] = k
 	}
 
 	version := m.version.Load()
-	todo := make([]*planPrefix, 0, len(set.plans))
-	for k := range set.plans {
-		p := &set.plans[k]
+	todo := tp.NewInts(len(firsts))[:0] // the first rows whose prefix is computed
+	for _, f := range firsts {
 		var pm *prefixMemo
 		if share {
-			pm = m.memoized(p.s, version)
+			pm = m.memoized(batch[f], version)
 		}
 		if pm == nil {
-			todo = append(todo, p)
+			todo = append(todo, f)
 			continue
 		}
 		stop := sp.Stage("prefix-reuse")
-		p.pooled, p.stats = tp.Const(&pm.pooled), tp.Const(&pm.stats)
+		set.pooled[f], set.stats[f] = tp.Const(&pm.pooled), tp.Const(&pm.stats)
 		if m.Var.ResourceAttention {
-			p.h, p.keysT = tp.Const(&pm.h), tp.Const(&pm.keysT)
+			set.h[f], set.keysT[f] = tp.Const(&pm.h), tp.Const(&pm.keysT)
 		}
 		stop()
 	}
 	if len(todo) > 0 {
-		m.planLayers(tp, todo, sp)
+		m.planLayers(tp, batch, todo, set, sp)
 	}
 	if share {
-		m.instr.observePrefixes(len(todo), len(batch)-len(todo))
-		for _, p := range todo {
-			if p.s.Memo != nil {
-				p.s.Memo.Store(m.memoize(p, version))
+		m.instr.observePrefixes(len(todo), n-len(todo))
+		for _, f := range todo {
+			if memo := batch[f].Memo; memo != nil {
+				memo.Store(m.memoize(set, f, version))
 			}
+		}
+	}
+	for b, f := range first {
+		if f != b {
+			set.share(b, f)
 		}
 	}
 	return set
 }
 
-// planLayers computes the given prefixes: embed → LSTM/conv → node-aware
-// attention → masked mean pool, the resource-side keys, and the statistics
-// vector — every layer the resource vector does not reach.
+// planLayers computes, into set, the prefixes of the plans first seen at
+// the given rows of batch: embed → LSTM/conv → node-aware attention →
+// masked mean pool, the resource-side keys, and the statistics vector —
+// every layer the resource vector does not reach.
 //
 // Every plan runs at its own active length n (activeLen): the ragged
 // recurrence steps it over its n real nodes only, the conv sees n rows, and
@@ -323,11 +342,11 @@ func (m *Model) prefix(tp *autodiff.Tape, batch []*encode.Sample, sp *telemetry.
 // whatever the longest plan beside it. Padding rows are fully masked
 // downstream, so no gradient ever reaches them: leaving them out changes
 // no bit of any value or gradient (DESIGN §5x).
-func (m *Model) planLayers(tp *autodiff.Tape, plans []*planPrefix, sp *telemetry.Span) {
-	lens, L, rows := tp.NewInts(len(plans)), 0, 0
-	for k, p := range plans {
-		lens[k] = activeLen(p.s)
-		L, rows = max(L, lens[k]), rows+lens[k]
+func (m *Model) planLayers(tp *autodiff.Tape, batch []*encode.Sample, rows []int, set prefixSet, sp *telemetry.Span) {
+	lens, L, total := tp.NewInts(len(rows)), 0, 0
+	for k, f := range rows {
+		lens[k] = activeLen(batch[f])
+		L, total = max(L, lens[k]), total+lens[k]
 	}
 	in := m.inputDim()
 
@@ -337,12 +356,12 @@ func (m *Model) planLayers(tp *autodiff.Tape, plans []*planPrefix, sp *telemetry
 		// One stacked ragged input buffer: step t's block holds node t of
 		// every plan still running at t, in plan order. Arena-backed;
 		// nodeInput overwrites every row.
-		x := tp.NewMatrix(rows, in)
+		x := tp.NewMatrix(total, in)
 		r := 0
 		for t := 0; t < L; t++ {
-			for k, p := range plans {
+			for k, f := range rows {
 				if t < lens[k] {
-					m.nodeInput(p.s, t, x.Row(r))
+					m.nodeInput(batch[f], t, x.Row(r))
 					r++
 				}
 			}
@@ -353,51 +372,51 @@ func (m *Model) planLayers(tp *autodiff.Tape, plans []*planPrefix, sp *telemetry
 		// at[t] is plan k's row of hs[t]: the count of earlier plans
 		// running step t, kept in next[t].
 		next, at := tp.NewInts(L), tp.NewInts(L)
-		for k, p := range plans {
+		for k, f := range rows {
 			for t := 0; t < lens[k]; t++ {
 				at[t] = next[t]
 				next[t]++
 			}
-			p.h = tp.GatherRows(hs[:lens[k]], at[:lens[k]])
+			set.h[f] = tp.GatherRows(hs[:lens[k]], at[:lens[k]])
 		}
 		stop()
 	} else {
-		for k, p := range plans {
+		for k, f := range rows {
 			stop := sp.Stage("embed")
 			x := tp.NewMatrix(lens[k], in)
 			for t := 0; t < lens[k]; t++ {
-				m.nodeInput(p.s, t, x.Row(t))
+				m.nodeInput(batch[f], t, x.Row(t))
 			}
 			xc := tp.Const(x)
 			stop()
 			stop = sp.Stage("conv")
-			p.h = m.conv.Forward(tp, xc)
+			set.h[f] = m.conv.Forward(tp, xc)
 			stop()
 		}
 	}
 
 	defer sp.Stage("attention")()
 	scale := m.attnScale()
-	for i, p := range plans {
-		h, n := p.h, lens[i]
+	for k, f := range rows {
+		s, h, n := batch[f], set.h[f], lens[k]
 		if m.Var.NodeAttention {
 			q := tp.MatMul(h, m.wq.Var)
 			k := tp.MatMul(h, m.wk.Var)
 			scores := tp.Scale(tp.MatMul(q, tp.Transpose(k)), scale)
-			attn := tp.SoftmaxRowsMask2D(scores, p.s.Children[:n])
+			attn := tp.SoftmaxRowsMask2D(scores, s.Children[:n])
 			attended := tp.MatMul(attn, h)
 			// Leaves have no children: their attended rows are zero, so
 			// blend with the raw hidden state before pooling.
-			p.pooled = tp.MeanRowsMasked(tp.Add(attended, h), p.s.Mask[:n])
+			set.pooled[f] = tp.MeanRowsMasked(tp.Add(attended, h), s.Mask[:n])
 		} else {
-			p.pooled = tp.MeanRowsMasked(h, p.s.Mask[:n])
+			set.pooled[f] = tp.MeanRowsMasked(h, s.Mask[:n])
 		}
 		if m.Var.ResourceAttention {
-			p.keysT = tp.Transpose(tp.MatMul(h, m.wrk.Var)) // K×n
+			set.keysT[f] = tp.Transpose(tp.MatMul(h, m.wrk.Var)) // K×n
 		}
-		sv := tp.NewMatrix(1, len(p.s.Stats))
-		copy(sv.Data, p.s.Stats)
-		p.stats = tp.Const(sv)
+		sv := tp.NewMatrix(1, len(s.Stats))
+		copy(sv.Data, s.Stats)
+		set.stats[f] = tp.Const(sv)
 	}
 }
 
@@ -408,17 +427,17 @@ func (m *Model) planLayers(tp *autodiff.Tape, plans []*planPrefix, sp *telemetry
 func (m *Model) suffix(tp *autodiff.Tape, pre prefixSet, batch []*encode.Sample, sp *telemetry.Span) *autodiff.Var {
 	stop := sp.Stage("attention")
 	scale := m.attnScale()
-	feats := make([]*autodiff.Var, len(batch))
+	feats := tp.NewVars(len(batch))
 	for b, s := range batch {
-		p := &pre.plans[pre.of[b]]
-		parts, n := [3]*autodiff.Var{p.pooled, p.stats}, 2 // a fixed array: no allocation per row
+		parts, n := [3]*autodiff.Var{pre.pooled[b], pre.stats[b]}, 2 // a fixed array: no allocation per row
 		if m.Var.ResourceAttention {
+			h := pre.h[b]
 			rv := tp.NewMatrix(1, len(s.Resource))
 			copy(rv.Data, s.Resource)
-			q := tp.MatMul(tp.Const(rv), m.wr.Var)                     // 1×K
-			scores := tp.Scale(tp.MatMul(q, p.keysT), scale)           // 1×L
-			battn := tp.SoftmaxRows(scores, p.s.Mask[:p.h.Value.Rows]) // 1×L
-			parts[1], parts[2], n = tp.MatMul(battn, p.h), p.stats, 3  // 1×Hidden
+			q := tp.MatMul(tp.Const(rv), m.wr.Var)                       // 1×K
+			scores := tp.Scale(tp.MatMul(q, pre.keysT[b]), scale)        // 1×L
+			battn := tp.SoftmaxRows(scores, s.Mask[:h.Value.Rows])       // 1×L
+			parts[1], parts[2], n = tp.MatMul(battn, h), pre.stats[b], 3 // 1×Hidden
 		}
 		feats[b] = tp.ConcatCols(parts[:n]...)
 	}
@@ -444,12 +463,12 @@ func (m *Model) memoized(s *encode.Sample, version uint64) *prefixMemo {
 	return pm
 }
 
-// memoize copies what the suffix reads of p off the tape (whose arena the
-// next Reset recycles) into one heap block, stamped with the network and
-// weights version it is valid for.
-func (m *Model) memoize(p *planPrefix, version uint64) *prefixMemo {
+// memoize copies what the suffix reads of row f's prefix off the tape
+// (whose arena the next Reset recycles) into one heap block, stamped with
+// the network and weights version it is valid for.
+func (m *Model) memoize(set prefixSet, f int, version uint64) *prefixMemo {
 	pm := &prefixMemo{net: m, version: version}
-	src := [...]*autodiff.Var{p.pooled, p.stats, p.h, p.keysT}
+	src := [...]*autodiff.Var{set.pooled[f], set.stats[f], set.h[f], set.keysT[f]}
 	dst := [...]*tensor.Matrix{&pm.pooled, &pm.stats, &pm.h, &pm.keysT}
 	if !m.Var.ResourceAttention {
 		src[2] = nil // h is read by resource attention only
@@ -549,12 +568,9 @@ func activeLen(s *encode.Sample) int {
 	return 1
 }
 
-// chunkRange is one forward pass's slice of the scheduled sample order.
-type chunkRange struct{ lo, hi int }
-
-// oneOrder and oneChunk are every one-sample call's schedule, shared and
+// oneOrder and oneCuts are every one-sample call's schedule, shared and
 // never written.
-var oneOrder, oneChunk = []int{0}, []chunkRange{{0, 1}}
+var oneOrder, oneCuts = []int{0}, []int{0, 1}
 
 // schedule decides which samples share a forward pass and in what order
 // the passes are claimed. The default groups samples by length hint
@@ -563,41 +579,46 @@ var oneOrder, oneChunk = []int{0}, []chunkRange{{0, 1}}
 // a query's candidates usually have distinct lengths, so they fan out
 // across the workers, and the longest starts first, which shortens the
 // call's makespan. noBucket is the flat schedule, chunks cut over the
-// input order. The returned order maps scheduled position to caller index.
-// Scheduling only regroups samples — every sample's arithmetic is its own
-// — so predictions are bit-identical on either schedule
-// (TestBucketedPredictBitIdentical).
-func (m *Model) schedule(hints []int, chunk int, noBucket bool) ([]int, []chunkRange) {
+// input order. The returned order maps scheduled position to caller index,
+// and chunk k is the positions cuts[k] to cuts[k+1]; both are carved from
+// *buf, which grows when they do not fit. Scheduling only regroups
+// samples — every sample's arithmetic is its own — so predictions are
+// bit-identical on either schedule (TestBucketedPredictBitIdentical).
+func (m *Model) schedule(buf *[]int, hints []int, chunk int, noBucket bool) (order, cuts []int) {
 	n := len(hints)
 	if n == 1 {
-		return oneOrder, oneChunk
+		return oneOrder, oneCuts
 	}
-	order := make([]int, n)
+	maxLen := 1
+	if !noBucket {
+		for _, l := range hints {
+			maxLen = max(maxLen, l)
+		}
+	}
+	// No chunk is empty, so there are at most n+1 cuts.
+	b := slices.Grow((*buf)[:0], n+(n+1)+(maxLen+1))
+	*buf = b
+	order, cuts = b[:n:n], b[n:n:2*n+1]
 	if noBucket {
-		chunks := make([]chunkRange, 0, (n+chunk-1)/chunk)
 		for lo := 0; lo < n; lo += chunk {
-			chunks = append(chunks, chunkRange{lo, min(lo+chunk, n)})
+			cuts = append(cuts, lo)
 		}
 		for i := range order {
 			order[i] = i
 		}
-		return order, chunks
-	}
-	maxLen := 1
-	for _, l := range hints {
-		maxLen = max(maxLen, l)
+		return order, append(cuts, n)
 	}
 	// at[l] counts the samples of length l, then becomes the next
 	// scheduled position of that length.
-	at := make([]int, maxLen+1)
+	at := b[2*n+1 : 2*n+1+maxLen+1]
+	clear(at)
 	for _, l := range hints {
 		at[max(l, 1)]++
 	}
-	var chunks []chunkRange
 	for l, pos := maxLen, 0; l >= 1; l-- {
 		end := pos + at[l]
 		for lo := pos; lo < end; lo += chunk {
-			chunks = append(chunks, chunkRange{lo, min(lo+chunk, end)})
+			cuts = append(cuts, lo)
 		}
 		at[l], pos = pos, end
 	}
@@ -607,7 +628,7 @@ func (m *Model) schedule(hints []int, chunk int, noBucket bool) ([]int, []chunkR
 		at[l]++
 	}
 	m.instr.observeBuckets(hints)
-	return order, chunks
+	return order, append(cuts, n)
 }
 
 // predictCtx is PredictCtx on the schedule o picks.
@@ -633,90 +654,135 @@ func (m *Model) score(ctx context.Context, hints []int, build func(i int) *encod
 	if chunk <= 0 {
 		chunk = predictChunk
 	}
-	order, chunks := m.schedule(hints, chunk, o.noBucket)
-	nChunks := len(chunks)
+	r := leaseRun()
+	r.m, r.ctx, r.sp, r.build, r.out = m, ctx, sp, build, out
+	r.order, r.cuts = m.schedule(&r.buf, hints, chunk, o.noBucket)
 	workers := o.workers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if workers > nChunks {
-		workers = nChunks
-	}
+	workers = max(min(workers, len(r.cuts)-1), 1)
 
-	// Each worker leases one warm tape for its whole run and resets it
-	// between chunks, so all matrices a chunk's graph needs come from the
-	// tape's arena: the steady-state scoring path performs zero matrix
-	// allocations. A chunk's samples are built into a stack array (a test
-	// chunk longer than predictChunk grows onto the heap). Predictions are
-	// extracted before the next Reset.
-	scoreChunk := func(tp *autodiff.Tape, k int) {
-		c := chunks[k]
-		var buf [predictChunk]*encode.Sample
-		batch := buf[:0]
-		for p := c.lo; p < c.hi; p++ {
-			batch = append(batch, build(order[p]))
-		}
-		tp.Reset()
-		pred := m.forward(tp, batch, sp)
-		defer sp.Stage("decode")()
-		for p := c.lo; p < c.hi; p++ {
-			out[order[p]] = invTransform(pred.Value.At(p-c.lo, 0))
-		}
+	// The caller is one worker and workers-1 helper goroutines the others.
+	r.wg.Add(workers - 1)
+	for range workers - 1 {
+		go r.helpFn()
 	}
-
-	if workers <= 1 {
-		tp := LeaseTape(false)
-		defer ReturnTape(tp)
-		for k := 0; k < nChunks; k++ {
-			if err := ctx.Err(); err != nil {
-				return nil, err
-			}
-			scoreChunk(tp, k)
-		}
-		m.instr.observePredict(n, time.Since(start))
-		return out, nil
+	r.work()
+	r.wg.Wait()
+	if f := r.fault.Load(); f != nil {
+		panic(*f) // the run is dropped, not parked
 	}
-	// The workers' shared state, in one allocation.
-	var run struct {
-		next    atomic.Int64
-		aborted atomic.Bool
-		fault   atomic.Pointer[any] // the first worker panic, raised again below
-		wg      sync.WaitGroup
-	}
-	for w := 0; w < workers; w++ {
-		run.wg.Add(1)
-		go func() {
-			defer run.wg.Done()
-			defer func() {
-				if r := recover(); r != nil {
-					run.fault.CompareAndSwap(nil, &r)
-					run.aborted.Store(true)
-				}
-			}()
-			tp := LeaseTape(false)
-			defer ReturnTape(tp)
-			for !run.aborted.Load() {
-				if ctx.Err() != nil {
-					run.aborted.Store(true)
-					return
-				}
-				k := int(run.next.Add(1)) - 1
-				if k >= nChunks {
-					return
-				}
-				scoreChunk(tp, k)
-			}
-		}()
-	}
-	run.wg.Wait()
-	if r := run.fault.Load(); r != nil {
-		panic(*r)
-	}
-	if run.aborted.Load() {
+	aborted := r.aborted.Load()
+	r.park()
+	if aborted {
 		return nil, ctx.Err()
 	}
 	m.instr.observePredict(n, time.Since(start))
 	return out, nil
+}
+
+// scoreRun is one score call, shared by its workers: they claim its chunks
+// in turn, so a call of ragged chunks balances itself. A finished run is
+// parked in the tape pool with its schedule buffer and its bound helper,
+// so a warm call allocates neither.
+type scoreRun struct {
+	m     *Model
+	ctx   context.Context
+	sp    *telemetry.Span
+	build func(i int) *encode.Sample
+	order []int // scheduled position → caller index
+	cuts  []int // chunk k is order[cuts[k]:cuts[k+1]]
+	out   []float64
+
+	next    atomic.Int64
+	aborted atomic.Bool
+	fault   atomic.Pointer[any] // the first worker panic, raised again on the caller
+	wg      sync.WaitGroup      // the helpers
+
+	buf    []int  // order and cuts storage, kept across calls
+	helpFn func() // help, bound once so starting a helper allocates nothing
+}
+
+// leaseRun returns a parked run, or a new one when none is parked.
+func leaseRun() *scoreRun {
+	tapes.mu.Lock()
+	defer tapes.mu.Unlock()
+	if n := len(tapes.runs); n > 0 {
+		r := tapes.runs[n-1]
+		tapes.runs[n-1] = nil
+		tapes.runs = tapes.runs[:n-1]
+		return r
+	}
+	r := new(scoreRun)
+	r.helpFn = r.help
+	return r
+}
+
+// park clears r of the call it served and parks it for the next leaseRun.
+// Every helper must have finished.
+func (r *scoreRun) park() {
+	r.m, r.ctx, r.sp, r.build, r.order, r.cuts, r.out = nil, nil, nil, nil, nil, nil, nil
+	r.next.Store(0)
+	r.aborted.Store(false)
+	tapes.mu.Lock()
+	defer tapes.mu.Unlock()
+	if len(tapes.runs) < maxPooledTapes {
+		tapes.runs = append(tapes.runs, r)
+	}
+}
+
+// work scores unclaimed chunks until none is left, the context ends or a
+// worker panics. It leases one warm tape for its whole run and resets it
+// between chunks (scoreChunk).
+func (r *scoreRun) work() {
+	defer func() {
+		if p := recover(); p != nil {
+			f := p // declared here, so that only a panic moves it to the heap
+			r.fault.CompareAndSwap(nil, &f)
+			r.aborted.Store(true)
+		}
+	}()
+	tp := LeaseTape(false)
+	defer ReturnTape(tp)
+	for !r.aborted.Load() {
+		if r.ctx.Err() != nil {
+			r.aborted.Store(true)
+			return
+		}
+		k := int(r.next.Add(1)) - 1
+		if k >= len(r.cuts)-1 {
+			return
+		}
+		r.m.scoreChunk(tp, r.order[r.cuts[k]:r.cuts[k+1]], r.build, r.out, r.sp)
+	}
+}
+
+// help is a helper goroutine's run.
+func (r *scoreRun) help() {
+	defer r.wg.Done()
+	r.work()
+}
+
+// scoreChunk scores one forward pass on tp: the samples build makes for
+// the caller indices idx, each prediction written to out at its index. All
+// matrices the pass's graph needs come from the tape's arena and its
+// slices are on loan from the tape, so a warm pass allocates nothing. The
+// samples are built into a stack array (a test chunk longer than
+// predictChunk grows onto the heap). Predictions are extracted before the
+// next Reset.
+func (m *Model) scoreChunk(tp *autodiff.Tape, idx []int, build func(i int) *encode.Sample, out []float64, sp *telemetry.Span) {
+	var buf [predictChunk]*encode.Sample
+	batch := buf[:0]
+	for _, i := range idx {
+		batch = append(batch, build(i))
+	}
+	tp.Reset()
+	pred := m.forward(tp, batch, sp)
+	defer sp.Stage("decode")()
+	for r, i := range idx {
+		out[i] = invTransform(pred.Value.At(r, 0))
+	}
 }
 
 // transform maps a cost in seconds to the training scale; the models

@@ -75,12 +75,11 @@ func TestTrainForwardUnrollsActiveRowsOnly(t *testing.T) {
 		m := NewModel(v, cfg)
 		pre := m.prefix(autodiff.NewTape(), batch, nil)
 		for k, n := range lens {
-			p := pre.plans[pre.of[k]]
-			if p.h.Value.Rows != n {
-				t.Fatalf("%s: plan %d (length %d) has %d feature rows", v.Name, k, n, p.h.Value.Rows)
+			if h := pre.h[k]; h.Value.Rows != n {
+				t.Fatalf("%s: plan %d (length %d) has %d feature rows", v.Name, k, n, h.Value.Rows)
 			}
-			if v.ResourceAttention && p.keysT.Value.Cols != n {
-				t.Fatalf("%s: plan %d (length %d) has %d resource keys", v.Name, k, n, p.keysT.Value.Cols)
+			if keysT := pre.keysT[k]; v.ResourceAttention && keysT.Value.Cols != n {
+				t.Fatalf("%s: plan %d (length %d) has %d resource keys", v.Name, k, n, keysT.Value.Cols)
 			}
 		}
 

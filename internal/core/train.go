@@ -179,7 +179,7 @@ func (m *Model) Fit(samples []*encode.Sample, tc TrainConfig) (*TrainResult, err
 			m.version.Add(1) // prefixes memoized at the old weights are now stale
 			// Weight each batch by its size so a short final batch does
 			// not skew the epoch mean.
-			epochLoss += batchLoss * float64(hi-lo)
+			epochLoss += float64(batchLoss * float64(hi-lo))
 		}
 		epochLoss /= float64(len(idx))
 		result.LossCurve = append(result.LossCurve, epochLoss)
@@ -224,7 +224,7 @@ func (c *shardCrew) step(params []*nn.Param, sel []int) (float64, int) {
 	for _, sh := range c.shards[:nShards] {
 		w := float64(sh.n) / n
 		nn.AccumulateGrads(params, sh.params, w)
-		batchLoss += w * sh.loss
+		batchLoss += float64(w * sh.loss)
 	}
 	return batchLoss, nShards
 }

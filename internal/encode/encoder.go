@@ -192,6 +192,13 @@ func (e *Encoder) EncodeResources(res sparksim.Resources) []float64 {
 	return res.Normalized(e.cfg.MaxRes)
 }
 
+// EncodeResourcesInto writes EncodeResources(res) into dst, which must hold
+// sparksim.NumFeatures values, and returns dst: a caller pricing many
+// allocations carves their vectors from one block.
+func (e *Encoder) EncodeResourcesInto(dst []float64, res sparksim.Resources) []float64 {
+	return res.NormalizedInto(dst, e.cfg.MaxRes)
+}
+
 // EncodePlanPart encodes everything a sample holds about p itself and
 // leaves Resource nil: price it with WithResource(EncodeResources(res)),
 // once per allocation, without walking the plan again.
@@ -276,7 +283,7 @@ func (e *Encoder) statsVector(p *physical.Plan) []float64 {
 		switch n.Op {
 		case physical.FileScan:
 			scans++
-			scanBytes += n.RawRows * n.RowBytes
+			scanBytes += float64(n.RawRows * n.RowBytes)
 		case physical.SortMergeJoin, physical.BroadcastHashJoin, physical.BroadcastNestedLoopJoin:
 			joins++
 		}

@@ -67,7 +67,7 @@ func MSE(actual, estimated []float64) float64 {
 	var sum float64
 	for i, ac := range actual {
 		d := ac - estimated[i]
-		sum += d * d
+		sum += float64(d * d)
 	}
 	return sum / float64(len(actual))
 }
@@ -79,9 +79,9 @@ func Correlation(actual, estimated []float64) float64 {
 	var cov, va, ve float64
 	for i := range actual {
 		da, de := actual[i]-ma, estimated[i]-me
-		cov += da * de
-		va += da * da
-		ve += de * de
+		cov += float64(da * de)
+		va += float64(da * da)
+		ve += float64(de * de)
 	}
 	if va == 0 || ve == 0 {
 		return 0
@@ -96,9 +96,9 @@ func R2(actual, estimated []float64) float64 {
 	var ssRes, ssTot float64
 	for i := range actual {
 		d := actual[i] - estimated[i]
-		ssRes += d * d
+		ssRes += float64(d * d)
 		t := actual[i] - ma
-		ssTot += t * t
+		ssTot += float64(t * t)
 	}
 	if ssTot == 0 {
 		return 0

@@ -57,6 +57,7 @@ func (l *LSTM) ZeroState(tp *autodiff.Tape, batch int) State {
 // (lens[k] > t) in batch order — Σ lens rows, no padding. Before a step at
 // which sequences have ended, KeepRows drops them from the hidden and cell
 // state, so hs[t] has one row per sequence running step t, in batch order.
+// hs is on loan from the tape (NewVars), valid until its next Reset.
 // Rows never mix, so each is computed exactly as a padded recurrence
 // computes it; a uniform lens is the dense one.
 //
@@ -82,7 +83,7 @@ func (l *LSTM) ForwardStacked(tp *autodiff.Tape, x *autodiff.Var, lens []int) []
 	b := tp.SliceCols(l.B.Var, 0, 4*l.Hidden)
 	s := l.ZeroState(tp, len(lens))
 	keep := tp.NewInts(len(lens))
-	hs := make([]*autodiff.Var, steps)
+	hs := tp.NewVars(steps)
 	off := 0
 	for t := 0; t < steps; t++ {
 		// The state holds the sequences that ran step t−1 (all of them at

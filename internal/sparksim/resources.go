@@ -102,20 +102,26 @@ func (r Resources) Vector() []float64 {
 // Normalized returns the features scaled into [0,1] by the system maxima
 // (Eq. 1: r* = r / max(r)).
 func (r Resources) Normalized(max Resources) []float64 {
+	return r.NormalizedInto(make([]float64, NumFeatures), max)
+}
+
+// NormalizedInto writes Normalized(max) into dst, which must hold
+// NumFeatures values, and returns dst.
+func (r Resources) NormalizedInto(dst []float64, max Resources) []float64 {
 	v := r.Vector()
 	m := max.Vector()
-	out := make([]float64, len(v))
+	dst = dst[:len(v)]
 	for i := range v {
 		if m[i] > 0 {
-			out[i] = v[i] / m[i]
+			dst[i] = v[i] / m[i]
 		} else {
-			out[i] = v[i] // flag features (e.g. Dynamic) pass through
+			dst[i] = v[i] // flag features (e.g. Dynamic) pass through
 		}
-		if out[i] > 1 {
-			out[i] = 1
+		if dst[i] > 1 {
+			dst[i] = 1
 		}
 	}
-	return out
+	return dst
 }
 
 func (r Resources) String() string {
