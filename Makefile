@@ -28,9 +28,8 @@ test: build
 # leaf gradients on a second goroutine beside the walk;
 # internal/serve includes TestConcurrentRequestsRaceClean;
 # internal/telemetry includes concurrent writer/scraper tests;
-# internal/fleet includes the chaos suite (hedged requests racing
-# drains and kills) and internal/backoff the context-cancellation
-# property tests; internal/engine includes TestConcurrentStreamingRuns
+# internal/fleet includes the chaos suite (fault-injected replicas,
+# kills and callers that leave mid-request); internal/engine includes TestConcurrentStreamingRuns
 # (one Engine, shared slab pools and counters, hammered from 8
 # goroutines) and internal/workload the worker-count-invariant parallel
 # collection tests; internal/physical includes TestPlanKeyRenderedOnce
@@ -47,7 +46,7 @@ test: build
 # detector on 2 vCPUs, hence the explicit budget. Use `make race-all` for
 # the (slow) full sweep.
 race:
-	$(GO) test -race -timeout 20m ./internal/core ./internal/nn ./internal/autodiff ./internal/tensor ./internal/serve ./internal/telemetry ./internal/fleet ./internal/backoff ./internal/online ./internal/engine ./internal/workload ./internal/physical ./internal/encode ./internal/word2vec .
+	$(GO) test -race -timeout 20m ./internal/core ./internal/nn ./internal/autodiff ./internal/tensor ./internal/serve ./internal/telemetry ./internal/fleet ./internal/online ./internal/engine ./internal/workload ./internal/physical ./internal/encode ./internal/word2vec .
 
 # The experiments package replays full training runs; under the race
 # detector that exceeds go test's default 10m per-package timeout on
@@ -64,13 +63,16 @@ bench-parallel:
 	$(GO) test . -run=XXX -bench 'BenchmarkSelectPlanFanOut' -benchmem -count 5
 
 # Chaos drills: the fault-injected fleet suite (seeded FaultConfig
-# replicas, mid-run kills, drain-during-hedge) and the connection drills
-# (replicas that close idle connections, frame bodies every way, answer
-# malformed HTTP, stall, or lose a hedge mid-body) under the race
-# detector. Deterministic — a failure here is a real robustness bug, not
+# replicas, a mid-run kill, a caller that leaves mid-attempt) and the
+# connection drills (replicas that close idle connections, frame bodies
+# every way, answer malformed HTTP, stall, or lose their caller mid-body)
+# under the race detector. The zero-loss drill then runs ten more times:
+# it is the evidence that one attempt per replica plus failover loses no
+# request (DESIGN §5h). A failure here is a real robustness bug, not
 # flake.
 chaos:
 	$(GO) test -race -run 'TestChaos|TestConn' -count=1 -v ./internal/fleet
+	$(GO) test -race -run '^TestChaosFleetZeroLoss$$' -count=10 ./internal/fleet
 
 # Online-learning drills under the race detector: the seeded workload
 # shift (drift detector → replay-buffer retrain → shadow comparison →
@@ -118,14 +120,17 @@ fmt-check:
 # kernels off amd64, and internal/autodiff's backward pass and
 # internal/nn's Adam step turn their products into gradients and weights;
 # internal/core's reported loss, internal/encode's features and
-# internal/metrics' held-out scores are read off those weights. Each
+# internal/metrics' held-out scores are read off those weights;
+# internal/sparksim's simulated runtimes, internal/workload's sampled
+# allocations and internal/catalog's selectivities are the labels and
+# inputs those weights are fitted to. Each
 # rounds every such product (float64(x*y)) so that no port fuses a
 # multiply-add and arm64 computes the bits amd64 does (DESIGN §5j). Fails
 # on any FMADD/FMSUB/FNMADD/FNMSUB in a listed package's arm64 assembly
 # listing, or when a package has no listing. The other packages that
 # still fuse on arm64 are not listed yet (ROADMAP, "One set of bits on
 # every port").
-FMA_PKGS = internal/tensor internal/autodiff internal/nn internal/core internal/encode internal/metrics
+FMA_PKGS = internal/tensor internal/autodiff internal/nn internal/core internal/encode internal/metrics internal/sparksim internal/workload internal/catalog
 FMA_OPS = [[:space:]]F(N?)M(ADD|SUB)[DS][[:space:]]
 fma-check:
 	@for pkg in $(FMA_PKGS); do \

@@ -16,8 +16,9 @@
 // The same binary runs as a replica (default) or, with -route, as the
 // fleet front router (internal/fleet): consistent-hash affinity on the
 // SQL text's token stream, one health state per replica fed by readyz
-// probes and request outcomes, bounded retries, tail hedging, and
-// degradation to the local GPSJ estimate when no replica can answer.
+// probes and request outcomes, one attempt per replica with failover
+// along the ring, and degradation to the local GPSJ estimate when no
+// replica can answer.
 //
 // The -fault-* flags arm deterministic fault injection in the replica's
 // deep path (serve.FaultConfig) for chaos drills: a fixed -fault-seed
@@ -99,8 +100,7 @@ func main() {
 		shadowMin      = flag.Int("shadow-min", 32, "online: feedback outcomes a challenger is shadow-scored on before the promote/reject verdict")
 		retrainEpochs  = flag.Int("retrain-epochs", 10, "online: warm-start training epochs per challenger")
 
-		route      = flag.String("route", "", `run as the fleet router over comma-separated replicas ("[id=]url,..."); all estimation flags except the benchmark ones are ignored`)
-		hedgeAfter = flag.Duration("hedge-after", 0, "router: fixed tail-hedging trigger (0 adapts to the observed p99; negative disables hedging)")
+		route = flag.String("route", "", `run as the fleet router over comma-separated replicas ("[id=]url,..."); all estimation flags except the benchmark ones are ignored`)
 
 		faultSeed     = flag.Int64("fault-seed", 1, "fault injection: seed for the deterministic failure schedule")
 		faultPanic    = flag.Float64("fault-panic", 0, "fault injection: per-request probability the deep path panics")
@@ -131,7 +131,6 @@ func main() {
 			scale:      *scale,
 			seed:       *seed,
 			candidates: *candidates,
-			hedgeAfter: *hedgeAfter,
 			drainGrace: *drainGrace,
 		})
 		return
@@ -355,7 +354,6 @@ type routerOpts struct {
 	scale      float64
 	seed       int64
 	candidates int
-	hedgeAfter time.Duration
 	drainGrace time.Duration
 }
 
@@ -393,8 +391,6 @@ func runRouter(logger *slog.Logger, fatal func(string, ...any), opts routerOpts)
 			return gpsj.Estimate(p, res), nil
 		},
 		MaxCandidates: opts.candidates,
-		HedgeAfter:    opts.hedgeAfter,
-		Seed:          opts.seed,
 		Metrics:       met,
 		Logger:        logger,
 	})
@@ -408,8 +404,7 @@ func runRouter(logger *slog.Logger, fatal func(string, ...any), opts routerOpts)
 		ReadHeaderTimeout: 5 * time.Second,
 	}
 	go func() {
-		logger.Info("routing", "addr", opts.addr, "replicas", len(replicas),
-			"hedge_after", opts.hedgeAfter)
+		logger.Info("routing", "addr", opts.addr, "replicas", len(replicas))
 		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 			fatal("listener failed", "error", err)
 		}

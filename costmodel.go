@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"slices"
 
 	"raal/internal/core"
 	"raal/internal/encode"
@@ -86,9 +87,9 @@ func (cm *CostModel) EnableEncodeCache(capacity int) {
 	cm.cache = newEncodeCache(capacity)
 }
 
-// encodePlan is the cache-aware front door to the encoder: every
-// estimation path routes through it (or planPart directly) so hit
-// accounting stays consistent.
+// encodePlan is planPart priced under res as a sample of its own, for a
+// caller that keeps it (OnlineServing.Feedback). The estimation paths
+// price a plan part into their call's rowBlock instead.
 func (cm *CostModel) encodePlan(p *Plan, res Resources) *Sample {
 	return cm.planPart(p).WithResource(cm.enc.EncodeResources(res))
 }
@@ -233,7 +234,7 @@ func (cm *CostModel) Estimate(p *Plan, res Resources) float64 {
 // EstimateCtx is Estimate with cooperative cancellation: a cancelled or
 // expired context aborts the forward pass boundary and returns ctx.Err().
 // A span on ctx (telemetry.WithSpan) receives the per-stage breakdown:
-// encode, then the network's stages (core.Net.PredictCtx), to the same
+// encode, then the network's stages (core.Model.ScoreCtx), to the same
 // bits as an untraced call.
 func (cm *CostModel) EstimateCtx(ctx context.Context, p *Plan, res Resources) (float64, error) {
 	return cm.estimate(ctx, cm.model, p, res)
@@ -241,13 +242,15 @@ func (cm *CostModel) EstimateCtx(ctx context.Context, p *Plan, res Resources) (f
 
 // estimate is the one body behind CostModel's and OnlineServing's
 // EstimateCtx: it prices p under res with m, the model itself or the
-// champion OnlineServing loaded for the call.
+// champion OnlineServing loaded for the call, as a one-row block through
+// scorePlans, the body the batch APIs share.
 func (cm *CostModel) estimate(ctx context.Context, m *core.Model, p *Plan, res Resources) (float64, error) {
 	cm.api.estimates.Inc()
 	stop := telemetry.SpanFrom(ctx).Stage("encode")
-	s := cm.encodePlan(p, res)
+	part := cm.planPart(p)
 	stop()
-	preds, err := m.PredictCtx(ctx, []*Sample{s}, core.PredictOpts{})
+	b, plans := newRowBlock(1), [1]*Plan{p}
+	preds, err := cm.scorePlans(ctx, m, plans[:], func(int) *Sample { return b.price(0, cm.enc, part, res) })
 	if err != nil {
 		return 0, err
 	}
@@ -307,11 +310,12 @@ func (b rowBlock) price(i int, enc *encode.Encoder, part *Sample, res Resources)
 }
 
 // scorePlans prices plans with m, build(i) encoding plans[i] on the predict
-// worker that scores it (core.Net.ScoreCtx).
+// worker that scores it (core.Model.ScoreCtx).
 func (cm *CostModel) scorePlans(ctx context.Context, m *core.Model, plans []*Plan, build func(i int) *Sample) ([]float64, error) {
-	hints := make([]int, len(plans))
-	for i, p := range plans {
-		hints[i] = cm.lengthHint(p)
+	var buf [4]int // a short call's hints stay on the stack
+	hints := slices.Grow(buf[:0], len(plans))
+	for _, p := range plans {
+		hints = append(hints, cm.lengthHint(p))
 	}
 	return m.ScoreCtx(ctx, hints, build)
 }

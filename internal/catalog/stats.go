@@ -202,7 +202,7 @@ func (cs *ColumnStats) SelectivityLess(x int64, orEqual bool) float64 {
 		} else if frac > 1 {
 			frac = 1
 		}
-		count += frac * float64(b.Count)
+		count += float64(frac * float64(b.Count))
 		break
 	}
 	s := count / float64(cs.Rows)

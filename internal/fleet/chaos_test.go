@@ -10,7 +10,6 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -82,10 +81,7 @@ func TestChaosFleetZeroLoss(t *testing.T) {
 		// A probe of a loaded replica under the race detector can take
 		// longer than the 20ms interval; it must not count as a failure.
 		ProbeTimeout:   2 * time.Second,
-		RetryAttempts:  2,
 		AttemptTimeout: 2 * time.Second,
-		HedgeAfter:     50 * time.Millisecond,
-		Seed:           7,
 		Metrics:        met,
 		Logger:         slog.New(moves),
 		Fallback: func(_ context.Context, p *physical.Plan, _ sparksim.Resources) (float64, error) {
@@ -193,11 +189,6 @@ func TestChaosFleetZeroLoss(t *testing.T) {
 	if met.Requests.With("estimate").Value() != uint64(total) {
 		t.Fatalf("router counted %v requests, want %d", met.Requests.With("estimate").Value(), total)
 	}
-	// Hedge accounting closes: every fired hedge resolved as won or lost.
-	fired, won, lost := met.Hedges.With("fired").Value(), met.Hedges.With("won").Value(), met.Hedges.With("lost").Value()
-	if fired != won+lost {
-		t.Fatalf("hedge accounting leak: fired=%v won=%v lost=%v", fired, won, lost)
-	}
 	// The killed replica must eventually be marked down.
 	deadline := time.Now().Add(2 * time.Second)
 	for time.Now().Before(deadline) && router.replicas["r2"].health.State().Routable() {
@@ -209,110 +200,6 @@ func TestChaosFleetZeroLoss(t *testing.T) {
 	if met.Rebalances.Value() == 0 {
 		t.Fatal("killing a replica must register a rebalance")
 	}
-}
-
-// TestChaosDrainDuringHedge covers the nastiest lifecycle interleaving:
-// a replica holds the losing half of a hedged pair (its deep path is
-// stalled by an injected delay), and enters drain before that attempt
-// resolves. The caller must get exactly one answer, the drain must
-// complete, and nothing may leak.
-func TestChaosDrainDuringHedge(t *testing.T) {
-	baseline := runtime.NumGoroutine()
-
-	// The slow replica stalls every deep call 300ms (context-aware, like
-	// a cooperative slow model); the fast one answers immediately.
-	slow := newChaosReplica(t, "slow", &serve.FaultConfig{Seed: 1, DelayProb: 1, Delay: 300 * time.Millisecond})
-	fast := newChaosReplica(t, "fast", nil)
-
-	reg := telemetry.NewRegistry()
-	met := NewMetrics(reg, []string{"slow", "fast"})
-	router, err := New(Config{
-		Replicas: []Replica{
-			{ID: "slow", URL: slow.ts.URL},
-			{ID: "fast", URL: fast.ts.URL},
-		},
-		Planner:        testPlanner,
-		HealthInterval: 20 * time.Millisecond,
-		RetryAttempts:  1,
-		AttemptTimeout: 2 * time.Second,
-		HedgeAfter:     20 * time.Millisecond,
-		Seed:           3,
-		Metrics:        met,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rs := httptest.NewServer(router)
-
-	// Find a key the slow replica owns, so the hedge (not the primary)
-	// must win. Probe ownership via the ring directly — no traffic yet.
-	sql := ""
-	for k := 0; ; k++ {
-		candidate := fmt.Sprintf("q%d", k)
-		if ringOwner(t, router, candidate) == "slow" {
-			sql = candidate
-			break
-		}
-	}
-
-	type answer struct {
-		status int
-		er     serve.EstimateResponse
-		err    error
-	}
-	got := make(chan answer, 2) // room for a double-complete to show up
-	body, _ := json.Marshal(serve.EstimateRequest{SQL: sql})
-	go func() {
-		resp, err := http.Post(rs.URL+"/estimate", "application/json", bytes.NewReader(body))
-		if err != nil {
-			got <- answer{err: err}
-			return
-		}
-		defer resp.Body.Close()
-		var er serve.EstimateResponse
-		derr := json.NewDecoder(resp.Body).Decode(&er)
-		got <- answer{status: resp.StatusCode, er: er, err: derr}
-	}()
-
-	// Wait until the hedge has actually fired (the slow replica now holds
-	// the doomed primary attempt), then drain the slow replica while that
-	// attempt is still in flight.
-	deadline := time.Now().Add(2 * time.Second)
-	for time.Now().Before(deadline) && met.Hedges.With("fired").Value() == 0 {
-		time.Sleep(2 * time.Millisecond)
-	}
-	if met.Hedges.With("fired").Value() == 0 {
-		t.Fatal("hedge never fired")
-	}
-	drainCtx, cancel := context.WithTimeout(context.Background(), 3*time.Second)
-	defer cancel()
-	if err := slow.handler.Shutdown(drainCtx); err != nil {
-		t.Fatalf("drain did not complete while holding a losing hedge: %v", err)
-	}
-
-	a := <-got
-	if a.err != nil {
-		t.Fatalf("caller lost its request: %v", a.err)
-	}
-	if a.status != http.StatusOK || a.er.Degraded {
-		t.Fatalf("answer = status %d %+v, want a clean deep estimate from the hedge", a.status, a.er)
-	}
-	if won := met.Hedges.With("won").Value(); won != 1 {
-		t.Fatalf("hedge won = %v, want 1 (the stalled primary must lose)", won)
-	}
-
-	// Exactly one completion: nothing else may arrive on the channel.
-	select {
-	case extra := <-got:
-		t.Fatalf("caller's future completed twice: %+v", extra)
-	case <-time.After(100 * time.Millisecond):
-	}
-
-	rs.Close()
-	router.Close()
-	slow.ts.Close()
-	fast.ts.Close()
-	requireGoroutineCensus(t, baseline)
 }
 
 // requireGoroutineCensus fails t unless, once everything the test started
@@ -330,43 +217,16 @@ func requireGoroutineCensus(t *testing.T, baseline int) {
 	t.Fatalf("goroutine leak: baseline %d, now %d", baseline, runtime.NumGoroutine())
 }
 
-// hedgedFleet is a two-stub-replica fleet with a fixed 20ms hedge
-// trigger, plus the owner of sql (the primary chain's first replica) and
-// the other replica (where the hedge chain starts). The goroutine census
-// runs after the fleet's own cleanup has torn it down.
-func hedgedFleet(t *testing.T, sql string, mutate func(*Config)) (f *fleetUnderTest, owner, other *stubReplica) {
+// censusedFleet is newFleet whose goroutine census runs after the fleet's
+// own cleanup has torn it down.
+func censusedFleet(t *testing.T, n int, mutate func(*Config)) *fleetUnderTest {
 	t.Helper()
 	baseline := runtime.NumGoroutine()
 	t.Cleanup(func() {
 		http.DefaultClient.CloseIdleConnections()
 		requireGoroutineCensus(t, baseline)
 	})
-	f = newFleet(t, 2, func(cfg *Config) {
-		cfg.HedgeAfter = 20 * time.Millisecond
-		cfg.RetryAttempts = 1
-		if mutate != nil {
-			mutate(cfg)
-		}
-	})
-	owner = f.findOwner(t, sql)
-	other = f.replicas[0]
-	if other == owner {
-		other = f.replicas[1]
-	}
-	return f, owner, other
-}
-
-// requireHedgeCounts checks the hedge counters against want, and that
-// they close: fired == won + lost.
-func requireHedgeCounts(t *testing.T, met *Metrics, fired, won, lost uint64) {
-	t.Helper()
-	f, w, l := met.Hedges.With("fired").Value(), met.Hedges.With("won").Value(), met.Hedges.With("lost").Value()
-	if f != w+l {
-		t.Fatalf("hedge accounting leak: fired=%v won=%v lost=%v", f, w, l)
-	}
-	if f != fired || w != won || l != lost {
-		t.Fatalf("hedges fired=%v won=%v lost=%v, want %v/%v/%v", f, w, l, fired, won, lost)
-	}
+	return newFleet(t, n, mutate)
 }
 
 // hold is a stub mode for /estimate that reads the body, as a real
@@ -393,22 +253,6 @@ func hold(arrived, cancelled chan<- struct{}) func(http.ResponseWriter, *http.Re
 	}
 }
 
-// after is a stub mode for /estimate that waits for signal (or the
-// request's cancellation, answering nothing), then runs answer.
-func after(signal <-chan struct{}, answer func(http.ResponseWriter) bool) func(http.ResponseWriter, *http.Request) bool {
-	return func(w http.ResponseWriter, r *http.Request) bool {
-		if r.URL.Path == "/readyz" {
-			return false
-		}
-		select {
-		case <-signal:
-			return answer(w)
-		case <-r.Context().Done():
-			return true
-		}
-	}
-}
-
 // waitFor waits for an event on ch, failing t after 5s.
 func waitFor(t *testing.T, what string, ch <-chan struct{}) {
 	t.Helper()
@@ -419,83 +263,17 @@ func waitFor(t *testing.T, what string, ch <-chan struct{}) {
 	}
 }
 
-// TestChaosHedgePrimaryAnswersAfterFire: the primary answers once the
-// hedge has fired and reached its replica. The primary's answer is the
-// caller's, the hedge counts lost, and its request is cancelled rather
-// than held until its AttemptTimeout.
-func TestChaosHedgePrimaryAnswersAfterFire(t *testing.T) {
+// TestChaosCallerCancels: the caller gives up while its attempt is held
+// by the key's owner. It gets a 408, the owner's request is cancelled
+// rather than held until its AttemptTimeout, the router fails over to no
+// other replica and counts nothing against the owner, and nothing is left
+// running.
+func TestChaosCallerCancels(t *testing.T) {
 	const attemptTimeout = 5 * time.Second
-	f, owner, other := hedgedFleet(t, "late", func(cfg *Config) { cfg.AttemptTimeout = attemptTimeout })
-	hedged, hedgeCancelled := make(chan struct{}, 1), make(chan struct{}, 1)
-	other.setMode(hold(hedged, hedgeCancelled))
-	owner.setMode(after(hedged, func(http.ResponseWriter) bool { return false })) // the stub's 200
-
-	start := time.Now()
-	status, er, rep := f.estimate(t, "late")
-	if elapsed := time.Since(start); elapsed >= attemptTimeout/2 {
-		t.Fatalf("request took %v: the losing hedge was held until its timeout, not cancelled", elapsed)
-	}
-	if status != http.StatusOK || er.Degraded || rep != owner.id {
-		t.Fatalf("status %d from %q %+v, want the primary's clean answer", status, rep, er)
-	}
-	requireHedgeCounts(t, f.met, 1, 0, 1)
-	waitFor(t, "the losing hedge's request to be cancelled", hedgeCancelled)
-}
-
-// TestChaosHedgeBothChainsFail: the hedge fails while the primary still
-// runs, then the primary fails too. The caller gets the degraded answer
-// for the primary's error, not the hedge's.
-func TestChaosHedgeBothChainsFail(t *testing.T) {
-	f, owner, other := hedgedFleet(t, "doomed", func(cfg *Config) {
-		cfg.Fallback = func(context.Context, *physical.Plan, sparksim.Resources) (float64, error) {
-			return 7.5, nil
-		}
-	})
-	// The hedge reaches the other replica first and gets a 502. Only then
-	// does the owner fail the primary, which fails over to the other
-	// replica and gets a 504, so the two chains' errors differ.
-	hedged := make(chan struct{})
-	var otherHits atomic.Int64
-	other.setMode(func(w http.ResponseWriter, r *http.Request) bool {
-		if r.URL.Path == "/readyz" {
-			return false
-		}
-		if otherHits.Add(1) == 1 {
-			w.WriteHeader(http.StatusBadGateway)
-			close(hedged)
-		} else {
-			w.WriteHeader(http.StatusGatewayTimeout)
-		}
-		return true
-	})
-	owner.setMode(after(hedged, func(w http.ResponseWriter) bool {
-		w.WriteHeader(http.StatusInternalServerError)
-		return true
-	}))
-
-	status, er, _ := f.estimate(t, "doomed")
-	if status != http.StatusOK || !er.Degraded || er.CostSec != 7.5 {
-		t.Fatalf("status %d %+v, want the degraded fallback answer", status, er)
-	}
-	if want := fmt.Sprintf("replica %s: HTTP 504", other.id); !strings.Contains(er.Reason, want) ||
-		!strings.Contains(er.Reason, ErrAllFailed.Error()) {
-		t.Fatalf("reason %q, want the primary chain's error (%q), not the hedge's 502", er.Reason, want)
-	}
-	if otherHits.Load() != 2 {
-		t.Fatalf("other replica hit %d times, want 2 (hedge, then the primary's failover)", otherHits.Load())
-	}
-	requireHedgeCounts(t, f.met, 1, 0, 1)
-}
-
-// TestChaosHedgeCallerCancels: the caller gives up while both chains are
-// held. It gets a 408, both replica requests are cancelled, the fired
-// hedge counts lost, and nothing is left running.
-func TestChaosHedgeCallerCancels(t *testing.T) {
-	f, owner, other := hedgedFleet(t, "abandoned", nil)
-	primary, primaryCancelled := make(chan struct{}, 1), make(chan struct{}, 1)
-	hedged, hedgeCancelled := make(chan struct{}, 1), make(chan struct{}, 1)
-	owner.setMode(hold(primary, primaryCancelled))
-	other.setMode(hold(hedged, hedgeCancelled))
+	f := censusedFleet(t, 2, func(cfg *Config) { cfg.AttemptTimeout = attemptTimeout })
+	owner := f.findOwner(t, "abandoned")
+	arrived, cancelled := make(chan struct{}, 1), make(chan struct{}, 1)
+	owner.setMode(hold(arrived, cancelled))
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
@@ -507,14 +285,19 @@ func TestChaosHedgeCallerCancels(t *testing.T) {
 		defer close(done)
 		f.router.ServeHTTP(rec, req)
 	}()
-	waitFor(t, "the primary to reach its replica", primary)
-	waitFor(t, "the hedge to fire and reach its replica", hedged)
+	waitFor(t, "the attempt to reach the owner", arrived)
+	start := time.Now()
 	cancel()
 	waitFor(t, "the router to return after its caller cancelled", done)
+	if elapsed := time.Since(start); elapsed >= attemptTimeout/2 {
+		t.Fatalf("the router returned %v after its caller left: the attempt was held until its timeout, not cancelled", elapsed)
+	}
 	if rec.Code != http.StatusRequestTimeout {
 		t.Fatalf("status %d %s, want 408", rec.Code, rec.Body)
 	}
-	requireHedgeCounts(t, f.met, 1, 0, 1)
-	waitFor(t, "the primary's request to be cancelled", primaryCancelled)
-	waitFor(t, "the hedge's request to be cancelled", hedgeCancelled)
+	waitFor(t, "the owner's request to be cancelled", cancelled)
+	if n := f.met.Failovers.Value(); n != 0 || f.moves.count(owner.id, "") != 0 {
+		t.Fatalf("%d failover(s), %d owner transition(s): a caller that left is no replica's failure",
+			n, f.moves.count(owner.id, ""))
+	}
 }

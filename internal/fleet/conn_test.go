@@ -20,8 +20,8 @@ import (
 
 // The connection drills hold the router's hop to adversarial replicas:
 // ones that close idle connections, close after every answer, frame
-// bodies every way HTTP/1.1 allows, answer garbage, stall, or lose a
-// hedge mid-body. They run under the race detector in `make chaos`.
+// bodies every way HTTP/1.1 allows, answer garbage, stall, or lose their
+// caller mid-body. They run under the race detector in `make chaos`.
 
 // rawReply is a stub mode for /estimate that reads the request and
 // writes reply byte for byte on the hijacked connection, then closes it.
@@ -80,7 +80,7 @@ func withFallback(cfg *Config) {
 // TestConnReplicaClosesIdleConnections: a replica that closes every
 // connection a few milliseconds after answering leaves the router a
 // stale pooled connection for each next request. The router redials it
-// without a failed attempt, a retry, a failover or a health transition.
+// without a failed attempt, a failover or a health transition.
 func TestConnReplicaClosesIdleConnections(t *testing.T) {
 	stubs := make([]*stubReplica, 2)
 	for i := range stubs {
@@ -100,9 +100,9 @@ func TestConnReplicaClosesIdleConnections(t *testing.T) {
 	if n := owner.accepted.Load(); n != requests {
 		t.Fatalf("owner accepted %d connections for %d requests, want one each", n, requests)
 	}
-	if f.met.Failovers.Value() != 0 || f.met.Retries.Value() != 0 || f.moves.count(owner.id, "") != 0 {
-		t.Fatalf("failovers %d, retries %d, owner transitions %d: a stale idle connection must cost nothing",
-			f.met.Failovers.Value(), f.met.Retries.Value(), f.moves.count(owner.id, ""))
+	if f.met.Failovers.Value() != 0 || f.moves.count(owner.id, "") != 0 {
+		t.Fatalf("failovers %d, owner transitions %d: a stale idle connection must cost nothing",
+			f.met.Failovers.Value(), f.moves.count(owner.id, ""))
 	}
 }
 
@@ -126,7 +126,7 @@ func TestConnReplicaAnswersConnectionClose(t *testing.T) {
 		t.Fatalf("replica accepted %d connections for 3 requests, router keeps %d idle; want 3 and 0",
 			n, f.idleConns(rep.id))
 	}
-	if f.met.Retries.Value() != 0 || f.moves.count(rep.id, "") != 0 {
+	if f.moves.count(rep.id, "") != 0 {
 		t.Fatal("a Connection: close answer is a clean answer")
 	}
 }
@@ -239,7 +239,6 @@ func TestConnStallAfterHeadersFailsAtAttemptTimeout(t *testing.T) {
 	f := newFleet(t, 1, func(cfg *Config) {
 		withFallback(cfg)
 		cfg.HealthInterval = time.Hour
-		cfg.RetryAttempts = 1
 		cfg.AttemptTimeout = attemptTimeout
 	})
 	f.replicas[0].setMode(func(w http.ResponseWriter, r *http.Request) bool {
@@ -264,14 +263,16 @@ func TestConnStallAfterHeadersFailsAtAttemptTimeout(t *testing.T) {
 	waitOpen(t, f.replicas[0], 0)
 }
 
-// TestConnHedgeLoserClosedNotPooled: the primary has read its answer's
-// headers and half its body when the hedge wins. The primary's read is
-// cut at once and its connection closed, never pooled.
-func TestConnHedgeLoserClosedNotPooled(t *testing.T) {
-	f, owner, other := hedgedFleet(t, "loser", func(cfg *Config) {
+// TestConnCallerCancelClosesNotPooled: the router has read the owner's
+// answer's headers and half its body when its caller leaves. The read is
+// cut at once and the connection closed, never pooled; the router fails
+// over to no other replica and counts nothing against the owner.
+func TestConnCallerCancelClosesNotPooled(t *testing.T) {
+	f := censusedFleet(t, 2, func(cfg *Config) {
 		cfg.HealthInterval = time.Hour
 		cfg.AttemptTimeout = 5 * time.Second
 	})
+	owner := f.findOwner(t, "left")
 	midway, cancelled := make(chan struct{}), make(chan struct{})
 	owner.setMode(func(w http.ResponseWriter, r *http.Request) bool {
 		if r.URL.Path == "/readyz" {
@@ -286,21 +287,32 @@ func TestConnHedgeLoserClosedNotPooled(t *testing.T) {
 		close(cancelled)
 		return true
 	})
-	other.setMode(after(midway, func(http.ResponseWriter) bool { return false })) // the stub's 200
 
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	body, _ := json.Marshal(serve.EstimateRequest{SQL: "left"})
+	req := httptest.NewRequest(http.MethodPost, "/estimate", bytes.NewReader(body)).WithContext(ctx)
+	rec := httptest.NewRecorder()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f.router.ServeHTTP(rec, req)
+	}()
+	waitFor(t, "the owner to send half its answer", midway)
 	start := time.Now()
-	status, _, from := f.estimate(t, "loser")
-	if elapsed := time.Since(start); status != http.StatusOK || from != other.id || elapsed > time.Second {
-		t.Fatalf("status %d from %q after %v, want the hedge's 200 without waiting out the primary", status, from, elapsed)
+	cancel()
+	waitFor(t, "the router to return after its caller cancelled", done)
+	if elapsed := time.Since(start); rec.Code != http.StatusRequestTimeout || elapsed > time.Second {
+		t.Fatalf("status %d after %v, want a prompt 408 without waiting out the owner", rec.Code, elapsed)
 	}
-	requireHedgeCounts(t, f.met, 1, 1, 0)
-	waitFor(t, "the primary's connection to be closed", cancelled)
+	waitFor(t, "the owner's connection to be closed", cancelled)
 	waitOpen(t, owner, 0)
 	if n := f.idleConns(owner.id); n != 0 {
-		t.Fatalf("router keeps %d idle connection(s) to the hedge loser, want 0", n)
+		t.Fatalf("router keeps %d idle connection(s) to the owner, want 0", n)
 	}
-	if n := f.idleConns(other.id); n != 1 {
-		t.Fatalf("router keeps %d idle connection(s) to the winner, want 1", n)
+	if n := f.met.Failovers.Value(); n != 0 || f.moves.count(owner.id, "") != 0 {
+		t.Fatalf("%d failover(s), %d owner transition(s): a caller that left is no replica's failure",
+			n, f.moves.count(owner.id, ""))
 	}
 }
 

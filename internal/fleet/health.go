@@ -30,7 +30,7 @@ import (
 type HealthState int32
 
 const (
-	// Down replicas receive no traffic and no hedges.
+	// Down replicas receive no traffic.
 	Down HealthState = iota
 	// Suspect replicas have failed at least once but still serve —
 	// the grace period that keeps blips from moving keys.

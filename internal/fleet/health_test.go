@@ -2,9 +2,7 @@ package fleet
 
 import (
 	"context"
-	"math/rand"
 	"net/http"
-	"sort"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,7 +90,7 @@ func TestHealthStateStrings(t *testing.T) {
 
 // detectorRig drives one replica's health through the router's two real
 // inputs: a readyz probe (Router.check) and a proxied /estimate attempt
-// (Router.attemptChain, one attempt). The probe loop never ticks; the
+// (Router.forward over the one replica). The probe loop never ticks; the
 // test is the only prober.
 type detectorRig struct {
 	t          *testing.T
@@ -104,10 +102,7 @@ type detectorRig struct {
 }
 
 func newDetectorRig(t *testing.T) *detectorRig {
-	f := newFleet(t, 1, func(cfg *Config) {
-		cfg.HealthInterval = time.Hour
-		cfg.RetryAttempts = 1
-	})
+	f := newFleet(t, 1, func(cfg *Config) { cfg.HealthInterval = time.Hour })
 	d := &detectorRig{t: t, f: f, rt: f.router, rep: f.router.byIndex[0]}
 	f.replicas[0].setMode(func(w http.ResponseWriter, r *http.Request) bool {
 		fail := d.estFails.Load()
@@ -141,7 +136,7 @@ func (d *detectorRig) probe(ok bool, want HealthState) {
 func (d *detectorRig) request(ok bool, want HealthState) {
 	d.t.Helper()
 	d.estFails.Store(!ok)
-	out := d.rt.attemptChain(context.Background(), []*replicaRT{d.rep}, 0, "estimate", []byte(`{"sql":"q"}`))
+	out := d.rt.forward(context.Background(), "estimate", []byte(`{"sql":"q"}`), "q")
 	if (out.err == nil) != ok {
 		d.t.Fatalf("request ok=%v: attempt error %v", ok, out.err)
 	}
@@ -253,69 +248,5 @@ func TestHealthHealthySuccessTakesNoLock(t *testing.T) {
 	d.rep.health.mu.Unlock()
 	if allocs := testing.AllocsPerRun(100, func() { d.rt.observe(d.rep, true) }); allocs != 0 {
 		t.Fatalf("a success on a healthy replica allocates %.0f times, want 0", allocs)
-	}
-}
-
-func TestLatencyTrackerQuantile(t *testing.T) {
-	tr := newLatencyTracker(128, 0.99)
-	if q := tr.Quantile(); q != 0 {
-		t.Fatalf("empty tracker quantile = %v, want 0", q)
-	}
-	for i := 1; i <= 100; i++ {
-		tr.Observe(time.Duration(i) * time.Millisecond)
-	}
-	q := tr.Quantile()
-	if q < 90*time.Millisecond || q > 100*time.Millisecond {
-		t.Fatalf("p99 of 1..100ms = %v, want in [90ms, 100ms]", q)
-	}
-	// The window ages by count: a flood of fast samples pulls it down.
-	for i := 0; i < 256; i++ {
-		tr.Observe(time.Millisecond)
-	}
-	if q := tr.Quantile(); q > 2*time.Millisecond {
-		t.Fatalf("after fast flood, p99 = %v, want ~1ms", q)
-	}
-}
-
-// TestLatencyTrackerMatchesSortOracle: on random windows, full and
-// partly filled, every recomputed quantile equals the same index of a
-// sort.Slice copy of the window.
-func TestLatencyTrackerMatchesSortOracle(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < 20; trial++ {
-		size := 8 + rng.Intn(600)
-		q := 0.5 + 0.49*rng.Float64()
-		tr := newLatencyTracker(size, q)
-		var seen []time.Duration
-		for i := 0; i < 2*size; i++ {
-			d := time.Duration(rng.Intn(1000)) * time.Microsecond
-			seen = append(seen, d)
-			tr.Observe(d)
-			if (i+1)%recomputeEvery != 0 || len(seen) < 8 {
-				continue
-			}
-			window := append([]time.Duration(nil), seen[max(0, len(seen)-size):]...)
-			sort.Slice(window, func(i, j int) bool { return window[i] < window[j] })
-			if want, got := window[int(q*float64(len(window)-1))], tr.Quantile(); got != want {
-				t.Fatalf("trial %d (size %d, q %.3f) after %d observations: quantile %v, oracle %v",
-					trial, size, q, i+1, got, want)
-			}
-		}
-	}
-}
-
-// TestLatencyTrackerObserveAllocatesNothing: the recompute every
-// recomputeEvery observations sorts into a reused buffer.
-func TestLatencyTrackerObserveAllocatesNothing(t *testing.T) {
-	tr := newLatencyTracker(512, 0.99)
-	i := 0
-	observe := func() {
-		for k := 0; k < recomputeEvery; k++ {
-			i++
-			tr.Observe(time.Duration(i*7919%1000) * time.Microsecond)
-		}
-	}
-	if allocs := testing.AllocsPerRun(50, observe); allocs != 0 {
-		t.Fatalf("%d observations (one recompute) allocate %.1f times, want 0", recomputeEvery, allocs)
 	}
 }

@@ -54,8 +54,8 @@ func newRing(ids []string, vnodes int) *ring {
 
 // Order returns every member exactly once, in ring order starting at
 // key's successor point — the preference list for affinity routing:
-// element 0 owns the key, element 1 is the first failover (and hedge)
-// target, and so on. Deterministic for a given member set and key.
+// element 0 owns the key, element 1 is the first failover target, and
+// so on. Deterministic for a given member set and key.
 func (r *ring) Order(key string) []string {
 	out := make([]string, 0, len(r.ids))
 	if len(r.points) == 0 {

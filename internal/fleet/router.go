@@ -10,13 +10,11 @@
 //     probes on an interval, and the outcomes of the requests the router
 //     proxies. A blip does not move keys off their warm replica, a dead
 //     process stops receiving traffic within a few probes, and one that
-//     answers probes but fails requests within a few requests; its keys
-//     fail over to the next ring position;
-//   - bounded retries — jittered exponential backoff on connection
-//     errors and 5xx, context-aware throughout;
-//   - tail hedging — when a request outlives the fleet's recent p99, a
-//     second copy is issued to the next replica on the ring and the
-//     loser is cancelled, cutting the tail a slow replica creates;
+//     answers probes but fails requests within a few requests;
+//   - one forwarding chain — each request walks its key's routable ring
+//     candidates from the owner, one attempt per replica bounded by
+//     AttemptTimeout, and the first definitive answer wins; a failed or
+//     shedding (429/503) replica fails over to the next ring position;
 //   - graceful degradation — when no replica can answer, the router
 //     plans the query itself, prices it with the analytical fallback and
 //     tags the response degraded:true, so callers always get an answer,
@@ -33,7 +31,6 @@ import (
 	"fmt"
 	"io"
 	"log/slog"
-	"math/rand"
 	"net"
 	"net/http"
 	"net/url"
@@ -42,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"raal/internal/backoff"
 	"raal/internal/metrics"
 	"raal/internal/physical"
 	"raal/internal/serve"
@@ -104,23 +100,11 @@ type Config struct {
 	HealthInterval time.Duration
 	ProbeTimeout   time.Duration
 
-	// RetryAttempts is the per-replica attempt budget for connection
-	// errors and 5xx (default 2: one try, one retry); Backoff shapes the
-	// jittered delay between them.
-	RetryAttempts int
-	Backoff       backoff.Policy
-	// AttemptTimeout bounds each proxied attempt so a stalled replica
-	// cannot pin the failover chain (default 2s).
+	// AttemptTimeout bounds each replica's one attempt so a stalled
+	// replica cannot pin the failover chain (default 2s).
 	AttemptTimeout time.Duration
 
-	// HedgeAfter fixes the tail-hedging trigger; 0 adapts it to the
-	// observed p99 (clamped to [HedgeMin, HedgeMax], defaults 1ms and
-	// 250ms); negative disables hedging.
-	HedgeAfter time.Duration
-	HedgeMin   time.Duration
-	HedgeMax   time.Duration
-
-	// Seed keys the retry jitter (deterministic tests).
+	// Deprecated: ignored; the router draws no random numbers.
 	Seed int64
 
 	// Metrics receives routing telemetry; nil routes unobserved. When it
@@ -186,13 +170,9 @@ type Router struct {
 	ring     *ring
 	replicas map[string]*replicaRT
 	byIndex  []*replicaRT
-	lat      *latencyTracker
 	met      *Metrics
 	log      *slog.Logger
 	mux      *http.ServeMux
-
-	rngMu sync.Mutex
-	rng   *rand.Rand
 
 	stop chan struct{}
 	wg   sync.WaitGroup
@@ -232,20 +212,8 @@ func New(cfg Config) (*Router, error) {
 	if cfg.ProbeTimeout <= 0 {
 		cfg.ProbeTimeout = cfg.HealthInterval
 	}
-	if cfg.RetryAttempts < 1 {
-		cfg.RetryAttempts = 2
-	}
 	if cfg.AttemptTimeout <= 0 {
 		cfg.AttemptTimeout = 2 * time.Second
-	}
-	if cfg.Backoff == (backoff.Policy{}) {
-		cfg.Backoff = backoff.Policy{Base: 5 * time.Millisecond, Cap: 100 * time.Millisecond}
-	}
-	if cfg.HedgeMin <= 0 {
-		cfg.HedgeMin = time.Millisecond
-	}
-	if cfg.HedgeMax <= 0 {
-		cfg.HedgeMax = 250 * time.Millisecond
 	}
 	met := cfg.Metrics
 	if met == nil {
@@ -258,10 +226,8 @@ func New(cfg Config) (*Router, error) {
 	rt := &Router{
 		cfg:      cfg,
 		replicas: make(map[string]*replicaRT, len(cfg.Replicas)),
-		lat:      newLatencyTracker(512, 0.99),
 		met:      met,
 		log:      logger,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
 		stop:     make(chan struct{}),
 	}
 	ids := make([]string, len(cfg.Replicas))
@@ -315,13 +281,6 @@ func (rt *Router) Close() {
 	for _, rep := range rt.byIndex {
 		rep.hop.close()
 	}
-}
-
-// float64 draws jitter from the seeded source (goroutine-safe).
-func (rt *Router) float64() float64 {
-	rt.rngMu.Lock()
-	defer rt.rngMu.Unlock()
-	return rt.rng.Float64()
 }
 
 // ---------------------------------------------------------------------------
@@ -406,9 +365,7 @@ func (rt *Router) proxyHandler(endpoint string) http.HandlerFunc {
 		rt.handleProxy(sw, r, endpoint)
 		rt.met.Responses.With(strconv.Itoa(sw.code)).Inc()
 		if sw.code < 400 {
-			elapsed := time.Since(start)
-			rt.lat.Observe(elapsed)
-			rt.met.RouteLatency.Observe(elapsed.Seconds())
+			rt.met.RouteLatency.Observe(time.Since(start).Seconds())
 		}
 	}
 }
@@ -541,149 +498,50 @@ type attemptOut struct {
 	err     error // non-nil when no definitive response was obtained
 }
 
-// hedgeThreshold returns the current tail-hedging trigger: the fixed
-// configured value, or the adaptive p99 clamped to [HedgeMin, HedgeMax].
-// Negative HedgeAfter disables hedging (returns 0).
-func (rt *Router) hedgeThreshold() time.Duration {
-	if rt.cfg.HedgeAfter < 0 {
-		return 0
-	}
-	if rt.cfg.HedgeAfter > 0 {
-		return rt.cfg.HedgeAfter
-	}
-	q := rt.lat.Quantile()
-	if q < rt.cfg.HedgeMin {
-		q = rt.cfg.HedgeMin
-	}
-	if q > rt.cfg.HedgeMax {
-		q = rt.cfg.HedgeMax
-	}
-	rt.met.HedgeThreshold.Set(q.Seconds())
-	return q
-}
-
-// candidates returns the key's preference list: ring order, routable
-// members only.
-func (rt *Router) candidates(key string) []*replicaRT {
-	order := rt.ring.Order(key)
-	cands := make([]*replicaRT, 0, len(order))
-	for _, id := range order {
-		rep := rt.replicas[id]
-		if rep.health.State().Routable() {
-			cands = append(cands, rep)
-		}
-	}
-	return cands
-}
-
-// forward drives one request through the fleet: a primary failover
-// chain starting at the key's ring owner, run on the caller's goroutine,
-// plus — once the hedge threshold elapses — one hedged chain starting at
-// the next ring position, started by a timer. With one routable
-// candidate or hedging off nothing else is created. The first definitive
-// answer wins: a winning hedge cancels the primary, whose chain returns
-// promptly (the hop and backoff.Sleep honour its context), and an
-// answering primary cancels the hedge. A fired hedge is waited for, so
-// no chain outlives the request and each fired hedge is counted won or
-// lost exactly once.
-func (rt *Router) forward(ctx context.Context, endpoint string, body []byte, key string) attemptOut {
-	cands := rt.candidates(key)
-	if len(cands) == 0 {
-		return attemptOut{err: ErrNoReplicas}
-	}
-	var thr time.Duration
-	if len(cands) >= 2 {
-		thr = rt.hedgeThreshold()
-	}
-	if thr <= 0 {
-		return rt.attemptChain(ctx, cands, 0, endpoint, body)
-	}
-
-	pctx, pcancel := context.WithCancel(ctx)
-	defer pcancel()
-	hctx, hcancel := context.WithCancel(ctx)
-	defer hcancel()
-	hedge := make(chan attemptOut, 1)
-	timer := time.AfterFunc(thr, func() {
-		rt.met.Hedges.With("fired").Inc()
-		h := rt.attemptChain(hctx, cands, 1, endpoint, body)
-		if h.err == nil {
-			pcancel()
-		}
-		hedge <- h
-	})
-	out := rt.attemptChain(pctx, cands, 0, endpoint, body)
-	if timer.Stop() {
-		return out // the hedge never fired
-	}
-	if out.err == nil {
-		hcancel()
-	}
-	if h := <-hedge; out.err != nil && h.err == nil && ctx.Err() == nil {
-		rt.met.Hedges.With("won").Inc()
-		return h
-	}
-	// The primary answered, both chains failed (the primary's error is
-	// the one reported) or the caller gave up.
-	rt.met.Hedges.With("lost").Inc()
-	return out
-}
-
-// attemptChain walks the preference list from start, giving each
-// replica RetryAttempts tries with jittered backoff, and returns the
-// first definitive response. 2xx, 3xx and client-error 4xx are
-// definitive and count as a success for the replica's health;
+// forward is the request's one forwarding chain: it walks the key's ring
+// order from the owner, gives each routable replica one attempt bounded by
+// AttemptTimeout, and returns the first definitive response. Routability
+// is read as the walk reaches each replica, so one whose failures took it
+// out of rotation meanwhile is skipped. 2xx, 3xx and client-error 4xx
+// are definitive and count as a success for the replica's health;
 // connection errors, malformed or oversized answers and 5xx count as a
-// failure, retry while the replica stays routable, then fail over;
-// 429/503 (saturated/draining — load states, not breakage) fail over at
-// once and count as neither.
-func (rt *Router) attemptChain(ctx context.Context, cands []*replicaRT, start int, endpoint string, body []byte) attemptOut {
+// failure and fail over; 429/503 (saturated/draining — load states, not
+// breakage) fail over and count as neither.
+func (rt *Router) forward(ctx context.Context, endpoint string, body []byte, key string) attemptOut {
 	var lastErr error
-	for i := start; i < len(cands); i++ {
-		rep := cands[i]
-		if i > start {
+	for _, id := range rt.ring.Order(key) {
+		rep := rt.replicas[id]
+		if !rep.health.State().Routable() {
+			continue
+		}
+		if lastErr != nil {
 			rt.met.Failovers.Inc()
 		}
-	attempts:
-		for attempt := 0; attempt < rt.cfg.RetryAttempts; attempt++ {
-			if attempt > 0 {
-				if !rep.health.State().Routable() {
-					break // its failures took it out of rotation
-				}
-				rt.met.Retries.Inc()
-				if err := backoff.Sleep(ctx, rt.cfg.Backoff.Delay(attempt-1, rt.float64)); err != nil {
-					return attemptOut{err: err}
-				}
+		// A 3xx is relayed like any other answer, not followed. A body
+		// over MaxBodyBytes fails the attempt: relaying its first
+		// MaxBodyBytes would pass a cut JSON body off as the answer.
+		status, respBody, err := rep.hop.do(ctx, rt.cfg.AttemptTimeout, rep.post[endpoint], body, rt.cfg.MaxBodyBytes)
+		switch {
+		case err != nil:
+			if ctx.Err() != nil {
+				return attemptOut{err: ctx.Err()}
 			}
-			// A 3xx is relayed like any other answer, not followed. A
-			// body over MaxBodyBytes fails the attempt: relaying its first
-			// MaxBodyBytes would pass a cut JSON body off as the answer.
-			status, respBody, err := rep.hop.do(ctx, rt.cfg.AttemptTimeout, rep.post[endpoint], body, rt.cfg.MaxBodyBytes)
-			if err != nil {
-				if ctx.Err() != nil {
-					return attemptOut{err: ctx.Err()}
-				}
-				rt.observe(rep, false)
-				lastErr = fmt.Errorf("replica %s: %w", rep.id, err)
-				continue // connection-level failure: retry this replica
-			}
-			switch {
-			case status < 400 || status == http.StatusBadRequest ||
-				status == http.StatusRequestEntityTooLarge || status == http.StatusNotFound:
-				// An answer, or a definitive client error relayed as-is:
-				// either way the replica answered correctly.
-				rt.observe(rep, true)
-				return attemptOut{status: status, body: respBody, replica: rep.id}
-			case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
-				// Saturated or draining: shed to the next ring position.
-				// Not a breakage signal — the probes absorb a sustained
-				// 503 through readyz.
-				lastErr = fmt.Errorf("replica %s: HTTP %d", rep.id, status)
-				break attempts
-			default: // 5xx: the replica is misbehaving
-				rt.observe(rep, false)
-				lastErr = fmt.Errorf("replica %s: HTTP %d", rep.id, status)
-			}
+			rt.observe(rep, false)
+			lastErr = fmt.Errorf("replica %s: %w", rep.id, err)
+		case status < 400 || status == http.StatusBadRequest ||
+			status == http.StatusRequestEntityTooLarge || status == http.StatusNotFound:
+			// An answer, or a definitive client error relayed as-is:
+			// either way the replica answered correctly.
+			rt.observe(rep, true)
+			return attemptOut{status: status, body: respBody, replica: rep.id}
+		case status == http.StatusTooManyRequests || status == http.StatusServiceUnavailable:
+			// Saturated or draining: shed to the next ring position.
+			// Not a breakage signal — the probes absorb a sustained
+			// 503 through readyz.
+			lastErr = fmt.Errorf("replica %s: HTTP %d", rep.id, status)
+		default: // 5xx: the replica is misbehaving
+			rt.observe(rep, false)
+			lastErr = fmt.Errorf("replica %s: HTTP %d", rep.id, status)
 		}
 	}
 	if lastErr == nil {

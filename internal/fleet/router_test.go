@@ -132,10 +132,7 @@ func newFleetOf(t *testing.T, stubs []*stubReplica, mutate func(*Config)) *fleet
 		Replicas:       reps,
 		Planner:        testPlanner,
 		HealthInterval: 20 * time.Millisecond,
-		RetryAttempts:  2,
 		AttemptTimeout: time.Second,
-		HedgeAfter:     -1, // hedging off unless a test enables it
-		Seed:           7,
 		Metrics:        f.met,
 		Logger:         slog.New(f.moves),
 	}
@@ -367,8 +364,8 @@ func TestRouterRequestFailuresTakeOwnerDown(t *testing.T) {
 	if n := owner.hits.Load(); n > downAfter {
 		t.Fatalf("owner took %d failed attempts to leave rotation, want at most %d", n, downAfter)
 	}
-	if f.met.Retries.Value() == 0 || f.met.Failovers.Value() == 0 {
-		t.Fatal("the 5xx path must record retries and failovers")
+	if f.met.Failovers.Value() == 0 {
+		t.Fatal("the 5xx path must record failovers")
 	}
 	if f.met.ReplicaUp.With(owner.id).Value() != 0 || f.met.Rebalances.Value() != 1 ||
 		f.moves.count(owner.id, "down") != 1 || f.met.ProbeFailures.With(owner.id).Value() != 0 {
@@ -518,7 +515,6 @@ func TestRouterBadSQLAnsweredByReplicaPlanner(t *testing.T) {
 		Replicas:       []Replica{{ID: "r0", URL: reps[0].ts.URL}, {ID: "r1", URL: reps[1].ts.URL}},
 		Planner:        countingPlanner(&planned),
 		HealthInterval: 20 * time.Millisecond,
-		HedgeAfter:     -1,
 		Metrics:        met,
 		Fallback: func(context.Context, *physical.Plan, sparksim.Resources) (float64, error) {
 			return 9, nil
@@ -544,8 +540,8 @@ func TestRouterBadSQLAnsweredByReplicaPlanner(t *testing.T) {
 	if want := ringOwner(t, router, "bad query"); rep != want {
 		t.Fatalf("400 relayed from %q, want the key's owner %q", rep, want)
 	}
-	if met.Failovers.Value() != 0 || met.Retries.Value() != 0 || router.replicas[rep].health.State() != Healthy {
-		t.Fatal("a relayed 400 is definitive: no failover, retry or health penalty")
+	if met.Failovers.Value() != 0 || router.replicas[rep].health.State() != Healthy {
+		t.Fatal("a relayed 400 is definitive: no failover or health penalty")
 	}
 	if n := planned.Load(); n != 0 {
 		t.Fatalf("router planned %d time(s) on a proxied request, want 0", n)
@@ -644,15 +640,15 @@ func TestRouterRelaysRedirect(t *testing.T) {
 }
 
 // TestRouterProxyAllocsBounded pins the allocations of one proxied
-// /estimate on the benchmark's fleet shape (one replica, so no hedge
-// timer), counted across the whole process: the recorder and request the
+// /estimate on the benchmark's fleet shape (one replica), counted across
+// the whole process: the recorder and request the
 // test builds, the router, its hop and the stub replica's server.
 // Through http.Client on a per-request forwarding goroutine it was 141;
 // on the handler goroutine straight through http.Transport, 121; on the
-// router's own pooled connections, read on the handler goroutine, 65.
+// router's own pooled connections, read on the handler goroutine, 65; as
+// one forwarding chain over the ring order, with no candidate list, 64.
 func TestRouterProxyAllocsBounded(t *testing.T) {
 	f := newFleet(t, 1, func(cfg *Config) {
-		cfg.HedgeAfter = 0             // adaptive, as raalserve and the benchmark run it
 		cfg.HealthInterval = time.Hour // keep probes out of the count
 	})
 	body, _ := json.Marshal(serve.EstimateRequest{
@@ -761,37 +757,6 @@ func TestRouterTypedErrorWhenAllDownAndNoFallback(t *testing.T) {
 	}
 }
 
-func TestRouterHedgesSlowReplica(t *testing.T) {
-	f := newFleet(t, 2, func(cfg *Config) {
-		cfg.HedgeAfter = 15 * time.Millisecond
-	})
-	owner := f.findOwner(t, "slowkey")
-	owner.setMode(func(w http.ResponseWriter, r *http.Request) bool {
-		if r.URL.Path == "/readyz" {
-			return false
-		}
-		time.Sleep(400 * time.Millisecond) // deep into the tail
-		w.Header().Set("Content-Type", "application/json")
-		w.Write(okBody(owner.id))
-		return true
-	})
-	start := time.Now()
-	status, _, rep := f.estimate(t, "slowkey")
-	elapsed := time.Since(start)
-	if status != http.StatusOK {
-		t.Fatalf("status = %d", status)
-	}
-	if rep == owner.id {
-		t.Fatal("hedge should have won against the stalled owner")
-	}
-	if elapsed >= 400*time.Millisecond {
-		t.Fatalf("request took %v — the hedge did not cut the tail", elapsed)
-	}
-	if f.met.Hedges.With("fired").Value() == 0 || f.met.Hedges.With("won").Value() == 0 {
-		t.Fatal("hedge fired/won counters must move")
-	}
-}
-
 func TestRouterHealthDrivenMembership(t *testing.T) {
 	f := newFleet(t, 2, nil)
 	owner := f.findOwner(t, "movable")
@@ -882,7 +847,7 @@ func TestRouterOperationalSurfaces(t *testing.T) {
 	for _, want := range []string{
 		"raal_fleet_requests_total{endpoint=\"estimate\"}",
 		"raal_fleet_replica_state{replica=\"r0\"}",
-		"raal_fleet_hedges_total{outcome=\"fired\"}",
+		"raal_fleet_failovers_total",
 	} {
 		if !strings.Contains(string(text), want) {
 			t.Fatalf("metrics exposition missing %q:\n%s", want, text)

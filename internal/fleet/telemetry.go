@@ -7,7 +7,6 @@ import (
 // Label values pre-materialized at wiring time, like internal/serve.
 var (
 	fleetEndpoints    = []string{"estimate", "select"}
-	hedgeOutcomes     = []string{"fired", "won", "lost"}
 	fleetStatusValues = []string{"200", "400", "408", "413", "429", "500", "503", "504"}
 )
 
@@ -22,22 +21,20 @@ type Metrics struct {
 	Requests  *telemetry.CounterVec
 	Responses *telemetry.CounterVec
 
-	// Proxied counts requests answered by each replica (the hedge or
-	// failover winner — exactly one per served request).
+	// Proxied counts requests answered by each replica (the failover
+	// winner — exactly one per served request).
 	Proxied *telemetry.CounterVec
 
-	// Retries counts same-replica retry attempts after a connection
-	// error or 5xx; Failovers counts moves to the next ring position
-	// after a replica was exhausted.
-	Retries   *telemetry.Counter
+	// Failovers counts moves to the next ring position after a replica's
+	// attempt failed or was shed.
 	Failovers *telemetry.Counter
 
-	// Hedges counts tail hedges by outcome: fired (second request
-	// launched), won (the hedge answered first), lost (the primary beat
-	// it). fired == won + lost once all in-flight pairs resolve.
+	// Deprecated: always nil and never registered (reads 0); the router
+	// makes one attempt per replica.
+	Retries *telemetry.Counter
+	// Deprecated: always nil and never registered (reads 0); the router
+	// does not hedge.
 	Hedges *telemetry.CounterVec
-	// HedgeThreshold reports the current trigger latency in seconds.
-	HedgeThreshold *telemetry.Gauge
 
 	// Degraded counts requests answered by the router's local analytical
 	// fallback because no replica could (tagged degraded:true).
@@ -50,7 +47,7 @@ type Metrics struct {
 	ReplicaUp    *telemetry.GaugeVec
 
 	// ProbeFailures counts failed readyz probes per replica (failed
-	// requests show in Retries and Failovers);
+	// requests show in Failovers);
 	// Rebalances counts effective-membership changes (a replica
 	// crossing routable ↔ not — every such transition re-maps the keys
 	// it owned or receives them back).
@@ -73,14 +70,8 @@ func NewMetrics(reg *telemetry.Registry, replicaIDs []string) *Metrics {
 			"Router responses by status code.", "code", fleetStatusValues...),
 		Proxied: reg.NewCounterVec("raal_fleet_proxied_total",
 			"Requests answered by each replica.", "replica", replicaIDs...),
-		Retries: reg.NewCounter("raal_fleet_retries_total",
-			"Same-replica retries after a connection error or 5xx."),
 		Failovers: reg.NewCounter("raal_fleet_failovers_total",
-			"Requests moved to the next ring position after exhausting a replica."),
-		Hedges: reg.NewCounterVec("raal_fleet_hedges_total",
-			"Tail hedges by outcome (fired / won / lost).", "outcome", hedgeOutcomes...),
-		HedgeThreshold: reg.NewGauge("raal_fleet_hedge_threshold_seconds",
-			"Current tail-hedging trigger latency."),
+			"Requests moved to the next ring position after a replica's attempt failed or was shed."),
 		Degraded: reg.NewCounter("raal_fleet_degraded_total",
 			"Requests answered by the router's local analytical fallback (no replica available)."),
 		ReplicaState: reg.NewGaugeVec("raal_fleet_replica_state",

@@ -122,7 +122,7 @@ func (s *Simulator) Breakdown(p *physical.Plan, res Resources) (*CostBreakdown, 
 			}
 			st.ops = append(st.ops, n)
 			if n.Op == physical.FileScan {
-				st.scanBytes += n.RawRows * c.RowScale * maxf(n.RowBytes, 8)
+				st.scanBytes += float64(n.RawRows * c.RowScale * maxf(n.RowBytes, 8))
 			}
 		}
 		walk(n)
@@ -132,7 +132,7 @@ func (s *Simulator) Breakdown(p *physical.Plan, res Resources) (*CostBreakdown, 
 
 	slots := float64(res.Slots())
 	memPerTask := res.ExecMemMB * 1e6 * c.MemFraction / float64(res.ExecCores)
-	gcFactor := 1 + c.GCCoefPerGB*res.ExecMemMB/1024
+	gcFactor := 1 + float64(c.GCCoefPerGB*res.ExecMemMB/1024)
 	broadcastBudget := res.ExecMemMB * 1e6 * c.BroadcastFraction
 
 	out := &CostBreakdown{TotalSec: c.AppStartupMs / 1000}
@@ -156,14 +156,14 @@ func (s *Simulator) Breakdown(p *physical.Plan, res Resources) (*CostBreakdown, 
 		order++
 	}
 	if res.Dynamic {
-		out.TotalSec += float64(res.Executors-1) * 0.05 // acquisition latency
+		out.TotalSec += float64(float64(res.Executors-1) * 0.05) // acquisition latency
 	}
 
 	// Deterministic run-to-run variance, seeded by plan and resources.
 	h := fnv.New64a()
 	fmt.Fprintf(h, "%s|%v|%d", p.Sig, res, s.Seed)
 	unit := float64(h.Sum64()%20001)/10000 - 1 // [-1, 1]
-	out.TotalSec *= 1 + c.NoiseAmplitude*unit
+	out.TotalSec *= 1 + float64(c.NoiseAmplitude*unit)
 	return out, nil
 }
 
@@ -195,35 +195,35 @@ func (s *Simulator) priceStage(st *stage, res Resources, slots, memPerTask, gcFa
 			if len(n.Preds) > 0 {
 				// Pushdown: decode survivors only, but evaluate the
 				// pushed predicates on every raw row.
-				cpuNs += rows(n)*c.ScanNsPerRow + raw*float64(len(n.Preds))*c.FilterNsPerPred
+				cpuNs += float64(rows(n)*c.ScanNsPerRow) + float64(raw*float64(len(n.Preds))*c.FilterNsPerPred)
 			} else {
-				cpuNs += raw * c.ScanNsPerRow
+				cpuNs += float64(raw * c.ScanNsPerRow)
 			}
 		case physical.Filter:
 			in := rows(n.Children[0])
-			cpuNs += in * float64(len(n.Preds)) * c.FilterNsPerPred
+			cpuNs += float64(in * float64(len(n.Preds)) * c.FilterNsPerPred)
 		case physical.Project:
-			cpuNs += rows(n.Children[0]) * c.ProjectNsPerRow
+			cpuNs += float64(rows(n.Children[0]) * c.ProjectNsPerRow)
 		case physical.Sort:
 			in := rows(n.Children[0])
 			perTask := in / ft
 			if perTask > 1 {
-				cpuNs += in * c.SortNsPerRow * math.Log2(perTask+1)
+				cpuNs += float64(in * c.SortNsPerRow * math.Log2(perTask+1))
 			}
 			ws := bytesOf(n.Children[0]) / ft
 			if ws > memPerTask {
-				spillBytes += (ws - memPerTask) * ft
+				spillBytes += float64((ws - memPerTask) * ft)
 			}
 			st.sortBytes += bytesOf(n.Children[0])
 		case physical.SortMergeJoin:
-			cpuNs += (rows(n.Children[0]) + rows(n.Children[1]) + rows(n)) * c.MergeNsPerRow
+			cpuNs += float64((rows(n.Children[0]) + rows(n.Children[1]) + rows(n)) * c.MergeNsPerRow)
 		case physical.BroadcastHashJoin:
 			probe := rows(n.Children[0])
 			factor := 1.0
 			if broadcastOverflow {
 				factor = 2 // disk-backed lookups
 			}
-			cpuNs += (probe + rows(n)) * c.HashProbeNsPerRow * factor
+			cpuNs += float64((probe + rows(n)) * c.HashProbeNsPerRow * factor)
 		case physical.ShuffledHashJoin:
 			// Build the smaller shuffled side per partition, probe the
 			// other; the build hash table is a per-task working set.
@@ -234,26 +234,26 @@ func (s *Simulator) priceStage(st *stage, res Resources, slots, memPerTask, gcFa
 				build, probe = l, r
 				buildBytes = bytesOf(n.Children[0])
 			}
-			cpuNs += build*c.HashBuildNsPerRow + (probe+rows(n))*c.HashProbeNsPerRow
+			cpuNs += float64(build*c.HashBuildNsPerRow) + float64((probe+rows(n))*c.HashProbeNsPerRow)
 			ws := buildBytes / ft
 			if ws > memPerTask {
-				spillBytes += (ws - memPerTask) * ft
+				spillBytes += float64((ws - memPerTask) * ft)
 			}
 			st.hashBytes += buildBytes
 		case physical.BroadcastNestedLoopJoin:
 			// Quadratic probe: every probe row scans the whole broadcast
 			// side (~2ns per comparison across the stage).
-			cpuNs += rows(n.Children[0]) * rows(n.Children[1]) * 2
+			cpuNs += float64(float64(rows(n.Children[0])*rows(n.Children[1])) * 2)
 		case physical.HashAggregate, physical.SortAggregate:
 			in := rows(n.Children[0])
-			cpuNs += in * c.AggNsPerRow
+			cpuNs += float64(in * c.AggNsPerRow)
 			ws := bytesOf(n) / ft
 			if ws > memPerTask {
-				spillBytes += (ws - memPerTask) * ft
+				spillBytes += float64((ws - memPerTask) * ft)
 			}
 			st.hashBytes += bytesOf(n)
 		case physical.LocalLimit:
-			cpuNs += rows(n) * c.ProjectNsPerRow
+			cpuNs += float64(rows(n) * c.ProjectNsPerRow)
 		}
 	}
 
@@ -270,10 +270,10 @@ func (s *Simulator) priceStage(st *stage, res Resources, slots, memPerTask, gcFa
 		hit = c.MaxCacheHit * math.Min(1, clusterCache/ioBytes)
 	}
 
-	diskBytes := st.scanBytes*(1-hit) + st.shuffleOutBytes + spillBytes*c.SpillPenalty + broadcastPenaltyBytes
+	diskBytes := float64(st.scanBytes*(1-hit)) + st.shuffleOutBytes + float64(spillBytes*c.SpillPenalty) + broadcastPenaltyBytes
 	netBytes := st.shuffleInBytes * (1 - hit)
 
-	cpuSec := cpuNs / 1e9 * gcFactor
+	cpuSec := float64(cpuNs / 1e9 * gcFactor)
 	diskSec := diskBytes / (res.DiskMBps * 1e6)
 	netSec := netBytes / (res.NetMBps * 1e6)
 	spillSec := spillBytes * c.SpillPenalty / (res.DiskMBps * 1e6)
@@ -289,15 +289,15 @@ func (s *Simulator) priceStage(st *stage, res Resources, slots, memPerTask, gcFa
 			skew = 4
 		}
 	}
-	stageSec := perTaskSec * (waves - 1 + 1 + skew) // last wave straggles
-	stageSec += ft / slots * c.TaskOverheadMs / 1000
+	stageSec := float64(perTaskSec * (waves - 1 + 1 + skew)) // last wave straggles
+	stageSec += float64(ft / slots * c.TaskOverheadMs / 1000)
 	stageSec += c.StageOverheadMs / 1000
 
 	// Broadcast distribution: collect at the driver, ship to every
 	// executor, build the hash relation single-threaded.
 	if st.broadcastBytes > 0 {
 		stageSec += st.broadcastBytes * float64(1+res.Executors) / (res.NetMBps * 1e6)
-		stageSec += st.broadcastRows * c.HashBuildNsPerRow / 1e9 * gcFactor
+		stageSec += float64(st.broadcastRows * c.HashBuildNsPerRow / 1e9 * gcFactor)
 	}
 
 	return StageCost{

@@ -79,8 +79,8 @@ func RandomResources(rng *rand.Rand) sparksim.Resources {
 		Executors:    1 + rng.Intn(8),
 		ExecCores:    1 + rng.Intn(4),
 		ExecMemMB:    float64(1+rng.Intn(14)) * 1024,
-		NetMBps:      60 + float64(rng.Intn(10))*100,
-		DiskMBps:     80 + float64(rng.Intn(8))*60,
+		NetMBps:      60 + float64(float64(rng.Intn(10))*100),
+		DiskMBps:     80 + float64(float64(rng.Intn(8))*60),
 		Dynamic:      rng.Float64() < 0.3,
 	}
 }

@@ -12,11 +12,13 @@ import (
 // Warm serving calls allocate their answer and a constant number of
 // per-call blocks, never one per row: the grid's and the candidates'
 // samples are one block, their resource vectors another, and the forward
-// pass takes its per-pass slices from the tape it runs on.
+// pass takes its per-pass slices from the tape it runs on. A hot estimate
+// is a one-row block on the same body; up to four rows keep their length
+// hints on the stack.
 const (
 	maxRecommendAllocs = 5 // 60 or 120 rows
-	maxSelectAllocs    = 5
-	maxEstimateAllocs  = 5
+	maxSelectAllocs    = 4
+	maxEstimateAllocs  = 4
 )
 
 // TestWarmServingAllocs pins the warm allocation counts of the serving
