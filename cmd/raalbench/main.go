@@ -18,6 +18,7 @@
 package main
 
 import (
+	"context"
 	"errors"
 	"flag"
 	"fmt"
@@ -29,13 +30,18 @@ import (
 	"raal/internal/experiments"
 )
 
+// main runs without a signal context: an experiment cannot stop midway,
+// so SIGINT keeps its default and ends the process at once.
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "raalbench:", err)
+		os.Exit(1)
+	}
 }
 
-// run is main with its inputs and outputs as parameters; it returns the
-// process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
+// run is the command, with its inputs and outputs as parameters.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
 	fs := flag.NewFlagSet("raalbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -54,21 +60,14 @@ func run(args []string, stdout, stderr io.Writer) int {
 		workers = fs.Int("workers", 0, "collection worker goroutines")
 	)
 	if err := fs.Parse(args); err != nil {
-		if errors.Is(err, flag.ErrHelp) {
-			return 0
-		}
-		return 2
-	}
-	fail := func(err error) int {
-		fmt.Fprintln(stderr, err)
-		return 1
+		return err
 	}
 
 	if *list {
 		for _, r := range experiments.Registry() {
 			fmt.Fprintf(stdout, "  %-8s %s\n", r.Name, r.Description)
 		}
-		return 0
+		return nil
 	}
 
 	// Resolve the experiment before anything touches the filesystem: an
@@ -77,7 +76,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if *exp != "all" {
 		r, err := experiments.Lookup(*exp)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		runners = []experiments.Runner{r}
 	}
@@ -93,12 +92,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 			name = *bench
 		}
 		if err := os.MkdirAll(*outDir, 0o755); err != nil {
-			return fail(err)
+			return err
 		}
 		path := filepath.Join(*outDir, "bench_results_"+name+".txt")
 		f, err := os.Create(path)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		defer f.Close()
 		out = io.MultiWriter(stdout, f)
@@ -139,7 +138,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		var err error
 		lab, err = experiments.NewLab(opt)
 		if err != nil {
-			return fail(err)
+			return err
 		}
 		fmt.Fprintf(out, "lab ready in %v: %d train / %d test samples\n\n",
 			time.Since(start).Round(time.Millisecond), len(lab.TrainSamples), len(lab.TestSamples))
@@ -155,7 +154,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			rep, err = r.Run(opt)
 		}
 		if err != nil {
-			return fail(fmt.Errorf("%s: %v", r.Name, err))
+			return fmt.Errorf("%s: %v", r.Name, err)
 		}
 		fmt.Fprintf(out, "=== %s (%s) — %v ===\n", r.Name, r.Description, time.Since(start).Round(time.Millisecond))
 		rep.Print(out)
@@ -163,8 +162,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 		if *csvDir != "" {
 			if c, ok := rep.(experiments.CSVer); ok {
-				if err := writeCSV(*csvDir, r.Name, c); err != nil {
-					return fail(fmt.Errorf("csv %s: %v", r.Name, err))
+				if _, err := writeFile(*csvDir, r.Name+".csv", c.CSV); err != nil {
+					return fmt.Errorf("csv %s: %v", r.Name, err)
 				}
 			}
 		}
@@ -174,38 +173,31 @@ func run(args []string, stdout, stderr io.Writer) int {
 				if dir == "" {
 					dir = "."
 				}
-				path, err := writeJSON(dir, r.Name, j)
+				path, err := writeFile(dir, "BENCH_"+r.Name+".json", j.JSON)
 				if err != nil {
-					return fail(fmt.Errorf("json %s: %v", r.Name, err))
+					return fmt.Errorf("json %s: %v", r.Name, err)
 				}
 				fmt.Fprintf(stdout, "wrote %s\n", path)
 			}
 		}
 	}
-	return 0
+	return nil
 }
 
-func writeJSON(dir, name string, j experiments.JSONer) (string, error) {
+// writeFile creates dir/name and fills it with write; a failed close (the
+// last write reaching the disk) is an error too.
+func writeFile(dir, name string, write func(io.Writer) error) (string, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return "", err
 	}
-	path := filepath.Join(dir, "BENCH_"+name+".json")
+	path := filepath.Join(dir, name)
 	f, err := os.Create(path)
 	if err != nil {
 		return "", err
 	}
-	defer f.Close()
-	return path, j.JSON(f)
-}
-
-func writeCSV(dir, name string, c experiments.CSVer) error {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return err
+	if err := write(f); err != nil {
+		f.Close()
+		return "", err
 	}
-	f, err := os.Create(dir + "/" + name + ".csv")
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	return c.CSV(f)
+	return path, f.Close()
 }

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -18,11 +19,9 @@ func TestUnknownExperimentCreatesNoFile(t *testing.T) {
 	for _, name := range []string{"nope", "micro"} {
 		dir := t.TempDir()
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-exp", name, "-outdir", dir}, &stdout, &stderr); code == 0 {
-			t.Errorf("-exp %s: exit code 0, want non-zero", name)
-		}
-		if !strings.Contains(stderr.String(), "unknown experiment") {
-			t.Errorf("-exp %s: stderr %q does not name the error", name, stderr.String())
+		err := run(context.Background(), []string{"-exp", name, "-outdir", dir}, &stdout, &stderr)
+		if err == nil || !strings.Contains(err.Error(), "unknown experiment") {
+			t.Errorf("-exp %s: error %v, want one naming the unknown experiment", name, err)
 		}
 		if stdout.Len() != 0 {
 			t.Errorf("-exp %s: stdout %q, want nothing announced", name, stdout.String())
@@ -39,8 +38,8 @@ func TestUnknownExperimentCreatesNoFile(t *testing.T) {
 
 func TestListPrintsEveryExperiment(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-list"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-list: exit code %d, stderr %q", code, stderr.String())
+	if err := run(context.Background(), []string{"-list"}, &stdout, &stderr); err != nil {
+		t.Fatalf("-list: %v, stderr %q", err, stderr.String())
 	}
 	names := experiments.Names()
 	if got := strings.Count(stdout.String(), "\n"); got != len(names) {
@@ -58,8 +57,8 @@ func TestListPrintsEveryExperiment(t *testing.T) {
 func TestOnlineWritesReportAndJSON(t *testing.T) {
 	dir := t.TempDir()
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-exp", "online", "-json", "-outdir", dir}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit code %d, stderr %q", code, stderr.String())
+	if err := run(context.Background(), []string{"-exp", "online", "-json", "-outdir", dir}, &stdout, &stderr); err != nil {
+		t.Fatalf("%v, stderr %q", err, stderr.String())
 	}
 	report, err := os.ReadFile(filepath.Join(dir, "bench_results_online.txt"))
 	if err != nil {
@@ -78,5 +77,24 @@ func TestOnlineWritesReportAndJSON(t *testing.T) {
 	}
 	if len(res.Benchmarks) != 1 || res.Benchmarks[0].Promotions == 0 {
 		t.Errorf("BENCH_online.json = %+v, want one drill row with a promotion", res)
+	}
+}
+
+// A lab experiment on a tiny corpus prepares the lab, prints its report
+// to stdout only (-outdir ""), and writes its figure data with -csv.
+func TestLabExperimentWritesCSV(t *testing.T) {
+	dir := t.TempDir()
+	var stdout, stderr bytes.Buffer
+	args := []string{"-exp", "sim", "-quick", "-scale", "0.03", "-queries", "12", "-states", "2", "-epochs", "1", "-csv", dir, "-outdir", ""}
+	if err := run(context.Background(), args, &stdout, &stderr); err != nil {
+		t.Fatalf("%v, stderr %q", err, stderr.String())
+	}
+	for _, want := range []string{"preparing lab:", "lab ready in", "=== sim "} {
+		if !strings.Contains(stdout.String(), want) {
+			t.Errorf("stdout lacks %q:\n%s", want, stdout.String())
+		}
+	}
+	if data, err := os.ReadFile(filepath.Join(dir, "sim.csv")); err != nil || len(data) == 0 {
+		t.Errorf("sim.csv: %v, %d bytes", err, len(data))
 	}
 }

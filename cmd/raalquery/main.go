@@ -10,39 +10,54 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"sort"
 
 	"raal"
 	"raal/internal/telemetry"
 )
 
+// main runs without a signal context: a query runs to its end, so SIGINT
+// keeps its default and ends the process at once.
 func main() {
-	var (
-		bench     = flag.String("bench", "imdb", "benchmark: imdb or tpch")
-		scale     = flag.Float64("scale", 0.1, "synthetic data scale factor")
-		query     = flag.String("sql", "", "SQL query (required)")
-		executors = flag.Int("executors", 2, "executors")
-		cores     = flag.Int("cores", 2, "cores per executor")
-		memMB     = flag.Float64("mem", 4096, "executor memory (MB)")
-		seed      = flag.Int64("seed", 1, "global seed")
-		modelPath = flag.String("model", "", "trained cost model (from raaltrain -out) for plan selection")
-		explain   = flag.Bool("explain", false, "print the per-stage cost breakdown of each plan")
-		trace     = flag.Bool("trace", false, "with -model, print the model's per-stage inference timing for the picked plan")
-		dotPath   = flag.String("dot", "", "write the cheapest plan as Graphviz DOT to this file")
-	)
-	flag.Parse()
-	if *query == "" {
-		fmt.Fprintln(os.Stderr, "missing -sql")
-		flag.Usage()
+	err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "raalquery:", err)
 		os.Exit(1)
+	}
+}
+
+// run is the command, with its inputs and outputs as parameters.
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("raalquery", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		bench     = fs.String("bench", "imdb", "benchmark: imdb or tpch")
+		scale     = fs.Float64("scale", 0.1, "synthetic data scale factor")
+		query     = fs.String("sql", "", "SQL query (required)")
+		executors = fs.Int("executors", 2, "executors")
+		cores     = fs.Int("cores", 2, "cores per executor")
+		memMB     = fs.Float64("mem", 4096, "executor memory (MB)")
+		seed      = fs.Int64("seed", 1, "global seed")
+		modelPath = fs.String("model", "", "trained cost model (from raaltrain -out) for plan selection")
+		explain   = fs.Bool("explain", false, "print the per-stage cost breakdown of each plan")
+		trace     = fs.Bool("trace", false, "with -model, print the model's per-stage inference timing for the picked plan")
+		dotPath   = fs.String("dot", "", "write the cheapest plan as Graphviz DOT to this file")
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	if *query == "" {
+		fs.Usage()
+		return errors.New("missing -sql")
 	}
 
 	sys, err := raal.Open(raal.Benchmark(*bench), *scale, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
 	res := raal.DefaultResources()
 	res.Executors = *executors
@@ -51,88 +66,83 @@ func main() {
 
 	plans, err := sys.Plan(*query)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("%d candidate plan(s); resources: %s\n\n", len(plans), res)
+	fmt.Fprintf(stdout, "%d candidate plan(s); resources: %s\n\n", len(plans), res)
 
-	type priced struct {
-		idx int
-		sec float64
-	}
-	var ranking []priced
+	// Every plan is executed once; the cheapest one's relation is the
+	// printed result.
+	var (
+		best    int
+		bestSec float64
+		bestRel *raal.Relation
+	)
 	for i, p := range plans {
-		if _, err := sys.Execute(p); err != nil {
-			fatal(err)
+		rel, err := sys.Execute(p)
+		if err != nil {
+			return err
 		}
 		sec, err := sys.Cost(p, res)
 		if err != nil {
-			fatal(err)
+			return err
 		}
-		ranking = append(ranking, priced{i, sec})
-		fmt.Printf("--- plan %d [%s]: %.2fs ---\n%s\n", i+1, p.Sig, sec, p)
+		if i == 0 || sec < bestSec {
+			best, bestSec, bestRel = i, sec, rel
+		}
+		fmt.Fprintf(stdout, "--- plan %d [%s]: %.2fs ---\n%s\n", i+1, p.Sig, sec, p)
 		if *explain {
 			b, err := sys.CostBreakdown(p, res)
 			if err != nil {
-				fatal(err)
+				return err
 			}
-			fmt.Printf("%-40s %6s %6s %9s %9s %9s %9s\n", "stage", "tasks", "waves", "cpu", "disk", "net", "total")
+			fmt.Fprintf(stdout, "%-40s %6s %6s %9s %9s %9s %9s\n", "stage", "tasks", "waves", "cpu", "disk", "net", "total")
 			for _, st := range b.Stages {
-				fmt.Printf("%-40.40s %6d %6d %8.2fs %8.2fs %8.2fs %8.2fs\n",
+				fmt.Fprintf(stdout, "%-40.40s %6d %6d %8.2fs %8.2fs %8.2fs %8.2fs\n",
 					st.Label, st.Tasks, st.Waves, st.CPUSec, st.DiskSec, st.NetSec, st.Sec)
 			}
-			fmt.Println()
+			fmt.Fprintln(stdout)
 		}
 	}
-	sort.Slice(ranking, func(a, b int) bool { return ranking[a].sec < ranking[b].sec })
-	fmt.Printf("cheapest (simulated truth): plan %d (%.2fs)\n", ranking[0].idx+1, ranking[0].sec)
+	fmt.Fprintf(stdout, "cheapest (simulated truth): plan %d (%.2fs)\n", best+1, bestSec)
 
 	if *modelPath != "" {
 		f, err := os.Open(*modelPath)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		cm, err := raal.LoadCostModel(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("loading %s: %w", *modelPath, err)
 		}
-		best, pred, err := cm.SelectPlanCtx(context.Background(), plans, res)
+		pick, pred, err := cm.SelectPlanCtx(ctx, plans, res)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		for i, p := range plans {
-			if p == best {
-				fmt.Printf("%s model picks:  plan %d (predicted %.2fs)\n", cm.Variant().Name, i+1, pred)
+			if p == pick {
+				fmt.Fprintf(stdout, "%s model picks:  plan %d (predicted %.2fs)\n", cm.Variant().Name, i+1, pred)
 			}
 		}
 		if *trace {
 			sp := telemetry.StartSpan("estimate")
-			if _, err := cm.EstimateCtx(telemetry.WithSpan(context.Background(), sp), best, res); err != nil {
-				fatal(err)
+			if _, err := cm.EstimateCtx(telemetry.WithSpan(ctx, sp), pick, res); err != nil {
+				return err
 			}
 			sp.End()
-			fmt.Printf("inference breakdown (%v total):\n", sp.Total())
+			fmt.Fprintf(stdout, "inference breakdown (%v total):\n", sp.Total())
 			for _, st := range sp.Stages() {
-				fmt.Printf("  %-10s %v\n", st.Name, st.Dur)
+				fmt.Fprintf(stdout, "  %-10s %v\n", st.Name, st.Dur)
 			}
 		}
 	}
 
 	if *dotPath != "" {
-		if err := os.WriteFile(*dotPath, []byte(plans[ranking[0].idx].DOT()), 0o644); err != nil {
-			fatal(err)
+		if err := os.WriteFile(*dotPath, []byte(plans[best].DOT()), 0o644); err != nil {
+			return err
 		}
-		fmt.Printf("cheapest plan written to %s (render with: dot -Tsvg)\n", *dotPath)
+		fmt.Fprintf(stdout, "cheapest plan written to %s (render with: dot -Tsvg)\n", *dotPath)
 	}
-
-	rel, err := sys.Execute(plans[ranking[0].idx])
-	if err != nil {
-		fatal(err)
-	}
-	fmt.Printf("result: %d row(s), columns %v\n", rel.N, rel.ColNames())
-}
-
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+	fmt.Fprintf(stdout, "result: %d row(s), columns %v\n", bestRel.N, bestRel.ColNames())
+	return nil
 }

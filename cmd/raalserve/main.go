@@ -9,20 +9,22 @@
 //	raalserve                                         # analytical-only serving
 //	raalserve -deadline 200ms -on-deadline fail       # 504 instead of fallback
 //	raalserve -admin :8081 -pprof                     # admin listener + profiling
+//	raalserve -model model.raal -online               # close the learning loop
 //	raalserve -route "http://10.0.0.7:8080,http://10.0.0.8:8080"
 //	                                                  # fleet router over replicas
-//	raalserve -fault-seed 42 -fault-error 0.2         # chaos drill: seeded faults
 //
 // The same binary runs as a replica (default) or, with -route, as the
 // fleet front router (internal/fleet): consistent-hash affinity on the
 // SQL text's token stream, one health state per replica fed by readyz
 // probes and request outcomes, one attempt per replica with failover
 // along the ring, and degradation to the local GPSJ estimate when no
-// replica can answer.
+// replica can answer. The router reads -addr, -bench, -scale, -seed,
+// -max-candidates, -drain and -log-level; a replica-only flag (-model,
+// -online, -online-dir, -encode-cache, -concurrency, -queue, -deadline,
+// -on-deadline, -admin, -pprof) given with -route is an error.
 //
-// The -fault-* flags arm deterministic fault injection in the replica's
-// deep path (serve.FaultConfig) for chaos drills: a fixed -fault-seed
-// replays the exact same failure schedule run after run.
+// Chaos drills arm fault injection in process (serve.FaultConfig, as the
+// internal/fleet chaos suite does); the binary has no fault flags.
 //
 // Endpoints:
 //
@@ -40,14 +42,16 @@
 // estimate's (plan, resources) is replayed on the cluster simulator, the
 // observed time feeds a replay reservoir and a rolling q-error drift
 // detector, and a drift trigger retrains a challenger that shadow-scores
-// against the champion before an atomic, zero-downtime promotion.
+// against the champion before an atomic, zero-downtime promotion. The
+// loop runs on online.Config's defaults.
 //
 // The optional -admin listener serves /metrics (and, with -pprof, the
 // net/http/pprof handlers under /debug/pprof/) on a separate address so
 // operational surfaces can stay off the public port.
 //
 // SIGINT/SIGTERM starts a graceful shutdown: readiness flips, in-flight
-// requests drain, then the listener closes.
+// requests drain within -drain, then the listeners close. A listener
+// that fails drains the rest the same way and exits non-zero.
 package main
 
 import (
@@ -55,7 +59,9 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"log/slog"
+	"net"
 	"net/http"
 	netpprof "net/http/pprof"
 	"os"
@@ -74,107 +80,132 @@ import (
 )
 
 func main() {
-	var (
-		addr       = flag.String("addr", ":8080", "listen address")
-		adminAddr  = flag.String("admin", "", "admin listen address for /metrics and pprof (empty = no admin listener; /metrics stays on the main port)")
-		pprofOn    = flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the admin listener (requires -admin)")
-		logLevel   = flag.String("log-level", "info", "log verbosity: debug, info, warn, or error")
-		bench      = flag.String("bench", "imdb", "benchmark: imdb or tpch")
-		scale      = flag.Float64("scale", 0.1, "synthetic data scale factor")
-		seed       = flag.Int64("seed", 1, "global seed")
-		modelPath  = flag.String("model", "", "trained cost model (raaltrain -out); empty serves GPSJ analytical estimates only")
-		conc       = flag.Int("concurrency", 0, "max concurrent estimations (0 = GOMAXPROCS)")
-		queue      = flag.Int("queue", 64, "admission queue depth beyond the concurrency slots (429 when full)")
-		deadline   = flag.Duration("deadline", 500*time.Millisecond, "per-request estimation budget (0 = none)")
-		onDeadline = flag.String("on-deadline", "fallback", "deadline-miss policy: fallback (degrade to GPSJ) or fail (504)")
-		candidates = flag.Int("max-candidates", 3, "candidate plans priced by /select")
-		encCache   = flag.Int("encode-cache", 256, "feature-encoding LRU capacity in plans (0 disables; repeated plans skip re-encoding)")
-		drainGrace = flag.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
-
-		online         = flag.Bool("online", false, "close the learning loop: observe simulated execution times for served estimates, detect drift, retrain from a replay buffer, and hot-swap the champion (requires -model)")
-		onlineDir      = flag.String("online-dir", "", "online: model snapshot registry directory (empty = keep generations in memory only)")
-		replayCap      = flag.Int("replay-cap", 512, "online: replay reservoir capacity in samples")
-		driftWindow    = flag.Int("drift-window", 64, "online: sliding window of served q-errors watched by the drift detector")
-		driftThreshold = flag.Float64("drift-threshold", 2.0, "online: windowed q-error quantile value that dispatches a retrain")
-		minRetrain     = flag.Int("min-retrain", 64, "online: minimum replay occupancy before a drift trigger may retrain")
-		shadowMin      = flag.Int("shadow-min", 32, "online: feedback outcomes a challenger is shadow-scored on before the promote/reject verdict")
-		retrainEpochs  = flag.Int("retrain-epochs", 10, "online: warm-start training epochs per challenger")
-
-		route = flag.String("route", "", `run as the fleet router over comma-separated replicas ("[id=]url,..."); all estimation flags except the benchmark ones are ignored`)
-
-		faultSeed     = flag.Int64("fault-seed", 1, "fault injection: seed for the deterministic failure schedule")
-		faultPanic    = flag.Float64("fault-panic", 0, "fault injection: per-request probability the deep path panics")
-		faultError    = flag.Float64("fault-error", 0, "fault injection: per-request probability the deep path errors")
-		faultDelay    = flag.Float64("fault-delay", 0, "fault injection: per-request probability the deep path stalls")
-		faultDelayDur = flag.Duration("fault-delay-dur", 50*time.Millisecond, "fault injection: stall duration for injected delays")
-	)
-	flag.Parse()
-
-	logger, err := newLogger(*logLevel)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "raalserve: %v\n", err)
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	err := run(ctx, os.Args[1:], os.Stdout, os.Stderr)
+	stop()
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "raalserve:", err)
 		os.Exit(1)
 	}
-	fatal := func(msg string, args ...any) {
-		logger.Error(msg, args...)
-		os.Exit(1)
+}
+
+// replicaOnly names the flags that configure a replica's own estimation
+// and listeners; the router reads none of them.
+var replicaOnly = []string{"model", "online", "online-dir", "encode-cache", "concurrency", "queue", "deadline", "on-deadline", "admin", "pprof"}
+
+// run is the command: it serves until ctx ends, then drains within
+// -drain. Every failure, a listener's included, is its returned error.
+// Logs go to stderr; nothing is written to stdout.
+func run(ctx context.Context, args []string, _, stderr io.Writer) error {
+	fs := flag.NewFlagSet("raalserve", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var (
+		addr       = fs.String("addr", ":8080", "listen address")
+		adminAddr  = fs.String("admin", "", "admin listen address for /metrics and pprof (empty = no admin listener; /metrics stays on the main port)")
+		pprofOn    = fs.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ on the admin listener (requires -admin)")
+		logLevel   = fs.String("log-level", "info", "log verbosity: debug, info, warn, or error")
+		bench      = fs.String("bench", "imdb", "benchmark: imdb or tpch")
+		scale      = fs.Float64("scale", 0.1, "synthetic data scale factor")
+		seed       = fs.Int64("seed", 1, "global seed")
+		modelPath  = fs.String("model", "", "trained cost model (raaltrain -out); empty serves GPSJ analytical estimates only")
+		conc       = fs.Int("concurrency", 0, "max concurrent estimations (0 = GOMAXPROCS)")
+		queue      = fs.Int("queue", 64, "admission queue depth beyond the concurrency slots (429 when full)")
+		deadline   = fs.Duration("deadline", 500*time.Millisecond, "per-request estimation budget (0 = none)")
+		onDeadline = fs.String("on-deadline", "fallback", "deadline-miss policy: fallback (degrade to GPSJ) or fail (504)")
+		candidates = fs.Int("max-candidates", 3, "candidate plans priced by /select")
+		encCache   = fs.Int("encode-cache", 256, "feature-encoding LRU capacity in plans (0 disables; repeated plans skip re-encoding)")
+		drainGrace = fs.Duration("drain", 10*time.Second, "graceful-shutdown drain budget")
+		online     = fs.Bool("online", false, "close the learning loop: observe simulated execution times for served estimates, detect drift, retrain from a replay buffer, and hot-swap the champion (requires -model)")
+		onlineDir  = fs.String("online-dir", "", "online: model snapshot registry directory (empty = keep generations in memory only)")
+		route      = fs.String("route", "", `run as the fleet router over comma-separated replicas ("[id=]url,..."); the replica-only flags are refused`)
+	)
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	set := map[string]bool{}
+	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
+
+	logger, err := newLogger(*logLevel, stderr)
+	if err != nil {
+		return err
+	}
+	var replicas []fleet.Replica
+	if set["route"] {
+		for _, name := range replicaOnly {
+			if set[name] {
+				return fmt.Errorf("-%s configures a replica; the -route router does not read it", name)
+			}
+		}
+		if replicas, err = parseReplicas(*route); err != nil {
+			return err
+		}
 	}
 	if *pprofOn && *adminAddr == "" {
-		fatal("-pprof requires -admin (profiling is only served on the admin listener)")
+		return errors.New("-pprof requires -admin (profiling is only served on the admin listener)")
 	}
-
-	if *route != "" {
-		runRouter(logger, fatal, routerOpts{
-			spec:       *route,
-			addr:       *addr,
-			bench:      *bench,
-			scale:      *scale,
-			seed:       *seed,
-			candidates: *candidates,
-			drainGrace: *drainGrace,
-		})
-		return
+	if *online && *modelPath == "" {
+		return errors.New("-online requires -model (there is no deep model to keep fresh)")
 	}
-
 	policy := serve.FallbackOnDeadline
 	switch *onDeadline {
 	case "fallback":
 	case "fail":
 		policy = serve.FailOnDeadline
 	default:
-		fatal("-on-deadline must be fallback or fail", "got", *onDeadline)
+		return fmt.Errorf("-on-deadline must be fallback or fail, got %q", *onDeadline)
 	}
 
 	sys, err := raal.Open(raal.Benchmark(*bench), *scale, *seed)
 	if err != nil {
-		fatal("opening benchmark", "error", err)
+		return fmt.Errorf("opening benchmark: %w", err)
+	}
+	// The planning substrate (parser → binder → planner → cardinality
+	// estimator) is not concurrency-hardened, so serialize it; admission
+	// control already bounds the expensive estimation stage.
+	var planMu sync.Mutex
+	planner := func(sql string) ([]*physical.Plan, error) {
+		planMu.Lock()
+		defer planMu.Unlock()
+		return sys.Plan(sql)
 	}
 	gpsj := raal.NewGPSJBaseline()
-
+	fallback := func(_ context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
+		return gpsj.Estimate(p, res), nil
+	}
 	reg := telemetry.NewRegistry()
-	met := serve.NewMetrics(reg)
 
+	// The router routes on the SQL text and delegates planning and deep
+	// estimation to the replicas; its own planner and GPSJ price only the
+	// degraded answer when every replica is down.
+	if replicas != nil {
+		ids := make([]string, len(replicas))
+		for i, r := range replicas {
+			ids[i] = r.ID
+		}
+		router, err := fleet.New(fleet.Config{
+			Replicas:      replicas,
+			Planner:       planner,
+			Fallback:      fallback,
+			MaxCandidates: *candidates,
+			Metrics:       fleet.NewMetrics(reg, ids),
+			Logger:        logger,
+		})
+		if err != nil {
+			return fmt.Errorf("building router: %w", err)
+		}
+		defer router.Close()
+		logger.Info("routing", "replicas", len(replicas), "bench", *bench, "scale", *scale)
+		return serveUntil(ctx, logger, *drainGrace, nil, surface{"listening", *addr, router})
+	}
+
+	met := serve.NewMetrics(reg)
 	cfg := serve.Config{
-		Fallback: func(_ context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
-			return gpsj.Estimate(p, res), nil
-		},
+		Fallback:    fallback,
 		Concurrency: *conc,
 		QueueDepth:  *queue,
 		Deadline:    *deadline,
 		OnDeadline:  policy,
 		Metrics:     met,
-	}
-	if *faultPanic > 0 || *faultError > 0 || *faultDelay > 0 {
-		cfg.Faults = &serve.FaultConfig{
-			Seed:      *faultSeed,
-			PanicProb: *faultPanic,
-			ErrorProb: *faultError,
-			DelayProb: *faultDelay,
-			Delay:     *faultDelayDur,
-		}
-		logger.Warn("fault injection armed — this replica will deliberately fail",
-			"seed", *faultSeed, "panic_prob", *faultPanic, "error_prob", *faultError,
-			"delay_prob", *faultDelay, "delay", *faultDelayDur)
 	}
 	var (
 		cacheStats func() []serve.CacheKeyStats
@@ -183,7 +214,7 @@ func main() {
 	if *modelPath != "" {
 		cm, st, err := loadModelOrCheckpoint(*modelPath)
 		if err != nil {
-			fatal("loading model", "error", err)
+			return fmt.Errorf("loading model: %w", err)
 		}
 		cm.Instrument(reg)
 		cm.EnableEncodeCache(*encCache)
@@ -203,54 +234,24 @@ func main() {
 		observe := func(*physical.Plan, sparksim.Resources, float64) {}
 		if *online {
 			osrv, err := raal.NewOnlineServing(cm, st, raal.OnlineOptions{
-				Dir:            *onlineDir,
-				ReplayCap:      *replayCap,
-				DriftWindow:    *driftWindow,
-				DriftThreshold: *driftThreshold,
-				MinRetrain:     *minRetrain,
-				ShadowMin:      *shadowMin,
-				RetrainEpochs:  *retrainEpochs,
-				Seed:           *seed,
-				Metrics:        reg,
-				Logger:         logger,
+				Dir:     *onlineDir,
+				Seed:    *seed,
+				Metrics: reg,
+				Logger:  logger,
 			})
 			if err != nil {
-				fatal("starting online learning", "error", err)
+				return fmt.Errorf("starting online learning: %w", err)
 			}
 			modelAdmin = osrv.AdminHandler()
-			// Feedback loop: every deep answer's (plan, resources) is
-			// re-executed on the cluster simulator — the substrate's ground
-			// truth — and the observed time flows back into the learning
-			// loop. One worker serializes both the simulator and the
-			// manager; a full queue drops feedback rather than stalling
-			// serving (learning is best-effort, answering is not).
-			type outcome struct {
-				plan *physical.Plan
-				res  sparksim.Resources
-				pred float64
-			}
-			feedback := make(chan outcome, 1024)
-			go func() {
-				for o := range feedback {
-					actual, err := sys.Cost(o.plan, o.res)
-					if err != nil {
-						continue
-					}
-					osrv.Feedback(o.plan, o.res, o.pred, actual)
-				}
-			}()
+			var stopFeedback func()
+			observe, stopFeedback = startFeedback(sys, osrv)
+			// Deferred, so it runs once serveUntil has drained the
+			// listeners: no request is left to offer feedback.
+			defer stopFeedback()
 			est = osrv
-			observe = func(p *physical.Plan, res sparksim.Resources, pred float64) {
-				select {
-				case feedback <- outcome{plan: p, res: res, pred: pred}:
-				default: // shed feedback under pressure, never block serving
-				}
-			}
 			logger.Info("online learning armed",
 				"variant", cm.Variant().Name, "model", *modelPath,
-				"registry", *onlineDir, "replay_cap", *replayCap,
-				"drift_window", *driftWindow, "drift_threshold", *driftThreshold,
-				"champion", osrv.ChampionVersion())
+				"registry", *onlineDir, "champion", osrv.ChampionVersion())
 		}
 		cfg.Deep = func(ctx context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
 			c, err := est.EstimateCtx(ctx, p, res)
@@ -265,27 +266,15 @@ func main() {
 		logger.Info("serving deep model with GPSJ fallback armed",
 			"variant", cm.Variant().Name, "model", *modelPath, "encode_cache", *encCache)
 	} else {
-		if *online {
-			fatal("-online requires -model (there is no deep model to keep fresh)")
-		}
 		logger.Info("no -model given; serving GPSJ analytical estimates only")
 	}
 
 	srv, err := serve.New(cfg)
 	if err != nil {
-		fatal("building server", "error", err)
+		return fmt.Errorf("building server: %w", err)
 	}
-
-	// The planning substrate (parser → binder → planner → cardinality
-	// estimator) is not concurrency-hardened, so serialize it; admission
-	// control already bounds the expensive estimation stage.
-	var planMu sync.Mutex
 	handler, err := serve.NewHandler(srv, serve.HTTPConfig{
-		Planner: func(sql string) ([]*physical.Plan, error) {
-			planMu.Lock()
-			defer planMu.Unlock()
-			return sys.Plan(sql)
-		},
+		Planner:       planner,
 		MaxCandidates: *candidates,
 		Metrics:       met,
 		Logger:        logger,
@@ -293,135 +282,113 @@ func main() {
 		ModelAdmin:    modelAdmin,
 	})
 	if err != nil {
-		fatal("building handler", "error", err)
+		return fmt.Errorf("building handler: %w", err)
 	}
-
-	httpSrv := &http.Server{
-		Addr:              *addr,
-		Handler:           handler,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
-	go func() {
-		logger.Info("listening", "addr", *addr, "bench", *bench, "scale", *scale,
-			"concurrency", *conc, "queue", *queue,
-			"deadline", *deadline, "on_deadline", *onDeadline)
-		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal("listener failed", "error", err)
-		}
-	}()
-
-	var adminSrv *http.Server
+	surfaces := []surface{{"listening", *addr, handler}}
 	if *adminAddr != "" {
-		adminSrv = &http.Server{
-			Addr:              *adminAddr,
-			Handler:           adminHandler(reg, *pprofOn, modelAdmin),
-			ReadHeaderTimeout: 5 * time.Second,
-		}
-		go func() {
-			logger.Info("admin listening", "addr", *adminAddr, "pprof", *pprofOn)
-			if err := adminSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-				fatal("admin listener failed", "error", err)
+		surfaces = append(surfaces, surface{"admin listening", *adminAddr, adminHandler(reg, *pprofOn, modelAdmin)})
+	}
+	logger.Info("replica", "bench", *bench, "scale", *scale,
+		"concurrency", *conc, "queue", *queue,
+		"deadline", *deadline, "on_deadline", *onDeadline, "pprof", *pprofOn)
+	return serveUntil(ctx, logger, *drainGrace, handler.Shutdown, surfaces...)
+}
+
+// surface is one HTTP listener: a handler on an address, logged under
+// name with the address it bound (so ":0" reports its port).
+type surface struct {
+	name, addr string
+	handler    http.Handler
+}
+
+// serveUntil binds every surface and serves them until ctx ends or one
+// of them fails, then drains: drain (if non-nil) and each server's
+// Shutdown share one grace budget. It returns nil after a cancelled ctx
+// and the error of a bind or listener that failed.
+func serveUntil(ctx context.Context, logger *slog.Logger, grace time.Duration, drain func(context.Context) error, surfaces ...surface) error {
+	lns := make([]net.Listener, 0, len(surfaces))
+	for _, s := range surfaces {
+		ln, err := net.Listen("tcp", s.addr)
+		if err != nil {
+			for _, ln := range lns {
+				ln.Close()
 			}
-		}()
-	}
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	sig := <-stop
-	logger.Info("draining", "signal", sig.String(), "budget", *drainGrace)
-
-	ctx, cancel := context.WithTimeout(context.Background(), *drainGrace)
-	defer cancel()
-	if err := handler.Shutdown(ctx); err != nil {
-		logger.Warn("drain", "error", err)
-	}
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		logger.Warn("http shutdown", "error", err)
-	}
-	if adminSrv != nil {
-		if err := adminSrv.Shutdown(ctx); err != nil {
-			logger.Warn("admin shutdown", "error", err)
+			return err
 		}
+		lns = append(lns, ln)
+	}
+	servers := make([]*http.Server, len(lns))
+	errc := make(chan error, len(lns))
+	for i, ln := range lns {
+		servers[i] = &http.Server{Handler: surfaces[i].handler, ReadHeaderTimeout: 5 * time.Second}
+		logger.Info(surfaces[i].name, "addr", ln.Addr().String())
+		go func() { errc <- servers[i].Serve(ln) }()
+	}
+
+	var err error
+	running := len(servers)
+	select {
+	case <-ctx.Done():
+		logger.Info("draining", "budget", grace)
+	case err = <-errc:
+		running--
+		logger.Error("listener failed; draining", "error", err, "budget", grace)
+	}
+	dctx, cancel := context.WithTimeout(context.Background(), grace)
+	defer cancel()
+	if drain != nil {
+		// The handler logs an abandoned drain itself.
+		_ = drain(dctx)
+	}
+	for _, s := range servers {
+		if serr := s.Shutdown(dctx); serr != nil {
+			logger.Warn("http shutdown", "error", serr)
+		}
+	}
+	for ; running > 0; running-- {
+		<-errc // Serve returns ErrServerClosed once Shutdown starts
 	}
 	logger.Info("stopped")
+	return err
 }
 
-// routerOpts carries the flag subset the router mode consumes.
-type routerOpts struct {
-	spec       string
-	addr       string
-	bench      string
-	scale      float64
-	seed       int64
-	candidates int
-	drainGrace time.Duration
-}
-
-// runRouter is the -route mode: the same binary as the fleet front
-// router. It routes on the SQL text and delegates planning and deep
-// estimation to the replicas; its own benchmark database and planner are
-// used only when every replica is down, to price the degraded answer.
-func runRouter(logger *slog.Logger, fatal func(string, ...any), opts routerOpts) {
-	replicas, err := parseReplicas(opts.spec)
-	if err != nil {
-		fatal("parsing -route", "error", err)
+// startFeedback runs the online loop's feedback worker: every deep
+// answer's (plan, resources) is re-executed on the cluster simulator —
+// the substrate's ground truth — and the observed time flows back into
+// the loop. One worker serializes both the simulator and the manager; a
+// full queue drops feedback rather than stalling serving (learning is
+// best-effort, answering is not). stop ends the worker and waits for
+// it. It closes a quit channel, not the queue: a handler still running
+// past a missed drain budget may offer one more outcome, which must
+// land in the queue rather than on a closed channel.
+func startFeedback(sys *raal.System, osrv *raal.OnlineServing) (observe func(*physical.Plan, sparksim.Resources, float64), stop func()) {
+	type outcome struct {
+		plan *physical.Plan
+		res  sparksim.Resources
+		pred float64
 	}
-	sys, err := raal.Open(raal.Benchmark(opts.bench), opts.scale, opts.seed)
-	if err != nil {
-		fatal("opening benchmark", "error", err)
-	}
-	gpsj := raal.NewGPSJBaseline()
-
-	reg := telemetry.NewRegistry()
-	ids := make([]string, len(replicas))
-	for i, r := range replicas {
-		ids[i] = r.ID
-	}
-	met := fleet.NewMetrics(reg, ids)
-
-	var planMu sync.Mutex
-	router, err := fleet.New(fleet.Config{
-		Replicas: replicas,
-		Planner: func(sql string) ([]*physical.Plan, error) {
-			planMu.Lock()
-			defer planMu.Unlock()
-			return sys.Plan(sql)
-		},
-		Fallback: func(_ context.Context, p *physical.Plan, res sparksim.Resources) (float64, error) {
-			return gpsj.Estimate(p, res), nil
-		},
-		MaxCandidates: opts.candidates,
-		Metrics:       met,
-		Logger:        logger,
-	})
-	if err != nil {
-		fatal("building router", "error", err)
-	}
-
-	httpSrv := &http.Server{
-		Addr:              opts.addr,
-		Handler:           router,
-		ReadHeaderTimeout: 5 * time.Second,
-	}
+	feedback := make(chan outcome, 1024)
+	quit, done := make(chan struct{}), make(chan struct{})
 	go func() {
-		logger.Info("routing", "addr", opts.addr, "replicas", len(replicas))
-		if err := httpSrv.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
-			fatal("listener failed", "error", err)
+		defer close(done)
+		for {
+			select {
+			case <-quit:
+				return
+			case o := <-feedback:
+				if actual, err := sys.Cost(o.plan, o.res); err == nil {
+					osrv.Feedback(o.plan, o.res, o.pred, actual)
+				}
+			}
 		}
 	}()
-
-	stop := make(chan os.Signal, 1)
-	signal.Notify(stop, os.Interrupt, syscall.SIGTERM)
-	sig := <-stop
-	logger.Info("router stopping", "signal", sig.String())
-
-	ctx, cancel := context.WithTimeout(context.Background(), opts.drainGrace)
-	defer cancel()
-	if err := httpSrv.Shutdown(ctx); err != nil {
-		logger.Warn("http shutdown", "error", err)
+	observe = func(p *physical.Plan, res sparksim.Resources, pred float64) {
+		select {
+		case feedback <- outcome{plan: p, res: res, pred: pred}:
+		default: // shed feedback under pressure, never block serving
+		}
 	}
-	router.Close()
-	logger.Info("stopped")
+	return observe, func() { close(quit); <-done }
 }
 
 // parseReplicas parses the -route spec: comma-separated entries, each
@@ -449,7 +416,7 @@ func parseReplicas(spec string) ([]fleet.Replica, error) {
 }
 
 // newLogger builds the process logger at the requested verbosity.
-func newLogger(level string) (*slog.Logger, error) {
+func newLogger(level string, w io.Writer) (*slog.Logger, error) {
 	var lv slog.Level
 	switch level {
 	case "debug":
@@ -463,7 +430,7 @@ func newLogger(level string) (*slog.Logger, error) {
 	default:
 		return nil, fmt.Errorf("-log-level must be debug, info, warn, or error, got %q", level)
 	}
-	return slog.New(slog.NewTextHandler(os.Stderr, &slog.HandlerOptions{Level: lv})), nil
+	return slog.New(slog.NewTextHandler(w, &slog.HandlerOptions{Level: lv})), nil
 }
 
 // loadModelOrCheckpoint opens path as either a resumable checkpoint

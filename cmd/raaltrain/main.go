@@ -15,59 +15,74 @@
 package main
 
 import (
+	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"time"
 
 	"raal"
 )
 
+// main runs without a signal context: training cannot stop mid-epoch, so
+// SIGINT keeps its default and ends the process at once.
 func main() {
+	err := run(context.Background(), os.Args[1:], os.Stdout, os.Stderr)
+	if err != nil && !errors.Is(err, flag.ErrHelp) {
+		fmt.Fprintln(os.Stderr, "raaltrain:", err)
+		os.Exit(1)
+	}
+}
+
+// run is the command, with its inputs and outputs as parameters.
+func run(_ context.Context, args []string, stdout, stderr io.Writer) error {
+	fs := flag.NewFlagSet("raaltrain", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		bench      = flag.String("bench", "imdb", "benchmark: imdb or tpch")
-		scale      = flag.Float64("scale", 0.1, "synthetic data scale factor")
-		queries    = flag.Int("queries", 250, "generated queries")
-		states     = flag.Int("states", 3, "resource states per plan")
-		epochs     = flag.Int("epochs", 30, "training epochs")
-		lr         = flag.Float64("lr", 3e-3, "learning rate")
-		variant    = flag.String("variant", "RAAL", "RAAL, NE-LSTM, NA-LSTM, or RAAC")
-		seed       = flag.Int64("seed", 1, "global seed")
-		out        = flag.String("out", "", "path to save the trained model (optional)")
-		resume     = flag.String("resume", "", "continue training from a checkpoint written by -checkpoint")
-		checkpoint = flag.String("checkpoint", "", "path to save a resumable checkpoint after training (optional)")
+		bench      = fs.String("bench", "imdb", "benchmark: imdb or tpch")
+		scale      = fs.Float64("scale", 0.1, "synthetic data scale factor")
+		queries    = fs.Int("queries", 250, "generated queries")
+		states     = fs.Int("states", 3, "resource states per plan")
+		epochs     = fs.Int("epochs", 30, "training epochs")
+		lr         = fs.Float64("lr", 3e-3, "learning rate")
+		variant    = fs.String("variant", "RAAL", "RAAL, NE-LSTM, NA-LSTM, or RAAC (with -resume: must match the checkpoint)")
+		seed       = fs.Int64("seed", 1, "global seed")
+		out        = fs.String("out", "", "path to save the trained model (optional)")
+		resume     = fs.String("resume", "", "continue training from a checkpoint written by -checkpoint")
+		checkpoint = fs.String("checkpoint", "", "path to save a resumable checkpoint after training (optional)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
+	variantSet := false
+	fs.Visit(func(f *flag.Flag) { variantSet = variantSet || f.Name == "variant" })
 
 	var v raal.Variant
-	switch *variant {
-	case "RAAL":
-		v = raal.RAAL()
-	case "NE-LSTM":
-		v = raal.NELSTM()
-	case "NA-LSTM":
-		v = raal.NALSTM()
-	case "RAAC":
-		v = raal.RAAC()
-	default:
-		fmt.Fprintf(os.Stderr, "unknown variant %q\n", *variant)
-		os.Exit(1)
+	for _, known := range []raal.Variant{raal.RAAL(), raal.NELSTM(), raal.NALSTM(), raal.RAAC()} {
+		if known.Name == *variant {
+			v = known
+		}
+	}
+	if v.Name == "" {
+		return fmt.Errorf("unknown variant %q", *variant)
 	}
 
 	sys, err := raal.Open(raal.Benchmark(*bench), *scale, *seed)
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("opened %s: %d rows across %d tables\n", *bench, sys.TotalRows(), len(sys.Tables()))
+	fmt.Fprintf(stdout, "opened %s: %d rows across %d tables\n", *bench, sys.TotalRows(), len(sys.Tables()))
 
 	start := time.Now()
 	ds, err := sys.Collect(raal.CollectOptions{
 		NumQueries: *queries, ResStatesPerPlan: *states, Seed: *seed,
 	})
 	if err != nil {
-		fatal(err)
+		return err
 	}
-	fmt.Printf("collected %d records (%d plans, %d queries skipped) in %v\n",
+	fmt.Fprintf(stdout, "collected %d records (%d plans, %d queries skipped) in %v\n",
 		len(ds.Records), len(ds.Plans), ds.Skipped, time.Since(start).Round(time.Millisecond))
 
 	start = time.Now()
@@ -83,7 +98,7 @@ func main() {
 		Epochs: *epochs, LR: *lr, Seed: *seed,
 		Metrics: reg,
 		Progress: func(int, float64) {
-			fmt.Printf("  epoch %2d: loss %.4f (%.0f shards/s)\n",
+			fmt.Fprintf(stdout, "  epoch %2d: loss %.4f (%.0f shards/s)\n",
 				epochs64.Value(), loss64.Value(), shards64.Value())
 		},
 	}
@@ -95,58 +110,55 @@ func main() {
 	if *resume != "" {
 		f, err := os.Open(*resume)
 		if err != nil {
-			fatal(err)
+			return err
 		}
 		var st *raal.TrainState
 		cm, st, err = raal.LoadCheckpoint(f)
 		f.Close()
 		if err != nil {
-			fatal(err)
+			return fmt.Errorf("loading %s: %w", *resume, err)
 		}
-		if *variant != "RAAL" && cm.Variant().Name != v.Name {
-			fatal(fmt.Errorf("checkpoint %s holds a %s model but -variant asked for %s — a checkpoint can only continue the architecture it was trained with",
-				*resume, cm.Variant().Name, v.Name))
+		if variantSet && cm.Variant().Name != v.Name {
+			return fmt.Errorf("checkpoint %s holds a %s model but -variant asked for %s — a checkpoint can only continue the architecture it was trained with",
+				*resume, cm.Variant().Name, v.Name)
 		}
 		v = cm.Variant()
-		fmt.Printf("resuming %s from %s (%d epochs already trained)\n", v.Name, *resume, st.Epochs)
-		report, err = raal.ResumeCostModel(cm, st, ds, opts)
-		if err != nil {
-			fatal(err)
+		fmt.Fprintf(stdout, "resuming %s from %s (%d epochs already trained)\n", v.Name, *resume, st.Epochs)
+		if report, err = raal.ResumeCostModel(cm, st, ds, opts); err != nil {
+			return err
 		}
-	} else {
-		cm, report, err = raal.TrainCostModel(ds, v, opts)
-		if err != nil {
-			fatal(err)
-		}
+	} else if cm, report, err = raal.TrainCostModel(ds, v, opts); err != nil {
+		return err
 	}
-	fmt.Printf("trained %s on %d samples in %v\n", v.Name, report.TrainSamples, time.Since(start).Round(time.Millisecond))
-	fmt.Printf("held-out (%d samples): %s\n", report.TestSamples, report.Held)
+	fmt.Fprintf(stdout, "trained %s on %d samples in %v\n", v.Name, report.TrainSamples, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(stdout, "held-out (%d samples): %s\n", report.TestSamples, report.Held)
 
 	if *out != "" {
-		f, err := os.Create(*out)
-		if err != nil {
-			fatal(err)
+		if err := writeFile(*out, cm.Save); err != nil {
+			return err
 		}
-		defer f.Close()
-		if err := cm.Save(f); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("model saved to %s\n", *out)
+		fmt.Fprintf(stdout, "model saved to %s\n", *out)
 	}
 	if *checkpoint != "" {
-		f, err := os.Create(*checkpoint)
-		if err != nil {
-			fatal(err)
+		save := func(w io.Writer) error { return raal.SaveCheckpoint(w, cm, report.State) }
+		if err := writeFile(*checkpoint, save); err != nil {
+			return err
 		}
-		defer f.Close()
-		if err := raal.SaveCheckpoint(f, cm, report.State); err != nil {
-			fatal(err)
-		}
-		fmt.Printf("checkpoint saved to %s (resume with -resume %s)\n", *checkpoint, *checkpoint)
+		fmt.Fprintf(stdout, "checkpoint saved to %s (resume with -resume %s)\n", *checkpoint, *checkpoint)
 	}
+	return nil
 }
 
-func fatal(err error) {
-	fmt.Fprintln(os.Stderr, err)
-	os.Exit(1)
+// writeFile creates path and writes it with save; a failed close (the
+// last write reaching the disk) is an error too.
+func writeFile(path string, save func(io.Writer) error) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := save(f); err != nil {
+		f.Close()
+		return fmt.Errorf("writing %s: %w", path, err)
+	}
+	return f.Close()
 }

@@ -22,6 +22,11 @@ var (
 	// A section reference may break across comment lines: "(DESIGN\n// §5r)".
 	designRef     = regexp.MustCompile(`DESIGN(?:\.md)?[\s/]*§(\d+[a-z]*)`)
 	designHeading = regexp.MustCompile(`(?m)^#+ (\d+[a-z]*)\. `)
+	// A command line: a binary followed by its flags, each with at most
+	// one value ("raalserve -addr :8081 -online").
+	docFlagRef = regexp.MustCompile(`\b(raal(?:serve|train|query|bench))((?:[ \t]+-[a-z][a-z0-9-]*(?:[ \t=]+(?:"[^"\n]*"|[^\s` + "`" + `"-][^\s` + "`" + `]*))?)+)`)
+	flagToken  = regexp.MustCompile(`(?:^|\s)-([a-z][a-z0-9-]*)`)
+	flagDef    = regexp.MustCompile(`fs\.(?:Bool|Duration|Float64|Int|Int64|String)\("([a-z0-9-]+)"`)
 )
 
 // TestDocsNameThingsThatExist keeps the prose honest about the four
@@ -31,7 +36,9 @@ var (
 // must match at least one file), and every backquoted `TestXxx` or
 // `FuzzXxx` (`pkg.TestXxx`, or `TestXxx*` for a family) names a function
 // in some _test.go file. Every `DESIGN §x` (or `DESIGN.md §x`) in a Go
-// file, the docs or bench/README.md names a DESIGN.md heading.
+// file, the docs or bench/README.md names a DESIGN.md heading. Every
+// `raalserve`, `raaltrain`, `raalquery` or `raalbench` command line
+// passes only flags that binary's flag set defines.
 func TestDocsNameThingsThatExist(t *testing.T) {
 	mk, err := os.ReadFile("Makefile")
 	if err != nil {
@@ -81,6 +88,17 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	flags := map[string]map[string]bool{}
+	for _, bin := range []string{"raalserve", "raaltrain", "raalquery", "raalbench"} {
+		src, err := os.ReadFile(filepath.Join("cmd", bin, "main.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flags[bin] = map[string]bool{}
+		for _, m := range flagDef.FindAllStringSubmatch(string(src), -1) {
+			flags[bin][m[1]] = true
+		}
+	}
 	exps := map[string]bool{"all": true}
 	for _, n := range experiments.Names() {
 		exps[n] = true
@@ -104,6 +122,13 @@ func TestDocsNameThingsThatExist(t *testing.T) {
 			for _, name := range strings.Split(strings.Trim(m[1], "{}"), ",") {
 				if !exps[name] {
 					t.Errorf("%s: `raalbench -exp %s` is not a registered experiment", doc, name)
+				}
+			}
+		}
+		for _, m := range docFlagRef.FindAllStringSubmatch(text, -1) {
+			for _, f := range flagToken.FindAllStringSubmatch(m[2], -1) {
+				if !flags[m[1]][f[1]] {
+					t.Errorf("%s: `%s -%s` is not a flag of cmd/%s", doc, m[1], f[1], m[1])
 				}
 			}
 		}

@@ -85,30 +85,18 @@ func ResumeCostModel(cm *CostModel, st *TrainState, ds *Dataset, opt TrainOption
 	return cm.fit(st, ds, opt)
 }
 
-// OnlineOptions tunes NewOnlineServing. The zero value is a working
-// in-memory loop with the defaults documented on online.Config.
+// OnlineOptions tunes NewOnlineServing. The loop itself runs on the
+// defaults documented on online.Config (a 512-sample replay reservoir, a
+// 64-outcome drift window watching the 0.9-quantile against 2.0, retrains
+// gated at 64 samples and shadow-scored on 32 outcomes, 10 warm-start
+// epochs per challenger).
 type OnlineOptions struct {
 	// Dir, if non-empty, is the snapshot registry directory: every model
 	// generation is persisted there with an integrity checksum, and a
 	// restarted server resumes the manifest's champion.
 	Dir string
-	// ReplayCap bounds the replay reservoir (default 512).
-	ReplayCap int
-	// DriftWindow, DriftQuantile, DriftThreshold configure the rolling
-	// q-error drift detector (defaults 64, 0.9, 2.0).
-	DriftWindow    int
-	DriftQuantile  float64
-	DriftThreshold float64
-	// MinRetrain and ShadowMin gate retraining and the shadow verdict
-	// (defaults 64 and 32); Cooldown spaces automatic retrains (default
-	// DriftWindow).
-	MinRetrain int
-	ShadowMin  int
-	Cooldown   int
-	// RetrainEpochs is the warm-start Fit length per challenger
-	// (default 10).
-	RetrainEpochs int
-	Seed          int64
+	// Seed drives reservoir eviction and challenger training (default 1).
+	Seed int64
 	// Metrics, if non-nil, receives the raal_online_* metric set.
 	Metrics *telemetry.Registry
 	// Logger, if non-nil, narrates drift triggers and promotions.
@@ -131,18 +119,7 @@ type OnlineServing struct {
 // pass TrainReport.State or a loaded checkpoint state to make challenger
 // training a true continuation.
 func NewOnlineServing(cm *CostModel, st *TrainState, opt OnlineOptions) (*OnlineServing, error) {
-	cfg := online.Config{
-		ReplayCap:      opt.ReplayCap,
-		Seed:           opt.Seed,
-		DriftWindow:    opt.DriftWindow,
-		DriftQuantile:  opt.DriftQuantile,
-		DriftThreshold: opt.DriftThreshold,
-		MinRetrain:     opt.MinRetrain,
-		ShadowMin:      opt.ShadowMin,
-		Cooldown:       opt.Cooldown,
-		Logger:         opt.Logger,
-	}
-	cfg.Train.Epochs = opt.RetrainEpochs
+	cfg := online.Config{Seed: opt.Seed, Logger: opt.Logger}
 	if opt.Metrics != nil {
 		cfg.Metrics = online.NewMetrics(opt.Metrics)
 	}
