@@ -126,14 +126,18 @@ fmt-check:
 # internal/metrics' held-out scores are read off those weights;
 # internal/sparksim's simulated runtimes, internal/workload's sampled
 # allocations and internal/catalog's selectivities are the labels and
-# inputs those weights are fitted to. Each
+# inputs those weights are fitted to; internal/word2vec's embeddings are
+# the encoder's token vectors, and internal/engine, internal/physical,
+# internal/cardest, internal/logical, internal/sql and internal/datagen
+# make the plans, cardinalities and data the labels are measured on (they
+# hold no fused product today; listing them keeps it so). Each
 # rounds every such product (float64(x*y)) so that no port fuses a
 # multiply-add and arm64 computes the bits amd64 does (DESIGN §5j). Fails
 # on any FMADD/FMSUB/FNMADD/FNMSUB in a listed package's arm64 assembly
 # listing, or when a package has no listing. The other packages that
 # still fuse on arm64 are not listed yet (ROADMAP, "One set of bits on
 # every port").
-FMA_PKGS = internal/tensor internal/autodiff internal/nn internal/core internal/encode internal/metrics internal/sparksim internal/workload internal/catalog
+FMA_PKGS = internal/tensor internal/autodiff internal/nn internal/core internal/encode internal/metrics internal/sparksim internal/workload internal/catalog internal/word2vec internal/engine internal/physical internal/cardest internal/logical internal/sql internal/datagen
 FMA_OPS = [[:space:]]F(N?)M(ADD|SUB)[DS][[:space:]]
 fma-check:
 	@for pkg in $(FMA_PKGS); do \
@@ -180,7 +184,10 @@ cover:
 # producer goroutine drawing negatives, and the fused AVX2 kernel beside
 # the activations or its Go loop applying each pair), held to
 # one-sample-at-a-time SGD in both embedding matrices, bit for bit, on
-# random small corpora and widths, some spanning several ring chunks; and
+# random small corpora and widths, some spanning several ring chunks; the
+# simulator, over generated plans under every allocation of the default
+# resource grid: Estimate is Breakdown's total bit for bit, finite and not
+# negative, deterministic per seed, and monotone in input rows; and
 # the cost-model and
 # checkpoint loaders, which must refuse any byte sequence with an error or
 # return a model that prices a fixed plan without panicking (the seed corpora
@@ -188,7 +195,7 @@ cover:
 # <package>:<FuzzName>. go test fuzzes one target per run, so the targets
 # share FUZZTIME (whole seconds) equally, one after the other.
 FUZZTIME ?= 25s
-FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul ./internal/physical:FuzzStatements ./internal/fleet:FuzzReplicaResponse ./internal/nn:FuzzLSTMCell ./internal/nn:FuzzRaggedLSTM ./internal/word2vec:FuzzWord2Vec .:FuzzLoadCostModel
+FUZZ_TARGETS = ./internal/sql:FuzzParse ./internal/sql:FuzzCanonicalKey ./internal/engine:FuzzPipeline ./internal/encode:FuzzTokenize ./internal/tensor:FuzzActivations ./internal/tensor:FuzzMatMul ./internal/physical:FuzzStatements ./internal/fleet:FuzzReplicaResponse ./internal/nn:FuzzLSTMCell ./internal/nn:FuzzRaggedLSTM ./internal/word2vec:FuzzWord2Vec .:FuzzSimulator .:FuzzLoadCostModel
 fuzz:
 	total=$(FUZZTIME); each=$$(( $${total%s} / $(words $(FUZZ_TARGETS)) )); \
 	for target in $(FUZZ_TARGETS); do \

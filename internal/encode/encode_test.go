@@ -2,6 +2,7 @@ package encode
 
 import (
 	"reflect"
+	"slices"
 	"testing"
 
 	"raal/internal/cardest"
@@ -347,5 +348,34 @@ func TestEncodePlanPartAllocsBounded(t *testing.T) {
 		if a := testing.AllocsPerRun(20, func() { enc.EncodePlanPart(p) }); a > 12 {
 			t.Fatalf("EncodePlanPart of a %d-node plan allocates %v times, want <= 12", len(p.Nodes), a)
 		}
+	}
+}
+
+// TestCorpusAllocs pins Fit's corpus build: its sentences are Tokenize's,
+// statement by statement, and it allocates a few growing slices, the
+// intern map and one string per distinct folded token, not a slice per
+// statement or a string per token: 45 for the test plans' 167 statements,
+// where one Tokenize call per statement makes 1,378. Twice the plans costs
+// at most three more slice growths.
+func TestCorpusAllocs(t *testing.T) {
+	plans := buildPlans(t, testQueries...)
+	sentences := corpus(plans)
+	i := 0
+	for _, p := range plans {
+		for _, stmt := range p.Statements() {
+			if want := Tokenize(stmt); !slices.Equal(sentences[i], want) {
+				t.Fatalf("sentence %d = %q, want Tokenize(%q) = %q", i, sentences[i], stmt, want)
+			}
+			i++
+		}
+	}
+	if i != len(sentences) {
+		t.Fatalf("%d sentences from %d statements", len(sentences), i)
+	}
+	once := testing.AllocsPerRun(20, func() { corpus(plans) })
+	twice := testing.AllocsPerRun(20, func() { corpus(append(plans[:len(plans):len(plans)], plans...)) })
+	t.Logf("%d statements: %v allocations; twice the plans: %v", i, once, twice)
+	if once > 45 || twice > once+3 {
+		t.Errorf("corpus of %d statements made %v allocations, twice the plans %v; want at most 45 and 3 more", i, once, twice)
 	}
 }

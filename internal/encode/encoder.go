@@ -65,21 +65,45 @@ func Fit(plans []*physical.Plan, cfg Config) (*Encoder, error) {
 	}
 	e := &Encoder{cfg: cfg}
 	if cfg.Mode == Word2Vec {
-		var corpus [][]string
-		for _, p := range plans {
-			// Statements is memoised, so encoding these plans later
-			// renders nothing again.
-			for _, stmt := range p.Statements() {
-				corpus = append(corpus, Tokenize(stmt))
-			}
-		}
-		m, err := word2vec.Train(corpus, cfg.W2V)
+		m, err := word2vec.Train(corpus(plans), cfg.W2V)
 		if err != nil {
 			return nil, fmt.Errorf("encode: training word2vec: %w", err)
 		}
 		e.w2v = m
 	}
 	return e, nil
+}
+
+// corpus tokenizes the statements of plans into word2vec's sentences,
+// one per statement in plan order. The sentences are views of one token
+// slice, one scanner buffer serves every statement, and each distinct
+// folded token is made into a string once, so the corpus costs a few
+// growing slices whatever its length.
+func corpus(plans []*physical.Plan) [][]string {
+	n := 0
+	for _, p := range plans {
+		// Statements is memoised, so encoding these plans later
+		// renders nothing again.
+		n += len(p.Statements())
+	}
+	var toks []string
+	ends := make([]int, 0, n)
+	intern := map[string]string{}
+	var sc tokenScanner
+	for _, p := range plans {
+		for _, stmt := range p.Statements() {
+			sc = tokenScanner{s: stmt, buf: sc.buf}
+			toks = appendTokens(toks, &sc, intern)
+			ends = append(ends, len(toks))
+		}
+	}
+	sentences := make([][]string, len(ends))
+	start := 0
+	for i, end := range ends {
+		sentences[i] = toks[start:end:end]
+		start = end
+	}
+	return sentences
 }
 
 // MaxNodes returns the padded sequence length.

@@ -29,22 +29,34 @@ import (
 // text in a literal stays one intact UTF-8 token, and only ASCII letters
 // are lowercased.
 func Tokenize(statement string) []string {
-	var toks []string
-	sc := tokenScanner{s: statement}
+	return appendTokens(nil, &tokenScanner{s: statement}, nil)
+}
+
+// appendTokens appends the tokens sc yields to toks. A token that folding
+// left unchanged shares the statement's bytes; a folded one comes from
+// intern when it holds the token, else it is made, and kept in intern
+// when intern is not nil.
+func appendTokens(toks []string, sc *tokenScanner, intern map[string]string) []string {
 	for tok, ok := sc.next(); ok; tok, ok = sc.next() {
-		if raw := statement[sc.start:sc.end]; string(tok) == raw {
-			toks = append(toks, raw) // folding changed nothing: share the statement's bytes
+		if raw := sc.s[sc.start:sc.end]; string(tok) == raw {
+			toks = append(toks, raw)
+		} else if s, ok := intern[string(tok)]; ok {
+			toks = append(toks, s)
 		} else {
-			toks = append(toks, string(tok))
+			s = string(tok)
+			if intern != nil {
+				intern[s] = s
+			}
+			toks = append(toks, s)
 		}
 	}
 	return toks
 }
 
 // tokenScanner yields the tokens of one statement in order. It is the one
-// tokeniser: Tokenize collects its tokens as strings for word2vec
-// training, and the encoder embeds them straight from buf without making
-// any.
+// tokeniser: Tokenize and Fit's corpus collect its tokens as strings for
+// word2vec training, and the encoder embeds them straight from buf
+// without making any.
 type tokenScanner struct {
 	s          string
 	start, end int    // the last token's source bytes are s[start:end]

@@ -461,9 +461,11 @@ func TestStreamingAllocsPerRowBounded(t *testing.T) {
 
 // TestStreamingWarmRunAllocs pins the mallocs of warm runs: the six
 // candidate plans of a filtered three-way join, grouped and sorted, made
-// 2,017–2,020 mallocs a pass before joins gathered only live columns.
-// Skipping dead columns skips their slabs and build-side growth, so a
-// pass must not make more than that.
+// 2,017–2,020 mallocs a pass before joins gathered only live columns, and
+// 1,815–1,820 before layouts dropped their name maps, pooled slabs
+// reused their boxes and aggregates carved group states from one pooled
+// slab. A pass makes 847–858 now, 1,097–1,133 under the race detector,
+// whose sync.Pool drops a quarter of what is put back.
 func TestStreamingWarmRunAllocs(t *testing.T) {
 	f := newFixture(t)
 	f.planner.MaxPlans = 6
@@ -478,8 +480,13 @@ func TestStreamingWarmRunAllocs(t *testing.T) {
 			}
 		}
 	})
-	if allocs > 2020 {
-		t.Errorf("%d plans: %.0f mallocs a pass, want at most 2020", len(plans), allocs)
+	t.Logf("%d plans: %.0f mallocs a pass", len(plans), allocs)
+	limit := 860.0
+	if engine.RaceEnabled {
+		limit = 1150
+	}
+	if allocs > limit {
+		t.Errorf("%d plans: %.0f mallocs a pass, want at most %.0f", len(plans), allocs, limit)
 	}
 }
 
@@ -487,10 +494,13 @@ func TestStreamingWarmRunAllocs(t *testing.T) {
 // candidate plans of a join, grouped and sorted, allocate. The joins'
 // build-side columns and hash-index arrays and the sort's input and output
 // columns start from the engine's slab pool and go back to it when the run
-// closes. Growing them from nil on every run took 1.25 MB a pass; the
-// bound is half that.
+// closes, and so do an aggregate's group states, group maps and output
+// columns. Growing the join and sort columns from nil on every run took
+// 1.25 MB a pass; with them pooled, a state slice per group and a group
+// map grown from nothing on every run still took 502–511 kB. A pass takes
+// 199–216 kB now.
 func TestWarmJoinSortAllocBytes(t *testing.T) {
-	if raceEnabled {
+	if engine.RaceEnabled {
 		t.Skip("sync.Pool drops slabs at random under the race detector")
 	}
 	f := newFixture(t)
@@ -514,7 +524,7 @@ func TestWarmJoinSortAllocBytes(t *testing.T) {
 	runtime.ReadMemStats(&after)
 	perPass := (after.TotalAlloc - before.TotalAlloc) / passes
 	t.Logf("%d plans: %d bytes a warm pass", len(plans), perPass)
-	if perPass > 625_000 {
-		t.Errorf("%d plans: %d bytes a warm pass, want at most 625,000", len(plans), perPass)
+	if perPass > 225_000 {
+		t.Errorf("%d plans: %d bytes a warm pass, want at most 225,000", len(plans), perPass)
 	}
 }

@@ -1,5 +1,5 @@
 //go:build !race
 
-package engine_test
+package engine
 
-const raceEnabled = false
+const RaceEnabled = false

@@ -1,7 +1,8 @@
 //go:build race
 
-package engine_test
+package engine
 
-// raceEnabled: the race detector's sync.Pool drops a quarter of what is put
+// RaceEnabled: the race detector's sync.Pool drops a quarter of what is put
 // back, so allocation counts that rely on a warm pool do not hold under it.
-const raceEnabled = true
+// It is exported for the external test package.
+const RaceEnabled = true

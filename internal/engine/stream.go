@@ -63,10 +63,10 @@ type runCtx struct {
 // baseIter supplies the default lay/emptyCols so concrete operators only
 // override what they specialize.
 type baseIter struct {
-	l *layout
+	l layout
 }
 
-func (b *baseIter) lay() *layout           { return b.l }
+func (b *baseIter) lay() *layout           { return &b.l }
 func (b *baseIter) emptyCols() []streamCol { return b.l.cols }
 
 // drain accumulates a full Relation from an iterator — the only place in
@@ -277,7 +277,7 @@ func (e *Engine) buildOp(n *physical.Node, kids []iterator, rc *runCtx, up *ance
 	case physical.ExchangeHashPartition:
 		return newExchangeIter(kids[0], n), nil
 	case physical.ExchangeSinglePartition, physical.BroadcastExchange:
-		return &passthroughIter{baseIter{kids[0].lay()}, kids[0]}, nil
+		return &passthroughIter{baseIter{*kids[0].lay()}, kids[0]}, nil
 	case physical.Sort:
 		return newSortIter(kids[0], n, rc, up)
 	case physical.SortMergeJoin, physical.BroadcastHashJoin, physical.ShuffledHashJoin:
@@ -287,7 +287,7 @@ func (e *Engine) buildOp(n *physical.Node, kids []iterator, rc *runCtx, up *ance
 	case physical.HashAggregate, physical.SortAggregate:
 		return newAggIter(kids[0], n, rc)
 	case physical.LocalLimit:
-		return &limitIter{baseIter: baseIter{kids[0].lay()}, child: kids[0], remaining: n.LimitN}, nil
+		return &limitIter{baseIter: baseIter{*kids[0].lay()}, child: kids[0], remaining: n.LimitN}, nil
 	default:
 		return nil, fmt.Errorf("unsupported operator")
 	}
@@ -380,12 +380,11 @@ func (e *Engine) newScanIter(n *physical.Node, rc *runCtx) (iterator, error) {
 		}
 		return nil, fmt.Errorf("table %s has no column %q", n.Table, c)
 	}
-	l := newLayout(cols)
-	it := &scanIter{baseIter: baseIter{l}, rc: rc, cols: data, total: tab.NumRows}
+	it := &scanIter{baseIter: baseIter{layout{cols}}, rc: rc, cols: data, total: tab.NumRows}
 	it.out.ints = make([][]int64, len(cols))
 	it.out.strs = make([][]string, len(cols))
 	if len(n.Preds) > 0 {
-		it.preds, err = compileStreamPreds(l, n.Preds)
+		it.preds, err = compileStreamPreds(&it.l, n.Preds)
 		if err != nil {
 			return nil, err
 		}
@@ -467,7 +466,7 @@ func newFilterIter(child iterator, preds []sql.Predicate, rc *runCtx) (iterator,
 	if err != nil {
 		return nil, err
 	}
-	return &filterIter{baseIter: baseIter{l}, rc: rc, child: child, preds: fns, sel: rc.eng.pool.getSel(rc.cap)}, nil
+	return &filterIter{baseIter: baseIter{*l}, rc: rc, child: child, preds: fns, sel: rc.eng.pool.getSel(rc.cap)}, nil
 }
 
 func (f *filterIter) Next() (*Batch, error) {
@@ -526,7 +525,7 @@ func newProjectIter(child iterator, cols []string) (iterator, error) {
 	outCols := make([]streamCol, len(cols))
 	src := make([]int, len(cols))
 	for i, c := range cols {
-		p, ok := cl.find(c)
+		p, ok := cl.find(named(c))
 		if !ok {
 			return nil, fmt.Errorf("engine: projection references missing column %q (have %s)",
 				c, strings.Join(cl.names(), ","))
@@ -534,7 +533,7 @@ func newProjectIter(child iterator, cols []string) (iterator, error) {
 		outCols[i] = cl.cols[p]
 		src[i] = p
 	}
-	it := &projectIter{baseIter: baseIter{newLayout(outCols)}, child: child, src: src}
+	it := &projectIter{baseIter: baseIter{layout{outCols}}, child: child, src: src}
 	it.out.ints = make([][]int64, len(cols))
 	it.out.strs = make([][]string, len(cols))
 	return it, nil
@@ -604,9 +603,9 @@ type exchangeIter struct {
 }
 
 func newExchangeIter(child iterator, n *physical.Node) iterator {
-	it := &exchangeIter{baseIter: baseIter{child.lay()}, child: child, node: n, keyPos: -1}
+	it := &exchangeIter{baseIter: baseIter{*child.lay()}, child: child, node: n, keyPos: -1}
 	if key := exchangeKey(n); key != nil {
-		if p, ok := child.lay().find(key.String()); ok {
+		if p, ok := child.lay().find(boundKey(key)); ok {
 			it.keyPos = p
 			it.isStr = child.lay().cols[p].isStr
 		}
@@ -683,14 +682,14 @@ type sortIter struct {
 
 func newSortIter(child iterator, n *physical.Node, rc *runCtx, up *ancestors) (iterator, error) {
 	if n.SortCol == nil {
-		return &passthroughIter{baseIter{child.lay()}, child}, nil
+		return &passthroughIter{baseIter{*child.lay()}, child}, nil
 	}
 	l := child.lay()
-	p, ok := l.find(n.SortCol.String())
+	p, ok := l.find(boundKey(n.SortCol))
 	if !ok {
 		return nil, fmt.Errorf("sort column %q missing", n.SortCol.String())
 	}
-	it := &sortIter{baseIter: baseIter{l}, child: child, keyPos: p, desc: n.SortDesc, rc: rc,
+	it := &sortIter{baseIter: baseIter{*l}, child: child, keyPos: p, desc: n.SortDesc, rc: rc,
 		live: liveMask(l, &ancestors{n: n, up: up})}
 	it.out.ints = make([][]int64, len(l.cols))
 	it.out.strs = make([][]string, len(l.cols))
@@ -709,7 +708,7 @@ func (s *sortIter) build() error {
 		if b == nil {
 			break
 		}
-		appendBatch(acc, s.l, b, s.live, pool)
+		appendBatch(acc, &s.l, b, s.live, pool)
 		s.total += b.n
 		if s.total > s.rc.max {
 			return fmt.Errorf("sort input exceeds %d rows: %w", s.rc.max, ErrRowLimit)

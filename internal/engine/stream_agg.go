@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"math"
+	"slices"
 	"strconv"
 
 	"raal/internal/physical"
@@ -84,11 +85,11 @@ func newAggIter(child iterator, n *physical.Node, rc *runCtx) (iterator, error) 
 	cl := child.lay()
 	it := &aggIter{child: child, node: n, rc: rc}
 	outCols := make([]streamCol, 0, len(n.GroupBy)+2*len(n.Aggs))
-	for _, g := range n.GroupBy {
-		name := g.String()
-		p, ok := cl.find(name)
+	for i := range n.GroupBy {
+		key := boundKey(&n.GroupBy[i])
+		p, ok := cl.find(key)
 		if !ok {
-			return nil, fmt.Errorf("group column %q missing", name)
+			return nil, fmt.Errorf("group column %q missing", key)
 		}
 		it.accs = append(it.accs, groupAccessor{col: cl.cols[p], pos: p})
 		outCols = append(outCols, cl.cols[p])
@@ -98,10 +99,10 @@ func newAggIter(child iterator, n *physical.Node, rc *runCtx) (iterator, error) 
 	if n.Final {
 		it.stateIn = make([][2]int, len(n.Aggs))
 		statePos := func(ai int, suffix string) (int, error) {
-			name := fmt.Sprintf("__p%d_%s", ai, suffix)
-			p, ok := cl.intPos(name)
+			key := named(stateName(ai, suffix))
+			p, ok := cl.intPos(key)
 			if !ok {
-				return -1, fmt.Errorf("aggregate state column %q missing", name)
+				return -1, fmt.Errorf("aggregate state column %q missing", key)
 			}
 			return p, nil
 		}
@@ -128,7 +129,7 @@ func newAggIter(child iterator, n *physical.Node, rc *runCtx) (iterator, error) 
 			if err != nil {
 				return nil, err
 			}
-			outCols = append(outCols, streamCol{name: fmt.Sprintf("agg%d", ai)})
+			outCols = append(outCols, streamCol{name: "agg" + strconv.Itoa(ai)})
 		}
 	} else {
 		it.inputs = make([]int, len(n.Aggs))
@@ -137,38 +138,43 @@ func newAggIter(child iterator, n *physical.Node, rc *runCtx) (iterator, error) 
 			if a.Star || a.Col == nil || a.Agg == sql.AggNone {
 				// COUNT(*) / bare group column: counts rows
 			} else {
-				name := a.Col.String()
-				if p, ok := cl.intPos(name); ok {
+				key := boundKey(a.Col)
+				if p, ok := cl.intPos(key); ok {
 					it.inputs[ai] = p
-				} else if _, ok := cl.strPos(name); ok {
+				} else if _, ok := cl.strPos(key); ok {
 					if a.Agg != sql.AggCount {
-						return nil, fmt.Errorf("aggregate %s over string column %q", a.Agg, name)
+						return nil, fmt.Errorf("aggregate %s over string column %q", a.Agg, key)
 					}
 					// COUNT over strings counts rows (no NULLs)
 				} else {
-					return nil, fmt.Errorf("aggregate column %q missing", name)
+					return nil, fmt.Errorf("aggregate column %q missing", key)
 				}
 			}
-			pfx := fmt.Sprintf("__p%d", ai)
 			switch a.Agg {
 			case sql.AggCount:
-				outCols = append(outCols, streamCol{name: pfx + "_cnt"})
+				outCols = append(outCols, streamCol{name: stateName(ai, "cnt")})
 			case sql.AggSum:
-				outCols = append(outCols, streamCol{name: pfx + "_sum"})
+				outCols = append(outCols, streamCol{name: stateName(ai, "sum")})
 			case sql.AggAvg:
-				outCols = append(outCols, streamCol{name: pfx + "_sum"}, streamCol{name: pfx + "_cnt"})
+				outCols = append(outCols, streamCol{name: stateName(ai, "sum")}, streamCol{name: stateName(ai, "cnt")})
 			case sql.AggMin:
-				outCols = append(outCols, streamCol{name: pfx + "_min"})
+				outCols = append(outCols, streamCol{name: stateName(ai, "min")})
 			case sql.AggMax:
-				outCols = append(outCols, streamCol{name: pfx + "_max"})
+				outCols = append(outCols, streamCol{name: stateName(ai, "max")})
 			case sql.AggNone:
 			}
 		}
 	}
-	it.l = newLayout(outCols)
+	it.l = layout{outCols}
 	it.out.ints = make([][]int64, len(outCols))
 	it.out.strs = make([][]string, len(outCols))
 	return it, nil
+}
+
+// stateName names state column suffix (cnt, sum, min or max) of partial
+// aggregate ai.
+func stateName(ai int, suffix string) string {
+	return "__p" + strconv.Itoa(ai) + "_" + suffix
 }
 
 // update folds physical row r of b into one group's states.
@@ -216,32 +222,53 @@ func (a *aggIter) update(st []aggState, b *Batch, r int, final bool) {
 func (a *aggIter) build() error {
 	aggs := a.node.Aggs
 	final := a.node.Final
-	keyVals := make([]colData, a.nGroup) // copied key values, contiguous per group
-	var grpStates [][]aggState           // per group in first-seen order
+	pool := &a.rc.eng.pool
+	a.cols = make([]colData, len(a.l.cols))
+	keyVals := a.cols[:a.nGroup] // copied key values, contiguous per group
+	states := pool.states.get(0) // len(aggs) per group, groups in first-seen order
+	defer func() { pool.states.put(states) }()
 
-	newGroup := func() ([]aggState, error) {
-		st := make([]aggState, len(aggs))
-		if final {
-			for ai := range st {
-				st[ai].min = math.MaxInt64
-				st[ai].max = math.MinInt64
+	newGroup := func() (int32, error) {
+		g := a.groups
+		if g >= a.rc.max {
+			return 0, fmt.Errorf("aggregate output exceeds %d groups: %w", a.rc.max, ErrRowLimit)
+		}
+		a.groups++
+		states = slices.Grow(states, len(aggs))
+		for range aggs {
+			if final {
+				states = append(states, aggState{min: math.MaxInt64, max: math.MinInt64})
+			} else {
+				states = append(states, aggState{})
 			}
 		}
-		grpStates = append(grpStates, st)
-		if len(grpStates) > a.rc.max {
-			return nil, fmt.Errorf("aggregate output exceeds %d groups: %w", a.rc.max, ErrRowLimit)
+		return int32(g), nil
+	}
+	group := func(g int32) []aggState { return states[int(g)*len(aggs) : int(g+1)*len(aggs)] }
+	addKey := func(gi int, b *Batch, acc groupAccessor, r int) {
+		if acc.col.isStr {
+			if keyVals[gi].strs == nil {
+				keyVals[gi].strs = pool.getStrs(0)
+			}
+			keyVals[gi].strs = append(keyVals[gi].strs, b.strs[acc.pos][r])
+		} else {
+			if keyVals[gi].ints == nil {
+				keyVals[gi].ints = pool.getInts(0)
+			}
+			keyVals[gi].ints = append(keyVals[gi].ints, b.ints[acc.pos][r])
 		}
-		return st, nil
 	}
 
 	// Three keying strategies, hottest first: no key at all (global
 	// aggregates), a raw int64 map for the common single-int GROUP BY
 	// (skips both key encoding and string hashing on every input row),
 	// and the encoded-string map for composite or string keys. All three
-	// discover groups in first-seen order.
+	// discover groups in first-seen order. The maps hold group indexes and
+	// come from the engine's pool, cleared, so a warm run does not grow
+	// them again.
 	switch {
 	case a.nGroup == 0:
-		var st []aggState
+		g := int32(-1)
 		for {
 			b, err := a.child.Next()
 			if err != nil {
@@ -251,17 +278,18 @@ func (a *aggIter) build() error {
 				break
 			}
 			for i := 0; i < b.n; i++ {
-				if st == nil {
-					if st, err = newGroup(); err != nil {
+				if g < 0 {
+					if g, err = newGroup(); err != nil {
 						return err
 					}
 				}
-				a.update(st, b, b.row(i), final)
+				a.update(group(g), b, b.row(i), final)
 			}
 		}
 	case a.nGroup == 1 && !a.accs[0].col.isStr:
-		pos := a.accs[0].pos
-		states := map[int64][]aggState{}
+		acc := a.accs[0]
+		index := pool.intGroups.get()
+		defer pool.intGroups.put(index)
 		for {
 			b, err := a.child.Next()
 			if err != nil {
@@ -272,20 +300,21 @@ func (a *aggIter) build() error {
 			}
 			for i := 0; i < b.n; i++ {
 				r := b.row(i)
-				k := b.ints[pos][r]
-				st, ok := states[k]
+				k := b.ints[acc.pos][r]
+				g, ok := index[k]
 				if !ok {
-					if st, err = newGroup(); err != nil {
+					if g, err = newGroup(); err != nil {
 						return err
 					}
-					states[k] = st
-					keyVals[0].ints = append(keyVals[0].ints, k)
+					index[k] = g
+					addKey(0, b, acc, r)
 				}
-				a.update(st, b, r, final)
+				a.update(group(g), b, r, final)
 			}
 		}
 	default:
-		states := map[string][]aggState{}
+		index := pool.strGroups.get()
+		defer pool.strGroups.put(index)
 		var buf []byte
 		for {
 			b, err := a.child.Next()
@@ -298,48 +327,36 @@ func (a *aggIter) build() error {
 			for i := 0; i < b.n; i++ {
 				r := b.row(i)
 				buf = appendKey(buf[:0], a.accs, b, r)
-				st, ok := states[string(buf)]
+				g, ok := index[string(buf)]
 				if !ok {
-					if st, err = newGroup(); err != nil {
+					if g, err = newGroup(); err != nil {
 						return err
 					}
-					states[string(buf)] = st
+					index[string(buf)] = g
 					for gi, acc := range a.accs {
-						if acc.col.isStr {
-							keyVals[gi].strs = append(keyVals[gi].strs, b.strs[acc.pos][r])
-						} else {
-							keyVals[gi].ints = append(keyVals[gi].ints, b.ints[acc.pos][r])
-						}
+						addKey(gi, b, acc, r)
 					}
 				}
-				a.update(st, b, r, final)
+				a.update(group(g), b, r, final)
 			}
 		}
 	}
 
 	// A global partial aggregate over zero rows still emits one all-zero
 	// row (COUNT(*) of an empty input is 0, not absent).
-	if !final && len(a.node.GroupBy) == 0 && len(grpStates) == 0 {
-		st := make([]aggState, len(aggs))
-		for ai := range st {
-			st[ai].min = math.MaxInt64
-			st[ai].max = math.MinInt64
+	if !final && len(a.node.GroupBy) == 0 && a.groups == 0 {
+		for range aggs {
+			states = append(states, aggState{min: math.MaxInt64, max: math.MinInt64})
 		}
-		grpStates = append(grpStates, st)
+		a.groups = 1
 	}
 
-	a.groups = len(grpStates)
-	a.cols = make([]colData, len(a.l.cols))
-	for gi := 0; gi < a.nGroup; gi++ {
-		a.cols[gi] = keyVals[gi]
-	}
 	col := a.nGroup
 	for ai, ag := range aggs {
-		gi := ai
 		mk := func(get func(aggState) int64) {
-			vals := make([]int64, a.groups)
-			for g := range grpStates {
-				vals[g] = get(grpStates[g][gi])
+			vals := pool.getInts(a.groups)
+			for g := range vals {
+				vals[g] = get(states[g*len(aggs)+ai])
 			}
 			a.cols[col].ints = vals
 			col++
@@ -419,4 +436,9 @@ func (a *aggIter) emptyCols() []streamCol {
 	return a.l.cols
 }
 
-func (a *aggIter) Close() { a.cols = nil; a.child.Close() }
+// Close returns the output columns to the engine's pool.
+func (a *aggIter) Close() {
+	putCols(&a.rc.eng.pool, a.cols)
+	a.cols = nil
+	a.child.Close()
+}

@@ -37,16 +37,16 @@ type joinBase struct {
 
 // makeJoinLayout concatenates the sides' layouts, rejecting a qualified
 // name that appears on both sides.
-func makeJoinLayout(left, right *layout) (*layout, error) {
+func makeJoinLayout(left, right *layout) (layout, error) {
 	cols := make([]streamCol, 0, len(left.cols)+len(right.cols))
 	cols = append(cols, left.cols...)
 	for _, c := range right.cols {
-		if _, dup := left.find(c.name); dup {
-			return nil, fmt.Errorf("duplicate column %q across join sides", c.name)
+		if _, dup := left.find(named(c.name)); dup {
+			return layout{}, fmt.Errorf("duplicate column %q across join sides", c.name)
 		}
 		cols = append(cols, c)
 	}
-	return newLayout(cols), nil
+	return layout{cols}, nil
 }
 
 func (j *joinBase) init(left, right iterator, n *physical.Node, rc *runCtx, up *ancestors) error {
@@ -58,7 +58,7 @@ func (j *joinBase) init(left, right iterator, n *physical.Node, rc *runCtx, up *
 	j.rc = rc
 	j.left, j.right = left, right
 	j.nLeft = len(left.lay().cols)
-	j.live = liveMask(l, up)
+	j.live = liveMask(&l, up)
 	j.buildLive = liveMask(right.lay(), &ancestors{n: n, up: up})
 	j.lrows = rc.eng.pool.getSel(rc.cap)[:0]
 	j.brows = rc.eng.pool.getSel(rc.cap)[:0]
@@ -191,7 +191,7 @@ type hashJoinIter struct {
 }
 
 func newHashJoinIter(left, right iterator, n *physical.Node, rc *runCtx, up *ancestors) (iterator, error) {
-	lname, rname := n.LeftKey.String(), n.RightKey.String()
+	lname, rname := boundKey(n.LeftKey), boundKey(n.RightKey)
 	it := &hashJoinIter{op: n.Op}
 	if lp, ok := left.lay().intPos(lname); ok {
 		rp, ok := right.lay().intPos(rname)
@@ -442,11 +442,11 @@ type nestedLoopIter struct {
 }
 
 func newNestedLoopIter(left, right iterator, n *physical.Node, rc *runCtx, up *ancestors) (iterator, error) {
-	lp, ok := left.lay().intPos(n.LeftKey.String())
+	lp, ok := left.lay().intPos(boundKey(n.LeftKey))
 	if !ok {
 		return nil, fmt.Errorf("nested loop key %q missing on left side", n.LeftKey)
 	}
-	rp, ok := right.lay().intPos(n.RightKey.String())
+	rp, ok := right.lay().intPos(boundKey(n.RightKey))
 	if !ok {
 		return nil, fmt.Errorf("nested loop key %q missing on right side", n.RightKey)
 	}

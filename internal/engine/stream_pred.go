@@ -27,23 +27,13 @@ func compileStreamPreds(l *layout, preds []sql.Predicate) ([]rowPred, error) {
 	return fns, nil
 }
 
-func (l *layout) intPos(name string) (int, bool) {
-	p, ok := l.find(name)
-	return p, ok && !l.cols[p].isStr
-}
-
-func (l *layout) strPos(name string) (int, bool) {
-	p, ok := l.find(name)
-	return p, ok && l.cols[p].isStr
-}
-
 func compileStreamPred(l *layout, p sql.Predicate) (rowPred, error) {
 	switch pred := p.(type) {
 	case *sql.Comparison:
-		name := pred.Left.String()
+		key := refKey(pred.Left)
 		if pred.RightCol != nil {
-			lp, lok := l.intPos(name)
-			rp, rok := l.intPos(pred.RightCol.String())
+			lp, lok := l.intPos(key)
+			rp, rok := l.intPos(refKey(*pred.RightCol))
 			if !lok || !rok {
 				return nil, fmt.Errorf("engine: column comparison %s needs int columns", pred)
 			}
@@ -51,22 +41,22 @@ func compileStreamPred(l *layout, p sql.Predicate) (rowPred, error) {
 			return func(b *Batch, r int) bool { return cmpInt(b.ints[lp][r], b.ints[rp][r], op) }, nil
 		}
 		if pred.Lit.IsStr {
-			cp, ok := l.strPos(name)
+			cp, ok := l.strPos(key)
 			if !ok {
-				return nil, fmt.Errorf("engine: missing string column %q", name)
+				return nil, fmt.Errorf("engine: missing string column %q", key)
 			}
 			lit, op := pred.Lit.S, pred.Op
 			return func(b *Batch, r int) bool { return cmpStr(b.strs[cp][r], lit, op) }, nil
 		}
-		cp, ok := l.intPos(name)
+		cp, ok := l.intPos(key)
 		if !ok {
-			return nil, fmt.Errorf("engine: missing int column %q", name)
+			return nil, fmt.Errorf("engine: missing int column %q", key)
 		}
 		lit, op := pred.Lit.I, pred.Op
 		return func(b *Batch, r int) bool { return cmpInt(b.ints[cp][r], lit, op) }, nil
 
 	case *sql.Between:
-		cp, ok := l.intPos(pred.Col.String())
+		cp, ok := l.intPos(refKey(pred.Col))
 		if !ok {
 			return nil, fmt.Errorf("engine: missing int column %q", pred.Col)
 		}
@@ -74,25 +64,25 @@ func compileStreamPred(l *layout, p sql.Predicate) (rowPred, error) {
 		return func(b *Batch, r int) bool { v := b.ints[cp][r]; return v >= lo && v <= hi }, nil
 
 	case *sql.In:
-		name := pred.Col.String()
-		if cp, ok := l.intPos(name); ok {
+		key := refKey(pred.Col)
+		if cp, ok := l.intPos(key); ok {
 			set := map[int64]bool{}
 			for _, v := range pred.Values {
 				set[v.I] = true
 			}
 			return func(b *Batch, r int) bool { return set[b.ints[cp][r]] }, nil
 		}
-		if cp, ok := l.strPos(name); ok {
+		if cp, ok := l.strPos(key); ok {
 			set := map[string]bool{}
 			for _, v := range pred.Values {
 				set[v.S] = true
 			}
 			return func(b *Batch, r int) bool { return set[b.strs[cp][r]] }, nil
 		}
-		return nil, fmt.Errorf("engine: missing column %q", name)
+		return nil, fmt.Errorf("engine: missing column %q", key)
 
 	case *sql.Like:
-		cp, ok := l.strPos(pred.Col.String())
+		cp, ok := l.strPos(refKey(pred.Col))
 		if !ok {
 			return nil, fmt.Errorf("engine: missing string column %q", pred.Col)
 		}

@@ -42,12 +42,12 @@ func TestLikePatterns(t *testing.T) {
 }
 
 func TestHashJoinDuplicateColumnRejected(t *testing.T) {
-	left := newLayout([]streamCol{{name: "x.k"}, {name: "shared"}})
-	right := newLayout([]streamCol{{name: "y.k"}, {name: "shared", isStr: true}})
+	left := &layout{[]streamCol{{name: "x.k"}, {name: "shared"}}}
+	right := &layout{[]streamCol{{name: "y.k"}, {name: "shared", isStr: true}}}
 	if _, err := makeJoinLayout(left, right); err == nil {
 		t.Fatal("a column name on both join sides should error")
 	}
-	if l, err := makeJoinLayout(left, newLayout([]streamCol{{name: "y.k"}})); err != nil || len(l.cols) != 3 {
+	if l, err := makeJoinLayout(left, &layout{[]streamCol{{name: "y.k"}}}); err != nil || len(l.cols) != 3 {
 		t.Fatalf("distinct sides: %v, %v", l, err)
 	}
 }
@@ -89,5 +89,25 @@ func TestStableOrderMatchesSliceStable(t *testing.T) {
 				}
 			}
 		}
+	}
+}
+
+// TestSlabPoolReusesBoxes pins a warm get and put of each slab kind to no
+// allocation: put refills the box get emptied instead of boxing the slice
+// header anew.
+func TestSlabPoolReusesBoxes(t *testing.T) {
+	if RaceEnabled {
+		t.Skip("sync.Pool drops slabs at random under the race detector")
+	}
+	var p slabPool
+	getPut := func() {
+		p.putInts(p.getInts(64))
+		p.putStrs(p.getStrs(64))
+		p.putSel(p.getSel(64))
+		p.states.put(p.states.get(8))
+	}
+	getPut()
+	if got := testing.AllocsPerRun(100, getPut); got != 0 {
+		t.Errorf("a warm get and put of each slab kind made %v allocations, want 0", got)
 	}
 }

@@ -15,7 +15,10 @@
 //     differently under different parallelism.
 package sparksim
 
-import "fmt"
+import (
+	"fmt"
+	"strconv"
+)
 
 // Resources is a resource allocation for one query, mirroring the paper's
 // Table I configuration vocabulary.
@@ -124,7 +127,16 @@ func (r Resources) NormalizedInto(dst []float64, max Resources) []float64 {
 	return dst
 }
 
-func (r Resources) String() string {
-	return fmt.Sprintf("%dn×%dc %dex×%dc %0.fMB net=%.0f disk=%.0f",
-		r.Nodes, r.CoresPerNode, r.Executors, r.ExecCores, r.ExecMemMB, r.NetMBps, r.DiskMBps)
+func (r Resources) String() string { return string(r.appendText(nil)) }
+
+// appendText appends r's String form to dst: the bytes fmt's
+// "%dn×%dc %dex×%dc %0.fMB net=%.0f disk=%.0f" writes.
+func (r Resources) appendText(dst []byte) []byte {
+	dst = append(strconv.AppendInt(dst, int64(r.Nodes), 10), "n×"...)
+	dst = append(strconv.AppendInt(dst, int64(r.CoresPerNode), 10), "c "...)
+	dst = append(strconv.AppendInt(dst, int64(r.Executors), 10), "ex×"...)
+	dst = append(strconv.AppendInt(dst, int64(r.ExecCores), 10), "c "...)
+	dst = append(strconv.AppendFloat(dst, r.ExecMemMB, 'f', 0, 64), "MB net="...)
+	dst = append(strconv.AppendFloat(dst, r.NetMBps, 'f', 0, 64), " disk="...)
+	return strconv.AppendFloat(dst, r.DiskMBps, 'f', 0, 64)
 }

@@ -1,10 +1,8 @@
 package sparksim
 
 import (
-	"fmt"
-	"hash/fnv"
 	"math"
-	"strings"
+	"strconv"
 
 	"raal/internal/physical"
 )
@@ -20,13 +18,11 @@ func New(conf Config) *Simulator { return &Simulator{Conf: conf} }
 
 // Estimate returns the simulated wall-clock seconds to execute p under res.
 // If the plan has been executed by the engine (ActRows populated) the true
-// cardinalities drive the model; otherwise the planner estimates do.
+// cardinalities drive the model; otherwise the planner estimates do. It is
+// Breakdown(p, res).TotalSec, priced by the same walk without recording
+// the stages.
 func (s *Simulator) Estimate(p *physical.Plan, res Resources) (float64, error) {
-	b, err := s.Breakdown(p, res)
-	if err != nil {
-		return 0, err
-	}
-	return b.TotalSec, nil
+	return s.price(p, res, nil)
 }
 
 // StageCost is the priced execution of one stage.
@@ -48,9 +44,24 @@ type CostBreakdown struct {
 	TotalSec float64
 }
 
-// stage is a maximal pipelined fragment between exchange boundaries.
+// Breakdown simulates p under res and returns per-stage costs.
+func (s *Simulator) Breakdown(p *physical.Plan, res Resources) (*CostBreakdown, error) {
+	out := &CostBreakdown{}
+	total, err := s.price(p, res, out)
+	if err != nil {
+		return nil, err
+	}
+	out.TotalSec = total
+	return out, nil
+}
+
+// A stage is a maximal pipelined fragment between exchange boundaries: the
+// operators reachable from its root without crossing an exchange. The
+// stages above an exchange consume the stage below it, so the plan's
+// stages form a tree, and the simulator prices them feeders first.
+
+// stage is what a stage reads and writes across its boundaries.
 type stage struct {
-	ops             []*physical.Node
 	scanBytes       float64 // raw table bytes read from disk
 	shuffleInBytes  float64
 	hashInput       bool // reads a hash-partitioned shuffle
@@ -58,118 +69,165 @@ type stage struct {
 	shuffleOutBytes float64
 	broadcastBytes  float64 // hash relations broadcast into this stage
 	broadcastRows   float64
-	sortBytes       float64 // per-stage sort working set (total)
-	hashBytes       float64 // per-stage hash-table working set (total)
 	inputSkew       float64 // measured max/avg partition ratio of inputs
 }
 
-// Breakdown simulates p under res and returns per-stage costs.
-func (s *Simulator) Breakdown(p *physical.Plan, res Resources) (*CostBreakdown, error) {
+// pricer is the state of one pricing walk over a plan.
+type pricer struct {
+	c         Config
+	res       Resources
+	useActual bool // price on ActRows, not EstRows
+
+	slots, memPerTask, gcFactor, broadcastBudget float64
+
+	order int     // stages priced so far
+	total float64 // seconds so far
+	out   *CostBreakdown
+}
+
+// price simulates p under res and returns the total seconds. With a
+// non-nil out it also records every stage, labels included, in pricing
+// order.
+func (s *Simulator) price(p *physical.Plan, res Resources, out *CostBreakdown) (float64, error) {
 	if err := res.Validate(); err != nil {
-		return nil, err
+		return 0, err
 	}
 	c := s.Conf
-	useActual := false
+	pr := pricer{
+		c: c, res: res, out: out,
+		slots:           float64(res.Slots()),
+		memPerTask:      res.ExecMemMB * 1e6 * c.MemFraction / float64(res.ExecCores),
+		gcFactor:        1 + float64(c.GCCoefPerGB*res.ExecMemMB/1024),
+		broadcastBudget: res.ExecMemMB * 1e6 * c.BroadcastFraction,
+		total:           c.AppStartupMs / 1000,
+	}
 	for _, n := range p.Nodes {
 		if n.ActRows > 0 {
-			useActual = true
+			pr.useActual = true
 			break
 		}
 	}
-	rows := func(n *physical.Node) float64 {
-		r := n.EstRows
-		if useActual {
-			r = n.ActRows
-		}
-		return r * c.RowScale
-	}
-	bytesOf := func(n *physical.Node) float64 {
-		w := n.RowBytes
-		if w <= 0 {
-			w = 8
-		}
-		return rows(n) * w
-	}
-
-	var stages []*stage
-	var build func(n *physical.Node) *stage
-	build = func(n *physical.Node) *stage {
-		st := &stage{}
-		stages = append(stages, st)
-		var walk func(n *physical.Node)
-		walk = func(n *physical.Node) {
-			for _, ch := range n.Children {
-				switch ch.Op {
-				case physical.ExchangeHashPartition, physical.ExchangeSinglePartition:
-					child := build(ch.Children[0])
-					child.shuffleOutBytes += bytesOf(ch)
-					st.shuffleInBytes += bytesOf(ch)
-					if ch.Op == physical.ExchangeHashPartition {
-						st.hashInput = true
-						if ch.Skew > st.inputSkew {
-							st.inputSkew = ch.Skew
-						}
-					} else {
-						st.singleInput = true
-					}
-				case physical.BroadcastExchange:
-					build(ch.Children[0])
-					st.broadcastBytes += bytesOf(ch)
-					st.broadcastRows += rows(ch)
-				default:
-					walk(ch)
-				}
-			}
-			st.ops = append(st.ops, n)
-			if n.Op == physical.FileScan {
-				st.scanBytes += float64(n.RawRows * c.RowScale * maxf(n.RowBytes, 8))
-			}
-		}
-		walk(n)
-		return st
-	}
-	build(p.Root)
-
-	slots := float64(res.Slots())
-	memPerTask := res.ExecMemMB * 1e6 * c.MemFraction / float64(res.ExecCores)
-	gcFactor := 1 + float64(c.GCCoefPerGB*res.ExecMemMB/1024)
-	broadcastBudget := res.ExecMemMB * 1e6 * c.BroadcastFraction
-
-	out := &CostBreakdown{TotalSec: c.AppStartupMs / 1000}
-	order := 0
-	for i := len(stages) - 1; i >= 0; i-- { // leaf-most stages first
-		st := stages[i]
-		stageSlots := slots
-		if res.Dynamic {
-			// Dynamic allocation: executors arrive over the first
-			// stages, so early stages run with fewer slots. One extra
-			// executor-acquisition round trip per missing executor.
-			ramp := float64(order+1) / 3
-			if ramp > 1 {
-				ramp = 1
-			}
-			stageSlots = math.Max(float64(res.ExecCores), math.Floor(slots*ramp))
-		}
-		sc := s.priceStage(st, res, stageSlots, memPerTask, gcFactor, broadcastBudget, rows, bytesOf)
-		out.Stages = append(out.Stages, sc)
-		out.TotalSec += sc.Sec
-		order++
-	}
+	pr.priceTree(p.Root, 0)
 	if res.Dynamic {
-		out.TotalSec += float64(float64(res.Executors-1) * 0.05) // acquisition latency
+		pr.total += float64(float64(res.Executors-1) * 0.05) // acquisition latency
 	}
 
 	// Deterministic run-to-run variance, seeded by plan and resources.
-	h := fnv.New64a()
-	fmt.Fprintf(h, "%s|%v|%d", p.Sig, res, s.Seed)
-	unit := float64(h.Sum64()%20001)/10000 - 1 // [-1, 1]
-	out.TotalSec *= 1 + float64(c.NoiseAmplitude*unit)
-	return out, nil
+	unit := float64(noiseSeed(p.Sig, res, s.Seed)%20001)/10000 - 1 // [-1, 1]
+	return pr.total * (1 + float64(c.NoiseAmplitude*unit)), nil
 }
 
-func (s *Simulator) priceStage(st *stage, res Resources, slots, memPerTask, gcFactor, broadcastBudget float64,
-	rows func(*physical.Node) float64, bytesOf func(*physical.Node) float64) StageCost {
-	c := s.Conf
+// noiseSeed is the 64-bit FNV-1a hash of sig|res|seed, res written as its
+// String form.
+func noiseSeed(sig string, res Resources, seed int64) uint64 {
+	const offset64, prime64 = 14695981039346656037, 1099511628211
+	var buf [256]byte
+	b := append(append(buf[:0], sig...), '|')
+	b = strconv.AppendInt(append(res.appendText(b), '|'), seed, 10)
+	h := uint64(offset64)
+	for _, c := range b {
+		h = (h ^ uint64(c)) * prime64
+	}
+	return h
+}
+
+// rows and bytesOf round their products: inlined into a sum, they would
+// otherwise fuse into it on arm64.
+func (pr *pricer) rows(n *physical.Node) float64 {
+	r := n.EstRows
+	if pr.useActual {
+		r = n.ActRows
+	}
+	return float64(r * pr.c.RowScale)
+}
+
+func (pr *pricer) bytesOf(n *physical.Node) float64 {
+	w := n.RowBytes
+	if w <= 0 {
+		w = 8
+	}
+	return float64(pr.rows(n) * w)
+}
+
+// isShuffle reports whether op is an exchange that shuffles its input into
+// the stage above (a broadcast is the other stage boundary).
+func isShuffle(op physical.OpType) bool {
+	return op == physical.ExchangeHashPartition || op == physical.ExchangeSinglePartition
+}
+
+// priceTree prices the stage rooted at n after every stage feeding it;
+// outBytes is what the stage writes to the shuffle above it.
+func (pr *pricer) priceTree(n *physical.Node, outBytes float64) {
+	pr.priceFeeders(n)
+	var st stage
+	st.shuffleOutBytes += outBytes
+	pr.gather(&st, n)
+	stageSlots := pr.slots
+	if pr.res.Dynamic {
+		// Dynamic allocation: executors arrive over the first
+		// stages, so early stages run with fewer slots. One extra
+		// executor-acquisition round trip per missing executor.
+		ramp := float64(pr.order+1) / 3
+		if ramp > 1 {
+			ramp = 1
+		}
+		stageSlots = math.Max(float64(pr.res.ExecCores), math.Floor(pr.slots*ramp))
+	}
+	sc := pr.priceStage(&st, n, stageSlots)
+	if pr.out != nil {
+		sc.Label = stageLabel(n)
+		pr.out.Stages = append(pr.out.Stages, sc)
+	}
+	pr.total += sc.Sec
+	pr.order++
+}
+
+// priceFeeders prices the stages below n's stage: those behind its
+// exchanges, the last exchange of the operator walk first.
+func (pr *pricer) priceFeeders(n *physical.Node) {
+	for i := len(n.Children) - 1; i >= 0; i-- {
+		switch ch := n.Children[i]; {
+		case isShuffle(ch.Op):
+			pr.priceTree(ch.Children[0], pr.bytesOf(ch))
+		case ch.Op == physical.BroadcastExchange:
+			pr.priceTree(ch.Children[0], 0)
+		default:
+			pr.priceFeeders(ch)
+		}
+	}
+}
+
+// gather adds what the operators of n's stage under and at n read across
+// the stage's boundaries to st, in operator order: children first.
+func (pr *pricer) gather(st *stage, n *physical.Node) {
+	for _, ch := range n.Children {
+		switch {
+		case isShuffle(ch.Op):
+			st.shuffleInBytes += pr.bytesOf(ch)
+			if ch.Op == physical.ExchangeHashPartition {
+				st.hashInput = true
+				if ch.Skew > st.inputSkew {
+					st.inputSkew = ch.Skew
+				}
+			} else {
+				st.singleInput = true
+			}
+		case ch.Op == physical.BroadcastExchange:
+			st.broadcastBytes += pr.bytesOf(ch)
+			st.broadcastRows += pr.rows(ch)
+		default:
+			pr.gather(st, ch)
+		}
+	}
+	if n.Op == physical.FileScan {
+		st.scanBytes += float64(n.RawRows * pr.c.RowScale * maxf(n.RowBytes, 8))
+	}
+}
+
+// priceStage prices the stage rooted at n, whose boundary traffic is st,
+// on slots task slots.
+func (pr *pricer) priceStage(st *stage, n *physical.Node, slots float64) StageCost {
+	c, res := pr.c, pr.res
 
 	tasks := 1
 	switch {
@@ -183,81 +241,12 @@ func (s *Simulator) priceStage(st *stage, res Resources, slots, memPerTask, gcFa
 			tasks = 1
 		}
 	}
-	ft := float64(tasks)
+	w := opWork{ft: float64(tasks), broadcastOverflow: st.broadcastBytes > 0 && st.broadcastBytes > pr.broadcastBudget}
+	pr.addWork(&w, n)
+	ft, cpuNs, spillBytes := w.ft, w.cpuNs, w.spillBytes
 
-	var cpuNs, spillBytes, broadcastPenaltyBytes float64
-	broadcastOverflow := st.broadcastBytes > 0 && st.broadcastBytes > broadcastBudget
-
-	for _, n := range st.ops {
-		switch n.Op {
-		case physical.FileScan:
-			raw := n.RawRows * c.RowScale
-			if len(n.Preds) > 0 {
-				// Pushdown: decode survivors only, but evaluate the
-				// pushed predicates on every raw row.
-				cpuNs += float64(rows(n)*c.ScanNsPerRow) + float64(raw*float64(len(n.Preds))*c.FilterNsPerPred)
-			} else {
-				cpuNs += float64(raw * c.ScanNsPerRow)
-			}
-		case physical.Filter:
-			in := rows(n.Children[0])
-			cpuNs += float64(in * float64(len(n.Preds)) * c.FilterNsPerPred)
-		case physical.Project:
-			cpuNs += float64(rows(n.Children[0]) * c.ProjectNsPerRow)
-		case physical.Sort:
-			in := rows(n.Children[0])
-			perTask := in / ft
-			if perTask > 1 {
-				cpuNs += float64(in * c.SortNsPerRow * math.Log2(perTask+1))
-			}
-			ws := bytesOf(n.Children[0]) / ft
-			if ws > memPerTask {
-				spillBytes += float64((ws - memPerTask) * ft)
-			}
-			st.sortBytes += bytesOf(n.Children[0])
-		case physical.SortMergeJoin:
-			cpuNs += float64((rows(n.Children[0]) + rows(n.Children[1]) + rows(n)) * c.MergeNsPerRow)
-		case physical.BroadcastHashJoin:
-			probe := rows(n.Children[0])
-			factor := 1.0
-			if broadcastOverflow {
-				factor = 2 // disk-backed lookups
-			}
-			cpuNs += float64((probe + rows(n)) * c.HashProbeNsPerRow * factor)
-		case physical.ShuffledHashJoin:
-			// Build the smaller shuffled side per partition, probe the
-			// other; the build hash table is a per-task working set.
-			l, r := rows(n.Children[0]), rows(n.Children[1])
-			build, probe := r, l
-			buildBytes := bytesOf(n.Children[1])
-			if l < r {
-				build, probe = l, r
-				buildBytes = bytesOf(n.Children[0])
-			}
-			cpuNs += float64(build*c.HashBuildNsPerRow) + float64((probe+rows(n))*c.HashProbeNsPerRow)
-			ws := buildBytes / ft
-			if ws > memPerTask {
-				spillBytes += float64((ws - memPerTask) * ft)
-			}
-			st.hashBytes += buildBytes
-		case physical.BroadcastNestedLoopJoin:
-			// Quadratic probe: every probe row scans the whole broadcast
-			// side (~2ns per comparison across the stage).
-			cpuNs += float64(float64(rows(n.Children[0])*rows(n.Children[1])) * 2)
-		case physical.HashAggregate, physical.SortAggregate:
-			in := rows(n.Children[0])
-			cpuNs += float64(in * c.AggNsPerRow)
-			ws := bytesOf(n) / ft
-			if ws > memPerTask {
-				spillBytes += float64((ws - memPerTask) * ft)
-			}
-			st.hashBytes += bytesOf(n)
-		case physical.LocalLimit:
-			cpuNs += float64(rows(n) * c.ProjectNsPerRow)
-		}
-	}
-
-	if broadcastOverflow {
+	var broadcastPenaltyBytes float64
+	if w.broadcastOverflow {
 		broadcastPenaltyBytes = st.broadcastBytes * c.BroadcastOverflowPenalty
 	}
 
@@ -273,7 +262,7 @@ func (s *Simulator) priceStage(st *stage, res Resources, slots, memPerTask, gcFa
 	diskBytes := float64(st.scanBytes*(1-hit)) + st.shuffleOutBytes + float64(spillBytes*c.SpillPenalty) + broadcastPenaltyBytes
 	netBytes := st.shuffleInBytes * (1 - hit)
 
-	cpuSec := float64(cpuNs / 1e9 * gcFactor)
+	cpuSec := float64(cpuNs / 1e9 * pr.gcFactor)
 	diskSec := diskBytes / (res.DiskMBps * 1e6)
 	netSec := netBytes / (res.NetMBps * 1e6)
 	spillSec := spillBytes * c.SpillPenalty / (res.DiskMBps * 1e6)
@@ -297,34 +286,123 @@ func (s *Simulator) priceStage(st *stage, res Resources, slots, memPerTask, gcFa
 	// executor, build the hash relation single-threaded.
 	if st.broadcastBytes > 0 {
 		stageSec += st.broadcastBytes * float64(1+res.Executors) / (res.NetMBps * 1e6)
-		stageSec += float64(st.broadcastRows * c.HashBuildNsPerRow / 1e9 * gcFactor)
+		stageSec += float64(st.broadcastRows * c.HashBuildNsPerRow / 1e9 * pr.gcFactor)
 	}
 
 	return StageCost{
-		Label: stageLabel(st),
 		Tasks: tasks, Waves: int(waves),
 		CPUSec: cpuSec, DiskSec: diskSec, NetSec: netSec, SpillSec: spillSec,
 		Sec: stageSec,
 	}
 }
 
-// stageLabel names a stage by its operator pipeline, leaf first.
-func stageLabel(st *stage) string {
-	parts := make([]string, 0, len(st.ops))
-	for _, n := range st.ops {
-		switch n.Op {
-		case physical.FileScan:
-			parts = append(parts, "FileScan("+n.Table+")")
-		case physical.Project, physical.Filter:
-			// noise in a label; skip
-		default:
-			parts = append(parts, n.Op.String())
+// opWork is the operator work of one stage on its tasks.
+type opWork struct {
+	ft                float64 // tasks
+	broadcastOverflow bool    // the broadcast side outgrew its budget
+	cpuNs, spillBytes float64
+}
+
+// addWork adds the work of the operators of n's stage under and at n to
+// w, children first.
+func (pr *pricer) addWork(w *opWork, n *physical.Node) {
+	for _, ch := range n.Children {
+		if !isShuffle(ch.Op) && ch.Op != physical.BroadcastExchange {
+			pr.addWork(w, ch)
 		}
 	}
-	if len(parts) == 0 {
-		parts = append(parts, "pipeline")
+	c, ft, memPerTask := pr.c, w.ft, pr.memPerTask
+	switch n.Op {
+	case physical.FileScan:
+		raw := n.RawRows * c.RowScale
+		if len(n.Preds) > 0 {
+			// Pushdown: decode survivors only, but evaluate the
+			// pushed predicates on every raw row.
+			w.cpuNs += float64(pr.rows(n)*c.ScanNsPerRow) + float64(raw*float64(len(n.Preds))*c.FilterNsPerPred)
+		} else {
+			w.cpuNs += float64(raw * c.ScanNsPerRow)
+		}
+	case physical.Filter:
+		in := pr.rows(n.Children[0])
+		w.cpuNs += float64(in * float64(len(n.Preds)) * c.FilterNsPerPred)
+	case physical.Project:
+		w.cpuNs += float64(pr.rows(n.Children[0]) * c.ProjectNsPerRow)
+	case physical.Sort:
+		in := pr.rows(n.Children[0])
+		perTask := in / ft
+		if perTask > 1 {
+			w.cpuNs += float64(in * c.SortNsPerRow * math.Log2(perTask+1))
+		}
+		ws := pr.bytesOf(n.Children[0]) / ft
+		if ws > memPerTask {
+			w.spillBytes += float64((ws - memPerTask) * ft)
+		}
+	case physical.SortMergeJoin:
+		w.cpuNs += float64((pr.rows(n.Children[0]) + pr.rows(n.Children[1]) + pr.rows(n)) * c.MergeNsPerRow)
+	case physical.BroadcastHashJoin:
+		probe := pr.rows(n.Children[0])
+		factor := 1.0
+		if w.broadcastOverflow {
+			factor = 2 // disk-backed lookups
+		}
+		w.cpuNs += float64((probe + pr.rows(n)) * c.HashProbeNsPerRow * factor)
+	case physical.ShuffledHashJoin:
+		// Build the smaller shuffled side per partition, probe the
+		// other; the build hash table is a per-task working set.
+		l, r := pr.rows(n.Children[0]), pr.rows(n.Children[1])
+		build, probe := r, l
+		buildBytes := pr.bytesOf(n.Children[1])
+		if l < r {
+			build, probe = l, r
+			buildBytes = pr.bytesOf(n.Children[0])
+		}
+		w.cpuNs += float64(build*c.HashBuildNsPerRow) + float64((probe+pr.rows(n))*c.HashProbeNsPerRow)
+		ws := buildBytes / ft
+		if ws > memPerTask {
+			w.spillBytes += float64((ws - memPerTask) * ft)
+		}
+	case physical.BroadcastNestedLoopJoin:
+		// Quadratic probe: every probe row scans the whole broadcast
+		// side (~2ns per comparison across the stage).
+		w.cpuNs += float64(float64(pr.rows(n.Children[0])*pr.rows(n.Children[1])) * 2)
+	case physical.HashAggregate, physical.SortAggregate:
+		in := pr.rows(n.Children[0])
+		w.cpuNs += float64(in * c.AggNsPerRow)
+		ws := pr.bytesOf(n) / ft
+		if ws > memPerTask {
+			w.spillBytes += float64((ws - memPerTask) * ft)
+		}
+	case physical.LocalLimit:
+		w.cpuNs += float64(pr.rows(n) * c.ProjectNsPerRow)
 	}
-	return strings.Join(parts, ">")
+}
+
+// stageLabel names the stage rooted at n by its operator pipeline, leaf
+// first.
+func stageLabel(n *physical.Node) string {
+	b := appendStageOps(nil, n)
+	if len(b) == 0 {
+		return "pipeline"
+	}
+	return string(b[1:])
+}
+
+// appendStageOps appends ">op" for each operator of n's stage under and at
+// n, children first; filters and projections are noise in a label.
+func appendStageOps(b []byte, n *physical.Node) []byte {
+	for _, ch := range n.Children {
+		if !isShuffle(ch.Op) && ch.Op != physical.BroadcastExchange {
+			b = appendStageOps(b, ch)
+		}
+	}
+	switch n.Op {
+	case physical.FileScan:
+		b = append(append(append(b, ">FileScan("...), n.Table...), ')')
+	case physical.Project, physical.Filter:
+	default:
+		b = append(append(b, '>'), n.Op.String()...)
+	}
+	return b
 }
 
 func maxf(a, b float64) float64 {

@@ -1,7 +1,10 @@
 package sparksim
 
 import (
+	"fmt"
+	"hash/fnv"
 	"math"
+	"math/rand"
 	"testing"
 
 	"raal/internal/cardest"
@@ -315,5 +318,50 @@ func TestSlots(t *testing.T) {
 	}
 	if (Resources{}).Slots() != 1 {
 		t.Fatal("zero resources should clamp to 1 slot")
+	}
+}
+
+// TestEstimateAllocatesNothing pins Estimate to no allocation, static and
+// dynamic allocation alike: it prices the stages without recording them
+// or their labels, and hashes the noise seed without fmt.
+func TestEstimateAllocatesNothing(t *testing.T) {
+	f := newFixture(t)
+	dyn := DefaultResources()
+	dyn.Dynamic = true
+	for _, p := range f.executedPlans(t, joinQuery) {
+		for _, res := range []Resources{DefaultResources(), dyn} {
+			if got := testing.AllocsPerRun(20, func() { f.sim.Estimate(p, res) }); got != 0 {
+				t.Errorf("%s under %v: Estimate made %v allocations, want 0", p.Sig, res, got)
+			}
+		}
+	}
+}
+
+// TestNoiseSeedMatchesFmt holds the noise seed to the bytes it hashed
+// when fmt wrote them, fmt.Fprintf(fnv64a, "%s|%v|%d", sig, res, seed),
+// and Resources.String to its fmt form, on odd values too.
+func TestNoiseSeedMatchesFmt(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	specials := []float64{0, math.Copysign(0, -1), 0.5, 1.5, 2.5, -0.4, 1e21, 1e300, math.Inf(1), math.Inf(-1), math.NaN()}
+	for i := 0; i < 500; i++ {
+		res := randomValidResources(rng)
+		if i%2 == 0 {
+			res.ExecMemMB = specials[rng.Intn(len(specials))]
+			res.NetMBps = specials[rng.Intn(len(specials))]
+			res.DiskMBps = rng.Float64() * math.Pow(10, float64(rng.Intn(30)))
+			res.Nodes = -rng.Intn(1 << 20)
+		}
+		sig := fmt.Sprintf("order=t%d;algos=é", rng.Intn(100))
+		seed := rng.Int63() - rng.Int63()
+		h := fnv.New64a()
+		fmt.Fprintf(h, "%s|%v|%d", sig, res, seed)
+		if got, want := noiseSeed(sig, res, seed), h.Sum64(); got != want {
+			t.Fatalf("noiseSeed(%q, %v, %d) = %x, want %x", sig, res, seed, got, want)
+		}
+		want := fmt.Sprintf("%dn×%dc %dex×%dc %0.fMB net=%.0f disk=%.0f",
+			res.Nodes, res.CoresPerNode, res.Executors, res.ExecCores, res.ExecMemMB, res.NetMBps, res.DiskMBps)
+		if got := res.String(); got != want {
+			t.Fatalf("String() = %q, want %q", got, want)
+		}
 	}
 }

@@ -120,7 +120,9 @@ func newTrainer(sentences [][]string, cfg Config) (*trainer, error) {
 		t.m.In[i] = t.in[i*dim : (i+1)*dim : (i+1)*dim]
 	}
 	for i := range t.in {
-		t.in[i] = (t.rng.Float64() - 0.5) / float64(dim)
+		// Float64 scales its draw by a product; rounding it keeps arm64
+		// from fusing that product into the subtraction.
+		t.in[i] = (float64(t.rng.Float64()) - 0.5) / float64(dim)
 	}
 
 	// Unigram^0.75 negative-sampling table.
@@ -336,9 +338,9 @@ func (m *Model) Similarity(a, b string) float64 {
 func Cosine(a, b []float64) float64 {
 	var dot, na, nb float64
 	for i := range a {
-		dot += a[i] * b[i]
-		na += a[i] * a[i]
-		nb += b[i] * b[i]
+		dot += float64(a[i] * b[i])
+		na += float64(a[i] * a[i])
+		nb += float64(b[i] * b[i])
 	}
 	if na == 0 || nb == 0 {
 		return 0
